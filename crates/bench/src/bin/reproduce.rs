@@ -1,513 +1,512 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! reproduce all [--quick]
-//! reproduce table1 | table2 | table3 [--quick]
-//! reproduce fig2a | fig2b | fig2c | fig3 | fig4 | fig5 | fig6 [--quick]
-//! reproduce summary [--quick]     # one-line classification per algorithm
-//! reproduce energy  [--quick]     # extension: energy / EDP per cap
-//! reproduce arch    [--quick]     # extension: cross-architecture study
-//! reproduce ablation [--quick]    # extension: model-mechanism ablations
-//! reproduce governor --budget-sweep [--quick]
+//! reproduce all                   # every table, figure and study extension
+//! reproduce table1 | table2 | table3
+//! reproduce fig2a | fig2b | fig2c | fig3 | fig4 | fig5 | fig6
+//! reproduce summary               # one-line classification per algorithm
+//! reproduce energy                # extension: energy / EDP per cap
+//! reproduce arch                  # extension: cross-architecture study
+//! reproduce ablation              # extension: model-mechanism ablations
+//! reproduce governor --budget-sweep
 //!                                 # extension: closed-loop governor across
 //!                                 # node budgets (80-240 W, 4 policies)
-//! reproduce conformance [--quick] [--backend <traditional|dpp|both>]
-//!                                 # analytic-oracle / differential /
-//!                                 # metamorphic checks for all eight
-//!                                 # kernels (exit 1 on any failure);
-//!                                 # --backend dpp runs the traditional-
-//!                                 # vs-DPP differential suite instead
-//! reproduce bench [--quick] [--out BENCH.json]
-//!                 [--backend <traditional|dpp|both>] [--algo <a,b,...>]
-//!                                 # kernel perf baseline: wall time and
-//!                                 # throughput per algorithm × size,
-//!                                 # plus default-cap simulated J/IPC/LLC;
-//!                                 # --backend both adds a DPP row per
-//!                                 # supported algorithm
-//! reproduce advect [--quick]      # extension: time-varying flow — the
-//!                                 # hydro runs past step 200 recording a
-//!                                 # snapshot ring, then a scenario sweep
-//!                                 # (streamline/pathline × seeding ×
-//!                                 # step control × termination) executes
-//!                                 # against it, one schema-v8
-//!                                 # flow_scenario span per cell
-//! reproduce serve [--quick] [--requests K] [--zipf S]
-//!                 [--nodes N] [--workers W]
+//! reproduce conformance [--backend <traditional|dpp|both>]
+//!                                 # oracle / differential / metamorphic
+//!                                 # checks for all eight kernels (exit 1
+//!                                 # on any failure); --backend dpp runs the
+//!                                 # traditional-vs-DPP differential instead
+//! reproduce advect                # extension: time-varying flow — a
+//!                                 # streamline/pathline scenario sweep over
+//!                                 # a snapshot ring the hydro records
+//! reproduce serve [--requests K] [--zipf S] [--nodes N] [--workers W]
 //!                                 # extension: the study service under
-//!                                 # synthetic Zipfian traffic — dedupe
-//!                                 # through the fingerprint-addressed
-//!                                 # cache, batch scheduling across N
-//!                                 # simulated nodes at 90 W budget each
-//!                                 # (hit rate, coalesce count, modeled
-//!                                 # latency percentiles)
-//!
-//! reproduce <target> --journal out.jsonl   # write the run journal (JSONL)
-//! reproduce <target> --trace out.trace.json # write a chrome://tracing file
+//!                                 # Zipfian traffic, N simulated nodes at
+//!                                 # a 90 W budget each
 //! ```
+//!
+//! Every target takes `--quick`, `--journal out.jsonl` and `--trace
+//! out.trace.json`; the [`VERBS`] table holds what else each accepts.
 //!
 //! `--quick` shrinks data sizes and render resolutions ~100× while
 //! preserving the experiment structure; use it for smoke runs. Without
 //! it, sizes match the paper (32³–256³ cells; allow several minutes).
 //!
+//! `--backend dpp` on a table, figure, `summary` or `energy` runs the
+//! data-parallel-primitive kernel formulations instead of the fused
+//! loops the paper measured, restricted to the four algorithms that
+//! have one: `fig2b --backend dpp` against plain `fig2b` is the Bethel
+//! et al. IPC contrast (`docs/DPP.md`).
+//!
 //! `--journal` / `--trace` enable the run journal: every study phase,
 //! cap sweep row, workload, kernel phase, 100 ms sample, and RAPL cap
 //! change is recorded as a typed event (schema: `docs/OBSERVABILITY.md`).
+//!
+//! Everything printed is modeled time and energy. Wall-clock
+//! measurement is `benchmarks/run.sh` (`docs/PERFORMANCE.md`).
 
-use std::env;
-use std::path::{Path, PathBuf};
-use vizalgo::Algorithm;
+use powersim::trace::Journal;
+use std::str::FromStr;
+use vizalgo::{Algorithm, Backend};
 use vizpower::experiments::{self, FigMetric};
 use vizpower::report;
 use vizpower::study::StudyContext;
 use vizpower::{ablation, arch, energy};
 use vizpower_bench::{CliError, Fidelity, JOURNAL_CAPACITY};
 
-fn usage(context: &str) -> CliError {
-    CliError::new(format!(
-        "{context}\nusage: reproduce <all|table1|table2|table3|fig2a|fig2b|fig2c|fig3|fig4|fig5|fig6|summary|energy|arch|ablation|governor|conformance|bench|advect|serve> [--quick] [--budget-sweep] [--journal <out.jsonl>] [--trace <out.trace.json>] [--out <bench.json>] [--backend <traditional|dpp|both>] [--algo <name,...>] [--requests <K>] [--zipf <S>] [--nodes <N>] [--workers <W>]"
-    ))
+type Outcome = Result<(), CliError>;
+
+/// Every flag and the placeholder of its value (empty for a switch).
+const FLAGS: [(&str, &str); 9] = [
+    ("--quick", ""),
+    ("--budget-sweep", ""),
+    ("--journal", "out.jsonl"),
+    ("--trace", "out.trace.json"),
+    ("--backend", "traditional|dpp|both"),
+    ("--requests", "K"),
+    ("--zipf", "S"),
+    ("--nodes", "N"),
+    ("--workers", "W"),
+];
+
+/// Flags every verb accepts. `--budget-sweep` is the governor's (only)
+/// study selector; it is accepted and implied everywhere so scripts can
+/// spell the study out.
+const COMMON: [&str; 4] = ["--quick", "--budget-sweep", "--journal", "--trace"];
+const BACKEND: &[&str] = &["--backend"];
+const TRAFFIC: &[&str] = &["--requests", "--zipf", "--nodes", "--workers"];
+
+/// One `reproduce` target: its name, the flags it accepts beyond
+/// [`COMMON`], and the function that runs it. `all` is rows 1–14.
+struct Verb {
+    name: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&mut Run) -> Outcome,
 }
 
-/// Serialize the context's journal to the requested output files.
-fn write_journal_outputs(
-    ctx: &StudyContext,
-    journal_path: Option<&Path>,
-    trace_path: Option<&Path>,
-) -> Result<(), CliError> {
-    if let Some(path) = journal_path {
-        std::fs::write(path, ctx.journal.to_jsonl())
-            .map_err(|e| CliError::new(format!("writing journal {}: {e}", path.display())))?;
-        eprintln!(
-            "journal: {} events ({} dropped) -> {}",
-            ctx.journal.len(),
-            ctx.journal.dropped(),
-            path.display()
-        );
+#[rustfmt::skip]
+const VERBS: [Verb; 19] = [
+    Verb { name: "all", flags: &[], run: |r| VERBS[1..15].iter().try_for_each(|part| (part.run)(r)) },
+    Verb { name: "table1", flags: BACKEND, run: table1 },
+    Verb { name: "table2", flags: BACKEND, run: |r| slowdown_table(r, "II", 2, r.fidelity.table2_size()) },
+    Verb { name: "table3", flags: BACKEND, run: |r| slowdown_table(r, "III", 3, r.fidelity.table3_size()) },
+    Verb { name: "fig2a", flags: BACKEND, run: |r| fig2(r, FigMetric::EffectiveFrequency, "Fig 2a: effective frequency (GHz) vs cap") },
+    Verb { name: "fig2b", flags: BACKEND, run: |r| fig2(r, FigMetric::Ipc, "Fig 2b: IPC vs cap") },
+    Verb { name: "fig2c", flags: BACKEND, run: |r| fig2(r, FigMetric::LlcMissRate, "Fig 2c: LLC miss rate vs cap") },
+    Verb { name: "fig3", flags: BACKEND, run: fig3 },
+    Verb { name: "fig4", flags: BACKEND, run: |r| fig_size_ipc(r, Algorithm::Slice, "Fig 4: slice IPC vs cap across sizes") },
+    Verb { name: "fig5", flags: BACKEND, run: |r| fig_size_ipc(r, Algorithm::VolumeRendering, "Fig 5: volume rendering IPC vs cap across sizes") },
+    Verb { name: "fig6", flags: BACKEND, run: |r| fig_size_ipc(r, Algorithm::ParticleAdvection, "Fig 6: particle advection IPC vs cap across sizes") },
+    Verb { name: "summary", flags: BACKEND, run: summary },
+    Verb { name: "energy", flags: BACKEND, run: energy_table },
+    Verb { name: "arch", flags: &[], run: arch_table },
+    Verb { name: "ablation", flags: &[], run: ablation_table },
+    Verb { name: "governor", flags: &[], run: governor_sweep },
+    Verb { name: "conformance", flags: BACKEND, run: conformance_suite },
+    Verb { name: "advect", flags: &[], run: advect },
+    Verb { name: "serve", flags: TRAFFIC, run: serve },
+];
+
+fn usage(context: &str) -> CliError {
+    let verbs: Vec<&str> = VERBS.iter().map(|v| v.name).collect();
+    let mut text = format!("{context}\nusage: reproduce <{}>", verbs.join("|"));
+    for (flag, value) in FLAGS {
+        match value {
+            "" => text.push_str(&format!(" [{flag}]")),
+            _ => text.push_str(&format!(" [{flag} <{value}>]")),
+        }
     }
-    if let Some(path) = trace_path {
-        std::fs::write(path, ctx.journal.to_chrome_trace())
-            .map_err(|e| CliError::new(format!("writing trace {}: {e}", path.display())))?;
-        eprintln!(
-            "trace:   {} events -> {} (open in chrome://tracing or ui.perfetto.dev)",
-            ctx.journal.len(),
-            path.display()
-        );
+    CliError::new(text)
+}
+
+/// The flags given on the command line, as `(flag, value)` pairs
+/// (switches carry an empty value).
+struct Given(Vec<(&'static str, String)>);
+
+impl Given {
+    fn raw(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self.0.iter().rev().find(|(f, _)| *f == flag)?;
+        Some(value)
+    }
+
+    /// The flag's value parsed as `T`, or `default` when it was not given.
+    fn value<T: FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
+        let Some(raw) = self.raw(flag) else {
+            return Ok(default);
+        };
+        raw.parse()
+            .map_err(|_| usage(&format!("{flag}: cannot read '{raw}'")))
+    }
+}
+
+/// Parse the command line against the tables: the verb to run and the
+/// flags given, every one of which that verb accepts.
+fn plan(args: impl IntoIterator<Item = String>) -> Result<(&'static Verb, Given), CliError> {
+    let mut given = Vec::new();
+    let mut target = None;
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            target.get_or_insert(arg);
+        } else if let Some(&(flag, value)) = FLAGS.iter().find(|f| f.0 == arg) {
+            let missing = || usage(&format!("{flag} needs <{value}>"));
+            let value = match value {
+                "" => String::new(),
+                _ => it.next().ok_or_else(missing)?,
+            };
+            given.push((flag, value));
+        } else {
+            return Err(usage(&format!("unknown flag '{arg}'")));
+        }
+    }
+    let target = target.ok_or_else(|| usage("missing target"))?;
+    let verb = VERBS
+        .iter()
+        .find(|v| v.name == target)
+        .ok_or_else(|| usage(&format!("unknown target '{target}'")))?;
+    for (flag, _) in &given {
+        if !COMMON.contains(flag) && !verb.flags.contains(flag) {
+            let takers: Vec<&str> = VERBS
+                .iter()
+                .filter(|v| v.flags.contains(flag))
+                .map(|v| v.name)
+                .collect();
+            return Err(usage(&format!(
+                "{flag} does not apply to '{target}', only to: {}",
+                takers.join(", ")
+            )));
+        }
+    }
+    Ok((verb, Given(given)))
+}
+
+/// What a verb runs with: the study context (its journal is the run's
+/// journal) plus the parsed command line.
+struct Run {
+    ctx: StudyContext,
+    fidelity: Fidelity,
+    backends: Vec<Backend>,
+    given: Given,
+}
+
+impl Run {
+    fn quick(&self) -> bool {
+        self.fidelity == Fidelity::Quick
+    }
+}
+
+/// Serialize the run's journal to the requested output files.
+fn write_journal_outputs(run: &Run) -> Outcome {
+    let journal = &run.ctx.journal;
+    let outputs: [(&str, fn(&Journal) -> String); 2] = [
+        ("--journal", Journal::to_jsonl),
+        ("--trace", Journal::to_chrome_trace),
+    ];
+    for (flag, render) in outputs {
+        let Some(path) = run.given.raw(flag) else {
+            continue;
+        };
+        std::fs::write(path, render(journal))
+            .map_err(|e| CliError::new(format!("writing {flag} {path}: {e}")))?;
+        let (events, dropped) = (journal.len(), journal.dropped());
+        eprintln!("{flag}: {events} events ({dropped} dropped) -> {path}");
     }
     Ok(())
 }
 
-fn main() -> Result<(), CliError> {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let mut quick = false;
-    let mut journal_path: Option<PathBuf> = None;
-    let mut trace_path: Option<PathBuf> = None;
-    let mut out_path: Option<PathBuf> = None;
-    let mut backends: Option<Vec<vizalgo::Backend>> = None;
-    let mut algorithms: Option<Vec<Algorithm>> = None;
-    let mut requests_flag: Option<usize> = None;
-    let mut zipf_flag: Option<f64> = None;
-    let mut nodes_flag: Option<usize> = None;
-    let mut workers_flag: Option<usize> = None;
-    let mut targets: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            // The governor target's study selector; accepted (and
-            // implied) so scripts can spell the study out explicitly.
-            "--budget-sweep" => {}
-            "--journal" => {
-                let path = it.next().ok_or_else(|| usage("--journal needs a path"))?;
-                journal_path = Some(PathBuf::from(path));
-            }
-            "--trace" => {
-                let path = it.next().ok_or_else(|| usage("--trace needs a path"))?;
-                trace_path = Some(PathBuf::from(path));
-            }
-            "--out" => {
-                let path = it.next().ok_or_else(|| usage("--out needs a path"))?;
-                out_path = Some(PathBuf::from(path));
-            }
-            "--backend" => {
-                let name = it.next().ok_or_else(|| usage("--backend needs a name"))?;
-                backends = Some(vizpower_bench::parse_backends(&name)?);
-            }
-            "--algo" => {
-                let names = it
-                    .next()
-                    .ok_or_else(|| usage("--algo needs a comma-separated list"))?;
-                algorithms = Some(vizpower_bench::parse_algorithms(&names)?);
-            }
-            "--requests" => {
-                let n = it.next().ok_or_else(|| usage("--requests needs a count"))?;
-                requests_flag = Some(
-                    n.parse()
-                        .map_err(|_| usage(&format!("--requests: '{n}' is not a count")))?,
-                );
-            }
-            "--zipf" => {
-                let s = it.next().ok_or_else(|| usage("--zipf needs an exponent"))?;
-                zipf_flag = Some(
-                    s.parse()
-                        .map_err(|_| usage(&format!("--zipf: '{s}' is not a number")))?,
-                );
-            }
-            "--nodes" => {
-                let n = it.next().ok_or_else(|| usage("--nodes needs a count"))?;
-                nodes_flag = Some(
-                    n.parse()
-                        .map_err(|_| usage(&format!("--nodes: '{n}' is not a count")))?,
-                );
-            }
-            "--workers" => {
-                let n = it.next().ok_or_else(|| usage("--workers needs a count"))?;
-                workers_flag = Some(
-                    n.parse()
-                        .map_err(|_| usage(&format!("--workers: '{n}' is not a count")))?,
-                );
-            }
-            other if other.starts_with("--") => {
-                return Err(usage(&format!("unknown flag '{other}'")));
-            }
-            _ => targets.push(arg),
-        }
-    }
-    let Some(target) = targets.first().map(|s| s.as_str()) else {
-        return Err(usage("missing target"));
-    };
-    if backends.is_some() && !matches!(target, "bench" | "conformance") {
-        return Err(usage(
-            "--backend only applies to the bench and conformance targets",
-        ));
-    }
-    if algorithms.is_some() && target != "bench" {
-        return Err(usage("--algo only applies to the bench target"));
-    }
-    if (requests_flag.is_some()
-        || zipf_flag.is_some()
-        || nodes_flag.is_some()
-        || workers_flag.is_some())
-        && target != "serve"
-    {
-        return Err(usage(
-            "--requests/--zipf/--nodes/--workers only apply to the serve target",
-        ));
-    }
-    let fidelity = if quick {
+fn main() -> Outcome {
+    let (verb, given) = plan(std::env::args().skip(1))?;
+    let fidelity = if given.raw("--quick").is_some() {
         Fidelity::Quick
     } else {
         Fidelity::Paper
     };
-    let mut ctx = StudyContext::new(fidelity.study_config());
-    if journal_path.is_some() || trace_path.is_some() {
+    let backends = match given.raw("--backend") {
+        Some(name) => vizpower_bench::parse_backends(name)?,
+        None => vec![Backend::Traditional],
+    };
+    // A study context runs one backend. The conformance suites pick
+    // theirs from the list and execute nothing through the context.
+    let backend = match (verb.name, backends.as_slice()) {
+        ("conformance", _) => Backend::Traditional,
+        (_, [one]) => *one,
+        _ => return Err(usage("--backend both only applies to 'conformance'")),
+    };
+    let mut ctx = StudyContext::with_backend(fidelity.study_config(), backend);
+    if given.raw("--journal").or(given.raw("--trace")).is_some() {
         ctx.enable_journal(JOURNAL_CAPACITY);
     }
+    if backend != Backend::Traditional {
+        println!("-- backend: {backend} (algorithms it does not formulate are skipped) --");
+    }
+    let mut run = Run {
+        ctx,
+        fidelity,
+        backends,
+        given,
+    };
+    let outcome = (verb.run)(&mut run);
+    write_journal_outputs(&run)?;
+    outcome
+}
 
-    let run = |ctx: &mut StudyContext, what: &str| -> bool {
-        let t2 = fidelity.table2_size();
-        let t3 = fidelity.table3_size();
-        let sizes = fidelity.sizes();
-        match what {
-            "table1" => {
-                println!("== Table I: Phase 1 — contour across processor power caps ==");
-                let sweep = experiments::table1(ctx, t2);
-                print!("{}", report::render_table1(&sweep));
-            }
-            "table2" => {
-                println!("== Table II: Phase 2 — all algorithms at {t2}³ ==");
-                let sweeps = experiments::slowdown_table(ctx, t2);
-                print!("{}", report::render_slowdown_table(&sweeps));
-            }
-            "table3" => {
-                println!("== Table III: Phase 3 — all algorithms at {t3}³ ==");
-                let sweeps = experiments::slowdown_table(ctx, t3);
-                print!("{}", report::render_slowdown_table(&sweeps));
-            }
-            "fig2a" => {
-                let s = experiments::fig2(ctx, t2, FigMetric::EffectiveFrequency);
-                print!(
-                    "{}",
-                    report::render_series("Fig 2a: effective frequency (GHz) vs cap", &s)
-                );
-            }
-            "fig2b" => {
-                let s = experiments::fig2(ctx, t2, FigMetric::Ipc);
-                print!("{}", report::render_series("Fig 2b: IPC vs cap", &s));
-            }
-            "fig2c" => {
-                let s = experiments::fig2(ctx, t2, FigMetric::LlcMissRate);
-                print!(
-                    "{}",
-                    report::render_series("Fig 2c: LLC miss rate vs cap", &s)
-                );
-            }
-            "fig3" => {
-                let s = experiments::fig3(ctx, t2);
-                print!(
-                    "{}",
-                    report::render_series("Fig 3: elements (M)/sec, cell-centered algorithms", &s)
-                );
-            }
-            "fig4" => {
-                let s = experiments::fig_size_ipc(ctx, Algorithm::Slice, &sizes);
-                print!(
-                    "{}",
-                    report::render_series("Fig 4: slice IPC vs cap across sizes", &s)
-                );
-            }
-            "fig5" => {
-                let s = experiments::fig_size_ipc(ctx, Algorithm::VolumeRendering, &sizes);
-                print!(
-                    "{}",
-                    report::render_series("Fig 5: volume rendering IPC vs cap across sizes", &s)
-                );
-            }
-            "fig6" => {
-                let s = experiments::fig_size_ipc(ctx, Algorithm::ParticleAdvection, &sizes);
-                print!(
-                    "{}",
-                    report::render_series("Fig 6: particle advection IPC vs cap across sizes", &s)
-                );
-            }
-            "summary" => {
-                println!("== Classification summary at {t2}³ ==");
-                for sweep in experiments::slowdown_table(ctx, t2) {
-                    println!("{}", report::summarize(&sweep));
-                }
-            }
-            "energy" => {
-                println!("== Extension: energy and EDP vs cap at {t2}³ ==");
-                for algorithm in Algorithm::ALL {
-                    let sweep = ctx.sweep(algorithm, t2);
-                    let rows = energy::energy_rows(&sweep);
-                    print!("{:<20}", algorithm.name());
-                    for r in &rows {
-                        print!(" {:>5.2}E", r.eratio);
-                    }
-                    println!();
-                    print!("{:<20}", "");
-                    for r in &rows {
-                        print!(" {:>5.2}D", r.edp_ratio);
-                    }
-                    println!("   (E = energy ratio, D = EDP ratio)");
-                }
-            }
-            "arch" => {
-                println!("== Extension: cross-architecture comparison at {t2}³ ==");
-                for algorithm in [
-                    Algorithm::Contour,
-                    Algorithm::Threshold,
-                    Algorithm::ParticleAdvection,
-                    Algorithm::VolumeRendering,
-                ] {
-                    let run = ctx.run(algorithm, t2);
-                    for row in arch::compare_architectures(&run) {
-                        println!("{row}");
-                    }
-                }
-            }
-            "governor" => {
-                // Characterization grid: the sweep's cost is dominated by
-                // the governed virtual-time loops, but quick mode still
-                // shrinks the instrumentation run.
-                let grid = if quick { 16 } else { 32 };
-                println!("== Extension: closed-loop governor budget sweep ({grid}³) ==");
-                let spec = powersim::CpuSpec::broadwell_e5_2695v4();
-                let sweep = governor::budget_sweep(grid, &spec, &mut ctx.journal);
-                print!("{}", governor::render_table(&sweep));
-            }
-            "ablation" => {
-                println!("== Extension: model ablations (contour at {t2}³) ==");
-                let run = ctx.run(Algorithm::Contour, t2);
-                let caps = ctx.config().caps;
-                for ab in ablation::Ablation::ALL {
-                    let result = ablation::run_ablation(&run, &caps, ab);
-                    let (rt, at) = (
-                        result.reference.last().unwrap().tratio,
-                        result.ablated.last().unwrap().tratio,
-                    );
-                    let (rf, af) = (
-                        result.reference.last().unwrap().fratio,
-                        result.ablated.last().unwrap().fratio,
-                    );
-                    println!(
-                        "{:<20} floor Tratio {:.2}X -> {:.2}X   Fratio {:.2}X -> {:.2}X   (max ΔT {:.2})",
-                        ab.name(),
-                        rt,
-                        at,
-                        rf,
-                        af,
-                        result.max_tratio_delta()
-                    );
-                }
-            }
-            _ => return false,
+fn table1(run: &mut Run) -> Outcome {
+    println!("== Table I: Phase 1 — contour across processor power caps ==");
+    let sweep = experiments::table1(&mut run.ctx, run.fidelity.table2_size());
+    println!("{}", report::render_table1(&sweep));
+    Ok(())
+}
+
+fn slowdown_table(run: &mut Run, numeral: &str, phase: u32, size: usize) -> Outcome {
+    println!("== Table {numeral}: Phase {phase} — all algorithms at {size}³ ==");
+    let sweeps = experiments::slowdown_table(&mut run.ctx, size);
+    println!("{}", report::render_slowdown_table(&sweeps));
+    Ok(())
+}
+
+fn fig2(run: &mut Run, metric: FigMetric, title: &str) -> Outcome {
+    let s = experiments::fig2(&mut run.ctx, run.fidelity.table2_size(), metric);
+    println!("{}", report::render_series(title, &s));
+    Ok(())
+}
+
+fn fig3(run: &mut Run) -> Outcome {
+    let s = experiments::fig3(&mut run.ctx, run.fidelity.table2_size());
+    let title = "Fig 3: elements (M)/sec, cell-centered algorithms";
+    println!("{}", report::render_series(title, &s));
+    Ok(())
+}
+
+fn fig_size_ipc(run: &mut Run, algorithm: Algorithm, title: &str) -> Outcome {
+    let s = experiments::fig_size_ipc(&mut run.ctx, algorithm, &run.fidelity.sizes());
+    println!("{}", report::render_series(title, &s));
+    Ok(())
+}
+
+fn summary(run: &mut Run) -> Outcome {
+    let t2 = run.fidelity.table2_size();
+    println!("== Classification summary at {t2}³ ==");
+    for sweep in experiments::slowdown_table(&mut run.ctx, t2) {
+        println!("{}", report::summarize(&sweep));
+    }
+    println!();
+    Ok(())
+}
+
+fn energy_table(run: &mut Run) -> Outcome {
+    let t2 = run.fidelity.table2_size();
+    println!("== Extension: energy and EDP vs cap at {t2}³ ==");
+    for sweep in run.ctx.sweep_supported(&Algorithm::ALL, t2) {
+        let rows = energy::energy_rows(&sweep);
+        print!("{:<20}", sweep.algorithm.name());
+        for r in &rows {
+            print!(" {:>5.2}E", r.eratio);
         }
         println!();
-        true
-    };
+        print!("{:<20}", "");
+        for r in &rows {
+            print!(" {:>5.2}D", r.edp_ratio);
+        }
+        println!("   (E = energy ratio, D = EDP ratio)");
+    }
+    println!();
+    Ok(())
+}
 
-    let all = [
-        "table1", "table2", "table3", "fig2a", "fig2b", "fig2c", "fig3", "fig4", "fig5", "fig6",
-        "summary", "energy", "arch", "ablation",
-    ];
-    let ok = match target {
-        "all" => {
-            for what in all {
-                run(&mut ctx, what);
-            }
-            true
+fn arch_table(run: &mut Run) -> Outcome {
+    let t2 = run.fidelity.table2_size();
+    println!("== Extension: cross-architecture comparison at {t2}³ ==");
+    for algorithm in [
+        Algorithm::Contour,
+        Algorithm::Threshold,
+        Algorithm::ParticleAdvection,
+        Algorithm::VolumeRendering,
+    ] {
+        let native = run.ctx.run(algorithm, t2);
+        for row in arch::compare_architectures(&native) {
+            println!("{row}");
         }
-        "conformance" => {
-            let cfg = if quick {
-                conformance::ConformanceConfig::quick()
-            } else {
-                conformance::ConformanceConfig::full()
-            };
-            let selected = backends
-                .clone()
-                .unwrap_or_else(|| vec![vizalgo::Backend::Traditional]);
-            let mut report = conformance::ConformanceReport::default();
-            if selected.contains(&vizalgo::Backend::Traditional) {
-                println!(
-                    "== Conformance: oracle / differential / metamorphic checks at {:?}³ ==",
-                    cfg.grids
-                );
-                report
-                    .checks
-                    .extend(conformance::run_journaled(&cfg, &mut ctx.journal).checks);
-            }
-            if selected.contains(&vizalgo::Backend::Dpp) {
-                println!(
-                    "== Conformance: traditional-vs-DPP backend differential at {:?}³ ==",
-                    cfg.grids
-                );
-                report
-                    .checks
-                    .extend(conformance::backend::run_journaled(&cfg, &mut ctx.journal).checks);
-            }
-            print!("{}", conformance::render_table(&report));
-            println!();
-            write_journal_outputs(&ctx, journal_path.as_deref(), trace_path.as_deref())?;
-            if report.all_pass() {
-                return Ok(());
-            }
-            return Err(CliError::new(format!(
-                "{} of {} conformance checks failed",
-                report.failed(),
-                report.checks.len()
-            )));
-        }
-        "advect" => {
-            let cfg = if quick {
-                vizpower::advect::AdvectConfig::quick()
-            } else {
-                vizpower::advect::AdvectConfig::full()
-            };
-            println!(
-                "== Extension: time-varying advection scenario sweep ({}³ hydro, {} steps, ring of {}) ==",
-                cfg.hydro_n, cfg.hydro_steps, cfg.ring_capacity
-            );
-            let report = vizpower::advect::run_sweep(&cfg, &mut ctx.journal);
-            print!("{}", vizpower::advect::render_table(&report));
-            println!();
-            write_journal_outputs(&ctx, journal_path.as_deref(), trace_path.as_deref())?;
-            return Ok(());
-        }
-        "serve" => {
-            let requests = requests_flag.unwrap_or(if quick { 400 } else { 2000 });
-            let zipf_s = zipf_flag.unwrap_or(1.1);
-            let nodes = nodes_flag.unwrap_or(4);
-            let workers = workers_flag.unwrap_or(4);
-            // The fleet budget scales with the fleet: a 90 W share per
-            // node, so any node count stays admissible (floor is 40 W).
-            let cfg = service::ServiceConfig {
-                nodes,
-                workers,
-                fleet_budget: powersim::Watts(90.0) * nodes as f64,
-                study: fidelity.study_config(),
-                ..service::ServiceConfig::default()
-            };
-            let sizes: &[usize] = if quick { &[8, 12] } else { &[16, 32] };
-            let caps = [
-                powersim::Watts(120.0),
-                powersim::Watts(80.0),
-                powersim::Watts(40.0),
-            ];
-            println!(
-                "== Study service: {requests} zipf({zipf_s}) requests over {nodes} nodes at {:?}³ ==",
-                sizes
-            );
-            let universe = service::universe(&cfg.study, sizes, &caps);
-            let traffic = service::zipf_traffic(
-                &universe,
-                service::TrafficConfig {
-                    requests,
-                    zipf_s,
-                    seed: cfg.seed,
-                },
-            );
-            let mut svc =
-                service::StudyService::new(cfg).map_err(|e| CliError::new(e.to_string()))?;
-            let wall = std::time::Instant::now();
-            let out = svc
-                .serve(&traffic, &mut ctx.journal)
-                .map_err(|e| CliError::new(e.to_string()))?;
-            let wall = wall.elapsed().as_secs_f64();
-            print!("{}", out.report.render());
-            println!();
-            eprintln!(
-                "wall-clock: {wall:.2} s ({:.0} req/s) with {workers} workers; \
-                 physical cache {:?}",
-                requests as f64 / wall.max(1e-9),
-                svc.cache_stats()
-            );
-            write_journal_outputs(&ctx, journal_path.as_deref(), trace_path.as_deref())?;
-            return Ok(());
-        }
-        "bench" => {
-            let sizes = fidelity.sizes();
-            println!(
-                "== Kernel perf baseline: all algorithms at {:?}³, default cap {:.0} W ==",
-                sizes,
-                vizpower::study::PAPER_CAPS[0].value()
-            );
-            let selected = backends
-                .clone()
-                .unwrap_or_else(|| vec![vizalgo::Backend::Traditional]);
-            let rows = vizpower_bench::perf::bench_with(
-                &mut ctx,
-                &sizes,
-                &selected,
-                algorithms.as_deref(),
-            );
-            print!("{}", vizpower_bench::perf::render_table(&rows));
-            println!();
-            if let Some(path) = &out_path {
-                let fidelity_name = if quick { "quick" } else { "paper" };
-                // Record how these numbers were produced: the committed
-                // baselines come from the offline stub harness, whose
-                // sequential rayon stub makes wall times single-threaded.
-                let provenance = std::env::var("BENCH_PROVENANCE").unwrap_or_else(|_| {
-                    format!(
-                        "unattested local build ({} profile); set BENCH_PROVENANCE to record the harness",
-                        if cfg!(debug_assertions) { "debug" } else { "release" }
-                    )
-                });
-                let json = vizpower_bench::perf::to_json(&rows, fidelity_name, &provenance);
-                std::fs::write(path, json)
-                    .map_err(|e| CliError::new(format!("writing {}: {e}", path.display())))?;
-                eprintln!("bench report -> {}", path.display());
-            }
-            write_journal_outputs(&ctx, journal_path.as_deref(), trace_path.as_deref())?;
-            return Ok(());
-        }
-        other => run(&mut ctx, other),
-    };
-    if ok {
-        write_journal_outputs(&ctx, journal_path.as_deref(), trace_path.as_deref())?;
-        Ok(())
+    }
+    println!();
+    Ok(())
+}
+
+fn ablation_table(run: &mut Run) -> Outcome {
+    let t2 = run.fidelity.table2_size();
+    println!("== Extension: model ablations (contour at {t2}³) ==");
+    let native = run.ctx.run(Algorithm::Contour, t2);
+    let caps = run.ctx.config().caps;
+    for ab in ablation::Ablation::ALL {
+        let result = ablation::run_ablation(&native, &caps, ab);
+        let (Some(r), Some(a)) = (result.reference.last(), result.ablated.last()) else {
+            return Err(CliError::new("ablation needs at least one cap"));
+        };
+        println!(
+            "{:<20} floor Tratio {:.2}X -> {:.2}X   Fratio {:.2}X -> {:.2}X   (max ΔT {:.2})",
+            ab.name(),
+            r.tratio,
+            a.tratio,
+            r.fratio,
+            a.fratio,
+            result.max_tratio_delta()
+        );
+    }
+    println!();
+    Ok(())
+}
+
+fn governor_sweep(run: &mut Run) -> Outcome {
+    // Characterization grid: the sweep's cost is dominated by the
+    // governed virtual-time loops, but quick mode still shrinks the
+    // instrumentation run.
+    let grid = if run.quick() { 16 } else { 32 };
+    println!("== Extension: closed-loop governor budget sweep ({grid}³) ==");
+    let spec = powersim::CpuSpec::broadwell_e5_2695v4();
+    let sweep = governor::budget_sweep(grid, &spec, &mut run.ctx.journal);
+    println!("{}", governor::render_table(&sweep));
+    Ok(())
+}
+
+fn conformance_suite(run: &mut Run) -> Outcome {
+    let cfg = if run.quick() {
+        conformance::ConformanceConfig::quick()
     } else {
-        Err(usage(&format!("unknown target '{target}'")))
+        conformance::ConformanceConfig::full()
+    };
+    let (journal, grids) = (&mut run.ctx.journal, &cfg.grids);
+    let mut report = conformance::ConformanceReport::default();
+    if run.backends.contains(&Backend::Traditional) {
+        println!("== Conformance: oracle / differential / metamorphic checks at {grids:?}³ ==");
+        let suite = conformance::run_journaled(&cfg, journal);
+        report.checks.extend(suite.checks);
+    }
+    if run.backends.contains(&Backend::Dpp) {
+        println!("== Conformance: traditional-vs-DPP backend differential at {grids:?}³ ==");
+        let suite = conformance::backend::run_journaled(&cfg, journal);
+        report.checks.extend(suite.checks);
+    }
+    println!("{}", conformance::render_table(&report));
+    if report.all_pass() {
+        return Ok(());
+    }
+    Err(CliError::new(format!(
+        "{} of {} conformance checks failed",
+        report.failed(),
+        report.checks.len()
+    )))
+}
+
+fn advect(run: &mut Run) -> Outcome {
+    let cfg = if run.quick() {
+        vizpower::advect::AdvectConfig::quick()
+    } else {
+        vizpower::advect::AdvectConfig::full()
+    };
+    println!(
+        "== Extension: time-varying advection scenario sweep ({}³ hydro, {} steps, ring of {}) ==",
+        cfg.hydro_n, cfg.hydro_steps, cfg.ring_capacity
+    );
+    let report = vizpower::advect::run_sweep(&cfg, &mut run.ctx.journal);
+    println!("{}", vizpower::advect::render_table(&report));
+    Ok(())
+}
+
+fn serve(run: &mut Run) -> Outcome {
+    let requests = run
+        .given
+        .value("--requests", if run.quick() { 400 } else { 2000 })?;
+    let zipf_s = run.given.value("--zipf", 1.1)?;
+    let nodes: usize = run.given.value("--nodes", 4)?;
+    let workers = run.given.value("--workers", 4)?;
+    // The fleet budget scales with the fleet: a 90 W share per node, so
+    // any node count stays admissible (floor is 40 W).
+    let cfg = service::ServiceConfig {
+        nodes,
+        workers,
+        fleet_budget: powersim::Watts(90.0) * nodes as f64,
+        study: run.fidelity.study_config(),
+        ..service::ServiceConfig::default()
+    };
+    let sizes: &[usize] = if run.quick() { &[8, 12] } else { &[16, 32] };
+    let caps = [120.0, 80.0, 40.0].map(powersim::Watts);
+    println!(
+        "== Study service: {requests} zipf({zipf_s}) requests over {nodes} nodes at {sizes:?}³ =="
+    );
+    let universe = service::universe(&cfg.study, sizes, &caps);
+    let traffic = service::zipf_traffic(
+        &universe,
+        service::TrafficConfig {
+            requests,
+            zipf_s,
+            seed: cfg.seed,
+        },
+    );
+    let mut svc = service::StudyService::new(cfg).map_err(|e| CliError::new(e.to_string()))?;
+    let out = svc
+        .serve(&traffic, &mut run.ctx.journal)
+        .map_err(|e| CliError::new(e.to_string()))?;
+    println!("{}", out.report.render());
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn plan_of(line: &str) -> Result<&'static str, String> {
+        plan(line.split_whitespace().map(String::from))
+            .map(|(verb, _)| verb.name)
+            .map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn every_verb_accepts_its_own_flags_and_the_common_ones() {
+        for verb in &VERBS {
+            let mut line = format!("{} --quick --journal j --trace t", verb.name);
+            for flag in verb.flags {
+                assert!(FLAGS.iter().any(|f| f.0 == *flag), "{flag} not in FLAGS");
+                line.push_str(&format!(" {flag} 1"));
+            }
+            assert_eq!(plan_of(&line), Ok(verb.name));
+        }
+        assert_eq!(VERBS[1].name, "table1", "`all` runs rows 1..15");
+        assert_eq!(VERBS[14].name, "ablation", "`all` runs rows 1..15");
+    }
+
+    #[test]
+    fn backend_applies_to_study_verbs_and_conformance_only() {
+        for target in ["governor", "serve", "advect", "all", "arch", "ablation"] {
+            let err = plan_of(&format!("{target} --backend dpp")).unwrap_err();
+            let head = format!("--backend does not apply to '{target}', only to: table1, ");
+            assert!(err.starts_with(&head), "{err}");
+            assert!(err.contains("energy, conformance\nusage:"), "{err}");
+        }
+        assert_eq!(plan_of("fig2b --quick --backend dpp"), Ok("fig2b"));
+        let err = plan_of("table2 --workers 2").unwrap_err();
+        assert!(err.starts_with("--workers does not apply to 'table2', only to: serve\n"));
+    }
+
+    #[test]
+    fn retired_bench_verb_and_flags_are_unknown() {
+        let err = plan_of("bench --quick").unwrap_err();
+        assert!(err.starts_with("unknown target 'bench'\nusage: reproduce <all|table1|"));
+        assert!(err.contains("|advect|serve> [--quick]"), "{err}");
+        assert!(err.ends_with("[--workers <W>]"), "{err}");
+        for flag in ["--out", "--algo"] {
+            let err = plan_of(&format!("table1 {flag} x")).unwrap_err();
+            assert!(err.starts_with(&format!("unknown flag '{flag}'")), "{err}");
+        }
+    }
+
+    #[test]
+    fn values_are_required_and_typed() {
+        let err = plan_of("serve --requests").unwrap_err();
+        assert!(err.starts_with("--requests needs <K>"), "{err}");
+        assert!(plan_of("").unwrap_err().starts_with("missing target"));
+        let (_, given) = plan(["serve", "--zipf", "x", "--nodes", "3"].map(String::from)).unwrap();
+        assert_eq!(given.value("--nodes", 4usize).unwrap(), 3);
+        assert_eq!(given.value("--workers", 4usize).unwrap(), 4);
+        let err = given.value("--zipf", 1.1).unwrap_err().to_string();
+        assert!(err.starts_with("--zipf: cannot read 'x'"), "{err}");
     }
 }

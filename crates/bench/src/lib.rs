@@ -1,23 +1,16 @@
-//! # vizpower-bench — reproduction harness and benchmarks
+//! # vizpower-bench — reproduction harness
 //!
-//! Two surfaces:
+//! The `reproduce` binary regenerates **every table and figure** of the
+//! paper (`reproduce all`, or one of `table1 table2 table3 fig2a fig2b
+//! fig2c fig3 fig4 fig5 fig6`), printing the same rows/series the paper
+//! reports; `--quick` shrinks sizes for a fast smoke run. Everything it
+//! prints is modeled and deterministic. Wall-clock measurement is a
+//! separate program: `benchmarks/run.sh` (see `docs/PERFORMANCE.md`).
 //!
-//! * the `reproduce` binary — regenerates **every table and figure** of
-//!   the paper (`reproduce all`, or one of `table1 table2 table3 fig2a
-//!   fig2b fig2c fig3 fig4 fig5 fig6`), printing the same rows/series the
-//!   paper reports; `--quick` shrinks sizes for a fast smoke run;
-//! * Criterion benches (`cargo bench`) — one bench group per
-//!   table/figure family plus native-kernel microbenchmarks for the
-//!   eight algorithms and the substrates (hydro step, MC table, BVH
-//!   build, simulated executor).
-//!
-//! The library part hosts the shared harness configuration so the binary
-//! and the benches stay consistent.
+//! The library part hosts the harness configuration the binaries share.
 
-use vizalgo::{Algorithm, Backend};
+use vizalgo::Backend;
 use vizpower::study::{StudyConfig, PAPER_SIZES};
-
-pub mod perf;
 
 /// Ring-buffer capacity (events) used when `reproduce` enables the run
 /// journal: large enough for `reproduce all` at paper fidelity, small
@@ -118,36 +111,6 @@ pub fn parse_backends(s: &str) -> Result<Vec<Backend>, CliError> {
     }
 }
 
-/// Parse a comma-separated `--algo` list against the registry alias
-/// tables. Unknown names are an actionable error listing what was not
-/// recognized and where the accepted spellings live.
-pub fn parse_algorithms(s: &str) -> Result<Vec<Algorithm>, CliError> {
-    let mut out = Vec::with_capacity(Algorithm::ALL.len());
-    for name in s.split(',') {
-        let name = name.trim();
-        match Algorithm::parse(name) {
-            Some(a) => {
-                if !out.contains(&a) {
-                    out.push(a);
-                }
-            }
-            None => {
-                return Err(CliError::new(format!(
-                    "unknown algorithm '{name}': expected registry names/aliases \
-                     (contour, threshold, clip, isovolume, slice, advection, \
-                     raytrace, volren; see docs/REGISTRY.md)"
-                )))
-            }
-        }
-    }
-    if out.is_empty() {
-        return Err(CliError::new(
-            "--algo needs at least one algorithm name".to_string(),
-        ));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,22 +143,5 @@ mod tests {
         let err = parse_backends("gpu").unwrap_err().to_string();
         assert!(err.contains("unknown backend 'gpu'"), "{err}");
         assert!(err.contains("'traditional', 'dpp', or 'both'"), "{err}");
-    }
-
-    #[test]
-    fn parse_algorithms_rejects_unknown_names_actionably() {
-        assert_eq!(
-            parse_algorithms("contour,slice").unwrap(),
-            vec![Algorithm::Contour, Algorithm::Slice]
-        );
-        assert_eq!(
-            parse_algorithms("volren, volren").unwrap(),
-            vec![Algorithm::VolumeRendering],
-            "duplicates collapse"
-        );
-        let err = parse_algorithms("contour,bogus").unwrap_err().to_string();
-        assert!(err.contains("unknown algorithm 'bogus'"), "{err}");
-        assert!(err.contains("REGISTRY.md"), "{err}");
-        assert!(parse_algorithms("").is_err());
     }
 }

@@ -11,14 +11,12 @@ use crate::{
     count_shape, explicit_parts, CheckKind, CheckResult, ConformanceConfig, ISO_HI, ISO_LO,
     SPHERE_R, THRESH_HI, THRESH_LO,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use vizalgo::colormap::ColorMap;
 use vizalgo::contour::{triangle_table, EDGES};
 use vizalgo::raytrace::external_face_triangles;
 use vizalgo::{Algorithm, FilterOutput, ThreeSlice};
-use vizmesh::{Camera, CellShape, DataSet, UniformGrid, Vec3};
+use vizmesh::{Camera, CellShape, DataSet, UniformGrid, Vec3, XorShift};
 
 const KIND: CheckKind = CheckKind::Differential;
 
@@ -301,13 +299,13 @@ fn advection_reference(
     };
     let b = grid.bounds();
     let h = b.diagonal() * cfg.step_fraction;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = XorShift::from_seed(cfg.seed);
     let mut ref_paths: Vec<Vec<Vec3>> = Vec::with_capacity(cfg.particles);
     for _ in 0..cfg.particles {
         let seed = Vec3::new(
-            rng.random_range(b.min.x..b.max.x),
-            rng.random_range(b.min.y..b.max.y),
-            rng.random_range(b.min.z..b.max.z),
+            rng.range(b.min.x, b.max.x),
+            rng.range(b.min.y, b.max.y),
+            rng.range(b.min.z, b.max.z),
         );
         let mut path = Vec::with_capacity(cfg.advect_steps + 1);
         path.push(seed);

@@ -4,6 +4,12 @@
 //! size(s) to use, so the reproduction harness can run paper-scale sizes
 //! while the test-suite runs scaled-down ones — the *structure* of each
 //! experiment (which algorithms, which caps, which metric) is identical.
+//!
+//! The context's backend decides which kernel formulation runs. An
+//! experiment over "all algorithms" covers the ones that backend
+//! formulates, so the same table on a [`vizalgo::Backend::Dpp`] context
+//! has four rows and a single-algorithm figure of an unformulated
+//! algorithm has no series.
 
 use crate::efficiency;
 use crate::study::{CapSweep, StudyContext};
@@ -86,7 +92,7 @@ pub fn table1(ctx: &mut StudyContext, size: usize) -> CapSweep {
 /// data-set size (128³ for Table II, 256³ for Table III).
 pub fn slowdown_table(ctx: &mut StudyContext, size: usize) -> Vec<CapSweep> {
     let t0 = ctx.journal.now();
-    let sweeps: Vec<CapSweep> = Algorithm::ALL.iter().map(|&a| ctx.sweep(a, size)).collect();
+    let sweeps = ctx.sweep_supported(&Algorithm::ALL, size);
     emit_phase(ctx, format!("slowdown_table:{size}"), t0, &sweeps);
     sweeps
 }
@@ -95,7 +101,7 @@ pub fn slowdown_table(ctx: &mut StudyContext, size: usize) -> Vec<CapSweep> {
 /// at one size.
 pub fn fig2(ctx: &mut StudyContext, size: usize, metric: FigMetric) -> Vec<FigSeries> {
     let t0 = ctx.journal.now();
-    let sweeps: Vec<CapSweep> = Algorithm::ALL.iter().map(|&a| ctx.sweep(a, size)).collect();
+    let sweeps = ctx.sweep_supported(&Algorithm::ALL, size);
     let series = sweeps
         .iter()
         .map(|sweep| FigSeries {
@@ -115,10 +121,7 @@ pub fn fig2(ctx: &mut StudyContext, size: usize, metric: FigMetric) -> Vec<FigSe
 /// algorithms.
 pub fn fig3(ctx: &mut StudyContext, size: usize) -> Vec<FigSeries> {
     let t0 = ctx.journal.now();
-    let sweeps: Vec<CapSweep> = Algorithm::CELL_CENTERED
-        .iter()
-        .map(|&a| ctx.sweep(a, size))
-        .collect();
+    let sweeps = ctx.sweep_supported(&Algorithm::CELL_CENTERED, size);
     let series = sweeps
         .iter()
         .map(|sweep| FigSeries {
@@ -147,7 +150,10 @@ pub fn fig_size_ipc(
     sizes: &[usize],
 ) -> Vec<FigSeries> {
     let t0 = ctx.journal.now();
-    let sweeps: Vec<CapSweep> = sizes.iter().map(|&n| ctx.sweep(algorithm, n)).collect();
+    let sweeps: Vec<CapSweep> = sizes
+        .iter()
+        .flat_map(|&n| ctx.sweep_supported(&[algorithm], n))
+        .collect();
     let series = sweeps
         .iter()
         .map(|sweep| FigSeries {
@@ -196,6 +202,28 @@ mod tests {
         for sweep in &t {
             assert_eq!(sweep.rows.len(), 3);
         }
+    }
+
+    #[test]
+    fn dpp_context_covers_exactly_the_formulated_algorithms() {
+        use vizalgo::Backend;
+        let mut ctx = StudyContext::with_backend(ctx().config(), Backend::Dpp);
+        let rows: Vec<Algorithm> = slowdown_table(&mut ctx, 8)
+            .iter()
+            .map(|s| s.algorithm)
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                Algorithm::Contour,
+                Algorithm::Threshold,
+                Algorithm::Isovolume,
+                Algorithm::Slice
+            ]
+        );
+        assert_eq!(fig2(&mut ctx, 8, FigMetric::Ipc).len(), 4);
+        assert_eq!(fig3(&mut ctx, 8).len(), 4, "spherical clip is skipped");
+        assert!(fig_size_ipc(&mut ctx, Algorithm::VolumeRendering, &[8]).is_empty());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use powersim::{CpuSpec, ExecResult, Joules, Package, Watts, Workload};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vizalgo::{Algorithm, AlgorithmSpec, Filter, IsoValues, KernelReport, ScalarBand, SphereSpec};
+use vizalgo::{Algorithm, AlgorithmSpec, Backend, IsoValues, KernelReport, ScalarBand, SphereSpec};
 use vizmesh::DataSet;
 
 /// The paper's nine processor power caps (W).
@@ -232,9 +232,20 @@ pub fn native_run(
     size: usize,
     input: &DataSet,
 ) -> AlgorithmRun {
+    native_run_on(Backend::Traditional, config, algorithm, size, input)
+}
+
+/// [`native_run`] on an explicit backend, which must
+/// [support](Backend::supports) the algorithm.
+fn native_run_on(
+    backend: Backend,
+    config: &StudyConfig,
+    algorithm: Algorithm,
+    size: usize,
+    input: &DataSet,
+) -> AlgorithmRun {
     let spec = config.spec(algorithm);
-    let filter: Box<dyn Filter> = spec.build(input);
-    let out = filter.execute(input);
+    let out = spec.build_with(backend, input).execute(input);
     AlgorithmRun {
         algorithm,
         size,
@@ -348,13 +359,24 @@ pub fn sweep_journaled(
     spec: &CpuSpec,
     journal: &mut Journal,
 ) -> CapSweep {
+    sweep_tagged(run, run.spec.fingerprint(), caps, spec, journal)
+}
+
+/// [`sweep_journaled`] with the `spec_fp` its spans carry given
+/// explicitly, so a backend-qualified run is tagged as such.
+fn sweep_tagged(
+    run: &AlgorithmRun,
+    spec_fp: u64,
+    caps: &[Watts],
+    spec: &CpuSpec,
+    journal: &mut Journal,
+) -> CapSweep {
     let workload: Workload = characterize(run.algorithm.name(), &run.reports, spec);
     assert!(
         !workload.is_empty(),
         "{} produced an empty workload",
         run.algorithm
     );
-    let spec_fp = run.spec.fingerprint() as f64;
     let rows = caps
         .iter()
         .map(|&cap| {
@@ -370,7 +392,7 @@ pub fn sweep_journaled(
                     vec![
                         ("cap_watts", cap.value()),
                         ("seconds", row.seconds),
-                        ("spec_fp", spec_fp),
+                        ("spec_fp", spec_fp as f64),
                     ],
                 );
             }
@@ -397,20 +419,33 @@ pub fn sweep_journaled(
 /// The context owns the study's run [`Journal`] (disabled by default;
 /// see [`StudyContext::enable_journal`]): dataset builds, native runs,
 /// sweeps, and experiment phases all record into it.
-#[derive(Default)]
+///
+/// Every native run executes on the context's one [`Backend`]
+/// (traditional unless built [`with_backend`](StudyContext::with_backend)),
+/// so the same tables and figures contrast the two kernel formulations
+/// (Bethel et al., arXiv:2010.02361) by running them on two contexts.
 pub struct StudyContext {
     pub config: Option<StudyConfig>,
     /// The study-wide run journal (disabled unless enabled explicitly).
     pub journal: Journal,
+    backend: Backend,
     store: DatasetStore,
     runs: BTreeMap<(Algorithm, usize), Arc<AlgorithmRun>>,
 }
 
 impl StudyContext {
     pub fn new(config: StudyConfig) -> Self {
+        StudyContext::with_backend(config, Backend::Traditional)
+    }
+
+    /// A context whose native runs execute on `backend`. Journal spans
+    /// carry [`AlgorithmSpec::fingerprint_with`] that backend, which for
+    /// `Traditional` is the plain fingerprint.
+    pub fn with_backend(config: StudyConfig, backend: Backend) -> Self {
         StudyContext {
             config: Some(config),
             journal: Journal::off(),
+            backend,
             store: DatasetStore::new(),
             runs: BTreeMap::new(),
         }
@@ -445,7 +480,10 @@ impl StudyContext {
     }
 
     /// Native run for (algorithm, size), computed once; a hit returns
-    /// another handle to the cached run, reports and all.
+    /// another handle to the cached run, reports and all. The context's
+    /// backend must [support](Backend::supports) the algorithm
+    /// ([`sweep_supported`](StudyContext::sweep_supported) skips the
+    /// ones it does not).
     pub fn run(&mut self, algorithm: Algorithm, size: usize) -> Arc<AlgorithmRun> {
         if let Some(r) = self.runs.get(&(algorithm, size)) {
             return Arc::clone(r);
@@ -453,7 +491,7 @@ impl StudyContext {
         let config = self.config();
         let ds = self.dataset(size);
         let t0 = self.journal.now();
-        let run = Arc::new(native_run(&config, algorithm, size, &ds));
+        let run = Arc::new(native_run_on(self.backend, &config, algorithm, size, &ds));
         if self.journal.is_enabled() {
             let instructions: u64 = run.reports.iter().map(|r| r.work.instructions).sum();
             self.journal.push_span(
@@ -464,7 +502,7 @@ impl StudyContext {
                 vec![
                     ("kernels", run.reports.len() as f64),
                     ("instructions", instructions as f64),
-                    ("spec_fp", run.spec.fingerprint() as f64),
+                    ("spec_fp", run.spec.fingerprint_with(self.backend) as f64),
                 ],
             );
         }
@@ -478,9 +516,11 @@ impl StudyContext {
     pub fn sweep(&mut self, algorithm: Algorithm, size: usize) -> CapSweep {
         let caps = self.config().caps;
         let run = self.run(algorithm, size);
+        let spec_fp = run.spec.fingerprint_with(self.backend);
         let t0 = self.journal.now();
-        let sweep = sweep_journaled(
+        let sweep = sweep_tagged(
             &run,
+            spec_fp,
             &caps,
             &CpuSpec::broadwell_e5_2695v4(),
             &mut self.journal,
@@ -494,11 +534,23 @@ impl StudyContext {
                 Some(joules),
                 vec![
                     ("caps", sweep.rows.len() as f64),
-                    ("spec_fp", run.spec.fingerprint() as f64),
+                    ("spec_fp", spec_fp as f64),
                 ],
             );
         }
         sweep
+    }
+
+    /// [`sweep`](StudyContext::sweep) each of `algorithms` the context's
+    /// backend formulates, in order; the others are skipped, so an
+    /// all-algorithm table on a DPP context has four rows.
+    pub fn sweep_supported(&mut self, algorithms: &[Algorithm], size: usize) -> Vec<CapSweep> {
+        let backend = self.backend;
+        algorithms
+            .iter()
+            .filter(|&&a| backend.supports(a))
+            .map(|&a| self.sweep(a, size))
+            .collect()
     }
 }
 
@@ -611,6 +663,49 @@ mod tests {
             run.spec.fingerprint(),
             tiny_config().spec(Algorithm::Contour).fingerprint()
         );
+    }
+
+    /// The traditional-vs-DPP contrast (Bethel et al., arXiv:2010.02361)
+    /// against the numbers the retired `BENCH_DPP_2026-08-09.json`
+    /// snapshot recorded for Contour at 32³ under the default cap, to
+    /// its printed precision: the primitive pipeline retires fewer
+    /// instructions per cycle and costs about four times the joules.
+    #[test]
+    fn dpp_contour_contrast_matches_the_retired_snapshot() {
+        let baseline = |backend| {
+            let mut ctx = StudyContext::with_backend(StudyConfig::paper(), backend);
+            let sweep = ctx.sweep(Algorithm::Contour, 32);
+            sweep.baseline().expect("paper caps are non-empty").clone()
+        };
+        let trad = baseline(Backend::Traditional);
+        let dpp = baseline(Backend::Dpp);
+        assert!(dpp.avg_ipc < trad.avg_ipc);
+        assert!(dpp.energy_joules > trad.energy_joules);
+        assert_eq!(format!("{:.4}", trad.avg_ipc), "0.6803");
+        assert_eq!(format!("{:.4}", dpp.avg_ipc), "0.4173");
+        assert_eq!(format!("{:.3}", trad.energy_joules.value()), "0.256");
+        assert_eq!(format!("{:.3}", dpp.energy_joules.value()), "1.032");
+    }
+
+    #[test]
+    fn dpp_context_tags_its_journal_fingerprints() {
+        use powersim::trace::Event;
+        let mut ctx = StudyContext::with_backend(tiny_config(), Backend::Dpp);
+        ctx.enable_journal(1 << 16);
+        ctx.sweep(Algorithm::Slice, 8);
+        let spec = tiny_config().spec(Algorithm::Slice);
+        let fp = spec.fingerprint_with(Backend::Dpp) as f64;
+        assert_ne!(fp, spec.fingerprint() as f64);
+        let tagged = ctx
+            .journal
+            .events()
+            .filter_map(|e| match e {
+                Event::Span(s) => s.args.iter().find(|(k, _)| *k == "spec_fp"),
+                _ => None,
+            })
+            .inspect(|(_, v)| assert_eq!(*v, fp))
+            .count();
+        assert_eq!(tagged, 3 + 2, "three cap spans, the native and sweep spans");
     }
 
     #[test]

@@ -53,8 +53,8 @@ use crate::units::{Joules, Watts};
 /// span scope for the closed-loop power governor. v3 added the
 /// [`ConformanceCheck`] event and the [`Scope::Conformance`] span scope
 /// for the analytic-oracle conformance suite (`crates/conformance`).
-/// v5 added the [`Scope::Bench`] span scope wrapping each
-/// (algorithm, size) row of a `reproduce bench` run. v6 added the
+/// v5 added a `Bench` span scope for the single-shot wall-clock
+/// baseline (removed again in v9). v6 added the
 /// [`Scope::Primitive`] span scope carrying per-primitive element/byte
 /// counters from the data-parallel-primitives backend (`vizalgo::dpp`).
 /// v7 added the [`ServiceRequest`] and [`CacheEvent`] events plus the
@@ -62,8 +62,11 @@ use crate::units::{Joules, Watts};
 /// service (`crates/service`). v8 added the [`Scope::FlowScenario`]
 /// span scope — one zero-width span per advection-scenario sweep row
 /// (`core::advect`) — and the `evict` outcome on [`CacheEvent`] for
-/// capacity-bounded result caches.
-pub const SCHEMA_VERSION: u32 = 8;
+/// capacity-bounded result caches. v9 removed the `Bench` scope with
+/// its only emitter: wall-clock measurement lives in `benchmarks/`, not
+/// in the modeled-time journal. Chrome-trace `tid` 9 stays retired so
+/// every other scope keeps its track.
+pub const SCHEMA_VERSION: u32 = 9;
 
 /// Which layer of the stack emitted a [`Span`].
 ///
@@ -101,14 +104,10 @@ pub enum Scope {
     /// (`conformance::run_algorithm`): its child events are the
     /// individual [`ConformanceCheck`] results.
     Conformance,
-    /// One (algorithm, size) row of a wall-clock benchmark run
-    /// (`bench::perf::bench`), timing the real kernel execution that
-    /// the performance snapshots in `results/` are built from.
-    Bench,
     /// One data-parallel primitive invocation rollup from the DPP
     /// backend (`vizalgo::dpp`): element/byte/flop counters for one
     /// primitive op across a filter execution, journaled by the
-    /// conformance and bench drivers as zero-width spans.
+    /// conformance driver as zero-width spans.
     Primitive,
     /// Study-service orchestration (`crates/service`): one span per
     /// scheduled request batch (`batch:{index}`) plus a `serve:{requests}`
@@ -133,7 +132,6 @@ impl Scope {
             Scope::Action => "action",
             Scope::Governor => "governor",
             Scope::Conformance => "conformance",
-            Scope::Bench => "bench",
             Scope::Primitive => "primitive",
             Scope::Service => "service",
             Scope::FlowScenario => "flow_scenario",
@@ -151,7 +149,6 @@ impl Scope {
             Scope::Action => 6,
             Scope::Governor => 7,
             Scope::Conformance => 8,
-            Scope::Bench => 9,
             Scope::Primitive => 10,
             Scope::Service => 11,
             Scope::FlowScenario => 12,
@@ -160,7 +157,7 @@ impl Scope {
 }
 
 /// All scope/track pairs, for chrome-trace thread-name metadata.
-const ALL_SCOPES: [Scope; 12] = [
+const ALL_SCOPES: [Scope; 11] = [
     Scope::Study,
     Scope::Sweep,
     Scope::Workload,
@@ -169,7 +166,6 @@ const ALL_SCOPES: [Scope; 12] = [
     Scope::Action,
     Scope::Governor,
     Scope::Conformance,
-    Scope::Bench,
     Scope::Primitive,
     Scope::Service,
     Scope::FlowScenario,
@@ -962,17 +958,17 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(
             lines[0],
-            "{\"v\":8,\"seq\":0,\"ev\":\"cap_change\",\"t\":0,\
+            "{\"v\":9,\"seq\":0,\"ev\":\"cap_change\",\"t\":0,\
              \"requested_watts\":250,\"actual_watts\":120}"
         );
         assert_eq!(
             lines[1],
-            "{\"v\":8,\"seq\":1,\"ev\":\"counter\",\"t\":0.1,\"power_watts\":85.5,\
+            "{\"v\":9,\"seq\":1,\"ev\":\"counter\",\"t\":0.1,\"power_watts\":85.5,\
              \"effective_freq_ghz\":2.6,\"ipc\":1.25,\"llc_miss_rate\":0.05}"
         );
         assert_eq!(
             lines[2],
-            "{\"v\":8,\"seq\":2,\"ev\":\"span\",\"scope\":\"workload\",\"name\":\"contour_64\",\
+            "{\"v\":9,\"seq\":2,\"ev\":\"span\",\"scope\":\"workload\",\"name\":\"contour_64\",\
              \"t0\":0,\"t1\":0.1,\"joules\":8.55,\"watts\":85.5,\"args\":{\"phases\":2}}"
         );
     }
@@ -996,7 +992,7 @@ mod tests {
         let jsonl = j.to_jsonl();
         assert_eq!(
             jsonl.trim_end(),
-            "{\"v\":8,\"seq\":0,\"ev\":\"policy_decision\",\"t\":0.1,\"budget_watts\":160,\
+            "{\"v\":9,\"seq\":0,\"ev\":\"policy_decision\",\"t\":0.1,\"budget_watts\":160,\
              \"sim_cap_watts\":110,\"viz_cap_watts\":50,\"sim_power_watts\":88.25,\
              \"viz_power_watts\":46.5,\"sim_ipc\":1.8,\"viz_ipc\":0.4,\
              \"sim_llc_miss_rate\":0.05,\"viz_llc_miss_rate\":0.9}"
@@ -1026,7 +1022,7 @@ mod tests {
         let jsonl = j.to_jsonl();
         assert_eq!(
             jsonl.trim_end(),
-            "{\"v\":8,\"seq\":0,\"ev\":\"conformance_check\",\"t\":0,\
+            "{\"v\":9,\"seq\":0,\"ev\":\"conformance_check\",\"t\":0,\
              \"algorithm\":\"Contour\",\"check\":\"oracle:sphere-area\",\
              \"kind\":\"oracle\",\"grid\":32,\"measured\":1.1286,\
              \"expected\":1.13097,\"tolerance\":0.0226,\"pass\":true}"
@@ -1058,7 +1054,7 @@ mod tests {
         let jsonl = j.to_jsonl();
         assert_eq!(
             jsonl.trim_end(),
-            "{\"v\":8,\"seq\":0,\"ev\":\"service_request\",\"t\":1.5,\
+            "{\"v\":9,\"seq\":0,\"ev\":\"service_request\",\"t\":1.5,\
              \"algorithm\":\"Contour\",\"backend\":\"traditional\",\
              \"spec_fp\":123456789,\"data_fp\":987654321,\"cap_watts\":80,\
              \"outcome\":\"miss\",\"node\":2,\"latency_seconds\":0.5}"
@@ -1087,7 +1083,7 @@ mod tests {
         let jsonl = j.to_jsonl();
         assert_eq!(
             jsonl.trim_end(),
-            "{\"v\":8,\"seq\":0,\"ev\":\"cache_event\",\"t\":0,\"spec_fp\":42,\
+            "{\"v\":9,\"seq\":0,\"ev\":\"cache_event\",\"t\":0,\"spec_fp\":42,\
              \"data_fp\":7,\"cap_watts\":120,\"backend\":\"dpp\",\
              \"outcome\":\"coalesced\",\"shard\":5}"
         );
@@ -1129,7 +1125,7 @@ mod tests {
         j.push_span(Scope::Timestep, "step:1", 0.0, None, vec![("dt", 0.5)]);
         let trace = j.to_chrome_trace();
         assert!(trace.starts_with("{\"displayTimeUnit\":\"ms\""), "{trace}");
-        assert!(trace.contains("\"schema_version\":8"), "{trace}");
+        assert!(trace.contains("\"schema_version\":9"), "{trace}");
         assert!(trace.contains("\"thread_name\""), "{trace}");
         assert!(
             trace.contains("\"ph\":\"X\",\"name\":\"step:1\""),

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use powersim::{CpuSpec, ExecResult, Watts};
-use vizalgo::{Algorithm, AlgorithmSpec, Backend, KernelReport};
+use vizalgo::{Algorithm, AlgorithmSpec, Backend};
 use vizpower::study::sweep;
 use vizpower::{AlgorithmRun, DatasetStore, EmptySweepError};
 
@@ -120,15 +120,14 @@ impl From<EmptySweepError> for ServiceError {
 }
 
 /// A cached native filter run: the parity-oracle rendering plus the
-/// kernel reports that feed `characterize`.
+/// [`AlgorithmRun`] (spec, kernel reports, input size) that every cap
+/// of this spec is swept from without re-assembly.
 #[derive(Debug)]
 pub struct NativeRun {
     /// `Debug` rendering of the full `FilterOutput`.
     pub output_debug: String,
-    /// Measured per-kernel work counts, in execution order.
-    pub reports: Vec<KernelReport>,
-    /// Cells in the input dataset.
-    pub input_cells: usize,
+    /// The run `characterize` + the power model consume.
+    pub run: AlgorithmRun,
 }
 
 /// The compute core shared by every worker thread: dataset store,
@@ -196,8 +195,13 @@ impl Engine {
             let out = req.spec.build_with(req.backend, &ds).execute(&ds);
             NativeRun {
                 output_debug: format!("{out:?}"),
-                reports: out.kernels,
-                input_cells: ds.num_cells(),
+                run: AlgorithmRun {
+                    algorithm: req.spec.algorithm(),
+                    size: req.size,
+                    input_cells: ds.num_cells(),
+                    spec: req.spec.clone(),
+                    reports: out.kernels,
+                },
             }
         })
     }
@@ -205,16 +209,8 @@ impl Engine {
     /// Execute one validated, admitted unit of work: native run (cached
     /// across caps), then the power model at exactly the key's cap.
     pub fn execute(&self, req: &Request, key: CacheKey) -> JobResult {
-        let algorithm = req.spec.algorithm();
         let native = self.native(req, key.data_fp);
-        let run = AlgorithmRun {
-            algorithm,
-            size: req.size,
-            input_cells: native.input_cells,
-            spec: req.spec.clone(),
-            reports: native.reports.clone(),
-        };
-        let sw = sweep(&run, &[key.cap()], &self.cpu);
+        let sw = sweep(&native.run, &[key.cap()], &self.cpu);
         let exec = sw
             .rows
             .first()
@@ -222,7 +218,7 @@ impl Engine {
             .clone();
         JobResult {
             key,
-            algorithm,
+            algorithm: native.run.algorithm,
             output_debug: native.output_debug.clone(),
             exec,
         }

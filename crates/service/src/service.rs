@@ -32,7 +32,7 @@ use std::sync::{mpsc, Arc};
 use powersim::{CacheEvent, CpuSpec, Event, Journal, Scope, ServiceRequest, Watts};
 use vizalgo::Algorithm;
 use vizpower::study::sweep;
-use vizpower::{AlgorithmRun, CapSweep, DatasetStore, StudyConfig};
+use vizpower::{CapSweep, DatasetStore, StudyConfig};
 
 use crate::admission::Admission;
 use crate::cache::{CacheStats, Outcome, ResultCache};
@@ -646,23 +646,15 @@ impl StudyService {
     /// `size`. An empty configured cap list is an actionable
     /// [`ServiceError::EmptySweep`], not a silently empty report.
     pub fn cap_sweep(&self, algorithm: Algorithm, size: usize) -> Result<CapSweep, ServiceError> {
-        let spec = self.cfg.study.spec(algorithm);
         let req = Request {
-            spec: spec.clone(),
+            spec: self.cfg.study.spec(algorithm),
             size,
             cap: self.cfg.cpu.tdp_watts,
             backend: vizalgo::Backend::Traditional,
         };
         self.engine.validate(&req)?;
         let native = self.engine.native(&req, self.engine.data_fp(size));
-        let run = AlgorithmRun {
-            algorithm,
-            size,
-            input_cells: native.input_cells,
-            spec,
-            reports: native.reports.clone(),
-        };
-        let sw = sweep(&run, &self.cfg.study.caps, self.engine.cpu());
+        let sw = sweep(&native.run, &self.cfg.study.caps, self.engine.cpu());
         sw.require_ratios().map_err(ServiceError::EmptySweep)?;
         Ok(sw)
     }

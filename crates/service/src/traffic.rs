@@ -11,50 +11,16 @@
 //! place — and what the `reproduce serve --quick` acceptance gate
 //! (≥ 50 % hit rate) checks.
 //!
-//! Everything here is seeded xorshift64 — no external RNG crate, and
+//! Everything here is seeded xorshift64 ([`vizmesh::XorShift`],
+//! re-exported here) — no external RNG crate, and
 //! byte-identical traffic for a given `(universe, config)` pair.
 
 use powersim::Watts;
 use vizalgo::{Algorithm, Backend};
+pub use vizmesh::XorShift;
 use vizpower::StudyConfig;
 
 use crate::engine::Request;
-
-/// Seeded xorshift64 generator (never zero-state).
-#[derive(Debug, Clone)]
-pub struct XorShift(u64);
-
-impl XorShift {
-    /// A generator seeded by `seed` (zero is remapped to a fixed odd
-    /// constant so the state never sticks).
-    pub fn new(seed: u64) -> XorShift {
-        XorShift(if seed == 0 {
-            0x9E37_79B9_7F4A_7C15
-        } else {
-            seed
-        })
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    /// Uniform draw in `[0, n)` (`n > 0`).
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n.max(1) as u64) as usize
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 /// Parameters of one synthetic traffic run.
 #[derive(Debug, Clone, Copy)]

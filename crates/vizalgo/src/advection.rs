@@ -30,12 +30,11 @@
 //! a frozen series byte-identical to the steady streamline.
 
 use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use vizmesh::{
     Association, CellSet, CellShape, DataSet, Field, FieldSeries, UniformGrid, Vec3, WorkCounters,
+    XorShift,
 };
 
 /// Streamline (frozen field) vs pathline (time-varying field).
@@ -397,13 +396,13 @@ impl ParticleAdvection {
         let b = frames[0].grid.bounds();
         match self.scenario.seeding {
             Seeding::DenseBox => {
-                let mut rng = StdRng::seed_from_u64(self.seed);
+                let mut rng = XorShift::from_seed(self.seed);
                 (0..self.num_particles)
                     .map(|_| {
                         Vec3::new(
-                            rng.random_range(b.min.x..b.max.x),
-                            rng.random_range(b.min.y..b.max.y),
-                            rng.random_range(b.min.z..b.max.z),
+                            rng.range(b.min.x, b.max.x),
+                            rng.range(b.min.y, b.max.y),
+                            rng.range(b.min.z, b.max.z),
                         )
                     })
                     .collect()
@@ -591,13 +590,13 @@ impl ParticleAdvection {
         let h = b.diagonal() * self.step_fraction;
 
         // Deterministic seeds.
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = XorShift::from_seed(self.seed);
         let seeds: Vec<Vec3> = (0..self.num_particles)
             .map(|_| {
                 Vec3::new(
-                    rng.random_range(b.min.x..b.max.x),
-                    rng.random_range(b.min.y..b.max.y),
-                    rng.random_range(b.min.z..b.max.z),
+                    rng.range(b.min.x, b.max.x),
+                    rng.range(b.min.y, b.max.y),
+                    rng.range(b.min.z, b.max.z),
                 )
             })
             .collect();

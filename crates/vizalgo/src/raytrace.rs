@@ -401,7 +401,7 @@ impl Filter for RayTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vizmesh::{Association, Field, UniformGrid};
+    use vizmesh::{Association, Field, UniformGrid, XorShift};
 
     fn dataset(n: usize) -> DataSet {
         let grid = UniformGrid::cube_cells(n);
@@ -522,28 +522,26 @@ mod tests {
 
     #[test]
     fn iterative_bvh_matches_brute_force_on_random_scene() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         // A seeded soup of 400 small triangles: enough to force several
         // levels of median splits and exercise the explicit-stack
         // traversal against the O(n) oracle.
-        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut rng = XorShift::from_seed(0x5eed);
         let mut tris = Vec::with_capacity(400);
         for _ in 0..400 {
             let base = Vec3::new(
-                rng.random_range(-1.0..1.0),
-                rng.random_range(-1.0..1.0),
-                rng.random_range(-1.0..1.0),
+                rng.range(-1.0, 1.0),
+                rng.range(-1.0, 1.0),
+                rng.range(-1.0, 1.0),
             );
             let e1 = Vec3::new(
-                rng.random_range(-0.2..0.2),
-                rng.random_range(-0.2..0.2),
-                rng.random_range(-0.2..0.2),
+                rng.range(-0.2, 0.2),
+                rng.range(-0.2, 0.2),
+                rng.range(-0.2, 0.2),
             );
             let e2 = Vec3::new(
-                rng.random_range(-0.2..0.2),
-                rng.random_range(-0.2..0.2),
-                rng.random_range(-0.2..0.2),
+                rng.range(-0.2, 0.2),
+                rng.range(-0.2, 0.2),
+                rng.range(-0.2, 0.2),
             );
             tris.push(Triangle {
                 p: [base, base + e1, base + e2],
@@ -553,15 +551,11 @@ mod tests {
         let (bvh, _) = Bvh::build(&tris);
         let mut rays_hit = 0;
         for i in 0..64 {
-            let origin = Vec3::new(
-                rng.random_range(-2.0..2.0),
-                rng.random_range(-2.0..2.0),
-                2.0,
-            );
+            let origin = Vec3::new(rng.range(-2.0, 2.0), rng.range(-2.0, 2.0), 2.0);
             let target = Vec3::new(
-                rng.random_range(-1.0..1.0),
-                rng.random_range(-1.0..1.0),
-                rng.random_range(-1.0..1.0),
+                rng.range(-1.0, 1.0),
+                rng.range(-1.0, 1.0),
+                rng.range(-1.0, 1.0),
             );
             let ray = Ray::new(origin, (target - origin).normalized());
             let mut stats = (0, 0);

@@ -17,6 +17,8 @@
 //! * [`FieldSeries`] / [`TimeWindow`] — an ordered, bounded ring of
 //!   timestamped `Arc<DataSet>` snapshots, the time-varying view that
 //!   pathline advection consumes.
+//! * [`XorShift`] — the workspace's one seeded random source (particle
+//!   seeds, synthetic traffic).
 //! * [`WorkCounters`] — the instrumentation record each kernel fills in as
 //!   it executes; consumed by the `vizpower` characterization bridge.
 //! * [`validate`] — watertightness / orientation / degenerate-cell
@@ -36,6 +38,7 @@ pub mod dataset;
 pub mod field;
 pub mod grid;
 pub mod image;
+pub mod rng;
 pub mod series;
 pub mod validate;
 pub mod vec3;
@@ -49,6 +52,7 @@ pub use dataset::DataSet;
 pub use field::{Association, Field, FieldData};
 pub use grid::UniformGrid;
 pub use image::Image;
+pub use rng::XorShift;
 pub use series::{FieldSeries, TimeWindow};
 pub use validate::{validate_cells, validate_surface, CellReport, SurfaceReport};
 pub use vec3::Vec3;

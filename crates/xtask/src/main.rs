@@ -4,7 +4,7 @@
 //! cargo xtask lint [--strict] [--root DIR]   # repo-specific static analysis
 //! cargo xtask analyze [--json] [--ratchet] [--write-baseline] [--root DIR]
 //!                                            # hot-path analyzer + findings ratchet
-//! cargo xtask ci   [--root DIR]              # full local CI: fmt, clippy, lint, analyze, build, test, doc
+//! cargo xtask ci   [--root DIR]              # full local CI: fmt, clippy, lint, analyze, build, test, doc, benchmark selftest
 //! ```
 //!
 //! Exit codes: 0 clean, 1 policy violations / ratchet regression, 2 usage
@@ -198,7 +198,7 @@ fn run_ci(root: &Path, strict: bool) -> u8 {
         ),
     ];
     for (label, argv, envs) in steps {
-        if let Some(code) = run_step(root, label, argv, envs) {
+        if let Some(code) = run_step(root, label, "cargo", argv, envs) {
             return code;
         }
     }
@@ -247,32 +247,17 @@ fn run_ci(root: &Path, strict: bool) -> u8 {
             &[],
         ),
         (
-            "reproduce bench --quick",
+            "reproduce fig2b --quick --backend dpp (traditional-vs-DPP IPC contrast)",
             &[
                 "run",
                 "--release",
                 "--bin",
                 "reproduce",
                 "--",
-                "bench",
-                "--quick",
-            ],
-            &[],
-        ),
-        (
-            "reproduce bench --quick --backend both (DPP comparison)",
-            &[
-                "run",
-                "--release",
-                "--bin",
-                "reproduce",
-                "--",
-                "bench",
+                "fig2b",
                 "--quick",
                 "--backend",
-                "both",
-                "--algo",
-                "contour,threshold,isovolume,slice",
+                "dpp",
             ],
             &[],
         ),
@@ -309,19 +294,32 @@ fn run_ci(root: &Path, strict: bool) -> u8 {
         ),
     ];
     for (label, argv, envs) in tier1 {
-        if let Some(code) = run_step(root, label, argv, envs) {
+        if let Some(code) = run_step(root, label, "cargo", argv, envs) {
             return code;
         }
+    }
+    // The benchmark harness is its own package outside the workspace: an
+    // API change that breaks its imports must fail here, not in the
+    // benchmark driver.
+    let selftest = ["benchmarks/run.sh", "--selftest"];
+    if let Some(code) = run_step(root, "benchmarks/run.sh --selftest", "bash", &selftest, &[]) {
+        return code;
     }
     eprintln!("xtask ci: all steps passed");
     0
 }
 
-/// Run one cargo step with extra environment variables; `Some(code)`
-/// means it failed and CI should stop.
-fn run_step(root: &Path, label: &str, argv: &[&str], envs: &[(&str, &str)]) -> Option<u8> {
+/// Run one step (`program argv...`) with extra environment variables;
+/// `Some(code)` means it failed and CI should stop.
+fn run_step(
+    root: &Path,
+    label: &str,
+    program: &str,
+    argv: &[&str],
+    envs: &[(&str, &str)],
+) -> Option<u8> {
     eprintln!("xtask ci: running {label}");
-    match Command::new("cargo")
+    match Command::new(program)
         .args(argv)
         .envs(envs.iter().copied())
         .current_dir(root)
@@ -333,7 +331,7 @@ fn run_step(root: &Path, label: &str, argv: &[&str], envs: &[(&str, &str)]) -> O
             Some(1)
         }
         Err(e) => {
-            eprintln!("xtask ci: could not spawn cargo for {label}: {e}");
+            eprintln!("xtask ci: could not spawn {program} for {label}: {e}");
             Some(2)
         }
     }

@@ -44,7 +44,7 @@ fn every_line_is_v8_and_scenario_spans_are_zero_width() {
     });
     for line in journal.to_jsonl().lines() {
         let v: serde_json::Value = serde_json::from_str(line).expect("valid JSON line");
-        assert_eq!(v["v"], 8, "schema version on every line: {line}");
+        assert_eq!(v["v"], 9, "schema version on every line: {line}");
     }
     let scenario_spans: Vec<_> = journal
         .events()

@@ -192,6 +192,6 @@ fn journaled_checks_mirror_the_report() {
 
     for line in journal.to_jsonl().lines().take(4) {
         let v: serde_json::Value = serde_json::from_str(line).expect("valid JSON");
-        assert_eq!(v["v"], 8);
+        assert_eq!(v["v"], 9);
     }
 }

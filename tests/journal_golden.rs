@@ -58,7 +58,7 @@ fn every_jsonl_line_is_valid_versioned_json() {
     let mut lines = 0;
     for line in jsonl.lines() {
         let v: serde_json::Value = serde_json::from_str(line).expect("valid JSON line");
-        assert_eq!(v["v"], 8, "schema version on every line: {line}");
+        assert_eq!(v["v"], 9, "schema version on every line: {line}");
         assert_eq!(v["seq"], lines, "dense sequence numbers: {line}");
         assert!(v["ev"].is_string(), "event kind on every line: {line}");
         lines += 1;

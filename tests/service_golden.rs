@@ -113,7 +113,7 @@ fn journal_carries_the_v8_service_schema() {
     let mut spans = 0usize;
     for line in &lines {
         let v: serde_json::Value = serde_json::from_str(line).expect("valid JSONL");
-        assert_eq!(v["v"], 8, "schema version on every line: {line}");
+        assert_eq!(v["v"], 9, "schema version on every line: {line}");
         match v["ev"].as_str().expect("ev field") {
             "cache_event" => {
                 cache_events += 1;

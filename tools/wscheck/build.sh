@@ -1,6 +1,6 @@
 #!/bin/bash
 # Offline compile-check of the whole workspace against the stub deps in
-# stubs/ (sequential rayon, mini serde_json, xorshift rand; serde derives
+# stubs/ (sequential rayon, mini serde_json; serde derives
 # are stripped from copied sources). For sandboxes with no crates.io
 # access — see tools/wscheck/README.md. Not a substitute for tier-1
 # `cargo build && cargo test`, which CI runs with the real dependencies.
@@ -16,7 +16,6 @@ mkdir -p src out
 echo "=== stub deps ==="
 rustc --edition 2021 -O --crate-type rlib --crate-name rayon "$S/rayon.rs" -o out/librayon.rlib
 rustc --edition 2021 -O --crate-type rlib --crate-name serde_json "$S/serde_json.rs" -o out/libserde_json.rlib
-rustc --edition 2021 -O --crate-type rlib --crate-name rand "$S/rand.rs" -o out/librand.rlib
 rustc --edition 2021 -O --crate-type rlib --crate-name proptest "$S/proptest.rs" -o out/libproptest.rlib
 
 # Copy a crate's src tree with serde derives stripped.
@@ -57,7 +56,7 @@ X vizmesh   --crate-type rlib --crate-name vizmesh src/vizmesh/lib.rs -o out/lib
 X powersim  --crate-type rlib --crate-name powersim src/powersim/lib.rs -o out/libpowersim.rlib
 X vizalgo   --crate-type rlib --crate-name vizalgo src/vizalgo/lib.rs \
   --extern vizmesh=out/libvizmesh.rlib --extern rayon=out/librayon.rlib \
-  --extern rand=out/librand.rlib -o out/libvizalgo.rlib
+  -o out/libvizalgo.rlib
 X cloverleaf --crate-type rlib --crate-name cloverleaf src/cloverleaf/lib.rs \
   --extern vizmesh=out/libvizmesh.rlib --extern powersim=out/libpowersim.rlib \
   --extern rayon=out/librayon.rlib -o out/libcloverleaf.rlib
@@ -82,7 +81,7 @@ X service   --crate-type rlib --crate-name service src/service/lib.rs \
 X conformance --crate-type rlib --crate-name conformance src/conformance/lib.rs \
   --extern vizmesh=out/libvizmesh.rlib --extern vizalgo=out/libvizalgo.rlib \
   --extern powersim=out/libpowersim.rlib --extern rayon=out/librayon.rlib \
-  --extern rand=out/librand.rlib -o out/libconformance.rlib
+  -o out/libconformance.rlib
 X vizpower_bench --crate-type rlib --crate-name vizpower_bench src/bench/lib.rs \
   --extern vizmesh=out/libvizmesh.rlib --extern vizalgo=out/libvizalgo.rlib \
   --extern cloverleaf=out/libcloverleaf.rlib --extern powersim=out/libpowersim.rlib \

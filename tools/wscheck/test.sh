@@ -14,11 +14,10 @@ EXT="--extern vizmesh=out/libvizmesh.rlib --extern vizalgo=out/libvizalgo.rlib \
  --extern insitu=out/libinsitu.rlib --extern vizpower=out/libvizpower.rlib \
  --extern governor=out/libgovernor.rlib --extern service=out/libservice.rlib \
  --extern conformance=out/libconformance.rlib \
- --extern rayon=out/librayon.rlib --extern serde_json=out/libserde_json.rlib \
- --extern rand=out/librand.rlib"
+ --extern rayon=out/librayon.rlib --extern serde_json=out/libserde_json.rlib"
 
 T() { name=$1; src=$2; echo "=== unit: $name ==="; \
-  rustc $E --test --crate-name ${name}_t $src $EXT -o out/${name}_t && out/${name}_t -q; }
+  rustc $E --test --crate-name ${name}_t $src $EXT $3 -o out/${name}_t && out/${name}_t -q; }
 
 T vizmesh src/vizmesh/lib.rs
 echo "=== unit: vizalgo (serde round-trips skipped under stub) ==="
@@ -34,6 +33,7 @@ T governor src/governor/lib.rs
 T service src/service/lib.rs
 T conformance src/conformance/lib.rs
 T vizpower_bench src/bench/lib.rs
+T reproduce src/bench/bin/reproduce.rs "--extern vizpower_bench=out/libvizpower_bench.rlib"
 echo "=== unit: xtask (std-only) ==="
 rustc $E --test --crate-name xtask_t src/xtask/lib.rs -o out/xtask_t && out/xtask_t -q
 
@@ -93,10 +93,8 @@ echo "=== smoke: reproduce conformance --quick ==="
 out/reproduce conformance --quick
 echo "=== smoke: reproduce conformance --quick --backend dpp ==="
 out/reproduce conformance --quick --backend dpp
-echo "=== smoke: reproduce bench --quick ==="
-out/reproduce bench --quick --out out/bench_quick.json
-echo "=== smoke: reproduce bench --quick --backend both (DPP comparison) ==="
-out/reproduce bench --quick --backend both --algo contour,threshold,isovolume,slice --out out/bench_dpp_quick.json
+echo "=== smoke: reproduce fig2b --quick --backend dpp (traditional-vs-DPP IPC contrast) ==="
+out/reproduce fig2b --quick --backend dpp
 echo "=== smoke: reproduce advect --quick (time-varying scenario sweep) ==="
 out/reproduce advect --quick
 echo "=== smoke: xtask lint + analyze --ratchet against the repo ==="
