@@ -4,12 +4,11 @@ use crate::kernels::{self, Scratch};
 use crate::problems::Problem;
 use crate::state::State;
 use powersim::trace::{Journal, Scope};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vizmesh::{DataSet, FieldSeries, WorkCounters};
 
 /// Driver configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
     /// CFL safety factor.
     pub cfl: f64,
@@ -249,7 +248,7 @@ impl Simulation {
                 None => self.step(),
             };
             total += report.work;
-            if self.step % every == 0 {
+            if self.step.is_multiple_of(every) {
                 series.record(self.time, Arc::new(self.dataset()));
             }
         }

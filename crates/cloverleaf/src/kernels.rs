@@ -8,8 +8,11 @@
 
 use crate::eos;
 use crate::state::State;
-use rayon::prelude::*;
-use vizmesh::{Vec3, WorkCounters};
+use vizmesh::{par, Vec3, WorkCounters};
+
+/// Fewest cells, nodes or faces worth a parallel chunk: every loop here
+/// is a few dozen flops per item.
+const MIN_LEN: usize = 4096;
 
 /// Scratch buffers reused across steps to avoid per-step allocation.
 #[derive(Debug, Default)]
@@ -61,15 +64,11 @@ const Z_POS: [usize; 4] = [4, 5, 6, 7];
 pub fn ideal_gas(state: &mut State) -> WorkCounters {
     let density = &state.density;
     let energy = &state.energy;
-    state
-        .pressure
-        .par_iter_mut()
-        .zip(state.soundspeed.par_iter_mut())
-        .enumerate()
-        .for_each(|(c, (p, cs))| {
-            *p = eos::pressure(density[c], energy[c]);
-            *cs = eos::sound_speed(density[c], *p);
-        });
+    let (pressure, soundspeed) = (&mut state.pressure, &mut state.soundspeed);
+    par::for_each_mut2(pressure, soundspeed, MIN_LEN, |c, p, cs| {
+        *p = eos::pressure(density[c], energy[c]);
+        *cs = eos::sound_speed(density[c], *p);
+    });
     let mut w = WorkCounters::new();
     w.tally(state.density.len() as u64, 14, 6, 16, 16);
     w.working_set_bytes = (state.density.len() * 8 * 4) as u64;
@@ -81,7 +80,7 @@ pub fn divergence(state: &State, div: &mut [f64]) -> WorkCounters {
     let g = &state.grid;
     let s = g.spacing();
     let vel = &state.velocity;
-    div.par_iter_mut().enumerate().for_each(|(c, d)| {
+    par::for_each_mut(div, MIN_LEN, |c, d| {
         let ids = g.cell_point_ids(c);
         let avg = |slots: [usize; 4], f: fn(Vec3) -> f64| {
             slots.iter().map(|&i| f(vel[ids[i]])).sum::<f64>() * 0.25
@@ -105,20 +104,16 @@ pub fn viscosity(state: &mut State, div: &[f64]) -> WorkCounters {
     let dx = s.min_component();
     let density = &state.density;
     let soundspeed = &state.soundspeed;
-    state
-        .viscosity
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(c, q)| {
-            let d = div[c];
-            *q = if d < 0.0 {
-                let rho = density[c];
-                let dd = dx * d;
-                C2 * rho * dd * dd + C1 * rho * soundspeed[c] * dx * d.abs()
-            } else {
-                0.0
-            };
-        });
+    par::for_each_mut(&mut state.viscosity, MIN_LEN, |c, q| {
+        let d = div[c];
+        *q = if d < 0.0 {
+            let rho = density[c];
+            let dd = dx * d;
+            C2 * rho * dd * dd + C1 * rho * soundspeed[c] * dx * d.abs()
+        } else {
+            0.0
+        };
+    });
     let mut w = WorkCounters::new();
     w.tally(state.viscosity.len() as u64, 18, 8, 24, 8);
     w
@@ -203,34 +198,30 @@ pub fn acceleration(state: &mut State, dt: f64) -> WorkCounters {
         }
     };
 
-    state
-        .velocity
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(id, u)| {
-            let [i, j, k] = g.point_ijk(id);
-            let rho = node_density(id).max(1e-12);
-            // Each axis needs cells on both sides of the node; boundary nodes
-            // get the reflective condition instead.
-            if i >= 1 && i < nx - 1 {
-                let grad = (side_avg(0, i, j, k) - side_avg(0, i - 1, j, k)) / s.x;
-                u.x -= dt * grad / rho;
-            } else {
-                u.x = 0.0; // reflective: zero normal velocity on x faces
-            }
-            if j >= 1 && j < ny - 1 {
-                let grad = (side_avg(1, j, i, k) - side_avg(1, j - 1, i, k)) / s.y;
-                u.y -= dt * grad / rho;
-            } else {
-                u.y = 0.0;
-            }
-            if k >= 1 && k < nz - 1 {
-                let grad = (side_avg(2, k, i, j) - side_avg(2, k - 1, i, j)) / s.z;
-                u.z -= dt * grad / rho;
-            } else {
-                u.z = 0.0;
-            }
-        });
+    par::for_each_mut(&mut state.velocity, MIN_LEN, |id, u| {
+        let [i, j, k] = g.point_ijk(id);
+        let rho = node_density(id).max(1e-12);
+        // Each axis needs cells on both sides of the node; boundary nodes
+        // get the reflective condition instead.
+        if i >= 1 && i < nx - 1 {
+            let grad = (side_avg(0, i, j, k) - side_avg(0, i - 1, j, k)) / s.x;
+            u.x -= dt * grad / rho;
+        } else {
+            u.x = 0.0; // reflective: zero normal velocity on x faces
+        }
+        if j >= 1 && j < ny - 1 {
+            let grad = (side_avg(1, j, i, k) - side_avg(1, j - 1, i, k)) / s.y;
+            u.y -= dt * grad / rho;
+        } else {
+            u.y = 0.0;
+        }
+        if k >= 1 && k < nz - 1 {
+            let grad = (side_avg(2, k, i, j) - side_avg(2, k - 1, i, j)) / s.z;
+            u.z -= dt * grad / rho;
+        } else {
+            u.z = 0.0;
+        }
+    });
 
     let mut w = WorkCounters::new();
     w.tally(state.velocity.len() as u64, 140, 45, 8 * 24, 24);
@@ -246,7 +237,7 @@ pub fn pdv(state: &mut State, div: &[f64], dt: f64) -> WorkCounters {
     let pressure = &state.pressure;
     let viscosity = &state.viscosity;
     let density = &state.density;
-    state.energy.par_iter_mut().enumerate().for_each(|(c, e)| {
+    par::for_each_mut(&mut state.energy, MIN_LEN, |c, e| {
         let work = (pressure[c] + viscosity[c]) * div[c] / density[c].max(1e-12);
         *e = (*e - dt * work).max(E_FLOOR);
     });
@@ -273,89 +264,80 @@ pub fn advect(state: &mut State, scratch: &mut Scratch, dt: f64) -> WorkCounters
         let density = &state.density;
         let energy = &state.energy;
         // X faces.
-        scratch.flux_mass[0]
-            .par_iter_mut()
-            .zip(scratch.flux_energy[0].par_iter_mut())
-            .enumerate()
-            .for_each(|(f, (fm, fe))| {
-                let fi = f % (cx + 1);
-                let j = (f / (cx + 1)) % cy;
-                let k = f / ((cx + 1) * cy);
-                if fi == 0 || fi == cx {
-                    *fm = 0.0;
-                    *fe = 0.0;
-                    return;
-                }
-                let un = 0.25
-                    * (vel[g.point_id(fi, j, k)].x
-                        + vel[g.point_id(fi, j + 1, k)].x
-                        + vel[g.point_id(fi, j, k + 1)].x
-                        + vel[g.point_id(fi, j + 1, k + 1)].x);
-                let donor = if un >= 0.0 {
-                    g.cell_id(fi - 1, j, k)
-                } else {
-                    g.cell_id(fi, j, k)
-                };
-                let m = un * areas[0] * dt * density[donor];
-                *fm = m;
-                *fe = m * energy[donor];
-            });
+        let (fm, fe) = (&mut scratch.flux_mass[0], &mut scratch.flux_energy[0]);
+        par::for_each_mut2(fm, fe, MIN_LEN, |f, fm, fe| {
+            let fi = f % (cx + 1);
+            let j = (f / (cx + 1)) % cy;
+            let k = f / ((cx + 1) * cy);
+            if fi == 0 || fi == cx {
+                *fm = 0.0;
+                *fe = 0.0;
+                return;
+            }
+            let un = 0.25
+                * (vel[g.point_id(fi, j, k)].x
+                    + vel[g.point_id(fi, j + 1, k)].x
+                    + vel[g.point_id(fi, j, k + 1)].x
+                    + vel[g.point_id(fi, j + 1, k + 1)].x);
+            let donor = if un >= 0.0 {
+                g.cell_id(fi - 1, j, k)
+            } else {
+                g.cell_id(fi, j, k)
+            };
+            let m = un * areas[0] * dt * density[donor];
+            *fm = m;
+            *fe = m * energy[donor];
+        });
         // Y faces.
-        scratch.flux_mass[1]
-            .par_iter_mut()
-            .zip(scratch.flux_energy[1].par_iter_mut())
-            .enumerate()
-            .for_each(|(f, (fm, fe))| {
-                let i = f % cx;
-                let fj = (f / cx) % (cy + 1);
-                let k = f / (cx * (cy + 1));
-                if fj == 0 || fj == cy {
-                    *fm = 0.0;
-                    *fe = 0.0;
-                    return;
-                }
-                let un = 0.25
-                    * (vel[g.point_id(i, fj, k)].y
-                        + vel[g.point_id(i + 1, fj, k)].y
-                        + vel[g.point_id(i, fj, k + 1)].y
-                        + vel[g.point_id(i + 1, fj, k + 1)].y);
-                let donor = if un >= 0.0 {
-                    g.cell_id(i, fj - 1, k)
-                } else {
-                    g.cell_id(i, fj, k)
-                };
-                let m = un * areas[1] * dt * density[donor];
-                *fm = m;
-                *fe = m * energy[donor];
-            });
+        let (fm, fe) = (&mut scratch.flux_mass[1], &mut scratch.flux_energy[1]);
+        par::for_each_mut2(fm, fe, MIN_LEN, |f, fm, fe| {
+            let i = f % cx;
+            let fj = (f / cx) % (cy + 1);
+            let k = f / (cx * (cy + 1));
+            if fj == 0 || fj == cy {
+                *fm = 0.0;
+                *fe = 0.0;
+                return;
+            }
+            let un = 0.25
+                * (vel[g.point_id(i, fj, k)].y
+                    + vel[g.point_id(i + 1, fj, k)].y
+                    + vel[g.point_id(i, fj, k + 1)].y
+                    + vel[g.point_id(i + 1, fj, k + 1)].y);
+            let donor = if un >= 0.0 {
+                g.cell_id(i, fj - 1, k)
+            } else {
+                g.cell_id(i, fj, k)
+            };
+            let m = un * areas[1] * dt * density[donor];
+            *fm = m;
+            *fe = m * energy[donor];
+        });
         // Z faces.
-        scratch.flux_mass[2]
-            .par_iter_mut()
-            .zip(scratch.flux_energy[2].par_iter_mut())
-            .enumerate()
-            .for_each(|(f, (fm, fe))| {
-                let i = f % cx;
-                let j = (f / cx) % cy;
-                let fk = f / (cx * cy);
-                if fk == 0 || fk == cz {
-                    *fm = 0.0;
-                    *fe = 0.0;
-                    return;
-                }
-                let un = 0.25
-                    * (vel[g.point_id(i, j, fk)].z
-                        + vel[g.point_id(i + 1, j, fk)].z
-                        + vel[g.point_id(i, j + 1, fk)].z
-                        + vel[g.point_id(i + 1, j + 1, fk)].z);
-                let donor = if un >= 0.0 {
-                    g.cell_id(i, j, fk - 1)
-                } else {
-                    g.cell_id(i, j, fk)
-                };
-                let m = un * areas[2] * dt * density[donor];
-                *fm = m;
-                *fe = m * energy[donor];
-            });
+        let (fm, fe) = (&mut scratch.flux_mass[2], &mut scratch.flux_energy[2]);
+        par::for_each_mut2(fm, fe, MIN_LEN, |f, fm, fe| {
+            let i = f % cx;
+            let j = (f / cx) % cy;
+            let fk = f / (cx * cy);
+            if fk == 0 || fk == cz {
+                *fm = 0.0;
+                *fe = 0.0;
+                return;
+            }
+            let un = 0.25
+                * (vel[g.point_id(i, j, fk)].z
+                    + vel[g.point_id(i + 1, j, fk)].z
+                    + vel[g.point_id(i, j + 1, fk)].z
+                    + vel[g.point_id(i + 1, j + 1, fk)].z);
+            let donor = if un >= 0.0 {
+                g.cell_id(i, j, fk - 1)
+            } else {
+                g.cell_id(i, j, fk)
+            };
+            let m = un * areas[2] * dt * density[donor];
+            *fm = m;
+            *fe = m * energy[donor];
+        });
     }
     let nfaces = (scratch.flux_mass[0].len()
         + scratch.flux_mass[1].len()
@@ -368,31 +350,27 @@ pub fn advect(state: &mut State, scratch: &mut Scratch, dt: f64) -> WorkCounters
         let energy = &state.energy;
         let fm = &scratch.flux_mass;
         let fe = &scratch.flux_energy;
-        scratch
-            .new_density
-            .par_iter_mut()
-            .zip(scratch.new_energy.par_iter_mut())
-            .enumerate()
-            .for_each(|(c, (nd, ne))| {
-                let i = c % cx;
-                let j = (c / cx) % cy;
-                let k = c / (cx * cy);
-                let fx = |fi: usize| fi + (cx + 1) * (j + cy * k);
-                let fy = |fj: usize| i + cx * (fj + (cy + 1) * k);
-                let fz = |fk: usize| i + cx * (j + cy * fk);
-                let dm = fm[0][fx(i)] - fm[0][fx(i + 1)] + fm[1][fy(j)] - fm[1][fy(j + 1)]
-                    + fm[2][fz(k)]
-                    - fm[2][fz(k + 1)];
-                let de = fe[0][fx(i)] - fe[0][fx(i + 1)] + fe[1][fy(j)] - fe[1][fy(j + 1)]
-                    + fe[2][fz(k)]
-                    - fe[2][fz(k + 1)];
-                let mass_old = density[c] * vol;
-                let rho_e_old = density[c] * energy[c] * vol;
-                let mass_new = (mass_old + dm).max(1e-12 * vol);
-                let rho_e_new = (rho_e_old + de).max(0.0);
-                *nd = mass_new / vol;
-                *ne = (rho_e_new / mass_new).max(1e-9);
-            });
+        let (nd, ne) = (&mut scratch.new_density, &mut scratch.new_energy);
+        par::for_each_mut2(nd, ne, MIN_LEN, |c, nd, ne| {
+            let i = c % cx;
+            let j = (c / cx) % cy;
+            let k = c / (cx * cy);
+            let fx = |fi: usize| fi + (cx + 1) * (j + cy * k);
+            let fy = |fj: usize| i + cx * (fj + (cy + 1) * k);
+            let fz = |fk: usize| i + cx * (j + cy * fk);
+            let dm = fm[0][fx(i)] - fm[0][fx(i + 1)] + fm[1][fy(j)] - fm[1][fy(j + 1)]
+                + fm[2][fz(k)]
+                - fm[2][fz(k + 1)];
+            let de = fe[0][fx(i)] - fe[0][fx(i + 1)] + fe[1][fy(j)] - fe[1][fy(j + 1)]
+                + fe[2][fz(k)]
+                - fe[2][fz(k + 1)];
+            let mass_old = density[c] * vol;
+            let rho_e_old = density[c] * energy[c] * vol;
+            let mass_new = (mass_old + dm).max(1e-12 * vol);
+            let rho_e_new = (rho_e_old + de).max(0.0);
+            *nd = mass_new / vol;
+            *ne = (rho_e_new / mass_new).max(1e-9);
+        });
     }
     state.density.copy_from_slice(&scratch.new_density);
     state.energy.copy_from_slice(&scratch.new_energy);
@@ -406,16 +384,8 @@ pub fn calc_dt(state: &State, prev_dt: f64, cfl: f64) -> (f64, WorkCounters) {
     let g = &state.grid;
     let s = g.spacing();
     let dx = s.min_component();
-    let max_u = state
-        .velocity
-        .par_iter() // lint: deterministic because f64::max is order-insensitive
-        .map(|u| u.length())
-        .reduce(|| 0.0, f64::max);
-    let max_cs = state
-        .soundspeed
-        .par_iter() // lint: deterministic because f64::max is order-insensitive
-        .copied()
-        .reduce(|| 0.0, f64::max);
+    let max_u = (state.velocity.iter().map(|u| u.length())).fold(0.0, f64::max);
+    let max_cs = state.soundspeed.iter().copied().fold(0.0, f64::max);
     let dt = cfl * dx / (max_cs + max_u + 1e-12);
     let dt = dt.min(prev_dt * 1.05);
     let mut w = WorkCounters::new();

@@ -1,7 +1,7 @@
 //! Property-based tests for the hydrodynamics proxy.
 
 use cloverleaf::{Problem, SimConfig, Simulation};
-use proptest::prelude::*;
+use propcheck::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

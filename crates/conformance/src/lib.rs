@@ -8,8 +8,8 @@
 //!   answer — a contoured sphere must have area `4πr²` and genus 0, a
 //!   clipped ball must remove `4/3·πr³` of volume, advected particles in
 //!   a rigid rotation must stay on their circles, and so on.
-//! * **Differential** ([`reference`]): re-run each kernel under 1-thread
-//!   and 4-thread rayon pools (outputs must be byte-identical), and
+//! * **Differential** ([`mod@reference`]): re-run each kernel under
+//!   `par::with_threads(1)` and `(4)` (outputs must be byte-identical), and
 //!   compare against deliberately simple sequential re-implementations
 //!   (bit-exact where the reference replicates the arithmetic).
 //! * **Metamorphic** ([`metamorphic`]): cross-kernel laws that need no
@@ -186,7 +186,7 @@ pub fn build_input(alg: Algorithm, n: usize) -> DataSet {
 /// The canonical [`AlgorithmSpec`] each algorithm is checked under: the
 /// analytic constants above bound to this config's size knobs. All
 /// conformance filters are built from these specs (the sequential
-/// re-implementations in [`reference`] are intentionally independent).
+/// re-implementations in [`mod@reference`] are intentionally independent).
 pub fn spec_for(alg: Algorithm, cfg: &ConformanceConfig) -> AlgorithmSpec {
     let px = cfg.render_px;
     match alg {
@@ -411,8 +411,8 @@ pub fn render_table(report: &ConformanceReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<18} {:>5} {:<34} {:>13} {:>13} {:>9}  {}",
-        "ALGORITHM", "GRID", "CHECK", "MEASURED", "EXPECTED", "TOL", "STATUS"
+        "{:<18} {:>5} {:<34} {:>13} {:>13} {:>9}  STATUS",
+        "ALGORITHM", "GRID", "CHECK", "MEASURED", "EXPECTED", "TOL"
     );
     for c in &report.checks {
         let _ = writeln!(

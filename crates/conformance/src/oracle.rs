@@ -98,7 +98,7 @@ fn threshold(n: usize, out: &FilterOutput) -> Vec<CheckResult> {
     let kept_cols = (0..n)
         .filter(|&i| {
             let x = (i as f64 + 0.5) / nn;
-            x >= THRESH_LO && x <= THRESH_HI
+            (THRESH_LO..=THRESH_HI).contains(&x)
         })
         .count();
     let expected_cells = (kept_cols * n * n) as f64;

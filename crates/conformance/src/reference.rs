@@ -16,7 +16,7 @@ use vizalgo::colormap::ColorMap;
 use vizalgo::contour::{triangle_table, EDGES};
 use vizalgo::raytrace::external_face_triangles;
 use vizalgo::{Algorithm, FilterOutput, ThreeSlice};
-use vizmesh::{Camera, CellShape, DataSet, UniformGrid, Vec3, XorShift};
+use vizmesh::{par, Camera, CellShape, DataSet, UniformGrid, Vec3, XorShift};
 
 const KIND: CheckKind = CheckKind::Differential;
 
@@ -49,8 +49,8 @@ pub fn checks(
     checks
 }
 
-/// Execute the canonical filter under private 1- and 4-thread rayon
-/// pools; the outputs must be identical.
+/// Execute the canonical filter under `par::with_threads(1)` and `(4)`;
+/// the outputs must be identical.
 fn thread_invariance(
     alg: Algorithm,
     cfg: &ConformanceConfig,
@@ -58,13 +58,7 @@ fn thread_invariance(
     input: &DataSet,
 ) -> CheckResult {
     let filter = crate::build_filter(alg, cfg, input);
-    let mut runs = Vec::with_capacity(2);
-    for threads in [1usize, 4] {
-        let Ok(pool) = rayon::ThreadPoolBuilder::new().num_threads(threads).build() else {
-            return CheckResult::setup_failure(alg, KIND, "threads", n);
-        };
-        runs.push(pool.install(|| filter.execute(input)));
-    }
+    let runs = [1usize, 4].map(|threads| par::with_threads(threads, || filter.execute(input)));
     let equal = runs[0].dataset == runs[1].dataset && runs[0].images == runs[1].images;
     CheckResult::new(
         alg,
@@ -225,7 +219,7 @@ fn threshold_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckRe
     };
     let expected = vals
         .iter()
-        .filter(|&&v| v >= THRESH_LO && v <= THRESH_HI)
+        .filter(|v| (THRESH_LO..=THRESH_HI).contains(*v))
         .count();
     let measured = explicit_parts(ds)
         .map(|(_, cells)| count_shape(cells, CellShape::Hexahedron))

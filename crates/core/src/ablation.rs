@@ -16,10 +16,9 @@
 use crate::metrics::Ratios;
 use crate::study::{AlgorithmRun, CapSweep};
 use powersim::{CpuSpec, Watts};
-use serde::{Deserialize, Serialize};
 
 /// One mechanism that can be switched off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ablation {
     /// Zero the DRAM-traffic power term.
     NoTrafficPower,
@@ -57,7 +56,7 @@ impl Ablation {
 }
 
 /// Result of one ablated sweep next to the reference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AblationResult {
     pub ablation: Ablation,
     pub reference: Vec<Ratios>,

@@ -12,19 +12,18 @@
 //!
 //! The sweep is the `reproduce advect [--quick]` target; the root
 //! integration test `tests/advect_golden.rs` pins its journal to be
-//! byte-identical across rayon thread counts and its matrix to cover at
+//! byte-identical across `par` thread counts and its matrix to cover at
 //! least two seedings × two terminations × both flow modes.
 
 use crate::characterize::characterize;
 use cloverleaf::{Problem, SimConfig, Simulation};
 use powersim::trace::{Journal, Scope};
 use powersim::{CpuSpec, Joules, Package, Watts};
-use serde::{Deserialize, Serialize};
 use vizalgo::{AlgorithmSpec, FlowMode, FlowScenario, Seeding, StepControl, Termination};
 use vizmesh::FieldSeries;
 
 /// Tunable parameters of one advection scenario sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdvectConfig {
     /// Hydro grid cells per axis.
     pub hydro_n: usize,

@@ -14,10 +14,9 @@
 //! power-hungry simulation.
 
 use powersim::{CpuSpec, Joules, Package, Watts, Workload};
-use serde::{Deserialize, Serialize};
 
 /// The advisor's output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AllocationPlan {
     pub budget_watts: Watts,
     /// Chosen caps.
@@ -100,7 +99,7 @@ pub fn allocate(
 /// the runtime may program a different RAPL cap for each phase as long as
 /// the **time-averaged** power stays under the budget — the
 /// GEOPM/PaViz-style dynamic reallocation the paper's §VII points to.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PhasedPlan {
     pub avg_budget_watts: Watts,
     pub sim_cap_watts: Watts,

@@ -15,7 +15,6 @@ use crate::classify::PowerClass;
 use crate::metrics::{first_slowdown_cap, Ratios};
 use crate::study::{sweep, AlgorithmRun};
 use powersim::{CpuSpec, Watts};
-use serde::{Deserialize, Serialize};
 
 /// The architectures compared.
 pub fn architectures() -> Vec<CpuSpec> {
@@ -39,7 +38,7 @@ pub fn caps_for(spec: &CpuSpec) -> Vec<Watts> {
 }
 
 /// One architecture's verdict on one algorithm.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ArchRow {
     pub arch: String,
     pub algorithm: String,

@@ -2,10 +2,9 @@
 
 use crate::metrics::{first_slowdown_cap, Ratios};
 use powersim::units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// The paper's classification of visualization algorithms under a cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerClass {
     /// Memory/data-bound: insensitive to the cap until severe values —
     /// power can be taken away "for free".

@@ -5,10 +5,9 @@
 //! because serial baselines are impractical at scale.
 
 use powersim::units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// Elements/second for one (cap, time) measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rate {
     pub cap_watts: Watts,
     /// Millions of elements (input cells) processed per second.

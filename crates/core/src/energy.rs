@@ -11,12 +11,11 @@
 //! painfully in energy-delay terms for the compute-bound ones.
 
 use crate::study::CapSweep;
-use serde::{Deserialize, Serialize};
 
 pub use powersim::units::{Joules, Watts};
 
 /// Energy metrics of one cap relative to the default-power run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EnergyRow {
     pub cap_watts: Watts,
     pub energy_joules: Joules,

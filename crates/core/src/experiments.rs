@@ -15,11 +15,10 @@ use crate::efficiency;
 use crate::study::{CapSweep, StudyContext};
 use powersim::trace::Scope;
 use powersim::Joules;
-use serde::{Deserialize, Serialize};
 use vizalgo::Algorithm;
 
 /// A plottable series: one labelled line of (power cap, value) points.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FigSeries {
     pub label: String,
     pub points: Vec<(f64, f64)>,

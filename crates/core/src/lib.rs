@@ -6,7 +6,7 @@
 //! simulated RAPL-capped Broadwell package (`powersim`), and produces the
 //! analyses of §V–§VII:
 //!
-//! * [`characterize`] — the bridge from measured kernel work counts to
+//! * [`mod@characterize`] — the bridge from measured kernel work counts to
 //!   processor workloads: per-kernel-class microarchitectural signatures
 //!   (core CPI, power activity, cache locality) applied to real counts.
 //! * [`study`] — the three experiment phases: Phase 1 (contour × 9 power
@@ -14,7 +14,7 @@
 //!   288 configurations in total.
 //! * [`metrics`] — the derived ratios of §V-A (`Pratio`, `Tratio`,
 //!   `Fratio`) and the first-10 %-slowdown rule of §VI.
-//! * [`classify`] — the paper's two algorithm classes: *power
+//! * [`mod@classify`] — the paper's two algorithm classes: *power
 //!   opportunity* vs *power sensitive*.
 //! * [`efficiency`] — the Moreland–Oldfield elements-per-second rate used
 //!   for Fig. 3.

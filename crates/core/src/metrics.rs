@@ -1,7 +1,6 @@
 //! The derived ratios of §V-A and the first-slowdown rule of §VI.
 
 use powersim::units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// The paper's significance threshold: a 10 % slowdown.
 pub const SLOWDOWN_THRESHOLD: f64 = 1.10;
@@ -12,7 +11,7 @@ pub const SLOWDOWN_THRESHOLD: f64 = 1.10;
 /// `Pratio = P_D / P_R` and `Fratio = F_D / F_R` put the default in the
 /// numerator; `Tratio = T_R / T_D` is inverted so that all three ratios
 /// are ≥ 1 when capping hurts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ratios {
     pub cap_watts: Watts,
     pub pratio: f64,

@@ -7,7 +7,7 @@
 //! everywhere, one owned journal); the service's worker pool is not.
 //! This store keeps the exact caching discipline the context always had
 //! — the hydro base solve is computed once per `min(size, 64)` and
-//! every size above [`HYDRO_BASE_MAX`](crate::study::HYDRO_BASE_MAX)
+//! every size above [`HYDRO_BASE_MAX`]
 //! upsamples from it; hits hand back another [`Arc`] handle, never a
 //! deep clone — behind interior mutability, and adds a cached 48-bit
 //! content fingerprint ([`vizalgo::dataset_fingerprint`]) per size, the

@@ -12,7 +12,6 @@ use crate::metrics::Ratios;
 use crate::store::DatasetStore;
 use powersim::trace::{Journal, Scope};
 use powersim::{CpuSpec, ExecResult, Joules, Package, Watts, Workload};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vizalgo::{Algorithm, AlgorithmSpec, Backend, IsoValues, KernelReport, ScalarBand, SphereSpec};
@@ -35,7 +34,7 @@ pub const PAPER_CAPS: [Watts; 9] = [
 pub const PAPER_SIZES: [usize; 4] = [32, 64, 128, 256];
 
 /// Tunable experiment parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StudyConfig {
     /// Power caps to sweep.
     pub caps: Vec<Watts>,
@@ -148,7 +147,7 @@ pub const HYDRO_BASE_MAX: usize = 64;
 /// trends attributed to data volume, not field differences).
 ///
 /// Delegates to the one journaled construction site
-/// ([`crate::store::solve_base`]) with the journal off, so the free
+/// (`crate::store::solve_base`) with the journal off, so the free
 /// function and [`DatasetStore`] can never produce different bits.
 pub fn dataset_for(size: usize) -> DataSet {
     let base_n = size.min(HYDRO_BASE_MAX);
@@ -256,7 +255,7 @@ fn native_run_on(
 }
 
 /// The power-cap sweep of one algorithm at one size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CapSweep {
     pub algorithm: Algorithm,
     pub size: usize,

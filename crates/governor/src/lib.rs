@@ -7,7 +7,7 @@
 //! the loop *online*: it runs the pair on two simulated RAPL-capped
 //! packages, observes each 100 ms counter sample (IPC, LLC miss ratio,
 //! power from the energy MSR), classifies the current phase with the
-//! thresholds of [`vizpower::classify`], and reassigns the per-package
+//! thresholds of [`mod@vizpower::classify`], and reassigns the per-package
 //! caps between windows — never letting the caps of active packages
 //! exceed the node budget.
 //!

@@ -56,7 +56,7 @@ pub struct SideObs {
 
 impl SideObs {
     /// Online phase classification of this side's current sample, using
-    /// the thresholds in [`vizpower::classify`].
+    /// the thresholds in [`mod@vizpower::classify`].
     pub fn class(&self) -> PowerClass {
         classify_sample(self.ipc, self.llc_miss_rate)
     }

@@ -1,19 +1,19 @@
 //! Property tests for the governor's hard invariants: no matter the
 //! budget, workload shape, or policy, active caps stay within the
 //! hardware range and never sum past the node budget, and the journal is
-//! byte-identical across runs and rayon pool sizes.
+//! byte-identical across runs and `par` thread counts.
 
 use governor::{govern, Reactive, StaticAdvisor, Uniform, WorkloadPair};
 use powersim::trace::{Event, Journal};
 use powersim::{CpuSpec, KernelPhase, Watts, Workload};
-use proptest::prelude::*;
+use propcheck::prelude::*;
 
 fn spec() -> CpuSpec {
     CpuSpec::broadwell_e5_2695v4()
 }
 
 /// A small synthetic pair parameterized by instruction counts, so
-/// proptest can vary relative side lengths and phase mixes.
+/// the sampler can vary relative side lengths and phase mixes.
 fn pair(sim_ginst: u64, viz_ginst: u64, viz_heavy: bool) -> WorkloadPair {
     let sim = Workload::new("p-sim")
         .with_phase(KernelPhase::compute("hydro-a", sim_ginst * 1_000_000_000))
@@ -103,13 +103,8 @@ proptest! {
         sim_ginst in 40u64..120,
         viz_ginst in 10u64..60,
     ) {
-        let run_in_pool = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                // lint: infallible because a fresh private pool with a valid thread count cannot fail to build
-                .expect("thread pool");
-            pool.install(|| {
+        let run_with = |threads: usize| {
+            vizmesh::par::with_threads(threads, || {
                 let spec = spec();
                 let pair = pair(sim_ginst, viz_ginst, false);
                 let mut journal = Journal::with_capacity(1 << 15);
@@ -117,8 +112,8 @@ proptest! {
                 journal.to_jsonl()
             })
         };
-        let one = run_in_pool(1);
-        let four = run_in_pool(4);
+        let one = run_with(1);
+        let four = run_with(4);
         prop_assert_eq!(one, four);
     }
 }

@@ -9,8 +9,8 @@
 //! express — and every build goes through the one registry-sanctioned
 //! construction site, [`AlgorithmSpec::build`].
 
-use serde::{Deserialize, Serialize};
 pub use vizalgo::spec::{AlgorithmSpec, IsoValues, ScalarBand, SphereSpec};
+use vizmesh::json::{self, JsonError, Value};
 
 /// A filter declaration inside a pipeline: the canonical
 /// [`AlgorithmSpec`], JSON-tagged by algorithm (`{"type": "contour",
@@ -24,8 +24,7 @@ pub type FilterSpec = AlgorithmSpec;
 pub type RendererSpec = AlgorithmSpec;
 
 /// One action in the list.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-#[serde(tag = "action", rename_all = "snake_case")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     AddPipeline {
         name: String,
@@ -38,17 +37,65 @@ pub enum Action {
 }
 
 /// The full declarative document.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ActionList(pub Vec<Action>);
 
-impl ActionList {
-    /// Parse from JSON (the Ascent-style interface).
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+impl Action {
+    /// The wire form: `{"action": "add_pipeline", "name": .., "filters":
+    /// [..]}` or `{"action": "add_scene", "name": .., "renderer": ..}`.
+    pub fn to_json(&self) -> Value {
+        match self {
+            Action::AddPipeline { name, filters } => Value::object([
+                ("action", "add_pipeline".into()),
+                ("name", name.as_str().into()),
+                (
+                    "filters",
+                    Value::Array(filters.iter().map(FilterSpec::to_json).collect()),
+                ),
+            ]),
+            Action::AddScene { name, renderer } => Value::object([
+                ("action", "add_scene".into()),
+                ("name", name.as_str().into()),
+                ("renderer", renderer.to_json()),
+            ]),
+        }
     }
 
+    /// Decode the wire form of [`to_json`](Action::to_json).
+    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let name = || v.str("name").map(str::to_owned);
+        match v.str("action")? {
+            "add_pipeline" => Ok(Action::AddPipeline {
+                name: name()?,
+                filters: (v.array("filters")?.iter())
+                    .map(FilterSpec::from_json)
+                    .collect::<Result<_, _>>()?,
+            }),
+            "add_scene" => Ok(Action::AddScene {
+                name: name()?,
+                renderer: RendererSpec::from_json(v.field("renderer")?)?,
+            }),
+            other => Err(JsonError::unknown_tag("action", other)),
+        }
+    }
+}
+
+impl ActionList {
+    /// Parse from JSON (the Ascent-style interface): an array of
+    /// actions. The text comes from outside the program, so anything
+    /// malformed is a [`JsonError`], never a panic.
+    pub fn from_json(text: &str) -> Result<Self, JsonError> {
+        let document = json::parse(text)?;
+        let actions = document.as_array();
+        let actions = actions.ok_or(JsonError::wrong("", "an array of actions"))?;
+        let actions = actions.iter().map(Action::from_json);
+        actions.collect::<Result<_, _>>().map(ActionList)
+    }
+
+    /// Pretty-printed JSON that [`from_json`](ActionList::from_json)
+    /// reads back.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("actions serialize")
+        Value::Array(self.0.iter().map(Action::to_json).collect()).pretty()
     }
 
     pub fn pipelines(&self) -> impl Iterator<Item = (&str, &[FilterSpec])> {
@@ -69,7 +116,6 @@ impl ActionList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vizalgo::Filter as _;
     use vizmesh::{Association, DataSet, Field, UniformGrid, Vec3};
 
     fn dataset() -> DataSet {
@@ -122,6 +168,69 @@ mod tests {
         let list = ActionList::from_json(json).unwrap();
         assert_eq!(list.pipelines().count(), 1);
         assert_eq!(list.scenes().count(), 1);
+    }
+
+    #[test]
+    fn malformed_documents_are_errors_not_panics() {
+        use vizmesh::json::MAX_DEPTH;
+        let pipeline = |filter: &str| {
+            format!(r#"[{{"action": "add_pipeline", "name": "p", "filters": [{filter}]}}]"#)
+        };
+        let cases: [(String, JsonError); 8] = [
+            (
+                pipeline(r#"{"type": "smooth", "field": "energy"}"#),
+                JsonError::unknown_tag("algorithm type", "smooth"),
+            ),
+            (
+                r#"[{"action": "add_mesh", "name": "m"}]"#.into(),
+                JsonError::unknown_tag("action", "add_mesh"),
+            ),
+            (
+                pipeline(r#"{"type": "slice"}"#),
+                JsonError::Missing { field: "field" },
+            ),
+            (
+                pipeline(
+                    r#"{"type": "ray_tracing", "field": "e", "width": "wide", "height": 4, "images": 1}"#,
+                ),
+                JsonError::Wrong {
+                    field: "width",
+                    expected: "a non-negative integer",
+                },
+            ),
+            (
+                pipeline(r#"{"type": "threshold", "field": "e", "band": {"upper_fraction": NaN}}"#),
+                JsonError::Syntax {
+                    offset: 116,
+                    expected: "a JSON value",
+                },
+            ),
+            (
+                "[] []".into(),
+                JsonError::Syntax {
+                    offset: 3,
+                    expected: "end of input",
+                },
+            ),
+            (
+                "[".repeat(10_000),
+                JsonError::Syntax {
+                    offset: MAX_DEPTH,
+                    expected: "at most 128 nested levels",
+                },
+            ),
+            (
+                r#"{"action": "add_scene"}"#.into(),
+                JsonError::Wrong {
+                    field: "",
+                    expected: "an array of actions",
+                },
+            ),
+        ];
+        for (text, expect) in cases {
+            let shown: String = text.chars().take(80).collect();
+            assert_eq!(ActionList::from_json(&text), Err(expect), "{shown}");
+        }
     }
 
     #[test]

@@ -6,12 +6,11 @@ use crate::scene::Scene;
 use crate::trigger::Trigger;
 use cloverleaf::{Problem, SimConfig, Simulation};
 use powersim::trace::{Journal, Scope};
-use serde::{Deserialize, Serialize};
 use vizalgo::{KernelClass, KernelReport};
 use vizmesh::{Image, WorkCounters};
 
 /// Runtime configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Cells per axis (the paper's 32/64/128/256).
     pub grid_cells: usize,

@@ -3,7 +3,7 @@
 use insitu::{
     Action, ActionList, FilterSpec, IsoValues, RendererSpec, ScalarBand, SphereSpec, Trigger,
 };
-use proptest::prelude::*;
+use propcheck::prelude::*;
 use vizmesh::{Association, DataSet, Field, UniformGrid};
 
 fn filter_spec_strategy() -> impl Strategy<Value = FilterSpec> {
@@ -12,8 +12,8 @@ fn filter_spec_strategy() -> impl Strategy<Value = FilterSpec> {
             field: "energy".into(),
             isovalues: IsoValues::Spanning(n),
         }),
-        // Fractions are quantized to 1/1000 so the JSON round trip is
-        // bitwise (serde_json's float parsing is not exact to the ULP).
+        // Fractions are quantized to 1/1000 to keep failing documents
+        // readable; the codec itself round-trips any finite f64 bitwise.
         (0u32..1000).prop_map(|q| FilterSpec::Threshold {
             field: "energy".into(),
             band: ScalarBand::UpperFraction(q as f64 / 1000.0),

@@ -7,13 +7,12 @@
 //! and wrap, as on real Intel parts.
 
 use crate::msr::{addr, MsrFile};
-use serde::{Deserialize, Serialize};
 
 /// Width mask for performance counters (48 bits on Broadwell).
 const CTR_MASK: u64 = (1 << 48) - 1;
 
 /// The per-package counter bank.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CounterBank {
     pub aperf: u64,
     pub mperf: u64,

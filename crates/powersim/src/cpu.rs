@@ -1,8 +1,6 @@
 //! The package (processor) model: V/f curve, DVFS ladder, and the
 //! analytic power model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::Watts;
 
 /// Static description of one processor package.
@@ -10,7 +8,7 @@ use crate::units::Watts;
 /// The default, [`CpuSpec::broadwell_e5_2695v4`], models the paper's
 /// RZTopaz processor: 18 cores, 2.1 GHz base, 2.6 GHz all-core turbo,
 /// 120 W TDP, cappable down to 40 W, 45 MB LLC.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuSpec {
     pub name: String,
     pub cores: u32,

@@ -24,13 +24,12 @@ use crate::timing::{effective_activity, phase_time};
 use crate::trace::{CapChange, CounterSample, Event, Journal, Scope};
 use crate::units::{Joules, Watts};
 use crate::workload::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Sampling period used by the study (§V-B): 100 ms.
 pub const SAMPLE_PERIOD_SEC: f64 = 0.100;
 
 /// One 100 ms sample: the derived metrics of §V-B over the interval.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Sample {
     /// End time of the interval (virtual seconds).
     pub t: f64,
@@ -45,7 +44,7 @@ pub struct Sample {
 }
 
 /// Aggregate result of one workload execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecResult {
     /// Name of the executed workload.
     pub workload: String,

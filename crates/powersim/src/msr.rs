@@ -7,7 +7,6 @@
 //! energy-status semantics (32-bit wrapping counter in units read from
 //! `MSR_RAPL_POWER_UNIT`).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::units::Joules;
@@ -47,7 +46,7 @@ pub mod event {
 }
 
 /// Errors from the allow-listed register file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MsrError {
     /// The register is not on the allowlist at all.
     UnknownRegister(u32),

@@ -7,10 +7,9 @@ use crate::cpu::CpuSpec;
 use crate::exec::{ExecResult, Package};
 use crate::units::{Joules, Watts};
 use crate::workload::{KernelPhase, Workload};
-use serde::{Deserialize, Serialize};
 
 /// Aggregate result of a node run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeResult {
     /// The slower package defines completion (the workload is split and
     /// both halves must finish).

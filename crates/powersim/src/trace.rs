@@ -15,7 +15,7 @@
 //! Design constraints, in order:
 //!
 //! 1. **Determinism.** The journal must be byte-identical across runs
-//!    and across rayon thread counts, so it carries no wall-clock
+//!    and across `par` thread counts, so it carries no wall-clock
 //!    timestamps. Time is a single logical clock ([`Journal::now`])
 //!    advanced only by *modeled* seconds: the executor advances it in
 //!    lock-step with virtual package time, and the CloverLeaf driver by

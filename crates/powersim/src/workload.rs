@@ -7,10 +7,8 @@
 //! `vizpower` crate, which assigns an instruction-mix signature per
 //! kernel class.
 
-use serde::{Deserialize, Serialize};
-
 /// One homogeneous stretch of execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelPhase {
     pub name: String,
     /// Total instructions retired by the phase (across all cores).
@@ -45,7 +43,7 @@ impl KernelPhase {
 }
 
 /// An ordered list of phases, executed back to back.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Workload {
     pub name: String,
     pub phases: Vec<KernelPhase>,

@@ -6,7 +6,7 @@ use powersim::rapl::PowerLimiter;
 use powersim::timing::{memory_time, phase_time};
 use powersim::units::{Joules, Watts};
 use powersim::{KernelPhase, Package, Workload};
-use proptest::prelude::*;
+use propcheck::prelude::*;
 
 fn phase_strategy() -> impl Strategy<Value = KernelPhase> {
     (

@@ -13,15 +13,15 @@
 //! (hit / miss / coalesced) are atomics updated at classification time;
 //! the service reads them through [`ResultCache::stats`].
 //!
-//! One sharp edge, documented rather than papered over: if a compute
-//! closure panics, its in-flight marker is never published and waiters
-//! on that key would block. The service runs computes on scoped worker
-//! threads whose panics propagate at join, so a panicking compute takes
-//! the whole serve call down with it — it cannot silently wedge.
+//! A compute closure that panics does not wedge its key: a drop guard
+//! armed around the call removes the in-flight marker and marks the
+//! flight failed on unwind, and each woken waiter re-enters the lookup —
+//! one of them becomes the next leader. The panic itself still reaches
+//! whoever joins the leader's thread.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::key::CacheKey;
 
@@ -68,8 +68,43 @@ enum Slot<V> {
 
 /// Rendezvous for threads waiting on an in-flight compute.
 struct Flight<V> {
-    slot: Mutex<Option<Arc<V>>>,
-    ready: Condvar,
+    state: Mutex<FlightState<V>>,
+    settled: Condvar,
+}
+
+enum FlightState<V> {
+    Pending,
+    Ready(Arc<V>),
+    /// The leader unwound without a value; waiters look the key up again.
+    Failed,
+}
+
+/// Armed while the leader computes: if the compute unwinds, take the
+/// in-flight marker back out of the shard and fail the flight, so no
+/// waiter blocks on a value that will never come.
+struct LeaderGuard<'a, V> {
+    cache: &'a ResultCache<V>,
+    key: CacheKey,
+    flight: &'a Arc<Flight<V>>,
+    published: bool,
+}
+
+impl<V> Drop for LeaderGuard<'_, V> {
+    fn drop(&mut self) {
+        if self.published {
+            return;
+        }
+        // Runs during an unwind, so it must not panic: a poisoned lock is
+        // entered anyway (both maps stay valid at every step).
+        let mut shard =
+            (self.cache.shard(&self.key).lock()).unwrap_or_else(PoisonError::into_inner);
+        if matches!(shard.get(&self.key), Some(Slot::InFlight(f)) if Arc::ptr_eq(f, self.flight)) {
+            shard.remove(&self.key);
+        }
+        drop(shard);
+        *(self.flight.state.lock()).unwrap_or_else(PoisonError::into_inner) = FlightState::Failed;
+        self.flight.settled.notify_all();
+    }
 }
 
 /// The sharded single-flight cache. See the module docs for the
@@ -109,46 +144,62 @@ impl<V> ResultCache<V> {
 
     /// The value for `key`, computing it with `f` if absent. Exactly one
     /// concurrent caller per key runs `f`; the rest block until the
-    /// value is published and share the same `Arc`.
+    /// value is published and share the same `Arc`. If the running `f`
+    /// panics, the waiters retry and one of them runs its own `f`.
     pub fn get_or_compute<F>(&self, key: CacheKey, f: F) -> Arc<V>
     where
         F: FnOnce() -> V,
     {
-        let flight = {
-            let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
-            match shard.get(&key) {
-                Some(Slot::Ready(v)) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Arc::clone(v);
+        loop {
+            let flight = {
+                let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+                match shard.get(&key) {
+                    Some(Slot::Ready(v)) => {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        return Arc::clone(v);
+                    }
+                    Some(Slot::InFlight(flight)) => {
+                        self.coalesced.fetch_add(1, Ordering::Relaxed);
+                        Arc::clone(flight)
+                    }
+                    None => {
+                        self.misses.fetch_add(1, Ordering::Relaxed);
+                        let flight = Arc::new(Flight {
+                            state: Mutex::new(FlightState::Pending),
+                            settled: Condvar::new(),
+                        });
+                        shard.insert(key, Slot::InFlight(Arc::clone(&flight)));
+                        // Compute outside the shard lock, publish, wake waiters.
+                        drop(shard);
+                        let mut guard = LeaderGuard {
+                            cache: self,
+                            key,
+                            flight: &flight,
+                            published: false,
+                        };
+                        let value = Arc::new(f());
+                        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+                        shard.insert(key, Slot::Ready(Arc::clone(&value)));
+                        drop(shard);
+                        *flight.state.lock().expect("flight state poisoned") =
+                            FlightState::Ready(Arc::clone(&value));
+                        guard.published = true;
+                        flight.settled.notify_all();
+                        return value;
+                    }
                 }
-                Some(Slot::InFlight(flight)) => {
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    Arc::clone(flight)
-                }
-                None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    let flight = Arc::new(Flight {
-                        slot: Mutex::new(None),
-                        ready: Condvar::new(),
-                    });
-                    shard.insert(key, Slot::InFlight(Arc::clone(&flight)));
-                    // Compute outside the shard lock, publish, wake waiters.
-                    drop(shard);
-                    let value = Arc::new(f());
-                    let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
-                    shard.insert(key, Slot::Ready(Arc::clone(&value)));
-                    drop(shard);
-                    *flight.slot.lock().expect("flight slot poisoned") = Some(Arc::clone(&value));
-                    flight.ready.notify_all();
-                    return value;
+            };
+            let mut state = flight.state.lock().expect("flight state poisoned");
+            loop {
+                match &*state {
+                    FlightState::Pending => {
+                        state = flight.settled.wait(state).expect("flight state poisoned");
+                    }
+                    FlightState::Ready(value) => return Arc::clone(value),
+                    FlightState::Failed => break,
                 }
             }
-        };
-        let mut slot = flight.slot.lock().expect("flight slot poisoned");
-        while slot.is_none() {
-            slot = flight.ready.wait(slot).expect("flight slot poisoned");
         }
-        Arc::clone(slot.as_ref().expect("flight published empty"))
     }
 
     /// The resident value for `key`, if already published.
@@ -236,7 +287,7 @@ mod tests {
     fn second_lookup_is_a_hit_sharing_the_allocation() {
         let cache: ResultCache<String> = ResultCache::new(4);
         let a = cache.get_or_compute(key(1), || "built".to_string());
-        let b = cache.get_or_compute(key(1), || unreachable_value());
+        let b = cache.get_or_compute(key(1), unreachable_value);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(
             cache.stats(),
@@ -295,6 +346,47 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits + stats.coalesced, 15);
+    }
+
+    #[test]
+    fn a_panicking_leader_fails_its_flight_instead_of_wedging_the_key() {
+        // (callers, how many successive leaders panic)
+        for (callers, failing_leaders) in [(1usize, 1usize), (4, 1), (16, 3)] {
+            let cache: ResultCache<usize> = ResultCache::new(4);
+            let computes = AtomicUsize::new(0);
+            let outcomes: Vec<std::thread::Result<Arc<usize>>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..callers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            cache.get_or_compute(key(42), || {
+                                let nth = computes.fetch_add(1, Ordering::SeqCst);
+                                if nth == 0 {
+                                    // Hold the flight until every other
+                                    // caller has joined it.
+                                    while cache.stats().coalesced < callers as u64 - 1 {
+                                        std::thread::yield_now();
+                                    }
+                                }
+                                assert!(nth >= failing_leaders, "leader {nth} dies mid-compute");
+                                7usize
+                            })
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join()).collect()
+            });
+            let survivors: Vec<&Arc<usize>> = outcomes.iter().flatten().collect();
+            assert_eq!(
+                survivors.len(),
+                callers - failing_leaders.min(callers),
+                "every caller but the panicking leaders returns ({callers} callers)"
+            );
+            assert!(survivors.iter().all(|v| ***v == 7));
+            // No in-flight slot leaked, and the key computes afterwards.
+            assert_eq!(cache.len(), usize::from(!survivors.is_empty()));
+            assert_eq!(*cache.get_or_compute(key(42), || 7), 7);
+            assert_eq!(cache.len(), 1);
+        }
     }
 
     #[test]

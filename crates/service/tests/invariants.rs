@@ -22,7 +22,7 @@
 
 use powersim::trace::Journal;
 use powersim::Watts;
-use proptest::prelude::*;
+use propcheck::prelude::*;
 use service::traffic::{universe, zipf_traffic, TrafficConfig, XorShift};
 use service::{Outcome, Request, ServiceConfig, StudyService};
 use vizalgo::{Algorithm, Backend};

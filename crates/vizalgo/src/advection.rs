@@ -30,15 +30,14 @@
 //! a frozen series byte-identical to the steady streamline.
 
 use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use vizmesh::json::{JsonError, Value};
 use vizmesh::{
-    Association, CellSet, CellShape, DataSet, Field, FieldSeries, UniformGrid, Vec3, WorkCounters,
-    XorShift,
+    par, Association, CellSet, CellShape, DataSet, Field, FieldSeries, UniformGrid, Vec3,
+    WorkCounters, XorShift,
 };
 
 /// Streamline (frozen field) vs pathline (time-varying field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlowMode {
     /// Sample the field at the trajectory's start time for every stage:
     /// the steady-state streamline of the paper.
@@ -57,10 +56,24 @@ impl FlowMode {
             FlowMode::Pathline => "pathline",
         }
     }
+
+    /// The wire form: the variant name as a string.
+    pub fn to_json(&self) -> Value {
+        format!("{self:?}").as_str().into()
+    }
+
+    /// Decode the wire form of [`to_json`](FlowMode::to_json).
+    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+        match v.variant("mode")? {
+            "Streamline" => Ok(FlowMode::Streamline),
+            "Pathline" => Ok(FlowMode::Pathline),
+            other => Err(JsonError::unknown_tag("flow mode", other)),
+        }
+    }
 }
 
 /// Where the seeds come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Seeding {
     /// The paper's placement: uniform random over the bounding box from
     /// the kernel's seeded RNG.
@@ -84,10 +97,25 @@ impl Seeding {
             Seeding::AlongFeature => "along-feature",
         }
     }
+
+    /// The wire form: the variant name as a string.
+    pub fn to_json(&self) -> Value {
+        format!("{self:?}").as_str().into()
+    }
+
+    /// Decode the wire form of [`to_json`](Seeding::to_json).
+    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+        match v.variant("seeding")? {
+            "DenseBox" => Ok(Seeding::DenseBox),
+            "SparseGrid" => Ok(Seeding::SparseGrid),
+            "AlongFeature" => Ok(Seeding::AlongFeature),
+            other => Err(JsonError::unknown_tag("seeding", other)),
+        }
+    }
 }
 
 /// Fixed vs adaptive integration step length.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum StepControl {
     /// Every step uses the configured length (the paper's control).
     #[default]
@@ -112,10 +140,31 @@ impl StepControl {
             StepControl::Adaptive { .. } => "adaptive",
         }
     }
+
+    /// The wire form: `"Fixed"` or `{"Adaptive": {"tol": ..}}`.
+    pub fn to_json(&self) -> Value {
+        match self {
+            StepControl::Fixed => "Fixed".into(),
+            StepControl::Adaptive { tol } => {
+                Value::object([("Adaptive", Value::object([("tol", (*tol).into())]))])
+            }
+        }
+    }
+
+    /// Decode the wire form of [`to_json`](StepControl::to_json).
+    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+        match v.variant("step_control")? {
+            "Fixed" => Ok(StepControl::Fixed),
+            "Adaptive" => Ok(StepControl::Adaptive {
+                tol: v.field("Adaptive")?.f64("tol")?,
+            }),
+            other => Err(JsonError::unknown_tag("step control", other)),
+        }
+    }
 }
 
 /// When a trajectory stops.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Termination {
     /// Stop after the configured step count (the paper's bound);
     /// domain exit still terminates early.
@@ -143,25 +192,44 @@ impl Termination {
             Termination::MaxTime { .. } => "max-time",
         }
     }
+
+    /// The wire form: `"MaxSteps"`, `"ExitDomain"` or
+    /// `{"MaxTime": {"t_end": ..}}`.
+    pub fn to_json(&self) -> Value {
+        match self {
+            Termination::MaxTime { t_end } => {
+                Value::object([("MaxTime", Value::object([("t_end", (*t_end).into())]))])
+            }
+            unit => format!("{unit:?}").as_str().into(),
+        }
+    }
+
+    /// Decode the wire form of [`to_json`](Termination::to_json).
+    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+        match v.variant("termination")? {
+            "MaxSteps" => Ok(Termination::MaxSteps),
+            "ExitDomain" => Ok(Termination::ExitDomain),
+            "MaxTime" => Ok(Termination::MaxTime {
+                t_end: v.field("MaxTime")?.f64("t_end")?,
+            }),
+            other => Err(JsonError::unknown_tag("termination", other)),
+        }
+    }
 }
 
 /// The full advection scenario: flow mode × seeding × step control ×
 /// termination. The default scenario is exactly the paper's workload,
 /// and the kernel's default-scenario path is bit-identical to the
 /// pre-scenario implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FlowScenario {
     /// Streamline vs pathline.
-    #[serde(default)]
     pub mode: FlowMode,
     /// Seed placement strategy.
-    #[serde(default)]
     pub seeding: Seeding,
     /// Step-size control.
-    #[serde(default)]
     pub step_control: StepControl,
     /// Termination criterion.
-    #[serde(default)]
     pub termination: Termination,
 }
 
@@ -182,6 +250,36 @@ impl FlowScenario {
             self.step_control.wire_name(),
             self.termination.wire_name()
         )
+    }
+
+    /// The wire form: one key per axis.
+    pub fn to_json(&self) -> Value {
+        Value::object([
+            ("mode", self.mode.to_json()),
+            ("seeding", self.seeding.to_json()),
+            ("step_control", self.step_control.to_json()),
+            ("termination", self.termination.to_json()),
+        ])
+    }
+
+    /// Decode the wire form of [`to_json`](FlowScenario::to_json); an
+    /// absent axis takes the paper's default.
+    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+        fn axis<T: Default>(
+            v: Option<&Value>,
+            decode: fn(&Value) -> Result<T, JsonError>,
+        ) -> Result<T, JsonError> {
+            Ok(v.map(decode).transpose()?.unwrap_or_default())
+        }
+        if !matches!(v, Value::Object(_)) {
+            return Err(JsonError::wrong("scenario", "an object"));
+        }
+        Ok(FlowScenario {
+            mode: axis(v.get("mode"), FlowMode::from_json)?,
+            seeding: axis(v.get("seeding"), Seeding::from_json)?,
+            step_control: axis(v.get("step_control"), StepControl::from_json)?,
+            termination: axis(v.get("termination"), Termination::from_json)?,
+        })
     }
 }
 
@@ -337,6 +435,7 @@ impl ParticleAdvection {
     /// next step (≤ 8× the configured length) on strong agreement.
     /// Returns `(position, used_h, next_h)`; `None` when either trial
     /// leaves the domain.
+    #[allow(clippy::too_many_arguments)]
     fn adaptive_step(
         frames: &[Frame<'_>],
         p: Vec3,
@@ -470,9 +569,9 @@ impl ParticleAdvection {
         // Advect each particle (parallel over particles). A trace is
         // the path, the per-point parameter times, and the field-eval
         // count (4 per accepted or rejected RK4 step).
-        let traces: Vec<(Vec<Vec3>, Vec<f64>, u64)> = seeds
-            .par_iter()
-            .map(|&seed| {
+        let traces: Vec<(Vec<Vec3>, Vec<f64>, u64)> =
+            par::map(seeds.len(), crate::SEED_MIN_LEN, |s| {
+                let seed = seeds[s];
                 let mut path = Vec::with_capacity(self.num_steps + 1);
                 let mut times = Vec::with_capacity(self.num_steps + 1);
                 path.push(seed);
@@ -517,8 +616,7 @@ impl ParticleAdvection {
                     }
                 }
                 (path, times, evals)
-            })
-            .collect();
+            });
 
         let mut work = WorkCounters::new();
         let total_evals: u64 = traces.iter().map(|(_, _, e)| e).sum();
@@ -602,28 +700,26 @@ impl ParticleAdvection {
             .collect();
 
         // Advect each particle (parallel over particles).
-        let traces: Vec<(Vec<Vec3>, u64)> = seeds
-            .par_iter()
-            .map(|&seed| {
-                let mut path = Vec::with_capacity(self.num_steps + 1);
-                path.push(seed);
-                let mut p = seed;
-                let mut steps = 0u64;
-                for _ in 0..self.num_steps {
-                    match Self::rk4(grid, vel, p, h) {
-                        Some(next) => {
-                            p = next;
-                            path.push(p);
-                            steps += 1;
-                        }
-                        // Particle displaced outside the bounding box:
-                        // terminate (paper §VI-C).
-                        None => break,
+        let traces: Vec<(Vec<Vec3>, u64)> = par::map(seeds.len(), crate::SEED_MIN_LEN, |s| {
+            let seed = seeds[s];
+            let mut path = Vec::with_capacity(self.num_steps + 1);
+            path.push(seed);
+            let mut p = seed;
+            let mut steps = 0u64;
+            for _ in 0..self.num_steps {
+                match Self::rk4(grid, vel, p, h) {
+                    Some(next) => {
+                        p = next;
+                        path.push(p);
+                        steps += 1;
                     }
+                    // Particle displaced outside the bounding box:
+                    // terminate (paper §VI-C).
+                    None => break,
                 }
-                (path, steps)
-            })
-            .collect();
+            }
+            (path, steps)
+        });
 
         let mut work = WorkCounters::new();
         let total_steps: u64 = traces.iter().map(|(_, s)| s).sum();

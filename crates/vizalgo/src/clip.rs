@@ -7,8 +7,7 @@
 use crate::arena::TetScratch;
 use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
 use crate::tetclip::{clip_keep_above_into, TetMesh, HEX_TO_TETS};
-use rayon::prelude::*;
-use vizmesh::{Association, CellSet, CellShape, DataSet, Field, Vec3, WorkCounters};
+use vizmesh::{par, Association, CellSet, CellShape, DataSet, Field, Vec3, WorkCounters};
 
 /// Per-cell classification against the sphere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,24 +67,20 @@ impl Filter for SphericalClip {
         // Phase 1 (SignedDistance): per-point distances, then per-cell
         // classification from the 8 corner signs.
         let num_points = grid.num_points();
-        let dist: Vec<f64> = (0..num_points)
-            .into_par_iter()
-            .map(|p| self.distance(grid.point_coord_id(p)))
-            .collect();
+        let dist: Vec<f64> = par::map(num_points, crate::CELL_MIN_LEN, |p| {
+            self.distance(grid.point_coord_id(p))
+        });
         let mut classify = WorkCounters::new();
         classify.tally(num_points as u64, 22, 12, 24, 8);
-        let sides: Vec<CellSide> = (0..num_cells)
-            .into_par_iter()
-            .map(|c| {
-                let ids = grid.cell_point_ids(c);
-                let inside = ids.iter().filter(|&&p| dist[p] < 0.0).count();
-                match inside {
-                    0 => CellSide::Outside,
-                    8 => CellSide::Inside,
-                    _ => CellSide::Straddle,
-                }
-            })
-            .collect();
+        let sides: Vec<CellSide> = par::map(num_cells, crate::CELL_MIN_LEN, |c| {
+            let ids = grid.cell_point_ids(c);
+            let inside = ids.iter().filter(|&&p| dist[p] < 0.0).count();
+            match inside {
+                0 => CellSide::Outside,
+                8 => CellSide::Inside,
+                _ => CellSide::Straddle,
+            }
+        });
         classify.tally(num_cells as u64, 26, 0, 64 + 32, 1);
         classify.working_set_bytes = (num_points * 8) as u64;
 

@@ -15,9 +15,10 @@
 
 use crate::arena::{pack_edge, WeldMap};
 use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
-use rayon::prelude::*;
 use std::sync::OnceLock;
-use vizmesh::{Association, CellSet, CellShape, DataSet, Field, UniformGrid, Vec3, WorkCounters};
+use vizmesh::{
+    par, Association, CellSet, CellShape, DataSet, Field, UniformGrid, Vec3, WorkCounters,
+};
 
 /// Corner coordinates of the canonical unit cell, VTK hexahedron order.
 pub const CORNERS: [[f64; 3]; 8] = [
@@ -249,9 +250,8 @@ pub fn marching_cubes(grid: &UniformGrid, values: &[f64], isovalue: f64) -> McOu
     // Parallel over z-slabs: each slab emits triangles keyed by global
     // edge ids; a serial weld pass builds the final indexed mesh.
     let slab = (cx * cy).max(1);
-    let slabs: Vec<(WorkCounters, WorkCounters, Vec<([u64; 3], [Vec3; 3])>)> = (0..cz)
-        .into_par_iter()
-        .map(|kz| {
+    let slabs: Vec<(WorkCounters, WorkCounters, Vec<([u64; 3], [Vec3; 3])>)> =
+        par::map(cz, crate::CELL_MIN_LEN.div_ceil(slab), |kz| {
             let mut classify = WorkCounters::new();
             let mut interp = WorkCounters::new();
             // A surface typically cuts O(cx·cy) of a slab's cells, each
@@ -290,8 +290,7 @@ pub fn marching_cubes(grid: &UniformGrid, values: &[f64], isovalue: f64) -> McOu
                 }
             }
             (classify, interp, tris)
-        })
-        .collect();
+        });
 
     // Weld over the flat packed-index table. Triangles are consumed in
     // slab (raster) order, and first sight of an edge key assigns the

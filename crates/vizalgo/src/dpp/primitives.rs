@@ -225,7 +225,7 @@ pub fn map<T, U>(trace: &mut DppTrace, input: &[T], mut f: impl FnMut(&T) -> U) 
     trace.record(
         PrimitiveOp::Map,
         input.len() as u64,
-        (std::mem::size_of::<T>() * input.len()) as u64,
+        std::mem::size_of_val(input) as u64,
         (std::mem::size_of::<U>() * input.len()) as u64,
     );
     out

@@ -1,6 +1,5 @@
 //! The common filter interface and kernel instrumentation types.
 
-use serde::{Deserialize, Serialize};
 use vizmesh::{DataSet, Image, WorkCounters};
 
 /// Microarchitectural flavor of a kernel, used by the `vizpower`
@@ -10,7 +9,7 @@ use vizmesh::{DataSet, Image, WorkCounters};
 /// The tags match the kernel taxonomy in §VI of the paper: cell-centered
 /// streaming kernels (low IPC, data-bound), interpolation/signed-distance
 /// kernels (moderate FP), and the image-order compute kernels (high IPC).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelClass {
     /// Streaming per-cell classification/comparison (threshold, clip
     /// classify): load-store dominated, minimal FP.
@@ -43,7 +42,7 @@ pub enum KernelClass {
 }
 
 /// Work performed by one kernel invocation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelReport {
     pub name: String,
     pub class: KernelClass,
@@ -137,7 +136,7 @@ pub trait Filter {
 /// row (see [`crate::registry`]); the methods and tables here are views
 /// of it. The paper parameterization lives in
 /// [`default_spec`](Algorithm::default_spec) (see [`crate::spec`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Algorithm {
     Contour,
     Threshold,

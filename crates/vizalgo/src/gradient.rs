@@ -1,7 +1,7 @@
 //! Gradient-magnitude filter — an *extension* algorithm beyond the
 //! paper's eight.
 //!
-//! The paper's future work asks for "other visualization algorithms [to]
+//! The paper's future work asks for "other visualization algorithms \[to\]
 //! be classified so informed decisions can be made regarding how to
 //! allocate power" (§VIII). Gradient computation is a ubiquitous
 //! building block (shading normals, feature detection, vorticity) with a
@@ -11,8 +11,7 @@
 //! machinery and reports its class.
 
 use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
-use rayon::prelude::*;
-use vizmesh::{Association, DataSet, Field, UniformGrid, Vec3, WorkCounters};
+use vizmesh::{par, Association, DataSet, Field, UniformGrid, Vec3, WorkCounters};
 
 /// Computes `|∇f|` (and optionally the gradient vector) of a
 /// point-centered scalar with central differences (one-sided on the
@@ -75,14 +74,11 @@ impl Filter for Gradient {
             .unwrap_or_else(|| panic!("missing point scalar field '{}'", self.field));
         let n = grid.num_points();
 
-        let grads: Vec<Vec3> = (0..n)
-            .into_par_iter()
-            .map(|id| {
-                let [i, j, k] = grid.point_ijk(id);
-                Self::gradient_at(grid, values, i, j, k)
-            })
-            .collect();
-        let mags: Vec<f64> = grads.par_iter().map(|g| g.length()).collect();
+        let grads: Vec<Vec3> = par::map(n, crate::CELL_MIN_LEN, |id| {
+            let [i, j, k] = grid.point_ijk(id);
+            Self::gradient_at(grid, values, i, j, k)
+        });
+        let mags: Vec<f64> = grads.iter().map(|g| g.length()).collect();
 
         let mut work = WorkCounters::new();
         // 6 neighbour loads, 3 divisions, magnitude: ~40 instr, 14 flops.

@@ -9,8 +9,7 @@
 use crate::arena::TetScratch;
 use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
 use crate::tetclip::{clip_keep_above_into, clip_keep_below_into, TetMesh, HEX_TO_TETS};
-use rayon::prelude::*;
-use vizmesh::{Association, CellSet, CellShape, DataSet, Field, WorkCounters};
+use vizmesh::{par, Association, CellSet, CellShape, DataSet, Field, WorkCounters};
 
 /// The isovolume filter over a point-centered scalar.
 #[derive(Debug, Clone)]
@@ -67,34 +66,31 @@ impl Filter for Isovolume {
             Out,
             Straddle,
         }
-        let sides: Vec<Side> = (0..num_cells)
-            .into_par_iter()
-            .map(|c| {
-                let ids = grid.cell_point_ids(c);
-                let mut all_in = true;
-                let mut all_above_hi = true;
-                let mut all_below_lo = true;
-                for &p in &ids {
-                    let v = values[p];
-                    if v < self.lo || v > self.hi {
-                        all_in = false;
-                    }
-                    if v <= self.hi {
-                        all_above_hi = false;
-                    }
-                    if v >= self.lo {
-                        all_below_lo = false;
-                    }
+        let sides: Vec<Side> = par::map(num_cells, crate::CELL_MIN_LEN, |c| {
+            let ids = grid.cell_point_ids(c);
+            let mut all_in = true;
+            let mut all_above_hi = true;
+            let mut all_below_lo = true;
+            for &p in &ids {
+                let v = values[p];
+                if v < self.lo || v > self.hi {
+                    all_in = false;
                 }
-                if all_in {
-                    Side::In
-                } else if all_above_hi || all_below_lo {
-                    Side::Out
-                } else {
-                    Side::Straddle
+                if v <= self.hi {
+                    all_above_hi = false;
                 }
-            })
-            .collect();
+                if v >= self.lo {
+                    all_below_lo = false;
+                }
+            }
+            if all_in {
+                Side::In
+            } else if all_above_hi || all_below_lo {
+                Side::Out
+            } else {
+                Side::Straddle
+            }
+        });
         let mut classify = WorkCounters::new();
         classify.tally(num_cells as u64, 38, 2, 64 + 32, 1);
         classify.working_set_bytes = (num_points * 8) as u64;

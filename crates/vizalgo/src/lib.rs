@@ -1,8 +1,8 @@
 //! # vizalgo — the eight visualization algorithms
 //!
-//! From-scratch, shared-memory-parallel (rayon) implementations of the
-//! eight algorithms the paper studies (§III-B), mirroring their VTK-m
-//! counterparts:
+//! From-scratch, shared-memory-parallel (`vizmesh::par`) implementations
+//! of the eight algorithms the paper studies (§III-B), mirroring their
+//! VTK-m counterparts:
 //!
 //! | module | algorithm | paper §III-B |
 //! |---|---|---|
@@ -10,14 +10,14 @@
 //! | [`threshold`] | Cell filtering by scalar range | 2 |
 //! | [`clip`] | Spherical clip with cell subdivision | 3 |
 //! | [`isovolume`] | Scalar-range volume extraction | 4 |
-//! | [`slice`] | Three axis-aligned slices via signed distance + contour | 5 |
+//! | [`mod@slice`] | Three axis-aligned slices via signed distance + contour | 5 |
 //! | [`advection`] | RK4 particle advection → streamlines / pathlines | 6 |
 //! | [`raytrace`] | External-face ray tracing with a BVH (50 images) | 7 |
 //! | [`volren`] | Volume rendering by ray marching (50 images) | 8 |
 //!
-//! Every algorithm implements [`Filter`](filter::Filter) and reports the
+//! Every algorithm implements [`Filter`] and reports the
 //! work it performed as a list of per-kernel
-//! [`KernelReport`](filter::KernelReport)s. The reports drive the
+//! [`KernelReport`]s. The reports drive the
 //! simulated-processor experiments in the `vizpower` crate; the *outputs*
 //! (meshes, streamlines, images) are real and are validated by this
 //! crate's tests.
@@ -39,7 +39,7 @@
 //! The [`registry`] module is the single source of truth describing the
 //! eight algorithms (names, aliases, kernel taxonomy, cell-centered
 //! flags), and [`spec`] carries the canonical serializable
-//! [`AlgorithmSpec`](spec::AlgorithmSpec) plan layer —
+//! [`AlgorithmSpec`] plan layer —
 //! [`AlgorithmSpec::build`](spec::AlgorithmSpec::build) is the
 //! workspace's one sanctioned filter-construction site (enforced by the
 //! `registry-dispatch` xtask lint; see docs/REGISTRY.md).
@@ -62,6 +62,15 @@ pub mod spec;
 pub mod tetclip;
 pub mod threshold;
 pub mod volren;
+
+/// Fewest cells or points worth a `par` chunk in the per-cell classify
+/// and per-point distance loops (a handful of compares or flops each);
+/// marching cubes cuts its z-slabs so a chunk holds at least this many.
+pub(crate) const CELL_MIN_LEN: usize = 4096;
+/// Fewest rays worth a chunk of image rows.
+pub(crate) const RAY_MIN_LEN: usize = 256;
+/// Fewest particle traces worth a chunk.
+pub(crate) const SEED_MIN_LEN: usize = 8;
 
 pub use advection::{FlowMode, FlowScenario, ParticleAdvection, Seeding, StepControl, Termination};
 pub use arena::{TetScratch, WeldMap};

@@ -9,8 +9,7 @@
 
 use crate::colormap::ColorMap;
 use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
-use rayon::prelude::*;
-use vizmesh::{Aabb, Camera, DataSet, Image, Ray, Vec3, WorkCounters};
+use vizmesh::{par, Aabb, Camera, DataSet, Image, Ray, Vec3, WorkCounters};
 
 /// A shading-ready triangle: positions plus per-vertex scalar.
 #[derive(Debug, Clone, Copy)]
@@ -339,33 +338,31 @@ impl Filter for RayTracer {
         row_buf.resize_with(self.height, Default::default);
         for cam in &cameras {
             let mut img = Image::new(self.width, self.height);
-            row_buf
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(y, (row, stats))| {
-                    *stats = (0, 0);
-                    row.clear();
-                    row.extend((0..width).map(|x| {
-                        let ray = cam.pixel_ray(x, y, width, self.height);
-                        match bvh.intersect(&tris, &ray, stats) {
-                            Some((t, ti, u, v)) => {
-                                let tri = &tris[ti as usize];
-                                let s = tri.scalar[0] * (1.0 - u - v)
-                                    + tri.scalar[1] * u
-                                    + tri.scalar[2] * v;
-                                let mut c = cmap.sample_range(s, lo, hi);
-                                // Headlight Lambert shading.
-                                let ndl = tri.normal().dot(-ray.direction).abs();
-                                let shade = (0.35 + 0.65 * ndl) as f32;
-                                c[0] *= shade;
-                                c[1] *= shade;
-                                c[2] *= shade;
-                                (c, t as f32)
-                            }
-                            None => ([0.0; 4], f32::INFINITY),
+            let rows = crate::RAY_MIN_LEN.div_ceil(width.max(1));
+            par::for_each_mut(&mut row_buf, rows, |y, (row, stats)| {
+                *stats = (0, 0);
+                row.clear();
+                row.extend((0..width).map(|x| {
+                    let ray = cam.pixel_ray(x, y, width, self.height);
+                    match bvh.intersect(&tris, &ray, stats) {
+                        Some((t, ti, u, v)) => {
+                            let tri = &tris[ti as usize];
+                            let s = tri.scalar[0] * (1.0 - u - v)
+                                + tri.scalar[1] * u
+                                + tri.scalar[2] * v;
+                            let mut c = cmap.sample_range(s, lo, hi);
+                            // Headlight Lambert shading.
+                            let ndl = tri.normal().dot(-ray.direction).abs();
+                            let shade = (0.35 + 0.65 * ndl) as f32;
+                            c[0] *= shade;
+                            c[1] *= shade;
+                            c[2] *= shade;
+                            (c, t as f32)
                         }
-                    }));
-                });
+                        None => ([0.0; 4], f32::INFINITY),
+                    }
+                }));
+            });
             let mut nodes_visited = 0u64;
             let mut tri_tests = 0u64;
             for (y, (row, stats)) in row_buf.iter().enumerate() {

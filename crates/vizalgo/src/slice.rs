@@ -7,8 +7,7 @@
 
 use crate::contour::marching_cubes;
 use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
-use rayon::prelude::*;
-use vizmesh::{Association, CellSet, DataSet, Field, Vec3, WorkCounters};
+use vizmesh::{par, Association, CellSet, DataSet, Field, Vec3, WorkCounters};
 
 /// An oriented plane `dot(n, p) = dot(n, origin)`.
 #[derive(Debug, Clone, Copy)]
@@ -91,9 +90,9 @@ impl Filter for ThreeSlice {
             // Kernel 1: signed-distance field for every mesh point. The
             // paper notes this per-node computation is what makes slice
             // more compute-intensive than plain contour.
-            sdf.par_iter_mut()
-                .enumerate()
-                .for_each(|(p, s)| *s = plane.distance(grid.point_coord_id(p)));
+            par::for_each_mut(&mut sdf, crate::CELL_MIN_LEN, |p, s| {
+                *s = plane.distance(grid.point_coord_id(p))
+            });
             distance_work.tally(num_points as u64, 30, 18, 24, 8);
 
             // Kernel 2+3: contour the distance field at zero.

@@ -14,7 +14,7 @@
 //! Specs are serializable (the in situ `ascent_actions.json`-style
 //! interface re-exports [`AlgorithmSpec`] as its `FilterSpec`) and carry
 //! a deterministic [`fingerprint`](AlgorithmSpec::fingerprint) derived
-//! from a serde-independent canonical encoding, so every journal span a
+//! from a serializer-independent canonical encoding, so every journal span a
 //! study/sweep/conformance run emits is attributable to an exact
 //! parameterization (see docs/REGISTRY.md and docs/OBSERVABILITY.md).
 
@@ -28,12 +28,11 @@ use crate::raytrace::RayTracer;
 use crate::slice::ThreeSlice;
 use crate::threshold::Threshold;
 use crate::volren::VolumeRenderer;
-use serde::{Deserialize, Serialize};
+use vizmesh::json::{JsonError, Value};
 use vizmesh::{DataSet, Vec3};
 
 /// How a contour picks its isovalues.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum IsoValues {
     /// `n` evenly spaced isovalues spanning the interior of the field
     /// range (the paper runs 10 per cycle).
@@ -43,8 +42,7 @@ pub enum IsoValues {
 }
 
 /// A scalar band, resolved against the data's field range at build time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScalarBand {
     /// Keep the upper `frac` fraction of the field range (the paper's
     /// energy threshold uses 0.5).
@@ -57,8 +55,7 @@ pub enum ScalarBand {
 }
 
 /// A clip sphere, resolved against the data's bounds at build time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SphereSpec {
     /// Radius as a fraction of the dataset diagonal, centered in the
     /// bounds (the paper's framing sphere uses 0.3).
@@ -74,8 +71,7 @@ pub enum SphereSpec {
 /// [`SphereSpec::RadiusFraction`], ...) and are resolved by
 /// [`build`](AlgorithmSpec::build) against a concrete dataset, exactly
 /// as the paper parameterizes its study (§IV).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AlgorithmSpec {
     /// Marching-cubes isosurface (§III-B1).
     Contour {
@@ -119,15 +115,12 @@ pub enum AlgorithmSpec {
         /// RK4 steps per particle.
         steps: usize,
         /// Step length in fractions of the domain diagonal.
-        #[serde(default = "default_step_fraction")]
         step_fraction: f64,
         /// Seed for the particle placement.
-        #[serde(default = "default_seed")]
         seed: u64,
         /// Flow mode × seeding × step control × termination. Defaults
         /// to the paper's steady streamline scenario; pre-scenario wire
         /// JSON parses unchanged.
-        #[serde(default)]
         scenario: FlowScenario,
     },
     /// External-face ray tracing with a BVH (§III-B7).
@@ -261,7 +254,7 @@ impl AlgorithmSpec {
         Algorithm::parse(name).map(Algorithm::default_spec)
     }
 
-    /// A canonical, serde-independent encoding of the spec: stable
+    /// A canonical, JSON-independent encoding of the spec: stable
     /// across runs, platforms, and serializer changes. Floats are
     /// encoded by their IEEE-754 bit patterns, so the encoding is total
     /// and exact. This string — not the JSON form — defines the
@@ -507,6 +500,215 @@ impl Algorithm {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The JSON wire form (in situ action lists). Hand-written so the shape
+// is visible here: enums carry a `"type"` tag or are one-key objects,
+// all names snake_case. Decoding reads input from outside the program
+// and returns a `JsonError`, never panics.
+// ---------------------------------------------------------------------------
+
+impl IsoValues {
+    /// `{"spanning": n}` or `{"explicit": [v, ...]}`.
+    pub fn to_json(&self) -> Value {
+        match self {
+            IsoValues::Spanning(n) => Value::object([("spanning", (*n).into())]),
+            IsoValues::Explicit(values) => {
+                let values = values.iter().map(|v| Value::from(*v)).collect();
+                Value::object([("explicit", Value::Array(values))])
+            }
+        }
+    }
+
+    /// Decode the wire form of [`to_json`](IsoValues::to_json).
+    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+        match v.variant("isovalues")? {
+            "spanning" => Ok(IsoValues::Spanning(v.usize("spanning")?)),
+            "explicit" => (v.array("explicit")?.iter())
+                .map(|x| {
+                    x.as_f64()
+                        .ok_or(JsonError::wrong("explicit", "an array of numbers"))
+                })
+                .collect::<Result<_, _>>()
+                .map(IsoValues::Explicit),
+            other => Err(JsonError::unknown_tag("isovalues", other)),
+        }
+    }
+}
+
+impl ScalarBand {
+    /// `{"upper_fraction": f}`, `{"middle_band": f}` or
+    /// `{"range": {"min": a, "max": b}}`.
+    pub fn to_json(&self) -> Value {
+        match self {
+            ScalarBand::UpperFraction(f) => Value::object([("upper_fraction", (*f).into())]),
+            ScalarBand::MiddleBand(f) => Value::object([("middle_band", (*f).into())]),
+            ScalarBand::Range { min, max } => {
+                let range = Value::object([("min", (*min).into()), ("max", (*max).into())]);
+                Value::object([("range", range)])
+            }
+        }
+    }
+
+    /// Decode the wire form of [`to_json`](ScalarBand::to_json).
+    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+        match v.variant("band")? {
+            "upper_fraction" => Ok(ScalarBand::UpperFraction(v.f64("upper_fraction")?)),
+            "middle_band" => Ok(ScalarBand::MiddleBand(v.f64("middle_band")?)),
+            "range" => {
+                let range = v.field("range")?;
+                let (min, max) = (range.f64("min")?, range.f64("max")?);
+                Ok(ScalarBand::Range { min, max })
+            }
+            other => Err(JsonError::unknown_tag("band", other)),
+        }
+    }
+}
+
+impl SphereSpec {
+    /// `{"radius_fraction": f}` or
+    /// `{"explicit": {"center": {"x": .., "y": .., "z": ..}, "radius": r}}`.
+    pub fn to_json(&self) -> Value {
+        match self {
+            SphereSpec::RadiusFraction(f) => Value::object([("radius_fraction", (*f).into())]),
+            SphereSpec::Explicit { center, radius } => {
+                let sphere = [("center", center.to_json()), ("radius", (*radius).into())];
+                Value::object([("explicit", Value::object(sphere))])
+            }
+        }
+    }
+
+    /// Decode the wire form of [`to_json`](SphereSpec::to_json).
+    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+        match v.variant("sphere")? {
+            "radius_fraction" => Ok(SphereSpec::RadiusFraction(v.f64("radius_fraction")?)),
+            "explicit" => {
+                let sphere = v.field("explicit")?;
+                let center = Vec3::from_json(sphere.field("center")?)?;
+                let radius = sphere.f64("radius")?;
+                Ok(SphereSpec::Explicit { center, radius })
+            }
+            other => Err(JsonError::unknown_tag("sphere", other)),
+        }
+    }
+}
+
+impl AlgorithmSpec {
+    /// The wire form: `{"type": "<algorithm>", "field": .., ...}` with
+    /// the variant's fields in declaration order.
+    pub fn to_json(&self) -> Value {
+        let image = |w: &usize, h: &usize, n: &usize| {
+            vec![
+                ("width", (*w).into()),
+                ("height", (*h).into()),
+                ("images", (*n).into()),
+            ]
+        };
+        let (tag, field, rest) = match self {
+            AlgorithmSpec::Contour { field, isovalues } => {
+                ("contour", field, vec![("isovalues", isovalues.to_json())])
+            }
+            AlgorithmSpec::Threshold { field, band } => {
+                ("threshold", field, vec![("band", band.to_json())])
+            }
+            AlgorithmSpec::SphericalClip { field, sphere } => {
+                ("spherical_clip", field, vec![("sphere", sphere.to_json())])
+            }
+            AlgorithmSpec::Isovolume { field, band } => {
+                ("isovolume", field, vec![("band", band.to_json())])
+            }
+            AlgorithmSpec::Slice { field } => ("slice", field, vec![]),
+            AlgorithmSpec::ParticleAdvection {
+                field,
+                particles,
+                steps,
+                step_fraction,
+                seed,
+                scenario,
+            } => (
+                "particle_advection",
+                field,
+                vec![
+                    ("particles", (*particles).into()),
+                    ("steps", (*steps).into()),
+                    ("step_fraction", (*step_fraction).into()),
+                    ("seed", (*seed).into()),
+                    ("scenario", scenario.to_json()),
+                ],
+            ),
+            AlgorithmSpec::RayTracing {
+                field,
+                width,
+                height,
+                images,
+            } => ("ray_tracing", field, image(width, height, images)),
+            AlgorithmSpec::VolumeRendering {
+                field,
+                width,
+                height,
+                images,
+            } => ("volume_rendering", field, image(width, height, images)),
+        };
+        let head = [("type", tag.into()), ("field", field.as_str().into())];
+        Value::object(head.into_iter().chain(rest))
+    }
+
+    /// Decode the wire form of [`to_json`](AlgorithmSpec::to_json).
+    /// `step_fraction`, `seed` and `scenario` take the paper defaults
+    /// when absent; keys the variant does not know are ignored.
+    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let field = v.str("field").map(str::to_owned);
+        match v.str("type")? {
+            "contour" => Ok(AlgorithmSpec::Contour {
+                field: field?,
+                isovalues: IsoValues::from_json(v.field("isovalues")?)?,
+            }),
+            "threshold" => Ok(AlgorithmSpec::Threshold {
+                field: field?,
+                band: ScalarBand::from_json(v.field("band")?)?,
+            }),
+            "spherical_clip" => Ok(AlgorithmSpec::SphericalClip {
+                field: field?,
+                sphere: SphereSpec::from_json(v.field("sphere")?)?,
+            }),
+            "isovolume" => Ok(AlgorithmSpec::Isovolume {
+                field: field?,
+                band: ScalarBand::from_json(v.field("band")?)?,
+            }),
+            "slice" => Ok(AlgorithmSpec::Slice { field: field? }),
+            "particle_advection" => Ok(AlgorithmSpec::ParticleAdvection {
+                field: field?,
+                particles: v.usize("particles")?,
+                steps: v.usize("steps")?,
+                step_fraction: match v.get("step_fraction") {
+                    Some(_) => v.f64("step_fraction")?,
+                    None => default_step_fraction(),
+                },
+                seed: match v.get("seed") {
+                    Some(_) => v.u64("seed")?,
+                    None => default_seed(),
+                },
+                scenario: match v.get("scenario") {
+                    Some(scenario) => FlowScenario::from_json(scenario)?,
+                    None => FlowScenario::default(),
+                },
+            }),
+            "ray_tracing" => Ok(AlgorithmSpec::RayTracing {
+                field: field?,
+                width: v.usize("width")?,
+                height: v.usize("height")?,
+                images: v.usize("images")?,
+            }),
+            "volume_rendering" => Ok(AlgorithmSpec::VolumeRendering {
+                field: field?,
+                width: v.usize("width")?,
+                height: v.usize("height")?,
+                images: v.usize("images")?,
+            }),
+            other => Err(JsonError::unknown_tag("algorithm type", other)),
+        }
+    }
+}
+
 /// Canonical encoding of a non-default [`FlowScenario`], appended after
 /// the base advection encoding. Never emitted for the default scenario,
 /// which keeps every pre-scenario fingerprint byte-stable.
@@ -570,7 +772,7 @@ fn middle_band((lo, hi): (f64, f64), frac: f64) -> (f64, f64) {
 mod tests {
     use super::*;
     use crate::advection::{FlowMode, Seeding};
-    use vizmesh::{Association, Field, UniformGrid};
+    use vizmesh::{json, Association, Field, UniformGrid};
 
     fn dataset() -> DataSet {
         let grid = UniformGrid::cube_cells(6);
@@ -736,21 +938,22 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_every_variant() {
+    fn json_round_trip_every_variant() {
         for spec in every_variant() {
-            let json = serde_json::to_string(&spec).expect("spec serializes");
-            let back: AlgorithmSpec = serde_json::from_str(&json).expect("spec parses");
-            assert_eq!(back, spec, "{json}");
+            let json = spec.to_json().render();
+            let back = AlgorithmSpec::from_json(&json::parse(&json).expect("valid JSON"));
+            assert_eq!(back.as_ref(), Ok(&spec), "{json}");
         }
     }
 
     #[test]
-    fn serde_round_trip_defaults_fill_advection() {
+    fn json_round_trip_defaults_fill_advection() {
         // Old-style JSON without step_fraction/seed parses with the
         // paper defaults (wire compatibility with the pre-registry
         // in situ FilterSpec).
         let json = r#"{"type":"particle_advection","field":"velocity","particles":7,"steps":9}"#;
-        let spec: AlgorithmSpec = serde_json::from_str(json).expect("defaults fill");
+        let spec = AlgorithmSpec::from_json(&json::parse(json).expect("valid JSON"))
+            .expect("defaults fill");
         assert_eq!(
             spec,
             AlgorithmSpec::ParticleAdvection {
@@ -811,7 +1014,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_scenario() {
+    fn json_round_trip_preserves_scenario() {
         let spec = AlgorithmSpec::ParticleAdvection {
             field: "velocity".into(),
             particles: 11,
@@ -825,8 +1028,15 @@ mod tests {
                 termination: Termination::MaxTime { t_end: 0.5 },
             },
         };
-        let json = serde_json::to_string(&spec).expect("spec serializes");
-        let back: AlgorithmSpec = serde_json::from_str(&json).expect("spec parses");
+        let json = spec.to_json().render();
+        assert!(
+            json.ends_with(
+                r#""seed":5,"scenario":{"mode":"Pathline","seeding":"AlongFeature","step_control":{"Adaptive":{"tol":0.0001}},"termination":{"MaxTime":{"t_end":0.5}}}}"#
+            ),
+            "the pinned wire shape moved: {json}"
+        );
+        let back = AlgorithmSpec::from_json(&json::parse(&json).expect("valid JSON"))
+            .expect("spec parses");
         assert_eq!(back, spec, "{json}");
         assert_eq!(back.fingerprint(), spec.fingerprint());
     }

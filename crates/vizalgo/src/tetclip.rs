@@ -426,7 +426,7 @@ mod tests {
             ([-0.5, 0.5, -0.5, 0.5], 0.0),
             ([1.0, 1.0, 1.0, 1.0], 0.5),
         ];
-        let mut add_cell = |m: &mut TetMesh, vals: [f64; 4], offset: f64| {
+        let add_cell = |m: &mut TetMesh, vals: [f64; 4], offset: f64| {
             [
                 m.add_point(Vec3::splat(offset), vals[0]),
                 m.add_point(Vec3::splat(offset) + Vec3::X, vals[1]),

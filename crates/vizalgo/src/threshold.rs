@@ -1,8 +1,7 @@
 //! Threshold: keep cells whose scalar lies in a range (§III-B2).
 
 use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
-use rayon::prelude::*;
-use vizmesh::{Association, CellSet, CellShape, DataSet, Field, Vec3, WorkCounters};
+use vizmesh::{par, Association, CellSet, CellShape, DataSet, Field, Vec3, WorkCounters};
 
 /// Which points of a cell must satisfy the range for the cell to be kept
 /// when thresholding a point-centered field (VTK-m's threshold policies).
@@ -72,22 +71,19 @@ impl Filter for Threshold {
             self.field
         );
         let num_cells = grid.num_cells();
-        let keep: Vec<bool> = (0..num_cells)
-            .into_par_iter()
-            .map(|c| {
-                if let Some(vals) = cell_vals {
-                    self.in_range(vals[c])
-                } else {
-                    // lint: infallible because the assert above guarantees point values
-                    let vals = point_vals.unwrap();
-                    let ids = grid.cell_point_ids(c);
-                    match self.policy {
-                        ThresholdPolicy::AllPoints => ids.iter().all(|&p| self.in_range(vals[p])),
-                        ThresholdPolicy::AnyPoint => ids.iter().any(|&p| self.in_range(vals[p])),
-                    }
+        let keep: Vec<bool> = par::map(num_cells, crate::CELL_MIN_LEN, |c| {
+            if let Some(vals) = cell_vals {
+                self.in_range(vals[c])
+            } else {
+                // lint: infallible because the assert above guarantees point values
+                let vals = point_vals.unwrap();
+                let ids = grid.cell_point_ids(c);
+                match self.policy {
+                    ThresholdPolicy::AllPoints => ids.iter().all(|&p| self.in_range(vals[p])),
+                    ThresholdPolicy::AnyPoint => ids.iter().any(|&p| self.in_range(vals[p])),
                 }
-            })
-            .collect();
+            }
+        });
         let mut classify = WorkCounters::new();
         let bytes_per_cell = if cell_vals.is_some() { 8 } else { 64 + 32 };
         classify.tally(num_cells as u64, 12, 2, bytes_per_cell, 1);

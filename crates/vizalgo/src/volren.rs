@@ -9,8 +9,7 @@
 
 use crate::colormap::ColorMap;
 use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
-use rayon::prelude::*;
-use vizmesh::{Camera, DataSet, Image, WorkCounters};
+use vizmesh::{par, Camera, DataSet, Image, WorkCounters};
 
 /// The volume-rendering filter.
 #[derive(Debug, Clone)]
@@ -83,39 +82,36 @@ impl Filter for VolumeRenderer {
         row_buf.resize_with(self.height, Default::default);
         for cam in &cameras {
             let mut img = Image::new(self.width, self.height);
-            row_buf
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(y, (row, samples))| {
-                    *samples = 0;
-                    row.clear();
-                    row.extend((0..width).map(|x| {
-                        let ray = cam.pixel_ray(x, y, width, self.height);
-                        let inv = ray.inv_direction();
-                        let Some((t0, t1)) =
-                            bounds.intersect_ray(ray.origin, inv, 0.0, f64::INFINITY)
-                        else {
-                            return [0.0; 4];
-                        };
-                        let mut color = [0.0f32; 4];
-                        let mut t = t0.max(0.0) + step * 0.5;
-                        while t < t1 && color[3] < 0.99 {
-                            if let Some(v) = grid.sample_scalar(values, ray.at(t)) {
-                                *samples += 1;
-                                let mut s = tf.sample_range(v, lo, hi);
-                                s[3] = (s[3] * self.opacity_scale as f32).clamp(0.0, 1.0);
-                                // Front-to-back "over" compositing.
-                                let w = s[3] * (1.0 - color[3]);
-                                color[0] += s[0] * w;
-                                color[1] += s[1] * w;
-                                color[2] += s[2] * w;
-                                color[3] += w;
-                            }
-                            t += step;
+            let rows = crate::RAY_MIN_LEN.div_ceil(width.max(1));
+            par::for_each_mut(&mut row_buf, rows, |y, (row, samples)| {
+                *samples = 0;
+                row.clear();
+                row.extend((0..width).map(|x| {
+                    let ray = cam.pixel_ray(x, y, width, self.height);
+                    let inv = ray.inv_direction();
+                    let Some((t0, t1)) = bounds.intersect_ray(ray.origin, inv, 0.0, f64::INFINITY)
+                    else {
+                        return [0.0; 4];
+                    };
+                    let mut color = [0.0f32; 4];
+                    let mut t = t0.max(0.0) + step * 0.5;
+                    while t < t1 && color[3] < 0.99 {
+                        if let Some(v) = grid.sample_scalar(values, ray.at(t)) {
+                            *samples += 1;
+                            let mut s = tf.sample_range(v, lo, hi);
+                            s[3] = (s[3] * self.opacity_scale as f32).clamp(0.0, 1.0);
+                            // Front-to-back "over" compositing.
+                            let w = s[3] * (1.0 - color[3]);
+                            color[0] += s[0] * w;
+                            color[1] += s[1] * w;
+                            color[2] += s[2] * w;
+                            color[3] += w;
                         }
-                        color
-                    }));
-                });
+                        t += step;
+                    }
+                    color
+                }));
+            });
             let mut samples = 0u64;
             for (y, (row, s)) in row_buf.iter().enumerate() {
                 for (x, &c) in row.iter().enumerate() {

@@ -4,13 +4,13 @@
 //! contracts the DPP kernel formulations (and the differential
 //! conformance suite) lean on — see docs/DPP.md.
 
-use proptest::prelude::*;
+use propcheck::prelude::*;
 use std::collections::HashMap;
 use vizalgo::dpp::primitives::{self, DppTrace};
 
 /// Deterministic Fisher–Yates permutation of `0..n` from a seed
-/// (the stub proptest has no shuffle strategy; xorshift64 keeps runs
-/// reproducible under both the stub and the real crate).
+/// (`propcheck` has no shuffle strategy; xorshift64 keeps runs
+/// reproducible).
 fn permutation(n: usize, seed: u64) -> Vec<u32> {
     let mut idx: Vec<u32> = (0..n as u32).collect();
     let mut s = seed | 1;

@@ -1,7 +1,7 @@
 //! Property-based and cross-implementation tests for the visualization
 //! algorithms.
 
-use proptest::prelude::*;
+use propcheck::prelude::*;
 use vizalgo::contour::marching_cubes;
 use vizalgo::marching_tetra::{marching_tetrahedra, soup_area};
 use vizalgo::tetclip::{clip_keep_above, TetMesh};

@@ -1,14 +1,13 @@
 //! Axis-aligned bounding boxes.
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned bounding box in 3-D.
 ///
 /// The empty box is represented with `min > max` (see [`Aabb::empty`]) so
 /// that growing an empty box by a point yields the degenerate box at that
 /// point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     pub min: Vec3,
     pub max: Vec3,

@@ -6,7 +6,6 @@
 
 use crate::bounds::Aabb;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A ray `origin + t * direction` with `direction` normalized.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,7 +40,7 @@ impl Ray {
 }
 
 /// Pinhole camera.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Camera {
     pub position: Vec3,
     pub look_at: Vec3,

@@ -1,9 +1,7 @@
 //! Explicit (unstructured) cell sets.
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of a single cell in an explicit cell set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellShape {
     Vertex,
     Line,
@@ -39,7 +37,7 @@ impl CellShape {
 
 /// An explicit cell set: per-cell shapes and a ragged connectivity array,
 /// CSR-style (offsets into `connectivity`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellSet {
     shapes: Vec<CellShape>,
     /// `offsets.len() == shapes.len() + 1`; cell `c` uses

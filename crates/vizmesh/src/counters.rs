@@ -8,11 +8,10 @@
 //! counts are *observed from real executions*, only the hardware response
 //! is modeled.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// Additive work counters for one kernel execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkCounters {
     /// Domain items processed (cells classified, rays traced, particle
     /// steps taken, ...). Defines the paper's elements/sec rate.

@@ -5,10 +5,9 @@ use crate::cells::CellSet;
 use crate::field::{Association, Field};
 use crate::grid::UniformGrid;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Coordinate/topology backing of a [`DataSet`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Geometry {
     /// Implicit coordinates and implicit hexahedral topology.
     Uniform(UniformGrid),
@@ -19,7 +18,7 @@ pub enum Geometry {
 /// A dataset: geometry plus any number of named fields.
 ///
 /// Mirrors `vtkm::cont::DataSet` at the granularity the study needs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataSet {
     pub geometry: Geometry,
     pub fields: Vec<Field>,

@@ -1,17 +1,16 @@
 //! Named data arrays attached to mesh points or cells.
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Whether a field's values live on mesh points or on cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Association {
     Points,
     Cells,
 }
 
 /// Storage for a field: scalar (`f64`) or vector ([`Vec3`]) arrays.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FieldData {
     Scalar(Vec<f64>),
     Vector(Vec<Vec3>),
@@ -39,7 +38,7 @@ impl FieldData {
 }
 
 /// A named, associated data array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Field {
     pub name: String,
     pub association: Association,

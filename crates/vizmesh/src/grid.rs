@@ -2,7 +2,6 @@
 
 use crate::bounds::Aabb;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A uniform (regular) structured grid.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Point and cell ids are linearized x-fastest:
 /// `id = x + nx * (y + ny * z)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UniformGrid {
     point_dims: [usize; 3],
     origin: Vec3,

@@ -1,6 +1,5 @@
 //! RGBA render targets with depth, and PPM/PGM export.
 
-use serde::{Deserialize, Serialize};
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -8,7 +7,7 @@ use std::path::Path;
 ///
 /// Pixel `(0, 0)` is the **bottom-left** corner (camera convention);
 /// the PPM writer flips rows so files display upright.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Image {
     width: usize,
     height: usize,

@@ -19,6 +19,11 @@
 //!   pathline advection consumes.
 //! * [`XorShift`] — the workspace's one seeded random source (particle
 //!   seeds, synthetic traffic).
+//! * [`par`] — deterministic fork–join (`map`, `for_each_mut`,
+//!   `with_threads`) over `std::thread::scope`: the kernels' only source
+//!   of threads, chunk-ordered so output never depends on thread count.
+//! * [`json`] — the small JSON value/parser/renderer behind the in situ
+//!   action-list codec.
 //! * [`WorkCounters`] — the instrumentation record each kernel fills in as
 //!   it executes; consumed by the `vizpower` characterization bridge.
 //! * [`validate`] — watertightness / orientation / degenerate-cell
@@ -38,6 +43,8 @@ pub mod dataset;
 pub mod field;
 pub mod grid;
 pub mod image;
+pub mod json;
+pub mod par;
 pub mod rng;
 pub mod series;
 pub mod validate;

@@ -1,0 +1,306 @@
+//! Deterministic fork–join over index ranges, on `std::thread::scope`.
+//!
+//! The kernels' data parallelism is all of one shape: compute something
+//! per index (cell, point, slab, seed, image row) and keep the results
+//! in index order. This module is exactly that and nothing more:
+//! [`map`], [`for_each_mut`] / [`for_each_mut2`], and [`with_threads`].
+//!
+//! A range is cut into contiguous chunks; the workers (the caller is one
+//! of them) pull chunk indices from an atomic counter, and the results
+//! are joined **in chunk order**. Every element is a function of its
+//! index alone, so the output is the same bytes for every thread count.
+//! There is no parallel reduce: callers fold the returned `Vec` in index
+//! order, which is the only order the journal goldens were pinned under.
+//!
+//! `min_len` is the fewest items worth a chunk — a constant at each call
+//! site (1 for slabs, seeds and image rows; thousands for per-cell
+//! loops). A range shorter than two chunks runs inline on the caller and
+//! spawns nothing, and so does any call made from inside a worker.
+//!
+//! Thread count: the innermost [`with_threads`] on the calling thread,
+//! else the `VIZPOWER_THREADS` environment variable (read once), else
+//! `std::thread::available_parallelism()`.
+
+use std::cell::Cell;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
+use std::thread::{self, LocalKey};
+
+/// Chunks cut per thread, so uneven chunks (image rows that miss the
+/// volume, slabs the surface does not cross) still balance.
+const CHUNKS_PER_THREAD: usize = 4;
+
+thread_local! {
+    /// The `with_threads` override for calls made from this thread.
+    static THREADS: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Set while this thread runs chunk bodies: nested calls run inline.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Sets a thread-local flag for a scope and puts the old value back on
+/// drop, so an unwinding closure cannot leave it behind.
+struct Restore<T: Copy + 'static>(&'static LocalKey<Cell<T>>, T);
+
+impl<T: Copy + 'static> Restore<T> {
+    fn set(key: &'static LocalKey<Cell<T>>, value: T) -> Self {
+        Restore(key, key.replace(value))
+    }
+}
+
+impl<T: Copy + 'static> Drop for Restore<T> {
+    fn drop(&mut self) {
+        self.0.set(self.1);
+    }
+}
+
+/// Threads a call made from this thread may use (always ≥ 1).
+fn threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    THREADS.get().unwrap_or_else(|| {
+        *DEFAULT.get_or_init(|| {
+            std::env::var("VIZPOWER_THREADS")
+                .ok()
+                .and_then(|s| s.trim().parse().ok())
+                .filter(|&n| n > 0)
+                .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
+        })
+    })
+}
+
+/// Run `f` with every `par` call made from this thread limited to `n`
+/// threads (`n = 1` is fully sequential). Nests; the previous setting is
+/// restored on return and on unwind.
+pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    let _restore = Restore::set(&THREADS, Some(n.max(1)));
+    f()
+}
+
+/// Chunk length for a range of `n`, or `None` when the range must run
+/// inline: one thread, fewer than two `min_len` chunks, or already on a
+/// worker.
+fn chunk_len(n: usize, min_len: usize) -> Option<usize> {
+    let min_len = min_len.max(1);
+    let threads = threads();
+    if threads < 2 || n < 2 * min_len || IN_WORKER.get() {
+        return None;
+    }
+    Some(n.div_ceil(threads * CHUNKS_PER_THREAD).max(min_len))
+}
+
+/// Run `body(c)` for every chunk index `c < chunks` across the workers
+/// and return the results in chunk order. A panic in any body reaches
+/// the caller as that panic, after every spawned thread has been joined.
+fn chunked<R: Send>(chunks: usize, body: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    // The counter publishes nothing but itself (results travel through
+    // `join`), so relaxed ordering is enough.
+    let next = AtomicUsize::new(0);
+    let pull = || {
+        let _nested_inline = Restore::set(&IN_WORKER, true);
+        let mut done = Vec::with_capacity(CHUNKS_PER_THREAD);
+        loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            if c >= chunks {
+                return done;
+            }
+            done.push((c, body(c)));
+        }
+    };
+    let mut done = thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads().min(chunks))
+            .map(|_| scope.spawn(pull))
+            .collect();
+        let mut done = pull();
+        for handle in spawned {
+            match handle.join() {
+                Ok(more) => done.extend(more),
+                Err(panic) => resume_unwind(panic),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(c, _)| c);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// `(0..n).map(f).collect()`, computed in parallel chunks of at least
+/// `min_len` indices and joined in index order.
+pub fn map<T: Send>(n: usize, min_len: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let Some(len) = chunk_len(n, min_len) else {
+        return (0..n).map(f).collect();
+    };
+    let parts = chunked(n.div_ceil(len), |c| {
+        (c * len..((c + 1) * len).min(n))
+            .map(&f)
+            .collect::<Vec<T>>()
+    });
+    let mut out = Vec::with_capacity(n);
+    for part in parts {
+        out.extend(part);
+    }
+    out
+}
+
+/// Hand each pre-cut chunk to exactly one worker. The mutexes are never
+/// contended (a chunk index is pulled once); they are the safe way to
+/// move a `&mut` chunk out of a shared `Vec`.
+fn visit_chunks<C: Send>(chunks: impl Iterator<Item = C>, body: impl Fn(usize, C) + Sync) {
+    let slots: Vec<Mutex<Option<C>>> = chunks.map(|c| Mutex::new(Some(c))).collect();
+    chunked(slots.len(), |c| {
+        let chunk = slots[c]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(chunk) = chunk {
+            body(c, chunk);
+        }
+    });
+}
+
+/// `f(i, &mut items[i])` for every `i`, in parallel chunks of at least
+/// `min_len` items.
+pub fn for_each_mut<T: Send>(items: &mut [T], min_len: usize, f: impl Fn(usize, &mut T) + Sync) {
+    let Some(len) = chunk_len(items.len(), min_len) else {
+        items.iter_mut().enumerate().for_each(|(i, x)| f(i, x));
+        return;
+    };
+    visit_chunks(items.chunks_mut(len), |c, chunk| {
+        for (k, x) in chunk.iter_mut().enumerate() {
+            f(c * len + k, x);
+        }
+    });
+}
+
+/// The zipped form: `f(i, &mut a[i], &mut b[i])` for every `i`.
+///
+/// # Panics
+/// If the slices differ in length.
+pub fn for_each_mut2<A: Send, B: Send>(
+    a: &mut [A],
+    b: &mut [B],
+    min_len: usize,
+    f: impl Fn(usize, &mut A, &mut B) + Sync,
+) {
+    assert_eq!(a.len(), b.len(), "zipped slices must be the same length");
+    let Some(len) = chunk_len(a.len(), min_len) else {
+        (a.iter_mut().zip(b).enumerate()).for_each(|(i, (x, y))| f(i, x, y));
+        return;
+    };
+    visit_chunks(a.chunks_mut(len).zip(b.chunks_mut(len)), |c, (ca, cb)| {
+        for (k, (x, y)) in ca.iter_mut().zip(cb).enumerate() {
+            f(c * len + k, x, y);
+        }
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicIsize;
+
+    const MIN_LEN: usize = 64;
+    /// 0, 1, below the cutoff, exactly two chunks, and lengths no chunk
+    /// size divides.
+    const LENGTHS: [usize; 7] = [0, 1, MIN_LEN - 1, 2 * MIN_LEN, 2 * MIN_LEN + 1, 1000, 4099];
+
+    fn value(i: usize) -> f64 {
+        ((i * 2_654_435_761) % 1013) as f64 * 1e-3 + 1.0 / (i as f64 + 1.0)
+    }
+
+    #[test]
+    fn every_form_is_bit_identical_across_thread_counts() {
+        for n in LENGTHS {
+            let expect: Vec<f64> = (0..n).map(value).collect();
+            let expect_sum: f64 = expect.iter().sum();
+            for threads in [1, 2, 7, 16] {
+                with_threads(threads, || {
+                    let mapped = map(n, MIN_LEN, value);
+                    assert_eq!(mapped, expect, "map n={n} threads={threads}");
+                    let sum: f64 = mapped.iter().sum();
+                    assert_eq!(sum.to_bits(), expect_sum.to_bits());
+
+                    let mut a = vec![0.0; n];
+                    for_each_mut(&mut a, MIN_LEN, |i, x| *x = value(i));
+                    assert_eq!(a, expect, "for_each_mut n={n} threads={threads}");
+
+                    let mut b = vec![0usize; n];
+                    for_each_mut2(&mut a, &mut b, MIN_LEN, |i, x, y| {
+                        *x += 1.0;
+                        *y = i;
+                    });
+                    assert!(a.iter().zip(&expect).all(|(x, e)| *x == e + 1.0));
+                    assert!(b.iter().enumerate().all(|(i, y)| *y == i));
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn a_range_below_the_cutoff_stays_on_the_caller() {
+        let me = thread::current().id();
+        with_threads(8, || {
+            let ids = map(2 * MIN_LEN - 1, MIN_LEN, |_| thread::current().id());
+            assert!(ids.iter().all(|id| *id == me));
+            // At the cutoff the second thread is real.
+            let barrier = std::sync::Barrier::new(2);
+            let ids = map(2 * MIN_LEN, MIN_LEN, |i| {
+                if i % MIN_LEN == 0 {
+                    barrier.wait();
+                }
+                thread::current().id()
+            });
+            assert!(ids.iter().any(|id| *id != me), "two chunks, two threads");
+        });
+    }
+
+    #[test]
+    fn a_panicking_body_panics_the_caller_and_leaves_nothing_running() {
+        let live = AtomicIsize::new(0);
+        struct Leave<'a>(&'a AtomicIsize);
+        impl Drop for Leave<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            with_threads(4, || {
+                map(4096, 16, |i| {
+                    live.fetch_add(1, Ordering::SeqCst);
+                    let _leave = Leave(&live);
+                    assert!(i != 1234, "boom at {i}");
+                    i
+                })
+            })
+        }));
+        let panic = outcome.expect_err("the body's panic must reach the caller");
+        let message = panic.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some("boom at 1234"));
+        assert_eq!(live.load(Ordering::SeqCst), 0, "a body is still running");
+        // The override and the worker flag were unwound with the panic.
+        assert!(THREADS.get().is_none());
+        assert!(!IN_WORKER.get());
+    }
+
+    #[test]
+    fn a_call_from_inside_a_worker_runs_inline() {
+        with_threads(4, || {
+            let nested = map(64, 1, |_| {
+                let me = thread::current().id();
+                let inner = map(256, 1, |_| thread::current().id());
+                inner.iter().all(|id| *id == me)
+            });
+            assert!(nested.iter().all(|&inline| inline));
+        });
+    }
+
+    #[test]
+    fn with_threads_nests_and_restores() {
+        with_threads(3, || {
+            assert_eq!(threads(), 3);
+            with_threads(0, || assert_eq!(threads(), 1));
+            assert_eq!(threads(), 3);
+        });
+        assert!(THREADS.get().is_none());
+    }
+}

@@ -1,10 +1,10 @@
 //! Double-precision 3-component vector.
 
-use serde::{Deserialize, Serialize};
+use crate::json::{JsonError, Value};
 use std::ops::{Add, AddAssign, Div, DivAssign, Index, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A 3-component `f64` vector used for coordinates, velocities and colors.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     pub x: f64,
     pub y: f64,
@@ -47,6 +47,20 @@ impl Vec3 {
     #[inline]
     pub const fn splat(v: f64) -> Self {
         Vec3::new(v, v, v)
+    }
+
+    /// The wire form `{"x": .., "y": .., "z": ..}`.
+    pub fn to_json(self) -> Value {
+        Value::object([
+            ("x", self.x.into()),
+            ("y", self.y.into()),
+            ("z", self.z.into()),
+        ])
+    }
+
+    /// Decode the wire form of [`to_json`](Vec3::to_json).
+    pub fn from_json(v: &Value) -> Result<Vec3, JsonError> {
+        Ok(Vec3::new(v.f64("x")?, v.f64("y")?, v.f64("z")?))
     }
 
     #[inline]

@@ -1,6 +1,6 @@
 //! Property-based tests for the vizmesh data model.
 
-use proptest::prelude::*;
+use propcheck::prelude::*;
 use vizmesh::{Aabb, Camera, CellSet, CellShape, UniformGrid, Vec3, WorkCounters};
 
 fn vec3_strategy(range: std::ops::Range<f64>) -> impl Strategy<Value = Vec3> {

@@ -1,6 +1,6 @@
-//! Allowlist and determinism-manifest handling.
+//! Allowlist handling.
 //!
-//! Both files share one format: one entry per line,
+//! One entry per line,
 //!
 //! ```text
 //! <workspace-relative-path> :: <verbatim substring of the allowed line>
@@ -14,9 +14,8 @@
 use std::fs;
 use std::path::Path;
 
-/// Workspace-relative locations of the two lists.
+/// Workspace-relative location of the list.
 pub const PANICS_ALLOW: &str = "crates/xtask/allowlists/panics.allow";
-pub const REDUCTIONS_ALLOW: &str = "crates/xtask/allowlists/reductions.allow";
 
 /// The inline justification a panic-policy allowlist site must carry.
 pub const INFALLIBLE_MARKER: &str = "lint: infallible because";

@@ -10,8 +10,8 @@
 //! PR-1 allowlists), so the worklist monotonically drains as the perf
 //! PRs land.
 //!
-//! Three passes, all scoped to the library code of
-//! [`HOT_PATH_CRATES`](crate::policy::HOT_PATH_CRATES):
+//! Two passes, both scoped to the library code of
+//! [`HOT_PATH_CRATES`]:
 //!
 //! * **hot-loop-alloc** — allocation-shaped tokens (`Vec::new`, `vec![`,
 //!   `.collect`, `.clone()`, `.to_vec()`, `.to_owned()`, `format!`,
@@ -23,11 +23,9 @@
 //!   `push_span(…)` that references the binding in the same function,
 //!   with no early `return` between open and close. Protects the
 //!   byte-identical journal goldens.
-//! * **fp-reduction-order** — order-sensitive `f32`/`f64` folds reachable
-//!   from rayon parallel iterator chains (`reduce`, `reduce_with`,
-//!   `fold`, float or unannotated `sum`/`product`); extends the
-//!   reduction-determinism lint beyond the kernel crates and honors the
-//!   same allowlist for justified order-insensitive combines.
+//!
+//! (Parallel float-reduction order needs no pass: `vizmesh::par` has no
+//! parallel reduce, so every combine is sequential by construction.)
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -35,19 +33,17 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::allow::{Allowlist, REDUCTIONS_ALLOW};
 use crate::lex;
-use crate::policy::{is_lib_code_of, HOT_PATH_CRATES};
+use crate::policy::{is_lib_code_of, ANALYZE_EXEMPT_FILES, HOT_PATH_CRATES};
 use crate::scan::{self, SourceFile};
 
 /// Pass names, used in findings, the JSON report, and the baseline.
 pub const HOT_LOOP_ALLOC: &str = "hot-loop-alloc";
 pub const SPAN_DISCIPLINE: &str = "span-discipline";
-pub const FP_REDUCTION_ORDER: &str = "fp-reduction-order";
 
 /// Every analyze pass, in report order. The baseline carries one count
 /// per entry, zeros included, so a pass going quiet is visible.
-pub const PASSES: &[&str] = &[FP_REDUCTION_ORDER, HOT_LOOP_ALLOC, SPAN_DISCIPLINE];
+pub const PASSES: &[&str] = &[HOT_LOOP_ALLOC, SPAN_DISCIPLINE];
 
 /// Version of the JSON report and baseline schema (see docs/ANALYZE.md).
 pub const REPORT_SCHEMA: u32 = 1;
@@ -127,7 +123,7 @@ pub fn sort(findings: &mut [Finding]) {
     });
 }
 
-/// Run all three passes over the hot-path library code under `root`.
+/// Run both passes over the hot-path library code under `root`.
 pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     if !root.join("Cargo.toml").is_file() {
         return Err(io::Error::new(
@@ -135,16 +131,15 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
             "not a workspace root (no Cargo.toml)",
         ));
     }
-    let reductions_allow = Allowlist::load(root, REDUCTIONS_ALLOW);
     let mut findings = Vec::new();
     let mut files_scanned = 0;
     for rel in scan::workspace_sources(root)? {
-        if !is_lib_code_of(&rel, HOT_PATH_CRATES) {
+        if !is_lib_code_of(&rel, HOT_PATH_CRATES) || ANALYZE_EXEMPT_FILES.contains(&rel.as_str()) {
             continue;
         }
         let file = SourceFile::load(root, &rel)?;
         files_scanned += 1;
-        analyze_file(&file, &reductions_allow, &mut findings);
+        analyze_file(&file, &mut findings);
     }
     sort(&mut findings);
     Ok(Analysis {
@@ -153,19 +148,18 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     })
 }
 
-/// Run all three passes over one cleaned file.
-pub fn analyze_file(file: &SourceFile, reductions_allow: &Allowlist, out: &mut Vec<Finding>) {
+/// Run both passes over one cleaned file.
+pub fn analyze_file(file: &SourceFile, out: &mut Vec<Finding>) {
     hot_loop_alloc(file, out);
     span_discipline(file, out);
-    fp_reduction_order(file, reductions_allow, out);
 }
 
-/// Analyze a single source text under a virtual workspace-relative path
-/// with an empty allowlist. This is the fixture-test entry point.
+/// Analyze a single source text under a virtual workspace-relative
+/// path. This is the fixture-test entry point.
 pub fn analyze_source(rel_path: &str, text: &str) -> Vec<Finding> {
     let file = SourceFile::parse(rel_path, text);
     let mut out = Vec::new();
-    analyze_file(&file, &Allowlist::default(), &mut out);
+    analyze_file(&file, &mut out);
     sort(&mut out);
     out
 }
@@ -391,81 +385,6 @@ fn contains_ident(code: &str, ident: &str) -> bool {
         }
     }
     false
-}
-
-// ---------------------------------------------------------------------------
-// fp-reduction-order
-// ---------------------------------------------------------------------------
-
-/// Lexical seeds of a rayon parallel iterator chain (kept in sync with
-/// the reduction-determinism lint).
-const PAR_SEEDS: &[&str] = &["par_iter", "par_chunks", "par_windows", "par_bridge"];
-
-pub fn fp_reduction_order(file: &SourceFile, allow: &Allowlist, out: &mut Vec<Finding>) {
-    let mut scratch = vec![false; allow.entries.len()];
-    let mut skip_until = 0;
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test || idx < skip_until {
-            continue;
-        }
-        if !PAR_SEEDS.iter().any(|s| line.code.contains(s)) {
-            continue;
-        }
-        let statement = file.statement_at(idx, 16);
-        skip_until = idx + file.statement_span(idx, 16);
-        let Some(what) = order_sensitive_float_combine(&statement) else {
-            continue;
-        };
-        // Sites the reduction-determinism lint already accepts as
-        // order-insensitive (f64::max and friends) are not worklist items.
-        if allow.covers(&mut scratch, &file.rel_path, &line.raw) {
-            continue;
-        }
-        push_finding(
-            out,
-            FP_REDUCTION_ORDER,
-            file,
-            line.number,
-            line.loop_depth,
-            format!(
-                "order-sensitive float combine `{what}` reachable from a rayon parallel \
-                 iterator; the combine tree varies with thread count — reduce sequentially \
-                 in a fixed order or prove the combine order-insensitive"
-            ),
-        );
-    }
-}
-
-/// The first order-sensitive float combinator in a parallel statement,
-/// if any: `reduce`/`reduce_with`/`fold` always (their combine tree is
-/// scheduler-shaped), `sum`/`product` when the element type is floating
-/// or unannotated (conservative).
-fn order_sensitive_float_combine(statement: &str) -> Option<&'static str> {
-    if statement.contains(".reduce_with(") {
-        return Some(".reduce_with");
-    }
-    if statement.contains(".reduce(") {
-        return Some(".reduce");
-    }
-    if statement.contains(".fold(") {
-        return Some(".fold");
-    }
-    for (method, display) in [(".sum", ".sum"), (".product", ".product")] {
-        let mut search = 0;
-        while let Some(pos) = statement[search..].find(method) {
-            let rest = &statement[search + pos + method.len()..];
-            search += pos + method.len();
-            if rest.starts_with("()") {
-                return Some(display); // unannotated: conservative
-            }
-            if let Some(ty) = rest.strip_prefix("::<") {
-                if ty.starts_with('f') {
-                    return Some(display);
-                }
-            }
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------

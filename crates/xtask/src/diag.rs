@@ -5,7 +5,6 @@ use std::fmt;
 /// Names of the lint passes, used in diagnostic output and golden tests.
 pub const PANIC_POLICY: &str = "panic-policy";
 pub const UNIT_SAFETY: &str = "unit-safety";
-pub const REDUCTION_DETERMINISM: &str = "reduction-determinism";
 pub const SCHEMA_DOCS: &str = "schema-docs";
 pub const REGISTRY_DISPATCH: &str = "registry-dispatch";
 pub const ALLOWLIST: &str = "allowlist";

@@ -394,9 +394,8 @@ pub fn token_contexts(toks: &[Token]) -> Vec<LineCtx> {
                 // for a statement end.
                 "[" => parens.push(false),
                 ")" | "]" => {
-                    if parens.pop() == Some(true) {
-                        loop_depth = loop_depth.saturating_sub(1);
-                    }
+                    let closes_loop = parens.pop() == Some(true);
+                    loop_depth = loop_depth.saturating_sub(usize::from(closes_loop));
                 }
                 "{" => {
                     let frame = if pending_fn.is_some() && parens.len() == pending_fn_parens {

@@ -2,7 +2,7 @@
 //!
 //! The library half hosts the static analyzer behind `cargo xtask lint`:
 //! repo-specific policies that clippy cannot express (panic-policy,
-//! unit-safety, reduction-determinism, schema-docs, registry-dispatch),
+//! unit-safety, schema-docs, registry-dispatch),
 //! built on a lexical scanner so the crate stays dependency-free (it must
 //! compile before anything else does). See DESIGN.md "Static analysis &
 //! correctness policy" for the rationale of each lint.
@@ -18,10 +18,10 @@ pub mod scan;
 use std::io;
 use std::path::Path;
 
-use allow::{Allowlist, PANICS_ALLOW, REDUCTIONS_ALLOW};
+use allow::{Allowlist, PANICS_ALLOW};
 use diag::{Diagnostic, ALLOWLIST};
 use policy::{
-    is_lib_code_of, HOT_PATH_CRATES, KERNEL_CRATES, OBSERVABILITY_DOC, REGISTRY_CRATE,
+    is_lib_code_of, HOT_PATH_CRATES, OBSERVABILITY_DOC, REGISTRY_CRATE,
     REGISTRY_DISPATCH_EXEMPT_FILES, TRACE_SOURCE, UNIT_EXEMPT_FILES,
 };
 use scan::SourceFile;
@@ -55,9 +55,7 @@ pub fn lint_workspace(root: &Path, opts: &Options) -> io::Result<Report> {
         ));
     }
     let panics_allow = Allowlist::load(root, PANICS_ALLOW);
-    let reductions_allow = Allowlist::load(root, REDUCTIONS_ALLOW);
     let mut panics_used = vec![false; panics_allow.entries.len()];
-    let mut reductions_used = vec![false; reductions_allow.entries.len()];
 
     let rels = scan::workspace_sources(root)?;
     let mut diagnostics = Vec::new();
@@ -69,8 +67,6 @@ pub fn lint_workspace(root: &Path, opts: &Options) -> io::Result<Report> {
             &file,
             &panics_allow,
             &mut panics_used,
-            &reductions_allow,
-            &mut reductions_used,
             opts,
             &mut diagnostics,
         );
@@ -84,7 +80,6 @@ pub fn lint_workspace(root: &Path, opts: &Options) -> io::Result<Report> {
         lints::schema_docs(&trace, &doc_text, &mut diagnostics);
     }
     report_stale(&panics_allow, &panics_used, &mut diagnostics);
-    report_stale(&reductions_allow, &reductions_used, &mut diagnostics);
     diag::sort(&mut diagnostics);
     Ok(Report {
         diagnostics,
@@ -94,13 +89,10 @@ pub fn lint_workspace(root: &Path, opts: &Options) -> io::Result<Report> {
 
 /// Run every applicable pass over one cleaned file. Exposed (with
 /// [`lint_source`]) so the golden tests can drive fixtures directly.
-#[allow(clippy::too_many_arguments)]
 pub fn lint_file(
     file: &SourceFile,
     panics_allow: &Allowlist,
     panics_used: &mut [bool],
-    reductions_allow: &Allowlist,
-    reductions_used: &mut [bool],
     opts: &Options,
     out: &mut Vec<Diagnostic>,
 ) {
@@ -110,9 +102,6 @@ pub fn lint_file(
     if !UNIT_EXEMPT_FILES.contains(&file.rel_path.as_str()) {
         lints::unit_safety(file, out);
     }
-    if is_lib_code_of(&file.rel_path, KERNEL_CRATES) {
-        lints::reduction_determinism(file, reductions_allow, reductions_used, out);
-    }
     if policy::crate_of(&file.rel_path) != Some(REGISTRY_CRATE)
         && !REGISTRY_DISPATCH_EXEMPT_FILES.contains(&file.rel_path.as_str())
     {
@@ -121,21 +110,11 @@ pub fn lint_file(
 }
 
 /// Lint a single source text under a virtual workspace-relative path,
-/// with empty allowlists. This is the fixture-test entry point.
+/// with an empty allowlist. This is the fixture-test entry point.
 pub fn lint_source(rel_path: &str, text: &str, opts: &Options) -> Vec<Diagnostic> {
     let file = SourceFile::parse(rel_path, text);
-    let panics = Allowlist::default();
-    let reductions = Allowlist::default();
     let mut out = Vec::new();
-    lint_file(
-        &file,
-        &panics,
-        &mut [],
-        &reductions,
-        &mut [],
-        opts,
-        &mut out,
-    );
+    lint_file(&file, &Allowlist::default(), &mut [], opts, &mut out);
     diag::sort(&mut out);
     out
 }

@@ -1,12 +1,10 @@
 //! The repo-specific lint passes: panic-policy, unit-safety,
-//! reduction-determinism, and schema-docs. Each pass takes a cleaned
+//! registry-dispatch, and schema-docs. Each pass takes a cleaned
 //! [`SourceFile`] and appends [`Diagnostic`]s; path scoping lives in
 //! [`crate::policy`].
 
-use crate::allow::{Allowlist, INFALLIBLE_MARKER, PANICS_ALLOW, REDUCTIONS_ALLOW};
-use crate::diag::{
-    Diagnostic, PANIC_POLICY, REDUCTION_DETERMINISM, REGISTRY_DISPATCH, SCHEMA_DOCS, UNIT_SAFETY,
-};
+use crate::allow::{Allowlist, INFALLIBLE_MARKER, PANICS_ALLOW};
+use crate::diag::{Diagnostic, PANIC_POLICY, REGISTRY_DISPATCH, SCHEMA_DOCS, UNIT_SAFETY};
 use crate::policy::{
     unit_family, UnitFamily, FILTER_CONSTRUCTORS, OBSERVABILITY_DOC, SCHEMA_ENUMS,
     SCHEMA_TABLE_BEGIN, SCHEMA_TABLE_END, UNIT_BOUNDARY_FILES,
@@ -22,9 +20,6 @@ const PANIC_TOKENS: &[&str] = &[
     "todo!(",
     "unimplemented!(",
 ];
-
-/// Lexical seeds of a rayon parallel iterator chain.
-const PAR_SEEDS: &[&str] = &["par_iter", "par_chunks", "par_windows", "par_bridge"];
 
 // ---------------------------------------------------------------------------
 // Panic policy
@@ -345,70 +340,6 @@ fn skip_number(chars: &[char], mut i: usize) -> usize {
         i += 1;
     }
     i
-}
-
-// ---------------------------------------------------------------------------
-// Reduction determinism
-// ---------------------------------------------------------------------------
-
-pub fn reduction_determinism(
-    file: &SourceFile,
-    allow: &Allowlist,
-    used: &mut [bool],
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut skip_until = 0;
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test || idx < skip_until {
-            continue;
-        }
-        if !PAR_SEEDS.iter().any(|s| line.code.contains(s)) {
-            continue;
-        }
-        let statement = file.statement_at(idx, 16);
-        // One statement, one diagnostic: later seed lines of this chain
-        // are part of the same statement and must not re-fire.
-        skip_until = idx + file.statement_span(idx, 16);
-        if !has_unordered_float_reduction(&statement) {
-            continue;
-        }
-        if allow.covers(used, &file.rel_path, &line.raw) {
-            continue;
-        }
-        out.push(Diagnostic::new(
-            &file.rel_path,
-            line.number,
-            REDUCTION_DETERMINISM,
-            format!(
-                "unordered parallel float reduction; results may vary across thread counts \
-                 — make the combine order deterministic or register the site in \
-                 {REDUCTIONS_ALLOW}"
-            ),
-        ));
-    }
-}
-
-/// `.reduce(`/`.fold(` are unordered combines under rayon; `.sum()` is
-/// flagged when the element type is floating (or unannotated, in which
-/// case we stay conservative). Integer sums are associative and exact.
-fn has_unordered_float_reduction(statement: &str) -> bool {
-    if statement.contains(".reduce(") || statement.contains(".fold(") {
-        return true;
-    }
-    let mut search = 0;
-    while let Some(pos) = statement[search..].find(".sum") {
-        let rest = &statement[search + pos + 4..];
-        search += pos + 4;
-        if rest.starts_with("()") {
-            return true; // unannotated: conservative
-        }
-        if let Some(ty) = rest.strip_prefix("::<") {
-            if ty.starts_with('f') {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 //! power/energy/time/frequency identifiers are recognized.
 
 /// Crates whose library code sits on the measurement hot path. The
-/// panic-policy and reduction-determinism lints only apply here.
+/// panic-policy lint and the analyze passes only apply here.
 /// `conformance` is included so the correctness checks themselves report
 /// setup failures as failed checks instead of panicking mid-suite.
-/// `vizmesh` joined when the time-varying [`FieldSeries`] ring put mesh
+/// `vizmesh` joined when the time-varying `FieldSeries` ring put mesh
 /// code inside the per-step recording loop. The DPP backend
 /// (`crates/vizalgo/src/dpp/`) is covered automatically: it is library
 /// code of `vizalgo`.
@@ -17,10 +17,6 @@ pub const HOT_PATH_CRATES: &[&str] = &[
     "governor",
     "conformance",
 ];
-
-/// Kernel crates where unordered parallel float reductions would make the
-/// paper tables run-to-run irreproducible.
-pub const KERNEL_CRATES: &[&str] = &["vizalgo", "cloverleaf"];
 
 /// Files forming the power/energy API boundary between `powersim` and
 /// `vizpower` (core). Inside these, a watt- or joule-named `f64`
@@ -53,6 +49,12 @@ pub const UNIT_BOUNDARY_FILES: &[&str] = &[
 /// Files exempt from the unit-safety lint: the newtype definitions
 /// themselves, whose internals are raw `f64` by construction.
 pub const UNIT_EXEMPT_FILES: &[&str] = &["crates/powersim/src/units.rs"];
+
+/// Library files of a hot-path crate that `xtask analyze` skips: the JSON
+/// document codec parses and renders an action list once per run, so its
+/// push loops are not measurement hot path (panic-policy still applies —
+/// it reads input from outside the program).
+pub const ANALYZE_EXEMPT_FILES: &[&str] = &["crates/vizmesh/src/json.rs"];
 
 /// The run-journal event definitions whose public enum variants must all
 /// be documented in the observability schema table.

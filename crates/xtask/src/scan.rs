@@ -8,7 +8,7 @@
 //! function) the analyze passes consume. That keeps the crate std-only
 //! (it must build before any dependency is compiled) while still being
 //! precise enough for the repo policies, whose trigger tokens
-//! (`.unwrap()`, `par_iter`, `Vec::new(`, `push_span(`) are unambiguous
+//! (`.unwrap()`, `Vec::new(`, `push_span(`) are unambiguous
 //! at the token level.
 
 use std::fs;
@@ -226,13 +226,9 @@ fn mark_test_regions(lines: &mut [Line]) {
                         test_open_depth = None;
                     }
                 }
-                ';' => {
-                    // `#[cfg(test)] use foo;` — attribute gated a single
-                    // braceless item; disarm at its end.
-                    if armed && test_open_depth.is_none() {
-                        armed = false;
-                    }
-                }
+                // `#[cfg(test)] use foo;` — attribute gated a single
+                // braceless item; disarm at its end.
+                ';' if armed && test_open_depth.is_none() => armed = false,
                 _ => {}
             }
         }

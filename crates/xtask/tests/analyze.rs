@@ -10,7 +10,6 @@ use xtask::analyze::{self, analyze_source, Analysis};
 
 const HOT_LOOP: &str = include_str!("fixtures/analyze_hot_loop.rs");
 const SPAN: &str = include_str!("fixtures/analyze_span.rs");
-const REDUCTION: &str = include_str!("fixtures/analyze_reduction.rs");
 
 fn rendered(rel_path: &str, text: &str) -> Vec<String> {
     analyze_source(rel_path, text)
@@ -91,43 +90,6 @@ fn span_discipline_flags_leaks_and_early_returns_only() {
 }
 
 #[test]
-fn fp_reduction_order_flags_parallel_float_combines_only() {
-    let diags = rendered("crates/cloverleaf/src/fixture.rs", REDUCTION);
-    let msg = |what: &str| -> String {
-        format!(
-            "order-sensitive float combine `{what}` reachable from a rayon parallel \
-             iterator; the combine tree varies with thread count — reduce sequentially in \
-             a fixed order or prove the combine order-insensitive"
-        )
-    };
-    assert_eq!(
-        diags,
-        vec![
-            format!(
-                "crates/cloverleaf/src/fixture.rs:6: [fp-reduction-order] {} (in \
-                 `par_sum_unannotated`, loop depth 1)",
-                msg(".sum")
-            ),
-            format!(
-                "crates/cloverleaf/src/fixture.rs:10: [fp-reduction-order] {} (in \
-                 `par_sum_float_turbofish`)",
-                msg(".sum")
-            ),
-            format!(
-                "crates/cloverleaf/src/fixture.rs:14: [fp-reduction-order] {} (in \
-                 `par_reduce_multiline`)",
-                msg(".reduce")
-            ),
-            format!(
-                "crates/cloverleaf/src/fixture.rs:20: [fp-reduction-order] {} (in \
-                 `par_fold`)",
-                msg(".fold")
-            ),
-        ]
-    );
-}
-
-#[test]
 fn analyze_passes_only_apply_to_hot_path_library_code() {
     // Same content outside HOT_PATH_CRATES or under src/bin/ is ignored
     // at the workspace level; analyze_source has no crate filter, so
@@ -149,9 +111,7 @@ fn json_report_carries_schema_counts_and_sorted_findings() {
     let json = analyze::to_json(&analysis);
     assert!(json.starts_with("{\n  \"schema\": 1,\n  \"tool\": \"xtask-analyze\",\n"));
     assert!(json.contains("\"files_scanned\": 1,"));
-    assert!(json.contains(
-        "\"counts\": {\"fp-reduction-order\": 0, \"hot-loop-alloc\": 5, \"span-discipline\": 0}"
-    ));
+    assert!(json.contains("\"counts\": {\"hot-loop-alloc\": 5, \"span-discipline\": 0}"));
     assert!(json.contains(
         "\"pass\": \"hot-loop-alloc\", \"path\": \"crates/vizalgo/src/fixture.rs\", \
          \"line\": 22, \"fn\": \"nested\", \"loop_depth\": 2,"

@@ -6,16 +6,12 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
-use xtask::allow::Allowlist;
-use xtask::scan::SourceFile;
-use xtask::{lint_source, lints, Options};
+use xtask::{lint_source, Options};
 
 const PANIC_BAD: &str = include_str!("fixtures/panic_bad.rs");
 const PANIC_GOOD: &str = include_str!("fixtures/panic_good.rs");
 const UNITS_BAD: &str = include_str!("fixtures/units_bad.rs");
 const UNITS_GOOD: &str = include_str!("fixtures/units_good.rs");
-const REDUCTION_BAD: &str = include_str!("fixtures/reduction_bad.rs");
-const REDUCTION_GOOD: &str = include_str!("fixtures/reduction_good.rs");
 const SCHEMA_TRACE: &str = include_str!("fixtures/schema_trace.rs");
 const REGISTRY_BAD: &str = include_str!("fixtures/registry_bad.rs");
 const REGISTRY_GOOD: &str = include_str!("fixtures/registry_good.rs");
@@ -167,48 +163,6 @@ fn unit_safety_raw_f64_rule_only_applies_to_boundary_files() {
             ),
         ]
     );
-}
-
-const REDUCTION_MSG: &str = "unordered parallel float reduction; results may vary across \
-                             thread counts — make the combine order deterministic or \
-                             register the site in crates/xtask/allowlists/reductions.allow";
-
-#[test]
-fn reduction_bad_fixture_flags_par_sum_and_multiline_reduce() {
-    let diags = rendered("crates/cloverleaf/src/fixture.rs", REDUCTION_BAD, false);
-    assert_eq!(
-        diags,
-        vec![
-            format!("crates/cloverleaf/src/fixture.rs:6: [reduction-determinism] {REDUCTION_MSG}"),
-            format!("crates/cloverleaf/src/fixture.rs:10: [reduction-determinism] {REDUCTION_MSG}"),
-        ]
-    );
-}
-
-#[test]
-fn reduction_good_fixture_is_clean() {
-    assert_eq!(
-        rendered("crates/cloverleaf/src/fixture.rs", REDUCTION_GOOD, false),
-        Vec::<String>::new()
-    );
-}
-
-#[test]
-fn reduction_manifest_registration_silences_the_site() {
-    let file = SourceFile::parse("crates/cloverleaf/src/fixture.rs", REDUCTION_BAD);
-    let manifest = Allowlist::parse(
-        "crates/xtask/allowlists/reductions.allow",
-        "# max is order-insensitive\n\
-         crates/cloverleaf/src/fixture.rs :: u.par_iter()\n",
-    );
-    let mut used = vec![false; manifest.entries.len()];
-    let mut out = Vec::new();
-    lints::reduction_determinism(&file, &manifest, &mut used, &mut out);
-    // The registered reduce is silenced; the unregistered sum still fires.
-    assert_eq!(out.len(), 1);
-    assert_eq!(out[0].line, 6);
-    assert_eq!(used, vec![true]);
-    assert!(manifest.stale(&used).is_empty());
 }
 
 fn registry_msg(display: &str) -> String {
@@ -388,16 +342,10 @@ fn binary_exits_nonzero_with_exact_diagnostics_on_violations() {
     let tree = TempTree::new("bad");
     tree.write("crates/vizalgo/src/bad.rs", PANIC_BAD);
     tree.write("crates/core/src/study.rs", UNITS_BAD);
-    tree.write("crates/cloverleaf/src/bad.rs", REDUCTION_BAD);
     let (code, stdout) = tree.lint();
     assert_eq!(code, 1, "violations must exit 1");
 
     let mut expected = Vec::new();
-    expected.extend(relocate(
-        rendered("crates/cloverleaf/src/fixture.rs", REDUCTION_BAD, false),
-        "crates/cloverleaf/src/fixture.rs",
-        "crates/cloverleaf/src/bad.rs",
-    ));
     expected.extend(rendered("crates/core/src/study.rs", UNITS_BAD, false));
     expected.extend(relocate(
         rendered("crates/vizalgo/src/fixture.rs", PANIC_BAD, false),
@@ -413,7 +361,6 @@ fn binary_exits_zero_on_a_clean_tree() {
     let tree = TempTree::new("good");
     tree.write("crates/vizalgo/src/good.rs", PANIC_GOOD);
     tree.write("crates/core/src/study.rs", UNITS_GOOD);
-    tree.write("crates/cloverleaf/src/good.rs", REDUCTION_GOOD);
     let (code, stdout) = tree.lint();
     assert_eq!(code, 0, "clean tree must exit 0; stdout:\n{stdout}");
     assert_eq!(stdout, "");

@@ -19,7 +19,8 @@ use vizpower_suite::vizpower::characterize::characterize;
 
 const ACTIONS: &str = r#"[
     {"action": "add_pipeline", "name": "energy_contour",
-     "filters": [{"type": "contour", "field": "energy", "isovalues": 10}]},
+     "filters": [{"type": "contour", "field": "energy",
+                  "isovalues": {"spanning": 10}}]},
     {"action": "add_scene", "name": "volume",
      "renderer": {"type": "volume_rendering", "field": "energy",
                   "width": 64, "height": 64, "images": 8}}

@@ -9,7 +9,7 @@
 //! Broadwell package how the same contour behaves at 120 W vs 40 W.
 
 use vizpower_suite::powersim::{CpuSpec, Package, Watts};
-use vizpower_suite::vizalgo::{Algorithm, AlgorithmSpec, Filter};
+use vizpower_suite::vizalgo::{Algorithm, AlgorithmSpec};
 use vizpower_suite::vizpower::characterize::characterize;
 use vizpower_suite::vizpower::study::dataset_for;
 

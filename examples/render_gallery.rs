@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use vizpower_suite::powersim::Watts;
 use vizpower_suite::vizalgo::colormap::ColorMap;
 use vizpower_suite::vizalgo::raytrace::{Bvh, Triangle};
-use vizpower_suite::vizalgo::{Algorithm, Filter};
+use vizpower_suite::vizalgo::Algorithm;
 use vizpower_suite::vizmesh::{Camera, CellShape, DataSet, Image, Vec3};
 use vizpower_suite::vizpower::study::{dataset_for, StudyConfig};
 

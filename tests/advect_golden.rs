@@ -1,21 +1,18 @@
 //! Golden determinism and coverage tests for the advection scenario
 //! sweep (`reproduce advect --quick`): the journal must serialize
-//! byte-identically across rayon thread counts, every line must carry
+//! byte-identically across thread counts, every line must carry
 //! the v8 schema, and the sweep report must pin the scenario matrix —
 //! at least two seedings × two terminations × both flow modes.
 
 use std::collections::BTreeSet;
 
 use vizpower_suite::powersim::trace::{Event, Journal, Scope};
+use vizpower_suite::vizmesh::{json, par};
 use vizpower_suite::vizpower::advect::{self, AdvectConfig, AdvectReport};
 
-/// Run the quick sweep under a private `num_threads` rayon pool.
+/// Run the quick sweep under a `par::with_threads(num_threads)`.
 fn sweep(threads: usize) -> (String, AdvectReport) {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("build rayon pool");
-    pool.install(|| {
+    par::with_threads(threads, || {
         let mut journal = Journal::with_capacity(1 << 16);
         let report = advect::run_sweep(&AdvectConfig::quick(), &mut journal);
         assert_eq!(journal.dropped(), 0, "golden run must not drop events");
@@ -33,17 +30,13 @@ fn advect_journal_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn every_line_is_v8_and_scenario_spans_are_zero_width() {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .expect("build rayon pool");
-    let (journal, report) = pool.install(|| {
+    let (journal, report) = par::with_threads(2, || {
         let mut journal = Journal::with_capacity(1 << 16);
         let report = advect::run_sweep(&AdvectConfig::quick(), &mut journal);
         (journal, report)
     });
     for line in journal.to_jsonl().lines() {
-        let v: serde_json::Value = serde_json::from_str(line).expect("valid JSON line");
+        let v = json::parse(line).expect("valid JSON line");
         assert_eq!(v["v"], 9, "schema version on every line: {line}");
     }
     let scenario_spans: Vec<_> = journal

@@ -6,6 +6,7 @@
 use vizpower_suite::conformance::{self, CheckKind, ConformanceConfig};
 use vizpower_suite::powersim::trace::{Event, Journal};
 use vizpower_suite::vizalgo::Algorithm;
+use vizpower_suite::vizmesh::json;
 
 /// The full check inventory of a quick run, as `(algorithm, grid,
 /// check-id)` triples. A new check extends this table; losing one is a
@@ -191,7 +192,7 @@ fn journaled_checks_mirror_the_report() {
     );
 
     for line in journal.to_jsonl().lines().take(4) {
-        let v: serde_json::Value = serde_json::from_str(line).expect("valid JSON");
+        let v = json::parse(line).expect("valid JSON");
         assert_eq!(v["v"], 9);
     }
 }

@@ -1,5 +1,5 @@
 //! Golden tests for the closed-loop governor's 32³ budget sweep: the
-//! journal must be byte-identical across runs and rayon thread counts,
+//! journal must be byte-identical across runs and thread counts,
 //! every journaled decision must respect the node budget and hardware
 //! cap range, and the Reactive policy must beat the Uniform baseline on
 //! pair completion time at every budget at or below 160 W (the regime
@@ -8,19 +8,16 @@
 use vizpower_suite::governor::{self, BudgetSweep};
 use vizpower_suite::powersim::trace::{Event, Journal, Scope};
 use vizpower_suite::powersim::{CpuSpec, Watts};
+use vizpower_suite::vizmesh::par;
 
 fn spec() -> CpuSpec {
     CpuSpec::broadwell_e5_2695v4()
 }
 
-/// Run the 32³ budget sweep under a private `num_threads` rayon pool,
+/// Run the 32³ budget sweep under a `par::with_threads(num_threads)`,
 /// returning the sweep table and the serialized journal.
 fn run_sweep(threads: usize) -> (BudgetSweep, String) {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("build rayon pool");
-    pool.install(|| {
+    par::with_threads(threads, || {
         let mut journal = Journal::with_capacity(1 << 16);
         let sweep = governor::budget_sweep(32, &spec(), &mut journal);
         assert_eq!(journal.dropped(), 0, "golden run must not drop events");
@@ -92,11 +89,7 @@ fn journal_is_byte_identical_across_runs_and_thread_counts() {
 
 #[test]
 fn every_journaled_decision_respects_budget_and_cap_range() {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .expect("build rayon pool");
-    let journal = pool.install(|| {
+    let journal = par::with_threads(2, || {
         let mut journal = Journal::with_capacity(1 << 16);
         let _ = governor::budget_sweep(32, &spec(), &mut journal);
         journal

@@ -1,12 +1,13 @@
 //! Golden determinism tests for the run journal: a fixed-configuration
 //! 32³ contour sweep must serialize byte-identically across repeated
-//! runs and across rayon thread counts, every JSONL line must be valid
+//! runs and across thread counts, every JSONL line must be valid
 //! JSON, and the span energy rollup must be exact (see
 //! docs/OBSERVABILITY.md for the contract).
 
 use vizpower_suite::powersim::trace::{Event, Scope};
 use vizpower_suite::powersim::{Joules, Watts};
 use vizpower_suite::vizalgo::Algorithm;
+use vizpower_suite::vizmesh::{json, par};
 use vizpower_suite::vizpower::study::{StudyConfig, StudyContext};
 
 fn config() -> StudyConfig {
@@ -20,14 +21,10 @@ fn config() -> StudyConfig {
     }
 }
 
-/// Run the 32³ contour sweep under a private `num_threads` rayon pool
+/// Run the 32³ contour sweep under a `par::with_threads(num_threads)`
 /// and return the serialized journal.
 fn journal_jsonl(threads: usize) -> String {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("build rayon pool");
-    pool.install(|| {
+    par::with_threads(threads, || {
         let mut ctx = StudyContext::new(config());
         ctx.enable_journal(1 << 16);
         let _ = ctx.sweep(Algorithm::Contour, 32);
@@ -57,10 +54,13 @@ fn every_jsonl_line_is_valid_versioned_json() {
     let jsonl = journal_jsonl(2);
     let mut lines = 0;
     for line in jsonl.lines() {
-        let v: serde_json::Value = serde_json::from_str(line).expect("valid JSON line");
+        let v = json::parse(line).expect("valid JSON line");
         assert_eq!(v["v"], 9, "schema version on every line: {line}");
         assert_eq!(v["seq"], lines, "dense sequence numbers: {line}");
-        assert!(v["ev"].is_string(), "event kind on every line: {line}");
+        assert!(
+            v["ev"].as_str().is_some(),
+            "event kind on every line: {line}"
+        );
         lines += 1;
     }
     assert!(lines > 0);
@@ -68,11 +68,7 @@ fn every_jsonl_line_is_valid_versioned_json() {
 
 #[test]
 fn kernel_spans_sum_exactly_to_their_workload_and_sweep_rows() {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .expect("build rayon pool");
-    let (journal, sweep) = pool.install(|| {
+    let (journal, sweep) = par::with_threads(2, || {
         let mut ctx = StudyContext::new(config());
         ctx.enable_journal(1 << 16);
         let sweep = ctx.sweep(Algorithm::Contour, 32);

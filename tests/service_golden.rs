@@ -11,6 +11,7 @@
 
 use vizpower_suite::powersim::trace::Journal;
 use vizpower_suite::service::{universe, zipf_traffic, ServiceConfig, StudyService, TrafficConfig};
+use vizpower_suite::vizmesh::json;
 use vizpower_suite::vizpower::StudyConfig;
 use vizpower_suite::{powersim::Watts, service::Request};
 
@@ -112,13 +113,13 @@ fn journal_carries_the_v8_service_schema() {
     let mut service_requests = 0usize;
     let mut spans = 0usize;
     for line in &lines {
-        let v: serde_json::Value = serde_json::from_str(line).expect("valid JSONL");
+        let v = json::parse(line).expect("valid JSONL");
         assert_eq!(v["v"], 9, "schema version on every line: {line}");
         match v["ev"].as_str().expect("ev field") {
             "cache_event" => {
                 cache_events += 1;
                 for field in ["spec_fp", "data_fp", "cap_watts", "shard"] {
-                    assert!(v[field].is_number(), "cache_event.{field}: {line}");
+                    assert!(v[field].as_f64().is_some(), "cache_event.{field}: {line}");
                 }
                 assert!(
                     matches!(
@@ -130,13 +131,13 @@ fn journal_carries_the_v8_service_schema() {
             }
             "service_request" => {
                 service_requests += 1;
-                assert!(v["algorithm"].is_string(), "{line}");
+                assert!(v["algorithm"].as_str().is_some(), "{line}");
                 assert!(
                     matches!(v["backend"].as_str(), Some("traditional" | "dpp")),
                     "{line}"
                 );
-                assert!(v["latency_seconds"].is_number(), "{line}");
-                assert!(v["node"].is_number(), "{line}");
+                assert!(v["latency_seconds"].as_f64().is_some(), "{line}");
+                assert!(v["node"].as_f64().is_some(), "{line}");
             }
             "span" => {
                 spans += 1;
