@@ -21,14 +21,14 @@ use crate::{
     build_input, explicit_parts, spec_for, CheckKind, CheckResult, ConformanceConfig,
     ConformanceReport,
 };
-use powersim::trace::{Journal, Scope};
+use powersim::trace::{Journal, Kind, Value};
 use vizalgo::dpp::dpp_algorithms;
 use vizalgo::{Algorithm, Backend, PrimitiveReport};
 use vizmesh::{CellSet, DataSet, FieldData, Vec3};
 
 /// One algorithm × grid differential group: its checks plus the DPP
-/// execution's primitive-counter trail (journaled as schema-v6
-/// `Primitive` spans by [`run_journaled`]).
+/// execution's primitive-counter trail (journaled as `primitive`
+/// records by [`run_journaled`]).
 #[derive(Debug, Clone)]
 pub struct DppGroup {
     pub algorithm: Algorithm,
@@ -185,11 +185,10 @@ pub fn run_all(cfg: &ConformanceConfig) -> ConformanceReport {
     ConformanceReport { checks }
 }
 
-/// [`run_all`], journaling one `conformance_check` event per check, one
-/// zero-width `Scope::Conformance` span `conformance:dpp:{alg}:{grid}`
-/// per group carrying the DPP-tagged spec fingerprint, and one
-/// zero-width schema-v6 `Scope::Primitive` span per primitive op the
-/// group's DPP execution invoked.
+/// [`run_all`], journaling one `conformance_check` record per check, one
+/// `conformance` record `conformance:dpp:{alg}:{grid}` per group
+/// carrying the DPP-tagged spec fingerprint, and one `primitive` record
+/// per primitive op the group's DPP execution invoked.
 pub fn run_journaled(cfg: &ConformanceConfig, journal: &mut Journal) -> ConformanceReport {
     let mut all = Vec::new();
     for g in run_grouped(cfg) {
@@ -200,6 +199,9 @@ pub fn run_journaled(cfg: &ConformanceConfig, journal: &mut Journal) -> Conforma
 }
 
 fn journal_dpp_group(cfg: &ConformanceConfig, journal: &mut Journal, g: &DppGroup) {
+    if !journal.is_enabled() {
+        return;
+    }
     let fp = spec_for(g.algorithm, cfg).fingerprint_with(Backend::Dpp);
     crate::journal_group(
         journal,
@@ -215,18 +217,16 @@ fn journal_dpp_group(cfg: &ConformanceConfig, journal: &mut Journal, g: &DppGrou
 }
 
 fn journal_primitive(journal: &mut Journal, r: &PrimitiveReport) {
-    let t = journal.now();
-    journal.push_span(
-        Scope::Primitive,
-        format!("primitive:{}", r.op.name()),
-        t,
-        None,
+    journal.push_record(
+        Kind::Primitive,
+        journal.now(),
         vec![
-            ("invocations", r.counters.invocations as f64),
-            ("elements", r.counters.elements as f64),
-            ("bytes_read", r.counters.bytes_read as f64),
-            ("bytes_written", r.counters.bytes_written as f64),
-            ("flops", r.counters.flops as f64),
+            ("name", Value::Str(format!("primitive:{}", r.op.name()))),
+            ("invocations", (r.counters.invocations as f64).into()),
+            ("elements", (r.counters.elements as f64).into()),
+            ("bytes_read", (r.counters.bytes_read as f64).into()),
+            ("bytes_written", (r.counters.bytes_written as f64).into()),
+            ("flops", (r.counters.flops as f64).into()),
         ],
     );
 }
@@ -361,13 +361,34 @@ mod tests {
         );
         let jsonl = journal.to_jsonl();
         assert!(
-            jsonl.contains("\"scope\":\"primitive\""),
-            "primitive spans journaled"
+            jsonl.contains("\"ev\":\"primitive\",\"t\":0,\"name\":\"primitive:map\""),
+            "map record present"
         );
-        assert!(jsonl.contains("primitive:map"), "map span present");
         assert!(
             jsonl.contains("conformance:dpp:Contour:8"),
-            "group span present"
+            "group record present"
+        );
+    }
+
+    #[test]
+    fn primitive_jsonl_shape_is_exact() {
+        let report = PrimitiveReport {
+            op: vizalgo::dpp::PrimitiveOp::Compact,
+            counters: vizalgo::dpp::PrimitiveCounters {
+                invocations: 1,
+                elements: 4096,
+                bytes_read: 4096,
+                bytes_written: 6144,
+                flops: 0,
+            },
+        };
+        let mut journal = Journal::with_capacity(4);
+        journal_primitive(&mut journal, &report);
+        assert_eq!(
+            journal.to_jsonl().trim_end(),
+            "{\"v\":10,\"seq\":0,\"ev\":\"primitive\",\"t\":0,\"name\":\"primitive:compact\",\
+             \"invocations\":1,\"elements\":4096,\"bytes_read\":4096,\"bytes_written\":6144,\
+             \"flops\":0}"
         );
     }
 }

@@ -25,8 +25,8 @@
 //!
 //! Every check reduces to one [`CheckResult`] — `|measured − expected| ≤
 //! tolerance` — so the whole suite serializes into the run journal as
-//! `conformance_check` events, and every group span carries the
-//! fingerprint of the exact [`AlgorithmSpec`] it checked (schema v4; see
+//! `conformance_check` records, and every group's `conformance` record
+//! carries the fingerprint of the exact [`AlgorithmSpec`] it checked (see
 //! docs/OBSERVABILITY.md and docs/CONFORMANCE.md).
 
 pub mod backend;
@@ -36,7 +36,7 @@ pub mod metamorphic;
 pub mod oracle;
 pub mod reference;
 
-use powersim::trace::{ConformanceCheck, Event, Journal, Scope};
+use powersim::trace::{Journal, Kind, Value};
 use std::fmt::Write as _;
 use vizalgo::{Algorithm, AlgorithmSpec, Filter, IsoValues, ScalarBand, SphereSpec};
 use vizmesh::dataset::Geometry;
@@ -328,10 +328,9 @@ pub fn run_all(cfg: &ConformanceConfig) -> ConformanceReport {
     ConformanceReport { checks }
 }
 
-/// Run every check, journaling one `conformance_check` event per check
-/// plus one zero-width `Scope::Conformance` span per group carrying the
-/// fingerprint of the canonical spec the group checked (see
-/// docs/OBSERVABILITY.md).
+/// Run every check, journaling one `conformance_check` record per check
+/// plus one `conformance` record per group carrying the fingerprint of
+/// the canonical spec the group checked (see docs/OBSERVABILITY.md).
 pub fn run_journaled(cfg: &ConformanceConfig, journal: &mut Journal) -> ConformanceReport {
     let mut all = Vec::new();
     for (alg, grid, checks) in run_grouped(cfg) {
@@ -349,6 +348,9 @@ fn journal_spec_group(
     grid: u32,
     checks: &[CheckResult],
 ) {
+    if !journal.is_enabled() {
+        return;
+    }
     journal_group(
         journal,
         format!("conformance:{}:{}", alg.name(), grid),
@@ -359,50 +361,52 @@ fn journal_spec_group(
     );
 }
 
-/// Journal one conformance group: one `conformance_check` event per
-/// check plus the zero-width `Scope::Conformance` span carrying the
-/// group's spec fingerprint. Shared by the canonical-spec run above and
-/// the backend-differential run in [`backend`].
+/// Journal one conformance group: one `conformance_check` record per
+/// check, then the `conformance` record carrying the group's spec
+/// fingerprint. Shared by the canonical-spec run above and the
+/// backend-differential run in [`backend`], which guard it with
+/// [`Journal::is_enabled`] so an unjournaled run builds no names.
 pub(crate) fn journal_group(
     journal: &mut Journal,
-    span_name: String,
+    name: String,
     alg: Algorithm,
     grid: u32,
     checks: &[CheckResult],
     spec_fp: u64,
 ) {
-    let t0 = journal.now();
     let failures = checks.iter().filter(|c| !c.pass()).count();
     for c in checks {
         journal_check(journal, alg, grid, c);
     }
-    journal.push_span(
-        Scope::Conformance,
-        span_name,
-        t0,
-        None,
+    journal.push_record(
+        Kind::Conformance,
+        journal.now(),
         vec![
-            ("grid", f64::from(grid)),
-            ("checks", checks.len() as f64),
-            ("failures", failures as f64),
-            ("spec_fp", spec_fp as f64),
+            ("name", Value::Str(name)),
+            ("grid", grid.into()),
+            ("checks", (checks.len() as f64).into()),
+            ("failures", (failures as f64).into()),
+            ("spec_fp", (spec_fp as f64).into()),
         ],
     );
 }
 
-/// One `conformance_check` journal event.
+/// One `conformance_check` journal record.
 fn journal_check(journal: &mut Journal, alg: Algorithm, grid: u32, c: &CheckResult) {
-    journal.push(Event::ConformanceCheck(ConformanceCheck {
-        t: journal.now(),
-        algorithm: alg.name().to_string(),
-        check: c.check.clone(),
-        kind: c.kind.as_str().to_string(),
-        grid,
-        measured: c.measured,
-        expected: c.expected,
-        tolerance: c.tolerance,
-        pass: c.pass(),
-    }));
+    journal.push_record(
+        Kind::ConformanceCheck,
+        journal.now(),
+        vec![
+            ("algorithm", alg.name().into()),
+            ("check", c.check.as_str().into()),
+            ("kind", c.kind.as_str().into()),
+            ("grid", grid.into()),
+            ("measured", c.measured.into()),
+            ("expected", c.expected.into()),
+            ("tolerance", c.tolerance.into()),
+            ("pass", c.pass().into()),
+        ],
+    );
 }
 
 /// Render the report as the fixed-width table the `reproduce conformance`
@@ -458,6 +462,54 @@ mod tests {
         let nan = CheckResult::setup_failure(Algorithm::Contour, CheckKind::Oracle, "x", 8);
         assert!(!nan.pass());
         assert_eq!(nan.check, "oracle:x");
+    }
+
+    #[test]
+    fn conformance_check_jsonl_shape_is_exact() {
+        let check = CheckResult {
+            algorithm: Algorithm::Contour,
+            check: "oracle:sphere-area".into(),
+            kind: CheckKind::Oracle,
+            grid: 32,
+            measured: 1.1286,
+            expected: 1.13097,
+            tolerance: 0.0226,
+        };
+        let mut j = Journal::with_capacity(4);
+        let name = "conformance:Contour:32".to_string();
+        journal_group(
+            &mut j,
+            name,
+            Algorithm::Contour,
+            32,
+            &[check],
+            247394790859621,
+        );
+        let jsonl = j.to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(
+            lines[0],
+            "{\"v\":10,\"seq\":0,\"ev\":\"conformance_check\",\"t\":0,\
+             \"algorithm\":\"Contour\",\"check\":\"oracle:sphere-area\",\
+             \"kind\":\"oracle\",\"grid\":32,\"measured\":1.1286,\
+             \"expected\":1.13097,\"tolerance\":0.0226,\"pass\":true}"
+        );
+        assert_eq!(
+            lines[1],
+            "{\"v\":10,\"seq\":1,\"ev\":\"conformance\",\"t\":0,\
+             \"name\":\"conformance:Contour:32\",\"grid\":32,\"checks\":1,\"failures\":0,\
+             \"spec_fp\":247394790859621}"
+        );
+        // Both carry strings, so the chrome trace shows them as instants
+        // on the conformance track.
+        let trace = j.to_chrome_trace();
+        assert!(
+            trace.contains(
+                "\"ph\":\"i\",\"s\":\"t\",\"name\":\"conformance_check\",\"pid\":1,\"tid\":8"
+            ),
+            "{trace}"
+        );
+        assert!(trace.contains("\"pass\":true"), "{trace}");
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! bounded [`FieldSeries`] ring past step 200, and each cell of a
 //! scenario matrix (flow mode × seeding × step control × termination)
 //! executes against that series, is characterized like any study
-//! workload, and lands in the journal as one schema-v8
-//! [`Scope::FlowScenario`] span keyed by the scenario'd spec
-//! fingerprint and the series window fingerprint.
+//! workload, and lands in the journal as one [`Kind::FlowScenario`]
+//! record keyed by the scenario'd spec fingerprint and the series
+//! window fingerprint.
 //!
 //! The sweep is the `reproduce advect [--quick]` target; the root
 //! integration test `tests/advect_golden.rs` pins its journal to be
@@ -17,7 +17,7 @@
 
 use crate::characterize::characterize;
 use cloverleaf::{Problem, SimConfig, Simulation};
-use powersim::trace::{Journal, Scope};
+use powersim::trace::{Journal, Kind, Scope, Value};
 use powersim::{CpuSpec, Joules, Package, Watts};
 use vizalgo::{AlgorithmSpec, FlowMode, FlowScenario, Seeding, StepControl, Termination};
 use vizmesh::FieldSeries;
@@ -155,7 +155,7 @@ pub struct AdvectReport {
 /// Run the hydro, record the snapshot ring, and execute every scenario
 /// cell against it. Journals (when enabled) the hydro timesteps, one
 /// `advect:hydro:{n}` study span, the characterized execution of each
-/// cell, and one zero-width [`Scope::FlowScenario`] span per row.
+/// cell, and one [`Kind::FlowScenario`] record per row.
 pub fn run_sweep(cfg: &AdvectConfig, journal: &mut Journal) -> AdvectReport {
     let t0 = journal.now();
     let mut series = FieldSeries::with_capacity(cfg.ring_capacity);
@@ -206,20 +206,19 @@ pub fn run_sweep(cfg: &AdvectConfig, journal: &mut Journal) -> AdvectReport {
             let mut pkg = Package::new(cpu.clone());
             let exec = pkg.run_capped_journaled(&workload, cfg.cap, journal);
             if journal.is_enabled() {
-                journal.push_span(
-                    Scope::FlowScenario,
-                    format!("scenario:{}", scenario.label()),
+                journal.push_record(
+                    Kind::FlowScenario,
                     journal.now(),
-                    None,
                     vec![
-                        ("spec_fp", spec_fp as f64),
-                        ("data_fp", data_fp as f64),
-                        ("snapshots", snapshots as f64),
-                        ("particles", cfg.particles as f64),
-                        ("lines", lines as f64),
-                        ("points", points as f64),
-                        ("seconds", exec.seconds),
-                        ("joules", exec.energy_joules.value()),
+                        ("name", Value::Str(format!("scenario:{}", scenario.label()))),
+                        ("spec_fp", (spec_fp as f64).into()),
+                        ("data_fp", (data_fp as f64).into()),
+                        ("snapshots", (snapshots as f64).into()),
+                        ("particles", (cfg.particles as f64).into()),
+                        ("lines", (lines as f64).into()),
+                        ("points", (points as f64).into()),
+                        ("seconds", exec.seconds.into()),
+                        ("joules", exec.energy_joules.into()),
                     ],
                 );
             }
@@ -324,6 +323,35 @@ mod tests {
             assert!(row.lines > 0 && row.points > 0, "{}", row.scenario.label());
             assert!(row.seconds > 0.0 && row.joules.value() > 0.0);
         }
+    }
+
+    #[test]
+    fn flow_scenario_jsonl_shape_is_exact() {
+        let mut journal = Journal::with_capacity(1 << 14);
+        let report = run_sweep(&tiny(), &mut journal);
+        let jsonl = journal.to_jsonl();
+        let lines: Vec<&str> = (jsonl.lines())
+            .filter_map(|l| l.find("\"ev\":\"flow_scenario\"").map(|at| &l[at..]))
+            .collect();
+        assert_eq!(lines.len(), report.rows.len(), "one record per sweep row");
+        let (row, record) = (&report.rows[0], journal.records(Kind::FlowScenario).next());
+        assert_eq!(
+            lines[0],
+            format!(
+                "\"ev\":\"flow_scenario\",\"t\":{},\"name\":\"scenario:{}\",\"spec_fp\":{},\
+                 \"data_fp\":{},\"snapshots\":{},\"particles\":8,\"lines\":{},\"points\":{},\
+                 \"seconds\":{},\"joules\":{}}}",
+                record.expect("one record per row").t,
+                row.scenario.label(),
+                row.spec_fp,
+                row.data_fp,
+                report.snapshots,
+                row.lines,
+                row.points,
+                row.seconds,
+                row.joules.value()
+            )
+        );
     }
 
     #[test]

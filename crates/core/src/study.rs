@@ -14,7 +14,7 @@ use powersim::trace::{Journal, Scope};
 use powersim::{CpuSpec, ExecResult, Joules, Package, Watts, Workload};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vizalgo::{Algorithm, AlgorithmSpec, Backend, IsoValues, KernelReport, ScalarBand, SphereSpec};
+use vizalgo::{Algorithm, AlgorithmSpec, Backend, IsoValues, KernelReport};
 use vizmesh::DataSet;
 
 /// The paper's nine processor power caps (W).
@@ -77,51 +77,41 @@ impl StudyConfig {
     }
 
     /// The canonical [`AlgorithmSpec`] this configuration runs for an
-    /// algorithm: the paper's §IV parameterization with this config's
-    /// size knobs substituted in. All study filters are built from
-    /// these specs via [`AlgorithmSpec::build`].
+    /// algorithm: the paper's §IV parameterization
+    /// ([`Algorithm::default_spec`]) with this config's size knobs
+    /// written over it. All study filters are built from these specs via
+    /// [`AlgorithmSpec::build`].
     pub fn spec(&self, algorithm: Algorithm) -> AlgorithmSpec {
-        match algorithm {
-            Algorithm::Contour => AlgorithmSpec::Contour {
-                field: "energy".into(),
-                isovalues: IsoValues::Spanning(self.isovalues),
-            },
-            Algorithm::Threshold => AlgorithmSpec::Threshold {
-                field: "energy".into(),
-                band: ScalarBand::UpperFraction(0.5),
-            },
-            Algorithm::SphericalClip => AlgorithmSpec::SphericalClip {
-                field: "energy".into(),
-                sphere: SphereSpec::RadiusFraction(0.3),
-            },
-            Algorithm::Isovolume => AlgorithmSpec::Isovolume {
-                field: "energy".into(),
-                band: ScalarBand::MiddleBand(0.5),
-            },
-            Algorithm::Slice => AlgorithmSpec::Slice {
-                field: "energy".into(),
-            },
-            Algorithm::ParticleAdvection => AlgorithmSpec::ParticleAdvection {
-                field: "velocity".into(),
-                particles: self.particles,
-                steps: self.advect_steps,
-                step_fraction: 5e-4,
-                seed: 0x5eed_1234,
-                scenario: Default::default(),
-            },
-            Algorithm::RayTracing => AlgorithmSpec::RayTracing {
-                field: "energy".into(),
-                width: self.render_px,
-                height: self.render_px,
-                images: self.cameras,
-            },
-            Algorithm::VolumeRendering => AlgorithmSpec::VolumeRendering {
-                field: "energy".into(),
-                width: self.render_px,
-                height: self.render_px,
-                images: self.cameras,
-            },
+        let mut spec = algorithm.default_spec();
+        match &mut spec {
+            AlgorithmSpec::Contour { isovalues, .. } => {
+                *isovalues = IsoValues::Spanning(self.isovalues);
+            }
+            AlgorithmSpec::ParticleAdvection {
+                particles, steps, ..
+            } => {
+                *particles = self.particles;
+                *steps = self.advect_steps;
+            }
+            AlgorithmSpec::RayTracing {
+                width,
+                height,
+                images,
+                ..
+            }
+            | AlgorithmSpec::VolumeRendering {
+                width,
+                height,
+                images,
+                ..
+            } => {
+                *width = self.render_px;
+                *height = self.render_px;
+                *images = self.cameras;
+            }
+            _ => {}
         }
+        spec
     }
 }
 
@@ -565,6 +555,26 @@ mod tests {
             cameras: 2,
             particles: 20,
             advect_steps: 30,
+        }
+    }
+
+    #[test]
+    fn paper_specs_are_the_registry_defaults_and_quick_fingerprints_are_pinned() {
+        // Fingerprints of the quick() specs as of PR 13, when `spec`
+        // still restated every arm of `default_spec`.
+        let pinned: [u64; 8] = [
+            106388285178748,
+            198155684065227,
+            51625820889582,
+            190826306224919,
+            6955886948687,
+            79069051297429,
+            86846765149524,
+            95326993297850,
+        ];
+        for (a, fp) in Algorithm::ALL.into_iter().zip(pinned) {
+            assert_eq!(StudyConfig::paper().spec(a), a.default_spec());
+            assert_eq!(StudyConfig::quick().spec(a).fingerprint(), fp, "{a:?}");
         }
     }
 

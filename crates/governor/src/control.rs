@@ -9,7 +9,7 @@
 //! policy for the next split, sanitizes it against the hard invariants
 //! (hardware cap range, active caps summing to at most the budget), and
 //! reprograms only the caps that changed. Every decision is journaled as
-//! a [`PolicyDecision`] event and every reprogramming as a `CapChange`,
+//! a [`Kind::PolicyDecision`] record and every reprogramming as a `cap_change`,
 //! so the budget contract is auditable from the journal alone.
 //!
 //! Determinism: the loop consumes only modeled quantities (virtual time,
@@ -20,7 +20,7 @@
 use crate::pair::WorkloadPair;
 use crate::policy::{CapSplit, Observation, Policy, SideObs};
 use powersim::exec::SAMPLE_PERIOD_SEC;
-use powersim::trace::{Event, Journal, PolicyDecision, Scope};
+use powersim::trace::{Journal, Kind, Scope};
 use powersim::{CpuSpec, ExecResult, Joules, Package, RunState, Watts};
 
 /// Outcome of one governed pair execution.
@@ -114,18 +114,21 @@ fn push_decision(
     if !journal.is_enabled() {
         return;
     }
-    journal.push(Event::PolicyDecision(PolicyDecision {
-        t: journal.now(),
-        budget_watts: obs.budget,
-        sim_cap_watts: next.sim,
-        viz_cap_watts: next.viz,
-        sim_power_watts: sim_power,
-        viz_power_watts: viz_power,
-        sim_ipc: obs.sim.ipc,
-        viz_ipc: obs.viz.ipc,
-        sim_llc_miss_rate: obs.sim.llc_miss_rate,
-        viz_llc_miss_rate: obs.viz.llc_miss_rate,
-    }));
+    journal.push_record(
+        Kind::PolicyDecision,
+        journal.now(),
+        vec![
+            ("budget_watts", obs.budget.into()),
+            ("sim_cap_watts", next.sim.into()),
+            ("viz_cap_watts", next.viz.into()),
+            ("sim_power_watts", sim_power.into()),
+            ("viz_power_watts", viz_power.into()),
+            ("sim_ipc", obs.sim.ipc.into()),
+            ("viz_ipc", obs.viz.ipc.into()),
+            ("sim_llc_miss_rate", obs.sim.llc_miss_rate.into()),
+            ("viz_llc_miss_rate", obs.viz.llc_miss_rate.into()),
+        ],
+    );
 }
 
 /// Per-side window bookkeeping: energy snapshot for power differencing.
@@ -293,7 +296,6 @@ pub fn govern(
 mod tests {
     use super::*;
     use crate::policy::{Reactive, Uniform};
-    use powersim::trace::Event;
 
     fn spec() -> CpuSpec {
         CpuSpec::broadwell_e5_2695v4()
@@ -346,21 +348,57 @@ mod tests {
         let r = govern(&pair(), &mut Reactive::new(), budget, &spec, &mut j);
         assert!(r.max_window_power_watts <= budget + Watts(0.5));
         let mut seen = 0;
-        for e in j.events() {
-            if let Event::PolicyDecision(d) = e {
-                seen += 1;
-                assert!(d.sim_power_watts + d.viz_power_watts <= budget + Watts(0.5));
-                let mut active_total = Watts::ZERO;
-                for cap in [d.sim_cap_watts, d.viz_cap_watts] {
-                    if cap > Watts(1e-9) {
-                        assert!(cap >= lo - Watts(1e-9) && cap <= hi + Watts(1e-9));
-                        active_total += cap;
-                    }
+        for d in j.records(Kind::PolicyDecision) {
+            let watts = |key| Watts(d.num(key).expect("decision field"));
+            seen += 1;
+            assert!(watts("sim_power_watts") + watts("viz_power_watts") <= budget + Watts(0.5));
+            let mut active_total = Watts::ZERO;
+            for cap in [watts("sim_cap_watts"), watts("viz_cap_watts")] {
+                if cap > Watts(1e-9) {
+                    assert!(cap >= lo - Watts(1e-9) && cap <= hi + Watts(1e-9));
+                    active_total += cap;
                 }
-                assert!(active_total <= budget + Watts(1e-9));
             }
+            assert!(active_total <= budget + Watts(1e-9));
         }
         assert_eq!(seen as u64, r.decisions);
+    }
+
+    #[test]
+    fn policy_decision_jsonl_shape_is_exact() {
+        let side = |power, ipc, llc_miss_rate| SideObs {
+            active: true,
+            cap: Watts(80.0),
+            power,
+            ipc,
+            llc_miss_rate,
+        };
+        let obs = Observation {
+            t: 0.1,
+            budget: Watts(160.0),
+            sim: side(Watts(88.25), 1.8, 0.05),
+            viz: side(Watts(46.5), 0.4, 0.9),
+        };
+        let next = CapSplit {
+            sim: Watts(110.0),
+            viz: Watts(50.0),
+        };
+        let mut j = Journal::with_capacity(4);
+        j.advance(0.1);
+        push_decision(&mut j, &obs, next, obs.sim.power, obs.viz.power);
+        assert_eq!(
+            j.to_jsonl().trim_end(),
+            "{\"v\":10,\"seq\":0,\"ev\":\"policy_decision\",\"t\":0.1,\"budget_watts\":160,\
+             \"sim_cap_watts\":110,\"viz_cap_watts\":50,\"sim_power_watts\":88.25,\
+             \"viz_power_watts\":46.5,\"sim_ipc\":1.8,\"viz_ipc\":0.4,\
+             \"sim_llc_miss_rate\":0.05,\"viz_llc_miss_rate\":0.9}"
+        );
+        // All-numeric, so the chrome trace plots it as a counter track.
+        let trace = j.to_chrome_trace();
+        assert!(
+            trace.contains("\"ph\":\"C\",\"name\":\"policy_decision\""),
+            "{trace}"
+        );
     }
 
     #[test]

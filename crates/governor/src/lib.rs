@@ -20,7 +20,7 @@
 //!   tightly-coupled CloverLeaf + visualization run.
 //! * [`control`] — the control loop itself: [`govern`] steps two
 //!   resumable executions window by window, journaling every
-//!   `PolicyDecision` and `CapChange`.
+//!   `policy_decision` and `cap_change` record.
 //! * [`study`] — the `reproduce governor --budget-sweep` study: every
 //!   policy at node budgets from 80 W to 240 W, plus an oracle found by
 //!   exhaustive fixed-split search.

@@ -4,7 +4,7 @@
 //! byte-identical across runs and `par` thread counts.
 
 use governor::{govern, Reactive, StaticAdvisor, Uniform, WorkloadPair};
-use powersim::trace::{Event, Journal};
+use powersim::trace::{Journal, Kind};
 use powersim::{CpuSpec, KernelPhase, Watts, Workload};
 use propcheck::prelude::*;
 
@@ -41,30 +41,29 @@ fn assert_decisions_feasible(journal: &Journal, budget: Watts, spec: &CpuSpec) {
     let lo = spec.min_cap_watts;
     let hi = spec.tdp_watts;
     let mut decisions = 0;
-    for e in journal.events() {
-        if let Event::PolicyDecision(d) = e {
-            decisions += 1;
-            let mut active_total = Watts::ZERO;
-            for cap in [d.sim_cap_watts, d.viz_cap_watts] {
-                if cap > Watts(1e-9) {
-                    assert!(
-                        cap >= lo - Watts(1e-9) && cap <= hi + Watts(1e-9),
-                        "cap {cap} outside [{lo}, {hi}]"
-                    );
-                    active_total += cap;
-                }
+    for d in journal.records(Kind::PolicyDecision) {
+        let watts = |key| Watts(d.num(key).expect("decision field"));
+        decisions += 1;
+        let mut active_total = Watts::ZERO;
+        for cap in [watts("sim_cap_watts"), watts("viz_cap_watts")] {
+            if cap > Watts(1e-9) {
+                assert!(
+                    cap >= lo - Watts(1e-9) && cap <= hi + Watts(1e-9),
+                    "cap {cap} outside [{lo}, {hi}]"
+                );
+                active_total += cap;
             }
-            assert!(
-                active_total <= budget + Watts(1e-9),
-                "active caps {active_total} exceed budget {budget}"
-            );
-            assert!(
-                d.sim_power_watts + d.viz_power_watts <= budget + Watts(0.5),
-                "window power {} + {} exceeds budget {budget}",
-                d.sim_power_watts,
-                d.viz_power_watts
-            );
         }
+        assert!(
+            active_total <= budget + Watts(1e-9),
+            "active caps {active_total} exceed budget {budget}"
+        );
+        assert!(
+            watts("sim_power_watts") + watts("viz_power_watts") <= budget + Watts(0.5),
+            "window power {} + {} exceeds budget {budget}",
+            watts("sim_power_watts"),
+            watts("viz_power_watts")
+        );
     }
     assert!(decisions > 0, "governed run emitted no decisions");
 }

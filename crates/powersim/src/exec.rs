@@ -21,7 +21,7 @@ use crate::cpu::CpuSpec;
 use crate::msr::{addr, MsrFile};
 use crate::rapl::{PowerLimiter, CONTROL_WINDOW_SEC};
 use crate::timing::{effective_activity, phase_time};
-use crate::trace::{CapChange, CounterSample, Event, Journal, Scope};
+use crate::trace::{Journal, Kind, Scope};
 use crate::units::{Joules, Watts};
 use crate::workload::Workload;
 
@@ -105,17 +105,20 @@ impl Package {
     }
 
     /// Program a package cap like [`Package::set_cap`], emitting a
-    /// [`CapChange`] event recording both the requested and the actually
+    /// [`Kind::CapChange`] record of both the requested and the actually
     /// programmed (range-clamped) cap.
     pub fn set_cap_journaled(&mut self, watts: Watts, journal: &mut Journal) {
         self.set_cap(watts);
         if journal.is_enabled() {
             let actual = PowerLimiter::get_cap(&self.msr).unwrap_or(watts);
-            journal.push(Event::CapChange(CapChange {
-                t: journal.now(),
-                requested_watts: watts,
-                actual_watts: actual,
-            }));
+            journal.push_record(
+                Kind::CapChange,
+                journal.now(),
+                vec![
+                    ("requested_watts", watts.into()),
+                    ("actual_watts", actual.into()),
+                ],
+            );
         }
     }
 
@@ -158,7 +161,7 @@ impl Package {
 
     /// Execute `workload` like [`Package::run`], additionally emitting
     /// journal events: a [`Scope::Kernel`] span per phase carrying that
-    /// phase's exact energy, a [`CounterSample`] per 100 ms interval,
+    /// phase's exact energy, a [`Kind::Counter`] record per 100 ms interval,
     /// and a closing [`Scope::Workload`] span whose joules are the sum
     /// of the kernel spans — the same additions in the same order as
     /// `energy_joules`, so children sum to the parent exactly. The
@@ -208,7 +211,7 @@ impl Package {
         self.run(workload)
     }
 
-    /// Convenience: program `cap_watts` (journaling the [`CapChange`])
+    /// Convenience: program `cap_watts` (journaling the [`Kind::CapChange`])
     /// and [`Package::run_journaled`].
     pub fn run_capped_journaled(
         &mut self,
@@ -485,14 +488,16 @@ fn emit_counter(journal: &mut Journal, samples: &[Sample]) {
         return;
     }
     if let Some(s) = samples.last() {
-        let t = journal.now();
-        journal.push(Event::Counter(CounterSample {
-            t,
-            power_watts: s.power_watts,
-            effective_freq_ghz: s.effective_freq_ghz,
-            ipc: s.ipc,
-            llc_miss_rate: s.llc_miss_rate,
-        }));
+        journal.push_record(
+            Kind::Counter,
+            journal.now(),
+            vec![
+                ("power_watts", s.power_watts.into()),
+                ("effective_freq_ghz", s.effective_freq_ghz.into()),
+                ("ipc", s.ipc.into()),
+                ("llc_miss_rate", s.llc_miss_rate.into()),
+            ],
+        );
     }
 }
 
@@ -512,6 +517,7 @@ fn sample_durations(samples: &[Sample], start_t: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Event;
     use crate::workload::KernelPhase;
 
     fn compute_workload(scale: u64) -> Workload {
@@ -641,24 +647,47 @@ mod tests {
         let r = pkg.run_capped_journaled(&w, Watts(90.0), &mut journal);
         let mut kernel_sum = Joules::ZERO;
         let mut workload_joules = None;
-        let mut counters = 0;
-        let mut cap_changes = 0;
         for ev in journal.events() {
             match ev {
                 Event::Span(s) if s.scope == Scope::Kernel => {
                     kernel_sum += s.joules.unwrap_or(Joules::ZERO);
                 }
                 Event::Span(s) if s.scope == Scope::Workload => workload_joules = s.joules,
-                Event::Counter(_) => counters += 1,
-                Event::CapChange(_) => cap_changes += 1,
                 _ => {}
             }
         }
         // Exact: the run total is accumulated per phase in span order.
         assert_eq!(workload_joules, Some(r.energy_joules));
         assert_eq!(kernel_sum, r.energy_joules);
-        assert_eq!(counters, r.samples.len());
-        assert_eq!(cap_changes, 1);
+        assert_eq!(journal.records(Kind::Counter).count(), r.samples.len());
+        assert_eq!(journal.records(Kind::CapChange).count(), 1);
+    }
+
+    #[test]
+    fn cap_change_and_counter_jsonl_shapes_are_exact() {
+        let w = compute_workload(300_000_000_000);
+        let mut journal = Journal::with_capacity(1 << 10);
+        let r = Package::broadwell().run_capped_journaled(&w, Watts(250.0), &mut journal);
+        let jsonl = journal.to_jsonl();
+        let mut lines = jsonl.lines();
+        assert_eq!(
+            lines.next(),
+            Some(
+                "{\"v\":10,\"seq\":0,\"ev\":\"cap_change\",\"t\":0,\
+                 \"requested_watts\":250,\"actual_watts\":120}"
+            )
+        );
+        let s = r.samples.first().expect("at least one sample");
+        let counter = format!(
+            "{{\"v\":10,\"seq\":1,\"ev\":\"counter\",\"t\":{},\"power_watts\":{},\
+             \"effective_freq_ghz\":{},\"ipc\":{},\"llc_miss_rate\":{}}}",
+            s.t,
+            s.power_watts.value(),
+            s.effective_freq_ghz,
+            s.ipc,
+            s.llc_miss_rate
+        );
+        assert_eq!(lines.next(), Some(counter.as_str()));
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   the paper's derived metrics (§V-B).
 //! * [`exec`] — the executor: advances virtual time through a workload
 //!   under a cap, updating MSRs/counters, and the 100 ms sampler.
-//! * [`trace`] — the run journal: typed `Span`/`Counter`/`CapChange`
-//!   events in a ring buffer, serialized to JSONL and chrome://tracing
-//!   files (schema in `docs/OBSERVABILITY.md`).
+//! * [`trace`] — the run journal: `Span` intervals and `Record` points
+//!   (counter samples, cap changes, ...) in a ring buffer, serialized to
+//!   JSONL and chrome://tracing files (schema in `docs/OBSERVABILITY.md`).
 //!
 //! Everything is deterministic; the only "measurement" the rest of the
 //! workspace performs is reading these simulated counters exactly the way
@@ -48,9 +48,6 @@ pub use exec::{ExecResult, Package, RunState, Sample};
 pub use msr::{MsrError, MsrFile};
 pub use node::{Node, NodeResult};
 pub use rapl::PowerLimiter;
-pub use trace::{
-    CacheEvent, CapChange, CounterSample, Event, Journal, PolicyDecision, Scope, ServiceRequest,
-    Span,
-};
+pub use trace::{Event, Journal, Kind, Record, Scope, Span, Value};
 pub use units::{Joules, Watts};
 pub use workload::{KernelPhase, Workload};

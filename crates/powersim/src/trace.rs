@@ -1,16 +1,20 @@
-//! The run journal: a typed, ring-buffered event stream for run
-//! observability.
+//! The run journal: a ring-buffered event stream for run observability.
 //!
 //! The paper's evaluation hangs on 100 ms samples of RAPL energy and
 //! performance counters (§V-B), but aggregates alone cannot say *where
 //! inside a run* the joules went. This module is the reproduction's
 //! substitute for the paper's msr-safe sampling harness: every layer of
-//! the workspace (the executor's sampler, RAPL cap programming,
-//! CloverLeaf timesteps, in situ actions, and study phases) emits a
-//! typed [`Event`] into a shared [`Journal`], which serializes to
-//! line-delimited JSON ([`Journal::to_jsonl`]) and to a
+//! the workspace emits an [`Event`] into a shared [`Journal`], which
+//! serializes to line-delimited JSON ([`Journal::to_jsonl`]) and to a
 //! `chrome://tracing`-compatible trace file
 //! ([`Journal::to_chrome_trace`]).
+//!
+//! There are two event shapes. A [`Span`] is an interval of journal
+//! time attributed to one named unit of work in a [`Scope`]. A
+//! [`Record`] is a point in journal time carrying named [`Value`]s,
+//! tagged with its [`Kind`]; its emitter lists the fields in place and
+//! both serializers render any record generically, so a new layer adds
+//! one `Kind` variant and one row of `docs/OBSERVABILITY.md`.
 //!
 //! Design constraints, in order:
 //!
@@ -28,13 +32,14 @@
 //!    push is a no-op, so the hot executor loop stays untouched for
 //!    non-journaled runs.
 //! 3. **Bounded memory.** The buffer is a ring: when full, the oldest
-//!    event is dropped and counted in [`Journal::dropped`], which both
-//!    serializers surface so a truncated journal is never mistaken for a
+//!    event is dropped and counted in [`Journal::dropped`]. The chrome
+//!    trace carries that count; in the JSONL stream a drop shows as a
+//!    gap in `seq`, so a truncated journal is never mistaken for a
 //!    complete one.
 //!
 //! The serialized schema is versioned ([`SCHEMA_VERSION`]) and
 //! documented in `docs/OBSERVABILITY.md`; `cargo xtask lint` enforces
-//! that every public [`Event`] and [`Scope`] variant has a row in that
+//! that every [`Kind`] and [`Scope`] variant has a row in that
 //! document's schema table.
 
 #![deny(missing_docs)]
@@ -46,27 +51,9 @@ use crate::units::{Joules, Watts};
 
 /// Version of the serialized journal schema. Every JSONL line carries it
 /// as `"v"`, and the chrome trace embeds it in `otherData`. Bump it when
-/// an event's fields or semantics change, and update the schema table in
-/// `docs/OBSERVABILITY.md` in the same commit.
-///
-/// v2 added the [`PolicyDecision`] event and the [`Scope::Governor`]
-/// span scope for the closed-loop power governor. v3 added the
-/// [`ConformanceCheck`] event and the [`Scope::Conformance`] span scope
-/// for the analytic-oracle conformance suite (`crates/conformance`).
-/// v5 added a `Bench` span scope for the single-shot wall-clock
-/// baseline (removed again in v9). v6 added the
-/// [`Scope::Primitive`] span scope carrying per-primitive element/byte
-/// counters from the data-parallel-primitives backend (`vizalgo::dpp`).
-/// v7 added the [`ServiceRequest`] and [`CacheEvent`] events plus the
-/// [`Scope::Service`] span scope for the fingerprint-addressed study
-/// service (`crates/service`). v8 added the [`Scope::FlowScenario`]
-/// span scope — one zero-width span per advection-scenario sweep row
-/// (`core::advect`) — and the `evict` outcome on [`CacheEvent`] for
-/// capacity-bounded result caches. v9 removed the `Bench` scope with
-/// its only emitter: wall-clock measurement lives in `benchmarks/`, not
-/// in the modeled-time journal. Chrome-trace `tid` 9 stays retired so
-/// every other scope keeps its track.
-pub const SCHEMA_VERSION: u32 = 9;
+/// a kind's fields or semantics change, and update the schema table and
+/// the version history in `docs/OBSERVABILITY.md` in the same commit.
+pub const SCHEMA_VERSION: u32 = 10;
 
 /// Which layer of the stack emitted a [`Span`].
 ///
@@ -100,76 +87,106 @@ pub enum Scope {
     /// executed concurrently under a node power budget
     /// (`governor::control::govern`).
     Governor,
-    /// One conformance pass over a single algorithm at one grid size
-    /// (`conformance::run_algorithm`): its child events are the
-    /// individual [`ConformanceCheck`] results.
-    Conformance,
-    /// One data-parallel primitive invocation rollup from the DPP
-    /// backend (`vizalgo::dpp`): element/byte/flop counters for one
-    /// primitive op across a filter execution, journaled by the
-    /// conformance driver as zero-width spans.
-    Primitive,
     /// Study-service orchestration (`crates/service`): one span per
     /// scheduled request batch (`batch:{index}`) plus a `serve:{requests}`
     /// rollup per traffic run, on the modeled fleet clock.
     Service,
-    /// One advection-scenario sweep row (`core::advect`): a zero-width
-    /// span carrying the scenario's spec/window fingerprints and the
-    /// characterized cost of one (seeding × step-control × termination
-    /// × flow-mode) cell.
-    FlowScenario,
 }
+
+/// One row per [`Scope`] variant, in declaration order: the variant, its
+/// wire name, and its chrome-trace track (`tid`). Track ids are never
+/// reused: 9 is retired (`bench`, v5–v8), and 8, 10 and 12 went with
+/// their v9 scopes to the [`Kind`]s that replaced them.
+const SCOPES: [(Scope, &str, u32); 8] = [
+    (Scope::Study, "study", 1),
+    (Scope::Sweep, "sweep", 2),
+    (Scope::Workload, "workload", 3),
+    (Scope::Kernel, "kernel", 4),
+    (Scope::Timestep, "timestep", 5),
+    (Scope::Action, "action", 6),
+    (Scope::Governor, "governor", 7),
+    (Scope::Service, "service", 11),
+];
 
 impl Scope {
     /// Lowercase wire name used by both serializers.
     pub fn name(self) -> &'static str {
-        match self {
-            Scope::Study => "study",
-            Scope::Sweep => "sweep",
-            Scope::Workload => "workload",
-            Scope::Kernel => "kernel",
-            Scope::Timestep => "timestep",
-            Scope::Action => "action",
-            Scope::Governor => "governor",
-            Scope::Conformance => "conformance",
-            Scope::Primitive => "primitive",
-            Scope::Service => "service",
-            Scope::FlowScenario => "flow_scenario",
-        }
+        SCOPES[self as usize].1
     }
 
     /// Chrome-trace track id for this scope (`tid` field).
     fn tid(self) -> u32 {
-        match self {
-            Scope::Study => 1,
-            Scope::Sweep => 2,
-            Scope::Workload => 3,
-            Scope::Kernel => 4,
-            Scope::Timestep => 5,
-            Scope::Action => 6,
-            Scope::Governor => 7,
-            Scope::Conformance => 8,
-            Scope::Primitive => 10,
-            Scope::Service => 11,
-            Scope::FlowScenario => 12,
-        }
+        SCOPES[self as usize].2
     }
 }
 
-/// All scope/track pairs, for chrome-trace thread-name metadata.
-const ALL_SCOPES: [Scope; 11] = [
-    Scope::Study,
-    Scope::Sweep,
-    Scope::Workload,
-    Scope::Kernel,
-    Scope::Timestep,
-    Scope::Action,
-    Scope::Governor,
-    Scope::Conformance,
-    Scope::Primitive,
-    Scope::Service,
-    Scope::FlowScenario,
+/// What a [`Record`] reports. The field list of each kind lives with its
+/// one emitter and in the schema table of `docs/OBSERVABILITY.md`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// One 100 ms sampler reading from the executor, mirroring the
+    /// derived metrics of [`crate::exec::Sample`] on the journal timeline.
+    Counter,
+    /// A RAPL package power-limit reprogramming: the cap asked for and
+    /// the cap programmed after clamping to the package's range.
+    CapChange,
+    /// One control decision of the closed-loop power governor: what each
+    /// side did over the last 100 ms window and the cap split chosen for
+    /// the next one. A cap of 0 W marks a side whose workload completed.
+    PolicyDecision,
+    /// One conformance group (an algorithm at one grid size): check and
+    /// failure counts and the fingerprint of the spec it checked, after
+    /// the group's [`Kind::ConformanceCheck`] records.
+    Conformance,
+    /// One verdict of the conformance suite (`crates/conformance`): a
+    /// measured quantity against its expectation. `pass` is recorded, not
+    /// derived, so a serialized journal is self-contained evidence.
+    ConformanceCheck,
+    /// One data-parallel primitive rollup from the DPP backend
+    /// (`vizalgo::dpp`): element/byte/flop counters for one primitive op
+    /// across a filter execution.
+    Primitive,
+    /// One request served by the study service (`crates/service`): its
+    /// cache key, how the scheduler classified it at dispatch (hence
+    /// identically for every worker count), and its modeled completion.
+    ServiceRequest,
+    /// One result-cache lookup outcome from the study service's sharded
+    /// cache, recorded at batch-dispatch time, or one capacity eviction.
+    CacheEvent,
+    /// One advection-scenario sweep row (`core::advect`): the scenario's
+    /// spec/window fingerprints and the characterized cost of one
+    /// (seeding × step-control × termination × flow-mode) cell.
+    FlowScenario,
+}
+
+/// One row per [`Kind`] variant, in declaration order: the variant, its
+/// wire name (the `"ev"` value), and the chrome-trace track its instants
+/// land on. 0 marks the kinds whose fields are all numeric: they render
+/// as process-level counter samples and need no track.
+const KINDS: [(Kind, &str, u32); 9] = [
+    (Kind::Counter, "counter", 0),
+    (Kind::CapChange, "cap_change", 0),
+    (Kind::PolicyDecision, "policy_decision", 0),
+    (Kind::Conformance, "conformance", 8),
+    (Kind::ConformanceCheck, "conformance_check", 8),
+    (Kind::Primitive, "primitive", 10),
+    (Kind::ServiceRequest, "service_request", 11),
+    (Kind::CacheEvent, "cache_event", 11),
+    (Kind::FlowScenario, "flow_scenario", 12),
 ];
+
+impl Kind {
+    /// Lowercase wire name: the `"ev"` value of the record's JSONL line
+    /// and its event name in the chrome trace.
+    pub fn name(self) -> &'static str {
+        KINDS[self as usize].1
+    }
+
+    /// Chrome-trace track id for this kind's instants (`tid` field).
+    fn tid(self) -> u32 {
+        KINDS[self as usize].2
+    }
+}
 
 /// A closed interval of journal time attributed to one named unit of
 /// work, optionally carrying an energy rollup.
@@ -197,164 +214,97 @@ pub struct Span {
     pub args: Vec<(&'static str, f64)>,
 }
 
-/// One 100 ms sampler reading from the executor, mirroring the derived
-/// metrics of [`crate::exec::Sample`] on the journal timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CounterSample {
-    /// Journal time at the end of the sampling interval (seconds).
-    pub t: f64,
-    /// Mean package power over the interval, from the energy MSR delta.
-    pub power_watts: Watts,
-    /// Effective frequency over the interval (APERF/MPERF), in GHz.
-    pub effective_freq_ghz: f64,
-    /// Instructions per reference cycle over the interval.
-    pub ipc: f64,
-    /// LLC miss rate (misses / references) over the interval.
-    pub llc_miss_rate: f64,
-}
-
-/// A RAPL package power-limit reprogramming.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CapChange {
-    /// Journal time of the MSR write (seconds).
-    pub t: f64,
-    /// The cap the caller asked for.
-    pub requested_watts: Watts,
-    /// The cap actually programmed after clamping to the package's
-    /// supported range.
-    pub actual_watts: Watts,
-}
-
-/// One control decision of the closed-loop power governor: the per-side
-/// observations of the last 100 ms window and the cap split chosen for
-/// the next one. A cap of 0 W marks a side whose workload has completed
-/// (its package is idle and excluded from the budget).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolicyDecision {
-    /// Journal time of the decision (end of the observed window, seconds).
-    pub t: f64,
-    /// The node power budget the governor splits.
-    pub budget_watts: Watts,
-    /// Cap chosen for the simulation package (0 W once it completed).
-    pub sim_cap_watts: Watts,
-    /// Cap chosen for the visualization package (0 W once it completed).
-    pub viz_cap_watts: Watts,
-    /// Observed simulation-package power over the window.
-    pub sim_power_watts: Watts,
-    /// Observed visualization-package power over the window.
-    pub viz_power_watts: Watts,
-    /// Observed simulation IPC (instructions / reference cycle).
-    pub sim_ipc: f64,
-    /// Observed visualization IPC (instructions / reference cycle).
-    pub viz_ipc: f64,
-    /// Observed simulation LLC miss ratio (misses / references).
-    pub sim_llc_miss_rate: f64,
-    /// Observed visualization LLC miss ratio (misses / references).
-    pub viz_llc_miss_rate: f64,
-}
-
-/// One verdict of the analytic-oracle conformance suite
-/// (`crates/conformance`): a single measured quantity compared against
-/// its closed-form or reference expectation. `pass` is recorded rather
-/// than derived so a serialized journal is self-contained evidence.
+/// One field value of a [`Record`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct ConformanceCheck {
-    /// Journal time of the check (seconds; conformance runs model no
-    /// time, so this is whatever the clock read).
-    pub t: f64,
-    /// Display name of the algorithm under test (`"Contour"`, ...).
-    pub algorithm: String,
-    /// Check identifier, namespaced by kind (`"oracle:sphere-area"`,
-    /// `"differential:mesh-canonical"`, `"metamorphic:clip-complement"`).
-    pub check: String,
-    /// Check family: `"oracle"`, `"differential"`, or `"metamorphic"`.
-    pub kind: String,
-    /// Grid resolution (cells per axis) the check ran at.
-    pub grid: u32,
-    /// The quantity the kernel produced.
-    pub measured: f64,
-    /// The closed-form or reference expectation.
-    pub expected: f64,
-    /// Absolute tolerance: the check passes iff
-    /// `|measured - expected| <= tolerance` (0 for exact checks).
-    pub tolerance: f64,
-    /// Whether the check passed.
-    pub pass: bool,
+pub enum Value {
+    /// A number; counts and 48-bit fingerprints are exact in an `f64`.
+    /// Non-finite values serialize as `null`.
+    Num(f64),
+    /// A string (algorithm names, outcomes, check identifiers).
+    Str(String),
+    /// A flag.
+    Bool(bool),
 }
 
-/// One request served by the fingerprint-addressed study service
-/// (`crates/service`): its full cache key, how the scheduler classified
-/// it (fresh execution, in-batch coalesce, or cache hit), and its modeled
-/// completion on the fleet clock. Classification happens deterministically
-/// at dispatch time, so these events are byte-identical across worker
-/// counts.
+impl From<f64> for Value {
+    fn from(v: f64) -> Value {
+        Value::Num(v)
+    }
+}
+
+impl From<u32> for Value {
+    fn from(v: u32) -> Value {
+        Value::Num(f64::from(v))
+    }
+}
+
+impl From<Watts> for Value {
+    fn from(v: Watts) -> Value {
+        Value::Num(v.value())
+    }
+}
+
+impl From<Joules> for Value {
+    fn from(v: Joules) -> Value {
+        Value::Num(v.value())
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Value {
+        Value::Str(v.to_string())
+    }
+}
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Value {
+        Value::Bool(v)
+    }
+}
+
+/// A point in journal time carrying named values: everything the journal
+/// records that is not an interval.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServiceRequest {
-    /// Journal time at which the response was ready (seconds; equals the
-    /// batch arrival time for cache hits).
+pub struct Record {
+    /// What the record reports.
+    pub kind: Kind,
+    /// Journal time of the record (seconds).
     pub t: f64,
-    /// Display name of the requested algorithm (`"Contour"`, ...).
-    pub algorithm: String,
-    /// Execution backend the request named (`"traditional"` / `"dpp"`).
-    pub backend: String,
-    /// 48-bit spec fingerprint component of the cache key (exact in f64).
-    pub spec_fp: f64,
-    /// 48-bit dataset fingerprint component of the cache key.
-    pub data_fp: f64,
-    /// Admitted power-cap component of the cache key.
-    pub cap_watts: Watts,
-    /// Scheduler classification: `"hit"`, `"miss"`, or `"coalesced"`.
-    pub outcome: String,
-    /// Simulated node the backing execution was placed on (the node of
-    /// the coalesced-onto job for coalesced requests; 0 for hits, which
-    /// run on no node).
-    pub node: u32,
-    /// Modeled seconds from batch arrival to response (0 for hits).
-    pub latency_seconds: f64,
+    /// The fields, in the order the emitter listed them, which is the
+    /// order they serialize in. Keys are static, as in [`Span::args`].
+    pub fields: Vec<(&'static str, Value)>,
 }
 
-/// One result-cache lookup outcome from the study service's sharded
-/// fingerprint-addressed cache, recorded at batch-dispatch time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheEvent {
-    /// Journal time of the lookup (seconds; the batch arrival time).
-    pub t: f64,
-    /// 48-bit spec fingerprint component of the looked-up key.
-    pub spec_fp: f64,
-    /// 48-bit dataset fingerprint component of the looked-up key.
-    pub data_fp: f64,
-    /// Admitted power-cap component of the looked-up key.
-    pub cap_watts: Watts,
-    /// Backend component of the looked-up key (`"traditional"` / `"dpp"`).
-    pub backend: String,
-    /// Lookup outcome: `"hit"`, `"miss"`, or `"coalesced"` — or
-    /// `"evict"` (schema v8) when a capacity-bounded cache drops its
-    /// oldest ready entry.
-    pub outcome: String,
-    /// Cache shard the key hashes to.
-    pub shard: u32,
+impl Record {
+    /// The value of field `key`, if the record has one.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    /// The numeric field `key`, if present and a [`Value::Num`].
+    pub fn num(&self, key: &str) -> Option<f64> {
+        match self.get(key) {
+            Some(Value::Num(v)) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The string field `key`, if present and a [`Value::Str`].
+    pub fn str(&self, key: &str) -> Option<&str> {
+        match self.get(key) {
+            Some(Value::Str(s)) => Some(s),
+            _ => None,
+        }
+    }
 }
 
-/// One journal entry. Every variant is documented in the schema table of
-/// `docs/OBSERVABILITY.md`; `cargo xtask lint` fails if a variant is
-/// added without a matching row.
+/// One journal entry: an interval or a point.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A closed interval of attributed work.
     Span(Span),
-    /// A 100 ms executor sampler reading.
-    Counter(CounterSample),
-    /// A RAPL cap reprogramming.
-    CapChange(CapChange),
-    /// A governor control decision (observed ratios + chosen cap split).
-    PolicyDecision(PolicyDecision),
-    /// One conformance-suite verdict (measured vs expected).
-    ConformanceCheck(ConformanceCheck),
-    /// One study-service request: cache key, classification, and modeled
-    /// completion (`crates/service`).
-    ServiceRequest(ServiceRequest),
-    /// One study-service result-cache lookup outcome.
-    CacheEvent(CacheEvent),
+    /// A point in journal time carrying named values.
+    Record(Record),
 }
 
 /// Ring-buffered event journal with a logical clock.
@@ -363,7 +313,7 @@ pub enum Event {
 /// [`Journal::off`] (also [`Default`]) for a disabled journal that
 /// ignores every push. See the module docs for the clock and
 /// determinism contract.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Journal {
     /// `(seq, event)` pairs; `seq` is assigned at push time and survives
     /// ring eviction, so gaps in the serialized stream reveal drops.
@@ -392,8 +342,8 @@ impl Journal {
         }
     }
 
-    /// Whether pushes are recorded. Emitters on hot paths should guard
-    /// span construction (allocation, `format!`) behind this.
+    /// Whether pushes are recorded. Emitters guard the construction of
+    /// names and field lists (allocation, `format!`) behind this.
     pub fn is_enabled(&self) -> bool {
         self.capacity > 0
     }
@@ -412,7 +362,7 @@ impl Journal {
 
     /// Record an event (no-op when disabled; evicts the oldest event
     /// when full).
-    pub fn push(&mut self, event: Event) {
+    fn push(&mut self, event: Event) {
         if self.capacity == 0 {
             return;
         }
@@ -454,9 +404,23 @@ impl Journal {
         }));
     }
 
+    /// Record a [`Record`] of `kind` at journal time `t`; the emitter's
+    /// `fields` list is the kind's wire layout.
+    pub fn push_record(&mut self, kind: Kind, t: f64, fields: Vec<(&'static str, Value)>) {
+        self.push(Event::Record(Record { kind, t, fields }));
+    }
+
     /// The buffered events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &Event> {
         self.events.iter().map(|(_, e)| e)
+    }
+
+    /// The buffered records of one kind, oldest first.
+    pub fn records(&self, kind: Kind) -> impl Iterator<Item = &Record> {
+        self.events().filter_map(move |e| match e {
+            Event::Record(r) if r.kind == kind => Some(r),
+            _ => None,
+        })
     }
 
     /// Number of buffered events.
@@ -474,11 +438,6 @@ impl Journal {
         self.dropped
     }
 
-    /// Maximum number of buffered events (0 when disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Serialize to line-delimited JSON, one event per line, oldest
     /// first. Deterministic: field order is fixed, floats use Rust's
     /// shortest-roundtrip formatting, absent options are omitted.
@@ -492,9 +451,10 @@ impl Journal {
 
     /// Serialize to the Trace Event Format JSON understood by
     /// `chrome://tracing` and Perfetto. Spans become complete (`"X"`)
-    /// events on per-scope tracks, counter samples a `"C"` counter
-    /// track, and cap changes global instant (`"i"`) events. Journal
-    /// seconds are exported as trace microseconds.
+    /// events on per-scope tracks; a record whose fields are all numeric
+    /// becomes a sample of the counter (`"C"`) track named after its
+    /// kind, and any other record a thread-scoped instant (`"i"`) on its
+    /// kind's track. Journal seconds are exported as trace microseconds.
     pub fn to_chrome_trace(&self) -> String {
         let mut out = String::new();
         let _ = write!(
@@ -503,37 +463,24 @@ impl Journal {
              \"dropped\":{}}},\"traceEvents\":[",
             self.dropped
         );
-        let mut first = true;
-        for scope in ALL_SCOPES {
-            sep(&mut out, &mut first);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                scope.tid(),
-                scope.name()
-            );
+        // Name each track once, after the first table row that claims it.
+        let tracks = SCOPES.iter().map(|r| (r.1, r.2));
+        let mut named = 0u32;
+        for (name, tid) in tracks.chain(KINDS.iter().map(|r| (r.1, r.2))) {
+            if tid != 0 && named & (1 << tid) == 0 {
+                named |= 1 << tid;
+                let _ = write!(
+                    out,
+                    "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":{tid},\
+                     \"args\":{{\"name\":\"{name}\"}}}},"
+                );
+            }
         }
         for (_, event) in &self.events {
-            sep(&mut out, &mut first);
             write_chrome_event(&mut out, event);
         }
-        out.push_str("]}\n");
+        close(&mut out, "]}\n");
         out
-    }
-}
-
-impl Default for Journal {
-    fn default() -> Journal {
-        Journal::off()
-    }
-}
-
-fn sep(out: &mut String, first: &mut bool) {
-    if *first {
-        *first = false;
-    } else {
-        out.push(',');
     }
 }
 
@@ -555,319 +502,162 @@ fn json_escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Write an `f64` as a JSON number. Rust's `Display` for `f64` is the
-/// shortest string that round-trips, which is both deterministic and
-/// valid JSON for finite values; non-finite values become `null`.
-fn push_f64(out: &mut String, v: f64) {
+// The member writers below each end with a comma, so callers never track
+// "first"; `close` swaps the last one for the closing bracket.
+
+/// Write `"key":` (no comma: the value follows).
+fn push_key(out: &mut String, key: &str) {
+    out.push('"');
+    json_escape_into(out, key);
+    out.push_str("\":");
+}
+
+/// Write `"key":number,`. Rust's `Display` for `f64` is the shortest
+/// string that round-trips, which is both deterministic and valid JSON
+/// for finite values; non-finite values become `null`.
+fn push_num(out: &mut String, key: &str, v: f64) {
+    push_key(out, key);
     if v.is_finite() {
-        let _ = write!(out, "{v}");
+        let _ = write!(out, "{v},");
     } else {
-        out.push_str("null");
+        out.push_str("null,");
     }
 }
 
-fn push_args(out: &mut String, args: &[(&'static str, f64)]) {
-    out.push('{');
-    for (i, (key, value)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// Write `"key":"text",`.
+fn push_text(out: &mut String, key: &str, text: &str) {
+    push_key(out, key);
+    out.push('"');
+    json_escape_into(out, text);
+    out.push_str("\",");
+}
+
+/// Write one record field as `"key":value,`.
+fn push_field(out: &mut String, key: &str, value: &Value) {
+    match value {
+        Value::Num(v) => push_num(out, key, *v),
+        Value::Str(s) => push_text(out, key, s),
+        Value::Bool(b) => {
+            push_key(out, key);
+            out.push_str(if *b { "true," } else { "false," });
         }
-        out.push('"');
-        json_escape_into(out, key);
-        out.push_str("\":");
-        push_f64(out, *value);
     }
-    out.push('}');
+}
+
+/// End an object or array: replace the last member's comma, if there
+/// was a member, with `end`.
+fn close(out: &mut String, end: &str) {
+    if out.ends_with(',') {
+        out.pop();
+    }
+    out.push_str(end);
 }
 
 fn write_jsonl_line(out: &mut String, seq: u64, event: &Event) {
     let _ = write!(out, "{{\"v\":{SCHEMA_VERSION},\"seq\":{seq},");
     match event {
         Event::Span(s) => {
-            out.push_str("\"ev\":\"span\",\"scope\":\"");
-            out.push_str(s.scope.name());
-            out.push_str("\",\"name\":\"");
-            json_escape_into(out, &s.name);
-            out.push_str("\",\"t0\":");
-            push_f64(out, s.t0);
-            out.push_str(",\"t1\":");
-            push_f64(out, s.t1);
+            push_text(out, "ev", "span");
+            push_text(out, "scope", s.scope.name());
+            push_text(out, "name", &s.name);
+            push_num(out, "t0", s.t0);
+            push_num(out, "t1", s.t1);
             if let Some(j) = s.joules {
-                out.push_str(",\"joules\":");
-                push_f64(out, j.value());
+                push_num(out, "joules", j.value());
             }
             if let Some(w) = s.watts {
-                out.push_str(",\"watts\":");
-                push_f64(out, w.value());
+                push_num(out, "watts", w.value());
             }
             if !s.args.is_empty() {
-                out.push_str(",\"args\":");
-                push_args(out, &s.args);
+                out.push_str("\"args\":{");
+                for (key, value) in &s.args {
+                    push_num(out, key, *value);
+                }
+                close(out, "},");
             }
         }
-        Event::Counter(c) => {
-            out.push_str("\"ev\":\"counter\",\"t\":");
-            push_f64(out, c.t);
-            out.push_str(",\"power_watts\":");
-            push_f64(out, c.power_watts.value());
-            out.push_str(",\"effective_freq_ghz\":");
-            push_f64(out, c.effective_freq_ghz);
-            out.push_str(",\"ipc\":");
-            push_f64(out, c.ipc);
-            out.push_str(",\"llc_miss_rate\":");
-            push_f64(out, c.llc_miss_rate);
-        }
-        Event::CapChange(c) => {
-            out.push_str("\"ev\":\"cap_change\",\"t\":");
-            push_f64(out, c.t);
-            out.push_str(",\"requested_watts\":");
-            push_f64(out, c.requested_watts.value());
-            out.push_str(",\"actual_watts\":");
-            push_f64(out, c.actual_watts.value());
-        }
-        Event::PolicyDecision(d) => {
-            out.push_str("\"ev\":\"policy_decision\",\"t\":");
-            push_f64(out, d.t);
-            out.push_str(",\"budget_watts\":");
-            push_f64(out, d.budget_watts.value());
-            out.push_str(",\"sim_cap_watts\":");
-            push_f64(out, d.sim_cap_watts.value());
-            out.push_str(",\"viz_cap_watts\":");
-            push_f64(out, d.viz_cap_watts.value());
-            out.push_str(",\"sim_power_watts\":");
-            push_f64(out, d.sim_power_watts.value());
-            out.push_str(",\"viz_power_watts\":");
-            push_f64(out, d.viz_power_watts.value());
-            out.push_str(",\"sim_ipc\":");
-            push_f64(out, d.sim_ipc);
-            out.push_str(",\"viz_ipc\":");
-            push_f64(out, d.viz_ipc);
-            out.push_str(",\"sim_llc_miss_rate\":");
-            push_f64(out, d.sim_llc_miss_rate);
-            out.push_str(",\"viz_llc_miss_rate\":");
-            push_f64(out, d.viz_llc_miss_rate);
-        }
-        Event::ConformanceCheck(c) => {
-            out.push_str("\"ev\":\"conformance_check\",\"t\":");
-            push_f64(out, c.t);
-            out.push_str(",\"algorithm\":\"");
-            json_escape_into(out, &c.algorithm);
-            out.push_str("\",\"check\":\"");
-            json_escape_into(out, &c.check);
-            out.push_str("\",\"kind\":\"");
-            json_escape_into(out, &c.kind);
-            let _ = write!(out, "\",\"grid\":{},", c.grid);
-            out.push_str("\"measured\":");
-            push_f64(out, c.measured);
-            out.push_str(",\"expected\":");
-            push_f64(out, c.expected);
-            out.push_str(",\"tolerance\":");
-            push_f64(out, c.tolerance);
-            out.push_str(",\"pass\":");
-            out.push_str(if c.pass { "true" } else { "false" });
-        }
-        Event::ServiceRequest(r) => {
-            out.push_str("\"ev\":\"service_request\",\"t\":");
-            push_f64(out, r.t);
-            out.push_str(",\"algorithm\":\"");
-            json_escape_into(out, &r.algorithm);
-            out.push_str("\",\"backend\":\"");
-            json_escape_into(out, &r.backend);
-            out.push_str("\",\"spec_fp\":");
-            push_f64(out, r.spec_fp);
-            out.push_str(",\"data_fp\":");
-            push_f64(out, r.data_fp);
-            out.push_str(",\"cap_watts\":");
-            push_f64(out, r.cap_watts.value());
-            out.push_str(",\"outcome\":\"");
-            json_escape_into(out, &r.outcome);
-            let _ = write!(out, "\",\"node\":{},", r.node);
-            out.push_str("\"latency_seconds\":");
-            push_f64(out, r.latency_seconds);
-        }
-        Event::CacheEvent(c) => {
-            out.push_str("\"ev\":\"cache_event\",\"t\":");
-            push_f64(out, c.t);
-            out.push_str(",\"spec_fp\":");
-            push_f64(out, c.spec_fp);
-            out.push_str(",\"data_fp\":");
-            push_f64(out, c.data_fp);
-            out.push_str(",\"cap_watts\":");
-            push_f64(out, c.cap_watts.value());
-            out.push_str(",\"backend\":\"");
-            json_escape_into(out, &c.backend);
-            out.push_str("\",\"outcome\":\"");
-            json_escape_into(out, &c.outcome);
-            let _ = write!(out, "\",\"shard\":{}", c.shard);
+        Event::Record(r) => {
+            push_text(out, "ev", r.kind.name());
+            push_num(out, "t", r.t);
+            for (key, value) in &r.fields {
+                push_field(out, key, value);
+            }
         }
     }
-    out.push_str("}\n");
+    close(out, "}\n");
 }
 
 fn write_chrome_event(out: &mut String, event: &Event) {
     match event {
         Event::Span(s) => {
-            out.push_str("{\"ph\":\"X\",\"name\":\"");
-            json_escape_into(out, &s.name);
-            out.push_str("\",\"cat\":\"");
-            out.push_str(s.scope.name());
-            let _ = write!(out, "\",\"pid\":1,\"tid\":{},\"ts\":", s.scope.tid());
-            push_f64(out, s.t0 * 1e6);
-            out.push_str(",\"dur\":");
-            push_f64(out, (s.t1 - s.t0) * 1e6);
-            out.push_str(",\"args\":{");
-            let mut first = true;
+            out.push_str("{\"ph\":\"X\",");
+            push_text(out, "name", &s.name);
+            push_text(out, "cat", s.scope.name());
+            let _ = write!(out, "\"pid\":1,\"tid\":{},", s.scope.tid());
+            push_num(out, "ts", s.t0 * 1e6);
+            push_num(out, "dur", (s.t1 - s.t0) * 1e6);
+            out.push_str("\"args\":{");
             if let Some(j) = s.joules {
-                sep(out, &mut first);
-                out.push_str("\"joules\":");
-                push_f64(out, j.value());
+                push_num(out, "joules", j.value());
             }
             if let Some(w) = s.watts {
-                sep(out, &mut first);
-                out.push_str("\"watts\":");
-                push_f64(out, w.value());
+                push_num(out, "watts", w.value());
             }
             for (key, value) in &s.args {
-                sep(out, &mut first);
-                out.push('"');
-                json_escape_into(out, key);
-                out.push_str("\":");
-                push_f64(out, *value);
+                push_num(out, key, *value);
             }
-            out.push_str("}}");
         }
-        Event::Counter(c) => {
-            out.push_str("{\"ph\":\"C\",\"name\":\"sampler\",\"pid\":1,\"ts\":");
-            push_f64(out, c.t * 1e6);
-            out.push_str(",\"args\":{\"power_watts\":");
-            push_f64(out, c.power_watts.value());
-            out.push_str(",\"effective_freq_ghz\":");
-            push_f64(out, c.effective_freq_ghz);
-            out.push_str(",\"ipc\":");
-            push_f64(out, c.ipc);
-            out.push_str(",\"llc_miss_rate\":");
-            push_f64(out, c.llc_miss_rate);
-            out.push_str("}}");
-        }
-        Event::CapChange(c) => {
-            out.push_str(
-                "{\"ph\":\"i\",\"s\":\"g\",\"name\":\"cap_change\",\"pid\":1,\"tid\":0,\
-                 \"ts\":",
-            );
-            push_f64(out, c.t * 1e6);
-            out.push_str(",\"args\":{\"requested_watts\":");
-            push_f64(out, c.requested_watts.value());
-            out.push_str(",\"actual_watts\":");
-            push_f64(out, c.actual_watts.value());
-            out.push_str("}}");
-        }
-        Event::PolicyDecision(d) => {
-            // A counter track: the split and the observed draw plot as
-            // stacked series against the budget over journal time.
-            out.push_str("{\"ph\":\"C\",\"name\":\"governor\",\"pid\":1,\"ts\":");
-            push_f64(out, d.t * 1e6);
-            out.push_str(",\"args\":{\"budget_watts\":");
-            push_f64(out, d.budget_watts.value());
-            out.push_str(",\"sim_cap_watts\":");
-            push_f64(out, d.sim_cap_watts.value());
-            out.push_str(",\"viz_cap_watts\":");
-            push_f64(out, d.viz_cap_watts.value());
-            out.push_str(",\"sim_power_watts\":");
-            push_f64(out, d.sim_power_watts.value());
-            out.push_str(",\"viz_power_watts\":");
-            push_f64(out, d.viz_power_watts.value());
-            out.push_str("}}");
-        }
-        Event::ConformanceCheck(c) => {
-            // A global instant on the conformance track, named by the
-            // check, so failures are visible on the timeline.
-            let _ = write!(out, "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"",);
-            json_escape_into(out, &c.check);
-            let _ = write!(
-                out,
-                "\",\"cat\":\"conformance\",\"pid\":1,\"tid\":{},\"ts\":",
-                Scope::Conformance.tid()
-            );
-            push_f64(out, c.t * 1e6);
-            out.push_str(",\"args\":{\"algorithm\":\"");
-            json_escape_into(out, &c.algorithm);
-            out.push_str("\",\"kind\":\"");
-            json_escape_into(out, &c.kind);
-            let _ = write!(out, "\",\"grid\":{},", c.grid);
-            out.push_str("\"measured\":");
-            push_f64(out, c.measured);
-            out.push_str(",\"expected\":");
-            push_f64(out, c.expected);
-            out.push_str(",\"tolerance\":");
-            push_f64(out, c.tolerance);
-            out.push_str(",\"pass\":");
-            out.push_str(if c.pass { "true" } else { "false" });
-            out.push_str("}}");
-        }
-        Event::ServiceRequest(r) => {
-            // A complete event on the service track spanning the modeled
-            // latency: hits are zero-width instants at batch arrival,
-            // misses stretch to their node's completion time.
-            out.push_str("{\"ph\":\"X\",\"name\":\"");
-            json_escape_into(out, &r.algorithm);
-            out.push_str("\",\"cat\":\"service\",\"pid\":1,\"tid\":");
-            let _ = write!(out, "{},\"ts\":", Scope::Service.tid());
-            push_f64(out, (r.t - r.latency_seconds) * 1e6);
-            out.push_str(",\"dur\":");
-            push_f64(out, r.latency_seconds * 1e6);
-            out.push_str(",\"args\":{\"backend\":\"");
-            json_escape_into(out, &r.backend);
-            out.push_str("\",\"spec_fp\":");
-            push_f64(out, r.spec_fp);
-            out.push_str(",\"data_fp\":");
-            push_f64(out, r.data_fp);
-            out.push_str(",\"cap_watts\":");
-            push_f64(out, r.cap_watts.value());
-            out.push_str(",\"outcome\":\"");
-            json_escape_into(out, &r.outcome);
-            let _ = write!(out, "\",\"node\":{}}}}}", r.node);
-        }
-        Event::CacheEvent(c) => {
-            // A thread-scoped instant on the service track, named by the
-            // lookup outcome, so hit/miss streaks read off the timeline.
-            out.push_str("{\"ph\":\"i\",\"s\":\"t\",\"name\":\"cache:");
-            json_escape_into(out, &c.outcome);
-            let _ = write!(
-                out,
-                "\",\"cat\":\"service\",\"pid\":1,\"tid\":{},\"ts\":",
-                Scope::Service.tid()
-            );
-            push_f64(out, c.t * 1e6);
-            out.push_str(",\"args\":{\"spec_fp\":");
-            push_f64(out, c.spec_fp);
-            out.push_str(",\"data_fp\":");
-            push_f64(out, c.data_fp);
-            out.push_str(",\"cap_watts\":");
-            push_f64(out, c.cap_watts.value());
-            out.push_str(",\"backend\":\"");
-            json_escape_into(out, &c.backend);
-            let _ = write!(out, "\",\"shard\":{}}}}}", c.shard);
+        Event::Record(r) => {
+            let numeric = r.fields.iter().all(|(_, v)| matches!(v, Value::Num(_)));
+            out.push_str(if numeric {
+                "{\"ph\":\"C\","
+            } else {
+                "{\"ph\":\"i\",\"s\":\"t\","
+            });
+            push_text(out, "name", r.kind.name());
+            let _ = write!(out, "\"pid\":1,\"tid\":{},", r.kind.tid());
+            push_num(out, "ts", r.t * 1e6);
+            out.push_str("\"args\":{");
+            for (key, value) in &r.fields {
+                push_field(out, key, value);
+            }
         }
     }
+    close(out, "}},");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vizmesh::json;
+
+    /// A record exercising every [`Value`] variant.
+    fn mixed_fields() -> Vec<(&'static str, Value)> {
+        vec![
+            ("algorithm", "Contour".into()),
+            ("grid", 32u32.into()),
+            ("cap_watts", Watts(80.0).into()),
+            ("measured", f64::NAN.into()),
+            ("pass", true.into()),
+        ]
+    }
 
     #[test]
     fn disabled_journal_ignores_everything() {
-        let mut j = Journal::off();
-        assert!(!j.is_enabled());
-        j.push(Event::CapChange(CapChange {
-            t: 0.0,
-            requested_watts: Watts(70.0),
-            actual_watts: Watts(70.0),
-        }));
-        j.push_span(Scope::Study, "x", 0.0, None, Vec::new());
-        assert!(j.is_empty());
-        assert_eq!(j.dropped(), 0);
-        assert_eq!(j.to_jsonl(), "");
+        for mut j in [
+            Journal::off(),
+            Journal::with_capacity(0),
+            Journal::default(),
+        ] {
+            assert!(!j.is_enabled());
+            j.push_record(Kind::CapChange, 0.0, mixed_fields());
+            j.push_span(Scope::Study, "x", 0.0, None, Vec::new());
+            assert!(j.is_empty());
+            assert_eq!(j.dropped(), 0);
+            assert_eq!(j.to_jsonl(), "");
+            let trace = json::parse(&j.to_chrome_trace()).expect("valid JSON");
+            assert_eq!(trace["otherData"]["dropped"], 0);
+        }
     }
 
     #[test]
@@ -892,6 +682,29 @@ mod tests {
     }
 
     #[test]
+    fn ring_of_one_keeps_exactly_the_last_event() {
+        let n = 5u32;
+        let mut j = Journal::with_capacity(1);
+        for i in 0..n {
+            j.push_record(Kind::Primitive, 0.0, vec![("i", i.into())]);
+        }
+        assert_eq!(j.len(), 1);
+        assert_eq!(j.dropped(), u64::from(n - 1));
+        assert_eq!(
+            j.records(Kind::Primitive).next().and_then(|r| r.num("i")),
+            Some(4.0)
+        );
+        let jsonl = j.to_jsonl();
+        assert_eq!(
+            jsonl,
+            "{\"v\":10,\"seq\":4,\"ev\":\"primitive\",\"t\":0,\"i\":4}\n"
+        );
+        json::parse(jsonl.trim_end()).expect("valid JSON line");
+        let trace = json::parse(&j.to_chrome_trace()).expect("valid JSON");
+        assert_eq!(trace["otherData"]["dropped"], u64::from(n - 1));
+    }
+
+    #[test]
     fn span_derives_mean_power_from_joules() {
         let mut j = Journal::with_capacity(8);
         let t0 = j.now();
@@ -903,16 +716,15 @@ mod tests {
             Some(Joules(100.0)),
             vec![("phase_index", 0.0)],
         );
-        let events: Vec<&Event> = j.events().collect();
-        match events[0] {
-            Event::Span(s) => {
+        match j.events().next() {
+            Some(Event::Span(s)) => {
                 assert_eq!(s.t0, 0.0);
                 assert_eq!(s.t1, 2.0);
                 assert_eq!(s.joules, Some(Joules(100.0)));
                 assert_eq!(s.watts, Some(Watts(50.0)));
             }
             other => panic!("unexpected event {other:?}"),
-        }
+        };
     }
 
     #[test]
@@ -934,19 +746,8 @@ mod tests {
     #[test]
     fn jsonl_shape_is_exact() {
         let mut j = Journal::with_capacity(8);
-        j.push(Event::CapChange(CapChange {
-            t: 0.0,
-            requested_watts: Watts(250.0),
-            actual_watts: Watts(120.0),
-        }));
+        j.push_record(Kind::ConformanceCheck, 0.0, mixed_fields());
         j.advance(0.1);
-        j.push(Event::Counter(CounterSample {
-            t: j.now(),
-            power_watts: Watts(85.5),
-            effective_freq_ghz: 2.6,
-            ipc: 1.25,
-            llc_miss_rate: 0.05,
-        }));
         j.push_span(
             Scope::Workload,
             "contour_64",
@@ -958,164 +759,61 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(
             lines[0],
-            "{\"v\":9,\"seq\":0,\"ev\":\"cap_change\",\"t\":0,\
-             \"requested_watts\":250,\"actual_watts\":120}"
+            "{\"v\":10,\"seq\":0,\"ev\":\"conformance_check\",\"t\":0,\"algorithm\":\"Contour\",\
+             \"grid\":32,\"cap_watts\":80,\"measured\":null,\"pass\":true}"
         );
         assert_eq!(
             lines[1],
-            "{\"v\":9,\"seq\":1,\"ev\":\"counter\",\"t\":0.1,\"power_watts\":85.5,\
-             \"effective_freq_ghz\":2.6,\"ipc\":1.25,\"llc_miss_rate\":0.05}"
-        );
-        assert_eq!(
-            lines[2],
-            "{\"v\":9,\"seq\":2,\"ev\":\"span\",\"scope\":\"workload\",\"name\":\"contour_64\",\
+            "{\"v\":10,\"seq\":1,\"ev\":\"span\",\"scope\":\"workload\",\"name\":\"contour_64\",\
              \"t0\":0,\"t1\":0.1,\"joules\":8.55,\"watts\":85.5,\"args\":{\"phases\":2}}"
         );
-    }
-
-    #[test]
-    fn policy_decision_jsonl_shape_is_exact() {
-        let mut j = Journal::with_capacity(4);
-        j.advance(0.1);
-        j.push(Event::PolicyDecision(PolicyDecision {
-            t: j.now(),
-            budget_watts: Watts(160.0),
-            sim_cap_watts: Watts(110.0),
-            viz_cap_watts: Watts(50.0),
-            sim_power_watts: Watts(88.25),
-            viz_power_watts: Watts(46.5),
-            sim_ipc: 1.8,
-            viz_ipc: 0.4,
-            sim_llc_miss_rate: 0.05,
-            viz_llc_miss_rate: 0.9,
-        }));
-        let jsonl = j.to_jsonl();
-        assert_eq!(
-            jsonl.trim_end(),
-            "{\"v\":9,\"seq\":0,\"ev\":\"policy_decision\",\"t\":0.1,\"budget_watts\":160,\
-             \"sim_cap_watts\":110,\"viz_cap_watts\":50,\"sim_power_watts\":88.25,\
-             \"viz_power_watts\":46.5,\"sim_ipc\":1.8,\"viz_ipc\":0.4,\
-             \"sim_llc_miss_rate\":0.05,\"viz_llc_miss_rate\":0.9}"
-        );
-        let trace = j.to_chrome_trace();
-        assert!(
-            trace.contains("\"ph\":\"C\",\"name\":\"governor\""),
-            "{trace}"
-        );
-        assert!(trace.contains("\"thread_name\""), "{trace}");
-    }
-
-    #[test]
-    fn conformance_check_jsonl_shape_is_exact() {
-        let mut j = Journal::with_capacity(4);
-        j.push(Event::ConformanceCheck(ConformanceCheck {
-            t: 0.0,
-            algorithm: "Contour".into(),
-            check: "oracle:sphere-area".into(),
-            kind: "oracle".into(),
-            grid: 32,
-            measured: 1.1286,
-            expected: 1.13097,
-            tolerance: 0.0226,
-            pass: true,
-        }));
-        let jsonl = j.to_jsonl();
-        assert_eq!(
-            jsonl.trim_end(),
-            "{\"v\":9,\"seq\":0,\"ev\":\"conformance_check\",\"t\":0,\
-             \"algorithm\":\"Contour\",\"check\":\"oracle:sphere-area\",\
-             \"kind\":\"oracle\",\"grid\":32,\"measured\":1.1286,\
-             \"expected\":1.13097,\"tolerance\":0.0226,\"pass\":true}"
-        );
-        let trace = j.to_chrome_trace();
-        assert!(
-            trace.contains("\"ph\":\"i\",\"s\":\"t\",\"name\":\"oracle:sphere-area\""),
-            "{trace}"
-        );
-        assert!(trace.contains("\"pass\":true"), "{trace}");
-        assert!(trace.contains("\"name\":\"conformance\""), "{trace}");
-    }
-
-    #[test]
-    fn service_request_jsonl_shape_is_exact() {
-        let mut j = Journal::with_capacity(4);
-        j.advance(1.5);
-        j.push(Event::ServiceRequest(ServiceRequest {
-            t: j.now(),
-            algorithm: "Contour".into(),
-            backend: "traditional".into(),
-            spec_fp: 123456789.0,
-            data_fp: 987654321.0,
-            cap_watts: Watts(80.0),
-            outcome: "miss".into(),
-            node: 2,
-            latency_seconds: 0.5,
-        }));
-        let jsonl = j.to_jsonl();
-        assert_eq!(
-            jsonl.trim_end(),
-            "{\"v\":9,\"seq\":0,\"ev\":\"service_request\",\"t\":1.5,\
-             \"algorithm\":\"Contour\",\"backend\":\"traditional\",\
-             \"spec_fp\":123456789,\"data_fp\":987654321,\"cap_watts\":80,\
-             \"outcome\":\"miss\",\"node\":2,\"latency_seconds\":0.5}"
-        );
-        let trace = j.to_chrome_trace();
-        assert!(
-            trace.contains("\"ph\":\"X\",\"name\":\"Contour\",\"cat\":\"service\""),
-            "{trace}"
-        );
-        assert!(trace.contains("\"dur\":500000"), "{trace}");
-        assert!(trace.contains("\"name\":\"service\""), "{trace}");
-    }
-
-    #[test]
-    fn cache_event_jsonl_shape_is_exact() {
-        let mut j = Journal::with_capacity(4);
-        j.push(Event::CacheEvent(CacheEvent {
-            t: 0.0,
-            spec_fp: 42.0,
-            data_fp: 7.0,
-            cap_watts: Watts(120.0),
-            backend: "dpp".into(),
-            outcome: "coalesced".into(),
-            shard: 5,
-        }));
-        let jsonl = j.to_jsonl();
-        assert_eq!(
-            jsonl.trim_end(),
-            "{\"v\":9,\"seq\":0,\"ev\":\"cache_event\",\"t\":0,\"spec_fp\":42,\
-             \"data_fp\":7,\"cap_watts\":120,\"backend\":\"dpp\",\
-             \"outcome\":\"coalesced\",\"shard\":5}"
-        );
-        let trace = j.to_chrome_trace();
-        assert!(
-            trace.contains("\"ph\":\"i\",\"s\":\"t\",\"name\":\"cache:coalesced\""),
-            "{trace}"
-        );
-        assert!(trace.contains("\"shard\":5"), "{trace}");
+        let record = j
+            .records(Kind::ConformanceCheck)
+            .next()
+            .expect("one record");
+        assert_eq!(record.str("algorithm"), Some("Contour"));
+        assert_eq!(record.num("grid"), Some(32.0));
+        assert_eq!(record.get("pass"), Some(&Value::Bool(true)));
+        assert_eq!(record.num("algorithm"), None);
+        assert_eq!(record.str("absent"), None);
+        assert_eq!(j.records(Kind::Conformance).count(), 0);
     }
 
     #[test]
     fn json_strings_are_escaped() {
         let mut j = Journal::with_capacity(4);
         j.push_span(Scope::Study, "a\"b\\c\nd", j.now(), None, Vec::new());
+        j.push_record(Kind::CacheEvent, 0.0, vec![("outcome", "x\ty\u{1}".into())]);
         let jsonl = j.to_jsonl();
         assert!(jsonl.contains("\"name\":\"a\\\"b\\\\c\\nd\""), "{jsonl}");
+        assert!(jsonl.contains("\"outcome\":\"x\\ty\\u0001\""), "{jsonl}");
+        for line in jsonl.lines() {
+            json::parse(line).expect("valid JSON line");
+        }
+        json::parse(&j.to_chrome_trace()).expect("valid JSON");
     }
 
     #[test]
     fn non_finite_floats_serialize_as_null() {
         let mut j = Journal::with_capacity(4);
-        j.push(Event::Counter(CounterSample {
-            t: 0.0,
-            power_watts: Watts(f64::NAN),
-            effective_freq_ghz: f64::INFINITY,
-            ipc: 0.0,
-            llc_miss_rate: 0.0,
-        }));
+        let fields = vec![
+            ("power_watts", Watts(f64::NAN).into()),
+            ("ipc", f64::INFINITY.into()),
+        ];
+        j.push_record(Kind::Counter, 0.0, fields);
+        j.push_span(
+            Scope::Kernel,
+            "k",
+            0.0,
+            None,
+            vec![("dt", f64::NEG_INFINITY)],
+        );
         let jsonl = j.to_jsonl();
-        assert!(jsonl.contains("\"power_watts\":null"), "{jsonl}");
-        assert!(jsonl.contains("\"effective_freq_ghz\":null"), "{jsonl}");
+        assert!(
+            jsonl.contains("\"power_watts\":null,\"ipc\":null"),
+            "{jsonl}"
+        );
+        assert!(jsonl.contains("\"args\":{\"dt\":null}"), "{jsonl}");
     }
 
     #[test]
@@ -1123,16 +821,63 @@ mod tests {
         let mut j = Journal::with_capacity(8);
         j.advance(0.5);
         j.push_span(Scope::Timestep, "step:1", 0.0, None, vec![("dt", 0.5)]);
+        j.push_record(Kind::Counter, 0.5, vec![("ipc", 1.25.into())]);
+        j.push_record(Kind::ServiceRequest, 0.5, mixed_fields());
         let trace = j.to_chrome_trace();
         assert!(trace.starts_with("{\"displayTimeUnit\":\"ms\""), "{trace}");
-        assert!(trace.contains("\"schema_version\":9"), "{trace}");
-        assert!(trace.contains("\"thread_name\""), "{trace}");
+        assert!(trace.contains("\"schema_version\":10"), "{trace}");
         assert!(
             trace.contains("\"ph\":\"X\",\"name\":\"step:1\""),
             "{trace}"
         );
         assert!(trace.contains("\"dur\":500000"), "{trace}");
+        // All-numeric records are counter samples; any other record is an
+        // instant on its kind's track.
+        assert!(
+            trace.contains("{\"ph\":\"C\",\"name\":\"counter\",\"pid\":1,\"tid\":0,"),
+            "{trace}"
+        );
+        assert!(
+            trace.contains(
+                "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"service_request\",\"pid\":1,\"tid\":11,\
+                 \"ts\":500000,\"args\":{\"algorithm\":\"Contour\",\"grid\":32,"
+            ),
+            "{trace}"
+        );
         assert!(trace.ends_with("]}\n"), "{trace}");
+        // Every track is named exactly once, shared ones after their scope.
+        let parsed = json::parse(&trace).expect("valid JSON");
+        let names: Vec<(f64, &str)> = (parsed["traceEvents"]
+            .as_array()
+            .expect("event array")
+            .iter())
+        .filter(|e| e["ph"] == "M")
+        .map(|e| {
+            (
+                e["tid"].as_f64().unwrap(),
+                e["args"]["name"].as_str().unwrap(),
+            )
+        })
+        .collect();
+        assert_eq!(names.len(), 11, "{names:?}");
+        assert!(names.contains(&(11.0, "service")), "{names:?}");
+        assert!(names.contains(&(8.0, "conformance")), "{names:?}");
+        assert!(
+            names.iter().all(|(tid, _)| *tid != 9.0),
+            "tid 9 stays retired: {names:?}"
+        );
+    }
+
+    #[test]
+    fn tables_follow_declaration_order() {
+        for (i, row) in SCOPES.iter().enumerate() {
+            assert_eq!(row.0 as usize, i, "{row:?}");
+            assert_eq!((row.0.name(), row.0.tid()), (row.1, row.2));
+        }
+        for (i, row) in KINDS.iter().enumerate() {
+            assert_eq!(row.0 as usize, i, "{row:?}");
+            assert_eq!((row.0.name(), row.0.tid()), (row.1, row.2));
+        }
     }
 
     #[test]

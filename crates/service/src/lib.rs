@@ -25,8 +25,8 @@
 //!
 //! The architecture and the cache-key derivation (including why keys
 //! carry the *admitted* cap, not the requested one) are documented in
-//! `docs/SERVICE.md`; journal events are in `docs/OBSERVABILITY.md`
-//! (schema v8).
+//! `docs/SERVICE.md`; its journal records are in
+//! `docs/OBSERVABILITY.md`.
 
 pub mod admission;
 pub mod cache;

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
-use powersim::{CacheEvent, CpuSpec, Event, Journal, Scope, ServiceRequest, Watts};
+use powersim::{CpuSpec, Journal, Kind, Scope, Watts};
 use vizalgo::Algorithm;
 use vizpower::study::sweep;
 use vizpower::{CapSweep, DatasetStore, StudyConfig};
@@ -477,15 +477,7 @@ impl StudyService {
             // 5. Journal + respond. Cache events carry the dispatch
             //    time; service requests carry modeled completions.
             for (key, outcome, _) in &classes {
-                journal.push(Event::CacheEvent(CacheEvent {
-                    t: batch_start,
-                    spec_fp: key.spec_fp as f64,
-                    data_fp: key.data_fp as f64,
-                    cap_watts: key.cap(),
-                    backend: key.backend.name().to_string(),
-                    outcome: outcome.name().to_string(),
-                    shard: key.shard(self.cfg.shards) as u32,
-                }));
+                self.journal_cache_event(journal, batch_start, key, outcome.name());
             }
             journal.advance(batch_end - batch_start);
             let mut batch_hits = 0usize;
@@ -514,17 +506,22 @@ impl StudyService {
                     (outcome, None) => unreachable!("{outcome:?} classified without a job"),
                 };
                 let latency = completed_at - batch_start;
-                journal.push(Event::ServiceRequest(ServiceRequest {
-                    t: completed_at,
-                    algorithm: result.algorithm.name().to_string(),
-                    backend: key.backend.name().to_string(),
-                    spec_fp: key.spec_fp as f64,
-                    data_fp: key.data_fp as f64,
-                    cap_watts: key.cap(),
-                    outcome: outcome.name().to_string(),
-                    node,
-                    latency_seconds: latency,
-                }));
+                if journal.is_enabled() {
+                    journal.push_record(
+                        Kind::ServiceRequest,
+                        completed_at,
+                        vec![
+                            ("algorithm", result.algorithm.name().into()),
+                            ("backend", key.backend.name().into()),
+                            ("spec_fp", (key.spec_fp as f64).into()),
+                            ("data_fp", (key.data_fp as f64).into()),
+                            ("cap_watts", key.cap().into()),
+                            ("outcome", outcome.name().into()),
+                            ("node", node.into()),
+                            ("latency_seconds", latency.into()),
+                        ],
+                    );
+                }
                 report.latencies[base + i] = latency;
                 responses[base + i] = Some(Response {
                     request_index: base + i,
@@ -565,15 +562,7 @@ impl StudyService {
                     let key = self.resident_order.remove(0);
                     if self.cache.remove(&key) {
                         report.evictions += 1;
-                        journal.push(Event::CacheEvent(CacheEvent {
-                            t: journal.now(),
-                            spec_fp: key.spec_fp as f64,
-                            data_fp: key.data_fp as f64,
-                            cap_watts: key.cap(),
-                            backend: key.backend.name().to_string(),
-                            outcome: "evict".to_string(),
-                            shard: key.shard(self.cfg.shards) as u32,
-                        }));
+                        self.journal_cache_event(journal, journal.now(), &key, "evict");
                     }
                 }
             }
@@ -599,6 +588,26 @@ impl StudyService {
             .map(|r| r.expect("every request answered"))
             .collect();
         Ok(ServeOutcome { responses, report })
+    }
+
+    /// Journal one `cache_event`: a lookup `outcome` at dispatch, or an
+    /// `evict` (no-op when the journal is off).
+    fn journal_cache_event(&self, journal: &mut Journal, t: f64, key: &CacheKey, outcome: &str) {
+        if !journal.is_enabled() {
+            return;
+        }
+        journal.push_record(
+            Kind::CacheEvent,
+            t,
+            vec![
+                ("spec_fp", (key.spec_fp as f64).into()),
+                ("data_fp", (key.data_fp as f64).into()),
+                ("cap_watts", key.cap().into()),
+                ("backend", key.backend.name().into()),
+                ("outcome", outcome.into()),
+                ("shard", (key.shard(self.cfg.shards) as u32).into()),
+            ],
+        );
     }
 
     /// Run every unique job of a batch through the single-flight cache
@@ -752,6 +761,51 @@ mod tests {
         assert!(journal1.contains("\"ev\":\"service_request\""));
         assert!(journal1.contains("batch:0"));
         assert!(journal1.contains("serve:5"));
+    }
+
+    /// Serve one 80 W Slice request on a fresh service and return its
+    /// response with the journal lines.
+    fn serve_one() -> (Response, Vec<String>) {
+        let mut svc = StudyService::new(tiny_cfg()).expect("valid config");
+        let mut journal = Journal::with_capacity(16);
+        let out = (svc.serve(&[req(Algorithm::Slice, 80.0)], &mut journal)).expect("serves");
+        let lines = journal.to_jsonl().lines().map(str::to_string).collect();
+        (
+            out.responses.into_iter().next().expect("one response"),
+            lines,
+        )
+    }
+
+    #[test]
+    fn cache_event_jsonl_shape_is_exact() {
+        let (r, lines) = serve_one();
+        assert_eq!(
+            lines[0],
+            format!(
+                "{{\"v\":10,\"seq\":0,\"ev\":\"cache_event\",\"t\":0,\"spec_fp\":{},\
+                 \"data_fp\":{},\"cap_watts\":80,\"backend\":\"traditional\",\
+                 \"outcome\":\"miss\",\"shard\":{}}}",
+                r.key.spec_fp,
+                r.key.data_fp,
+                r.key.shard(4)
+            )
+        );
+    }
+
+    #[test]
+    fn service_request_jsonl_shape_is_exact() {
+        let (r, lines) = serve_one();
+        assert!(r.latency_seconds > 0.0, "a miss takes modeled time");
+        assert_eq!(
+            lines[1],
+            format!(
+                "{{\"v\":10,\"seq\":1,\"ev\":\"service_request\",\"t\":{},\
+                 \"algorithm\":\"Slice\",\"backend\":\"traditional\",\
+                 \"spec_fp\":{},\"data_fp\":{},\"cap_watts\":80,\
+                 \"outcome\":\"miss\",\"node\":{},\"latency_seconds\":{}}}",
+                r.completed_at, r.key.spec_fp, r.key.data_fp, r.node, r.latency_seconds
+            )
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! arXiv:2010.02361): seven deterministic building blocks every DPP
 //! kernel formulation is composed from, each instrumented with
 //! element/byte counters so a formulation's *shape* — how much data each
-//! primitive touches — is observable in the run journal as schema-v6
-//! `Primitive` spans (see docs/OBSERVABILITY.md and docs/DPP.md).
+//! primitive touches — is observable in the run journal as `primitive`
+//! records (see docs/OBSERVABILITY.md and docs/DPP.md).
 //!
 //! The implementations are intentionally **sequential reference
 //! executions**: the point of the backend is to change the *formulation*
@@ -99,7 +99,7 @@ pub struct PrimitiveCounters {
 
 /// One op's counters, labelled — the per-execution record a DPP filter
 /// returns in [`FilterOutput::primitives`](crate::FilterOutput) and the
-/// payload of a journal `Primitive` span.
+/// payload of a journal `primitive` record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrimitiveReport {
     pub op: PrimitiveOp,

@@ -71,7 +71,7 @@ pub struct FilterOutput {
     pub kernels: Vec<KernelReport>,
     /// Per-primitive traffic reports, for filters executed through the
     /// DPP backend (empty for traditional executions); journaled as
-    /// schema-v6 `Primitive` spans by the bench/conformance drivers.
+    /// `primitive` records by the conformance driver.
     pub primitives: Vec<crate::dpp::PrimitiveReport>,
 }
 

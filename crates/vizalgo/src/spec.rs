@@ -336,7 +336,7 @@ impl AlgorithmSpec {
     /// Deterministic spec fingerprint: 48-bit FNV-1a over
     /// [`canonical`](AlgorithmSpec::canonical). 48 bits keep the value
     /// exactly representable as an `f64`, which is how it rides in
-    /// journal span args (`spec_fp`, schema v4 — docs/OBSERVABILITY.md).
+    /// the journal (`spec_fp` — docs/OBSERVABILITY.md).
     pub fn fingerprint(&self) -> u64 {
         crate::fingerprint::fingerprint48(self.canonical().as_bytes())
     }

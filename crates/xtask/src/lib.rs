@@ -9,6 +9,7 @@
 
 pub mod allow;
 pub mod analyze;
+pub mod count;
 pub mod diag;
 pub mod lex;
 pub mod lints;

@@ -4,7 +4,8 @@
 //! cargo xtask lint [--strict] [--root DIR]   # repo-specific static analysis
 //! cargo xtask analyze [--json] [--ratchet] [--write-baseline] [--root DIR]
 //!                                            # hot-path analyzer + findings ratchet
-//! cargo xtask ci   [--root DIR]              # full local CI: fmt, clippy, lint, analyze, build, test, doc, benchmark selftest
+//! cargo xtask count [--root DIR]             # non-test lines and `pub` items, per package and total
+//! cargo xtask ci   [--root DIR]              # full local CI: fmt, clippy, lint, analyze, count, build, test, doc, benchmark selftest
 //! ```
 //!
 //! Exit codes: 0 clean, 1 policy violations / ratchet regression, 2 usage
@@ -14,7 +15,7 @@ use std::env;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
-use xtask::{analyze, lint_workspace, Options};
+use xtask::{analyze, count, lint_workspace, Options};
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -38,7 +39,9 @@ fn main() -> ExitCode {
                     None => return ExitCode::from(usage("--root requires a directory argument")),
                 }
             }
-            "lint" | "analyze" | "ci" | "help" if cmd.is_none() => cmd = Some(args[i].clone()),
+            "lint" | "analyze" | "count" | "ci" | "help" if cmd.is_none() => {
+                cmd = Some(args[i].clone())
+            }
             other => return ExitCode::from(usage(&format!("unrecognized argument `{other}`"))),
         }
         i += 1;
@@ -55,6 +58,7 @@ fn main() -> ExitCode {
     let code = match cmd.as_deref() {
         Some("lint") => run_lint(&root, strict),
         Some("analyze") => run_analyze(&root, json, do_ratchet, write_baseline),
+        Some("count") => run_count(&root),
         Some("ci") => run_ci(&root, strict),
         _ => usage(""),
     };
@@ -66,7 +70,7 @@ fn usage(error: &str) -> u8 {
         eprintln!("xtask: {error}");
     }
     eprintln!(
-        "usage: cargo xtask <lint [--strict] | analyze [--json] [--ratchet] [--write-baseline] | ci> [--root DIR]"
+        "usage: cargo xtask <lint [--strict] | analyze [--json] [--ratchet] [--write-baseline] | count | ci> [--root DIR]"
     );
     2
 }
@@ -180,6 +184,21 @@ fn run_lint(root: &Path, strict: bool) -> u8 {
     }
 }
 
+/// `xtask count`: print the workspace size table (informational; exits
+/// nonzero only when the tree cannot be read).
+fn run_count(root: &Path) -> u8 {
+    match count::count_workspace(root) {
+        Ok(counts) => {
+            print!("{}", count::render(&counts));
+            0
+        }
+        Err(e) => {
+            eprintln!("xtask count: i/o error walking {}: {e}", root.display());
+            2
+        }
+    }
+}
+
 /// The local CI umbrella, mirroring .github/workflows/ci.yml.
 fn run_ci(root: &Path, strict: bool) -> u8 {
     let steps: &[(&str, &[&str], &[(&str, &str)])] = &[
@@ -210,6 +229,11 @@ fn run_ci(root: &Path, strict: bool) -> u8 {
     let ratchet = run_analyze(root, false, true, false);
     if ratchet != 0 {
         return ratchet;
+    }
+    eprintln!("xtask ci: running cargo xtask count (informational)");
+    let counted = run_count(root);
+    if counted != 0 {
+        return counted;
     }
     let tier1: &[(&str, &[&str], &[(&str, &str)])] = &[
         ("cargo build --release", &["build", "--release"], &[]),

@@ -72,7 +72,7 @@ pub const SCHEMA_TABLE_END: &str = "<!-- xtask:schema-table:end -->";
 
 /// The public enums in [`TRACE_SOURCE`] whose variants form the journal's
 /// wire schema: every variant needs a schema-table row.
-pub const SCHEMA_ENUMS: &[&str] = &["Event", "Scope"];
+pub const SCHEMA_ENUMS: &[&str] = &["Kind", "Scope"];
 
 /// The crate hosting the algorithm registry. Filter constructors may be
 /// called freely inside it: the filters' own modules and the one

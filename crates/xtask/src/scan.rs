@@ -239,6 +239,18 @@ fn mark_test_regions(lines: &mut [Line]) {
 /// lints look at: `src/**/*.rs` of the root package and of each crate under
 /// `crates/`, excluding the analyzer itself.
 pub fn workspace_sources(root: &Path) -> io::Result<Vec<String>> {
+    sources_of(root, |name| name != "xtask")
+}
+
+/// [`workspace_sources`] plus the analyzer's own sources: everything
+/// `cargo xtask count` measures.
+pub fn all_sources(root: &Path) -> io::Result<Vec<String>> {
+    sources_of(root, |_| true)
+}
+
+/// `src/**/*.rs` of the root package and of each `crates/{name}` that
+/// `keep(name)` admits, as sorted workspace-relative paths.
+fn sources_of(root: &Path, keep: impl Fn(&str) -> bool) -> io::Result<Vec<String>> {
     let mut found = Vec::new();
     let mut roots: Vec<PathBuf> = vec![root.join("src")];
     let crates_dir = root.join("crates");
@@ -249,7 +261,8 @@ pub fn workspace_sources(root: &Path) -> io::Result<Vec<String>> {
             .collect();
         entries.sort();
         for entry in entries {
-            if entry.is_dir() && entry.file_name().is_some_and(|n| n != "xtask") {
+            let admitted = (entry.file_name()).is_some_and(|n| keep(&n.to_string_lossy()));
+            if entry.is_dir() && admitted {
                 roots.push(entry.join("src"));
             }
         }

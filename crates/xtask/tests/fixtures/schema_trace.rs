@@ -1,14 +1,12 @@
 //! Mini journal event definitions for the schema-docs golden tests.
 
-/// A journal event.
+/// What a journal record reports.
 #[derive(Debug, Clone)]
-pub enum Event {
-    /// A closed span.
-    Span(Span),
+pub enum Kind {
     /// A 100 ms counter sample.
-    Counter(CounterSample),
+    Counter,
     /// A RAPL cap transition.
-    CapChange(CapChange),
+    CapChange,
 }
 
 /// What layer a span describes.

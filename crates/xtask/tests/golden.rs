@@ -231,9 +231,8 @@ const SCHEMA_DOC_GOOD: &str = "\
 <!-- xtask:schema-table:begin -->\n\
 | Variant | Kind |\n\
 | --- | --- |\n\
-| `Span` | event |\n\
-| `Counter` | event |\n\
-| `CapChange` | event |\n\
+| `Counter` | kind |\n\
+| `CapChange` | kind |\n\
 | `Study` | scope |\n\
 | `Kernel` | scope |\n\
 <!-- xtask:schema-table:end -->\n";
@@ -244,8 +243,7 @@ const SCHEMA_DOC_BAD: &str = "\
 <!-- xtask:schema-table:begin -->\n\
 | Variant | Kind |\n\
 | --- | --- |\n\
-| `Span` | event |\n\
-| `Counter` | event |\n\
+| `Counter` | kind |\n\
 | `Study` | scope |\n\
 | `Timestep` | scope |\n\
 | `Kernel` | scope |\n\
@@ -268,12 +266,12 @@ fn schema_docs_flags_undocumented_variant_and_stale_row() {
     assert_eq!(
         rendered_schema(SCHEMA_DOC_BAD),
         vec![
-            "crates/powersim/src/trace.rs:11: [schema-docs] public event variant \
-             `Event::CapChange` is not documented in the docs/OBSERVABILITY.md schema table; \
+            "crates/powersim/src/trace.rs:9: [schema-docs] public event variant \
+             `Kind::CapChange` is not documented in the docs/OBSERVABILITY.md schema table; \
              add a row between the markers"
                 .to_string(),
-            "docs/OBSERVABILITY.md:9: [schema-docs] stale schema row `Timestep` matches no \
-             public variant of Event/Scope in crates/powersim/src/trace.rs; remove it"
+            "docs/OBSERVABILITY.md:8: [schema-docs] stale schema row `Timestep` matches no \
+             public variant of Kind/Scope in crates/powersim/src/trace.rs; remove it"
                 .to_string(),
         ]
     );
@@ -282,7 +280,7 @@ fn schema_docs_flags_undocumented_variant_and_stale_row() {
 #[test]
 fn schema_docs_requires_table_markers() {
     assert_eq!(
-        rendered_schema("# Observability\n\n| `Span` | event |\n"),
+        rendered_schema("# Observability\n\n| `Counter` | kind |\n"),
         vec![
             "docs/OBSERVABILITY.md:1: [schema-docs] missing `<!-- xtask:schema-table:begin -->`\
              /`<!-- xtask:schema-table:end -->` markers around the event schema table"

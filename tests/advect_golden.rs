@@ -6,7 +6,7 @@
 
 use std::collections::BTreeSet;
 
-use vizpower_suite::powersim::trace::{Event, Journal, Scope};
+use vizpower_suite::powersim::trace::{Journal, Kind};
 use vizpower_suite::vizmesh::{json, par};
 use vizpower_suite::vizpower::advect::{self, AdvectConfig, AdvectReport};
 
@@ -37,34 +37,21 @@ fn every_line_is_v8_and_scenario_spans_are_zero_width() {
     });
     for line in journal.to_jsonl().lines() {
         let v = json::parse(line).expect("valid JSON line");
-        assert_eq!(v["v"], 9, "schema version on every line: {line}");
+        assert_eq!(v["v"], 10, "schema version on every line: {line}");
     }
-    let scenario_spans: Vec<_> = journal
-        .events()
-        .filter_map(|e| match e {
-            Event::Span(s) if s.scope == Scope::FlowScenario => Some(s),
-            _ => None,
-        })
-        .collect();
+    let scenarios: Vec<_> = journal.records(Kind::FlowScenario).collect();
     assert_eq!(
-        scenario_spans.len(),
+        scenarios.len(),
         report.rows.len(),
-        "one flow_scenario span per sweep row"
+        "one flow_scenario record per sweep row"
     );
-    for (span, row) in scenario_spans.iter().zip(&report.rows) {
-        assert_eq!(span.name, format!("scenario:{}", row.scenario.label()));
-        assert_eq!(span.t0, span.t1, "scenario spans are zero-width markers");
-        let arg = |key: &str| {
-            span.args
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| *v)
-                .expect("scenario span arg present")
-        };
-        assert_eq!(arg("spec_fp"), row.spec_fp as f64);
-        assert_eq!(arg("data_fp"), row.data_fp as f64);
-        assert_eq!(arg("lines"), row.lines as f64);
-        assert_eq!(arg("points"), row.points as f64);
+    for (record, row) in scenarios.iter().zip(&report.rows) {
+        let name = format!("scenario:{}", row.scenario.label());
+        assert_eq!(record.str("name"), Some(name.as_str()));
+        assert_eq!(record.num("spec_fp"), Some(row.spec_fp as f64));
+        assert_eq!(record.num("data_fp"), Some(row.data_fp as f64));
+        assert_eq!(record.num("lines"), Some(row.lines as f64));
+        assert_eq!(record.num("points"), Some(row.points as f64));
     }
 }
 

@@ -4,7 +4,7 @@
 //! events must be valid schema-v3 lines that mirror the report.
 
 use vizpower_suite::conformance::{self, CheckKind, ConformanceConfig};
-use vizpower_suite::powersim::trace::{Event, Journal};
+use vizpower_suite::powersim::trace::{Journal, Kind, Value};
 use vizpower_suite::vizalgo::Algorithm;
 use vizpower_suite::vizmesh::json;
 
@@ -162,37 +162,30 @@ fn journaled_checks_mirror_the_report() {
     let report = conformance::run_journaled(&ConformanceConfig::quick(), &mut journal);
     assert_eq!(journal.dropped(), 0);
 
-    let events: Vec<_> = journal
-        .events()
-        .filter_map(|e| match e {
-            Event::ConformanceCheck(c) => Some(c.clone()),
-            _ => None,
-        })
-        .collect();
+    let events: Vec<_> = journal.records(Kind::ConformanceCheck).collect();
     assert_eq!(events.len(), report.checks.len());
     for (ev, c) in events.iter().zip(&report.checks) {
-        assert_eq!(ev.algorithm, c.algorithm.name());
-        assert_eq!(ev.check, c.check);
-        assert_eq!(ev.kind, c.kind.as_str());
-        assert_eq!(ev.grid, c.grid);
-        assert!(ev.pass, "journaled failure for {}", ev.check);
+        assert_eq!(ev.str("algorithm"), Some(c.algorithm.name()));
+        assert_eq!(ev.str("check"), Some(c.check.as_str()));
+        assert_eq!(ev.str("kind"), Some(c.kind.as_str()));
+        assert_eq!(ev.num("grid"), Some(f64::from(c.grid)));
+        assert_eq!(
+            ev.get("pass"),
+            Some(&Value::Bool(true)),
+            "journaled failure for {}",
+            c.check
+        );
     }
 
-    // One span per group, named conformance:<algorithm>:<grid>.
-    let spans = journal
-        .events()
-        .filter(|e| {
-            matches!(e, Event::Span(s) if s.scope == vizpower_suite::powersim::trace::Scope::Conformance)
-        })
-        .count();
+    // One record per group, named conformance:<algorithm>:<grid>.
     assert_eq!(
-        spans,
+        journal.records(Kind::Conformance).count(),
         2 * 8 + 4 + 2,
-        "one span per algorithm-grid, metamorphic, and flow group"
+        "one record per algorithm-grid, metamorphic, and flow group"
     );
 
     for line in journal.to_jsonl().lines().take(4) {
         let v = json::parse(line).expect("valid JSON");
-        assert_eq!(v["v"], 9);
+        assert_eq!(v["v"], 10);
     }
 }

@@ -6,7 +6,7 @@
 //! where the uniform split leaves the simulation power-starved).
 
 use vizpower_suite::governor::{self, BudgetSweep};
-use vizpower_suite::powersim::trace::{Event, Journal, Scope};
+use vizpower_suite::powersim::trace::{Event, Journal, Kind, Scope};
 use vizpower_suite::powersim::{CpuSpec, Watts};
 use vizpower_suite::vizmesh::par;
 
@@ -99,41 +99,38 @@ fn every_journaled_decision_respects_budget_and_cap_range() {
     let hi = spec.tdp_watts;
 
     let mut decisions = 0u64;
-    let mut governor_spans = 0u64;
-    for e in journal.events() {
-        match e {
-            Event::PolicyDecision(d) => {
-                decisions += 1;
-                // Observed node power never exceeds the decision's budget.
+    for d in journal.records(Kind::PolicyDecision) {
+        let watts = |key| Watts(d.num(key).expect("decision field"));
+        let budget = watts("budget_watts");
+        decisions += 1;
+        // Observed node power never exceeds the decision's budget.
+        assert!(
+            watts("sim_power_watts") + watts("viz_power_watts") <= budget + Watts(0.5),
+            "window power {} + {} over budget {budget}",
+            watts("sim_power_watts"),
+            watts("viz_power_watts")
+        );
+        // Caps are 0 W (retired side) or inside the hardware
+        // range, and active caps fit the budget.
+        let mut active_total = Watts::ZERO;
+        for cap in [watts("sim_cap_watts"), watts("viz_cap_watts")] {
+            if cap > Watts(1e-9) {
                 assert!(
-                    d.sim_power_watts + d.viz_power_watts <= d.budget_watts + Watts(0.5),
-                    "window power {} + {} over budget {}",
-                    d.sim_power_watts,
-                    d.viz_power_watts,
-                    d.budget_watts
+                    cap >= lo - Watts(1e-9) && cap <= hi + Watts(1e-9),
+                    "cap {cap} outside [{lo}, {hi}]"
                 );
-                // Caps are 0 W (retired side) or inside the hardware
-                // range, and active caps fit the budget.
-                let mut active_total = Watts::ZERO;
-                for cap in [d.sim_cap_watts, d.viz_cap_watts] {
-                    if cap > Watts(1e-9) {
-                        assert!(
-                            cap >= lo - Watts(1e-9) && cap <= hi + Watts(1e-9),
-                            "cap {cap} outside [{lo}, {hi}]"
-                        );
-                        active_total += cap;
-                    }
-                }
-                assert!(
-                    active_total <= d.budget_watts + Watts(1e-9),
-                    "caps {active_total} exceed budget {}",
-                    d.budget_watts
-                );
+                active_total += cap;
             }
-            Event::Span(s) if s.scope == Scope::Governor => governor_spans += 1,
-            _ => {}
         }
+        assert!(
+            active_total <= budget + Watts(1e-9),
+            "caps {active_total} exceed budget {budget}"
+        );
     }
+    let governor_spans = journal
+        .events()
+        .filter(|e| matches!(e, Event::Span(s) if s.scope == Scope::Governor))
+        .count();
     assert!(decisions > 100, "sweep produced only {decisions} decisions");
     assert_eq!(governor_spans, 36, "one governor span per (budget, policy)");
 }
@@ -151,15 +148,9 @@ fn uniform_policy_first_decision_is_the_even_split() {
             &spec,
             &mut journal,
         );
-        let first = journal
-            .events()
-            .find_map(|e| match e {
-                Event::PolicyDecision(d) => Some(*d),
-                _ => None,
-            })
-            .expect("at least one decision");
+        let first = (journal.records(Kind::PolicyDecision).next()).expect("at least one decision");
         let per = (budget / 2.0).clamp(spec.min_cap_watts, spec.tdp_watts);
-        assert_eq!(first.sim_cap_watts, per);
-        assert_eq!(first.viz_cap_watts, per);
+        assert_eq!(first.num("sim_cap_watts"), Some(per.value()));
+        assert_eq!(first.num("viz_cap_watts"), Some(per.value()));
     }
 }

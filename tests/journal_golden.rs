@@ -55,7 +55,7 @@ fn every_jsonl_line_is_valid_versioned_json() {
     let mut lines = 0;
     for line in jsonl.lines() {
         let v = json::parse(line).expect("valid JSON line");
-        assert_eq!(v["v"], 9, "schema version on every line: {line}");
+        assert_eq!(v["v"], 10, "schema version on every line: {line}");
         assert_eq!(v["seq"], lines, "dense sequence numbers: {line}");
         assert!(
             v["ev"].as_str().is_some(),

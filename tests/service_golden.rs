@@ -114,7 +114,7 @@ fn journal_carries_the_v8_service_schema() {
     let mut spans = 0usize;
     for line in &lines {
         let v = json::parse(line).expect("valid JSONL");
-        assert_eq!(v["v"], 9, "schema version on every line: {line}");
+        assert_eq!(v["v"], 10, "schema version on every line: {line}");
         match v["ev"].as_str().expect("ev field") {
             "cache_event" => {
                 cache_events += 1;
@@ -155,6 +155,7 @@ fn journal_carries_the_v8_service_schema() {
     // Chrome export keeps the service track addressable.
     let chrome = journal.to_chrome_trace();
     assert!(chrome.contains("\"name\":\"service\""));
-    assert!(chrome.contains("cache:miss"));
-    assert!(chrome.contains("cache:hit"));
+    assert!(chrome.contains("\"name\":\"cache_event\",\"pid\":1,\"tid\":11,"));
+    assert!(chrome.contains("\"outcome\":\"miss\""));
+    assert!(chrome.contains("\"outcome\":\"hit\""));
 }
