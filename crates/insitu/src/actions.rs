@@ -176,7 +176,7 @@ mod tests {
         let pipeline = |filter: &str| {
             format!(r#"[{{"action": "add_pipeline", "name": "p", "filters": [{filter}]}}]"#)
         };
-        let cases: [(String, JsonError); 8] = [
+        let cases: [(String, JsonError); 14] = [
             (
                 pipeline(r#"{"type": "smooth", "field": "energy"}"#),
                 JsonError::unknown_tag("algorithm type", "smooth"),
@@ -225,6 +225,42 @@ mod tests {
                     field: "",
                     expected: "an array of actions",
                 },
+            ),
+            // Well-formed values a filter constructor would assert on.
+            (
+                pipeline(r#"{"type": "contour", "field": "e", "isovalues": {"explicit": []}}"#),
+                JsonError::wrong("explicit", "at least one isovalue"),
+            ),
+            (
+                pipeline(
+                    r#"{"type": "threshold", "field": "e", "band": {"range": {"min": 2, "max": 1}}}"#,
+                ),
+                JsonError::wrong("range", "finite bounds with min <= max"),
+            ),
+            (
+                pipeline(
+                    r#"{"type": "isovolume", "field": "e", "band": {"range": {"min": 2, "max": 1}}}"#,
+                ),
+                JsonError::wrong("range", "finite bounds with min <= max"),
+            ),
+            (
+                pipeline(
+                    r#"{"type": "spherical_clip", "field": "e", "sphere":
+                        {"explicit": {"center": {"x": 0, "y": 0, "z": 0}, "radius": 0}}}"#,
+                ),
+                JsonError::wrong("radius", "a positive finite number"),
+            ),
+            (
+                pipeline(
+                    r#"{"type": "ray_tracing", "field": "e", "width": 0, "height": 4, "images": 1}"#,
+                ),
+                JsonError::wrong("width", "a positive integer"),
+            ),
+            (
+                r#"[{"action": "add_scene", "name": "s", "renderer":
+                    {"type": "volume_rendering", "field": "e", "width": 4, "height": 4, "images": 0}}]"#
+                    .into(),
+                JsonError::wrong("images", "a positive integer"),
             ),
         ];
         for (text, expect) in cases {

@@ -209,19 +209,21 @@ impl<K: PackedKey> WeldMap<K> {
 
 /// Reusable per-cell buffers for the tetrahedral clip pipeline.
 ///
-/// `clip`/`isovolume` decompose each straddling hexahedron into 6 tets
-/// ([`tets`](Self::tets)), clip once into [`mid`](Self::mid) (≤ 3 pieces
-/// per tet), and — for the two-sided isovolume — clip again into
-/// [`kept`](Self::kept). One `TetScratch` lives for a whole `execute`
-/// call; each cell `clear()`s and refills the buffers in place, so the
-/// inner loop performs no allocation after warm-up.
+/// The hex-subdivision walk decomposes each straddling hexahedron into
+/// 6 tets ([`tets`](Self::tets)) and the filter's clip leaves the
+/// survivors in [`kept`](Self::kept): the one-sided spherical clip
+/// writes them directly, the two-sided isovolume clips into
+/// [`mid`](Self::mid) (≤ 3 pieces per tet) and again into `kept`. One
+/// `TetScratch` lives for a whole `execute` call; each cell `clear()`s
+/// and refills the buffers in place, so the inner loop performs no
+/// allocation after warm-up.
 #[derive(Debug)]
 pub struct TetScratch {
     /// The cell's tets from the hex decomposition (6 for a hexahedron).
     pub tets: Vec<[u32; 4]>,
-    /// Output of the first clip pass (≤ 3 tets per input tet).
+    /// Output of the first of two clip passes (≤ 3 tets per input tet).
     pub mid: Vec<[u32; 4]>,
-    /// Output of the second clip pass.
+    /// Output of the last clip pass: the cell's output tets.
     pub kept: Vec<[u32; 4]>,
 }
 

@@ -4,18 +4,9 @@
 //! outside are passed through whole, and straddling cells are subdivided
 //! (tetrahedralized and clipped) keeping only the outside part.
 
-use crate::arena::TetScratch;
-use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
-use crate::tetclip::{clip_keep_above_into, TetMesh, HEX_TO_TETS};
-use vizmesh::{par, Association, CellSet, CellShape, DataSet, Field, Vec3, WorkCounters};
-
-/// Per-cell classification against the sphere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CellSide {
-    Inside,
-    Outside,
-    Straddle,
-}
+use crate::filter::{mesh_dataset, Filter, FilterOutput, KernelClass, KernelReport};
+use crate::tetclip::{clip_keep_above_into, subdivide_hexes, HexSide};
+use vizmesh::{par, DataSet, Vec3, WorkCounters};
 
 /// The spherical clip filter.
 #[derive(Debug, Clone)]
@@ -72,97 +63,30 @@ impl Filter for SphericalClip {
         });
         let mut classify = WorkCounters::new();
         classify.tally(num_points as u64, 22, 12, 24, 8);
-        let sides: Vec<CellSide> = par::map(num_cells, crate::CELL_MIN_LEN, |c| {
+        let sides: Vec<HexSide> = par::map(num_cells, crate::CELL_MIN_LEN, |c| {
             let ids = grid.cell_point_ids(c);
-            let inside = ids.iter().filter(|&&p| dist[p] < 0.0).count();
-            match inside {
-                0 => CellSide::Outside,
-                8 => CellSide::Inside,
-                _ => CellSide::Straddle,
+            match ids.iter().filter(|&&p| dist[p] < 0.0).count() {
+                0 => HexSide::Whole,
+                8 => HexSide::Out,
+                _ => HexSide::Straddle,
             }
         });
         classify.tally(num_cells as u64, 26, 0, 64 + 32, 1);
         classify.working_set_bytes = (num_points * 8) as u64;
 
         // Phase 2 (GatherScatter): pass whole outside cells through;
-        // Phase 3 (TetClip): subdivide straddling cells.
-        let (mut num_out, mut num_straddle) = (0usize, 0usize);
-        for s in &sides {
-            match s {
-                CellSide::Outside => num_out += 1,
-                CellSide::Straddle => num_straddle += 1,
-                CellSide::Inside => {}
-            }
-        }
-        let active = num_out + num_straddle;
-        let mut gather = WorkCounters::new();
-        let mut tet_work = WorkCounters::new();
-        // Pre-size for the measured shape of straddle output (≈ 9 kept
-        // tets per straddling hex); everything still grows on demand.
-        let mut mesh = TetMesh::with_point_capacity(active.saturating_mul(2).min(num_points));
-        let mut scratch = TetScratch::new();
-        let mut point_map: Vec<u32> = vec![u32::MAX; num_points];
-        let mut cells = CellSet::with_capacity(
-            num_out + 9 * num_straddle,
-            8 * num_out + 4 * 9 * num_straddle,
-        );
-        let mut map_point = |mesh: &mut TetMesh, pid: usize, w: &mut WorkCounters| -> u32 {
-            if point_map[pid] == u32::MAX {
-                let payload = carry.map(|v| v[pid]).unwrap_or(dist[pid]);
-                point_map[pid] = mesh.add_point_with(grid.point_coord_id(pid), dist[pid], payload);
-                w.tally(1, 12, 3, 32, 40);
-            }
-            point_map[pid]
-        };
-        for c in 0..num_cells {
-            match sides[c] {
-                CellSide::Inside => {}
-                CellSide::Outside => {
-                    let ids = grid.cell_point_ids(c);
-                    let mut conn = [0u32; 8];
-                    for (slot, &pid) in ids.iter().enumerate() {
-                        conn[slot] = map_point(&mut mesh, pid, &mut gather);
-                    }
-                    cells.push(CellShape::Hexahedron, &conn);
-                    gather.tally(1, 30, 0, 32, 40);
-                }
-                CellSide::Straddle => {
-                    let ids = grid.cell_point_ids(c);
-                    let mut corner = [0u32; 8];
-                    for (slot, &pid) in ids.iter().enumerate() {
-                        corner[slot] = map_point(&mut mesh, pid, &mut tet_work);
-                    }
-                    scratch.tets.clear();
-                    for t in HEX_TO_TETS {
-                        scratch
-                            .tets
-                            .push([corner[t[0]], corner[t[1]], corner[t[2]], corner[t[3]]]);
-                    }
-                    tet_work +=
-                        clip_keep_above_into(&mut mesh, &scratch.tets, 0.0, &mut scratch.mid);
-                    for &t in &scratch.mid {
-                        cells.push(CellShape::Tetra, &t);
-                    }
-                }
-            }
-        }
+        // Phase 3 (TetClip): subdivide straddling cells, keeping the
+        // outside part. Pre-sized for the measured ≈ 9 kept tets per
+        // straddling hex.
+        let point = |pid: usize| (dist[pid], carry.map_or(dist[pid], |v| v[pid]));
+        let sub = subdivide_hexes(grid, 0..num_cells, &sides, 9, point, |mesh, s| {
+            clip_keep_above_into(mesh, &s.tets, 0.0, &mut s.kept)
+        });
+        let (gather, tet_work) = sub.kernel_work();
 
-        let payloads = mesh.payloads.clone();
-        let distances = mesh.values.clone();
-        let mut ds = DataSet::explicit(mesh.points, cells);
-        let n = ds.num_points();
-        if carry.is_some() {
-            ds.add_field(Field::scalar(
-                self.carry_field.clone(),
-                Association::Points,
-                payloads[..n].to_vec(),
-            ));
-        }
-        ds.add_field(Field::scalar(
-            "distance",
-            Association::Points,
-            distances[..n].to_vec(),
-        ));
+        let payloads = carry.map(|_| (self.carry_field.as_str(), sub.mesh.payloads));
+        let fields = payloads.into_iter().chain([("distance", sub.mesh.values)]);
+        let mut ds = mesh_dataset(sub.mesh.points, sub.cells, fields);
         ds.compact_points();
         FilterOutput::data(
             ds,
@@ -178,7 +102,7 @@ impl Filter for SphericalClip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vizmesh::UniformGrid;
+    use vizmesh::{Association, CellShape, Field, UniformGrid};
 
     fn unit_dataset(n: usize) -> DataSet {
         let grid = UniformGrid::cube_cells(n);

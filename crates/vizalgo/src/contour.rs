@@ -14,11 +14,9 @@
 //! property the test-suite checks directly on random fields.
 
 use crate::arena::{pack_edge, WeldMap};
-use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
+use crate::filter::{concat_surfaces, Filter, FilterOutput, KernelClass, KernelReport};
 use std::sync::OnceLock;
-use vizmesh::{
-    par, Association, CellSet, CellShape, DataSet, Field, UniformGrid, Vec3, WorkCounters,
-};
+use vizmesh::{par, Association, CellSet, CellShape, DataSet, UniformGrid, Vec3, WorkCounters};
 
 /// Corner coordinates of the canonical unit cell, VTK hexahedron order.
 pub const CORNERS: [[f64; 3]; 8] = [
@@ -222,6 +220,52 @@ fn build_case(config: u8) -> CaseTriangles {
     triangles
 }
 
+/// The marching-cubes case of a cell with corner points `ids`: bit `i`
+/// set when corner `i` is above the isovalue.
+#[inline]
+pub(crate) fn classify(values: &[f64], ids: &[usize; 8], isovalue: f64) -> u8 {
+    let mut config = 0u8;
+    for (bit, &pid) in ids.iter().enumerate() {
+        if values[pid] > isovalue {
+            config |= 1 << bit;
+        }
+    }
+    config
+}
+
+/// Interpolate the triangles of `case` for cell `c` (corner points
+/// `ids`): `emit` receives, per triangle, the three weld keys (packed
+/// grid edges) and the three positions where the isovalue crosses them.
+#[inline]
+pub(crate) fn emit_case(
+    grid: &UniformGrid,
+    values: &[f64],
+    isovalue: f64,
+    c: usize,
+    ids: &[usize; 8],
+    case: &[[u8; 3]],
+    mut emit: impl FnMut([u64; 3], [Vec3; 3]),
+) {
+    if case.is_empty() {
+        return;
+    }
+    let corners = grid.cell_corners(c);
+    for t in case {
+        let mut key = [0u64; 3];
+        let mut pos = [Vec3::ZERO; 3];
+        for (slot, &e) in t.iter().enumerate() {
+            let (a, b) = EDGES[e as usize];
+            let (pa, pb) = (ids[a], ids[b]);
+            let (va, vb) = (values[pa], values[pb]);
+            let t01 = ((isovalue - va) / (vb - va)).clamp(0.0, 1.0);
+            pos[slot] = corners[a].lerp(corners[b], t01);
+            let (lo, hi) = if pa < pb { (pa, pb) } else { (pb, pa) };
+            key[slot] = pack_edge(lo as u32, hi as u32);
+        }
+        emit(key, pos);
+    }
+}
+
 /// Result of one marching-cubes pass over a grid.
 pub struct McOutput {
     pub points: Vec<Vec3>,
@@ -252,44 +296,24 @@ pub fn marching_cubes(grid: &UniformGrid, values: &[f64], isovalue: f64) -> McOu
     let slab = (cx * cy).max(1);
     let slabs: Vec<(WorkCounters, WorkCounters, Vec<([u64; 3], [Vec3; 3])>)> =
         par::map(cz, crate::CELL_MIN_LEN.div_ceil(slab), |kz| {
-            let mut classify = WorkCounters::new();
-            let mut interp = WorkCounters::new();
             // A surface typically cuts O(cx·cy) of a slab's cells, each
             // contributing a couple of triangles; pre-size for that and
             // let empty slabs keep the (one) allocation.
             let mut tris: Vec<([u64; 3], [Vec3; 3])> = Vec::with_capacity(slab / 4);
             for c in kz * slab..(kz + 1) * slab {
                 let ids = grid.cell_point_ids(c);
-                let mut config = 0u8;
-                for (bit, &pid) in ids.iter().enumerate() {
-                    if values[pid] > isovalue {
-                        config |= 1 << bit;
-                    }
-                }
-                classify.tally(1, 26, 8, 64 + 32, 0);
-                let case = &table[config as usize];
-                if case.is_empty() {
-                    continue;
-                }
-                let corners = grid.cell_corners(c);
-                for t in case {
-                    let mut key = [0u64; 3];
-                    let mut pos = [Vec3::ZERO; 3];
-                    for (slot, &e) in t.iter().enumerate() {
-                        let (a, b) = EDGES[e as usize];
-                        let (pa, pb) = (ids[a], ids[b]);
-                        let (va, vb) = (values[pa], values[pb]);
-                        let t01 = ((isovalue - va) / (vb - va)).clamp(0.0, 1.0);
-                        pos[slot] = corners[a].lerp(corners[b], t01);
-                        let (lo, hi) = if pa < pb { (pa, pb) } else { (pb, pa) };
-                        key[slot] = pack_edge(lo as u32, hi as u32);
-                        interp.tally(1, 34, 14, 48, 24);
-                    }
-                    tris.push((key, pos));
-                    interp.tally(1, 16, 0, 0, 12);
-                }
+                let case = &table[classify(values, &ids, isovalue) as usize];
+                emit_case(grid, values, isovalue, c, &ids, case, |key, pos| {
+                    tris.push((key, pos))
+                });
             }
-            (classify, interp, tris)
+            let mut classify_work = WorkCounters::new();
+            classify_work.tally(slab as u64, 26, 8, 64 + 32, 0);
+            // Three interpolated corners, then one assembled triangle.
+            let mut interp_work = WorkCounters::new();
+            interp_work.tally(3 * tris.len() as u64, 34, 14, 48, 24);
+            interp_work.tally(tris.len() as u64, 16, 0, 0, 12);
+            (classify_work, interp_work, tris)
         });
 
     // Weld over the flat packed-index table. Triangles are consumed in
@@ -372,14 +396,9 @@ impl Contour {
             .collect();
         Contour { field, isovalues }
     }
-}
 
-impl Filter for Contour {
-    fn name(&self) -> &'static str {
-        "Contour"
-    }
-
-    fn execute(&self, input: &DataSet) -> FilterOutput {
+    /// The grid and the contoured point scalar.
+    pub(crate) fn inputs<'a>(&self, input: &'a DataSet) -> (&'a UniformGrid, &'a [f64]) {
         let grid = input
             .as_uniform()
             // lint: infallible because the study harness only feeds uniform grids
@@ -388,29 +407,26 @@ impl Filter for Contour {
             .point_scalars(&self.field)
             // lint: infallible because the pipeline registers the field before running
             .unwrap_or_else(|| panic!("missing point scalar field '{}'", self.field));
+        (grid, values)
+    }
+}
 
-        let mut points = Vec::new();
-        let mut point_values = Vec::new();
-        let mut cells = CellSet::new();
+impl Filter for Contour {
+    fn name(&self) -> &'static str {
+        "Contour"
+    }
+
+    fn execute(&self, input: &DataSet) -> FilterOutput {
+        let (grid, values) = self.inputs(input);
         let mut classify = WorkCounters::new();
         let mut interp = WorkCounters::new();
-        for &iso in &self.isovalues {
+        let surfaces = self.isovalues.iter().map(|&iso| {
             let mc = marching_cubes(grid, values, iso);
-            let base = points.len() as u32;
-            points.extend(mc.points);
-            point_values.extend(mc.point_values);
-            cells.append_shifted(&mc.triangles, base);
             classify += mc.classify_work;
             interp += mc.interp_work;
-        }
-
-        let mut ds = DataSet::explicit(points, cells);
-        let n = ds.num_points();
-        ds.add_field(Field::scalar(
-            self.field.clone(),
-            Association::Points,
-            point_values[..n].to_vec(),
-        ));
+            (mc.points, mc.point_values, mc.triangles)
+        });
+        let ds = concat_surfaces(&self.field, surfaces);
         FilterOutput::data(
             ds,
             vec![
@@ -425,6 +441,7 @@ impl Filter for Contour {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+    use vizmesh::Field;
 
     fn sphere_field(grid: &UniformGrid) -> Vec<f64> {
         let c = grid.bounds().center();

@@ -1,66 +1,26 @@
 //! DPP contour: the traditional filter's marching cubes replaced by the
 //! [`dpp_marching_cubes`] primitive pipeline. Output is bit-identical to
-//! [`crate::Contour`] (see the weld note in [`super::mc`]); what changes
-//! is the *execution shape* the power model sees — case-table math in
-//! `map` worklets, welding in `sort_by_key`/`reduce_by_key` traffic.
+//! [`Filter::execute`] of the same [`Contour`] (see the weld note in
+//! [`super::mc`]); what changes is the *execution shape* the power model
+//! sees — case-table math in `map` worklets, welding in
+//! `sort_by_key`/`reduce_by_key` traffic.
 
 use super::mc::dpp_marching_cubes;
 use super::primitives::DppTrace;
-use crate::filter::{Filter, FilterOutput};
-use vizmesh::{Association, CellSet, DataSet, Field, Vec3};
+use super::DppExecute;
+use crate::contour::Contour;
+use crate::filter::{concat_surfaces, FilterOutput};
+use vizmesh::DataSet;
 
-/// Contour over data-parallel primitives: same parameters as
-/// [`crate::Contour`], same output bits, DPP execution.
-#[derive(Debug, Clone)]
-pub struct DppContour {
-    pub field: String,
-    pub isovalues: Vec<f64>,
-}
-
-impl DppContour {
-    pub fn new(field: impl Into<String>, isovalues: Vec<f64>) -> Self {
-        assert!(!isovalues.is_empty(), "contour needs at least one isovalue");
-        DppContour {
-            field: field.into(),
-            isovalues,
-        }
-    }
-}
-
-impl Filter for DppContour {
-    fn name(&self) -> &'static str {
-        "Contour"
-    }
-
-    fn execute(&self, input: &DataSet) -> FilterOutput {
-        let grid = input
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("contour expects a structured dataset");
-        let values = input
-            .point_scalars(&self.field)
-            // lint: infallible because the pipeline registers the field before running
-            .unwrap_or_else(|| panic!("missing point scalar field '{}'", self.field));
-
+impl DppExecute for Contour {
+    fn dpp_execute(&self, input: &DataSet) -> FilterOutput {
+        let (grid, values) = self.inputs(input);
         let mut trace = DppTrace::new();
-        let mut points: Vec<Vec3> = Vec::new();
-        let mut point_values: Vec<f64> = Vec::new();
-        let mut cells = CellSet::new();
-        for &iso in &self.isovalues {
+        let surfaces = self.isovalues.iter().map(|&iso| {
             let mc = dpp_marching_cubes(&mut trace, grid, values, iso);
-            let base = points.len() as u32;
-            points.extend(mc.points);
-            point_values.extend(mc.point_values);
-            cells.append_shifted(&mc.triangles, base);
-        }
-
-        let mut ds = DataSet::explicit(points, cells);
-        let n = ds.num_points();
-        ds.add_field(Field::scalar(
-            self.field.clone(),
-            Association::Points,
-            point_values[..n].to_vec(),
-        ));
+            (mc.points, mc.point_values, mc.triangles)
+        });
+        let ds = concat_surfaces(&self.field, surfaces);
         FilterOutput::data_with_primitives(ds, trace.kernel_reports(), trace.reports())
     }
 }
@@ -68,8 +28,9 @@ impl Filter for DppContour {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contour::Contour;
-    use vizmesh::UniformGrid;
+    use crate::dpp::Dpp;
+    use crate::filter::Filter;
+    use vizmesh::{Association, Field, UniformGrid};
 
     fn sphere_dataset(n: usize) -> DataSet {
         let grid = UniformGrid::cube_cells(n);
@@ -85,7 +46,7 @@ mod tests {
         let ds = sphere_dataset(8);
         let isos = vec![0.2, 0.35];
         let trad = Contour::new("f", isos.clone()).execute(&ds);
-        let dpp = DppContour::new("f", isos).execute(&ds);
+        let dpp = Dpp(Contour::new("f", isos)).execute(&ds);
         let (tp, tc) = trad.dataset.as_ref().unwrap().as_explicit().unwrap();
         let (dp, dc) = dpp.dataset.as_ref().unwrap().as_explicit().unwrap();
         assert_eq!(tp.len(), dp.len());

@@ -2,117 +2,41 @@
 //! per-cell subdivision worklet as the traditional filter.
 //!
 //! The classify map produces a three-way side code per cell, a compact
-//! keeps the active (interior + straddling) cells in cell order, and the
-//! subdivision worklet then processes exactly the cells the traditional
-//! serial pass would have, in the same order, through the same shared
-//! tet-clip machinery — so the output mesh is **bit-identical**. What
+//! keeps the active (interior + straddling) cells in cell order, and
+//! [`Isovolume::subdivide`] — the traditional filter's walk — then
+//! processes exactly the cells the traditional serial pass would have,
+//! in the same order, so the output mesh is **bit-identical**. What
 //! moves is the execution shape: classification and selection become
 //! primitive traffic instead of a fused serial sweep.
 
 use super::primitives::{self, DppTrace, PrimitiveOp};
-use crate::arena::TetScratch;
-use crate::filter::{Filter, FilterOutput};
-use crate::tetclip::{clip_keep_above_into, clip_keep_below_into, TetMesh, HEX_TO_TETS};
-use vizmesh::{Association, CellSet, CellShape, DataSet, Field, UniformGrid};
+use super::DppExecute;
+use crate::filter::FilterOutput;
+use crate::isovolume::Isovolume;
+use crate::tetclip::HexSide;
+use vizmesh::DataSet;
 
-/// Cell side codes: 0 = out, 1 = fully in, 2 = straddles the band.
-const OUT: u8 = 0;
-const IN: u8 = 1;
-const STRADDLE: u8 = 2;
-
-/// Isovolume over data-parallel primitives: same parameters as
-/// [`crate::Isovolume`], bit-identical output, DPP selection.
-#[derive(Debug, Clone)]
-pub struct DppIsovolume {
-    pub field: String,
-    pub lo: f64,
-    pub hi: f64,
-}
-
-impl DppIsovolume {
-    pub fn new(field: impl Into<String>, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "isovolume range is inverted: [{lo}, {hi}]");
-        DppIsovolume {
-            field: field.into(),
-            lo,
-            hi,
-        }
-    }
-}
-
-impl Filter for DppIsovolume {
-    fn name(&self) -> &'static str {
-        "Isovolume"
-    }
-
-    fn execute(&self, input: &DataSet) -> FilterOutput {
-        let grid = input
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("isovolume expects a structured dataset");
-        let values = input
-            .point_scalars(&self.field)
-            // lint: infallible because the pipeline registers the field before running
-            .unwrap_or_else(|| panic!("missing point scalar field '{}'", self.field));
+impl DppExecute for Isovolume {
+    fn dpp_execute(&self, input: &DataSet) -> FilterOutput {
+        let (grid, values) = self.inputs(input);
         let num_cells = grid.num_cells();
         let mut trace = DppTrace::new();
 
-        // 1. map: three-way side classification (same predicate as the
-        // traditional filter).
-        let (lo, hi) = (self.lo, self.hi);
-        let sides: Vec<u8> = primitives::map_n(&mut trace, num_cells, 64 + 32, |c| {
-            let ids = grid.cell_point_ids(c);
-            let mut all_in = true;
-            let mut all_above_hi = true;
-            let mut all_below_lo = true;
-            for &p in &ids {
-                let v = values[p];
-                if v < lo || v > hi {
-                    all_in = false;
-                }
-                if v <= hi {
-                    all_above_hi = false;
-                }
-                if v >= lo {
-                    all_below_lo = false;
-                }
-            }
-            if all_in {
-                IN
-            } else if all_above_hi || all_below_lo {
-                OUT
-            } else {
-                STRADDLE
-            }
+        // 1. map: three-way side classification (the traditional
+        // predicate).
+        let sides: Vec<HexSide> = primitives::map_n(&mut trace, num_cells, 64 + 32, |c| {
+            self.side(values, &grid.cell_point_ids(c))
         });
         trace.record_flops(PrimitiveOp::Map, 2 * num_cells as u64);
 
-        // 2. compact: active cells in cell order — interleaved In and
-        // Straddle exactly as the traditional serial sweep visits them.
-        let flags: Vec<bool> = primitives::map(&mut trace, &sides, |&s| s != OUT);
+        // 2. compact: active cells in cell order — interleaved whole and
+        // straddling exactly as the traditional serial sweep visits them.
+        let flags: Vec<bool> = primitives::map(&mut trace, &sides, |&s| s != HexSide::Out);
         let active = primitives::compact_indices(&mut trace, &flags);
-        let mut num_in = 0usize;
-        let mut num_straddle = 0usize;
-        for &c in &active {
-            if sides[c as usize] == IN {
-                num_in += 1;
-            } else {
-                num_straddle += 1;
-            }
-        }
 
-        // 3. the subdivision worklet over the compacted cells: identical
-        // body (and shared tet-clip code) to the traditional filter, so
-        // point ids, clip arithmetic, and cell order all match exactly.
-        let (mesh, cells, points_welded, tets_clipped) = subdivide_active(
-            grid,
-            values,
-            (lo, hi),
-            &sides,
-            &active,
-            num_in,
-            num_straddle,
-        );
+        // 3. the subdivision worklet over the compacted cells.
+        let cells = active.iter().map(|&c| c as usize);
+        let sub = self.subdivide(grid, values, cells, &sides);
         // The worklet's traffic, in primitive currency: a map over the
         // active cells whose gathers weld points and whose tet clips are
         // FP work.
@@ -122,92 +46,28 @@ impl Filter for DppIsovolume {
             (active.len() * (64 + 32)) as u64,
             0,
         );
+        let points_welded = sub.whole_points + sub.straddle_points;
         trace.record(
             PrimitiveOp::Gather,
             points_welded,
             32 * points_welded,
             40 * points_welded,
         );
-        trace.record_flops(PrimitiveOp::Map, 60 * tets_clipped);
-        trace.record(
-            PrimitiveOp::Scatter,
-            cells.iter().count() as u64,
-            0,
-            36 * cells.iter().count() as u64,
-        );
+        trace.record_flops(PrimitiveOp::Map, 60 * sub.tets_clipped);
+        let cells_out = sub.cells.num_cells() as u64;
+        trace.record(PrimitiveOp::Scatter, cells_out, 0, 36 * cells_out);
 
-        let payloads = mesh.payloads.clone();
-        let mut ds = DataSet::explicit(mesh.points, cells);
-        let n = ds.num_points();
-        ds.add_field(Field::scalar(
-            self.field.clone(),
-            Association::Points,
-            payloads[..n].to_vec(),
-        ));
-        ds.compact_points();
+        let ds = self.dataset(sub);
         FilterOutput::data_with_primitives(ds, trace.kernel_reports(), trace.reports())
     }
-}
-
-/// The per-cell subdivision worklet: replicates the traditional filter's
-/// serial body over the compacted active list. Owns (and pre-sizes) the
-/// output mesh and cell set; returns them with the weld/clip tallies.
-fn subdivide_active(
-    grid: &UniformGrid,
-    values: &[f64],
-    (lo, hi): (f64, f64),
-    sides: &[u8],
-    active: &[u32],
-    num_in: usize,
-    num_straddle: usize,
-) -> (TetMesh, CellSet, u64, u64) {
-    let num_points = grid.num_points();
-    let mut mesh = TetMesh::with_point_capacity(active.len().saturating_mul(2).min(num_points));
-    let mut scratch = TetScratch::new();
-    let mut point_map: Vec<u32> = vec![u32::MAX; num_points];
-    let mut cells = CellSet::with_capacity(
-        num_in + 12 * num_straddle,
-        8 * num_in + 4 * 12 * num_straddle,
-    );
-    let mut points_welded = 0u64;
-    let mut tets_clipped = 0u64;
-    for &cell in active {
-        let c = cell as usize;
-        let ids = grid.cell_point_ids(c);
-        let mut corner = [0u32; 8];
-        for (slot, &pid) in ids.iter().enumerate() {
-            if point_map[pid] == u32::MAX {
-                point_map[pid] =
-                    mesh.add_point_with(grid.point_coord_id(pid), values[pid], values[pid]);
-                points_welded += 1;
-            }
-            corner[slot] = point_map[pid];
-        }
-        if sides[c] == IN {
-            cells.push(CellShape::Hexahedron, &corner);
-        } else {
-            scratch.tets.clear();
-            for t in HEX_TO_TETS {
-                scratch
-                    .tets
-                    .push([corner[t[0]], corner[t[1]], corner[t[2]], corner[t[3]]]);
-            }
-            let _ = clip_keep_above_into(&mut mesh, &scratch.tets, lo, &mut scratch.mid);
-            let _ = clip_keep_below_into(&mut mesh, &scratch.mid, hi, &mut scratch.kept);
-            tets_clipped += scratch.tets.len() as u64;
-            for &t in &scratch.kept {
-                cells.push(CellShape::Tetra, &t);
-            }
-        }
-    }
-    (mesh, cells, points_welded, tets_clipped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isovolume::Isovolume;
-    use vizmesh::{UniformGrid, Vec3};
+    use crate::dpp::Dpp;
+    use crate::filter::Filter;
+    use vizmesh::{Association, Field, UniformGrid, Vec3};
 
     fn radial(n: usize) -> DataSet {
         let grid = UniformGrid::cube_cells(n);
@@ -222,7 +82,7 @@ mod tests {
     fn dpp_isovolume_is_bit_identical_to_traditional() {
         let ds = radial(8);
         let trad = Isovolume::new("f", 0.2, 0.4).execute(&ds);
-        let dpp = DppIsovolume::new("f", 0.2, 0.4).execute(&ds);
+        let dpp = Dpp(Isovolume::new("f", 0.2, 0.4)).execute(&ds);
         let t = trad.dataset.unwrap();
         let d = dpp.dataset.unwrap();
         let (tp, tc) = t.as_explicit().unwrap();
@@ -241,7 +101,7 @@ mod tests {
     #[test]
     fn dpp_isovolume_empty_band() {
         let ds = radial(4);
-        let out = DppIsovolume::new("f", 5.0, 6.0).execute(&ds);
+        let out = Dpp(Isovolume::new("f", 5.0, 6.0)).execute(&ds);
         assert_eq!(out.dataset.unwrap().num_cells(), 0);
     }
 }

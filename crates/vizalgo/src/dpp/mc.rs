@@ -12,8 +12,7 @@
 //! id assignment (and first-sight interpolated position) exactly.
 
 use super::primitives::{self, DppTrace, PrimitiveOp};
-use crate::arena::pack_edge;
-use crate::contour::{triangle_table, CaseTriangles, EDGES};
+use crate::contour::{classify, emit_case, triangle_table};
 use vizmesh::{CellSet, CellShape, UniformGrid, Vec3};
 
 /// Geometry of one DPP marching-cubes pass (work lives in the trace).
@@ -42,14 +41,7 @@ pub fn dpp_marching_cubes(
 
     // 1. map: corner configuration per cell (8 corner loads + compares).
     let configs: Vec<u8> = primitives::map_n(trace, num_cells, 64 + 32, |c| {
-        let ids = grid.cell_point_ids(c);
-        let mut config = 0u8;
-        for (bit, &pid) in ids.iter().enumerate() {
-            if values[pid] > isovalue {
-                config |= 1 << bit;
-            }
-        }
-        config
+        classify(values, &grid.cell_point_ids(c), isovalue)
     });
     trace.record_flops(PrimitiveOp::Map, 8 * num_cells as u64);
 
@@ -67,22 +59,21 @@ pub fn dpp_marching_cubes(
     let active = primitives::compact_indices(trace, &flags);
 
     // 5. generate: each active cell interpolates its case's corner
-    // positions and edge keys directly into the scan-offset slots — a
-    // map worklet with a counting scatter for its output.
+    // positions and edge keys (the traditional per-case emission)
+    // directly into the scan-offset slots — a map worklet with a
+    // counting scatter for its output.
     let mut keys: Vec<u64> = vec![0; 3 * total];
     let mut pos: Vec<Vec3> = vec![Vec3::ZERO; 3 * total];
-    emit_triangles(
-        grid,
-        values,
-        isovalue,
-        table,
-        &configs,
-        &active,
-        &tri_counts,
-        &offsets,
-        &mut keys,
-        &mut pos,
-    );
+    for &cell in &active {
+        let c = cell as usize;
+        let mut slot = 3 * (offsets[c] - tri_counts[c]) as usize;
+        let (ids, case) = (grid.cell_point_ids(c), &table[configs[c] as usize]);
+        emit_case(grid, values, isovalue, c, &ids, case, |key, p| {
+            keys[slot..slot + 3].copy_from_slice(&key);
+            pos[slot..slot + 3].copy_from_slice(&p);
+            slot += 3;
+        });
+    }
     trace.record(
         PrimitiveOp::Map,
         active.len() as u64,
@@ -160,42 +151,6 @@ pub fn dpp_marching_cubes(
         points,
         triangles: cells,
         point_values,
-    }
-}
-
-/// The generate worklet body: interpolate case triangles of every active
-/// cell into the scan-offset slots. Replicates the traditional per-cell
-/// arithmetic exactly (same `t01` clamp, same lerp, same packed key).
-#[allow(clippy::too_many_arguments)]
-fn emit_triangles(
-    grid: &UniformGrid,
-    values: &[f64],
-    isovalue: f64,
-    table: &[CaseTriangles; 256],
-    configs: &[u8],
-    active: &[u32],
-    tri_counts: &[u32],
-    offsets: &[u32],
-    keys: &mut [u64],
-    pos: &mut [Vec3],
-) {
-    for &cell in active {
-        let c = cell as usize;
-        let ids = grid.cell_point_ids(c);
-        let corners = grid.cell_corners(c);
-        let mut slot = 3 * (offsets[c] - tri_counts[c]) as usize;
-        for t in &table[configs[c] as usize] {
-            for &e in t {
-                let (a, b) = EDGES[e as usize];
-                let (pa, pb) = (ids[a], ids[b]);
-                let (va, vb) = (values[pa], values[pb]);
-                let t01 = ((isovalue - va) / (vb - va)).clamp(0.0, 1.0);
-                pos[slot] = corners[a].lerp(corners[b], t01);
-                let (lo, hi) = if pa < pb { (pa, pb) } else { (pb, pa) };
-                keys[slot] = pack_edge(lo as u32, hi as u32);
-                slot += 1;
-            }
-        }
     }
 }
 

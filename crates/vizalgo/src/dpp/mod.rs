@@ -5,9 +5,18 @@
 //! their runtime and their hardware-counter profile. This module is that
 //! second backend for this reproduction: the vocabulary
 //! ([`primitives`]), a shared DPP marching-cubes pipeline ([`mc`]), and
-//! DPP formulations of four kernels — contour, threshold, isovolume,
-//! and slice — selectable per-spec via [`Backend`] through
+//! the primitive pipelines of four kernels — contour, threshold,
+//! isovolume, and slice — selectable per-spec via [`Backend`] through
 //! [`AlgorithmSpec::build_with`](crate::AlgorithmSpec::build_with).
+//!
+//! A DPP filter *is* the traditional filter's resolved parameter struct
+//! ([`crate::Contour`], [`crate::Threshold`], [`crate::Isovolume`],
+//! [`crate::ThreeSlice`]) behind the private `Dpp` wrapper: the files here
+//! hold only each kernel's `dpp_execute` — the map / scan / compact /
+//! sort pipeline and its trace records. The per-cell arithmetic
+//! (marching-cubes case emission, the threshold keep predicate, the
+//! isovolume side predicate, the hex-subdivision walk) lives with the
+//! traditional filter and both pipelines call it.
 //!
 //! Conformance posture (details and the exactness table in docs/DPP.md):
 //! contour, isovolume, and slice are **bit-identical** to the
@@ -24,13 +33,30 @@ mod isovolume;
 mod slice;
 mod threshold;
 
-pub use contour::DppContour;
-pub use isovolume::DppIsovolume;
 pub use primitives::{DppTrace, PrimitiveCounters, PrimitiveOp, PrimitiveReport};
-pub use slice::DppSlice;
-pub use threshold::DppThreshold;
 
-use crate::filter::Algorithm;
+use crate::filter::{Algorithm, Filter, FilterOutput};
+use vizmesh::DataSet;
+
+/// How a filter's resolved parameters run through the primitive
+/// pipeline; implemented next to each pipeline in this module.
+pub(crate) trait DppExecute: Filter {
+    fn dpp_execute(&self, input: &DataSet) -> FilterOutput;
+}
+
+/// The DPP formulation of `F`: the same resolved parameters, executed
+/// by [`DppExecute::dpp_execute`] instead of [`Filter::execute`].
+pub(crate) struct Dpp<F>(pub(crate) F);
+
+impl<F: DppExecute> Filter for Dpp<F> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn execute(&self, input: &DataSet) -> FilterOutput {
+        self.0.dpp_execute(input)
+    }
+}
 
 /// Which execution backend a spec is built for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

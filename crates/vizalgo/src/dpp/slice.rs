@@ -7,46 +7,18 @@
 
 use super::mc::dpp_marching_cubes;
 use super::primitives::{self, DppTrace, PrimitiveOp};
-use crate::filter::{Filter, FilterOutput};
-use crate::slice::Plane;
-use vizmesh::{Association, CellSet, DataSet, Field, Vec3};
+use super::DppExecute;
+use crate::filter::{concat_surfaces, FilterOutput};
+use crate::slice::{sample, ThreeSlice};
+use vizmesh::DataSet;
 
-/// Three-slice over data-parallel primitives: same parameters as
-/// [`crate::ThreeSlice`], bit-identical output, DPP execution.
-#[derive(Debug, Clone)]
-pub struct DppSlice {
-    pub planes: Vec<Plane>,
-    pub field: String,
-}
-
-impl DppSlice {
-    pub fn new(planes: Vec<Plane>, field: impl Into<String>) -> Self {
-        assert!(!planes.is_empty(), "slice needs at least one plane");
-        DppSlice {
-            planes,
-            field: field.into(),
-        }
-    }
-}
-
-impl Filter for DppSlice {
-    fn name(&self) -> &'static str {
-        "Slice"
-    }
-
-    fn execute(&self, input: &DataSet) -> FilterOutput {
-        let grid = input
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("slice expects a structured dataset");
-        let data = input.point_scalars(&self.field);
+impl DppExecute for ThreeSlice {
+    fn dpp_execute(&self, input: &DataSet) -> FilterOutput {
+        let (grid, data) = self.inputs(input);
         let num_points = grid.num_points();
         let mut trace = DppTrace::new();
 
-        let mut points: Vec<Vec3> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
-        let mut cells = CellSet::new();
-        for plane in &self.planes {
+        let surfaces = self.planes.iter().map(|plane| {
             // 1. map: signed distance per mesh point (the FP-dense part).
             let sdf: Vec<f64> = primitives::map_n(&mut trace, num_points, 24, |p| {
                 plane.distance(grid.point_coord_id(p))
@@ -56,26 +28,13 @@ impl Filter for DppSlice {
             // 2. the marching-cubes primitive pipeline at isovalue 0.
             let mc = dpp_marching_cubes(&mut trace, grid, &sdf, 0.0);
 
-            // 3. map: sample the data field at the welded slice vertices
-            // (same expression and order as the traditional filter).
-            let sampled: Vec<f64> = primitives::map(&mut trace, &mc.points, |p| {
-                data.and_then(|d| grid.sample_scalar(d, *p)).unwrap_or(0.0)
-            });
+            // 3. map: sample the data field at the welded slice vertices.
+            let sampled: Vec<f64> =
+                primitives::map(&mut trace, &mc.points, |&p| sample(grid, data, p));
             trace.record_flops(PrimitiveOp::Map, 22 * mc.points.len() as u64);
-
-            let base = points.len() as u32;
-            values.extend(sampled);
-            points.extend(mc.points);
-            cells.append_shifted(&mc.triangles, base);
-        }
-
-        let mut ds = DataSet::explicit(points, cells);
-        let n = ds.num_points();
-        ds.add_field(Field::scalar(
-            self.field.clone(),
-            Association::Points,
-            values[..n].to_vec(),
-        ));
+            (mc.points, sampled, mc.triangles)
+        });
+        let ds = concat_surfaces(&self.field, surfaces);
         FilterOutput::data_with_primitives(ds, trace.kernel_reports(), trace.reports())
     }
 }
@@ -83,8 +42,9 @@ impl Filter for DppSlice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slice::ThreeSlice;
-    use vizmesh::UniformGrid;
+    use crate::dpp::Dpp;
+    use crate::filter::Filter;
+    use vizmesh::{Association, Field, UniformGrid};
 
     fn dataset(n: usize) -> DataSet {
         let grid = UniformGrid::cube_cells(n);
@@ -98,8 +58,7 @@ mod tests {
     fn dpp_slice_matches_traditional_bit_for_bit() {
         let ds = dataset(6);
         let trad = ThreeSlice::centered(&ds, "f").execute(&ds);
-        let planes = ThreeSlice::centered(&ds, "f").planes;
-        let dpp = DppSlice::new(planes, "f").execute(&ds);
+        let dpp = Dpp(ThreeSlice::centered(&ds, "f")).execute(&ds);
         let t = trad.dataset.unwrap();
         let d = dpp.dataset.unwrap();
         let (tp, tc) = t.as_explicit().unwrap();

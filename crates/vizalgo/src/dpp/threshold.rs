@@ -9,73 +9,21 @@
 //! docs/DPP.md for the documented tolerance.
 
 use super::primitives::{self, DppTrace, PrimitiveOp};
-use crate::filter::{Filter, FilterOutput};
-use crate::threshold::ThresholdPolicy;
+use super::DppExecute;
+use crate::filter::FilterOutput;
+use crate::threshold::Threshold;
 use vizmesh::{Association, CellSet, CellShape, DataSet, Field, UniformGrid, Vec3};
 
-/// Threshold over data-parallel primitives: same parameters and kept
-/// cells as [`crate::Threshold`]; DPP point numbering (grid order).
-#[derive(Debug, Clone)]
-pub struct DppThreshold {
-    pub field: String,
-    pub lo: f64,
-    pub hi: f64,
-    pub policy: ThresholdPolicy,
-}
-
-impl DppThreshold {
-    pub fn new(field: impl Into<String>, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "threshold range is inverted: [{lo}, {hi}]");
-        DppThreshold {
-            field: field.into(),
-            lo,
-            hi,
-            policy: ThresholdPolicy::AllPoints,
-        }
-    }
-
-    #[inline]
-    fn in_range(&self, v: f64) -> bool {
-        v >= self.lo && v <= self.hi
-    }
-}
-
-impl Filter for DppThreshold {
-    fn name(&self) -> &'static str {
-        "Threshold"
-    }
-
-    fn execute(&self, input: &DataSet) -> FilterOutput {
-        let grid = input
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("threshold expects a structured dataset");
-        let cell_vals = input.cell_scalars(&self.field);
-        let point_vals = input.point_scalars(&self.field);
-        assert!(
-            cell_vals.is_some() || point_vals.is_some(),
-            "missing scalar field '{}'",
-            self.field
-        );
+impl DppExecute for Threshold {
+    fn dpp_execute(&self, input: &DataSet) -> FilterOutput {
+        let (grid, cell_vals, keeps) = self.inputs(input);
         let num_cells = grid.num_cells();
         let num_points = grid.num_points();
         let mut trace = DppTrace::new();
 
-        // 1. map: the keep flag per cell (same predicate as traditional).
+        // 1. map: the keep flag per cell (the traditional predicate).
         let bytes_per_cell = if cell_vals.is_some() { 8 } else { 64 + 32 };
-        let keep: Vec<bool> = primitives::map_n(&mut trace, num_cells, bytes_per_cell, |c| {
-            if let Some(vals) = cell_vals {
-                self.in_range(vals[c])
-            } else {
-                // lint: infallible because the assert above guarantees point values
-                let vals = point_vals.unwrap();
-                let ids = grid.cell_point_ids(c);
-                match self.policy {
-                    ThresholdPolicy::AllPoints => ids.iter().all(|&p| self.in_range(vals[p])),
-                    ThresholdPolicy::AnyPoint => ids.iter().any(|&p| self.in_range(vals[p])),
-                }
-            }
-        });
+        let keep: Vec<bool> = primitives::map_n(&mut trace, num_cells, bytes_per_cell, keeps);
         trace.record_flops(PrimitiveOp::Map, 2 * num_cells as u64);
 
         // 2. compact: the kept cell ids, in cell order.
@@ -154,8 +102,8 @@ fn emit_cells(grid: &UniformGrid, kept: &[u32], ranks: &[u32]) -> CellSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threshold::Threshold;
-    use vizmesh::UniformGrid;
+    use crate::dpp::Dpp;
+    use crate::filter::Filter;
 
     fn x_ramp(n: usize) -> DataSet {
         let grid = UniformGrid::cube_cells(n);
@@ -169,7 +117,7 @@ mod tests {
     fn dpp_threshold_keeps_the_same_cells_and_values() {
         let ds = x_ramp(4);
         let trad = Threshold::new("v", 1.0, 2.0).execute(&ds);
-        let dpp = DppThreshold::new("v", 1.0, 2.0).execute(&ds);
+        let dpp = Dpp(Threshold::new("v", 1.0, 2.0)).execute(&ds);
         let t = trad.dataset.unwrap();
         let d = dpp.dataset.unwrap();
         assert_eq!(t.num_cells(), d.num_cells());
@@ -198,9 +146,9 @@ mod tests {
     #[test]
     fn dpp_threshold_empty_and_full_ranges() {
         let ds = x_ramp(3);
-        let empty = DppThreshold::new("v", 100.0, 200.0).execute(&ds);
+        let empty = Dpp(Threshold::new("v", 100.0, 200.0)).execute(&ds);
         assert_eq!(empty.dataset.unwrap().num_cells(), 0);
-        let full = DppThreshold::new("v", 0.0, 3.0).execute(&ds);
+        let full = Dpp(Threshold::new("v", 0.0, 3.0)).execute(&ds);
         let out = full.dataset.unwrap();
         assert_eq!(out.num_cells(), 27);
         assert_eq!(out.num_points(), 64);
@@ -213,7 +161,7 @@ mod tests {
             .map(|p| grid.point_coord_id(p).x)
             .collect();
         let ds = DataSet::uniform(grid).with_field(Field::scalar("v", Association::Points, vals));
-        let out = DppThreshold::new("v", 0.0, 0.5).execute(&ds);
+        let out = Dpp(Threshold::new("v", 0.0, 0.5)).execute(&ds);
         assert_eq!(out.dataset.unwrap().num_cells(), 4);
     }
 }

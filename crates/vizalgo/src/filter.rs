@@ -1,6 +1,6 @@
 //! The common filter interface and kernel instrumentation types.
 
-use vizmesh::{DataSet, Image, WorkCounters};
+use vizmesh::{Association, CellSet, DataSet, Field, Image, Vec3, WorkCounters};
 
 /// Microarchitectural flavor of a kernel, used by the `vizpower`
 /// characterization bridge to assign an instruction-mix signature
@@ -116,6 +116,39 @@ impl FilterOutput {
         }
         w
     }
+}
+
+/// The explicit dataset a geometry filter hands back: `points`, `cells`
+/// and the point scalar `fields`, in order. Every vector is taken by
+/// value; nothing per-point is copied.
+pub(crate) fn mesh_dataset<'a>(
+    points: Vec<Vec3>,
+    cells: CellSet,
+    fields: impl IntoIterator<Item = (&'a str, Vec<f64>)>,
+) -> DataSet {
+    let mut ds = DataSet::explicit(points, cells);
+    for (name, values) in fields {
+        ds.add_field(Field::scalar(name, Association::Points, values));
+    }
+    ds
+}
+
+/// Concatenate the `(points, point values, triangles)` surfaces of a
+/// multi-pass filter (one per isovalue or slice plane) into one dataset
+/// carrying the values as point field `field`.
+pub(crate) fn concat_surfaces(
+    field: &str,
+    surfaces: impl Iterator<Item = (Vec<Vec3>, Vec<f64>, CellSet)>,
+) -> DataSet {
+    let mut points = Vec::new();
+    let mut values = Vec::new();
+    let mut cells = CellSet::new();
+    for (surface_points, surface_values, triangles) in surfaces {
+        cells.append_shifted(&triangles, points.len() as u32);
+        points.extend(surface_points);
+        values.extend(surface_values);
+    }
+    mesh_dataset(points, cells, [(field, values)])
 }
 
 /// A visualization filter: consumes a dataset, produces geometry and/or

@@ -6,10 +6,11 @@
 //! outside are removed, and straddling cells are subdivided — first
 //! clipped against `f ≥ lo`, then the result against `f ≤ hi`.
 
-use crate::arena::TetScratch;
-use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
-use crate::tetclip::{clip_keep_above_into, clip_keep_below_into, TetMesh, HEX_TO_TETS};
-use vizmesh::{par, Association, CellSet, CellShape, DataSet, Field, WorkCounters};
+use crate::filter::{mesh_dataset, Filter, FilterOutput, KernelClass, KernelReport};
+use crate::tetclip::{
+    clip_keep_above_into, clip_keep_below_into, subdivide_hexes, HexSide, Subdivision,
+};
+use vizmesh::{par, Association, DataSet, UniformGrid, WorkCounters};
 
 /// The isovolume filter over a point-centered scalar.
 #[derive(Debug, Clone)]
@@ -40,14 +41,9 @@ impl Isovolume {
         let half = (hi - lo) * frac.clamp(0.0, 1.0) * 0.5;
         Isovolume::new(field, mid - half, mid + half)
     }
-}
 
-impl Filter for Isovolume {
-    fn name(&self) -> &'static str {
-        "Isovolume"
-    }
-
-    fn execute(&self, input: &DataSet) -> FilterOutput {
+    /// The grid and the banded point scalar.
+    pub(crate) fn inputs<'a>(&self, input: &'a DataSet) -> (&'a UniformGrid, &'a [f64]) {
         let grid = input
             .as_uniform()
             // lint: infallible because the study harness only feeds uniform grids
@@ -56,123 +52,83 @@ impl Filter for Isovolume {
             .point_scalars(&self.field)
             // lint: infallible because the pipeline registers the field before running
             .unwrap_or_else(|| panic!("missing point scalar field '{}'", self.field));
+        (grid, values)
+    }
+
+    /// Where a cell with corner points `ids` sits relative to the band.
+    pub(crate) fn side(&self, values: &[f64], ids: &[usize; 8]) -> HexSide {
+        let mut all_in = true;
+        let mut all_above_hi = true;
+        let mut all_below_lo = true;
+        for &p in ids {
+            let v = values[p];
+            if v < self.lo || v > self.hi {
+                all_in = false;
+            }
+            if v <= self.hi {
+                all_above_hi = false;
+            }
+            if v >= self.lo {
+                all_below_lo = false;
+            }
+        }
+        if all_in {
+            HexSide::Whole
+        } else if all_above_hi || all_below_lo {
+            HexSide::Out
+        } else {
+            HexSide::Straddle
+        }
+    }
+
+    /// Gather the interior cells of `cells` and clip the straddling ones
+    /// twice — keep `f ≥ lo`, then `f ≤ hi` — through the reused scratch
+    /// buffers. Pre-sized for the measured ≈ 12 tets per straddling hex.
+    pub(crate) fn subdivide(
+        &self,
+        grid: &UniformGrid,
+        values: &[f64],
+        cells: impl Iterator<Item = usize> + Clone,
+        sides: &[HexSide],
+    ) -> Subdivision {
+        let point = |pid: usize| (values[pid], values[pid]);
+        subdivide_hexes(grid, cells, sides, 12, point, |mesh, s| {
+            clip_keep_above_into(mesh, &s.tets, self.lo, &mut s.mid)
+                + clip_keep_below_into(mesh, &s.mid, self.hi, &mut s.kept)
+        })
+    }
+
+    /// The output dataset of a [`subdivide`](Isovolume::subdivide) run.
+    pub(crate) fn dataset(&self, sub: Subdivision) -> DataSet {
+        let fields = [(self.field.as_str(), sub.mesh.payloads)];
+        let mut ds = mesh_dataset(sub.mesh.points, sub.cells, fields);
+        ds.compact_points();
+        ds
+    }
+}
+
+impl Filter for Isovolume {
+    fn name(&self) -> &'static str {
+        "Isovolume"
+    }
+
+    fn execute(&self, input: &DataSet) -> FilterOutput {
+        let (grid, values) = self.inputs(input);
         let num_cells = grid.num_cells();
-        let num_points = grid.num_points();
 
         // Phase 1: classify cells against the range.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Side {
-            In,
-            Out,
-            Straddle,
-        }
-        let sides: Vec<Side> = par::map(num_cells, crate::CELL_MIN_LEN, |c| {
-            let ids = grid.cell_point_ids(c);
-            let mut all_in = true;
-            let mut all_above_hi = true;
-            let mut all_below_lo = true;
-            for &p in &ids {
-                let v = values[p];
-                if v < self.lo || v > self.hi {
-                    all_in = false;
-                }
-                if v <= self.hi {
-                    all_above_hi = false;
-                }
-                if v >= self.lo {
-                    all_below_lo = false;
-                }
-            }
-            if all_in {
-                Side::In
-            } else if all_above_hi || all_below_lo {
-                Side::Out
-            } else {
-                Side::Straddle
-            }
+        let sides: Vec<HexSide> = par::map(num_cells, crate::CELL_MIN_LEN, |c| {
+            self.side(values, &grid.cell_point_ids(c))
         });
         let mut classify = WorkCounters::new();
         classify.tally(num_cells as u64, 38, 2, 64 + 32, 1);
-        classify.working_set_bytes = (num_points * 8) as u64;
+        classify.working_set_bytes = (grid.num_points() * 8) as u64;
 
         // Phase 2/3: gather interior cells, clip straddling ones twice.
-        let (mut num_in, mut num_straddle) = (0usize, 0usize);
-        for s in &sides {
-            match s {
-                Side::In => num_in += 1,
-                Side::Straddle => num_straddle += 1,
-                Side::Out => {}
-            }
-        }
-        let active = num_in + num_straddle;
-        let mut gather = WorkCounters::new();
-        let mut tet_work = WorkCounters::new();
-        // Pre-size for the measured shape of straddle output (≈ 12 tets
-        // per straddling hex); everything still grows on demand.
-        let mut mesh = TetMesh::with_point_capacity(active.saturating_mul(2).min(num_points));
-        let mut scratch = TetScratch::new();
-        let mut point_map: Vec<u32> = vec![u32::MAX; num_points];
-        let mut cells = CellSet::with_capacity(
-            num_in + 12 * num_straddle,
-            8 * num_in + 4 * 12 * num_straddle,
-        );
-        let mut map_point = |mesh: &mut TetMesh, pid: usize, w: &mut WorkCounters| -> u32 {
-            if point_map[pid] == u32::MAX {
-                point_map[pid] =
-                    mesh.add_point_with(grid.point_coord_id(pid), values[pid], values[pid]);
-                w.tally(1, 12, 3, 32, 40);
-            }
-            point_map[pid]
-        };
-        for c in 0..num_cells {
-            match sides[c] {
-                Side::Out => {}
-                Side::In => {
-                    let ids = grid.cell_point_ids(c);
-                    let mut conn = [0u32; 8];
-                    for (slot, &pid) in ids.iter().enumerate() {
-                        conn[slot] = map_point(&mut mesh, pid, &mut gather);
-                    }
-                    cells.push(CellShape::Hexahedron, &conn);
-                    gather.tally(1, 30, 0, 32, 40);
-                }
-                Side::Straddle => {
-                    let ids = grid.cell_point_ids(c);
-                    let mut corner = [0u32; 8];
-                    for (slot, &pid) in ids.iter().enumerate() {
-                        corner[slot] = map_point(&mut mesh, pid, &mut tet_work);
-                    }
-                    scratch.tets.clear();
-                    for t in HEX_TO_TETS {
-                        scratch
-                            .tets
-                            .push([corner[t[0]], corner[t[1]], corner[t[2]], corner[t[3]]]);
-                    }
-                    // Keep f >= lo, then f <= hi, through the reused
-                    // scratch buffers (no per-cell allocation, no
-                    // whole-mesh value rewriting).
-                    tet_work +=
-                        clip_keep_above_into(&mut mesh, &scratch.tets, self.lo, &mut scratch.mid);
-                    tet_work +=
-                        clip_keep_below_into(&mut mesh, &scratch.mid, self.hi, &mut scratch.kept);
-                    for &t in &scratch.kept {
-                        cells.push(CellShape::Tetra, &t);
-                    }
-                }
-            }
-        }
-
-        let payloads = mesh.payloads.clone();
-        let mut ds = DataSet::explicit(mesh.points, cells);
-        let n = ds.num_points();
-        ds.add_field(Field::scalar(
-            self.field.clone(),
-            Association::Points,
-            payloads[..n].to_vec(),
-        ));
-        ds.compact_points();
+        let sub = self.subdivide(grid, values, 0..num_cells, &sides);
+        let (gather, tet_work) = sub.kernel_work();
         FilterOutput::data(
-            ds,
+            self.dataset(sub),
             vec![
                 KernelReport::new("isovolume-classify", KernelClass::CellClassify, classify),
                 KernelReport::new("isovolume-gather", KernelClass::GatherScatter, gather),
@@ -185,7 +141,7 @@ impl Filter for Isovolume {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vizmesh::{UniformGrid, Vec3};
+    use vizmesh::{CellShape, Field, Vec3};
 
     /// Dataset with point scalar = x coordinate over the unit cube.
     fn x_field(n: usize) -> DataSet {

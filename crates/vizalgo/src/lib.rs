@@ -24,15 +24,18 @@
 //!
 //! [`marching_tetra`] is an independent isosurface implementation used as
 //! a cross-check oracle in property tests, and [`tetclip`] is the shared
-//! tetrahedral clipping engine behind `clip` and `isovolume`. The
+//! tetrahedral clipping engine — the clip core and the one
+//! hex-subdivision walk — behind `clip` and `isovolume`. The
 //! [`arena`] module holds the flat-arena primitives the kernel hot paths
 //! share: packed-key vertex-welding maps and reusable clip scratch
 //! buffers (see docs/PERFORMANCE.md for the policy they implement).
 //!
-//! The [`dpp`] module is the second execution backend: the same kernels
-//! re-expressed over an instrumented data-parallel-primitive vocabulary
-//! (map / scan / gather / scatter / compact / sort / reduce-by-key),
-//! selectable per spec via [`Backend`] and
+//! The [`dpp`] module is the second execution backend: the same
+//! resolved filter structs ([`Contour`], [`Threshold`], [`Isovolume`],
+//! [`ThreeSlice`]) executed over an instrumented
+//! data-parallel-primitive vocabulary (map / scan / gather / scatter /
+//! compact / sort / reduce-by-key) that calls the traditional filters'
+//! per-cell bodies, selectable per spec via [`Backend`] and
 //! [`AlgorithmSpec::build_with`](spec::AlgorithmSpec::build_with) (see
 //! docs/DPP.md).
 //!
@@ -40,7 +43,7 @@
 //! eight algorithms (names, aliases, kernel taxonomy, cell-centered
 //! flags), and [`spec`] carries the canonical serializable
 //! [`AlgorithmSpec`] plan layer —
-//! [`AlgorithmSpec::build`](spec::AlgorithmSpec::build) is the
+//! [`AlgorithmSpec::build_with`](spec::AlgorithmSpec::build_with) is the
 //! workspace's one sanctioned filter-construction site (enforced by the
 //! `registry-dispatch` xtask lint; see docs/REGISTRY.md).
 
@@ -76,9 +79,7 @@ pub use advection::{FlowMode, FlowScenario, ParticleAdvection, Seeding, StepCont
 pub use arena::{TetScratch, WeldMap};
 pub use clip::SphericalClip;
 pub use contour::Contour;
-pub use dpp::{
-    Backend, DppContour, DppIsovolume, DppSlice, DppThreshold, PrimitiveOp, PrimitiveReport,
-};
+pub use dpp::{Backend, PrimitiveOp, PrimitiveReport};
 pub use filter::{Algorithm, Filter, FilterOutput, KernelClass, KernelReport};
 pub use fingerprint::{
     dataset_fingerprint, fingerprint48, series_fingerprint, Fnv1a, FINGERPRINT_MASK,

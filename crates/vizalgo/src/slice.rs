@@ -6,8 +6,8 @@
 //! field at isovalue 0, yielding a topologically 2-D plane.
 
 use crate::contour::marching_cubes;
-use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
-use vizmesh::{par, Association, CellSet, DataSet, Field, Vec3, WorkCounters};
+use crate::filter::{concat_surfaces, Filter, FilterOutput, KernelClass, KernelReport};
+use vizmesh::{par, DataSet, UniformGrid, Vec3, WorkCounters};
 
 /// An oriented plane `dot(n, p) = dot(n, origin)`.
 #[derive(Debug, Clone, Copy)]
@@ -61,6 +61,20 @@ impl ThreeSlice {
             field: field.into(),
         }
     }
+
+    /// The grid and the sampled point scalar, when the dataset has it.
+    pub(crate) fn inputs<'a>(&self, input: &'a DataSet) -> (&'a UniformGrid, Option<&'a [f64]>) {
+        let grid = input
+            .as_uniform()
+            // lint: infallible because the study harness only feeds uniform grids
+            .expect("slice expects a structured dataset");
+        (grid, input.point_scalars(&self.field))
+    }
+}
+
+/// The data field at slice vertex `p`; 0 without a field.
+pub(crate) fn sample(grid: &UniformGrid, data: Option<&[f64]>, p: Vec3) -> f64 {
+    data.and_then(|d| grid.sample_scalar(d, p)).unwrap_or(0.0)
 }
 
 impl Filter for ThreeSlice {
@@ -69,24 +83,17 @@ impl Filter for ThreeSlice {
     }
 
     fn execute(&self, input: &DataSet) -> FilterOutput {
-        let grid = input
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("slice expects a structured dataset");
-        let data = input.point_scalars(&self.field);
+        let (grid, data) = self.inputs(input);
         let num_points = grid.num_points();
 
         let mut distance_work = WorkCounters::new();
         let mut classify = WorkCounters::new();
         let mut interp = WorkCounters::new();
-        let mut points: Vec<Vec3> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
-        let mut cells = CellSet::new();
         // One signed-distance buffer shared by all planes: refilled in
         // place each iteration instead of collected fresh.
         let mut sdf = vec![0.0f64; num_points];
 
-        for plane in &self.planes {
+        let surfaces = self.planes.iter().map(|plane| {
             // Kernel 1: signed-distance field for every mesh point. The
             // paper notes this per-node computation is what makes slice
             // more compute-intensive than plain contour.
@@ -101,23 +108,14 @@ impl Filter for ThreeSlice {
             interp += mc.interp_work;
 
             // Interpolate the data field onto the slice vertices.
-            let base = points.len() as u32;
-            values.extend(mc.points.iter().map(|p| {
-                interp.tally(1, 46, 22, 96, 8);
-                data.and_then(|d| grid.sample_scalar(d, *p)).unwrap_or(0.0)
-            }));
-            points.extend(mc.points);
-            cells.append_shifted(&mc.triangles, base);
-        }
+            interp.tally(mc.points.len() as u64, 46, 22, 96, 8);
+            let mut sampled = Vec::with_capacity(mc.points.len());
+            sampled.extend(mc.points.iter().map(|&p| sample(grid, data, p)));
+            (mc.points, sampled, mc.triangles)
+        });
+        let ds = concat_surfaces(&self.field, surfaces);
         distance_work.working_set_bytes = (num_points * 8 * 2) as u64;
 
-        let mut ds = DataSet::explicit(points, cells);
-        let n = ds.num_points();
-        ds.add_field(Field::scalar(
-            self.field.clone(),
-            Association::Points,
-            values[..n].to_vec(),
-        ));
         FilterOutput::data(
             ds,
             vec![
@@ -132,7 +130,7 @@ impl Filter for ThreeSlice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vizmesh::UniformGrid;
+    use vizmesh::{Association, Field};
 
     fn dataset(n: usize) -> DataSet {
         let grid = UniformGrid::cube_cells(n);

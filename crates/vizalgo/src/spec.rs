@@ -6,9 +6,11 @@
 //! this module existed the workspace constructed filters in four
 //! independently drifting places (the study driver, the in situ action
 //! layer, the conformance suite, and the bench CLIs); now every
-//! consumer describes *what* to run as a spec and [`AlgorithmSpec::build`]
-//! is the single construction site (enforced by the `registry-dispatch`
-//! xtask lint; the sequential re-implementations in
+//! consumer describes *what* to run as a spec and
+//! [`AlgorithmSpec::build_with`] is the single construction site and the
+//! one `match` that resolves parameters — for every backend, which only
+//! chooses how the resolved struct executes (enforced by the
+//! `registry-dispatch` xtask lint; the sequential re-implementations in
 //! `conformance::reference` are the one allowlisted exception).
 //!
 //! Specs are serializable (the in situ `ascent_actions.json`-style
@@ -21,7 +23,7 @@
 use crate::advection::{FlowScenario, ParticleAdvection, StepControl, Termination};
 use crate::clip::SphericalClip;
 use crate::contour::Contour;
-use crate::dpp::{Backend, DppContour, DppIsovolume, DppSlice, DppThreshold};
+use crate::dpp::{Backend, Dpp, DppExecute};
 use crate::filter::{Algorithm, Filter};
 use crate::isovolume::Isovolume;
 use crate::raytrace::RayTracer;
@@ -147,6 +149,15 @@ pub enum AlgorithmSpec {
     },
 }
 
+/// Box `filter` as `backend` executes it: directly, or through the
+/// primitive pipeline.
+fn on<F: DppExecute + 'static>(backend: Backend, filter: F) -> Box<dyn Filter> {
+    match backend {
+        Backend::Traditional => Box::new(filter),
+        Backend::Dpp => Box::new(Dpp(filter)),
+    }
+}
+
 /// The paper's RK4 step length (fractions of the domain diagonal).
 fn default_step_fraction() -> f64 {
     5e-4
@@ -172,31 +183,54 @@ impl AlgorithmSpec {
         }
     }
 
-    /// Instantiate the filter against a concrete dataset, resolving the
-    /// data-dependent parameters (field ranges, bounds).
-    ///
-    /// This is the workspace's single filter-construction site; every
-    /// driver (study, in situ, conformance, bench) goes through it.
+    /// [`build_with`](AlgorithmSpec::build_with) on the traditional
+    /// backend, which formulates all eight algorithms.
     pub fn build(&self, input: &DataSet) -> Box<dyn Filter> {
+        self.build_with(Backend::Traditional, input)
+    }
+
+    /// Instantiate the filter against a concrete dataset for a chosen
+    /// execution [`Backend`], resolving the data-dependent parameters
+    /// (field ranges, bounds).
+    ///
+    /// This is the workspace's single filter-construction site and its
+    /// one parameter-resolution `match`; every driver (study, in situ,
+    /// conformance, bench) goes through it. A backend is only *how* the
+    /// resolved parameter struct is executed: [`Backend::Dpp`] wraps
+    /// the very struct [`Backend::Traditional`] boxes, so both always
+    /// run the same isovalues, band bounds and planes.
+    ///
+    /// # Panics
+    /// If `backend` has no formulation of this algorithm (callers gate
+    /// on [`Backend::supports`]).
+    pub fn build_with(&self, backend: Backend, input: &DataSet) -> Box<dyn Filter> {
+        let algorithm = self.algorithm();
+        assert!(
+            backend.supports(algorithm),
+            "no {backend} formulation of '{}'",
+            algorithm.name()
+        );
         match self {
-            AlgorithmSpec::Contour { field, isovalues } => match isovalues {
-                IsoValues::Spanning(n) => Box::new(Contour::spanning(field.clone(), input, *n)),
-                IsoValues::Explicit(values) => {
-                    Box::new(Contour::new(field.clone(), values.clone()))
-                }
-            },
-            AlgorithmSpec::Threshold { field, band } => match band {
-                ScalarBand::UpperFraction(frac) => {
-                    Box::new(Threshold::upper_fraction(field.clone(), input, *frac))
-                }
-                ScalarBand::MiddleBand(frac) => {
-                    let (lo, hi) = middle_band(any_range(input, field), *frac);
-                    Box::new(Threshold::new(field.clone(), lo, hi))
-                }
-                ScalarBand::Range { min, max } => {
-                    Box::new(Threshold::new(field.clone(), *min, *max))
-                }
-            },
+            AlgorithmSpec::Contour { field, isovalues } => on(
+                backend,
+                match isovalues {
+                    IsoValues::Spanning(n) => Contour::spanning(field.clone(), input, *n),
+                    IsoValues::Explicit(values) => Contour::new(field.clone(), values.clone()),
+                },
+            ),
+            AlgorithmSpec::Threshold { field, band } => on(
+                backend,
+                match band {
+                    ScalarBand::UpperFraction(frac) => {
+                        Threshold::upper_fraction(field.clone(), input, *frac)
+                    }
+                    ScalarBand::MiddleBand(frac) => {
+                        let (lo, hi) = middle_band(any_range(input, field), *frac);
+                        Threshold::new(field.clone(), lo, hi)
+                    }
+                    ScalarBand::Range { min, max } => Threshold::new(field.clone(), *min, *max),
+                },
+            ),
             AlgorithmSpec::SphericalClip { field, sphere } => {
                 let mut clip = match sphere {
                     SphereSpec::RadiusFraction(frac) => {
@@ -208,20 +242,23 @@ impl AlgorithmSpec {
                 clip.carry_field = field.clone();
                 Box::new(clip)
             }
-            AlgorithmSpec::Isovolume { field, band } => match band {
-                ScalarBand::MiddleBand(frac) => {
-                    Box::new(Isovolume::middle_band(field.clone(), input, *frac))
-                }
-                ScalarBand::UpperFraction(frac) => {
-                    let (lo, hi) = point_range(input, field);
-                    let cut = hi - (hi - lo) * frac.clamp(0.0, 1.0);
-                    Box::new(Isovolume::new(field.clone(), cut, hi))
-                }
-                ScalarBand::Range { min, max } => {
-                    Box::new(Isovolume::new(field.clone(), *min, *max))
-                }
-            },
-            AlgorithmSpec::Slice { field } => Box::new(ThreeSlice::centered(input, field.clone())),
+            AlgorithmSpec::Isovolume { field, band } => on(
+                backend,
+                match band {
+                    ScalarBand::MiddleBand(frac) => {
+                        Isovolume::middle_band(field.clone(), input, *frac)
+                    }
+                    ScalarBand::UpperFraction(frac) => {
+                        let (lo, hi) = point_range(input, field);
+                        let cut = hi - (hi - lo) * frac.clamp(0.0, 1.0);
+                        Isovolume::new(field.clone(), cut, hi)
+                    }
+                    ScalarBand::Range { min, max } => Isovolume::new(field.clone(), *min, *max),
+                },
+            ),
+            AlgorithmSpec::Slice { field } => {
+                on(backend, ThreeSlice::centered(input, field.clone()))
+            }
             AlgorithmSpec::ParticleAdvection {
                 field,
                 particles,
@@ -341,81 +378,12 @@ impl AlgorithmSpec {
         crate::fingerprint::fingerprint48(self.canonical().as_bytes())
     }
 
-    /// [`build`](AlgorithmSpec::build) for a chosen execution
-    /// [`Backend`]. `Traditional` is exactly `build`; `Dpp` constructs
-    /// the data-parallel-primitives formulation (callers gate on
-    /// [`Backend::supports`] first — four algorithms have one).
-    ///
-    /// This is the second sanctioned arm of the single construction
-    /// site: the registry-dispatch lint knows the `Dpp*` constructors
-    /// the same way it knows the traditional ones.
-    pub fn build_with(&self, backend: Backend, input: &DataSet) -> Box<dyn Filter> {
-        match backend {
-            Backend::Traditional => self.build(input),
-            Backend::Dpp => self.build_dpp(input),
-        }
-    }
-
-    /// Construct the DPP formulation. Data-dependent parameters are
-    /// resolved by the *traditional* constructor first and its resolved
-    /// fields move into the DPP filter, so both backends always execute
-    /// the same resolved plan (same isovalues, same band bounds, same
-    /// planes).
-    fn build_dpp(&self, input: &DataSet) -> Box<dyn Filter> {
-        match self {
-            AlgorithmSpec::Contour { field, isovalues } => {
-                let t = match isovalues {
-                    IsoValues::Spanning(n) => Contour::spanning(field.clone(), input, *n),
-                    IsoValues::Explicit(values) => Contour::new(field.clone(), values.clone()),
-                };
-                Box::new(DppContour::new(t.field, t.isovalues))
-            }
-            AlgorithmSpec::Threshold { field, band } => {
-                let t = match band {
-                    ScalarBand::UpperFraction(frac) => {
-                        Threshold::upper_fraction(field.clone(), input, *frac)
-                    }
-                    ScalarBand::MiddleBand(frac) => {
-                        let (lo, hi) = middle_band(any_range(input, field), *frac);
-                        Threshold::new(field.clone(), lo, hi)
-                    }
-                    ScalarBand::Range { min, max } => Threshold::new(field.clone(), *min, *max),
-                };
-                let mut dpp = DppThreshold::new(t.field, t.lo, t.hi);
-                dpp.policy = t.policy;
-                Box::new(dpp)
-            }
-            AlgorithmSpec::Isovolume { field, band } => {
-                let t = match band {
-                    ScalarBand::MiddleBand(frac) => {
-                        Isovolume::middle_band(field.clone(), input, *frac)
-                    }
-                    ScalarBand::UpperFraction(frac) => {
-                        let (lo, hi) = point_range(input, field);
-                        let cut = hi - (hi - lo) * frac.clamp(0.0, 1.0);
-                        Isovolume::new(field.clone(), cut, hi)
-                    }
-                    ScalarBand::Range { min, max } => Isovolume::new(field.clone(), *min, *max),
-                };
-                Box::new(DppIsovolume::new(t.field, t.lo, t.hi))
-            }
-            AlgorithmSpec::Slice { field } => {
-                let t = ThreeSlice::centered(input, field.clone());
-                Box::new(DppSlice::new(t.planes, t.field))
-            }
-            other => {
-                // lint: infallible because callers gate on Backend::supports
-                panic!("no dpp formulation of '{}'", other.algorithm().name())
-            }
-        }
-    }
-
     /// The concrete advection kernel, for series (time-varying)
     /// execution: `ParticleAdvection::execute_series` lives outside the
     /// `dyn Filter` interface, so callers that advect through a
     /// [`vizmesh::FieldSeries`] need the concrete type. `None` for
-    /// non-advection specs. This is the third sanctioned arm of the
-    /// single construction site (next to `build` / `build_with`).
+    /// non-advection specs. This is the second sanctioned arm of the
+    /// single construction site (next to `build_with`).
     pub fn build_flow(&self) -> Option<ParticleAdvection> {
         match self {
             AlgorithmSpec::ParticleAdvection {
@@ -523,13 +491,18 @@ impl IsoValues {
     pub fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("isovalues")? {
             "spanning" => Ok(IsoValues::Spanning(v.usize("spanning")?)),
-            "explicit" => (v.array("explicit")?.iter())
-                .map(|x| {
-                    x.as_f64()
-                        .ok_or(JsonError::wrong("explicit", "an array of numbers"))
-                })
-                .collect::<Result<_, _>>()
-                .map(IsoValues::Explicit),
+            "explicit" => {
+                let values = (v.array("explicit")?.iter())
+                    .map(|x| {
+                        x.as_f64()
+                            .ok_or(JsonError::wrong("explicit", "an array of numbers"))
+                    })
+                    .collect::<Result<Vec<f64>, _>>()?;
+                if values.is_empty() {
+                    return Err(JsonError::wrong("explicit", "at least one isovalue"));
+                }
+                Ok(IsoValues::Explicit(values))
+            }
             other => Err(JsonError::unknown_tag("isovalues", other)),
         }
     }
@@ -557,6 +530,9 @@ impl ScalarBand {
             "range" => {
                 let range = v.field("range")?;
                 let (min, max) = (range.f64("min")?, range.f64("max")?);
+                if !(min.is_finite() && max.is_finite() && min <= max) {
+                    return Err(JsonError::wrong("range", "finite bounds with min <= max"));
+                }
                 Ok(ScalarBand::Range { min, max })
             }
             other => Err(JsonError::unknown_tag("band", other)),
@@ -585,6 +561,9 @@ impl SphereSpec {
                 let sphere = v.field("explicit")?;
                 let center = Vec3::from_json(sphere.field("center")?)?;
                 let radius = sphere.f64("radius")?;
+                if !(radius.is_finite() && radius > 0.0) {
+                    return Err(JsonError::wrong("radius", "a positive finite number"));
+                }
                 Ok(SphereSpec::Explicit { center, radius })
             }
             other => Err(JsonError::unknown_tag("sphere", other)),
@@ -654,7 +633,11 @@ impl AlgorithmSpec {
 
     /// Decode the wire form of [`to_json`](AlgorithmSpec::to_json).
     /// `step_fraction`, `seed` and `scenario` take the paper defaults
-    /// when absent; keys the variant does not know are ignored.
+    /// when absent; keys the variant does not know are ignored. Values
+    /// a filter constructor would assert on (no isovalues, an inverted
+    /// or non-finite range, a non-positive radius, a zero image
+    /// dimension or count) are [`JsonError::Wrong`] here, not a panic
+    /// in [`build`](AlgorithmSpec::build).
     pub fn from_json(v: &Value) -> Result<Self, JsonError> {
         let field = v.str("field").map(str::to_owned);
         match v.str("type")? {
@@ -694,18 +677,27 @@ impl AlgorithmSpec {
             }),
             "ray_tracing" => Ok(AlgorithmSpec::RayTracing {
                 field: field?,
-                width: v.usize("width")?,
-                height: v.usize("height")?,
-                images: v.usize("images")?,
+                width: positive(v, "width")?,
+                height: positive(v, "height")?,
+                images: positive(v, "images")?,
             }),
             "volume_rendering" => Ok(AlgorithmSpec::VolumeRendering {
                 field: field?,
-                width: v.usize("width")?,
-                height: v.usize("height")?,
-                images: v.usize("images")?,
+                width: positive(v, "width")?,
+                height: positive(v, "height")?,
+                images: positive(v, "images")?,
             }),
             other => Err(JsonError::unknown_tag("algorithm type", other)),
         }
+    }
+}
+
+/// The required integer ≥ 1 at `field`: an image dimension or count the
+/// renderers would otherwise assert on.
+fn positive(v: &Value, field: &'static str) -> Result<usize, JsonError> {
+    match v.usize(field)? {
+        0 => Err(JsonError::wrong(field, "a positive integer")),
+        n => Ok(n),
     }
 }
 
@@ -899,6 +891,24 @@ mod tests {
                 "{} on dpp journals primitive counters",
                 spec.canonical()
             );
+        }
+    }
+
+    #[test]
+    fn both_backends_run_the_same_resolved_parameters() {
+        // The four DPP defaults (Spanning, UpperFraction, MiddleBand,
+        // the centered slice) all resolve against the data.
+        let ds = dataset();
+        for alg in crate::dpp::dpp_algorithms() {
+            let spec = alg.default_spec();
+            let [t, d] = Backend::ALL.map(|b| {
+                let out = spec.build_with(b, &ds).execute(&ds);
+                out.dataset.expect("geometry")
+            });
+            assert!(t.num_cells() > 0, "{alg}");
+            assert_eq!(t.num_cells(), d.num_cells(), "{alg}");
+            assert_eq!(t.num_points(), d.num_points(), "{alg}");
+            assert_eq!(t.point_scalars("energy"), d.point_scalars("energy"));
         }
     }
 

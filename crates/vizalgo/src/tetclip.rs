@@ -16,11 +16,14 @@
 //! negate-clip-negate dance cost isovolume.
 //!
 //! The `_into` variants append into caller-owned scratch buffers
-//! (`arena::TetScratch`) so the per-cell inner loops of `clip` and
-//! `isovolume` allocate nothing after warm-up.
+//! (`arena::TetScratch`) so the per-cell inner loop allocates nothing
+//! after warm-up. That loop is `subdivide_hexes`, the one
+//! hex-subdivision walk: `clip`, `isovolume` and the DPP isovolume all
+//! run it and differ only in which cells they feed it, the per-point
+//! scalars, and the clip applied to a straddling cell's tets.
 
-use crate::arena::{pack_edge_iso, WeldMap};
-use vizmesh::{Vec3, WorkCounters};
+use crate::arena::{pack_edge_iso, TetScratch, WeldMap};
+use vizmesh::{CellSet, CellShape, UniformGrid, Vec3, WorkCounters};
 
 /// Decomposition of a hexahedron (VTK corner order) into 6 tetrahedra
 /// sharing the 0–6 main diagonal. The union tiles the hex exactly.
@@ -168,6 +171,123 @@ pub fn clip_keep_below_into(
     out: &mut Vec<[u32; 4]>,
 ) -> WorkCounters {
     clip_tets(mesh, tets, -iso, true, out)
+}
+
+/// Where a hexahedral cell sits relative to the kept region. One byte,
+/// because the DPP classify map prices its output by element size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum HexSide {
+    /// Entirely outside: dropped.
+    Out,
+    /// Entirely inside: passed through as one hexahedron.
+    Whole,
+    /// Cut by the surface: tetrahedralized and clipped.
+    Straddle,
+}
+
+/// What [`subdivide_hexes`] built, with its work as integer tallies
+/// each caller prices in its own currency (kernel [`WorkCounters`] or
+/// primitive traffic).
+pub(crate) struct Subdivision {
+    pub mesh: TetMesh,
+    pub cells: CellSet,
+    /// Grid points first welded by a whole cell.
+    pub whole_points: u64,
+    /// Grid points first welded by a straddling cell.
+    pub straddle_points: u64,
+    pub whole_cells: u64,
+    /// Tets handed to the clip (6 per straddling cell).
+    pub tets_clipped: u64,
+    /// Summed work of the clip calls.
+    pub clip_work: WorkCounters,
+}
+
+impl Subdivision {
+    /// The traditional filters' `(GatherScatter, TetClip)` kernel work.
+    pub(crate) fn kernel_work(&self) -> (WorkCounters, WorkCounters) {
+        let mut gather = WorkCounters::new();
+        gather.tally(self.whole_points, 12, 3, 32, 40);
+        gather.tally(self.whole_cells, 30, 0, 32, 40);
+        let mut tet_work = self.clip_work;
+        tet_work.tally(self.straddle_points, 12, 3, 32, 40);
+        (gather, tet_work)
+    }
+}
+
+/// The hex-subdivision walk: visit `cells` in order, weld each grid
+/// point at first use with its `point(id) = (clip scalar, payload)`,
+/// pass [`HexSide::Whole`] cells through as hexahedra, and split
+/// [`HexSide::Straddle`] cells along [`HEX_TO_TETS`] into
+/// `scratch.tets`, which `clip` cuts down to `scratch.kept`.
+/// `tets_per_straddler` pre-sizes the output for the caller's measured
+/// straddle shape; everything still grows on demand.
+pub(crate) fn subdivide_hexes(
+    grid: &UniformGrid,
+    cells: impl Iterator<Item = usize> + Clone,
+    sides: &[HexSide],
+    tets_per_straddler: usize,
+    point: impl Fn(usize) -> (f64, f64),
+    mut clip: impl FnMut(&mut TetMesh, &mut TetScratch) -> WorkCounters,
+) -> Subdivision {
+    let num_points = grid.num_points();
+    let (mut num_whole, mut num_straddle) = (0usize, 0usize);
+    for c in cells.clone() {
+        match sides[c] {
+            HexSide::Whole => num_whole += 1,
+            HexSide::Straddle => num_straddle += 1,
+            HexSide::Out => {}
+        }
+    }
+    let active = num_whole + num_straddle;
+    let num_tets = tets_per_straddler * num_straddle;
+    let mut out = Subdivision {
+        mesh: TetMesh::with_point_capacity(active.saturating_mul(2).min(num_points)),
+        cells: CellSet::with_capacity(num_whole + num_tets, 8 * num_whole + 4 * num_tets),
+        whole_points: 0,
+        straddle_points: 0,
+        whole_cells: 0,
+        tets_clipped: 0,
+        clip_work: WorkCounters::new(),
+    };
+    let mut scratch = TetScratch::new();
+    let mut point_map: Vec<u32> = vec![u32::MAX; num_points];
+    for c in cells {
+        if sides[c] == HexSide::Out {
+            continue;
+        }
+        let mut corner = [0u32; 8];
+        let mut welded = 0;
+        for (slot, &pid) in grid.cell_point_ids(c).iter().enumerate() {
+            if point_map[pid] == u32::MAX {
+                let (value, payload) = point(pid);
+                point_map[pid] = out
+                    .mesh
+                    .add_point_with(grid.point_coord_id(pid), value, payload);
+                welded += 1;
+            }
+            corner[slot] = point_map[pid];
+        }
+        if sides[c] == HexSide::Whole {
+            out.cells.push(CellShape::Hexahedron, &corner);
+            out.whole_cells += 1;
+            out.whole_points += welded;
+        } else {
+            out.straddle_points += welded;
+            scratch.tets.clear();
+            for t in HEX_TO_TETS {
+                scratch
+                    .tets
+                    .push([corner[t[0]], corner[t[1]], corner[t[2]], corner[t[3]]]);
+            }
+            out.tets_clipped += scratch.tets.len() as u64;
+            out.clip_work += clip(&mut out.mesh, &mut scratch);
+            for t in &scratch.kept {
+                out.cells.push(CellShape::Tetra, t);
+            }
+        }
+    }
+    out
 }
 
 /// The one clip core. `flip = false` keeps `value >= iso`; `flip = true`

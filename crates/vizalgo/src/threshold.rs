@@ -1,7 +1,9 @@
 //! Threshold: keep cells whose scalar lies in a range (§III-B2).
 
 use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
-use vizmesh::{par, Association, CellSet, CellShape, DataSet, Field, Vec3, WorkCounters};
+use vizmesh::{
+    par, Association, CellSet, CellShape, DataSet, Field, UniformGrid, Vec3, WorkCounters,
+};
 
 /// Which points of a cell must satisfy the range for the cell to be kept
 /// when thresholding a point-centered field (VTK-m's threshold policies).
@@ -45,9 +47,43 @@ impl Threshold {
         Threshold::new(field, cut, hi)
     }
 
-    #[inline]
-    fn in_range(&self, v: f64) -> bool {
-        v >= self.lo && v <= self.hi
+    /// The grid, the field's cell values when it is cell-centered, and
+    /// the keep predicate over cell ids: the cell's own value in range,
+    /// else its corner values under the [`ThresholdPolicy`].
+    pub(crate) fn inputs<'a>(
+        &'a self,
+        input: &'a DataSet,
+    ) -> (
+        &'a UniformGrid,
+        Option<&'a [f64]>,
+        impl Fn(usize) -> bool + Sync + 'a,
+    ) {
+        let grid = input
+            .as_uniform()
+            // lint: infallible because the study harness only feeds uniform grids
+            .expect("threshold expects a structured dataset");
+        let cell_vals = input.cell_scalars(&self.field);
+        let point_vals = input.point_scalars(&self.field);
+        assert!(
+            cell_vals.is_some() || point_vals.is_some(),
+            "missing scalar field '{}'",
+            self.field
+        );
+        let in_range = |v: f64| v >= self.lo && v <= self.hi;
+        let keeps = move |c: usize| {
+            if let Some(vals) = cell_vals {
+                in_range(vals[c])
+            } else {
+                // lint: infallible because the assert above guarantees point values
+                let vals = point_vals.unwrap();
+                let ids = grid.cell_point_ids(c);
+                match self.policy {
+                    ThresholdPolicy::AllPoints => ids.iter().all(|&p| in_range(vals[p])),
+                    ThresholdPolicy::AnyPoint => ids.iter().any(|&p| in_range(vals[p])),
+                }
+            }
+        };
+        (grid, cell_vals, keeps)
     }
 }
 
@@ -57,33 +93,10 @@ impl Filter for Threshold {
     }
 
     fn execute(&self, input: &DataSet) -> FilterOutput {
-        let grid = input
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("threshold expects a structured dataset");
-
         // Phase 1: classify every cell (streaming compare).
-        let cell_vals = input.cell_scalars(&self.field);
-        let point_vals = input.point_scalars(&self.field);
-        assert!(
-            cell_vals.is_some() || point_vals.is_some(),
-            "missing scalar field '{}'",
-            self.field
-        );
+        let (grid, cell_vals, keeps) = self.inputs(input);
         let num_cells = grid.num_cells();
-        let keep: Vec<bool> = par::map(num_cells, crate::CELL_MIN_LEN, |c| {
-            if let Some(vals) = cell_vals {
-                self.in_range(vals[c])
-            } else {
-                // lint: infallible because the assert above guarantees point values
-                let vals = point_vals.unwrap();
-                let ids = grid.cell_point_ids(c);
-                match self.policy {
-                    ThresholdPolicy::AllPoints => ids.iter().all(|&p| self.in_range(vals[p])),
-                    ThresholdPolicy::AnyPoint => ids.iter().any(|&p| self.in_range(vals[p])),
-                }
-            }
-        });
+        let keep: Vec<bool> = par::map(num_cells, crate::CELL_MIN_LEN, keeps);
         let mut classify = WorkCounters::new();
         let bytes_per_cell = if cell_vals.is_some() { 8 } else { 64 + 32 };
         classify.tally(num_cells as u64, 12, 2, bytes_per_cell, 1);

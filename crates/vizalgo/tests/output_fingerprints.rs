@@ -1,0 +1,61 @@
+//! Absolute pins of what the five geometry filters produce: one
+//! `fingerprint48` over the `Debug` rendering of the whole
+//! [`vizalgo::FilterOutput`] — geometry, fields, `kernels` (modeled
+//! work) and `primitives` (DPP traffic) — per algorithm × supported
+//! backend, on a 12³ analytic field with the paper-default specs.
+//!
+//! `tests/registry_parity.rs` compares two builds of the same code and
+//! the journal goldens compare run to run; this is the test that fails
+//! when output bits or counters drift between commits. The nine values
+//! were captured at the commit before the traditional and DPP
+//! formulations started sharing their per-cell bodies. A change that
+//! moves one must say why the modeled work moved.
+
+use vizalgo::{fingerprint48, Algorithm, Backend};
+use vizmesh::{Association, DataSet, Field, UniformGrid, Vec3};
+
+/// 12³ cells; `energy` as a point field (off-center radial bump plus a
+/// ripple, so every filter cuts cells on curved and oblique surfaces)
+/// and as a cell field (what threshold prefers).
+fn dataset() -> DataSet {
+    let grid = UniformGrid::cube_cells(12);
+    let f = |p: Vec3| {
+        let r = p.distance(Vec3::new(0.4, 0.55, 0.45));
+        (-4.0 * r * r).exp() + 0.1 * (9.0 * p.x).sin() * (7.0 * p.y + 3.0 * p.z).cos()
+    };
+    let point: Vec<f64> = (0..grid.num_points())
+        .map(|p| f(grid.point_coord_id(p)))
+        .collect();
+    let cell: Vec<f64> = (0..grid.num_cells())
+        .map(|c| f(grid.cell_center(c)))
+        .collect();
+    DataSet::uniform(grid)
+        .with_field(Field::scalar("energy", Association::Points, point))
+        .with_field(Field::scalar("energy", Association::Cells, cell))
+}
+
+#[test]
+fn geometry_outputs_and_counters_are_pinned() {
+    const PINS: [(Algorithm, Backend, u64); 9] = [
+        (Algorithm::Contour, Backend::Traditional, 269579667526534),
+        (Algorithm::Contour, Backend::Dpp, 101331397172669),
+        (Algorithm::Threshold, Backend::Traditional, 216599474997449),
+        (Algorithm::Threshold, Backend::Dpp, 201142676696200),
+        (
+            Algorithm::SphericalClip,
+            Backend::Traditional,
+            55179682643335,
+        ),
+        (Algorithm::Isovolume, Backend::Traditional, 160032978823950),
+        (Algorithm::Isovolume, Backend::Dpp, 23089082681004),
+        (Algorithm::Slice, Backend::Traditional, 43682988630028),
+        (Algorithm::Slice, Backend::Dpp, 55968056861578),
+    ];
+    let ds = dataset();
+    let got = PINS.map(|(alg, backend, _)| {
+        let out = alg.default_spec().build_with(backend, &ds).execute(&ds);
+        assert!(out.dataset.as_ref().is_some_and(|d| d.num_cells() > 0));
+        (alg, backend, fingerprint48(format!("{out:?}").as_bytes()))
+    });
+    assert_eq!(got, PINS);
+}

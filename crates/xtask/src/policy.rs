@@ -102,10 +102,6 @@ pub const FILTER_CONSTRUCTORS: &[&str] = &[
     "ParticleAdvection::new(",
     "RayTracer::new(",
     "VolumeRenderer::new(",
-    "DppContour::new(",
-    "DppThreshold::new(",
-    "DppIsovolume::new(",
-    "DppSlice::new(",
 ];
 
 /// Returns the crate name (directory under `crates/`) for a
