@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use vizalgo::colormap::ColorMap;
 use vizalgo::contour::{triangle_table, EDGES};
 use vizalgo::raytrace::external_face_triangles;
-use vizalgo::{Algorithm, FilterOutput, ThreeSlice};
+use vizalgo::{Algorithm, Backend, FilterOutput, ThreeSlice};
 use vizmesh::{par, Camera, CellShape, DataSet, UniformGrid, Vec3, XorShift};
 
 const KIND: CheckKind = CheckKind::Differential;
@@ -49,17 +49,25 @@ pub fn checks(
     checks
 }
 
-/// Execute the canonical filter under `par::with_threads(1)` and `(4)`;
-/// the outputs must be identical.
+/// Execute the canonical plan on every backend that formulates it under
+/// `par::with_threads(1)` and `(4)`; the whole outputs — data, images,
+/// kernel work and primitive traffic — must be identical.
 fn thread_invariance(
     alg: Algorithm,
     cfg: &ConformanceConfig,
     n: usize,
     input: &DataSet,
 ) -> CheckResult {
-    let filter = crate::build_filter(alg, cfg, input);
-    let runs = [1usize, 4].map(|threads| par::with_threads(threads, || filter.execute(input)));
-    let equal = runs[0].dataset == runs[1].dataset && runs[0].images == runs[1].images;
+    let spec = crate::spec_for(alg, cfg);
+    let equal = Backend::ALL
+        .into_iter()
+        .filter(|b| b.supports(alg))
+        .all(|backend| {
+            let filter = spec.build_with(backend, input);
+            let [one, four] =
+                [1, 4].map(|threads| par::with_threads(threads, || filter.execute(input)));
+            one == four
+        });
     CheckResult::new(
         alg,
         KIND,

@@ -149,6 +149,10 @@ pub fn dataset_for(size: usize) -> DataSet {
     }
 }
 
+/// Fewest trilinear samples worth a `par` chunk in [`upsample`] (a cell
+/// lookup and seven lerps each).
+const SAMPLE_MIN_LEN: usize = 1024;
+
 /// Trilinearly upsample a structured dataset's fields onto an `n³` grid
 /// spanning the same bounds.
 pub fn upsample(base: &DataSet, n: usize) -> DataSet {
@@ -165,36 +169,29 @@ pub fn upsample(base: &DataSet, n: usize) -> DataSet {
             p.z.clamp(b.min.z, b.max.z),
         )
     };
-    // Point scalar + vector fields.
+    // Point scalar + vector fields, each a parallel sweep over the new
+    // grid (every value is a function of its own point alone).
     if let Some(vals) = base.point_scalars("energy") {
-        let out: Vec<f64> = (0..grid.num_points())
-            .map(|id| {
-                bgrid
-                    .sample_scalar(vals, clamp_in(grid.point_coord_id(id)))
-                    .unwrap_or(0.0)
-            })
-            .collect();
+        let out: Vec<f64> = grid.map_points(SAMPLE_MIN_LEN, |_, p| {
+            bgrid.sample_scalar(vals, clamp_in(p)).unwrap_or(0.0)
+        });
         ds.add_field(Field::scalar("energy", Association::Points, out));
     }
     if let Some(vel) = base.point_vectors("velocity") {
-        let out: Vec<vizmesh::Vec3> = (0..grid.num_points())
-            .map(|id| {
-                bgrid
-                    .sample_vector(vel, clamp_in(grid.point_coord_id(id)))
-                    .unwrap_or(vizmesh::Vec3::ZERO)
-            })
-            .collect();
+        let out: Vec<vizmesh::Vec3> = grid.map_points(SAMPLE_MIN_LEN, |_, p| {
+            bgrid
+                .sample_vector(vel, clamp_in(p))
+                .unwrap_or(vizmesh::Vec3::ZERO)
+        });
         ds.add_field(Field::vector("velocity", Association::Points, out));
     }
     // Cell fields: sample the base *point* field at the new cell centers.
     if let Some(vals) = base.point_scalars("energy") {
-        let out: Vec<f64> = (0..grid.num_cells())
-            .map(|c| {
-                bgrid
-                    .sample_scalar(vals, clamp_in(grid.cell_center(c)))
-                    .unwrap_or(0.0)
-            })
-            .collect();
+        let out: Vec<f64> = grid.map_cells(SAMPLE_MIN_LEN, |cell| {
+            bgrid
+                .sample_scalar(vals, clamp_in(cell.center()))
+                .unwrap_or(0.0)
+        });
         ds.add_field(Field::scalar("energy", Association::Cells, out));
     }
     ds
@@ -605,6 +602,64 @@ mod tests {
             .scalar_range()
             .unwrap();
         assert!(ulo >= blo - 1e-9 && uhi <= bhi + 1e-9);
+    }
+
+    #[test]
+    fn upsample_is_the_per_index_dataset_at_every_thread_count() {
+        use vizmesh::{par, Association, Field, UniformGrid, Vec3};
+        // 65³ points: above the inline cutoff, so four threads really cut
+        // the sweeps into chunks.
+        let base = dataset_for(32);
+        let (bgrid, energy, velocity) = (
+            base.as_uniform().unwrap(),
+            base.point_scalars("energy").unwrap(),
+            base.point_vectors("velocity").unwrap(),
+        );
+        // The three sweeps as the per-index loops they replaced.
+        let grid = UniformGrid::from_cell_dims([64; 3], bgrid.bounds());
+        let (lo, hi) = (bgrid.bounds().min, bgrid.bounds().max);
+        let clamp = |p: Vec3| {
+            Vec3::new(
+                p.x.clamp(lo.x, hi.x),
+                p.y.clamp(lo.y, hi.y),
+                p.z.clamp(lo.z, hi.z),
+            )
+        };
+        let scalar = |p: Vec3| bgrid.sample_scalar(energy, clamp(p)).unwrap();
+        let expect = DataSet::uniform(grid.clone())
+            .with_field(Field::scalar(
+                "energy",
+                Association::Points,
+                (0..grid.num_points())
+                    .map(|id| scalar(grid.point_coord_id(id)))
+                    .collect(),
+            ))
+            .with_field(Field::vector(
+                "velocity",
+                Association::Points,
+                (0..grid.num_points())
+                    .map(|id| {
+                        let p = clamp(grid.point_coord_id(id));
+                        bgrid.sample_vector(velocity, p).unwrap()
+                    })
+                    .collect(),
+            ))
+            .with_field(Field::scalar(
+                "energy",
+                Association::Cells,
+                (0..grid.num_cells())
+                    .map(|c| scalar(grid.cell_center(c)))
+                    .collect(),
+            ));
+        let expect = vizalgo::dataset_fingerprint(&expect);
+        for threads in [1, 4] {
+            let up = par::with_threads(threads, || upsample(&base, 64));
+            assert_eq!(
+                vizalgo::dataset_fingerprint(&up),
+                expect,
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::filter::{mesh_dataset, Filter, FilterOutput, KernelClass, KernelReport};
 use crate::tetclip::{clip_keep_above_into, subdivide_hexes, HexSide};
-use vizmesh::{par, DataSet, Vec3, WorkCounters};
+use vizmesh::{DataSet, Vec3, WorkCounters};
 
 /// The spherical clip filter.
 #[derive(Debug, Clone)]
@@ -58,13 +58,11 @@ impl Filter for SphericalClip {
         // Phase 1 (SignedDistance): per-point distances, then per-cell
         // classification from the 8 corner signs.
         let num_points = grid.num_points();
-        let dist: Vec<f64> = par::map(num_points, crate::CELL_MIN_LEN, |p| {
-            self.distance(grid.point_coord_id(p))
-        });
+        let dist: Vec<f64> = grid.map_points(crate::CELL_MIN_LEN, |_, p| self.distance(p));
         let mut classify = WorkCounters::new();
         classify.tally(num_points as u64, 22, 12, 24, 8);
-        let sides: Vec<HexSide> = par::map(num_cells, crate::CELL_MIN_LEN, |c| {
-            let ids = grid.cell_point_ids(c);
+        let sides: Vec<HexSide> = grid.map_cells(crate::CELL_MIN_LEN, |cell| {
+            let ids = cell.point_ids();
             match ids.iter().filter(|&&p| dist[p] < 0.0).count() {
                 0 => HexSide::Whole,
                 8 => HexSide::Out,

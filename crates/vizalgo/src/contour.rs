@@ -16,7 +16,9 @@
 use crate::arena::{pack_edge, WeldMap};
 use crate::filter::{concat_surfaces, Filter, FilterOutput, KernelClass, KernelReport};
 use std::sync::OnceLock;
-use vizmesh::{par, Association, CellSet, CellShape, DataSet, UniformGrid, Vec3, WorkCounters};
+use vizmesh::{
+    par, Association, CellSet, CellShape, DataSet, GridCell, UniformGrid, Vec3, WorkCounters,
+};
 
 /// Corner coordinates of the canonical unit cell, VTK hexahedron order.
 pub const CORNERS: [[f64; 3]; 8] = [
@@ -220,36 +222,64 @@ fn build_case(config: u8) -> CaseTriangles {
     triangles
 }
 
-/// The marching-cubes case of a cell with corner points `ids`: bit `i`
-/// set when corner `i` is above the isovalue.
-#[inline]
-pub(crate) fn classify(values: &[f64], ids: &[usize; 8], isovalue: f64) -> u8 {
-    let mut config = 0u8;
-    for (bit, &pid) in ids.iter().enumerate() {
-        if values[pid] > isovalue {
-            config |= 1 << bit;
+/// The marching-cubes case of every cell, in cell order: bit `i` set
+/// when corner `i` is above the isovalue.
+///
+/// Two sweeps instead of eight gathered loads and compares per cell:
+/// one `value > isovalue` flag per point, then per x-row of cells the
+/// four flag rows its corners lie on are combined, so each cell reads
+/// eight adjacent bytes. Both backends classify through here.
+pub(crate) fn classify(grid: &UniformGrid, values: &[f64], isovalue: f64) -> Vec<u8> {
+    let above: Vec<bool> = par::map_chunks(values.len(), crate::CELL_MIN_LEN, |points| {
+        values[points].iter().map(|&v| v > isovalue).collect()
+    });
+    let [nx, ny, _nz] = grid.point_dims();
+    let cx = nx - 1;
+    // Point-id distance from corner 0 to corners 3, 4 and 7.
+    let (up_y, up_z) = (nx, nx * ny);
+    par::map_chunks(grid.num_cells(), crate::CELL_MIN_LEN, |cells| {
+        let mut configs = Vec::with_capacity(cells.len());
+        let mut cell = grid.cell_at(cells.start);
+        while cell.id() < cells.end {
+            // The rest of this x-row, or of the chunk if that ends first.
+            let [i, j, k] = cell.ijk();
+            let len = (cx - i).min(cells.end - cell.id());
+            let p0 = grid.point_id(i, j, k);
+            let row = |from: usize| &above[from..=from + len];
+            let (r0, r3, r4, r7) = (
+                row(p0),
+                row(p0 + up_y),
+                row(p0 + up_z),
+                row(p0 + up_y + up_z),
+            );
+            configs.extend((0..len).map(|x| {
+                u8::from(r0[x])
+                    | u8::from(r0[x + 1]) << 1
+                    | u8::from(r3[x + 1]) << 2
+                    | u8::from(r3[x]) << 3
+                    | u8::from(r4[x]) << 4
+                    | u8::from(r4[x + 1]) << 5
+                    | u8::from(r7[x + 1]) << 6
+                    | u8::from(r7[x]) << 7
+            }));
+            cell.seek(cell.id() + len);
         }
-    }
-    config
+        configs
+    })
 }
 
-/// Interpolate the triangles of `case` for cell `c` (corner points
-/// `ids`): `emit` receives, per triangle, the three weld keys (packed
-/// grid edges) and the three positions where the isovalue crosses them.
+/// Interpolate the triangles of `case` for `cell`: `emit` receives, per
+/// triangle, the three weld keys (packed grid edges) and the three
+/// positions where the isovalue crosses them.
 #[inline]
 pub(crate) fn emit_case(
-    grid: &UniformGrid,
     values: &[f64],
     isovalue: f64,
-    c: usize,
-    ids: &[usize; 8],
+    cell: GridCell<'_>,
     case: &[[u8; 3]],
     mut emit: impl FnMut([u64; 3], [Vec3; 3]),
 ) {
-    if case.is_empty() {
-        return;
-    }
-    let corners = grid.cell_corners(c);
+    let (ids, corners) = (cell.point_ids(), cell.corners());
     for t in case {
         let mut key = [0u64; 3];
         let mut pos = [Vec3::ZERO; 3];
@@ -291,8 +321,11 @@ pub fn marching_cubes(grid: &UniformGrid, values: &[f64], isovalue: f64) -> McOu
     let [cx, cy, cz] = grid.cell_dims();
     let num_cells = grid.num_cells();
 
-    // Parallel over z-slabs: each slab emits triangles keyed by global
-    // edge ids; a serial weld pass builds the final indexed mesh.
+    let configs = classify(grid, values, isovalue);
+
+    // Parallel over z-slabs: each slab emits the triangles of the cells
+    // the surface cuts, keyed by global edge ids; a serial weld pass
+    // builds the final indexed mesh.
     let slab = (cx * cy).max(1);
     let slabs: Vec<(WorkCounters, WorkCounters, Vec<([u64; 3], [Vec3; 3])>)> =
         par::map(cz, crate::CELL_MIN_LEN.div_ceil(slab), |kz| {
@@ -300,10 +333,11 @@ pub fn marching_cubes(grid: &UniformGrid, values: &[f64], isovalue: f64) -> McOu
             // contributing a couple of triangles; pre-size for that and
             // let empty slabs keep the (one) allocation.
             let mut tris: Vec<([u64; 3], [Vec3; 3])> = Vec::with_capacity(slab / 4);
-            for c in kz * slab..(kz + 1) * slab {
-                let ids = grid.cell_point_ids(c);
-                let case = &table[classify(values, &ids, isovalue) as usize];
-                emit_case(grid, values, isovalue, c, &ids, case, |key, pos| {
+            let cut =
+                (kz * slab..(kz + 1) * slab).filter(|&c| !table[configs[c] as usize].is_empty());
+            for cell in grid.cells(cut) {
+                let case = &table[configs[cell.id()] as usize];
+                emit_case(values, isovalue, cell, case, |key, pos| {
                     tris.push((key, pos))
                 });
             }

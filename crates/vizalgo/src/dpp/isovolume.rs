@@ -24,8 +24,8 @@ impl DppExecute for Isovolume {
 
         // 1. map: three-way side classification (the traditional
         // predicate).
-        let sides: Vec<HexSide> = primitives::map_n(&mut trace, num_cells, 64 + 32, |c| {
-            self.side(values, &grid.cell_point_ids(c))
+        let sides: Vec<HexSide> = primitives::map_cells(&mut trace, grid, 64 + 32, |cell| {
+            self.side(values, &cell.point_ids())
         });
         trace.record_flops(PrimitiveOp::Map, 2 * num_cells as u64);
 

@@ -39,10 +39,15 @@ pub fn dpp_marching_cubes(
     let table = triangle_table();
     let num_cells = grid.num_cells();
 
-    // 1. map: corner configuration per cell (8 corner loads + compares).
-    let configs: Vec<u8> = primitives::map_n(trace, num_cells, 64 + 32, |c| {
-        classify(values, &grid.cell_point_ids(c), isovalue)
-    });
+    // 1. map: corner configuration per cell, priced as the worklet it
+    // models (8 corner loads + compares per cell).
+    let configs: Vec<u8> = classify(grid, values, isovalue);
+    trace.record(
+        PrimitiveOp::Map,
+        num_cells as u64,
+        (64 + 32) * num_cells as u64,
+        num_cells as u64,
+    );
     trace.record_flops(PrimitiveOp::Map, 8 * num_cells as u64);
 
     // 2. map: output triangle count per cell (case-table lookup).
@@ -64,15 +69,20 @@ pub fn dpp_marching_cubes(
     // counting scatter for its output.
     let mut keys: Vec<u64> = vec![0; 3 * total];
     let mut pos: Vec<Vec3> = vec![Vec3::ZERO; 3 * total];
-    for &cell in &active {
-        let c = cell as usize;
+    for cell in grid.cells(active.iter().map(|&c| c as usize)) {
+        let c = cell.id();
         let mut slot = 3 * (offsets[c] - tri_counts[c]) as usize;
-        let (ids, case) = (grid.cell_point_ids(c), &table[configs[c] as usize]);
-        emit_case(grid, values, isovalue, c, &ids, case, |key, p| {
-            keys[slot..slot + 3].copy_from_slice(&key);
-            pos[slot..slot + 3].copy_from_slice(&p);
-            slot += 3;
-        });
+        emit_case(
+            values,
+            isovalue,
+            cell,
+            &table[configs[c] as usize],
+            |key, p| {
+                keys[slot..slot + 3].copy_from_slice(&key);
+                pos[slot..slot + 3].copy_from_slice(&p);
+                slot += 3;
+            },
+        );
     }
     trace.record(
         PrimitiveOp::Map,

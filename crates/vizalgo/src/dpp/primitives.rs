@@ -5,14 +5,19 @@
 //! primitive touches — is observable in the run journal as `primitive`
 //! records (see docs/OBSERVABILITY.md and docs/DPP.md).
 //!
-//! The implementations are intentionally **sequential reference
-//! executions**: the point of the backend is to change the *formulation*
-//! (and therefore the instruction/byte mix powersim models), not to race
-//! the traditional kernels on wall clock. Determinism also keeps the
+//! The maps ([`map`], [`map_n`], [`map_cells`], [`map_points`]),
+//! [`inclusive_scan`], [`compact`] and [`compact_indices`] run on
+//! [`vizmesh::par`]: contiguous chunks, each producing its piece, joined
+//! in chunk order. [`gather`], [`scatter`], [`sort_by_key`] and
+//! [`reduce_by_key`] — the weld — are sequential until a stopwatch says
+//! they matter. Output and recorded traffic cannot depend on the thread
+//! count: an element is a function of its own index (the scan's carry
+//! is an exact integer prefix), and every count recorded is computed
+//! from input and output lengths, not from the cut. That keeps the
 //! differential conformance suite exact where the math is exact.
 
 use crate::filter::{KernelClass, KernelReport};
-use vizmesh::WorkCounters;
+use vizmesh::{par, GridCell, UniformGrid, Vec3, WorkCounters};
 
 /// One primitive operation in the vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,12 +221,19 @@ fn work_counters(r: PrimitiveReport) -> WorkCounters {
     w
 }
 
+/// Fewest elements worth a `par` chunk in a primitive (a load, a
+/// compare or an add each, like the per-cell loops).
+const MIN_LEN: usize = crate::CELL_MIN_LEN;
+
 /// `map`: elementwise transform of a slice.
-pub fn map<T, U>(trace: &mut DppTrace, input: &[T], mut f: impl FnMut(&T) -> U) -> Vec<U> {
-    let mut out = Vec::with_capacity(input.len());
-    for x in input {
-        out.push(f(x));
-    }
+pub fn map<T: Sync, U: Send>(
+    trace: &mut DppTrace,
+    input: &[T],
+    f: impl Fn(&T) -> U + Sync,
+) -> Vec<U> {
+    let out = par::map_chunks(input.len(), MIN_LEN, |chunk| {
+        input[chunk].iter().map(&f).collect()
+    });
     trace.record(
         PrimitiveOp::Map,
         input.len() as u64,
@@ -231,35 +243,85 @@ pub fn map<T, U>(trace: &mut DppTrace, input: &[T], mut f: impl FnMut(&T) -> U) 
     out
 }
 
-/// `map` over an index space `0..n` (a worklet reading `bytes_read_per`
-/// bytes of gathered input per element).
-pub fn map_n<U>(
-    trace: &mut DppTrace,
-    n: usize,
-    bytes_read_per: u64,
-    mut f: impl FnMut(usize) -> U,
-) -> Vec<U> {
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        out.push(f(i));
-    }
+/// Record a `map` over an index space of `n` elements, each reading
+/// `bytes_read_per` bytes of gathered input and writing one `U`.
+fn record_map_n<U>(trace: &mut DppTrace, n: usize, bytes_read_per: u64) {
     trace.record(
         PrimitiveOp::Map,
         n as u64,
         bytes_read_per * n as u64,
         (std::mem::size_of::<U>() * n) as u64,
     );
-    out
+}
+
+/// `map` over an index space `0..n` (a worklet reading `bytes_read_per`
+/// bytes of gathered input per element).
+pub fn map_n<U: Send>(
+    trace: &mut DppTrace,
+    n: usize,
+    bytes_read_per: u64,
+    f: impl Fn(usize) -> U + Sync,
+) -> Vec<U> {
+    record_map_n::<U>(trace, n, bytes_read_per);
+    par::map(n, MIN_LEN, f)
+}
+
+/// `map` over the cells of a grid, the worklet handed each cell with
+/// its corner points (VTK-m's visit-cells-with-points shape): `map_n`
+/// over the cell ids without decoding one.
+pub fn map_cells<U: Send>(
+    trace: &mut DppTrace,
+    grid: &UniformGrid,
+    bytes_read_per: u64,
+    f: impl Fn(&GridCell<'_>) -> U + Sync,
+) -> Vec<U> {
+    record_map_n::<U>(trace, grid.num_cells(), bytes_read_per);
+    grid.map_cells(MIN_LEN, f)
+}
+
+/// `map` over the points of a grid, the worklet handed each point's id
+/// and coordinates.
+pub fn map_points<U: Send>(
+    trace: &mut DppTrace,
+    grid: &UniformGrid,
+    bytes_read_per: u64,
+    f: impl Fn(usize, Vec3) -> U + Sync,
+) -> Vec<U> {
+    record_map_n::<U>(trace, grid.num_points(), bytes_read_per);
+    grid.map_points(MIN_LEN, f)
 }
 
 /// `inclusive_scan`: prefix sums; `out[i] = input[0] + … + input[i]`.
+///
+/// Three steps: per-chunk sums in parallel, a sequential carry over
+/// them, then every chunk scanned from its carry in parallel. Integer
+/// sums regroup exactly, so the cut never shows in the output.
 pub fn inclusive_scan(trace: &mut DppTrace, input: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(input.len());
-    let mut acc = 0u32;
-    for &x in input {
-        acc += x;
-        out.push(acc);
+    // (chunk start, chunk sum), ascending; then each sum is replaced by
+    // the sum of everything before its chunk.
+    let mut carries: Vec<(usize, u32)> = par::map_chunks(input.len(), MIN_LEN, |chunk| {
+        vec![(chunk.start, input[chunk].iter().sum())]
+    });
+    let mut before = 0u32;
+    for (_, sum) in &mut carries {
+        let carry = before;
+        before += *sum;
+        *sum = carry;
     }
+    let out = par::map_chunks(input.len(), MIN_LEN, |chunk| {
+        // The chunk of the first sweep this one starts in — the same
+        // chunk while both sweeps cut alike, and then `head` is empty.
+        let (start, carry) = carries[carries.partition_point(|&(s, _)| s <= chunk.start) - 1];
+        let head: u32 = input[start..chunk.start].iter().sum();
+        let mut acc = carry + head;
+        input[chunk]
+            .iter()
+            .map(|&x| {
+                acc += x;
+                acc
+            })
+            .collect()
+    });
     trace.record(
         PrimitiveOp::InclusiveScan,
         input.len() as u64,
@@ -299,21 +361,19 @@ pub fn scatter<T: Copy>(trace: &mut DppTrace, src: &[T], idx: &[u32], out: &mut 
     );
 }
 
-/// `compact`: keep `src[i]` where `flags[i]`, preserving order.
-pub fn compact<T: Copy>(trace: &mut DppTrace, src: &[T], flags: &[bool]) -> Vec<T> {
+/// `compact`: keep `src[i]` where `flags[i]`, preserving order (each
+/// chunk compacted on its own, the pieces joined in chunk order).
+pub fn compact<T: Copy + Send + Sync>(trace: &mut DppTrace, src: &[T], flags: &[bool]) -> Vec<T> {
     assert_eq!(src.len(), flags.len(), "compact src/flags length mismatch");
-    let kept = flags.iter().filter(|&&f| f).count();
-    let mut out = Vec::with_capacity(kept);
-    for (v, &f) in src.iter().zip(flags) {
-        if f {
-            out.push(*v);
-        }
-    }
+    let out = par::map_chunks(src.len(), MIN_LEN, |chunk| {
+        let kept = src[chunk.clone()].iter().zip(&flags[chunk]);
+        kept.filter(|&(_, &f)| f).map(|(&v, _)| v).collect()
+    });
     trace.record(
         PrimitiveOp::Compact,
         src.len() as u64,
         (src.len() * (1 + std::mem::size_of::<T>())) as u64,
-        (kept * std::mem::size_of::<T>()) as u64,
+        (out.len() * std::mem::size_of::<T>()) as u64,
     );
     out
 }
@@ -321,18 +381,14 @@ pub fn compact<T: Copy>(trace: &mut DppTrace, src: &[T], flags: &[bool]) -> Vec<
 /// `compact` over the index space: the indices whose flag is set, in
 /// ascending order.
 pub fn compact_indices(trace: &mut DppTrace, flags: &[bool]) -> Vec<u32> {
-    let kept = flags.iter().filter(|&&f| f).count();
-    let mut out = Vec::with_capacity(kept);
-    for (i, &f) in flags.iter().enumerate() {
-        if f {
-            out.push(i as u32);
-        }
-    }
+    let out = par::map_chunks(flags.len(), MIN_LEN, |chunk| {
+        chunk.filter(|&i| flags[i]).map(|i| i as u32).collect()
+    });
     trace.record(
         PrimitiveOp::Compact,
         flags.len() as u64,
         flags.len() as u64,
-        4 * kept as u64,
+        4 * out.len() as u64,
     );
     out
 }
@@ -420,6 +476,71 @@ mod tests {
             vec![0u32, 2]
         );
         assert!(compact_indices(&mut tr, &[]).is_empty());
+    }
+
+    /// Around every chunk boundary the pool can cut — none, the inline
+    /// cutoff at two chunks, and a length no chunk size divides — the
+    /// parallel scan and compactions are the sequential loops, and
+    /// record what they always recorded.
+    #[test]
+    fn scan_and_compact_are_the_sequential_loops_at_every_thread_count() {
+        let lengths = [
+            0,
+            1,
+            MIN_LEN - 1,
+            MIN_LEN,
+            MIN_LEN + 1,
+            2 * MIN_LEN - 1,
+            2 * MIN_LEN,
+            2 * MIN_LEN + 1,
+            9 * MIN_LEN + 5,
+        ];
+        for n in lengths {
+            let input: Vec<u32> = (0..n as u32)
+                .map(|i| i.wrapping_mul(2_654_435_761) % 5)
+                .collect();
+            let flags: Vec<bool> = input.iter().map(|&x| x >= 2).collect();
+            let mut acc = 0;
+            let sums: Vec<u32> = input
+                .iter()
+                .map(|&x| {
+                    acc += x;
+                    acc
+                })
+                .collect();
+            let kept: Vec<u32> = (input.iter().zip(&flags))
+                .filter(|(_, &f)| f)
+                .map(|(&x, _)| x)
+                .collect();
+            let kept_ids: Vec<u32> = (0..n as u32).filter(|&i| flags[i as usize]).collect();
+            let mut reports = Vec::new();
+            for threads in [1, 2, 7, 16] {
+                let mut tr = DppTrace::new();
+                par::with_threads(threads, || {
+                    assert_eq!(
+                        inclusive_scan(&mut tr, &input),
+                        sums,
+                        "scan n={n} threads={threads}"
+                    );
+                    assert_eq!(
+                        compact(&mut tr, &input, &flags),
+                        kept,
+                        "compact n={n} threads={threads}"
+                    );
+                    assert_eq!(
+                        compact_indices(&mut tr, &flags),
+                        kept_ids,
+                        "indices n={n} threads={threads}"
+                    );
+                });
+                reports.push(tr.reports());
+            }
+            assert!(reports.iter().all(|r| *r == reports[0]), "n={n}");
+            let c = reports[0][1].counters;
+            assert_eq!((c.invocations, c.elements), (2, 2 * n as u64));
+            assert_eq!(c.bytes_read, 6 * n as u64);
+            assert_eq!(c.bytes_written, 4 * (kept.len() + kept_ids.len()) as u64);
+        }
     }
 
     #[test]

@@ -20,9 +20,8 @@ impl DppExecute for ThreeSlice {
 
         let surfaces = self.planes.iter().map(|plane| {
             // 1. map: signed distance per mesh point (the FP-dense part).
-            let sdf: Vec<f64> = primitives::map_n(&mut trace, num_points, 24, |p| {
-                plane.distance(grid.point_coord_id(p))
-            });
+            let sdf: Vec<f64> =
+                primitives::map_points(&mut trace, grid, 24, |_, p| plane.distance(p));
             trace.record_flops(PrimitiveOp::Map, 18 * num_points as u64);
 
             // 2. the marching-cubes primitive pipeline at isovalue 0.

@@ -23,7 +23,7 @@ impl DppExecute for Threshold {
 
         // 1. map: the keep flag per cell (the traditional predicate).
         let bytes_per_cell = if cell_vals.is_some() { 8 } else { 64 + 32 };
-        let keep: Vec<bool> = primitives::map_n(&mut trace, num_cells, bytes_per_cell, keeps);
+        let keep: Vec<bool> = primitives::map_cells(&mut trace, grid, bytes_per_cell, keeps);
         trace.record_flops(PrimitiveOp::Map, 2 * num_cells as u64);
 
         // 2. compact: the kept cell ids, in cell order.
@@ -77,8 +77,8 @@ impl DppExecute for Threshold {
 
 /// Scatter worklet: flag every point referenced by a kept cell.
 fn mark_used_points(grid: &UniformGrid, kept: &[u32], used: &mut [u32]) {
-    for &c in kept {
-        for &pid in &grid.cell_point_ids(c as usize) {
+    for cell in grid.cells(kept.iter().map(|&c| c as usize)) {
+        for pid in cell.point_ids() {
             used[pid] = 1;
         }
     }
@@ -88,12 +88,8 @@ fn mark_used_points(grid: &UniformGrid, kept: &[u32], used: &mut [u32]) {
 /// (`rank − 1` is the dense id of a used point).
 fn emit_cells(grid: &UniformGrid, kept: &[u32], ranks: &[u32]) -> CellSet {
     let mut cells = CellSet::with_capacity(kept.len(), 8 * kept.len());
-    for &c in kept {
-        let ids = grid.cell_point_ids(c as usize);
-        let mut conn = [0u32; 8];
-        for (slot, &pid) in ids.iter().enumerate() {
-            conn[slot] = ranks[pid] - 1;
-        }
+    for cell in grid.cells(kept.iter().map(|&c| c as usize)) {
+        let conn = cell.point_ids().map(|pid| ranks[pid] - 1);
         cells.push(CellShape::Hexahedron, &conn);
     }
     cells

@@ -42,7 +42,7 @@ pub enum KernelClass {
 }
 
 /// Work performed by one kernel invocation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelReport {
     pub name: String,
     pub class: KernelClass,
@@ -61,7 +61,7 @@ impl KernelReport {
 
 /// What a filter produced: data, images (for the rendering algorithms),
 /// and the instrumentation trail.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilterOutput {
     /// Extracted geometry (empty explicit dataset for pure renderers).
     pub dataset: Option<DataSet>,

@@ -10,7 +10,7 @@ use crate::filter::{mesh_dataset, Filter, FilterOutput, KernelClass, KernelRepor
 use crate::tetclip::{
     clip_keep_above_into, clip_keep_below_into, subdivide_hexes, HexSide, Subdivision,
 };
-use vizmesh::{par, Association, DataSet, UniformGrid, WorkCounters};
+use vizmesh::{Association, DataSet, UniformGrid, WorkCounters};
 
 /// The isovolume filter over a point-centered scalar.
 #[derive(Debug, Clone)]
@@ -117,8 +117,8 @@ impl Filter for Isovolume {
         let num_cells = grid.num_cells();
 
         // Phase 1: classify cells against the range.
-        let sides: Vec<HexSide> = par::map(num_cells, crate::CELL_MIN_LEN, |c| {
-            self.side(values, &grid.cell_point_ids(c))
+        let sides: Vec<HexSide> = grid.map_cells(crate::CELL_MIN_LEN, |cell| {
+            self.side(values, &cell.point_ids())
         });
         let mut classify = WorkCounters::new();
         classify.tally(num_cells as u64, 38, 2, 64 + 32, 1);

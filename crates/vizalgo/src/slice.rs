@@ -97,8 +97,10 @@ impl Filter for ThreeSlice {
             // Kernel 1: signed-distance field for every mesh point. The
             // paper notes this per-node computation is what makes slice
             // more compute-intensive than plain contour.
-            par::for_each_mut(&mut sdf, crate::CELL_MIN_LEN, |p, s| {
-                *s = plane.distance(grid.point_coord_id(p))
+            par::for_each_chunk_mut(&mut sdf, crate::CELL_MIN_LEN, |points, chunk| {
+                for (s, (_, p)) in chunk.iter_mut().zip(grid.points(points)) {
+                    *s = plane.distance(p);
+                }
             });
             distance_work.tally(num_points as u64, 30, 18, 24, 8);
 

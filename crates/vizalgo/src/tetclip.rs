@@ -252,23 +252,20 @@ pub(crate) fn subdivide_hexes(
     };
     let mut scratch = TetScratch::new();
     let mut point_map: Vec<u32> = vec![u32::MAX; num_points];
-    for c in cells {
-        if sides[c] == HexSide::Out {
-            continue;
-        }
+    for cell in grid.cells(cells.filter(|&c| sides[c] != HexSide::Out)) {
         let mut corner = [0u32; 8];
         let mut welded = 0;
-        for (slot, &pid) in grid.cell_point_ids(c).iter().enumerate() {
+        for (slot, &pid) in cell.point_ids().iter().enumerate() {
             if point_map[pid] == u32::MAX {
                 let (value, payload) = point(pid);
                 point_map[pid] = out
                     .mesh
-                    .add_point_with(grid.point_coord_id(pid), value, payload);
+                    .add_point_with(cell.corner_coord(slot), value, payload);
                 welded += 1;
             }
             corner[slot] = point_map[pid];
         }
-        if sides[c] == HexSide::Whole {
+        if sides[cell.id()] == HexSide::Whole {
             out.cells.push(CellShape::Hexahedron, &corner);
             out.whole_cells += 1;
             out.whole_points += welded;

@@ -2,7 +2,7 @@
 
 use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
 use vizmesh::{
-    par, Association, CellSet, CellShape, DataSet, Field, UniformGrid, Vec3, WorkCounters,
+    Association, CellSet, CellShape, DataSet, Field, GridCell, UniformGrid, Vec3, WorkCounters,
 };
 
 /// Which points of a cell must satisfy the range for the cell to be kept
@@ -48,7 +48,7 @@ impl Threshold {
     }
 
     /// The grid, the field's cell values when it is cell-centered, and
-    /// the keep predicate over cell ids: the cell's own value in range,
+    /// the keep predicate over cells: the cell's own value in range,
     /// else its corner values under the [`ThresholdPolicy`].
     pub(crate) fn inputs<'a>(
         &'a self,
@@ -56,7 +56,7 @@ impl Threshold {
     ) -> (
         &'a UniformGrid,
         Option<&'a [f64]>,
-        impl Fn(usize) -> bool + Sync + 'a,
+        impl Fn(&GridCell<'_>) -> bool + Sync + 'a,
     ) {
         let grid = input
             .as_uniform()
@@ -70,13 +70,13 @@ impl Threshold {
             self.field
         );
         let in_range = |v: f64| v >= self.lo && v <= self.hi;
-        let keeps = move |c: usize| {
+        let keeps = move |cell: &GridCell<'_>| {
             if let Some(vals) = cell_vals {
-                in_range(vals[c])
+                in_range(vals[cell.id()])
             } else {
                 // lint: infallible because the assert above guarantees point values
                 let vals = point_vals.unwrap();
-                let ids = grid.cell_point_ids(c);
+                let ids = cell.point_ids();
                 match self.policy {
                     ThresholdPolicy::AllPoints => ids.iter().all(|&p| in_range(vals[p])),
                     ThresholdPolicy::AnyPoint => ids.iter().any(|&p| in_range(vals[p])),
@@ -96,7 +96,7 @@ impl Filter for Threshold {
         // Phase 1: classify every cell (streaming compare).
         let (grid, cell_vals, keeps) = self.inputs(input);
         let num_cells = grid.num_cells();
-        let keep: Vec<bool> = par::map(num_cells, crate::CELL_MIN_LEN, keeps);
+        let keep: Vec<bool> = grid.map_cells(crate::CELL_MIN_LEN, keeps);
         let mut classify = WorkCounters::new();
         let bytes_per_cell = if cell_vals.is_some() { 8 } else { 64 + 32 };
         classify.tally(num_cells as u64, 12, 2, bytes_per_cell, 1);
@@ -112,23 +112,19 @@ impl Filter for Threshold {
         let kept_count = keep.iter().filter(|&&k| k).count();
         let mut cells = CellSet::with_capacity(kept_count, kept_count * 8);
         let mut out_cell_vals: Vec<f64> = Vec::with_capacity(kept_count);
-        for c in 0..num_cells {
-            if !keep[c] {
-                continue;
-            }
-            let ids = grid.cell_point_ids(c);
+        for cell in grid.cells((0..num_cells).filter(|&c| keep[c])) {
             let mut conn = [0u32; 8];
-            for (slot, &pid) in ids.iter().enumerate() {
+            for (slot, &pid) in cell.point_ids().iter().enumerate() {
                 if point_map[pid] == u32::MAX {
                     point_map[pid] = points.len() as u32;
-                    points.push(grid.point_coord_id(pid));
+                    points.push(cell.corner_coord(slot));
                     gather.tally(1, 10, 3, 24, 28);
                 }
                 conn[slot] = point_map[pid];
             }
             cells.push(CellShape::Hexahedron, &conn);
             if let Some(vals) = cell_vals {
-                out_cell_vals.push(vals[c]);
+                out_cell_vals.push(vals[cell.id()]);
             }
             gather.tally(1, 30, 0, 32, 40);
         }

@@ -3,6 +3,9 @@
 //! [`vizalgo::FilterOutput`] — geometry, fields, `kernels` (modeled
 //! work) and `primitives` (DPP traffic) — per algorithm × supported
 //! backend, on a 12³ analytic field with the paper-default specs.
+//! 12³ runs every `par` call inline, so a second test executes the same
+//! nine pairs at 32³ — every sweep cut into chunks — and requires the
+//! whole output to be equal at 1, 4 and 16 threads.
 //!
 //! `tests/registry_parity.rs` compares two builds of the same code and
 //! the journal goldens compare run to run; this is the test that fails
@@ -12,13 +15,13 @@
 //! moves one must say why the modeled work moved.
 
 use vizalgo::{fingerprint48, Algorithm, Backend};
-use vizmesh::{Association, DataSet, Field, UniformGrid, Vec3};
+use vizmesh::{par, Association, DataSet, Field, UniformGrid, Vec3};
 
-/// 12³ cells; `energy` as a point field (off-center radial bump plus a
+/// `n³` cells; `energy` as a point field (off-center radial bump plus a
 /// ripple, so every filter cuts cells on curved and oblique surfaces)
 /// and as a cell field (what threshold prefers).
-fn dataset() -> DataSet {
-    let grid = UniformGrid::cube_cells(12);
+fn dataset(n: usize) -> DataSet {
+    let grid = UniformGrid::cube_cells(n);
     let f = |p: Vec3| {
         let r = p.distance(Vec3::new(0.4, 0.55, 0.45));
         (-4.0 * r * r).exp() + 0.1 * (9.0 * p.x).sin() * (7.0 * p.y + 3.0 * p.z).cos()
@@ -34,28 +37,46 @@ fn dataset() -> DataSet {
         .with_field(Field::scalar("energy", Association::Cells, cell))
 }
 
+/// Algorithm × backend × the pinned fingerprint of its 12³ output.
+const PINS: [(Algorithm, Backend, u64); 9] = [
+    (Algorithm::Contour, Backend::Traditional, 269579667526534),
+    (Algorithm::Contour, Backend::Dpp, 101331397172669),
+    (Algorithm::Threshold, Backend::Traditional, 216599474997449),
+    (Algorithm::Threshold, Backend::Dpp, 201142676696200),
+    (
+        Algorithm::SphericalClip,
+        Backend::Traditional,
+        55179682643335,
+    ),
+    (Algorithm::Isovolume, Backend::Traditional, 160032978823950),
+    (Algorithm::Isovolume, Backend::Dpp, 23089082681004),
+    (Algorithm::Slice, Backend::Traditional, 43682988630028),
+    (Algorithm::Slice, Backend::Dpp, 55968056861578),
+];
+
 #[test]
 fn geometry_outputs_and_counters_are_pinned() {
-    const PINS: [(Algorithm, Backend, u64); 9] = [
-        (Algorithm::Contour, Backend::Traditional, 269579667526534),
-        (Algorithm::Contour, Backend::Dpp, 101331397172669),
-        (Algorithm::Threshold, Backend::Traditional, 216599474997449),
-        (Algorithm::Threshold, Backend::Dpp, 201142676696200),
-        (
-            Algorithm::SphericalClip,
-            Backend::Traditional,
-            55179682643335,
-        ),
-        (Algorithm::Isovolume, Backend::Traditional, 160032978823950),
-        (Algorithm::Isovolume, Backend::Dpp, 23089082681004),
-        (Algorithm::Slice, Backend::Traditional, 43682988630028),
-        (Algorithm::Slice, Backend::Dpp, 55968056861578),
-    ];
-    let ds = dataset();
+    let ds = dataset(12);
     let got = PINS.map(|(alg, backend, _)| {
         let out = alg.default_spec().build_with(backend, &ds).execute(&ds);
         assert!(out.dataset.as_ref().is_some_and(|d| d.num_cells() > 0));
         (alg, backend, fingerprint48(format!("{out:?}").as_bytes()))
     });
     assert_eq!(got, PINS);
+}
+
+#[test]
+fn whole_outputs_are_identical_at_1_4_and_16_threads() {
+    // 32 768 cells and 35 937 points against the 2 × 4096 below which a
+    // per-cell or per-point sweep runs inline.
+    let ds = dataset(32);
+    for (alg, backend, _) in PINS {
+        let filter = alg.default_spec().build_with(backend, &ds);
+        let [one, four, sixteen] =
+            [1, 4, 16].map(|threads| par::with_threads(threads, || filter.execute(&ds)));
+        assert!(one.dataset.as_ref().is_some_and(|d| d.num_cells() > 0));
+        assert_eq!(backend == Backend::Dpp, !one.primitives.is_empty());
+        assert!(one == four, "{alg} {backend}: 1 vs 4 threads");
+        assert!(one == sixteen, "{alg} {backend}: 1 vs 16 threads");
+    }
 }

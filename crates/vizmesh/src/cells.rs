@@ -105,6 +105,23 @@ impl CellSet {
             .extend(other.offsets[1..].iter().map(|&o| o + base));
     }
 
+    /// Renumber every point reference in place: id `p` becomes
+    /// `remap[p]`. Shapes and offsets are untouched.
+    ///
+    /// # Panics
+    /// If a cell references a point `remap` has no entry for.
+    pub fn remap_points(&mut self, remap: &[u32]) {
+        for p in &mut self.connectivity {
+            *p = remap[*p as usize];
+        }
+    }
+
+    /// Every point reference, cell after cell.
+    #[inline]
+    pub fn connectivity(&self) -> &[u32] {
+        &self.connectivity
+    }
+
     #[inline]
     pub fn num_cells(&self) -> usize {
         self.shapes.len()
@@ -200,6 +217,20 @@ mod tests {
         assert_eq!(a.num_cells(), 3);
         assert_eq!(a.cell_points(1), &[3, 4, 5]);
         assert_eq!(a.cell_points(2), &[4, 5]);
+    }
+
+    #[test]
+    fn remap_points_rewrites_ids_and_nothing_else() {
+        let mut cs = CellSet::new();
+        cs.push(CellShape::Triangle, &[0, 2, 4]);
+        cs.push(CellShape::Line, &[4, 2]);
+        cs.remap_points(&[0, u32::MAX, 1, u32::MAX, 2]);
+        assert_eq!(cs.cell_points(0), &[0, 1, 2]);
+        assert_eq!(cs.cell_points(1), &[2, 1]);
+        assert_eq!(
+            (cs.shape(0), cs.shape(1)),
+            (CellShape::Triangle, CellShape::Line)
+        );
     }
 
     #[test]

@@ -158,10 +158,8 @@ impl DataSet {
             return;
         };
         let mut used = vec![false; points.len()];
-        for c in 0..cells.num_cells() {
-            for &p in cells.cell_points(c) {
-                used[p as usize] = true;
-            }
+        for &p in cells.connectivity() {
+            used[p as usize] = true;
         }
         if used.iter().all(|&u| u) {
             return;
@@ -174,15 +172,8 @@ impl DataSet {
                 new_points.push(points[old]);
             }
         }
-        let mut new_cells = CellSet::with_capacity(cells.num_cells(), cells.connectivity_len());
-        let mut conn: Vec<u32> = Vec::with_capacity(8);
-        for c in 0..cells.num_cells() {
-            conn.clear();
-            conn.extend(cells.cell_points(c).iter().map(|&p| remap[p as usize]));
-            new_cells.push(cells.shape(c), &conn);
-        }
+        cells.remap_points(&remap);
         *points = new_points;
-        *cells = new_cells;
         for f in &mut self.fields {
             if f.association == Association::Points {
                 match &mut f.data {
@@ -315,6 +306,31 @@ mod tests {
         assert_eq!(pts, &[Vec3::ZERO, Vec3::Y, Vec3::ONE]);
         assert_eq!(cs.cell_points(0), &[0, 1, 2]);
         assert_eq!(ds.point_scalars("v").unwrap(), &[0.0, 2.0, 4.0]);
+    }
+
+    #[test]
+    fn compact_points_remaps_mixed_hex_and_tet_cells() {
+        // Twelve points, a hex on 1..=8 and a tet sharing two of them:
+        // points 0 and 10 are unreferenced.
+        let points: Vec<Vec3> = (0..12).map(|i| Vec3::splat(i as f64)).collect();
+        let mut cells = CellSet::new();
+        cells.push(CellShape::Hexahedron, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        cells.push(CellShape::Tetra, &[11, 8, 9, 2]);
+        let mut ds = DataSet::explicit(points.clone(), cells.clone());
+        ds.add_field(Field::vector("u", Association::Points, points.clone()));
+        ds.add_field(Field::scalar("c", Association::Cells, vec![7.0, 8.0]));
+        ds.compact_points();
+
+        // What the cell-by-cell rebuild produced: kept points in order,
+        // every reference shifted down by the dropped points below it.
+        let kept: Vec<Vec3> = [1, 2, 3, 4, 5, 6, 7, 8, 9, 11].map(|i| points[i]).to_vec();
+        let mut expect_cells = CellSet::new();
+        expect_cells.push(CellShape::Hexahedron, &[0, 1, 2, 3, 4, 5, 6, 7]);
+        expect_cells.push(CellShape::Tetra, &[9, 7, 8, 1]);
+        let mut expect = DataSet::explicit(kept.clone(), expect_cells);
+        expect.add_field(Field::vector("u", Association::Points, kept));
+        expect.add_field(Field::scalar("c", Association::Cells, vec![7.0, 8.0]));
+        assert_eq!(ds, expect);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Axis-aligned uniform structured grids of hexahedral cells.
 
 use crate::bounds::Aabb;
+use crate::par;
 use crate::vec3::Vec3;
 
 /// A uniform (regular) structured grid.
@@ -120,9 +121,7 @@ impl UniformGrid {
     /// Inverse of [`Self::point_id`].
     #[inline]
     pub fn point_ijk(&self, id: usize) -> [usize; 3] {
-        let nx = self.point_dims[0];
-        let ny = self.point_dims[1];
-        [id % nx, (id / nx) % ny, id / (nx * ny)]
+        Raster::at(self.point_dims[0], self.point_dims[1], id).ijk
     }
 
     /// Linear cell id from (i, j, k).
@@ -136,8 +135,7 @@ impl UniformGrid {
     /// Inverse of [`Self::cell_id`].
     #[inline]
     pub fn cell_ijk(&self, id: usize) -> [usize; 3] {
-        let [cx, cy, _cz] = self.cell_dims();
-        [id % cx, (id / cx) % cy, id / (cx * cy)]
+        self.cell_at(id).ijk()
     }
 
     /// World-space coordinates of a point.
@@ -161,8 +159,7 @@ impl UniformGrid {
     /// Center of a cell.
     #[inline]
     pub fn cell_center(&self, cell: usize) -> Vec3 {
-        let [i, j, k] = self.cell_ijk(cell);
-        self.point_coord(i, j, k) + self.spacing * 0.5
+        self.cell_at(cell).center()
     }
 
     /// The eight point ids at the corners of a cell, in VTK hexahedron
@@ -178,34 +175,87 @@ impl UniformGrid {
     /// ```
     #[inline]
     pub fn cell_point_ids(&self, cell: usize) -> [usize; 8] {
-        let [i, j, k] = self.cell_ijk(cell);
-        [
-            self.point_id(i, j, k),
-            self.point_id(i + 1, j, k),
-            self.point_id(i + 1, j + 1, k),
-            self.point_id(i, j + 1, k),
-            self.point_id(i, j, k + 1),
-            self.point_id(i + 1, j, k + 1),
-            self.point_id(i + 1, j + 1, k + 1),
-            self.point_id(i, j + 1, k + 1),
-        ]
+        self.cell_at(cell).point_ids()
     }
 
     /// World-space corner coordinates matching [`Self::cell_point_ids`].
     pub fn cell_corners(&self, cell: usize) -> [Vec3; 8] {
-        let [i, j, k] = self.cell_ijk(cell);
-        let p0 = self.point_coord(i, j, k);
-        let s = self.spacing;
-        [
-            p0,
-            p0 + Vec3::new(s.x, 0.0, 0.0),
-            p0 + Vec3::new(s.x, s.y, 0.0),
-            p0 + Vec3::new(0.0, s.y, 0.0),
-            p0 + Vec3::new(0.0, 0.0, s.z),
-            p0 + Vec3::new(s.x, 0.0, s.z),
-            p0 + Vec3::new(s.x, s.y, s.z),
-            p0 + Vec3::new(0.0, s.y, s.z),
-        ]
+        self.cell_at(cell).corners()
+    }
+
+    /// The cell with linear id `id`, held by position (one
+    /// [`Self::cell_ijk`] decode; [`GridCell::seek`] moves it on without
+    /// another where it can).
+    #[inline]
+    pub fn cell_at(&self, id: usize) -> GridCell<'_> {
+        let [cx, cy, _cz] = self.cell_dims();
+        GridCell {
+            grid: self,
+            at: Raster::at(cx, cy, id),
+        }
+    }
+
+    /// The cells with the given ids, in the order given. Ascending ids —
+    /// a range, or a compacted list of active cells — cost one index
+    /// decode at the first id and one wherever the next id lies beyond
+    /// the start of the following row; every other step is an add.
+    pub fn cells<'g, I>(&'g self, ids: I) -> impl Iterator<Item = GridCell<'g>> + use<'g, I>
+    where
+        I: IntoIterator<Item = usize>,
+    {
+        let mut cell = self.cell_at(0);
+        ids.into_iter().map(move |id| {
+            cell.seek(id);
+            cell
+        })
+    }
+
+    /// The points with the given ids and their coordinates, walked like
+    /// [`Self::cells`]. Each coordinate is [`Self::point_coord`] of the
+    /// point's `(i, j, k)`, never an accumulated sum, so it is the same
+    /// bits [`Self::point_coord_id`] returns.
+    pub fn points<'g, I>(&'g self, ids: I) -> impl Iterator<Item = (usize, Vec3)> + use<'g, I>
+    where
+        I: IntoIterator<Item = usize>,
+    {
+        let mut at = Raster::at(self.point_dims[0], self.point_dims[1], 0);
+        ids.into_iter().map(move |id| {
+            at.seek(id);
+            let [i, j, k] = at.ijk;
+            (id, self.point_coord(i, j, k))
+        })
+    }
+
+    /// `f` of every cell, in cell order: the parallel full-grid sweep
+    /// ([`par::map_chunks`] over the cell ids). Each chunk steps one
+    /// [`GridCell`] along and lends it to `f` — copying it out per cell,
+    /// as [`Self::cells`] must, costs what the skipped decode saves.
+    pub fn map_cells<T: Send>(
+        &self,
+        min_len: usize,
+        f: impl Fn(&GridCell<'_>) -> T + Sync,
+    ) -> Vec<T> {
+        par::map_chunks(self.num_cells(), min_len, |chunk| {
+            let mut cell = self.cell_at(chunk.start);
+            chunk
+                .map(|id| {
+                    cell.seek(id);
+                    f(&cell)
+                })
+                .collect()
+        })
+    }
+
+    /// `f(id, coordinates)` of every point, in point order; the point
+    /// form of [`Self::map_cells`].
+    pub fn map_points<T: Send>(
+        &self,
+        min_len: usize,
+        f: impl Fn(usize, Vec3) -> T + Sync,
+    ) -> Vec<T> {
+        par::map_chunks(self.num_points(), min_len, |chunk| {
+            self.points(chunk).map(|(id, p)| f(id, p)).collect()
+        })
     }
 
     /// Cell containing world point `p`, or `None` if outside the grid.
@@ -235,15 +285,15 @@ impl UniformGrid {
         if values.len() != self.num_points() {
             return None;
         }
-        let cell = self.locate_cell(p)?;
-        let [i, j, k] = self.cell_ijk(cell);
+        let cell = self.cell_at(self.locate_cell(p)?);
+        let [i, j, k] = cell.ijk();
         let p0 = self.point_coord(i, j, k);
         let t = Vec3::new(
             ((p.x - p0.x) / self.spacing.x).clamp(0.0, 1.0),
             ((p.y - p0.y) / self.spacing.y).clamp(0.0, 1.0),
             ((p.z - p0.z) / self.spacing.z).clamp(0.0, 1.0),
         );
-        let ids = self.cell_point_ids(cell);
+        let ids = cell.point_ids();
         let v = |n: usize| values[ids[n]];
         // Interpolate along x on the four edges, then y, then z.
         let c00 = v(0) + (v(1) - v(0)) * t.x;
@@ -260,15 +310,15 @@ impl UniformGrid {
         if values.len() != self.num_points() {
             return None;
         }
-        let cell = self.locate_cell(p)?;
-        let [i, j, k] = self.cell_ijk(cell);
+        let cell = self.cell_at(self.locate_cell(p)?);
+        let [i, j, k] = cell.ijk();
         let p0 = self.point_coord(i, j, k);
         let t = Vec3::new(
             ((p.x - p0.x) / self.spacing.x).clamp(0.0, 1.0),
             ((p.y - p0.y) / self.spacing.y).clamp(0.0, 1.0),
             ((p.z - p0.z) / self.spacing.z).clamp(0.0, 1.0),
         );
-        let ids = self.cell_point_ids(cell);
+        let ids = cell.point_ids();
         let v = |n: usize| values[ids[n]];
         let c00 = v(0).lerp(v(1), t.x);
         let c10 = v(3).lerp(v(2), t.x);
@@ -277,6 +327,145 @@ impl UniformGrid {
         let c0 = c00.lerp(c10, t.y);
         let c1 = c01.lerp(c11, t.y);
         Some(c0.lerp(c1, t.z))
+    }
+}
+
+/// A position in an x-fastest raster with rows of `nx` and slabs of `ny`
+/// rows: a linear id together with its `(i, j, k)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Raster {
+    nx: usize,
+    ny: usize,
+    id: usize,
+    ijk: [usize; 3],
+}
+
+impl Raster {
+    /// Decode `id` (the divisions [`Raster::seek`] exists to avoid).
+    #[inline]
+    fn at(nx: usize, ny: usize, id: usize) -> Self {
+        Raster {
+            nx,
+            ny,
+            id,
+            ijk: [id % nx, (id / nx) % ny, id / (nx * ny)],
+        }
+    }
+
+    /// Move to `id`: an add when it lies ahead in the current row, a
+    /// carry when it is the first id of the next row, a decode for any
+    /// other jump (including backwards).
+    #[inline]
+    fn seek(&mut self, id: usize) {
+        // A backwards jump wraps to a distance no row is long enough for.
+        let ahead = id.wrapping_sub(self.id);
+        if ahead < self.nx - self.ijk[0] {
+            self.ijk[0] += ahead;
+            self.id = id;
+        } else {
+            self.leave_row(id);
+        }
+    }
+
+    /// The rare half of [`Raster::seek`], kept out of the callers' loops.
+    #[inline(never)]
+    fn leave_row(&mut self, id: usize) {
+        if id.wrapping_sub(self.id) == self.nx - self.ijk[0] {
+            self.ijk[0] = 0;
+            self.ijk[1] += 1;
+            if self.ijk[1] == self.ny {
+                self.ijk[1] = 0;
+                self.ijk[2] += 1;
+            }
+            self.id = id;
+        } else {
+            *self = Raster::at(self.nx, self.ny, id);
+        }
+    }
+}
+
+/// `(i, j, k)` offsets of a cell's corners from its corner 0, in VTK
+/// hexahedron order (the figure at [`UniformGrid::cell_point_ids`]).
+const HEX_CORNERS: [[usize; 3]; 8] = [
+    [0, 0, 0],
+    [1, 0, 0],
+    [1, 1, 0],
+    [0, 1, 0],
+    [0, 0, 1],
+    [1, 0, 1],
+    [1, 1, 1],
+    [0, 1, 1],
+];
+
+/// One cell of a [`UniformGrid`], known by id and by `(i, j, k)`: what
+/// [`UniformGrid::cell_at`] and [`UniformGrid::cells`] hand out. Its
+/// corner ids and coordinates are adds and multiplies from there.
+#[derive(Debug, Clone, Copy)]
+pub struct GridCell<'g> {
+    grid: &'g UniformGrid,
+    at: Raster,
+}
+
+impl GridCell<'_> {
+    #[inline]
+    pub fn id(&self) -> usize {
+        self.at.id
+    }
+
+    #[inline]
+    pub fn ijk(&self) -> [usize; 3] {
+        self.at.ijk
+    }
+
+    /// Move to cell `id` (see [`UniformGrid::cells`] for what a move
+    /// costs).
+    #[inline]
+    pub fn seek(&mut self, id: usize) {
+        self.at.seek(id);
+    }
+
+    /// The eight corner point ids ([`UniformGrid::cell_point_ids`]).
+    #[inline]
+    pub fn point_ids(&self) -> [usize; 8] {
+        let [i, j, k] = self.at.ijk;
+        let [nx, ny, _nz] = self.grid.point_dims;
+        let p0 = self.grid.point_id(i, j, k);
+        HEX_CORNERS.map(|[di, dj, dk]| p0 + di + nx * (dj + ny * dk))
+    }
+
+    /// Coordinates of corner `slot` — the point `point_ids()[slot]`, as
+    /// [`UniformGrid::point_coord_id`] computes them.
+    #[inline]
+    pub fn corner_coord(&self, slot: usize) -> Vec3 {
+        let [i, j, k] = self.at.ijk;
+        let [di, dj, dk] = HEX_CORNERS[slot];
+        self.grid.point_coord(i + di, j + dj, k + dk)
+    }
+
+    /// The eight corners as corner 0 plus spacing offsets
+    /// ([`UniformGrid::cell_corners`]; not bit-equal to
+    /// [`Self::corner_coord`], which multiplies).
+    pub fn corners(&self) -> [Vec3; 8] {
+        let [i, j, k] = self.at.ijk;
+        let p0 = self.grid.point_coord(i, j, k);
+        let s = self.grid.spacing;
+        [
+            p0,
+            p0 + Vec3::new(s.x, 0.0, 0.0),
+            p0 + Vec3::new(s.x, s.y, 0.0),
+            p0 + Vec3::new(0.0, s.y, 0.0),
+            p0 + Vec3::new(0.0, 0.0, s.z),
+            p0 + Vec3::new(s.x, 0.0, s.z),
+            p0 + Vec3::new(s.x, s.y, s.z),
+            p0 + Vec3::new(0.0, s.y, s.z),
+        ]
+    }
+
+    /// The cell center ([`UniformGrid::cell_center`]).
+    #[inline]
+    pub fn center(&self) -> Vec3 {
+        let [i, j, k] = self.at.ijk;
+        self.grid.point_coord(i, j, k) + self.grid.spacing * 0.5
     }
 }
 

@@ -5,8 +5,10 @@
 //!
 //! * [`Vec3`] — double-precision 3-vector with the usual algebra.
 //! * [`UniformGrid`] — axis-aligned structured grid of hexahedral cells
-//!   (origin + spacing + point dimensions), with point/cell indexing and
-//!   trilinear sampling.
+//!   (origin + spacing + point dimensions), with point/cell indexing,
+//!   trilinear sampling, and the full-grid sweep: [`GridCell`] positions
+//!   that step along rows without decoding ids, serially
+//!   (`cells`/`points`) or in parallel chunks (`map_cells`/`map_points`).
 //! * [`CellSet`] / [`CellShape`] — explicit (unstructured) connectivity
 //!   produced by the filters that extract geometry.
 //! * [`Field`] — named arrays associated with points or cells.
@@ -19,8 +21,8 @@
 //!   pathline advection consumes.
 //! * [`XorShift`] — the workspace's one seeded random source (particle
 //!   seeds, synthetic traffic).
-//! * [`par`] — deterministic fork–join (`map`, `for_each_mut`,
-//!   `with_threads`) over `std::thread::scope`: the kernels' only source
+//! * [`par`] — deterministic fork–join (`map`, `for_each_mut`, their
+//!   chunk forms, `with_threads`) over `std::thread::scope`: the kernels' only source
 //!   of threads, chunk-ordered so output never depends on thread count.
 //! * [`json`] — the small JSON value/parser/renderer behind the in situ
 //!   action-list codec.
@@ -57,7 +59,7 @@ pub use cells::{CellSet, CellShape};
 pub use counters::WorkCounters;
 pub use dataset::DataSet;
 pub use field::{Association, Field, FieldData};
-pub use grid::UniformGrid;
+pub use grid::{GridCell, UniformGrid};
 pub use image::Image;
 pub use rng::XorShift;
 pub use series::{FieldSeries, TimeWindow};

@@ -3,7 +3,9 @@
 //! The kernels' data parallelism is all of one shape: compute something
 //! per index (cell, point, slab, seed, image row) and keep the results
 //! in index order. This module is exactly that and nothing more:
-//! [`map`], [`for_each_mut`] / [`for_each_mut2`], and [`with_threads`].
+//! [`map`], [`for_each_mut`] / [`for_each_mut2`], the chunk forms the
+//! first two are written over ([`map_chunks`], [`for_each_chunk_mut`]:
+//! the body gets its index range), and [`with_threads`].
 //!
 //! A range is cut into contiguous chunks; the workers (the caller is one
 //! of them) pull chunk indices from an atomic counter, and the results
@@ -22,6 +24,7 @@
 //! `std::thread::available_parallelism()`.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -123,22 +126,33 @@ fn chunked<R: Send>(chunks: usize, body: impl Fn(usize) -> R + Sync) -> Vec<R> {
     done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// `(0..n).map(f).collect()`, computed in parallel chunks of at least
-/// `min_len` indices and joined in index order.
-pub fn map<T: Send>(n: usize, min_len: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// The chunk form of [`map`]: `body` gets a contiguous index range and
+/// returns that range's results, and the per-chunk results are joined in
+/// range order. A body may return fewer (or more) items than indices — a
+/// compaction is the same call — and may set up per-chunk state (a grid
+/// cursor, a scratch buffer) once instead of once per index. The ranges
+/// depend on the thread count; the joined output must not, so `body`
+/// must produce, item for item, what it would for any other cut.
+pub fn map_chunks<T: Send>(
+    n: usize,
+    min_len: usize,
+    body: impl Fn(Range<usize>) -> Vec<T> + Sync,
+) -> Vec<T> {
     let Some(len) = chunk_len(n, min_len) else {
-        return (0..n).map(f).collect();
+        return body(0..n);
     };
-    let parts = chunked(n.div_ceil(len), |c| {
-        (c * len..((c + 1) * len).min(n))
-            .map(&f)
-            .collect::<Vec<T>>()
-    });
-    let mut out = Vec::with_capacity(n);
+    let parts = chunked(n.div_ceil(len), |c| body(c * len..((c + 1) * len).min(n)));
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
     for part in parts {
         out.extend(part);
     }
     out
+}
+
+/// `(0..n).map(f).collect()`, computed in parallel chunks of at least
+/// `min_len` indices and joined in index order.
+pub fn map<T: Send>(n: usize, min_len: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    map_chunks(n, min_len, |chunk| chunk.map(&f).collect())
 }
 
 /// Hand each pre-cut chunk to exactly one worker. The mutexes are never
@@ -157,17 +171,27 @@ fn visit_chunks<C: Send>(chunks: impl Iterator<Item = C>, body: impl Fn(usize, C
     });
 }
 
-/// `f(i, &mut items[i])` for every `i`, in parallel chunks of at least
-/// `min_len` items.
-pub fn for_each_mut<T: Send>(items: &mut [T], min_len: usize, f: impl Fn(usize, &mut T) + Sync) {
+/// The chunk form of [`for_each_mut`]: `body(range, &mut items[range])`
+/// over contiguous ranges that together cover `items` once.
+pub fn for_each_chunk_mut<T: Send>(
+    items: &mut [T],
+    min_len: usize,
+    body: impl Fn(Range<usize>, &mut [T]) + Sync,
+) {
     let Some(len) = chunk_len(items.len(), min_len) else {
-        items.iter_mut().enumerate().for_each(|(i, x)| f(i, x));
+        body(0..items.len(), items);
         return;
     };
     visit_chunks(items.chunks_mut(len), |c, chunk| {
-        for (k, x) in chunk.iter_mut().enumerate() {
-            f(c * len + k, x);
-        }
+        body(c * len..c * len + chunk.len(), chunk)
+    });
+}
+
+/// `f(i, &mut items[i])` for every `i`, in parallel chunks of at least
+/// `min_len` items.
+pub fn for_each_mut<T: Send>(items: &mut [T], min_len: usize, f: impl Fn(usize, &mut T) + Sync) {
+    for_each_chunk_mut(items, min_len, |range, chunk| {
+        range.zip(chunk).for_each(|(i, x)| f(i, x))
     });
 }
 
@@ -223,6 +247,20 @@ mod tests {
                     let mut a = vec![0.0; n];
                     for_each_mut(&mut a, MIN_LEN, |i, x| *x = value(i));
                     assert_eq!(a, expect, "for_each_mut n={n} threads={threads}");
+
+                    // The chunk forms: whatever ranges the thread count
+                    // cuts, the joined output is the per-index one —
+                    // also when a body keeps only some of its range.
+                    let chunked = map_chunks(n, MIN_LEN, |r| r.map(value).collect());
+                    assert_eq!(chunked, expect, "map_chunks n={n} threads={threads}");
+                    let evens = map_chunks(n, MIN_LEN, |r| r.filter(|i| i % 2 == 0).collect());
+                    assert!(evens.iter().copied().eq((0..n).step_by(2)));
+                    let mut c = vec![0.0; n];
+                    for_each_chunk_mut(&mut c, MIN_LEN, |r, chunk| {
+                        assert_eq!(r.len(), chunk.len());
+                        r.zip(chunk).for_each(|(i, x)| *x = value(i));
+                    });
+                    assert_eq!(c, expect, "for_each_chunk_mut n={n} threads={threads}");
 
                     let mut b = vec![0usize; n];
                     for_each_mut2(&mut a, &mut b, MIN_LEN, |i, x, y| {

@@ -52,6 +52,83 @@ proptest! {
         prop_assert_eq!(g.locate_cell(center), Some(cell));
     }
 
+    /// The row-stepping walk is the per-id decode, bit for bit: over
+    /// grids with 1-cell axes, over sub-ranges that start mid-row and
+    /// cross row and slab boundaries, and over ascending lists with
+    /// gaps, where every jump must land where a fresh decode would.
+    #[test]
+    fn grid_walk_agrees_with_per_id_decode(
+        dims in (1usize..7, 1usize..6, 1usize..5),
+        origin in vec3_strategy(-2.0..2.0),
+        spacing in vec3_strategy(0.05..1.5),
+        cut in (0.0f64..1.0, 0.0f64..1.0),
+        strides in prop::collection::vec(1usize..40, 0..30),
+    ) {
+        let (cx, cy, cz) = dims;
+        let g = UniformGrid::new([cx + 1, cy + 1, cz + 1], origin, spacing);
+        // The decode and the corner formulas as they stood before the
+        // walk existed.
+        let corner_ids = |c: usize| {
+            let (i, j, k) = (c % cx, (c / cx) % cy, c / (cx * cy));
+            [
+                g.point_id(i, j, k),
+                g.point_id(i + 1, j, k),
+                g.point_id(i + 1, j + 1, k),
+                g.point_id(i, j + 1, k),
+                g.point_id(i, j, k + 1),
+                g.point_id(i + 1, j, k + 1),
+                g.point_id(i + 1, j + 1, k + 1),
+                g.point_id(i, j + 1, k + 1),
+            ]
+        };
+        let coord = |p: usize| {
+            let (nx, ny) = (cx + 1, cy + 1);
+            g.point_coord(p % nx, (p / nx) % ny, p / (nx * ny))
+        };
+        let sub = |n: usize| {
+            let (a, b) = ((cut.0 * n as f64) as usize, (cut.1 * n as f64) as usize);
+            a.min(b)..a.max(b)
+        };
+        let jumps = |n: usize| {
+            let mut at = 0;
+            let ids: Vec<usize> = strides.iter().map(|s| { at += s; at - 1 }).collect();
+            ids.into_iter().filter(move |&id| id < n)
+        };
+
+        for ids in [sub(g.num_cells()).collect::<Vec<_>>(), jumps(g.num_cells()).collect()] {
+            let walked: Vec<_> = g.cells(ids.iter().copied()).collect();
+            prop_assert_eq!(walked.len(), ids.len());
+            for (cell, &c) in walked.iter().zip(&ids) {
+                prop_assert_eq!(cell.id(), c);
+                prop_assert_eq!(cell.ijk(), g.cell_ijk(c));
+                prop_assert_eq!(cell.point_ids(), corner_ids(c));
+                prop_assert_eq!(cell.point_ids(), g.cell_point_ids(c));
+                for (slot, &p) in corner_ids(c).iter().enumerate() {
+                    prop_assert_eq!(cell.corner_coord(slot), coord(p));
+                }
+                prop_assert_eq!(cell.corners(), g.cell_corners(c));
+                prop_assert_eq!(cell.center(), coord(corner_ids(c)[0]) + spacing * 0.5);
+                // A cell reached by stepping is the cell a fresh start gives.
+                let mut sought = g.cell_at(ids[0]);
+                sought.seek(c);
+                prop_assert_eq!(sought.ijk(), g.cell_at(c).ijk());
+            }
+        }
+        for ids in [sub(g.num_points()).collect::<Vec<_>>(), jumps(g.num_points()).collect()] {
+            let walked: Vec<_> = g.points(ids.iter().copied()).collect();
+            let expect: Vec<_> = ids.iter().map(|&p| (p, coord(p))).collect();
+            prop_assert_eq!(&walked, &expect);
+            for (&(_, at), &p) in walked.iter().zip(&ids) {
+                prop_assert_eq!(at, g.point_coord_id(p));
+            }
+        }
+        // The parallel sweeps are the walks, whole-grid.
+        let ids: Vec<_> = g.map_cells(1, |cell| cell.point_ids());
+        prop_assert_eq!(ids, (0..g.num_cells()).map(corner_ids).collect::<Vec<_>>());
+        let coords: Vec<_> = g.map_points(1, |p, at| (p, at));
+        prop_assert_eq!(coords, (0..g.num_points()).map(|p| (p, coord(p))).collect::<Vec<_>>());
+    }
+
     /// An AABB grown from points contains all of them.
     #[test]
     fn aabb_contains_generating_points(
