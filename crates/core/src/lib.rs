@@ -57,4 +57,4 @@ pub use classify::{classify, PowerClass};
 pub use metrics::{first_slowdown_cap, Ratios, SLOWDOWN_THRESHOLD};
 pub use powersim::trace;
 pub use store::DatasetStore;
-pub use study::{AlgorithmRun, CapSweep, EmptySweepError, StudyConfig, PAPER_CAPS, PAPER_SIZES};
+pub use study::{AlgorithmRun, CapSweep, StudyConfig, PAPER_CAPS, PAPER_SIZES};

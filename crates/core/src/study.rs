@@ -283,53 +283,7 @@ impl CapSweep {
     pub fn at_cap(&self, cap: Watts) -> Option<&ExecResult> {
         self.rows.iter().find(|r| (r.cap_watts - cap).abs() < 0.5)
     }
-
-    /// [`baseline`](CapSweep::baseline), but an empty sweep is an
-    /// actionable error instead of `None`. The Option-returning
-    /// accessors exist for report renderers that legitimately skip
-    /// empty sweeps; paths that *serve* a result — the study service's
-    /// job executor — must surface the misconfiguration instead of
-    /// silently dropping the request.
-    pub fn require_baseline(&self) -> Result<&ExecResult, EmptySweepError> {
-        self.baseline().ok_or(EmptySweepError {
-            algorithm: self.algorithm,
-            size: self.size,
-        })
-    }
-
-    /// [`ratios`](CapSweep::ratios), but an empty sweep is an
-    /// actionable error instead of an empty vector.
-    pub fn require_ratios(&self) -> Result<Vec<Ratios>, EmptySweepError> {
-        self.require_baseline()?;
-        Ok(self.ratios())
-    }
 }
-
-/// A cap sweep ran zero caps, so it has no baseline row and no ratios.
-/// Every Option-chain caller of [`CapSweep::baseline`]/[`CapSweep::ratios`]
-/// silently drops such a sweep; [`CapSweep::require_baseline`] turns it
-/// into this error for paths that must answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EmptySweepError {
-    /// Algorithm the empty sweep was for.
-    pub algorithm: Algorithm,
-    /// Data size (cells per axis) the empty sweep was for.
-    pub size: usize,
-}
-
-impl std::fmt::Display for EmptySweepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cap sweep of {} at {}\u{b3} has no rows: the study config's cap \
-             list is empty, so there is no baseline to answer with; configure \
-             at least one cap (e.g. StudyConfig::paper()'s 120 W default)",
-            self.algorithm, self.size
-        )
-    }
-}
-
-impl std::error::Error for EmptySweepError {}
 
 /// Characterize a native run and execute it under every cap.
 pub fn sweep(run: &AlgorithmRun, caps: &[Watts], spec: &CpuSpec) -> CapSweep {
@@ -444,11 +398,6 @@ impl StudyContext {
 
     pub fn config(&self) -> StudyConfig {
         self.config.clone().unwrap_or_else(StudyConfig::paper)
-    }
-
-    /// Number of distinct native runs computed so far.
-    pub fn cached_runs(&self) -> usize {
-        self.runs.len()
     }
 
     /// Dataset at `size`, computed once; the hydro base is shared, and a
@@ -783,42 +732,6 @@ mod tests {
         assert!(sweep.baseline().is_none());
         assert!(sweep.ratios().is_empty());
         assert!(sweep.at_cap(Watts(120.0)).is_none());
-    }
-
-    #[test]
-    fn empty_sweep_errors_are_actionable() {
-        let sweep = CapSweep {
-            algorithm: Algorithm::Contour,
-            size: 8,
-            input_cells: 512,
-            rows: Vec::new(),
-        };
-        let err = sweep
-            .require_baseline()
-            .expect_err("empty sweep must error");
-        assert_eq!(
-            err,
-            EmptySweepError {
-                algorithm: Algorithm::Contour,
-                size: 8
-            }
-        );
-        let msg = err.to_string();
-        assert!(msg.contains("Contour"), "names the algorithm: {msg}");
-        assert!(msg.contains("8³"), "names the size: {msg}");
-        assert!(
-            msg.contains("configure at least one cap"),
-            "says what to do: {msg}"
-        );
-        assert!(sweep.require_ratios().is_err());
-        // A non-empty sweep answers.
-        let mut ctx = StudyContext::new(tiny_config());
-        let full = ctx.sweep(Algorithm::Threshold, 8);
-        assert!(full.require_baseline().is_ok());
-        assert_eq!(
-            full.require_ratios().expect("has rows").len(),
-            full.rows.len()
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::actions::RendererSpec;
 use std::io;
 use std::path::{Path, PathBuf};
 use vizalgo::FilterOutput;
-use vizmesh::{DataSet, Image};
+use vizmesh::DataSet;
 
 /// A named scene: a renderer and optionally a directory into which its
 /// image database is written as PPM files.
@@ -41,11 +41,6 @@ impl Scene {
             }
         }
         Ok(out)
-    }
-
-    /// Helper used by examples: save one image with a white background.
-    pub fn save_image(img: &Image, path: impl AsRef<Path>) -> io::Result<()> {
-        img.save_ppm(path, [1.0, 1.0, 1.0])
     }
 }
 

@@ -880,6 +880,44 @@ mod tests {
         }
     }
 
+    /// The schema table of `docs/OBSERVABILITY.md` (the rows between the
+    /// markers whose first cell is backticked) against [`KINDS`] and
+    /// [`SCOPES`]: every variant has a row, every row names a live
+    /// variant, and the row's shape and wire-name cells match the table.
+    #[test]
+    fn schema_table_in_the_docs_matches_the_wire_tables() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let table = doc
+            .split_once("<!-- xtask:schema-table:begin -->")
+            .and_then(|(_, rest)| rest.split_once("<!-- xtask:schema-table:end -->"))
+            .expect("schema table markers in docs/OBSERVABILITY.md")
+            .0;
+        let documented: Vec<(&str, &str, &str)> = table
+            .lines()
+            .filter_map(|row| {
+                let mut cells = row.trim().strip_prefix('|')?.split('|').map(str::trim);
+                let variant = cells.next()?.strip_prefix('`')?.strip_suffix('`')?;
+                Some((variant, cells.next()?, cells.next()?.trim_matches('`')))
+            })
+            .collect();
+        let kinds = KINDS.iter().map(|r| (format!("{:?}", r.0), "kind", r.1));
+        let scopes = SCOPES.iter().map(|r| (format!("{:?}", r.0), "scope", r.1));
+        let declared: Vec<(String, &str, &str)> = kinds.chain(scopes).collect();
+        for (variant, shape, wire) in &declared {
+            assert!(
+                documented.contains(&(variant.as_str(), shape, wire)),
+                "no `{variant}` | {shape} | `{wire}` row in the schema table"
+            );
+        }
+        for row in &documented {
+            assert!(
+                declared.iter().any(|d| d.0 == row.0),
+                "stale schema row `{}`: no such Kind or Scope variant",
+                row.0
+            );
+        }
+    }
+
     #[test]
     fn clock_advances_only_on_advance() {
         let mut j = Journal::with_capacity(4);

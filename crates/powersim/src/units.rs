@@ -13,9 +13,24 @@
 //! Dividing two values of the same unit yields a dimensionless `f64`
 //! ratio (`Pratio`, `Eratio`), and comparisons against bare `f64`
 //! literals are allowed in both directions so thresholds like
-//! `cap >= 60.0` keep reading naturally. `cargo xtask lint` enforces
-//! that watt-/joule-named quantities in the boundary modules actually
-//! use these types (see `crates/xtask`).
+//! `cap >= 60.0` keep reading naturally. Mixing the two units is a
+//! type error, not a lint finding — there is no cross-unit `Add` or
+//! `PartialOrd`:
+//!
+//! ```compile_fail
+//! # use powersim::units::{Joules, Watts};
+//! let _ = Watts(1.0) + Joules(1.0);
+//! ```
+//!
+//! ```compile_fail
+//! # use powersim::units::{Joules, Watts};
+//! let _ = Watts(1.0) < Joules(1.0);
+//! ```
+//!
+//! What the compiler cannot see is a quantity that never entered a
+//! newtype, so `cargo xtask lint` (unit-safety) rejects any
+//! watt-/joule-named raw `f64` binding, field or return type outside
+//! this file.
 //!
 //! Both types serialize transparently as plain numbers, so report and
 //! JSON output are unchanged by the migration.

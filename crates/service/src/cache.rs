@@ -232,18 +232,6 @@ impl<V> ResultCache<V> {
         }
     }
 
-    /// Count one classification-time outcome. The service classifies
-    /// requests at dispatch (before workers run), so batch-level hit
-    /// accounting lives here rather than inside [`Self::get_or_compute`].
-    pub fn record(&self, outcome: Outcome) {
-        match outcome {
-            Outcome::Hit => &self.hits,
-            Outcome::Miss => &self.misses,
-            Outcome::Coalesced => &self.coalesced,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Resident entry count across all shards (in-flight slots included).
     pub fn len(&self) -> usize {
         self.shards
@@ -403,23 +391,5 @@ mod tests {
         let v = cache.get_or_compute(key(1), || 11);
         assert_eq!(*v, 11);
         assert_eq!(cache.stats().misses, 3);
-    }
-
-    #[test]
-    fn record_feeds_the_classification_counters() {
-        let cache: ResultCache<()> = ResultCache::new(1);
-        cache.record(Outcome::Hit);
-        cache.record(Outcome::Hit);
-        cache.record(Outcome::Miss);
-        cache.record(Outcome::Coalesced);
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 2,
-                misses: 1,
-                coalesced: 1
-            }
-        );
-        assert_eq!(Outcome::Coalesced.name(), "coalesced");
     }
 }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use powersim::{CpuSpec, ExecResult, Watts};
 use vizalgo::{Algorithm, AlgorithmSpec, Backend};
 use vizpower::study::sweep;
-use vizpower::{AlgorithmRun, DatasetStore, EmptySweepError};
+use vizpower::{AlgorithmRun, DatasetStore};
 
 use crate::cache::ResultCache;
 use crate::key::CacheKey;
@@ -81,8 +81,6 @@ pub enum ServiceError {
     },
     /// A service configuration knob was zero that must not be.
     InvalidConfig(&'static str),
-    /// A cap sweep on the service path came back empty.
-    EmptySweep(EmptySweepError),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -106,18 +104,11 @@ impl std::fmt::Display for ServiceError {
             ServiceError::InvalidConfig(what) => {
                 write!(f, "invalid service configuration: {what}")
             }
-            ServiceError::EmptySweep(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for ServiceError {}
-
-impl From<EmptySweepError> for ServiceError {
-    fn from(e: EmptySweepError) -> ServiceError {
-        ServiceError::EmptySweep(e)
-    }
-}
 
 /// A cached native filter run: the parity-oracle rendering plus the
 /// [`AlgorithmRun`] (spec, kernel reports, input size) that every cap
@@ -148,11 +139,6 @@ impl Engine {
             cpu,
             natives: ResultCache::new(shards),
         }
-    }
-
-    /// The processor model the engine executes against.
-    pub fn cpu(&self) -> &CpuSpec {
-        &self.cpu
     }
 
     /// The shared dataset store (lazily built, fingerprint-cached).

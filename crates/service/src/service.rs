@@ -30,12 +30,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
 use powersim::{CpuSpec, Journal, Kind, Scope, Watts};
-use vizalgo::Algorithm;
-use vizpower::study::sweep;
-use vizpower::{CapSweep, DatasetStore, StudyConfig};
+use vizpower::{DatasetStore, StudyConfig};
 
 use crate::admission::Admission;
-use crate::cache::{CacheStats, Outcome, ResultCache};
+use crate::cache::{Outcome, ResultCache};
 use crate::engine::{Engine, JobResult, Request, ServiceError};
 use crate::key::CacheKey;
 
@@ -65,8 +63,8 @@ pub struct ServiceConfig {
     /// `evict` per dropped key. `None` (the default) keeps every
     /// result resident, the pre-capacity behavior.
     pub cache_slots: Option<usize>,
-    /// Study parameterization behind [`StudyConfig::spec`] and the
-    /// service-side cap sweep.
+    /// Study parameterization the traffic universe draws its specs
+    /// from ([`StudyConfig::spec`]).
     pub study: StudyConfig,
     /// Processor model executed against.
     pub cpu: CpuSpec,
@@ -347,12 +345,6 @@ impl StudyService {
         self.admission.node_budget()
     }
 
-    /// Physical result-cache counters (per `get_or_compute` call by the
-    /// worker pool; classification counts live in the [`ServeReport`]).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// Resident result-cache entries.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
@@ -414,7 +406,6 @@ impl StudyService {
                 } else {
                     let j = jobs.len();
                     scheduled.insert(key, j);
-                    self.resident_order.push(key);
                     jobs.push(Job {
                         key,
                         req: Request {
@@ -449,6 +440,7 @@ impl StudyService {
             // 3. Execute unique jobs on the worker pool (wall-clock
             //    only; no observable state is produced here).
             let results = self.execute_jobs(&jobs);
+            self.resident_order.extend(jobs.iter().map(|job| job.key));
 
             // 4. Modeled time: nodes run their waves sequentially; a
             //    wave lasts as long as its slowest job.
@@ -649,30 +641,12 @@ impl StudyService {
             .map(|r| r.expect("every job executed"))
             .collect()
     }
-
-    /// A study-style cap sweep served through the engine's native-run
-    /// cache: sweeps the configured study caps for `algorithm` at
-    /// `size`. An empty configured cap list is an actionable
-    /// [`ServiceError::EmptySweep`], not a silently empty report.
-    pub fn cap_sweep(&self, algorithm: Algorithm, size: usize) -> Result<CapSweep, ServiceError> {
-        let req = Request {
-            spec: self.cfg.study.spec(algorithm),
-            size,
-            cap: self.cfg.cpu.tdp_watts,
-            backend: vizalgo::Backend::Traditional,
-        };
-        self.engine.validate(&req)?;
-        let native = self.engine.native(&req, self.engine.data_fp(size));
-        let sw = sweep(&native.run, &self.cfg.study.caps, self.engine.cpu());
-        sw.require_ratios().map_err(ServiceError::EmptySweep)?;
-        Ok(sw)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vizalgo::Backend;
+    use vizalgo::{Algorithm, Backend};
 
     fn tiny_cfg() -> ServiceConfig {
         ServiceConfig {
@@ -845,6 +819,31 @@ mod tests {
     }
 
     #[test]
+    fn rejected_batch_leaves_the_eviction_queue_untouched() {
+        let mut svc = StudyService::new(ServiceConfig {
+            cache_slots: Some(2),
+            ..tiny_cfg()
+        })
+        .expect("valid config");
+        let good = [req(Algorithm::Slice, 80.0), req(Algorithm::Threshold, 80.0)];
+        let mut poisoned = good.to_vec();
+        poisoned.push(Request {
+            backend: Backend::Dpp,
+            ..req(Algorithm::RayTracing, 80.0)
+        });
+        let err = svc.serve(&poisoned, &mut Journal::off());
+        assert!(
+            matches!(err, Err(ServiceError::UnsupportedBackend { .. })),
+            "{err:?}"
+        );
+        // The retry computes both keys and keeps them: the aborted call
+        // queued nothing, so nothing is evicted.
+        let out = svc.serve(&good, &mut Journal::off()).expect("serves");
+        assert_eq!((out.report.misses, out.report.evictions), (2, 0));
+        assert_eq!(svc.cache_len(), 2);
+    }
+
+    #[test]
     fn uncapped_service_never_evicts() {
         let mut svc = StudyService::new(tiny_cfg()).expect("valid config");
         let traffic = vec![
@@ -913,27 +912,5 @@ mod tests {
             Err(ServiceError::BudgetBelowFloor { .. }) => {}
             other => panic!("expected BudgetBelowFloor, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn cap_sweep_propagates_the_empty_sweep_error() {
-        let mut study = StudyConfig::quick();
-        study.caps.clear();
-        let svc = StudyService::new(ServiceConfig {
-            study,
-            ..ServiceConfig::default()
-        })
-        .expect("valid config");
-        let err = svc
-            .cap_sweep(Algorithm::Contour, 6)
-            .expect_err("no caps configured");
-        let msg = err.to_string();
-        assert!(msg.contains("Contour"), "{msg}");
-        assert!(msg.contains("configure at least one cap"), "{msg}");
-        let ok = StudyService::new(ServiceConfig::default())
-            .expect("valid config")
-            .cap_sweep(Algorithm::Slice, 6)
-            .expect("default caps sweep");
-        assert_eq!(ok.rows.len(), ServiceConfig::default().study.caps.len());
     }
 }

@@ -7,9 +7,10 @@
 //! (and hence its IPC, Fig. 6) is independent of the data set size.
 //!
 //! The paper's workload is the steady-state case — one frozen velocity
-//! field, streamlines — and that path is preserved bit-for-bit. Beyond
-//! it, the kernel generalizes along the four dimensions "A Guide to
-//! Particle Advection Performance" (arXiv:2201.08440) identifies:
+//! field, streamlines. It is the default scenario of one kernel that
+//! generalizes along the four dimensions "A Guide to Particle Advection
+//! Performance" (arXiv:2201.08440) identifies, and whose default output
+//! `tests/output_fingerprints.rs` pins bit for bit:
 //!
 //! * [`FlowMode`] — streamlines (field frozen at the start time) vs
 //!   pathlines (particles advect through a time-varying
@@ -317,7 +318,7 @@ pub struct ParticleAdvection {
     /// Seed for deterministic particle placement.
     pub seed: u64,
     /// Flow mode, seeding, step control, termination. Defaults to the
-    /// paper's scenario, which keeps the steady-state path bit-exact.
+    /// paper's scenario: steady streamlines from a dense random box.
     pub scenario: FlowScenario,
 }
 
@@ -358,15 +359,6 @@ impl ParticleAdvection {
     pub fn with_scenario(mut self, scenario: FlowScenario) -> Self {
         self.scenario = scenario;
         self
-    }
-
-    /// One RK4 step; `None` if any stage samples outside the grid.
-    fn rk4(grid: &UniformGrid, vel: &[Vec3], p: Vec3, h: f64) -> Option<Vec3> {
-        let k1 = grid.sample_vector(vel, p)?;
-        let k2 = grid.sample_vector(vel, p + k1 * (h * 0.5))?;
-        let k3 = grid.sample_vector(vel, p + k2 * (h * 0.5))?;
-        let k4 = grid.sample_vector(vel, p + k3 * h)?;
-        Some(p + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (h / 6.0))
     }
 
     /// Locate `t` among the frame times: bracketing indices and the
@@ -549,9 +541,8 @@ impl ParticleAdvection {
         self.run(&frames)
     }
 
-    /// The generalized kernel over resolved frames. All scenario
-    /// dimensions are dispatched here; the default-scenario single-
-    /// frame case performs exactly the steady kernel's arithmetic.
+    /// The kernel over resolved frames; every scenario dimension is
+    /// dispatched here. [`Filter::execute`] is the single-frame case.
     fn run(&self, frames: &[Frame<'_>]) -> FilterOutput {
         let grid = frames[0].grid;
         let b = grid.bounds();
@@ -567,15 +558,19 @@ impl ParticleAdvection {
         let seeds = self.place_seeds(frames);
 
         // Advect each particle (parallel over particles). A trace is
-        // the path, the per-point parameter times, and the field-eval
-        // count (4 per accepted or rejected RK4 step).
+        // the path, the field time at each path point (pathlines only:
+        // a streamline holds every point at `t_start`), and the
+        // field-eval count (4 per accepted or rejected RK4 step).
         let traces: Vec<(Vec<Vec3>, Vec<f64>, u64)> =
             par::map(seeds.len(), crate::SEED_MIN_LEN, |s| {
                 let seed = seeds[s];
                 let mut path = Vec::with_capacity(self.num_steps + 1);
-                let mut times = Vec::with_capacity(self.num_steps + 1);
+                let mut times = Vec::new();
                 path.push(seed);
-                times.push(t_start);
+                if advance_time {
+                    times.reserve(self.num_steps + 1);
+                    times.push(t_start);
+                }
                 let mut p = seed;
                 let mut t = t_start;
                 let mut elapsed = 0.0f64;
@@ -599,11 +594,11 @@ impl ParticleAdvection {
                         Some((next, used)) => {
                             p = next;
                             elapsed += used;
+                            path.push(p);
                             if advance_time {
                                 t += used;
+                                times.push(t);
                             }
-                            path.push(p);
-                            times.push(t);
                             if let Termination::MaxTime { t_end } = self.scenario.termination {
                                 if elapsed >= t_end {
                                     break;
@@ -645,108 +640,8 @@ impl ParticleAdvection {
             conn.clear();
             conn.extend((0..path.len()).map(|i| base + i as u32));
             for (k, &p) in path.iter().enumerate() {
-                let v = Self::sample_frames(frames, p, times[k])
-                    .map(|u| u.length())
-                    .unwrap_or(0.0);
-                points.push(p);
-                speed.push(v);
-            }
-            cells.push(CellShape::PolyLine, &conn);
-        }
-
-        let mut ds = DataSet::explicit(points, cells);
-        let n = ds.num_points();
-        ds.add_field(Field::scalar(
-            "speed",
-            Association::Points,
-            speed[..n].to_vec(),
-        ));
-        FilterOutput::data(
-            ds,
-            vec![KernelReport::new(
-                "rk4-advect",
-                KernelClass::Rk4Advect,
-                work,
-            )],
-        )
-    }
-
-    /// The steady-state paper kernel, preserved verbatim: the default
-    /// scenario routes here so the pre-scenario arithmetic, RNG stream,
-    /// and work tallies stay bit-identical.
-    fn execute_steady(&self, input: &DataSet) -> FilterOutput {
-        let grid = input
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("particle advection expects a structured dataset");
-        let vel = input
-            .point_vectors(&self.field)
-            // lint: infallible because the pipeline registers the field before running
-            .unwrap_or_else(|| panic!("missing point vector field '{}'", self.field));
-
-        let b = grid.bounds();
-        let h = b.diagonal() * self.step_fraction;
-
-        // Deterministic seeds.
-        let mut rng = XorShift::from_seed(self.seed);
-        let seeds: Vec<Vec3> = (0..self.num_particles)
-            .map(|_| {
-                Vec3::new(
-                    rng.range(b.min.x, b.max.x),
-                    rng.range(b.min.y, b.max.y),
-                    rng.range(b.min.z, b.max.z),
-                )
-            })
-            .collect();
-
-        // Advect each particle (parallel over particles).
-        let traces: Vec<(Vec<Vec3>, u64)> = par::map(seeds.len(), crate::SEED_MIN_LEN, |s| {
-            let seed = seeds[s];
-            let mut path = Vec::with_capacity(self.num_steps + 1);
-            path.push(seed);
-            let mut p = seed;
-            let mut steps = 0u64;
-            for _ in 0..self.num_steps {
-                match Self::rk4(grid, vel, p, h) {
-                    Some(next) => {
-                        p = next;
-                        path.push(p);
-                        steps += 1;
-                    }
-                    // Particle displaced outside the bounding box:
-                    // terminate (paper §VI-C).
-                    None => break,
-                }
-            }
-            (path, steps)
-        });
-
-        let mut work = WorkCounters::new();
-        let total_steps: u64 = traces.iter().map(|(_, s)| s).sum();
-        // Each RK4 step: 4 trilinear vector samples (8 point gathers of
-        // 24 B each, ~90 flops) plus the combination arithmetic.
-        work.tally(total_steps, 4 * 110 + 40, 4 * 90 + 24, 4 * 8 * 24, 24);
-        work.tally(self.num_particles as u64, 60, 10, 24, 48);
-        work.working_set_bytes = (vel.len() * 24).min(1 << 22) as u64;
-
-        // Build streamline polylines. Output sizes are known exactly from
-        // the traces, so every buffer is allocated once up front; the
-        // connectivity scratch is reused across polylines.
-        let total_pts: usize = traces.iter().map(|(p, _)| p.len()).sum();
-        let mut points: Vec<Vec3> = Vec::with_capacity(total_pts);
-        let mut cells = CellSet::with_capacity(traces.len(), total_pts);
-        let mut speed: Vec<f64> = Vec::with_capacity(total_pts);
-        let mut conn: Vec<u32> = Vec::with_capacity(self.num_steps + 1);
-        for (path, _) in &traces {
-            if path.len() < 2 {
-                continue;
-            }
-            let base = points.len() as u32;
-            conn.clear();
-            conn.extend((0..path.len()).map(|i| base + i as u32));
-            for &p in path {
-                let v = grid
-                    .sample_vector(vel, p)
+                let t = times.get(k).copied().unwrap_or(t_start);
+                let v = Self::sample_frames(frames, p, t)
                     .map(|u| u.length())
                     .unwrap_or(0.0);
                 points.push(p);
@@ -779,9 +674,6 @@ impl Filter for ParticleAdvection {
     }
 
     fn execute(&self, input: &DataSet) -> FilterOutput {
-        if self.scenario.is_default() {
-            return self.execute_steady(input);
-        }
         let frame = Frame::resolve(0.0, input, &self.field);
         self.run(std::slice::from_ref(&frame))
     }
@@ -865,14 +757,14 @@ mod tests {
     fn rk4_conserves_radius_in_rotation() {
         // RK4 on rigid rotation keeps particles near their initial radius.
         let ds = rotating_flow(8);
-        let grid = ds.as_uniform().unwrap();
-        let vel = ds.point_vectors("velocity").unwrap();
+        let frame = Frame::resolve(0.0, &ds, "velocity");
+        let frames = std::slice::from_ref(&frame);
         let c = ds.bounds().center();
         let p0 = Vec3::new(0.7, 0.5, 0.5);
         let r0 = (p0 - c).length();
         let mut p = p0;
         for _ in 0..2000 {
-            match ParticleAdvection::rk4(grid, vel, p, 1e-3) {
+            match ParticleAdvection::rk4_series(frames, p, 0.0, 1e-3, false, &mut 0) {
                 Some(next) => p = next,
                 None => break,
             }
@@ -913,7 +805,7 @@ mod tests {
         // The tentpole's bit-exactness law: a pathline through a
         // single-snapshot series takes the single-frame sampling
         // shortcut at every stage, so its polylines, speed field, AND
-        // work counters match the steady kernel exactly.
+        // work counters match the streamline's exactly.
         for ds in [rotating_flow(6), uniform_flow(4)] {
             let adv = advector(12, 40);
             let steady = adv.execute(&ds);

@@ -18,7 +18,7 @@
 //!
 //! The workspace policy (DESIGN.md: "no per-cell allocation in kernel
 //! inner loops") is enforced by the `hot-loop-alloc` pass of
-//! `cargo xtask analyze`, ratcheted in `ANALYSIS_BASELINE.json`.
+//! `cargo xtask lint`.
 #![deny(missing_docs)]
 
 /// An integer key type usable in a [`WeldMap`].

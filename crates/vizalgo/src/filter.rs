@@ -202,12 +202,6 @@ impl Algorithm {
         crate::registry::entry(self).classes
     }
 
-    /// Whether the algorithm iterates over every input cell (registry
-    /// flag backing [`Algorithm::CELL_CENTERED`]).
-    pub fn is_cell_centered(self) -> bool {
-        crate::registry::entry(self).cell_centered
-    }
-
     /// Parse a CLI-style name (case/space/underscore insensitive),
     /// against the registry alias tables.
     pub fn parse(s: &str) -> Option<Algorithm> {

@@ -14,7 +14,7 @@
 //! formulations started sharing their per-cell bodies. A change that
 //! moves one must say why the modeled work moved.
 
-use vizalgo::{fingerprint48, Algorithm, Backend};
+use vizalgo::{dataset_fingerprint, fingerprint48, Algorithm, Backend};
 use vizmesh::{par, Association, DataSet, Field, UniformGrid, Vec3};
 
 /// `n³` cells; `energy` as a point field (off-center radial bump plus a
@@ -79,4 +79,40 @@ fn whole_outputs_are_identical_at_1_4_and_16_threads() {
         assert!(one == four, "{alg} {backend}: 1 vs 4 threads");
         assert!(one == sixteen, "{alg} {backend}: 1 vs 16 threads");
     }
+}
+
+/// The paper-default particle advection (1000 seeds × 1000 RK4 steps)
+/// through a 32³ swirl with an upward drift, so some particles orbit
+/// for the full step budget and the rest leave through the top. Pinned
+/// at the commit before `execute_steady` was deleted: the generalized
+/// kernel must keep producing the steady kernel's polylines, `speed`
+/// field and modeled work bit for bit.
+#[test]
+fn default_advection_output_and_counters_are_pinned() {
+    let grid = UniformGrid::cube_cells(32);
+    let velocity: Vec<Vec3> = (0..grid.num_points())
+        .map(|p| {
+            let q = grid.point_coord_id(p);
+            Vec3::new(0.5 - q.y, q.x - 0.5, 0.2 + 0.3 * q.x)
+        })
+        .collect();
+    let ds =
+        DataSet::uniform(grid).with_field(Field::vector("velocity", Association::Points, velocity));
+    let out = Algorithm::ParticleAdvection
+        .default_spec()
+        .build_with(Backend::Traditional, &ds)
+        .execute(&ds);
+    let lines = out.dataset.as_ref().expect("advection emits polylines");
+    assert_eq!(
+        (
+            dataset_fingerprint(lines),
+            format!("{:?}", out.kernels[0].work)
+        ),
+        (
+            70886518539137,
+            "WorkCounters { items: 757752, instructions: 363300960, flops: 290602768, \
+             bytes_read: 581209536, bytes_written: 18210048, working_set_bytes: 862488 }"
+                .to_string()
+        )
+    );
 }

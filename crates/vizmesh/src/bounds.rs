@@ -26,11 +26,6 @@ impl Aabb {
         Aabb { min, max }
     }
 
-    /// Box covering exactly one point.
-    pub fn from_point(p: Vec3) -> Self {
-        Aabb { min: p, max: p }
-    }
-
     /// Box covering an iterator of points; empty if the iterator is.
     pub fn from_points<I: IntoIterator<Item = Vec3>>(pts: I) -> Self {
         let mut b = Aabb::empty();

@@ -101,23 +101,6 @@ impl Image {
         hit as f64 / self.num_pixels() as f64
     }
 
-    /// Mean color over all pixels.
-    pub fn mean_color(&self) -> [f32; 4] {
-        let mut acc = [0.0f64; 4];
-        for p in &self.pixels {
-            for c in 0..4 {
-                acc[c] += p[c] as f64;
-            }
-        }
-        let n = self.num_pixels() as f64;
-        [
-            (acc[0] / n) as f32,
-            (acc[1] / n) as f32,
-            (acc[2] / n) as f32,
-            (acc[3] / n) as f32,
-        ]
-    }
-
     /// Encode as binary PPM (P6). Alpha is composited over `background`.
     pub fn write_ppm<W: Write>(&self, w: &mut W, background: [f32; 3]) -> io::Result<()> {
         writeln!(w, "P6\n{} {}\n255", self.width, self.height)?;

@@ -116,12 +116,6 @@ impl Vec3 {
         Vec3::new(self.x.max(o.x), self.y.max(o.y), self.z.max(o.z))
     }
 
-    /// Component-wise product (Hadamard).
-    #[inline]
-    pub fn mul_elem(self, o: Vec3) -> Vec3 {
-        Vec3::new(self.x * o.x, self.y * o.y, self.z * o.z)
-    }
-
     /// Largest component value.
     #[inline]
     pub fn max_component(self) -> f64 {

@@ -1,4 +1,4 @@
-//! Allowlist handling.
+//! Allowlist handling: the one suppression mechanism of `xtask lint`.
 //!
 //! One entry per line,
 //!
@@ -14,8 +14,13 @@
 use std::fs;
 use std::path::Path;
 
-/// Workspace-relative location of the list.
+use crate::diag::{Diagnostic, ALLOWLIST};
+
+/// Registered panic sites (panic-policy).
 pub const PANICS_ALLOW: &str = "crates/xtask/allowlists/panics.allow";
+
+/// Accepted in-loop allocations (hot-loop-alloc).
+pub const ALLOCS_ALLOW: &str = "crates/xtask/allowlists/allocs.allow";
 
 /// The inline justification a panic-policy allowlist site must carry.
 pub const INFALLIBLE_MARKER: &str = "lint: infallible because";
@@ -26,6 +31,8 @@ pub struct Entry {
     pub list_line: usize,
     pub rel_path: String,
     pub needle: String,
+    /// Set once the entry has covered a flagged site.
+    pub used: bool,
 }
 
 #[derive(Debug, Default)]
@@ -54,6 +61,7 @@ impl Allowlist {
                     list_line: i + 1,
                     rel_path: path.trim().to_string(),
                     needle: needle.to_string(),
+                    used: false,
                 });
             }
         }
@@ -63,25 +71,30 @@ impl Allowlist {
         }
     }
 
-    /// Does any entry cover `(rel_path, raw_line)`? Marks the entry used.
-    pub fn covers(&self, used: &mut [bool], rel_path: &str, raw_line: &str) -> bool {
+    /// Does any entry cover `(rel_path, raw_line)`? Marks those used.
+    pub fn covers(&mut self, rel_path: &str, raw_line: &str) -> bool {
         let mut hit = false;
-        for (i, e) in self.entries.iter().enumerate() {
+        for e in &mut self.entries {
             if e.rel_path == rel_path && raw_line.contains(&e.needle) {
-                used[i] = true;
+                e.used = true;
                 hit = true;
             }
         }
         hit
     }
 
-    /// Entries never marked used — stale, and reported as violations.
-    pub fn stale<'a>(&'a self, used: &[bool]) -> Vec<&'a Entry> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !used[*i])
-            .map(|(_, e)| e)
-            .collect()
+    /// Report every entry that covered nothing: stale, and a violation.
+    pub fn report_stale(&self, out: &mut Vec<Diagnostic>) {
+        for e in self.entries.iter().filter(|e| !e.used) {
+            out.push(Diagnostic::new(
+                &self.source,
+                e.list_line,
+                ALLOWLIST,
+                format!(
+                    "stale entry `{} :: {}` matches no flagged site; remove it",
+                    e.rel_path, e.needle
+                ),
+            ));
+        }
     }
 }

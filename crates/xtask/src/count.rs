@@ -12,8 +12,8 @@
 use std::io;
 use std::path::Path;
 
+use crate::lex::{self, SourceFile};
 use crate::policy::crate_of;
-use crate::scan::{self, SourceFile};
 
 /// Keywords that can follow `pub` at the start of an item declaration.
 const ITEM_KEYWORDS: [&str; 13] = [
@@ -54,7 +54,7 @@ fn is_pub_item(code: &str) -> bool {
 /// then the root package), without a total row.
 pub fn count_workspace(root: &Path) -> io::Result<Vec<Count>> {
     let mut counts: Vec<Count> = Vec::new();
-    for rel in scan::all_sources(root)? {
+    for rel in lex::all_sources(root)? {
         let (lines, pub_items) = count_file(&SourceFile::load(root, &rel)?);
         let package = crate_of(&rel).unwrap_or("(root)");
         match counts.last_mut() {

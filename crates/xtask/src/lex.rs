@@ -1,26 +1,34 @@
-//! A dependency-free lexer for Rust source, plus the lightweight block
-//! model built on it.
+//! The one source model every pass reads: a dependency-free lexer for
+//! Rust source, the block model and cleaned line view derived from its
+//! token stream, and the workspace walk that feeds files in.
 //!
-//! This replaces the line-cleaning heuristics that used to live in
-//! [`crate::scan`]: instead of a per-line state machine, the whole file
-//! is tokenized once and every downstream view (cleaned lines for the
-//! lint passes, loop/closure nesting for the analyze passes) is derived
-//! from the same token stream. The lexer understands the constructs the
-//! old heuristics got wrong or could not see:
+//! The analyzer is deliberately lexical — it never parses Rust, which
+//! keeps the crate std-only (it must build before anything else does).
+//! Each file is tokenized once by [`lex`]; [`SourceFile::parse`] then
+//! derives, from that same stream, the per-line cleaned view the passes
+//! match on (comments and string/char literal *contents* removed) and
+//! the block-model annotations (loop/closure nesting depth, enclosing
+//! function). The repo policies' trigger tokens (`.unwrap()`,
+//! `Vec::new(`, `Contour::new(`) are unambiguous at that level.
+//!
+//! The lexer understands the constructs a per-line state machine gets
+//! wrong:
 //!
 //! * raw strings with any number of hashes (`r"…"`, `r#"…"#`) and the
 //!   byte/C-string prefixes (`b"…"`, `br#"…"#`, `c"…"`, `cr#"…"#`),
-//!   including interior quotes that used to leak literal contents into
-//!   the cleaned code view;
+//!   including interior quotes;
 //! * nested block comments (`/* /* */ still comment */`);
 //! * char literals vs lifetimes (`'a'` vs `'a`), including escaped and
 //!   byte chars (`'\n'`, `b'x'`);
 //! * raw identifiers (`r#fn`), which are identifiers, not raw strings.
 //!
-//! It is still a *lexer*, not a parser: the block model below it is a
-//! heuristic over the token stream (brace frames classified by the
-//! keywords that precede them), which is exactly enough for the
-//! hot-path analyzer and keeps the crate std-only.
+//! The block model is a heuristic over the token stream (brace frames
+//! classified by the keywords that precede them), which is exactly
+//! enough for the hot-loop pass.
+
+use std::fs;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// Kind of one lexical token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,7 +287,7 @@ fn skip_number(chars: &[char], mut i: usize) -> usize {
 /// Iterator adapters whose closure argument executes once per element:
 /// code inside their call parentheses runs in a loop even though no
 /// `for` keyword appears. Used by the hot-loop nesting model.
-pub const LOOP_ADAPTERS: &[&str] = &[
+const LOOP_ADAPTERS: &[&str] = &[
     "map",
     "for_each",
     "try_for_each",
@@ -300,15 +308,14 @@ pub const LOOP_ADAPTERS: &[&str] = &[
     "zip_eq",
 ];
 
-/// Per-line context derived from the block model.
+/// Where the block model places one token.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LineCtx {
-    /// How many loop bodies enclose this line: `for`/`while`/`loop`
-    /// braces plus [`LOOP_ADAPTERS`] call parentheses. The maximum seen
-    /// across the line's tokens.
+pub(crate) struct BlockCtx {
+    /// How many loop bodies enclose the token: `for`/`while`/`loop`
+    /// braces plus [`LOOP_ADAPTERS`] call parentheses.
     pub loop_depth: usize,
     /// Name of the innermost enclosing `fn` body, if any. Signature
-    /// lines (before the body's `{`) carry `None`.
+    /// tokens (before the body's `{`) carry `None`.
     pub fn_name: Option<String>,
 }
 
@@ -317,6 +324,22 @@ enum Frame {
     Fn(String),
     Loop,
     Plain,
+}
+
+/// The item or loop header seen since the last `{`, `}` or
+/// statement-level `;`: what the next `{` will open.
+#[derive(Default)]
+struct Pending {
+    /// `fn name` was seen, at this paren depth.
+    fn_name: Option<String>,
+    fn_parens: usize,
+    /// `fn` was seen; the next identifier is its name.
+    awaiting_fn_name: bool,
+    /// `for`/`while`/`loop` was seen, at this paren depth.
+    is_loop: bool,
+    loop_parens: usize,
+    /// `impl` was seen: a following `for` is a trait impl, not a loop.
+    is_impl: bool,
 }
 
 /// The block-model context of each token, parallel to the input: the
@@ -331,148 +354,328 @@ enum Frame {
 ///   header, which is a trait impl, not a loop;
 /// * a `(` directly preceded by `.adapter` for a name in
 ///   [`LOOP_ADAPTERS`] opens a loop context until its `)`.
-pub fn token_contexts(toks: &[Token]) -> Vec<LineCtx> {
+fn token_contexts(toks: &[Token]) -> Vec<BlockCtx> {
     let mut ctx = Vec::with_capacity(toks.len());
     let mut braces: Vec<Frame> = Vec::new();
     // One bool per open paren/bracket: true when it is a loop-adapter call.
     let mut parens: Vec<bool> = Vec::new();
     let mut loop_depth = 0usize;
-
-    let mut pending_fn: Option<String> = None;
-    let mut pending_fn_parens = 0usize;
-    let mut awaiting_fn_name = false;
-    let mut pending_loop = false;
-    let mut pending_loop_parens = 0usize;
-    let mut pending_impl = false;
+    let mut pending = Pending::default();
     // The last two significant tokens, most recent first.
-    let mut prev: [Option<(Kind, String)>; 2] = [None, None];
-
-    let clear_pending = |pf: &mut Option<String>, af: &mut bool, pl: &mut bool, pi: &mut bool| {
-        *pf = None;
-        *af = false;
-        *pl = false;
-        *pi = false;
-    };
+    let mut prev: [Option<(Kind, &str)>; 2] = [None, None];
 
     for t in toks {
-        ctx.push(LineCtx {
+        ctx.push(BlockCtx {
             loop_depth,
-            fn_name: innermost_fn(&braces),
+            fn_name: braces.iter().rev().find_map(|f| match f {
+                Frame::Fn(name) => Some(name.clone()),
+                _ => None,
+            }),
         });
         if !t.is_significant() {
             continue;
         }
-        match t.kind {
-            Kind::Ident => match t.text.as_str() {
-                "fn" => awaiting_fn_name = true,
-                "impl" => pending_impl = true,
-                "for" | "while" | "loop" if !pending_impl && !awaiting_fn_name => {
-                    pending_loop = true;
-                    pending_loop_parens = parens.len();
-                }
-                name if awaiting_fn_name => {
-                    pending_fn = Some(name.to_string());
-                    awaiting_fn_name = false;
-                    pending_fn_parens = parens.len();
-                }
-                _ => {}
-            },
-            Kind::Punct => match t.text.as_str() {
-                "(" => {
-                    let adapter = matches!(
-                        (&prev[0], &prev[1]),
-                        (Some((Kind::Ident, m)), Some((Kind::Punct, d)))
-                            if d == "." && LOOP_ADAPTERS.contains(&m.as_str())
-                    );
-                    if adapter {
-                        loop_depth += 1;
-                    }
-                    parens.push(adapter);
-                }
-                // Square brackets share the stack so the `;` inside an
-                // array type (`[[u32; 4]]`) or literal is not mistaken
-                // for a statement end.
-                "[" => parens.push(false),
-                ")" | "]" => {
-                    let closes_loop = parens.pop() == Some(true);
-                    loop_depth = loop_depth.saturating_sub(usize::from(closes_loop));
-                }
-                "{" => {
-                    let frame = if pending_fn.is_some() && parens.len() == pending_fn_parens {
-                        Frame::Fn(pending_fn.take().unwrap_or_default())
-                    } else if pending_loop && parens.len() == pending_loop_parens {
+        match (t.kind, t.text.as_str()) {
+            (Kind::Ident, "fn") => pending.awaiting_fn_name = true,
+            (Kind::Ident, "impl") => pending.is_impl = true,
+            (Kind::Ident, "for" | "while" | "loop")
+                if !pending.is_impl && !pending.awaiting_fn_name =>
+            {
+                pending.is_loop = true;
+                pending.loop_parens = parens.len();
+            }
+            (Kind::Ident, name) if pending.awaiting_fn_name => {
+                pending.fn_name = Some(name.to_string());
+                pending.awaiting_fn_name = false;
+                pending.fn_parens = parens.len();
+            }
+            (Kind::Punct, "(") => {
+                let adapter = matches!(
+                    prev,
+                    [Some((Kind::Ident, m)), Some((Kind::Punct, "."))] if LOOP_ADAPTERS.contains(&m)
+                );
+                loop_depth += usize::from(adapter);
+                parens.push(adapter);
+            }
+            // Square brackets share the stack so the `;` inside an
+            // array type (`[[u32; 4]]`) or literal is not mistaken for
+            // a statement end.
+            (Kind::Punct, "[") => parens.push(false),
+            (Kind::Punct, ")" | "]") => {
+                let closes_loop = parens.pop() == Some(true);
+                loop_depth = loop_depth.saturating_sub(usize::from(closes_loop));
+            }
+            (Kind::Punct, "{") => {
+                let header = std::mem::take(&mut pending);
+                braces.push(match header.fn_name {
+                    Some(name) if parens.len() == header.fn_parens => Frame::Fn(name),
+                    _ if header.is_loop && parens.len() == header.loop_parens => {
                         loop_depth += 1;
                         Frame::Loop
-                    } else {
-                        Frame::Plain
-                    };
-                    braces.push(frame);
-                    clear_pending(
-                        &mut pending_fn,
-                        &mut awaiting_fn_name,
-                        &mut pending_loop,
-                        &mut pending_impl,
-                    );
-                }
-                "}" => {
-                    if let Some(Frame::Loop) = braces.pop() {
-                        loop_depth = loop_depth.saturating_sub(1);
                     }
+                    _ => Frame::Plain,
+                });
+            }
+            (Kind::Punct, "}") => {
+                if let Some(Frame::Loop) = braces.pop() {
+                    loop_depth = loop_depth.saturating_sub(1);
                 }
-                // Only a statement-level `;` (outside all parens and
-                // brackets) ends a pending item header.
-                ";" if parens.is_empty() => clear_pending(
-                    &mut pending_fn,
-                    &mut awaiting_fn_name,
-                    &mut pending_loop,
-                    &mut pending_impl,
-                ),
-                _ => {}
-            },
+            }
+            // Only a statement-level `;` (outside all parens and
+            // brackets) ends a pending item header.
+            (Kind::Punct, ";") if parens.is_empty() => pending = Pending::default(),
             _ => {}
         }
-        prev[1] = prev[0].take();
-        prev[0] = Some((t.kind, t.text.clone()));
+        prev = [Some((t.kind, t.text.as_str())), prev[0]];
     }
     ctx
 }
 
-/// Annotate each source line (1-based, `num_lines` total) with its loop
-/// nesting depth and enclosing function, derived from
-/// [`token_contexts`]: a line carries the *maximum* depth and the first
-/// function name among its significant tokens. Blank and comment-only
-/// lines inherit the context that holds *between* the surrounding
-/// tokens, so a comment mid-function does not split the function into
-/// two runs.
-pub fn line_contexts(toks: &[Token], num_lines: usize) -> Vec<LineCtx> {
-    let per_token = token_contexts(toks);
-    let mut ctx = vec![LineCtx::default(); num_lines];
-    // Last line (1-based) annotated so far, for gap-line inheritance.
-    let mut filled_to = 0usize;
-    for (t, tc) in toks.iter().zip(&per_token) {
-        if !t.is_significant() {
-            continue;
+// ---------------------------------------------------------------------------
+// Source model
+// ---------------------------------------------------------------------------
+
+/// One physical source line after lexical cleaning.
+#[derive(Debug, Clone)]
+pub struct Line {
+    /// 1-based line number, for diagnostics.
+    pub number: usize,
+    /// The line with comments and string/char literal *contents* removed.
+    pub code: String,
+    /// The comment text found on the line (line and block comments).
+    pub comment: String,
+    /// The raw line as written, used for allowlist substring matching.
+    pub raw: String,
+    /// True when the line sits inside a `#[cfg(test)]`-gated item.
+    pub in_test: bool,
+    /// The deepest loop/closure nesting among the line's tokens.
+    pub loop_depth: usize,
+    /// Name of the innermost enclosing `fn` body, if any. Blank and
+    /// comment-only lines inherit the context that holds between the
+    /// surrounding tokens, so a function's lines stay one run.
+    pub fn_name: Option<String>,
+}
+
+/// A cleaned source file, addressed by its workspace-relative path.
+#[derive(Debug)]
+pub struct SourceFile {
+    /// Workspace-relative path with forward slashes.
+    pub rel_path: String,
+    pub lines: Vec<Line>,
+    /// The raw token stream the lines were derived from.
+    pub(crate) tokens: Vec<Token>,
+    /// Block-model context of each token (parallel to `tokens`), for
+    /// passes that need token-accurate loop depth rather than the
+    /// per-line maximum.
+    pub(crate) token_ctx: Vec<BlockCtx>,
+}
+
+impl SourceFile {
+    pub fn parse(rel_path: &str, text: &str) -> SourceFile {
+        let tokens = lex(text);
+        let token_ctx = token_contexts(&tokens);
+        let mut raws = text.lines();
+        let mut lines: Vec<Line> = clean(&tokens)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (code, comment))| Line {
+                number: i + 1,
+                code,
+                comment,
+                raw: raws.next().unwrap_or("").to_string(),
+                in_test: false,
+                loop_depth: 0,
+                fn_name: None,
+            })
+            .collect();
+        // Line contexts: each significant token stamps its own line and
+        // any blank/comment-only lines skipped since the previous one.
+        let mut filled_to = 0usize;
+        for (t, tc) in tokens.iter().zip(&token_ctx) {
+            if !t.is_significant() {
+                continue;
+            }
+            let skipped = filled_to.min(t.line - 1);
+            for line in lines.iter_mut().take(t.line).skip(skipped) {
+                line.loop_depth = line.loop_depth.max(tc.loop_depth);
+                if line.fn_name.is_none() {
+                    line.fn_name = tc.fn_name.clone();
+                }
+            }
+            filled_to = filled_to.max(t.line);
         }
-        let from = (filled_to + 1).min(t.line).max(1);
-        for line in from..=t.line {
-            if let Some(slot) = ctx.get_mut(line - 1) {
-                slot.loop_depth = slot.loop_depth.max(tc.loop_depth);
-                if slot.fn_name.is_none() {
-                    slot.fn_name = tc.fn_name.clone();
+        mark_test_regions(&mut lines);
+        SourceFile {
+            rel_path: rel_path.to_string(),
+            lines,
+            tokens,
+            token_ctx,
+        }
+    }
+
+    pub fn load(root: &Path, rel_path: &str) -> io::Result<SourceFile> {
+        let text = fs::read_to_string(root.join(rel_path))?;
+        Ok(SourceFile::parse(rel_path, &text))
+    }
+}
+
+/// Derive the per-line `(code, comment)` cleaned view from the token
+/// stream: string-family literals collapse to `""`, char literals to
+/// `' '`, comments move to the comment column, and everything else is
+/// kept verbatim. Multi-line tokens contribute their placeholder halves
+/// to the lines they open and close on.
+fn clean(tokens: &[Token]) -> Vec<(String, String)> {
+    enum Dst {
+        Code,
+        Comment,
+        Discard,
+    }
+    let mut out = Vec::new();
+    let mut code = String::new();
+    let mut comment = String::new();
+    // Route token text to a column, flushing a line at each newline.
+    fn spill(
+        text: &str,
+        dst: Dst,
+        code: &mut String,
+        comment: &mut String,
+        out: &mut Vec<(String, String)>,
+    ) {
+        for c in text.chars() {
+            if c == '\n' {
+                out.push((std::mem::take(code), std::mem::take(comment)));
+            } else {
+                match dst {
+                    Dst::Code => code.push(c),
+                    Dst::Comment => comment.push(c),
+                    Dst::Discard => {}
                 }
             }
         }
-        filled_to = filled_to.max(t.line);
     }
-    ctx
+    for t in tokens {
+        match t.kind {
+            Kind::Ident | Kind::Lifetime | Kind::Num | Kind::Punct => code.push_str(&t.text),
+            Kind::Ws => spill(&t.text, Dst::Code, &mut code, &mut comment, &mut out),
+            Kind::Str | Kind::RawStr => {
+                code.push('"');
+                spill(&t.text, Dst::Discard, &mut code, &mut comment, &mut out);
+                code.push('"');
+            }
+            Kind::Char => code.push_str("' '"),
+            Kind::LineComment => comment.push_str(&t.text),
+            Kind::BlockComment => spill(&t.text, Dst::Comment, &mut code, &mut comment, &mut out),
+        }
+    }
+    out.push((code, comment));
+    out
 }
 
-/// Name of the innermost `Fn` frame on the brace stack, if any.
-fn innermost_fn(braces: &[Frame]) -> Option<String> {
-    braces.iter().rev().find_map(|f| match f {
-        Frame::Fn(name) => Some(name.clone()),
-        _ => None,
-    })
+/// Mark every line that sits inside a `#[cfg(test)]` item (typically the
+/// inline `mod tests`). The lints only police non-test library code.
+fn mark_test_regions(lines: &mut [Line]) {
+    let mut depth: i64 = 0;
+    // Brace depth at which an armed `#[cfg(test)]` item opened, if any.
+    let mut test_open_depth: Option<i64> = None;
+    // A `#[cfg(test)]` attribute was seen but its item has not opened yet.
+    let mut armed = false;
+
+    for line in lines.iter_mut() {
+        if line.code.contains("#[cfg(test)]") || line.code.contains("#[cfg(all(test") {
+            armed = true;
+        }
+        if armed || test_open_depth.is_some() {
+            line.in_test = true;
+        }
+        for c in line.code.chars() {
+            match c {
+                '{' => {
+                    if armed && test_open_depth.is_none() {
+                        test_open_depth = Some(depth);
+                        armed = false;
+                    }
+                    depth += 1;
+                }
+                '}' => {
+                    depth -= 1;
+                    if test_open_depth == Some(depth) {
+                        test_open_depth = None;
+                    }
+                }
+                // `#[cfg(test)] use foo;` — attribute gated a single
+                // braceless item; disarm at its end.
+                ';' if armed && test_open_depth.is_none() => armed = false,
+                _ => {}
+            }
+        }
+    }
+}
+
+/// Collect the workspace-relative paths of every library source file the
+/// lints look at: `src/**/*.rs` of the root package and of each crate under
+/// `crates/`, excluding the analyzer itself.
+pub fn workspace_sources(root: &Path) -> io::Result<Vec<String>> {
+    sources_of(root, |name| name != "xtask")
+}
+
+/// [`workspace_sources`] plus the analyzer's own sources: everything
+/// `cargo xtask count` measures.
+pub fn all_sources(root: &Path) -> io::Result<Vec<String>> {
+    sources_of(root, |_| true)
+}
+
+/// `src/**/*.rs` of the root package and of each `crates/{name}` that
+/// `keep(name)` admits, as sorted workspace-relative paths.
+fn sources_of(root: &Path, keep: impl Fn(&str) -> bool) -> io::Result<Vec<String>> {
+    let mut found = Vec::new();
+    let mut roots: Vec<PathBuf> = vec![root.join("src")];
+    let crates_dir = root.join("crates");
+    if crates_dir.is_dir() {
+        let mut entries: Vec<_> = fs::read_dir(&crates_dir)?
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .collect();
+        entries.sort();
+        for entry in entries {
+            let admitted = (entry.file_name()).is_some_and(|n| keep(&n.to_string_lossy()));
+            if entry.is_dir() && admitted {
+                roots.push(entry.join("src"));
+            }
+        }
+    }
+    for dir in roots {
+        if dir.is_dir() {
+            walk(&dir, &mut found)?;
+        }
+    }
+    let mut rels: Vec<String> = found
+        .iter()
+        .filter_map(|p| p.strip_prefix(root).ok())
+        .map(|p| {
+            p.components()
+                .map(|c| c.as_os_str().to_string_lossy())
+                .collect::<Vec<_>>()
+                .join("/")
+        })
+        .collect();
+    rels.sort();
+    Ok(rels)
+}
+
+fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    let mut entries: Vec<_> = fs::read_dir(dir)?
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            walk(&path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -485,6 +688,14 @@ mod tests {
             .filter(|t| t.kind != Kind::Ws)
             .map(|t| (t.kind, t.text))
             .collect()
+    }
+
+    fn parse(text: &str) -> SourceFile {
+        SourceFile::parse("crates/vizalgo/src/x.rs", text)
+    }
+
+    fn codes(text: &str) -> Vec<String> {
+        parse(text).lines.into_iter().map(|l| l.code).collect()
     }
 
     #[test]
@@ -543,8 +754,7 @@ pub fn hot(xs: &[f64]) -> f64 {
     acc
 }
 ";
-        let toks = lex(text);
-        let ctx = line_contexts(&toks, text.lines().count());
+        let ctx = parse(text).lines;
         // Line 1 is the signature; lines 2.. are the body of `hot`.
         assert_eq!(ctx[0].fn_name, None);
         assert_eq!(ctx[1].fn_name.as_deref(), Some("hot"));
@@ -559,9 +769,45 @@ pub fn hot(xs: &[f64]) -> f64 {
     fn impl_for_is_not_a_loop() {
         let text =
             "impl Filter for Contour {\n    fn name(&self) -> &str {\n        \"c\"\n    }\n}\n";
-        let toks = lex(text);
-        let ctx = line_contexts(&toks, text.lines().count());
+        let ctx = parse(text).lines;
         assert!(ctx.iter().all(|c| c.loop_depth == 0));
         assert_eq!(ctx[2].fn_name.as_deref(), Some("name"));
+    }
+
+    #[test]
+    fn line_comments_and_strings_are_stripped() {
+        let got = codes("let a = \"x.unwrap() // not code\"; // real comment .expect(\n");
+        assert_eq!(got[0], "let a = \"\"; ");
+        let file = parse("let x = 1; // lint: infallible because fixed\n");
+        assert!(file.lines[0].comment.contains("lint: infallible because"));
+    }
+
+    #[test]
+    fn raw_strings_and_char_literals_are_stripped() {
+        let got = codes("let re = r#\"panic!(\"#; let c = '['; let l: &'static str = \"\";\n");
+        assert_eq!(
+            got[0],
+            "let re = \"\"; let c = ' '; let l: &'static str = \"\";"
+        );
+    }
+
+    #[test]
+    fn nested_block_comments_are_stripped() {
+        let got = codes("a /* one /* two */ still */ b\n");
+        assert_eq!(got[0], "a  b");
+    }
+
+    #[test]
+    fn cfg_test_regions_are_marked() {
+        let text = "pub fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn helper() { x.unwrap(); }\n}\npub fn lib2() {}\n";
+        let flags: Vec<bool> = parse(text).lines.iter().map(|l| l.in_test).collect();
+        assert_eq!(flags, vec![false, true, true, true, true, false, false]);
+    }
+
+    #[test]
+    fn cfg_test_on_a_braceless_item_disarms_at_semicolon() {
+        let text = "#[cfg(test)]\nuse std::fmt;\npub fn lib() {}\n";
+        let flags: Vec<bool> = parse(text).lines.iter().map(|l| l.in_test).collect();
+        assert_eq!(flags, vec![true, true, false, false]);
     }
 }

@@ -1,15 +1,16 @@
 //! The repo-specific lint passes: panic-policy, unit-safety,
-//! registry-dispatch, and schema-docs. Each pass takes a cleaned
+//! registry-dispatch and hot-loop-alloc. Each pass takes a cleaned
 //! [`SourceFile`] and appends [`Diagnostic`]s; path scoping lives in
-//! [`crate::policy`].
+//! [`crate::lint_file`] and [`crate::policy`].
 
-use crate::allow::{Allowlist, INFALLIBLE_MARKER, PANICS_ALLOW};
-use crate::diag::{Diagnostic, PANIC_POLICY, REGISTRY_DISPATCH, SCHEMA_DOCS, UNIT_SAFETY};
-use crate::policy::{
-    unit_family, UnitFamily, FILTER_CONSTRUCTORS, OBSERVABILITY_DOC, SCHEMA_ENUMS,
-    SCHEMA_TABLE_BEGIN, SCHEMA_TABLE_END, UNIT_BOUNDARY_FILES,
-};
-use crate::scan::SourceFile;
+use crate::allow::{Allowlist, ALLOCS_ALLOW, INFALLIBLE_MARKER, PANICS_ALLOW};
+use crate::diag::{Diagnostic, HOT_LOOP_ALLOC, PANIC_POLICY, REGISTRY_DISPATCH, UNIT_SAFETY};
+use crate::lex::{Kind, Line, SourceFile};
+use crate::policy::FILTER_CONSTRUCTORS;
+
+// ---------------------------------------------------------------------------
+// Panic policy
+// ---------------------------------------------------------------------------
 
 /// Tokens that violate the panic policy in hot-path library code.
 const PANIC_TOKENS: &[&str] = &[
@@ -21,17 +22,7 @@ const PANIC_TOKENS: &[&str] = &[
     "unimplemented!(",
 ];
 
-// ---------------------------------------------------------------------------
-// Panic policy
-// ---------------------------------------------------------------------------
-
-pub fn panic_policy(
-    file: &SourceFile,
-    allow: &Allowlist,
-    used: &mut [bool],
-    strict: bool,
-    out: &mut Vec<Diagnostic>,
-) {
+pub fn panic_policy(file: &SourceFile, allow: &mut Allowlist, out: &mut Vec<Diagnostic>) {
     for line in &file.lines {
         if line.in_test {
             continue;
@@ -42,7 +33,7 @@ pub fn panic_policy(
             }
             let justified =
                 line.comment.contains(INFALLIBLE_MARKER) || justified_above(file, line.number);
-            let registered = allow.covers(used, &file.rel_path, &line.raw);
+            let registered = allow.covers(&file.rel_path, &line.raw);
             if justified && registered {
                 continue;
             }
@@ -60,17 +51,6 @@ pub fn panic_policy(
                 line.number,
                 PANIC_POLICY,
                 message,
-            ));
-        }
-        if strict && has_unjustified_indexing(&line.code, &line.comment) {
-            out.push(Diagnostic::new(
-                &file.rel_path,
-                line.number,
-                PANIC_POLICY,
-                format!(
-                    "indexing can panic in hot-path library code (strict mode); prefer \
-                     `get`/iterators or add a `// {INFALLIBLE_MARKER} ...` note"
-                ),
             ));
         }
     }
@@ -93,253 +73,64 @@ fn justified_above(file: &SourceFile, number: usize) -> bool {
     false
 }
 
-/// Strict-mode heuristic: `expr[...]` indexing — a `[` whose previous
-/// non-space character ends an expression (identifier, `)`, or `]`).
-fn has_unjustified_indexing(code: &str, comment: &str) -> bool {
-    if comment.contains("lint:") || code.trim_start().starts_with("#[") {
-        return false;
-    }
-    let chars: Vec<char> = code.chars().collect();
-    for (i, &c) in chars.iter().enumerate() {
-        if c != '[' {
-            continue;
-        }
-        let prev = chars[..i].iter().rev().find(|ch| !ch.is_whitespace());
-        if let Some(&p) = prev {
-            if p.is_alphanumeric() || p == '_' || p == ')' || p == ']' {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 // ---------------------------------------------------------------------------
 // Unit safety
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, PartialEq)]
-enum Tok {
-    Ident(String),
-    Op(&'static str),
-    Other,
+/// The newtype a watt- or joule-named identifier should carry, following
+/// the workspace naming convention (`cap_watts`, `energy_joules`, ...).
+fn unit_newtype(ident: &str) -> Option<&'static str> {
+    let n = ident.to_ascii_lowercase();
+    if n.contains("watt") {
+        Some("Watts")
+    } else if n.contains("joule") {
+        Some("Joules")
+    } else {
+        None
+    }
 }
 
-/// Binary operators that demand dimensional agreement between operands.
-const UNIT_OPS: &[&str] = &["+", "-", "+=", "-=", "<", ">", "<=", ">=", "==", "!="];
-
+/// No watt-/joule-named raw `f64` in non-test code: a `name: f64`
+/// binding, parameter or field, or a `fn name(..) -> f64` return type,
+/// bypasses the `Watts`/`Joules` newtypes of `powersim::units`. Once a
+/// quantity is in a newtype the compiler rejects mixed-unit arithmetic;
+/// this pass guards the way in. Seconds and hertz stay raw by design.
 pub fn unit_safety(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let boundary = UNIT_BOUNDARY_FILES.contains(&file.rel_path.as_str());
-    for line in &file.lines {
-        if line.in_test {
-            continue;
-        }
-        mixed_family_arithmetic(file, line.number, &line.code, out);
-        if boundary {
-            raw_f64_boundary(file, line.number, &line.code, out);
-        }
-    }
-}
-
-/// Rule A: `a <op> b` where `a` and `b` carry different unit families by
-/// name. Multiplication/division across families is legitimate physics
-/// (W·s, 1/s, ...) and is not flagged.
-fn mixed_family_arithmetic(
-    file: &SourceFile,
-    number: usize,
-    code: &str,
-    out: &mut Vec<Diagnostic>,
-) {
-    let toks = tokenize(code);
-    for w in toks.windows(3) {
-        let (Tok::Ident(a), Tok::Op(op), Tok::Ident(b)) = (&w[0], &w[1], &w[2]) else {
-            continue;
-        };
-        if !UNIT_OPS.contains(op) {
-            continue;
-        }
-        let (Some(fa), Some(fb)) = (unit_family(a), unit_family(b)) else {
-            continue;
-        };
-        if fa != fb {
-            out.push(Diagnostic::new(
-                &file.rel_path,
-                number,
-                UNIT_SAFETY,
-                format!(
-                    "mixed-unit arithmetic: `{a} {op} {b}` combines {} with {}; convert \
-                     explicitly through the `Watts`/`Joules` newtypes (vizpower::energy)",
-                    fa.name(),
-                    fb.name()
-                ),
-            ));
-        }
-    }
-}
-
-/// Rule B: in boundary files, a watt-/joule-named `f64` declaration
-/// (`cap_watts: f64`, `fn energy_joules(..) -> f64`) bypasses the newtypes.
-fn raw_f64_boundary(file: &SourceFile, number: usize, code: &str, out: &mut Vec<Diagnostic>) {
-    let chars: Vec<char> = code.chars().collect();
-    let bytes = code.as_bytes();
-    let mut search = 0;
-    while let Some(pos) = code[search..].find("f64") {
-        let at = search + pos;
-        search = at + 3;
-        // Token boundaries: reject `f641` or `xf64`.
-        let before = at.checked_sub(1).map(|i| bytes[i] as char);
-        let after = chars.get(at + 3);
-        if before.is_some_and(|c| c.is_alphanumeric() || c == '_')
-            || after.is_some_and(|c| c.is_alphanumeric() || *c == '_')
-        {
-            continue;
-        }
-        let lead: String = code[..at].trim_end().to_string();
-        let family = if let Some(prefix) = lead.strip_suffix(':') {
-            unit_family(&trailing_ident(prefix))
-        } else if lead.ends_with("->") {
-            code.find("fn ")
-                .map(|f| leading_ident(&code[f + 3..]))
-                .and_then(|name| unit_family(&name))
-        } else {
-            None
-        };
-        let Some(family) = family else { continue };
-        let newtype = match family {
-            UnitFamily::Watts => "Watts",
-            UnitFamily::Joules => "Joules",
-            _ => continue, // seconds/hertz stay raw f64 by design
-        };
-        out.push(Diagnostic::new(
-            &file.rel_path,
-            number,
-            UNIT_SAFETY,
-            format!(
-                "raw `f64` carries a {} quantity across the power API boundary; use the \
-                 `{newtype}` newtype from powersim::units",
-                family.name()
-            ),
-        ));
-    }
-}
-
-fn trailing_ident(s: &str) -> String {
-    s.trim_end()
-        .chars()
-        .rev()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect::<Vec<_>>()
-        .into_iter()
-        .rev()
-        .collect()
-}
-
-fn leading_ident(s: &str) -> String {
-    s.trim_start()
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect()
-}
-
-/// Lexical tokenizer for rule A. Field paths collapse to their final
-/// segment (`r.energy_joules` → `energy_joules`); any call expression
-/// (`x.value()`, `f(..)`, `m!(..)`) becomes an opaque token, which makes
-/// `.value()` and the newtype conversion methods the sanctioned escape
-/// hatches.
-fn tokenize(code: &str) -> Vec<Tok> {
-    const MULTI: &[&str] = &[
-        "<<=", ">>=", "..=", "->", "=>", "..", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=",
-        "&&", "||", "<<", ">>",
-    ];
-    let chars: Vec<char> = code.chars().collect();
-    let mut toks = Vec::new();
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        if c.is_whitespace() {
-            i += 1;
-        } else if c.is_alphabetic() || c == '_' {
-            let (tok, next) = read_path(&chars, i);
-            toks.push(tok);
-            i = next;
-        } else if c.is_ascii_digit() {
-            i = skip_number(&chars, i);
-            toks.push(Tok::Other);
-        } else {
-            let rest: String = chars[i..].iter().take(3).collect();
-            if let Some(op) = MULTI.iter().find(|m| rest.starts_with(**m)) {
-                toks.push(if UNIT_OPS.contains(op) {
-                    Tok::Op(op)
-                } else {
-                    Tok::Other
-                });
-                i += op.len();
-            } else {
-                let single: &'static str = match c {
-                    '+' => "+",
-                    '-' => "-",
-                    '<' => "<",
-                    '>' => ">",
-                    _ => "",
-                };
-                toks.push(if single.is_empty() {
-                    Tok::Other
-                } else {
-                    Tok::Op(single)
-                });
-                i += 1;
+    let toks: Vec<_> = (file.tokens.iter())
+        .filter(|t| t.is_significant())
+        .collect();
+    // Name of the `fn` whose signature is open (until its body's `{`).
+    let mut open_fn: Option<&str> = None;
+    for (i, t) in toks.iter().enumerate() {
+        let text_at = |back: usize| i.checked_sub(back).map(|j| toks[j].text.as_str());
+        match (t.kind, t.text.as_str()) {
+            (Kind::Ident, "fn") => {
+                let name = toks.get(i + 1).filter(|n| n.kind == Kind::Ident);
+                open_fn = name.map(|n| n.text.as_str());
             }
+            (Kind::Punct, "{") => open_fn = None,
+            (Kind::Ident, "f64") if !file.lines[t.line - 1].in_test => {
+                let name = match (text_at(2), text_at(1)) {
+                    (name, Some(":")) => name,
+                    (Some("-"), Some(">")) => open_fn,
+                    _ => None,
+                };
+                if let Some((name, newtype)) = name.zip(name.and_then(unit_newtype)) {
+                    out.push(Diagnostic::new(
+                        &file.rel_path,
+                        t.line,
+                        UNIT_SAFETY,
+                        format!(
+                            "`{name}` carries a {} quantity as a raw `f64`; use the \
+                             `{newtype}` newtype from powersim::units",
+                            newtype.to_ascii_lowercase()
+                        ),
+                    ));
+                }
+            }
+            _ => {}
         }
     }
-    toks
-}
-
-/// Read an identifier or dotted path starting at `i`; returns the token
-/// and the index just past it.
-fn read_path(chars: &[char], mut i: usize) -> (Tok, usize) {
-    let mut last = String::new();
-    loop {
-        last.clear();
-        while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-            last.push(chars[i]);
-            i += 1;
-        }
-        // Follow `.ident` chains; stop at `.0` tuple access or `..` ranges.
-        if i + 1 < chars.len()
-            && chars[i] == '.'
-            && (chars[i + 1].is_alphabetic() || chars[i + 1] == '_')
-        {
-            i += 1;
-            continue;
-        }
-        break;
-    }
-    // A call makes the value's unit opaque; `!` marks a macro.
-    let mut j = i;
-    while j < chars.len() && chars[j].is_whitespace() {
-        j += 1;
-    }
-    if j < chars.len() && (chars[j] == '(' || chars[j] == '!') {
-        return (Tok::Other, i);
-    }
-    (Tok::Ident(last), i)
-}
-
-fn skip_number(chars: &[char], mut i: usize) -> usize {
-    let mut prev_exp = false;
-    while i < chars.len() {
-        let c = chars[i];
-        let keep = c.is_ascii_alphanumeric()
-            || c == '_'
-            || c == '.'
-            || (prev_exp && (c == '+' || c == '-'));
-        if !keep {
-            break;
-        }
-        prev_exp = c == 'e' || c == 'E';
-        i += 1;
-    }
-    i
 }
 
 // ---------------------------------------------------------------------------
@@ -394,162 +185,113 @@ fn calls_constructor(code: &str, ctor: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Schema docs
+// Hot-loop allocation
 // ---------------------------------------------------------------------------
 
-/// Every public variant of the journal's wire enums ([`SCHEMA_ENUMS`] in
-/// the trace source) must have a row in the schema table of
-/// `docs/OBSERVABILITY.md`, and every row must name a live variant. The
-/// table is the marker-delimited block of `| \`Variant\` | ...` rows; a
-/// row whose first cell is not backticked (headers, separators) is
-/// ignored.
-pub fn schema_docs(trace: &SourceFile, doc_text: &str, out: &mut Vec<Diagnostic>) {
-    let begin = marker_line(doc_text, SCHEMA_TABLE_BEGIN);
-    let end = marker_line(doc_text, SCHEMA_TABLE_END);
-    let (Some(begin), Some(end)) = (begin, end) else {
-        out.push(Diagnostic::new(
-            OBSERVABILITY_DOC,
-            1,
-            SCHEMA_DOCS,
-            format!(
-                "missing `{SCHEMA_TABLE_BEGIN}`/`{SCHEMA_TABLE_END}` markers around the \
-                 event schema table"
-            ),
-        ));
-        return;
-    };
-    let rows = schema_table_rows(doc_text, begin, end);
-    let mut variants = Vec::new();
-    for enum_name in SCHEMA_ENUMS {
-        for (variant, line) in enum_variants(trace, enum_name) {
-            variants.push((*enum_name, variant, line));
-        }
-    }
-    for (enum_name, variant, line) in &variants {
-        if !rows.iter().any(|(name, _)| name == variant) {
-            out.push(Diagnostic::new(
-                &trace.rel_path,
-                *line,
-                SCHEMA_DOCS,
-                format!(
-                    "public event variant `{enum_name}::{variant}` is not documented in the \
-                     {OBSERVABILITY_DOC} schema table; add a row between the markers"
-                ),
-            ));
-        }
-    }
-    for (name, line) in &rows {
-        if !variants.iter().any(|(_, v, _)| v == name) {
-            out.push(Diagnostic::new(
-                OBSERVABILITY_DOC,
-                *line,
-                SCHEMA_DOCS,
-                format!(
-                    "stale schema row `{name}` matches no public variant of {} in {}; remove it",
-                    SCHEMA_ENUMS.join("/"),
-                    trace.rel_path
-                ),
-            ));
-        }
-    }
-}
+/// Allocation-shaped patterns flagged inside loop bodies: the cleaned
+/// substring to match, the identifier token anchoring the site (whose
+/// token-level loop depth gates the finding), and the verb used in the
+/// message. The anchor matters: in `xs.iter().map(f).collect()` the
+/// *closure body* runs per element but `.collect` itself runs once, and
+/// its token sits at the chain's own depth, not inside the adapter
+/// parentheses.
+const ALLOC_TOKENS: &[(&str, &str, &str)] = &[
+    ("Vec::new(", "new", "allocates an empty Vec"),
+    ("vec![", "vec", "allocates a Vec"),
+    (
+        ".collect(",
+        "collect",
+        "allocates a fresh collection via collect",
+    ),
+    (
+        ".collect::<",
+        "collect",
+        "allocates a fresh collection via collect",
+    ),
+    (".clone(", "clone", "deep-clones"),
+    (".to_vec(", "to_vec", "copies into a new Vec"),
+    (".to_owned(", "to_owned", "copies into an owned value"),
+    ("format!(", "format", "allocates a String via format!"),
+    ("Box::new(", "new", "heap-allocates via Box"),
+];
 
-/// 1-based line number of the first line containing `marker`.
-fn marker_line(doc_text: &str, marker: &str) -> Option<usize> {
-    doc_text
-        .lines()
-        .position(|l| l.contains(marker))
-        .map(|i| i + 1)
-}
-
-/// The `(variant name, 1-based line)` of each backticked first cell in
-/// table rows strictly between the marker lines.
-fn schema_table_rows(doc_text: &str, begin: usize, end: usize) -> Vec<(String, usize)> {
-    let mut rows = Vec::new();
-    for (i, raw) in doc_text.lines().enumerate() {
-        let number = i + 1;
-        if number <= begin || number >= end {
+/// Allocation-shaped calls inside loop bodies (or iterator-adapter
+/// closures) of hot-path library code, and `.push` in a function that
+/// never pre-sizes anything. A site is either fixed — hoisted, or
+/// pre-sized with `with_capacity` — or registered in [`ALLOCS_ALLOW`].
+pub fn hot_loop_alloc(file: &SourceFile, allow: &mut Allowlist, out: &mut Vec<Diagnostic>) {
+    for (idx, line) in file.lines.iter().enumerate() {
+        // The line's depth is the max over its tokens, so 0 means no
+        // token on it can be inside a loop — a cheap pre-filter.
+        if line.in_test || line.loop_depth == 0 {
             continue;
         }
-        let Some(rest) = raw.trim().strip_prefix('|') else {
-            continue;
+        let mut flag = |depth: usize, message: String| {
+            if allow.covers(&file.rel_path, &line.raw) {
+                return;
+            }
+            let place = (line.fn_name.as_ref()).map_or(String::new(), |n| format!("in `{n}`, "));
+            out.push(Diagnostic::new(
+                &file.rel_path,
+                line.number,
+                HOT_LOOP_ALLOC,
+                format!("{message} ({place}loop depth {depth})"),
+            ));
         };
-        let cell = rest.split('|').next().unwrap_or("").trim();
-        if let Some(name) = cell
-            .strip_prefix('`')
-            .and_then(|s| s.strip_suffix('`'))
-            .filter(|s| !s.is_empty())
-        {
-            rows.push((name.to_string(), number));
-        }
-    }
-    rows
-}
-
-/// The `(variant name, 1-based line)` of each variant of `pub enum
-/// {enum_name}` in the cleaned source: inside the enum's braces, a
-/// depth-1 code line starting with an uppercase identifier declares a
-/// variant (attributes start with `#`, doc comments are stripped).
-fn enum_variants(file: &SourceFile, enum_name: &str) -> Vec<(String, usize)> {
-    let mut variants = Vec::new();
-    let mut inside = false;
-    let mut depth: i64 = 0;
-    for line in &file.lines {
-        if line.in_test {
-            continue;
-        }
-        if !inside {
-            if is_enum_header(&line.code, enum_name) {
-                inside = true;
-                depth = brace_delta(&line.code);
-                if depth <= 0 && line.code.contains('}') {
-                    inside = false; // one-line (empty) enum
-                }
+        for (pat, anchor, verb) in ALLOC_TOKENS {
+            if !line.code.contains(pat) {
+                continue;
             }
-            continue;
-        }
-        if depth == 1 {
-            let trimmed = line.code.trim();
-            if trimmed
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_uppercase())
-            {
-                let ident: String = trimmed
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                variants.push((ident, line.number));
+            let depth = anchor_depth(file, line.number, anchor);
+            if depth > 0 {
+                let display = pat.trim_end_matches('(').trim_end_matches("::<");
+                flag(
+                    depth,
+                    format!(
+                        "`{display}` {verb} inside a loop body; hoist the allocation out of \
+                         the hot loop, pre-size it with `with_capacity`, or register the \
+                         site in {ALLOCS_ALLOW}"
+                    ),
+                );
             }
         }
-        depth += brace_delta(&line.code);
-        if depth <= 0 {
-            inside = false;
+        // `.push(` is only a finding when the enclosing function never
+        // pre-sizes anything: a `with_capacity` in the function is taken
+        // as evidence the growth path was considered.
+        if line.code.contains(".push(") && !fn_presizes(&file.lines, idx) {
+            let depth = anchor_depth(file, line.number, "push");
+            if depth > 0 {
+                flag(
+                    depth,
+                    format!(
+                        "`.push` grows a collection inside a loop and the enclosing function \
+                         never calls `with_capacity`; reserve up front, or register the site \
+                         in {ALLOCS_ALLOW}"
+                    ),
+                );
+            }
         }
     }
-    variants
 }
 
-/// True when the cleaned line declares `pub enum {name}` (with a token
-/// boundary after the name, so `Event` does not match `EventKind`).
-fn is_enum_header(code: &str, name: &str) -> bool {
-    let needle = format!("pub enum {name}");
-    let Some(pos) = code.find(&needle) else {
-        return false;
-    };
-    let after = code[pos + needle.len()..].chars().next();
-    !after.is_some_and(|c| c.is_alphanumeric() || c == '_')
+/// Maximum token-level loop depth over the `anchor` identifier tokens on
+/// line `line_no`; 0 when the identifier does not appear as a token
+/// there (e.g. the match was inside a longer identifier).
+fn anchor_depth(file: &SourceFile, line_no: usize, anchor: &str) -> usize {
+    (file.tokens.iter().zip(&file.token_ctx))
+        .filter(|(t, _)| t.line == line_no && t.kind == Kind::Ident && t.text == anchor)
+        .map(|(_, ctx)| ctx.loop_depth)
+        .max()
+        .unwrap_or(0)
 }
 
-/// Net `{`/`}` depth change of a cleaned code line.
-fn brace_delta(code: &str) -> i64 {
-    let mut d = 0;
-    for c in code.chars() {
-        match c {
-            '{' => d += 1,
-            '}' => d -= 1,
-            _ => {}
-        }
-    }
-    d
+/// Does the function body around `lines[idx]` — the maximal run of lines
+/// sharing its `fn_name` — mention `with_capacity`?
+fn fn_presizes(lines: &[Line], idx: usize) -> bool {
+    let same_fn = |l: &&Line| l.fn_name == lines[idx].fn_name;
+    let before = lines[..idx].iter().rev().take_while(same_fn);
+    let after = lines[idx..].iter().take_while(same_fn);
+    before
+        .chain(after)
+        .any(|l| l.code.contains("with_capacity"))
 }

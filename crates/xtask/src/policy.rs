@@ -1,8 +1,7 @@
-//! The repo-specific policy: which files each lint watches and how
-//! power/energy/time/frequency identifiers are recognized.
+//! The repo-specific policy: which files each lint watches.
 
 /// Crates whose library code sits on the measurement hot path. The
-/// panic-policy lint and the analyze passes only apply here.
+/// panic-policy and hot-loop-alloc lints only apply here.
 /// `conformance` is included so the correctness checks themselves report
 /// setup failures as failed checks instead of panicking mid-suite.
 /// `vizmesh` joined when the time-varying `FieldSeries` ring put mesh
@@ -18,61 +17,15 @@ pub const HOT_PATH_CRATES: &[&str] = &[
     "conformance",
 ];
 
-/// Files forming the power/energy API boundary between `powersim` and
-/// `vizpower` (core). Inside these, a watt- or joule-named `f64`
-/// declaration is a violation: the quantity must use the `Watts`/`Joules`
-/// newtypes from `powersim::units` (re-exported as `vizpower::energy`).
-pub const UNIT_BOUNDARY_FILES: &[&str] = &[
-    "crates/powersim/src/rapl.rs",
-    "crates/powersim/src/exec.rs",
-    "crates/powersim/src/trace.rs",
-    "crates/powersim/src/node.rs",
-    "crates/powersim/src/cpu.rs",
-    "crates/powersim/src/msr.rs",
-    "crates/core/src/energy.rs",
-    "crates/core/src/study.rs",
-    "crates/core/src/metrics.rs",
-    "crates/core/src/advisor.rs",
-    "crates/core/src/efficiency.rs",
-    "crates/core/src/ablation.rs",
-    "crates/core/src/arch.rs",
-    "crates/core/src/classify.rs",
-    "crates/core/src/advect.rs",
-    "crates/governor/src/policy.rs",
-    "crates/governor/src/control.rs",
-    "crates/governor/src/study.rs",
-    "crates/governor/src/pair.rs",
-    "crates/service/src/admission.rs",
-    "crates/service/src/service.rs",
-];
-
 /// Files exempt from the unit-safety lint: the newtype definitions
 /// themselves, whose internals are raw `f64` by construction.
 pub const UNIT_EXEMPT_FILES: &[&str] = &["crates/powersim/src/units.rs"];
 
-/// Library files of a hot-path crate that `xtask analyze` skips: the JSON
+/// Library files of a hot-path crate that hot-loop-alloc skips: the JSON
 /// document codec parses and renders an action list once per run, so its
 /// push loops are not measurement hot path (panic-policy still applies —
 /// it reads input from outside the program).
-pub const ANALYZE_EXEMPT_FILES: &[&str] = &["crates/vizmesh/src/json.rs"];
-
-/// The run-journal event definitions whose public enum variants must all
-/// be documented in the observability schema table.
-pub const TRACE_SOURCE: &str = "crates/powersim/src/trace.rs";
-
-/// The document holding the event schema table the schema-docs lint
-/// checks against [`TRACE_SOURCE`].
-pub const OBSERVABILITY_DOC: &str = "docs/OBSERVABILITY.md";
-
-/// HTML-comment markers delimiting the schema table inside
-/// [`OBSERVABILITY_DOC`]. Rows between them with a backticked first cell
-/// name one enum variant each.
-pub const SCHEMA_TABLE_BEGIN: &str = "<!-- xtask:schema-table:begin -->";
-pub const SCHEMA_TABLE_END: &str = "<!-- xtask:schema-table:end -->";
-
-/// The public enums in [`TRACE_SOURCE`] whose variants form the journal's
-/// wire schema: every variant needs a schema-table row.
-pub const SCHEMA_ENUMS: &[&str] = &["Kind", "Scope"];
+pub const ALLOC_EXEMPT_FILES: &[&str] = &["crates/vizmesh/src/json.rs"];
 
 /// The crate hosting the algorithm registry. Filter constructors may be
 /// called freely inside it: the filters' own modules and the one
@@ -119,42 +72,4 @@ pub fn is_lib_code_of(rel_path: &str, crates: &[&str]) -> bool {
         return false;
     };
     crates.contains(&name) && rel_path.contains("/src/") && !rel_path.contains("/src/bin/")
-}
-
-/// The dimensional family of a quantity, inferred from identifier naming.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnitFamily {
-    Watts,
-    Joules,
-    Seconds,
-    Hertz,
-}
-
-impl UnitFamily {
-    pub fn name(self) -> &'static str {
-        match self {
-            UnitFamily::Watts => "watts",
-            UnitFamily::Joules => "joules",
-            UnitFamily::Seconds => "seconds",
-            UnitFamily::Hertz => "hertz",
-        }
-    }
-}
-
-/// Infer the unit family of an identifier from its name, following the
-/// workspace naming convention (`cap_watts`, `energy_joules`, `seconds`,
-/// `freq_ghz`, ...).
-pub fn unit_family(ident: &str) -> Option<UnitFamily> {
-    let n = ident.to_ascii_lowercase();
-    if n.contains("watt") {
-        Some(UnitFamily::Watts)
-    } else if n.contains("joule") {
-        Some(UnitFamily::Joules)
-    } else if n.contains("second") || n.ends_with("_sec") || n.ends_with("_secs") || n == "secs" {
-        Some(UnitFamily::Seconds)
-    } else if n.contains("hz") || n.contains("freq") {
-        Some(UnitFamily::Hertz)
-    } else {
-        None
-    }
 }

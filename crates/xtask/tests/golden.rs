@@ -1,35 +1,30 @@
 //! Golden tests for `cargo xtask lint`: one good/bad fixture pair per
 //! lint, asserting the exact diagnostics, file:line anchors, and exit
-//! codes, plus the allowlist/justification round trip.
+//! codes, plus the allowlist/justification round trip. (The
+//! hot-loop-alloc fixture goldens live in `analyze.rs`.)
+
+mod common;
 
 use std::fs;
-use std::path::PathBuf;
 use std::process::Command;
 
-use xtask::{lint_source, Options};
+use common::{rendered, TempTree};
 
 const PANIC_BAD: &str = include_str!("fixtures/panic_bad.rs");
 const PANIC_GOOD: &str = include_str!("fixtures/panic_good.rs");
 const UNITS_BAD: &str = include_str!("fixtures/units_bad.rs");
 const UNITS_GOOD: &str = include_str!("fixtures/units_good.rs");
-const SCHEMA_TRACE: &str = include_str!("fixtures/schema_trace.rs");
 const REGISTRY_BAD: &str = include_str!("fixtures/registry_bad.rs");
 const REGISTRY_GOOD: &str = include_str!("fixtures/registry_good.rs");
 const REGISTRY_STRINGS: &str = include_str!("fixtures/registry_strings.rs");
-
-fn rendered(rel_path: &str, text: &str, strict: bool) -> Vec<String> {
-    lint_source(rel_path, text, &Options { strict })
-        .iter()
-        .map(|d| d.to_string())
-        .collect()
-}
+const HOT_LOOP: &str = include_str!("fixtures/hot_loop.rs");
 
 const PANIC_HELP: &str = "return Result/Option, or justify with `// lint: infallible \
                           because ...` and register the site in crates/xtask/allowlists/panics.allow";
 
 #[test]
 fn panic_policy_bad_fixture_flags_each_site() {
-    let diags = rendered("crates/vizalgo/src/fixture.rs", PANIC_BAD, false);
+    let diags = rendered("crates/vizalgo/src/fixture.rs", PANIC_BAD);
     assert_eq!(
         diags,
         vec![
@@ -55,7 +50,7 @@ fn panic_policy_bad_fixture_flags_each_site() {
 #[test]
 fn panic_policy_good_fixture_is_clean() {
     assert_eq!(
-        rendered("crates/vizalgo/src/fixture.rs", PANIC_GOOD, false),
+        rendered("crates/vizalgo/src/fixture.rs", PANIC_GOOD),
         Vec::<String>::new()
     );
 }
@@ -63,77 +58,29 @@ fn panic_policy_good_fixture_is_clean() {
 #[test]
 fn panic_policy_ignores_non_hot_path_crates() {
     assert_eq!(
-        rendered("crates/insitu/src/fixture.rs", PANIC_BAD, false),
+        rendered("crates/insitu/src/fixture.rs", PANIC_BAD),
         Vec::<String>::new()
     );
 }
 
 #[test]
-fn strict_mode_flags_indexing_without_justification() {
-    let text = "pub fn first(xs: &[f64]) -> f64 {\n    xs[0]\n}\n";
-    let diags = rendered("crates/vizalgo/src/fixture.rs", text, true);
-    assert_eq!(
-        diags,
-        vec![
-            "crates/vizalgo/src/fixture.rs:2: [panic-policy] indexing can panic in hot-path \
-             library code (strict mode); prefer `get`/iterators or add a `// lint: \
-             infallible because ...` note"
-                .to_string(),
-        ]
-    );
-    // The same site is accepted with an inline justification, and strict
-    // mode is opt-in: the default pass does not flag indexing.
-    let justified =
-        "pub fn first(xs: &[f64]) -> f64 {\n    xs[0] // lint: infallible because callers check\n}\n";
-    assert_eq!(
-        rendered("crates/vizalgo/src/fixture.rs", justified, true),
-        Vec::<String>::new()
-    );
-    assert_eq!(
-        rendered("crates/vizalgo/src/fixture.rs", text, false),
-        Vec::<String>::new()
-    );
-}
-
-const UNIT_HELP: &str = "convert explicitly through the `Watts`/`Joules` newtypes \
-                         (vizpower::energy)";
-
-#[test]
-fn unit_safety_bad_fixture_flags_mixed_units_and_raw_f64() {
-    let diags = rendered("crates/core/src/study.rs", UNITS_BAD, false);
-    let raw = |family: &str, ty: &str| -> String {
+fn unit_safety_bad_fixture_flags_each_raw_f64_declaration() {
+    // A field, a return type, a parameter, a return type at the end of
+    // a multi-line signature, and a `let` binding.
+    let raw = |line: usize, name: &str, family: &str, ty: &str| -> String {
         format!(
-            "raw `f64` carries a {family} quantity across the power API boundary; use \
-                 the `{ty}` newtype from powersim::units"
+            "crates/core/src/study.rs:{line}: [unit-safety] `{name}` carries a {family} \
+             quantity as a raw `f64`; use the `{ty}` newtype from powersim::units"
         )
     };
     assert_eq!(
-        diags,
+        rendered("crates/core/src/study.rs", UNITS_BAD),
         vec![
-            format!(
-                "crates/core/src/study.rs:4: [unit-safety] {}",
-                raw("watts", "Watts")
-            ),
-            format!(
-                "crates/core/src/study.rs:8: [unit-safety] {}",
-                raw("watts", "Watts")
-            ),
-            format!(
-                "crates/core/src/study.rs:12: [unit-safety] {}",
-                raw("joules", "Joules")
-            ),
-            format!(
-                "crates/core/src/study.rs:13: [unit-safety] mixed-unit arithmetic: \
-                 `energy_joules + seconds` combines joules with seconds; {UNIT_HELP}"
-            ),
-            format!(
-                "crates/core/src/study.rs:16: [unit-safety] {}",
-                raw("watts", "Watts")
-            ),
-            format!(
-                "crates/core/src/study.rs:17: [unit-safety] mixed-unit arithmetic: \
-                 `cap_watts < freq_ghz` combines watts with hertz; {UNIT_HELP}"
-            ),
+            raw(4, "cap_watts", "watts", "Watts"),
+            raw(8, "peak_power_watts", "watts", "Watts"),
+            raw(12, "energy_joules", "joules", "Joules"),
+            raw(18, "total_energy_joules", "joules", "Joules"),
+            raw(19, "sum_joules", "joules", "Joules"),
         ]
     );
 }
@@ -141,27 +88,23 @@ fn unit_safety_bad_fixture_flags_mixed_units_and_raw_f64() {
 #[test]
 fn unit_safety_good_fixture_is_clean() {
     assert_eq!(
-        rendered("crates/core/src/study.rs", UNITS_GOOD, false),
+        rendered("crates/core/src/study.rs", UNITS_GOOD),
         Vec::<String>::new()
     );
 }
 
 #[test]
-fn unit_safety_raw_f64_rule_only_applies_to_boundary_files() {
-    // Outside the boundary list only the mixed-arithmetic rule applies.
-    let diags = rendered("crates/insitu/src/fixture.rs", UNITS_BAD, false);
+fn unit_safety_applies_everywhere_but_the_newtype_definitions() {
+    // No boundary-file list: a crate that never touched the power API
+    // is held to the same rule.
     assert_eq!(
-        diags,
-        vec![
-            format!(
-                "crates/insitu/src/fixture.rs:13: [unit-safety] mixed-unit arithmetic: \
-                 `energy_joules + seconds` combines joules with seconds; {UNIT_HELP}"
-            ),
-            format!(
-                "crates/insitu/src/fixture.rs:17: [unit-safety] mixed-unit arithmetic: \
-                 `cap_watts < freq_ghz` combines watts with hertz; {UNIT_HELP}"
-            ),
-        ]
+        rendered("crates/insitu/src/runtime.rs", UNITS_BAD).len(),
+        5,
+        "every declaration is flagged outside the power crates too"
+    );
+    assert_eq!(
+        rendered("crates/powersim/src/units.rs", UNITS_BAD),
+        Vec::<String>::new()
     );
 }
 
@@ -175,7 +118,7 @@ fn registry_msg(display: &str) -> String {
 
 #[test]
 fn registry_dispatch_bad_fixture_flags_each_construction() {
-    let diags = rendered("crates/core/src/fixture.rs", REGISTRY_BAD, false);
+    let diags = rendered("crates/core/src/fixture.rs", REGISTRY_BAD);
     assert_eq!(
         diags,
         vec![
@@ -198,7 +141,7 @@ fn registry_dispatch_bad_fixture_flags_each_construction() {
 #[test]
 fn registry_dispatch_good_fixture_is_clean() {
     assert_eq!(
-        rendered("crates/core/src/fixture.rs", REGISTRY_GOOD, false),
+        rendered("crates/core/src/fixture.rs", REGISTRY_GOOD),
         Vec::<String>::new()
     );
 }
@@ -208,7 +151,7 @@ fn registry_dispatch_ignores_constructors_in_strings_and_doc_comments() {
     // Constructor tokens inside string literals (cooked, raw, raw byte)
     // and doc/line comments are text, not construction sites.
     assert_eq!(
-        rendered("crates/core/src/fixture.rs", REGISTRY_STRINGS, false),
+        rendered("crates/core/src/fixture.rs", REGISTRY_STRINGS),
         Vec::<String>::new()
     );
 }
@@ -216,76 +159,12 @@ fn registry_dispatch_ignores_constructors_in_strings_and_doc_comments() {
 #[test]
 fn registry_dispatch_exempts_the_registry_crate_and_reference_impls() {
     assert_eq!(
-        rendered("crates/vizalgo/src/fixture.rs", REGISTRY_BAD, false),
+        rendered("crates/vizalgo/src/fixture.rs", REGISTRY_BAD),
         Vec::<String>::new()
     );
     assert_eq!(
-        rendered("crates/conformance/src/reference.rs", REGISTRY_BAD, false),
+        rendered("crates/conformance/src/reference.rs", REGISTRY_BAD),
         Vec::<String>::new()
-    );
-}
-
-const SCHEMA_DOC_GOOD: &str = "\
-# Observability\n\
-\n\
-<!-- xtask:schema-table:begin -->\n\
-| Variant | Kind |\n\
-| --- | --- |\n\
-| `Counter` | kind |\n\
-| `CapChange` | kind |\n\
-| `Study` | scope |\n\
-| `Kernel` | scope |\n\
-<!-- xtask:schema-table:end -->\n";
-
-const SCHEMA_DOC_BAD: &str = "\
-# Observability\n\
-\n\
-<!-- xtask:schema-table:begin -->\n\
-| Variant | Kind |\n\
-| --- | --- |\n\
-| `Counter` | kind |\n\
-| `Study` | scope |\n\
-| `Timestep` | scope |\n\
-| `Kernel` | scope |\n\
-<!-- xtask:schema-table:end -->\n";
-
-fn rendered_schema(doc: &str) -> Vec<String> {
-    xtask::lint_schema_source(SCHEMA_TRACE, doc)
-        .iter()
-        .map(|d| d.to_string())
-        .collect()
-}
-
-#[test]
-fn schema_docs_complete_table_is_clean() {
-    assert_eq!(rendered_schema(SCHEMA_DOC_GOOD), Vec::<String>::new());
-}
-
-#[test]
-fn schema_docs_flags_undocumented_variant_and_stale_row() {
-    assert_eq!(
-        rendered_schema(SCHEMA_DOC_BAD),
-        vec![
-            "crates/powersim/src/trace.rs:9: [schema-docs] public event variant \
-             `Kind::CapChange` is not documented in the docs/OBSERVABILITY.md schema table; \
-             add a row between the markers"
-                .to_string(),
-            "docs/OBSERVABILITY.md:8: [schema-docs] stale schema row `Timestep` matches no \
-             public variant of Kind/Scope in crates/powersim/src/trace.rs; remove it"
-                .to_string(),
-        ]
-    );
-}
-
-#[test]
-fn schema_docs_requires_table_markers() {
-    assert_eq!(
-        rendered_schema("# Observability\n\n| `Counter` | kind |\n"),
-        vec![
-            "docs/OBSERVABILITY.md:1: [schema-docs] missing `<!-- xtask:schema-table:begin -->`\
-             /`<!-- xtask:schema-table:end -->` markers around the event schema table"
-                .to_string(),
-        ]
     );
 }
 
@@ -293,63 +172,26 @@ fn schema_docs_requires_table_markers() {
 // End-to-end: the real binary against a temporary workspace tree.
 // ---------------------------------------------------------------------------
 
-struct TempTree {
-    root: PathBuf,
-}
-
-impl TempTree {
-    fn new(case: &str) -> TempTree {
-        let root = std::env::temp_dir().join(format!("xtask-golden-{}-{case}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
-        fs::create_dir_all(&root).expect("create temp tree");
-        fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = []\n").expect("write manifest");
-        TempTree { root }
-    }
-
-    fn write(&self, rel: &str, text: &str) {
-        let path = self.root.join(rel);
-        fs::create_dir_all(path.parent().expect("rel path has a parent")).expect("mkdir");
-        fs::write(path, text).expect("write fixture");
-    }
-
-    fn lint(&self) -> (i32, String) {
-        let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
-            .args(["lint", "--root"])
-            .arg(&self.root)
-            .output()
-            .expect("run xtask binary");
-        (
-            out.status.code().expect("exit code"),
-            String::from_utf8(out.stdout).expect("utf-8 stdout"),
-        )
-    }
-}
-
-impl Drop for TempTree {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.root);
-    }
-}
-
-fn relocate(diags: Vec<String>, from: &str, to: &str) -> Vec<String> {
-    diags.into_iter().map(|d| d.replace(from, to)).collect()
-}
-
 #[test]
 fn binary_exits_nonzero_with_exact_diagnostics_on_violations() {
     let tree = TempTree::new("bad");
     tree.write("crates/vizalgo/src/bad.rs", PANIC_BAD);
     tree.write("crates/core/src/study.rs", UNITS_BAD);
+    // Five in-loop allocations, one of them registered: the other four
+    // are diagnostics, not a worklist.
+    tree.write("crates/vizalgo/src/hot.rs", HOT_LOOP);
+    tree.write(
+        "crates/xtask/allowlists/allocs.allow",
+        "crates/vizalgo/src/hot.rs :: let boxed = Box::new(*p);\n",
+    );
     let (code, stdout) = tree.lint();
     assert_eq!(code, 1, "violations must exit 1");
 
-    let mut expected = Vec::new();
-    expected.extend(rendered("crates/core/src/study.rs", UNITS_BAD, false));
-    expected.extend(relocate(
-        rendered("crates/vizalgo/src/fixture.rs", PANIC_BAD, false),
-        "crates/vizalgo/src/fixture.rs",
-        "crates/vizalgo/src/bad.rs",
-    ));
+    let mut expected = rendered("crates/core/src/study.rs", UNITS_BAD);
+    expected.extend(rendered("crates/vizalgo/src/bad.rs", PANIC_BAD));
+    let hot = rendered("crates/vizalgo/src/hot.rs", HOT_LOOP);
+    assert_eq!(hot.len(), 5);
+    expected.extend(hot.into_iter().filter(|d| !d.contains("`Box::new`")));
     let lines: Vec<String> = stdout.lines().map(str::to_string).collect();
     assert_eq!(lines, expected);
 }
@@ -393,7 +235,7 @@ fn justification_comment_may_sit_above_a_chained_site() {
                 // lint: infallible because harness inputs are uniform grids\n        \
                 .expect(\"structured input\")\n\
                 }\n";
-    let diags = rendered("crates/vizalgo/src/fixture.rs", text, false);
+    let diags = rendered("crates/vizalgo/src/fixture.rs", text);
     assert_eq!(
         diags,
         vec![
@@ -425,34 +267,20 @@ fn binary_reports_stale_allowlist_entries() {
         "# left over from a removed kernel\n\
          crates/vizalgo/src/removed.rs :: .unwrap()\n",
     );
+    tree.write(
+        "crates/xtask/allowlists/allocs.allow",
+        "crates/vizalgo/src/ok.rs :: scratch.push(x);\n",
+    );
     let (code, stdout) = tree.lint();
     assert_eq!(code, 1);
     assert_eq!(
         stdout.lines().collect::<Vec<_>>(),
         vec![
+            "crates/xtask/allowlists/allocs.allow:1: [allowlist] stale entry \
+             `crates/vizalgo/src/ok.rs :: scratch.push(x);` matches no flagged site; remove it",
             "crates/xtask/allowlists/panics.allow:2: [allowlist] stale entry \
              `crates/vizalgo/src/removed.rs :: .unwrap()` matches no flagged site; remove it",
         ]
-    );
-}
-
-#[test]
-fn binary_checks_the_schema_table_when_the_trace_source_exists() {
-    // With the trace source present and the doc complete, the tree is
-    // clean; delete the doc and the schema-docs pass fires.
-    let tree = TempTree::new("schema");
-    tree.write("crates/powersim/src/trace.rs", SCHEMA_TRACE);
-    tree.write("docs/OBSERVABILITY.md", SCHEMA_DOC_GOOD);
-    let (code, stdout) = tree.lint();
-    assert_eq!(code, 0, "documented schema must pass; stdout:\n{stdout}");
-
-    let missing = TempTree::new("schema-missing-doc");
-    missing.write("crates/powersim/src/trace.rs", SCHEMA_TRACE);
-    let (code, stdout) = missing.lint();
-    assert_eq!(code, 1, "missing doc must fail");
-    assert!(
-        stdout.contains("[schema-docs] missing"),
-        "stdout should report the missing markers:\n{stdout}"
     );
 }
 

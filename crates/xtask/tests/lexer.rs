@@ -1,10 +1,9 @@
 //! Goldens for the nasty corners of the `xtask::lex` tokenizer: the
-//! exact token streams and cleaned line views the lint and analyze
-//! passes depend on. Each case is a construct the old line-cleaning
-//! scanner either got wrong or only handled by luck.
+//! exact token streams, cleaned line views and line contexts the lint
+//! passes depend on. Each case is a construct a per-line state machine
+//! either gets wrong or only handles by luck.
 
-use xtask::lex::{lex, line_contexts, Kind};
-use xtask::scan::SourceFile;
+use xtask::lex::{lex, Kind, Line, SourceFile};
 
 fn stream(text: &str) -> Vec<(Kind, String)> {
     lex(text)
@@ -14,12 +13,12 @@ fn stream(text: &str) -> Vec<(Kind, String)> {
         .collect()
 }
 
+fn lines(text: &str) -> Vec<Line> {
+    SourceFile::parse("crates/vizalgo/src/x.rs", text).lines
+}
+
 fn cleaned(text: &str) -> Vec<String> {
-    SourceFile::parse("crates/vizalgo/src/x.rs", text)
-        .lines
-        .into_iter()
-        .map(|l| l.code)
-        .collect()
+    lines(text).into_iter().map(|l| l.code).collect()
 }
 
 #[test]
@@ -118,8 +117,7 @@ pub fn outer(sel: u8) -> u32 {
 }
 pub fn after() -> u32 { 3 }
 ";
-    let toks = lex(text);
-    let ctx = line_contexts(&toks, text.lines().count());
+    let ctx = lines(text);
     // The header line carries the *surrounding* context (the body opens
     // at its trailing `{`); the attribute line is already inside.
     assert_eq!(ctx[0].fn_name, None);
@@ -141,8 +139,7 @@ pub fn clip(tets: &[[u32; 4]], out: &mut Vec<[u32; 4]>) {
     }
 }
 ";
-    let toks = lex(text);
-    let ctx = line_contexts(&toks, text.lines().count());
+    let ctx = lines(text);
     assert_eq!(ctx[2].fn_name.as_deref(), Some("clip"));
     assert_eq!(ctx[2].loop_depth, 1);
 }
@@ -157,8 +154,7 @@ pub fn f() {
     push(t0);
 }
 ";
-    let toks = lex(text);
-    let ctx = line_contexts(&toks, text.lines().count());
+    let ctx = lines(text);
     // Every interior line, including the blank and comment-only ones,
     // stays attributed to `f` so function extents stay contiguous.
     for i in 1..=4 {
