@@ -22,13 +22,6 @@ pub fn sound_speed(density: f64, pressure: f64) -> f64 {
     }
 }
 
-/// Specific internal energy that produces `pressure` at `density`
-/// (inverse EOS, used by problem setup).
-#[inline]
-pub fn energy_for_pressure(density: f64, pressure: f64) -> f64 {
-    pressure / ((GAMMA - 1.0) * density)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -37,14 +30,6 @@ mod tests {
     fn pressure_matches_ideal_gas_law() {
         assert!((pressure(1.0, 1.0) - 0.4).abs() < 1e-12);
         assert!((pressure(2.0, 3.0) - 2.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eos_inverse_round_trip() {
-        let rho = 1.7;
-        let e = 2.3;
-        let p = pressure(rho, e);
-        assert!((energy_for_pressure(rho, p) - e).abs() < 1e-12);
     }
 
     #[test]

@@ -45,16 +45,6 @@ pub fn energy_rows(sweep: &CapSweep) -> Vec<EnergyRow> {
         .collect()
 }
 
-/// The cap minimizing energy-to-solution, with its saving vs default;
-/// `None` for an empty sweep.
-pub fn best_energy_cap(sweep: &CapSweep) -> Option<(Watts, f64)> {
-    let rows = energy_rows(sweep);
-    let best = rows
-        .iter()
-        .min_by(|a, b| a.energy_joules.total_cmp(&b.energy_joules))?;
-    Some((best.cap_watts, 1.0 - best.eratio))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,8 +91,8 @@ mod tests {
             }
         }
         // Severe caps cost energy: static power over a longer runtime.
-        let (best_cap, saving) = best_energy_cap(&sweep).expect("non-empty sweep");
-        assert!(saving.abs() < 0.05, "saving {saving} at {best_cap} W");
+        let best = rows.iter().map(|r| r.eratio).fold(f64::INFINITY, f64::min);
+        assert!((1.0 - best).abs() < 0.05, "best energy ratio {best}");
     }
 
     #[test]

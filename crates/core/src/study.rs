@@ -136,17 +136,11 @@ pub const HYDRO_BASE_MAX: usize = 64;
 /// across sizes, which is the premise of the paper's Figs. 4–6 (IPC
 /// trends attributed to data volume, not field differences).
 ///
-/// Delegates to the one journaled construction site
-/// (`crate::store::solve_base`) with the journal off, so the free
-/// function and [`DatasetStore`] can never produce different bits.
+/// Built through a private [`DatasetStore`], the one construction path.
 pub fn dataset_for(size: usize) -> DataSet {
-    let base_n = size.min(HYDRO_BASE_MAX);
-    let base = crate::store::solve_base(base_n, &mut Journal::off());
-    if base_n == size {
-        base
-    } else {
-        upsample(&base, size)
-    }
+    let ds = DatasetStore::new().dataset(size);
+    // The store is dropped by now: this is the only handle, nothing is copied.
+    Arc::unwrap_or_clone(ds)
 }
 
 /// Fewest trilinear samples worth a `par` chunk in [`upsample`] (a cell
@@ -277,11 +271,6 @@ impl CapSweep {
     /// caps at all.
     pub fn baseline(&self) -> Option<&ExecResult> {
         self.rows.first()
-    }
-
-    /// Row at a specific cap.
-    pub fn at_cap(&self, cap: Watts) -> Option<&ExecResult> {
-        self.rows.iter().find(|r| (r.cap_watts - cap).abs() < 0.5)
     }
 }
 
@@ -731,7 +720,6 @@ mod tests {
         };
         assert!(sweep.baseline().is_none());
         assert!(sweep.ratios().is_empty());
-        assert!(sweep.at_cap(Watts(120.0)).is_none());
     }
 
     #[test]

@@ -57,28 +57,6 @@ pub struct CoupledRun {
     pub trailing_sim_work: WorkCounters,
 }
 
-impl CoupledRun {
-    /// Total visualization work across cycles.
-    pub fn total_viz_work(&self) -> WorkCounters {
-        let mut w = WorkCounters::new();
-        for c in &self.cycles {
-            for k in &c.viz_kernels {
-                w += k.work;
-            }
-        }
-        w
-    }
-
-    /// Total simulation work across cycles.
-    pub fn total_sim_work(&self) -> WorkCounters {
-        let mut w = self.trailing_sim_work;
-        for c in &self.cycles {
-            w += c.sim_work.work;
-        }
-        w
-    }
-}
-
 /// The coupled driver.
 pub struct InSituRuntime {
     pub sim: Simulation,
@@ -295,23 +273,6 @@ mod tests {
                 .iter()
                 .all(|k| k.class == KernelClass::Simulation));
         }
-    }
-
-    #[test]
-    fn viz_and_sim_totals_are_disjoint_accumulations() {
-        let config = RuntimeConfig {
-            grid_cells: 6,
-            total_steps: 6,
-            trigger: Trigger::EveryN { n: 3 },
-        };
-        let mut rt = InSituRuntime::new(Problem::TwoState, config, actions());
-        let run = rt.run();
-        let viz = run.total_viz_work();
-        let sim = run.total_sim_work();
-        assert!(viz.instructions > 0);
-        assert!(sim.instructions > 0);
-        // Simulation classify work counts hydro cells, viz counts its own.
-        assert!(sim.items > 0 && viz.items > 0);
     }
 
     #[test]

@@ -40,18 +40,6 @@ pub fn phase_time(spec: &CpuSpec, phase: &KernelPhase, f_ghz: f64) -> f64 {
     (tc.powf(P_NORM) + tm.powf(P_NORM)).powf(1.0 / P_NORM)
 }
 
-/// How memory-bound a phase is at `f_ghz`: 0 = pure compute, 1 = pure
-/// memory. Used by the effective-activity model (a stalled core gates
-/// its execution units and draws less dynamic power).
-pub fn memory_boundedness(spec: &CpuSpec, phase: &KernelPhase, f_ghz: f64) -> f64 {
-    let tc = core_time(spec, phase, f_ghz);
-    let tm = memory_time(spec, phase);
-    if tc + tm <= 0.0 {
-        return 0.0;
-    }
-    tm.powf(P_NORM) / (tc.powf(P_NORM) + tm.powf(P_NORM))
-}
-
 /// Dynamic activity the package sees for a phase. The per-class
 /// signatures in `vizpower::characterize` already fold stall behaviour
 /// into `activity` (they are calibrated against the paper's measured
@@ -140,16 +128,6 @@ mod tests {
                 assert!(t >= memory_time(&s, &p) * 0.999);
             }
         }
-    }
-
-    #[test]
-    fn boundedness_classifies_phases() {
-        let s = spec();
-        assert!(memory_boundedness(&s, &compute_phase(), 2.6) < 0.1);
-        assert!(memory_boundedness(&s, &memory_phase(), 2.6) > 0.9);
-        // Lowering frequency makes everything look less memory-bound.
-        let p = memory_phase();
-        assert!(memory_boundedness(&s, &p, 0.8) <= memory_boundedness(&s, &p, 2.6) + 1e-12);
     }
 
     #[test]

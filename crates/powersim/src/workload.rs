@@ -75,26 +75,8 @@ impl Workload {
         self.phases.iter().map(|p| p.llc_refs).sum()
     }
 
-    pub fn total_dram_bytes(&self) -> u64 {
-        self.phases.iter().map(|p| p.dram_bytes).sum()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.phases.is_empty()
-    }
-
-    /// Instruction-weighted mean activity — a quick estimate of how much
-    /// power the workload wants.
-    pub fn mean_activity(&self) -> f64 {
-        let total = self.total_instructions();
-        if total == 0 {
-            return 0.0;
-        }
-        self.phases
-            .iter()
-            .map(|p| p.activity * p.instructions as f64)
-            .sum::<f64>()
-            / total as f64
     }
 }
 
@@ -163,23 +145,14 @@ mod tests {
             .with_phase(KernelPhase::compute("a", 1000))
             .with_phase(KernelPhase::memory("b", 3000, 64_000));
         assert_eq!(w.total_instructions(), 4000);
-        assert!(w.total_dram_bytes() >= 64_000);
+        assert!(w.phases[1].dram_bytes >= 64_000);
         assert_eq!(w.phases.len(), 2);
-    }
-
-    #[test]
-    fn mean_activity_weighted_by_instructions() {
-        let w = Workload::new("test")
-            .with_phase(KernelPhase::compute("a", 1000)) // 0.95
-            .with_phase(KernelPhase::memory("b", 3000, 0)); // 0.35
-        let expect = (0.95 * 1000.0 + 0.35 * 3000.0) / 4000.0;
-        assert!((w.mean_activity() - expect).abs() < 1e-12);
     }
 
     #[test]
     fn empty_workload() {
         let w = Workload::new("empty");
         assert!(w.is_empty());
-        assert_eq!(w.mean_activity(), 0.0);
+        assert_eq!(w.total_instructions(), 0);
     }
 }

@@ -38,14 +38,16 @@ impl Admission {
     ) -> Result<Admission, ServiceError> {
         let nodes = nodes.max(1);
         let node_budget = fleet_budget / nodes as f64;
-        if node_budget < spec.min_cap_watts {
-            return Err(ServiceError::BudgetBelowFloor {
+        // Accept-if-clears, so a NaN budget is rejected (`+inf` clamps at TDP).
+        if node_budget >= spec.min_cap_watts {
+            Ok(Admission { node_budget, spec })
+        } else {
+            Err(ServiceError::BudgetBelowFloor {
                 node_budget,
                 floor: spec.min_cap_watts,
                 nodes,
-            });
+            })
         }
-        Ok(Admission { node_budget, spec })
     }
 
     /// The per-node share of the fleet budget.
@@ -92,6 +94,7 @@ mod tests {
         assert_eq!(adm.admit(Watts(80.0)), Watts(80.0), "within budget");
         assert_eq!(adm.admit(Watts(10.0)), Watts(40.0), "floor-clamped");
         assert_eq!(adm.admit(Watts(500.0)), Watts(90.0), "tdp then budget");
+        assert_eq!(adm.admit(Watts(f64::NAN)), Watts(90.0), "NaN ask: budget");
     }
 
     #[test]
@@ -116,5 +119,11 @@ mod tests {
             }
             other => panic!("wrong error: {other:?}"),
         }
+        let nan = Admission::new(Watts(f64::NAN), 4, spec());
+        assert!(
+            matches!(nan, Err(ServiceError::BudgetBelowFloor { nodes: 4, .. })),
+            "a NaN budget clears no floor: {nan:?}"
+        );
+        Admission::new(Watts(f64::INFINITY), 4, spec()).expect("unbounded budget is admissible");
     }
 }

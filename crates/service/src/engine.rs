@@ -7,11 +7,12 @@
 //!
 //! * the **native run** — `spec.build_with(backend).execute(dataset)` —
 //!   depends on `(spec, backend, dataset)` but *not* the cap, so it is
-//!   cached once per backend-qualified spec fingerprint and shared by
-//!   every cap the fleet serves it under;
+//!   memoized once per backend-qualified spec fingerprint in a
+//!   single-flight [`Memo`] and shared by every cap the fleet serves it
+//!   under (workers holding different caps of one spec meet there);
 //! * the **capped execution** — `characterize` + `Package::run_capped`
 //!   via [`vizpower::study::sweep`] — depends on all four key
-//!   components and is what the service's main result cache stores.
+//!   components and is what the dispatch thread's result map stores.
 //!
 //! The native entry keeps the `Debug` rendering of the full
 //! [`FilterOutput`](vizalgo::FilterOutput) (geometry, images, kernels,
@@ -23,10 +24,10 @@ use std::sync::Arc;
 
 use powersim::{CpuSpec, ExecResult, Watts};
 use vizalgo::{Algorithm, AlgorithmSpec, Backend};
+use vizpower::store::Memo;
 use vizpower::study::sweep;
 use vizpower::{AlgorithmRun, DatasetStore};
 
-use crate::cache::ResultCache;
 use crate::key::CacheKey;
 
 /// One unit of incoming traffic: run `spec` on the `size`³ study
@@ -122,28 +123,24 @@ pub struct NativeRun {
 }
 
 /// The compute core shared by every worker thread: dataset store,
-/// processor model, and the cap-independent native-run cache.
+/// processor model, and the cap-independent native-run memo.
 #[derive(Debug)]
 pub struct Engine {
     store: Arc<DatasetStore>,
     cpu: CpuSpec,
-    natives: ResultCache<NativeRun>,
+    /// Keyed by `(spec.fingerprint_with(backend), data_fp)`.
+    natives: Memo<(u64, u64), NativeRun>,
 }
 
 impl Engine {
     /// An engine over `store`, modeling `cpu`, with `shards` native
-    /// cache shards.
+    /// memo shards.
     pub fn new(store: Arc<DatasetStore>, cpu: CpuSpec, shards: usize) -> Engine {
         Engine {
             store,
             cpu,
-            natives: ResultCache::new(shards),
+            natives: Memo::new(shards),
         }
-    }
-
-    /// The shared dataset store (lazily built, fingerprint-cached).
-    pub fn store(&self) -> &Arc<DatasetStore> {
-        &self.store
     }
 
     /// 48-bit fingerprint of the `size`³ study dataset.
@@ -166,16 +163,10 @@ impl Engine {
 
     /// The native run for a request, built at most once per
     /// `(backend-qualified spec fingerprint, dataset)` across all caps
-    /// and all worker threads. The synthetic key reuses the result
-    /// cache's single-flight machinery with `cap_milliwatts = 0` (a cap
-    /// no admitted key can have, since admission floors at `min_cap`).
+    /// and all worker threads: two workers holding the same spec at
+    /// different caps in one batch meet here, and one of them computes.
     pub fn native(&self, req: &Request, data_fp: u64) -> Arc<NativeRun> {
-        let key = CacheKey {
-            spec_fp: req.spec.fingerprint_with(req.backend),
-            data_fp,
-            cap_milliwatts: 0,
-            backend: req.backend,
-        };
+        let key = (req.spec.fingerprint_with(req.backend), data_fp);
         self.natives.get_or_compute(key, || {
             let ds = self.store.dataset(req.size);
             let out = req.spec.build_with(req.backend, &ds).execute(&ds);

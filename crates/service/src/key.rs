@@ -51,8 +51,8 @@ impl CacheKey {
         Watts(self.cap_milliwatts as f64 / 1000.0)
     }
 
-    /// 48-bit FNV-1a over the four components — the hash behind shard
-    /// selection and node placement.
+    /// 48-bit FNV-1a over the four components — the hash behind
+    /// [`shard`](CacheKey::shard) and node placement.
     pub fn hash48(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.update_u64(self.spec_fp);
@@ -62,7 +62,7 @@ impl CacheKey {
         h.finish48()
     }
 
-    /// Cache shard this key lives on, for a cache of `shards` shards.
+    /// The key's hash bucket of `shards` — the journal's `shard` field.
     pub fn shard(&self, shards: usize) -> usize {
         (self.hash48() % shards.max(1) as u64) as usize
     }

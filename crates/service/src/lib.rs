@@ -9,17 +9,21 @@
 //! * [`key`] — the [`CacheKey`]: `(spec fingerprint, dataset
 //!   fingerprint, admitted cap, backend)`, the four axes along which
 //!   two requests are the same work.
-//! * [`cache`] — [`ResultCache`], a sharded single-flight map: one
-//!   compute per key no matter how many threads ask at once.
+//! * [`cache`] — the dispatch [`Outcome`] and [`ResultCache`], the
+//!   [`CacheKey`]-addressed alias of `vizpower::store::Memo` — the
+//!   workspace's one single-flight map (one compute per key no matter
+//!   how many threads ask at once).
 //! * [`admission`] — [`Admission`], `governor::sanitize` repurposed as
 //!   the service's budget gate: every admitted cap fits its node's
 //!   share of the fleet budget and the hardware range.
 //! * [`engine`] — [`Engine`], the two-level compute path: cap-independent
-//!   native filter runs (cached per backend-qualified spec) feeding the
+//!   native filter runs (memoized per backend-qualified spec, the one
+//!   place two workers can ask for the same key) feeding the
 //!   cap-dependent power model.
 //! * [`service`] — [`StudyService`], the batched dispatcher/scheduler
-//!   and its determinism argument: responses, report, and journal are
-//!   byte-identical across worker counts.
+//!   and its determinism argument: the dispatch thread owns the result
+//!   map, `vizmesh::par` workers compute and return, and responses,
+//!   report, and journal are byte-identical across worker counts.
 //! * [`traffic`] — seeded Zipfian synthetic traffic for the
 //!   `reproduce serve` driver.
 //!
@@ -36,7 +40,7 @@ pub mod service;
 pub mod traffic;
 
 pub use admission::Admission;
-pub use cache::{CacheStats, Outcome, ResultCache};
+pub use cache::{Outcome, ResultCache};
 pub use engine::{Engine, JobResult, NativeRun, Request, ServiceError};
 pub use key::CacheKey;
 pub use service::{Response, ServeOutcome, ServeReport, ServiceConfig, StudyService, WindowLoad};

@@ -8,9 +8,9 @@
 //! thread interleaving, because every observable quantity is fixed at
 //! **dispatch time**, before any worker runs:
 //!
-//! 1. Requests are classified in request order against the cache state
-//!    left by *earlier batches* (hit), the keys scheduled *earlier in
-//!    the same batch* (coalesced), or neither (miss → new job).
+//! 1. Requests are classified in request order against the results
+//!    resident from *earlier batches* (hit), the keys scheduled *earlier
+//!    in the same batch* (coalesced), or neither (miss → new job).
 //! 2. Jobs are placed by the seeded [`CacheKey::placement`] hash and
 //!    packed into per-node waves greedily in job order; each wave's
 //!    admitted power is bounded by the node's budget share.
@@ -19,21 +19,22 @@
 //!    jobs, and modeled durations come from the deterministic power
 //!    model.
 //!
-//! Worker threads only ever compute `JobResult`s through the
-//! single-flight cache; they never touch the journal, the report, or
-//! the clock. The wall-clock speedup from more workers is real, but the
+//! Workers (`vizmesh::par` workers, at most `workers` of them) compute
+//! `JobResult`s and return them; they touch neither the result map, the
+//! journal, the report nor the clock — the dispatch thread owns all
+//! four. The wall-clock speedup from more workers is real, but the
 //! modeled outputs are byte-identical — the root `service_golden` suite
 //! pins exactly that.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use powersim::{CpuSpec, Journal, Kind, Scope, Watts};
+use vizmesh::par;
 use vizpower::{DatasetStore, StudyConfig};
 
 use crate::admission::Admission;
-use crate::cache::{Outcome, ResultCache};
+use crate::cache::Outcome;
 use crate::engine::{Engine, JobResult, Request, ServiceError};
 use crate::key::CacheKey;
 
@@ -55,7 +56,7 @@ pub struct ServiceConfig {
     pub fleet_budget: Watts,
     /// Seed for the deterministic placement hash.
     pub seed: u64,
-    /// Shards in the result cache (and the native-run cache).
+    /// Shards in the native-run memo (and the journal's `shard` field).
     pub shards: usize,
     /// Result-cache slot capacity. `Some(n)`: at each batch end the
     /// service evicts its oldest-scheduled resident entries until at
@@ -269,6 +270,13 @@ struct Job {
     node: usize,
 }
 
+/// What answers a request: a result resident before its batch, or the
+/// batch job (by index) that computes it.
+enum Work {
+    Resident(Arc<JobResult>),
+    Job(usize),
+}
+
 /// A wave being packed: job indices plus their admitted-cap sum.
 struct Wave {
     jobs: Vec<usize>,
@@ -281,14 +289,14 @@ struct Wave {
 pub struct StudyService {
     cfg: ServiceConfig,
     engine: Engine,
-    cache: ResultCache<JobResult>,
     admission: Admission,
     waves_started: Vec<u32>,
-    /// Resident cache keys in first-scheduled order — the deterministic
-    /// eviction queue when [`ServiceConfig::cache_slots`] bounds the
-    /// cache. Every insert goes through `serve`, so this list mirrors
-    /// the resident set exactly.
-    resident_order: Vec<CacheKey>,
+    /// Every resident result, owned by the dispatch thread.
+    results: HashMap<CacheKey, Arc<JobResult>>,
+    /// The keys of `results` in first-scheduled order — the eviction
+    /// queue when [`ServiceConfig::cache_slots`] bounds the map. Both
+    /// are written together, in `serve`'s steps 3 and 6 only.
+    resident_order: VecDeque<CacheKey>,
 }
 
 impl StudyService {
@@ -323,15 +331,14 @@ impl StudyService {
         }
         let admission = Admission::new(cfg.fleet_budget, cfg.nodes, cfg.cpu.clone())?;
         let engine = Engine::new(store, cfg.cpu.clone(), cfg.shards);
-        let cache = ResultCache::new(cfg.shards);
         let waves_started = vec![0; cfg.nodes];
         Ok(StudyService {
             cfg,
             engine,
-            cache,
             admission,
             waves_started,
-            resident_order: Vec::new(),
+            results: HashMap::new(),
+            resident_order: VecDeque::new(),
         })
     }
 
@@ -345,13 +352,8 @@ impl StudyService {
         self.admission.node_budget()
     }
 
-    /// Resident result-cache entries.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Serve a traffic slice: dispatch in batches, dedupe through the
-    /// result cache, schedule unique jobs across the fleet, and journal
+    /// Serve a traffic slice: dispatch in batches, dedupe against the
+    /// result map, schedule unique jobs across the fleet, and journal
     /// one `cache_event` per request at dispatch plus one
     /// `service_request` at its modeled completion.
     pub fn serve(
@@ -388,8 +390,7 @@ impl StudyService {
             // 1. Classify in request order; collect unique jobs.
             let mut jobs: Vec<Job> = Vec::new();
             let mut scheduled: HashMap<CacheKey, usize> = HashMap::new();
-            let mut classes: Vec<(CacheKey, Outcome, Option<usize>)> =
-                Vec::with_capacity(batch.len());
+            let mut classes: Vec<(CacheKey, Outcome, Work)> = Vec::with_capacity(batch.len());
             for req in batch {
                 self.engine.validate(req)?;
                 let admitted = self.admission.admit(req.cap);
@@ -399,10 +400,10 @@ impl StudyService {
                     admitted,
                     req.backend,
                 );
-                let (outcome, job) = if self.cache.contains(&key) {
-                    (Outcome::Hit, None)
+                let (outcome, work) = if let Some(r) = self.results.get(&key) {
+                    (Outcome::Hit, Work::Resident(Arc::clone(r)))
                 } else if let Some(&j) = scheduled.get(&key) {
-                    (Outcome::Coalesced, Some(j))
+                    (Outcome::Coalesced, Work::Job(j))
                 } else {
                     let j = jobs.len();
                     scheduled.insert(key, j);
@@ -414,9 +415,9 @@ impl StudyService {
                         },
                         node: key.placement(self.cfg.seed, nodes),
                     });
-                    (Outcome::Miss, Some(j))
+                    (Outcome::Miss, Work::Job(j))
                 };
-                classes.push((key, outcome, job));
+                classes.push((key, outcome, work));
             }
 
             // 2. Pack jobs into budget-bounded waves, greedily in job
@@ -438,9 +439,13 @@ impl StudyService {
             }
 
             // 3. Execute unique jobs on the worker pool (wall-clock
-            //    only; no observable state is produced here).
+            //    only; no observable state is produced there), then
+            //    make them resident.
             let results = self.execute_jobs(&jobs);
-            self.resident_order.extend(jobs.iter().map(|job| job.key));
+            for (job, result) in jobs.iter().zip(&results) {
+                self.results.insert(job.key, Arc::clone(result));
+                self.resident_order.push_back(job.key);
+            }
 
             // 4. Modeled time: nodes run their waves sequentially; a
             //    wave lasts as long as its slowest job.
@@ -474,16 +479,14 @@ impl StudyService {
             journal.advance(batch_end - batch_start);
             let mut batch_hits = 0usize;
             let mut batch_coalesced = 0usize;
-            for (i, (key, outcome, job)) in classes.iter().enumerate() {
-                let (node, completed_at, result) = match (outcome, job) {
-                    (Outcome::Hit, _) => {
+            for (i, (key, outcome, work)) in classes.into_iter().enumerate() {
+                let (node, completed_at, result) = match work {
+                    Work::Resident(result) => {
                         batch_hits += 1;
                         report.hits += 1;
-                        let r = self.cache.get(key).expect("classified hit is resident");
-                        (0u32, batch_start, r)
+                        (0u32, batch_start, result)
                     }
-                    (outcome, Some(j)) => {
-                        let j = *j;
+                    Work::Job(j) => {
                         let node = jobs[j].node;
                         report.per_node_requests[node] += 1;
                         match outcome {
@@ -495,7 +498,6 @@ impl StudyService {
                         }
                         (node as u32, completion[j], Arc::clone(&results[j]))
                     }
-                    (outcome, None) => unreachable!("{outcome:?} classified without a job"),
                 };
                 let latency = completed_at - batch_start;
                 if journal.is_enabled() {
@@ -517,8 +519,8 @@ impl StudyService {
                 report.latencies[base + i] = latency;
                 responses[base + i] = Some(Response {
                     request_index: base + i,
-                    key: *key,
-                    outcome: *outcome,
+                    key,
+                    outcome,
                     node,
                     latency_seconds: latency,
                     completed_at,
@@ -544,18 +546,16 @@ impl StudyService {
                 ],
             );
 
-            // 6. Capacity eviction: with a slot-capped cache, drop the
-            //    oldest-scheduled residents above the budget. Runs on
-            //    the main thread after every batch job has published,
-            //    so the evicted entries are always `Ready` and the
-            //    order is deterministic.
+            // 6. Capacity eviction: with a slot-capped map, drop the
+            //    oldest-scheduled residents above the budget.
             if let Some(slots) = self.cfg.cache_slots {
                 while self.resident_order.len() > slots {
-                    let key = self.resident_order.remove(0);
-                    if self.cache.remove(&key) {
-                        report.evictions += 1;
-                        self.journal_cache_event(journal, journal.now(), &key, "evict");
-                    }
+                    let Some(key) = self.resident_order.pop_front() else {
+                        break;
+                    };
+                    self.results.remove(&key);
+                    report.evictions += 1;
+                    self.journal_cache_event(journal, journal.now(), &key, "evict");
                 }
             }
         }
@@ -602,44 +602,14 @@ impl StudyService {
         );
     }
 
-    /// Run every unique job of a batch through the single-flight cache
-    /// on `workers` scoped threads. Work is claimed from a shared
-    /// atomic counter; results return over a channel keyed by job
-    /// index, so the output order is deterministic even though the
-    /// execution order is not.
+    /// Execute every unique job of a batch on at most `workers` threads;
+    /// results come back in job order whatever order they ran in.
     fn execute_jobs(&self, jobs: &[Job]) -> Vec<Arc<JobResult>> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.cfg.workers.min(jobs.len());
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Arc<JobResult>)>();
-        let mut results: Vec<Option<Arc<JobResult>>> = jobs.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= jobs.len() {
-                        break;
-                    }
-                    let job = &jobs[j];
-                    let result = self
-                        .cache
-                        .get_or_compute(job.key, || self.engine.execute(&job.req, job.key));
-                    tx.send((j, result)).expect("result channel open");
-                });
-            }
-        });
-        drop(tx);
-        for (j, result) in rx {
-            results[j] = Some(result);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every job executed"))
-            .collect()
+        par::with_threads(self.cfg.workers, || {
+            par::map(jobs.len(), 1, |j| {
+                Arc::new(self.engine.execute(&jobs[j].req, jobs[j].key))
+            })
+        })
     }
 }
 
@@ -647,6 +617,14 @@ impl StudyService {
 mod tests {
     use super::*;
     use vizalgo::{Algorithm, Backend};
+
+    impl StudyService {
+        /// Resident results.
+        fn cache_len(&self) -> usize {
+            assert_eq!(self.results.len(), self.resident_order.len());
+            self.results.len()
+        }
+    }
 
     fn tiny_cfg() -> ServiceConfig {
         ServiceConfig {

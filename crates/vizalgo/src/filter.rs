@@ -196,12 +196,6 @@ impl Algorithm {
         crate::registry::entry(self).name
     }
 
-    /// Kernel taxonomy, from the registry: the [`KernelClass`]es this
-    /// algorithm's filter emits, in execution order.
-    pub fn kernel_classes(self) -> &'static [KernelClass] {
-        crate::registry::entry(self).classes
-    }
-
     /// Parse a CLI-style name (case/space/underscore insensitive),
     /// against the registry alias tables.
     pub fn parse(s: &str) -> Option<Algorithm> {

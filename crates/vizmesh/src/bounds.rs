@@ -52,12 +52,6 @@ impl Aabb {
         self.max = self.max.max(o.max);
     }
 
-    /// Union of two boxes as a new value.
-    pub fn unioned(mut self, o: &Aabb) -> Aabb {
-        self.union(o);
-        self
-    }
-
     /// `max - min`; zero vector for empty boxes.
     pub fn extent(&self) -> Vec3 {
         if self.is_empty() {
@@ -177,9 +171,8 @@ mod tests {
 
     #[test]
     fn union_covers_both() {
-        let a = Aabb::new(Vec3::ZERO, Vec3::ONE);
-        let b = Aabb::new(Vec3::splat(2.0), Vec3::splat(3.0));
-        let u = a.unioned(&b);
+        let mut u = Aabb::new(Vec3::ZERO, Vec3::ONE);
+        u.union(&Aabb::new(Vec3::splat(2.0), Vec3::splat(3.0)));
         assert!(u.contains(Vec3::splat(0.5)));
         assert!(u.contains(Vec3::splat(2.5)));
     }

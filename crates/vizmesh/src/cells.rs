@@ -158,19 +158,6 @@ impl CellSet {
     pub fn max_point_id(&self) -> Option<u32> {
         self.connectivity.iter().copied().max()
     }
-
-    /// Count of cells per shape, for reporting.
-    pub fn shape_histogram(&self) -> Vec<(CellShape, usize)> {
-        // Pre-sized for the handful of shapes the kernels emit.
-        let mut hist: Vec<(CellShape, usize)> = Vec::with_capacity(8);
-        for &s in &self.shapes {
-            match hist.iter_mut().find(|(h, _)| *h == s) {
-                Some((_, n)) => *n += 1,
-                None => hist.push((s, 1)),
-            }
-        }
-        hist
-    }
 }
 
 #[cfg(test)]
@@ -241,17 +228,6 @@ mod tests {
         let collected: Vec<_> = cs.iter().map(|(s, p)| (s, p.to_vec())).collect();
         assert_eq!(collected[0], (CellShape::Vertex, vec![9]));
         assert_eq!(collected[1], (CellShape::Quad, vec![0, 1, 2, 3]));
-    }
-
-    #[test]
-    fn shape_histogram_counts() {
-        let mut cs = CellSet::new();
-        cs.push(CellShape::Triangle, &[0, 1, 2]);
-        cs.push(CellShape::Triangle, &[1, 2, 3]);
-        cs.push(CellShape::Hexahedron, &[0, 1, 2, 3, 4, 5, 6, 7]);
-        let hist = cs.shape_histogram();
-        assert!(hist.contains(&(CellShape::Triangle, 2)));
-        assert!(hist.contains(&(CellShape::Hexahedron, 1)));
     }
 
     #[test]

@@ -40,25 +40,6 @@ impl WorkCounters {
         self.bytes_read + self.bytes_written
     }
 
-    /// Flops per byte moved; 0 when no traffic.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let b = self.bytes_total();
-        if b == 0 {
-            0.0
-        } else {
-            self.flops as f64 / b as f64
-        }
-    }
-
-    /// Fraction of instructions that are floating-point.
-    pub fn fp_fraction(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            (self.flops as f64 / self.instructions as f64).min(1.0)
-        }
-    }
-
     /// Record `n` items each costing `instr` instructions, `flops` flops,
     /// `read`/`written` bytes.
     pub fn tally(&mut self, n: u64, instr: u64, flops: u64, read: u64, written: u64) {
@@ -134,27 +115,6 @@ mod tests {
         assert_eq!(a.items, 3);
         assert_eq!(a.instructions, 30);
         assert_eq!(a.working_set_bytes, 1000);
-    }
-
-    #[test]
-    fn derived_metrics() {
-        let c = WorkCounters {
-            items: 1,
-            instructions: 100,
-            flops: 50,
-            bytes_read: 20,
-            bytes_written: 5,
-            working_set_bytes: 0,
-        };
-        assert!((c.arithmetic_intensity() - 2.0).abs() < 1e-12);
-        assert!((c.fp_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_counters_have_zero_derived() {
-        let c = WorkCounters::new();
-        assert_eq!(c.arithmetic_intensity(), 0.0);
-        assert_eq!(c.fp_fraction(), 0.0);
     }
 
     #[test]

@@ -199,21 +199,6 @@ impl DataSet {
             }
         }
     }
-
-    /// Total bytes across geometry and fields — the "data set size" used
-    /// by the working-set instrumentation.
-    pub fn payload_bytes(&self) -> u64 {
-        let geom = match &self.geometry {
-            // Implicit coordinates: only the scalar payload counts, which
-            // matches how the paper sizes CloverLeaf data (doubles/cell).
-            Geometry::Uniform(_) => 0u64,
-            Geometry::Explicit { points, cells } => {
-                (points.len() * std::mem::size_of::<Vec3>()) as u64
-                    + (cells.connectivity_len() * std::mem::size_of::<u32>()) as u64
-            }
-        };
-        geom + self.fields.iter().map(|f| f.data.num_bytes()).sum::<u64>()
-    }
 }
 
 #[cfg(test)]
@@ -339,14 +324,5 @@ mod tests {
         let before = ds.clone();
         ds.compact_points();
         assert_eq!(ds, before);
-    }
-
-    #[test]
-    fn payload_bytes_counts_fields() {
-        let g = UniformGrid::cube_cells(2);
-        let n = g.num_points();
-        let ds =
-            DataSet::uniform(g).with_field(Field::scalar("e", Association::Points, vec![0.0; n]));
-        assert_eq!(ds.payload_bytes(), (n * 8) as u64);
     }
 }

@@ -104,26 +104,6 @@ impl Field {
         }
         Some((lo, hi))
     }
-
-    /// Magnitude range of a vector field; `None` for scalar or empty fields.
-    pub fn magnitude_range(&self) -> Option<(f64, f64)> {
-        let v = self.as_vector()?;
-        if v.is_empty() {
-            return None;
-        }
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for p in v {
-            let m = p.length();
-            if m < lo {
-                lo = m;
-            }
-            if m > hi {
-                hi = m;
-            }
-        }
-        Some((lo, hi))
-    }
 }
 
 #[cfg(test)]
@@ -148,17 +128,12 @@ mod tests {
         );
         assert!(f.as_scalar().is_none());
         assert_eq!(f.as_vector().unwrap().len(), 2);
-        let (lo, hi) = f.magnitude_range().unwrap();
-        assert!((lo - 1.0).abs() < 1e-12);
-        assert!((hi - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_ranges_are_none() {
         let f = Field::scalar("x", Association::Cells, vec![]);
         assert!(f.scalar_range().is_none());
-        let g = Field::vector("v", Association::Cells, vec![]);
-        assert!(g.magnitude_range().is_none());
     }
 
     #[test]

@@ -80,14 +80,6 @@ impl Image {
         }
     }
 
-    /// Mutable row access for parallel renderers: the image is split into
-    /// disjoint `(pixel, depth)` row slices, bottom row first.
-    pub fn rows_mut(&mut self) -> impl Iterator<Item = (&mut [[f32; 4]], &mut [f32])> {
-        self.pixels
-            .chunks_mut(self.width)
-            .zip(self.depth.chunks_mut(self.width))
-    }
-
     /// Fill every pixel with a constant color and reset depth.
     pub fn clear(&mut self, rgba: [f32; 4]) {
         self.pixels.fill(rgba);
@@ -190,17 +182,5 @@ mod tests {
         img.write_ppm(&mut out, [1.0, 1.0, 1.0]).unwrap();
         let px = &out[out.len() - 3..];
         assert_eq!(px, &[255, 255, 255]);
-    }
-
-    #[test]
-    fn rows_mut_covers_whole_image() {
-        let mut img = Image::new(4, 3);
-        let mut rows = 0;
-        for (pix, dep) in img.rows_mut() {
-            assert_eq!(pix.len(), 4);
-            assert_eq!(dep.len(), 4);
-            rows += 1;
-        }
-        assert_eq!(rows, 3);
     }
 }

@@ -108,11 +108,6 @@ impl FieldSeries {
         self.snaps.get(i).map(|(t, ds)| (*t, ds))
     }
 
-    /// The newest retained snapshot, if any.
-    pub fn latest(&self) -> Option<(f64, &Arc<DataSet>)> {
-        self.snaps.back().map(|(t, ds)| (*t, ds))
-    }
-
     /// Time of the oldest retained snapshot.
     pub fn first_time(&self) -> Option<f64> {
         self.snaps.front().map(|&(t, _)| t)
@@ -273,7 +268,7 @@ mod tests {
     fn snapshots_are_arc_shared_not_cloned() {
         let ds = snap(1.0);
         let s = FieldSeries::frozen(Arc::clone(&ds));
-        let (_, held) = s.latest().expect("non-empty");
+        let (_, held) = s.get(0).expect("non-empty");
         assert!(Arc::ptr_eq(held, &ds), "series holds the same allocation");
     }
 

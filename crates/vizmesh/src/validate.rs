@@ -42,12 +42,6 @@ impl SurfaceReport {
         self.boundary_edges == 0 && self.nonmanifold_edges == 0
     }
 
-    /// Every interior edge is traversed once in each direction, so all
-    /// triangle normals agree across shared edges.
-    pub fn is_consistently_oriented(&self) -> bool {
-        self.orientation_conflicts == 0
-    }
-
     /// Euler characteristic `V - E + F` of the triangle subcomplex.
     pub fn euler_characteristic(&self) -> i64 {
         self.vertices as i64 - self.edges as i64 + self.triangles as i64
@@ -224,7 +218,7 @@ mod tests {
         assert_eq!(r.vertices, 4);
         assert_eq!(r.edges, 6);
         assert!(r.is_watertight(), "{r:?}");
-        assert!(r.is_consistently_oriented(), "{r:?}");
+        assert_eq!(r.orientation_conflicts, 0, "{r:?}");
         assert_eq!(r.euler_characteristic(), 2);
         assert_eq!(r.genus(), Some(0));
         assert_eq!(r.degenerate_triangles, 0);
@@ -256,7 +250,6 @@ mod tests {
         let r = validate_surface(&points, &flipped, 0.0);
         assert!(r.is_watertight(), "{r:?}");
         assert_eq!(r.orientation_conflicts, 3, "{r:?}");
-        assert!(!r.is_consistently_oriented());
     }
 
     #[test]

@@ -116,12 +116,6 @@ impl Vec3 {
         Vec3::new(self.x.max(o.x), self.y.max(o.y), self.z.max(o.z))
     }
 
-    /// Largest component value.
-    #[inline]
-    pub fn max_component(self) -> f64 {
-        self.x.max(self.y).max(self.z)
-    }
-
     /// Smallest component value.
     #[inline]
     pub fn min_component(self) -> f64 {
@@ -304,7 +298,6 @@ mod tests {
         let b = Vec3::new(2.0, 4.0, 3.0);
         assert_eq!(a.min(b), Vec3::new(1.0, 4.0, 3.0));
         assert_eq!(a.max(b), Vec3::new(2.0, 5.0, 3.0));
-        assert_eq!(a.max_component(), 5.0);
         assert_eq!(a.min_component(), 1.0);
     }
 

@@ -43,13 +43,12 @@ fn main() -> ExitCode {
         }
     };
 
-    let code = match cmd.as_deref() {
+    ExitCode::from(match cmd.as_deref() {
         Some("lint") => run_lint(&root),
         Some("count") => run_count(&root),
         Some("ci") => run_ci(&root),
         _ => usage(""),
-    };
-    ExitCode::from(code)
+    })
 }
 
 fn usage(error: &str) -> u8 {
@@ -99,9 +98,9 @@ fn run_count(root: &Path) -> u8 {
     }
 }
 
-/// The steps of .github/workflows/ci.yml, in its order: the workflow's
-/// step name, the command line (split on whitespace) and the step's one
-/// extra environment variable, if any. Keep the two files in step.
+/// The steps of .github/workflows/ci.yml, in its order (the unit test
+/// below compares the two): the workflow's step name, the command line
+/// (split on whitespace) and the step's one extra environment variable.
 const CI_STEPS: &[(&str, &str, Option<(&str, &str)>)] = &[
     ("rustfmt", "cargo fmt --all --check", None),
     (
@@ -204,5 +203,79 @@ fn find_workspace_root() -> Result<PathBuf, String> {
         if !dir.pop() {
             return Err("no workspace root found above the current directory; pass --root".into());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::CI_STEPS;
+
+    type Step = (String, String, Option<(String, String)>);
+
+    /// Every `- name:` step of a workflow that has a `run:`, with the one
+    /// `KEY: VALUE` pair of its `env:` block (quotes stripped), in order.
+    fn workflow_steps(yaml: &str) -> Vec<Step> {
+        let mut steps: Vec<Step> = Vec::new();
+        let (mut name, mut in_env) = (None, false);
+        for line in yaml.lines().map(str::trim) {
+            if line.starts_with('#') {
+                continue;
+            }
+            if let Some(n) = line.strip_prefix("- name: ") {
+                (name, in_env) = (Some(n.to_string()), false);
+            } else if line.starts_with("- ") {
+                (name, in_env) = (None, false);
+            } else if let (Some(run), Some(n)) = (line.strip_prefix("run: "), &name) {
+                steps.push((n.clone(), run.to_string(), None));
+            } else if line == "env:" {
+                in_env = name.is_some();
+            } else if let (true, Some((k, v)), Some(step)) =
+                (in_env, line.split_once(": "), steps.last_mut())
+            {
+                step.2 = Some((k.to_string(), v.trim_matches('"').to_string()));
+            }
+        }
+        steps
+    }
+
+    /// Where `yaml` and [`CI_STEPS`] disagree, one line per difference.
+    fn drift(yaml: &str) -> Vec<String> {
+        let rows: Vec<Step> = CI_STEPS
+            .iter()
+            .map(|(label, cmd, env)| {
+                let env = env.map(|(k, v)| (k.to_string(), v.to_string()));
+                (label.to_string(), cmd.to_string(), env)
+            })
+            .collect();
+        let steps: Vec<Step> = workflow_steps(yaml)
+            .into_iter()
+            .filter(|(_, run, _)| !run.starts_with("rustup "))
+            .collect();
+        let mut out = Vec::new();
+        for row in rows.iter().filter(|row| !steps.contains(row)) {
+            out.push(format!("CI_STEPS row {row:?} is not a step of ci.yml"));
+        }
+        for step in steps.iter().filter(|step| !rows.contains(step)) {
+            out.push(format!("ci.yml step {step:?} is not a CI_STEPS row"));
+        }
+        if out.is_empty() && rows != steps {
+            out.push("CI_STEPS and ci.yml list the same steps in different orders".to_string());
+        }
+        out
+    }
+
+    #[test]
+    fn ci_steps_and_the_workflow_file_list_the_same_steps() {
+        let yaml = include_str!("../../../.github/workflows/ci.yml");
+        assert_eq!(drift(yaml), Vec::<String>::new());
+        // The check bites: drop one step from the workflow text.
+        let cut = yaml.replace(
+            "      - name: xtask lint\n        run: cargo xtask lint\n",
+            "",
+        );
+        assert_eq!(
+            drift(&cut),
+            [r#"CI_STEPS row ("xtask lint", "cargo xtask lint", None) is not a step of ci.yml"#]
+        );
     }
 }
