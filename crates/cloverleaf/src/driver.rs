@@ -51,7 +51,12 @@ pub struct Simulation {
 impl Simulation {
     /// Build a simulation from a problem on an `n³` grid.
     pub fn new(problem: Problem, n: usize, config: SimConfig) -> Self {
-        let state = problem.build(n);
+        Self::from_state(problem.build(n), config)
+    }
+
+    /// Start from an arbitrary initial state (any grid shape; the tests'
+    /// way to a non-cubic run).
+    pub fn from_state(state: State, config: SimConfig) -> Self {
         let scratch = Scratch::for_state(&state);
         let dt = config.initial_dt;
         Simulation {
@@ -109,7 +114,7 @@ impl Simulation {
         tally(
             &mut work,
             "acceleration",
-            kernels::acceleration(&mut self.state, self.dt),
+            kernels::acceleration(&mut self.state, &mut self.scratch.stress, self.dt),
         );
         // Divergence changed with the new velocities; PdV uses the fresh one.
         tally(

@@ -5,25 +5,46 @@
 //! power experiments can characterize the simulation side of the coupled
 //! workload. Per-item instruction/flop estimates are rough static costs of
 //! the inner loops; the *counts* (cells, faces, nodes touched) are exact.
+//!
+//! # Index spaces
+//!
+//! Five x-fastest boxes over a grid of `cx × cy × cz` cells (`nx = cx + 1`
+//! nodes per row, and so on). A loop over one of them walks
+//! `rows` (`src/rows.rs`) of its id range and reaches into the others by
+//! row base plus `i`, then by strides — nothing is decoded per item.
+//!
+//! | space   | dims             | `+j` stride | `+k` stride     | holds                        |
+//! |---------|------------------|-------------|-----------------|------------------------------|
+//! | cells   | `cx, cy, cz`     | `cx`        | `cx · cy`       | ρ, e, p, q, c_s, div, stress |
+//! | nodes   | `nx, ny, nz`     | `nx`        | `nx · ny`       | velocity                     |
+//! | x faces | `cx + 1, cy, cz` | `cx + 1`    | `(cx + 1) · cy` | `flux_*[0]`                  |
+//! | y faces | `cx, cy + 1, cz` | `cx`        | `cx · (cy + 1)` | `flux_*[1]`                  |
+//! | z faces | `cx, cy, cz + 1` | `cx`        | `cx · cy`       | `flux_*[2]`                  |
+//!
+//! Item `(i, j, k)` of any space has the node `(i, j, k)` as its low
+//! corner and, where it exists, the cell `(i, j, k)` on its high side;
+//! a face's low-side cell is one cell stride of its axis back. Node
+//! `(i, j, k)` touches the cells `(i − 1 ..= i, j − 1 ..= j, k − 1 ..= k)`
+//! that exist.
 
 use crate::eos;
-use crate::state::State;
-use vizmesh::{par, Vec3, WorkCounters};
-
-/// Fewest cells, nodes or faces worth a parallel chunk: every loop here
-/// is a few dozen flops per item.
-const MIN_LEN: usize = 4096;
+use crate::rows::{rows, MIN_LEN};
+use crate::state::{cell_spans, node_mean, sum_at, State};
+use vizmesh::{par, WorkCounters};
 
 /// Scratch buffers reused across steps to avoid per-step allocation.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// Cell-centered velocity divergence.
     pub div: Vec<f64>,
+    /// Cell-centered total stress `p + q`.
+    pub stress: Vec<f64>,
     /// Mass flux through x/y/z faces.
     pub flux_mass: [Vec<f64>; 3],
     /// Energy (ρe) flux through x/y/z faces.
     pub flux_energy: [Vec<f64>; 3],
-    /// Post-advection density / energy staging.
+    /// Post-advection density / energy staging; swapped with the state's
+    /// arrays at the end of [`advect`].
     pub new_density: Vec<f64>,
     pub new_energy: Vec<f64>,
 }
@@ -34,6 +55,7 @@ impl Scratch {
         let nc = state.grid.num_cells();
         Scratch {
             div: vec![0.0; nc],
+            stress: vec![0.0; nc],
             flux_mass: [
                 vec![0.0; (cx + 1) * cy * cz],
                 vec![0.0; cx * (cy + 1) * cz],
@@ -65,9 +87,12 @@ pub fn ideal_gas(state: &mut State) -> WorkCounters {
     let density = &state.density;
     let energy = &state.energy;
     let (pressure, soundspeed) = (&mut state.pressure, &mut state.soundspeed);
-    par::for_each_mut2(pressure, soundspeed, MIN_LEN, |c, p, cs| {
-        *p = eos::pressure(density[c], energy[c]);
-        *cs = eos::sound_speed(density[c], *p);
+    par::for_each_chunk_mut2(pressure, soundspeed, MIN_LEN, |cells, p, cs| {
+        let inputs = density[cells.clone()].iter().zip(&energy[cells]);
+        for ((p, cs), (&rho, &e)) in p.iter_mut().zip(cs).zip(inputs) {
+            *p = eos::pressure(rho, e);
+            *cs = eos::sound_speed(rho, *p);
+        }
     });
     let mut w = WorkCounters::new();
     w.tally(state.density.len() as u64, 14, 6, 16, 16);
@@ -77,18 +102,40 @@ pub fn ideal_gas(state: &mut State) -> WorkCounters {
 
 /// Cell-centered velocity divergence from the corner node velocities.
 pub fn divergence(state: &State, div: &mut [f64]) -> WorkCounters {
-    let g = &state.grid;
-    let s = g.spacing();
+    let cdims = state.grid.cell_dims();
+    let [nx, ny, _] = state.grid.point_dims();
+    let (sy, sz) = (nx, nx * ny);
+    let s = state.grid.spacing();
     let vel = &state.velocity;
-    par::for_each_mut(div, MIN_LEN, |c, d| {
-        let ids = g.cell_point_ids(c);
-        let avg = |slots: [usize; 4], f: fn(Vec3) -> f64| {
-            slots.iter().map(|&i| f(vel[ids[i]])).sum::<f64>() * 0.25
-        };
-        let dudx = (avg(X_POS, |v| v.x) - avg(X_NEG, |v| v.x)) / s.x;
-        let dvdy = (avg(Y_POS, |v| v.y) - avg(Y_NEG, |v| v.y)) / s.y;
-        let dwdz = (avg(Z_POS, |v| v.z) - avg(Z_NEG, |v| v.z)) / s.z;
-        *d = dudx + dvdy + dwdz;
+    par::for_each_chunk_mut(div, MIN_LEN, |cells, chunk| {
+        for row in rows(cdims, cells) {
+            // The four node rows this cell row lies between, from the
+            // cells' low corner nodes on.
+            let p = row.i + nx * (row.j + ny * row.k);
+            let line = |from: usize| &vel[from..from + row.len + 1];
+            let (lo, y, z, yz) = (line(p), line(p + sy), line(p + sz), line(p + sy + sz));
+            for (n, d) in row.of(chunk).iter_mut().enumerate() {
+                // Hexahedron corner order.
+                let corners = [
+                    lo[n],
+                    lo[n + 1],
+                    y[n + 1],
+                    y[n],
+                    z[n],
+                    z[n + 1],
+                    yz[n + 1],
+                    yz[n],
+                ];
+                let avg = |slots: [usize; 4], axis: usize| {
+                    let [a, b, c, d] = slots.map(|slot| corners[slot][axis]);
+                    (a + b + c + d) * 0.25
+                };
+                let dudx = (avg(X_POS, 0) - avg(X_NEG, 0)) / s.x;
+                let dvdy = (avg(Y_POS, 1) - avg(Y_NEG, 1)) / s.y;
+                let dwdz = (avg(Z_POS, 2) - avg(Z_NEG, 2)) / s.z;
+                *d = dudx + dvdy + dwdz;
+            }
+        }
     });
     let mut w = WorkCounters::new();
     w.tally(div.len() as u64, 60, 27, 8 * 24, 8);
@@ -121,105 +168,81 @@ pub fn viscosity(state: &mut State, div: &[f64]) -> WorkCounters {
 
 /// Accelerate the node velocities by the pressure + viscosity gradient and
 /// apply reflective boundary conditions (zero normal velocity on the
-/// domain faces).
-pub fn acceleration(state: &mut State, dt: f64) -> WorkCounters {
-    let g = state.grid.clone();
-    let [cx, cy, cz] = g.cell_dims();
-    let [nx, ny, nz] = g.point_dims();
-    let s = g.spacing();
-    // Total stress per cell.
-    let stress: Vec<f64> = state
-        .pressure
-        .iter()
-        .zip(&state.viscosity)
-        .map(|(&p, &q)| p + q)
-        .collect();
+/// domain faces). `stress` is scratch for the total stress per cell.
+pub fn acceleration(state: &mut State, stress: &mut [f64], dt: f64) -> WorkCounters {
+    let cdims = state.grid.cell_dims();
+    let pdims = state.grid.point_dims();
+    let [cx, cy, _] = cdims;
+    let cstride = [1, cx, cx * cy];
+    let (sy, sz) = (cstride[1], cstride[2]);
+    let spacing = state.grid.spacing();
+    let (pressure, viscosity) = (&state.pressure, &state.viscosity);
+    par::for_each_mut(stress, MIN_LEN, |c, t| *t = pressure[c] + viscosity[c]);
+    let stress = &*stress;
     let density = &state.density;
 
-    // Average stress over up to 4 cells on one side of a node along `axis`.
-    // `side_idx` is the cell index on that axis; the other two axes clamp
-    // to existing cells around (j, k).
-    let side_avg = |axis: usize, side_idx: usize, a: usize, b: usize| -> f64 {
-        // a, b are the node indices on the other two axes (in axis order).
-        let (alo, ahi, blo, bhi, adim, bdim) = match axis {
-            0 => (a.saturating_sub(1), a, b.saturating_sub(1), b, cy, cz),
-            1 => (a.saturating_sub(1), a, b.saturating_sub(1), b, cx, cz),
-            _ => (a.saturating_sub(1), a, b.saturating_sub(1), b, cx, cy),
-        };
+    // A boundary node's mean stress over the cells at `side` on `axis`
+    // that touch it: up to four, the other two axes over the `spans` of
+    // cells the grid has there, the later one innermost.
+    let side_mean = |axis: usize, side: usize, spans: &[[usize; 2]; 3]| -> f64 {
+        let (a, b) = [(1, 2), (0, 2), (0, 1)][axis];
+        let ([a0, a1], [b0, b1]) = (spans[a], spans[b]);
+        let base = side * cstride[axis];
         let mut sum = 0.0;
-        let mut n = 0u32;
-        for aa in alo..=ahi.min(adim.saturating_sub(1)) {
-            if aa >= adim {
-                continue;
+        for ca in a0..a1 {
+            for cb in b0..b1 {
+                sum += stress[base + ca * cstride[a] + cb * cstride[b]];
             }
-            for bb in blo..=bhi.min(bdim.saturating_sub(1)) {
-                if bb >= bdim {
+        }
+        sum / ((a1 - a0) * (b1 - b0)) as f64
+    };
+
+    par::for_each_chunk_mut(&mut state.velocity, MIN_LEN, |nodes, chunk| {
+        for row in rows(pdims, nodes) {
+            let (j, k) = (row.j, row.k);
+            let inner_row = (1..pdims[1] - 1).contains(&j) && (1..pdims[2] - 1).contains(&k);
+            // Cell (0, j, k), were there one.
+            let cell0 = cx * (j + cy * k);
+            for (n, u) in row.of(chunk).iter_mut().enumerate() {
+                let i = row.i + n;
+                if inner_row && (1..pdims[0] - 1).contains(&i) {
+                    // All eight cells around the node exist: `c` is
+                    // (i − 1, j − 1, k − 1), the rest are named by the
+                    // axes they are one step up on. Each side is summed
+                    // with the later of its two axes innermost, the
+                    // density as `node_mean` sums it (which would find
+                    // the same eight cells again).
+                    let c = cell0 + i - 1 - sy - sz;
+                    let (x, y, z) = (c + 1, c + sy, c + sz);
+                    let (xy, xz, yz, xyz) = (x + sy, x + sz, y + sz, x + sy + sz);
+                    let rho = (sum_at(density, [c, x, y, xy, z, xz, yz, xyz]) / 8.0).max(1e-12);
+                    let side = |cells: [usize; 4]| sum_at(stress, cells) / 4.0;
+                    let grad = (side([x, xz, xy, xyz]) - side([c, z, y, yz])) / spacing.x;
+                    u.x -= dt * grad / rho;
+                    let grad = (side([y, yz, xy, xyz]) - side([c, z, x, xz])) / spacing.y;
+                    u.y -= dt * grad / rho;
+                    let grad = (side([z, yz, xz, xyz]) - side([c, y, x, xy])) / spacing.z;
+                    u.z -= dt * grad / rho;
                     continue;
                 }
-                let cell = match axis {
-                    0 => g.cell_id(side_idx, aa, bb),
-                    1 => g.cell_id(aa, side_idx, bb),
-                    _ => g.cell_id(aa, bb, side_idx),
-                };
-                sum += stress[cell];
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    };
-
-    let node_density = |id: usize| -> f64 {
-        let [i, j, k] = g.point_ijk(id);
-        let mut sum = 0.0;
-        let mut n = 0u32;
-        for dk in 0..2usize {
-            for dj in 0..2usize {
-                for di in 0..2usize {
-                    let (ci, cj, ck) = (
-                        (i + di).wrapping_sub(1),
-                        (j + dj).wrapping_sub(1),
-                        (k + dk).wrapping_sub(1),
-                    );
-                    if ci < cx && cj < cy && ck < cz {
-                        sum += density[g.cell_id(ci, cj, ck)];
-                        n += 1;
+                // A boundary node: fewer cells around it, and on each
+                // axis it is the end of, the reflective condition (zero
+                // normal velocity) instead of a gradient.
+                let node = [i, j, k];
+                let rho = node_mean(density, cdims, node).max(1e-12);
+                let spans = cell_spans(cdims, node);
+                let next = [0, 1, 2].map(|axis| {
+                    let at = node[axis];
+                    if (1..pdims[axis] - 1).contains(&at) {
+                        let grad = (side_mean(axis, at, &spans) - side_mean(axis, at - 1, &spans))
+                            / spacing[axis];
+                        u[axis] - dt * grad / rho
+                    } else {
+                        0.0
                     }
-                }
+                });
+                *u = next.into();
             }
-        }
-        if n == 0 {
-            1.0
-        } else {
-            sum / n as f64
-        }
-    };
-
-    par::for_each_mut(&mut state.velocity, MIN_LEN, |id, u| {
-        let [i, j, k] = g.point_ijk(id);
-        let rho = node_density(id).max(1e-12);
-        // Each axis needs cells on both sides of the node; boundary nodes
-        // get the reflective condition instead.
-        if i >= 1 && i < nx - 1 {
-            let grad = (side_avg(0, i, j, k) - side_avg(0, i - 1, j, k)) / s.x;
-            u.x -= dt * grad / rho;
-        } else {
-            u.x = 0.0; // reflective: zero normal velocity on x faces
-        }
-        if j >= 1 && j < ny - 1 {
-            let grad = (side_avg(1, j, i, k) - side_avg(1, j - 1, i, k)) / s.y;
-            u.y -= dt * grad / rho;
-        } else {
-            u.y = 0.0;
-        }
-        if k >= 1 && k < nz - 1 {
-            let grad = (side_avg(2, k, i, j) - side_avg(2, k - 1, i, j)) / s.z;
-            u.z -= dt * grad / rho;
-        } else {
-            u.z = 0.0;
         }
     });
 
@@ -246,134 +269,106 @@ pub fn pdv(state: &mut State, div: &[f64], dt: f64) -> WorkCounters {
     w
 }
 
+/// Donor-cell mass and energy flux through the faces normal to `AXIS`:
+/// the face-normal velocity is the mean of the face's four nodes, the
+/// donor the cell it blows out of. Faces on the domain boundary carry
+/// none.
+fn face_flux<const AXIS: usize>(
+    state: &State,
+    flux_mass: &mut [f64],
+    flux_energy: &mut [f64],
+    area: f64,
+    dt: f64,
+) {
+    let cdims = state.grid.cell_dims();
+    let [cx, cy, _] = cdims;
+    let [nx, ny, _] = state.grid.point_dims();
+    let mut fdims = cdims;
+    fdims[AXIS] += 1;
+    // The face's other three nodes are one node stride along each of
+    // the other two axes (earlier axis first) and along both.
+    let (a, b) = [(nx, nx * ny), (1, nx * ny), (1, nx)][AXIS];
+    let back = [1, cx, cx * cy][AXIS];
+    let (vel, density, energy) = (&state.velocity, &state.density, &state.energy);
+    par::for_each_chunk_mut2(flux_mass, flux_energy, MIN_LEN, |faces, fm, fe| {
+        for row in rows(fdims, faces) {
+            // Node (0, j, k) and cell (0, j, k) of this face row.
+            let node0 = nx * (row.j + ny * row.k);
+            let cell0 = cx * (row.j + cy * row.k);
+            let out = row.of(fm).iter_mut().zip(row.of(fe));
+            for (n, (fm, fe)) in out.enumerate() {
+                let i = row.i + n;
+                let along = [i, row.j, row.k][AXIS];
+                if along == 0 || along == cdims[AXIS] {
+                    *fm = 0.0;
+                    *fe = 0.0;
+                    continue;
+                }
+                let p = node0 + i;
+                let un = 0.25
+                    * (vel[p][AXIS] + vel[p + a][AXIS] + vel[p + b][AXIS] + vel[p + a + b][AXIS]);
+                let high = cell0 + i;
+                let donor = if un >= 0.0 { high - back } else { high };
+                let m = un * area * dt * density[donor];
+                *fm = m;
+                *fe = m * energy[donor];
+            }
+        }
+    });
+}
+
 /// Conservative first-order donor-cell (upwind) advection of mass and
 /// internal energy. Boundary faces carry zero flux, so total mass is
 /// conserved to rounding.
 pub fn advect(state: &mut State, scratch: &mut Scratch, dt: f64) -> WorkCounters {
-    let g = state.grid.clone();
-    let [cx, cy, cz] = g.cell_dims();
-    let s = g.spacing();
+    let cdims = state.grid.cell_dims();
+    let [cx, cy, _] = cdims;
+    let s = state.grid.spacing();
     let vol = s.x * s.y * s.z;
-    let areas = [s.y * s.z, s.x * s.z, s.x * s.y];
     let mut w = WorkCounters::new();
 
-    // Face-normal velocity: average the 4 node velocities on the face.
-    // x-face (fi, j, k) with fi in 0..=cx separates cells fi-1 and fi.
-    {
-        let vel = &state.velocity;
-        let density = &state.density;
-        let energy = &state.energy;
-        // X faces.
-        let (fm, fe) = (&mut scratch.flux_mass[0], &mut scratch.flux_energy[0]);
-        par::for_each_mut2(fm, fe, MIN_LEN, |f, fm, fe| {
-            let fi = f % (cx + 1);
-            let j = (f / (cx + 1)) % cy;
-            let k = f / ((cx + 1) * cy);
-            if fi == 0 || fi == cx {
-                *fm = 0.0;
-                *fe = 0.0;
-                return;
-            }
-            let un = 0.25
-                * (vel[g.point_id(fi, j, k)].x
-                    + vel[g.point_id(fi, j + 1, k)].x
-                    + vel[g.point_id(fi, j, k + 1)].x
-                    + vel[g.point_id(fi, j + 1, k + 1)].x);
-            let donor = if un >= 0.0 {
-                g.cell_id(fi - 1, j, k)
-            } else {
-                g.cell_id(fi, j, k)
-            };
-            let m = un * areas[0] * dt * density[donor];
-            *fm = m;
-            *fe = m * energy[donor];
-        });
-        // Y faces.
-        let (fm, fe) = (&mut scratch.flux_mass[1], &mut scratch.flux_energy[1]);
-        par::for_each_mut2(fm, fe, MIN_LEN, |f, fm, fe| {
-            let i = f % cx;
-            let fj = (f / cx) % (cy + 1);
-            let k = f / (cx * (cy + 1));
-            if fj == 0 || fj == cy {
-                *fm = 0.0;
-                *fe = 0.0;
-                return;
-            }
-            let un = 0.25
-                * (vel[g.point_id(i, fj, k)].y
-                    + vel[g.point_id(i + 1, fj, k)].y
-                    + vel[g.point_id(i, fj, k + 1)].y
-                    + vel[g.point_id(i + 1, fj, k + 1)].y);
-            let donor = if un >= 0.0 {
-                g.cell_id(i, fj - 1, k)
-            } else {
-                g.cell_id(i, fj, k)
-            };
-            let m = un * areas[1] * dt * density[donor];
-            *fm = m;
-            *fe = m * energy[donor];
-        });
-        // Z faces.
-        let (fm, fe) = (&mut scratch.flux_mass[2], &mut scratch.flux_energy[2]);
-        par::for_each_mut2(fm, fe, MIN_LEN, |f, fm, fe| {
-            let i = f % cx;
-            let j = (f / cx) % cy;
-            let fk = f / (cx * cy);
-            if fk == 0 || fk == cz {
-                *fm = 0.0;
-                *fe = 0.0;
-                return;
-            }
-            let un = 0.25
-                * (vel[g.point_id(i, j, fk)].z
-                    + vel[g.point_id(i + 1, j, fk)].z
-                    + vel[g.point_id(i, j + 1, fk)].z
-                    + vel[g.point_id(i + 1, j + 1, fk)].z);
-            let donor = if un >= 0.0 {
-                g.cell_id(i, j, fk - 1)
-            } else {
-                g.cell_id(i, j, fk)
-            };
-            let m = un * areas[2] * dt * density[donor];
-            *fm = m;
-            *fe = m * energy[donor];
-        });
-    }
-    let nfaces = (scratch.flux_mass[0].len()
-        + scratch.flux_mass[1].len()
-        + scratch.flux_mass[2].len()) as u64;
+    let [mx, my, mz] = &mut scratch.flux_mass;
+    let [ex, ey, ez] = &mut scratch.flux_energy;
+    face_flux::<0>(state, mx, ex, s.y * s.z, dt);
+    face_flux::<1>(state, my, ey, s.x * s.z, dt);
+    face_flux::<2>(state, mz, ez, s.x * s.y, dt);
+    let (fm, fe) = (&scratch.flux_mass, &scratch.flux_energy);
+    let nfaces = fm.iter().map(Vec::len).sum::<usize>() as u64;
     w.tally(nfaces, 46, 14, 8 * 8, 16);
 
     // Apply fluxes: new mass = old mass + Σ incoming − Σ outgoing.
     {
         let density = &state.density;
         let energy = &state.energy;
-        let fm = &scratch.flux_mass;
-        let fe = &scratch.flux_energy;
         let (nd, ne) = (&mut scratch.new_density, &mut scratch.new_energy);
-        par::for_each_mut2(nd, ne, MIN_LEN, |c, nd, ne| {
-            let i = c % cx;
-            let j = (c / cx) % cy;
-            let k = c / (cx * cy);
-            let fx = |fi: usize| fi + (cx + 1) * (j + cy * k);
-            let fy = |fj: usize| i + cx * (fj + (cy + 1) * k);
-            let fz = |fk: usize| i + cx * (j + cy * fk);
-            let dm = fm[0][fx(i)] - fm[0][fx(i + 1)] + fm[1][fy(j)] - fm[1][fy(j + 1)]
-                + fm[2][fz(k)]
-                - fm[2][fz(k + 1)];
-            let de = fe[0][fx(i)] - fe[0][fx(i + 1)] + fe[1][fy(j)] - fe[1][fy(j + 1)]
-                + fe[2][fz(k)]
-                - fe[2][fz(k + 1)];
-            let mass_old = density[c] * vol;
-            let rho_e_old = density[c] * energy[c] * vol;
-            let mass_new = (mass_old + dm).max(1e-12 * vol);
-            let rho_e_new = (rho_e_old + de).max(0.0);
-            *nd = mass_new / vol;
-            *ne = (rho_e_new / mass_new).max(1e-9);
+        par::for_each_chunk_mut2(nd, ne, MIN_LEN, |cells, nd, ne| {
+            for row in rows(cdims, cells) {
+                // The low face of the row's first cell in each face
+                // space; the high face is one stride of that axis on.
+                let (c, len) = (row.id, row.len);
+                let fx = row.i + (cx + 1) * (row.j + cy * row.k);
+                let fy = row.i + cx * (row.j + (cy + 1) * row.k);
+                let net = |[x, y, z]: &[Vec<f64>; 3], n: usize| {
+                    x[fx + n] - x[fx + n + 1] + y[fy + n] - y[fy + n + cx] + z[c + n]
+                        - z[c + n + cx * cy]
+                };
+                let (rho, e) = (&density[c..c + len], &energy[c..c + len]);
+                let out = row.of(nd).iter_mut().zip(row.of(ne));
+                for (n, (nd, ne)) in out.enumerate() {
+                    let dm = net(fm, n);
+                    let de = net(fe, n);
+                    let mass_old = rho[n] * vol;
+                    let rho_e_old = rho[n] * e[n] * vol;
+                    let mass_new = (mass_old + dm).max(1e-12 * vol);
+                    let rho_e_new = (rho_e_old + de).max(0.0);
+                    *nd = mass_new / vol;
+                    *ne = (rho_e_new / mass_new).max(1e-9);
+                }
+            }
         });
     }
-    state.density.copy_from_slice(&scratch.new_density);
-    state.energy.copy_from_slice(&scratch.new_energy);
+    std::mem::swap(&mut state.density, &mut scratch.new_density);
+    std::mem::swap(&mut state.energy, &mut scratch.new_energy);
     w.tally(state.density.len() as u64, 60, 26, 8 * 14, 16);
     w
 }
@@ -384,7 +379,11 @@ pub fn calc_dt(state: &State, prev_dt: f64, cfl: f64) -> (f64, WorkCounters) {
     let g = &state.grid;
     let s = g.spacing();
     let dx = s.min_component();
-    let max_u = (state.velocity.iter().map(|u| u.length())).fold(0.0, f64::max);
+    // One root, of the largest square: `sqrt` is monotone and correctly
+    // rounded, so this is the largest length to the bit.
+    let max_u = (state.velocity.iter().map(|u| u.length_squared()))
+        .fold(0.0, f64::max)
+        .sqrt();
     let max_cs = state.soundspeed.iter().copied().fold(0.0, f64::max);
     let dt = cfl * dx / (max_cs + max_u + 1e-12);
     let dt = dt.min(prev_dt * 1.05);
@@ -402,7 +401,7 @@ pub fn calc_dt(state: &State, prev_dt: f64, cfl: f64) -> (f64, WorkCounters) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vizmesh::UniformGrid;
+    use vizmesh::{UniformGrid, Vec3};
 
     fn state(n: usize) -> (State, Scratch) {
         let s = State::quiescent(UniformGrid::cube_cells(n));
@@ -468,11 +467,11 @@ mod tests {
 
     #[test]
     fn acceleration_pushes_away_from_high_pressure() {
-        let (mut s, _) = state(4);
+        let (mut s, mut scr) = state(4);
         // Hot corner cell at the origin.
         s.energy[0] = 10.0;
         ideal_gas(&mut s);
-        acceleration(&mut s, 0.01);
+        acceleration(&mut s, &mut scr.stress, 0.01);
         // The interior node nearest the hot corner should accelerate away
         // from the origin (positive components).
         let id = s.grid.point_id(1, 1, 1);
@@ -482,10 +481,10 @@ mod tests {
 
     #[test]
     fn acceleration_keeps_boundary_normal_velocity_zero() {
-        let (mut s, _) = state(4);
+        let (mut s, mut scr) = state(4);
         s.energy[0] = 10.0;
         ideal_gas(&mut s);
-        acceleration(&mut s, 0.01);
+        acceleration(&mut s, &mut scr.stress, 0.01);
         let [nx, ny, nz] = s.grid.point_dims();
         for k in 0..nz {
             for j in 0..ny {

@@ -25,6 +25,7 @@ pub mod driver;
 pub mod eos;
 pub mod kernels;
 pub mod problems;
+mod rows;
 pub mod state;
 
 pub use driver::{SimConfig, Simulation, StepReport};

@@ -1,6 +1,7 @@
 //! Field storage for the hydrodynamics state.
 
-use vizmesh::{Association, DataSet, Field, UniformGrid, Vec3};
+use crate::rows::{rows, MIN_LEN};
+use vizmesh::{par, Association, DataSet, Field, UniformGrid, Vec3};
 
 /// The complete hydrodynamic state on a staggered uniform grid.
 ///
@@ -63,71 +64,37 @@ impl State {
     pub fn total_kinetic_energy(&self) -> f64 {
         let s = self.grid.spacing();
         let vol = s.x * s.y * s.z;
+        let cdims = self.grid.cell_dims();
         let mut total = 0.0;
-        for (id, &u) in self.velocity.iter().enumerate() {
-            let rho = self.node_density(id);
-            total += 0.5 * rho * u.length_squared() * vol;
+        for row in rows(self.grid.point_dims(), 0..self.velocity.len()) {
+            for (n, u) in self.velocity[row.id..][..row.len].iter().enumerate() {
+                let rho = node_mean(&self.density, cdims, [row.i + n, row.j, row.k]);
+                total += 0.5 * rho * u.length_squared() * vol;
+            }
         }
         total
     }
 
     /// Density at a node: mean of the adjacent cells (1–8 of them).
     pub fn node_density(&self, point_id: usize) -> f64 {
-        let [i, j, k] = self.grid.point_ijk(point_id);
-        let [cx, cy, cz] = self.grid.cell_dims();
-        let mut sum = 0.0;
-        let mut n = 0u32;
-        for dk in 0..2usize {
-            for dj in 0..2usize {
-                for di in 0..2usize {
-                    // Cell (i-1+di, j-1+dj, k-1+dk) if it exists.
-                    let (ci, cj, ck) = (
-                        (i + di).wrapping_sub(1),
-                        (j + dj).wrapping_sub(1),
-                        (k + dk).wrapping_sub(1),
-                    );
-                    if ci < cx && cj < cy && ck < cz {
-                        sum += self.density[self.grid.cell_id(ci, cj, ck)];
-                        n += 1;
-                    }
-                }
-            }
-        }
-        if n == 0 {
-            1.0
-        } else {
-            sum / n as f64
-        }
+        let ijk = self.grid.point_ijk(point_id);
+        node_mean(&self.density, self.grid.cell_dims(), ijk)
     }
 
     /// Cell-centered scalar averaged to the nodes (used to export
     /// point-centered fields for contouring).
     pub fn cell_to_point(&self, cell_values: &[f64]) -> Vec<f64> {
         assert_eq!(cell_values.len(), self.grid.num_cells());
-        let [cx, cy, cz] = self.grid.cell_dims();
-        let np = self.grid.num_points();
-        let mut out = vec![0.0; np];
-        for id in 0..np {
-            let [i, j, k] = self.grid.point_ijk(id);
-            let mut sum = 0.0;
-            let mut n = 0u32;
-            for dk in 0..2usize {
-                for dj in 0..2usize {
-                    for di in 0..2usize {
-                        let (ci, cj, ck) = (
-                            (i + di).wrapping_sub(1),
-                            (j + dj).wrapping_sub(1),
-                            (k + dk).wrapping_sub(1),
-                        );
-                        if ci < cx && cj < cy && ck < cz {
-                            sum += cell_values[self.grid.cell_id(ci, cj, ck)];
-                            n += 1;
-                        }
-                    }
+        let cdims = self.grid.cell_dims();
+        let pdims = self.grid.point_dims();
+        let mut out = vec![0.0; self.grid.num_points()];
+        par::for_each_chunk_mut(&mut out, MIN_LEN, |nodes, chunk| {
+            for row in rows(pdims, nodes) {
+                for (n, v) in row.of(chunk).iter_mut().enumerate() {
+                    *v = node_mean(cell_values, cdims, [row.i + n, row.j, row.k]);
                 }
             }
-            out[id] = sum / n as f64;
-        }
+        });
         out
     }
 
@@ -164,6 +131,44 @@ impl State {
         ));
         ds
     }
+}
+
+/// `values[at[0]] + values[at[1]] + …`, accumulated from `0.0` in the
+/// order given.
+#[inline]
+pub(crate) fn sum_at<const N: usize>(values: &[f64], at: [usize; N]) -> f64 {
+    at.iter().fold(0.0, |sum, &c| sum + values[c])
+}
+
+/// Mean of the cell-centered `values` over the cells that touch node
+/// `(i, j, k)` of a grid of `[cx, cy, cz]` cells — eight inside, four,
+/// two or one on a face, edge or corner — summed `k`-outermost,
+/// `i`-innermost.
+pub(crate) fn node_mean(values: &[f64], [cx, cy, cz]: [usize; 3], [i, j, k]: [usize; 3]) -> f64 {
+    if (1..cx).contains(&i) && (1..cy).contains(&j) && (1..cz).contains(&k) {
+        // Inside: the 2 × 2 × 2 block from cell (i − 1, j − 1, k − 1) on.
+        let c = (i - 1) + cx * ((j - 1) + cy * (k - 1));
+        let (y, z) = (c + cx, c + cx * cy);
+        return sum_at(values, [c, c + 1, y, y + 1, z, z + 1, z + cx, z + cx + 1]) / 8.0;
+    }
+    let [[i0, i1], [j0, j1], [k0, k1]] = cell_spans([cx, cy, cz], [i, j, k]);
+    let mut sum = 0.0;
+    for ck in k0..k1 {
+        for cj in j0..j1 {
+            let row = cx * (cj + cy * ck);
+            for ci in i0..i1 {
+                sum += values[row + ci];
+            }
+        }
+    }
+    sum / ((i1 - i0) * (j1 - j0) * (k1 - k0)) as f64
+}
+
+/// Per axis, the cell indices `[from, to)` that touch a node: the one
+/// before it and its own, where the grid has them.
+#[inline]
+pub(crate) fn cell_spans(cdims: [usize; 3], node: [usize; 3]) -> [[usize; 2]; 3] {
+    [0, 1, 2].map(|a| [node[a].saturating_sub(1), (node[a] + 1).min(cdims[a])])
 }
 
 #[cfg(test)]

@@ -55,6 +55,10 @@ pub struct CoupledRun {
     pub cycles: Vec<CycleRecord>,
     /// Simulation work after the final visualization cycle.
     pub trailing_sim_work: WorkCounters,
+    /// Times the simulation state was exported for the trigger and the
+    /// pipelines: the steps whose [`Trigger::step_verdict`] was not
+    /// `Some(false)`.
+    pub exports: u64,
 }
 
 /// The coupled driver.
@@ -108,7 +112,13 @@ impl InSituRuntime {
                 journal,
             );
             sim_since_viz += report.work;
+            // Export only when the trigger can fire: a cadence knows from
+            // the step number alone that most steps have no cycle.
+            if self.config.trigger.step_verdict(report.step) == Some(false) {
+                continue;
+            }
             let data = self.sim.dataset();
+            out.exports += 1;
             if !self.config.trigger.fires(report.step, &data) {
                 continue;
             }
@@ -304,6 +314,111 @@ mod tests {
             .filter(|e| matches!(e, Event::Span(s) if s.scope == Scope::Timestep))
             .count();
         assert_eq!(timesteps, 10);
+    }
+
+    /// The coupled loop as it was before exports were gated on the step
+    /// number: export after every step, then ask the trigger.
+    fn export_every_step(config: &RuntimeConfig, actions: &ActionList) -> CoupledRun {
+        let mut sim = Simulation::new(Problem::TwoState, config.grid_cells, SimConfig::default());
+        let mut out = CoupledRun::default();
+        let mut sim_since_viz = WorkCounters::new();
+        let mut phases: Vec<(&'static str, WorkCounters)> = Vec::new();
+        for _ in 0..config.total_steps {
+            let report = sim.step_phases(&mut |name, w| match phases
+                .iter_mut()
+                .find(|(n, _)| *n == name)
+            {
+                Some((_, acc)) => *acc += w,
+                None => phases.push((name, w)),
+            });
+            sim_since_viz += report.work;
+            let data = sim.dataset();
+            out.exports += 1;
+            if !config.trigger.fires(report.step, &data) {
+                continue;
+            }
+            let mut viz_kernels = Vec::new();
+            for (_, filters) in actions.pipelines() {
+                for spec in filters {
+                    viz_kernels.extend(spec.build(&data).execute(&data).kernels);
+                }
+            }
+            let mut images = Vec::new();
+            for (name, renderer) in actions.scenes() {
+                let result = Scene::new(name, renderer.clone())
+                    .render(&data, report.step)
+                    .expect("no output dir");
+                viz_kernels.extend(result.kernels);
+                images.extend(result.images);
+            }
+            out.cycles.push(CycleRecord {
+                step: report.step,
+                sim_work: KernelReport::new(
+                    "cloverleaf-steps",
+                    KernelClass::Simulation,
+                    sim_since_viz,
+                ),
+                sim_phases: phases
+                    .drain(..)
+                    .map(|(name, w)| KernelReport::new(name, KernelClass::Simulation, w))
+                    .collect(),
+                viz_kernels,
+                images,
+            });
+            sim_since_viz = WorkCounters::new();
+        }
+        out.trailing_sim_work = sim_since_viz;
+        out
+    }
+
+    #[test]
+    fn a_cadence_exports_only_on_its_steps_and_changes_no_cycle() {
+        let config = RuntimeConfig {
+            grid_cells: 8,
+            total_steps: 10,
+            trigger: Trigger::EveryN { n: 5 },
+        };
+        let run = InSituRuntime::new(Problem::TwoState, config.clone(), actions()).run();
+        assert_eq!(run.exports, 2, "steps 5 and 10 only");
+        let reference = export_every_step(&config, &actions());
+        assert_eq!(reference.exports, 10);
+        assert_eq!(run.cycles.len(), reference.cycles.len());
+        for (got, want) in run.cycles.iter().zip(&reference.cycles) {
+            assert_eq!(got.step, want.step);
+            assert_eq!(got.sim_work, want.sim_work);
+            assert_eq!(got.sim_phases, want.sim_phases);
+            assert_eq!(got.viz_kernels, want.viz_kernels);
+            assert_eq!(got.images, want.images, "image bytes of cycle {}", got.step);
+        }
+        assert_eq!(run.trailing_sim_work, reference.trailing_sim_work);
+    }
+
+    #[test]
+    fn a_data_trigger_still_exports_every_step() {
+        let field_max = |above: f64| Trigger::FieldMax {
+            field: "energy".into(),
+            above,
+        };
+        let run_with = |trigger: Trigger| {
+            let config = RuntimeConfig {
+                grid_cells: 6,
+                total_steps: 6,
+                trigger,
+            };
+            InSituRuntime::new(Problem::TwoState, config, actions()).run()
+        };
+        // The source region starts at e = 2.5: one threshold it always
+        // clears, one it never does. Either way the data is asked.
+        let always = run_with(field_max(1.0));
+        assert_eq!((always.exports, always.cycles.len()), (6, 6));
+        let never = run_with(field_max(1e9));
+        assert_eq!((never.exports, never.cycles.len()), (6, 0));
+        // Behind a cadence, only the cadence's steps are asked.
+        let gated = run_with(Trigger::Both {
+            a: Box::new(field_max(1.0)),
+            b: Box::new(Trigger::EveryN { n: 3 }),
+        });
+        assert_eq!((gated.exports, gated.cycles.len()), (2, 2));
     }
 
     #[test]

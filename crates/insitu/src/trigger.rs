@@ -51,10 +51,26 @@ impl Trigger {
         }
     }
 
+    /// What the step number alone settles about step `step` (1-based):
+    /// `Some(fires)` when no data can change the answer, `None` when
+    /// [`fires`](Trigger::fires) has to look at the data. The runtime
+    /// exports the simulation state only when this is not `Some(false)`.
+    pub fn step_verdict(&self, step: u64) -> Option<bool> {
+        match self {
+            Trigger::EveryN { n } => Some(*n > 0 && step.is_multiple_of(*n)),
+            Trigger::FieldMax { .. } => None,
+            Trigger::Both { a, b } => match (a.step_verdict(step), b.step_verdict(step)) {
+                (Some(false), _) | (_, Some(false)) => Some(false),
+                (Some(true), Some(true)) => Some(true),
+                _ => None,
+            },
+        }
+    }
+
     /// Should step `step` (1-based) visualize, given the current data?
     pub fn fires(&self, step: u64, data: &DataSet) -> bool {
         match self {
-            Trigger::EveryN { n } => *n > 0 && step.is_multiple_of(*n),
+            Trigger::EveryN { .. } => self.step_verdict(step) == Some(true),
             Trigger::FieldMax { field, above } => data
                 .field(field)
                 .and_then(|f| f.scalar_range())
@@ -118,6 +134,30 @@ mod tests {
         assert!(t.fires(4, &data(3.0)));
         assert!(!t.fires(3, &data(3.0)));
         assert!(!t.fires(4, &data(1.0)));
+    }
+
+    #[test]
+    fn step_verdict_decides_what_the_step_number_can() {
+        let every = |n| Trigger::EveryN { n };
+        let field = || Trigger::FieldMax {
+            field: "energy".into(),
+            above: 2.0,
+        };
+        let both = |a, b| Trigger::Both {
+            a: Box::new(a),
+            b: Box::new(b),
+        };
+        assert_eq!(every(10).step_verdict(10), Some(true));
+        assert_eq!(every(10).step_verdict(11), Some(false));
+        assert_eq!(every(0).step_verdict(10), Some(false));
+        assert_eq!(field().step_verdict(10), None);
+        // One side that cannot fire settles a conjunction, either way
+        // round; a side that needs the data keeps it open.
+        assert_eq!(both(every(2), field()).step_verdict(3), Some(false));
+        assert_eq!(both(field(), every(2)).step_verdict(3), Some(false));
+        assert_eq!(both(every(2), field()).step_verdict(4), None);
+        assert_eq!(both(every(2), every(3)).step_verdict(6), Some(true));
+        assert_eq!(both(every(2), every(3)).step_verdict(4), Some(false));
     }
 
     #[test]

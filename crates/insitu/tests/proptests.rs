@@ -75,8 +75,54 @@ fn action_list_strategy() -> impl Strategy<Value = ActionList> {
     .prop_map(ActionList)
 }
 
+/// A trigger tree over `leaves` (at least one), split in halves.
+fn trigger_tree(leaves: &[Trigger]) -> Trigger {
+    match leaves {
+        [leaf] => leaf.clone(),
+        _ => {
+            let (a, b) = leaves.split_at(leaves.len() / 2);
+            Trigger::Both {
+                a: Box::new(trigger_tree(a)),
+                b: Box::new(trigger_tree(b)),
+            }
+        }
+    }
+}
+
+/// `EveryN` (including the never-firing `n = 0`) / `FieldMax` / `Both`
+/// trees of one to six leaves; the data the tests ask about has an
+/// `energy` maximum of 1.0 and no `missing` field.
+fn trigger_strategy() -> impl Strategy<Value = Trigger> {
+    let leaf = prop_oneof![
+        (0u64..6).prop_map(|n| Trigger::EveryN { n }),
+        (-1.0f64..3.0).prop_map(|above| Trigger::FieldMax {
+            field: "energy".into(),
+            above,
+        }),
+        Just(Trigger::FieldMax {
+            field: "missing".into(),
+            above: 0.0,
+        }),
+    ];
+    prop::collection::vec(leaf, 1..7).prop_map(|leaves| trigger_tree(&leaves))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Whatever the step number alone settles is what the data-aware
+    /// evaluation answers, so skipping the export on `Some(false)` can
+    /// never skip a cycle.
+    #[test]
+    fn step_verdict_agrees_with_fires(trigger in trigger_strategy(), step in 1u64..40) {
+        let grid = UniformGrid::cube_cells(2);
+        let np = grid.num_points();
+        let ds = DataSet::uniform(grid)
+            .with_field(Field::scalar("energy", Association::Points, vec![1.0; np]));
+        if let Some(verdict) = trigger.step_verdict(step) {
+            prop_assert_eq!(verdict, trigger.fires(step, &ds), "{:?} at step {}", trigger, step);
+        }
+    }
 
     /// Any action list survives a JSON round trip bitwise.
     #[test]

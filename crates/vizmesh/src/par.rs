@@ -3,9 +3,10 @@
 //! The kernels' data parallelism is all of one shape: compute something
 //! per index (cell, point, slab, seed, image row) and keep the results
 //! in index order. This module is exactly that and nothing more:
-//! [`map`], [`for_each_mut`] / [`for_each_mut2`], the chunk forms the
-//! first two are written over ([`map_chunks`], [`for_each_chunk_mut`]:
-//! the body gets its index range), and [`with_threads`].
+//! [`map`], [`for_each_mut`], the chunk forms they are written over
+//! ([`map_chunks`], [`for_each_chunk_mut`] and its zipped form
+//! [`for_each_chunk_mut2`]: the body gets its index range), and
+//! [`with_threads`].
 //!
 //! A range is cut into contiguous chunks; the workers (the caller is one
 //! of them) pull chunk indices from an atomic counter, and the results
@@ -195,25 +196,24 @@ pub fn for_each_mut<T: Send>(items: &mut [T], min_len: usize, f: impl Fn(usize, 
     });
 }
 
-/// The zipped form: `f(i, &mut a[i], &mut b[i])` for every `i`.
+/// The zipped form of [`for_each_chunk_mut`]: `body(range, &mut a[range],
+/// &mut b[range])`, both slices cut at the same places.
 ///
 /// # Panics
 /// If the slices differ in length.
-pub fn for_each_mut2<A: Send, B: Send>(
+pub fn for_each_chunk_mut2<A: Send, B: Send>(
     a: &mut [A],
     b: &mut [B],
     min_len: usize,
-    f: impl Fn(usize, &mut A, &mut B) + Sync,
+    body: impl Fn(Range<usize>, &mut [A], &mut [B]) + Sync,
 ) {
     assert_eq!(a.len(), b.len(), "zipped slices must be the same length");
     let Some(len) = chunk_len(a.len(), min_len) else {
-        (a.iter_mut().zip(b).enumerate()).for_each(|(i, (x, y))| f(i, x, y));
+        body(0..a.len(), a, b);
         return;
     };
     visit_chunks(a.chunks_mut(len).zip(b.chunks_mut(len)), |c, (ca, cb)| {
-        for (k, (x, y)) in ca.iter_mut().zip(cb).enumerate() {
-            f(c * len + k, x, y);
-        }
+        body(c * len..c * len + ca.len(), ca, cb)
     });
 }
 
@@ -263,9 +263,12 @@ mod tests {
                     assert_eq!(c, expect, "for_each_chunk_mut n={n} threads={threads}");
 
                     let mut b = vec![0usize; n];
-                    for_each_mut2(&mut a, &mut b, MIN_LEN, |i, x, y| {
-                        *x += 1.0;
-                        *y = i;
+                    for_each_chunk_mut2(&mut a, &mut b, MIN_LEN, |r, ca, cb| {
+                        assert!(r.len() == ca.len() && r.len() == cb.len());
+                        for (i, (x, y)) in r.zip(ca.iter_mut().zip(cb)) {
+                            *x += 1.0;
+                            *y = i;
+                        }
                     });
                     assert!(a.iter().zip(&expect).all(|(x, e)| *x == e + 1.0));
                     assert!(b.iter().enumerate().all(|(i, y)| *y == i));

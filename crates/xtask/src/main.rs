@@ -114,7 +114,7 @@ const CI_STEPS: &[(&str, &str, Option<(&str, &str)>)] = &[
     ("Test", "cargo test --workspace -q", None),
     (
         "Test the kernel crates single-threaded",
-        "cargo test -q -p vizmesh -p vizalgo -p conformance",
+        "cargo test -q -p vizmesh -p vizalgo -p conformance -p cloverleaf -p insitu",
         Some(("VIZPOWER_THREADS", "1")),
     ),
     (
