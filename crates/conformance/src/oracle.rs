@@ -309,10 +309,11 @@ fn raytrace(
     let mut max_depth_err = 0.0f64;
     let mut bad_background = 0usize;
     for (img, cam) in out.images.iter().zip(&cameras) {
+        let view = cam.view(px, px);
         for y in 0..px {
             for x in 0..px {
                 total += 1;
-                let ray = cam.pixel_ray(x, y, px, px);
+                let ray = view.ray(x, y);
                 let slab =
                     bounds.intersect_ray(ray.origin, ray.inv_direction(), 0.0, f64::INFINITY);
                 let depth = img.depth_at(x, y);
@@ -367,13 +368,14 @@ fn volren(
     let mut hit = 0usize;
     let mut hit_empty = 0usize;
     for (img, cam) in out.images.iter().zip(&cameras) {
+        let view = cam.view(px, px);
         for y in 0..px {
             for x in 0..px {
                 let c = img.get(x, y);
                 if !(0.0..=1.0).contains(&c[3]) {
                     bad_alpha += 1;
                 }
-                let ray = cam.pixel_ray(x, y, px, px);
+                let ray = view.ray(x, y);
                 let slab =
                     bounds.intersect_ray(ray.origin, ray.inv_direction(), 0.0, f64::INFINITY);
                 match slab {

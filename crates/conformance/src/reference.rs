@@ -378,9 +378,10 @@ fn raytrace_reference(
     };
     let px = cfg.render_px;
     let mut mismatches = 0usize;
+    let view = cam.view(px, px);
     for y in 0..px {
         for x in 0..px {
-            let ray = cam.pixel_ray(x, y, px, px);
+            let ray = view.ray(x, y);
             let mut best = f64::INFINITY;
             for tri in &tris {
                 if let Some((t, _, _)) = tri.intersect(&ray) {
@@ -427,9 +428,10 @@ fn volren_reference(
     let px = cfg.render_px;
     let mut mismatches = out.images.len().abs_diff(cameras.len());
     for (img, cam) in out.images.iter().zip(&cameras) {
+        let view = cam.view(px, px);
         for y in 0..px {
             for x in 0..px {
-                let ray = cam.pixel_ray(x, y, px, px);
+                let ray = view.ray(x, y);
                 let mut color = [0.0f32; 4];
                 if let Some((t0, t1)) =
                     bounds.intersect_ray(ray.origin, ray.inv_direction(), 0.0, f64::INFINITY)

@@ -398,7 +398,8 @@ impl ParticleAdvection {
         Some(a.lerp(b, alpha))
     }
 
-    /// One RK4 step against the frame series. `advance_time` is the
+    /// One RK4 step against the frame series: the next position and
+    /// `k1`, the field at `(p, t)` itself. `advance_time` is the
     /// pathline/streamline switch: streamlines hold every stage at `t`.
     /// Counts the 4 field evaluations on success.
     fn rk4_series(
@@ -408,7 +409,7 @@ impl ParticleAdvection {
         h: f64,
         advance_time: bool,
         evals: &mut u64,
-    ) -> Option<Vec3> {
+    ) -> Option<(Vec3, Vec3)> {
         let (tm, te) = if advance_time {
             (t + h * 0.5, t + h)
         } else {
@@ -417,16 +418,19 @@ impl ParticleAdvection {
         let k1 = Self::sample_frames(frames, p, t)?;
         let k2 = Self::sample_frames(frames, p + k1 * (h * 0.5), tm)?;
         let k3 = Self::sample_frames(frames, p + k2 * (h * 0.5), tm)?;
-        let k4 = Self::sample_frames(frames, p + k3 * h, te)?;
+        // A non-finite k1..k3 puts the next stage's position outside
+        // every grid; k4 feeds no stage, so it is vetted here.
+        let k4 = Self::sample_frames(frames, p + k3 * h, te).filter(|k| k.is_finite())?;
         *evals += 4;
-        Some(p + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (h / 6.0))
+        Some((p + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (h / 6.0), k1))
     }
 
     /// One step-doubling adaptive step: accept the two-half-steps
     /// result, halving on disagreement (≤ 4 retries) and growing the
     /// next step (≤ 8× the configured length) on strong agreement.
-    /// Returns `(position, used_h, next_h)`; `None` when either trial
-    /// leaves the domain.
+    /// Returns `(position, k1, used_h, next_h)`, `k1` being the field at
+    /// `(p, t)` as every trial's first stage samples it; `None` when
+    /// either trial leaves the domain.
     #[allow(clippy::too_many_arguments)]
     fn adaptive_step(
         frames: &[Frame<'_>],
@@ -437,15 +441,15 @@ impl ParticleAdvection {
         tol: f64,
         advance_time: bool,
         evals: &mut u64,
-    ) -> Option<(Vec3, f64, f64)> {
+    ) -> Option<(Vec3, Vec3, f64, f64)> {
         let mut h = h_try;
         let mut attempt = 0;
         loop {
             let half = h * 0.5;
-            let full = Self::rk4_series(frames, p, t, h, advance_time, evals)?;
-            let mid = Self::rk4_series(frames, p, t, half, advance_time, evals)?;
+            let (full, k1) = Self::rk4_series(frames, p, t, h, advance_time, evals)?;
+            let (mid, _) = Self::rk4_series(frames, p, t, half, advance_time, evals)?;
             let tm = if advance_time { t + half } else { t };
-            let fine = Self::rk4_series(frames, mid, tm, half, advance_time, evals)?;
+            let (fine, _) = Self::rk4_series(frames, mid, tm, half, advance_time, evals)?;
             let err = (full - fine).length();
             if err > tol && attempt < 4 {
                 h = half;
@@ -457,7 +461,7 @@ impl ParticleAdvection {
             } else {
                 h
             };
-            return Some((fine, h, next));
+            return Some((fine, k1, h, next));
         }
     }
 
@@ -558,19 +562,16 @@ impl ParticleAdvection {
         let seeds = self.place_seeds(frames);
 
         // Advect each particle (parallel over particles). A trace is
-        // the path, the field time at each path point (pathlines only:
-        // a streamline holds every point at `t_start`), and the
-        // field-eval count (4 per accepted or rejected RK4 step).
+        // the path, the flow speed at each path point, and the
+        // field-eval count (4 per accepted or rejected RK4 step). The
+        // speed at the point a step starts from is that step's `k1`;
+        // only the last point, which starts none, is sampled for it.
         let traces: Vec<(Vec<Vec3>, Vec<f64>, u64)> =
             par::map(seeds.len(), crate::SEED_MIN_LEN, |s| {
                 let seed = seeds[s];
                 let mut path = Vec::with_capacity(self.num_steps + 1);
-                let mut times = Vec::new();
+                let mut speeds = Vec::with_capacity(self.num_steps + 1);
                 path.push(seed);
-                if advance_time {
-                    times.reserve(self.num_steps + 1);
-                    times.push(t_start);
-                }
                 let mut p = seed;
                 let mut t = t_start;
                 let mut elapsed = 0.0f64;
@@ -580,24 +581,24 @@ impl ParticleAdvection {
                     let step = match self.scenario.step_control {
                         StepControl::Fixed => {
                             Self::rk4_series(frames, p, t, h0, advance_time, &mut evals)
-                                .map(|q| (q, h0))
+                                .map(|(q, k1)| (q, k1, h0))
                         }
                         StepControl::Adaptive { tol } => {
                             Self::adaptive_step(frames, p, t, h, h0, tol, advance_time, &mut evals)
-                                .map(|(q, used, next)| {
+                                .map(|(q, k1, used, next)| {
                                     h = next;
-                                    (q, used)
+                                    (q, k1, used)
                                 })
                         }
                     };
                     match step {
-                        Some((next, used)) => {
+                        Some((next, k1, used)) => {
+                            speeds.push(k1.length());
                             p = next;
                             elapsed += used;
                             path.push(p);
                             if advance_time {
                                 t += used;
-                                times.push(t);
                             }
                             if let Termination::MaxTime { t_end } = self.scenario.termination {
                                 if elapsed >= t_end {
@@ -610,7 +611,9 @@ impl ParticleAdvection {
                         None => break,
                     }
                 }
-                (path, times, evals)
+                let last = Self::sample_frames(frames, p, t);
+                speeds.push(last.map_or(0.0, |u| u.length()));
+                (path, speeds, evals)
             });
 
         let mut work = WorkCounters::new();
@@ -632,31 +635,20 @@ impl ParticleAdvection {
         let mut cells = CellSet::with_capacity(traces.len(), total_pts);
         let mut speed: Vec<f64> = Vec::with_capacity(total_pts);
         let mut conn: Vec<u32> = Vec::with_capacity(self.num_steps + 1);
-        for (path, times, _) in &traces {
+        for (path, speeds, _) in &traces {
             if path.len() < 2 {
                 continue;
             }
             let base = points.len() as u32;
             conn.clear();
             conn.extend((0..path.len()).map(|i| base + i as u32));
-            for (k, &p) in path.iter().enumerate() {
-                let t = times.get(k).copied().unwrap_or(t_start);
-                let v = Self::sample_frames(frames, p, t)
-                    .map(|u| u.length())
-                    .unwrap_or(0.0);
-                points.push(p);
-                speed.push(v);
-            }
+            points.extend_from_slice(path);
+            speed.extend_from_slice(speeds);
             cells.push(CellShape::PolyLine, &conn);
         }
 
         let mut ds = DataSet::explicit(points, cells);
-        let n = ds.num_points();
-        ds.add_field(Field::scalar(
-            "speed",
-            Association::Points,
-            speed[..n].to_vec(),
-        ));
+        ds.add_field(Field::scalar("speed", Association::Points, speed));
         FilterOutput::data(
             ds,
             vec![KernelReport::new(
@@ -765,7 +757,7 @@ mod tests {
         let mut p = p0;
         for _ in 0..2000 {
             match ParticleAdvection::rk4_series(frames, p, 0.0, 1e-3, false, &mut 0) {
-                Some(next) => p = next,
+                Some((next, _)) => p = next,
                 None => break,
             }
         }
@@ -798,6 +790,39 @@ mod tests {
         for &s in result.point_scalars("speed").unwrap() {
             assert!((s - 1.0).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn a_nan_velocity_ends_the_path_at_the_step_that_read_it() {
+        // +x flow at speed 1 over 4³ cells, NaN at the one point
+        // (4, 2, 2). The single sparse-grid seed is the box center and
+        // walks +x in steps of 0.04 inside cell row (·, 2, 2); the cell
+        // touching the NaN point starts at x = 0.75. Steps 0..=5 stay
+        // below it; step 6 starts at 0.74 and its last stage lands at
+        // 0.78, reads NaN, and must not become a path point.
+        let grid = UniformGrid::cube_cells(4);
+        let mut vel = vec![Vec3::X; grid.num_points()];
+        vel[grid.point_id(4, 2, 2)] = Vec3::new(f64::NAN, 0.0, 0.0);
+        let ds =
+            DataSet::uniform(grid).with_field(Field::vector("velocity", Association::Points, vel));
+        let h = 0.04 / ds.bounds().diagonal();
+        let out = ParticleAdvection::new("velocity", 1, 100, h, 1)
+            .with_scenario(FlowScenario {
+                seeding: Seeding::SparseGrid,
+                ..FlowScenario::default()
+            })
+            .execute(&ds);
+        let lines = out.dataset.unwrap();
+        let (points, cells) = lines.as_explicit().unwrap();
+        assert_eq!(cells.num_cells(), 1);
+        assert_eq!(points.len(), 7, "the seed and six completed steps");
+        assert!(points.iter().all(|p| p.is_finite()));
+        assert!((points[6].x - 0.74).abs() < 1e-12);
+        let speeds = lines.point_scalars("speed").unwrap();
+        assert!(speeds.iter().all(|&s| (s - 1.0).abs() < 1e-12));
+        // Six completed steps (the seventh's evaluations are not
+        // charged) plus the per-particle item.
+        assert_eq!(out.kernels[0].work.items, 6 + 1);
     }
 
     #[test]

@@ -6,6 +6,14 @@
 //! spatial acceleration structure* (a BVH), and (3) *trace the rays*.
 //! Output is an image database rendered from cameras orbiting the data
 //! set (50 per visualization cycle in the paper).
+//!
+//! Model charge and host walk differ in step 1 on purpose. VTK-m finds
+//! external faces by visiting every cell, and that all-cell visit is
+//! what the `rt-gather-faces` counters charge, because it is what the
+//! paper measured. The host knows a uniform grid's boundary cells by
+//! position and touches only that shell. Comparing this kernel's model
+//! to a stopwatch therefore compares against counted work, not against
+//! the host's gather time.
 
 use crate::colormap::ColorMap;
 use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
@@ -63,10 +71,24 @@ impl Triangle {
     }
 }
 
+/// Faces of a cell as corner-slot quads matching `cell_point_ids` order,
+/// with the outward direction each lies in.
+const CELL_FACES: [([usize; 4], [isize; 3]); 6] = [
+    ([0, 3, 2, 1], [0, 0, -1]),
+    ([4, 5, 6, 7], [0, 0, 1]),
+    ([0, 1, 5, 4], [0, -1, 0]),
+    ([1, 2, 6, 5], [1, 0, 0]),
+    ([2, 3, 7, 6], [0, 1, 0]),
+    ([3, 0, 4, 7], [-1, 0, 0]),
+];
+
 /// Extract the external faces of a structured dataset as triangles with
-/// the point scalar attached. For a uniform grid the external faces are
-/// the six domain boundary faces; the extraction still walks every cell
-/// via face parity, which is what makes this step data-intensive.
+/// the point scalar attached, in cell order. For a uniform grid the
+/// external faces are the six domain boundary faces, so the walk is over
+/// rows: a row on a `j` or `k` boundary emits every cell, any other row
+/// its first and last. The counters still charge one visit per cell —
+/// VTK-m's all-cell face-parity pass, which is what makes this step
+/// data-intensive in the paper — while the host touches only the shell.
 pub fn external_face_triangles(input: &DataSet, field: &str) -> (Vec<Triangle>, WorkCounters) {
     let grid = input
         .as_uniform()
@@ -81,22 +103,14 @@ pub fn external_face_triangles(input: &DataSet, field: &str) -> (Vec<Triangle>, 
     let quads = 2 * (cx * cy + cy * cz + cz * cx);
     let mut tris = Vec::with_capacity(2 * quads);
     let mut work = WorkCounters::new();
+    work.tally(grid.num_cells() as u64, 22, 0, 64, 0);
 
-    // Each cell contributes the faces that lie on the domain boundary.
-    // Faces as corner-slot quads matching cell_point_ids order.
-    const CELL_FACES: [([usize; 4], [isize; 3]); 6] = [
-        ([0, 3, 2, 1], [0, 0, -1]),
-        ([4, 5, 6, 7], [0, 0, 1]),
-        ([0, 1, 5, 4], [0, -1, 0]),
-        ([1, 2, 6, 5], [1, 0, 0]),
-        ([2, 3, 7, 6], [0, 1, 0]),
-        ([3, 0, 4, 7], [-1, 0, 0]),
-    ];
-    for c in 0..grid.num_cells() {
-        let [i, j, k] = grid.cell_ijk(c);
-        // Visit every cell (the gather is data intensive even when the
-        // cell is interior and contributes nothing).
-        work.tally(1, 22, 0, 64, 0);
+    let mut cell = grid.cell_at(0);
+    let mut emit = |id: usize| {
+        cell.seek(id);
+        let [i, j, k] = cell.ijk();
+        let ids = cell.point_ids();
+        let corners = cell.corners();
         for (slots, dir) in CELL_FACES {
             let boundary = match dir {
                 [0, 0, -1] => k == 0,
@@ -111,8 +125,6 @@ pub fn external_face_triangles(input: &DataSet, field: &str) -> (Vec<Triangle>, 
             if !boundary {
                 continue;
             }
-            let ids = grid.cell_point_ids(c);
-            let corners = grid.cell_corners(c);
             let quad_p: [Vec3; 4] = slots.map(|s| corners[s]);
             let quad_v: [f64; 4] = slots.map(|s| values[ids[s]]);
             tris.push(Triangle {
@@ -124,6 +136,19 @@ pub fn external_face_triangles(input: &DataSet, field: &str) -> (Vec<Triangle>, 
                 scalar: [quad_v[0], quad_v[2], quad_v[3]],
             });
             work.tally(2, 48, 6, 128, 144);
+        }
+    };
+    for k in 0..cz {
+        for j in 0..cy {
+            let row = cx * (j + cy * k);
+            if j == 0 || j == cy - 1 || k == 0 || k == cz - 1 {
+                (row..row + cx).for_each(&mut emit);
+            } else {
+                emit(row);
+                if cx > 1 {
+                    emit(row + cx - 1);
+                }
+            }
         }
     }
     work.working_set_bytes = (tris.len() * std::mem::size_of::<Triangle>()) as u64;
@@ -158,66 +183,183 @@ const LEAF_SIZE: usize = 4;
 /// the stack holds at most depth + 1 entries.
 const MAX_DEPTH: usize = 64;
 
+/// The longest range one build task takes whole; a longer one is split
+/// on the calling thread first. A property of the range, never of the
+/// thread count, so the task list is the same at every count.
+const BUILD_TASK_LEN: usize = 4096;
+
+/// Nodes in the tree over `n` triangles: `1 + node_count(n / 2) +
+/// node_count(n - n / 2)` above [`LEAF_SIZE`], in closed form. Halving
+/// `d` times leaves `2^d` ranges of `n >> d` or one more triangles;
+/// at the first depth where `n >> d` fits a leaf, only ranges of exactly
+/// `LEAF_SIZE + 1` split once more.
+fn node_count(n: usize) -> usize {
+    if n == 0 {
+        return 0;
+    }
+    let mut d = 0;
+    while n >> d > LEAF_SIZE {
+        d += 1;
+    }
+    let one_over = if n >> d == LEAF_SIZE {
+        n & ((1 << d) - 1)
+    } else {
+        0
+    };
+    (2 << d) - 1 + 2 * one_over
+}
+
+/// What the build moves around: a triangle's id with the key every
+/// split sorts it by, so each per-node pass reads one contiguous range.
+#[derive(Clone, Copy)]
+struct BuildItem {
+    centroid: Vec3,
+    id: u32,
+}
+
+/// A range of the item array with the node slots of the subtree over
+/// it: `node_count(items.len())` of them, the root first, at absolute
+/// positions `first_item` and `first_node` of the whole arrays.
+#[derive(Default)]
+struct Subtree<'a> {
+    items: &'a mut [BuildItem],
+    nodes: &'a mut [BvhNode],
+    first_item: usize,
+    first_node: usize,
+}
+
+impl<'a> Subtree<'a> {
+    /// Write this subtree's root. A range that fits a leaf gets its
+    /// bounds now (its items are in their final order); a longer one is
+    /// split at the median of its longest centroid axis and hands back
+    /// its two halves, bounds left for [`Bvh::build`]'s bottom-up pass.
+    fn split(self, tris: &[Triangle], work: &mut WorkCounters) -> Option<[Subtree<'a>; 2]> {
+        let Subtree {
+            items,
+            nodes,
+            first_item,
+            first_node,
+        } = self;
+        let n = items.len();
+        let (root, below) = nodes.split_first_mut()?;
+        work.tally(n as u64, 30, 18, 72, 8);
+        if n <= LEAF_SIZE {
+            let mut bounds = Aabb::empty();
+            for item in items.iter() {
+                bounds.union(&tris[item.id as usize].bounds());
+            }
+            *root = BvhNode {
+                bounds,
+                a: first_item as u32,
+                b: (first_item + n) as u32,
+                leaf: true,
+            };
+            return None;
+        }
+        let mut cb = Aabb::empty();
+        for item in items.iter() {
+            cb.grow(item.centroid);
+        }
+        let axis = cb.longest_axis();
+        items.select_nth_unstable_by(n / 2, |x, y| x.centroid[axis].total_cmp(&y.centroid[axis]));
+        work.tally(n as u64, 16, 4, 28, 4);
+        let left_nodes = node_count(n / 2);
+        *root = BvhNode {
+            bounds: Aabb::empty(),
+            a: (first_node + 1) as u32,
+            b: (first_node + 1 + left_nodes) as u32,
+            leaf: false,
+        };
+        let (left_items, right_items) = items.split_at_mut(n / 2);
+        let (left_slots, right_slots) = below.split_at_mut(left_nodes);
+        Some([
+            Subtree {
+                items: left_items,
+                nodes: left_slots,
+                first_item,
+                first_node: first_node + 1,
+            },
+            Subtree {
+                items: right_items,
+                nodes: right_slots,
+                first_item: first_item + n / 2,
+                first_node: first_node + 1 + left_nodes,
+            },
+        ])
+    }
+
+    /// Split all the way down, on the calling thread.
+    fn finish(self, tris: &[Triangle], work: &mut WorkCounters) {
+        let mut pending = Vec::with_capacity(MAX_DEPTH);
+        pending.push(self);
+        while let Some(subtree) = pending.pop() {
+            if let Some(halves) = subtree.split(tris, work) {
+                pending.extend(halves);
+            }
+        }
+    }
+}
+
 impl Bvh {
     /// Build over `tris`. Returns the structure and the build work.
     ///
-    /// The build is iterative over an explicit range stack; nodes land in
-    /// the same DFS preorder the old recursion produced (parent, left
-    /// subtree, right subtree), so traversal order — and the visit/test
-    /// statistics feeding the power model — is unchanged.
+    /// Nodes lie in DFS preorder (parent, left subtree, right subtree),
+    /// which fixes traversal order and with it the visit/test statistics
+    /// feeding the power model. `node_count` gives every subtree's
+    /// slot range before it is built, so ranges longer than
+    /// `BUILD_TASK_LEN` are split here and the disjoint subtrees below
+    /// them are built in parallel, each in its own slices of the item
+    /// and node arrays.
     pub fn build(tris: &[Triangle]) -> (Bvh, WorkCounters) {
         let mut work = WorkCounters::new();
-        let mut order: Vec<u32> = (0..tris.len() as u32).collect();
-        let mut nodes: Vec<BvhNode> =
-            Vec::with_capacity((2 * tris.len() / LEAF_SIZE).next_power_of_two());
-        // Pending ranges: (lo, hi, parent node, is-left-child). Children
-        // patch their parent's slot on creation; pushing the right range
-        // first means the left child pops next, preserving preorder.
-        let mut pending: Vec<(usize, usize, u32, bool)> = Vec::with_capacity(MAX_DEPTH);
-        if !tris.is_empty() {
-            pending.push((0, tris.len(), u32::MAX, false));
+        let mut items = par::map(tris.len(), crate::CELL_MIN_LEN, |t| BuildItem {
+            centroid: tris[t].centroid(),
+            id: t as u32,
+        });
+        let unbuilt = BvhNode {
+            bounds: Aabb::empty(),
+            a: 0,
+            b: 0,
+            leaf: true,
+        };
+        let mut nodes = vec![unbuilt; node_count(tris.len())];
+
+        let mut tasks = Vec::with_capacity(tris.len() / BUILD_TASK_LEN * 2 + 1);
+        let mut pending = Vec::with_capacity(MAX_DEPTH);
+        pending.push(Subtree {
+            items: &mut items,
+            nodes: &mut nodes,
+            first_item: 0,
+            first_node: 0,
+        });
+        while let Some(subtree) = pending.pop() {
+            if subtree.items.len() <= BUILD_TASK_LEN {
+                tasks.push((subtree, WorkCounters::new()));
+            } else if let Some(halves) = subtree.split(tris, &mut work) {
+                pending.extend(halves);
+            }
         }
-        while let Some((lo, hi, parent, is_left)) = pending.pop() {
-            let mut bounds = Aabb::empty();
-            for &t in &order[lo..hi] {
-                bounds.union(&tris[t as usize].bounds());
+        par::for_each_mut(&mut tasks, 1, |_, (subtree, work)| {
+            std::mem::take(subtree).finish(tris, work);
+        });
+        for (_, task_work) in &tasks {
+            work.merge(task_work);
+        }
+        drop(tasks);
+
+        // Children follow their parent in preorder, so walking backwards
+        // meets both before it; `min`/`max` are exact, so the union of
+        // two child boxes is the union of the triangles below them.
+        for n in (0..nodes.len()).rev() {
+            if !nodes[n].leaf {
+                let mut bounds = nodes[nodes[n].a as usize].bounds;
+                bounds.union(&nodes[nodes[n].b as usize].bounds);
+                nodes[n].bounds = bounds;
             }
-            work.tally((hi - lo) as u64, 30, 18, 72, 8);
-            let me = nodes.len() as u32;
-            nodes.push(BvhNode {
-                bounds,
-                a: lo as u32,
-                b: hi as u32,
-                leaf: true,
-            });
-            if parent != u32::MAX {
-                let p = &mut nodes[parent as usize];
-                if is_left {
-                    p.a = me;
-                } else {
-                    p.b = me;
-                }
-                p.leaf = false;
-            }
-            if hi - lo <= LEAF_SIZE {
-                continue;
-            }
-            // Median split on the longest axis of the centroid bounds.
-            let mut cb = Aabb::empty();
-            for &t in &order[lo..hi] {
-                cb.grow(tris[t as usize].centroid());
-            }
-            let axis = cb.longest_axis();
-            let mid = (lo + hi) / 2;
-            order[lo..hi].select_nth_unstable_by((hi - lo) / 2, |&x, &y| {
-                tris[x as usize].centroid()[axis].total_cmp(&tris[y as usize].centroid()[axis])
-            });
-            work.tally((hi - lo) as u64, 16, 4, 28, 4);
-            pending.push((mid, hi, me, false));
-            pending.push((lo, mid, me, true));
         }
         work.working_set_bytes =
             (nodes.len() * std::mem::size_of::<BvhNode>() + tris.len() * 4) as u64;
+        let order = items.iter().map(|item| item.id).collect();
         (Bvh { nodes, order }, work)
     }
 
@@ -339,11 +481,12 @@ impl Filter for RayTracer {
         for cam in &cameras {
             let mut img = Image::new(self.width, self.height);
             let rows = crate::RAY_MIN_LEN.div_ceil(width.max(1));
+            let view = cam.view(width, self.height);
             par::for_each_mut(&mut row_buf, rows, |y, (row, stats)| {
                 *stats = (0, 0);
                 row.clear();
                 row.extend((0..width).map(|x| {
-                    let ray = cam.pixel_ray(x, y, width, self.height);
+                    let ray = view.ray(x, y);
                     match bvh.intersect(&tris, &ray, stats) {
                         Some((t, ti, u, v)) => {
                             let tri = &tris[ti as usize];
@@ -406,6 +549,238 @@ mod tests {
             .map(|p| grid.point_coord_id(p).x)
             .collect();
         DataSet::uniform(grid).with_field(Field::scalar("f", Association::Points, vals))
+    }
+
+    /// The per-cell gather the row walk replaced: every cell visited
+    /// and decoded, every face tested.
+    fn reference_face_triangles(input: &DataSet, field: &str) -> (Vec<Triangle>, WorkCounters) {
+        let grid = input.as_uniform().unwrap();
+        let values = input.point_scalars(field).unwrap();
+        let [cx, cy, cz] = grid.cell_dims();
+        let mut tris = Vec::new();
+        let mut work = WorkCounters::new();
+        for c in 0..grid.num_cells() {
+            let [i, j, k] = grid.cell_ijk(c);
+            work.tally(1, 22, 0, 64, 0);
+            for (slots, dir) in CELL_FACES {
+                let boundary = match dir {
+                    [0, 0, -1] => k == 0,
+                    [0, 0, 1] => k == cz - 1,
+                    [0, -1, 0] => j == 0,
+                    [0, 1, 0] => j == cy - 1,
+                    [1, 0, 0] => i == cx - 1,
+                    [-1, 0, 0] => i == 0,
+                    _ => unreachable!(),
+                };
+                if !boundary {
+                    continue;
+                }
+                let ids = grid.cell_point_ids(c);
+                let corners = grid.cell_corners(c);
+                let quad_p: [Vec3; 4] = slots.map(|s| corners[s]);
+                let quad_v: [f64; 4] = slots.map(|s| values[ids[s]]);
+                tris.push(Triangle {
+                    p: [quad_p[0], quad_p[1], quad_p[2]],
+                    scalar: [quad_v[0], quad_v[1], quad_v[2]],
+                });
+                tris.push(Triangle {
+                    p: [quad_p[0], quad_p[2], quad_p[3]],
+                    scalar: [quad_v[0], quad_v[2], quad_v[3]],
+                });
+                work.tally(2, 48, 6, 128, 144);
+            }
+        }
+        work.working_set_bytes = (tris.len() * std::mem::size_of::<Triangle>()) as u64;
+        (tris, work)
+    }
+
+    /// The top-down build the in-place one replaced: `u32` ids selected
+    /// through a comparator that looks each centroid up, node bounds
+    /// from every triangle of the range at every level.
+    fn reference_build(tris: &[Triangle]) -> (Bvh, WorkCounters) {
+        let mut work = WorkCounters::new();
+        let mut order: Vec<u32> = (0..tris.len() as u32).collect();
+        let mut nodes: Vec<BvhNode> = Vec::new();
+        let mut pending: Vec<(usize, usize, u32, bool)> = Vec::new();
+        if !tris.is_empty() {
+            pending.push((0, tris.len(), u32::MAX, false));
+        }
+        while let Some((lo, hi, parent, is_left)) = pending.pop() {
+            let mut bounds = Aabb::empty();
+            for &t in &order[lo..hi] {
+                bounds.union(&tris[t as usize].bounds());
+            }
+            work.tally((hi - lo) as u64, 30, 18, 72, 8);
+            let me = nodes.len() as u32;
+            nodes.push(BvhNode {
+                bounds,
+                a: lo as u32,
+                b: hi as u32,
+                leaf: true,
+            });
+            if parent != u32::MAX {
+                let p = &mut nodes[parent as usize];
+                if is_left {
+                    p.a = me;
+                } else {
+                    p.b = me;
+                }
+                p.leaf = false;
+            }
+            if hi - lo <= LEAF_SIZE {
+                continue;
+            }
+            let mut cb = Aabb::empty();
+            for &t in &order[lo..hi] {
+                cb.grow(tris[t as usize].centroid());
+            }
+            let axis = cb.longest_axis();
+            let mid = (lo + hi) / 2;
+            order[lo..hi].select_nth_unstable_by((hi - lo) / 2, |&x, &y| {
+                tris[x as usize].centroid()[axis].total_cmp(&tris[y as usize].centroid()[axis])
+            });
+            work.tally((hi - lo) as u64, 16, 4, 28, 4);
+            pending.push((mid, hi, me, false));
+            pending.push((lo, mid, me, true));
+        }
+        work.working_set_bytes =
+            (nodes.len() * std::mem::size_of::<BvhNode>() + tris.len() * 4) as u64;
+        (Bvh { nodes, order }, work)
+    }
+
+    fn bits(v: Vec3) -> [u64; 3] {
+        [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]
+    }
+
+    fn assert_same_tree(got: &(Bvh, WorkCounters), want: &(Bvh, WorkCounters), what: &str) {
+        assert_eq!(got.0.order, want.0.order, "{what}: order");
+        assert_eq!(got.0.nodes.len(), want.0.nodes.len(), "{what}: node count");
+        for (n, (g, w)) in got.0.nodes.iter().zip(&want.0.nodes).enumerate() {
+            assert_eq!(
+                (g.a, g.b, g.leaf, bits(g.bounds.min), bits(g.bounds.max)),
+                (w.a, w.b, w.leaf, bits(w.bounds.min), bits(w.bounds.max)),
+                "{what}: node {n}"
+            );
+        }
+        assert_eq!(got.1, want.1, "{what}: build work");
+    }
+
+    /// The build at 1, 4 and 16 threads against the reference.
+    fn assert_build_matches_reference(tris: &[Triangle], what: &str) {
+        let want = reference_build(tris);
+        for threads in [1, 4, 16] {
+            let got = par::with_threads(threads, || Bvh::build(tris));
+            assert_same_tree(&got, &want, &format!("{what}, {threads} threads"));
+        }
+    }
+
+    /// `[cx, cy, cz]` cells off the origin with unequal spacings and a
+    /// point field that differs at every point.
+    fn shell(cell_dims: [usize; 3]) -> DataSet {
+        let grid = UniformGrid::from_cell_dims(
+            cell_dims,
+            Aabb::new(Vec3::new(-0.5, 0.25, 1.0), Vec3::new(1.5, 1.0, 1.75)),
+        );
+        let vals: Vec<f64> = (0..grid.num_points())
+            .map(|p| (p as f64 * 0.37).sin())
+            .collect();
+        DataSet::uniform(grid).with_field(Field::scalar("f", Association::Points, vals))
+    }
+
+    /// The seeded soup of 400 small triangles.
+    fn soup(rng: &mut XorShift) -> Vec<Triangle> {
+        let mut v3 = |r: f64| Vec3::new(rng.range(-r, r), rng.range(-r, r), rng.range(-r, r));
+        (0..400)
+            .map(|_| {
+                let base = v3(1.0);
+                Triangle {
+                    p: [base, base + v3(0.2), base + v3(0.2)],
+                    scalar: [0.0; 3],
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_walk_gathers_the_per_cell_triangle_list() {
+        for dims in [[1, 1, 1], [1, 5, 3], [4, 1, 6], [5, 7, 9], [24, 24, 24]] {
+            let ds = shell(dims);
+            let (got, got_work) = external_face_triangles(&ds, "f");
+            let (want, want_work) = reference_face_triangles(&ds, "f");
+            assert_eq!(got.len(), want.len(), "{dims:?}");
+            for (t, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.p.map(bits), w.p.map(bits), "{dims:?}: triangle {t}");
+                assert_eq!(
+                    g.scalar.map(f64::to_bits),
+                    w.scalar.map(f64::to_bits),
+                    "{dims:?}: triangle {t}"
+                );
+            }
+            assert_eq!(got_work, want_work, "{dims:?}");
+        }
+    }
+
+    #[test]
+    fn in_place_build_is_the_top_down_build_on_grid_shells() {
+        // 24³ is 6912 triangles: the only one here longer than a build
+        // task, so the one whose halves are built apart.
+        for dims in [[1, 1, 1], [1, 5, 3], [4, 1, 6], [5, 7, 9], [24, 24, 24]] {
+            let (tris, _) = external_face_triangles(&shell(dims), "f");
+            assert_build_matches_reference(&tris, &format!("{dims:?}"));
+        }
+    }
+
+    #[test]
+    fn in_place_build_is_the_top_down_build_on_soups_and_ties() {
+        let mut rng = XorShift::from_seed(0x5eed);
+        let soup = soup(&mut rng);
+        assert_build_matches_reference(&soup, "soup");
+        for n in 0..=9 {
+            assert_build_matches_reference(&soup[..n], &format!("{n} triangles"));
+        }
+        // The permutation among equal keys is `select_nth_unstable_by`'s;
+        // moving 32-byte items instead of `u32` ids must not change it.
+        let identical = vec![soup[0]; 300];
+        assert_build_matches_reference(&identical, "identical triangles");
+        // Centroids on a line along y: x and z tie everywhere, and y
+        // takes each of 11 values some 27 times. Enough of them (9000)
+        // to be cut into tasks.
+        let line: Vec<Triangle> = (0..9000)
+            .map(|i| {
+                let base = Vec3::new(0.25, (i % 11) as f64, -1.0);
+                Triangle {
+                    p: [base, base + Vec3::X, base + Vec3::Z],
+                    scalar: [0.0; 3],
+                }
+            })
+            .collect();
+        assert_build_matches_reference(&line, "tied centroids");
+    }
+
+    #[test]
+    fn node_count_is_the_recurrence_and_the_built_length() {
+        fn recurrence(n: usize) -> usize {
+            match n {
+                0 => 0,
+                n if n <= LEAF_SIZE => 1,
+                n => 1 + recurrence(n / 2) + recurrence(n - n / 2),
+            }
+        }
+        let tri = Triangle {
+            p: [Vec3::ZERO, Vec3::X, Vec3::Y],
+            scalar: [0.0; 3],
+        };
+        let tris = vec![tri; 4096];
+        for n in 0..=4096 {
+            assert_eq!(node_count(n), recurrence(n), "n = {n}");
+        }
+        for n in (0..=64).chain([100, 1000, 4095, 4096]) {
+            assert_eq!(
+                Bvh::build(&tris[..n]).0.num_nodes(),
+                node_count(n),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]
@@ -523,28 +898,7 @@ mod tests {
         // levels of median splits and exercise the explicit-stack
         // traversal against the O(n) oracle.
         let mut rng = XorShift::from_seed(0x5eed);
-        let mut tris = Vec::with_capacity(400);
-        for _ in 0..400 {
-            let base = Vec3::new(
-                rng.range(-1.0, 1.0),
-                rng.range(-1.0, 1.0),
-                rng.range(-1.0, 1.0),
-            );
-            let e1 = Vec3::new(
-                rng.range(-0.2, 0.2),
-                rng.range(-0.2, 0.2),
-                rng.range(-0.2, 0.2),
-            );
-            let e2 = Vec3::new(
-                rng.range(-0.2, 0.2),
-                rng.range(-0.2, 0.2),
-                rng.range(-0.2, 0.2),
-            );
-            tris.push(Triangle {
-                p: [base, base + e1, base + e2],
-                scalar: [0.0; 3],
-            });
-        }
+        let tris = soup(&mut rng);
         let (bvh, _) = Bvh::build(&tris);
         let mut rays_hit = 0;
         for i in 0..64 {

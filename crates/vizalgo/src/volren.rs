@@ -83,11 +83,12 @@ impl Filter for VolumeRenderer {
         for cam in &cameras {
             let mut img = Image::new(self.width, self.height);
             let rows = crate::RAY_MIN_LEN.div_ceil(width.max(1));
+            let view = cam.view(width, self.height);
             par::for_each_mut(&mut row_buf, rows, |y, (row, samples)| {
                 *samples = 0;
                 row.clear();
                 row.extend((0..width).map(|x| {
-                    let ray = cam.pixel_ray(x, y, width, self.height);
+                    let ray = view.ray(x, y);
                     let inv = ray.inv_direction();
                     let Some((t0, t1)) = bounds.intersect_ray(ray.origin, inv, 0.0, f64::INFINITY)
                     else {

@@ -116,3 +116,145 @@ fn default_advection_output_and_counters_are_pinned() {
         )
     );
 }
+
+/// The render class — particle advection, ray tracing, volume rendering
+/// — pinned the way the geometry filters are, but over raw bits rather
+/// than a `Debug` rendering: every pixel's four `f32` patterns and its
+/// depth, every output point, `speed` value and polyline connectivity
+/// (`dataset_fingerprint`), and all six counters of every kernel
+/// report. Captured at the commit before the samplers, the BVH build
+/// and the face gather were rewritten; asserted at 1, 4 and 16 threads.
+mod render {
+    use super::*;
+    use cloverleaf::{Problem, SimConfig, Simulation};
+    use std::sync::Arc;
+    use vizalgo::{
+        Filter, FilterOutput, FlowMode, FlowScenario, Fnv1a, ParticleAdvection, RayTracer,
+        StepControl, VolumeRenderer,
+    };
+    use vizmesh::{Aabb, FieldSeries};
+
+    fn fingerprint(out: &FilterOutput) -> u64 {
+        let mut h = Fnv1a::new();
+        h.update_u64(out.images.len() as u64);
+        for img in &out.images {
+            h.update_u64(img.width() as u64);
+            h.update_u64(img.height() as u64);
+            for y in 0..img.height() {
+                for x in 0..img.width() {
+                    for c in img.get(x, y) {
+                        h.update_u64(u64::from(c.to_bits()));
+                    }
+                    h.update_u64(u64::from(img.depth_at(x, y).to_bits()));
+                }
+            }
+        }
+        if let Some(ds) = &out.dataset {
+            h.update_u64(dataset_fingerprint(ds));
+        }
+        for k in &out.kernels {
+            h.update(k.name.as_bytes());
+            let w = &k.work;
+            for v in [
+                w.items,
+                w.instructions,
+                w.flops,
+                w.bytes_read,
+                w.bytes_written,
+                w.working_set_bytes,
+            ] {
+                h.update_u64(v);
+            }
+        }
+        h.finish48()
+    }
+
+    /// Three exports of a 16³ `TwoState` run (steps 8, 16 and 24): real
+    /// hydro fields with a shock front in them.
+    fn two_state_series() -> FieldSeries {
+        let mut sim = Simulation::new(Problem::TwoState, 16, SimConfig::default());
+        let mut series = FieldSeries::with_capacity(3);
+        sim.run_steps_recording(24, 8, &mut series);
+        assert_eq!(series.len(), 3);
+        series
+    }
+
+    /// A `12 × 9 × 7`-cell grid off the origin with unequal spacings (a
+    /// stride or axis mix-up is invisible on a cube), a smooth
+    /// non-separable `energy` and a rotation about a tilted axis that
+    /// speeds up from frame to frame.
+    fn slab_series() -> FieldSeries {
+        let grid = UniformGrid::from_cell_dims(
+            [12, 9, 7],
+            Aabb::new(Vec3::new(-0.3, 0.2, 1.0), Vec3::new(1.5, 1.1, 1.84)),
+        );
+        let c = grid.bounds().center();
+        let energy: Vec<f64> = (0..grid.num_points())
+            .map(|p| {
+                let q = grid.point_coord_id(p);
+                (3.0 * q.x * q.y - 2.0 * q.z).sin() + 0.5 * (q.x + 2.0 * q.y * q.z).cos()
+            })
+            .collect();
+        let mut series = FieldSeries::with_capacity(3);
+        for (frame, gain) in [1.0, 1.6, 2.5].into_iter().enumerate() {
+            let velocity: Vec<Vec3> = (0..grid.num_points())
+                .map(|p| Vec3::new(0.2, 1.0, 0.4).cross(grid.point_coord_id(p) - c) * gain)
+                .collect();
+            let ds = DataSet::uniform(grid.clone())
+                .with_field(Field::scalar("energy", Association::Points, energy.clone()))
+                .with_field(Field::vector("velocity", Association::Points, velocity));
+            series.record(0.05 * frame as f64, Arc::new(ds));
+        }
+        series
+    }
+
+    /// The four render-class outputs of one series: fixed-step
+    /// streamlines and both renderers on its last frame, adaptive
+    /// pathlines through all three.
+    fn outputs(series: &FieldSeries, step_fraction: f64) -> [u64; 4] {
+        let (_, last) = series.get(series.len() - 1).expect("three frames");
+        let streamlines = ParticleAdvection::new("velocity", 64, 150, step_fraction, 7);
+        let pathlines = ParticleAdvection::new("velocity", 40, 60, step_fraction, 11)
+            .with_scenario(FlowScenario {
+                mode: FlowMode::Pathline,
+                step_control: StepControl::Adaptive { tol: 1e-6 },
+                ..FlowScenario::default()
+            });
+        [
+            fingerprint(&streamlines.execute(last)),
+            fingerprint(&pathlines.execute_series(series)),
+            fingerprint(&RayTracer::new("energy", 48, 40, 3).execute(last)),
+            fingerprint(&VolumeRenderer::new("energy", 48, 40, 3).execute(last)),
+        ]
+    }
+
+    /// `outputs` of the `TwoState` series, then of the slab series.
+    const PINS: [[u64; 4]; 2] = [
+        [
+            18303836942562,
+            1742132235892,
+            246140721416057,
+            54987369516326,
+        ],
+        [
+            78635738077766,
+            97879418617477,
+            198159564775326,
+            246258393409061,
+        ],
+    ];
+
+    #[test]
+    fn render_outputs_and_counters_are_pinned_at_1_4_and_16_threads() {
+        let two_state = two_state_series();
+        let slab = slab_series();
+        for threads in [1, 4, 16] {
+            // The hydro flow peaks at 0.1 length units per time unit, so
+            // its particles get a long step; the slab's rotation is 30×
+            // faster and carries a third of its seeds out of the box.
+            let got =
+                par::with_threads(threads, || [outputs(&two_state, 0.2), outputs(&slab, 2e-3)]);
+            assert_eq!(got, PINS, "{threads} threads");
+        }
+    }
+}

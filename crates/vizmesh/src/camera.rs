@@ -39,6 +39,33 @@ impl Ray {
     }
 }
 
+/// A [`Camera`] aimed at an image of a given size: its basis and the
+/// half extents of the image plane, which every pixel's ray shares.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct View {
+    position: Vec3,
+    right: Vec3,
+    up: Vec3,
+    forward: Vec3,
+    half_w: f64,
+    half_h: f64,
+    width: f64,
+    height: f64,
+}
+
+impl View {
+    /// The primary ray through the center of pixel `(x, y)`, y up.
+    #[inline]
+    pub fn ray(&self, x: usize, y: usize) -> Ray {
+        let u = ((x as f64 + 0.5) / self.width) * 2.0 - 1.0;
+        let v = ((y as f64 + 0.5) / self.height) * 2.0 - 1.0;
+        Ray::new(
+            self.position,
+            self.forward + self.right * (u * self.half_w) + self.up * (v * self.half_h),
+        )
+    }
+}
+
 /// Pinhole camera.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Camera {
@@ -91,19 +118,29 @@ impl Camera {
         (right, true_up, forward)
     }
 
-    /// Generate the primary ray through pixel `(x, y)` of a
-    /// `width × height` image; pixel centers, y up.
-    pub fn pixel_ray(&self, x: usize, y: usize, width: usize, height: usize) -> Ray {
+    /// Everything about a `width × height` image that does not depend
+    /// on the pixel, resolved once.
+    pub fn view(&self, width: usize, height: usize) -> View {
         let (right, up, forward) = self.basis();
         let aspect = width as f64 / height as f64;
         let half_h = (self.fov_y_degrees.to_radians() * 0.5).tan();
-        let half_w = half_h * aspect;
-        let u = ((x as f64 + 0.5) / width as f64) * 2.0 - 1.0;
-        let v = ((y as f64 + 0.5) / height as f64) * 2.0 - 1.0;
-        Ray::new(
-            self.position,
-            forward + right * (u * half_w) + up * (v * half_h),
-        )
+        View {
+            position: self.position,
+            right,
+            up,
+            forward,
+            half_w: half_h * aspect,
+            half_h,
+            width: width as f64,
+            height: height as f64,
+        }
+    }
+
+    /// Generate the primary ray through pixel `(x, y)` of a
+    /// `width × height` image; pixel centers, y up. A renderer's pixel
+    /// loop takes [`Camera::view`] once and calls [`View::ray`].
+    pub fn pixel_ray(&self, x: usize, y: usize, width: usize, height: usize) -> Ray {
+        self.view(width, height).ray(x, y)
     }
 
     /// `count` cameras orbiting the center of `bounds` in the equatorial

@@ -141,11 +141,14 @@ impl UniformGrid {
     /// World-space coordinates of a point.
     #[inline]
     pub fn point_coord(&self, i: usize, j: usize, k: usize) -> Vec3 {
+        // An index is below 2⁶³, so `as i64` changes no value; it lets
+        // x86-64 convert in one instruction instead of `usize`'s several,
+        // on the path every trilinear sample waits for.
         self.origin
             + Vec3::new(
-                self.spacing.x * i as f64,
-                self.spacing.y * j as f64,
-                self.spacing.z * k as f64,
+                self.spacing.x * (i as i64 as f64),
+                self.spacing.y * (j as i64 as f64),
+                self.spacing.z * (k as i64 as f64),
             )
     }
 
@@ -258,72 +261,106 @@ impl UniformGrid {
         })
     }
 
-    /// Cell containing world point `p`, or `None` if outside the grid.
-    pub fn locate_cell(&self, p: Vec3) -> Option<usize> {
+    /// `(i, j, k)` of the cell containing world point `p`, or `None`
+    /// outside the grid: the one inside test every locate and sample
+    /// goes through. A NaN component fails both comparisons, so a NaN
+    /// position is outside.
+    #[inline]
+    fn locate_ijk(&self, p: Vec3) -> Option<[usize; 3]> {
         let rel = p - self.origin;
         let [cx, cy, cz] = self.cell_dims();
         let fx = rel.x / self.spacing.x;
         let fy = rel.y / self.spacing.y;
         let fz = rel.z / self.spacing.z;
-        if fx < 0.0 || fy < 0.0 || fz < 0.0 {
-            return None;
-        }
+        let inside = (0.0..=cx as f64).contains(&fx)
+            && (0.0..=cy as f64).contains(&fy)
+            && (0.0..=cz as f64).contains(&fz);
         // Points exactly on the far boundary belong to the last cell.
-        let i = (fx as usize).min(cx.checked_sub(1)?);
-        let j = (fy as usize).min(cy.checked_sub(1)?);
-        let k = (fz as usize).min(cz.checked_sub(1)?);
-        if fx > cx as f64 || fy > cy as f64 || fz > cz as f64 {
-            return None;
-        }
+        // The casts go through `i64` (the values are in `0..=cx`): one
+        // instruction on x86-64, where `f64 as usize` is a sequence.
+        inside.then(|| {
+            [
+                (fx as i64 as usize).min(cx - 1),
+                (fy as i64 as usize).min(cy - 1),
+                (fz as i64 as usize).min(cz - 1),
+            ]
+        })
+    }
+
+    /// Cell containing world point `p`, or `None` if outside the grid.
+    pub fn locate_cell(&self, p: Vec3) -> Option<usize> {
+        let [i, j, k] = self.locate_ijk(p)?;
         Some(self.cell_id(i, j, k))
     }
 
-    /// Trilinear interpolation of a point-centered scalar field at world
-    /// point `p`. Returns `None` outside the grid or when `values` has the
-    /// wrong length.
-    pub fn sample_scalar(&self, values: &[f64], p: Vec3) -> Option<f64> {
-        if values.len() != self.num_points() {
-            return None;
-        }
-        let cell = self.cell_at(self.locate_cell(p)?);
-        let [i, j, k] = cell.ijk();
+    /// What a trilinear sample at `p` needs: the point id of corner 0 of
+    /// the containing cell, and `p`'s weights in `[0, 1]³` from that
+    /// corner.
+    #[inline]
+    fn locate_trilinear(&self, p: Vec3) -> Option<(usize, Vec3)> {
+        let [i, j, k] = self.locate_ijk(p)?;
         let p0 = self.point_coord(i, j, k);
         let t = Vec3::new(
             ((p.x - p0.x) / self.spacing.x).clamp(0.0, 1.0),
             ((p.y - p0.y) / self.spacing.y).clamp(0.0, 1.0),
             ((p.z - p0.z) / self.spacing.z).clamp(0.0, 1.0),
         );
-        let ids = cell.point_ids();
-        let v = |n: usize| values[ids[n]];
+        Some((self.point_id(i, j, k), t))
+    }
+
+    /// The eight corner values of the cell whose corner 0 is point
+    /// `base`, in VTK hexahedron order (the figure at
+    /// [`Self::cell_point_ids`]): two slices of one row and the start of
+    /// the next, one per z level — two bounds checks, not eight.
+    #[inline]
+    fn corner_values<T: Copy>(&self, values: &[T], base: usize) -> [T; 8] {
+        let [nx, ny, _nz] = self.point_dims;
+        let lo = &values[base..base + nx + 2];
+        let hi = &values[base + nx * ny..][..nx + 2];
+        [
+            lo[0],
+            lo[1],
+            lo[nx + 1],
+            lo[nx],
+            hi[0],
+            hi[1],
+            hi[nx + 1],
+            hi[nx],
+        ]
+    }
+
+    /// Trilinear interpolation of a point-centered scalar field at world
+    /// point `p`. Returns `None` outside the grid or when `values` has the
+    /// wrong length.
+    #[inline]
+    pub fn sample_scalar(&self, values: &[f64], p: Vec3) -> Option<f64> {
+        if values.len() != self.num_points() {
+            return None;
+        }
+        let (base, t) = self.locate_trilinear(p)?;
+        let v = self.corner_values(values, base);
         // Interpolate along x on the four edges, then y, then z.
-        let c00 = v(0) + (v(1) - v(0)) * t.x;
-        let c10 = v(3) + (v(2) - v(3)) * t.x;
-        let c01 = v(4) + (v(5) - v(4)) * t.x;
-        let c11 = v(7) + (v(6) - v(7)) * t.x;
+        let c00 = v[0] + (v[1] - v[0]) * t.x;
+        let c10 = v[3] + (v[2] - v[3]) * t.x;
+        let c01 = v[4] + (v[5] - v[4]) * t.x;
+        let c11 = v[7] + (v[6] - v[7]) * t.x;
         let c0 = c00 + (c10 - c00) * t.y;
         let c1 = c01 + (c11 - c01) * t.y;
         Some(c0 + (c1 - c0) * t.z)
     }
 
     /// Trilinear interpolation of a point-centered vector field at `p`.
+    #[inline]
     pub fn sample_vector(&self, values: &[Vec3], p: Vec3) -> Option<Vec3> {
         if values.len() != self.num_points() {
             return None;
         }
-        let cell = self.cell_at(self.locate_cell(p)?);
-        let [i, j, k] = cell.ijk();
-        let p0 = self.point_coord(i, j, k);
-        let t = Vec3::new(
-            ((p.x - p0.x) / self.spacing.x).clamp(0.0, 1.0),
-            ((p.y - p0.y) / self.spacing.y).clamp(0.0, 1.0),
-            ((p.z - p0.z) / self.spacing.z).clamp(0.0, 1.0),
-        );
-        let ids = cell.point_ids();
-        let v = |n: usize| values[ids[n]];
-        let c00 = v(0).lerp(v(1), t.x);
-        let c10 = v(3).lerp(v(2), t.x);
-        let c01 = v(4).lerp(v(5), t.x);
-        let c11 = v(7).lerp(v(6), t.x);
+        let (base, t) = self.locate_trilinear(p)?;
+        let v = self.corner_values(values, base);
+        let c00 = v[0].lerp(v[1], t.x);
+        let c10 = v[3].lerp(v[2], t.x);
+        let c01 = v[4].lerp(v[5], t.x);
+        let c11 = v[7].lerp(v[6], t.x);
         let c0 = c00.lerp(c10, t.y);
         let c1 = c01.lerp(c11, t.y);
         Some(c0.lerp(c1, t.z))
@@ -566,6 +603,61 @@ mod tests {
         let values = vec![0.0; g.num_points()];
         assert!(g.sample_scalar(&values, Vec3::splat(2.0)).is_none());
         assert!(g.sample_scalar(&values[..3], Vec3::splat(0.5)).is_none());
+    }
+
+    #[test]
+    fn nan_and_infinite_positions_are_outside() {
+        // `NaN < 0.0` and `NaN > cx` are both false and `NaN as usize` is
+        // 0: an inside test written as two rejections files NaN under
+        // cell 0.
+        let g = UniformGrid::new(
+            [4, 5, 6],
+            Vec3::new(-1.0, 0.5, 2.0),
+            Vec3::new(0.5, 0.25, 1.0),
+        );
+        let scalars = vec![1.0; g.num_points()];
+        let vectors = vec![Vec3::ONE; g.num_points()];
+        let inside = g.bounds().center();
+        assert!(g.locate_cell(inside).is_some());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for axis in 0..3 {
+                let mut xyz = [inside.x, inside.y, inside.z];
+                xyz[axis] = bad;
+                let p = Vec3::new(xyz[0], xyz[1], xyz[2]);
+                assert_eq!(g.locate_cell(p), None, "{bad} on axis {axis}");
+                assert_eq!(g.sample_scalar(&scalars, p), None, "{bad} on axis {axis}");
+                assert_eq!(g.sample_vector(&vectors, p), None, "{bad} on axis {axis}");
+            }
+        }
+    }
+
+    #[test]
+    fn samples_read_the_located_cells_corners_on_a_non_cubic_grid() {
+        // Every point holds its own id, so a sample at a cell center is
+        // the mean of that cell's corner ids: any stride mix-up between
+        // the axes moves it.
+        let g = UniformGrid::new(
+            [4, 5, 6],
+            Vec3::new(-1.0, 0.5, 2.0),
+            Vec3::new(0.5, 0.25, 1.0),
+        );
+        let ids: Vec<f64> = (0..g.num_points()).map(|id| id as f64).collect();
+        let vec_ids: Vec<Vec3> = ids.iter().map(|&id| Vec3::new(id, -id, 2.0 * id)).collect();
+        for cell in 0..g.num_cells() {
+            let center = g.cell_center(cell);
+            assert_eq!(g.locate_cell(center), Some(cell));
+            let mean = g.cell_point_ids(cell).iter().sum::<usize>() as f64 / 8.0;
+            let s = g.sample_scalar(&ids, center).unwrap();
+            assert!((s - mean).abs() < 1e-9, "cell {cell}: {s} vs {mean}");
+            let v = g.sample_vector(&vec_ids, center).unwrap();
+            assert!((v - Vec3::new(mean, -mean, 2.0 * mean)).length() < 1e-9);
+        }
+        // Corner 0 of the first cell and the far corner of the last.
+        assert_eq!(g.sample_scalar(&ids, g.origin()), Some(0.0));
+        assert_eq!(
+            g.sample_scalar(&ids, g.bounds().max),
+            Some((g.num_points() - 1) as f64)
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod vec3;
 pub mod vtkio;
 
 pub use bounds::Aabb;
-pub use camera::{Camera, Ray};
+pub use camera::{Camera, Ray, View};
 pub use cells::{CellSet, CellShape};
 pub use counters::WorkCounters;
 pub use dataset::DataSet;

@@ -118,6 +118,11 @@ const CI_STEPS: &[(&str, &str, Option<(&str, &str)>)] = &[
         Some(("VIZPOWER_THREADS", "1")),
     ),
     (
+        "Test the mesh and kernel crates at sixteen threads",
+        "cargo test -q -p vizmesh -p vizalgo",
+        Some(("VIZPOWER_THREADS", "16")),
+    ),
+    (
         "Conformance (quick)",
         "cargo run --release --bin reproduce -- conformance --quick",
         None,

@@ -101,9 +101,10 @@ fn render_soup(tris: &[Triangle], px: usize) -> Image {
     });
     let cmap = ColorMap::cool_to_warm();
     let mut img = Image::new(px, px);
+    let view = cam.view(px, px);
     for y in 0..px {
         for x in 0..px {
-            let ray = cam.pixel_ray(x, y, px, px);
+            let ray = view.ray(x, y);
             let mut stats = (0, 0);
             if let Some((t, ti, u, v)) = bvh.intersect(tris, &ray, &mut stats) {
                 let tri = &tris[ti as usize];
