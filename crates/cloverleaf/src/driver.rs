@@ -198,15 +198,6 @@ impl Simulation {
         total
     }
 
-    /// Run `n` steps like [`Simulation::run_steps`], journaling each.
-    pub fn run_steps_journaled(&mut self, n: u64, journal: &mut Journal) -> WorkCounters {
-        let mut total = WorkCounters::new();
-        for _ in 0..n {
-            total += self.step_journaled(journal).work;
-        }
-        total
-    }
-
     /// Run `n` steps, recording a snapshot of the state into `series`
     /// every `every`-th step (by global step count) — the feed for
     /// time-varying consumers (pathline advection). The series' ring
@@ -220,13 +211,13 @@ impl Simulation {
         every: u64,
         series: &mut FieldSeries,
     ) -> WorkCounters {
-        self.run_recording(n, every, series, None)
+        self.run_steps_recording_journaled(n, every, series, &mut Journal::off())
     }
 
-    /// [`Simulation::run_steps_recording`] with the journaling of
-    /// [`Simulation::run_steps_journaled`]. Snapshot recording itself
-    /// emits nothing: the journal sees exactly the same timestep spans
-    /// as an unrecorded run, so recording cannot perturb golden traces.
+    /// [`Simulation::run_steps_recording`], journaling each step like
+    /// [`Simulation::step_journaled`]. Snapshot recording itself emits
+    /// nothing: the journal sees exactly the same timestep spans as an
+    /// unrecorded run, so recording cannot perturb golden traces.
     pub fn run_steps_recording_journaled(
         &mut self,
         n: u64,
@@ -234,25 +225,11 @@ impl Simulation {
         series: &mut FieldSeries,
         journal: &mut Journal,
     ) -> WorkCounters {
-        self.run_recording(n, every, series, Some(journal))
-    }
-
-    fn run_recording(
-        &mut self,
-        n: u64,
-        every: u64,
-        series: &mut FieldSeries,
-        mut journal: Option<&mut Journal>,
-    ) -> WorkCounters {
         // lint: cadence precondition, caller bug
         assert!(every > 0, "recording cadence must be positive");
         let mut total = WorkCounters::new();
         for _ in 0..n {
-            let report = match journal.as_deref_mut() {
-                Some(j) => self.step_journaled(j),
-                None => self.step(),
-            };
-            total += report.work;
+            total += self.step_journaled(journal).work;
             if self.step.is_multiple_of(every) {
                 series.record(self.time, Arc::new(self.dataset()));
             }
@@ -335,7 +312,9 @@ mod tests {
         use powersim::trace::Event;
         let mut sim = Simulation::new(Problem::TwoState, 6, SimConfig::default());
         let mut journal = Journal::with_capacity(64);
-        sim.run_steps_journaled(5, &mut journal);
+        for _ in 0..5 {
+            sim.step_journaled(&mut journal);
+        }
         assert!((journal.now() - sim.time()).abs() < 1e-12);
         let spans = journal
             .events()

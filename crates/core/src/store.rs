@@ -2,15 +2,16 @@
 //! on it.
 //!
 //! [`Memo`] maps a key to an `Arc<V>` with one structural guarantee:
-//! for any key the compute closure runs at most once no matter how many
-//! threads ask concurrently. The first caller inserts an in-flight
-//! marker and computes *outside* the shard lock; everyone else parks on
-//! that marker's condvar and receives the same `Arc`. Shard locks are
-//! held for map bookkeeping only, so a leader may itself ask the memo
-//! for a different key, and a compute that panics does not wedge its
-//! key: a drop guard fails the flight on unwind and a woken waiter
-//! becomes the next leader (the panic still reaches whoever joins the
-//! leader's thread).
+//! for any key the compute closure runs to completion at most once no
+//! matter how many threads ask concurrently. Each key owns a cell — an
+//! `Arc<OnceLock<Arc<V>>>` — that a caller clones out of its shard's map
+//! and initialises *outside* the shard lock; [`OnceLock`] is the
+//! rendezvous: one caller runs its closure, the rest block in
+//! `get_or_init` and receive the same `Arc`. Shard locks are held for
+//! the map lookup only, so a compute may itself ask the memo for a
+//! different key, and a compute that panics does not wedge its key: the
+//! cell stays empty, a blocked caller runs its own closure next (the
+//! panic still reaches whoever joins the panicking thread).
 //!
 //! It is used only where two threads can really ask for the same key:
 //! [`DatasetStore`] below (datasets and their fingerprints by size,
@@ -22,7 +23,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use cloverleaf::{Problem, SimConfig, Simulation};
 use powersim::trace::{Journal, Scope};
@@ -30,70 +31,14 @@ use vizmesh::DataSet;
 
 use crate::study::{upsample, HYDRO_BASE_MAX, HYDRO_T_END};
 
-/// Counter snapshot: how lookups resolved since the memo was built.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemoStats {
-    /// Lookups answered from a resident entry.
-    pub hits: u64,
-    /// Lookups that computed a new entry.
-    pub misses: u64,
-    /// Lookups that waited on another thread's in-flight compute.
-    pub coalesced: u64,
-}
-
-/// A published-or-pending slot.
-enum Slot<V> {
-    Ready(Arc<V>),
-    InFlight(Arc<Flight<V>>),
-}
-
-/// Rendezvous for threads waiting on an in-flight compute.
-struct Flight<V> {
-    state: Mutex<FlightState<V>>,
-    settled: Condvar,
-}
-
-enum FlightState<V> {
-    Pending,
-    Ready(Arc<V>),
-    /// The leader unwound without a value; waiters look the key up again.
-    Failed,
-}
-
-/// Armed while the leader computes: if the compute unwinds, take the
-/// in-flight marker back out of the shard and fail the flight, so no
-/// waiter blocks on a value that will never come.
-struct LeaderGuard<'a, K: Copy + Eq + Hash, V> {
-    memo: &'a Memo<K, V>,
-    key: K,
-    flight: &'a Arc<Flight<V>>,
-    published: bool,
-}
-
-impl<K: Copy + Eq + Hash, V> Drop for LeaderGuard<'_, K, V> {
-    fn drop(&mut self) {
-        if self.published {
-            return;
-        }
-        // Runs during an unwind, so it must not panic: a poisoned lock is
-        // entered anyway (both maps stay valid at every step).
-        let mut shard = (self.memo.shard(&self.key).lock()).unwrap_or_else(PoisonError::into_inner);
-        if matches!(shard.get(&self.key), Some(Slot::InFlight(f)) if Arc::ptr_eq(f, self.flight)) {
-            shard.remove(&self.key);
-        }
-        drop(shard);
-        *(self.flight.state.lock()).unwrap_or_else(PoisonError::into_inner) = FlightState::Failed;
-        self.flight.settled.notify_all();
-    }
-}
+/// One key's value, empty until a compute for the key has returned.
+type Cell<V> = Arc<OnceLock<Arc<V>>>;
 
 /// The sharded single-flight memo. See the module docs for the
 /// concurrency contract.
 pub struct Memo<K, V> {
-    shards: Vec<Mutex<HashMap<K, Slot<V>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
+    shards: Vec<Mutex<HashMap<K, Cell<V>>>>,
+    computes: AtomicU64,
 }
 
 /// Concise on purpose: never walks the values (a dataset is megabytes).
@@ -113,102 +58,57 @@ impl<K, V> Memo<K, V> {
             shards: (0..shards.max(1))
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
+            computes: AtomicU64::new(0),
         }
     }
 
-    /// Entry count across all shards (in-flight slots included).
+    /// Resident values across all shards (empty cells not counted).
     fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("memo shard poisoned").len())
+            .map(|s| {
+                let shard = s.lock().expect("memo shard poisoned");
+                shard.values().filter(|c| c.get().is_some()).count()
+            })
             .sum()
     }
 
-    /// Snapshot of the outcome counters.
-    pub fn stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-        }
+    /// How many compute closures have run since the memo was built.
+    pub fn computes(&self) -> u64 {
+        self.computes.load(Ordering::Relaxed)
     }
 }
 
-impl<K: Copy + Eq + Hash, V> Memo<K, V> {
+impl<K: Eq + Hash, V> Memo<K, V> {
     /// Which shard a key lands on is unobservable; any fixed hash does.
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Slot<V>>> {
+    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Cell<V>>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() % self.shards.len() as u64) as usize]
     }
 
     /// The value for `key`, computing it with `f` if absent. Exactly one
-    /// concurrent caller per key runs `f`; the rest block until the
-    /// value is published and share the same `Arc`. If the running `f`
-    /// panics, the waiters retry and one of them runs its own `f`.
+    /// concurrent caller per key runs `f`; the rest block until it
+    /// returns and share the same `Arc`. If the running `f` panics, one
+    /// of the blocked callers runs its own `f`.
     pub fn get_or_compute<F>(&self, key: K, f: F) -> Arc<V>
     where
         F: FnOnce() -> V,
     {
-        loop {
-            let flight = {
-                let mut shard = self.shard(&key).lock().expect("memo shard poisoned");
-                match shard.get(&key) {
-                    Some(Slot::Ready(v)) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Arc::clone(v);
-                    }
-                    Some(Slot::InFlight(flight)) => {
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
-                        Arc::clone(flight)
-                    }
-                    None => {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        let flight = Arc::new(Flight {
-                            state: Mutex::new(FlightState::Pending),
-                            settled: Condvar::new(),
-                        });
-                        shard.insert(key, Slot::InFlight(Arc::clone(&flight)));
-                        // Compute outside the shard lock, publish, wake waiters.
-                        drop(shard);
-                        let mut guard = LeaderGuard {
-                            memo: self,
-                            key,
-                            flight: &flight,
-                            published: false,
-                        };
-                        let value = Arc::new(f());
-                        let mut shard = self.shard(&key).lock().expect("memo shard poisoned");
-                        shard.insert(key, Slot::Ready(Arc::clone(&value)));
-                        drop(shard);
-                        *flight.state.lock().expect("flight state poisoned") =
-                            FlightState::Ready(Arc::clone(&value));
-                        guard.published = true;
-                        flight.settled.notify_all();
-                        return value;
-                    }
-                }
-            };
-            let mut state = flight.state.lock().expect("flight state poisoned");
-            loop {
-                match &*state {
-                    FlightState::Pending => {
-                        state = flight.settled.wait(state).expect("flight state poisoned");
-                    }
-                    FlightState::Ready(value) => return Arc::clone(value),
-                    FlightState::Failed => break,
-                }
-            }
-        }
+        let cell = {
+            let mut shard = self.shard(&key).lock().expect("memo shard poisoned");
+            Arc::clone(shard.entry(key).or_default())
+        };
+        Arc::clone(cell.get_or_init(|| {
+            self.computes.fetch_add(1, Ordering::Relaxed);
+            Arc::new(f())
+        }))
     }
 
-    /// Whether `key` is resident (published, not merely in flight).
+    /// Whether `key` is resident (computed, not merely being computed).
     pub fn contains(&self, key: &K) -> bool {
         let shard = self.shard(key).lock().expect("memo shard poisoned");
-        matches!(shard.get(key), Some(Slot::Ready(_)))
+        shard.get(key).is_some_and(|cell| cell.get().is_some())
     }
 }
 
@@ -300,7 +200,7 @@ mod tests {
     use std::thread;
 
     impl DatasetStore {
-        /// Distinct datasets built (or being built) so far.
+        /// Distinct datasets built so far.
         fn len(&self) -> usize {
             self.datasets.len()
         }
@@ -316,15 +216,7 @@ mod tests {
         let a = memo.get_or_compute(1, || "built".to_string());
         let b = memo.get_or_compute(1, unreachable_value);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(
-            memo.stats(),
-            MemoStats {
-                hits: 1,
-                misses: 1,
-                coalesced: 0
-            }
-        );
-        assert_eq!(memo.len(), 1);
+        assert_eq!((memo.computes(), memo.len()), (1, 1));
     }
 
     #[test]
@@ -334,7 +226,7 @@ mod tests {
             memo.get_or_compute(key, || key * 10);
         }
         assert_eq!(memo.len(), 16);
-        assert_eq!(memo.stats().misses, 16);
+        assert_eq!(memo.computes(), 16);
         assert!(memo.contains(&7));
         assert_eq!(*memo.get_or_compute(7, || unreachable!("resident")), 70);
         assert!(!memo.contains(&99));
@@ -344,15 +236,14 @@ mod tests {
     fn concurrent_same_key_computes_exactly_once() {
         let memo: Memo<u64, usize> = Memo::new(8);
         let computes = AtomicUsize::new(0);
+        let start = Barrier::new(16);
         let results: Vec<Arc<usize>> = thread::scope(|scope| {
             let handles: Vec<_> = (0..16)
                 .map(|_| {
                     scope.spawn(|| {
+                        start.wait();
                         memo.get_or_compute(42, || {
                             computes.fetch_add(1, Ordering::SeqCst);
-                            // Widen the race window so later arrivals
-                            // coalesce instead of missing the flight.
-                            thread::sleep(std::time::Duration::from_millis(20));
                             7usize
                         })
                     })
@@ -367,9 +258,7 @@ mod tests {
         for r in &results {
             assert!(Arc::ptr_eq(r, &results[0]));
         }
-        let stats = memo.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits + stats.coalesced, 15);
+        assert_eq!(memo.computes(), 1);
     }
 
     #[test]
@@ -378,16 +267,18 @@ mod tests {
         for (callers, failing_leaders) in [(1usize, 1usize), (4, 1), (16, 3)] {
             let memo: Memo<u64, usize> = Memo::new(4);
             let computes = AtomicUsize::new(0);
+            let arrived = AtomicUsize::new(0);
             let outcomes: Vec<thread::Result<Arc<usize>>> = thread::scope(|scope| {
                 let handles: Vec<_> = (0..callers)
                     .map(|_| {
                         scope.spawn(|| {
+                            arrived.fetch_add(1, Ordering::SeqCst);
                             memo.get_or_compute(42, || {
                                 let nth = computes.fetch_add(1, Ordering::SeqCst);
                                 if nth == 0 {
-                                    // Hold the flight until every other
-                                    // caller has joined it.
-                                    while memo.stats().coalesced < callers as u64 - 1 {
+                                    // Hold the cell until every other
+                                    // caller is on its way in.
+                                    while arrived.load(Ordering::SeqCst) < callers {
                                         thread::yield_now();
                                     }
                                 }
@@ -406,7 +297,9 @@ mod tests {
                 "every caller but the panicking leaders returns ({callers} callers)"
             );
             assert!(survivors.iter().all(|v| ***v == 7));
-            // No in-flight slot leaked, and the key computes afterwards.
+            assert!(survivors.iter().all(|v| Arc::ptr_eq(v, survivors[0])));
+            // The key is resident only if someone succeeded, and computes
+            // afterwards either way.
             assert_eq!(memo.len(), usize::from(!survivors.is_empty()));
             assert_eq!(*memo.get_or_compute(42, || 7), 7);
             assert_eq!(memo.len(), 1);
@@ -448,7 +341,7 @@ mod tests {
             vizalgo::dataset_fingerprint(&store.dataset(8)),
             "cached fingerprint matches a fresh computation"
         );
-        assert_eq!(store.fingerprints.stats().misses, 2);
+        assert_eq!(store.fingerprints.computes(), 2);
     }
 
     #[test]
@@ -479,7 +372,7 @@ mod tests {
             );
         }
         assert!(!Arc::ptr_eq(&datasets[0], &datasets[1]));
-        assert_eq!(store.datasets.stats().misses, 2, "exactly two builds");
+        assert_eq!(store.datasets.computes(), 2, "exactly two builds");
         assert_eq!(store.len(), 2);
     }
 

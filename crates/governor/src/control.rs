@@ -60,16 +60,7 @@ pub fn clamp_budget(budget_watts: Watts, spec: &CpuSpec) -> Watts {
 /// and the clamped caps still exceed the budget, the request is replaced
 /// by the uniform split — a deterministic fallback that keeps a buggy
 /// policy from ever breaking the budget contract.
-///
-/// Public because the study service (`crates/service`) reuses this as
-/// its admission-control primitive: a requested per-job cap is a
-/// lone-survivor split (`sim` = request, `viz` = 0 W, viz inactive)
-/// sanitized against the node's share of the fleet budget. One caveat
-/// the service must handle itself: a lone survivor under a budget below
-/// `min_cap` gets the *budget* back (below the hardware floor) — the
-/// package clamp would silently raise it at programming time, so
-/// budgets below `min_cap` are not admissible.
-pub fn sanitize(
+fn sanitize(
     raw: CapSplit,
     sim_active: bool,
     viz_active: bool,

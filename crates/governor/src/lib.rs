@@ -34,7 +34,7 @@ pub mod pair;
 pub mod policy;
 pub mod study;
 
-pub use control::{clamp_budget, govern, sanitize, GovernorResult};
+pub use control::{clamp_budget, govern, GovernorResult};
 pub use pair::{coupled_pair, WorkloadPair, TARGET_SIM_SECONDS, TARGET_VIZ_SECONDS};
 pub use policy::{
     CapSplit, FixedSplit, Observation, Policy, Reactive, SideObs, StaticAdvisor, Uniform,

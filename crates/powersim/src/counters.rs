@@ -6,8 +6,6 @@
 //! for last-level-cache references and misses. Counters are 48 bits wide
 //! and wrap, as on real Intel parts.
 
-use crate::msr::{addr, MsrFile};
-
 /// Width mask for performance counters (48 bits on Broadwell).
 const CTR_MASK: u64 = (1 << 48) - 1;
 
@@ -51,16 +49,6 @@ impl CounterBank {
         add(&mut self.inst_retired, inst_per_sec * dt);
         add(&mut self.llc_ref, llc_ref_per_sec * dt);
         add(&mut self.llc_miss, llc_miss_per_sec * dt);
-    }
-
-    /// Publish the bank into the MSR file (hardware side).
-    pub fn sync_to_msr(&self, msr: &mut MsrFile) {
-        msr.hw_set(addr::IA32_APERF, self.aperf);
-        msr.hw_set(addr::IA32_MPERF, self.mperf);
-        msr.hw_set(addr::IA32_FIXED_CTR0, self.inst_retired);
-        msr.hw_set(addr::IA32_FIXED_CTR2, self.ref_tsc);
-        msr.hw_set(addr::IA32_PMC0, self.llc_ref);
-        msr.hw_set(addr::IA32_PMC1, self.llc_miss);
     }
 
     /// Wrap-aware counter delta.
@@ -155,15 +143,5 @@ mod tests {
     fn miss_rate_bounds() {
         assert_eq!(derived::llc_miss_rate(0, 0), 0.0);
         assert!((derived::llc_miss_rate(25, 100) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sync_publishes_to_msr() {
-        let mut c = CounterBank::default();
-        c.advance(0.1, 2.0, 2.1, 4, 1e9, 0.0, 0.0);
-        let mut msr = MsrFile::new();
-        c.sync_to_msr(&mut msr);
-        assert_eq!(msr.read(addr::IA32_APERF).unwrap(), c.aperf);
-        assert_eq!(msr.read(addr::IA32_FIXED_CTR0).unwrap(), c.inst_retired);
     }
 }

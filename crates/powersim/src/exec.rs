@@ -395,7 +395,6 @@ impl<'w> RunState<'w> {
             let de = p.for_duration(dt);
             self.phase_energy += de;
             pkg.msr.hw_accumulate_energy(de);
-            pkg.counters.sync_to_msr(&mut pkg.msr);
             pkg.now += dt;
             journal.advance(dt);
             consumed += dt;

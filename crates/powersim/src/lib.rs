@@ -20,10 +20,12 @@
 //! * [`workload`] — the input format: phases with measured instruction /
 //!   flop / cache-traffic counts (produced by instrumenting the *real*
 //!   algorithm executions in `vizalgo`).
-//! * [`counters`] — APERF/MPERF, fixed and programmable counters, with
-//!   the paper's derived metrics (§V-B).
+//! * [`counters`] — APERF/MPERF, fixed and programmable counters as a
+//!   plain [`counters::CounterBank`] the sampler differences directly,
+//!   with the paper's derived metrics (§V-B).
 //! * [`exec`] — the executor: advances virtual time through a workload
-//!   under a cap, updating MSRs/counters, and the 100 ms sampler.
+//!   under a cap, updating the energy-status MSR and the counter bank,
+//!   and the 100 ms sampler.
 //! * [`trace`] — the run journal: `Span` intervals and `Record` points
 //!   (counter samples, cap changes, ...) in a ring buffer, serialized to
 //!   JSONL and chrome://tracing files (schema in `docs/OBSERVABILITY.md`).

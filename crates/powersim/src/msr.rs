@@ -19,30 +19,6 @@ pub mod addr {
     pub const MSR_PKG_POWER_LIMIT: u32 = 0x610;
     /// Package energy consumed, wrapping 32-bit counter.
     pub const MSR_PKG_ENERGY_STATUS: u32 = 0x611;
-    /// Maximum-performance counter (reference clock ticks unhalted).
-    pub const IA32_MPERF: u32 = 0xE7;
-    /// Actual-performance counter (actual clock ticks unhalted).
-    pub const IA32_APERF: u32 = 0xE8;
-    /// Fixed counter 0: INST_RETIRED.ANY.
-    pub const IA32_FIXED_CTR0: u32 = 0x309;
-    /// Fixed counter 2: CPU_CLK_UNHALTED.REF_TSC.
-    pub const IA32_FIXED_CTR2: u32 = 0x30B;
-    /// Programmable counter 0 (here: LONG_LAT_CACHE.REFERENCE).
-    pub const IA32_PMC0: u32 = 0xC1;
-    /// Programmable counter 1 (here: LONG_LAT_CACHE.MISS).
-    pub const IA32_PMC1: u32 = 0xC2;
-    /// Event select for PMC0.
-    pub const IA32_PERFEVTSEL0: u32 = 0x186;
-    /// Event select for PMC1.
-    pub const IA32_PERFEVTSEL1: u32 = 0x187;
-}
-
-/// Perf-event encodings (event | umask << 8) used by the study.
-pub mod event {
-    /// LONGEST_LAT_CACHE.REFERENCE (0x2E / 0x4F).
-    pub const LLC_REFERENCE: u64 = 0x2E | 0x4F << 8;
-    /// LONGEST_LAT_CACHE.MISS (0x2E / 0x41).
-    pub const LLC_MISS: u64 = 0x2E | 0x41 << 8;
 }
 
 /// Errors from the allow-listed register file.
@@ -106,14 +82,6 @@ impl MsrFile {
         perms.insert(MSR_RAPL_POWER_UNIT, ro);
         perms.insert(MSR_PKG_POWER_LIMIT, rw);
         perms.insert(MSR_PKG_ENERGY_STATUS, ro);
-        perms.insert(IA32_MPERF, ro);
-        perms.insert(IA32_APERF, ro);
-        perms.insert(IA32_FIXED_CTR0, ro);
-        perms.insert(IA32_FIXED_CTR2, ro);
-        perms.insert(IA32_PMC0, ro);
-        perms.insert(IA32_PMC1, ro);
-        perms.insert(IA32_PERFEVTSEL0, rw);
-        perms.insert(IA32_PERFEVTSEL1, rw);
 
         let mut regs = HashMap::new();
         // Energy-status unit: bits 12:8 of MSR_RAPL_POWER_UNIT give the
@@ -211,7 +179,7 @@ mod tests {
     fn read_allowed_registers() {
         let m = MsrFile::new();
         assert!(m.read(addr::MSR_PKG_ENERGY_STATUS).is_ok());
-        assert!(m.read(addr::IA32_APERF).is_ok());
+        assert!(m.read(addr::MSR_RAPL_POWER_UNIT).is_ok());
     }
 
     #[test]
@@ -259,18 +227,5 @@ mod tests {
         let m = MsrFile::new();
         let d = m.energy_delta_joules(100, 300);
         assert!((d - 200.0 * m.energy_unit_joules()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn perfevtsel_accepts_event_encodings() {
-        let mut m = MsrFile::new();
-        m.write(addr::IA32_PERFEVTSEL0, event::LLC_REFERENCE)
-            .unwrap();
-        m.write(addr::IA32_PERFEVTSEL1, event::LLC_MISS).unwrap();
-        assert_eq!(
-            m.read(addr::IA32_PERFEVTSEL0).unwrap(),
-            event::LLC_REFERENCE
-        );
-        assert_eq!(m.read(addr::IA32_PERFEVTSEL1).unwrap(), event::LLC_MISS);
     }
 }

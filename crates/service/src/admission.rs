@@ -1,22 +1,18 @@
-//! Admission control: the governor's cap sanitizer as a service-side
-//! budget gate.
+//! Admission control: a service-side budget gate.
 //!
 //! The fleet budget divides evenly across the simulated nodes; each
 //! node's share must admit at least one package at the hardware floor
 //! (`min_cap`), otherwise the node could never legally run anything —
-//! [`Admission::new`] rejects such configurations up front instead of
-//! letting `governor::sanitize`'s documented lone-survivor caveat
-//! (budgets below `min_cap` pass through unclamped) leak into the
-//! schedule.
+//! [`Admission::new`] rejects such configurations up front, so the
+//! clamp below never has a budget under its floor.
 //!
-//! A request's cap is admitted as a lone-survivor governor split: the
-//! request is the `sim` side, the `viz` side is retired, and
-//! [`governor::sanitize`] clamps against the node budget and the
-//! hardware range. The service builds its cache key from the *admitted*
-//! cap — a 120 W ask on a 90 W node is served, journaled, and cached at
-//! 90 W, so over-budget requests still dedupe with each other.
+//! A request's cap is admitted by one expression: clamped into the
+//! hardware range `[min_cap, tdp]`, then held to the node budget (the
+//! clamp the governor applies to the lone surviving side of a pair).
+//! The service builds its cache key from the *admitted* cap — a 120 W
+//! ask on a 90 W node is served, journaled, and cached at 90 W, so
+//! over-budget requests still dedupe with each other.
 
-use governor::{sanitize, CapSplit};
 use powersim::{CpuSpec, Watts};
 
 use crate::engine::ServiceError;
@@ -60,21 +56,12 @@ impl Admission {
         &self.spec
     }
 
-    /// Admit a requested cap onto one node: the lone-survivor
-    /// `governor::sanitize` split against the node budget. The result is
-    /// always within `[min_cap, min(node_budget, tdp)]`.
+    /// Admit a requested cap onto one node. The result is always within
+    /// `[min_cap, min(node_budget, tdp)]`; `min` drops a NaN operand, so
+    /// a NaN ask is admitted at that upper end.
     pub fn admit(&self, requested: Watts) -> Watts {
-        sanitize(
-            CapSplit {
-                sim: requested,
-                viz: Watts::ZERO,
-            },
-            true,
-            false,
-            self.node_budget,
-            &self.spec,
-        )
-        .sim
+        let (lo, hi) = (self.spec.min_cap_watts, self.spec.tdp_watts);
+        requested.clamp(lo, hi).min(self.node_budget.min(hi))
     }
 }
 

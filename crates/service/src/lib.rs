@@ -13,9 +13,9 @@
 //!   [`CacheKey`]-addressed alias of `vizpower::store::Memo` — the
 //!   workspace's one single-flight map (one compute per key no matter
 //!   how many threads ask at once).
-//! * [`admission`] — [`Admission`], `governor::sanitize` repurposed as
-//!   the service's budget gate: every admitted cap fits its node's
-//!   share of the fleet budget and the hardware range.
+//! * [`admission`] — [`Admission`], the service's budget gate: every
+//!   admitted cap fits its node's share of the fleet budget and the
+//!   hardware range.
 //! * [`engine`] — [`Engine`], the two-level compute path: cap-independent
 //!   native filter runs (memoized per backend-qualified spec, the one
 //!   place two workers can ask for the same key) feeding the

@@ -30,7 +30,7 @@
 //! with no interpolation arithmetic — which is what makes a pathline on
 //! a frozen series byte-identical to the steady streamline.
 
-use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
+use crate::filter::{self, Filter, FilterOutput, KernelClass, KernelReport};
 use vizmesh::json::{JsonError, Value};
 use vizmesh::{
     par, Association, CellSet, CellShape, DataSet, Field, FieldSeries, UniformGrid, Vec3,
@@ -294,15 +294,11 @@ struct Frame<'a> {
 
 impl<'a> Frame<'a> {
     fn resolve(time: f64, ds: &'a DataSet, field: &str) -> Frame<'a> {
-        let grid = ds
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("particle advection expects a structured dataset");
-        let vel = ds
-            .point_vectors(field)
-            // lint: infallible because the pipeline registers the field before running
-            .unwrap_or_else(|| panic!("missing point vector field '{field}'"));
-        Frame { time, grid, vel }
+        Frame {
+            time,
+            grid: filter::structured(ds, "Particle Advection"),
+            vel: filter::point_vectors(ds, "Particle Advection", field),
+        }
     }
 }
 
@@ -323,19 +319,6 @@ pub struct ParticleAdvection {
 }
 
 impl ParticleAdvection {
-    /// The paper-style configuration: 1000 seeds, 1000 steps, step length
-    /// tied to the (fixed) physical domain, *not* to the grid resolution.
-    pub fn paper_default(field: impl Into<String>) -> Self {
-        ParticleAdvection {
-            field: field.into(),
-            num_particles: 1000,
-            num_steps: 1000,
-            step_fraction: 5e-4,
-            seed: 0x5eed_1234,
-            scenario: FlowScenario::default(),
-        }
-    }
-
     pub fn new(
         field: impl Into<String>,
         num_particles: usize,

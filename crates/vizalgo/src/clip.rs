@@ -4,7 +4,7 @@
 //! outside are passed through whole, and straddling cells are subdivided
 //! (tetrahedralized and clipped) keeping only the outside part.
 
-use crate::filter::{mesh_dataset, Filter, FilterOutput, KernelClass, KernelReport};
+use crate::filter::{self, mesh_dataset, Filter, FilterOutput, KernelClass, KernelReport};
 use crate::tetclip::{clip_keep_above_into, subdivide_hexes, HexSide};
 use vizmesh::{DataSet, Vec3, WorkCounters};
 
@@ -48,10 +48,7 @@ impl Filter for SphericalClip {
     }
 
     fn execute(&self, input: &DataSet) -> FilterOutput {
-        let grid = input
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("spherical clip expects a structured dataset");
+        let grid = filter::structured(input, self.name());
         let carry = input.point_scalars(&self.carry_field);
         let num_cells = grid.num_cells();
 

@@ -14,11 +14,9 @@
 //! property the test-suite checks directly on random fields.
 
 use crate::arena::{pack_edge, WeldMap};
-use crate::filter::{concat_surfaces, Filter, FilterOutput, KernelClass, KernelReport};
+use crate::filter::{self, concat_surfaces, Filter, FilterOutput, KernelClass, KernelReport};
 use std::sync::OnceLock;
-use vizmesh::{
-    par, Association, CellSet, CellShape, DataSet, GridCell, UniformGrid, Vec3, WorkCounters,
-};
+use vizmesh::{par, CellSet, CellShape, DataSet, GridCell, UniformGrid, Vec3, WorkCounters};
 
 /// Corner coordinates of the canonical unit cell, VTK hexahedron order.
 pub const CORNERS: [[f64; 3]; 8] = [
@@ -421,10 +419,7 @@ impl Contour {
     /// produce empty surfaces).
     pub fn spanning(field: impl Into<String>, input: &DataSet, n: usize) -> Self {
         let field = field.into();
-        let (lo, hi) = input
-            .field_with(&field, Association::Points)
-            .and_then(|f| f.scalar_range())
-            .unwrap_or((0.0, 1.0));
+        let (lo, hi) = filter::point_scalar_range(input, &field);
         let isovalues = (0..n)
             .map(|i| lo + (hi - lo) * (i as f64 + 1.0) / (n as f64 + 1.0))
             .collect();
@@ -433,15 +428,10 @@ impl Contour {
 
     /// The grid and the contoured point scalar.
     pub(crate) fn inputs<'a>(&self, input: &'a DataSet) -> (&'a UniformGrid, &'a [f64]) {
-        let grid = input
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("contour expects a structured dataset");
-        let values = input
-            .point_scalars(&self.field)
-            // lint: infallible because the pipeline registers the field before running
-            .unwrap_or_else(|| panic!("missing point scalar field '{}'", self.field));
-        (grid, values)
+        (
+            filter::structured(input, self.name()),
+            filter::point_scalars(input, self.name(), &self.field),
+        )
     }
 }
 
@@ -475,7 +465,7 @@ impl Filter for Contour {
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use vizmesh::Field;
+    use vizmesh::{Association, Field};
 
     fn sphere_field(grid: &UniformGrid) -> Vec<f64> {
         let c = grid.bounds().center();

@@ -38,53 +38,48 @@ pub enum PrimitiveOp {
     ReduceByKey,
 }
 
-impl PrimitiveOp {
-    /// Every op, in the canonical report order.
-    pub const ALL: [PrimitiveOp; 7] = [
-        PrimitiveOp::Map,
-        PrimitiveOp::InclusiveScan,
-        PrimitiveOp::Gather,
-        PrimitiveOp::Scatter,
-        PrimitiveOp::Compact,
-        PrimitiveOp::SortByKey,
-        PrimitiveOp::ReduceByKey,
-    ];
+/// One row per op, in discriminant (= canonical report) order: the op,
+/// its wire/report name, its static `dpp-<op>` kernel name, the
+/// power-model class its traffic is characterized as (`Map` carries the
+/// worklet math, classification-shaped; everything else is data
+/// movement) and its modeled instruction cost per element (compare/loop
+/// overhead for movement ops, branch-heavy merge work for sort).
+#[rustfmt::skip]
+const OPS: [(PrimitiveOp, &str, &str, KernelClass, u64); 7] = {
+    use KernelClass::{CellClassify, GatherScatter};
+    [
+        (PrimitiveOp::Map,           "map",            "dpp-map",            CellClassify,  12),
+        (PrimitiveOp::InclusiveScan, "inclusive_scan", "dpp-inclusive-scan", GatherScatter,  6),
+        (PrimitiveOp::Gather,        "gather",         "dpp-gather",         GatherScatter,  5),
+        (PrimitiveOp::Scatter,       "scatter",        "dpp-scatter",        GatherScatter,  5),
+        (PrimitiveOp::Compact,       "compact",        "dpp-compact",        GatherScatter,  9),
+        (PrimitiveOp::SortByKey,     "sort_by_key",    "dpp-sort-by-key",    GatherScatter, 40),
+        (PrimitiveOp::ReduceByKey,   "reduce_by_key",  "dpp-reduce-by-key",  GatherScatter, 10),
+    ]
+};
 
+// Row order == enum discriminant order, checked at compile time so
+// `OPS[op as usize]` can never pick the wrong row.
+const _: () = {
+    let mut i = 0;
+    while i < OPS.len() {
+        assert!(
+            OPS[i].0 as usize == i,
+            "OPS rows must follow PrimitiveOp discriminant order"
+        );
+        i += 1;
+    }
+};
+
+impl PrimitiveOp {
     /// Wire/report name.
     pub fn name(self) -> &'static str {
-        match self {
-            PrimitiveOp::Map => "map",
-            PrimitiveOp::InclusiveScan => "inclusive_scan",
-            PrimitiveOp::Gather => "gather",
-            PrimitiveOp::Scatter => "scatter",
-            PrimitiveOp::Compact => "compact",
-            PrimitiveOp::SortByKey => "sort_by_key",
-            PrimitiveOp::ReduceByKey => "reduce_by_key",
-        }
+        OPS[self as usize].1
     }
 
-    /// The power-model kernel class the op's traffic is characterized
-    /// as: `Map` carries the worklet math (classification-shaped);
-    /// everything else is data movement.
+    /// The power-model kernel class the op's traffic is characterized as.
     pub fn kernel_class(self) -> KernelClass {
-        match self {
-            PrimitiveOp::Map => KernelClass::CellClassify,
-            _ => KernelClass::GatherScatter,
-        }
-    }
-
-    /// Modeled instruction cost per element (compare/loop overhead for
-    /// movement ops, branch-heavy merge work for sort).
-    fn instructions_per_element(self) -> u64 {
-        match self {
-            PrimitiveOp::Map => 12,
-            PrimitiveOp::InclusiveScan => 6,
-            PrimitiveOp::Gather => 5,
-            PrimitiveOp::Scatter => 5,
-            PrimitiveOp::Compact => 9,
-            PrimitiveOp::SortByKey => 40,
-            PrimitiveOp::ReduceByKey => 10,
-        }
+        OPS[self as usize].3
     }
 }
 
@@ -115,7 +110,7 @@ pub struct PrimitiveReport {
 /// slot per op, merged across every primitive invocation.
 #[derive(Debug, Clone, Default)]
 pub struct DppTrace {
-    slots: [PrimitiveCounters; PrimitiveOp::ALL.len()],
+    slots: [PrimitiveCounters; OPS.len()],
 }
 
 impl DppTrace {
@@ -123,24 +118,10 @@ impl DppTrace {
         DppTrace::default()
     }
 
-    #[inline]
-    fn slot(&mut self, op: PrimitiveOp) -> &mut PrimitiveCounters {
-        let i = match op {
-            PrimitiveOp::Map => 0,
-            PrimitiveOp::InclusiveScan => 1,
-            PrimitiveOp::Gather => 2,
-            PrimitiveOp::Scatter => 3,
-            PrimitiveOp::Compact => 4,
-            PrimitiveOp::SortByKey => 5,
-            PrimitiveOp::ReduceByKey => 6,
-        };
-        &mut self.slots[i]
-    }
-
     /// Record one invocation of `op` over `elements` elements.
     #[inline]
     pub fn record(&mut self, op: PrimitiveOp, elements: u64, bytes_read: u64, bytes_written: u64) {
-        let s = self.slot(op);
+        let s = &mut self.slots[op as usize];
         s.invocations += 1;
         s.elements += elements;
         s.bytes_read += bytes_read;
@@ -150,14 +131,13 @@ impl DppTrace {
     /// Attribute worklet floating-point work to `op` (normally `Map`).
     #[inline]
     pub fn record_flops(&mut self, op: PrimitiveOp, flops: u64) {
-        self.slot(op).flops += flops;
+        self.slots[op as usize].flops += flops;
     }
 
-    /// Reports for every op that saw traffic, in [`PrimitiveOp::ALL`]
-    /// order.
+    /// Reports for every op that saw traffic, in declaration order.
     pub fn reports(&self) -> Vec<PrimitiveReport> {
-        let mut out = Vec::with_capacity(PrimitiveOp::ALL.len());
-        for (i, &op) in PrimitiveOp::ALL.iter().enumerate() {
+        let mut out = Vec::with_capacity(OPS.len());
+        for (i, &(op, ..)) in OPS.iter().enumerate() {
             if self.slots[i].invocations > 0 {
                 out.push(PrimitiveReport {
                     op,
@@ -178,25 +158,12 @@ impl DppTrace {
         let mut out = Vec::with_capacity(active.len());
         for r in active {
             out.push(KernelReport::new(
-                kernel_name(r.op),
+                OPS[r.op as usize].2,
                 r.op.kernel_class(),
                 work_counters(r),
             ));
         }
         out
-    }
-}
-
-/// Static `dpp-<op>` kernel names (KernelReport holds `&'static str`).
-fn kernel_name(op: PrimitiveOp) -> &'static str {
-    match op {
-        PrimitiveOp::Map => "dpp-map",
-        PrimitiveOp::InclusiveScan => "dpp-inclusive-scan",
-        PrimitiveOp::Gather => "dpp-gather",
-        PrimitiveOp::Scatter => "dpp-scatter",
-        PrimitiveOp::Compact => "dpp-compact",
-        PrimitiveOp::SortByKey => "dpp-sort-by-key",
-        PrimitiveOp::ReduceByKey => "dpp-reduce-by-key",
     }
 }
 
@@ -206,13 +173,12 @@ fn work_counters(r: PrimitiveReport) -> WorkCounters {
     let mut w = WorkCounters::new();
     w.items = c.elements;
     // Sort does O(n log n) comparisons; everything else is linear.
-    let per = r.op.instructions_per_element();
-    w.instructions = match r.op {
-        PrimitiveOp::SortByKey => {
-            let lg = (c.elements.max(2) as f64).log2().ceil() as u64;
-            c.elements * per.max(1) * lg.max(1) / 8
-        }
-        _ => c.elements * per,
+    let per = OPS[r.op as usize].4;
+    w.instructions = if r.op == PrimitiveOp::SortByKey {
+        let lg = (c.elements.max(2) as f64).log2().ceil() as u64;
+        c.elements * per.max(1) * lg.max(1) / 8
+    } else {
+        c.elements * per
     };
     w.flops = c.flops;
     w.bytes_read = c.bytes_read;

@@ -1,6 +1,6 @@
 //! The common filter interface and kernel instrumentation types.
 
-use vizmesh::{Association, CellSet, DataSet, Field, Image, Vec3, WorkCounters};
+use vizmesh::{Association, CellSet, DataSet, Field, Image, UniformGrid, Vec3, WorkCounters};
 
 /// Microarchitectural flavor of a kernel, used by the `vizpower`
 /// characterization bridge to assign an instruction-mix signature
@@ -77,12 +77,7 @@ pub struct FilterOutput {
 
 impl FilterOutput {
     pub fn data(dataset: DataSet, kernels: Vec<KernelReport>) -> Self {
-        FilterOutput {
-            dataset: Some(dataset),
-            images: Vec::new(),
-            kernels,
-            primitives: Vec::new(),
-        }
+        FilterOutput::data_with_primitives(dataset, kernels, Vec::new())
     }
 
     /// [`data`](FilterOutput::data), carrying the DPP primitive trail.
@@ -151,6 +146,46 @@ pub(crate) fn concat_surfaces(
     mesh_dataset(points, cells, [(field, values)])
 }
 
+/// The uniform grid under `input`, or a panic naming the filter `who`.
+/// With [`point_scalars`] and [`point_vectors`], the one place a filter
+/// of either backend meets an input it cannot run on.
+pub(crate) fn structured<'a>(input: &'a DataSet, who: &str) -> &'a UniformGrid {
+    input
+        .as_uniform()
+        // lint: infallible because the study harness only feeds uniform grids
+        .unwrap_or_else(|| panic!("{who}: expects a structured dataset"))
+}
+
+/// The point scalar `field` of `input`, or a panic naming `who` and it.
+pub(crate) fn point_scalars<'a>(input: &'a DataSet, who: &str, field: &str) -> &'a [f64] {
+    input
+        .point_scalars(field)
+        // lint: infallible because the pipeline registers the field before running
+        .unwrap_or_else(|| panic!("{who}: missing point scalar field '{field}'"))
+}
+
+/// The point vector `field` of `input`, or a panic naming `who` and it.
+pub(crate) fn point_vectors<'a>(input: &'a DataSet, who: &str, field: &str) -> &'a [Vec3] {
+    input
+        .point_vectors(field)
+        // lint: infallible because the pipeline registers the field before running
+        .unwrap_or_else(|| panic!("{who}: missing point vector field '{field}'"))
+}
+
+/// Scalar range of `field` under any association, `[0, 1]` without such
+/// a field: what the data-dependent parameters (bands, color and
+/// transfer-function ranges) are resolved against.
+pub(crate) fn scalar_range(input: &DataSet, field: &str) -> (f64, f64) {
+    let found = input.field(field);
+    found.and_then(|f| f.scalar_range()).unwrap_or((0.0, 1.0))
+}
+
+/// [`scalar_range`] of the point-centered `field` only.
+pub(crate) fn point_scalar_range(input: &DataSet, field: &str) -> (f64, f64) {
+    let found = input.field_with(field, Association::Points);
+    found.and_then(|f| f.scalar_range()).unwrap_or((0.0, 1.0))
+}
+
 /// A visualization filter: consumes a dataset, produces geometry and/or
 /// images plus its work reports.
 pub trait Filter {
@@ -187,8 +222,8 @@ impl Algorithm {
     pub const ALL: [Algorithm; 8] = crate::registry::ALL;
 
     /// The cell-centered algorithms compared by the paper's elements/sec
-    /// rate (Fig. 3): those that iterate over every input cell. Derived
-    /// from the registry flags, sorted by display name.
+    /// rate (Fig. 3): those that iterate over every input cell, sorted
+    /// by display name.
     pub const CELL_CENTERED: [Algorithm; 5] = crate::registry::CELL_CENTERED;
 
     /// Display name, from the registry ("Contour", "Spherical Clip", ...).

@@ -10,7 +10,7 @@
 //! `classify_new_algorithm` example runs it through the same study
 //! machinery and reports its class.
 
-use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
+use crate::filter::{self, Filter, FilterOutput, KernelClass, KernelReport};
 use vizmesh::{par, Association, DataSet, Field, UniformGrid, Vec3, WorkCounters};
 
 /// Computes `|∇f|` (and optionally the gradient vector) of a
@@ -64,14 +64,8 @@ impl Filter for Gradient {
     }
 
     fn execute(&self, input: &DataSet) -> FilterOutput {
-        let grid = input
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("gradient expects a structured dataset");
-        let values = input
-            .point_scalars(&self.field)
-            // lint: infallible because the pipeline registers the field before running
-            .unwrap_or_else(|| panic!("missing point scalar field '{}'", self.field));
+        let grid = filter::structured(input, self.name());
+        let values = filter::point_scalars(input, self.name(), &self.field);
         let n = grid.num_points();
 
         let grads: Vec<Vec3> = par::map(n, crate::CELL_MIN_LEN, |id| {

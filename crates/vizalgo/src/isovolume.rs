@@ -6,11 +6,12 @@
 //! outside are removed, and straddling cells are subdivided — first
 //! clipped against `f ≥ lo`, then the result against `f ≤ hi`.
 
-use crate::filter::{mesh_dataset, Filter, FilterOutput, KernelClass, KernelReport};
+use crate::filter::{self, mesh_dataset, Filter, FilterOutput, KernelClass, KernelReport};
+use crate::spec::ScalarBand;
 use crate::tetclip::{
     clip_keep_above_into, clip_keep_below_into, subdivide_hexes, HexSide, Subdivision,
 };
-use vizmesh::{Association, DataSet, UniformGrid, WorkCounters};
+use vizmesh::{DataSet, UniformGrid, WorkCounters};
 
 /// The isovolume filter over a point-centered scalar.
 #[derive(Debug, Clone)]
@@ -33,26 +34,17 @@ impl Isovolume {
     /// The middle `frac` band of the field's range.
     pub fn middle_band(field: impl Into<String>, input: &DataSet, frac: f64) -> Self {
         let field = field.into();
-        let (lo, hi) = input
-            .field_with(&field, Association::Points)
-            .and_then(|f| f.scalar_range())
-            .unwrap_or((0.0, 1.0));
-        let mid = (lo + hi) * 0.5;
-        let half = (hi - lo) * frac.clamp(0.0, 1.0) * 0.5;
-        Isovolume::new(field, mid - half, mid + half)
+        let range = || filter::point_scalar_range(input, &field);
+        let (lo, hi) = ScalarBand::MiddleBand(frac).resolve(range);
+        Isovolume::new(field, lo, hi)
     }
 
     /// The grid and the banded point scalar.
     pub(crate) fn inputs<'a>(&self, input: &'a DataSet) -> (&'a UniformGrid, &'a [f64]) {
-        let grid = input
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("isovolume expects a structured dataset");
-        let values = input
-            .point_scalars(&self.field)
-            // lint: infallible because the pipeline registers the field before running
-            .unwrap_or_else(|| panic!("missing point scalar field '{}'", self.field));
-        (grid, values)
+        (
+            filter::structured(input, self.name()),
+            filter::point_scalars(input, self.name(), &self.field),
+        )
     }
 
     /// Where a cell with corner points `ids` sits relative to the band.
@@ -141,7 +133,7 @@ impl Filter for Isovolume {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vizmesh::{CellShape, Field, Vec3};
+    use vizmesh::{Association, CellShape, Field, Vec3};
 
     /// Dataset with point scalar = x coordinate over the unit cube.
     fn x_field(n: usize) -> DataSet {

@@ -16,7 +16,7 @@
 //! the host's gather time.
 
 use crate::colormap::ColorMap;
-use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
+use crate::filter::{self, Filter, FilterOutput, KernelClass, KernelReport};
 use vizmesh::{par, Aabb, Camera, DataSet, Image, Ray, Vec3, WorkCounters};
 
 /// A shading-ready triangle: positions plus per-vertex scalar.
@@ -90,14 +90,8 @@ const CELL_FACES: [([usize; 4], [isize; 3]); 6] = [
 /// VTK-m's all-cell face-parity pass, which is what makes this step
 /// data-intensive in the paper — while the host touches only the shell.
 pub fn external_face_triangles(input: &DataSet, field: &str) -> (Vec<Triangle>, WorkCounters) {
-    let grid = input
-        .as_uniform()
-        // lint: infallible because the study harness only feeds uniform grids
-        .expect("external-face extraction expects a structured dataset");
-    let values = input
-        .point_scalars(field)
-        // lint: infallible because the pipeline registers the field before running
-        .unwrap_or_else(|| panic!("missing point scalar field '{field}'"));
+    let grid = filter::structured(input, "Ray Tracing");
+    let values = filter::point_scalars(input, "Ray Tracing", field);
     let [cx, cy, cz] = grid.cell_dims();
     // Exactly 2 boundary quads per face-pair slab, 2 triangles per quad.
     let quads = 2 * (cx * cy + cy * cz + cz * cx);
@@ -429,16 +423,6 @@ pub struct RayTracer {
 }
 
 impl RayTracer {
-    /// The paper's configuration: 50 cameras orbiting the data set.
-    pub fn paper_default(field: impl Into<String>) -> Self {
-        RayTracer {
-            field: field.into(),
-            width: 128,
-            height: 128,
-            num_cameras: 50,
-        }
-    }
-
     pub fn new(field: impl Into<String>, width: usize, height: usize, num_cameras: usize) -> Self {
         assert!(width > 0 && height > 0 && num_cameras > 0);
         RayTracer {
@@ -463,10 +447,7 @@ impl Filter for RayTracer {
         let (bvh, build_work) = Bvh::build(&tris);
 
         // Step 3: trace rays from each orbit camera.
-        let (lo, hi) = input
-            .field(&self.field)
-            .and_then(|f| f.scalar_range())
-            .unwrap_or((0.0, 1.0));
+        let (lo, hi) = filter::scalar_range(input, &self.field);
         let cmap = ColorMap::cool_to_warm();
         let bounds = input.bounds();
         let cameras = Camera::orbit(&bounds, self.num_cameras);

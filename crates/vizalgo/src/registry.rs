@@ -1,10 +1,11 @@
 //! The algorithm registry: one table, one row per algorithm, from which
 //! every other description of the eight algorithms derives.
 //!
-//! [`Algorithm::name`], [`Algorithm::parse`], [`Algorithm::ALL`], and
-//! [`Algorithm::CELL_CENTERED`] are all views of [`REGISTRY`]; adding a
-//! ninth algorithm means adding one enum variant, one registry row, and
-//! one [`Algorithm::default_spec`] arm (docs/REGISTRY.md walks through
+//! [`Algorithm::name`], [`Algorithm::parse`], [`Algorithm::ALL`] and the
+//! spec's wire tag are all views of [`REGISTRY`]
+//! ([`Algorithm::CELL_CENTERED`] is a literal a unit test holds to the
+//! flags); adding a ninth algorithm means adding one enum variant, one
+//! registry row, and the spec arms (docs/REGISTRY.md walks through
 //! it). The row order is pinned to the enum discriminant order by a
 //! compile-time assertion so `REGISTRY[alg as usize]` is always the
 //! right row.
@@ -20,6 +21,10 @@ pub struct RegistryEntry {
     pub algorithm: Algorithm,
     /// Display name ("Spherical Clip", "Volume Rendering", ...).
     pub name: &'static str,
+    /// The snake_case tag of the algorithm's spec on the wire: the
+    /// `"algorithm"` member of its JSON form and the head of its
+    /// canonical fingerprint string (see [`crate::spec`]).
+    pub wire: &'static str,
     /// Normalized CLI aliases accepted by [`Algorithm::parse`] (ascii
     /// alphanumerics, lowercase — the normal form `parse` reduces its
     /// input to). The first alias is the canonical snake-less name.
@@ -37,6 +42,7 @@ pub const REGISTRY: [RegistryEntry; 8] = [
     RegistryEntry {
         algorithm: Algorithm::Contour,
         name: "Contour",
+        wire: "contour",
         aliases: &["contour", "isosurface", "marchingcubes"],
         classes: &[KernelClass::CaseTable, KernelClass::Interpolate],
         cell_centered: true,
@@ -44,6 +50,7 @@ pub const REGISTRY: [RegistryEntry; 8] = [
     RegistryEntry {
         algorithm: Algorithm::Threshold,
         name: "Threshold",
+        wire: "threshold",
         aliases: &["threshold"],
         classes: &[KernelClass::CellClassify, KernelClass::GatherScatter],
         cell_centered: true,
@@ -51,6 +58,7 @@ pub const REGISTRY: [RegistryEntry; 8] = [
     RegistryEntry {
         algorithm: Algorithm::SphericalClip,
         name: "Spherical Clip",
+        wire: "spherical_clip",
         aliases: &["sphericalclip", "clip"],
         classes: &[
             KernelClass::SignedDistance,
@@ -62,6 +70,7 @@ pub const REGISTRY: [RegistryEntry; 8] = [
     RegistryEntry {
         algorithm: Algorithm::Isovolume,
         name: "Isovolume",
+        wire: "isovolume",
         aliases: &["isovolume"],
         classes: &[
             KernelClass::CellClassify,
@@ -73,6 +82,7 @@ pub const REGISTRY: [RegistryEntry; 8] = [
     RegistryEntry {
         algorithm: Algorithm::Slice,
         name: "Slice",
+        wire: "slice",
         aliases: &["slice", "threeslice", "3slice"],
         classes: &[
             KernelClass::SignedDistance,
@@ -84,6 +94,7 @@ pub const REGISTRY: [RegistryEntry; 8] = [
     RegistryEntry {
         algorithm: Algorithm::ParticleAdvection,
         name: "Particle Advection",
+        wire: "particle_advection",
         aliases: &["particleadvection", "advection", "streamlines"],
         classes: &[KernelClass::Rk4Advect],
         cell_centered: false,
@@ -91,6 +102,7 @@ pub const REGISTRY: [RegistryEntry; 8] = [
     RegistryEntry {
         algorithm: Algorithm::RayTracing,
         name: "Ray Tracing",
+        wire: "ray_tracing",
         aliases: &["raytracing", "raytrace"],
         classes: &[
             KernelClass::BvhBuild,
@@ -102,6 +114,7 @@ pub const REGISTRY: [RegistryEntry; 8] = [
     RegistryEntry {
         algorithm: Algorithm::VolumeRendering,
         name: "Volume Rendering",
+        wire: "volume_rendering",
         aliases: &["volumerendering", "volren"],
         classes: &[KernelClass::RayMarch],
         cell_centered: false,
@@ -121,37 +134,6 @@ const _: () = {
     }
 };
 
-/// Number of cell-centered rows, for sizing the derived table.
-const fn cell_centered_count() -> usize {
-    let mut n = 0;
-    let mut i = 0;
-    while i < REGISTRY.len() {
-        if REGISTRY[i].cell_centered {
-            n += 1;
-        }
-        i += 1;
-    }
-    n
-}
-
-const _: () = assert!(
-    cell_centered_count() == 5,
-    "Algorithm::CELL_CENTERED length must track the registry flags"
-);
-
-/// Byte-lexicographic `a < b` usable in const context.
-const fn str_lt(a: &str, b: &str) -> bool {
-    let (a, b) = (a.as_bytes(), b.as_bytes());
-    let mut i = 0;
-    while i < a.len() && i < b.len() {
-        if a[i] != b[i] {
-            return a[i] < b[i];
-        }
-        i += 1;
-    }
-    a.len() < b.len()
-}
-
 /// All eight algorithms, derived from [`REGISTRY`] row order.
 pub const ALL: [Algorithm; 8] = {
     let mut all = [Algorithm::Contour; 8];
@@ -163,40 +145,16 @@ pub const ALL: [Algorithm; 8] = {
     all
 };
 
-/// The cell-centered algorithms, derived from the registry flags and
-/// sorted alphabetically by display name (the Fig. 3 presentation
-/// order).
-pub const CELL_CENTERED: [Algorithm; 5] = {
-    let mut out = [Algorithm::Contour; 5];
-    let mut n = 0;
-    let mut i = 0;
-    while i < REGISTRY.len() {
-        if REGISTRY[i].cell_centered {
-            out[n] = REGISTRY[i].algorithm;
-            n += 1;
-        }
-        i += 1;
-    }
-    let mut a = 0;
-    while a < out.len() {
-        let mut min = a;
-        let mut b = a + 1;
-        while b < out.len() {
-            if str_lt(
-                REGISTRY[out[b] as usize].name,
-                REGISTRY[out[min] as usize].name,
-            ) {
-                min = b;
-            }
-            b += 1;
-        }
-        let tmp = out[a];
-        out[a] = out[min];
-        out[min] = tmp;
-        a += 1;
-    }
-    out
-};
+/// The cell-centered algorithms, alphabetical by display name (the
+/// Fig. 3 presentation order); a unit test holds it to the registry
+/// flags and the name order.
+pub const CELL_CENTERED: [Algorithm; 5] = [
+    Algorithm::Contour,
+    Algorithm::Isovolume,
+    Algorithm::Slice,
+    Algorithm::SphericalClip,
+    Algorithm::Threshold,
+];
 
 /// The registry row for an algorithm.
 pub const fn entry(algorithm: Algorithm) -> &'static RegistryEntry {

@@ -6,7 +6,7 @@
 //! field at isovalue 0, yielding a topologically 2-D plane.
 
 use crate::contour::marching_cubes;
-use crate::filter::{concat_surfaces, Filter, FilterOutput, KernelClass, KernelReport};
+use crate::filter::{self, concat_surfaces, Filter, FilterOutput, KernelClass, KernelReport};
 use vizmesh::{par, DataSet, UniformGrid, Vec3, WorkCounters};
 
 /// An oriented plane `dot(n, p) = dot(n, origin)`.
@@ -64,11 +64,10 @@ impl ThreeSlice {
 
     /// The grid and the sampled point scalar, when the dataset has it.
     pub(crate) fn inputs<'a>(&self, input: &'a DataSet) -> (&'a UniformGrid, Option<&'a [f64]>) {
-        let grid = input
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("slice expects a structured dataset");
-        (grid, input.point_scalars(&self.field))
+        (
+            filter::structured(input, self.name()),
+            input.point_scalars(&self.field),
+        )
     }
 }
 

@@ -24,9 +24,10 @@ use crate::advection::{FlowScenario, ParticleAdvection, StepControl, Termination
 use crate::clip::SphericalClip;
 use crate::contour::Contour;
 use crate::dpp::{Backend, Dpp, DppExecute};
-use crate::filter::{Algorithm, Filter};
+use crate::filter::{self, Algorithm, Filter};
 use crate::isovolume::Isovolume;
 use crate::raytrace::RayTracer;
+use crate::registry::{self, REGISTRY};
 use crate::slice::ThreeSlice;
 use crate::threshold::Threshold;
 use crate::volren::VolumeRenderer;
@@ -159,14 +160,10 @@ fn on<F: DppExecute + 'static>(backend: Backend, filter: F) -> Box<dyn Filter> {
 }
 
 /// The paper's RK4 step length (fractions of the domain diagonal).
-fn default_step_fraction() -> f64 {
-    5e-4
-}
+const DEFAULT_STEP_FRACTION: f64 = 5e-4;
 
 /// The paper-style advection seed.
-fn default_seed() -> u64 {
-    0x5eed_1234
-}
+const DEFAULT_SEED: u64 = 0x5eed_1234;
 
 impl AlgorithmSpec {
     /// Which of the eight algorithms this spec parameterizes.
@@ -218,19 +215,10 @@ impl AlgorithmSpec {
                     IsoValues::Explicit(values) => Contour::new(field.clone(), values.clone()),
                 },
             ),
-            AlgorithmSpec::Threshold { field, band } => on(
-                backend,
-                match band {
-                    ScalarBand::UpperFraction(frac) => {
-                        Threshold::upper_fraction(field.clone(), input, *frac)
-                    }
-                    ScalarBand::MiddleBand(frac) => {
-                        let (lo, hi) = middle_band(any_range(input, field), *frac);
-                        Threshold::new(field.clone(), lo, hi)
-                    }
-                    ScalarBand::Range { min, max } => Threshold::new(field.clone(), *min, *max),
-                },
-            ),
+            AlgorithmSpec::Threshold { field, band } => {
+                let (lo, hi) = band.resolve(|| filter::scalar_range(input, field));
+                on(backend, Threshold::new(field.clone(), lo, hi))
+            }
             AlgorithmSpec::SphericalClip { field, sphere } => {
                 let mut clip = match sphere {
                     SphereSpec::RadiusFraction(frac) => {
@@ -242,20 +230,10 @@ impl AlgorithmSpec {
                 clip.carry_field = field.clone();
                 Box::new(clip)
             }
-            AlgorithmSpec::Isovolume { field, band } => on(
-                backend,
-                match band {
-                    ScalarBand::MiddleBand(frac) => {
-                        Isovolume::middle_band(field.clone(), input, *frac)
-                    }
-                    ScalarBand::UpperFraction(frac) => {
-                        let (lo, hi) = point_range(input, field);
-                        let cut = hi - (hi - lo) * frac.clamp(0.0, 1.0);
-                        Isovolume::new(field.clone(), cut, hi)
-                    }
-                    ScalarBand::Range { min, max } => Isovolume::new(field.clone(), *min, *max),
-                },
-            ),
+            AlgorithmSpec::Isovolume { field, band } => {
+                let (lo, hi) = band.resolve(|| filter::point_scalar_range(input, field));
+                on(backend, Isovolume::new(field.clone(), lo, hi))
+            }
             AlgorithmSpec::Slice { field } => {
                 on(backend, ThreeSlice::centered(input, field.clone()))
             }
@@ -297,7 +275,8 @@ impl AlgorithmSpec {
     /// and exact. This string — not the JSON form — defines the
     /// [`fingerprint`](AlgorithmSpec::fingerprint).
     pub fn canonical(&self) -> String {
-        match self {
+        let mut tail = String::new();
+        let args = match self {
             AlgorithmSpec::Contour { field, isovalues } => {
                 let iso = match isovalues {
                     IsoValues::Spanning(n) => format!("spanning:{n}"),
@@ -306,10 +285,10 @@ impl AlgorithmSpec {
                         format!("explicit:{}", hex.join(","))
                     }
                 };
-                format!("contour(field={field},isovalues={iso})")
+                format!("field={field},isovalues={iso}")
             }
-            AlgorithmSpec::Threshold { field, band } => {
-                format!("threshold(field={field},band={})", band_canonical(band))
+            AlgorithmSpec::Threshold { field, band } | AlgorithmSpec::Isovolume { field, band } => {
+                format!("field={field},band={}", band_canonical(band))
             }
             AlgorithmSpec::SphericalClip { field, sphere } => {
                 let s = match sphere {
@@ -324,12 +303,9 @@ impl AlgorithmSpec {
                         f64_hex(*radius)
                     ),
                 };
-                format!("spherical_clip(field={field},sphere={s})")
+                format!("field={field},sphere={s}")
             }
-            AlgorithmSpec::Isovolume { field, band } => {
-                format!("isovolume(field={field},band={})", band_canonical(band))
-            }
-            AlgorithmSpec::Slice { field } => format!("slice(field={field})"),
+            AlgorithmSpec::Slice { field } => format!("field={field}"),
             AlgorithmSpec::ParticleAdvection {
                 field,
                 particles,
@@ -338,36 +314,33 @@ impl AlgorithmSpec {
                 seed,
                 scenario,
             } => {
-                let mut base = format!(
-                    "particle_advection(field={field},particles={particles},steps={steps},\
-                     step_fraction={},seed={seed})",
-                    f64_hex(*step_fraction)
-                );
                 // Appended only when non-default, so every pre-scenario
                 // fingerprint (and hence every pinned cache key and
                 // journal id) is unchanged.
                 if !scenario.is_default() {
-                    base.push_str(&scenario_canonical(scenario));
+                    tail = scenario_canonical(scenario);
                 }
-                base
+                format!(
+                    "field={field},particles={particles},steps={steps},\
+                     step_fraction={},seed={seed}",
+                    f64_hex(*step_fraction)
+                )
             }
             AlgorithmSpec::RayTracing {
                 field,
                 width,
                 height,
                 images,
-            } => {
-                format!("ray_tracing(field={field},width={width},height={height},images={images})")
             }
-            AlgorithmSpec::VolumeRendering {
+            | AlgorithmSpec::VolumeRendering {
                 field,
                 width,
                 height,
                 images,
-            } => format!(
-                "volume_rendering(field={field},width={width},height={height},images={images})"
-            ),
-        }
+            } => format!("field={field},width={width},height={height},images={images}"),
+        };
+        let wire = registry::entry(self.algorithm()).wire;
+        format!("{wire}({args}){tail}")
     }
 
     /// Deterministic spec fingerprint: 48-bit FNV-1a over
@@ -448,8 +421,8 @@ impl Algorithm {
                 field: "velocity".into(),
                 particles: 1000,
                 steps: 1000,
-                step_fraction: default_step_fraction(),
-                seed: default_seed(),
+                step_fraction: DEFAULT_STEP_FRACTION,
+                seed: DEFAULT_SEED,
                 scenario: FlowScenario::default(),
             },
             Algorithm::RayTracing => AlgorithmSpec::RayTracing {
@@ -509,6 +482,24 @@ impl IsoValues {
 }
 
 impl ScalarBand {
+    /// The `[lo, hi]` this band selects from a field whose scalar range
+    /// is `range()` (not asked for an explicit [`ScalarBand::Range`]).
+    pub(crate) fn resolve(&self, range: impl FnOnce() -> (f64, f64)) -> (f64, f64) {
+        match self {
+            ScalarBand::UpperFraction(frac) => {
+                let (lo, hi) = range();
+                (hi - (hi - lo) * frac.clamp(0.0, 1.0), hi)
+            }
+            ScalarBand::MiddleBand(frac) => {
+                let (lo, hi) = range();
+                let mid = (lo + hi) * 0.5;
+                let half = (hi - lo) * frac.clamp(0.0, 1.0) * 0.5;
+                (mid - half, mid + half)
+            }
+            ScalarBand::Range { min, max } => (*min, *max),
+        }
+    }
+
     /// `{"upper_fraction": f}`, `{"middle_band": f}` or
     /// `{"range": {"min": a, "max": b}}`.
     pub fn to_json(&self) -> Value {
@@ -575,27 +566,17 @@ impl AlgorithmSpec {
     /// The wire form: `{"type": "<algorithm>", "field": .., ...}` with
     /// the variant's fields in declaration order.
     pub fn to_json(&self) -> Value {
-        let image = |w: &usize, h: &usize, n: &usize| {
-            vec![
-                ("width", (*w).into()),
-                ("height", (*h).into()),
-                ("images", (*n).into()),
-            ]
-        };
-        let (tag, field, rest) = match self {
+        let (field, rest) = match self {
             AlgorithmSpec::Contour { field, isovalues } => {
-                ("contour", field, vec![("isovalues", isovalues.to_json())])
+                (field, vec![("isovalues", isovalues.to_json())])
             }
-            AlgorithmSpec::Threshold { field, band } => {
-                ("threshold", field, vec![("band", band.to_json())])
+            AlgorithmSpec::Threshold { field, band } | AlgorithmSpec::Isovolume { field, band } => {
+                (field, vec![("band", band.to_json())])
             }
             AlgorithmSpec::SphericalClip { field, sphere } => {
-                ("spherical_clip", field, vec![("sphere", sphere.to_json())])
+                (field, vec![("sphere", sphere.to_json())])
             }
-            AlgorithmSpec::Isovolume { field, band } => {
-                ("isovolume", field, vec![("band", band.to_json())])
-            }
-            AlgorithmSpec::Slice { field } => ("slice", field, vec![]),
+            AlgorithmSpec::Slice { field } => (field, vec![]),
             AlgorithmSpec::ParticleAdvection {
                 field,
                 particles,
@@ -604,7 +585,6 @@ impl AlgorithmSpec {
                 seed,
                 scenario,
             } => (
-                "particle_advection",
                 field,
                 vec![
                     ("particles", (*particles).into()),
@@ -619,15 +599,23 @@ impl AlgorithmSpec {
                 width,
                 height,
                 images,
-            } => ("ray_tracing", field, image(width, height, images)),
-            AlgorithmSpec::VolumeRendering {
+            }
+            | AlgorithmSpec::VolumeRendering {
                 field,
                 width,
                 height,
                 images,
-            } => ("volume_rendering", field, image(width, height, images)),
+            } => (
+                field,
+                vec![
+                    ("width", (*width).into()),
+                    ("height", (*height).into()),
+                    ("images", (*images).into()),
+                ],
+            ),
         };
-        let head = [("type", tag.into()), ("field", field.as_str().into())];
+        let wire = registry::entry(self.algorithm()).wire;
+        let head = [("type", wire.into()), ("field", field.as_str().into())];
         Value::object(head.into_iter().chain(rest))
     }
 
@@ -639,56 +627,58 @@ impl AlgorithmSpec {
     /// dimension or count) are [`JsonError::Wrong`] here, not a panic
     /// in [`build`](AlgorithmSpec::build).
     pub fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let field = v.str("field").map(str::to_owned);
-        match v.str("type")? {
-            "contour" => Ok(AlgorithmSpec::Contour {
-                field: field?,
+        let tag = v.str("type")?;
+        let row = (REGISTRY.iter().find(|row| row.wire == tag))
+            .ok_or_else(|| JsonError::unknown_tag("algorithm type", tag))?;
+        let field = v.str("field")?.to_owned();
+        Ok(match row.algorithm {
+            Algorithm::Contour => AlgorithmSpec::Contour {
+                field,
                 isovalues: IsoValues::from_json(v.field("isovalues")?)?,
-            }),
-            "threshold" => Ok(AlgorithmSpec::Threshold {
-                field: field?,
+            },
+            Algorithm::Threshold => AlgorithmSpec::Threshold {
+                field,
                 band: ScalarBand::from_json(v.field("band")?)?,
-            }),
-            "spherical_clip" => Ok(AlgorithmSpec::SphericalClip {
-                field: field?,
+            },
+            Algorithm::SphericalClip => AlgorithmSpec::SphericalClip {
+                field,
                 sphere: SphereSpec::from_json(v.field("sphere")?)?,
-            }),
-            "isovolume" => Ok(AlgorithmSpec::Isovolume {
-                field: field?,
+            },
+            Algorithm::Isovolume => AlgorithmSpec::Isovolume {
+                field,
                 band: ScalarBand::from_json(v.field("band")?)?,
-            }),
-            "slice" => Ok(AlgorithmSpec::Slice { field: field? }),
-            "particle_advection" => Ok(AlgorithmSpec::ParticleAdvection {
-                field: field?,
+            },
+            Algorithm::Slice => AlgorithmSpec::Slice { field },
+            Algorithm::ParticleAdvection => AlgorithmSpec::ParticleAdvection {
+                field,
                 particles: v.usize("particles")?,
                 steps: v.usize("steps")?,
                 step_fraction: match v.get("step_fraction") {
                     Some(_) => v.f64("step_fraction")?,
-                    None => default_step_fraction(),
+                    None => DEFAULT_STEP_FRACTION,
                 },
                 seed: match v.get("seed") {
                     Some(_) => v.u64("seed")?,
-                    None => default_seed(),
+                    None => DEFAULT_SEED,
                 },
                 scenario: match v.get("scenario") {
                     Some(scenario) => FlowScenario::from_json(scenario)?,
                     None => FlowScenario::default(),
                 },
-            }),
-            "ray_tracing" => Ok(AlgorithmSpec::RayTracing {
-                field: field?,
+            },
+            Algorithm::RayTracing => AlgorithmSpec::RayTracing {
+                field,
                 width: positive(v, "width")?,
                 height: positive(v, "height")?,
                 images: positive(v, "images")?,
-            }),
-            "volume_rendering" => Ok(AlgorithmSpec::VolumeRendering {
-                field: field?,
+            },
+            Algorithm::VolumeRendering => AlgorithmSpec::VolumeRendering {
+                field,
                 width: positive(v, "width")?,
                 height: positive(v, "height")?,
                 images: positive(v, "images")?,
-            }),
-            other => Err(JsonError::unknown_tag("algorithm type", other)),
-        }
+            },
+        })
     }
 }
 
@@ -735,31 +725,6 @@ fn f64_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
 
-/// Scalar range of a field under any association (the lookup
-/// [`Threshold::upper_fraction`] uses), defaulting to `[0, 1]`.
-fn any_range(input: &DataSet, field: &str) -> (f64, f64) {
-    input
-        .field(field)
-        .and_then(|f| f.scalar_range())
-        .unwrap_or((0.0, 1.0))
-}
-
-/// Point-association scalar range (the lookup
-/// [`Isovolume::middle_band`] uses), defaulting to `[0, 1]`.
-fn point_range(input: &DataSet, field: &str) -> (f64, f64) {
-    input
-        .field_with(field, vizmesh::Association::Points)
-        .and_then(|f| f.scalar_range())
-        .unwrap_or((0.0, 1.0))
-}
-
-/// The middle `frac` band of a range.
-fn middle_band((lo, hi): (f64, f64), frac: f64) -> (f64, f64) {
-    let mid = (lo + hi) * 0.5;
-    let half = (hi - lo) * frac.clamp(0.0, 1.0) * 0.5;
-    (mid - half, mid + half)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,6 +742,70 @@ mod tests {
                 Association::Points,
                 vec![Vec3::X; np],
             ))
+    }
+
+    /// What a filter of either backend does with an input it cannot run
+    /// on — today a panic raised at the one preamble in `filter.rs`
+    /// (ROADMAP item 5 turns it into a typed error): an explicit mesh
+    /// names the filter; a grid without the field names the filter and
+    /// the field, except where the field is optional.
+    #[test]
+    fn every_filter_meets_a_bad_input_at_the_one_preamble() {
+        // `None` when `execute` returns; otherwise whether the panic
+        // message opens with the filter's name, and whether it quotes
+        // the field.
+        let outcome = |filter: &dyn Filter, field: &str, input: &DataSet| {
+            let run = std::panic::AssertUnwindSafe(|| filter.execute(input));
+            let payload = std::panic::catch_unwind(run).err()?;
+            let text = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            let names_filter = text.starts_with(&format!("{}: ", filter.name()));
+            Some((names_filter, text.contains(&format!("'{field}'"))))
+        };
+        const RUNS: Option<(bool, bool)> = None;
+        const NAMES_FILTER: Option<(bool, bool)> = Some((true, false));
+        const NAMES_FILTER_AND_FIELD: Option<(bool, bool)> = Some((true, true));
+
+        let good = dataset();
+        let mut filters: Vec<(Box<dyn Filter>, &str)> = Vec::new();
+        for alg in Algorithm::ALL {
+            let spec = alg.default_spec();
+            let field = match alg {
+                Algorithm::ParticleAdvection => "velocity",
+                _ => "energy",
+            };
+            for backend in Backend::ALL.into_iter().filter(|b| b.supports(alg)) {
+                filters.push((spec.build_with(backend, &good), field));
+            }
+        }
+        filters.push((Box::new(crate::gradient::Gradient::new("energy")), "energy"));
+        assert_eq!(filters.len(), 8 + 4 + 1);
+
+        let explicit = DataSet::explicit(vec![Vec3::ZERO], vizmesh::CellSet::new());
+        let grid = UniformGrid::cube_cells(3);
+        let bare = DataSet::uniform(grid.clone());
+        let cell_only = DataSet::uniform(grid.clone()).with_field(Field::scalar(
+            "energy",
+            Association::Cells,
+            vec![1.0; grid.num_cells()],
+        ));
+        for (filter, field) in &filters {
+            let who = filter.name();
+            let on = |input| outcome(filter.as_ref(), field, input);
+            assert_eq!(on(&explicit), NAMES_FILTER, "{who} on an explicit mesh");
+            let (without_field, with_cell_field) = match who {
+                // The field is optional: slice vertices read 0, the clip
+                // carries its own signed distance.
+                "Slice" | "Spherical Clip" => (RUNS, RUNS),
+                // A cell *or* a point field.
+                "Threshold" => (NAMES_FILTER_AND_FIELD, RUNS),
+                _ => (NAMES_FILTER_AND_FIELD, NAMES_FILTER_AND_FIELD),
+            };
+            assert_eq!(on(&bare), without_field, "{who} on a bare grid");
+            assert_eq!(on(&cell_only), with_cell_field, "{who} with a cell field");
+        }
     }
 
     /// One spec per variant, exercising the data-independent arms too.
@@ -989,8 +1018,8 @@ mod tests {
             field: "velocity".into(),
             particles: 1000,
             steps: 1000,
-            step_fraction: default_step_fraction(),
-            seed: default_seed(),
+            step_fraction: DEFAULT_STEP_FRACTION,
+            seed: DEFAULT_SEED,
             scenario,
         };
         // Every scenario axis moves the fingerprint, and each encoding

@@ -1,6 +1,7 @@
 //! Threshold: keep cells whose scalar lies in a range (§III-B2).
 
-use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
+use crate::filter::{self, Filter, FilterOutput, KernelClass, KernelReport};
+use crate::spec::ScalarBand;
 use vizmesh::{
     Association, CellSet, CellShape, DataSet, Field, GridCell, UniformGrid, Vec3, WorkCounters,
 };
@@ -39,12 +40,9 @@ impl Threshold {
     /// configuration used for the paper-style energy threshold.
     pub fn upper_fraction(field: impl Into<String>, input: &DataSet, frac: f64) -> Self {
         let field = field.into();
-        let (lo, hi) = input
-            .field(&field)
-            .and_then(|f| f.scalar_range())
-            .unwrap_or((0.0, 1.0));
-        let cut = hi - (hi - lo) * frac.clamp(0.0, 1.0);
-        Threshold::new(field, cut, hi)
+        let range = || filter::scalar_range(input, &field);
+        let (lo, hi) = ScalarBand::UpperFraction(frac).resolve(range);
+        Threshold::new(field, lo, hi)
     }
 
     /// The grid, the field's cell values when it is cell-centered, and
@@ -58,28 +56,21 @@ impl Threshold {
         Option<&'a [f64]>,
         impl Fn(&GridCell<'_>) -> bool + Sync + 'a,
     ) {
-        let grid = input
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("threshold expects a structured dataset");
+        let grid = filter::structured(input, self.name());
         let cell_vals = input.cell_scalars(&self.field);
-        let point_vals = input.point_scalars(&self.field);
-        assert!(
-            cell_vals.is_some() || point_vals.is_some(),
-            "missing scalar field '{}'",
-            self.field
-        );
+        // A cell field wins; without one the field must be point-centered.
+        let point_vals = match cell_vals {
+            Some(_) => &[],
+            None => filter::point_scalars(input, self.name(), &self.field),
+        };
         let in_range = |v: f64| v >= self.lo && v <= self.hi;
-        let keeps = move |cell: &GridCell<'_>| {
-            if let Some(vals) = cell_vals {
-                in_range(vals[cell.id()])
-            } else {
-                // lint: infallible because the assert above guarantees point values
-                let vals = point_vals.unwrap();
+        let keeps = move |cell: &GridCell<'_>| match cell_vals {
+            Some(vals) => in_range(vals[cell.id()]),
+            None => {
                 let ids = cell.point_ids();
                 match self.policy {
-                    ThresholdPolicy::AllPoints => ids.iter().all(|&p| in_range(vals[p])),
-                    ThresholdPolicy::AnyPoint => ids.iter().any(|&p| in_range(vals[p])),
+                    ThresholdPolicy::AllPoints => ids.iter().all(|&p| in_range(point_vals[p])),
+                    ThresholdPolicy::AnyPoint => ids.iter().any(|&p| in_range(point_vals[p])),
                 }
             }
         };

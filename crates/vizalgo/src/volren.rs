@@ -8,7 +8,7 @@
 //! database from cameras orbiting the data set.
 
 use crate::colormap::ColorMap;
-use crate::filter::{Filter, FilterOutput, KernelClass, KernelReport};
+use crate::filter::{self, Filter, FilterOutput, KernelClass, KernelReport};
 use vizmesh::{par, Camera, DataSet, Image, WorkCounters};
 
 /// The volume-rendering filter.
@@ -25,18 +25,6 @@ pub struct VolumeRenderer {
 }
 
 impl VolumeRenderer {
-    /// The paper's configuration: 50 cameras.
-    pub fn paper_default(field: impl Into<String>) -> Self {
-        VolumeRenderer {
-            field: field.into(),
-            width: 128,
-            height: 128,
-            num_cameras: 50,
-            step_scale: 0.8,
-            opacity_scale: 0.35,
-        }
-    }
-
     pub fn new(field: impl Into<String>, width: usize, height: usize, num_cameras: usize) -> Self {
         assert!(width > 0 && height > 0 && num_cameras > 0);
         VolumeRenderer {
@@ -56,18 +44,9 @@ impl Filter for VolumeRenderer {
     }
 
     fn execute(&self, input: &DataSet) -> FilterOutput {
-        let grid = input
-            .as_uniform()
-            // lint: infallible because the study harness only feeds uniform grids
-            .expect("volume rendering expects a structured dataset");
-        let values = input
-            .point_scalars(&self.field)
-            // lint: infallible because the pipeline registers the field before running
-            .unwrap_or_else(|| panic!("missing point scalar field '{}'", self.field));
-        let (lo, hi) = input
-            .field(&self.field)
-            .and_then(|f| f.scalar_range())
-            .unwrap_or((0.0, 1.0));
+        let grid = filter::structured(input, self.name());
+        let values = filter::point_scalars(input, self.name(), &self.field);
+        let (lo, hi) = filter::scalar_range(input, &self.field);
         let tf = ColorMap::volume_default();
         let bounds = grid.bounds();
         let step = grid.spacing().length() * self.step_scale;
