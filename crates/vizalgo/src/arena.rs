@@ -11,6 +11,12 @@
 //!   boxes per-entry state, and lookups are a multiply + masked linear
 //!   probe. Insertion order still assigns point ids exactly like the
 //!   `HashMap` it replaced, so welded meshes are bit-identical.
+//!   `contour` keeps one table per isosurface; `tetclip` keeps two
+//!   small ones as a window over its walk's k-slabs — only cells of the
+//!   same or adjacent slabs share an edge, so the current slab's table
+//!   and the previous one's answer every lookup as a whole-mesh table
+//!   would, and [`WeldMap::clear`] recycles the older at each slab
+//!   change.
 //! * [`TetScratch`] — the per-cell tetrahedron buffers of the clip
 //!   pipeline (`clip`/`isovolume`), allocated once per `execute` and
 //!   reused across every straddling cell instead of being re-`collect`ed
@@ -125,7 +131,8 @@ impl<K: PackedKey> WeldMap<K> {
         self.len == 0
     }
 
-    /// Drop all entries, keeping the allocation for reuse.
+    /// Drop all entries, keeping the allocation for reuse. Refills the
+    /// whole key array, so the cost follows the capacity, not `len()`.
     pub fn clear(&mut self) {
         self.keys.fill(K::EMPTY);
         self.len = 0;

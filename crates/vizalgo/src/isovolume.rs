@@ -75,7 +75,10 @@ impl Isovolume {
 
     /// Gather the interior cells of `cells` and clip the straddling ones
     /// twice — keep `f ≥ lo`, then `f ≤ hi` — through the reused scratch
-    /// buffers. Pre-sized for the measured ≈ 12 tets per straddling hex.
+    /// buffers. Pre-sized for 15 tets per straddling hex: the paper
+    /// configuration at 128³ keeps 581 400 tets of 41 957 straddlers,
+    /// 13.9 each (13.9–14.0 from 16³ to 128³), and a hint below the
+    /// truth regrows the cell arrays mid-walk.
     pub(crate) fn subdivide(
         &self,
         grid: &UniformGrid,
@@ -84,7 +87,7 @@ impl Isovolume {
         sides: &[HexSide],
     ) -> Subdivision {
         let point = |pid: usize| (values[pid], values[pid]);
-        subdivide_hexes(grid, cells, sides, 12, point, |mesh, s| {
+        subdivide_hexes(grid, cells, sides, 15, point, |mesh, s| {
             clip_keep_above_into(mesh, &s.tets, self.lo, &mut s.mid)
                 + clip_keep_below_into(mesh, &s.mid, self.hi, &mut s.kept)
         })

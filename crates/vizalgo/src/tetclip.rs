@@ -21,6 +21,23 @@
 //! hex-subdivision walk: `clip`, `isovolume` and the DPP isovolume all
 //! run it and differ only in which cells they feed it, the per-point
 //! scalars, and the clip applied to a straddling cell's tets.
+//!
+//! # The weld is a two-slab window
+//!
+//! An interpolated point is welded by its edge, and a cell asks for an
+//! edge only if both ends lie in its closure. The walk visits cells in
+//! ascending id, hence in ascending k-slab, and the closures of two
+//! cells meet only if the cells sit in the same slab or in adjacent
+//! ones. So a key first seen in slab `k` can be asked for again only in
+//! slab `k` or `k + 1`: [`TetMesh`] keeps one [`WeldMap`] for the
+//! current slab and one for the previous, looks in both, inserts into
+//! the current, and forgets the older when the walk moves up. Every
+//! lookup answers as one never-cleared table would and point ids are
+//! still handed out in creation order, so the output is the same bits —
+//! from two tables of a few thousand slots that stay in cache, where
+//! the single table of a 128³ run was 42 MB of random probes
+//! (docs/PERFORMANCE.md, which also says why `contour`'s weld keeps
+//! its one table).
 
 use crate::arena::{pack_edge_iso, TetScratch, WeldMap};
 use vizmesh::{CellSet, CellShape, UniformGrid, Vec3, WorkCounters};
@@ -47,9 +64,12 @@ pub struct TetMesh {
     /// with the clip scalar so output meshes keep their colors.
     pub payloads: Vec<f64>,
     pub tets: Vec<[u32; 4]>,
-    /// Weld map for interpolated edge points, keyed by the packed ordered
-    /// pair of parent point ids and the interpolation target's bits.
-    weld: WeldMap<u128>,
+    /// Weld maps for interpolated edge points, keyed by the packed
+    /// ordered pair of parent point ids and the interpolation target's
+    /// bits: `[0]` holds the points made in the walk's current k-slab,
+    /// `[1]` those of the slab before (module docs). A mesh nobody
+    /// [advances](Self::advance_weld) welds everything in `[0]`.
+    weld: [WeldMap<u128>; 2],
 }
 
 impl TetMesh {
@@ -57,17 +77,31 @@ impl TetMesh {
         Self::default()
     }
 
-    /// An empty mesh whose point arrays and weld table are pre-sized for
-    /// roughly `points` vertices (a hint; the mesh still grows on
-    /// demand).
+    /// An empty mesh whose point arrays are pre-sized for roughly
+    /// `points` vertices (a hint; the mesh still grows on demand). The
+    /// weld tables size themselves: they hold a slab's edge points, not
+    /// the mesh's.
     pub fn with_point_capacity(points: usize) -> Self {
         TetMesh {
             points: Vec::with_capacity(points),
             values: Vec::with_capacity(points),
             payloads: Vec::with_capacity(points),
-            tets: Vec::new(),
-            weld: WeldMap::with_capacity(points / 2),
+            ..Self::default()
         }
+    }
+
+    /// Tell the weld that the walk moved up `slabs ≥ 1` k-slabs: the
+    /// current table becomes the previous one and everything older is
+    /// forgotten (after a jump past a whole slab, both). Each
+    /// [`WeldMap::clear`] costs the table's capacity — one slab's worth
+    /// of slots, paid once per slab.
+    pub(crate) fn advance_weld(&mut self, slabs: usize) {
+        if slabs == 1 {
+            self.weld.swap(0, 1);
+        } else {
+            self.weld[1].clear();
+        }
+        self.weld[0].clear();
     }
 
     /// Add an original (non-interpolated) point.
@@ -108,7 +142,7 @@ impl TetMesh {
     fn edge_point(&mut self, a: u32, b: u32, iso: f64, flip: bool) -> u32 {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let key = pack_edge_iso(lo, hi, iso.to_bits());
-        if let Some(id) = self.weld.get(key) {
+        if let Some(id) = self.weld[0].get(key).or_else(|| self.weld[1].get(key)) {
             return id;
         }
         let (mut va, mut vb) = (self.values[a as usize], self.values[b as usize]);
@@ -122,7 +156,7 @@ impl TetMesh {
             self.payloads[a as usize] + (self.payloads[b as usize] - self.payloads[a as usize]) * t;
         let value = if flip { -iso } else { iso };
         let id = self.add_point_with(p, value, pay);
-        self.weld.insert(key, id);
+        self.weld[0].insert(key, id);
         id
     }
 }
@@ -215,13 +249,20 @@ impl Subdivision {
     }
 }
 
-/// The hex-subdivision walk: visit `cells` in order, weld each grid
+/// The hex-subdivision walk: visit `cells`, which must be ascending cell
+/// ids (a range, or a compacted list of active cells), weld each grid
 /// point at first use with its `point(id) = (clip scalar, payload)`,
 /// pass [`HexSide::Whole`] cells through as hexahedra, and split
 /// [`HexSide::Straddle`] cells along [`HEX_TO_TETS`] into
 /// `scratch.tets`, which `clip` cuts down to `scratch.kept`.
 /// `tets_per_straddler` pre-sizes the output for the caller's measured
 /// straddle shape; everything still grows on demand.
+///
+/// # Panics
+///
+/// If a cell lies in a lower k-slab than the cell before it: the edge
+/// weld remembers two slabs (module docs) and the walk advances it as
+/// the slab changes, so stepping back would lose points already made.
 pub(crate) fn subdivide_hexes(
     grid: &UniformGrid,
     cells: impl Iterator<Item = usize> + Clone,
@@ -252,7 +293,18 @@ pub(crate) fn subdivide_hexes(
     };
     let mut scratch = TetScratch::new();
     let mut point_map: Vec<u32> = vec![u32::MAX; num_points];
+    let mut slab = 0;
     for cell in grid.cells(cells.filter(|&c| sides[c] != HexSide::Out)) {
+        let k = cell.ijk()[2];
+        if k != slab {
+            assert!(
+                k > slab,
+                "subdivide_hexes: cell {} steps back from k-slab {slab} to {k}",
+                cell.id()
+            );
+            out.mesh.advance_weld(k - slab);
+            slab = k;
+        }
         let mut corner = [0u32; 8];
         let mut welded = 0;
         for (slot, &pid) in cell.point_ids().iter().enumerate() {
@@ -384,7 +436,10 @@ fn clip_tets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::TetScratch;
+    use crate::isovolume::Isovolume;
+    use propcheck::prelude::*;
+    use propcheck::test_runner::Source;
+    use vizmesh::Aabb;
 
     /// Build a single-tet mesh with the given corner values.
     fn one_tet(values: [f64; 4]) -> (TetMesh, [u32; 4]) {
@@ -614,5 +669,203 @@ mod tests {
         let (_, w) = clip_keep_above(&mut m, &[t], 0.0);
         assert!(w.items >= 1);
         assert!(w.instructions > 0);
+    }
+
+    /// What a filter keeps of each cell: the spherical clip's one-sided
+    /// cut or the isovolume's two.
+    #[derive(Debug, Clone, Copy)]
+    enum Keep {
+        Above(f64),
+        Band(f64, f64),
+    }
+
+    impl Keep {
+        fn clip(self, mesh: &mut TetMesh, s: &mut TetScratch) -> WorkCounters {
+            match self {
+                Keep::Above(iso) => clip_keep_above_into(mesh, &s.tets, iso, &mut s.kept),
+                Keep::Band(lo, hi) => {
+                    clip_keep_above_into(mesh, &s.tets, lo, &mut s.mid)
+                        + clip_keep_below_into(mesh, &s.mid, hi, &mut s.kept)
+                }
+            }
+        }
+    }
+
+    /// One input of the walk: a small box of `dims` cells (1-cell axes
+    /// included), a random scalar per point, what to keep, and the
+    /// ascending cell list — every cell, or with whole k-slabs left out.
+    #[derive(Debug)]
+    struct Walk {
+        dims: [usize; 3],
+        values: Vec<f64>,
+        keep: Keep,
+        cells: Vec<usize>,
+    }
+
+    struct Walks;
+
+    impl Strategy for Walks {
+        type Value = Walk;
+
+        /// The point scalars are drawn last, so a shrunk `dims` replays
+        /// every other draw unchanged.
+        fn generate(&self, src: &mut Source) -> Walk {
+            let dims = [(); 3].map(|()| 1 + src.below(4) as usize);
+            let (a, b) = (1.2 * src.next_f64() - 0.6, 1.2 * src.next_f64() - 0.6);
+            let keep = if src.next_bool() {
+                Keep::Band(a.min(b), a.max(b))
+            } else {
+                Keep::Above(a)
+            };
+            let dropped = [(); 4].map(|()| src.below(4) == 3);
+            let slab = dims[0] * dims[1];
+            let cells = (0..dims[2])
+                .filter(|&k| !dropped[k])
+                .flat_map(|k| k * slab..(k + 1) * slab)
+                .collect();
+            let points: usize = dims.iter().map(|d| d + 1).product();
+            let values = (0..points).map(|_| 2.0 * src.next_f64() - 1.0).collect();
+            Walk {
+                dims,
+                values,
+                keep,
+                cells,
+            }
+        }
+    }
+
+    impl Walk {
+        fn grid(&self) -> UniformGrid {
+            let bounds = Aabb::new(Vec3::new(-0.3, 0.2, 1.0), Vec3::new(1.5, 1.1, 1.84));
+            UniformGrid::from_cell_dims(self.dims, bounds)
+        }
+
+        fn point(&self, pid: usize) -> (f64, f64) {
+            (self.values[pid], 0.5 - 3.0 * self.values[pid])
+        }
+
+        /// Each cell's side, by the filters' own predicates.
+        fn sides(&self) -> Vec<HexSide> {
+            let grid = self.grid();
+            (0..grid.num_cells())
+                .map(|c| {
+                    let ids = grid.cell_at(c).point_ids();
+                    match self.keep {
+                        Keep::Above(iso) => {
+                            match ids.iter().filter(|&&p| self.values[p] < iso).count() {
+                                0 => HexSide::Whole,
+                                8 => HexSide::Out,
+                                _ => HexSide::Straddle,
+                            }
+                        }
+                        Keep::Band(lo, hi) => Isovolume::new("f", lo, hi).side(&self.values, &ids),
+                    }
+                })
+                .collect()
+        }
+
+        fn windowed(&self, sides: &[HexSide]) -> Subdivision {
+            let cells = self.cells.iter().copied();
+            let point = |pid| self.point(pid);
+            subdivide_hexes(&self.grid(), cells, sides, 12, point, |m, s| {
+                self.keep.clip(m, s)
+            })
+        }
+
+        /// The walk as it was before the weld became a window: its mesh
+        /// is never told about slabs, so every edge point of the run
+        /// sits in one never-cleared [`WeldMap`].
+        fn reference(&self, sides: &[HexSide]) -> Subdivision {
+            let grid = self.grid();
+            let mut out = Subdivision {
+                mesh: TetMesh::new(),
+                cells: CellSet::new(),
+                whole_points: 0,
+                straddle_points: 0,
+                whole_cells: 0,
+                tets_clipped: 0,
+                clip_work: WorkCounters::new(),
+            };
+            let mut scratch = TetScratch::new();
+            let mut point_map = vec![u32::MAX; grid.num_points()];
+            for &c in self.cells.iter().filter(|&&c| sides[c] != HexSide::Out) {
+                let cell = grid.cell_at(c);
+                let mut welded = 0;
+                let corner = cell.point_ids().map(|pid| {
+                    if point_map[pid] == u32::MAX {
+                        let (value, payload) = self.point(pid);
+                        let p = grid.point_coord_id(pid);
+                        point_map[pid] = out.mesh.add_point_with(p, value, payload);
+                        welded += 1;
+                    }
+                    point_map[pid]
+                });
+                if sides[c] == HexSide::Whole {
+                    out.cells.push(CellShape::Hexahedron, &corner);
+                    out.whole_cells += 1;
+                    out.whole_points += welded;
+                    continue;
+                }
+                out.straddle_points += welded;
+                scratch.tets.clear();
+                scratch
+                    .tets
+                    .extend(HEX_TO_TETS.map(|t| t.map(|slot| corner[slot])));
+                out.tets_clipped += 6;
+                out.clip_work += self.keep.clip(&mut out.mesh, &mut scratch);
+                for t in &scratch.kept {
+                    out.cells.push(CellShape::Tetra, t);
+                }
+            }
+            out
+        }
+    }
+
+    /// Every bit a [`Subdivision`] carries.
+    fn bits(sub: &Subdivision) -> impl PartialEq + std::fmt::Debug + '_ {
+        let mesh = &sub.mesh;
+        let coords = mesh.points.iter().flat_map(|p| [p.x, p.y, p.z]);
+        (
+            coords.map(f64::to_bits).collect::<Vec<_>>(),
+            mesh.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            mesh.payloads
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            &sub.cells,
+            [
+                sub.whole_points,
+                sub.straddle_points,
+                sub.whole_cells,
+                sub.tets_clipped,
+            ],
+            sub.clip_work,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The two-slab window answers every weld lookup as one
+        /// never-cleared table does: points, scalars, payloads, cells
+        /// and all five tallies are the same bits.
+        #[test]
+        fn the_slab_window_welds_exactly_like_one_table(walk in Walks) {
+            let sides = walk.sides();
+            let (windowed, reference) = (walk.windowed(&sides), walk.reference(&sides));
+            prop_assert_eq!(bits(&windowed), bits(&reference));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "steps back from k-slab 1 to 0")]
+    fn a_cell_list_that_steps_back_a_slab_is_refused() {
+        let walk = Walk {
+            dims: [1, 1, 2],
+            values: vec![1.0; 12],
+            keep: Keep::Above(0.0),
+            cells: vec![1, 0],
+        };
+        walk.windowed(&[HexSide::Whole; 2]);
     }
 }

@@ -15,7 +15,7 @@
 //! moves one must say why the modeled work moved.
 
 use vizalgo::{dataset_fingerprint, fingerprint48, Algorithm, Backend};
-use vizmesh::{par, Association, DataSet, Field, UniformGrid, Vec3};
+use vizmesh::{par, Aabb, Association, DataSet, Field, UniformGrid, Vec3};
 
 /// `n³` cells; `energy` as a point field (off-center radial bump plus a
 /// ripple, so every filter cuts cells on curved and oblique surfaces)
@@ -81,6 +81,55 @@ fn whole_outputs_are_identical_at_1_4_and_16_threads() {
     }
 }
 
+/// A `20 × 17 × 13`-cell grid off the origin with unequal spacings,
+/// `energy` a tilted radial bump plus a ripple: the clip sphere and the
+/// isovolume band both cross every k-slab obliquely, so edge points are
+/// shared between vertically adjacent cells in every slab.
+fn slab_dataset() -> DataSet {
+    let grid = UniformGrid::from_cell_dims(
+        [20, 17, 13],
+        Aabb::new(Vec3::new(-0.7, 0.3, 2.0), Vec3::new(1.3, 1.66, 2.78)),
+    );
+    let point: Vec<f64> = (0..grid.num_points())
+        .map(|p| {
+            let q = grid.point_coord_id(p);
+            let r = q.distance(Vec3::new(0.1, 1.1, 2.3));
+            (-2.0 * r * r).exp() + 0.1 * (5.0 * q.x - 3.0 * q.z).sin() * (4.0 * q.y + q.z).cos()
+        })
+        .collect();
+    DataSet::uniform(grid).with_field(Field::scalar("energy", Association::Points, point))
+}
+
+/// The three filters that run `tetclip::subdivide_hexes`, pinned on the
+/// non-cubic grid where a slab-indexed weld can go wrong (a stride mix-up
+/// or a slab boundary off by one is invisible on a cube whose surface
+/// sits in few slabs). Captured at the commit before the weld became a
+/// two-slab window; asserted at 1, 4 and 16 threads.
+const SLAB_PINS: [(Algorithm, Backend, u64); 3] = [
+    (
+        Algorithm::SphericalClip,
+        Backend::Traditional,
+        268451422155257,
+    ),
+    (Algorithm::Isovolume, Backend::Traditional, 119012163485348),
+    (Algorithm::Isovolume, Backend::Dpp, 45321690760014),
+];
+
+#[test]
+fn clip_family_outputs_are_pinned_on_a_non_cubic_grid_at_1_4_and_16_threads() {
+    let ds = slab_dataset();
+    for threads in [1, 4, 16] {
+        let got = SLAB_PINS.map(|(alg, backend, _)| {
+            let filter = alg.default_spec().build_with(backend, &ds);
+            let out = par::with_threads(threads, || filter.execute(&ds));
+            let cells = out.dataset.as_ref().map_or(0, DataSet::num_cells);
+            assert!(cells > 1000, "{alg} {backend}: {cells} cells");
+            (alg, backend, fingerprint48(format!("{out:?}").as_bytes()))
+        });
+        assert_eq!(got, SLAB_PINS, "{threads} threads");
+    }
+}
+
 /// The paper-default particle advection (1000 seeds × 1000 RK4 steps)
 /// through a 32³ swirl with an upward drift, so some particles orbit
 /// for the full step budget and the rest leave through the top. Pinned
@@ -132,7 +181,7 @@ mod render {
         Filter, FilterOutput, FlowMode, FlowScenario, Fnv1a, ParticleAdvection, RayTracer,
         StepControl, VolumeRenderer,
     };
-    use vizmesh::{Aabb, FieldSeries};
+    use vizmesh::FieldSeries;
 
     fn fingerprint(out: &FilterOutput) -> u64 {
         let mut h = Fnv1a::new();
