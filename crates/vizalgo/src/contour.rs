@@ -220,14 +220,20 @@ fn build_case(config: u8) -> CaseTriangles {
     triangles
 }
 
-/// The marching-cubes case of every cell, in cell order: bit `i` set
-/// when corner `i` is above the isovalue.
+/// The cells the surface cuts, in ascending cell order: `(cell id,
+/// case)` for every cell whose marching-cubes case — bit `i` set when
+/// corner `i` is above the isovalue — is neither 0 nor 255 (the two
+/// cases with no triangles).
 ///
 /// Two sweeps instead of eight gathered loads and compares per cell:
 /// one `value > isovalue` flag per point, then per x-row of cells the
 /// four flag rows its corners lie on are combined, so each cell reads
-/// eight adjacent bytes. Both backends classify through here.
-pub(crate) fn classify(grid: &UniformGrid, values: &[f64], isovalue: f64) -> Vec<u8> {
+/// eight adjacent bytes. The combine fills a row buffer the chunk
+/// reuses, and the row is compacted after it, so the combine stays a
+/// straight loop. Both backends select through here, once per
+/// isovalue; nothing downstream reads the cases of the other ~99 % of
+/// the cells.
+pub(crate) fn classify(grid: &UniformGrid, values: &[f64], isovalue: f64) -> Vec<(u32, u8)> {
     let above: Vec<bool> = par::map_chunks(values.len(), crate::CELL_MIN_LEN, |points| {
         values[points].iter().map(|&v| v > isovalue).collect()
     });
@@ -236,12 +242,14 @@ pub(crate) fn classify(grid: &UniformGrid, values: &[f64], isovalue: f64) -> Vec
     // Point-id distance from corner 0 to corners 3, 4 and 7.
     let (up_y, up_z) = (nx, nx * ny);
     par::map_chunks(grid.num_cells(), crate::CELL_MIN_LEN, |cells| {
-        let mut configs = Vec::with_capacity(cells.len());
+        let mut active = Vec::new();
+        let mut cases = Vec::with_capacity(cx);
         let mut cell = grid.cell_at(cells.start);
         while cell.id() < cells.end {
             // The rest of this x-row, or of the chunk if that ends first.
             let [i, j, k] = cell.ijk();
-            let len = (cx - i).min(cells.end - cell.id());
+            let first = cell.id();
+            let len = (cx - i).min(cells.end - first);
             let p0 = grid.point_id(i, j, k);
             let row = |from: usize| &above[from..=from + len];
             let (r0, r3, r4, r7) = (
@@ -250,7 +258,8 @@ pub(crate) fn classify(grid: &UniformGrid, values: &[f64], isovalue: f64) -> Vec
                 row(p0 + up_z),
                 row(p0 + up_y + up_z),
             );
-            configs.extend((0..len).map(|x| {
+            cases.clear();
+            cases.extend((0..len).map(|x| {
                 u8::from(r0[x])
                     | u8::from(r0[x + 1]) << 1
                     | u8::from(r3[x + 1]) << 2
@@ -260,9 +269,14 @@ pub(crate) fn classify(grid: &UniformGrid, values: &[f64], isovalue: f64) -> Vec
                     | u8::from(r7[x + 1]) << 6
                     | u8::from(r7[x]) << 7
             }));
-            cell.seek(cell.id() + len);
+            for (id, &case) in (first as u32..).zip(&cases) {
+                if case != 0 && case != 255 {
+                    active.push((id, case));
+                }
+            }
+            cell.seek(first + len);
         }
-        configs
+        active
     })
 }
 
@@ -319,23 +333,24 @@ pub fn marching_cubes(grid: &UniformGrid, values: &[f64], isovalue: f64) -> McOu
     let [cx, cy, cz] = grid.cell_dims();
     let num_cells = grid.num_cells();
 
-    let configs = classify(grid, values, isovalue);
+    let active = classify(grid, values, isovalue);
 
-    // Parallel over z-slabs: each slab emits the triangles of the cells
-    // the surface cuts, keyed by global edge ids; a serial weld pass
+    // Parallel over z-slabs: each slab emits the triangles of its run of
+    // the active list, keyed by global edge ids; a serial weld pass
     // builds the final indexed mesh.
     let slab = (cx * cy).max(1);
     let slabs: Vec<(WorkCounters, WorkCounters, Vec<([u64; 3], [Vec3; 3])>)> =
         par::map(cz, crate::CELL_MIN_LEN.div_ceil(slab), |kz| {
-            // A surface typically cuts O(cx·cy) of a slab's cells, each
-            // contributing a couple of triangles; pre-size for that and
-            // let empty slabs keep the (one) allocation.
-            let mut tris: Vec<([u64; 3], [Vec3; 3])> = Vec::with_capacity(slab / 4);
-            let cut =
-                (kz * slab..(kz + 1) * slab).filter(|&c| !table[configs[c] as usize].is_empty());
-            for cell in grid.cells(cut) {
-                let case = &table[configs[cell.id()] as usize];
-                emit_case(values, isovalue, cell, case, |key, pos| {
+            let from = |c: usize| active.partition_point(|&(id, _)| (id as usize) < c);
+            let run = &active[from(kz * slab)..from((kz + 1) * slab)];
+            let num_tris: usize = run
+                .iter()
+                .map(|&(_, case)| table[case as usize].len())
+                .sum();
+            let mut tris: Vec<([u64; 3], [Vec3; 3])> = Vec::with_capacity(num_tris);
+            let cells = grid.cells(run.iter().map(|&(id, _)| id as usize));
+            for (cell, &(_, case)) in cells.zip(run) {
+                emit_case(values, isovalue, cell, &table[case as usize], |key, pos| {
                     tris.push((key, pos))
                 });
             }

@@ -3,6 +3,15 @@
 //! pipeline of Bethel et al. (arXiv:2010.02361) / VTK-m, shared by the
 //! DPP contour and slice filters.
 //!
+//! The trace records the formulation; the host runs its selection half
+//! fused. Classify → count → scan → compact is four sweeps over the
+//! whole grid as primitives, and is charged as four; here it is the one
+//! `contour::classify` sweep that both backends share, returning the
+//! active cells with their cases — what VTK-m's `ClassifyCell` worklet
+//! and `ScatterCounting` do inside one dispatch. The host's time is
+//! what `benchmarks/` measures; the modeled traffic is what the power
+//! study needs to stay the formulation's.
+//!
 //! The weld is engineered to be **bit-identical** to the traditional
 //! first-sight hash weld in [`crate::contour::marching_cubes`]: corner
 //! emissions are flattened in the traditional raster order, pairs
@@ -13,7 +22,12 @@
 
 use super::primitives::{self, DppTrace, PrimitiveOp};
 use crate::contour::{classify, emit_case, triangle_table};
-use vizmesh::{CellSet, CellShape, UniformGrid, Vec3};
+use vizmesh::{par, CellSet, CellShape, UniformGrid, Vec3};
+
+/// Fewest triangles worth a `par` chunk of the generate walk: each is
+/// three edge interpolations and a case-table read, a few dozen times
+/// the work of one element of a primitive's sweep.
+const GENERATE_MIN_LEN: usize = 1024;
 
 /// Geometry of one DPP marching-cubes pass (work lives in the trace).
 pub struct DppMcOutput {
@@ -37,53 +51,61 @@ pub fn dpp_marching_cubes(
         "marching cubes needs a point-centered scalar"
     );
     let table = triangle_table();
-    let num_cells = grid.num_cells();
+    let n = grid.num_cells() as u64;
 
-    // 1. map: corner configuration per cell, priced as the worklet it
-    // models (8 corner loads + compares per cell).
-    let configs: Vec<u8> = classify(grid, values, isovalue);
-    trace.record(
-        PrimitiveOp::Map,
-        num_cells as u64,
-        (64 + 32) * num_cells as u64,
-        num_cells as u64,
-    );
-    trace.record_flops(PrimitiveOp::Map, 8 * num_cells as u64);
-
-    // 2. map: output triangle count per cell (case-table lookup).
-    let tri_counts: Vec<u32> =
-        primitives::map(trace, &configs, |&cfg| table[cfg as usize].len() as u32);
-
-    // 3. inclusive scan: output offsets; the total sizes every
-    // downstream array exactly (the DPP answer to dynamic output).
-    let offsets = primitives::inclusive_scan(trace, &tri_counts);
-    let total = offsets.last().copied().unwrap_or(0) as usize;
-
-    // 4. compact: the active cells (those emitting geometry).
-    let flags: Vec<bool> = primitives::map(trace, &tri_counts, |&c| c > 0);
-    let active = primitives::compact_indices(trace, &flags);
+    // 1–4. Selection, fused (module header), charged as the classify
+    // `map` (8 corner loads + compares per cell), tri-count `map`,
+    // `inclusive_scan`, active-flag `map` and `compact_indices`.
+    let active = classify(grid, values, isovalue);
+    trace.record(PrimitiveOp::Map, n, (64 + 32) * n, n);
+    trace.record_flops(PrimitiveOp::Map, 8 * n);
+    trace.record(PrimitiveOp::Map, n, n, 4 * n);
+    trace.record(PrimitiveOp::InclusiveScan, n, 4 * n, 4 * n);
+    trace.record(PrimitiveOp::Map, n, 4 * n, n);
+    trace.record(PrimitiveOp::Compact, n, n, 4 * active.len() as u64);
+    // `first_tri[a]` is active cell `a`'s first triangle; the last entry
+    // is the total, which sizes every downstream array exactly.
+    let mut first_tri = Vec::with_capacity(active.len() + 1);
+    let mut total = 0;
+    first_tri.push(total);
+    for &(_, case) in &active {
+        total += table[case as usize].len();
+        first_tri.push(total);
+    }
 
     // 5. generate: each active cell interpolates its case's corner
     // positions and edge keys (the traditional per-case emission)
-    // directly into the scan-offset slots — a map worklet with a
-    // counting scatter for its output.
-    let mut keys: Vec<u64> = vec![0; 3 * total];
-    let mut pos: Vec<Vec3> = vec![Vec3::ZERO; 3 * total];
-    for cell in grid.cells(active.iter().map(|&c| c as usize)) {
-        let c = cell.id();
-        let mut slot = 3 * (offsets[c] - tri_counts[c]) as usize;
-        emit_case(
-            values,
-            isovalue,
-            cell,
-            &table[configs[c] as usize],
-            |key, p| {
-                keys[slot..slot + 3].copy_from_slice(&key);
-                pos[slot..slot + 3].copy_from_slice(&p);
-                slot += 3;
-            },
-        );
-    }
+    // straight into its scan-offset slots, each key paired with its
+    // emission index — a map worklet with a counting scatter for its
+    // output. Chunks of triangles run on `par`; a chunk starts at the
+    // active cell holding its first triangle, part-way into that cell's
+    // case when the cut falls inside it.
+    let mut pairs: Vec<[(u64, u32); 3]> = vec![[(0, 0); 3]; total];
+    let mut pos: Vec<[Vec3; 3]> = vec![[Vec3::ZERO; 3]; total];
+    par::for_each_chunk_mut2(
+        &mut pairs,
+        &mut pos,
+        GENERATE_MIN_LEN,
+        |tris, pairs, pos| {
+            let a = first_tri.partition_point(|&t| t <= tris.start) - 1;
+            let cells = grid.cells(active[a..].iter().map(|&(id, _)| id as usize));
+            let mut t = tris.start;
+            for (cell, (&(_, case), &first)) in cells.zip(active[a..].iter().zip(&first_tri[a..])) {
+                if t == tris.end {
+                    break;
+                }
+                let case = &table[case as usize];
+                let case = &case[t - first..case.len().min(tris.end - first)];
+                emit_case(values, isovalue, cell, case, |key, p| {
+                    let e = 3 * t as u32;
+                    pairs[t - tris.start] = [(key[0], e), (key[1], e + 1), (key[2], e + 2)];
+                    pos[t - tris.start] = p;
+                    t += 1;
+                });
+            }
+        },
+    );
+    let (mut pairs, pos) = (pairs.into_flattened(), pos.into_flattened());
     trace.record(
         PrimitiveOp::Map,
         active.len() as u64,
@@ -101,10 +123,6 @@ pub fn dpp_marching_cubes(
 
     // 6. weld: tuple-sort (key, emission index) pairs, collapse each key
     // segment to its first emission, rank distinct keys by it.
-    let mut pairs: Vec<(u64, u32)> = Vec::with_capacity(3 * total);
-    for (i, &k) in keys.iter().enumerate() {
-        pairs.push((k, i as u32));
-    }
     primitives::sort_by_key(trace, &mut pairs);
     let uniq = primitives::reduce_by_key(trace, &pairs, |a: u32, b: u32| a.min(b));
 
@@ -188,22 +206,36 @@ mod tests {
             .collect()
     }
 
+    /// At 10³ everything runs inline; at 32³ the two larger isovalues
+    /// emit 3512 and 7880 triangles, so generate (> 2 × 1024 triangles)
+    /// and the pair sort (> 2 × 4096 pairs) are cut into chunks at 4 and
+    /// 16 threads, at cuts that fall inside a cell's case.
     #[test]
     fn dpp_mc_is_bit_identical_to_traditional() {
-        let grid = UniformGrid::cube_cells(10);
-        let values = sphere_values(&grid);
-        for iso in [0.15, 0.3, 0.45] {
-            let trad = marching_cubes(&grid, &values, iso);
-            let mut tr = DppTrace::new();
-            let dpp = dpp_marching_cubes(&mut tr, &grid, &values, iso);
-            assert_eq!(dpp.points.len(), trad.points.len(), "iso {iso}");
-            for (a, b) in dpp.points.iter().zip(&trad.points) {
-                assert_eq!(a.x.to_bits(), b.x.to_bits());
-                assert_eq!(a.y.to_bits(), b.y.to_bits());
-                assert_eq!(a.z.to_bits(), b.z.to_bits());
+        for n in [10, 32] {
+            let grid = UniformGrid::cube_cells(n);
+            let values = sphere_values(&grid);
+            for iso in [0.15, 0.3, 0.45] {
+                let trad = marching_cubes(&grid, &values, iso);
+                let mut reports = Vec::new();
+                for threads in [1, 4, 16] {
+                    let mut tr = DppTrace::new();
+                    let dpp = par::with_threads(threads, || {
+                        dpp_marching_cubes(&mut tr, &grid, &values, iso)
+                    });
+                    let at = format!("{n}³ iso {iso} threads {threads}");
+                    assert_eq!(dpp.points.len(), trad.points.len(), "{at}");
+                    for (a, b) in dpp.points.iter().zip(&trad.points) {
+                        assert_eq!(a.x.to_bits(), b.x.to_bits(), "{at}");
+                        assert_eq!(a.y.to_bits(), b.y.to_bits(), "{at}");
+                        assert_eq!(a.z.to_bits(), b.z.to_bits(), "{at}");
+                    }
+                    assert_eq!(dpp.point_values, trad.point_values, "{at}");
+                    assert_eq!(dpp.triangles, trad.triangles, "{at}");
+                    reports.push(tr.reports());
+                }
+                assert!(reports.iter().all(|r| *r == reports[0]), "{n}³ {iso}");
             }
-            assert_eq!(dpp.point_values, trad.point_values);
-            assert_eq!(dpp.triangles, trad.triangles, "iso {iso}");
         }
     }
 

@@ -8,13 +8,16 @@
 //! The maps ([`map`], [`map_n`], [`map_cells`], [`map_points`]),
 //! [`inclusive_scan`], [`compact`] and [`compact_indices`] run on
 //! [`vizmesh::par`]: contiguous chunks, each producing its piece, joined
-//! in chunk order. [`gather`], [`scatter`], [`sort_by_key`] and
-//! [`reduce_by_key`] — the weld — are sequential until a stopwatch says
-//! they matter. Output and recorded traffic cannot depend on the thread
-//! count: an element is a function of its own index (the scan's carry
-//! is an exact integer prefix), and every count recorded is computed
-//! from input and output lengths, not from the cut. That keeps the
-//! differential conformance suite exact where the math is exact.
+//! in chunk order. [`sort_by_key`] buckets its pairs by the key's top
+//! bits and sorts groups of buckets on `par` (a plain `sort_unstable`
+//! below `2 * MIN_LEN` pairs). [`gather`], [`scatter`] and
+//! [`reduce_by_key`] are sequential (docs/PERFORMANCE.md has the phase
+//! profile that left them so). Output and recorded traffic cannot
+//! depend on the thread count: an element is a function of its own
+//! index (the scan's carry is an exact integer prefix), a full-tuple
+//! sort of a multiset has one result, and every count recorded is
+//! computed from input and output lengths, not from the cut. That keeps
+//! the differential conformance suite exact where the math is exact.
 
 use crate::filter::{KernelClass, KernelReport};
 use vizmesh::{par, GridCell, UniformGrid, Vec3, WorkCounters};
@@ -32,7 +35,8 @@ pub enum PrimitiveOp {
     Scatter,
     /// Keep flagged elements, preserving order.
     Compact,
-    /// Stable key ordering for (key, payload) pairs.
+    /// Full-tuple ordering of (key, payload) pairs: ties on a key break
+    /// on the payload, never on input position.
     SortByKey,
     /// Collapse runs of equal keys in sorted pairs.
     ReduceByKey,
@@ -360,15 +364,59 @@ pub fn compact_indices(trace: &mut DppTrace, flags: &[bool]) -> Vec<u32> {
 }
 
 /// `sort_by_key`: order (key, payload) pairs by the full tuple, so equal
-/// keys tie-break on payload — deterministic regardless of input order.
+/// keys tie-break on payload, never on input position. A multiset has
+/// exactly one such order, so the output depends neither on the input
+/// order nor on how the work was cut: one `sort_unstable` below
+/// `2 * MIN_LEN` pairs, a bucketed sort on `par` from there.
 pub fn sort_by_key(trace: &mut DppTrace, pairs: &mut [(u64, u32)]) {
-    pairs.sort_unstable();
+    if pairs.len() < 2 * MIN_LEN {
+        pairs.sort_unstable();
+    } else {
+        bucket_sort(pairs);
+    }
     trace.record(
         PrimitiveOp::SortByKey,
         pairs.len() as u64,
         12 * pairs.len() as u64,
         12 * pairs.len() as u64,
     );
+}
+
+/// The parallel path of [`sort_by_key`]. The largest key fixes a shift
+/// that keeps its top live bits, so bucket order is key order; one
+/// counting pass and one scatter fill one bucket per 8–16 pairs (2^14
+/// for the ~160 000 weld pairs of a 128³ isovalue, where 2^10 sorted
+/// 1.4 × slower and 2^16 no faster); groups of buckets are sorted on
+/// `par`, each bucket on its own in L1, and joined in bucket order.
+fn bucket_sort(pairs: &mut [(u64, u32)]) {
+    let bits = pairs.len().ilog2() - 3;
+    let max = pairs.iter().map(|&(k, _)| k).max().unwrap_or(0);
+    let shift = (u64::BITS - max.leading_zeros()).saturating_sub(bits);
+    let bucket = |k: u64| (k >> shift) as usize;
+    // Bucket `b` is `grouped[starts[b]..starts[b + 1]]`.
+    let mut starts = vec![0usize; (1 << bits) + 1];
+    for &(k, _) in pairs.iter() {
+        starts[bucket(k) + 1] += 1;
+    }
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
+    }
+    let mut next = starts.clone();
+    let mut grouped = vec![(0, 0); pairs.len()];
+    for &pair in pairs.iter() {
+        let b = bucket(pair.0);
+        grouped[next[b]] = pair;
+        next[b] += 1;
+    }
+    let sorted = par::map_chunks(1 << bits, 1, |buckets| {
+        let base = starts[buckets.start];
+        let mut part = grouped[base..starts[buckets.end]].to_vec();
+        for b in buckets {
+            part[starts[b] - base..starts[b + 1] - base].sort_unstable();
+        }
+        part
+    });
+    pairs.copy_from_slice(&sorted);
 }
 
 /// `reduce_by_key`: collapse runs of equal keys in key-sorted pairs with

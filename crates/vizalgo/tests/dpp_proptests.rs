@@ -6,7 +6,14 @@
 
 use propcheck::prelude::*;
 use std::collections::HashMap;
+use vizalgo::arena::pack_edge;
 use vizalgo::dpp::primitives::{self, DppTrace};
+use vizmesh::par;
+
+/// The primitives' `par` chunk length (`vizalgo`'s per-cell
+/// `CELL_MIN_LEN`): `sort_by_key` takes its bucketed parallel path from
+/// `2 * MIN_LEN` pairs on.
+const MIN_LEN: usize = 4096;
 
 /// Deterministic Fisher–Yates permutation of `0..n` from a seed
 /// (`propcheck` has no shuffle strategy; xorshift64 keeps runs
@@ -151,6 +158,75 @@ proptest! {
         prop_assert_eq!(reduced.len(), sums.len());
         for &(k, v) in &reduced {
             prop_assert_eq!(sums.get(&k).copied(), Some(v));
+        }
+    }
+}
+
+/// `len` pairs drawn from `seed` with one of three key shapes: `0` all
+/// keys equal (one bucket), `1` the weld's `pack_edge` keys on a 129³
+/// point grid, `2` keys anywhere in `u64` including both ends (the
+/// shift edge). Payloads repeat, and so do whole pairs.
+fn weld_like_pairs(len: usize, shape: usize, seed: u64) -> Vec<(u64, u32)> {
+    let mut s = seed | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    let one_key = next();
+    let mut pairs: Vec<(u64, u32)> = (0..len)
+        .map(|_| {
+            let r = next();
+            let key = match shape {
+                0 => one_key,
+                1 => {
+                    let lo = (r % 2_146_688) as u32;
+                    pack_edge(lo, lo + [1, 129, 129 * 129][(r >> 40) as usize % 3])
+                }
+                _ => [0, u64::MAX, r][(r >> 62) as usize % 3],
+            };
+            (key, (next() % 64) as u32)
+        })
+        .collect();
+    for i in (1..len).step_by(7) {
+        pairs[i] = pairs[i / 2];
+    }
+    pairs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(9))]
+
+    /// Around the cutoff where `sort_by_key` turns parallel, at any
+    /// thread count, it is `sort_unstable` of the same pairs, and
+    /// `reduce_by_key` on top folds the same runs in the same order;
+    /// the recorded traffic does not depend on the thread count either.
+    #[test]
+    fn sort_and_reduce_by_key_are_sequential_at_the_parallel_cutoff(
+        shape in 0usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        for len in [0, 1, 2 * MIN_LEN - 1, 2 * MIN_LEN, 2 * MIN_LEN + 1, 9 * MIN_LEN + 5] {
+            let pairs = weld_like_pairs(len, shape, seed);
+            let mut expect = pairs.clone();
+            expect.sort_unstable();
+            let fold = |a: u32, b: u32| a.wrapping_mul(31).wrapping_add(b);
+            let mut reports = Vec::new();
+            for threads in [1, 2, 7, 16] {
+                let mut tr = DppTrace::new();
+                let mut sorted = pairs.clone();
+                let reduced = par::with_threads(threads, || {
+                    primitives::sort_by_key(&mut tr, &mut sorted);
+                    primitives::reduce_by_key(&mut tr, &sorted, fold)
+                });
+                prop_assert!(sorted == expect, "len {} threads {}: sort", len, threads);
+                let mut tr_ref = DppTrace::new();
+                let reduced_ref = primitives::reduce_by_key(&mut tr_ref, &expect, fold);
+                prop_assert!(reduced == reduced_ref, "len {} threads {}: reduce", len, threads);
+                reports.push(tr.reports());
+            }
+            prop_assert!(reports.iter().all(|r| *r == reports[0]), "len {}: reports", len);
         }
     }
 }

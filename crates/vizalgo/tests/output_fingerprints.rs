@@ -130,6 +130,52 @@ fn clip_family_outputs_are_pinned_on_a_non_cubic_grid_at_1_4_and_16_threads() {
     }
 }
 
+/// A `37 × 29 × 23`-cell grid off the origin with unequal spacings,
+/// `energy` a tilted radial bump plus a ripple. 4096 — the chunk length
+/// every threaded sweep of this size is cut at — is no multiple of a
+/// 37-cell x-row, so the marching-cubes classify sweep starts and ends
+/// its chunks mid-row (the 32³ equality test above cuts whole rows).
+fn row_cut_dataset() -> DataSet {
+    let grid = UniformGrid::from_cell_dims(
+        [37, 29, 23],
+        Aabb::new(Vec3::new(0.4, -1.2, 0.7), Vec3::new(2.25, 0.251, 1.62)),
+    );
+    let point: Vec<f64> = (0..grid.num_points())
+        .map(|p| {
+            let q = grid.point_coord_id(p);
+            let r = q.distance(Vec3::new(1.2, -0.5, 1.1));
+            (-1.5 * r * r).exp() + 0.1 * (4.0 * q.x + 2.0 * q.y).sin() * (6.0 * q.z - q.x).cos()
+        })
+        .collect();
+    DataSet::uniform(grid).with_field(Field::scalar("energy", Association::Points, point))
+}
+
+/// Contour (ten isovalues) and three-slice on both backends, pinned on
+/// the grid whose rows the chunks cut. Captured at the commit before
+/// marching cubes classified once into an active-cell list; asserted at
+/// 1, 4 and 16 threads.
+const ROW_CUT_PINS: [(Algorithm, Backend, u64); 4] = [
+    (Algorithm::Contour, Backend::Traditional, 75589122003769),
+    (Algorithm::Contour, Backend::Dpp, 2867944144915),
+    (Algorithm::Slice, Backend::Traditional, 184094476694737),
+    (Algorithm::Slice, Backend::Dpp, 260189852512575),
+];
+
+#[test]
+fn marching_cubes_outputs_are_pinned_where_a_chunk_cuts_a_row_at_1_4_and_16_threads() {
+    let ds = row_cut_dataset();
+    for threads in [1, 4, 16] {
+        let got = ROW_CUT_PINS.map(|(alg, backend, _)| {
+            let filter = alg.default_spec().build_with(backend, &ds);
+            let out = par::with_threads(threads, || filter.execute(&ds));
+            let cells = out.dataset.as_ref().map_or(0, DataSet::num_cells);
+            assert!(cells > 1000, "{alg} {backend}: {cells} cells");
+            (alg, backend, fingerprint48(format!("{out:?}").as_bytes()))
+        });
+        assert_eq!(got, ROW_CUT_PINS, "{threads} threads");
+    }
+}
+
 /// The paper-default particle advection (1000 seeds × 1000 RK4 steps)
 /// through a 32³ swirl with an upward drift, so some particles orbit
 /// for the full step budget and the rest leave through the top. Pinned
