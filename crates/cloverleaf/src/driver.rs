@@ -11,11 +11,11 @@ use vizmesh::{DataSet, FieldSeries, WorkCounters};
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
     /// CFL safety factor.
-    pub cfl: f64,
+    pub(crate) cfl: f64,
     /// Initial (and maximum first-step) time step.
-    pub initial_dt: f64,
+    pub(crate) initial_dt: f64,
     /// Hard ceiling on dt.
-    pub max_dt: f64,
+    pub(crate) max_dt: f64,
 }
 
 impl Default for SimConfig {
@@ -32,8 +32,7 @@ impl Default for SimConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct StepReport {
     pub step: u64,
-    pub t: f64,
-    pub dt: f64,
+    pub(crate) t: f64,
     /// Work done by all kernels this step.
     pub work: WorkCounters,
 }
@@ -147,7 +146,6 @@ impl Simulation {
         StepReport {
             step: self.step,
             t: self.time,
-            dt: self.dt,
             work,
         }
     }
@@ -169,7 +167,7 @@ impl Simulation {
         let time_before = self.time;
         let report = self.step_phases(observer);
         let t0 = journal.now();
-        // `report.dt` is the *next* step's dt; this step advanced time
+        // `self.dt` is now the *next* step's dt; this step advanced time
         // by `report.t - time_before`.
         let step_dt = report.t - time_before;
         journal.advance(step_dt);
@@ -257,7 +255,7 @@ mod tests {
         for _ in 0..5 {
             let r = sim.step();
             assert!(r.t > last_t);
-            assert!(r.dt > 0.0);
+            assert!(sim.current_dt() > 0.0);
             last_t = r.t;
         }
         assert_eq!(sim.step_count(), 5);

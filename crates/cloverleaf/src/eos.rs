@@ -1,12 +1,12 @@
 //! Ideal-gas equation of state.
 
 /// Ratio of specific heats for the ideal gas (CloverLeaf uses 1.4).
-pub const GAMMA: f64 = 1.4;
+pub(crate) const GAMMA: f64 = 1.4;
 
 /// Pressure from density and specific internal energy:
 /// `p = (γ − 1) ρ e`.
 #[inline]
-pub fn pressure(density: f64, energy: f64) -> f64 {
+pub(crate) fn pressure(density: f64, energy: f64) -> f64 {
     (GAMMA - 1.0) * density * energy
 }
 
@@ -14,7 +14,7 @@ pub fn pressure(density: f64, energy: f64) -> f64 {
 /// computed from the same `ρ`, `e`). Clamped at zero for robustness
 /// against transient negative energies.
 #[inline]
-pub fn sound_speed(density: f64, pressure: f64) -> f64 {
+pub(crate) fn sound_speed(density: f64, pressure: f64) -> f64 {
     if density <= 0.0 || pressure <= 0.0 {
         0.0
     } else {

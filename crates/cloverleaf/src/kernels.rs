@@ -40,13 +40,13 @@ pub struct Scratch {
     /// Cell-centered total stress `p + q`.
     pub stress: Vec<f64>,
     /// Mass flux through x/y/z faces.
-    pub flux_mass: [Vec<f64>; 3],
+    pub(crate) flux_mass: [Vec<f64>; 3],
     /// Energy (ρe) flux through x/y/z faces.
-    pub flux_energy: [Vec<f64>; 3],
+    pub(crate) flux_energy: [Vec<f64>; 3],
     /// Post-advection density / energy staging; swapped with the state's
     /// arrays at the end of [`advect`].
-    pub new_density: Vec<f64>,
-    pub new_energy: Vec<f64>,
+    pub(crate) new_density: Vec<f64>,
+    pub(crate) new_energy: Vec<f64>,
 }
 
 impl Scratch {
@@ -255,7 +255,7 @@ pub fn acceleration(state: &mut State, stress: &mut [f64], dt: f64) -> WorkCount
 ///
 /// Energy is floored at a small positive value to keep the EOS sane in
 /// strong expansions.
-pub fn pdv(state: &mut State, div: &[f64], dt: f64) -> WorkCounters {
+pub(crate) fn pdv(state: &mut State, div: &[f64], dt: f64) -> WorkCounters {
     const E_FLOOR: f64 = 1e-9;
     let pressure = &state.pressure;
     let viscosity = &state.viscosity;

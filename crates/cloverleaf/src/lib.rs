@@ -21,12 +21,12 @@
 //! [`vizmesh::WorkCounters`] so the in situ power experiments can model
 //! the *simulation's* power draw alongside the visualization's.
 
-pub mod driver;
-pub mod eos;
+mod driver;
+mod eos;
 pub mod kernels;
-pub mod problems;
+mod problems;
 mod rows;
-pub mod state;
+mod state;
 
 pub use driver::{SimConfig, Simulation, StepReport};
 pub use problems::Problem;

@@ -23,7 +23,7 @@ pub enum Problem {
 impl Problem {
     /// Construct the initial [`State`] on a grid of `n³` cells over the
     /// unit cube.
-    pub fn build(self, n: usize) -> State {
+    pub(crate) fn build(self, n: usize) -> State {
         self.build_on(UniformGrid::cube_cells(n))
     }
 

@@ -18,17 +18,17 @@ pub(crate) const MIN_LEN: usize = 4096;
 /// the walk was started on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Row {
-    pub i: usize,
-    pub j: usize,
-    pub k: usize,
-    pub id: usize,
-    pub at: usize,
-    pub len: usize,
+    pub(crate) i: usize,
+    pub(crate) j: usize,
+    pub(crate) k: usize,
+    pub(crate) id: usize,
+    pub(crate) at: usize,
+    pub(crate) len: usize,
 }
 
 impl Row {
     /// This row's part of `chunk`, the items of the walked range.
-    pub fn of<'a, T>(&self, chunk: &'a mut [T]) -> &'a mut [T] {
+    pub(crate) fn of<'a, T>(&self, chunk: &'a mut [T]) -> &'a mut [T] {
         &mut chunk[self.at..self.at + self.len]
     }
 }

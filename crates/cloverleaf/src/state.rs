@@ -75,15 +75,9 @@ impl State {
         total
     }
 
-    /// Density at a node: mean of the adjacent cells (1–8 of them).
-    pub fn node_density(&self, point_id: usize) -> f64 {
-        let ijk = self.grid.point_ijk(point_id);
-        node_mean(&self.density, self.grid.cell_dims(), ijk)
-    }
-
     /// Cell-centered scalar averaged to the nodes (used to export
     /// point-centered fields for contouring).
-    pub fn cell_to_point(&self, cell_values: &[f64]) -> Vec<f64> {
+    pub(crate) fn cell_to_point(&self, cell_values: &[f64]) -> Vec<f64> {
         assert_eq!(cell_values.len(), self.grid.num_cells());
         let cdims = self.grid.cell_dims();
         let pdims = self.grid.point_dims();
@@ -102,7 +96,7 @@ impl State {
     /// visualization pipelines consume: point- and cell-centered
     /// `energy`, cell-centered `density` and `pressure`, and the
     /// node-centered `velocity` vector field.
-    pub fn to_dataset(&self) -> DataSet {
+    pub(crate) fn to_dataset(&self) -> DataSet {
         let mut ds = DataSet::uniform(self.grid.clone());
         ds.add_field(Field::scalar(
             "energy",
@@ -189,15 +183,18 @@ mod tests {
 
     #[test]
     fn node_density_interior_and_corner() {
+        // Density at a node: mean of the adjacent cells (1–8 of them).
+        let node_density =
+            |s: &State, p| node_mean(&s.density, s.grid.cell_dims(), s.grid.point_ijk(p));
         let mut s = small();
         // Uniform density: every node sees 1.0.
-        assert!((s.node_density(0) - 1.0).abs() < 1e-12);
+        assert!((node_density(&s, 0) - 1.0).abs() < 1e-12);
         // Make one corner cell heavy; the corner node sees only that cell.
         s.density[0] = 9.0;
-        assert!((s.node_density(s.grid.point_id(0, 0, 0)) - 9.0).abs() < 1e-12);
+        assert!((node_density(&s, s.grid.point_id(0, 0, 0)) - 9.0).abs() < 1e-12);
         // An interior node adjacent to the heavy cell averages 8 cells.
         let interior = s.grid.point_id(1, 1, 1);
-        assert!((s.node_density(interior) - (9.0 + 7.0) / 8.0).abs() < 1e-12);
+        assert!((node_density(&s, interior) - (9.0 + 7.0) / 8.0).abs() < 1e-12);
     }
 
     #[test]

@@ -30,15 +30,15 @@ use vizmesh::{CellSet, DataSet, FieldData, Vec3};
 /// execution's primitive-counter trail (journaled as `primitive`
 /// records by [`run_journaled`]).
 #[derive(Debug, Clone)]
-pub struct DppGroup {
-    pub algorithm: Algorithm,
-    pub grid: u32,
-    pub checks: Vec<CheckResult>,
-    pub primitives: Vec<PrimitiveReport>,
+pub(crate) struct DppGroup {
+    pub(crate) algorithm: Algorithm,
+    pub(crate) grid: u32,
+    pub(crate) checks: Vec<CheckResult>,
+    pub(crate) primitives: Vec<PrimitiveReport>,
 }
 
 /// Run one algorithm through both backends at grid size `n` and compare.
-pub fn checks(alg: Algorithm, cfg: &ConformanceConfig, n: usize) -> DppGroup {
+pub(crate) fn checks(alg: Algorithm, cfg: &ConformanceConfig, n: usize) -> DppGroup {
     let input = build_input(alg, n);
     let spec = spec_for(alg, cfg);
     let trad = spec
@@ -166,7 +166,7 @@ fn group(
 }
 
 /// Every DPP-formulated algorithm at every configured grid size.
-pub fn run_grouped(cfg: &ConformanceConfig) -> Vec<DppGroup> {
+pub(crate) fn run_grouped(cfg: &ConformanceConfig) -> Vec<DppGroup> {
     let mut groups = Vec::with_capacity(cfg.grids.len() * 4);
     for &n in &cfg.grids {
         for alg in dpp_algorithms() {
@@ -176,16 +176,8 @@ pub fn run_grouped(cfg: &ConformanceConfig) -> Vec<DppGroup> {
     groups
 }
 
-/// Run every backend-differential check and flatten into one report.
-pub fn run_all(cfg: &ConformanceConfig) -> ConformanceReport {
-    let checks = run_grouped(cfg)
-        .into_iter()
-        .flat_map(|g| g.checks)
-        .collect();
-    ConformanceReport { checks }
-}
-
-/// [`run_all`], journaling one `conformance_check` record per check, one
+/// Run every backend-differential check and flatten into one report,
+/// journaling one `conformance_check` record per check, one
 /// `conformance` record `conformance:dpp:{alg}:{grid}` per group
 /// carrying the DPP-tagged spec fingerprint, and one `primitive` record
 /// per primitive op the group's DPP execution invoked.

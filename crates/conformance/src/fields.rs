@@ -10,12 +10,12 @@
 //! * [`xramp_dataset`] — `f(p) = p.x`, point-centered. Linear, so
 //!   tetrahedral clipping and plane slicing are exact: the `[lo, hi]`
 //!   isovolume is a slab of volume `hi − lo`.
-//! * [`cell_xramp_dataset`] — cell-centered `f = x` of the cell center,
+//! * `cell_xramp_dataset` — cell-centered `f = x` of the cell center,
 //!   giving threshold an exactly countable kept-cell set.
 //! * [`rotation_dataset`] — rigid rotation `v = (−(y−c), x−c, 0)` at
 //!   `ω = 1 rad/s`. Trilinear interpolation reproduces a linear field
 //!   exactly, so advected particles move on perfect circles.
-//! * [`energy_dataset`] — constant point scalar named `energy`, the
+//! * `energy_dataset` — constant point scalar named `energy`, the
 //!   carry field of the spherical clip.
 
 use vizmesh::{Association, DataSet, Field, UniformGrid, Vec3};
@@ -52,7 +52,7 @@ pub fn xramp_dataset(n: usize) -> DataSet {
 }
 
 /// Cell scalar `f = x` of the cell center on an `n³`-cell unit cube.
-pub fn cell_xramp_dataset(n: usize) -> DataSet {
+pub(crate) fn cell_xramp_dataset(n: usize) -> DataSet {
     let grid = UniformGrid::cube_cells(n);
     let vals: Vec<f64> = (0..grid.num_cells())
         .map(|c| grid.cell_center(c).x)
@@ -77,7 +77,7 @@ pub fn rotation_dataset(n: usize) -> DataSet {
 /// sampling stays exact; snapshots of this field at rates `ω(t_k)`
 /// linear in `t` make the series' temporal lerp exact too (the basis of
 /// the time-varying pathline oracle in [`crate::flow`]).
-pub fn rotation_dataset_scaled(n: usize, omega: f64) -> DataSet {
+pub(crate) fn rotation_dataset_scaled(n: usize, omega: f64) -> DataSet {
     let grid = UniformGrid::cube_cells(n);
     let vals: Vec<Vec3> = (0..grid.num_points())
         .map(|p| {
@@ -90,7 +90,7 @@ pub fn rotation_dataset_scaled(n: usize, omega: f64) -> DataSet {
 
 /// Constant point scalar named `energy` (the spherical clip's carry
 /// field), value 1.
-pub fn energy_dataset(n: usize) -> DataSet {
+pub(crate) fn energy_dataset(n: usize) -> DataSet {
     let grid = UniformGrid::cube_cells(n);
     let np = grid.num_points();
     DataSet::uniform(grid).with_field(Field::scalar("energy", Association::Points, vec![1.0; np]))

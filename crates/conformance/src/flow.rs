@@ -39,7 +39,7 @@ const SNAPSHOTS: usize = 10;
 /// The two time-varying flow groups, run at the largest configured grid:
 /// the unsteady-rotation pathline oracle and the frozen-series
 /// metamorphic law.
-pub fn groups(cfg: &ConformanceConfig) -> Vec<(Algorithm, u32, Vec<CheckResult>)> {
+pub(crate) fn groups(cfg: &ConformanceConfig) -> Vec<(Algorithm, u32, Vec<CheckResult>)> {
     let n = cfg.grids.last().copied().unwrap_or(32);
     vec![
         (

@@ -3,22 +3,22 @@
 //! The study harness measures *power and performance*; this crate checks
 //! that the kernels being measured are *correct*, three ways:
 //!
-//! * **Oracle** ([`oracle`]): run each kernel on an analytic input field
+//! * **Oracle** (`oracle`): run each kernel on an analytic input field
 //!   (see [`fields`]) and compare its output against a closed-form
 //!   answer — a contoured sphere must have area `4πr²` and genus 0, a
 //!   clipped ball must remove `4/3·πr³` of volume, advected particles in
 //!   a rigid rotation must stay on their circles, and so on.
-//! * **Differential** ([`mod@reference`]): re-run each kernel under
+//! * **Differential** (`reference`): re-run each kernel under
 //!   `par::with_threads(1)` and `(4)` (outputs must be byte-identical), and
 //!   compare against deliberately simple sequential re-implementations
 //!   (bit-exact where the reference replicates the arithmetic).
-//! * **Metamorphic** ([`metamorphic`]): cross-kernel laws that need no
+//! * **Metamorphic** (`metamorphic`): cross-kernel laws that need no
 //!   ground truth at all — clip and its complementary isovolume must
 //!   tile the domain, isovolume and all-points threshold must agree on
 //!   interior cells, contour areas must grow with the isovalue, and the
 //!   contour discretization error must shrink at second order under grid
 //!   refinement.
-//! * **Time-varying flow** ([`flow`]): the pathline generalization
+//! * **Time-varying flow** (`flow`): the pathline generalization
 //!   against an unsteady rotation with a closed-form answer, plus the
 //!   frozen-series law (pathline on a single-snapshot series must be
 //!   byte-identical to the steady streamline).
@@ -31,10 +31,10 @@
 
 pub mod backend;
 pub mod fields;
-pub mod flow;
-pub mod metamorphic;
-pub mod oracle;
-pub mod reference;
+mod flow;
+mod metamorphic;
+mod oracle;
+mod reference;
 
 use powersim::trace::{Journal, Kind, Value};
 use std::fmt::Write as _;
@@ -90,7 +90,7 @@ pub struct CheckResult {
 }
 
 impl CheckResult {
-    pub fn new(
+    pub(crate) fn new(
         algorithm: Algorithm,
         kind: CheckKind,
         check: impl Into<String>,
@@ -112,7 +112,12 @@ impl CheckResult {
 
     /// A check that could not even be evaluated (missing output); always
     /// fails with a NaN measurement.
-    pub fn setup_failure(algorithm: Algorithm, kind: CheckKind, check: &str, grid: usize) -> Self {
+    pub(crate) fn setup_failure(
+        algorithm: Algorithm,
+        kind: CheckKind,
+        check: &str,
+        grid: usize,
+    ) -> Self {
         CheckResult::new(algorithm, kind, check, grid, f64::NAN, 0.0, 0.0)
     }
 
@@ -128,7 +133,7 @@ pub struct ConformanceConfig {
     /// Grid resolutions every oracle/differential check runs at.
     pub grids: Vec<usize>,
     /// Three increasing resolutions for the refinement-order law.
-    pub refinement: [usize; 3],
+    pub(crate) refinement: [usize; 3],
     /// Image width = height for the two renderers.
     pub render_px: usize,
     pub cameras: usize,
@@ -170,7 +175,7 @@ impl ConformanceConfig {
 }
 
 /// Build the analytic input dataset an algorithm is checked on.
-pub fn build_input(alg: Algorithm, n: usize) -> DataSet {
+pub(crate) fn build_input(alg: Algorithm, n: usize) -> DataSet {
     match alg {
         Algorithm::Contour => fields::sphere_dataset(n),
         Algorithm::Threshold => fields::cell_xramp_dataset(n),
@@ -186,7 +191,7 @@ pub fn build_input(alg: Algorithm, n: usize) -> DataSet {
 /// The canonical [`AlgorithmSpec`] each algorithm is checked under: the
 /// analytic constants above bound to this config's size knobs. All
 /// conformance filters are built from these specs (the sequential
-/// re-implementations in [`mod@reference`] are intentionally independent).
+/// re-implementations in `reference` are intentionally independent).
 pub fn spec_for(alg: Algorithm, cfg: &ConformanceConfig) -> AlgorithmSpec {
     let px = cfg.render_px;
     match alg {
@@ -245,7 +250,11 @@ pub fn spec_for(alg: Algorithm, cfg: &ConformanceConfig) -> AlgorithmSpec {
 
 /// Build the filter each algorithm is checked under (the [`spec_for`]
 /// plan instantiated against `input`).
-pub fn build_filter(alg: Algorithm, cfg: &ConformanceConfig, input: &DataSet) -> Box<dyn Filter> {
+pub(crate) fn build_filter(
+    alg: Algorithm,
+    cfg: &ConformanceConfig,
+    input: &DataSet,
+) -> Box<dyn Filter> {
     spec_for(alg, cfg).build(input)
 }
 
@@ -283,7 +292,7 @@ pub struct ConformanceReport {
 }
 
 impl ConformanceReport {
-    pub fn passed(&self) -> usize {
+    pub(crate) fn passed(&self) -> usize {
         self.checks.iter().filter(|c| c.pass()).count()
     }
 
@@ -302,7 +311,7 @@ impl ConformanceReport {
 
 /// Run every check, grouped as `(algorithm, grid, checks)` — one group
 /// per algorithm per grid, plus the metamorphic groups.
-pub fn run_grouped(cfg: &ConformanceConfig) -> Vec<(Algorithm, u32, Vec<CheckResult>)> {
+pub(crate) fn run_grouped(cfg: &ConformanceConfig) -> Vec<(Algorithm, u32, Vec<CheckResult>)> {
     let mut groups = Vec::with_capacity(cfg.grids.len() * Algorithm::ALL.len() + 8);
     for &n in &cfg.grids {
         for alg in Algorithm::ALL {

@@ -24,7 +24,7 @@ use vizmesh::{validate_cells, CellShape};
 const KIND: CheckKind = CheckKind::Metamorphic;
 
 /// All metamorphic check groups for one configuration.
-pub fn groups(cfg: &ConformanceConfig) -> Vec<(Algorithm, u32, Vec<CheckResult>)> {
+pub(crate) fn groups(cfg: &ConformanceConfig) -> Vec<(Algorithm, u32, Vec<CheckResult>)> {
     let n = cfg.grids.last().copied().unwrap_or(32);
     vec![
         (Algorithm::SphericalClip, n as u32, vec![clip_complement(n)]),

@@ -20,7 +20,7 @@ const KIND: CheckKind = CheckKind::Oracle;
 
 /// Oracle checks for `alg` at grid `n` over the output `out` of the
 /// canonical filter (see [`crate::build_filter`]) on `input`.
-pub fn checks(
+pub(crate) fn checks(
     alg: Algorithm,
     cfg: &ConformanceConfig,
     n: usize,

@@ -22,7 +22,7 @@ const KIND: CheckKind = CheckKind::Differential;
 
 /// Differential checks for `alg` at grid `n`: thread invariance plus the
 /// sequential-reference comparison.
-pub fn checks(
+pub(crate) fn checks(
     alg: Algorithm,
     cfg: &ConformanceConfig,
     n: usize,

@@ -44,7 +44,7 @@ impl Ablation {
     }
 
     /// The modified package spec.
-    pub fn spec(self) -> CpuSpec {
+    pub(crate) fn spec(self) -> CpuSpec {
         let mut spec = CpuSpec::broadwell_e5_2695v4();
         match self {
             Ablation::NoTrafficPower => spec.mem_power_watts = Watts::ZERO,
@@ -58,7 +58,6 @@ impl Ablation {
 /// Result of one ablated sweep next to the reference.
 #[derive(Debug, Clone)]
 pub struct AblationResult {
-    pub ablation: Ablation,
     pub reference: Vec<Ratios>,
     pub ablated: Vec<Ratios>,
 }
@@ -106,11 +105,7 @@ pub fn run_ablation(run: &AlgorithmRun, caps: &[Watts], ablation: Ablation) -> A
         crate::study::sweep(run, caps, &spec).ratios()
     };
 
-    AblationResult {
-        ablation,
-        reference,
-        ablated,
-    }
+    AblationResult { reference, ablated }
 }
 
 #[cfg(test)]

@@ -30,21 +30,21 @@ pub struct AdvectConfig {
     /// Hydro steps to run (past the paper's cycle-200 snapshot point).
     pub hydro_steps: u64,
     /// Record a snapshot into the ring every this many steps.
-    pub record_every: u64,
+    pub(crate) record_every: u64,
     /// Snapshot ring capacity (the retained sliding window).
     pub ring_capacity: usize,
     /// Particles seeded per scenario.
-    pub particles: usize,
+    pub(crate) particles: usize,
     /// Integration step budget per particle.
-    pub steps: usize,
+    pub(crate) steps: usize,
     /// RK4 step size as a fraction of the domain diagonal.
-    pub step_fraction: f64,
+    pub(crate) step_fraction: f64,
     /// Seed for the dense-box seeding RNG.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Power cap the characterized workload executes under.
-    pub cap: Watts,
+    pub(crate) cap: Watts,
     /// The scenario matrix, one sweep row per entry.
-    pub scenarios: Vec<FlowScenario>,
+    pub(crate) scenarios: Vec<FlowScenario>,
 }
 
 impl AdvectConfig {
@@ -89,7 +89,7 @@ impl AdvectConfig {
 /// mode exercising along-feature seeding, adaptive step control, and
 /// the max-time horizon. Full runs add a tight-tolerance adaptive cell
 /// per mode.
-pub fn scenario_matrix(quick: bool) -> Vec<FlowScenario> {
+pub(crate) fn scenario_matrix(quick: bool) -> Vec<FlowScenario> {
     let mut rows = Vec::new();
     for mode in [FlowMode::Streamline, FlowMode::Pathline] {
         for seeding in [Seeding::DenseBox, Seeding::SparseGrid] {
@@ -134,9 +134,9 @@ pub struct ScenarioRow {
     /// Polyline points produced.
     pub points: usize,
     /// Modeled execution time at the sweep cap.
-    pub seconds: f64,
+    pub(crate) seconds: f64,
     /// Modeled energy at the sweep cap.
-    pub joules: Joules,
+    pub(crate) joules: Joules,
 }
 
 /// The sweep's result: the recorded window plus one row per scenario.

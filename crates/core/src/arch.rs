@@ -17,7 +17,7 @@ use crate::study::{sweep, AlgorithmRun};
 use powersim::{CpuSpec, Watts};
 
 /// The architectures compared.
-pub fn architectures() -> Vec<CpuSpec> {
+pub(crate) fn architectures() -> Vec<CpuSpec> {
     vec![
         CpuSpec::broadwell_e5_2695v4(),
         CpuSpec::skylake_8160_like(),
@@ -27,7 +27,7 @@ pub fn architectures() -> Vec<CpuSpec> {
 
 /// Nine evenly spaced caps across an architecture's supported range,
 /// mirroring the paper's 120→40 W sweep proportionally.
-pub fn caps_for(spec: &CpuSpec) -> Vec<Watts> {
+pub(crate) fn caps_for(spec: &CpuSpec) -> Vec<Watts> {
     let n = 9;
     (0..n)
         .map(|i| {
@@ -41,13 +41,12 @@ pub fn caps_for(spec: &CpuSpec) -> Vec<Watts> {
 #[derive(Debug, Clone)]
 pub struct ArchRow {
     pub arch: String,
-    pub algorithm: String,
+    pub(crate) algorithm: String,
     pub class: PowerClass,
     /// First ≥10 % slowdown cap, as a fraction of that part's TDP.
-    pub first_slowdown_tdp_fraction: Option<f64>,
+    pub(crate) first_slowdown_tdp_fraction: Option<f64>,
     /// Tratio at the severest cap.
-    pub tratio_at_floor: f64,
-    pub ratios: Vec<Ratios>,
+    pub(crate) tratio_at_floor: f64,
 }
 
 /// Sweep one measured run across every architecture.
@@ -64,7 +63,6 @@ pub fn compare_architectures(run: &AlgorithmRun) -> Vec<ArchRow> {
                 first_slowdown_tdp_fraction: first_slowdown_cap(&ratios)
                     .map(|c| c / spec.tdp_watts),
                 tratio_at_floor: ratios.last().unwrap().tratio,
-                ratios,
             }
         })
         .collect()

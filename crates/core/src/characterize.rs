@@ -22,21 +22,21 @@ use vizalgo::{KernelClass, KernelReport};
 
 /// Microarchitectural signature of a kernel class.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClassSignature {
+pub(crate) struct ClassSignature {
     /// Core-limited cycles per instruction (no memory stalls).
-    pub cpi_core: f64,
+    pub(crate) cpi_core: f64,
     /// Dynamic-power activity factor.
-    pub activity: f64,
+    pub(crate) activity: f64,
     /// Amplification of measured array bytes into memory-system traffic
     /// (cache-line granularity, gather waste, prefetch overshoot).
-    pub line_amplification: f64,
+    pub(crate) line_amplification: f64,
     /// LLC miss-rate floor for working sets that fit in cache
     /// (streaming kernels miss regardless of capacity).
-    pub miss_floor: f64,
+    pub(crate) miss_floor: f64,
 }
 
 /// Signature table. One row per [`KernelClass`].
-pub fn signature(class: KernelClass) -> ClassSignature {
+pub(crate) fn signature(class: KernelClass) -> ClassSignature {
     match class {
         // Streaming per-cell compares: load/store bound, low power.
         KernelClass::CellClassify => ClassSignature {
@@ -131,7 +131,7 @@ pub fn signature(class: KernelClass) -> ClassSignature {
 /// LLC capacity term: extra miss fraction once the working set exceeds
 /// the cache. A 3× overshoot costs ~30 extra points — calibrated to the
 /// magnitude of volume rendering's IPC drop from 128³ to 256³ (Fig. 5).
-pub fn capacity_miss(working_set_bytes: u64, llc_bytes: u64) -> f64 {
+pub(crate) fn capacity_miss(working_set_bytes: u64, llc_bytes: u64) -> f64 {
     if working_set_bytes == 0 {
         return 0.0;
     }
@@ -153,7 +153,7 @@ pub fn capacity_miss(working_set_bytes: u64, llc_bytes: u64) -> f64 {
 /// scales compute and memory identically, so every ratio in the study is
 /// invariant to it; it only sets absolute times and the Fig. 3
 /// elements/sec magnitudes (calibrated to the paper's 10–60 M/s band).
-pub const WORK_SCALE: u64 = 10;
+pub(crate) const WORK_SCALE: u64 = 10;
 
 /// Fixed per-kernel dispatch overhead: worklet/task-scheduler setup that
 /// does not scale with the data (thread-pool wakeups, control flow,
@@ -161,13 +161,13 @@ pub const WORK_SCALE: u64 = 10;
 /// dilutes the kernel's IPC — the mechanism behind Fig. 4's rising IPC
 /// with data size for the cell-centered algorithms. At paper sizes
 /// (≥ 32³ with real per-cell work) it is negligible.
-pub const DISPATCH_OVERHEAD_INSTR: u64 = 500_000;
+pub(crate) const DISPATCH_OVERHEAD_INSTR: u64 = 500_000;
 
 /// CPI of the dispatch overhead (branchy, serial, uncached).
-pub const DISPATCH_OVERHEAD_CPI: f64 = 6.0;
+pub(crate) const DISPATCH_OVERHEAD_CPI: f64 = 6.0;
 
 /// Translate one kernel report into a processor phase.
-pub fn phase_for(report: &KernelReport, spec: &CpuSpec) -> KernelPhase {
+pub(crate) fn phase_for(report: &KernelReport, spec: &CpuSpec) -> KernelPhase {
     let sig = signature(report.class);
     let w = &report.work;
     let traffic = (w.bytes_total() as f64 * sig.line_amplification) as u64;

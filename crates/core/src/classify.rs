@@ -26,7 +26,7 @@ impl std::fmt::Display for PowerClass {
 /// Cap boundary: the paper's sensitive algorithms first slow ≥ 10 % at
 /// 70–80 W ("roughly 67 % of TDP"), the opportunity algorithms at 60 W or
 /// below. A first slowdown at or above this cap ⇒ power sensitive.
-pub const SENSITIVE_CAP_WATTS: Watts = Watts(70.0);
+pub(crate) const SENSITIVE_CAP_WATTS: Watts = Watts(70.0);
 
 /// Classify an algorithm from its cap-sweep ratios.
 pub fn classify(rows: &[Ratios]) -> PowerClass {
@@ -39,17 +39,17 @@ pub fn classify(rows: &[Ratios]) -> PowerClass {
 /// Online IPC boundary (the divide visible in Fig. 2b): compute-bound
 /// phases retire more than one instruction per reference cycle even
 /// under deep caps, while memory-bound phases sit below it at any cap.
-pub const SENSITIVE_IPC: f64 = 1.0;
+pub(crate) const SENSITIVE_IPC: f64 = 1.0;
 
 /// Online LLC miss-ratio boundary: when misses dominate references the
 /// phase is memory-bound regardless of its apparent IPC.
-pub const OPPORTUNITY_LLC_MISS_RATE: f64 = 0.5;
+pub(crate) const OPPORTUNITY_LLC_MISS_RATE: f64 = 0.5;
 
 /// Classify a single 100 ms counter sample online, without a cap sweep.
 ///
 /// This is the governor's per-window view of [`classify`]: a phase
 /// whose LLC misses dominate its references, or whose IPC is below
-/// [`SENSITIVE_IPC`], is a power opportunity (capping it is nearly
+/// `SENSITIVE_IPC`, is a power opportunity (capping it is nearly
 /// free); anything else is power sensitive.
 pub fn classify_sample(ipc: f64, llc_miss_rate: f64) -> PowerClass {
     if llc_miss_rate >= OPPORTUNITY_LLC_MISS_RATE || ipc < SENSITIVE_IPC {

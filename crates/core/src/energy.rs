@@ -18,7 +18,6 @@ pub use powersim::units::{Joules, Watts};
 #[derive(Debug, Clone, Copy)]
 pub struct EnergyRow {
     pub cap_watts: Watts,
-    pub energy_joules: Joules,
     /// `E_R / E_D`: below 1 means the cap saves energy.
     pub eratio: f64,
     /// Energy-delay product `E·T`, normalized to the default run.
@@ -38,7 +37,6 @@ pub fn energy_rows(sweep: &CapSweep) -> Vec<EnergyRow> {
         .iter()
         .map(|r| EnergyRow {
             cap_watts: r.cap_watts,
-            energy_joules: r.energy_joules,
             eratio: r.energy_joules / base.energy_joules,
             edp_ratio: r.energy_joules.value() * r.seconds / base_edp,
         })

@@ -20,7 +20,7 @@ use vizalgo::Algorithm;
 /// A plottable series: one labelled line of (power cap, value) points.
 #[derive(Debug, Clone)]
 pub struct FigSeries {
-    pub label: String,
+    pub(crate) label: String,
     pub points: Vec<(f64, f64)>,
 }
 
@@ -45,7 +45,7 @@ impl FigMetric {
     }
 
     /// Stable name for journal span labels and report headers.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             FigMetric::EffectiveFrequency => "effective_frequency",
             FigMetric::Ipc => "ipc",

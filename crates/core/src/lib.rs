@@ -12,11 +12,11 @@
 //! * [`study`] — the three experiment phases: Phase 1 (contour × 9 power
 //!   caps), Phase 2 (8 algorithms × 9 caps), Phase 3 (× 4 data sizes),
 //!   288 configurations in total.
-//! * [`metrics`] — the derived ratios of §V-A (`Pratio`, `Tratio`,
+//! * `metrics` — the derived ratios of §V-A (`Pratio`, `Tratio`,
 //!   `Fratio`) and the first-10 %-slowdown rule of §VI.
 //! * [`mod@classify`] — the paper's two algorithm classes: *power
 //!   opportunity* vs *power sensitive*.
-//! * [`efficiency`] — the Moreland–Oldfield elements-per-second rate used
+//! * `efficiency` — the Moreland–Oldfield elements-per-second rate used
 //!   for Fig. 3.
 //! * [`advisor`] — the motivating use case (§VII): split a node power
 //!   budget between a simulation and a visualization workload to
@@ -32,10 +32,10 @@
 //! and [`advect`] (the time-varying flow pipeline: a hydro snapshot
 //! ring driving a pathline/streamline scenario sweep).
 //!
-//! Every layer can record into the run journal ([`powersim::trace`],
-//! re-exported as [`trace`]): enable it with
-//! [`study::StudyContext::enable_journal`] and serialize with
-//! [`trace::Journal::to_jsonl`] / [`trace::Journal::to_chrome_trace`].
+//! Every layer can record into the run journal ([`powersim::trace`]):
+//! enable it with [`study::StudyContext::enable_journal`] and serialize
+//! with [`powersim::Journal::to_jsonl`] /
+//! [`powersim::Journal::to_chrome_trace`].
 //! The event schema is documented in `docs/OBSERVABILITY.md`.
 
 pub mod ablation;
@@ -44,17 +44,16 @@ pub mod advisor;
 pub mod arch;
 pub mod characterize;
 pub mod classify;
-pub mod efficiency;
+mod efficiency;
 pub mod energy;
 pub mod experiments;
-pub mod metrics;
+mod metrics;
 pub mod report;
 pub mod store;
 pub mod study;
 
-pub use characterize::{characterize, ClassSignature};
+pub use characterize::characterize;
 pub use classify::{classify, PowerClass};
-pub use metrics::{first_slowdown_cap, Ratios, SLOWDOWN_THRESHOLD};
-pub use powersim::trace;
+pub use metrics::{first_slowdown_cap, Ratios};
 pub use store::DatasetStore;
 pub use study::{AlgorithmRun, CapSweep, StudyConfig, PAPER_CAPS, PAPER_SIZES};

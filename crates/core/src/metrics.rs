@@ -3,7 +3,7 @@
 use powersim::units::Watts;
 
 /// The paper's significance threshold: a 10 % slowdown.
-pub const SLOWDOWN_THRESHOLD: f64 = 1.10;
+pub(crate) const SLOWDOWN_THRESHOLD: f64 = 1.10;
 
 /// The §V-A ratios for one (cap, measurement) pair relative to the
 /// default-power baseline.
@@ -18,13 +18,13 @@ pub struct Ratios {
     pub tratio: f64,
     pub fratio: f64,
     /// Absolute values backing the ratios.
-    pub seconds: f64,
-    pub freq_ghz: f64,
+    pub(crate) seconds: f64,
+    pub(crate) freq_ghz: f64,
 }
 
 impl Ratios {
     /// Compute the ratios of a capped run against the default run.
-    pub fn new(
+    pub(crate) fn new(
         default_cap_watts: Watts,
         default_seconds: f64,
         default_freq_ghz: f64,
@@ -54,7 +54,7 @@ impl Ratios {
     }
 
     /// Does this row carry the paper's red marker (≥ 10 % slowdown)?
-    pub fn significant_slowdown(&self) -> bool {
+    pub(crate) fn significant_slowdown(&self) -> bool {
         self.tratio >= SLOWDOWN_THRESHOLD
     }
 }

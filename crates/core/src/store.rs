@@ -74,7 +74,8 @@ impl<K, V> Memo<K, V> {
     }
 
     /// How many compute closures have run since the memo was built.
-    pub fn computes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn computes(&self) -> u64 {
         self.computes.load(Ordering::Relaxed)
     }
 }
@@ -114,7 +115,7 @@ impl<K: Eq + Hash, V> Memo<K, V> {
 
 /// Study datasets and their content fingerprints by size, each built
 /// once and handed out as the same [`Arc`] to every thread that asks.
-/// The hydro solve runs at most at [`HYDRO_BASE_MAX`]; a larger size
+/// The hydro solve runs at most at `HYDRO_BASE_MAX`; a larger size
 /// upsamples `dataset(HYDRO_BASE_MAX)`, itself an entry of the memo.
 #[derive(Debug)]
 pub struct DatasetStore {
@@ -147,7 +148,7 @@ impl DatasetStore {
     /// solve: per-timestep [`Scope::Timestep`] spans from the hydro
     /// driver plus one `dataset:{n}` [`Scope::Study`] span. Hits (and
     /// callers that waited on another thread's build) emit nothing.
-    pub fn dataset_journaled(&self, size: usize, journal: &mut Journal) -> Arc<DataSet> {
+    pub(crate) fn dataset_journaled(&self, size: usize, journal: &mut Journal) -> Arc<DataSet> {
         self.datasets.get_or_compute(size, || {
             if size <= HYDRO_BASE_MAX {
                 solve_base(size, journal)

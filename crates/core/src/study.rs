@@ -119,15 +119,15 @@ impl StudyConfig {
 /// CloverLeaf-style energy front has swept a large fraction of the box,
 /// giving the visualization algorithms the same rich field structure the
 /// paper's cycle-200 snapshots show (Fig. 1).
-pub const HYDRO_T_END: f64 = 0.35;
+pub(crate) const HYDRO_T_END: f64 = 0.35;
 
 /// The hydro solve runs at most at this resolution; larger study sizes
 /// are produced by trilinear upsampling (see [`dataset_for`]).
-pub const HYDRO_BASE_MAX: usize = 64;
+pub(crate) const HYDRO_BASE_MAX: usize = 64;
 
 /// Produce the study dataset for a given size.
 ///
-/// The hydrodynamics solve runs at `min(size, 64)` to [`HYDRO_T_END`] and
+/// The hydrodynamics solve runs at `min(size, 64)` to `HYDRO_T_END` and
 /// is trilinearly upsampled to `size`. This substitution (documented in
 /// DESIGN.md) keeps data generation tractable on one core while the
 /// visualization algorithms still process full-resolution `size³` data —
@@ -282,7 +282,7 @@ pub fn sweep(run: &AlgorithmRun, caps: &[Watts], spec: &CpuSpec) -> CapSweep {
 /// [`sweep`], emitting one [`Scope::Sweep`] span per cap point whose
 /// joules are the row's total energy (the rollup of that execution's
 /// kernel spans), plus the executor's own events.
-pub fn sweep_journaled(
+pub(crate) fn sweep_journaled(
     run: &AlgorithmRun,
     caps: &[Watts],
     spec: &CpuSpec,
@@ -338,7 +338,7 @@ fn sweep_tagged(
 
 /// A cache of datasets and native runs so the experiment harness never
 /// repeats an expensive native execution. The hydro base solve is cached
-/// separately so every size above [`HYDRO_BASE_MAX`] reuses it.
+/// separately so every size above `HYDRO_BASE_MAX` reuses it.
 ///
 /// Entries are keyed maps of shared [`Arc`]s: a cache hit hands back
 /// another handle to the same allocation, never a deep clone of a
@@ -354,7 +354,7 @@ fn sweep_tagged(
 /// so the same tables and figures contrast the two kernel formulations
 /// (Bethel et al., arXiv:2010.02361) by running them on two contexts.
 pub struct StudyContext {
-    pub config: Option<StudyConfig>,
+    pub(crate) config: Option<StudyConfig>,
     /// The study-wide run journal (disabled unless enabled explicitly).
     pub journal: Journal,
     backend: Backend,
@@ -393,14 +393,8 @@ impl StudyContext {
     /// hit returns another handle to the cached allocation. Delegates to
     /// the context's [`DatasetStore`], journaling fresh base solves
     /// exactly as before the extraction.
-    pub fn dataset(&mut self, size: usize) -> Arc<DataSet> {
+    pub(crate) fn dataset(&mut self, size: usize) -> Arc<DataSet> {
         self.store.dataset_journaled(size, &mut self.journal)
-    }
-
-    /// The context's dataset store, for consumers (the study service)
-    /// that share datasets across threads.
-    pub fn store(&self) -> &DatasetStore {
-        &self.store
     }
 
     /// Native run for (algorithm, size), computed once; a hit returns

@@ -27,30 +27,28 @@ use powersim::{CpuSpec, ExecResult, Joules, Package, RunState, Watts};
 #[derive(Debug, Clone)]
 pub struct GovernorResult {
     /// Name of the policy that governed the run.
-    pub policy: String,
+    pub(crate) policy: String,
     /// The (feasibility-clamped) node budget that was enforced.
     pub budget_watts: Watts,
     /// Pair completion time: the slower side's execution time.
     pub seconds: f64,
     /// Total node energy (both packages).
-    pub energy_joules: Joules,
+    pub(crate) energy_joules: Joules,
     /// The simulation side's execution result.
-    pub sim: ExecResult,
+    pub(crate) sim: ExecResult,
     /// The visualization side's execution result.
-    pub viz: ExecResult,
+    pub(crate) viz: ExecResult,
     /// Number of control decisions taken (one per 100 ms window).
-    pub decisions: u64,
+    pub(crate) decisions: u64,
     /// Number of RAPL reprogrammings (including the two initial ones).
-    pub cap_changes: u64,
+    pub(crate) cap_changes: u64,
     /// Highest node power observed over any 100 ms window.
     pub max_window_power_watts: Watts,
-    /// The split in force when the run ended (0 W marks a retired side).
-    pub final_split: CapSplit,
 }
 
 /// Clamp a requested budget to the feasible node range: both packages
 /// must hold at least `min_cap` and can use at most TDP each.
-pub fn clamp_budget(budget_watts: Watts, spec: &CpuSpec) -> Watts {
+pub(crate) fn clamp_budget(budget_watts: Watts, spec: &CpuSpec) -> Watts {
     budget_watts.clamp(2.0 * spec.min_cap_watts, 2.0 * spec.tdp_watts)
 }
 
@@ -222,12 +220,11 @@ pub fn govern(
 
         if sim_state.is_done() && viz_state.is_done() {
             // This window finished the pair: there is no next window to
-            // cap, so deciding would only zero the recorded final split.
+            // cap, so deciding would only zero the journaled final split.
             break;
         }
 
         let obs = Observation {
-            t: journal.now(),
             budget,
             sim: observe_side(&sim_state, split.sim, sim_power),
             viz: observe_side(&viz_state, split.viz, viz_power),
@@ -279,7 +276,6 @@ pub fn govern(
         decisions,
         cap_changes,
         max_window_power_watts: max_window_power,
-        final_split: split,
     }
 }
 
@@ -365,7 +361,6 @@ mod tests {
             llc_miss_rate,
         };
         let obs = Observation {
-            t: 0.1,
             budget: Watts(160.0),
             sim: side(Watts(88.25), 1.8, 0.05),
             viz: side(Watts(46.5), 0.4, 0.9),
@@ -509,7 +504,8 @@ mod tests {
         // The viz side retires first; afterwards the sim cap is the
         // budget bounded by TDP.
         assert!(r.viz.seconds < r.sim.seconds);
-        assert_eq!(r.final_split.sim, Watts(120.0));
-        assert_eq!(r.final_split.viz, Watts::ZERO);
+        let last = j.records(Kind::PolicyDecision).last().expect("decisions");
+        assert_eq!(last.num("sim_cap_watts"), Some(120.0));
+        assert_eq!(last.num("viz_cap_watts"), Some(0.0));
     }
 }

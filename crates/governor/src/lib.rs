@@ -11,17 +11,17 @@
 //! caps between windows — never letting the caps of active packages
 //! exceed the node budget.
 //!
-//! * [`policy`] — the [`Policy`] trait and its implementations:
+//! * `policy` — the [`Policy`] trait and its implementations:
 //!   [`Uniform`] (naïve half/half), [`StaticAdvisor`] (the offline plan,
 //!   applied once), [`Reactive`] (a hysteresis hill-climb stealing
-//!   headroom from power-opportunity phases), and [`FixedSplit`] (the
+//!   headroom from power-opportunity phases), and `FixedSplit` (the
 //!   oracle building block).
-//! * [`pair`] — builds the governed workload pair by instrumenting a
+//! * `pair` — builds the governed workload pair by instrumenting a
 //!   tightly-coupled CloverLeaf + visualization run.
-//! * [`control`] — the control loop itself: [`govern`] steps two
+//! * `control` — the control loop itself: [`govern`] steps two
 //!   resumable executions window by window, journaling every
 //!   `policy_decision` and `cap_change` record.
-//! * [`study`] — the `reproduce governor --budget-sweep` study: every
+//! * `study` — the `reproduce governor --budget-sweep` study: every
 //!   policy at node budgets from 80 W to 240 W, plus an oracle found by
 //!   exhaustive fixed-split search.
 //!
@@ -29,14 +29,12 @@
 //! identical inputs produce byte-identical journals regardless of thread
 //! count or wall-clock (see `docs/GOVERNOR.md`).
 
-pub mod control;
-pub mod pair;
-pub mod policy;
-pub mod study;
+mod control;
+mod pair;
+mod policy;
+mod study;
 
-pub use control::{clamp_budget, govern, GovernorResult};
-pub use pair::{coupled_pair, WorkloadPair, TARGET_SIM_SECONDS, TARGET_VIZ_SECONDS};
-pub use policy::{
-    CapSplit, FixedSplit, Observation, Policy, Reactive, SideObs, StaticAdvisor, Uniform,
-};
+pub use control::{govern, GovernorResult};
+pub use pair::{coupled_pair, WorkloadPair};
+pub use policy::{CapSplit, Observation, Policy, Reactive, SideObs, StaticAdvisor, Uniform};
 pub use study::{budget_sweep, budgets, render_table, sweep_pair, BudgetSweep, PolicyRow};

@@ -12,17 +12,19 @@
 
 use cloverleaf::Problem;
 use insitu::{Action, ActionList, FilterSpec, InSituRuntime, RendererSpec, RuntimeConfig, Trigger};
-use powersim::{CpuSpec, KernelPhase, Package, Workload};
+#[cfg(test)]
+use powersim::KernelPhase;
+use powersim::{CpuSpec, Package, Workload};
 use vizalgo::{IsoValues, KernelReport};
 use vizpower::characterize::characterize;
 
 /// Uncapped duration the simulation side is scaled to (seconds).
-pub const TARGET_SIM_SECONDS: f64 = 6.0;
+pub(crate) const TARGET_SIM_SECONDS: f64 = 6.0;
 
 /// Uncapped duration the visualization side is scaled to (seconds). The
 /// viz finishing first is the paper's concurrent-pair shape and is what
 /// gives a closed-loop policy its retirement-reassignment win.
-pub const TARGET_VIZ_SECONDS: f64 = 2.4;
+pub(crate) const TARGET_VIZ_SECONDS: f64 = 2.4;
 
 /// The two characterized workloads the governor splits a budget across.
 #[derive(Debug, Clone)]
@@ -37,7 +39,8 @@ impl WorkloadPair {
     /// A hand-built pair for unit tests: a compute-bound simulation and
     /// a memory-bound visualization with the same target durations as
     /// the real pair, but no simulation run behind it.
-    pub fn synthetic_for_tests() -> WorkloadPair {
+    #[cfg(test)]
+    pub(crate) fn synthetic_for_tests() -> WorkloadPair {
         // ~6 s of compute at TDP (2.6 GHz × 18 cores × IPC 2.5 ≈ 117 G
         // instructions/s) and ~2.4 s of DRAM-bound streaming (160 GB at
         // the 68 GB/s sustained bandwidth; core time is ~1 s, so the

@@ -20,21 +20,21 @@ use vizpower::classify::{classify_sample, PowerClass};
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CapSplit {
     /// Cap of the package running the simulation.
-    pub sim: Watts,
+    pub(crate) sim: Watts,
     /// Cap of the package running the visualization.
-    pub viz: Watts,
+    pub(crate) viz: Watts,
 }
 
 impl CapSplit {
     /// The naïve split: half the budget each, clamped to the hardware
     /// range.
-    pub fn uniform(budget: Watts, spec: &CpuSpec) -> CapSplit {
+    pub(crate) fn uniform(budget: Watts, spec: &CpuSpec) -> CapSplit {
         let per = (budget / 2.0).clamp(spec.min_cap_watts, spec.tdp_watts);
         CapSplit { sim: per, viz: per }
     }
 
     /// Sum of the two caps.
-    pub fn total(&self) -> Watts {
+    pub(crate) fn total(&self) -> Watts {
         self.sim + self.viz
     }
 }
@@ -43,26 +43,26 @@ impl CapSplit {
 #[derive(Debug, Clone, Copy)]
 pub struct SideObs {
     /// The side was still executing at the end of the window.
-    pub active: bool,
+    pub(crate) active: bool,
     /// Cap programmed during the window (zero once the side completed).
-    pub cap: Watts,
+    pub(crate) cap: Watts,
     /// Mean power drawn while the side was running this window.
-    pub power: Watts,
+    pub(crate) power: Watts,
     /// IPC of the side's newest 100 ms sample (0 before the first).
-    pub ipc: f64,
+    pub(crate) ipc: f64,
     /// LLC miss ratio of the side's newest 100 ms sample.
-    pub llc_miss_rate: f64,
+    pub(crate) llc_miss_rate: f64,
 }
 
 impl SideObs {
     /// Online phase classification of this side's current sample, using
     /// the thresholds in [`mod@vizpower::classify`].
-    pub fn class(&self) -> PowerClass {
+    pub(crate) fn class(&self) -> PowerClass {
         classify_sample(self.ipc, self.llc_miss_rate)
     }
 
     /// Cap minus measured draw: power the side is not using.
-    pub fn headroom(&self) -> Watts {
+    pub(crate) fn headroom(&self) -> Watts {
         (self.cap - self.power).max(Watts::ZERO)
     }
 }
@@ -70,14 +70,12 @@ impl SideObs {
 /// One control-loop observation: both sides plus the node budget.
 #[derive(Debug, Clone, Copy)]
 pub struct Observation {
-    /// Governor-timeline seconds at the end of the window.
-    pub t: f64,
     /// The node power budget.
-    pub budget: Watts,
+    pub(crate) budget: Watts,
     /// The simulation side.
-    pub sim: SideObs,
+    pub(crate) sim: SideObs,
     /// The visualization side.
-    pub viz: SideObs,
+    pub(crate) viz: SideObs,
 }
 
 /// A cap-assignment policy driven by the 100 ms observation stream.
@@ -184,26 +182,26 @@ impl Policy for StaticAdvisor {
 // ---------------------------------------------------------------------------
 
 /// Watts moved per accepted hill-climb step.
-pub const STEP_WATTS: Watts = Watts(5.0);
+pub(crate) const STEP_WATTS: Watts = Watts(5.0);
 
 /// A donor must be leaving at least this much headroom *beyond* the
 /// step, so taking the step provably does not slow it down.
-pub const HEADROOM_SLACK_WATTS: Watts = Watts(4.0);
+pub(crate) const HEADROOM_SLACK_WATTS: Watts = Watts(4.0);
 
 /// A receiver drawing within this margin of its cap counts as
 /// power-limited (the margin absorbs DVFS-ladder quantization).
-pub const PINCH_WATTS: Watts = Watts(3.0);
+pub(crate) const PINCH_WATTS: Watts = Watts(3.0);
 
 /// Consecutive windows a transfer condition must hold before a step is
 /// taken (hysteresis against single-sample phase noise).
-pub const HYSTERESIS_WINDOWS: u32 = 2;
+pub(crate) const HYSTERESIS_WINDOWS: u32 = 2;
 
 /// The closed-loop policy: a hysteresis hill-climb that steals headroom
 /// from memory-bound (power-opportunity) phases for the power-limited
 /// side, and hands the entire budget to whichever side outlives the
 /// other.
 ///
-/// A 5 W step from X to Y is taken only after [`HYSTERESIS_WINDOWS`]
+/// A 5 W step from X to Y is taken only after `HYSTERESIS_WINDOWS`
 /// consecutive windows in which X classifies as a power opportunity
 /// with more than `STEP + SLACK` watts of unused headroom while Y is
 /// power-sensitive and pinched against its cap — so each step is free
@@ -291,14 +289,14 @@ impl Policy for Reactive {
 /// over the whole split grid, found by exhaustive search in
 /// [`crate::study`] — an upper bound no static assignment can beat.
 #[derive(Debug)]
-pub struct FixedSplit {
+pub(crate) struct FixedSplit {
     split: CapSplit,
     name: &'static str,
 }
 
 impl FixedSplit {
     /// A fixed-split policy for the given caps.
-    pub fn new(split: CapSplit) -> Self {
+    pub(crate) fn new(split: CapSplit) -> Self {
         FixedSplit {
             split,
             name: "fixed",
@@ -307,7 +305,7 @@ impl FixedSplit {
 
     /// A fixed split reported under a different name (the study re-runs
     /// the winning split as "oracle").
-    pub fn named(split: CapSplit, name: &'static str) -> Self {
+    pub(crate) fn named(split: CapSplit, name: &'static str) -> Self {
         FixedSplit { split, name }
     }
 }
@@ -342,7 +340,6 @@ mod tests {
 
     fn obs(sim: SideObs, viz: SideObs, budget: f64) -> Observation {
         Observation {
-            t: 0.1,
             budget: Watts(budget),
             sim,
             viz,

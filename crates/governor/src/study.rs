@@ -25,21 +25,21 @@ pub fn budgets() -> Vec<Watts> {
 #[derive(Debug, Clone)]
 pub struct PolicyRow {
     /// The enforced node budget.
-    pub budget_watts: Watts,
+    pub(crate) budget_watts: Watts,
     /// Policy name (`uniform`, `static-advisor`, `reactive`, `oracle`).
-    pub policy: String,
+    pub(crate) policy: String,
     /// Pair completion time (slower side).
     pub seconds: f64,
     /// Total node energy.
     pub energy_joules: Joules,
     /// `energy / seconds`.
-    pub avg_power_watts: Watts,
+    pub(crate) avg_power_watts: Watts,
     /// Highest node power over any 100 ms window.
     pub max_window_power_watts: Watts,
     /// Simulation-side completion time.
-    pub sim_seconds: f64,
+    pub(crate) sim_seconds: f64,
     /// Visualization-side completion time.
-    pub viz_seconds: f64,
+    pub(crate) viz_seconds: f64,
     /// RAPL reprogrammings performed.
     pub cap_changes: u64,
     /// Control decisions taken.
@@ -71,7 +71,7 @@ impl PolicyRow {
 #[derive(Debug, Clone)]
 pub struct BudgetSweep {
     /// Grid size the pair was characterized from (cells per axis).
-    pub grid_cells: usize,
+    pub(crate) grid_cells: usize,
     /// Rows in budget-major order: for each budget, `uniform`,
     /// `static-advisor`, `reactive`, `oracle`.
     pub rows: Vec<PolicyRow>,

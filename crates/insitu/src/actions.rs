@@ -9,7 +9,8 @@
 //! express — and every build goes through the one registry-sanctioned
 //! construction site, [`AlgorithmSpec::build`].
 
-pub use vizalgo::spec::{AlgorithmSpec, IsoValues, ScalarBand, SphereSpec};
+use vizalgo::spec::AlgorithmSpec;
+pub use vizalgo::spec::{IsoValues, ScalarBand, SphereSpec};
 use vizmesh::json::{self, JsonError, Value};
 
 /// A filter declaration inside a pipeline: the canonical
@@ -43,7 +44,7 @@ pub struct ActionList(pub Vec<Action>);
 impl Action {
     /// The wire form: `{"action": "add_pipeline", "name": .., "filters":
     /// [..]}` or `{"action": "add_scene", "name": .., "renderer": ..}`.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         match self {
             Action::AddPipeline { name, filters } => Value::object([
                 ("action", "add_pipeline".into()),
@@ -62,7 +63,7 @@ impl Action {
     }
 
     /// Decode the wire form of [`to_json`](Action::to_json).
-    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+    pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         let name = || v.str("name").map(str::to_owned);
         match v.str("action")? {
             "add_pipeline" => Ok(Action::AddPipeline {

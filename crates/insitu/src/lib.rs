@@ -11,10 +11,10 @@
 //! `vizpower` crate turns those records into the power/performance
 //! experiments; the examples render the image databases.
 
-pub mod actions;
-pub mod runtime;
-pub mod scene;
-pub mod trigger;
+mod actions;
+mod runtime;
+mod scene;
+mod trigger;
 
 pub use actions::{
     Action, ActionList, FilterSpec, IsoValues, RendererSpec, ScalarBand, SphereSpec,

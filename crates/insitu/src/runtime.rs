@@ -58,13 +58,13 @@ pub struct CoupledRun {
     /// Times the simulation state was exported for the trigger and the
     /// pipelines: the steps whose [`Trigger::step_verdict`] was not
     /// `Some(false)`.
-    pub exports: u64,
+    pub(crate) exports: u64,
 }
 
 /// The coupled driver.
 pub struct InSituRuntime {
     pub sim: Simulation,
-    pub actions: ActionList,
+    pub(crate) actions: ActionList,
     pub scenes: Vec<Scene>,
     config: RuntimeConfig,
 }
@@ -85,7 +85,7 @@ impl InSituRuntime {
 
     /// Run the coupled loop to completion.
     ///
-    /// Equivalent to [`InSituRuntime::run_journaled`] with a disabled
+    /// Equivalent to `InSituRuntime::run_journaled` with a disabled
     /// journal.
     pub fn run(&mut self) -> CoupledRun {
         self.run_journaled(&mut Journal::off())
@@ -97,7 +97,7 @@ impl InSituRuntime {
     /// span per executed pipeline, per rendered scene, and per whole
     /// visualization cycle. Viz spans are zero-width: the in situ layer
     /// models no time of its own, only counted work.
-    pub fn run_journaled(&mut self, journal: &mut Journal) -> CoupledRun {
+    pub(crate) fn run_journaled(&mut self, journal: &mut Journal) -> CoupledRun {
         let mut out = CoupledRun::default();
         let mut sim_since_viz = WorkCounters::new();
         // Per-hydro-kernel accumulation since the last cycle, keyed by

@@ -12,7 +12,7 @@ use vizmesh::DataSet;
 pub struct Scene {
     pub name: String,
     pub renderer: RendererSpec,
-    pub output_dir: Option<PathBuf>,
+    pub(crate) output_dir: Option<PathBuf>,
 }
 
 impl Scene {

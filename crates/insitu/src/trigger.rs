@@ -1,6 +1,5 @@
 //! Visualization triggers: when a cycle should run the pipelines.
 
-use vizmesh::json::{JsonError, Value};
 use vizmesh::DataSet;
 
 /// When to trigger an in situ visualization cycle.
@@ -16,41 +15,6 @@ pub enum Trigger {
 }
 
 impl Trigger {
-    /// The wire form: `{"type": "every_n", "n": ..}`, `{"type":
-    /// "field_max", "field": .., "above": ..}` or `{"type": "both",
-    /// "a": .., "b": ..}`.
-    pub fn to_json(&self) -> Value {
-        let tag = |t: &str| ("type", t.into());
-        match self {
-            Trigger::EveryN { n } => Value::object([tag("every_n"), ("n", (*n).into())]),
-            Trigger::FieldMax { field, above } => Value::object([
-                tag("field_max"),
-                ("field", field.as_str().into()),
-                ("above", (*above).into()),
-            ]),
-            Trigger::Both { a, b } => {
-                Value::object([tag("both"), ("a", a.to_json()), ("b", b.to_json())])
-            }
-        }
-    }
-
-    /// Decode the wire form of [`to_json`](Trigger::to_json). Nesting
-    /// depth is already bounded by the parser that produced `v`.
-    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v.str("type")? {
-            "every_n" => Ok(Trigger::EveryN { n: v.u64("n")? }),
-            "field_max" => Ok(Trigger::FieldMax {
-                field: v.str("field")?.to_owned(),
-                above: v.f64("above")?,
-            }),
-            "both" => Ok(Trigger::Both {
-                a: Box::new(Trigger::from_json(v.field("a")?)?),
-                b: Box::new(Trigger::from_json(v.field("b")?)?),
-            }),
-            other => Err(JsonError::unknown_tag("trigger type", other)),
-        }
-    }
-
     /// What the step number alone settles about step `step` (1-based):
     /// `Some(fires)` when no data can change the answer, `None` when
     /// [`fires`](Trigger::fires) has to look at the data. The runtime
@@ -158,28 +122,5 @@ mod tests {
         assert_eq!(both(every(2), field()).step_verdict(4), None);
         assert_eq!(both(every(2), every(3)).step_verdict(6), Some(true));
         assert_eq!(both(every(2), every(3)).step_verdict(4), Some(false));
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let t = Trigger::Both {
-            a: Box::new(Trigger::EveryN { n: 10 }),
-            b: Box::new(Trigger::FieldMax {
-                field: "energy".into(),
-                above: 2.5,
-            }),
-        };
-        let json = t.to_json().render();
-        assert_eq!(
-            json,
-            r#"{"type":"both","a":{"type":"every_n","n":10},"b":{"type":"field_max","field":"energy","above":2.5}}"#
-        );
-        let parsed = vizmesh::json::parse(&json).expect("valid JSON");
-        assert_eq!(Trigger::from_json(&parsed), Ok(t));
-        let unknown = vizmesh::json::parse(r#"{"type":"never"}"#).expect("valid JSON");
-        assert_eq!(
-            Trigger::from_json(&unknown),
-            Err(JsonError::unknown_tag("trigger type", "never"))
-        );
     }
 }

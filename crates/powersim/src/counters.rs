@@ -11,17 +11,17 @@ const CTR_MASK: u64 = (1 << 48) - 1;
 
 /// The per-package counter bank.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CounterBank {
-    pub aperf: u64,
-    pub mperf: u64,
+pub(crate) struct CounterBank {
+    pub(crate) aperf: u64,
+    pub(crate) mperf: u64,
     /// INST_RETIRED.ANY.
-    pub inst_retired: u64,
+    pub(crate) inst_retired: u64,
     /// CPU_CLK_UNHALTED.REF_TSC.
-    pub ref_tsc: u64,
+    pub(crate) ref_tsc: u64,
     /// LONGEST_LAT_CACHE.REFERENCE.
-    pub llc_ref: u64,
+    pub(crate) llc_ref: u64,
     /// LONGEST_LAT_CACHE.MISS.
-    pub llc_miss: u64,
+    pub(crate) llc_miss: u64,
 }
 
 impl CounterBank {
@@ -29,7 +29,7 @@ impl CounterBank {
     /// frequency `f_ghz` on `cores` cores, retiring instructions and LLC
     /// events at the given rates (events/second, package-aggregate).
     #[allow(clippy::too_many_arguments)]
-    pub fn advance(
+    pub(crate) fn advance(
         &mut self,
         dt: f64,
         f_ghz: f64,
@@ -52,7 +52,7 @@ impl CounterBank {
     }
 
     /// Wrap-aware counter delta.
-    pub fn delta(before: u64, after: u64) -> u64 {
+    pub(crate) fn delta(before: u64, after: u64) -> u64 {
         if after >= before {
             after - before
         } else {
@@ -62,9 +62,9 @@ impl CounterBank {
 }
 
 /// Derived metrics exactly as §V-B defines them.
-pub mod derived {
+pub(crate) mod derived {
     /// Effective CPU frequency = base × APERF / MPERF.
-    pub fn effective_frequency_ghz(base_ghz: f64, d_aperf: u64, d_mperf: u64) -> f64 {
+    pub(crate) fn effective_frequency_ghz(base_ghz: f64, d_aperf: u64, d_mperf: u64) -> f64 {
         if d_mperf == 0 {
             return 0.0;
         }
@@ -77,7 +77,7 @@ pub mod derived {
     /// cores; reference cycles tick at the base clock on every unhalted
     /// core), so the ratio is the average per-core IPC — the quantity the
     /// paper plots in Fig. 2b.
-    pub fn ipc(d_inst: u64, d_ref_tsc: u64) -> f64 {
+    pub(crate) fn ipc(d_inst: u64, d_ref_tsc: u64) -> f64 {
         if d_ref_tsc == 0 {
             return 0.0;
         }
@@ -85,7 +85,7 @@ pub mod derived {
     }
 
     /// LLC miss rate = LONG_LAT_CACHE.MISS / LONG_LAT_CACHE.REF.
-    pub fn llc_miss_rate(d_miss: u64, d_ref: u64) -> f64 {
+    pub(crate) fn llc_miss_rate(d_miss: u64, d_ref: u64) -> f64 {
         if d_ref == 0 {
             return 0.0;
         }

@@ -11,37 +11,37 @@ use crate::units::Watts;
 #[derive(Debug, Clone)]
 pub struct CpuSpec {
     pub name: String,
-    pub cores: u32,
+    pub(crate) cores: u32,
     pub base_ghz: f64,
     /// All-core turbo ceiling.
     pub turbo_ghz: f64,
     pub min_ghz: f64,
     /// DVFS step between available frequencies.
-    pub dvfs_step_ghz: f64,
+    pub(crate) dvfs_step_ghz: f64,
     pub tdp_watts: Watts,
     /// Lowest RAPL cap the package accepts.
     pub min_cap_watts: Watts,
     pub llc_bytes: u64,
     /// Sustained DRAM bandwidth per package.
-    pub dram_bytes_per_sec: f64,
+    pub(crate) dram_bytes_per_sec: f64,
     /// DRAM access latency.
-    pub mem_latency_sec: f64,
+    pub(crate) mem_latency_sec: f64,
     /// Memory-level parallelism: outstanding misses per core.
-    pub mlp: f64,
+    pub(crate) mlp: f64,
     /// Constant uncore power.
-    pub uncore_watts: Watts,
+    pub(crate) uncore_watts: Watts,
     /// Additional package power at full DRAM-bandwidth utilization
     /// (memory controllers, LLC and ring traffic). Scales linearly with
     /// the utilization fraction.
     pub mem_power_watts: Watts,
     /// Leakage coefficient: `P_leak = leak_per_volt * V`.
-    pub leak_per_volt: f64,
+    pub(crate) leak_per_volt: f64,
     /// Dynamic coefficient: `P_dyn = cores * c_dyn * V² * f_ghz * α`.
-    pub c_dyn: f64,
+    pub(crate) c_dyn: f64,
     /// Voltage at `min_ghz`.
-    pub v_min: f64,
+    pub(crate) v_min: f64,
     /// Voltage slope per GHz above `min_ghz`.
-    pub v_slope: f64,
+    pub(crate) v_slope: f64,
 }
 
 impl CpuSpec {
@@ -130,7 +130,7 @@ impl CpuSpec {
     }
 
     /// Operating voltage at frequency `f_ghz`.
-    pub fn voltage(&self, f_ghz: f64) -> f64 {
+    pub(crate) fn voltage(&self, f_ghz: f64) -> f64 {
         self.v_min + self.v_slope * (f_ghz - self.min_ghz).max(0.0)
     }
 
@@ -142,7 +142,7 @@ impl CpuSpec {
 
     /// Package power including the DRAM-traffic term. `bw_utilization` is
     /// the fraction of peak DRAM bandwidth in flight (clamped to [0, 1]).
-    pub fn power_with_traffic(&self, f_ghz: f64, alpha: f64, bw_utilization: f64) -> Watts {
+    pub(crate) fn power_with_traffic(&self, f_ghz: f64, alpha: f64, bw_utilization: f64) -> Watts {
         let v = self.voltage(f_ghz);
         self.uncore_watts
             + self.mem_power_watts * bw_utilization.clamp(0.0, 1.0)
@@ -151,7 +151,7 @@ impl CpuSpec {
     }
 
     /// The DVFS ladder, descending from turbo to minimum.
-    pub fn frequencies(&self) -> Vec<f64> {
+    pub(crate) fn frequencies(&self) -> Vec<f64> {
         let mut out = Vec::new();
         let mut f = self.turbo_ghz;
         while f >= self.min_ghz - 1e-9 {
@@ -175,7 +175,7 @@ impl CpuSpec {
 
     /// Clamp a requested cap into the supported range (the paper sweeps
     /// 120 W down to 40 W).
-    pub fn clamp_cap(&self, cap_watts: Watts) -> Watts {
+    pub(crate) fn clamp_cap(&self, cap_watts: Watts) -> Watts {
         cap_watts.clamp(self.min_cap_watts, self.tdp_watts)
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! Execution is resumable: [`RunState`] holds all in-flight progress of
 //! one workload on one [`Package`], and [`RunState::advance`] runs it
-//! for a bounded slice of virtual time. [`Package::run_journaled`] is
+//! for a bounded slice of virtual time. `Package::run_journaled` is
 //! the one-shot wrapper (an unbounded advance); the closed-loop governor
 //! steps two `RunState`s in 100 ms windows and reprograms caps between
 //! them.
@@ -31,12 +31,10 @@ pub const SAMPLE_PERIOD_SEC: f64 = 0.100;
 /// One 100 ms sample: the derived metrics of §V-B over the interval.
 #[derive(Debug, Clone, Copy)]
 pub struct Sample {
-    /// End time of the interval (virtual seconds).
-    pub t: f64,
     /// Mean package power over the interval, from the energy MSR delta.
-    pub power_watts: Watts,
+    pub(crate) power_watts: Watts,
     /// Effective frequency over the interval (APERF/MPERF), in GHz.
-    pub effective_freq_ghz: f64,
+    pub(crate) effective_freq_ghz: f64,
     /// Instructions per reference cycle over the interval.
     pub ipc: f64,
     /// LLC miss rate (misses / references) over the interval.
@@ -46,8 +44,6 @@ pub struct Sample {
 /// Aggregate result of one workload execution.
 #[derive(Debug, Clone)]
 pub struct ExecResult {
-    /// Name of the executed workload.
-    pub workload: String,
     /// The cap programmed when the run started.
     pub cap_watts: Watts,
     /// Total execution time (virtual seconds).
@@ -63,22 +59,18 @@ pub struct ExecResult {
     pub avg_ipc: f64,
     /// Whole-run LLC miss rate (misses / references).
     pub avg_llc_miss_rate: f64,
-    /// The 100 ms sample series (last sample may be partial).
-    pub samples: Vec<Sample>,
-    /// Wall-clock seconds spent in each phase, by phase index.
-    pub phase_seconds: Vec<f64>,
 }
 
 /// One simulated processor package.
 pub struct Package {
     /// The package model (V/f curve, DVFS ladder, power coefficients).
-    pub spec: CpuSpec,
+    pub(crate) spec: CpuSpec,
     /// The package's model-specific registers (msr-safe allow-listed).
-    pub msr: MsrFile,
+    pub(crate) msr: MsrFile,
     /// The package's performance counter bank.
-    pub counters: CounterBank,
+    pub(crate) counters: CounterBank,
     /// Virtual time since construction.
-    pub now: f64,
+    pub(crate) now: f64,
 }
 
 impl Package {
@@ -98,13 +90,13 @@ impl Package {
     }
 
     /// Program a package cap (clamped to the supported range).
-    pub fn set_cap(&mut self, watts: Watts) {
+    pub(crate) fn set_cap(&mut self, watts: Watts) {
         PowerLimiter::set_cap(&mut self.msr, &self.spec, watts)
             // lint: infallible because MSR_PKG_POWER_LIMIT is writable in the msr-safe allowlist
             .expect("power-limit MSR is writable");
     }
 
-    /// Program a package cap like [`Package::set_cap`], emitting a
+    /// Program a package cap like `Package::set_cap`, emitting a
     /// [`Kind::CapChange`] record of both the requested and the actually
     /// programmed (range-clamped) cap.
     pub fn set_cap_journaled(&mut self, watts: Watts, journal: &mut Journal) {
@@ -152,9 +144,9 @@ impl Package {
     }
 
     /// Execute `workload` to completion under the currently programmed
-    /// cap, returning the aggregate result and the 100 ms sample series.
+    /// cap, returning the aggregate result.
     ///
-    /// Equivalent to [`Package::run_journaled`] with a disabled journal.
+    /// Equivalent to `Package::run_journaled` with a disabled journal.
     pub fn run(&mut self, workload: &Workload) -> ExecResult {
         self.run_journaled(workload, &mut Journal::off())
     }
@@ -167,7 +159,11 @@ impl Package {
     /// `energy_joules`, so children sum to the parent exactly. The
     /// journal clock advances in lock-step with the package's virtual
     /// time.
-    pub fn run_journaled(&mut self, workload: &Workload, journal: &mut Journal) -> ExecResult {
+    pub(crate) fn run_journaled(
+        &mut self,
+        workload: &Workload,
+        journal: &mut Journal,
+    ) -> ExecResult {
         let mut state = RunState::new(self, workload, journal);
         while !state.is_done() {
             state.advance(self, f64::INFINITY, journal);
@@ -175,14 +171,7 @@ impl Package {
         state.finish(self)
     }
 
-    fn make_sample(
-        &self,
-        t: f64,
-        dt: f64,
-        snap: &CounterBank,
-        e_before: u64,
-        e_after: u64,
-    ) -> Sample {
+    fn make_sample(&self, dt: f64, snap: &CounterBank, e_before: u64, e_after: u64) -> Sample {
         let d_aperf = CounterBank::delta(snap.aperf, self.counters.aperf);
         let d_mperf = CounterBank::delta(snap.mperf, self.counters.mperf);
         let d_inst = CounterBank::delta(snap.inst_retired, self.counters.inst_retired);
@@ -190,7 +179,6 @@ impl Package {
         let d_llc_ref = CounterBank::delta(snap.llc_ref, self.counters.llc_ref);
         let d_llc_miss = CounterBank::delta(snap.llc_miss, self.counters.llc_miss);
         Sample {
-            t,
             power_watts: self
                 .msr
                 .energy_delta_joules(e_before, e_after)
@@ -212,7 +200,7 @@ impl Package {
     }
 
     /// Convenience: program `cap_watts` (journaling the [`Kind::CapChange`])
-    /// and [`Package::run_journaled`].
+    /// and `Package::run_journaled`.
     pub fn run_capped_journaled(
         &mut self,
         workload: &Workload,
@@ -230,7 +218,7 @@ impl Package {
 /// [`RunState::advance`] with a virtual-time budget per call (the
 /// governor uses the 100 ms sample period), and consumed by
 /// [`RunState::finish`] once [`RunState::is_done`]. An unbounded
-/// `advance` reproduces [`Package::run_journaled`] exactly — same
+/// `advance` reproduces `Package::run_journaled` exactly — same
 /// events, same order, same arithmetic.
 pub struct RunState<'w> {
     workload: &'w Workload,
@@ -239,9 +227,11 @@ pub struct RunState<'w> {
     start_t: f64,
     run_t0: f64,
     energy: Joules,
-    samples: Vec<Sample>,
-    phase_seconds: Vec<f64>,
-    // Sampling bookkeeping.
+    // Sampling bookkeeping: the newest sample, how many were taken, and
+    // the running sum of effective frequency × sample duration.
+    latest: Option<Sample>,
+    sample_count: usize,
+    freq_seconds: f64,
     last_sample_t: f64,
     snap: CounterBank,
     snap_energy_reg: u64,
@@ -265,8 +255,9 @@ impl<'w> RunState<'w> {
             start_t: pkg.now,
             run_t0: journal.now(),
             energy: Joules::ZERO,
-            samples: Vec::new(),
-            phase_seconds: Vec::with_capacity(workload.phases.len()),
+            latest: None,
+            sample_count: 0,
+            freq_seconds: 0.0,
             last_sample_t: pkg.now,
             snap: pkg.counters,
             snap_energy_reg: pkg.msr.hw_get(addr::MSR_PKG_ENERGY_STATUS),
@@ -287,7 +278,7 @@ impl<'w> RunState<'w> {
 
     /// The most recent 100 ms [`Sample`], if one has been emitted yet.
     pub fn latest_sample(&self) -> Option<&Sample> {
-        self.samples.last()
+        self.latest.as_ref()
     }
 
     /// Energy accumulated so far, including the open phase — the
@@ -315,18 +306,7 @@ impl<'w> RunState<'w> {
                 // All phases done: flush the final partial sample and
                 // close the workload span, exactly once.
                 if pkg.now - self.last_sample_t > 1e-9 {
-                    let e_reg = pkg.msr.hw_get(addr::MSR_PKG_ENERGY_STATUS);
-                    self.samples.push(pkg.make_sample(
-                        pkg.now,
-                        pkg.now - self.last_sample_t,
-                        &self.snap,
-                        self.snap_energy_reg,
-                        e_reg,
-                    ));
-                    emit_counter(journal, &self.samples);
-                    self.last_sample_t = pkg.now;
-                    self.snap = pkg.counters;
-                    self.snap_energy_reg = e_reg;
+                    self.take_sample(pkg, journal);
                 }
                 if journal.is_enabled() {
                     journal.push_span(
@@ -337,7 +317,7 @@ impl<'w> RunState<'w> {
                         vec![
                             ("cap_watts", self.cap.value()),
                             ("phases", self.workload.phases.len() as f64),
-                            ("samples", self.samples.len() as f64),
+                            ("samples", self.sample_count as f64),
                         ],
                     );
                 }
@@ -403,23 +383,11 @@ impl<'w> RunState<'w> {
 
             // Emit a sample at each 100 ms boundary.
             if pkg.now - self.last_sample_t >= SAMPLE_PERIOD_SEC - 1e-12 {
-                let e_reg = pkg.msr.hw_get(addr::MSR_PKG_ENERGY_STATUS);
-                self.samples.push(pkg.make_sample(
-                    pkg.now,
-                    pkg.now - self.last_sample_t,
-                    &self.snap,
-                    self.snap_energy_reg,
-                    e_reg,
-                ));
-                emit_counter(journal, &self.samples);
-                self.last_sample_t = pkg.now;
-                self.snap = pkg.counters;
-                self.snap_energy_reg = e_reg;
+                self.take_sample(pkg, journal);
             }
 
             if self.progress >= 1.0 {
                 self.energy += self.phase_energy;
-                self.phase_seconds.push(self.t_in_phase);
                 if journal.is_enabled() {
                     journal.push_span(
                         Scope::Kernel,
@@ -440,6 +408,33 @@ impl<'w> RunState<'w> {
         consumed
     }
 
+    /// Close the sample interval ending now: read the counters and the
+    /// energy MSR, fold the sample into the run averages, and mirror it
+    /// onto the journal as a [`Kind::Counter`] record.
+    fn take_sample(&mut self, pkg: &Package, journal: &mut Journal) {
+        let dt = pkg.now - self.last_sample_t;
+        let e_reg = pkg.msr.hw_get(addr::MSR_PKG_ENERGY_STATUS);
+        let s = pkg.make_sample(dt, &self.snap, self.snap_energy_reg, e_reg);
+        self.freq_seconds += s.effective_freq_ghz * dt;
+        self.sample_count += 1;
+        if journal.is_enabled() {
+            journal.push_record(
+                Kind::Counter,
+                journal.now(),
+                vec![
+                    ("power_watts", s.power_watts.into()),
+                    ("effective_freq_ghz", s.effective_freq_ghz.into()),
+                    ("ipc", s.ipc.into()),
+                    ("llc_miss_rate", s.llc_miss_rate.into()),
+                ],
+            );
+        }
+        self.latest = Some(s);
+        self.last_sample_t = pkg.now;
+        self.snap = pkg.counters;
+        self.snap_energy_reg = e_reg;
+    }
+
     /// Aggregate the completed run into an [`ExecResult`].
     pub fn finish(self, pkg: &Package) -> ExecResult {
         debug_assert!(self.completed, "finish() before the workload completed");
@@ -449,12 +444,7 @@ impl<'w> RunState<'w> {
         let total_miss: u64 = self.workload.phases.iter().map(|p| p.llc_misses()).sum();
         // Run-level averages weighted by time (frequency) or totals (IPC).
         let avg_freq = if seconds > 0.0 {
-            self.samples
-                .iter()
-                .zip(sample_durations(&self.samples, self.start_t))
-                .map(|(s, d)| s.effective_freq_ghz * d)
-                .sum::<f64>()
-                / seconds
+            self.freq_seconds / seconds
         } else {
             0.0
         };
@@ -463,7 +453,6 @@ impl<'w> RunState<'w> {
             (pkg.spec.base_ghz * 1e9 * seconds * pkg.spec.cores as f64) as u64,
         );
         ExecResult {
-            workload: self.workload.name.clone(),
             cap_watts: self.cap,
             seconds,
             energy_joules: self.energy,
@@ -475,42 +464,8 @@ impl<'w> RunState<'w> {
             avg_effective_freq_ghz: avg_freq,
             avg_ipc,
             avg_llc_miss_rate: derived::llc_miss_rate(total_miss, total_refs),
-            samples: self.samples,
-            phase_seconds: self.phase_seconds,
         }
     }
-}
-
-/// Mirror the newest 100 ms [`Sample`] onto the journal timeline.
-fn emit_counter(journal: &mut Journal, samples: &[Sample]) {
-    if !journal.is_enabled() {
-        return;
-    }
-    if let Some(s) = samples.last() {
-        journal.push_record(
-            Kind::Counter,
-            journal.now(),
-            vec![
-                ("power_watts", s.power_watts.into()),
-                ("effective_freq_ghz", s.effective_freq_ghz.into()),
-                ("ipc", s.ipc.into()),
-                ("llc_miss_rate", s.llc_miss_rate.into()),
-            ],
-        );
-    }
-}
-
-/// Reconstruct per-sample durations from sample end times.
-fn sample_durations(samples: &[Sample], start_t: f64) -> Vec<f64> {
-    let mut last = start_t;
-    samples
-        .iter()
-        .map(|s| {
-            let d = s.t - last;
-            last = s.t;
-            d
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -525,6 +480,70 @@ mod tests {
 
     fn memory_workload(scale: u64) -> Workload {
         Workload::new("memory").with_phase(KernelPhase::memory("m", scale, scale * 30))
+    }
+
+    /// A capped run on a fresh package, its 100 ms samples read back from
+    /// the journal's counter records, and each sample's duration.
+    fn sampled_run(w: &Workload, cap: Watts) -> (ExecResult, Vec<Sample>, Vec<f64>) {
+        let mut journal = Journal::with_capacity(1 << 16);
+        let r = Package::broadwell().run_capped_journaled(w, cap, &mut journal);
+        assert_eq!(journal.dropped(), 0);
+        let mut last_t = 0.0;
+        let (samples, durations) = journal
+            .records(Kind::Counter)
+            .map(|rec| {
+                let num = |key| rec.num(key).expect("counter field");
+                let s = Sample {
+                    power_watts: Watts(num("power_watts")),
+                    effective_freq_ghz: num("effective_freq_ghz"),
+                    ipc: num("ipc"),
+                    llc_miss_rate: num("llc_miss_rate"),
+                };
+                let d = rec.t - last_t;
+                last_t = rec.t;
+                (s, d)
+            })
+            .unzip();
+        (r, samples, durations)
+    }
+
+    /// Drive a [`RunState`] to completion in slices of at most `budget`
+    /// virtual seconds, returning the result and the number of samples
+    /// the run took.
+    fn run_in_slices(
+        pkg: &mut Package,
+        w: &Workload,
+        budget: f64,
+        journal: &mut Journal,
+    ) -> (ExecResult, usize) {
+        let mut st = RunState::new(pkg, w, journal);
+        let mut slices = 0;
+        while !st.is_done() {
+            let consumed = st.advance(pkg, budget, journal);
+            assert!(consumed <= budget + 1e-9);
+            slices += 1;
+            assert!(slices < 100_000, "advance() must make progress");
+        }
+        let samples = st.sample_count;
+        (st.finish(pkg), samples)
+    }
+
+    /// What a journal shows of a run's shape: counter records, kernel
+    /// spans, and the `samples` argument of the closing workload span.
+    fn journal_shape(journal: &Journal) -> (usize, usize, Option<f64>) {
+        let mut kernels = 0;
+        let mut samples_arg = None;
+        for ev in journal.events() {
+            match ev {
+                Event::Span(s) if s.scope == Scope::Kernel => kernels += 1,
+                Event::Span(s) if s.scope == Scope::Workload => {
+                    samples_arg = s.args.iter().find(|(k, _)| *k == "samples").map(|a| a.1);
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(journal.dropped(), 0);
+        (journal.records(Kind::Counter).count(), kernels, samples_arg)
     }
 
     #[test]
@@ -568,29 +587,24 @@ mod tests {
 
     #[test]
     fn energy_accounting_is_consistent() {
-        let mut pkg = Package::broadwell();
-        let r = pkg.run_capped(&compute_workload(500_000_000_000), Watts(80.0));
+        let (r, samples, durations) = sampled_run(&compute_workload(500_000_000_000), Watts(80.0));
         // Energy ≈ avg power × time by construction; the MSR counter
-        // (with wraps) must agree with the float accumulation.
-        let msr_total: Joules = {
-            // Re-run and track via samples: sum power × dt.
-            let durations = sample_durations(&r.samples, 0.0);
-            r.samples
-                .iter()
-                .zip(durations)
-                .map(|(s, d)| s.power_watts.for_duration(d))
-                .sum()
-        };
+        // (with wraps) must agree with the float accumulation. Track it
+        // via samples: sum power × dt.
+        let msr_total: Joules = samples
+            .iter()
+            .zip(durations)
+            .map(|(s, d)| s.power_watts.for_duration(d))
+            .sum();
         let rel = (msr_total - r.energy_joules).abs() / r.energy_joules;
         assert!(rel < 0.01, "MSR {msr_total} vs accum {}", r.energy_joules);
     }
 
     #[test]
     fn sample_cadence_is_100ms() {
-        let mut pkg = Package::broadwell();
-        let r = pkg.run_capped(&compute_workload(1_000_000_000_000), Watts(120.0));
-        assert!(r.samples.len() >= 3);
-        let durations = sample_durations(&r.samples, 0.0);
+        let (_, samples, durations) =
+            sampled_run(&compute_workload(1_000_000_000_000), Watts(120.0));
+        assert!(samples.len() >= 3);
         for d in &durations[..durations.len() - 1] {
             assert!((d - SAMPLE_PERIOD_SEC).abs() < 1e-6, "sample dt = {d}");
         }
@@ -619,21 +633,33 @@ mod tests {
         let w = Workload::new("mix")
             .with_phase(KernelPhase::compute("a", 500_000_000_000))
             .with_phase(KernelPhase::memory("b", 20_000_000_000, 600_000_000_000));
-        let mut pkg = Package::broadwell();
-        let r = pkg.run_capped(&w, Watts(90.0));
-        let sum: f64 = r.phase_seconds.iter().sum();
+        let mut journal = Journal::with_capacity(1 << 14);
+        let r = Package::broadwell().run_capped_journaled(&w, Watts(90.0), &mut journal);
+        let phases: Vec<f64> = journal
+            .events()
+            .filter_map(|ev| match ev {
+                Event::Span(s) if s.scope == Scope::Kernel => Some(s.t1 - s.t0),
+                _ => None,
+            })
+            .collect();
+        let sum: f64 = phases.iter().sum();
         assert!((sum - r.seconds).abs() < 1e-6);
-        assert_eq!(r.phase_seconds.len(), 2);
+        assert_eq!(phases.len(), 2);
     }
 
     #[test]
     fn deterministic_execution() {
         let w = compute_workload(300_000_000_000);
-        let a = Package::broadwell().run_capped(&w, Watts(70.0));
-        let b = Package::broadwell().run_capped(&w, Watts(70.0));
+        let run = || {
+            let mut pkg = Package::broadwell();
+            pkg.set_cap(Watts(70.0));
+            run_in_slices(&mut pkg, &w, f64::INFINITY, &mut Journal::off())
+        };
+        let (a, a_samples) = run();
+        let (b, b_samples) = run();
         assert_eq!(a.seconds, b.seconds);
         assert_eq!(a.energy_joules, b.energy_joules);
-        assert_eq!(a.samples.len(), b.samples.len());
+        assert_eq!(a_samples, b_samples);
     }
 
     #[test]
@@ -658,7 +684,8 @@ mod tests {
         // Exact: the run total is accumulated per phase in span order.
         assert_eq!(workload_joules, Some(r.energy_joules));
         assert_eq!(kernel_sum, r.energy_joules);
-        assert_eq!(journal.records(Kind::Counter).count(), r.samples.len());
+        let (counters, kernels, samples_arg) = journal_shape(&journal);
+        assert_eq!((kernels, samples_arg), (2, Some(counters as f64)));
         assert_eq!(journal.records(Kind::CapChange).count(), 1);
     }
 
@@ -666,7 +693,7 @@ mod tests {
     fn cap_change_and_counter_jsonl_shapes_are_exact() {
         let w = compute_workload(300_000_000_000);
         let mut journal = Journal::with_capacity(1 << 10);
-        let r = Package::broadwell().run_capped_journaled(&w, Watts(250.0), &mut journal);
+        Package::broadwell().run_capped_journaled(&w, Watts(250.0), &mut journal);
         let jsonl = journal.to_jsonl();
         let mut lines = jsonl.lines();
         assert_eq!(
@@ -676,15 +703,16 @@ mod tests {
                  \"requested_watts\":250,\"actual_watts\":120}"
             )
         );
-        let s = r.samples.first().expect("at least one sample");
+        let s = journal.records(Kind::Counter).next().expect("one sample");
+        let num = |key| s.num(key).expect("counter field");
         let counter = format!(
             "{{\"v\":10,\"seq\":1,\"ev\":\"counter\",\"t\":{},\"power_watts\":{},\
              \"effective_freq_ghz\":{},\"ipc\":{},\"llc_miss_rate\":{}}}",
             s.t,
-            s.power_watts.value(),
-            s.effective_freq_ghz,
-            s.ipc,
-            s.llc_miss_rate
+            num("power_watts"),
+            num("effective_freq_ghz"),
+            num("ipc"),
+            num("llc_miss_rate")
         );
         assert_eq!(lines.next(), Some(counter.as_str()));
     }
@@ -692,13 +720,19 @@ mod tests {
     #[test]
     fn journaled_run_matches_plain_run() {
         let w = compute_workload(300_000_000_000);
-        let plain = Package::broadwell().run_capped(&w, Watts(70.0));
+        let mut pkg = Package::broadwell();
+        pkg.set_cap(Watts(70.0));
+        let (plain, plain_samples) =
+            run_in_slices(&mut pkg, &w, f64::INFINITY, &mut Journal::off());
         let mut journal = Journal::with_capacity(1 << 14);
         let journaled = Package::broadwell().run_capped_journaled(&w, Watts(70.0), &mut journal);
         assert_eq!(plain.seconds, journaled.seconds);
         assert_eq!(plain.energy_joules, journaled.energy_joules);
-        assert_eq!(plain.samples.len(), journaled.samples.len());
-        assert!(!journal.is_empty());
+        assert_eq!(
+            plain.avg_effective_freq_ghz,
+            journaled.avg_effective_freq_ghz
+        );
+        assert_eq!(journal.records(Kind::Counter).count(), plain_samples);
     }
 
     #[test]
@@ -708,12 +742,11 @@ mod tests {
         let w = Workload::new("mix")
             .with_phase(KernelPhase::compute("hot", 2_000_000_000_000))
             .with_phase(KernelPhase::memory("cold", 20_000_000_000, 600_000_000_000));
-        let mut pkg = Package::broadwell();
-        let r = pkg.run_capped(&w, Watts(70.0));
+        let (_, samples, _) = sampled_run(&w, Watts(70.0));
         // Find per-sample frequencies: early samples (compute) slower
         // than late samples (memory).
-        let first = r.samples.first().unwrap().effective_freq_ghz;
-        let last = r.samples.last().unwrap().effective_freq_ghz;
+        let first = samples.first().unwrap().effective_freq_ghz;
+        let last = samples.last().unwrap().effective_freq_ghz;
         assert!(first < last, "first {first} !< last {last}");
     }
 
@@ -722,34 +755,34 @@ mod tests {
         let w = Workload::new("mix")
             .with_phase(KernelPhase::compute("a", 500_000_000_000))
             .with_phase(KernelPhase::memory("b", 20_000_000_000, 600_000_000_000));
-        let one = Package::broadwell().run_capped(&w, Watts(90.0));
-
-        let mut pkg = Package::broadwell();
-        pkg.set_cap(Watts(90.0));
-        let mut journal = Journal::off();
-        let mut st = RunState::new(&pkg, &w, &journal);
-        let mut windows = 0;
-        while !st.is_done() {
-            let consumed = st.advance(&mut pkg, SAMPLE_PERIOD_SEC, &mut journal);
-            assert!(consumed <= SAMPLE_PERIOD_SEC + 1e-9);
-            windows += 1;
-            assert!(windows < 100_000, "advance() must make progress");
+        let run = |budget| {
+            let mut pkg = Package::broadwell();
+            pkg.set_cap(Watts(90.0));
+            let mut journal = Journal::with_capacity(1 << 14);
+            let (r, samples) = run_in_slices(&mut pkg, &w, budget, &mut journal);
+            (r, samples, journal_shape(&journal))
+        };
+        let (one, one_samples, one_shape) = run(f64::INFINITY);
+        assert_eq!(one_shape.0, one_samples);
+        // The governor's 100 ms windows, and windows that cut the sample
+        // grid off its edges.
+        for budget in [SAMPLE_PERIOD_SEC, 0.037] {
+            let (windowed, windowed_samples, windowed_shape) = run(budget);
+            // Window boundaries may split a micro-quantum in two, so the
+            // trajectories agree to float dust rather than bit-exactly.
+            assert!((one.seconds - windowed.seconds).abs() < 1e-6);
+            let rel = (one.energy_joules - windowed.energy_joules).abs()
+                / one.energy_joules.max(Joules(1.0));
+            assert!(
+                rel < 1e-6,
+                "energy {} vs {}",
+                one.energy_joules,
+                windowed.energy_joules
+            );
+            // But a split never adds a partial sample or a phase.
+            assert_eq!(one_samples, windowed_samples, "budget {budget}");
+            assert_eq!(one_shape, windowed_shape, "budget {budget}");
         }
-        let windowed = st.finish(&pkg);
-
-        // Window boundaries may split a micro-quantum in two, so the
-        // trajectories agree to float dust rather than bit-exactly.
-        assert!((one.seconds - windowed.seconds).abs() < 1e-6);
-        let rel =
-            (one.energy_joules - windowed.energy_joules).abs() / one.energy_joules.max(Joules(1.0));
-        assert!(
-            rel < 1e-6,
-            "energy {} vs {}",
-            one.energy_joules,
-            windowed.energy_joules
-        );
-        assert_eq!(one.samples.len(), windowed.samples.len());
-        assert_eq!(one.phase_seconds.len(), windowed.phase_seconds.len());
     }
 
     #[test]

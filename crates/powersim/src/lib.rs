@@ -17,11 +17,11 @@
 //!   cap while memory-bound ones don't).
 //! * [`timing`] — a roofline-style execution-time model: core time
 //!   scales with 1/f, memory time does not.
-//! * [`workload`] — the input format: phases with measured instruction /
+//! * `workload` — the input format: phases with measured instruction /
 //!   flop / cache-traffic counts (produced by instrumenting the *real*
 //!   algorithm executions in `vizalgo`).
-//! * [`counters`] — APERF/MPERF, fixed and programmable counters as a
-//!   plain [`counters::CounterBank`] the sampler differences directly,
+//! * `counters` — APERF/MPERF, fixed and programmable counters as a
+//!   plain `counters::CounterBank` the sampler differences directly,
 //!   with the paper's derived metrics (§V-B).
 //! * [`exec`] — the executor: advances virtual time through a workload
 //!   under a cap, updating the energy-status MSR and the counter bank,
@@ -34,16 +34,16 @@
 //! workspace performs is reading these simulated counters exactly the way
 //! the paper reads the real ones.
 
-pub mod counters;
+mod counters;
 pub mod cpu;
 pub mod exec;
 pub mod msr;
-pub mod node;
+mod node;
 pub mod rapl;
 pub mod timing;
 pub mod trace;
 pub mod units;
-pub mod workload;
+mod workload;
 
 pub use cpu::CpuSpec;
 pub use exec::{ExecResult, Package, RunState, Sample};

@@ -14,9 +14,9 @@ use crate::units::Joules;
 /// Register addresses (Intel SDM / Broadwell-EP).
 pub mod addr {
     /// Units for power/energy/time fields.
-    pub const MSR_RAPL_POWER_UNIT: u32 = 0x606;
+    pub(crate) const MSR_RAPL_POWER_UNIT: u32 = 0x606;
     /// Package power-limit control.
-    pub const MSR_PKG_POWER_LIMIT: u32 = 0x610;
+    pub(crate) const MSR_PKG_POWER_LIMIT: u32 = 0x610;
     /// Package energy consumed, wrapping 32-bit counter.
     pub const MSR_PKG_ENERGY_STATUS: u32 = 0x611;
 }
@@ -111,7 +111,7 @@ impl MsrFile {
 
     /// Userspace write through the allowlist; only `write_mask` bits take
     /// effect, as in msr-safe.
-    pub fn write(&mut self, addr: u32, value: u64) -> Result<(), MsrError> {
+    pub(crate) fn write(&mut self, addr: u32, value: u64) -> Result<(), MsrError> {
         let p = self
             .perms
             .get(&addr)
@@ -132,7 +132,7 @@ impl MsrFile {
     }
 
     /// Hardware-side read.
-    pub fn hw_get(&self, addr: u32) -> u64 {
+    pub(crate) fn hw_get(&self, addr: u32) -> u64 {
         *self.regs.get(&addr).unwrap_or(&0)
     }
 

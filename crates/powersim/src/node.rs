@@ -4,8 +4,8 @@
 //! processor and reports per-processor power).
 
 use crate::cpu::CpuSpec;
-use crate::exec::{ExecResult, Package};
-use crate::units::{Joules, Watts};
+use crate::exec::Package;
+use crate::units::Watts;
 use crate::workload::{KernelPhase, Workload};
 
 /// Aggregate result of a node run.
@@ -14,22 +14,18 @@ pub struct NodeResult {
     /// The slower package defines completion (the workload is split and
     /// both halves must finish).
     pub seconds: f64,
-    /// Total node energy across both packages.
-    pub energy_joules: Joules,
     /// Combined average node power while running.
     pub avg_power_watts: Watts,
-    /// Per-package results.
-    pub packages: [ExecResult; 2],
 }
 
 /// A two-package node with a uniform per-package cap, the paper's
 /// configuration ("a uniform power cap to all nodes").
 pub struct Node {
-    pub sockets: [Package; 2],
+    pub(crate) sockets: [Package; 2],
 }
 
 impl Node {
-    pub fn new(spec: CpuSpec) -> Self {
+    pub(crate) fn new(spec: CpuSpec) -> Self {
         Node {
             sockets: [Package::new(spec.clone()), Package::new(spec)],
         }
@@ -43,7 +39,7 @@ impl Node {
     /// Split a workload evenly across the sockets (each phase's counts
     /// halve; shared-memory parallel sections split this way on the real
     /// machine too).
-    pub fn split(workload: &Workload) -> [Workload; 2] {
+    pub(crate) fn split(workload: &Workload) -> [Workload; 2] {
         let half = |w: &Workload| -> Workload {
             let mut out = Workload::new(format!("{}:half", w.name));
             for p in &w.phases {
@@ -72,13 +68,11 @@ impl Node {
         let energy = a.energy_joules + b.energy_joules;
         NodeResult {
             seconds,
-            energy_joules: energy,
             avg_power_watts: if seconds > 0.0 {
                 energy.over_seconds(seconds)
             } else {
                 Watts::ZERO
             },
-            packages: [a, b],
         }
     }
 }
@@ -86,6 +80,8 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msr::addr;
+    use crate::rapl::PowerLimiter;
 
     fn workload() -> Workload {
         Workload::new("w")
@@ -126,18 +122,29 @@ mod tests {
     #[test]
     fn uniform_cap_applies_to_both_sockets() {
         let w = workload();
-        let node = Node::rztopaz().run_capped(&w, Watts(50.0));
-        for pkg in &node.packages {
-            assert!(pkg.avg_power_watts <= 51.5, "P = {}", pkg.avg_power_watts);
-            assert!((pkg.cap_watts - Watts(50.0)).abs() < 0.5);
+        let mut node = Node::rztopaz();
+        node.run_capped(&w, Watts(50.0));
+        for pkg in &node.sockets {
+            // Each socket's average power, from its energy register over
+            // its run time (fresh packages: both start at zero).
+            let energy = pkg
+                .msr
+                .energy_delta_joules(0, pkg.msr.hw_get(addr::MSR_PKG_ENERGY_STATUS));
+            let p = energy.over_seconds(pkg.now);
+            assert!(p <= 51.5, "P = {p}");
+            let cap = PowerLimiter::get_cap(&pkg.msr).expect("cap programmed");
+            assert!((cap - Watts(50.0)).abs() < 0.5);
         }
     }
 
     #[test]
     fn symmetric_split_gives_symmetric_results() {
         let w = workload();
-        let node = Node::rztopaz().run_capped(&w, Watts(80.0));
-        assert!((node.packages[0].seconds - node.packages[1].seconds).abs() < 1e-12);
-        assert!((node.packages[0].energy_joules - node.packages[1].energy_joules).abs() < 1e-9);
+        let mut node = Node::rztopaz();
+        node.run_capped(&w, Watts(80.0));
+        let [a, b] = &node.sockets;
+        assert!((a.now - b.now).abs() < 1e-12);
+        let energy = |p: &Package| p.msr.hw_get(addr::MSR_PKG_ENERGY_STATUS);
+        assert_eq!(energy(a), energy(b));
     }
 }

@@ -17,7 +17,7 @@ use crate::units::Watts;
 const POWER_UNIT: Watts = Watts(0.125);
 
 /// RAPL control window used by the firmware model.
-pub const CONTROL_WINDOW_SEC: f64 = 0.010;
+pub(crate) const CONTROL_WINDOW_SEC: f64 = 0.010;
 
 /// Encode/decode and apply package power limits.
 #[derive(Debug, Clone, Copy, Default)]
@@ -34,12 +34,6 @@ impl PowerLimiter {
         msr.write(addr::MSR_PKG_POWER_LIMIT, value)
     }
 
-    /// Disable power limiting (the 120 W "default" column of the tables
-    /// still enforces TDP, which `control_frequency` applies regardless).
-    pub fn disable(msr: &mut MsrFile) -> Result<(), MsrError> {
-        msr.write(addr::MSR_PKG_POWER_LIMIT, 0)
-    }
-
     /// The currently programmed cap, if enabled.
     pub fn get_cap(msr: &MsrFile) -> Option<Watts> {
         let v = msr.hw_get(addr::MSR_PKG_POWER_LIMIT);
@@ -51,16 +45,10 @@ impl PowerLimiter {
 
     /// The cap the firmware actually enforces this window: the
     /// programmed limit if enabled, else TDP — and never above TDP.
-    pub fn effective_cap(msr: &MsrFile, spec: &CpuSpec) -> Watts {
+    pub(crate) fn effective_cap(msr: &MsrFile, spec: &CpuSpec) -> Watts {
         Self::get_cap(msr)
             .unwrap_or(spec.tdp_watts)
             .min(spec.tdp_watts)
-    }
-
-    /// Firmware decision for one control window: the frequency to run at
-    /// given the active workload's effective activity factor.
-    pub fn control_frequency(msr: &MsrFile, spec: &CpuSpec, activity: f64) -> f64 {
-        spec.solve_frequency(Self::effective_cap(msr, spec), activity)
     }
 }
 
@@ -70,6 +58,17 @@ mod tests {
 
     fn setup() -> (MsrFile, CpuSpec) {
         (MsrFile::new(), CpuSpec::broadwell_e5_2695v4())
+    }
+
+    /// Clear the limit register: enable bit off, no cap programmed.
+    fn disable(msr: &mut MsrFile) {
+        msr.write(addr::MSR_PKG_POWER_LIMIT, 0).unwrap();
+    }
+
+    /// The frequency the firmware model picks for one control window at
+    /// the enforced cap and the given activity factor.
+    fn control_frequency(msr: &MsrFile, spec: &CpuSpec, activity: f64) -> f64 {
+        spec.solve_frequency(PowerLimiter::effective_cap(msr, spec), activity)
     }
 
     #[test]
@@ -94,7 +93,7 @@ mod tests {
     #[test]
     fn effective_cap_defaults_to_tdp_and_never_exceeds_it() {
         let (mut msr, spec) = setup();
-        PowerLimiter::disable(&mut msr).unwrap();
+        disable(&mut msr);
         assert_eq!(PowerLimiter::effective_cap(&msr, &spec), spec.tdp_watts);
         PowerLimiter::set_cap(&mut msr, &spec, Watts(70.0)).unwrap();
         assert!((PowerLimiter::effective_cap(&msr, &spec) - Watts(70.0)).abs() < POWER_UNIT);
@@ -103,23 +102,23 @@ mod tests {
     #[test]
     fn disabled_limit_reads_as_none() {
         let (mut msr, _spec) = setup();
-        PowerLimiter::disable(&mut msr).unwrap();
+        disable(&mut msr);
         assert_eq!(PowerLimiter::get_cap(&msr), None);
     }
 
     #[test]
     fn uncapped_control_runs_turbo() {
         let (mut msr, spec) = setup();
-        PowerLimiter::disable(&mut msr).unwrap();
-        assert_eq!(PowerLimiter::control_frequency(&msr, &spec, 0.95), 2.6);
+        disable(&mut msr);
+        assert_eq!(control_frequency(&msr, &spec, 0.95), 2.6);
     }
 
     #[test]
     fn capped_control_throttles_by_activity() {
         let (mut msr, spec) = setup();
         PowerLimiter::set_cap(&mut msr, &spec, Watts(60.0)).unwrap();
-        let hot = PowerLimiter::control_frequency(&msr, &spec, 0.95);
-        let cold = PowerLimiter::control_frequency(&msr, &spec, 0.3);
+        let hot = control_frequency(&msr, &spec, 0.95);
+        let cold = control_frequency(&msr, &spec, 0.3);
         assert!(hot < cold, "hot {hot} !< cold {cold}");
         assert_eq!(cold, 2.6);
     }
@@ -131,7 +130,7 @@ mod tests {
         for cap in [40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0] {
             let cap = Watts(cap);
             PowerLimiter::set_cap(&mut msr, &spec, cap).unwrap();
-            let f = PowerLimiter::control_frequency(&msr, &spec, 0.9);
+            let f = control_frequency(&msr, &spec, 0.9);
             assert!(f >= last, "cap {cap}: {f} < {last}");
             last = f;
         }

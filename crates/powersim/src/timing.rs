@@ -21,7 +21,7 @@ use crate::workload::KernelPhase;
 const P_NORM: f64 = 3.0;
 
 /// Core-limited time of a phase at `f_ghz`.
-pub fn core_time(spec: &CpuSpec, phase: &KernelPhase, f_ghz: f64) -> f64 {
+pub(crate) fn core_time(spec: &CpuSpec, phase: &KernelPhase, f_ghz: f64) -> f64 {
     phase.instructions as f64 * phase.cpi_core / (spec.cores as f64 * f_ghz * 1e9)
 }
 
@@ -46,7 +46,7 @@ pub fn phase_time(spec: &CpuSpec, phase: &KernelPhase, f_ghz: f64) -> f64 {
 /// per-algorithm power draws), so this is the identity — kept as a
 /// function so alternative derating models can be slotted in for
 /// ablation studies.
-pub fn effective_activity(_spec: &CpuSpec, phase: &KernelPhase, _f_ghz: f64) -> f64 {
+pub(crate) fn effective_activity(_spec: &CpuSpec, phase: &KernelPhase, _f_ghz: f64) -> f64 {
     phase.activity
 }
 

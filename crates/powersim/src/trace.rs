@@ -37,7 +37,7 @@
 //!    gap in `seq`, so a truncated journal is never mistaken for a
 //!    complete one.
 //!
-//! The serialized schema is versioned ([`SCHEMA_VERSION`]) and
+//! The serialized schema is versioned (`SCHEMA_VERSION`) and
 //! documented in `docs/OBSERVABILITY.md`; `cargo xtask lint` enforces
 //! that every [`Kind`] and [`Scope`] variant has a row in that
 //! document's schema table.
@@ -53,7 +53,7 @@ use crate::units::{Joules, Watts};
 /// as `"v"`, and the chrome trace embeds it in `otherData`. Bump it when
 /// a kind's fields or semantics change, and update the schema table and
 /// the version history in `docs/OBSERVABILITY.md` in the same commit.
-pub const SCHEMA_VERSION: u32 = 10;
+pub(crate) const SCHEMA_VERSION: u32 = 10;
 
 /// Which layer of the stack emitted a [`Span`].
 ///
@@ -110,7 +110,7 @@ const SCOPES: [(Scope, &str, u32); 8] = [
 
 impl Scope {
     /// Lowercase wire name used by both serializers.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         SCOPES[self as usize].1
     }
 
@@ -178,7 +178,7 @@ const KINDS: [(Kind, &str, u32); 9] = [
 impl Kind {
     /// Lowercase wire name: the `"ev"` value of the record's JSONL line
     /// and its event name in the chrome trace.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         KINDS[self as usize].1
     }
 
@@ -198,16 +198,16 @@ pub struct Span {
     /// (`"cap:70W"`, `"pipeline:contour"`, `"table1:64"`, ...).
     pub name: String,
     /// Journal time at which the span opened (seconds).
-    pub t0: f64,
+    pub(crate) t0: f64,
     /// Journal time at which the span closed (seconds, `>= t0`).
-    pub t1: f64,
+    pub(crate) t1: f64,
     /// Energy attributed to this span, if the emitting layer models
     /// energy. Kernel spans carry exact per-phase attribution; parent
     /// spans carry the rollup (sum) of their children.
     pub joules: Option<Joules>,
     /// Mean power over the span (`joules / (t1 - t0)`), present whenever
     /// `joules` is present and the span has nonzero width.
-    pub watts: Option<Watts>,
+    pub(crate) watts: Option<Watts>,
     /// Scope-specific numeric annotations (instruction counts, step
     /// indices, ...). Keys are static by construction so the schema
     /// stays enumerable.
@@ -267,12 +267,12 @@ impl From<bool> for Value {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// What the record reports.
-    pub kind: Kind,
+    pub(crate) kind: Kind,
     /// Journal time of the record (seconds).
     pub t: f64,
     /// The fields, in the order the emitter listed them, which is the
     /// order they serialize in. Keys are static, as in [`Span::args`].
-    pub fields: Vec<(&'static str, Value)>,
+    pub(crate) fields: Vec<(&'static str, Value)>,
 }
 
 impl Record {

@@ -15,14 +15,25 @@
 //! literals are allowed in both directions so thresholds like
 //! `cap >= 60.0` keep reading naturally. Mixing the two units is a
 //! type error, not a lint finding — there is no cross-unit `Add` or
-//! `PartialOrd`:
+//! `PartialOrd`. Same-unit arithmetic compiles:
 //!
-//! ```compile_fail
+//! ```
+//! # use powersim::units::{Joules, Watts};
+//! let _ = Watts(1.0) + Watts(1.0);
+//! let _ = Joules(1.0) < Joules(2.0);
+//! ```
+//!
+//! and the same lines across units are rejected with the error codes
+//! rustc reports for them (rustdoc compares the codes on nightly
+//! toolchains; on stable the passing example above is what shows the
+//! imports resolve, so neither failure can be a privacy error):
+//!
+//! ```compile_fail,E0308
 //! # use powersim::units::{Joules, Watts};
 //! let _ = Watts(1.0) + Joules(1.0);
 //! ```
 //!
-//! ```compile_fail
+//! ```compile_fail,E0277
 //! # use powersim::units::{Joules, Watts};
 //! let _ = Watts(1.0) < Joules(1.0);
 //! ```
@@ -88,12 +99,6 @@ macro_rules! unit_newtype {
             #[inline]
             pub fn total_cmp(&self, other: &$name) -> Ordering {
                 self.0.total_cmp(&other.0)
-            }
-
-            /// Whether the magnitude is neither infinite nor NaN.
-            #[inline]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
             }
         }
 

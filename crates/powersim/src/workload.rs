@@ -29,7 +29,7 @@ pub struct KernelPhase {
 
 impl KernelPhase {
     /// LLC misses implied by the reference count and miss rate.
-    pub fn llc_misses(&self) -> u64 {
+    pub(crate) fn llc_misses(&self) -> u64 {
         (self.llc_refs as f64 * self.llc_miss_rate).round() as u64
     }
 
@@ -45,7 +45,7 @@ impl KernelPhase {
 /// An ordered list of phases, executed back to back.
 #[derive(Debug, Clone, Default)]
 pub struct Workload {
-    pub name: String,
+    pub(crate) name: String,
     pub phases: Vec<KernelPhase>,
 }
 
@@ -71,7 +71,7 @@ impl Workload {
         self.phases.iter().map(|p| p.instructions).sum()
     }
 
-    pub fn total_llc_refs(&self) -> u64 {
+    pub(crate) fn total_llc_refs(&self) -> u64 {
         self.phases.iter().map(|p| p.llc_refs).sum()
     }
 

@@ -47,13 +47,8 @@ impl Admission {
     }
 
     /// The per-node share of the fleet budget.
-    pub fn node_budget(&self) -> Watts {
+    pub(crate) fn node_budget(&self) -> Watts {
         self.node_budget
-    }
-
-    /// The processor spec whose hardware range bounds every admitted cap.
-    pub fn spec(&self) -> &CpuSpec {
-        &self.spec
     }
 
     /// Admit a requested cap onto one node. The result is always within

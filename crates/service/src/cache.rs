@@ -21,7 +21,7 @@ pub enum Outcome {
 
 impl Outcome {
     /// Journal spelling of the outcome.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Outcome::Hit => "hit",
             Outcome::Miss => "miss",

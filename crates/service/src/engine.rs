@@ -48,10 +48,8 @@ pub struct Request {
 /// (the parity oracle) plus the power-model execution at the key's cap.
 #[derive(Debug, Clone)]
 pub struct JobResult {
-    /// The key this result is cached under (admitted cap included).
-    pub key: CacheKey,
     /// The executed algorithm.
-    pub algorithm: Algorithm,
+    pub(crate) algorithm: Algorithm,
     /// `format!("{:?}")` of the native [`vizalgo::FilterOutput`] —
     /// byte-compared against cold direct runs by the parity suite.
     pub output_debug: String,
@@ -117,9 +115,9 @@ impl std::error::Error for ServiceError {}
 #[derive(Debug)]
 pub struct NativeRun {
     /// `Debug` rendering of the full `FilterOutput`.
-    pub output_debug: String,
+    pub(crate) output_debug: String,
     /// The run `characterize` + the power model consume.
-    pub run: AlgorithmRun,
+    pub(crate) run: AlgorithmRun,
 }
 
 /// The compute core shared by every worker thread: dataset store,
@@ -150,7 +148,7 @@ impl Engine {
 
     /// Reject requests the backend cannot serve. Runs at dispatch time
     /// so invalid traffic fails before any scheduling happens.
-    pub fn validate(&self, req: &Request) -> Result<(), ServiceError> {
+    pub(crate) fn validate(&self, req: &Request) -> Result<(), ServiceError> {
         let algorithm = req.spec.algorithm();
         if !req.backend.supports(algorithm) {
             return Err(ServiceError::UnsupportedBackend {
@@ -194,7 +192,6 @@ impl Engine {
             .expect("single-cap sweep has exactly one row")
             .clone();
         JobResult {
-            key,
             algorithm: native.run.algorithm,
             output_debug: native.output_debug.clone(),
             exec,
@@ -261,7 +258,6 @@ mod tests {
         let req = request(60.0, Backend::Traditional);
         let key = CacheKey::new(&req.spec, e.data_fp(6), req.cap, req.backend);
         let job = e.execute(&req, key);
-        assert_eq!(job.key, key);
         assert_eq!(job.exec.cap_watts, Watts(60.0));
         assert!(job.exec.seconds > 0.0);
         assert!(!job.output_debug.is_empty());

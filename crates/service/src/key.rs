@@ -29,9 +29,9 @@ pub struct CacheKey {
     /// 48-bit dataset content fingerprint.
     pub data_fp: u64,
     /// Admitted power cap in integer milliwatts.
-    pub cap_milliwatts: u64,
+    pub(crate) cap_milliwatts: u64,
     /// Execution backend.
-    pub backend: Backend,
+    pub(crate) backend: Backend,
 }
 
 impl CacheKey {
@@ -53,7 +53,7 @@ impl CacheKey {
 
     /// 48-bit FNV-1a over the four components — the hash behind
     /// [`shard`](CacheKey::shard) and node placement.
-    pub fn hash48(&self) -> u64 {
+    pub(crate) fn hash48(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.update_u64(self.spec_fp);
         h.update_u64(self.data_fp);
@@ -63,7 +63,7 @@ impl CacheKey {
     }
 
     /// The key's hash bucket of `shards` — the journal's `shard` field.
-    pub fn shard(&self, shards: usize) -> usize {
+    pub(crate) fn shard(&self, shards: usize) -> usize {
         (self.hash48() % shards.max(1) as u64) as usize
     }
 
@@ -71,7 +71,7 @@ impl CacheKey {
     /// `nodes`) an execution of this key is scheduled onto. A
     /// splitmix64 finalizer over `hash48 ^ seed` spreads consecutive
     /// keys across the fleet while staying replay-identical.
-    pub fn placement(&self, seed: u64, nodes: usize) -> usize {
+    pub(crate) fn placement(&self, seed: u64, nodes: usize) -> usize {
         (mix64(self.hash48() ^ seed) % nodes.max(1) as u64) as usize
     }
 }

@@ -6,21 +6,21 @@
 //! fingerprint-addressed cache, and schedules what remains across a
 //! simulated fleet without ever exceeding a power budget.
 //!
-//! * [`key`] — the [`CacheKey`]: `(spec fingerprint, dataset
+//! * `key` — the [`CacheKey`]: `(spec fingerprint, dataset
 //!   fingerprint, admitted cap, backend)`, the four axes along which
 //!   two requests are the same work.
-//! * [`cache`] — the dispatch [`Outcome`] and [`ResultCache`], the
+//! * `cache` — the dispatch [`Outcome`] and [`ResultCache`], the
 //!   [`CacheKey`]-addressed alias of `vizpower::store::Memo` — the
 //!   workspace's one single-flight map (one compute per key no matter
 //!   how many threads ask at once).
-//! * [`admission`] — [`Admission`], the service's budget gate: every
+//! * `admission` — [`Admission`], the service's budget gate: every
 //!   admitted cap fits its node's share of the fleet budget and the
 //!   hardware range.
-//! * [`engine`] — [`Engine`], the two-level compute path: cap-independent
+//! * `engine` — [`Engine`], the two-level compute path: cap-independent
 //!   native filter runs (memoized per backend-qualified spec, the one
 //!   place two workers can ask for the same key) feeding the
 //!   cap-dependent power model.
-//! * [`service`] — [`StudyService`], the batched dispatcher/scheduler
+//! * `service` — [`StudyService`], the batched dispatcher/scheduler
 //!   and its determinism argument: the dispatch thread owns the result
 //!   map, `vizmesh::par` workers compute and return, and responses,
 //!   report, and journal are byte-identical across worker counts.
@@ -32,11 +32,11 @@
 //! `docs/SERVICE.md`; its journal records are in
 //! `docs/OBSERVABILITY.md`.
 
-pub mod admission;
-pub mod cache;
-pub mod engine;
-pub mod key;
-pub mod service;
+mod admission;
+mod cache;
+mod engine;
+mod key;
+mod service;
 pub mod traffic;
 
 pub use admission::Admission;

@@ -94,9 +94,9 @@ impl Default for ServiceConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowLoad {
     /// Node the wave ran on.
-    pub node: u32,
+    pub(crate) node: u32,
     /// Wave ordinal on that node (monotonic across batches).
-    pub wave: u32,
+    pub(crate) wave: u32,
     /// Sum of admitted caps of the wave's jobs.
     pub admitted: Watts,
     /// Jobs that ran concurrently in the wave.
@@ -121,11 +121,11 @@ pub struct ServeReport {
     /// Dispatch batches the traffic was split into.
     pub batches: usize,
     /// Simulated nodes.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Per-node share of the fleet budget.
-    pub node_budget: Watts,
+    pub(crate) node_budget: Watts,
     /// The fleet-wide budget.
-    pub fleet_budget: Watts,
+    pub(crate) fleet_budget: Watts,
     /// Jobs executed per node, indexed by node.
     pub per_node_jobs: Vec<u64>,
     /// Requests (misses + coalesced) backed by each node.
@@ -133,9 +133,9 @@ pub struct ServeReport {
     /// Every scheduling window, in (batch, node, wave) order.
     pub windows: Vec<WindowLoad>,
     /// Modeled seconds from first dispatch to last completion.
-    pub modeled_seconds: f64,
+    pub(crate) modeled_seconds: f64,
     /// Modeled latency of each request, in request order.
-    pub latencies: Vec<f64>,
+    pub(crate) latencies: Vec<f64>,
 }
 
 impl ServeReport {
@@ -151,7 +151,7 @@ impl ServeReport {
 
     /// Modeled latency percentile (`p` in 0..=100), nearest-rank over
     /// the sorted latencies.
-    pub fn latency_percentile(&self, p: f64) -> f64 {
+    pub(crate) fn latency_percentile(&self, p: f64) -> f64 {
         if self.latencies.is_empty() {
             return 0.0;
         }
@@ -162,14 +162,14 @@ impl ServeReport {
     }
 
     /// The most heavily loaded scheduling window, if any job ran.
-    pub fn max_window(&self) -> Option<&WindowLoad> {
+    pub(crate) fn max_window(&self) -> Option<&WindowLoad> {
         self.windows
             .iter()
             .max_by(|a, b| a.admitted.value().total_cmp(&b.admitted.value()))
     }
 
     /// Modeled request throughput (requests per modeled second).
-    pub fn throughput(&self) -> f64 {
+    pub(crate) fn throughput(&self) -> f64 {
         if self.modeled_seconds > 0.0 {
             self.requests as f64 / self.modeled_seconds
         } else {
@@ -238,18 +238,12 @@ impl ServeReport {
 /// One answered request.
 #[derive(Debug, Clone)]
 pub struct Response {
-    /// Index of the request in the served slice.
-    pub request_index: usize,
     /// The (admitted) cache key the request resolved to.
     pub key: CacheKey,
     /// Dispatch classification.
     pub outcome: Outcome,
     /// Node that backed the response (0 for hits).
     pub node: u32,
-    /// Modeled seconds from batch arrival to response (0 for hits).
-    pub latency_seconds: f64,
-    /// Journal time the response was ready.
-    pub completed_at: f64,
     /// The result, shared with every other request on the same key.
     pub result: Arc<JobResult>,
 }
@@ -518,12 +512,9 @@ impl StudyService {
                 }
                 report.latencies[base + i] = latency;
                 responses[base + i] = Some(Response {
-                    request_index: base + i,
                     key,
                     outcome,
                     node,
-                    latency_seconds: latency,
-                    completed_at,
                     result,
                 });
             }
@@ -676,7 +667,7 @@ mod tests {
             assert!(Arc::ptr_eq(&out.responses[i].result, &slice0.result));
         }
         assert_eq!(out.responses[4].outcome, Outcome::Hit);
-        assert_eq!(out.responses[4].latency_seconds, 0.0);
+        assert_eq!(r.latencies[4], 0.0);
         // The 120 W ask was admitted at the 90 W node budget.
         assert_eq!(out.responses[5].key.cap(), Watts(90.0));
         // Every window respects the node budget.
@@ -716,21 +707,23 @@ mod tests {
     }
 
     /// Serve one 80 W Slice request on a fresh service and return its
-    /// response with the journal lines.
-    fn serve_one() -> (Response, Vec<String>) {
+    /// response and modeled latency with the journal lines.
+    fn serve_one() -> (Response, f64, Vec<String>) {
         let mut svc = StudyService::new(tiny_cfg()).expect("valid config");
         let mut journal = Journal::with_capacity(16);
         let out = (svc.serve(&[req(Algorithm::Slice, 80.0)], &mut journal)).expect("serves");
         let lines = journal.to_jsonl().lines().map(str::to_string).collect();
+        let latency = out.report.latencies[0];
         (
             out.responses.into_iter().next().expect("one response"),
+            latency,
             lines,
         )
     }
 
     #[test]
     fn cache_event_jsonl_shape_is_exact() {
-        let (r, lines) = serve_one();
+        let (r, _, lines) = serve_one();
         assert_eq!(
             lines[0],
             format!(
@@ -746,8 +739,10 @@ mod tests {
 
     #[test]
     fn service_request_jsonl_shape_is_exact() {
-        let (r, lines) = serve_one();
-        assert!(r.latency_seconds > 0.0, "a miss takes modeled time");
+        let (r, latency, lines) = serve_one();
+        assert!(latency > 0.0, "a miss takes modeled time");
+        // The one batch starts at t = 0, so the request completes at its
+        // latency.
         assert_eq!(
             lines[1],
             format!(
@@ -755,7 +750,7 @@ mod tests {
                  \"algorithm\":\"Slice\",\"backend\":\"traditional\",\
                  \"spec_fp\":{},\"data_fp\":{},\"cap_watts\":80,\
                  \"outcome\":\"miss\",\"node\":{},\"latency_seconds\":{}}}",
-                r.completed_at, r.key.spec_fp, r.key.data_fp, r.node, r.latency_seconds
+                latency, r.key.spec_fp, r.key.data_fp, r.node, latency
             )
         );
     }

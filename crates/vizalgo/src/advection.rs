@@ -59,12 +59,12 @@ impl FlowMode {
     }
 
     /// The wire form: the variant name as a string.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(self) -> Value {
         format!("{self:?}").as_str().into()
     }
 
     /// Decode the wire form of [`to_json`](FlowMode::to_json).
-    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+    pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("mode")? {
             "Streamline" => Ok(FlowMode::Streamline),
             "Pathline" => Ok(FlowMode::Pathline),
@@ -100,12 +100,12 @@ impl Seeding {
     }
 
     /// The wire form: the variant name as a string.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(self) -> Value {
         format!("{self:?}").as_str().into()
     }
 
     /// Decode the wire form of [`to_json`](Seeding::to_json).
-    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+    pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("seeding")? {
             "DenseBox" => Ok(Seeding::DenseBox),
             "SparseGrid" => Ok(Seeding::SparseGrid),
@@ -135,7 +135,7 @@ pub enum StepControl {
 impl StepControl {
     /// Stable lower-case name used in spans (parameters are carried by
     /// the spec fingerprint, not the label).
-    pub fn wire_name(&self) -> &'static str {
+    pub(crate) fn wire_name(&self) -> &'static str {
         match self {
             StepControl::Fixed => "fixed",
             StepControl::Adaptive { .. } => "adaptive",
@@ -143,17 +143,17 @@ impl StepControl {
     }
 
     /// The wire form: `"Fixed"` or `{"Adaptive": {"tol": ..}}`.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(self) -> Value {
         match self {
             StepControl::Fixed => "Fixed".into(),
             StepControl::Adaptive { tol } => {
-                Value::object([("Adaptive", Value::object([("tol", (*tol).into())]))])
+                Value::object([("Adaptive", Value::object([("tol", tol.into())]))])
             }
         }
     }
 
     /// Decode the wire form of [`to_json`](StepControl::to_json).
-    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+    pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("step_control")? {
             "Fixed" => Ok(StepControl::Fixed),
             "Adaptive" => Ok(StepControl::Adaptive {
@@ -196,17 +196,17 @@ impl Termination {
 
     /// The wire form: `"MaxSteps"`, `"ExitDomain"` or
     /// `{"MaxTime": {"t_end": ..}}`.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(self) -> Value {
         match self {
             Termination::MaxTime { t_end } => {
-                Value::object([("MaxTime", Value::object([("t_end", (*t_end).into())]))])
+                Value::object([("MaxTime", Value::object([("t_end", t_end.into())]))])
             }
             unit => format!("{unit:?}").as_str().into(),
         }
     }
 
     /// Decode the wire form of [`to_json`](Termination::to_json).
-    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+    pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("termination")? {
             "MaxSteps" => Ok(Termination::MaxSteps),
             "ExitDomain" => Ok(Termination::ExitDomain),
@@ -237,7 +237,7 @@ pub struct FlowScenario {
 impl FlowScenario {
     /// Whether this is the paper's default scenario (streamline,
     /// dense-box, fixed step, max-steps).
-    pub fn is_default(&self) -> bool {
+    pub(crate) fn is_default(&self) -> bool {
         *self == FlowScenario::default()
     }
 
@@ -254,7 +254,7 @@ impl FlowScenario {
     }
 
     /// The wire form: one key per axis.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(self) -> Value {
         Value::object([
             ("mode", self.mode.to_json()),
             ("seeding", self.seeding.to_json()),
@@ -265,7 +265,7 @@ impl FlowScenario {
 
     /// Decode the wire form of [`to_json`](FlowScenario::to_json); an
     /// absent axis takes the paper's default.
-    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+    pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         fn axis<T: Default>(
             v: Option<&Value>,
             decode: fn(&Value) -> Result<T, JsonError>,
@@ -306,16 +306,16 @@ impl<'a> Frame<'a> {
 #[derive(Debug, Clone)]
 pub struct ParticleAdvection {
     /// Point-centered vector field to advect through.
-    pub field: String,
-    pub num_particles: usize,
-    pub num_steps: usize,
+    pub(crate) field: String,
+    pub(crate) num_particles: usize,
+    pub(crate) num_steps: usize,
     /// Integration step length, in fractions of the grid diagonal.
-    pub step_fraction: f64,
+    pub(crate) step_fraction: f64,
     /// Seed for deterministic particle placement.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Flow mode, seeding, step control, termination. Defaults to the
     /// paper's scenario: steady streamlines from a dense random box.
-    pub scenario: FlowScenario,
+    pub(crate) scenario: FlowScenario,
 }
 
 impl ParticleAdvection {
@@ -347,7 +347,7 @@ impl ParticleAdvection {
     /// Locate `t` among the frame times: bracketing indices and the
     /// interpolation weight. `i == j` means "sample that frame
     /// directly, no interpolation" — the single-snapshot and boundary
-    /// cases, mirroring [`FieldSeries::bracket`].
+    /// cases.
     fn bracket_frames(frames: &[Frame<'_>], t: f64) -> (usize, usize, f64) {
         let n = frames.len();
         if n == 1 || t <= frames[0].time {

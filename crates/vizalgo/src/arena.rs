@@ -4,7 +4,7 @@
 //! per-vertex allocations in the geometry kernels with two reusable
 //! structures:
 //!
-//! * [`WeldMap`] — an open-addressing hash table over *packed* integer
+//! * `WeldMap` — an open-addressing hash table over *packed* integer
 //!   keys, used for vertex welding in `contour` (packed edge ids) and
 //!   `tetclip` (packed edge + isovalue keys). Unlike
 //!   `std::collections::HashMap` it allocates two flat arrays and never
@@ -15,9 +15,9 @@
 //!   small ones as a window over its walk's k-slabs — only cells of the
 //!   same or adjacent slabs share an edge, so the current slab's table
 //!   and the previous one's answer every lookup as a whole-mesh table
-//!   would, and [`WeldMap::clear`] recycles the older at each slab
+//!   would, and `WeldMap::clear` recycles the older at each slab
 //!   change.
-//! * [`TetScratch`] — the per-cell tetrahedron buffers of the clip
+//! * `TetScratch` — the per-cell tetrahedron buffers of the clip
 //!   pipeline (`clip`/`isovolume`), allocated once per `execute` and
 //!   reused across every straddling cell instead of being re-`collect`ed
 //!   per cell.
@@ -27,7 +27,7 @@
 //! `cargo xtask lint`.
 #![deny(missing_docs)]
 
-/// An integer key type usable in a [`WeldMap`].
+/// An integer key type usable in a `WeldMap`.
 ///
 /// Implementations reserve one all-ones sentinel value ([`Self::EMPTY`])
 /// to mark unoccupied slots; callers must never insert it. Both weld-key
@@ -76,7 +76,7 @@ pub fn pack_edge(lo: u32, hi: u32) -> u64 {
 /// Pack an ordered point-id pair plus an isovalue's bit pattern into one
 /// `u128` weld key (`tetclip`'s per-edge-per-isovalue vertex identity).
 #[inline]
-pub fn pack_edge_iso(lo: u32, hi: u32, iso_bits: u64) -> u128 {
+pub(crate) fn pack_edge_iso(lo: u32, hi: u32, iso_bits: u64) -> u128 {
     (lo as u128) << 96 | (hi as u128) << 64 | iso_bits as u128
 }
 
@@ -90,7 +90,7 @@ pub fn pack_edge_iso(lo: u32, hi: u32, iso_bits: u64) -> u128 {
 /// first insertions) is what determines output meshes, exactly as with
 /// the `HashMap` this replaced.
 #[derive(Debug, Clone)]
-pub struct WeldMap<K: PackedKey = u64> {
+pub(crate) struct WeldMap<K: PackedKey = u64> {
     keys: Vec<K>,
     vals: Vec<u32>,
     len: usize,
@@ -104,7 +104,7 @@ impl<K: PackedKey> Default for WeldMap<K> {
 
 impl<K: PackedKey> WeldMap<K> {
     /// An empty map that allocates on first insert.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WeldMap {
             keys: Vec::new(),
             vals: Vec::new(),
@@ -113,7 +113,7 @@ impl<K: PackedKey> WeldMap<K> {
     }
 
     /// An empty map pre-sized to hold `n` entries without rehashing.
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         let mut m = Self::new();
         if n > 0 {
             m.rebuild(Self::slots_for(n));
@@ -121,19 +121,9 @@ impl<K: PackedKey> WeldMap<K> {
         m
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no entries are present.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Drop all entries, keeping the allocation for reuse. Refills the
-    /// whole key array, so the cost follows the capacity, not `len()`.
-    pub fn clear(&mut self) {
+    /// whole key array, so the cost follows the capacity, not the entry count.
+    pub(crate) fn clear(&mut self) {
         self.keys.fill(K::EMPTY);
         self.len = 0;
     }
@@ -159,7 +149,7 @@ impl<K: PackedKey> WeldMap<K> {
 
     /// Look up a key.
     #[inline]
-    pub fn get(&self, key: K) -> Option<u32> {
+    pub(crate) fn get(&self, key: K) -> Option<u32> {
         if self.keys.is_empty() {
             return None;
         }
@@ -173,7 +163,7 @@ impl<K: PackedKey> WeldMap<K> {
 
     /// Insert or overwrite a key. `key` must not be [`PackedKey::EMPTY`].
     #[inline]
-    pub fn insert(&mut self, key: K, val: u32) {
+    pub(crate) fn insert(&mut self, key: K, val: u32) {
         debug_assert!(key != K::EMPTY, "the all-ones key is the empty sentinel");
         if self.keys.is_empty() || (self.len + 1) * 3 > self.keys.len() * 2 {
             self.rebuild(Self::slots_for(self.len + 1));
@@ -184,19 +174,6 @@ impl<K: PackedKey> WeldMap<K> {
         }
         self.keys[i] = key;
         self.vals[i] = val;
-    }
-
-    /// The id for `key`, inserting `make()`'s result on first sight.
-    #[inline]
-    pub fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> u32) -> u32 {
-        match self.get(key) {
-            Some(id) => id,
-            None => {
-                let id = make();
-                self.insert(key, id);
-                id
-            }
-        }
     }
 
     /// Re-allocate to `slots` slots and rehash every live entry.
@@ -225,13 +202,13 @@ impl<K: PackedKey> WeldMap<K> {
 /// and refills the buffers in place, so the inner loop performs no
 /// allocation after warm-up.
 #[derive(Debug)]
-pub struct TetScratch {
+pub(crate) struct TetScratch {
     /// The cell's tets from the hex decomposition (6 for a hexahedron).
-    pub tets: Vec<[u32; 4]>,
+    pub(crate) tets: Vec<[u32; 4]>,
     /// Output of the first of two clip passes (≤ 3 tets per input tet).
-    pub mid: Vec<[u32; 4]>,
+    pub(crate) mid: Vec<[u32; 4]>,
     /// Output of the last clip pass: the cell's output tets.
-    pub kept: Vec<[u32; 4]>,
+    pub(crate) kept: Vec<[u32; 4]>,
 }
 
 impl Default for TetScratch {
@@ -242,7 +219,7 @@ impl Default for TetScratch {
 
 impl TetScratch {
     /// Buffers pre-sized for hexahedral cells (6 → 18 → 54 tets).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TetScratch {
             tets: Vec::with_capacity(6),
             mid: Vec::with_capacity(18),
@@ -259,7 +236,6 @@ mod tests {
     #[test]
     fn empty_map_finds_nothing() {
         let m: WeldMap = WeldMap::new();
-        assert!(m.is_empty());
         assert_eq!(m.get(pack_edge(0, 1)), None);
     }
 
@@ -267,7 +243,6 @@ mod tests {
     fn insert_then_get_round_trips() {
         let mut m: WeldMap = WeldMap::new();
         m.insert(pack_edge(3, 9), 17);
-        assert_eq!(m.len(), 1);
         assert_eq!(m.get(pack_edge(3, 9)), Some(17));
         assert_eq!(m.get(pack_edge(9, 3)), None, "packing is order-sensitive");
     }
@@ -278,12 +253,14 @@ mod tests {
         // every later sight of the same edge returns it unchanged.
         let mut m: WeldMap = WeldMap::new();
         let mut next = 0u32;
-        let mut alloc = |m: &mut WeldMap, k: u64| {
-            m.get_or_insert_with(k, || {
+        let mut alloc = |m: &mut WeldMap, k: u64| match m.get(k) {
+            Some(id) => id,
+            None => {
                 let id = next;
                 next += 1;
+                m.insert(k, id);
                 id
-            })
+            }
         };
         let a = alloc(&mut m, pack_edge(0, 1));
         let b = alloc(&mut m, pack_edge(1, 2));
@@ -313,7 +290,6 @@ mod tests {
             m.insert(pack_edge(i, i + 1), 100 + i);
             reference.insert(pack_edge(i, i + 1), 100 + i);
         }
-        assert_eq!(m.len(), reference.len());
         for (&k, &v) in &reference {
             assert_eq!(m.get(k), Some(v), "key {k:#x}");
         }
@@ -334,7 +310,6 @@ mod tests {
             }
             reference.entry(key).or_insert(val);
         }
-        assert_eq!(m.len(), reference.len());
         for (&k, &v) in &reference {
             assert_eq!(m.get(k), Some(v));
         }
@@ -347,7 +322,6 @@ mod tests {
             m.insert(pack_edge(i, i + 1), i);
         }
         m.clear();
-        assert!(m.is_empty());
         assert_eq!(m.get(pack_edge(0, 1)), None);
         for i in 0..100u32 {
             m.insert(pack_edge(i, i + 1), i + 1);

@@ -11,11 +11,11 @@ use vizmesh::{DataSet, Vec3, WorkCounters};
 /// The spherical clip filter.
 #[derive(Debug, Clone)]
 pub struct SphericalClip {
-    pub center: Vec3,
-    pub radius: f64,
+    pub(crate) center: Vec3,
+    pub(crate) radius: f64,
     /// Point field carried through to the output (interpolated on cut
     /// edges); defaults to `energy`.
-    pub carry_field: String,
+    pub(crate) carry_field: String,
 }
 
 impl SphericalClip {

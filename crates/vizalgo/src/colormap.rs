@@ -12,7 +12,7 @@ impl ColorMap {
     ///
     /// # Panics
     /// If fewer than 2 stops are given or positions are outside `[0, 1]`.
-    pub fn new(mut stops: Vec<(f64, [f32; 4])>) -> Self {
+    pub(crate) fn new(mut stops: Vec<(f64, [f32; 4])>) -> Self {
         assert!(stops.len() >= 2, "a color map needs at least two stops");
         assert!(
             stops.iter().all(|&(p, _)| (0.0..=1.0).contains(&p)),
@@ -45,7 +45,7 @@ impl ColorMap {
     }
 
     /// Sample the map at normalized scalar `t` (clamped to `[0, 1]`).
-    pub fn sample(&self, t: f64) -> [f32; 4] {
+    pub(crate) fn sample(&self, t: f64) -> [f32; 4] {
         let t = t.clamp(0.0, 1.0);
         // lint: infallible because every constructor produces at least one stop
         let first = self.stops.first().unwrap();

@@ -19,7 +19,7 @@ use std::sync::OnceLock;
 use vizmesh::{par, CellSet, CellShape, DataSet, GridCell, UniformGrid, Vec3, WorkCounters};
 
 /// Corner coordinates of the canonical unit cell, VTK hexahedron order.
-pub const CORNERS: [[f64; 3]; 8] = [
+pub(crate) const CORNERS: [[f64; 3]; 8] = [
     [0.0, 0.0, 0.0],
     [1.0, 0.0, 0.0],
     [1.0, 1.0, 0.0],
@@ -57,7 +57,7 @@ const FACES: [[usize; 4]; 6] = [
 ];
 
 /// Triangles for one corner configuration, as triples of edge ids.
-pub type CaseTriangles = Vec<[u8; 3]>;
+pub(crate) type CaseTriangles = Vec<[u8; 3]>;
 
 /// Generate (or fetch) the full 256-case triangle table.
 pub fn triangle_table() -> &'static [CaseTriangles; 256] {
@@ -314,9 +314,9 @@ pub struct McOutput {
     pub triangles: CellSet,
     /// Interpolated values of a secondary field at the surface vertices
     /// (here: the isovalue itself, matching VTK-m's default).
-    pub point_values: Vec<f64>,
-    pub classify_work: WorkCounters,
-    pub interp_work: WorkCounters,
+    pub(crate) point_values: Vec<f64>,
+    pub(crate) classify_work: WorkCounters,
+    pub(crate) interp_work: WorkCounters,
 }
 
 /// Run marching cubes over a point-centered scalar on a uniform grid.
@@ -416,8 +416,8 @@ pub fn marching_cubes(grid: &UniformGrid, values: &[f64], isovalue: f64) -> McOu
 #[derive(Debug, Clone)]
 pub struct Contour {
     /// Point-centered scalar field to contour.
-    pub field: String,
-    pub isovalues: Vec<f64>,
+    pub(crate) field: String,
+    pub(crate) isovalues: Vec<f64>,
 }
 
 impl Contour {

@@ -30,16 +30,16 @@ use vizmesh::{par, CellSet, CellShape, UniformGrid, Vec3};
 const GENERATE_MIN_LEN: usize = 1024;
 
 /// Geometry of one DPP marching-cubes pass (work lives in the trace).
-pub struct DppMcOutput {
-    pub points: Vec<Vec3>,
-    pub triangles: CellSet,
+pub(crate) struct DppMcOutput {
+    pub(crate) points: Vec<Vec3>,
+    pub(crate) triangles: CellSet,
     /// Interpolated secondary values (the isovalue, as in the
     /// traditional formulation).
-    pub point_values: Vec<f64>,
+    pub(crate) point_values: Vec<f64>,
 }
 
 /// Run the DPP marching-cubes pipeline over a point-centered scalar.
-pub fn dpp_marching_cubes(
+pub(crate) fn dpp_marching_cubes(
     trace: &mut DppTrace,
     grid: &UniformGrid,
     values: &[f64],

@@ -4,7 +4,7 @@
 //! visualization kernels over a small primitive vocabulary changes both
 //! their runtime and their hardware-counter profile. This module is that
 //! second backend for this reproduction: the vocabulary
-//! ([`primitives`]), a shared DPP marching-cubes pipeline ([`mc`]), and
+//! ([`primitives`]), a shared DPP marching-cubes pipeline (`mc`), and
 //! the primitive pipelines of four kernels — contour, threshold,
 //! isovolume, and slice — selectable per-spec via [`Backend`] through
 //! [`AlgorithmSpec::build_with`](crate::AlgorithmSpec::build_with).
@@ -25,7 +25,7 @@
 //! first-use order, so order-sensitive float checksums over its points
 //! carry a documented tolerance.
 
-pub mod mc;
+pub(crate) mod mc;
 pub mod primitives;
 
 mod contour;

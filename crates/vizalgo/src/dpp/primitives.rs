@@ -5,7 +5,7 @@
 //! primitive touches — is observable in the run journal as `primitive`
 //! records (see docs/OBSERVABILITY.md and docs/DPP.md).
 //!
-//! The maps ([`map`], [`map_n`], [`map_cells`], [`map_points`]),
+//! The maps ([`map`], `map_n`, `map_cells`, `map_points`),
 //! [`inclusive_scan`], [`compact`] and [`compact_indices`] run on
 //! [`vizmesh::par`]: contiguous chunks, each producing its piece, joined
 //! in chunk order. [`sort_by_key`] buckets its pairs by the key's top
@@ -82,7 +82,7 @@ impl PrimitiveOp {
     }
 
     /// The power-model kernel class the op's traffic is characterized as.
-    pub fn kernel_class(self) -> KernelClass {
+    pub(crate) fn kernel_class(self) -> KernelClass {
         OPS[self as usize].3
     }
 }
@@ -124,7 +124,13 @@ impl DppTrace {
 
     /// Record one invocation of `op` over `elements` elements.
     #[inline]
-    pub fn record(&mut self, op: PrimitiveOp, elements: u64, bytes_read: u64, bytes_written: u64) {
+    pub(crate) fn record(
+        &mut self,
+        op: PrimitiveOp,
+        elements: u64,
+        bytes_read: u64,
+        bytes_written: u64,
+    ) {
         let s = &mut self.slots[op as usize];
         s.invocations += 1;
         s.elements += elements;
@@ -134,7 +140,7 @@ impl DppTrace {
 
     /// Attribute worklet floating-point work to `op` (normally `Map`).
     #[inline]
-    pub fn record_flops(&mut self, op: PrimitiveOp, flops: u64) {
+    pub(crate) fn record_flops(&mut self, op: PrimitiveOp, flops: u64) {
         self.slots[op as usize].flops += flops;
     }
 
@@ -157,7 +163,7 @@ impl DppTrace {
     /// traditional one — with a data-movement-heavy mix instead of the
     /// traditional fused-loop mix. That shift is the quantity the
     /// Bethel-style study measures.
-    pub fn kernel_reports(&self) -> Vec<KernelReport> {
+    pub(crate) fn kernel_reports(&self) -> Vec<KernelReport> {
         let active = self.reports();
         let mut out = Vec::with_capacity(active.len());
         for r in active {
@@ -226,7 +232,7 @@ fn record_map_n<U>(trace: &mut DppTrace, n: usize, bytes_read_per: u64) {
 
 /// `map` over an index space `0..n` (a worklet reading `bytes_read_per`
 /// bytes of gathered input per element).
-pub fn map_n<U: Send>(
+pub(crate) fn map_n<U: Send>(
     trace: &mut DppTrace,
     n: usize,
     bytes_read_per: u64,
@@ -239,7 +245,7 @@ pub fn map_n<U: Send>(
 /// `map` over the cells of a grid, the worklet handed each cell with
 /// its corner points (VTK-m's visit-cells-with-points shape): `map_n`
 /// over the cell ids without decoding one.
-pub fn map_cells<U: Send>(
+pub(crate) fn map_cells<U: Send>(
     trace: &mut DppTrace,
     grid: &UniformGrid,
     bytes_read_per: u64,
@@ -251,7 +257,7 @@ pub fn map_cells<U: Send>(
 
 /// `map` over the points of a grid, the worklet handed each point's id
 /// and coordinates.
-pub fn map_points<U: Send>(
+pub(crate) fn map_points<U: Send>(
     trace: &mut DppTrace,
     grid: &UniformGrid,
     bytes_read_per: u64,

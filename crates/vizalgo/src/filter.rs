@@ -76,12 +76,12 @@ pub struct FilterOutput {
 }
 
 impl FilterOutput {
-    pub fn data(dataset: DataSet, kernels: Vec<KernelReport>) -> Self {
+    pub(crate) fn data(dataset: DataSet, kernels: Vec<KernelReport>) -> Self {
         FilterOutput::data_with_primitives(dataset, kernels, Vec::new())
     }
 
     /// [`data`](FilterOutput::data), carrying the DPP primitive trail.
-    pub fn data_with_primitives(
+    pub(crate) fn data_with_primitives(
         dataset: DataSet,
         kernels: Vec<KernelReport>,
         primitives: Vec<crate::dpp::PrimitiveReport>,
@@ -94,7 +94,7 @@ impl FilterOutput {
         }
     }
 
-    pub fn rendered(images: Vec<Image>, kernels: Vec<KernelReport>) -> Self {
+    pub(crate) fn rendered(images: Vec<Image>, kernels: Vec<KernelReport>) -> Self {
         FilterOutput {
             dataset: None,
             images,
@@ -201,7 +201,7 @@ pub trait Filter {
 ///
 /// Everything descriptive about an algorithm — display name, CLI
 /// aliases, kernel taxonomy, cell-centeredness — lives in one registry
-/// row (see [`crate::registry`]); the methods and tables here are views
+/// row (see `crate::registry`); the methods and tables here are views
 /// of it. The paper parameterization lives in
 /// [`default_spec`](Algorithm::default_spec) (see [`crate::spec`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -22,7 +22,7 @@ use vizmesh::{DataSet, Field, FieldData, TimeWindow};
 /// The 48-bit mask every fingerprint is reduced by: the largest width
 /// that stays exact in an `f64`, so journals can carry fingerprints as
 /// plain JSON numbers.
-pub const FINGERPRINT_MASK: u64 = 0xFFFF_FFFF_FFFF;
+pub(crate) const FINGERPRINT_MASK: u64 = 0xFFFF_FFFF_FFFF;
 
 /// Incremental 64-bit FNV-1a hasher. Feed byte slices with
 /// [`Fnv1a::update`]; reduce to the journal-exact 48-bit form with

@@ -18,9 +18,9 @@ use vizmesh::{par, Association, DataSet, Field, UniformGrid, Vec3, WorkCounters}
 /// boundary), producing a structured dataset with the derived fields.
 #[derive(Debug, Clone)]
 pub struct Gradient {
-    pub field: String,
+    pub(crate) field: String,
     /// Also emit the vector field `<field>_grad`.
-    pub emit_vector: bool,
+    pub(crate) emit_vector: bool,
 }
 
 impl Gradient {

@@ -16,9 +16,9 @@ use vizmesh::{DataSet, UniformGrid, WorkCounters};
 /// The isovolume filter over a point-centered scalar.
 #[derive(Debug, Clone)]
 pub struct Isovolume {
-    pub field: String,
-    pub lo: f64,
-    pub hi: f64,
+    pub(crate) field: String,
+    pub(crate) lo: f64,
+    pub(crate) hi: f64,
 }
 
 impl Isovolume {

@@ -7,13 +7,13 @@
 //! | module | algorithm | paper §III-B |
 //! |---|---|---|
 //! | [`contour`] | Marching-cubes isosurface (10 isovalues/cycle) | 1 |
-//! | [`threshold`] | Cell filtering by scalar range | 2 |
-//! | [`clip`] | Spherical clip with cell subdivision | 3 |
-//! | [`isovolume`] | Scalar-range volume extraction | 4 |
-//! | [`mod@slice`] | Three axis-aligned slices via signed distance + contour | 5 |
-//! | [`advection`] | RK4 particle advection → streamlines / pathlines | 6 |
+//! | `threshold` | Cell filtering by scalar range | 2 |
+//! | `clip` | Spherical clip with cell subdivision | 3 |
+//! | `isovolume` | Scalar-range volume extraction | 4 |
+//! | `slice` | Three axis-aligned slices via signed distance + contour | 5 |
+//! | `advection` | RK4 particle advection → streamlines / pathlines | 6 |
 //! | [`raytrace`] | External-face ray tracing with a BVH (50 images) | 7 |
-//! | [`volren`] | Volume rendering by ray marching (50 images) | 8 |
+//! | `volren` | Volume rendering by ray marching (50 images) | 8 |
 //!
 //! Every algorithm implements [`Filter`] and reports the
 //! work it performed as a list of per-kernel
@@ -39,7 +39,7 @@
 //! [`AlgorithmSpec::build_with`](spec::AlgorithmSpec::build_with) (see
 //! docs/DPP.md).
 //!
-//! The [`registry`] module is the single source of truth describing the
+//! The `registry` module is the single source of truth describing the
 //! eight algorithms (names, aliases, kernel taxonomy, cell-centered
 //! flags), and [`spec`] carries the canonical serializable
 //! [`AlgorithmSpec`] plan layer —
@@ -47,24 +47,24 @@
 //! workspace's one sanctioned filter-construction site (enforced by the
 //! `registry-dispatch` xtask lint; see docs/REGISTRY.md).
 
-pub mod advection;
+mod advection;
 pub mod arena;
-pub mod clip;
+mod clip;
 pub mod colormap;
 pub mod contour;
 pub mod dpp;
-pub mod filter;
-pub mod fingerprint;
-pub mod gradient;
-pub mod isovolume;
+mod filter;
+mod fingerprint;
+mod gradient;
+mod isovolume;
 pub mod marching_tetra;
 pub mod raytrace;
-pub mod registry;
-pub mod slice;
+mod registry;
+mod slice;
 pub mod spec;
 pub mod tetclip;
-pub mod threshold;
-pub mod volren;
+mod threshold;
+mod volren;
 
 /// Fewest cells or points worth a `par` chunk in the per-cell classify
 /// and per-point distance loops (a handful of compares or flops each);
@@ -76,18 +76,14 @@ pub(crate) const RAY_MIN_LEN: usize = 256;
 pub(crate) const SEED_MIN_LEN: usize = 8;
 
 pub use advection::{FlowMode, FlowScenario, ParticleAdvection, Seeding, StepControl, Termination};
-pub use arena::{TetScratch, WeldMap};
 pub use clip::SphericalClip;
 pub use contour::Contour;
 pub use dpp::{Backend, PrimitiveOp, PrimitiveReport};
 pub use filter::{Algorithm, Filter, FilterOutput, KernelClass, KernelReport};
-pub use fingerprint::{
-    dataset_fingerprint, fingerprint48, series_fingerprint, Fnv1a, FINGERPRINT_MASK,
-};
+pub use fingerprint::{dataset_fingerprint, fingerprint48, series_fingerprint, Fnv1a};
 pub use gradient::Gradient;
 pub use isovolume::Isovolume;
 pub use raytrace::RayTracer;
-pub use registry::{RegistryEntry, REGISTRY};
 pub use slice::ThreeSlice;
 pub use spec::{AlgorithmSpec, IsoValues, ScalarBand, SphereSpec};
 pub use threshold::Threshold;

@@ -2,7 +2,7 @@
 //! a cross-check oracle for the marching-cubes table in property tests.
 //!
 //! Each hexahedral cell is decomposed into 6 tetrahedra
-//! ([`crate::tetclip::HEX_TO_TETS`]) and each tet is contoured with the
+//! (`crate::tetclip::HEX_TO_TETS`) and each tet is contoured with the
 //! trivial 16-case logic (0, 1, or 2 triangles). MT and MC approximate the
 //! same trilinear isosurface, so cell classifications and total surface
 //! area must agree between the two (to discretization error).
@@ -14,7 +14,12 @@ use vizmesh::{UniformGrid, Vec3};
 ///
 /// `corners`/`values` are the tet's four vertices and scalars; triangles
 /// with vertices interpolated at `iso` are appended to `out`.
-pub fn contour_tet(corners: [Vec3; 4], values: [f64; 4], iso: f64, out: &mut Vec<[Vec3; 3]>) {
+pub(crate) fn contour_tet(
+    corners: [Vec3; 4],
+    values: [f64; 4],
+    iso: f64,
+    out: &mut Vec<[Vec3; 3]>,
+) {
     let inside: Vec<usize> = (0..4).filter(|&i| values[i] > iso).collect();
     let outside: Vec<usize> = (0..4).filter(|&i| values[i] <= iso).collect();
     let interp = |a: usize, b: usize| -> Vec3 {

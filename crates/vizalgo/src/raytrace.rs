@@ -27,7 +27,7 @@ pub struct Triangle {
 }
 
 impl Triangle {
-    pub fn centroid(&self) -> Vec3 {
+    pub(crate) fn centroid(&self) -> Vec3 {
         (self.p[0] + self.p[1] + self.p[2]) / 3.0
     }
 
@@ -357,7 +357,7 @@ impl Bvh {
         (Bvh { nodes, order }, work)
     }
 
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 
@@ -416,10 +416,10 @@ impl Bvh {
 /// The ray-tracing filter: external faces → BVH → image database.
 #[derive(Debug, Clone)]
 pub struct RayTracer {
-    pub field: String,
-    pub width: usize,
-    pub height: usize,
-    pub num_cameras: usize,
+    pub(crate) field: String,
+    pub(crate) width: usize,
+    pub(crate) height: usize,
+    pub(crate) num_cameras: usize,
 }
 
 impl RayTracer {

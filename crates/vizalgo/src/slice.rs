@@ -12,12 +12,12 @@ use vizmesh::{par, DataSet, UniformGrid, Vec3, WorkCounters};
 /// An oriented plane `dot(n, p) = dot(n, origin)`.
 #[derive(Debug, Clone, Copy)]
 pub struct Plane {
-    pub origin: Vec3,
-    pub normal: Vec3,
+    pub(crate) origin: Vec3,
+    pub(crate) normal: Vec3,
 }
 
 impl Plane {
-    pub fn new(origin: Vec3, normal: Vec3) -> Self {
+    pub(crate) fn new(origin: Vec3, normal: Vec3) -> Self {
         let n = normal.normalized();
         assert!(n != Vec3::ZERO, "plane normal must be non-zero");
         Plane { origin, normal: n }
@@ -36,7 +36,7 @@ impl Plane {
 pub struct ThreeSlice {
     pub planes: Vec<Plane>,
     /// Point field to interpolate onto the slices.
-    pub field: String,
+    pub(crate) field: String,
 }
 
 impl ThreeSlice {
@@ -50,14 +50,6 @@ impl ThreeSlice {
                 Plane::new(c, Vec3::X), // y-z plane
                 Plane::new(c, Vec3::Y), // x-z plane
             ],
-            field: field.into(),
-        }
-    }
-
-    pub fn with_planes(planes: Vec<Plane>, field: impl Into<String>) -> Self {
-        assert!(!planes.is_empty(), "slice needs at least one plane");
-        ThreeSlice {
-            planes,
             field: field.into(),
         }
     }
@@ -141,6 +133,13 @@ mod tests {
         DataSet::uniform(grid).with_field(Field::scalar("f", Association::Points, vals))
     }
 
+    fn one_plane(plane: Plane) -> ThreeSlice {
+        ThreeSlice {
+            planes: vec![plane],
+            field: "f".into(),
+        }
+    }
+
     #[test]
     fn plane_distance_signs() {
         let p = Plane::new(Vec3::splat(0.5), Vec3::Z);
@@ -189,7 +188,7 @@ mod tests {
         // Field is x; on the y-z plane (x = 0.5) every vertex value is 0.5.
         let ds = dataset(6);
         let c = ds.bounds().center();
-        let slice = ThreeSlice::with_planes(vec![Plane::new(c, Vec3::X)], "f");
+        let slice = one_plane(Plane::new(c, Vec3::X));
         let out = slice.execute(&ds);
         let result = out.dataset.unwrap();
         for &v in result.point_scalars("f").unwrap() {
@@ -200,7 +199,7 @@ mod tests {
     #[test]
     fn slice_outside_domain_is_empty() {
         let ds = dataset(4);
-        let slice = ThreeSlice::with_planes(vec![Plane::new(Vec3::splat(10.0), Vec3::X)], "f");
+        let slice = one_plane(Plane::new(Vec3::splat(10.0), Vec3::X));
         let out = slice.execute(&ds);
         assert_eq!(out.dataset.unwrap().num_cells(), 0);
     }
@@ -215,11 +214,5 @@ mod tests {
         // Slice does a contour per plane: classification visits every cell
         // three times.
         assert_eq!(out.kernels[1].work.items, 3 * 64);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_plane_list_panics() {
-        let _ = ThreeSlice::with_planes(vec![], "f");
     }
 }

@@ -274,7 +274,7 @@ impl AlgorithmSpec {
     /// encoded by their IEEE-754 bit patterns, so the encoding is total
     /// and exact. This string — not the JSON form — defines the
     /// [`fingerprint`](AlgorithmSpec::fingerprint).
-    pub fn canonical(&self) -> String {
+    pub(crate) fn canonical(&self) -> String {
         let mut tail = String::new();
         let args = match self {
             AlgorithmSpec::Contour { field, isovalues } => {
@@ -344,7 +344,7 @@ impl AlgorithmSpec {
     }
 
     /// Deterministic spec fingerprint: 48-bit FNV-1a over
-    /// [`canonical`](AlgorithmSpec::canonical). 48 bits keep the value
+    /// `canonical`. 48 bits keep the value
     /// exactly representable as an `f64`, which is how it rides in
     /// the journal (`spec_fp` — docs/OBSERVABILITY.md).
     pub fn fingerprint(&self) -> u64 {
@@ -450,7 +450,7 @@ impl Algorithm {
 
 impl IsoValues {
     /// `{"spanning": n}` or `{"explicit": [v, ...]}`.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         match self {
             IsoValues::Spanning(n) => Value::object([("spanning", (*n).into())]),
             IsoValues::Explicit(values) => {
@@ -461,7 +461,7 @@ impl IsoValues {
     }
 
     /// Decode the wire form of [`to_json`](IsoValues::to_json).
-    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+    pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("isovalues")? {
             "spanning" => Ok(IsoValues::Spanning(v.usize("spanning")?)),
             "explicit" => {
@@ -502,7 +502,7 @@ impl ScalarBand {
 
     /// `{"upper_fraction": f}`, `{"middle_band": f}` or
     /// `{"range": {"min": a, "max": b}}`.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         match self {
             ScalarBand::UpperFraction(f) => Value::object([("upper_fraction", (*f).into())]),
             ScalarBand::MiddleBand(f) => Value::object([("middle_band", (*f).into())]),
@@ -514,7 +514,7 @@ impl ScalarBand {
     }
 
     /// Decode the wire form of [`to_json`](ScalarBand::to_json).
-    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+    pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("band")? {
             "upper_fraction" => Ok(ScalarBand::UpperFraction(v.f64("upper_fraction")?)),
             "middle_band" => Ok(ScalarBand::MiddleBand(v.f64("middle_band")?)),
@@ -534,7 +534,7 @@ impl ScalarBand {
 impl SphereSpec {
     /// `{"radius_fraction": f}` or
     /// `{"explicit": {"center": {"x": .., "y": .., "z": ..}, "radius": r}}`.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         match self {
             SphereSpec::RadiusFraction(f) => Value::object([("radius_fraction", (*f).into())]),
             SphereSpec::Explicit { center, radius } => {
@@ -545,7 +545,7 @@ impl SphereSpec {
     }
 
     /// Decode the wire form of [`to_json`](SphereSpec::to_json).
-    pub fn from_json(v: &Value) -> Result<Self, JsonError> {
+    pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("sphere")? {
             "radius_fraction" => Ok(SphereSpec::RadiusFraction(v.f64("radius_fraction")?)),
             "explicit" => {

@@ -4,7 +4,7 @@
 //! Cells that straddle an implicit surface are decomposed into
 //! tetrahedra; each tetrahedron is clipped against the scalar value,
 //! keeping the side where `value >= iso` ([`clip_keep_above`]) or
-//! `value <= iso` ([`clip_keep_below`]). The clipped pieces are emitted
+//! `value <= iso` (`clip_keep_below_into`). The clipped pieces are emitted
 //! as new tetrahedra with interpolated vertices, exactly as VTK-m's clip
 //! worklets subdivide straddling cells (§III-B3/B4 of the paper).
 //!
@@ -29,7 +29,7 @@
 //! ascending id, hence in ascending k-slab, and the closures of two
 //! cells meet only if the cells sit in the same slab or in adjacent
 //! ones. So a key first seen in slab `k` can be asked for again only in
-//! slab `k` or `k + 1`: [`TetMesh`] keeps one [`WeldMap`] for the
+//! slab `k` or `k + 1`: [`TetMesh`] keeps one `WeldMap` for the
 //! current slab and one for the previous, looks in both, inserts into
 //! the current, and forgets the older when the walk moves up. Every
 //! lookup answers as one never-cleared table would and point ids are
@@ -44,7 +44,7 @@ use vizmesh::{CellSet, CellShape, UniformGrid, Vec3, WorkCounters};
 
 /// Decomposition of a hexahedron (VTK corner order) into 6 tetrahedra
 /// sharing the 0–6 main diagonal. The union tiles the hex exactly.
-pub const HEX_TO_TETS: [[usize; 4]; 6] = [
+pub(crate) const HEX_TO_TETS: [[usize; 4]; 6] = [
     [0, 1, 2, 6],
     [0, 2, 3, 6],
     [0, 3, 7, 6],
@@ -57,13 +57,12 @@ pub const HEX_TO_TETS: [[usize; 4]; 6] = [
 /// welding on interpolated edges.
 #[derive(Debug, Default)]
 pub struct TetMesh {
-    pub points: Vec<Vec3>,
+    pub(crate) points: Vec<Vec3>,
     /// Clip scalar at each point (signed distance or field value).
-    pub values: Vec<f64>,
+    pub(crate) values: Vec<f64>,
     /// A carried data scalar (e.g. the energy field), interpolated along
     /// with the clip scalar so output meshes keep their colors.
-    pub payloads: Vec<f64>,
-    pub tets: Vec<[u32; 4]>,
+    pub(crate) payloads: Vec<f64>,
     /// Weld maps for interpolated edge points, keyed by the packed
     /// ordered pair of parent point ids and the interpolation target's
     /// bits: `[0]` holds the points made in the walk's current k-slab,
@@ -81,7 +80,7 @@ impl TetMesh {
     /// `points` vertices (a hint; the mesh still grows on demand). The
     /// weld tables size themselves: they hold a slab's edge points, not
     /// the mesh's.
-    pub fn with_point_capacity(points: usize) -> Self {
+    pub(crate) fn with_point_capacity(points: usize) -> Self {
         TetMesh {
             points: Vec::with_capacity(points),
             values: Vec::with_capacity(points),
@@ -110,7 +109,7 @@ impl TetMesh {
     }
 
     /// Add an original point carrying a separate data payload.
-    pub fn add_point_with(&mut self, p: Vec3, value: f64, payload: f64) -> u32 {
+    pub(crate) fn add_point_with(&mut self, p: Vec3, value: f64, payload: f64) -> u32 {
         self.points.push(p);
         self.values.push(value);
         self.payloads.push(payload);
@@ -126,11 +125,6 @@ impl TetMesh {
             self.points[t[3] as usize],
         );
         (b - a).cross(c - a).dot(d - a) / 6.0
-    }
-
-    /// Total unsigned volume.
-    pub fn total_volume(&self) -> f64 {
-        self.tets.iter().map(|&t| self.tet_volume(t).abs()).sum()
     }
 
     /// Interpolated point on edge `(a, b)` where the (possibly
@@ -174,20 +168,9 @@ pub fn clip_keep_above(
     (out, work)
 }
 
-/// Clip every tet of `mesh`, keeping the region where `value <= iso`.
-pub fn clip_keep_below(
-    mesh: &mut TetMesh,
-    tets: &[[u32; 4]],
-    iso: f64,
-) -> (Vec<[u32; 4]>, WorkCounters) {
-    let mut out = Vec::new();
-    let work = clip_keep_below_into(mesh, tets, iso, &mut out);
-    (out, work)
-}
-
 /// [`clip_keep_above`] writing into a reused scratch buffer: `out` is
 /// cleared, then filled. Returns the work performed.
-pub fn clip_keep_above_into(
+pub(crate) fn clip_keep_above_into(
     mesh: &mut TetMesh,
     tets: &[[u32; 4]],
     iso: f64,
@@ -196,9 +179,10 @@ pub fn clip_keep_above_into(
     clip_tets(mesh, tets, iso, false, out)
 }
 
-/// [`clip_keep_below`] writing into a reused scratch buffer: `out` is
-/// cleared, then filled. Returns the work performed.
-pub fn clip_keep_below_into(
+/// Clip every tet of `mesh`, keeping the region where `value <= iso`,
+/// into a reused scratch buffer: `out` is cleared, then filled. Returns
+/// the work performed.
+pub(crate) fn clip_keep_below_into(
     mesh: &mut TetMesh,
     tets: &[[u32; 4]],
     iso: f64,
@@ -224,17 +208,17 @@ pub(crate) enum HexSide {
 /// each caller prices in its own currency (kernel [`WorkCounters`] or
 /// primitive traffic).
 pub(crate) struct Subdivision {
-    pub mesh: TetMesh,
-    pub cells: CellSet,
+    pub(crate) mesh: TetMesh,
+    pub(crate) cells: CellSet,
     /// Grid points first welded by a whole cell.
-    pub whole_points: u64,
+    pub(crate) whole_points: u64,
     /// Grid points first welded by a straddling cell.
-    pub straddle_points: u64,
-    pub whole_cells: u64,
+    pub(crate) straddle_points: u64,
+    pub(crate) whole_cells: u64,
     /// Tets handed to the clip (6 per straddling cell).
-    pub tets_clipped: u64,
+    pub(crate) tets_clipped: u64,
     /// Summed work of the clip calls.
-    pub clip_work: WorkCounters,
+    pub(crate) clip_work: WorkCounters,
 }
 
 impl Subdivision {
@@ -538,7 +522,7 @@ mod tests {
 
     #[test]
     fn keep_below_matches_negated_keep_above_bitwise() {
-        // clip_keep_below(hi) must reproduce the old negate/clip/negate
+        // clip_keep_below_into(hi) must reproduce the old negate/clip/negate
         // sequence exactly: same points, same values, same connectivity.
         let cases = [
             [0.3, -0.7, 0.9, -0.1],
@@ -548,7 +532,8 @@ mod tests {
         for values in cases {
             let hi = 0.25;
             let (mut direct, t) = one_tet(values);
-            let (below, _) = clip_keep_below(&mut direct, &[t], hi);
+            let mut below = Vec::new();
+            clip_keep_below_into(&mut direct, &[t], hi, &mut below);
 
             let (mut via_negate, t2) = one_tet(values);
             for v in via_negate.values.iter_mut() {
@@ -581,7 +566,8 @@ mod tests {
     fn keep_below_then_above_partitions_volume() {
         let (mut m, t) = one_tet([0.3, -0.7, 0.9, -0.1]);
         let (above, _) = clip_keep_above(&mut m, &[t], 0.0);
-        let (below, _) = clip_keep_below(&mut m, &[t], 0.0);
+        let mut below = Vec::new();
+        clip_keep_below_into(&mut m, &[t], 0.0, &mut below);
         let total = volume_of(&m, &above) + volume_of(&m, &below);
         assert!((total - 1.0 / 6.0).abs() < 1e-12, "total = {total}");
     }
@@ -615,7 +601,8 @@ mod tests {
 
             let t2 = add_cell(&mut fresh, vals, i as f64 * 10.0);
             let (mid, _) = clip_keep_above(&mut fresh, &[t2], iso);
-            let (kept, _) = clip_keep_below(&mut fresh, &mid, iso + 0.3);
+            let mut kept = Vec::new();
+            clip_keep_below_into(&mut fresh, &mid, iso + 0.3, &mut kept);
 
             // Same piece count and same volume, cell by cell — nothing
             // from the previous cell's scratch contents bleeds through.

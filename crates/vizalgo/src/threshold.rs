@@ -6,23 +6,15 @@ use vizmesh::{
     Association, CellSet, CellShape, DataSet, Field, GridCell, UniformGrid, Vec3, WorkCounters,
 };
 
-/// Which points of a cell must satisfy the range for the cell to be kept
-/// when thresholding a point-centered field (VTK-m's threshold policies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThresholdPolicy {
-    AllPoints,
-    AnyPoint,
-}
-
 /// The threshold filter: iterates over every cell and compares its scalar
-/// (cell-centered directly, or point-centered under a policy) against
-/// `[lo, hi]`; kept cells are copied to an unstructured output.
+/// against `[lo, hi]` — a cell-centered value directly; a point-centered
+/// field keeps the cell only when all of its points are in range — and
+/// copies the kept cells to an unstructured output.
 #[derive(Debug, Clone)]
 pub struct Threshold {
-    pub field: String,
-    pub lo: f64,
-    pub hi: f64,
-    pub policy: ThresholdPolicy,
+    pub(crate) field: String,
+    pub(crate) lo: f64,
+    pub(crate) hi: f64,
 }
 
 impl Threshold {
@@ -32,7 +24,6 @@ impl Threshold {
             field: field.into(),
             lo,
             hi,
-            policy: ThresholdPolicy::AllPoints,
         }
     }
 
@@ -47,7 +38,7 @@ impl Threshold {
 
     /// The grid, the field's cell values when it is cell-centered, and
     /// the keep predicate over cells: the cell's own value in range,
-    /// else its corner values under the [`ThresholdPolicy`].
+    /// else all of its corner values in range.
     pub(crate) fn inputs<'a>(
         &'a self,
         input: &'a DataSet,
@@ -66,13 +57,7 @@ impl Threshold {
         let in_range = |v: f64| v >= self.lo && v <= self.hi;
         let keeps = move |cell: &GridCell<'_>| match cell_vals {
             Some(vals) => in_range(vals[cell.id()]),
-            None => {
-                let ids = cell.point_ids();
-                match self.policy {
-                    ThresholdPolicy::AllPoints => ids.iter().all(|&p| in_range(point_vals[p])),
-                    ThresholdPolicy::AnyPoint => ids.iter().any(|&p| in_range(point_vals[p])),
-                }
-            }
+            None => cell.point_ids().iter().all(|&p| in_range(point_vals[p])),
         };
         (grid, cell_vals, keeps)
     }
@@ -190,15 +175,10 @@ mod tests {
             .map(|p| grid.point_coord_id(p).x)
             .collect();
         let ds = DataSet::uniform(grid).with_field(Field::scalar("v", Association::Points, vals));
-        // AllPoints with range [0, 0.5]: only cells whose 8 corners all
-        // have x ≤ 0.5, i.e. the 4 cells in the left half.
+        // Range [0, 0.5]: only cells whose 8 corners all have x ≤ 0.5,
+        // i.e. the 4 cells in the left half, though all 8 touch it.
         let out = Threshold::new("v", 0.0, 0.5).execute(&ds);
         assert_eq!(out.dataset.unwrap().num_cells(), 4);
-        // AnyPoint keeps every cell (all touch x ≤ 0.5).
-        let mut t = Threshold::new("v", 0.0, 0.5);
-        t.policy = ThresholdPolicy::AnyPoint;
-        let out = t.execute(&ds);
-        assert_eq!(out.dataset.unwrap().num_cells(), 8);
     }
 
     #[test]

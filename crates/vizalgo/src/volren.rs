@@ -14,14 +14,14 @@ use vizmesh::{par, Camera, DataSet, Image, WorkCounters};
 /// The volume-rendering filter.
 #[derive(Debug, Clone)]
 pub struct VolumeRenderer {
-    pub field: String,
-    pub width: usize,
-    pub height: usize,
-    pub num_cameras: usize,
+    pub(crate) field: String,
+    pub(crate) width: usize,
+    pub(crate) height: usize,
+    pub(crate) num_cameras: usize,
     /// Step length as a fraction of the cell diagonal (0.5 = half a cell).
-    pub step_scale: f64,
+    pub(crate) step_scale: f64,
     /// Per-sample opacity scale of the transfer function.
-    pub opacity_scale: f64,
+    pub(crate) opacity_scale: f64,
 }
 
 impl VolumeRenderer {

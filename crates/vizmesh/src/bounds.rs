@@ -36,7 +36,7 @@ impl Aabb {
     }
 
     /// True when no point has been added.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.min.x > self.max.x || self.min.y > self.max.y || self.min.z > self.max.z
     }
 
@@ -68,12 +68,6 @@ impl Aabb {
         } else {
             (self.min + self.max) * 0.5
         }
-    }
-
-    /// Surface area (used by BVH build heuristics); 0 for empty boxes.
-    pub fn surface_area(&self) -> f64 {
-        let e = self.extent();
-        2.0 * (e.x * e.y + e.y * e.z + e.z * e.x)
     }
 
     /// Length of the space diagonal.
@@ -155,7 +149,6 @@ mod tests {
         assert!(b.is_empty());
         assert_eq!(b.extent(), Vec3::ZERO);
         assert_eq!(b.center(), Vec3::ZERO);
-        assert_eq!(b.surface_area(), 0.0);
     }
 
     #[test]
@@ -229,11 +222,5 @@ mod tests {
         let (t0, t1) = b.intersect_ray(origin, inv, 0.0, f64::INFINITY).unwrap();
         assert_eq!(t0, 0.0);
         assert!((t1 - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn surface_area_unit_cube() {
-        let b = Aabb::new(Vec3::ZERO, Vec3::ONE);
-        assert!((b.surface_area() - 6.0).abs() < 1e-12);
     }
 }

@@ -70,10 +70,10 @@ impl View {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Camera {
     pub position: Vec3,
-    pub look_at: Vec3,
-    pub up: Vec3,
+    pub(crate) look_at: Vec3,
+    pub(crate) up: Vec3,
     /// Vertical field of view in degrees.
-    pub fov_y_degrees: f64,
+    pub(crate) fov_y_degrees: f64,
 }
 
 impl Camera {
@@ -104,7 +104,7 @@ impl Camera {
     }
 
     /// Orthonormal camera basis `(right, true_up, forward)`.
-    pub fn basis(&self) -> (Vec3, Vec3, Vec3) {
+    pub(crate) fn basis(&self) -> (Vec3, Vec3, Vec3) {
         let forward = (self.look_at - self.position).normalized();
         let mut right = forward.cross(self.up).normalized();
         if right == Vec3::ZERO {

@@ -20,7 +20,7 @@ pub enum CellShape {
 impl CellShape {
     /// Number of points for fixed-size shapes; `None` for `Polygon` and
     /// `PolyLine`, whose arity is per-cell.
-    pub fn fixed_point_count(self) -> Option<usize> {
+    pub(crate) fn fixed_point_count(self) -> Option<usize> {
         match self {
             CellShape::Vertex => Some(1),
             CellShape::Line => Some(2),
@@ -110,7 +110,7 @@ impl CellSet {
     ///
     /// # Panics
     /// If a cell references a point `remap` has no entry for.
-    pub fn remap_points(&mut self, remap: &[u32]) {
+    pub(crate) fn remap_points(&mut self, remap: &[u32]) {
         for p in &mut self.connectivity {
             *p = remap[*p as usize];
         }
@@ -118,7 +118,7 @@ impl CellSet {
 
     /// Every point reference, cell after cell.
     #[inline]
-    pub fn connectivity(&self) -> &[u32] {
+    pub(crate) fn connectivity(&self) -> &[u32] {
         &self.connectivity
     }
 
@@ -127,14 +127,9 @@ impl CellSet {
         self.shapes.len()
     }
 
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.shapes.is_empty()
-    }
-
     /// Total connectivity length (sum of per-cell arities).
     #[inline]
-    pub fn connectivity_len(&self) -> usize {
+    pub(crate) fn connectivity_len(&self) -> usize {
         self.connectivity.len()
     }
 
@@ -155,7 +150,7 @@ impl CellSet {
     }
 
     /// Largest point id referenced, or `None` when empty.
-    pub fn max_point_id(&self) -> Option<u32> {
+    pub(crate) fn max_point_id(&self) -> Option<u32> {
         self.connectivity.iter().copied().max()
     }
 }
@@ -233,7 +228,7 @@ mod tests {
     #[test]
     fn empty_set() {
         let cs = CellSet::new();
-        assert!(cs.is_empty());
+        assert_eq!(cs.num_cells(), 0);
         assert_eq!(cs.max_point_id(), None);
         assert_eq!(cs.iter().count(), 0);
     }

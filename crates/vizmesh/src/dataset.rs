@@ -78,14 +78,6 @@ impl DataSet {
         }
     }
 
-    /// World-space coordinates of point `id`.
-    pub fn point_coord(&self, id: usize) -> Vec3 {
-        match &self.geometry {
-            Geometry::Uniform(g) => g.point_coord_id(id),
-            Geometry::Explicit { points, .. } => points[id],
-        }
-    }
-
     /// Spatial bounds of the geometry (empty box for empty explicit sets).
     pub fn bounds(&self) -> Aabb {
         match &self.geometry {
@@ -264,14 +256,6 @@ mod tests {
     fn wrong_length_field_panics() {
         let mut ds = tri_dataset();
         ds.add_field(Field::scalar("e", Association::Points, vec![1.0]));
-    }
-
-    #[test]
-    fn point_coord_dispatch() {
-        let ds = DataSet::uniform(UniformGrid::cube_cells(2));
-        assert_eq!(ds.point_coord(0), Vec3::ZERO);
-        let tri = tri_dataset();
-        assert_eq!(tri.point_coord(1), Vec3::X);
     }
 
     #[test]

@@ -17,14 +17,14 @@ pub enum FieldData {
 }
 
 impl FieldData {
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             FieldData::Scalar(v) => v.len(),
             FieldData::Vector(v) => v.len(),
         }
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -63,7 +63,7 @@ impl Field {
     }
 
     /// Scalar values, or `None` if this is a vector field.
-    pub fn as_scalar(&self) -> Option<&[f64]> {
+    pub(crate) fn as_scalar(&self) -> Option<&[f64]> {
         match &self.data {
             FieldData::Scalar(v) => Some(v),
             FieldData::Vector(_) => None,
@@ -71,18 +71,18 @@ impl Field {
     }
 
     /// Vector values, or `None` if this is a scalar field.
-    pub fn as_vector(&self) -> Option<&[Vec3]> {
+    pub(crate) fn as_vector(&self) -> Option<&[Vec3]> {
         match &self.data {
             FieldData::Vector(v) => Some(v),
             FieldData::Scalar(_) => None,
         }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 

@@ -56,12 +56,6 @@ impl Image {
     }
 
     #[inline]
-    pub fn set(&mut self, x: usize, y: usize, rgba: [f32; 4]) {
-        let i = self.idx(x, y);
-        self.pixels[i] = rgba;
-    }
-
-    #[inline]
     pub fn depth_at(&self, x: usize, y: usize) -> f32 {
         self.depth[self.idx(x, y)]
     }
@@ -80,12 +74,6 @@ impl Image {
         }
     }
 
-    /// Fill every pixel with a constant color and reset depth.
-    pub fn clear(&mut self, rgba: [f32; 4]) {
-        self.pixels.fill(rgba);
-        self.depth.fill(f32::INFINITY);
-    }
-
     /// Fraction of pixels with any opacity — a cheap "did we draw
     /// anything" check used by tests.
     pub fn coverage(&self) -> f64 {
@@ -94,7 +82,7 @@ impl Image {
     }
 
     /// Encode as binary PPM (P6). Alpha is composited over `background`.
-    pub fn write_ppm<W: Write>(&self, w: &mut W, background: [f32; 3]) -> io::Result<()> {
+    pub(crate) fn write_ppm<W: Write>(&self, w: &mut W, background: [f32; 3]) -> io::Result<()> {
         writeln!(w, "P6\n{} {}\n255", self.width, self.height)?;
         let mut buf = Vec::with_capacity(self.num_pixels() * 3);
         for y in (0..self.height).rev() {
@@ -110,7 +98,7 @@ impl Image {
         w.write_all(&buf)
     }
 
-    /// Write a PPM file (convenience wrapper over [`Self::write_ppm`]).
+    /// Write a PPM file (convenience wrapper over `Self::write_ppm`).
     pub fn save_ppm<P: AsRef<Path>>(&self, path: P, background: [f32; 3]) -> io::Result<()> {
         let mut f = io::BufWriter::new(std::fs::File::create(path)?);
         self.write_ppm(&mut f, background)
@@ -139,7 +127,7 @@ mod tests {
     #[test]
     fn set_get_round_trip() {
         let mut img = Image::new(2, 2);
-        img.set(1, 0, [0.1, 0.2, 0.3, 1.0]);
+        img.set_if_closer(1, 0, 0.0, [0.1, 0.2, 0.3, 1.0]);
         assert_eq!(img.get(1, 0), [0.1, 0.2, 0.3, 1.0]);
         assert_eq!(img.get(0, 0), [0.0; 4]);
     }
@@ -157,15 +145,15 @@ mod tests {
     #[test]
     fn coverage_counts_opaque_pixels() {
         let mut img = Image::new(2, 2);
-        img.set(0, 0, [1.0, 1.0, 1.0, 1.0]);
-        img.set(1, 1, [1.0, 1.0, 1.0, 0.5]);
+        img.set_if_closer(0, 0, 0.0, [1.0, 1.0, 1.0, 1.0]);
+        img.set_if_closer(1, 1, 0.0, [1.0, 1.0, 1.0, 0.5]);
         assert!((img.coverage() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn ppm_header_and_size() {
         let mut img = Image::new(3, 2);
-        img.set(0, 1, [1.0, 0.0, 0.0, 1.0]);
+        img.set_if_closer(0, 1, 0.0, [1.0, 0.0, 0.0, 1.0]);
         let mut out = Vec::new();
         img.write_ppm(&mut out, [0.0, 0.0, 0.0]).unwrap();
         let header = b"P6\n3 2\n255\n";

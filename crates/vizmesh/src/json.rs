@@ -145,7 +145,7 @@ impl Value {
         }
     }
 
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Value::UInt(n) => Some(*n),
             _ => None,

@@ -28,30 +28,30 @@
 //!   action-list codec.
 //! * [`WorkCounters`] — the instrumentation record each kernel fills in as
 //!   it executes; consumed by the `vizpower` characterization bridge.
-//! * [`validate`] — watertightness / orientation / degenerate-cell
+//! * `validate` — watertightness / orientation / degenerate-cell
 //!   validators used by the conformance suite and the filter tests.
-//! * [`vtkio`] — legacy `.vtk` export so every dataset opens in
+//! * `vtkio` — legacy `.vtk` export so every dataset opens in
 //!   ParaView/VisIt.
 //!
 //! The model deliberately mirrors the subset of VTK-m the paper exercises:
 //! uniform hexahedral grids of `double` scalars (CloverLeaf output) and the
 //! unstructured triangle/polyline/hex outputs of the eight filters.
 
-pub mod bounds;
-pub mod camera;
-pub mod cells;
-pub mod counters;
+mod bounds;
+mod camera;
+mod cells;
+mod counters;
 pub mod dataset;
-pub mod field;
-pub mod grid;
-pub mod image;
+mod field;
+mod grid;
+mod image;
 pub mod json;
 pub mod par;
-pub mod rng;
-pub mod series;
-pub mod validate;
-pub mod vec3;
-pub mod vtkio;
+mod rng;
+mod series;
+mod validate;
+mod vec3;
+mod vtkio;
 
 pub use bounds::Aabb;
 pub use camera::{Camera, Ray, View};
@@ -65,4 +65,4 @@ pub use rng::XorShift;
 pub use series::{FieldSeries, TimeWindow};
 pub use validate::{validate_cells, validate_surface, CellReport, SurfaceReport};
 pub use vec3::Vec3;
-pub use vtkio::{save_vtk, write_vtk};
+pub use vtkio::save_vtk;

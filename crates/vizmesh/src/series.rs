@@ -16,11 +16,10 @@
 //! * [`TimeWindow`] — a borrowed contiguous view of a series, the unit
 //!   the service cache fingerprints (`data_fp` per window).
 //!
-//! Temporal *interpolation* deliberately lives with the consumer (the
-//! advection kernel resolves per-snapshot field arrays once, then lerps
-//! between bracketing snapshots); the series only answers the indexing
-//! question — [`FieldSeries::bracket`] — so the data layer stays free
-//! of any field-name or sampling policy.
+//! Temporal *interpolation* lives with the consumer (the advection
+//! kernel resolves per-snapshot field arrays once, then lerps between
+//! bracketing snapshots), so the data layer stays free of any
+//! field-name or sampling policy.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -88,11 +87,6 @@ impl FieldSeries {
         self.snaps.is_empty()
     }
 
-    /// The ring capacity this series was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// How many snapshots have been evicted over the series' lifetime.
     pub fn evicted(&self) -> u64 {
         self.evicted
@@ -108,46 +102,9 @@ impl FieldSeries {
         self.snaps.get(i).map(|(t, ds)| (*t, ds))
     }
 
-    /// Time of the oldest retained snapshot.
-    pub fn first_time(&self) -> Option<f64> {
-        self.snaps.front().map(|&(t, _)| t)
-    }
-
     /// Time of the newest retained snapshot.
     pub fn last_time(&self) -> Option<f64> {
         self.snaps.back().map(|&(t, _)| t)
-    }
-
-    /// Locate `t` among the retained snapshot times: the index pair
-    /// `(i, j)` of the snapshots bracketing `t` and the interpolation
-    /// weight `alpha` in `[0, 1]` between them.
-    ///
-    /// Outside the retained span the nearest snapshot is used with
-    /// `alpha` clamped (`i == j`, `alpha == 0`), so consumers can treat
-    /// the boundary and single-snapshot cases uniformly — and, because
-    /// `i == j` signals "no interpolation", avoid introducing any lerp
-    /// arithmetic on frozen series. Returns `None` on an empty series.
-    pub fn bracket(&self, t: f64) -> Option<(usize, usize, f64)> {
-        let (first, last) = (self.first_time()?, self.last_time()?);
-        if self.snaps.len() == 1 || t <= first {
-            return Some((0, 0, 0.0));
-        }
-        let n = self.snaps.len();
-        if t >= last {
-            return Some((n - 1, n - 1, 0.0));
-        }
-        // Retained spans are short (a ring of tens of snapshots), so a
-        // linear scan beats binary search bookkeeping here.
-        let mut i = 0;
-        while i + 1 < n && self.snaps[i + 1].0 <= t {
-            i += 1;
-        }
-        let (t0, _) = self.snaps[i];
-        let (t1, _) = self.snaps[i + 1];
-        if t <= t0 || t1 <= t0 {
-            return Some((i, i, 0.0));
-        }
-        Some((i, i + 1, (t - t0) / (t1 - t0)))
     }
 
     /// A borrowed view of the retained snapshots whose times intersect
@@ -247,7 +204,6 @@ mod tests {
         }
         assert_eq!(s.len(), 3);
         assert_eq!(s.evicted(), 2);
-        assert_eq!(s.first_time(), Some(2.0));
         assert_eq!(s.last_time(), Some(4.0));
         let times: Vec<f64> = s.snapshots().map(|(t, _)| t).collect();
         assert_eq!(times, vec![2.0, 3.0, 4.0]);
@@ -257,11 +213,7 @@ mod tests {
     fn frozen_series_has_one_snapshot_at_time_zero() {
         let s = FieldSeries::frozen(snap(1.0));
         assert_eq!(s.len(), 1);
-        assert_eq!(s.first_time(), Some(0.0));
-        // Any query time brackets to the single snapshot, no lerp.
-        for t in [-1.0, 0.0, 0.5, 100.0] {
-            assert_eq!(s.bracket(t), Some((0, 0, 0.0)));
-        }
+        assert_eq!(s.last_time(), Some(0.0));
     }
 
     #[test]
@@ -270,24 +222,6 @@ mod tests {
         let s = FieldSeries::frozen(Arc::clone(&ds));
         let (_, held) = s.get(0).expect("non-empty");
         assert!(Arc::ptr_eq(held, &ds), "series holds the same allocation");
-    }
-
-    #[test]
-    fn bracket_interpolates_between_snapshots_and_clamps_outside() {
-        let mut s = FieldSeries::with_capacity(8);
-        s.record(1.0, snap(1.0));
-        s.record(2.0, snap(2.0));
-        s.record(4.0, snap(3.0));
-        assert_eq!(s.bracket(0.5), Some((0, 0, 0.0)), "clamped before span");
-        assert_eq!(s.bracket(1.0), Some((0, 0, 0.0)), "exactly first");
-        assert_eq!(s.bracket(1.5), Some((0, 1, 0.5)));
-        // Exact knots resolve to the single snapshot (no lerp), the
-        // same rule as the boundaries.
-        assert_eq!(s.bracket(2.0), Some((1, 1, 0.0)), "exactly interior knot");
-        assert_eq!(s.bracket(3.0), Some((1, 2, 0.5)));
-        assert_eq!(s.bracket(4.0), Some((2, 2, 0.0)), "exactly last");
-        assert_eq!(s.bracket(9.0), Some((2, 2, 0.0)), "clamped after span");
-        assert_eq!(FieldSeries::with_capacity(1).bracket(0.0), None);
     }
 
     #[test]

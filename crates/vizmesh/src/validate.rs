@@ -19,11 +19,11 @@ use crate::vec3::Vec3;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SurfaceReport {
     /// Number of triangles inspected.
-    pub triangles: usize,
+    pub(crate) triangles: usize,
     /// Distinct points referenced by at least one triangle.
-    pub vertices: usize,
+    pub(crate) vertices: usize,
     /// Distinct undirected edges.
-    pub edges: usize,
+    pub(crate) edges: usize,
     /// Undirected edges used by exactly one triangle (surface boundary).
     pub boundary_edges: usize,
     /// Undirected edges used by more than two triangles.
@@ -33,17 +33,17 @@ pub struct SurfaceReport {
     /// disagree.
     pub orientation_conflicts: usize,
     /// Triangles whose area is at or below the degeneracy threshold.
-    pub degenerate_triangles: usize,
+    pub(crate) degenerate_triangles: usize,
 }
 
 impl SurfaceReport {
     /// Closed 2-manifold: every edge is shared by exactly two triangles.
-    pub fn is_watertight(&self) -> bool {
+    pub(crate) fn is_watertight(&self) -> bool {
         self.boundary_edges == 0 && self.nonmanifold_edges == 0
     }
 
     /// Euler characteristic `V - E + F` of the triangle subcomplex.
-    pub fn euler_characteristic(&self) -> i64 {
+    pub(crate) fn euler_characteristic(&self) -> i64 {
         self.vertices as i64 - self.edges as i64 + self.triangles as i64
     }
 
@@ -139,13 +139,13 @@ const HEX_TO_TETS: [[usize; 4]; 6] = [
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellReport {
     /// Number of volumetric (tet/hex) cells inspected.
-    pub cells: usize,
+    pub(crate) cells: usize,
     /// Cells whose absolute volume is at or below the threshold.
-    pub degenerate_cells: usize,
+    pub(crate) degenerate_cells: usize,
     /// Sum of absolute cell volumes.
     pub total_volume: f64,
     /// Smallest absolute cell volume seen (0 when no cells).
-    pub min_volume: f64,
+    pub(crate) min_volume: f64,
 }
 
 /// Inspect the tetrahedra and hexahedra of `cells`: total and minimum

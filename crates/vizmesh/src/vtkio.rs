@@ -28,7 +28,7 @@ fn vtk_cell_type(shape: CellShape) -> u8 {
 }
 
 /// Write `ds` as a legacy ASCII VTK file.
-pub fn write_vtk<W: Write>(w: &mut W, ds: &DataSet, title: &str) -> io::Result<()> {
+pub(crate) fn write_vtk<W: Write>(w: &mut W, ds: &DataSet, title: &str) -> io::Result<()> {
     writeln!(w, "# vtk DataFile Version 3.0")?;
     writeln!(w, "{}", title.lines().next().unwrap_or("vizmesh dataset"))?;
     writeln!(w, "ASCII")?;

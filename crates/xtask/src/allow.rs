@@ -17,16 +17,16 @@ use std::path::Path;
 use crate::diag::{Diagnostic, ALLOWLIST};
 
 /// Registered panic sites (panic-policy).
-pub const PANICS_ALLOW: &str = "crates/xtask/allowlists/panics.allow";
+pub(crate) const PANICS_ALLOW: &str = "crates/xtask/allowlists/panics.allow";
 
 /// Accepted in-loop allocations (hot-loop-alloc).
-pub const ALLOCS_ALLOW: &str = "crates/xtask/allowlists/allocs.allow";
+pub(crate) const ALLOCS_ALLOW: &str = "crates/xtask/allowlists/allocs.allow";
 
 /// The inline justification a panic-policy allowlist site must carry.
-pub const INFALLIBLE_MARKER: &str = "lint: infallible because";
+pub(crate) const INFALLIBLE_MARKER: &str = "lint: infallible because";
 
 #[derive(Debug, Clone)]
-pub struct Entry {
+pub(crate) struct Entry {
     /// Line number inside the allowlist file, for staleness diagnostics.
     pub list_line: usize,
     pub rel_path: String,
@@ -36,7 +36,7 @@ pub struct Entry {
 }
 
 #[derive(Debug, Default)]
-pub struct Allowlist {
+pub(crate) struct Allowlist {
     /// Workspace-relative path of the list file itself.
     pub source: String,
     pub entries: Vec<Entry>,
@@ -44,12 +44,12 @@ pub struct Allowlist {
 
 impl Allowlist {
     /// Load a list, tolerating a missing file (empty list).
-    pub fn load(root: &Path, source: &str) -> Allowlist {
+    pub(crate) fn load(root: &Path, source: &str) -> Allowlist {
         let text = fs::read_to_string(root.join(source)).unwrap_or_default();
         Allowlist::parse(source, &text)
     }
 
-    pub fn parse(source: &str, text: &str) -> Allowlist {
+    pub(crate) fn parse(source: &str, text: &str) -> Allowlist {
         let mut entries = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -72,7 +72,7 @@ impl Allowlist {
     }
 
     /// Does any entry cover `(rel_path, raw_line)`? Marks those used.
-    pub fn covers(&mut self, rel_path: &str, raw_line: &str) -> bool {
+    pub(crate) fn covers(&mut self, rel_path: &str, raw_line: &str) -> bool {
         let mut hit = false;
         for e in &mut self.entries {
             if e.rel_path == rel_path && raw_line.contains(&e.needle) {
@@ -84,7 +84,7 @@ impl Allowlist {
     }
 
     /// Report every entry that covered nothing: stale, and a violation.
-    pub fn report_stale(&self, out: &mut Vec<Diagnostic>) {
+    pub(crate) fn report_stale(&self, out: &mut Vec<Diagnostic>) {
         for e in self.entries.iter().filter(|e| !e.used) {
             out.push(Diagnostic::new(
                 &self.source,

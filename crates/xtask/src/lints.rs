@@ -22,7 +22,7 @@ const PANIC_TOKENS: &[&str] = &[
     "unimplemented!(",
 ];
 
-pub fn panic_policy(file: &SourceFile, allow: &mut Allowlist, out: &mut Vec<Diagnostic>) {
+pub(crate) fn panic_policy(file: &SourceFile, allow: &mut Allowlist, out: &mut Vec<Diagnostic>) {
     for line in &file.lines {
         if line.in_test {
             continue;
@@ -95,7 +95,7 @@ fn unit_newtype(ident: &str) -> Option<&'static str> {
 /// bypasses the `Watts`/`Joules` newtypes of `powersim::units`. Once a
 /// quantity is in a newtype the compiler rejects mixed-unit arithmetic;
 /// this pass guards the way in. Seconds and hertz stay raw by design.
-pub fn unit_safety(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+pub(crate) fn unit_safety(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     let toks: Vec<_> = (file.tokens.iter())
         .filter(|t| t.is_significant())
         .collect();
@@ -143,7 +143,7 @@ pub fn unit_safety(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// `AlgorithmSpec::build`, which keeps every run's parameterization
 /// canonical, serializable, and fingerprinted into the journal. Path
 /// scoping lives in [`crate::lint_file`].
-pub fn registry_dispatch(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+pub(crate) fn registry_dispatch(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     for line in &file.lines {
         if line.in_test {
             continue;
@@ -219,7 +219,7 @@ const ALLOC_TOKENS: &[(&str, &str, &str)] = &[
 /// closures) of hot-path library code, and `.push` in a function that
 /// never pre-sizes anything. A site is either fixed — hoisted, or
 /// pre-sized with `with_capacity` — or registered in [`ALLOCS_ALLOW`].
-pub fn hot_loop_alloc(file: &SourceFile, allow: &mut Allowlist, out: &mut Vec<Diagnostic>) {
+pub(crate) fn hot_loop_alloc(file: &SourceFile, allow: &mut Allowlist, out: &mut Vec<Diagnostic>) {
     for (idx, line) in file.lines.iter().enumerate() {
         // The line's depth is the max over its tokens, so 0 means no
         // token on it can be inside a loop — a cheap pre-filter.

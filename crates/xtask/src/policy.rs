@@ -8,7 +8,7 @@
 /// code inside the per-step recording loop. The DPP backend
 /// (`crates/vizalgo/src/dpp/`) is covered automatically: it is library
 /// code of `vizalgo`.
-pub const HOT_PATH_CRATES: &[&str] = &[
+pub(crate) const HOT_PATH_CRATES: &[&str] = &[
     "vizmesh",
     "vizalgo",
     "cloverleaf",
@@ -19,29 +19,29 @@ pub const HOT_PATH_CRATES: &[&str] = &[
 
 /// Files exempt from the unit-safety lint: the newtype definitions
 /// themselves, whose internals are raw `f64` by construction.
-pub const UNIT_EXEMPT_FILES: &[&str] = &["crates/powersim/src/units.rs"];
+pub(crate) const UNIT_EXEMPT_FILES: &[&str] = &["crates/powersim/src/units.rs"];
 
 /// Library files of a hot-path crate that hot-loop-alloc skips: the JSON
 /// document codec parses and renders an action list once per run, so its
 /// push loops are not measurement hot path (panic-policy still applies —
 /// it reads input from outside the program).
-pub const ALLOC_EXEMPT_FILES: &[&str] = &["crates/vizmesh/src/json.rs"];
+pub(crate) const ALLOC_EXEMPT_FILES: &[&str] = &["crates/vizmesh/src/json.rs"];
 
 /// The crate hosting the algorithm registry. Filter constructors may be
 /// called freely inside it: the filters' own modules and the one
 /// sanctioned construction site, `AlgorithmSpec::build` (`spec.rs`).
-pub const REGISTRY_CRATE: &str = "vizalgo";
+pub(crate) const REGISTRY_CRATE: &str = "vizalgo";
 
 /// Files outside [`REGISTRY_CRATE`] that may construct filters directly:
 /// the conformance suite's independent reference implementations, which
 /// must not share the registry code path they are checking.
-pub const REGISTRY_DISPATCH_EXEMPT_FILES: &[&str] = &["crates/conformance/src/reference.rs"];
+pub(crate) const REGISTRY_DISPATCH_EXEMPT_FILES: &[&str] = &["crates/conformance/src/reference.rs"];
 
 /// `Type::constructor(` tokens that build one of the eight paper
 /// algorithms directly. Outside [`REGISTRY_CRATE`] and the exempt files,
 /// non-test code must go through `AlgorithmSpec::build` instead so every
 /// run carries a canonical, fingerprintable parameterization.
-pub const FILTER_CONSTRUCTORS: &[&str] = &[
+pub(crate) const FILTER_CONSTRUCTORS: &[&str] = &[
     "Contour::new(",
     "Contour::spanning(",
     "Threshold::new(",
@@ -51,7 +51,6 @@ pub const FILTER_CONSTRUCTORS: &[&str] = &[
     "Isovolume::new(",
     "Isovolume::middle_band(",
     "ThreeSlice::centered(",
-    "ThreeSlice::with_planes(",
     "ParticleAdvection::new(",
     "RayTracer::new(",
     "VolumeRenderer::new(",
@@ -59,7 +58,7 @@ pub const FILTER_CONSTRUCTORS: &[&str] = &[
 
 /// Returns the crate name (directory under `crates/`) for a
 /// workspace-relative path, or `None` for the root package.
-pub fn crate_of(rel_path: &str) -> Option<&str> {
+pub(crate) fn crate_of(rel_path: &str) -> Option<&str> {
     let rest = rel_path.strip_prefix("crates/")?;
     rest.split('/').next()
 }
@@ -67,7 +66,7 @@ pub fn crate_of(rel_path: &str) -> Option<&str> {
 /// True when the path is library code of one of `crates` — under `src/`
 /// but not under `src/bin/` (binaries are user-facing entry points, held
 /// to the CLI error-handling policy instead).
-pub fn is_lib_code_of(rel_path: &str, crates: &[&str]) -> bool {
+pub(crate) fn is_lib_code_of(rel_path: &str, crates: &[&str]) -> bool {
     let Some(name) = crate_of(rel_path) else {
         return false;
     };

@@ -6,19 +6,19 @@ use std::path::PathBuf;
 use std::process::Command;
 
 /// The diagnostics of one source text under a virtual path, rendered.
-pub fn rendered(rel_path: &str, text: &str) -> Vec<String> {
+pub(crate) fn rendered(rel_path: &str, text: &str) -> Vec<String> {
     xtask::lint_source(rel_path, text)
         .iter()
         .map(|d| d.to_string())
         .collect()
 }
 
-pub struct TempTree {
+pub(crate) struct TempTree {
     pub root: PathBuf,
 }
 
 impl TempTree {
-    pub fn new(case: &str) -> TempTree {
+    pub(crate) fn new(case: &str) -> TempTree {
         let root = std::env::temp_dir().join(format!("xtask-golden-{}-{case}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(&root).expect("create temp tree");
@@ -26,14 +26,14 @@ impl TempTree {
         TempTree { root }
     }
 
-    pub fn write(&self, rel: &str, text: &str) {
+    pub(crate) fn write(&self, rel: &str, text: &str) {
         let path = self.root.join(rel);
         fs::create_dir_all(path.parent().expect("rel path has a parent")).expect("mkdir");
         fs::write(path, text).expect("write fixture");
     }
 
     /// Run `xtask lint --root <tree>`; returns the exit code and stdout.
-    pub fn lint(&self) -> (i32, String) {
+    pub(crate) fn lint(&self) -> (i32, String) {
         let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
             .args(["lint", "--root"])
             .arg(&self.root)
