@@ -415,7 +415,7 @@ fn serve(run: &mut Run) -> Outcome {
     let requests = run
         .given
         .value("--requests", if run.quick() { 400 } else { 2000 })?;
-    let zipf_s = run.given.value("--zipf", 1.1)?;
+    let zipf_s = zipf_exponent(&run.given)?;
     let nodes: usize = run.given.value("--nodes", 4)?;
     let workers = run.given.value("--workers", 4)?;
     // The fleet budget scales with the fleet: a 90 W share per node, so
@@ -447,6 +447,16 @@ fn serve(run: &mut Run) -> Outcome {
         .map_err(|e| CliError::new(e.to_string()))?;
     println!("{}", out.report.render());
     Ok(())
+}
+
+/// `--zipf`: the traffic's Zipf exponent, which must be finite — a NaN
+/// or infinite one draws every request from a single key.
+fn zipf_exponent(given: &Given) -> Result<f64, CliError> {
+    let s: f64 = given.value("--zipf", 1.1)?;
+    if !s.is_finite() {
+        return Err(usage(&format!("--zipf: '{s}' is not a finite exponent")));
+    }
+    Ok(s)
 }
 
 #[cfg(test)]
@@ -508,5 +518,21 @@ mod tests {
         assert_eq!(given.value("--workers", 4usize).unwrap(), 4);
         let err = given.value("--zipf", 1.1).unwrap_err().to_string();
         assert!(err.starts_with("--zipf: cannot read 'x'"), "{err}");
+    }
+
+    #[test]
+    fn zipf_exponent_must_be_finite() {
+        let zipf = |value: &str| {
+            let (_, given) = plan(["serve", "--zipf", value].map(String::from)).unwrap();
+            zipf_exponent(&given).map_err(|e| e.to_string())
+        };
+        for (value, shown) in [("NaN", "NaN"), ("inf", "inf"), ("-infinity", "-inf")] {
+            let err = zipf(value).unwrap_err();
+            let head = format!("--zipf: '{shown}' is not a finite exponent\nusage:");
+            assert!(err.starts_with(&head), "{err}");
+        }
+        assert_eq!(zipf("0"), Ok(0.0));
+        let (_, given) = plan(["serve".to_string()]).unwrap();
+        assert_eq!(zipf_exponent(&given).unwrap(), 1.1);
     }
 }

@@ -190,6 +190,10 @@ fn contour_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckResu
     )
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the reference takes its planes from the filter, not the registry"
+)]
 fn slice_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckResult {
     let alg = Algorithm::Slice;
     let check = "mesh-exact";

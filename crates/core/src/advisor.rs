@@ -13,7 +13,7 @@
 //! the advisor typically steals nearly all headroom above 40 W for the
 //! power-hungry simulation.
 
-use powersim::{CpuSpec, Joules, Package, Watts, Workload};
+use powersim::{CpuSpec, Package, Watts, Workload};
 
 /// The advisor's output.
 #[derive(Debug, Clone)]
@@ -94,79 +94,6 @@ pub fn allocate(
     }
 }
 
-/// The best phase-aware schedule for the tightly-coupled (time-shared)
-/// case: the simulation and visualization alternate on the *same*
-/// package, and the runtime may program a different RAPL cap for each
-/// phase as long as the **time-averaged** power stays under the budget —
-/// the GEOPM/PaViz-style dynamic reallocation the paper's §VII points to.
-#[derive(Debug, Clone)]
-pub struct PhasedPlan {
-    /// Total time of both phases under the chosen per-phase caps.
-    pub total_seconds: f64,
-    /// Time-averaged power of the schedule (at most the budget).
-    pub avg_power_watts: Watts,
-    /// Total time under a single static cap equal to the budget.
-    pub static_seconds: f64,
-}
-
-/// Execute a workload under `cap` and return `(seconds, joules)`.
-fn run_once(workload: &Workload, cap: Watts, spec: &CpuSpec) -> (f64, Joules) {
-    let mut pkg = Package::new(spec.clone());
-    let r = pkg.run_capped(workload, cap);
-    (r.seconds, r.energy_joules)
-}
-
-/// Search per-phase caps minimizing total time subject to the
-/// time-averaged power budget. Because the data-bound visualization
-/// phase draws little power even uncapped, lowering its cap frees
-/// average-power headroom that lets the simulation phase run above the
-/// budget.
-pub fn schedule_phased(
-    sim: &Workload,
-    viz: &Workload,
-    avg_budget_watts: Watts,
-    spec: &CpuSpec,
-) -> PhasedPlan {
-    let lo = spec.min_cap_watts;
-    let hi = spec.tdp_watts;
-    let budget = avg_budget_watts.clamp(lo, hi);
-    let step = Watts(5.0);
-
-    // Static baseline: one cap equal to the budget for both phases.
-    let (ts_static, _) = run_once(sim, budget, spec);
-    let (tv_static, _) = run_once(viz, budget, spec);
-    let static_seconds = ts_static + tv_static;
-
-    // Memoized per-cap runs.
-    let caps: Vec<Watts> = {
-        let mut v = Vec::new();
-        let mut c = lo;
-        while c <= hi + Watts(1e-9) {
-            v.push(c);
-            c += step;
-        }
-        v
-    };
-    let sim_runs: Vec<(f64, Joules)> = caps.iter().map(|&c| run_once(sim, c, spec)).collect();
-    let viz_runs: Vec<(f64, Joules)> = caps.iter().map(|&c| run_once(viz, c, spec)).collect();
-
-    let mut best = (static_seconds, budget);
-    for &(ts, es) in &sim_runs {
-        for &(tv, ev) in &viz_runs {
-            let total_t = ts + tv;
-            let avg_p = (es + ev).over_seconds(total_t);
-            if avg_p <= budget + Watts(1e-9) && total_t < best.0 * (1.0 - 1e-6) {
-                best = (total_t, avg_p);
-            }
-        }
-    }
-    PhasedPlan {
-        total_seconds: best.0,
-        avg_power_watts: best.1,
-        static_seconds,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,25 +153,6 @@ mod tests {
         let plan = allocate(&hot_sim(), &cold_viz(), Watts(10.0), &spec());
         assert!((plan.budget_watts - Watts(80.0)).abs() < 1e-9);
         assert!(plan.sim_cap_watts >= 40.0 && plan.viz_cap_watts >= 40.0);
-    }
-
-    #[test]
-    fn phased_schedule_beats_static_cap() {
-        // A 70 W average budget: statically, the hot simulation phase is
-        // throttled the whole time. Phased, the cold viz phase banks
-        // headroom the sim phase spends.
-        let plan = schedule_phased(&hot_sim(), &cold_viz(), Watts(70.0), &spec());
-        assert!(plan.avg_power_watts <= 70.0 + 1e-6);
-        let improvement = plan.static_seconds / plan.total_seconds;
-        assert!(improvement > 1.02, "phased improvement = {improvement}");
-    }
-
-    #[test]
-    fn phased_schedule_never_worse_than_static() {
-        for budget in [Watts(50.0), Watts(80.0), Watts(110.0)] {
-            let plan = schedule_phased(&hot_sim(), &hot_sim(), budget, &spec());
-            assert!(plan.total_seconds <= plan.static_seconds * (1.0 + 1e-9));
-        }
     }
 
     #[test]

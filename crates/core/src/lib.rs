@@ -20,8 +20,7 @@
 //!   for Fig. 3.
 //! * [`advisor`] — the motivating use case (§VII): split a node power
 //!   budget between a simulation and a visualization workload to
-//!   minimize time-to-solution, plus a phase-aware scheduler for the
-//!   tightly-coupled case.
+//!   minimize time-to-solution.
 //! * [`report`] — paper-style table and figure-series rendering.
 //! * [`experiments`] — one entry point per table/figure of the paper.
 //!

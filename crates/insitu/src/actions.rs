@@ -117,6 +117,7 @@ impl ActionList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vizalgo::Algorithm;
     use vizmesh::{Association, DataSet, Field, UniformGrid, Vec3};
 
     fn dataset() -> DataSet {
@@ -286,12 +287,12 @@ mod tests {
             "ray_tracing",
             "volume_rendering",
         ] {
-            let spec = FilterSpec::paper_default(name).unwrap();
+            let spec = Algorithm::parse(name).unwrap().default_spec();
             let filter = spec.build(&ds);
             let out = filter.execute(&ds);
             assert!(!out.kernels.is_empty(), "{name} produced no kernels");
         }
-        assert!(FilterSpec::paper_default("bogus").is_none());
+        assert!(Algorithm::parse("bogus").is_none());
     }
 
     #[test]

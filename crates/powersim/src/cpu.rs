@@ -134,15 +134,10 @@ impl CpuSpec {
         self.v_min + self.v_slope * (f_ghz - self.min_ghz).max(0.0)
     }
 
-    /// Package power at frequency `f_ghz` with dynamic activity `alpha`
-    /// and no memory traffic.
-    pub fn power(&self, f_ghz: f64, alpha: f64) -> Watts {
-        self.power_with_traffic(f_ghz, alpha, 0.0)
-    }
-
-    /// Package power including the DRAM-traffic term. `bw_utilization` is
-    /// the fraction of peak DRAM bandwidth in flight (clamped to [0, 1]).
-    pub(crate) fn power_with_traffic(&self, f_ghz: f64, alpha: f64, bw_utilization: f64) -> Watts {
+    /// Package power at frequency `f_ghz` with dynamic activity `alpha`,
+    /// including the DRAM-traffic term. `bw_utilization` is the fraction
+    /// of peak DRAM bandwidth in flight (clamped to [0, 1]).
+    pub fn power(&self, f_ghz: f64, alpha: f64, bw_utilization: f64) -> Watts {
         let v = self.voltage(f_ghz);
         self.uncore_watts
             + self.mem_power_watts * bw_utilization.clamp(0.0, 1.0)
@@ -161,16 +156,24 @@ impl CpuSpec {
         out
     }
 
-    /// Highest ladder frequency whose power at `alpha` fits under
-    /// `cap_watts`; falls back to the minimum frequency if none does
-    /// (RAPL cannot throttle below the lowest P-state).
-    pub fn solve_frequency(&self, cap_watts: Watts, alpha: f64) -> f64 {
+    /// The firmware's frequency decision: the highest ladder frequency
+    /// whose power at activity `alpha` and DRAM utilization `util(f)`
+    /// fits under `cap_watts`, with that utilization; the minimum
+    /// frequency and its utilization if none does (RAPL cannot throttle
+    /// below the lowest P-state). `|_| 0.0` models no memory traffic.
+    pub fn solve_frequency(
+        &self,
+        cap_watts: Watts,
+        alpha: f64,
+        util: impl Fn(f64) -> f64,
+    ) -> (f64, f64) {
         for f in self.frequencies() {
-            if self.power(f, alpha) <= cap_watts {
-                return f;
+            let u = util(f);
+            if self.power(f, alpha, u) <= cap_watts {
+                return (f, u);
             }
         }
-        self.min_ghz
+        (self.min_ghz, util(self.min_ghz))
     }
 
     /// Clamp a requested cap into the supported range (the paper sweeps
@@ -188,6 +191,11 @@ mod tests {
         CpuSpec::broadwell_e5_2695v4()
     }
 
+    /// The solver's frequency with no DRAM traffic.
+    fn solve(s: &CpuSpec, cap: Watts, alpha: f64) -> f64 {
+        s.solve_frequency(cap, alpha, |_| 0.0).0
+    }
+
     #[test]
     fn voltage_monotone_in_frequency() {
         let s = spec();
@@ -203,10 +211,10 @@ mod tests {
     #[test]
     fn power_monotone_in_frequency_and_activity() {
         let s = spec();
-        assert!(s.power(2.6, 0.9) > s.power(2.1, 0.9));
-        assert!(s.power(2.1, 0.9) > s.power(2.1, 0.3));
+        assert!(s.power(2.6, 0.9, 0.0) > s.power(2.1, 0.9, 0.0));
+        assert!(s.power(2.1, 0.9, 0.0) > s.power(2.1, 0.3, 0.0));
         // Idle-ish floor: uncore + leakage only.
-        let idle = s.power(0.8, 0.0);
+        let idle = s.power(0.8, 0.0, 0.0);
         assert!(idle > 15.0 && idle < 35.0, "idle = {idle}");
     }
 
@@ -214,15 +222,15 @@ mod tests {
     fn calibration_matches_paper_power_ranges() {
         let s = spec();
         // FP-dense workload at all-core turbo ≈ 85–92 W (§VI-B2).
-        let hot = s.power(2.6, 0.95);
+        let hot = s.power(2.6, 0.95, 0.0);
         assert!((84.0..=93.0).contains(&hot), "hot = {hot}");
         // Stall-dominated workload ≈ 50–58 W (§VI-B1).
-        let cold = s.power(2.6, 0.38);
+        let cold = s.power(2.6, 0.38, 0.0);
         assert!((48.0..=60.0).contains(&cold), "cold = {cold}");
         // Idle-ish floor stays well under the 40 W minimum cap.
-        assert!(s.power(s.min_ghz, 0.05) < 40.0);
+        assert!(s.power(s.min_ghz, 0.05, 0.0) < 40.0);
         // Nothing exceeds TDP at max turbo and activity 1.1.
-        assert!(s.power(s.turbo_ghz, 1.1) <= s.tdp_watts);
+        assert!(s.power(s.turbo_ghz, 1.1, 0.0) <= s.tdp_watts);
     }
 
     #[test]
@@ -240,18 +248,18 @@ mod tests {
     #[test]
     fn solver_uncapped_runs_turbo() {
         let s = spec();
-        assert_eq!(s.solve_frequency(Watts(120.0), 0.95), 2.6);
-        assert_eq!(s.solve_frequency(Watts(120.0), 0.3), 2.6);
+        assert_eq!(solve(&s, Watts(120.0), 0.95), 2.6);
+        assert_eq!(solve(&s, Watts(120.0), 0.3), 2.6);
     }
 
     #[test]
     fn solver_throttles_hot_workloads_first() {
         let s = spec();
         // At 70 W, a hot workload must slow below turbo…
-        let hot = s.solve_frequency(Watts(70.0), 0.95);
+        let hot = solve(&s, Watts(70.0), 0.95);
         assert!(hot < 2.6, "hot freq = {hot}");
         // …while a cold workload still runs at turbo.
-        assert_eq!(s.solve_frequency(Watts(70.0), 0.35), 2.6);
+        assert_eq!(solve(&s, Watts(70.0), 0.35), 2.6);
     }
 
     #[test]
@@ -259,26 +267,26 @@ mod tests {
         let s = spec();
         // Paper Table I: contour (cold) at 40 W drops to ≈ 2.07 GHz
         // (Fratio 1.23); advection (hot) drops to ≈ 0.95 GHz (Fratio 2.69).
-        let cold = s.solve_frequency(Watts(40.0), 0.38);
+        let cold = solve(&s, Watts(40.0), 0.38);
         assert!((1.8..=2.3).contains(&cold), "cold 40 W freq = {cold}");
-        let hot = s.solve_frequency(Watts(40.0), 0.95);
+        let hot = solve(&s, Watts(40.0), 0.95);
         assert!((0.8..=1.2).contains(&hot), "hot 40 W freq = {hot}");
     }
 
     #[test]
     fn solver_never_returns_below_min() {
         let s = spec();
-        assert_eq!(s.solve_frequency(Watts(1.0), 1.0), s.min_ghz);
+        assert_eq!(solve(&s, Watts(1.0), 1.0), s.min_ghz);
     }
 
     #[test]
     fn traffic_power_adds_at_full_bandwidth() {
         let s = spec();
-        let quiet = s.power_with_traffic(2.6, 0.4, 0.0);
-        let streaming = s.power_with_traffic(2.6, 0.4, 1.0);
+        let quiet = s.power(2.6, 0.4, 0.0);
+        let streaming = s.power(2.6, 0.4, 1.0);
         assert!((streaming - quiet - s.mem_power_watts).abs() < 1e-12);
         // Utilization is clamped.
-        assert_eq!(s.power_with_traffic(2.6, 0.4, 5.0), streaming);
+        assert_eq!(s.power(2.6, 0.4, 5.0), streaming);
     }
 
     #[test]
@@ -286,7 +294,7 @@ mod tests {
         for spec in [CpuSpec::skylake_8160_like(), CpuSpec::lowpower_d_like()] {
             // Hot workloads fit under TDP at max turbo.
             assert!(
-                spec.power(spec.turbo_ghz, 1.0) <= spec.tdp_watts,
+                spec.power(spec.turbo_ghz, 1.0, 0.0) <= spec.tdp_watts,
                 "{}: peak power exceeds TDP",
                 spec.name
             );
@@ -295,7 +303,7 @@ mod tests {
             assert_eq!(ladder[0], spec.turbo_ghz);
             assert!((ladder.last().unwrap() - spec.min_ghz).abs() < 1e-9);
             // Capping to the floor forces a real slowdown for hot work.
-            let f = spec.solve_frequency(spec.min_cap_watts, 0.95);
+            let f = solve(&spec, spec.min_cap_watts, 0.95);
             assert!(f < spec.turbo_ghz, "{}: no throttle at floor", spec.name);
         }
     }

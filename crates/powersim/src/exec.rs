@@ -20,10 +20,10 @@ use crate::counters::{derived, CounterBank};
 use crate::cpu::CpuSpec;
 use crate::msr::{addr, MsrFile};
 use crate::rapl::{PowerLimiter, CONTROL_WINDOW_SEC};
-use crate::timing::{effective_activity, phase_time};
+use crate::timing::{bw_utilization, effective_activity, phase_time};
 use crate::trace::{Journal, Kind, Scope};
 use crate::units::{Joules, Watts};
-use crate::workload::Workload;
+use crate::workload::{KernelPhase, Workload};
 
 /// Sampling period used by the study (§V-B): 100 ms.
 pub const SAMPLE_PERIOD_SEC: f64 = 0.100;
@@ -114,33 +114,16 @@ impl Package {
         }
     }
 
-    /// DRAM bandwidth utilization of a phase when running at `f_ghz`.
-    fn bw_utilization(&self, phase: &crate::workload::KernelPhase, f_ghz: f64) -> f64 {
-        let t = phase_time(&self.spec, phase, f_ghz);
-        if t <= 0.0 {
-            return 0.0;
-        }
-        (phase.dram_bytes as f64 / t / self.spec.dram_bytes_per_sec).clamp(0.0, 1.0)
-    }
-
     /// Firmware frequency decision for a phase: the highest ladder
     /// frequency whose total package power — core dynamic power at the
     /// phase's activity plus the DRAM-traffic term at the bandwidth the
     /// phase would actually achieve at that frequency — fits the cap.
-    fn decide_frequency(&self, phase: &crate::workload::KernelPhase) -> (f64, f64, f64) {
+    fn decide_frequency(&self, phase: &KernelPhase) -> (f64, f64, f64) {
         let cap = PowerLimiter::effective_cap(&self.msr, &self.spec);
         let act = effective_activity(&self.spec, phase, self.spec.turbo_ghz);
-        let mut chosen = self.spec.min_ghz;
-        let mut chosen_util = self.bw_utilization(phase, self.spec.min_ghz);
-        for f in self.spec.frequencies() {
-            let util = self.bw_utilization(phase, f);
-            if self.spec.power_with_traffic(f, act, util) <= cap {
-                chosen = f;
-                chosen_util = util;
-                break;
-            }
-        }
-        (chosen, act, chosen_util)
+        let util = |f| bw_utilization(&self.spec, phase, f);
+        let (f, bw_util) = self.spec.solve_frequency(cap, act, util);
+        (f, act, bw_util)
     }
 
     /// Execute `workload` to completion under the currently programmed
@@ -371,7 +354,7 @@ impl<'w> RunState<'w> {
                 ref_rate,
                 miss_rate,
             );
-            let p = pkg.spec.power_with_traffic(f, act, bw_util);
+            let p = pkg.spec.power(f, act, bw_util);
             let de = p.for_duration(dt);
             self.phase_energy += de;
             pkg.msr.hw_accumulate_energy(de);
@@ -472,7 +455,6 @@ impl<'w> RunState<'w> {
 mod tests {
     use super::*;
     use crate::trace::Event;
-    use crate::workload::KernelPhase;
 
     fn compute_workload(scale: u64) -> Workload {
         Workload::new("compute").with_phase(KernelPhase::compute("c", scale))

@@ -38,7 +38,6 @@ mod counters;
 pub mod cpu;
 pub mod exec;
 pub mod msr;
-mod node;
 pub mod rapl;
 pub mod timing;
 pub mod trace;
@@ -48,7 +47,6 @@ mod workload;
 pub use cpu::CpuSpec;
 pub use exec::{ExecResult, Package, RunState, Sample};
 pub use msr::{MsrError, MsrFile};
-pub use node::{Node, NodeResult};
 pub use rapl::PowerLimiter;
 pub use trace::{Event, Journal, Kind, Record, Scope, Span, Value};
 pub use units::{Joules, Watts};

@@ -66,9 +66,11 @@ mod tests {
     }
 
     /// The frequency the firmware model picks for one control window at
-    /// the enforced cap and the given activity factor.
+    /// the enforced cap and the given activity factor, with no DRAM
+    /// traffic.
     fn control_frequency(msr: &MsrFile, spec: &CpuSpec, activity: f64) -> f64 {
-        spec.solve_frequency(PowerLimiter::effective_cap(msr, spec), activity)
+        let cap = PowerLimiter::effective_cap(msr, spec);
+        spec.solve_frequency(cap, activity, |_| 0.0).0
     }
 
     #[test]

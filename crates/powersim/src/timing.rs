@@ -40,6 +40,15 @@ pub fn phase_time(spec: &CpuSpec, phase: &KernelPhase, f_ghz: f64) -> f64 {
     (tc.powf(P_NORM) + tm.powf(P_NORM)).powf(1.0 / P_NORM)
 }
 
+/// DRAM bandwidth utilization of a phase when running at `f_ghz`.
+pub fn bw_utilization(spec: &CpuSpec, phase: &KernelPhase, f_ghz: f64) -> f64 {
+    let t = phase_time(spec, phase, f_ghz);
+    if t <= 0.0 {
+        return 0.0;
+    }
+    (phase.dram_bytes as f64 / t / spec.dram_bytes_per_sec).clamp(0.0, 1.0)
+}
+
 /// Dynamic activity the package sees for a phase. The per-class
 /// signatures in `vizpower::characterize` already fold stall behaviour
 /// into `activity` (they are calibrated against the paper's measured

@@ -3,7 +3,7 @@
 use powersim::cpu::CpuSpec;
 use powersim::msr::{addr, MsrFile};
 use powersim::rapl::PowerLimiter;
-use powersim::timing::{memory_time, phase_time};
+use powersim::timing::{bw_utilization, memory_time, phase_time};
 use powersim::units::{Joules, Watts};
 use powersim::{KernelPhase, Package, Workload};
 use propcheck::prelude::*;
@@ -39,8 +39,8 @@ proptest! {
             CpuSpec::skylake_8160_like(),
             CpuSpec::lowpower_d_like(),
         ] {
-            prop_assert!(spec.power(f1 + df, a) > spec.power(f1, a));
-            prop_assert!(spec.power(f1, a + da) > spec.power(f1, a));
+            prop_assert!(spec.power(f1 + df, a, 0.0) > spec.power(f1, a, 0.0));
+            prop_assert!(spec.power(f1, a + da, 0.0) > spec.power(f1, a, 0.0));
         }
     }
 
@@ -50,13 +50,35 @@ proptest! {
     fn solver_respects_cap(cap in 40.0f64..120.0, act in 0.05f64..1.0) {
         let spec = CpuSpec::broadwell_e5_2695v4();
         let cap = Watts(cap);
-        let f = spec.solve_frequency(cap, act);
+        let (f, util) = spec.solve_frequency(cap, act, |_| 0.0);
+        prop_assert_eq!(util, 0.0);
         prop_assert!(f >= spec.min_ghz - 1e-9 && f <= spec.turbo_ghz + 1e-9);
-        if spec.power(spec.min_ghz, act) <= cap {
-            prop_assert!(spec.power(f, act) <= cap + Watts(1e-9));
+        if spec.power(spec.min_ghz, act, 0.0) <= cap {
+            prop_assert!(spec.power(f, act, 0.0) <= cap + Watts(1e-9));
         }
-        let f_higher = spec.solve_frequency(cap + Watts(10.0), act);
+        let (f_higher, _) = spec.solve_frequency(cap + Watts(10.0), act, |_| 0.0);
         prop_assert!(f_higher >= f - 1e-9);
+    }
+
+    /// The executor's decision under DRAM traffic: the chosen P-state's
+    /// power at the phase's utilization there fits the cap whenever the
+    /// lowest P-state's does, and the choice is monotone in the cap.
+    #[test]
+    fn solver_respects_cap_under_traffic(phase in phase_strategy(), cap in 40.0f64..120.0) {
+        let spec = CpuSpec::broadwell_e5_2695v4();
+        let (cap, act) = (Watts(cap), phase.activity);
+        let util = |f| bw_utilization(&spec, &phase, f);
+        let (f, u) = spec.solve_frequency(cap, act, util);
+        prop_assert_eq!(u, util(f));
+        if spec.power(spec.min_ghz, act, util(spec.min_ghz)) <= cap {
+            prop_assert!(spec.power(f, act, u) <= cap, "{} W at {} GHz", spec.power(f, act, u), f);
+        } else {
+            prop_assert_eq!(f, spec.min_ghz);
+        }
+        for higher in [cap + Watts(0.5), cap + Watts(10.0)] {
+            let (f_higher, _) = spec.solve_frequency(higher, act, util);
+            prop_assert!(f_higher >= f, "{} W: {} < {}", higher, f_higher, f);
+        }
     }
 
     /// Phase time is monotone non-increasing in frequency and never

@@ -149,8 +149,9 @@ impl ServeReport {
         }
     }
 
-    /// Modeled latency percentile (`p` in 0..=100), nearest-rank over
-    /// the sorted latencies.
+    /// Modeled latency percentile (`p` in 0..=100): the sorted latency
+    /// at index `round(p / 100 · (n − 1))`, so p50 of 400 requests is
+    /// index 200 (nearest-rank would take 199).
     pub(crate) fn latency_percentile(&self, p: f64) -> f64 {
         if self.latencies.is_empty() {
             return 0.0;

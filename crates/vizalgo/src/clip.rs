@@ -28,13 +28,6 @@ impl SphericalClip {
         }
     }
 
-    /// The paper-style configuration: a sphere centered in the dataset
-    /// covering roughly a third of its diagonal.
-    pub fn framing(input: &DataSet) -> Self {
-        let b = input.bounds();
-        SphericalClip::new(b.center(), b.diagonal() * 0.3)
-    }
-
     /// Signed distance: negative inside the sphere.
     #[inline]
     fn distance(&self, p: Vec3) -> f64 {
@@ -208,7 +201,8 @@ mod tests {
     #[test]
     fn kernel_reports_in_order() {
         let ds = unit_dataset(6);
-        let out = SphericalClip::framing(&ds).execute(&ds);
+        let b = ds.bounds();
+        let out = SphericalClip::new(b.center(), b.diagonal() * 0.3).execute(&ds);
         let classes: Vec<_> = out.kernels.iter().map(|k| k.class).collect();
         assert_eq!(
             classes,

@@ -6,7 +6,7 @@
 //! records (see docs/OBSERVABILITY.md and docs/DPP.md).
 //!
 //! The maps ([`map`], `map_n`, `map_cells`, `map_points`),
-//! [`inclusive_scan`], [`compact`] and [`compact_indices`] run on
+//! [`inclusive_scan`] and [`compact_indices`] run on
 //! [`vizmesh::par`]: contiguous chunks, each producing its piece, joined
 //! in chunk order. [`sort_by_key`] buckets its pairs by the key's top
 //! bits and sorts groups of buckets on `par` (a plain `sort_unstable`
@@ -337,25 +337,9 @@ pub fn scatter<T: Copy>(trace: &mut DppTrace, src: &[T], idx: &[u32], out: &mut 
     );
 }
 
-/// `compact`: keep `src[i]` where `flags[i]`, preserving order (each
-/// chunk compacted on its own, the pieces joined in chunk order).
-pub fn compact<T: Copy + Send + Sync>(trace: &mut DppTrace, src: &[T], flags: &[bool]) -> Vec<T> {
-    assert_eq!(src.len(), flags.len(), "compact src/flags length mismatch");
-    let out = par::map_chunks(src.len(), MIN_LEN, |chunk| {
-        let kept = src[chunk.clone()].iter().zip(&flags[chunk]);
-        kept.filter(|&(_, &f)| f).map(|(&v, _)| v).collect()
-    });
-    trace.record(
-        PrimitiveOp::Compact,
-        src.len() as u64,
-        (src.len() * (1 + std::mem::size_of::<T>())) as u64,
-        (out.len() * std::mem::size_of::<T>()) as u64,
-    );
-    out
-}
-
 /// `compact` over the index space: the indices whose flag is set, in
-/// ascending order.
+/// ascending order (each chunk compacted on its own, the pieces joined
+/// in chunk order).
 pub fn compact_indices(trace: &mut DppTrace, flags: &[bool]) -> Vec<u32> {
     let out = par::map_chunks(flags.len(), MIN_LEN, |chunk| {
         chunk.filter(|&i| flags[i]).map(|i| i as u32).collect()
@@ -487,10 +471,9 @@ mod tests {
     #[test]
     fn compact_all_pass_and_all_fail() {
         let mut tr = DppTrace::new();
-        let src = [10, 20, 30];
-        assert_eq!(compact(&mut tr, &src, &[true; 3]), vec![10, 20, 30]);
-        assert!(compact(&mut tr, &src, &[false; 3]).is_empty());
-        assert_eq!(compact(&mut tr, &src, &[false, true, false]), vec![20]);
+        assert_eq!(compact_indices(&mut tr, &[true; 3]), vec![0u32, 1, 2]);
+        assert!(compact_indices(&mut tr, &[false; 3]).is_empty());
+        assert_eq!(compact_indices(&mut tr, &[false, true, false]), vec![1u32]);
         assert_eq!(
             compact_indices(&mut tr, &[true, false, true]),
             vec![0u32, 2]
@@ -500,8 +483,8 @@ mod tests {
 
     /// Around every chunk boundary the pool can cut — none, the inline
     /// cutoff at two chunks, and a length no chunk size divides — the
-    /// parallel scan and compactions are the sequential loops, and
-    /// record what they always recorded.
+    /// parallel scan and compaction are the sequential loops, and record
+    /// what they always recorded.
     #[test]
     fn scan_and_compact_are_the_sequential_loops_at_every_thread_count() {
         let lengths = [
@@ -528,10 +511,6 @@ mod tests {
                     acc
                 })
                 .collect();
-            let kept: Vec<u32> = (input.iter().zip(&flags))
-                .filter(|(_, &f)| f)
-                .map(|(&x, _)| x)
-                .collect();
             let kept_ids: Vec<u32> = (0..n as u32).filter(|&i| flags[i as usize]).collect();
             let mut reports = Vec::new();
             for threads in [1, 2, 7, 16] {
@@ -543,11 +522,6 @@ mod tests {
                         "scan n={n} threads={threads}"
                     );
                     assert_eq!(
-                        compact(&mut tr, &input, &flags),
-                        kept,
-                        "compact n={n} threads={threads}"
-                    );
-                    assert_eq!(
                         compact_indices(&mut tr, &flags),
                         kept_ids,
                         "indices n={n} threads={threads}"
@@ -557,9 +531,9 @@ mod tests {
             }
             assert!(reports.iter().all(|r| *r == reports[0]), "n={n}");
             let c = reports[0][1].counters;
-            assert_eq!((c.invocations, c.elements), (2, 2 * n as u64));
-            assert_eq!(c.bytes_read, 6 * n as u64);
-            assert_eq!(c.bytes_written, 4 * (kept.len() + kept_ids.len()) as u64);
+            assert_eq!((c.invocations, c.elements), (1, n as u64));
+            assert_eq!(c.bytes_read, n as u64);
+            assert_eq!(c.bytes_written, 4 * kept_ids.len() as u64);
         }
     }
 

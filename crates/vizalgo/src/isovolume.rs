@@ -7,7 +7,6 @@
 //! clipped against `f ≥ lo`, then the result against `f ≤ hi`.
 
 use crate::filter::{self, mesh_dataset, Filter, FilterOutput, KernelClass, KernelReport};
-use crate::spec::ScalarBand;
 use crate::tetclip::{
     clip_keep_above_into, clip_keep_below_into, subdivide_hexes, HexSide, Subdivision,
 };
@@ -29,14 +28,6 @@ impl Isovolume {
             lo,
             hi,
         }
-    }
-
-    /// The middle `frac` band of the field's range.
-    pub fn middle_band(field: impl Into<String>, input: &DataSet, frac: f64) -> Self {
-        let field = field.into();
-        let range = || filter::point_scalar_range(input, &field);
-        let (lo, hi) = ScalarBand::MiddleBand(frac).resolve(range);
-        Isovolume::new(field, lo, hi)
     }
 
     /// The grid and the banded point scalar.
@@ -136,6 +127,7 @@ impl Filter for Isovolume {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{AlgorithmSpec, ScalarBand};
     use vizmesh::{Association, CellShape, Field, Vec3};
 
     /// Dataset with point scalar = x coordinate over the unit cube.
@@ -236,10 +228,14 @@ mod tests {
 
     #[test]
     fn middle_band_covers_field_middle() {
+        // f = x over [0, 1]: the middle half is the slab [0.25, 0.75].
         let ds = x_field(4);
-        let iso = Isovolume::middle_band("f", &ds, 0.5);
-        assert!((iso.lo - 0.25).abs() < 1e-12);
-        assert!((iso.hi - 0.75).abs() < 1e-12);
+        let spec = AlgorithmSpec::Isovolume {
+            field: "f".into(),
+            band: ScalarBand::MiddleBand(0.5),
+        };
+        let result = spec.build(&ds).execute(&ds).dataset.unwrap();
+        assert!((output_volume(&result) - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! consumer describes *what* to run as a spec and
 //! [`AlgorithmSpec::build_with`] is the single construction site and the
 //! one `match` that resolves parameters — for every backend, which only
-//! chooses how the resolved struct executes (enforced by the
-//! `registry-dispatch` xtask lint; the sequential re-implementations in
-//! `conformance::reference` are the one allowlisted exception).
+//! chooses how the resolved struct executes (enforced by clippy's
+//! `disallowed_methods`, configured in the root `clippy.toml`; the slice
+//! reference in `conformance::reference` is the one library exception).
 //!
 //! Specs are serializable (the in situ `ascent_actions.json`-style
 //! interface re-exports [`AlgorithmSpec`] as its `FilterSpec`) and carry
@@ -261,12 +261,6 @@ impl AlgorithmSpec {
                 images,
             } => Box::new(VolumeRenderer::new(field.clone(), *width, *height, *images)),
         }
-    }
-
-    /// The paper-default spec for a CLI-style algorithm name (any alias
-    /// [`Algorithm::parse`] accepts); `None` for unknown names.
-    pub fn paper_default(name: &str) -> Option<AlgorithmSpec> {
-        Algorithm::parse(name).map(Algorithm::default_spec)
     }
 
     /// A canonical, JSON-independent encoding of the spec: stable
@@ -953,20 +947,6 @@ mod tests {
             assert_ne!(dpp, spec.fingerprint(), "{}", spec.canonical());
             assert!(dpp <= 0xFFFF_FFFF_FFFF, "fits in 48 bits");
         }
-    }
-
-    #[test]
-    fn paper_default_accepts_aliases_and_rejects_unknown() {
-        for (alias, algorithm) in [
-            ("contour", Algorithm::Contour),
-            ("spherical_clip", Algorithm::SphericalClip),
-            ("volren", Algorithm::VolumeRendering),
-            ("Particle Advection", Algorithm::ParticleAdvection),
-        ] {
-            let spec = AlgorithmSpec::paper_default(alias).unwrap();
-            assert_eq!(spec.algorithm(), algorithm, "{alias}");
-        }
-        assert!(AlgorithmSpec::paper_default("bogus").is_none());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Threshold: keep cells whose scalar lies in a range (§III-B2).
 
 use crate::filter::{self, Filter, FilterOutput, KernelClass, KernelReport};
-use crate::spec::ScalarBand;
 use vizmesh::{
     Association, CellSet, CellShape, DataSet, Field, GridCell, UniformGrid, Vec3, WorkCounters,
 };
@@ -25,15 +24,6 @@ impl Threshold {
             lo,
             hi,
         }
-    }
-
-    /// Keep the upper `frac` fraction of the field's range — the
-    /// configuration used for the paper-style energy threshold.
-    pub fn upper_fraction(field: impl Into<String>, input: &DataSet, frac: f64) -> Self {
-        let field = field.into();
-        let range = || filter::scalar_range(input, &field);
-        let (lo, hi) = ScalarBand::UpperFraction(frac).resolve(range);
-        Threshold::new(field, lo, hi)
     }
 
     /// The grid, the field's cell values when it is cell-centered, and
@@ -126,6 +116,7 @@ impl Filter for Threshold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{AlgorithmSpec, ScalarBand};
     use vizmesh::UniformGrid;
 
     /// A grid with cell scalar = x index of the cell.
@@ -195,10 +186,15 @@ mod tests {
 
     #[test]
     fn upper_fraction_selects_hot_cells() {
-        let ds = x_ramp(4); // range [0, 3]
-        let t = Threshold::upper_fraction("v", &ds, 0.5);
-        assert!((t.lo - 1.5).abs() < 1e-12);
-        assert_eq!(t.hi, 3.0);
+        let ds = x_ramp(4); // range [0, 3]: the upper half is [1.5, 3]
+        let spec = AlgorithmSpec::Threshold {
+            field: "v".into(),
+            band: ScalarBand::UpperFraction(0.5),
+        };
+        let result = spec.build(&ds).execute(&ds).dataset.unwrap();
+        // x ∈ {2, 3} → half of 64 cells.
+        assert_eq!(result.num_cells(), 32);
+        assert!(result.cell_scalars("v").unwrap().iter().all(|&v| v >= 1.5));
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! formulations started sharing their per-cell bodies. A change that
 //! moves one must say why the modeled work moved.
 
+#![allow(clippy::disallowed_methods, reason = "pins kernels directly")]
+
 use vizalgo::{dataset_fingerprint, fingerprint48, Algorithm, Backend};
 use vizmesh::{par, Aabb, Association, DataSet, Field, UniformGrid, Vec3};
 

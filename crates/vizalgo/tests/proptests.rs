@@ -1,6 +1,11 @@
 //! Property-based and cross-implementation tests for the visualization
 //! algorithms.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "each property probes one kernel in isolation, not the registry"
+)]
+
 use propcheck::prelude::*;
 use vizalgo::contour::marching_cubes;
 use vizalgo::marching_tetra::{marching_tetrahedra, soup_area};

@@ -15,10 +15,14 @@
 //! There is no parallel reduce: callers fold the returned `Vec` in index
 //! order, which is the only order the journal goldens were pinned under.
 //!
-//! `min_len` is the fewest items worth a chunk — a constant at each call
-//! site (1 for slabs, seeds and image rows; thousands for per-cell
-//! loops). A range shorter than two chunks runs inline on the caller and
-//! spawns nothing, and so does any call made from inside a worker.
+//! `min_len` is the fewest items worth a chunk, fixed per call site:
+//! thousands for per-cell and per-point loops (4096 in vizalgo's
+//! `CELL_MIN_LEN` and cloverleaf's `MIN_LEN`); fewer for bigger items —
+//! `CELL_MIN_LEN.div_ceil(slab)` marching-cubes z-slabs,
+//! `RAY_MIN_LEN.div_ceil(width)` image rows (256 rays' worth) and
+//! `SEED_MIN_LEN` (8) advection seeds. A range shorter than two chunks
+//! runs inline on the caller and spawns nothing, and so does any call
+//! made from inside a worker.
 //!
 //! Thread count: the innermost [`with_threads`] on the calling thread,
 //! else the `VIZPOWER_THREADS` environment variable (read once), else

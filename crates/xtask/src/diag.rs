@@ -5,7 +5,6 @@ use std::fmt;
 /// Names of the lint passes, used in diagnostic output and golden tests.
 pub const PANIC_POLICY: &str = "panic-policy";
 pub const UNIT_SAFETY: &str = "unit-safety";
-pub const REGISTRY_DISPATCH: &str = "registry-dispatch";
 pub const HOT_LOOP_ALLOC: &str = "hot-loop-alloc";
 pub const ALLOWLIST: &str = "allowlist";
 

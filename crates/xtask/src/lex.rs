@@ -9,7 +9,7 @@
 //! match on (comments and string/char literal *contents* removed) and
 //! the block-model annotations (loop/closure nesting depth, enclosing
 //! function). The repo policies' trigger tokens (`.unwrap()`,
-//! `Vec::new(`, `Contour::new(`) are unambiguous at that level.
+//! `Vec::new(`, `cap_watts: f64`) are unambiguous at that level.
 //!
 //! The lexer understands the constructs a per-line state machine gets
 //! wrong:

@@ -1,11 +1,11 @@
 //! `xtask` — workspace automation for the vizpower reproduction.
 //!
 //! The library half hosts the static analyzer behind `cargo xtask lint`:
-//! the four repo-specific policies neither the compiler, clippy nor a
-//! test can express (panic-policy, unit-safety, registry-dispatch,
-//! hot-loop-alloc), all reading one lexical source model ([`lex`]),
-//! reporting one [`Diagnostic`] type and suppressed only through the
-//! `allow` lists, plus the size metric behind `cargo xtask count`.
+//! the three repo-specific policies neither the compiler, clippy nor a
+//! test can express (panic-policy, unit-safety, hot-loop-alloc), all
+//! reading one lexical source model ([`lex`]), reporting one
+//! [`Diagnostic`] type and suppressed only through the `allow` lists,
+//! plus the size metric behind `cargo xtask count`.
 //! The crate stays dependency-free (it must compile before anything
 //! else does). See DESIGN.md "Static analysis & correctness policy" for
 //! the rationale of each lint.
@@ -23,10 +23,7 @@ use std::path::Path;
 use allow::{Allowlist, ALLOCS_ALLOW, PANICS_ALLOW};
 use diag::Diagnostic;
 use lex::SourceFile;
-use policy::{
-    crate_of, is_lib_code_of, ALLOC_EXEMPT_FILES, HOT_PATH_CRATES, REGISTRY_CRATE,
-    REGISTRY_DISPATCH_EXEMPT_FILES, UNIT_EXEMPT_FILES,
-};
+use policy::{is_lib_code_of, ALLOC_EXEMPT_FILES, HOT_PATH_CRATES, UNIT_EXEMPT_FILES};
 
 /// Result of a full workspace lint.
 #[derive(Debug)]
@@ -82,9 +79,6 @@ fn lint_file(
     }
     if !UNIT_EXEMPT_FILES.contains(&path) {
         lints::unit_safety(file, out);
-    }
-    if crate_of(path) != Some(REGISTRY_CRATE) && !REGISTRY_DISPATCH_EXEMPT_FILES.contains(&path) {
-        lints::registry_dispatch(file, out);
     }
 }
 

@@ -1,12 +1,11 @@
-//! The repo-specific lint passes: panic-policy, unit-safety,
-//! registry-dispatch and hot-loop-alloc. Each pass takes a cleaned
-//! [`SourceFile`] and appends [`Diagnostic`]s; path scoping lives in
-//! [`crate::lint_file`] and [`crate::policy`].
+//! The repo-specific lint passes: panic-policy, unit-safety and
+//! hot-loop-alloc. Each pass takes a cleaned [`SourceFile`] and appends
+//! [`Diagnostic`]s; path scoping lives in [`crate::lint_file`] and
+//! [`crate::policy`].
 
 use crate::allow::{Allowlist, ALLOCS_ALLOW, INFALLIBLE_MARKER, PANICS_ALLOW};
-use crate::diag::{Diagnostic, HOT_LOOP_ALLOC, PANIC_POLICY, REGISTRY_DISPATCH, UNIT_SAFETY};
+use crate::diag::{Diagnostic, HOT_LOOP_ALLOC, PANIC_POLICY, UNIT_SAFETY};
 use crate::lex::{Kind, Line, SourceFile};
-use crate::policy::FILTER_CONSTRUCTORS;
 
 // ---------------------------------------------------------------------------
 // Panic policy
@@ -131,57 +130,6 @@ pub(crate) fn unit_safety(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             _ => {}
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Registry dispatch
-// ---------------------------------------------------------------------------
-
-/// Outside the registry crate (and the conformance reference
-/// implementations), non-test code must not call a filter constructor
-/// directly: the one sanctioned construction site is
-/// `AlgorithmSpec::build`, which keeps every run's parameterization
-/// canonical, serializable, and fingerprinted into the journal. Path
-/// scoping lives in [`crate::lint_file`].
-pub(crate) fn registry_dispatch(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for line in &file.lines {
-        if line.in_test {
-            continue;
-        }
-        for ctor in FILTER_CONSTRUCTORS {
-            if !calls_constructor(&line.code, ctor) {
-                continue;
-            }
-            let display = ctor.trim_end_matches('(');
-            out.push(Diagnostic::new(
-                &file.rel_path,
-                line.number,
-                REGISTRY_DISPATCH,
-                format!(
-                    "direct `{display}` construction bypasses the algorithm registry; \
-                     build the filter from an `AlgorithmSpec` (vizalgo::spec) so the run \
-                     carries a canonical, fingerprintable parameterization"
-                ),
-            ));
-        }
-    }
-}
-
-/// True when `code` contains `ctor` at a token boundary: the character
-/// before the type name may not extend an identifier (so `MyContour::new(`
-/// does not match), while a path prefix (`vizalgo::Contour::new(`) does.
-fn calls_constructor(code: &str, ctor: &str) -> bool {
-    let bytes = code.as_bytes();
-    let mut search = 0;
-    while let Some(pos) = code[search..].find(ctor) {
-        let at = search + pos;
-        search = at + 1;
-        let before = at.checked_sub(1).map(|i| bytes[i] as char);
-        if !before.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-            return true;
-        }
-    }
-    false
 }
 
 // ---------------------------------------------------------------------------

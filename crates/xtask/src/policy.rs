@@ -27,35 +27,6 @@ pub(crate) const UNIT_EXEMPT_FILES: &[&str] = &["crates/powersim/src/units.rs"];
 /// it reads input from outside the program).
 pub(crate) const ALLOC_EXEMPT_FILES: &[&str] = &["crates/vizmesh/src/json.rs"];
 
-/// The crate hosting the algorithm registry. Filter constructors may be
-/// called freely inside it: the filters' own modules and the one
-/// sanctioned construction site, `AlgorithmSpec::build` (`spec.rs`).
-pub(crate) const REGISTRY_CRATE: &str = "vizalgo";
-
-/// Files outside [`REGISTRY_CRATE`] that may construct filters directly:
-/// the conformance suite's independent reference implementations, which
-/// must not share the registry code path they are checking.
-pub(crate) const REGISTRY_DISPATCH_EXEMPT_FILES: &[&str] = &["crates/conformance/src/reference.rs"];
-
-/// `Type::constructor(` tokens that build one of the eight paper
-/// algorithms directly. Outside [`REGISTRY_CRATE`] and the exempt files,
-/// non-test code must go through `AlgorithmSpec::build` instead so every
-/// run carries a canonical, fingerprintable parameterization.
-pub(crate) const FILTER_CONSTRUCTORS: &[&str] = &[
-    "Contour::new(",
-    "Contour::spanning(",
-    "Threshold::new(",
-    "Threshold::upper_fraction(",
-    "SphericalClip::new(",
-    "SphericalClip::framing(",
-    "Isovolume::new(",
-    "Isovolume::middle_band(",
-    "ThreeSlice::centered(",
-    "ParticleAdvection::new(",
-    "RayTracer::new(",
-    "VolumeRenderer::new(",
-];
-
 /// Returns the crate name (directory under `crates/`) for a
 /// workspace-relative path, or `None` for the root package.
 pub(crate) fn crate_of(rel_path: &str) -> Option<&str> {

@@ -14,9 +14,6 @@ const PANIC_BAD: &str = include_str!("fixtures/panic_bad.rs");
 const PANIC_GOOD: &str = include_str!("fixtures/panic_good.rs");
 const UNITS_BAD: &str = include_str!("fixtures/units_bad.rs");
 const UNITS_GOOD: &str = include_str!("fixtures/units_good.rs");
-const REGISTRY_BAD: &str = include_str!("fixtures/registry_bad.rs");
-const REGISTRY_GOOD: &str = include_str!("fixtures/registry_good.rs");
-const REGISTRY_STRINGS: &str = include_str!("fixtures/registry_strings.rs");
 const HOT_LOOP: &str = include_str!("fixtures/hot_loop.rs");
 
 const PANIC_HELP: &str = "return Result/Option, or justify with `// lint: infallible \
@@ -104,66 +101,6 @@ fn unit_safety_applies_everywhere_but_the_newtype_definitions() {
     );
     assert_eq!(
         rendered("crates/powersim/src/units.rs", UNITS_BAD),
-        Vec::<String>::new()
-    );
-}
-
-fn registry_msg(display: &str) -> String {
-    format!(
-        "direct `{display}` construction bypasses the algorithm registry; build the \
-         filter from an `AlgorithmSpec` (vizalgo::spec) so the run carries a canonical, \
-         fingerprintable parameterization"
-    )
-}
-
-#[test]
-fn registry_dispatch_bad_fixture_flags_each_construction() {
-    let diags = rendered("crates/core/src/fixture.rs", REGISTRY_BAD);
-    assert_eq!(
-        diags,
-        vec![
-            format!(
-                "crates/core/src/fixture.rs:4: [registry-dispatch] {}",
-                registry_msg("Contour::spanning")
-            ),
-            format!(
-                "crates/core/src/fixture.rs:8: [registry-dispatch] {}",
-                registry_msg("Threshold::upper_fraction")
-            ),
-            format!(
-                "crates/core/src/fixture.rs:12: [registry-dispatch] {}",
-                registry_msg("RayTracer::new")
-            ),
-        ]
-    );
-}
-
-#[test]
-fn registry_dispatch_good_fixture_is_clean() {
-    assert_eq!(
-        rendered("crates/core/src/fixture.rs", REGISTRY_GOOD),
-        Vec::<String>::new()
-    );
-}
-
-#[test]
-fn registry_dispatch_ignores_constructors_in_strings_and_doc_comments() {
-    // Constructor tokens inside string literals (cooked, raw, raw byte)
-    // and doc/line comments are text, not construction sites.
-    assert_eq!(
-        rendered("crates/core/src/fixture.rs", REGISTRY_STRINGS),
-        Vec::<String>::new()
-    );
-}
-
-#[test]
-fn registry_dispatch_exempts_the_registry_crate_and_reference_impls() {
-    assert_eq!(
-        rendered("crates/vizalgo/src/fixture.rs", REGISTRY_BAD),
-        Vec::<String>::new()
-    );
-    assert_eq!(
-        rendered("crates/conformance/src/reference.rs", REGISTRY_BAD),
         Vec::<String>::new()
     );
 }

@@ -1,12 +1,12 @@
 //! Integration tests for the beyond-the-paper extensions: the ninth
-//! algorithm, the cross-architecture study, the energy view, the model
-//! ablations, the phased power schedule, and the dual-socket node.
+//! algorithm, the cross-architecture study, the energy view, and the
+//! model ablations.
 
-use vizpower_suite::powersim::{CpuSpec, KernelPhase, Node, Package, Watts, Workload};
+use vizpower_suite::powersim::{CpuSpec, Package};
 use vizpower_suite::vizalgo::{Algorithm, Filter, Gradient};
 use vizpower_suite::vizpower::characterize::characterize;
 use vizpower_suite::vizpower::study::{dataset_for, native_run, CapSweep, StudyConfig, PAPER_CAPS};
-use vizpower_suite::vizpower::{ablation, advisor, arch, classify, energy, PowerClass};
+use vizpower_suite::vizpower::{ablation, arch, classify, energy, PowerClass};
 
 fn study_config() -> StudyConfig {
     StudyConfig {
@@ -85,24 +85,4 @@ fn energy_view_is_consistent_with_ratios() {
             e.cap_watts
         );
     }
-}
-
-#[test]
-fn phased_schedule_respects_average_budget() {
-    let sim = Workload::new("sim").with_phase(KernelPhase::compute("s", 400_000_000_000));
-    let viz =
-        Workload::new("viz").with_phase(KernelPhase::memory("v", 30_000_000_000, 700_000_000_000));
-    let spec = CpuSpec::broadwell_e5_2695v4();
-    let plan = advisor::schedule_phased(&sim, &viz, Watts(75.0), &spec);
-    assert!(plan.avg_power_watts <= 75.0 + 1e-6);
-    assert!(plan.total_seconds <= plan.static_seconds * (1.0 + 1e-9));
-}
-
-#[test]
-fn dual_socket_node_halves_time_and_doubles_power() {
-    let w = Workload::new("w").with_phase(KernelPhase::compute("c", 600_000_000_000));
-    let single = Package::broadwell().run_capped(&w, Watts(120.0));
-    let node = Node::rztopaz().run_capped(&w, Watts(120.0));
-    assert!(node.seconds < single.seconds * 0.6);
-    assert!(node.avg_power_watts > single.avg_power_watts * 1.6);
 }

@@ -5,8 +5,18 @@
 //! same input, and requires byte-identical Debug-formatted outputs —
 //! geometry, fields, images, and instrumented work counters alike.
 //!
+//! The references resolve the paper's bands and sphere with their own
+//! arithmetic, not through `ScalarBand` or `SphereSpec`, so the registry
+//! is checked against an independent statement of the §IV
+//! parameterization.
+//!
 //! ROADMAP tier-1 triage: any golden re-pin downstream of the registry
 //! must be licensed by these tests staying green.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the pre-registry constructions are what the registry is checked against"
+)]
 
 use vizpower_suite::conformance::{
     self, fields, ConformanceConfig, ISO_HI, ISO_LO, SPHERE_R, THRESH_HI, THRESH_LO,
@@ -15,7 +25,7 @@ use vizpower_suite::vizalgo::{
     Algorithm, Contour, Filter, Isovolume, ParticleAdvection, RayTracer, SphericalClip, ThreeSlice,
     Threshold, VolumeRenderer,
 };
-use vizpower_suite::vizmesh::DataSet;
+use vizpower_suite::vizmesh::{Association, DataSet, Field};
 use vizpower_suite::vizpower::study::{dataset_for, StudyConfig};
 
 fn study_config() -> StudyConfig {
@@ -30,17 +40,30 @@ fn study_config() -> StudyConfig {
 }
 
 /// `vizpower::study::build_filter` exactly as it read before the
-/// registry refactor.
+/// registry refactor, with the band and sphere helpers it called
+/// written out: the upper half of the energy range, the middle half of
+/// the point-energy range, and a centered sphere of 0.3 diagonals.
 fn pre_refactor_study_filter(
     config: &StudyConfig,
     algorithm: Algorithm,
     input: &DataSet,
 ) -> Box<dyn Filter> {
+    let range = |field: Option<&Field>| field.and_then(Field::scalar_range).expect("energy range");
     match algorithm {
         Algorithm::Contour => Box::new(Contour::spanning("energy", input, config.isovalues)),
-        Algorithm::Threshold => Box::new(Threshold::upper_fraction("energy", input, 0.5)),
-        Algorithm::SphericalClip => Box::new(SphericalClip::framing(input)),
-        Algorithm::Isovolume => Box::new(Isovolume::middle_band("energy", input, 0.5)),
+        Algorithm::Threshold => {
+            let (lo, hi) = range(input.field("energy"));
+            Box::new(Threshold::new("energy", hi - (hi - lo) * 0.5, hi))
+        }
+        Algorithm::SphericalClip => {
+            let b = input.bounds();
+            Box::new(SphericalClip::new(b.center(), b.diagonal() * 0.3))
+        }
+        Algorithm::Isovolume => {
+            let (lo, hi) = range(input.field_with("energy", Association::Points));
+            let (mid, half) = ((lo + hi) * 0.5, (hi - lo) * 0.5 * 0.5);
+            Box::new(Isovolume::new("energy", mid - half, mid + half))
+        }
         Algorithm::Slice => Box::new(ThreeSlice::centered(input, "energy")),
         Algorithm::ParticleAdvection => Box::new(ParticleAdvection::new(
             "velocity",
