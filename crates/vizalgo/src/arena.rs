@@ -85,10 +85,11 @@ pub(crate) fn pack_edge_iso(lo: u32, hi: u32, iso_bits: u64) -> u128 {
 /// Backing storage is two parallel arrays (keys, values) with
 /// power-of-two capacity, Fibonacci-hash probe starts, and linear
 /// probing; the table grows (rehashes) at ~2/3 load. There is no
-/// per-entry allocation and no iteration order — the kernels only ever
-/// `get`/`insert`, and the point-id *assignment* order (the order of
-/// first insertions) is what determines output meshes, exactly as with
-/// the `HashMap` this replaced.
+/// per-entry allocation and no meaningful iteration order — the kernels
+/// `get`/`insert` (the clip family's stitch lists a slab's entries and
+/// sorts them by value), and the point-id *assignment* order (the order
+/// of first insertions) is what determines output meshes, exactly as
+/// with the `HashMap` this replaced.
 #[derive(Debug, Clone)]
 pub(crate) struct WeldMap<K: PackedKey = u64> {
     keys: Vec<K>,
@@ -159,6 +160,12 @@ impl<K: PackedKey> WeldMap<K> {
         } else {
             Some(self.vals[i])
         }
+    }
+
+    /// Every `(key, value)` entry, in slot order (no meaning to it).
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (K, u32)> + '_ {
+        let live = self.keys.iter().zip(&self.vals);
+        live.filter(|(&k, _)| k != K::EMPTY).map(|(&k, &v)| (k, v))
     }
 
     /// Insert or overwrite a key. `key` must not be [`PackedKey::EMPTY`].

@@ -64,20 +64,26 @@ impl Filter for SphericalClip {
 
         // Phase 2 (GatherScatter): pass whole outside cells through;
         // Phase 3 (TetClip): subdivide straddling cells, keeping the
-        // outside part. Pre-sized for 12 kept tets per straddling hex:
-        // the paper configuration at 128³ keeps 843 084 tets of 75 704
-        // straddlers, 11.1 each (11.1–11.3 from 16³ to 128³), and a
-        // hint below the truth regrows a 40 MB array mid-walk.
-        let point = |pid: usize| (dist[pid], carry.map_or(dist[pid], |v| v[pid]));
-        let sub = subdivide_hexes(grid, 0..num_cells, &sides, 12, point, |mesh, s| {
-            clip_keep_above_into(mesh, &s.tets, 0.0, &mut s.kept)
-        });
+        // outside part. Sized for 12 kept tets per straddling hex: the
+        // paper configuration at 128³ keeps 843 084 tets of 75 704
+        // straddlers, 11.1 each (10.8–11.6 per chunk, 11.1–11.3 from 16³
+        // to 128³), and a chunk whose cells outgrow their slot copies
+        // them once more. The distances go with `point`, freed before
+        // the walk's stitch allocates.
+        let point = move |pid: usize| (dist[pid], carry.map_or(dist[pid], |v| v[pid]));
+        let sub = subdivide_hexes(
+            grid,
+            |ids| ids,
+            &sides,
+            12,
+            point,
+            |mesh, s| clip_keep_above_into(mesh, &s.tets, 0.0, &mut s.kept),
+        );
         let (gather, tet_work) = sub.kernel_work();
 
         let payloads = carry.map(|_| (self.carry_field.as_str(), sub.mesh.payloads));
         let fields = payloads.into_iter().chain([("distance", sub.mesh.values)]);
-        let mut ds = mesh_dataset(sub.mesh.points, sub.cells, fields);
-        ds.compact_points();
+        let ds = mesh_dataset(sub.mesh.points, sub.cells, fields);
         FilterOutput::data(
             ds,
             vec![

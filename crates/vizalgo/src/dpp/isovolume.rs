@@ -3,11 +3,12 @@
 //!
 //! The classify map produces a three-way side code per cell, a compact
 //! keeps the active (interior + straddling) cells in cell order, and
-//! [`Isovolume::subdivide`] — the traditional filter's walk — then
-//! processes exactly the cells the traditional serial pass would have,
-//! in the same order, so the output mesh is **bit-identical**. What
-//! moves is the execution shape: classification and selection become
-//! primitive traffic instead of a fused serial sweep.
+//! [`Isovolume::subdivide`] — the traditional filter's walk, cut into
+//! the same slab chunks — then processes exactly the cells the
+//! traditional walk would have, in the same order, so the output mesh
+//! is **bit-identical**. What moves is the execution shape:
+//! classification and selection become primitive traffic instead of a
+//! fused serial sweep.
 
 use super::primitives::{self, DppTrace, PrimitiveOp};
 use super::DppExecute;
@@ -34,8 +35,14 @@ impl DppExecute for Isovolume {
         let flags: Vec<bool> = primitives::map(&mut trace, &sides, |&s| s != HexSide::Out);
         let active = primitives::compact_indices(&mut trace, &flags);
 
-        // 3. the subdivision worklet over the compacted cells.
-        let cells = active.iter().map(|&c| c as usize);
+        // 3. the subdivision worklet over the compacted cells, each run
+        // of whole slabs found in the list as marching cubes finds its.
+        let cells = |ids: std::ops::Range<usize>| {
+            let from = |c: usize| active.partition_point(|&a| (a as usize) < c);
+            active[from(ids.start)..from(ids.end)]
+                .iter()
+                .map(|&c| c as usize)
+        };
         let sub = self.subdivide(grid, values, cells, &sides);
         // The worklet's traffic, in primitive currency: a map over the
         // active cells whose gathers weld points and whose tet clips are

@@ -10,6 +10,7 @@ use crate::filter::{self, mesh_dataset, Filter, FilterOutput, KernelClass, Kerne
 use crate::tetclip::{
     clip_keep_above_into, clip_keep_below_into, subdivide_hexes, HexSide, Subdivision,
 };
+use std::ops::Range;
 use vizmesh::{DataSet, UniformGrid, WorkCounters};
 
 /// The isovolume filter over a point-centered scalar.
@@ -64,17 +65,18 @@ impl Isovolume {
         }
     }
 
-    /// Gather the interior cells of `cells` and clip the straddling ones
-    /// twice — keep `f ≥ lo`, then `f ≤ hi` — through the reused scratch
-    /// buffers. Pre-sized for 15 tets per straddling hex: the paper
+    /// Gather the interior cells of `cells` (per range of whole k-slabs,
+    /// as [`subdivide_hexes`] asks) and clip the straddling ones twice —
+    /// keep `f ≥ lo`, then `f ≤ hi` — through the reused scratch
+    /// buffers. Sized for 15 tets per straddling hex: the paper
     /// configuration at 128³ keeps 581 400 tets of 41 957 straddlers,
-    /// 13.9 each (13.9–14.0 from 16³ to 128³), and a hint below the
-    /// truth regrows the cell arrays mid-walk.
-    pub(crate) fn subdivide(
+    /// 13.9 each (13.3–14.0 per chunk, 13.9–14.0 from 16³ to 128³), and
+    /// a chunk whose cells outgrow their slot copies them once more.
+    pub(crate) fn subdivide<I: Iterator<Item = usize>>(
         &self,
         grid: &UniformGrid,
         values: &[f64],
-        cells: impl Iterator<Item = usize> + Clone,
+        cells: impl Fn(Range<usize>) -> I + Sync,
         sides: &[HexSide],
     ) -> Subdivision {
         let point = |pid: usize| (values[pid], values[pid]);
@@ -87,9 +89,7 @@ impl Isovolume {
     /// The output dataset of a [`subdivide`](Isovolume::subdivide) run.
     pub(crate) fn dataset(&self, sub: Subdivision) -> DataSet {
         let fields = [(self.field.as_str(), sub.mesh.payloads)];
-        let mut ds = mesh_dataset(sub.mesh.points, sub.cells, fields);
-        ds.compact_points();
-        ds
+        mesh_dataset(sub.mesh.points, sub.cells, fields)
     }
 }
 
@@ -111,7 +111,7 @@ impl Filter for Isovolume {
         classify.working_set_bytes = (grid.num_points() * 8) as u64;
 
         // Phase 2/3: gather interior cells, clip straddling ones twice.
-        let sub = self.subdivide(grid, values, 0..num_cells, &sides);
+        let sub = self.subdivide(grid, values, |ids| ids, &sides);
         let (gather, tet_work) = sub.kernel_work();
         FilterOutput::data(
             self.dataset(sub),

@@ -72,14 +72,15 @@ impl Triangle {
 }
 
 /// Faces of a cell as corner-slot quads matching `cell_point_ids` order,
-/// with the outward direction each lies in.
-const CELL_FACES: [([usize; 4], [isize; 3]); 6] = [
-    ([0, 3, 2, 1], [0, 0, -1]),
-    ([4, 5, 6, 7], [0, 0, 1]),
-    ([0, 1, 5, 4], [0, -1, 0]),
-    ([1, 2, 6, 5], [1, 0, 0]),
-    ([2, 3, 7, 6], [0, 1, 0]),
-    ([3, 0, 4, 7], [-1, 0, 0]),
+/// with the side of the cell each lies on: its axis, and whether it is
+/// the high end of that axis.
+const CELL_FACES: [([usize; 4], usize, bool); 6] = [
+    ([0, 3, 2, 1], 2, false),
+    ([4, 5, 6, 7], 2, true),
+    ([0, 1, 5, 4], 1, false),
+    ([1, 2, 6, 5], 0, true),
+    ([2, 3, 7, 6], 1, true),
+    ([3, 0, 4, 7], 0, false),
 ];
 
 /// Extract the external faces of a structured dataset as triangles with
@@ -92,7 +93,8 @@ const CELL_FACES: [([usize; 4], [isize; 3]); 6] = [
 pub fn external_face_triangles(input: &DataSet, field: &str) -> (Vec<Triangle>, WorkCounters) {
     let grid = filter::structured(input, "Ray Tracing");
     let values = filter::point_scalars(input, "Ray Tracing", field);
-    let [cx, cy, cz] = grid.cell_dims();
+    let dims = grid.cell_dims();
+    let [cx, cy, cz] = dims;
     // Exactly 2 boundary quads per face-pair slab, 2 triangles per quad.
     let quads = 2 * (cx * cy + cy * cz + cz * cx);
     let mut tris = Vec::with_capacity(2 * quads);
@@ -102,21 +104,12 @@ pub fn external_face_triangles(input: &DataSet, field: &str) -> (Vec<Triangle>, 
     let mut cell = grid.cell_at(0);
     let mut emit = |id: usize| {
         cell.seek(id);
-        let [i, j, k] = cell.ijk();
+        let ijk = cell.ijk();
         let ids = cell.point_ids();
         let corners = cell.corners();
-        for (slots, dir) in CELL_FACES {
-            let boundary = match dir {
-                [0, 0, -1] => k == 0,
-                [0, 0, 1] => k == cz - 1,
-                [0, -1, 0] => j == 0,
-                [0, 1, 0] => j == cy - 1,
-                [1, 0, 0] => i == cx - 1,
-                [-1, 0, 0] => i == 0,
-                // lint: infallible because CELL_FACES holds only the six axis directions
-                _ => unreachable!(),
-            };
-            if !boundary {
+        for (slots, axis, high) in CELL_FACES {
+            let face = if high { dims[axis] - 1 } else { 0 };
+            if ijk[axis] != face {
                 continue;
             }
             let quad_p: [Vec3; 4] = slots.map(|s| corners[s]);
@@ -537,23 +530,15 @@ mod tests {
     fn reference_face_triangles(input: &DataSet, field: &str) -> (Vec<Triangle>, WorkCounters) {
         let grid = input.as_uniform().unwrap();
         let values = input.point_scalars(field).unwrap();
-        let [cx, cy, cz] = grid.cell_dims();
+        let dims = grid.cell_dims();
         let mut tris = Vec::new();
         let mut work = WorkCounters::new();
         for c in 0..grid.num_cells() {
-            let [i, j, k] = grid.cell_ijk(c);
+            let ijk = grid.cell_ijk(c);
             work.tally(1, 22, 0, 64, 0);
-            for (slots, dir) in CELL_FACES {
-                let boundary = match dir {
-                    [0, 0, -1] => k == 0,
-                    [0, 0, 1] => k == cz - 1,
-                    [0, -1, 0] => j == 0,
-                    [0, 1, 0] => j == cy - 1,
-                    [1, 0, 0] => i == cx - 1,
-                    [-1, 0, 0] => i == 0,
-                    _ => unreachable!(),
-                };
-                if !boundary {
+            for (slots, axis, high) in CELL_FACES {
+                let face = if high { dims[axis] - 1 } else { 0 };
+                if ijk[axis] != face {
                     continue;
                 }
                 let ids = grid.cell_point_ids(c);

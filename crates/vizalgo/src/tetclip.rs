@@ -38,9 +38,44 @@
 //! the single table of a 128³ run was 42 MB of random probes
 //! (docs/PERFORMANCE.md, which also says why `contour`'s weld keeps
 //! its one table).
+//!
+//! # The walk runs in slab chunks, stitched in order
+//!
+//! `par`'s rule cuts the k-slabs into chunks (at least
+//! `CELL_MIN_LEN / (cx·cy)` slabs each, as marching cubes cuts its
+//! slabs, so a small grid or a call inside a service worker is one
+//! chunk). Each chunk runs the walk above on its own: its own mesh with
+//! the two-slab weld, its own tallies, and a point map over the two
+//! planes of its current slab only. Its cells' point ids go to its slot
+//! of one buffer all chunks share, sized from its cell counts and the
+//! caller's hint (past the slot, to a list of its own), so joining the
+//! chunks moves ids down in place instead of copying every cell.
+//!
+//! The stitch then makes the output one walk over all the slabs
+//! followed by dropping unreferenced points would give, bit for bit:
+//!
+//! * **Aliases.** Only a point on a chunk's bottom plane `k0` can have
+//!   been made by the chunk below as well — the two-slab argument
+//!   again: a point is asked for by the cells whose closure holds it,
+//!   and the only cells of both chunks that share a closure are those of
+//!   slabs `k0 − 1` and `k0`. Such a point is a grid point of plane `k0`
+//!   or an edge point whose two ends are such points, so one plane of
+//!   lookups finds them all: grid points through the chunk below's
+//!   top-plane map, then edge points in creation order (their ends come
+//!   first) through its last weld table, under its ids of their ends.
+//!   An alias is not kept twice, its referenced mark moves to the owner,
+//!   and a grid point's first-use tally is taken back.
+//! * **Numbering.** Each chunk, on `par`, gives its referenced points
+//!   that are not aliases ids in creation order from its start (a prefix
+//!   over the chunks), which is the order one walk would have created
+//!   them in; aliases take their owner's id; the ids in the cells are
+//!   renamed on `par`.
+//! * **Joining.** Point arrays are appended in chunk order, each chunk's
+//!   freed as it goes; the ids close up in the shared buffer.
 
 use crate::arena::{pack_edge_iso, TetScratch, WeldMap};
-use vizmesh::{CellSet, CellShape, UniformGrid, Vec3, WorkCounters};
+use std::ops::Range;
+use vizmesh::{par, CellSet, CellShape, UniformGrid, Vec3, WorkCounters};
 
 /// Decomposition of a hexahedron (VTK corner order) into 6 tetrahedra
 /// sharing the 0–6 main diagonal. The union tiles the hex exactly.
@@ -206,10 +241,11 @@ pub(crate) enum HexSide {
 
 /// What [`subdivide_hexes`] built, with its work as integer tallies
 /// each caller prices in its own currency (kernel [`WorkCounters`] or
-/// primitive traffic).
-pub(crate) struct Subdivision {
+/// primitive traffic). While a chunk is walked its cells are [`Cells`].
+#[derive(Default)]
+pub(crate) struct Subdivision<C = CellSet> {
     pub(crate) mesh: TetMesh,
-    pub(crate) cells: CellSet,
+    pub(crate) cells: C,
     /// Grid points first welded by a whole cell.
     pub(crate) whole_points: u64,
     /// Grid points first welded by a straddling cell.
@@ -219,6 +255,21 @@ pub(crate) struct Subdivision {
     pub(crate) tets_clipped: u64,
     /// Summed work of the clip calls.
     pub(crate) clip_work: WorkCounters,
+}
+
+impl<C> Subdivision<C> {
+    /// The same mesh and tallies over `cells`.
+    fn with_cells<D>(self, cells: D) -> Subdivision<D> {
+        Subdivision {
+            mesh: self.mesh,
+            cells,
+            whole_points: self.whole_points,
+            straddle_points: self.straddle_points,
+            whole_cells: self.whole_cells,
+            tets_clipped: self.tets_clipped,
+            clip_work: self.clip_work,
+        }
+    }
 }
 
 impl Subdivision {
@@ -233,94 +284,490 @@ impl Subdivision {
     }
 }
 
-/// The hex-subdivision walk: visit `cells`, which must be ascending cell
-/// ids (a range, or a compacted list of active cells), weld each grid
+/// The hex-subdivision walk: visit the cells `cells(ids)` names in each
+/// range `ids` of whole k-slabs — ascending cell ids (the range itself,
+/// or its run of a compacted list of active cells) — weld each grid
 /// point at first use with its `point(id) = (clip scalar, payload)`,
 /// pass [`HexSide::Whole`] cells through as hexahedra, and split
 /// [`HexSide::Straddle`] cells along [`HEX_TO_TETS`] into
-/// `scratch.tets`, which `clip` cuts down to `scratch.kept`.
-/// `tets_per_straddler` pre-sizes the output for the caller's measured
-/// straddle shape; everything still grows on demand.
+/// `scratch.tets`, which `clip` cuts down to `scratch.kept`. Points no
+/// output cell references are dropped and the rest numbered in creation
+/// order. `tets_per_straddler` sizes the output for the caller's
+/// measured straddle shape; more still fits.
+///
+/// The slabs are cut into chunks by `par`'s rule, walked apart and
+/// stitched in order (module docs): the same bits for every cut. `point`
+/// is dropped before the stitch.
 ///
 /// # Panics
 ///
 /// If a cell lies in a lower k-slab than the cell before it: the edge
 /// weld remembers two slabs (module docs) and the walk advances it as
 /// the slab changes, so stepping back would lose points already made.
-pub(crate) fn subdivide_hexes(
+pub(crate) fn subdivide_hexes<I: Iterator<Item = usize>>(
     grid: &UniformGrid,
-    cells: impl Iterator<Item = usize> + Clone,
+    cells: impl Fn(Range<usize>) -> I + Sync,
     sides: &[HexSide],
     tets_per_straddler: usize,
-    point: impl Fn(usize) -> (f64, f64),
-    mut clip: impl FnMut(&mut TetMesh, &mut TetScratch) -> WorkCounters,
+    point: impl Fn(usize) -> (f64, f64) + Sync,
+    clip: impl Fn(&mut TetMesh, &mut TetScratch) -> WorkCounters + Sync,
 ) -> Subdivision {
-    let num_points = grid.num_points();
-    let (mut num_whole, mut num_straddle) = (0usize, 0usize);
-    for c in cells.clone() {
-        match sides[c] {
-            HexSide::Whole => num_whole += 1,
-            HexSide::Straddle => num_straddle += 1,
-            HexSide::Out => {}
+    let [cx, cy, cz] = grid.cell_dims();
+    let slab = (cx * cy).max(1);
+    let cut = par::map_chunks(cz, crate::CELL_MIN_LEN.div_ceil(slab), |slabs| vec![slabs]);
+    let walker = Walker {
+        grid,
+        sides,
+        tets_per_straddler,
+        point: &point,
+        clip: &clip,
+    };
+    let mut conn = Vec::new();
+    let run = |slabs: &Range<usize>| cells(slabs.start * slab..slabs.end * slab);
+    let chunks = walker.walk(cut, run, &mut conn);
+    drop(point);
+    stitch(chunks).join(conn)
+}
+
+/// A point id that no output cell references (in [`Chunk::ids`]).
+const UNUSED: u32 = u32::MAX;
+
+/// What a walk over a run of k-slabs needs besides the run's cells.
+struct Walker<'a, P, C> {
+    grid: &'a UniformGrid,
+    sides: &'a [HexSide],
+    tets_per_straddler: usize,
+    point: &'a P,
+    clip: &'a C,
+}
+
+/// A chunk's cells as its walk makes them: shapes in a list of its own,
+/// point ids in the chunk's slot of the connectivity all chunks share
+/// (sized from its cell counts and the caller's hint) and, once the slot
+/// is full, in a list of its own.
+#[derive(Default)]
+struct Cells<'a> {
+    shapes: Vec<CellShape>,
+    slot: &'a mut [u32],
+    len: usize,
+    spill: Vec<u32>,
+}
+
+impl Cells<'_> {
+    /// Append a whole cell.
+    fn hexahedron(&mut self, ids: &[u32; 8]) {
+        self.shapes.push(CellShape::Hexahedron);
+        self.put(ids);
+    }
+
+    /// Append a straddling cell's kept tets.
+    fn tetra(&mut self, tets: &[[u32; 4]]) {
+        let shapes = std::iter::repeat_n(CellShape::Tetra, tets.len());
+        self.shapes.extend(shapes);
+        self.put(tets.as_flattened());
+    }
+
+    fn put(&mut self, ids: &[u32]) {
+        let end = self.len + ids.len();
+        if end <= self.slot.len() && self.spill.is_empty() {
+            self.slot[self.len..end].copy_from_slice(ids);
+            self.len = end;
+        } else {
+            self.spill.extend_from_slice(ids);
         }
     }
-    let active = num_whole + num_straddle;
-    let num_tets = tets_per_straddler * num_straddle;
+
+    /// Every point id, cell after cell: the slot's, then the spill's.
+    fn ids(&mut self) -> [&mut [u32]; 2] {
+        [&mut self.slot[..self.len], &mut self.spill]
+    }
+}
+
+/// One chunk's walk over the k-slabs `k0..k1`, in chunk-local point
+/// ids, with what [`stitch`] reads to join it to the chunk below.
+#[derive(Default)]
+struct Chunk<'a> {
+    slabs: Range<usize>,
+    out: Subdivision<Cells<'a>>,
+    /// Per grid point of the bottom plane `k0`: its local id (or
+    /// [`UNUSED`]) and whether a whole cell welded it first.
+    bottom: Vec<(u32, bool)>,
+    /// The local id (or [`UNUSED`]) of each grid point of the top plane
+    /// `k1`; empty unless the walk ended in slab `k1 − 1`.
+    top: Vec<u32>,
+    /// How many points slab `k0` made, and its edge points as `(weld
+    /// key, local id)` in creation order.
+    first_points: usize,
+    first_edges: Vec<(u128, u32)>,
+    /// The weld table of slab `k1 − 1`; empty unless the walk ended there.
+    last_weld: WeldMap<u128>,
+    /// Per local point: [`UNUSED`], or referenced; after numbering, the
+    /// output id.
+    ids: Vec<u32>,
+    /// Points the chunk keeps: referenced, and made by no chunk below.
+    kept: usize,
+    /// `(local id, owner)` of every referenced point the chunk below
+    /// made first, `owner` in that chunk's ids.
+    aliases: Vec<(u32, u32)>,
+}
+
+impl<P, C> Walker<'_, P, C>
+where
+    P: Fn(usize) -> (f64, f64) + Sync,
+    C: Fn(&mut TetMesh, &mut TetScratch) -> WorkCounters + Sync,
+{
+    /// Walk the k-slab runs of `cut` on `par`, `cells(run)` naming each
+    /// run's cells. Their point ids go to `conn`, a slot per run.
+    fn walk<'a, I: Iterator<Item = usize>>(
+        &self,
+        cut: Vec<Range<usize>>,
+        cells: impl Fn(&Range<usize>) -> I + Sync,
+        conn: &'a mut Vec<u32>,
+    ) -> Vec<Chunk<'a>> {
+        let counts = par::map(cut.len(), 1, |c| {
+            let (mut whole, mut straddle) = (0, 0);
+            for c in cells(&cut[c]) {
+                match self.sides[c] {
+                    HexSide::Whole => whole += 1,
+                    HexSide::Straddle => straddle += 1,
+                    HexSide::Out => {}
+                }
+            }
+            (whole, straddle)
+        });
+        let tets = |straddle: usize| self.tets_per_straddler * straddle;
+        let size = |(whole, straddle): (usize, usize)| 8 * whole + 4 * tets(straddle);
+        // A lone chunk is joined to nothing: its ids go to a list of its
+        // own, which becomes the output's.
+        let shared = cut.len() > 1;
+        let slot_size = |n| if shared { size(n) } else { 0 };
+        *conn = vec![0u32; counts.iter().map(|&n| slot_size(n)).sum()];
+        let mut rest = conn.as_mut_slice();
+        let mut chunks = Vec::with_capacity(cut.len());
+        let [nx, ny, _] = self.grid.point_dims();
+        for (slabs, (whole, straddle)) in cut.into_iter().zip(counts) {
+            let n = (whole, straddle);
+            let (slot, tail) = std::mem::take(&mut rest).split_at_mut(slot_size(n));
+            rest = tail;
+            let num_points = (slabs.len() + 1) * nx * ny;
+            let mesh = TetMesh::with_point_capacity((2 * (whole + straddle)).min(num_points));
+            let shapes = Vec::with_capacity(whole + tets(straddle));
+            let cells = Cells {
+                shapes,
+                slot,
+                len: 0,
+                spill: Vec::with_capacity(size(n) - slot_size(n)),
+            };
+            let out = Subdivision {
+                mesh,
+                cells,
+                ..Subdivision::default()
+            };
+            chunks.push(Chunk {
+                slabs,
+                out,
+                ..Chunk::default()
+            });
+        }
+        par::for_each_mut(&mut chunks, 1, |_, chunk| {
+            let run = cells(&chunk.slabs);
+            self.slabs(chunk, run)
+        });
+        chunks
+    }
+
+    /// Walk `cells`, the cells of `chunk`'s k-slabs, keeping the local
+    /// ids of the grid points on the current slab's two planes only.
+    fn slabs(&self, chunk: &mut Chunk<'_>, cells: impl Iterator<Item = usize>) {
+        let (grid, sides) = (self.grid, self.sides);
+        let [nx, ny, _] = grid.point_dims();
+        let plane = nx * ny;
+        let k0 = chunk.slabs.start;
+        let out = &mut chunk.out;
+        let mut scratch = TetScratch::new();
+        // Plane `k` of the grid points sits in half `k % 2`.
+        let mut point_map: Vec<u32> = vec![UNUSED; 2 * plane];
+        let half = |k: usize| (k % 2) * plane..(k % 2 + 1) * plane;
+        let mut first_whole = vec![false; plane];
+        let mut slab = k0;
+        for cell in grid.cells(cells.filter(|&c| sides[c] != HexSide::Out)) {
+            let k = cell.ijk()[2];
+            if k != slab {
+                assert!(
+                    k > slab,
+                    "subdivide_hexes: cell {} steps back from k-slab {slab} to {k}",
+                    cell.id()
+                );
+                if slab == k0 {
+                    (chunk.bottom, chunk.first_points, chunk.first_edges) =
+                        first_slab(&out.mesh, &point_map[half(k0)], &first_whole);
+                }
+                out.mesh.advance_weld(k - slab);
+                if k == slab + 1 {
+                    point_map[half(slab)].fill(UNUSED);
+                } else {
+                    point_map.fill(UNUSED);
+                }
+                slab = k;
+            }
+            // Corners on plane `slab` come first (slots 0–3); in an odd
+            // slab its half is the upper one.
+            let base = slab * plane;
+            let flip = (slab % 2) * plane;
+            let whole = sides[cell.id()] == HexSide::Whole;
+            let mut corner = [0u32; 8];
+            let mut welded = 0;
+            for (slot, &pid) in cell.point_ids().iter().enumerate() {
+                let at = pid - base;
+                let at_map = if at < plane { at + flip } else { at - flip };
+                if point_map[at_map] == UNUSED {
+                    let (value, payload) = (self.point)(pid);
+                    point_map[at_map] =
+                        out.mesh
+                            .add_point_with(cell.corner_coord(slot), value, payload);
+                    if slab == k0 && at < plane {
+                        first_whole[at] = whole;
+                    }
+                    welded += 1;
+                }
+                corner[slot] = point_map[at_map];
+            }
+            if whole {
+                out.cells.hexahedron(&corner);
+                out.whole_cells += 1;
+                out.whole_points += welded;
+            } else {
+                out.straddle_points += welded;
+                scratch.tets.clear();
+                let tets = HEX_TO_TETS.map(|t| t.map(|slot| corner[slot]));
+                scratch.tets.extend(tets);
+                out.tets_clipped += scratch.tets.len() as u64;
+                out.clip_work += (self.clip)(&mut out.mesh, &mut scratch);
+                out.cells.tetra(&scratch.kept);
+            }
+        }
+        if slab == k0 {
+            (chunk.bottom, chunk.first_points, chunk.first_edges) =
+                first_slab(&out.mesh, &point_map[half(k0)], &first_whole);
+        }
+        if slab + 1 == chunk.slabs.end {
+            chunk.top = point_map[half(slab + 1)].to_vec();
+            chunk.last_weld = std::mem::take(&mut out.mesh.weld[0]);
+        }
+        chunk.ids = vec![UNUSED; out.mesh.points.len()];
+        for part in out.cells.ids() {
+            for &p in part.iter() {
+                chunk.ids[p as usize] = 0;
+            }
+        }
+        chunk.kept = chunk.ids.iter().filter(|&&id| id != UNUSED).count();
+    }
+}
+
+/// What [`alias`] reads of a chunk's first slab `k0`, taken as the walk
+/// leaves it: [`Chunk::bottom`] from the plane-`k0` half of the point
+/// map and each point's first-use side, how many points the slab made,
+/// and its edge points in creation order from the current weld table.
+fn first_slab(
+    mesh: &TetMesh,
+    ids: &[u32],
+    whole: &[bool],
+) -> (Vec<(u32, bool)>, usize, Vec<(u128, u32)>) {
+    let bottom = ids.iter().copied().zip(whole.iter().copied()).collect();
+    let mut edges: Vec<(u128, u32)> = mesh.weld[0].entries().collect();
+    edges.sort_unstable_by_key(|&(_, id)| id);
+    (bottom, mesh.points.len(), edges)
+}
+
+/// Find the points `cur` made on its bottom plane that `below`, the
+/// chunk under it, made first: grid points through `below`'s top-plane
+/// map, then edge points, in creation order, through `below`'s last weld
+/// table under `below`'s ids of their ends. The two-slab argument (module
+/// docs) is why no other point can be shared. Each one found gives its
+/// first-use tally back if it is a grid point, and if `cur`'s cells
+/// reference it, hands that mark to its owner and is recorded for
+/// [`stitch`] to rename.
+fn alias(below: &mut Chunk<'_>, cur: &mut Chunk<'_>) {
+    let mut owner = vec![UNUSED; cur.first_points];
+    for (&(id, whole), &mine) in cur.bottom.iter().zip(&below.top) {
+        if id != UNUSED && mine != UNUSED {
+            owner[id as usize] = mine;
+            if whole {
+                cur.out.whole_points -= 1;
+            } else {
+                cur.out.straddle_points -= 1;
+            }
+        }
+    }
+    for &(key, id) in &cur.first_edges {
+        // The key's two ends, as `pack_edge_iso` packed them.
+        let (a, b) = (
+            owner[(key >> 96) as usize],
+            owner[(key >> 64) as u32 as usize],
+        );
+        if a != UNUSED && b != UNUSED {
+            let key = pack_edge_iso(a.min(b), a.max(b), key as u64);
+            if let Some(mine) = below.last_weld.get(key) {
+                owner[id as usize] = mine;
+            }
+        }
+    }
+    let found = (0..owner.len()).filter(|&id| owner[id] != UNUSED && cur.ids[id] != UNUSED);
+    cur.aliases = found.map(|id| (id as u32, owner[id])).collect();
+    for &(id, mine) in &cur.aliases {
+        cur.ids[id as usize] = UNUSED;
+        cur.kept -= 1;
+        if below.ids[mine as usize] == UNUSED {
+            below.ids[mine as usize] = 0;
+            below.kept += 1;
+        }
+    }
+}
+
+/// Give each kept point of `chunk` its output id, counting up from
+/// `next` in creation order, and move its point, scalar and payload down
+/// to its place among the chunk's kept points.
+fn number(chunk: &mut Chunk<'_>, mut next: u32) {
+    let mesh = &mut chunk.out.mesh;
+    let mut kept = 0;
+    for (old, id) in chunk.ids.iter_mut().enumerate() {
+        if *id != UNUSED {
+            *id = next;
+            next += 1;
+            mesh.points[kept] = mesh.points[old];
+            mesh.values[kept] = mesh.values[old];
+            mesh.payloads[kept] = mesh.payloads[old];
+            kept += 1;
+        }
+    }
+    mesh.points.truncate(kept);
+    mesh.values.truncate(kept);
+    mesh.payloads.truncate(kept);
+}
+
+/// A chunk's cells after the stitch: their shapes, the size of its slot
+/// and how much of it they use, and what spilled past it.
+struct CellRun {
+    shapes: Vec<CellShape>,
+    slot: usize,
+    len: usize,
+    spill: Vec<u32>,
+}
+
+/// Join the chunks, in order, into what one walk over all of them
+/// followed by dropping unreferenced points would give: aliases found,
+/// kept points numbered and cells renamed on `par`, point arrays
+/// concatenated, each chunk's freed as soon as it is appended. The
+/// cells stay in the chunks' slots for [`Subdivision::join`].
+fn stitch(mut chunks: Vec<Chunk<'_>>) -> Subdivision<Vec<CellRun>> {
+    for c in 1..chunks.len() {
+        let (below, above) = chunks.split_at_mut(c);
+        alias(&mut below[c - 1], &mut above[0]);
+    }
+    let mut starts = Vec::with_capacity(chunks.len());
+    let mut kept = 0;
+    for chunk in &chunks {
+        starts.push(kept as u32);
+        kept += chunk.kept;
+    }
+    par::for_each_mut(&mut chunks, 1, |c, chunk| number(chunk, starts[c]));
+    for c in 1..chunks.len() {
+        let (below, above) = chunks.split_at_mut(c);
+        let cur = &mut above[0];
+        for &(id, mine) in &cur.aliases {
+            cur.ids[id as usize] = below[c - 1].ids[mine as usize];
+        }
+    }
+    par::for_each_mut(&mut chunks, 1, |_, chunk| {
+        let ids = &chunk.ids;
+        for part in chunk.out.cells.ids() {
+            for p in part.iter_mut() {
+                *p = ids[*p as usize];
+            }
+        }
+    });
     let mut out = Subdivision {
-        mesh: TetMesh::with_point_capacity(active.saturating_mul(2).min(num_points)),
-        cells: CellSet::with_capacity(num_whole + num_tets, 8 * num_whole + 4 * num_tets),
-        whole_points: 0,
-        straddle_points: 0,
-        whole_cells: 0,
-        tets_clipped: 0,
-        clip_work: WorkCounters::new(),
+        cells: Vec::with_capacity(chunks.len()),
+        ..Subdivision::default()
     };
-    let mut scratch = TetScratch::new();
-    let mut point_map: Vec<u32> = vec![u32::MAX; num_points];
-    let mut slab = 0;
-    for cell in grid.cells(cells.filter(|&c| sides[c] != HexSide::Out)) {
-        let k = cell.ijk()[2];
-        if k != slab {
-            assert!(
-                k > slab,
-                "subdivide_hexes: cell {} steps back from k-slab {slab} to {k}",
-                cell.id()
-            );
-            out.mesh.advance_weld(k - slab);
-            slab = k;
-        }
-        let mut corner = [0u32; 8];
-        let mut welded = 0;
-        for (slot, &pid) in cell.point_ids().iter().enumerate() {
-            if point_map[pid] == u32::MAX {
-                let (value, payload) = point(pid);
-                point_map[pid] = out
-                    .mesh
-                    .add_point_with(cell.corner_coord(slot), value, payload);
-                welded += 1;
-            }
-            corner[slot] = point_map[pid];
-        }
-        if sides[cell.id()] == HexSide::Whole {
-            out.cells.push(CellShape::Hexahedron, &corner);
-            out.whole_cells += 1;
-            out.whole_points += welded;
-        } else {
-            out.straddle_points += welded;
-            scratch.tets.clear();
-            for t in HEX_TO_TETS {
-                scratch
-                    .tets
-                    .push([corner[t[0]], corner[t[1]], corner[t[2]], corner[t[3]]]);
-            }
-            out.tets_clipped += scratch.tets.len() as u64;
-            out.clip_work += clip(&mut out.mesh, &mut scratch);
-            for t in &scratch.kept {
-                out.cells.push(CellShape::Tetra, t);
-            }
-        }
+    for chunk in chunks {
+        let (mesh, sub) = (&mut out.mesh, chunk.out);
+        append(&mut mesh.points, sub.mesh.points, kept);
+        append(&mut mesh.values, sub.mesh.values, kept);
+        append(&mut mesh.payloads, sub.mesh.payloads, kept);
+        out.whole_points += sub.whole_points;
+        out.straddle_points += sub.straddle_points;
+        out.whole_cells += sub.whole_cells;
+        out.tets_clipped += sub.tets_clipped;
+        out.clip_work += sub.clip_work;
+        let Cells {
+            shapes,
+            slot,
+            len,
+            spill,
+        } = sub.cells;
+        let slot = slot.len();
+        out.cells.push(CellRun {
+            shapes,
+            slot,
+            len,
+            spill,
+        });
     }
     out
+}
+
+/// Append `from` to `to`, which will hold `total` items: into an empty
+/// `to` by taking `from`'s buffer, grown once to `total`.
+fn append<T>(to: &mut Vec<T>, mut from: Vec<T>, total: usize) {
+    if to.is_empty() {
+        from.reserve_exact(total - from.len());
+        *to = from;
+    } else {
+        to.extend(from);
+    }
+}
+
+impl Subdivision<Vec<CellRun>> {
+    /// The output cells from the runs' slots in `conn`: each run's ids
+    /// moved down in place to follow the run before, unless a run
+    /// spilled past its slot — then the runs are copied out in order. A
+    /// lone chunk's own list is taken as it is.
+    fn join(mut self, mut conn: Vec<u32>) -> Subdivision {
+        let mut runs = std::mem::take(&mut self.cells);
+        if let [run] = &mut runs[..] {
+            if run.slot == 0 {
+                let (shapes, ids) = (
+                    std::mem::take(&mut run.shapes),
+                    std::mem::take(&mut run.spill),
+                );
+                return self.with_cells(CellSet::from_parts(shapes, ids));
+            }
+        }
+        let mut shapes = Vec::with_capacity(runs.iter().map(|r| r.shapes.len()).sum());
+        let slots = runs.iter().scan(0, |at, run| {
+            *at += run.slot;
+            Some(*at - run.slot)
+        });
+        if runs.iter().all(|run| run.spill.is_empty()) {
+            let mut len = 0;
+            for (at, run) in slots.zip(&runs) {
+                conn.copy_within(at..at + run.len, len);
+                len += run.len;
+                shapes.extend_from_slice(&run.shapes);
+            }
+            conn.truncate(len);
+        } else {
+            let mut joined = Vec::with_capacity(runs.iter().map(|r| r.len + r.spill.len()).sum());
+            for (at, run) in slots.zip(&runs) {
+                joined.extend_from_slice(&conn[at..at + run.len]);
+                joined.extend_from_slice(&run.spill);
+                shapes.extend_from_slice(&run.shapes);
+            }
+            conn = joined;
+        }
+        self.with_cells(CellSet::from_parts(shapes, conn))
+    }
 }
 
 /// The one clip core. `flip = false` keeps `value >= iso`; `flip = true`
@@ -659,11 +1106,15 @@ mod tests {
     }
 
     /// What a filter keeps of each cell: the spherical clip's one-sided
-    /// cut or the isovolume's two.
+    /// cut or the isovolume's two — or the one-sided cut with nothing
+    /// kept of a straddler whose corner 0 lies above the second value, a
+    /// clip under which one cell can drop a point its neighbour keeps
+    /// (neither filter's clip does that, but the walk must allow it).
     #[derive(Debug, Clone, Copy)]
     enum Keep {
         Above(f64),
         Band(f64, f64),
+        Patchy(f64, f64),
     }
 
     impl Keep {
@@ -673,6 +1124,13 @@ mod tests {
                 Keep::Band(lo, hi) => {
                     clip_keep_above_into(mesh, &s.tets, lo, &mut s.mid)
                         + clip_keep_below_into(mesh, &s.mid, hi, &mut s.kept)
+                }
+                Keep::Patchy(iso, cut) => {
+                    let work = clip_keep_above_into(mesh, &s.tets, iso, &mut s.kept);
+                    if mesh.values[s.tets[0][0] as usize] > cut {
+                        s.kept.clear();
+                    }
+                    work
                 }
             }
         }
@@ -699,10 +1157,10 @@ mod tests {
         fn generate(&self, src: &mut Source) -> Walk {
             let dims = [(); 3].map(|()| 1 + src.below(4) as usize);
             let (a, b) = (1.2 * src.next_f64() - 0.6, 1.2 * src.next_f64() - 0.6);
-            let keep = if src.next_bool() {
-                Keep::Band(a.min(b), a.max(b))
-            } else {
-                Keep::Above(a)
+            let keep = match src.below(3) {
+                0 => Keep::Above(a),
+                1 => Keep::Band(a.min(b), a.max(b)),
+                _ => Keep::Patchy(a, b),
             };
             let dropped = [(); 4].map(|()| src.below(4) == 3);
             let slab = dims[0] * dims[1];
@@ -738,7 +1196,7 @@ mod tests {
                 .map(|c| {
                     let ids = grid.cell_at(c).point_ids();
                     match self.keep {
-                        Keep::Above(iso) => {
+                        Keep::Above(iso) | Keep::Patchy(iso, _) => {
                             match ids.iter().filter(|&&p| self.values[p] < iso).count() {
                                 0 => HexSide::Whole,
                                 8 => HexSide::Out,
@@ -751,12 +1209,65 @@ mod tests {
                 .collect()
         }
 
-        fn windowed(&self, sides: &[HexSide]) -> Subdivision {
-            let cells = self.cells.iter().copied();
+        /// The walk's run of the cell ids `ids`.
+        fn cells_in(&self, ids: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+            let from = |c: usize| self.cells.partition_point(|&a| a < c);
+            self.cells[from(ids.start)..from(ids.end)].iter().copied()
+        }
+
+        /// The chunks of `cut` walked apart and handed to `then`, and the
+        /// buffer their cells' point ids are in.
+        fn walked<R>(
+            &self,
+            sides: &[HexSide],
+            cut: &[Range<usize>],
+            then: impl FnOnce(Vec<Chunk<'_>>) -> R,
+        ) -> (R, Vec<u32>) {
+            let grid = self.grid();
+            let slab = self.dims[0] * self.dims[1];
             let point = |pid| self.point(pid);
-            subdivide_hexes(&self.grid(), cells, sides, 12, point, |m, s| {
-                self.keep.clip(m, s)
-            })
+            let clip = |m: &mut TetMesh, s: &mut TetScratch| self.keep.clip(m, s);
+            let walker = Walker {
+                grid: &grid,
+                sides,
+                tets_per_straddler: 12,
+                point: &point,
+                clip: &clip,
+            };
+            let mut conn = Vec::new();
+            let run = |s: &Range<usize>| self.cells_in(s.start * slab..s.end * slab);
+            (then(walker.walk(cut.to_vec(), run, &mut conn)), conn)
+        }
+
+        /// The whole box as one chunk: the windowed walk, uncompacted.
+        fn windowed(&self, sides: &[HexSide]) -> Subdivision {
+            let all = 0..self.dims[2];
+            let whole = self.walked(sides, &[all], |chunks| {
+                let mut out = chunks.into_iter().next().unwrap().out;
+                let ids: Vec<u32> = out.cells.ids().concat();
+                let shapes = std::mem::take(&mut out.cells.shapes);
+                out.with_cells(CellSet::from_parts(shapes, ids))
+            });
+            whole.0
+        }
+
+        /// The chunks of `cut` walked apart and stitched.
+        fn stitched(&self, sides: &[HexSide], cut: &[Range<usize>]) -> Subdivision {
+            let (sub, conn) = self.walked(sides, cut, stitch);
+            sub.join(conn)
+        }
+
+        /// What the filters call, cut by `par`'s rule.
+        fn subdivided(&self, sides: &[HexSide]) -> Subdivision {
+            let point = |pid| self.point(pid);
+            subdivide_hexes(
+                &self.grid(),
+                |ids| self.cells_in(ids),
+                sides,
+                12,
+                point,
+                |m, s| self.keep.clip(m, s),
+            )
         }
 
         /// The walk as it was before the weld became a window: its mesh
@@ -808,6 +1319,131 @@ mod tests {
         }
     }
 
+    /// What `DataSet::compact_points` did after the walk until the walk
+    /// did it itself: keep the points some cell references, in order,
+    /// with their scalars and payloads, and rebuild the cells on the new
+    /// ids, cell by cell. Tallies pass through.
+    fn compacted(sub: Subdivision) -> Subdivision {
+        let mesh = &sub.mesh;
+        let mut used = vec![false; mesh.points.len()];
+        for (_, ids) in sub.cells.iter() {
+            for &p in ids {
+                used[p as usize] = true;
+            }
+        }
+        let mut remap = vec![u32::MAX; used.len()];
+        let kept: Vec<usize> = (0..used.len()).filter(|&p| used[p]).collect();
+        for (new, &old) in kept.iter().enumerate() {
+            remap[old] = new as u32;
+        }
+        let mut cells = CellSet::new();
+        for (shape, ids) in sub.cells.iter() {
+            let ids: Vec<u32> = ids.iter().map(|&p| remap[p as usize]).collect();
+            cells.push(shape, &ids);
+        }
+        let mesh = TetMesh {
+            points: kept.iter().map(|&p| mesh.points[p]).collect(),
+            values: kept.iter().map(|&p| mesh.values[p]).collect(),
+            payloads: kept.iter().map(|&p| mesh.payloads[p]).collect(),
+            ..TetMesh::default()
+        };
+        Subdivision { mesh, cells, ..sub }
+    }
+
+    /// A walk's output over `points` (scalar `i`, payload `-i` at point
+    /// `i`) and `cells`, with made-up tallies.
+    fn walked(points: &[Vec3], cells: &[(CellShape, &[u32])]) -> Subdivision {
+        let mut mesh = TetMesh::new();
+        for (i, &p) in points.iter().enumerate() {
+            mesh.add_point_with(p, i as f64, -(i as f64));
+        }
+        let mut set = CellSet::new();
+        for &(shape, ids) in cells {
+            set.push(shape, ids);
+        }
+        Subdivision {
+            mesh,
+            cells: set,
+            whole_points: 1,
+            straddle_points: 2,
+            whole_cells: 3,
+            tets_clipped: 4,
+            clip_work: WorkCounters {
+                items: 5,
+                ..WorkCounters::new()
+            },
+        }
+    }
+
+    /// The reference compaction on the cases `compact_points` and
+    /// `CellSet::remap_points` were tested on.
+    #[test]
+    fn the_reference_compaction_keeps_referenced_points_in_order() {
+        let five = [Vec3::ZERO, Vec3::X, Vec3::Y, Vec3::Z, Vec3::ONE];
+        let out = compacted(walked(&five, &[(CellShape::Triangle, &[0, 2, 4])]));
+        let expect = walked(
+            &[Vec3::ZERO, Vec3::Y, Vec3::ONE],
+            &[(CellShape::Triangle, &[0, 1, 2])],
+        );
+        assert_eq!(out.mesh.values, [0.0, 2.0, 4.0]);
+        assert_eq!(out.mesh.payloads, [-0.0, -2.0, -4.0]);
+        assert_eq!(
+            (&out.mesh.points, &out.cells),
+            (&expect.mesh.points, &expect.cells)
+        );
+
+        // A hex on points 1..=8 and a tet sharing two of them: points 0
+        // and 10 go, every id shifts down past the dropped points below
+        // it, and the shapes stay.
+        let twelve: Vec<Vec3> = (0..12).map(|i| Vec3::splat(i as f64)).collect();
+        let hex: &[u32] = &[1, 2, 3, 4, 5, 6, 7, 8];
+        let tet: &[u32] = &[11, 8, 9, 2];
+        let out = compacted(walked(
+            &twelve,
+            &[(CellShape::Hexahedron, hex), (CellShape::Tetra, tet)],
+        ));
+        let kept: Vec<Vec3> = [1, 2, 3, 4, 5, 6, 7, 8, 9, 11].map(|i| twelve[i]).to_vec();
+        let expect = walked(
+            &kept,
+            &[
+                (CellShape::Hexahedron, &[0, 1, 2, 3, 4, 5, 6, 7]),
+                (CellShape::Tetra, &[9, 7, 8, 1]),
+            ],
+        );
+        assert_eq!(
+            (&out.mesh.points, &out.cells),
+            (&expect.mesh.points, &expect.cells)
+        );
+        assert_eq!(out.mesh.values[9], 11.0);
+
+        // Every point referenced: nothing moves.
+        let all = walked(&five[..3], &[(CellShape::Triangle, &[2, 0, 1])]);
+        assert_eq!(
+            bits(&compacted(walked(
+                &five[..3],
+                &[(CellShape::Triangle, &[2, 0, 1])]
+            ))),
+            bits(&all)
+        );
+    }
+
+    /// Every cut of `slabs` k-slabs into runs: one per subset of the
+    /// `slabs − 1` inner boundaries.
+    fn cuts(slabs: usize) -> impl Iterator<Item = Vec<Range<usize>>> {
+        (0..1usize << slabs.saturating_sub(1)).map(move |mask| {
+            let mut cut = Vec::new();
+            let mut start = 0;
+            for k in 1..slabs {
+                if mask >> (k - 1) & 1 == 1 {
+                    cut.push(start..k);
+                    start = k;
+                }
+            }
+            cut.push(start..slabs);
+            cut
+        })
+    }
+
     /// Every bit a [`Subdivision`] carries.
     fn bits(sub: &Subdivision) -> impl PartialEq + std::fmt::Debug + '_ {
         let mesh = &sub.mesh;
@@ -841,6 +1477,30 @@ mod tests {
             let sides = walk.sides();
             let (windowed, reference) = (walk.windowed(&sides), walk.reference(&sides));
             prop_assert_eq!(bits(&windowed), bits(&reference));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// However the slabs are cut into chunks — one chunk, one slab
+        /// per chunk, anything between — the stitched walk is the
+        /// one-table walk followed by compaction: points, scalars,
+        /// payloads, cells and all five tallies, at 1, 2, 7 and 16
+        /// threads; and so is what the filters call.
+        #[test]
+        fn every_cut_of_the_slabs_stitches_to_the_compacted_walk(walk in Walks) {
+            let sides = walk.sides();
+            let reference = compacted(walk.reference(&sides));
+            for threads in [1, 2, 7, 16] {
+                par::with_threads(threads, || {
+                    for cut in cuts(walk.dims[2]) {
+                        let stitched = walk.stitched(&sides, &cut);
+                        prop_assert_eq!(bits(&stitched), bits(&reference), "cut {:?}", cut);
+                    }
+                    prop_assert_eq!(bits(&walk.subdivided(&sides)), bits(&reference));
+                });
+            }
         }
     }
 

@@ -102,6 +102,11 @@ impl Aabb {
     ///
     /// `inv_dir` must be the component-wise reciprocal of the direction;
     /// infinities from zero components are handled by IEEE semantics.
+    ///
+    /// One miss test after the three axes: `t0` only rises and `t1` only
+    /// falls, so once `t0 > t1` it stays so, and a test per axis would
+    /// return `None` for exactly the same rays.
+    #[inline]
     pub fn intersect_ray(
         &self,
         origin: Vec3,
@@ -125,9 +130,9 @@ impl Aabb {
             if far < t1 {
                 t1 = far;
             }
-            if t0 > t1 {
-                return None;
-            }
+        }
+        if t0 > t1 {
+            return None;
         }
         Some((t0, t1))
     }

@@ -1,5 +1,11 @@
 //! Explicit (unstructured) cell sets.
 
+use crate::par;
+
+/// Point ids per chunk below which [`CellSet::max_point_id`] stays on
+/// one thread.
+const SCAN_MIN_LEN: usize = 1 << 15;
+
 /// Shape of a single cell in an explicit cell set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellShape {
@@ -105,21 +111,38 @@ impl CellSet {
             .extend(other.offsets[1..].iter().map(|&o| o + base));
     }
 
-    /// Renumber every point reference in place: id `p` becomes
-    /// `remap[p]`. Shapes and offsets are untouched.
+    /// The cells `shapes`, each of fixed arity, over `connectivity`, their
+    /// point ids cell after cell (a set built elsewhere in pieces).
     ///
     /// # Panics
-    /// If a cell references a point `remap` has no entry for.
-    pub(crate) fn remap_points(&mut self, remap: &[u32]) {
-        for p in &mut self.connectivity {
-            *p = remap[*p as usize];
+    /// If a shape has no fixed point count, or the arities do not add up
+    /// to the connectivity's length.
+    pub fn from_parts(shapes: Vec<CellShape>, connectivity: Vec<u32>) -> Self {
+        let mut offsets = Vec::with_capacity(shapes.len() + 1);
+        let (mut end, mut fixed) = (0, true);
+        offsets.push(end);
+        offsets.extend(shapes.iter().map(|shape| {
+            let arity = shape.fixed_point_count();
+            fixed &= arity.is_some();
+            end += arity.unwrap_or(0);
+            end
+        }));
+        assert!(
+            fixed,
+            "a shape has no fixed point count: {:?}",
+            shapes.iter().find(|s| s.fixed_point_count().is_none())
+        );
+        assert_eq!(
+            end,
+            connectivity.len(),
+            "the shapes need {end} point ids, got {}",
+            connectivity.len()
+        );
+        CellSet {
+            shapes,
+            offsets,
+            connectivity,
         }
-    }
-
-    /// Every point reference, cell after cell.
-    #[inline]
-    pub(crate) fn connectivity(&self) -> &[u32] {
-        &self.connectivity
     }
 
     #[inline]
@@ -149,9 +172,14 @@ impl CellSet {
         (0..self.num_cells()).map(move |c| (self.shape(c), self.cell_points(c)))
     }
 
-    /// Largest point id referenced, or `None` when empty.
+    /// Largest point id referenced, or `None` when empty; long sets are
+    /// scanned in chunks on `par`.
     pub(crate) fn max_point_id(&self) -> Option<u32> {
-        self.connectivity.iter().copied().max()
+        let conn = &self.connectivity;
+        let maxes = par::map_chunks(conn.len(), SCAN_MIN_LEN, |ids| {
+            vec![conn[ids].iter().copied().max()]
+        });
+        maxes.into_iter().flatten().max()
     }
 }
 
@@ -202,17 +230,21 @@ mod tests {
     }
 
     #[test]
-    fn remap_points_rewrites_ids_and_nothing_else() {
-        let mut cs = CellSet::new();
-        cs.push(CellShape::Triangle, &[0, 2, 4]);
-        cs.push(CellShape::Line, &[4, 2]);
-        cs.remap_points(&[0, u32::MAX, 1, u32::MAX, 2]);
-        assert_eq!(cs.cell_points(0), &[0, 1, 2]);
-        assert_eq!(cs.cell_points(1), &[2, 1]);
-        assert_eq!(
-            (cs.shape(0), cs.shape(1)),
-            (CellShape::Triangle, CellShape::Line)
-        );
+    fn from_parts_is_the_pushed_set() {
+        let mut pushed = CellSet::new();
+        pushed.push(CellShape::Hexahedron, &[0, 1, 2, 3, 4, 5, 6, 7]);
+        pushed.push(CellShape::Tetra, &[7, 8, 9, 2]);
+        pushed.push(CellShape::Triangle, &[1, 2, 3]);
+        let shapes = pushed.iter().map(|(shape, _)| shape).collect();
+        let ids = pushed.iter().flat_map(|(_, ids)| ids.to_vec()).collect();
+        assert_eq!(CellSet::from_parts(shapes, ids), pushed);
+        assert_eq!(CellSet::from_parts(Vec::new(), Vec::new()), CellSet::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "no fixed point count")]
+    fn from_parts_refuses_a_polygon() {
+        CellSet::from_parts(vec![CellShape::Polygon], vec![0, 1, 2]);
     }
 
     #[test]
@@ -223,6 +255,19 @@ mod tests {
         let collected: Vec<_> = cs.iter().map(|(s, p)| (s, p.to_vec())).collect();
         assert_eq!(collected[0], (CellShape::Vertex, vec![9]));
         assert_eq!(collected[1], (CellShape::Quad, vec![0, 1, 2, 3]));
+    }
+
+    #[test]
+    fn max_point_id_is_the_largest_id_at_every_thread_count() {
+        let mut cs = CellSet::new();
+        for i in 0..(3 * SCAN_MIN_LEN as u32) / 4 + 1 {
+            let spike = if i % 5003 == 17 { 9_000_000 + i } else { i };
+            cs.push(CellShape::Tetra, &[i, spike, i / 2, 3]);
+        }
+        let expect = cs.iter().flat_map(|(_, ids)| ids.to_vec()).max();
+        for threads in [1, 2, 7, 16] {
+            assert_eq!(par::with_threads(threads, || cs.max_point_id()), expect);
+        }
     }
 
     #[test]

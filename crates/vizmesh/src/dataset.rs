@@ -142,55 +142,6 @@ impl DataSet {
     pub fn cell_scalars(&self, name: &str) -> Option<&[f64]> {
         self.field_with(name, Association::Cells)?.as_scalar()
     }
-
-    /// Drop points not referenced by any cell and remap connectivity.
-    /// No-op for structured datasets. Point fields are compacted in step.
-    pub fn compact_points(&mut self) {
-        let Geometry::Explicit { points, cells } = &mut self.geometry else {
-            return;
-        };
-        let mut used = vec![false; points.len()];
-        for &p in cells.connectivity() {
-            used[p as usize] = true;
-        }
-        if used.iter().all(|&u| u) {
-            return;
-        }
-        let mut remap = vec![u32::MAX; points.len()];
-        let mut new_points = Vec::with_capacity(used.iter().filter(|&&u| u).count());
-        for (old, &u) in used.iter().enumerate() {
-            if u {
-                remap[old] = new_points.len() as u32;
-                new_points.push(points[old]);
-            }
-        }
-        cells.remap_points(&remap);
-        *points = new_points;
-        for f in &mut self.fields {
-            if f.association == Association::Points {
-                match &mut f.data {
-                    crate::field::FieldData::Scalar(v) => {
-                        let mut out = Vec::with_capacity(points.len());
-                        for (old, &u) in used.iter().enumerate() {
-                            if u {
-                                out.push(v[old]);
-                            }
-                        }
-                        *v = out;
-                    }
-                    crate::field::FieldData::Vector(v) => {
-                        let mut out = Vec::with_capacity(points.len());
-                        for (old, &u) in used.iter().enumerate() {
-                            if u {
-                                out.push(v[old]);
-                            }
-                        }
-                        *v = out;
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -256,57 +207,5 @@ mod tests {
     fn wrong_length_field_panics() {
         let mut ds = tri_dataset();
         ds.add_field(Field::scalar("e", Association::Points, vec![1.0]));
-    }
-
-    #[test]
-    fn compact_points_drops_unreferenced() {
-        let points = vec![Vec3::ZERO, Vec3::X, Vec3::Y, Vec3::Z, Vec3::ONE];
-        let mut cells = CellSet::new();
-        cells.push(CellShape::Triangle, &[0, 2, 4]);
-        let mut ds = DataSet::explicit(points, cells);
-        ds.add_field(Field::scalar(
-            "v",
-            Association::Points,
-            vec![0.0, 1.0, 2.0, 3.0, 4.0],
-        ));
-        ds.compact_points();
-        assert_eq!(ds.num_points(), 3);
-        let (pts, cs) = ds.as_explicit().unwrap();
-        assert_eq!(pts, &[Vec3::ZERO, Vec3::Y, Vec3::ONE]);
-        assert_eq!(cs.cell_points(0), &[0, 1, 2]);
-        assert_eq!(ds.point_scalars("v").unwrap(), &[0.0, 2.0, 4.0]);
-    }
-
-    #[test]
-    fn compact_points_remaps_mixed_hex_and_tet_cells() {
-        // Twelve points, a hex on 1..=8 and a tet sharing two of them:
-        // points 0 and 10 are unreferenced.
-        let points: Vec<Vec3> = (0..12).map(|i| Vec3::splat(i as f64)).collect();
-        let mut cells = CellSet::new();
-        cells.push(CellShape::Hexahedron, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        cells.push(CellShape::Tetra, &[11, 8, 9, 2]);
-        let mut ds = DataSet::explicit(points.clone(), cells.clone());
-        ds.add_field(Field::vector("u", Association::Points, points.clone()));
-        ds.add_field(Field::scalar("c", Association::Cells, vec![7.0, 8.0]));
-        ds.compact_points();
-
-        // What the cell-by-cell rebuild produced: kept points in order,
-        // every reference shifted down by the dropped points below it.
-        let kept: Vec<Vec3> = [1, 2, 3, 4, 5, 6, 7, 8, 9, 11].map(|i| points[i]).to_vec();
-        let mut expect_cells = CellSet::new();
-        expect_cells.push(CellShape::Hexahedron, &[0, 1, 2, 3, 4, 5, 6, 7]);
-        expect_cells.push(CellShape::Tetra, &[9, 7, 8, 1]);
-        let mut expect = DataSet::explicit(kept.clone(), expect_cells);
-        expect.add_field(Field::vector("u", Association::Points, kept));
-        expect.add_field(Field::scalar("c", Association::Cells, vec![7.0, 8.0]));
-        assert_eq!(ds, expect);
-    }
-
-    #[test]
-    fn compact_points_noop_when_all_used() {
-        let mut ds = tri_dataset();
-        let before = ds.clone();
-        ds.compact_points();
-        assert_eq!(ds, before);
     }
 }

@@ -1,5 +1,6 @@
 //! Named data arrays attached to mesh points or cells.
 
+use crate::par;
 use crate::vec3::Vec3;
 
 /// Whether a field's values live on mesh points or on cells.
@@ -87,23 +88,39 @@ impl Field {
     }
 
     /// `(min, max)` of a scalar field; `None` for vector or empty fields.
+    /// The first value to reach each extreme is the one returned (so the
+    /// sign of a zero extreme is the first zero's) and NaNs are skipped:
+    /// chunks fold with strict comparisons on `par`, and their extremes
+    /// are folded in chunk order with the same ones.
     pub fn scalar_range(&self) -> Option<(f64, f64)> {
         let v = self.as_scalar()?;
         if v.is_empty() {
             return None;
         }
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &x in v {
-            if x < lo {
-                lo = x;
-            }
-            if x > hi {
-                hi = x;
-            }
-        }
-        Some((lo, hi))
+        let chunks = par::map_chunks(v.len(), RANGE_MIN_LEN, |chunk| {
+            vec![extremes(v[chunk].iter().map(|&x| (x, x)))]
+        });
+        Some(extremes(chunks.into_iter()))
     }
+}
+
+/// Values per chunk below which [`Field::scalar_range`] stays on one
+/// thread: a scan costs well under a nanosecond a value.
+const RANGE_MIN_LEN: usize = 1 << 15;
+
+/// The smallest first and largest second of `pairs`, each the first to
+/// reach it (strict comparisons; NaNs never win).
+fn extremes(pairs: impl Iterator<Item = (f64, f64)>) -> (f64, f64) {
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for (low, high) in pairs {
+        if low < lo {
+            lo = low;
+        }
+        if high > hi {
+            hi = high;
+        }
+    }
+    (lo, hi)
 }
 
 #[cfg(test)]
@@ -128,6 +145,54 @@ mod tests {
         );
         assert!(f.as_scalar().is_none());
         assert_eq!(f.as_vector().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn scalar_range_is_the_sequential_fold_at_every_thread_count() {
+        // The fold the chunked scan replaced.
+        let sequential = |v: &[f64]| {
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for &x in v {
+                if x < lo {
+                    lo = x;
+                }
+                if x > hi {
+                    hi = x;
+                }
+            }
+            (lo.to_bits(), hi.to_bits())
+        };
+        let n_cut = 2 * RANGE_MIN_LEN;
+        for n in [
+            1,
+            RANGE_MIN_LEN - 1,
+            n_cut,
+            n_cut + 1,
+            9 * RANGE_MIN_LEN + 5,
+        ] {
+            // Zeros of both signs, NaNs, and ties of the extremes spread
+            // over every chunk: the first of each must win.
+            let v: Vec<f64> = (0..n)
+                .map(|i| match i % 7 {
+                    0 => f64::NAN,
+                    1 => 0.0,
+                    2 => -0.0,
+                    _ => ((i * 37) % 11) as f64 - 5.0 * ((i / 13) % 2) as f64,
+                })
+                .collect();
+            let zeros: Vec<f64> = (0..n)
+                .map(|i| if i % 3 == 0 { -0.0 } else { 0.0 })
+                .collect();
+            let nans = vec![f64::NAN; n];
+            for values in [v, zeros, nans] {
+                let f = Field::scalar("x", Association::Points, values.clone());
+                for threads in [1, 2, 7, 16] {
+                    let (lo, hi) = par::with_threads(threads, || f.scalar_range()).unwrap();
+                    let got = (lo.to_bits(), hi.to_bits());
+                    assert_eq!(got, sequential(&values), "n {n}, {threads} threads");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,37 @@ fn vec3_strategy(range: std::ops::Range<f64>) -> impl Strategy<Value = Vec3> {
     (range.clone(), range.clone(), range).prop_map(|(x, y, z)| Vec3::new(x, y, z))
 }
 
+/// `Aabb::intersect_ray` as it was written before its miss test moved
+/// after the loop: the same per-axis updates, a miss test after each.
+fn per_axis_slab_test(
+    b: &Aabb,
+    origin: Vec3,
+    inv_dir: Vec3,
+    t_min: f64,
+    t_max: f64,
+) -> Option<(f64, f64)> {
+    let mut t0 = t_min;
+    let mut t1 = t_max;
+    for axis in 0..3 {
+        let inv = inv_dir[axis];
+        let mut near = (b.min[axis] - origin[axis]) * inv;
+        let mut far = (b.max[axis] - origin[axis]) * inv;
+        if near > far {
+            std::mem::swap(&mut near, &mut far);
+        }
+        if near > t0 {
+            t0 = near;
+        }
+        if far < t1 {
+            t1 = far;
+        }
+        if t0 > t1 {
+            return None;
+        }
+    }
+    Some((t0, t1))
+}
+
 proptest! {
     /// Trilinear sampling must reproduce arbitrary linear fields exactly
     /// (to rounding) anywhere inside the grid.
@@ -158,6 +189,51 @@ proptest! {
             let grown = Aabb::new(Vec3::splat(-1e-6), Vec3::splat(1.0 + 1e-6));
             prop_assert!(grown.contains(p), "p = {p:?} at t = {tm}");
         }
+    }
+
+    /// One miss test after the three axes returns what a test per axis
+    /// returned, bit for bit: boxes on integer corners (and the empty
+    /// box), origins on their slab planes or off them, zero and signed
+    /// zero direction components (so `0 · ∞ = NaN` reaches the
+    /// comparisons), `t_max = 0` and infinite bounds.
+    #[test]
+    fn the_slab_test_is_the_per_axis_test(
+        corner in (-2i32..3, -2i32..3, -2i32..3),
+        extent in (0i32..3, 0i32..3, 0i32..3),
+        empty in 0u8..6,
+        origin in (-3i32..4, -3i32..4, -3i32..4),
+        off_plane in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        shift in 0u8..8,
+        dir in (0usize..6, 0usize..6, 0usize..6),
+        bounds in (0usize..3, 0usize..4),
+    ) {
+        let at = |v: (i32, i32, i32)| Vec3::new(v.0 as f64, v.1 as f64, v.2 as f64);
+        let b = if empty == 0 {
+            Aabb::empty()
+        } else {
+            Aabb::new(at(corner), at(corner) + at(extent))
+        };
+        // Each origin component on an integer (a slab plane, when a box
+        // face lies there) unless its bit of `shift` moves it off.
+        let moved = Vec3::new(
+            off_plane.0 * f64::from(shift & 1),
+            off_plane.1 * f64::from(shift >> 1 & 1),
+            off_plane.2 * f64::from(shift >> 2 & 1),
+        );
+        let o = at(origin) + moved;
+        let component = [0.0, -0.0, 1.0, -1.0, 0.5, -3.0];
+        let inv = Vec3::new(
+            1.0 / component[dir.0],
+            1.0 / component[dir.1],
+            1.0 / component[dir.2],
+        );
+        let t_min = [0.0, -1.0, f64::NEG_INFINITY][bounds.0];
+        let t_max = [0.0, 1.5, 10.0, f64::INFINITY][bounds.1];
+        let bits = |hit: Option<(f64, f64)>| hit.map(|(t0, t1)| (t0.to_bits(), t1.to_bits()));
+        prop_assert_eq!(
+            bits(b.intersect_ray(o, inv, t_min, t_max)),
+            bits(per_axis_slab_test(&b, o, inv, t_min, t_max))
+        );
     }
 
     /// Camera rays always have unit direction and originate at the camera.

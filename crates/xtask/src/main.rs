@@ -111,6 +111,9 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
     // Informational: the size table of the ROADMAP's counting rule.
     ("cargo xtask count", None),
     ("cargo build --release", None),
+    // The one test a debug build skips: the 64³ hydro solve behind
+    // `store::tests::an_upsampled_size_journals_its_base_solve_once`.
+    ("cargo test --release -q -p vizpower --lib", None),
     ("cargo test --workspace -q", None),
     // One thread: every `vizmesh::par` call takes its inline branch, so
     // the chunk forms' whole-range path is exercised as well as the cut
