@@ -21,6 +21,16 @@
 //! [`vizmesh::WorkCounters`] so the in situ power experiments can model
 //! the *simulation's* power draw alongside the visualization's.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 mod driver;
 mod eos;
 pub mod kernels;

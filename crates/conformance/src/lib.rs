@@ -29,6 +29,16 @@
 //! carries the fingerprint of the exact [`AlgorithmSpec`] it checked (see
 //! docs/OBSERVABILITY.md and docs/CONFORMANCE.md).
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod backend;
 pub mod fields;
 mod flow;

@@ -88,12 +88,9 @@ fn sequential_marching_cubes(
     iso: f64,
 ) -> (Vec<Vec3>, Vec<[u32; 3]>) {
     let table = triangle_table();
-    // Pre-sized for a surface crossing ~n² cells: keeps the reference
-    // obvious while staying off the hot-loop-alloc lint's radar.
-    let est = 4 * grid.num_cells() / grid.cell_dims()[0].max(1);
-    let mut weld: HashMap<u64, u32> = HashMap::with_capacity(est);
-    let mut points: Vec<Vec3> = Vec::with_capacity(est);
-    let mut tris: Vec<[u32; 3]> = Vec::with_capacity(2 * est);
+    let mut weld: HashMap<u64, u32> = HashMap::new();
+    let mut points: Vec<Vec3> = Vec::new();
+    let mut tris: Vec<[u32; 3]> = Vec::new();
     for c in 0..grid.num_cells() {
         let ids = grid.cell_point_ids(c);
         let mut config = 0u8;

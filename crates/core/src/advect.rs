@@ -197,7 +197,7 @@ pub fn run_sweep(cfg: &AdvectConfig, journal: &mut Journal) -> AdvectReport {
             let spec_fp = spec.fingerprint();
             let kernel = spec
                 .build_flow()
-                // lint: infallible — the spec above is always advection
+                // Infallible: the spec above is always advection.
                 .expect("advection spec builds a flow kernel");
             let out = kernel.execute_series(&series);
             let lines = out.dataset.as_ref().map_or(0, |d| d.num_cells());

@@ -29,6 +29,16 @@
 //! identical inputs produce byte-identical journals regardless of thread
 //! count or wall-clock (see `docs/GOVERNOR.md`).
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 mod control;
 mod pair;
 mod policy;

@@ -90,9 +90,12 @@ impl Package {
     }
 
     /// Program a package cap (clamped to the supported range).
+    #[expect(
+        clippy::expect_used,
+        reason = "MSR_PKG_POWER_LIMIT is writable in the msr-safe allowlist"
+    )]
     pub(crate) fn set_cap(&mut self, watts: Watts) {
         PowerLimiter::set_cap(&mut self.msr, &self.spec, watts)
-            // lint: infallible because MSR_PKG_POWER_LIMIT is writable in the msr-safe allowlist
             .expect("power-limit MSR is writable");
     }
 

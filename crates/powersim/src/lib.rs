@@ -34,6 +34,16 @@
 //! workspace performs is reading these simulated counters exactly the way
 //! the paper reads the real ones.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 mod counters;
 pub mod cpu;
 pub mod exec;

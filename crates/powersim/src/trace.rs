@@ -38,9 +38,9 @@
 //!    complete one.
 //!
 //! The serialized schema is versioned (`SCHEMA_VERSION`) and
-//! documented in `docs/OBSERVABILITY.md`; `cargo xtask lint` enforces
-//! that every [`Kind`] and [`Scope`] variant has a row in that
-//! document's schema table.
+//! documented in `docs/OBSERVABILITY.md`; the unit test
+//! `schema_table_in_the_docs_matches_the_wire_tables` checks that every
+//! [`Kind`] and [`Scope`] variant has a row in its schema table.
 
 #![deny(missing_docs)]
 

@@ -23,8 +23,8 @@
 //!   per cell.
 //!
 //! The workspace policy (DESIGN.md: "no per-cell allocation in kernel
-//! inner loops") is enforced by the `hot-loop-alloc` pass of
-//! `cargo xtask lint`.
+//! inner loops") is a review rule; the per-kernel laps of
+//! `benchmarks/run.sh` are its evidence.
 #![deny(missing_docs)]
 
 /// An integer key type usable in a `WeldMap`.

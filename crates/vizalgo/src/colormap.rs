@@ -45,9 +45,16 @@ impl ColorMap {
     }
 
     /// Sample the map at normalized scalar `t` (clamped to `[0, 1]`).
+    #[expect(
+        clippy::unwrap_used,
+        reason = "every constructor produces at least one stop"
+    )]
     pub(crate) fn sample(&self, t: f64) -> [f32; 4] {
         let t = t.clamp(0.0, 1.0);
-        // lint: infallible because every constructor produces at least one stop
+        #[expect(
+            clippy::unwrap_used,
+            reason = "every constructor produces at least one stop"
+        )]
         let first = self.stops.first().unwrap();
         if t <= first.0 {
             return first.1;
@@ -72,7 +79,6 @@ impl ColorMap {
                 ];
             }
         }
-        // lint: infallible because every constructor produces at least one stop
         self.stops.last().unwrap().1
     }
 

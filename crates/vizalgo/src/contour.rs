@@ -60,6 +60,10 @@ const FACES: [[usize; 4]; 6] = [
 pub(crate) type CaseTriangles = Vec<[u8; 3]>;
 
 /// Generate (or fetch) the full 256-case triangle table.
+#[expect(
+    clippy::expect_used,
+    reason = "the loop below pushes exactly 256 cases"
+)]
 pub fn triangle_table() -> &'static [CaseTriangles; 256] {
     static TABLE: OnceLock<Box<[CaseTriangles; 256]>> = OnceLock::new();
     TABLE.get_or_init(|| {
@@ -67,7 +71,6 @@ pub fn triangle_table() -> &'static [CaseTriangles; 256] {
         for config in 0..256u16 {
             table.push(build_case(config as u8));
         }
-        // lint: infallible because the loop above pushes exactly 256 cases
         table.try_into().expect("exactly 256 cases")
     })
 }
@@ -82,6 +85,10 @@ fn edge_between(a: usize, b: usize) -> Option<u8> {
 
 /// Build the triangles for one configuration. Bit `i` of `config` set
 /// means corner `i` is inside (value above the isovalue).
+#[expect(
+    clippy::expect_used,
+    reason = "consecutive corners of a face cycle share an edge"
+)]
 fn build_case(config: u8) -> CaseTriangles {
     let inside = |c: usize| config >> c & 1 == 1;
 
@@ -94,7 +101,6 @@ fn build_case(config: u8) -> CaseTriangles {
         // Face edges: between consecutive corners of the cycle.
         let mut fe = [0u8; 4];
         for (i, slot) in fe.iter_mut().enumerate() {
-            // lint: infallible because consecutive corners of a face cycle share an edge
             *slot = edge_between(face[i], face[(i + 1) % 4]).expect("face edge");
         }
         let mut crossing = [0usize; 4];
@@ -127,7 +133,10 @@ fn build_case(config: u8) -> CaseTriangles {
                     }
                 }
             }
-            // lint: infallible because sign changes around a 4-cycle come in pairs
+            #[expect(
+                clippy::unreachable,
+                reason = "sign changes around a 4-cycle come in pairs"
+            )]
             n => unreachable!("a quad face cannot have {n} sign changes"),
         }
     }

@@ -149,26 +149,32 @@ pub(crate) fn concat_surfaces(
 /// The uniform grid under `input`, or a panic naming the filter `who`.
 /// With [`point_scalars`] and [`point_vectors`], the one place a filter
 /// of either backend meets an input it cannot run on.
+#[expect(clippy::panic, reason = "the study harness only feeds uniform grids")]
 pub(crate) fn structured<'a>(input: &'a DataSet, who: &str) -> &'a UniformGrid {
     input
         .as_uniform()
-        // lint: infallible because the study harness only feeds uniform grids
         .unwrap_or_else(|| panic!("{who}: expects a structured dataset"))
 }
 
 /// The point scalar `field` of `input`, or a panic naming `who` and it.
+#[expect(
+    clippy::panic,
+    reason = "the pipeline registers the field before running"
+)]
 pub(crate) fn point_scalars<'a>(input: &'a DataSet, who: &str, field: &str) -> &'a [f64] {
     input
         .point_scalars(field)
-        // lint: infallible because the pipeline registers the field before running
         .unwrap_or_else(|| panic!("{who}: missing point scalar field '{field}'"))
 }
 
 /// The point vector `field` of `input`, or a panic naming `who` and it.
+#[expect(
+    clippy::panic,
+    reason = "the pipeline registers the field before running"
+)]
 pub(crate) fn point_vectors<'a>(input: &'a DataSet, who: &str, field: &str) -> &'a [Vec3] {
     input
         .point_vectors(field)
-        // lint: infallible because the pipeline registers the field before running
         .unwrap_or_else(|| panic!("{who}: missing point vector field '{field}'"))
 }
 

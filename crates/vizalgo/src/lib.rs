@@ -52,6 +52,15 @@
     clippy::disallowed_methods,
     reason = "the filter constructors and the registry that calls them live here"
 )]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 mod advection;
 pub mod arena;

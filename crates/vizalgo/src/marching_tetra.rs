@@ -55,7 +55,10 @@ pub(crate) fn contour_tet(
             out.push([p_ac, p_ad, p_bd]);
             out.push([p_ac, p_bd, p_bc]);
         }
-        // lint: infallible because a tetrahedron has zero to four inside vertices
+        #[expect(
+            clippy::unreachable,
+            reason = "a tetrahedron has zero to four inside vertices"
+        )]
         _ => unreachable!(),
     }
 }

@@ -857,7 +857,10 @@ fn clip_tets(
                 out.push([ad, b, bc, bd]);
                 work.tally(3, 110, 34, 128, 64);
             }
-            // lint: infallible because a tetrahedron keeps zero to four vertices
+            #[expect(
+                clippy::unreachable,
+                reason = "a tetrahedron keeps zero to four vertices"
+            )]
             _ => unreachable!(),
         }
     }

@@ -37,6 +37,16 @@
 //! uniform hexahedral grids of `double` scalars (CloverLeaf output) and the
 //! unstructured triangle/polyline/hex outputs of the eight filters.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 mod bounds;
 mod camera;
 mod cells;

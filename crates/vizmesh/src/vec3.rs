@@ -219,8 +219,10 @@ impl Index<usize> for Vec3 {
             0 => &self.x,
             1 => &self.y,
             2 => &self.z,
-            // lint: infallible because Vec3 has exactly three
-            // components; every caller indexes an axis in 0..3.
+            #[expect(
+                clippy::panic,
+                reason = "Vec3 has exactly three components; every caller indexes an axis in 0..3"
+            )]
             _ => panic!("Vec3 index out of range: {i}"),
         }
     }

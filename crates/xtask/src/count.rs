@@ -13,7 +13,6 @@ use std::io;
 use std::path::Path;
 
 use crate::lex::{self, SourceFile};
-use crate::policy::crate_of;
 
 /// Keywords that can follow `pub` at the start of an item declaration.
 const ITEM_KEYWORDS: [&str; 13] = [
@@ -48,6 +47,13 @@ pub fn count_file(file: &SourceFile) -> (usize, usize) {
 fn is_pub_item(code: &str) -> bool {
     let mut words = code.split_whitespace();
     words.next() == Some("pub") && words.next().is_some_and(|w| ITEM_KEYWORDS.contains(&w))
+}
+
+/// Returns the crate name (directory under `crates/`) for a
+/// workspace-relative path, or `None` for the root package.
+fn crate_of(rel_path: &str) -> Option<&str> {
+    let rest = rel_path.strip_prefix("crates/")?;
+    rest.split('/').next()
 }
 
 /// One [`Count`] per package under `root`, in path order (`crates/*`,

@@ -2,11 +2,8 @@
 
 use std::fmt;
 
-/// Names of the lint passes, used in diagnostic output and golden tests.
-pub const PANIC_POLICY: &str = "panic-policy";
+/// Name of the lint pass, used in diagnostic output and golden tests.
 pub const UNIT_SAFETY: &str = "unit-safety";
-pub const HOT_LOOP_ALLOC: &str = "hot-loop-alloc";
-pub const ALLOWLIST: &str = "allowlist";
 
 /// One finding, anchored to a file and line.
 #[derive(Debug, Clone, PartialEq, Eq)]

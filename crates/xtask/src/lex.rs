@@ -1,15 +1,15 @@
-//! The one source model every pass reads: a dependency-free lexer for
-//! Rust source, the block model and cleaned line view derived from its
-//! token stream, and the workspace walk that feeds files in.
+//! The one source model `cargo xtask lint` and `cargo xtask count` read:
+//! a dependency-free lexer for Rust source, the cleaned line view
+//! derived from its token stream, and the workspace walk that feeds
+//! files in.
 //!
 //! The analyzer is deliberately lexical — it never parses Rust, which
 //! keeps the crate std-only (it must build before anything else does).
 //! Each file is tokenized once by [`lex`]; [`SourceFile::parse`] then
-//! derives, from that same stream, the per-line cleaned view the passes
-//! match on (comments and string/char literal *contents* removed) and
-//! the block-model annotations (loop/closure nesting depth, enclosing
-//! function). The repo policies' trigger tokens (`.unwrap()`,
-//! `Vec::new(`, `cap_watts: f64`) are unambiguous at that level.
+//! derives, from that same stream, the per-line cleaned view (comments
+//! and string/char literal *contents* removed) and the `#[cfg(test)]`
+//! marking. The unit-safety trigger (`cap_watts: f64`) is unambiguous
+//! at that level.
 //!
 //! The lexer understands the constructs a per-line state machine gets
 //! wrong:
@@ -21,10 +21,6 @@
 //! * char literals vs lifetimes (`'a'` vs `'a`), including escaped and
 //!   byte chars (`'\n'`, `b'x'`);
 //! * raw identifiers (`r#fn`), which are identifiers, not raw strings.
-//!
-//! The block model is a heuristic over the token stream (brace frames
-//! classified by the keywords that precede them), which is exactly
-//! enough for the hot-loop pass.
 
 use std::fs;
 use std::io;
@@ -64,7 +60,7 @@ pub struct Token {
 }
 
 impl Token {
-    /// True for tokens the block model reasons about (not whitespace or
+    /// True for tokens the lint reasons about (not whitespace or
     /// comments).
     pub fn is_significant(&self) -> bool {
         !matches!(self.kind, Kind::Ws | Kind::LineComment | Kind::BlockComment)
@@ -281,179 +277,18 @@ fn skip_number(chars: &[char], mut i: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Block model
-// ---------------------------------------------------------------------------
-
-/// Iterator adapters whose closure argument executes once per element:
-/// code inside their call parentheses runs in a loop even though no
-/// `for` keyword appears. Used by the hot-loop nesting model.
-const LOOP_ADAPTERS: &[&str] = &[
-    "map",
-    "for_each",
-    "try_for_each",
-    "filter",
-    "filter_map",
-    "flat_map",
-    "fold",
-    "try_fold",
-    "scan",
-    "inspect",
-    "retain",
-    "map_while",
-    "take_while",
-    "skip_while",
-    "find_map",
-    "position",
-    "partition",
-    "zip_eq",
-];
-
-/// Where the block model places one token.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct BlockCtx {
-    /// How many loop bodies enclose the token: `for`/`while`/`loop`
-    /// braces plus [`LOOP_ADAPTERS`] call parentheses.
-    pub loop_depth: usize,
-    /// Name of the innermost enclosing `fn` body, if any. Signature
-    /// tokens (before the body's `{`) carry `None`.
-    pub fn_name: Option<String>,
-}
-
-/// What one `{ … }` frame was opened by.
-enum Frame {
-    Fn(String),
-    Loop,
-    Plain,
-}
-
-/// The item or loop header seen since the last `{`, `}` or
-/// statement-level `;`: what the next `{` will open.
-#[derive(Default)]
-struct Pending {
-    /// `fn name` was seen, at this paren depth.
-    fn_name: Option<String>,
-    fn_parens: usize,
-    /// `fn` was seen; the next identifier is its name.
-    awaiting_fn_name: bool,
-    /// `for`/`while`/`loop` was seen, at this paren depth.
-    is_loop: bool,
-    loop_parens: usize,
-    /// `impl` was seen: a following `for` is a trait impl, not a loop.
-    is_impl: bool,
-}
-
-/// The block-model context of each token, parallel to the input: the
-/// loop depth and enclosing function *at* that token (before its own
-/// effect applies — an opening `{` still belongs to its header).
-/// Heuristic, token-level:
-///
-/// * a `{` is a function body when the pending run since the last
-///   `{`/`}`/`;` contains `fn name` at the same paren depth;
-/// * a `{` is a loop body when the run contains `for`/`while`/`loop` at
-///   the same paren depth — except `for` inside an `impl … for … {`
-///   header, which is a trait impl, not a loop;
-/// * a `(` directly preceded by `.adapter` for a name in
-///   [`LOOP_ADAPTERS`] opens a loop context until its `)`.
-fn token_contexts(toks: &[Token]) -> Vec<BlockCtx> {
-    let mut ctx = Vec::with_capacity(toks.len());
-    let mut braces: Vec<Frame> = Vec::new();
-    // One bool per open paren/bracket: true when it is a loop-adapter call.
-    let mut parens: Vec<bool> = Vec::new();
-    let mut loop_depth = 0usize;
-    let mut pending = Pending::default();
-    // The last two significant tokens, most recent first.
-    let mut prev: [Option<(Kind, &str)>; 2] = [None, None];
-
-    for t in toks {
-        ctx.push(BlockCtx {
-            loop_depth,
-            fn_name: braces.iter().rev().find_map(|f| match f {
-                Frame::Fn(name) => Some(name.clone()),
-                _ => None,
-            }),
-        });
-        if !t.is_significant() {
-            continue;
-        }
-        match (t.kind, t.text.as_str()) {
-            (Kind::Ident, "fn") => pending.awaiting_fn_name = true,
-            (Kind::Ident, "impl") => pending.is_impl = true,
-            (Kind::Ident, "for" | "while" | "loop")
-                if !pending.is_impl && !pending.awaiting_fn_name =>
-            {
-                pending.is_loop = true;
-                pending.loop_parens = parens.len();
-            }
-            (Kind::Ident, name) if pending.awaiting_fn_name => {
-                pending.fn_name = Some(name.to_string());
-                pending.awaiting_fn_name = false;
-                pending.fn_parens = parens.len();
-            }
-            (Kind::Punct, "(") => {
-                let adapter = matches!(
-                    prev,
-                    [Some((Kind::Ident, m)), Some((Kind::Punct, "."))] if LOOP_ADAPTERS.contains(&m)
-                );
-                loop_depth += usize::from(adapter);
-                parens.push(adapter);
-            }
-            // Square brackets share the stack so the `;` inside an
-            // array type (`[[u32; 4]]`) or literal is not mistaken for
-            // a statement end.
-            (Kind::Punct, "[") => parens.push(false),
-            (Kind::Punct, ")" | "]") => {
-                let closes_loop = parens.pop() == Some(true);
-                loop_depth = loop_depth.saturating_sub(usize::from(closes_loop));
-            }
-            (Kind::Punct, "{") => {
-                let header = std::mem::take(&mut pending);
-                braces.push(match header.fn_name {
-                    Some(name) if parens.len() == header.fn_parens => Frame::Fn(name),
-                    _ if header.is_loop && parens.len() == header.loop_parens => {
-                        loop_depth += 1;
-                        Frame::Loop
-                    }
-                    _ => Frame::Plain,
-                });
-            }
-            (Kind::Punct, "}") => {
-                if let Some(Frame::Loop) = braces.pop() {
-                    loop_depth = loop_depth.saturating_sub(1);
-                }
-            }
-            // Only a statement-level `;` (outside all parens and
-            // brackets) ends a pending item header.
-            (Kind::Punct, ";") if parens.is_empty() => pending = Pending::default(),
-            _ => {}
-        }
-        prev = [Some((t.kind, t.text.as_str())), prev[0]];
-    }
-    ctx
-}
-
-// ---------------------------------------------------------------------------
 // Source model
 // ---------------------------------------------------------------------------
 
 /// One physical source line after lexical cleaning.
 #[derive(Debug, Clone)]
 pub struct Line {
-    /// 1-based line number, for diagnostics.
-    pub number: usize,
     /// The line with comments and string/char literal *contents* removed.
     pub code: String,
     /// The comment text found on the line (line and block comments).
     pub comment: String,
-    /// The raw line as written, used for allowlist substring matching.
-    pub raw: String,
     /// True when the line sits inside a `#[cfg(test)]`-gated item.
     pub in_test: bool,
-    /// The deepest loop/closure nesting among the line's tokens.
-    pub loop_depth: usize,
-    /// Name of the innermost enclosing `fn` body, if any. Blank and
-    /// comment-only lines inherit the context that holds between the
-    /// surrounding tokens, so a function's lines stay one run.
-    pub fn_name: Option<String>,
 }
 
 /// A cleaned source file, addressed by its workspace-relative path.
@@ -464,52 +299,24 @@ pub struct SourceFile {
     pub lines: Vec<Line>,
     /// The raw token stream the lines were derived from.
     pub(crate) tokens: Vec<Token>,
-    /// Block-model context of each token (parallel to `tokens`), for
-    /// passes that need token-accurate loop depth rather than the
-    /// per-line maximum.
-    pub(crate) token_ctx: Vec<BlockCtx>,
 }
 
 impl SourceFile {
     pub fn parse(rel_path: &str, text: &str) -> SourceFile {
         let tokens = lex(text);
-        let token_ctx = token_contexts(&tokens);
-        let mut raws = text.lines();
         let mut lines: Vec<Line> = clean(&tokens)
             .into_iter()
-            .enumerate()
-            .map(|(i, (code, comment))| Line {
-                number: i + 1,
+            .map(|(code, comment)| Line {
                 code,
                 comment,
-                raw: raws.next().unwrap_or("").to_string(),
                 in_test: false,
-                loop_depth: 0,
-                fn_name: None,
             })
             .collect();
-        // Line contexts: each significant token stamps its own line and
-        // any blank/comment-only lines skipped since the previous one.
-        let mut filled_to = 0usize;
-        for (t, tc) in tokens.iter().zip(&token_ctx) {
-            if !t.is_significant() {
-                continue;
-            }
-            let skipped = filled_to.min(t.line - 1);
-            for line in lines.iter_mut().take(t.line).skip(skipped) {
-                line.loop_depth = line.loop_depth.max(tc.loop_depth);
-                if line.fn_name.is_none() {
-                    line.fn_name = tc.fn_name.clone();
-                }
-            }
-            filled_to = filled_to.max(t.line);
-        }
         mark_test_regions(&mut lines);
         SourceFile {
             rel_path: rel_path.to_string(),
             lines,
             tokens,
-            token_ctx,
         }
     }
 
@@ -736,42 +543,6 @@ mod tests {
             .find(|t| t.kind == Kind::Ident && t.text == "b")
             .expect("ident b");
         assert_eq!(b.line, 4);
-    }
-
-    #[test]
-    fn line_contexts_track_loops_closures_and_fns() {
-        let text = "\
-pub fn hot(xs: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for x in xs {
-        while *x > acc {
-            acc += 1.0;
-        }
-    }
-    xs.iter().map(|v| {
-        v + 1.0
-    });
-    acc
-}
-";
-        let ctx = parse(text).lines;
-        // Line 1 is the signature; lines 2.. are the body of `hot`.
-        assert_eq!(ctx[0].fn_name, None);
-        assert_eq!(ctx[1].fn_name.as_deref(), Some("hot"));
-        assert_eq!(ctx[1].loop_depth, 0);
-        assert_eq!(ctx[3].loop_depth, 1); // `while` header inside `for`
-        assert_eq!(ctx[4].loop_depth, 2); // `acc += 1.0`
-        assert_eq!(ctx[8].loop_depth, 1); // closure body inside `.map(`
-        assert_eq!(ctx[10].loop_depth, 0);
-    }
-
-    #[test]
-    fn impl_for_is_not_a_loop() {
-        let text =
-            "impl Filter for Contour {\n    fn name(&self) -> &str {\n        \"c\"\n    }\n}\n";
-        let ctx = parse(text).lines;
-        assert!(ctx.iter().all(|c| c.loop_depth == 0));
-        assert_eq!(ctx[2].fn_name.as_deref(), Some("name"));
     }
 
     #[test]

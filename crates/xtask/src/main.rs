@@ -1,7 +1,7 @@
 //! CLI for the workspace automation tasks.
 //!
 //! ```text
-//! cargo xtask lint  [--root DIR]   # repo-specific static analysis
+//! cargo xtask lint  [--root DIR]   # unit-safety: no watt/joule quantity in a raw f64
 //! cargo xtask count [--root DIR]   # non-test lines and `pub` items, per package and total
 //! cargo xtask ci    [--root DIR]   # the whole CI gate; .github/workflows/ci.yml runs exactly this
 //! ```

@@ -1,9 +1,9 @@
 //! Goldens for the nasty corners of the `xtask::lex` tokenizer: the
-//! exact token streams, cleaned line views and line contexts the lint
-//! passes depend on. Each case is a construct a per-line state machine
-//! either gets wrong or only handles by luck.
+//! exact token streams and cleaned line views the lint depends on. Each
+//! case is a construct a per-line state machine either gets wrong or only
+//! handles by luck.
 
-use xtask::lex::{lex, Kind, Line, SourceFile};
+use xtask::lex::{lex, Kind, SourceFile};
 
 fn stream(text: &str) -> Vec<(Kind, String)> {
     lex(text)
@@ -13,12 +13,9 @@ fn stream(text: &str) -> Vec<(Kind, String)> {
         .collect()
 }
 
-fn lines(text: &str) -> Vec<Line> {
-    SourceFile::parse("crates/vizalgo/src/x.rs", text).lines
-}
-
 fn cleaned(text: &str) -> Vec<String> {
-    lines(text).into_iter().map(|l| l.code).collect()
+    let file = SourceFile::parse("crates/vizalgo/src/x.rs", text);
+    file.lines.into_iter().map(|l| l.code).collect()
 }
 
 #[test]
@@ -94,72 +91,6 @@ fn lifetimes_and_char_literals_disambiguate() {
         cleaned(text)[0],
         "fn f<'a>(x: &'a str) -> char { let c = ' '; let n = ' '; c }"
     );
-}
-
-#[test]
-fn cfg_guarded_braces_keep_the_block_model_balanced() {
-    // An `#[cfg(...)]` attribute between fn header and body must not
-    // derail function attribution, and the brace inside the attribute-
-    // guarded match arm pairs correctly.
-    let text = "\
-pub fn outer(sel: u8) -> u32 {
-    #[cfg(target_pointer_width = \"64\")]
-    let wide = true;
-    match sel {
-        0 => {
-            for i in 0..4 {
-                work(i);
-            }
-            1
-        }
-        _ => 2,
-    }
-}
-pub fn after() -> u32 { 3 }
-";
-    let ctx = lines(text);
-    // The header line carries the *surrounding* context (the body opens
-    // at its trailing `{`); the attribute line is already inside.
-    assert_eq!(ctx[0].fn_name, None);
-    assert_eq!(ctx[1].fn_name.as_deref(), Some("outer"));
-    assert_eq!(ctx[6].fn_name.as_deref(), Some("outer"));
-    assert_eq!(ctx[6].loop_depth, 1, "inside the for body");
-    assert_eq!(ctx[10].loop_depth, 0, "after the loop closes");
-    assert_eq!(ctx[13].fn_name.as_deref(), Some("after"));
-}
-
-#[test]
-fn array_types_with_semicolons_do_not_split_fn_headers() {
-    // The `;` inside `[[u32; 4]]` is type punctuation, not a statement
-    // end: the body must still attribute to `clip`.
-    let text = "\
-pub fn clip(tets: &[[u32; 4]], out: &mut Vec<[u32; 4]>) {
-    for t in tets {
-        out.push(*t);
-    }
-}
-";
-    let ctx = lines(text);
-    assert_eq!(ctx[2].fn_name.as_deref(), Some("clip"));
-    assert_eq!(ctx[2].loop_depth, 1);
-}
-
-#[test]
-fn comment_and_blank_lines_inherit_the_enclosing_context() {
-    let text = "\
-pub fn f() {
-    let t0 = now();
-
-    // a comment between open and close
-    push(t0);
-}
-";
-    let ctx = lines(text);
-    // Every interior line, including the blank and comment-only ones,
-    // stays attributed to `f` so function extents stay contiguous.
-    for i in 1..=4 {
-        assert_eq!(ctx[i].fn_name.as_deref(), Some("f"), "line {}", i + 1);
-    }
 }
 
 #[test]
