@@ -335,9 +335,9 @@ fn ablation_table(run: &mut Run) -> Outcome {
     let t2 = run.fidelity.table2_size();
     println!("== Extension: model ablations (contour at {t2}³) ==");
     let native = run.ctx.run(Algorithm::Contour, t2);
-    let caps = run.ctx.config().caps;
+    let caps = &run.ctx.config().caps;
     for ab in ablation::Ablation::ALL {
-        let result = ablation::run_ablation(&native, &caps, ab);
+        let result = ablation::run_ablation(&native, caps, ab);
         let (Some(r), Some(a)) = (result.reference.last(), result.ablated.last()) else {
             return Err(CliError::new("ablation needs at least one cap"));
         };

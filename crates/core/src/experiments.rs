@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn dpp_context_covers_exactly_the_formulated_algorithms() {
         use vizalgo::Backend;
-        let mut ctx = StudyContext::with_backend(ctx().config(), Backend::Dpp);
+        let mut ctx = StudyContext::with_backend(ctx().config().clone(), Backend::Dpp);
         let rows: Vec<Algorithm> = slowdown_table(&mut ctx, 8)
             .iter()
             .map(|s| s.algorithm)

@@ -354,7 +354,7 @@ fn sweep_tagged(
 /// so the same tables and figures contrast the two kernel formulations
 /// (Bethel et al., arXiv:2010.02361) by running them on two contexts.
 pub struct StudyContext {
-    pub(crate) config: Option<StudyConfig>,
+    config: StudyConfig,
     /// The study-wide run journal (disabled unless enabled explicitly).
     pub journal: Journal,
     backend: Backend,
@@ -372,7 +372,7 @@ impl StudyContext {
     /// `Traditional` is the plain fingerprint.
     pub fn with_backend(config: StudyConfig, backend: Backend) -> Self {
         StudyContext {
-            config: Some(config),
+            config,
             journal: Journal::off(),
             backend,
             store: DatasetStore::new(),
@@ -385,8 +385,8 @@ impl StudyContext {
         self.journal = Journal::with_capacity(capacity);
     }
 
-    pub fn config(&self) -> StudyConfig {
-        self.config.clone().unwrap_or_else(StudyConfig::paper)
+    pub fn config(&self) -> &StudyConfig {
+        &self.config
     }
 
     /// Dataset at `size`, computed once; the hydro base is shared, and a
@@ -406,10 +406,10 @@ impl StudyContext {
         if let Some(r) = self.runs.get(&(algorithm, size)) {
             return Arc::clone(r);
         }
-        let config = self.config();
         let ds = self.dataset(size);
+        let config = &self.config;
         let t0 = self.journal.now();
-        let run = Arc::new(native_run_on(self.backend, &config, algorithm, size, &ds));
+        let run = Arc::new(native_run_on(self.backend, config, algorithm, size, &ds));
         if self.journal.is_enabled() {
             let instructions: u64 = run.reports.iter().map(|r| r.work.instructions).sum();
             self.journal.push_span(
@@ -432,14 +432,13 @@ impl StudyContext {
     /// (when the journal is enabled) a [`Scope::Study`] span whose
     /// joules are the rollup of the per-cap sweep spans.
     pub fn sweep(&mut self, algorithm: Algorithm, size: usize) -> CapSweep {
-        let caps = self.config().caps;
         let run = self.run(algorithm, size);
         let spec_fp = run.spec.fingerprint_with(self.backend);
         let t0 = self.journal.now();
         let sweep = sweep_tagged(
             &run,
             spec_fp,
-            &caps,
+            &self.config.caps,
             &CpuSpec::broadwell_e5_2695v4(),
             &mut self.journal,
         );

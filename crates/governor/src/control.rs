@@ -54,10 +54,11 @@ pub(crate) fn clamp_budget(budget_watts: Watts, spec: &CpuSpec) -> Watts {
 
 /// Force a policy's request into the feasible region. Active sides are
 /// clamped to the hardware cap range (and, for a lone survivor, to the
-/// budget); retired sides are pinned to 0 W. If both sides are active
-/// and the clamped caps still exceed the budget, the request is replaced
-/// by the uniform split — a deterministic fallback that keeps a buggy
-/// policy from ever breaking the budget contract.
+/// budget), a NaN request landing on the floor; retired sides are
+/// pinned to 0 W. If both sides are active and the clamped caps still
+/// exceed the budget, the request is replaced by the uniform split — a
+/// deterministic fallback that keeps a buggy policy from ever breaking
+/// the budget contract.
 fn sanitize(
     raw: CapSplit,
     sim_active: bool,
@@ -69,12 +70,12 @@ fn sanitize(
     let hi = spec.tdp_watts;
     let mut split = CapSplit {
         sim: if sim_active {
-            raw.sim.clamp(lo, hi)
+            raw.sim.max(lo).min(hi)
         } else {
             Watts::ZERO
         },
         viz: if viz_active {
-            raw.viz.clamp(lo, hi)
+            raw.viz.max(lo).min(hi)
         } else {
             Watts::ZERO
         },
@@ -495,6 +496,42 @@ mod tests {
         );
         assert_eq!(s.sim, Watts::ZERO);
         assert_eq!(s.viz, Watts::ZERO);
+    }
+
+    #[test]
+    fn a_nan_policy_never_programs_outside_the_cap_range() {
+        const NAN: CapSplit = CapSplit {
+            sim: Watts(f64::NAN),
+            viz: Watts(f64::NAN),
+        };
+        struct NanPolicy;
+        impl Policy for NanPolicy {
+            fn name(&self) -> &'static str {
+                "nan"
+            }
+            fn initial(&mut self, _: &WorkloadPair, _: Watts, _: &CpuSpec) -> CapSplit {
+                NAN
+            }
+            fn decide(&mut self, _: &Observation, _: &CpuSpec) -> CapSplit {
+                NAN
+            }
+        }
+        let spec = spec();
+        let mut j = Journal::with_capacity(1 << 14);
+        govern(&pair(), &mut NanPolicy, Watts(160.0), &spec, &mut j);
+        let mut changes = 0;
+        for change in j.records(Kind::CapChange) {
+            for key in ["requested_watts", "actual_watts"] {
+                let cap = Watts(change.num(key).expect("cap field"));
+                assert!(
+                    cap >= spec.min_cap_watts && cap <= spec.tdp_watts,
+                    "{key} {cap}"
+                );
+            }
+            changes += 1;
+        }
+        // Both sides sit on the floor from the start, so nothing changes.
+        assert_eq!(changes, 2);
     }
 
     #[test]

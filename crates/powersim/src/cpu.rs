@@ -177,9 +177,10 @@ impl CpuSpec {
     }
 
     /// Clamp a requested cap into the supported range (the paper sweeps
-    /// 120 W down to 40 W).
+    /// 120 W down to 40 W). A NaN request lands on the floor, which no
+    /// budget can be below.
     pub(crate) fn clamp_cap(&self, cap_watts: Watts) -> Watts {
-        cap_watts.clamp(self.min_cap_watts, self.tdp_watts)
+        cap_watts.max(self.min_cap_watts).min(self.tdp_watts)
     }
 }
 

@@ -18,9 +18,7 @@
 
 use crate::counters::{derived, CounterBank};
 use crate::cpu::CpuSpec;
-use crate::msr::{addr, MsrFile};
-use crate::rapl::{PowerLimiter, CONTROL_WINDOW_SEC};
-use crate::timing::{bw_utilization, effective_activity, phase_time};
+use crate::timing::{bw_utilization, phase_time};
 use crate::trace::{Journal, Kind, Scope};
 use crate::units::{Joules, Watts};
 use crate::workload::{KernelPhase, Workload};
@@ -28,10 +26,19 @@ use crate::workload::{KernelPhase, Workload};
 /// Sampling period used by the study (§V-B): 100 ms.
 pub const SAMPLE_PERIOD_SEC: f64 = 0.100;
 
+/// RAPL power-limit granularity: caps are whole multiples of 1/8 W.
+const POWER_UNIT: Watts = Watts(0.125);
+
+/// Energy-status granularity on Broadwell-EP: 2⁻¹⁴ J (61 µJ) per tick.
+const ENERGY_UNIT: Joules = Joules(1.0 / 16384.0);
+
+/// Firmware control window: the cap is re-read at every 10 ms edge.
+const CONTROL_WINDOW_SEC: f64 = 0.010;
+
 /// One 100 ms sample: the derived metrics of §V-B over the interval.
 #[derive(Debug, Clone, Copy)]
 pub struct Sample {
-    /// Mean package power over the interval, from the energy MSR delta.
+    /// Mean package power over the interval, from the energy-counter delta.
     pub(crate) power_watts: Watts,
     /// Effective frequency over the interval (APERF/MPERF), in GHz.
     pub(crate) effective_freq_ghz: f64,
@@ -62,11 +69,19 @@ pub struct ExecResult {
 }
 
 /// One simulated processor package.
+///
+/// The RAPL registers the study reads through msr-safe (§V-B) are two
+/// plain fields: the programmed cap and the package energy-status
+/// counter, each holding exactly what its register field can encode.
 pub struct Package {
     /// The package model (V/f curve, DVFS ladder, power coefficients).
     pub(crate) spec: CpuSpec,
-    /// The package's model-specific registers (msr-safe allow-listed).
-    pub(crate) msr: MsrFile,
+    /// The programmed cap, a whole number of [`POWER_UNIT`]s; `None`
+    /// until one is set, when the firmware enforces TDP.
+    cap: Option<Watts>,
+    /// The 32-bit energy-status counter in [`ENERGY_UNIT`] ticks; it
+    /// wraps, and readers difference it with `wrapping_sub`.
+    energy_ticks: u32,
     /// The package's performance counter bank.
     pub(crate) counters: CounterBank,
     /// Virtual time since construction.
@@ -74,11 +89,13 @@ pub struct Package {
 }
 
 impl Package {
-    /// A fresh package (zeroed counters, time 0) with the given model.
+    /// A fresh package (uncapped, zeroed counters, time 0) with the given
+    /// model.
     pub fn new(spec: CpuSpec) -> Self {
         Package {
             spec,
-            msr: MsrFile::new(),
+            cap: None,
+            energy_ticks: 0,
             counters: CounterBank::default(),
             now: 0.0,
         }
@@ -89,23 +106,20 @@ impl Package {
         Package::new(CpuSpec::broadwell_e5_2695v4())
     }
 
-    /// Program a package cap (clamped to the supported range).
-    #[expect(
-        clippy::expect_used,
-        reason = "MSR_PKG_POWER_LIMIT is writable in the msr-safe allowlist"
-    )]
-    pub(crate) fn set_cap(&mut self, watts: Watts) {
-        PowerLimiter::set_cap(&mut self.msr, &self.spec, watts)
-            .expect("power-limit MSR is writable");
+    /// Program a package cap, clamped to the supported range and rounded
+    /// to the power-limit unit; returns the cap actually programmed.
+    pub(crate) fn set_cap(&mut self, watts: Watts) -> Watts {
+        let programmed = (self.spec.clamp_cap(watts) / POWER_UNIT).round() * POWER_UNIT;
+        self.cap = Some(programmed);
+        programmed
     }
 
     /// Program a package cap like `Package::set_cap`, emitting a
     /// [`Kind::CapChange`] record of both the requested and the actually
     /// programmed (range-clamped) cap.
     pub fn set_cap_journaled(&mut self, watts: Watts, journal: &mut Journal) {
-        self.set_cap(watts);
+        let actual = self.set_cap(watts);
         if journal.is_enabled() {
-            let actual = PowerLimiter::get_cap(&self.msr).unwrap_or(watts);
             journal.push_record(
                 Kind::CapChange,
                 journal.now(),
@@ -117,16 +131,33 @@ impl Package {
         }
     }
 
+    /// Add `joules` to the energy-status counter, rounded to whole ticks.
+    fn accumulate_energy(&mut self, joules: Joules) {
+        let ticks = (joules / ENERGY_UNIT).round() as u64 as u32;
+        self.energy_ticks = self.energy_ticks.wrapping_add(ticks);
+    }
+
+    /// Energy counted since the counter read `snapshot`, through at most
+    /// one wrap.
+    fn energy_since(&self, snapshot: u32) -> Joules {
+        self.energy_ticks.wrapping_sub(snapshot) as f64 * ENERGY_UNIT
+    }
+
     /// Firmware frequency decision for a phase: the highest ladder
     /// frequency whose total package power — core dynamic power at the
     /// phase's activity plus the DRAM-traffic term at the bandwidth the
     /// phase would actually achieve at that frequency — fits the cap.
-    fn decide_frequency(&self, phase: &KernelPhase) -> (f64, f64, f64) {
-        let cap = PowerLimiter::effective_cap(&self.msr, &self.spec);
-        let act = effective_activity(&self.spec, phase, self.spec.turbo_ghz);
+    fn decide_frequency(&self, phase: &KernelPhase) -> (f64, f64) {
         let util = |f| bw_utilization(&self.spec, phase, f);
-        let (f, bw_util) = self.spec.solve_frequency(cap, act, util);
-        (f, act, bw_util)
+        self.spec
+            .solve_frequency(self.effective_cap(), phase.activity, util)
+    }
+
+    /// The cap the firmware enforces: the programmed cap, else TDP — and
+    /// never above TDP.
+    fn effective_cap(&self) -> Watts {
+        let tdp = self.spec.tdp_watts;
+        self.cap.unwrap_or(tdp).min(tdp)
     }
 
     /// Execute `workload` to completion under the currently programmed
@@ -157,7 +188,7 @@ impl Package {
         state.finish(self)
     }
 
-    fn make_sample(&self, dt: f64, snap: &CounterBank, e_before: u64, e_after: u64) -> Sample {
+    fn make_sample(&self, dt: f64, snap: &CounterBank, snap_energy_ticks: u32) -> Sample {
         let d_aperf = CounterBank::delta(snap.aperf, self.counters.aperf);
         let d_mperf = CounterBank::delta(snap.mperf, self.counters.mperf);
         let d_inst = CounterBank::delta(snap.inst_retired, self.counters.inst_retired);
@@ -165,10 +196,7 @@ impl Package {
         let d_llc_ref = CounterBank::delta(snap.llc_ref, self.counters.llc_ref);
         let d_llc_miss = CounterBank::delta(snap.llc_miss, self.counters.llc_miss);
         Sample {
-            power_watts: self
-                .msr
-                .energy_delta_joules(e_before, e_after)
-                .over_seconds(dt),
+            power_watts: self.energy_since(snap_energy_ticks).over_seconds(dt),
             effective_freq_ghz: derived::effective_frequency_ghz(
                 self.spec.base_ghz,
                 d_aperf,
@@ -220,7 +248,7 @@ pub struct RunState<'w> {
     freq_seconds: f64,
     last_sample_t: f64,
     snap: CounterBank,
-    snap_energy_reg: u64,
+    snap_energy_ticks: u32,
     // In-flight phase bookkeeping.
     phase_index: usize,
     progress: f64,
@@ -237,7 +265,7 @@ impl<'w> RunState<'w> {
     pub fn new(pkg: &Package, workload: &'w Workload, journal: &Journal) -> Self {
         RunState {
             workload,
-            cap: PowerLimiter::get_cap(&pkg.msr).unwrap_or(pkg.spec.tdp_watts),
+            cap: pkg.cap.unwrap_or(pkg.spec.tdp_watts),
             start_t: pkg.now,
             run_t0: journal.now(),
             energy: Joules::ZERO,
@@ -246,7 +274,7 @@ impl<'w> RunState<'w> {
             freq_seconds: 0.0,
             last_sample_t: pkg.now,
             snap: pkg.counters,
-            snap_energy_reg: pkg.msr.hw_get(addr::MSR_PKG_ENERGY_STATUS),
+            snap_energy_ticks: pkg.energy_ticks,
             phase_index: 0,
             progress: 0.0,
             t_in_phase: 0.0,
@@ -274,10 +302,10 @@ impl<'w> RunState<'w> {
     }
 
     /// Run for at most `budget_seconds` of virtual time, mutating `pkg`
-    /// (clock, counters, energy MSR) and emitting journal events as
+    /// (clock, counters, energy counter) and emitting journal events as
     /// they occur. Returns the virtual seconds actually consumed, which
     /// is less than the budget only when the workload completes inside
-    /// this slice. The cap is re-read from the MSR every firmware
+    /// this slice. The cap is re-read from the package every firmware
     /// control window, so caps reprogrammed between calls take effect
     /// at the next window edge.
     pub fn advance(
@@ -323,7 +351,7 @@ impl<'w> RunState<'w> {
                 self.phase_open = true;
             }
 
-            let (f, act, bw_util) = pkg.decide_frequency(phase);
+            let (f, bw_util) = pkg.decide_frequency(phase);
             let total_t = phase_time(&pkg.spec, phase, f);
             let remaining_t = (1.0 - self.progress) * total_t;
             // Advance to the next control window, sample boundary, or
@@ -357,10 +385,10 @@ impl<'w> RunState<'w> {
                 ref_rate,
                 miss_rate,
             );
-            let p = pkg.spec.power(f, act, bw_util);
+            let p = pkg.spec.power(f, phase.activity, bw_util);
             let de = p.for_duration(dt);
             self.phase_energy += de;
-            pkg.msr.hw_accumulate_energy(de);
+            pkg.accumulate_energy(de);
             pkg.now += dt;
             journal.advance(dt);
             consumed += dt;
@@ -394,13 +422,12 @@ impl<'w> RunState<'w> {
         consumed
     }
 
-    /// Close the sample interval ending now: read the counters and the
-    /// energy MSR, fold the sample into the run averages, and mirror it
-    /// onto the journal as a [`Kind::Counter`] record.
+    /// Close the sample interval ending now: read the counter bank and
+    /// the energy counter, fold the sample into the run averages, and
+    /// mirror it onto the journal as a [`Kind::Counter`] record.
     fn take_sample(&mut self, pkg: &Package, journal: &mut Journal) {
         let dt = pkg.now - self.last_sample_t;
-        let e_reg = pkg.msr.hw_get(addr::MSR_PKG_ENERGY_STATUS);
-        let s = pkg.make_sample(dt, &self.snap, self.snap_energy_reg, e_reg);
+        let s = pkg.make_sample(dt, &self.snap, self.snap_energy_ticks);
         self.freq_seconds += s.effective_freq_ghz * dt;
         self.sample_count += 1;
         if journal.is_enabled() {
@@ -418,7 +445,7 @@ impl<'w> RunState<'w> {
         self.latest = Some(s);
         self.last_sample_t = pkg.now;
         self.snap = pkg.counters;
-        self.snap_energy_reg = e_reg;
+        self.snap_energy_ticks = pkg.energy_ticks;
     }
 
     /// Aggregate the completed run into an [`ExecResult`].
@@ -458,6 +485,7 @@ impl<'w> RunState<'w> {
 mod tests {
     use super::*;
     use crate::trace::Event;
+    use propcheck::prelude::*;
 
     fn compute_workload(scale: u64) -> Workload {
         Workload::new("compute").with_phase(KernelPhase::compute("c", scale))
@@ -465,6 +493,23 @@ mod tests {
 
     fn memory_workload(scale: u64) -> Workload {
         Workload::new("memory").with_phase(KernelPhase::memory("m", scale, scale * 30))
+    }
+
+    /// The frequency the firmware picks on a fresh package, programmed to
+    /// `cap` (or never), for a phase at `activity` with no DRAM traffic.
+    fn control_frequency(cap: Option<Watts>, activity: f64) -> f64 {
+        let mut pkg = Package::broadwell();
+        if let Some(cap) = cap {
+            pkg.set_cap(cap);
+        }
+        let phase = KernelPhase {
+            activity,
+            dram_bytes: 0,
+            ..KernelPhase::compute("p", 1_000_000_000)
+        };
+        let (f, util) = pkg.decide_frequency(&phase);
+        assert_eq!(util, 0.0);
+        f
     }
 
     /// A capped run on a fresh package, its 100 ms samples read back from
@@ -532,6 +577,138 @@ mod tests {
     }
 
     #[test]
+    fn cap_is_quantized_to_an_eighth_of_a_watt() {
+        let mut pkg = Package::broadwell();
+        for watts in [Watts(40.0), Watts(70.0), Watts(70.06), Watts(99.99)] {
+            let got = pkg.set_cap(watts);
+            assert_eq!(pkg.cap, Some(got));
+            assert_eq!((got / POWER_UNIT).fract(), 0.0, "{watts} -> {got}");
+            assert!((got - watts).abs() <= POWER_UNIT / 2.0, "{watts} -> {got}");
+        }
+    }
+
+    #[test]
+    fn cap_is_clamped_to_supported_range() {
+        let mut pkg = Package::broadwell();
+        assert_eq!(pkg.set_cap(Watts(10.0)), Watts(40.0));
+        assert_eq!(pkg.set_cap(Watts(500.0)), Watts(120.0));
+    }
+
+    #[test]
+    fn nan_cap_request_programs_the_floor() {
+        let mut pkg = Package::broadwell();
+        let mut journal = Journal::with_capacity(4);
+        pkg.set_cap_journaled(Watts(f64::NAN), &mut journal);
+        let change = journal.records(Kind::CapChange).next().expect("one record");
+        assert_eq!(change.num("actual_watts"), Some(40.0));
+        assert_eq!(pkg.cap, Some(Watts(40.0)));
+    }
+
+    #[test]
+    fn unprogrammed_cap_reads_as_none() {
+        assert_eq!(Package::broadwell().cap, None);
+    }
+
+    #[test]
+    fn effective_cap_defaults_to_tdp_and_never_exceeds_it() {
+        let mut pkg = Package::broadwell();
+        let tdp = pkg.spec.tdp_watts;
+        assert_eq!(pkg.effective_cap(), tdp);
+        pkg.set_cap(Watts(70.0));
+        assert_eq!(pkg.effective_cap(), Watts(70.0));
+        pkg.cap = Some(tdp + Watts(20.0));
+        assert_eq!(pkg.effective_cap(), tdp);
+    }
+
+    #[test]
+    fn uncapped_package_runs_turbo() {
+        let tdp = CpuSpec::broadwell_e5_2695v4().tdp_watts;
+        assert_eq!(control_frequency(None, 0.95), 2.6);
+        let r = Package::broadwell().run(&compute_workload(300_000_000_000));
+        assert_eq!(r.cap_watts, tdp);
+        assert!((r.avg_effective_freq_ghz - 2.6).abs() < 0.01);
+    }
+
+    #[test]
+    fn capped_package_throttles_by_activity() {
+        let hot = control_frequency(Some(Watts(60.0)), 0.95);
+        let cold = control_frequency(Some(Watts(60.0)), 0.3);
+        assert!(hot < cold, "hot {hot} !< cold {cold}");
+        assert_eq!(cold, 2.6);
+    }
+
+    #[test]
+    fn frequency_decision_reads_the_signature_activity() {
+        let mut pkg = Package::broadwell();
+        pkg.set_cap(Watts(60.0));
+        for phase in [
+            KernelPhase::compute("c", 1_000_000_000),
+            KernelPhase::memory("m", 1_000_000_000, 30_000_000_000),
+        ] {
+            let util = |f| bw_utilization(&pkg.spec, &phase, f);
+            let direct = pkg.spec.solve_frequency(Watts(60.0), phase.activity, util);
+            assert_eq!(pkg.decide_frequency(&phase), direct, "{}", phase.name);
+        }
+    }
+
+    #[test]
+    fn frequency_monotone_in_cap() {
+        let mut last = 0.0;
+        for cap in [40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0] {
+            let f = control_frequency(Some(Watts(cap)), 0.9);
+            assert!(f >= last, "cap {cap}: {f} < {last}");
+            last = f;
+        }
+    }
+
+    #[test]
+    fn energy_unit_is_61_microjoules() {
+        assert_eq!((ENERGY_UNIT.value() * 1e6).round(), 61.0);
+        let mut pkg = Package::broadwell();
+        pkg.accumulate_energy(ENERGY_UNIT * 3.0);
+        assert_eq!(pkg.energy_ticks, 3);
+    }
+
+    #[test]
+    fn energy_accumulates_and_wraps() {
+        let mut pkg = Package::broadwell();
+        // Park the counter near the wrap point.
+        pkg.energy_ticks = 0xFFFF_FFF0;
+        pkg.accumulate_energy(ENERGY_UNIT * 32.0);
+        assert_eq!(pkg.energy_ticks, 0x10, "counter must wrap");
+        assert_eq!(pkg.energy_since(0xFFFF_FFF0), ENERGY_UNIT * 32.0);
+    }
+
+    #[test]
+    fn energy_delta_without_wrap() {
+        let mut pkg = Package::broadwell();
+        pkg.energy_ticks = 300;
+        assert_eq!(pkg.energy_since(100), ENERGY_UNIT * 200.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Any cap in range programs to within half a power unit of itself.
+        #[test]
+        fn power_limit_round_trip(cap in 40.0f64..120.0) {
+            let got = Package::broadwell().set_cap(Watts(cap));
+            prop_assert!((got - Watts(cap)).abs() <= POWER_UNIT / 2.0, "{cap} -> {got}");
+        }
+
+        /// Energy-counter deltas recover the accumulated energy through at
+        /// most one wrap.
+        #[test]
+        fn energy_status_wrap_delta(start in 0u32..0xFFFF_FFFF, joules in 0.001f64..100.0) {
+            let mut pkg = Package::broadwell();
+            pkg.energy_ticks = start;
+            pkg.accumulate_energy(Joules(joules));
+            let delta = pkg.energy_since(start);
+            prop_assert!((delta - Joules(joules)).abs() <= ENERGY_UNIT, "{joules} vs {delta}");
+        }
+    }
+
+    #[test]
     fn uncapped_compute_runs_at_turbo() {
         let mut pkg = Package::broadwell();
         let r = pkg.run_capped(&compute_workload(2_000_000_000_000), Watts(120.0));
@@ -573,16 +750,16 @@ mod tests {
     #[test]
     fn energy_accounting_is_consistent() {
         let (r, samples, durations) = sampled_run(&compute_workload(500_000_000_000), Watts(80.0));
-        // Energy ≈ avg power × time by construction; the MSR counter
+        // Energy ≈ avg power × time by construction; the tick counter
         // (with wraps) must agree with the float accumulation. Track it
         // via samples: sum power × dt.
-        let msr_total: Joules = samples
+        let counted: Joules = samples
             .iter()
             .zip(durations)
             .map(|(s, d)| s.power_watts.for_duration(d))
             .sum();
-        let rel = (msr_total - r.energy_joules).abs() / r.energy_joules;
-        assert!(rel < 0.01, "MSR {msr_total} vs accum {}", r.energy_joules);
+        let rel = (counted - r.energy_joules).abs() / r.energy_joules;
+        assert!(rel < 0.01, "counted {counted} vs accum {}", r.energy_joules);
     }
 
     #[test]

@@ -6,15 +6,12 @@
 //! performance counters every 100 ms. None of that hardware is available
 //! here, so this crate implements the machine:
 //!
-//! * [`msr`] — a model-specific-register file with `msr-safe`-style
-//!   allow-listing, including `MSR_PKG_ENERGY_STATUS` with its real
-//!   32-bit wrapping semantics and energy units.
-//! * [`cpu`] — the package model: V/f curve, DVFS ladder, turbo, and the
-//!   analytic power model `P = P_uncore + P_leak(V) + Σcores c·V²f·α`.
-//! * [`rapl`] — the running-average power limiter that picks the highest
-//!   frequency whose predicted window power fits under the cap (this is
-//!   the mechanism that makes compute-bound workloads slow down under a
-//!   cap while memory-bound ones don't).
+//! * [`cpu`] — the package model: V/f curve, DVFS ladder, turbo, the
+//!   analytic power model `P = P_uncore + P_leak(V) + Σcores c·V²f·α`,
+//!   and the RAPL firmware's choice of the highest frequency whose
+//!   predicted power fits under the cap (this is the mechanism that
+//!   makes compute-bound workloads slow down under a cap while
+//!   memory-bound ones don't).
 //! * [`timing`] — a roofline-style execution-time model: core time
 //!   scales with 1/f, memory time does not.
 //! * `workload` — the input format: phases with measured instruction /
@@ -24,8 +21,11 @@
 //!   plain `counters::CounterBank` the sampler differences directly,
 //!   with the paper's derived metrics (§V-B).
 //! * [`exec`] — the executor: advances virtual time through a workload
-//!   under a cap, updating the energy-status MSR and the counter bank,
-//!   and the 100 ms sampler.
+//!   under a cap, updating the energy counter and the counter bank, and
+//!   the 100 ms sampler. Of the RAPL registers the paper reads through
+//!   msr-safe, a `Package` keeps two plain fields: the programmed cap, a
+//!   whole number of 1/8 W, and the 32-bit energy-status counter in
+//!   2⁻¹⁴ J ticks, which wraps.
 //! * [`trace`] — the run journal: `Span` intervals and `Record` points
 //!   (counter samples, cap changes, ...) in a ring buffer, serialized to
 //!   JSONL and chrome://tracing files (schema in `docs/OBSERVABILITY.md`).
@@ -47,8 +47,6 @@
 mod counters;
 pub mod cpu;
 pub mod exec;
-pub mod msr;
-pub mod rapl;
 pub mod timing;
 pub mod trace;
 pub mod units;
@@ -56,8 +54,6 @@ mod workload;
 
 pub use cpu::CpuSpec;
 pub use exec::{ExecResult, Package, RunState, Sample};
-pub use msr::{MsrError, MsrFile};
-pub use rapl::PowerLimiter;
 pub use trace::{Event, Journal, Kind, Record, Scope, Span, Value};
 pub use units::{Joules, Watts};
 pub use workload::{KernelPhase, Workload};

@@ -49,16 +49,6 @@ pub fn bw_utilization(spec: &CpuSpec, phase: &KernelPhase, f_ghz: f64) -> f64 {
     (phase.dram_bytes as f64 / t / spec.dram_bytes_per_sec).clamp(0.0, 1.0)
 }
 
-/// Dynamic activity the package sees for a phase. The per-class
-/// signatures in `vizpower::characterize` already fold stall behaviour
-/// into `activity` (they are calibrated against the paper's measured
-/// per-algorithm power draws), so this is the identity — kept as a
-/// function so alternative derating models can be slotted in for
-/// ablation studies.
-pub(crate) fn effective_activity(_spec: &CpuSpec, phase: &KernelPhase, _f_ghz: f64) -> f64 {
-    phase.activity
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,14 +127,5 @@ mod tests {
                 assert!(t >= memory_time(&s, &p) * 0.999);
             }
         }
-    }
-
-    #[test]
-    fn effective_activity_is_the_signature_activity() {
-        let s = spec();
-        let c = compute_phase();
-        let m = memory_phase();
-        assert_eq!(effective_activity(&s, &c, 2.6), c.activity);
-        assert_eq!(effective_activity(&s, &m, 0.8), m.activity);
     }
 }

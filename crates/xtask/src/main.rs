@@ -143,6 +143,12 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
         "cargo run --release --bin reproduce -- fig2b --quick --backend dpp",
         None,
     ),
+    // The closed-loop governor: the one verb that steps `RunState` in
+    // 100 ms windows and reprograms caps mid-run.
+    (
+        "cargo run --release --bin reproduce -- governor --quick",
+        None,
+    ),
     ("cargo run --release --bin reproduce -- serve --quick", None),
     (
         "cargo run --release --bin reproduce -- advect --quick",

@@ -8,6 +8,7 @@
 use vizpower_suite::governor::{self, BudgetSweep};
 use vizpower_suite::powersim::trace::{Event, Journal, Kind, Scope};
 use vizpower_suite::powersim::{CpuSpec, Watts};
+use vizpower_suite::vizalgo;
 use vizpower_suite::vizmesh::par;
 
 fn spec() -> CpuSpec {
@@ -85,6 +86,9 @@ fn journal_is_byte_identical_across_runs_and_thread_counts() {
     assert_eq!(first, again, "repeat run must match byte-for-byte");
     let (_, pooled) = run_sweep(4);
     assert_eq!(first, pooled, "thread count must not change the journal");
+    // An absolute pin: a power-model change that moves any number moves
+    // this, even when every run still agrees with every other.
+    assert_eq!(vizalgo::fingerprint48(first.as_bytes()), 0x8eca_228f_492d);
 }
 
 #[test]

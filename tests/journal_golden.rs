@@ -6,7 +6,7 @@
 
 use vizpower_suite::powersim::trace::{Event, Scope};
 use vizpower_suite::powersim::{Joules, Watts};
-use vizpower_suite::vizalgo::Algorithm;
+use vizpower_suite::vizalgo::{self, Algorithm};
 use vizpower_suite::vizmesh::{json, par};
 use vizpower_suite::vizpower::study::{StudyConfig, StudyContext};
 
@@ -47,6 +47,9 @@ fn journal_is_byte_identical_across_runs_and_thread_counts() {
         journal_jsonl(4),
         "thread count must not change the journal"
     );
+    // An absolute pin: a power-model change that moves any number moves
+    // this, even when every run still agrees with every other.
+    assert_eq!(vizalgo::fingerprint48(first.as_bytes()), 0x8543_7230_e582);
 }
 
 #[test]
