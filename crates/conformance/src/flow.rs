@@ -19,12 +19,11 @@
 //! Kernels are built through [`AlgorithmSpec::build_flow`], the
 //! sanctioned registry arm for series execution.
 
-use crate::fields::{self, CENTER};
+use crate::fields;
 use crate::{CheckKind, CheckResult, ConformanceConfig};
-use std::f64::consts::PI;
 use std::sync::Arc;
 use vizalgo::{Algorithm, AlgorithmSpec, FlowMode, FlowScenario, ParticleAdvection};
-use vizmesh::{CellShape, FieldSeries};
+use vizmesh::FieldSeries;
 
 /// Initial angular rate of the unsteady rotation.
 const OMEGA0: f64 = 1.0;
@@ -104,46 +103,12 @@ fn pathline_oracle(cfg: &ConformanceConfig, n: usize) -> Vec<CheckResult> {
         return vec![CheckResult::setup_failure(alg, KIND, "pathline-angle", n)];
     };
     let h = first.bounds().diagonal() * cfg.step_fraction;
-    let mut max_z = 0.0f64;
-    let mut max_radius_drift = 0.0f64;
-    let mut max_angle_err = 0.0f64;
-    let mut path = Vec::with_capacity(cfg.advect_steps + 1);
-    for (shape, conn) in cells.iter() {
-        if shape != CellShape::PolyLine || conn.len() < 2 {
-            continue;
-        }
-        path.clear();
-        path.extend(conn.iter().map(|&i| points[i as usize]));
-        let r0 = ((path[0].x - CENTER.x).powi(2) + (path[0].y - CENTER.y).powi(2)).sqrt();
-        for p in &path {
-            max_z = max_z.max((p.z - path[0].z).abs());
-        }
-        // As in the steady oracle: tight orbits amplify rounding, the
-        // macroscopic ones carry the law.
-        if r0 < 0.05 {
-            continue;
-        }
-        let mut angle = 0.0f64;
-        let mut prev = f64::atan2(path[0].y - CENTER.y, path[0].x - CENTER.x);
-        for p in &path[1..] {
-            let r = ((p.x - CENTER.x).powi(2) + (p.y - CENTER.y).powi(2)).sqrt();
-            max_radius_drift = max_radius_drift.max((r - r0).abs() / r0);
-            let th = f64::atan2(p.y - CENTER.y, p.x - CENTER.x);
-            let mut d = th - prev;
-            if d > PI {
-                d -= 2.0 * PI;
-            } else if d < -PI {
-                d += 2.0 * PI;
-            }
-            angle += d;
-            prev = th;
-        }
-        // Closed form: Δθ = ω₀·T + a·T²/2 over the polyline's own
-        // integrated span (early domain exits shorten T, not the law).
-        let t_total = (path.len() - 1) as f64 * h;
-        let expected = OMEGA0 * t_total + 0.5 * OMEGA_RATE * t_total * t_total;
-        max_angle_err = max_angle_err.max((angle - expected).abs() / expected);
-    }
+    // Closed form: Δθ = ω₀·T + a·T²/2 over the polyline's own
+    // integrated span (early domain exits shorten T, not the law).
+    let (max_z, max_radius_drift, max_angle_err) =
+        crate::oracle::orbit_errors(points, cells, h, |t_total| {
+            OMEGA0 * t_total + 0.5 * OMEGA_RATE * t_total * t_total
+        });
     vec![
         CheckResult::new(alg, KIND, "pathline-planar", n, max_z, 0.0, 0.0),
         CheckResult::new(

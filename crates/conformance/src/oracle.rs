@@ -244,9 +244,28 @@ fn advection(
         return vec![CheckResult::setup_failure(alg, KIND, "radius-drift", n)];
     };
     let h = input.bounds().diagonal() * cfg.step_fraction;
+    let (max_z, max_radius_drift, max_rate_err) = orbit_errors(points, cells, h, |t| t);
+    vec![
+        CheckResult::new(alg, KIND, "planar", n, max_z, 0.0, 0.0),
+        CheckResult::new(alg, KIND, "radius-drift", n, max_radius_drift, 0.0, 1e-9),
+        CheckResult::new(alg, KIND, "angular-rate", n, max_rate_err, 0.0, 1e-9),
+    ]
+}
+
+/// How far the polylines in `cells` stray from rigid orbits about the
+/// `CENTER` z-axis: the largest out-of-plane drift, the largest
+/// relative radius drift, and the largest relative error of the
+/// unwrapped turning angle against `expected(T)`, where
+/// `T = (points − 1)·h` is the polyline's integrated time.
+pub(crate) fn orbit_errors(
+    points: &[Vec3],
+    cells: &vizmesh::CellSet,
+    h: f64,
+    expected: impl Fn(f64) -> f64,
+) -> (f64, f64, f64) {
     let mut max_z = 0.0f64;
     let mut max_radius_drift = 0.0f64;
-    let mut max_rate_err = 0.0f64;
+    let mut max_angle_err = 0.0f64;
     let mut path: Vec<Vec3> = Vec::with_capacity(64);
     for (shape, conn) in cells.iter() {
         if shape != CellShape::PolyLine || conn.len() < 2 {
@@ -278,14 +297,10 @@ fn advection(
             angle += d;
             prev = th;
         }
-        let expected = (path.len() - 1) as f64 * h;
-        max_rate_err = max_rate_err.max((angle - expected).abs() / expected);
+        let expected = expected((path.len() - 1) as f64 * h);
+        max_angle_err = max_angle_err.max((angle - expected).abs() / expected);
     }
-    vec![
-        CheckResult::new(alg, KIND, "planar", n, max_z, 0.0, 0.0),
-        CheckResult::new(alg, KIND, "radius-drift", n, max_radius_drift, 0.0, 1e-9),
-        CheckResult::new(alg, KIND, "angular-rate", n, max_rate_err, 0.0, 1e-9),
-    ]
+    (max_z, max_radius_drift, max_angle_err)
 }
 
 /// Ray tracing the cube's external faces: hits must agree with the exact

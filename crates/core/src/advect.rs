@@ -8,7 +8,7 @@
 //! executes against that series, is characterized like any study
 //! workload, and lands in the journal as one [`Kind::FlowScenario`]
 //! record keyed by the scenario'd spec fingerprint and the series
-//! window fingerprint.
+//! fingerprint.
 //!
 //! The sweep is the `reproduce advect [--quick]` target; the root
 //! integration test `tests/advect_golden.rs` pins its journal to be
@@ -127,7 +127,7 @@ pub struct ScenarioRow {
     pub scenario: FlowScenario,
     /// Fingerprint of the scenario'd advection spec.
     pub spec_fp: u64,
-    /// Fingerprint of the series window the row executed against.
+    /// Fingerprint of the series the row executed against.
     pub data_fp: u64,
     /// Polylines produced.
     pub lines: usize,
@@ -175,9 +175,8 @@ pub fn run_sweep(cfg: &AdvectConfig, journal: &mut Journal) -> AdvectReport {
         );
     }
 
-    let window = series.full_window();
-    let data_fp = vizalgo::series_fingerprint(&window);
-    let span = window.span().unwrap_or((0.0, 0.0));
+    let data_fp = vizalgo::series_fingerprint(&series);
+    let span = series.span().unwrap_or((0.0, 0.0));
     let snapshots = series.len();
     let evicted = series.evicted();
 

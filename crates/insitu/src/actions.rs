@@ -1,5 +1,6 @@
-//! Declarative actions, JSON-compatible in the spirit of Ascent's
-//! `ascent_actions.json`.
+//! Declarative actions, JSON in the spirit of Ascent's
+//! `ascent_actions.json`: the program decodes an action list from text
+//! and never writes one.
 //!
 //! The filter and renderer declarations *are* the workspace's canonical
 //! [`AlgorithmSpec`] (see `vizalgo::spec` and docs/REGISTRY.md):
@@ -42,27 +43,8 @@ pub enum Action {
 pub struct ActionList(pub Vec<Action>);
 
 impl Action {
-    /// The wire form: `{"action": "add_pipeline", "name": .., "filters":
-    /// [..]}` or `{"action": "add_scene", "name": .., "renderer": ..}`.
-    pub(crate) fn to_json(&self) -> Value {
-        match self {
-            Action::AddPipeline { name, filters } => Value::object([
-                ("action", "add_pipeline".into()),
-                ("name", name.as_str().into()),
-                (
-                    "filters",
-                    Value::Array(filters.iter().map(FilterSpec::to_json).collect()),
-                ),
-            ]),
-            Action::AddScene { name, renderer } => Value::object([
-                ("action", "add_scene".into()),
-                ("name", name.as_str().into()),
-                ("renderer", renderer.to_json()),
-            ]),
-        }
-    }
-
-    /// Decode the wire form of [`to_json`](Action::to_json).
+    /// Decode `{"action": "add_pipeline", "name": .., "filters": [..]}`
+    /// or `{"action": "add_scene", "name": .., "renderer": ..}`.
     pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         let name = || v.str("name").map(str::to_owned);
         match v.str("action")? {
@@ -91,12 +73,6 @@ impl ActionList {
         let actions = actions.ok_or(JsonError::wrong("", "an array of actions"))?;
         let actions = actions.iter().map(Action::from_json);
         actions.collect::<Result<_, _>>().map(ActionList)
-    }
-
-    /// Pretty-printed JSON that [`from_json`](ActionList::from_json)
-    /// reads back.
-    pub fn to_json(&self) -> String {
-        Value::Array(self.0.iter().map(Action::to_json).collect()).pretty()
     }
 
     pub fn pipelines(&self) -> impl Iterator<Item = (&str, &[FilterSpec])> {
@@ -135,6 +111,13 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
+        let json = r#"[
+            {"action": "add_pipeline", "name": "pl1",
+             "filters": [{"type": "contour", "field": "energy", "isovalues": {"spanning": 10}}]},
+            {"action": "add_scene", "name": "s1",
+             "renderer": {"type": "volume_rendering", "field": "energy",
+                          "width": 64, "height": 64, "images": 50}}
+        ]"#;
         let list = ActionList(vec![
             Action::AddPipeline {
                 name: "pl1".into(),
@@ -153,9 +136,7 @@ mod tests {
                 },
             },
         ]);
-        let json = list.to_json();
-        let parsed = ActionList::from_json(&json).unwrap();
-        assert_eq!(parsed, list);
+        assert_eq!(ActionList::from_json(json), Ok(list));
     }
 
     #[test]
@@ -178,7 +159,7 @@ mod tests {
         let pipeline = |filter: &str| {
             format!(r#"[{{"action": "add_pipeline", "name": "p", "filters": [{filter}]}}]"#)
         };
-        let cases: [(String, JsonError); 14] = [
+        let cases: [(String, JsonError); 17] = [
             (
                 pipeline(r#"{"type": "smooth", "field": "energy"}"#),
                 JsonError::unknown_tag("algorithm type", "smooth"),
@@ -263,6 +244,21 @@ mod tests {
                     {"type": "volume_rendering", "field": "e", "width": 4, "height": 4, "images": 0}}]"#
                     .into(),
                 JsonError::wrong("images", "a positive integer"),
+            ),
+            (
+                pipeline(r#"{"type": "particle_advection", "field": "v", "particles": 0, "steps": 4}"#),
+                JsonError::wrong("particles", "a positive integer"),
+            ),
+            (
+                pipeline(r#"{"type": "particle_advection", "field": "v", "particles": 4, "steps": 0}"#),
+                JsonError::wrong("steps", "a positive integer"),
+            ),
+            (
+                pipeline(
+                    r#"{"type": "particle_advection", "field": "v", "particles": 4, "steps": 4,
+                        "step_fraction": 0}"#,
+                ),
+                JsonError::wrong("step_fraction", "a positive finite number"),
             ),
         ];
         for (text, expect) in cases {

@@ -1,10 +1,10 @@
 //! Property-based tests for the in situ action/trigger layer.
 
 use insitu::{
-    Action, ActionList, FilterSpec, IsoValues, RendererSpec, ScalarBand, SphereSpec, Trigger,
+    Action, ActionList, FilterSpec, IsoValues, RendererSpec, ScalarBand, Scene, SphereSpec, Trigger,
 };
 use propcheck::prelude::*;
-use vizmesh::{Association, DataSet, Field, UniformGrid};
+use vizmesh::{Association, DataSet, Field, UniformGrid, Vec3};
 
 fn filter_spec_strategy() -> impl Strategy<Value = FilterSpec> {
     prop_oneof![
@@ -12,8 +12,8 @@ fn filter_spec_strategy() -> impl Strategy<Value = FilterSpec> {
             field: "energy".into(),
             isovalues: IsoValues::Spanning(n),
         }),
-        // Fractions are quantized to 1/1000 to keep failing documents
-        // readable; the codec itself round-trips any finite f64 bitwise.
+        // Fractions are quantized to 1/1000 to keep failing inputs
+        // readable.
         (0u32..1000).prop_map(|q| FilterSpec::Threshold {
             field: "energy".into(),
             band: ScalarBand::UpperFraction(q as f64 / 1000.0),
@@ -75,6 +75,94 @@ fn action_list_strategy() -> impl Strategy<Value = ActionList> {
     .prop_map(ActionList)
 }
 
+/// One filter or renderer document per algorithm and scenario axis.
+/// `I0`, `I1`, ... stand for drawn integers, `F0`, `F1`, ... for drawn
+/// floats (four of each are drawn).
+const SPEC_TEMPLATES: [&str; 18] = [
+    r#"{"type": "contour", "field": "energy", "isovalues": {"spanning": I0}}"#,
+    r#"{"type": "contour", "field": "energy", "isovalues": {"explicit": [F0, F1]}}"#,
+    r#"{"type": "threshold", "field": "energy", "band": {"upper_fraction": F0}}"#,
+    r#"{"type": "threshold", "field": "energy", "band": {"range": {"min": F0, "max": F1}}}"#,
+    r#"{"type": "spherical_clip", "field": "energy", "sphere": {"radius_fraction": F0}}"#,
+    r#"{"type": "spherical_clip", "field": "energy", "sphere":
+        {"explicit": {"center": {"x": F0, "y": F1, "z": F2}, "radius": F3}}}"#,
+    r#"{"type": "isovolume", "field": "energy", "band": {"middle_band": F0}}"#,
+    r#"{"type": "isovolume", "field": "energy", "band": {"range": {"min": F0, "max": F1}}}"#,
+    r#"{"type": "slice", "field": "energy"}"#,
+    r#"{"type": "particle_advection", "field": "velocity", "particles": I0, "steps": I1}"#,
+    r#"{"type": "particle_advection", "field": "velocity", "particles": I0, "steps": I1,
+        "step_fraction": F0, "seed": I2}"#,
+    r#"{"type": "particle_advection", "field": "velocity", "particles": I0, "steps": I1,
+        "scenario": {"mode": "Pathline"}}"#,
+    r#"{"type": "particle_advection", "field": "velocity", "particles": I0, "steps": I1,
+        "scenario": {"seeding": "SparseGrid"}}"#,
+    r#"{"type": "particle_advection", "field": "velocity", "particles": I0, "steps": I1,
+        "scenario": {"seeding": "AlongFeature", "step_control": {"Adaptive": {"tol": F0}}}}"#,
+    r#"{"type": "particle_advection", "field": "velocity", "particles": I0, "steps": I1,
+        "step_fraction": F1, "scenario": {"termination": "ExitDomain"}}"#,
+    r#"{"type": "particle_advection", "field": "velocity", "particles": I0, "steps": I1,
+        "scenario": {"termination": {"MaxTime": {"t_end": F0}}}}"#,
+    r#"{"type": "ray_tracing", "field": "energy", "width": I0, "height": I1, "images": I2}"#,
+    r#"{"type": "volume_rendering", "field": "energy", "width": I0, "height": I1, "images": I2}"#,
+];
+
+/// Floats at the edges of what a spec accepts, written as `{:?}` text.
+const EDGE_FLOATS: [f64; 8] = [-1.0, 0.0, 1e-9, 0.25, 0.5, 1.0, 2.0, 1e300];
+
+/// A spec document: a template with its placeholders filled.
+fn spec_document_strategy() -> impl Strategy<Value = String> {
+    let float = (0..EDGE_FLOATS.len()).prop_map(|i| format!("{:?}", EDGE_FLOATS[i]));
+    (
+        0..SPEC_TEMPLATES.len(),
+        prop::array::uniform4(0u64..17),
+        prop::array::uniform4(float),
+    )
+        .prop_map(|(template, ints, floats)| {
+            let mut text = SPEC_TEMPLATES[template].to_owned();
+            for (i, n) in ints.iter().enumerate() {
+                text = text.replace(&format!("I{i}"), &n.to_string());
+            }
+            for (i, x) in floats.iter().enumerate() {
+                text = text.replace(&format!("F{i}"), x);
+            }
+            text
+        })
+}
+
+/// An action-list document of up to four pipelines and scenes.
+fn action_document_strategy() -> impl Strategy<Value = String> {
+    let action = prop_oneof![
+        (
+            prop::collection::vec(spec_document_strategy(), 1..3),
+            "[a-z]{1,8}"
+        )
+            .prop_map(|(filters, name)| format!(
+                r#"{{"action": "add_pipeline", "name": "{name}", "filters": [{}]}}"#,
+                filters.join(", ")
+            )),
+        (spec_document_strategy(), "[a-z]{1,8}").prop_map(|(renderer, name)| format!(
+            r#"{{"action": "add_scene", "name": "{name}", "renderer": {renderer}}}"#
+        )),
+    ];
+    prop::collection::vec(action, 0..5).prop_map(|actions| format!("[{}]", actions.join(",\n")))
+}
+
+/// A 4³ grid with a point `energy` scalar and a swirling point
+/// `velocity`, the two fields the templates name.
+fn flow_dataset() -> DataSet {
+    let grid = UniformGrid::cube_cells(4);
+    let points: Vec<Vec3> = (0..grid.num_points())
+        .map(|p| grid.point_coord_id(p))
+        .collect();
+    let energy = points.iter().map(|p| p.x + 2.0 * p.y * p.y - p.z).collect();
+    let velocity = (points.iter())
+        .map(|p| Vec3::new(0.5 - p.y, p.x - 0.5, 0.25))
+        .collect();
+    DataSet::uniform(grid)
+        .with_field(Field::scalar("energy", Association::Points, energy))
+        .with_field(Field::vector("velocity", Association::Points, velocity))
+}
+
 /// A trigger tree over `leaves` (at least one), split in halves.
 fn trigger_tree(leaves: &[Trigger]) -> Trigger {
     match leaves {
@@ -124,14 +212,6 @@ proptest! {
         }
     }
 
-    /// Any action list survives a JSON round trip bitwise.
-    #[test]
-    fn actions_json_round_trip(list in action_list_strategy()) {
-        let json = list.to_json();
-        let parsed = ActionList::from_json(&json).unwrap();
-        prop_assert_eq!(parsed, list);
-    }
-
     /// Pipelines and scenes partition the action list.
     #[test]
     fn pipelines_and_scenes_partition(list in action_list_strategy()) {
@@ -165,6 +245,30 @@ proptest! {
         prop_assert_eq!(ab.fires(step, &ds), ba.fires(step, &ds));
         if ab.fires(step, &ds) {
             prop_assert!(a.fires(step, &ds) && b.fires(step, &ds));
+        }
+    }
+}
+
+proptest! {
+    // Cheap cases (a 4³ grid, at most 16 particles or pixels per axis),
+    // so enough of them that every template meets its edge values.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whatever the decoder accepts runs: every filter builds and
+    /// executes and every scene renders, without a panic.
+    #[test]
+    fn any_decoded_action_list_builds_and_runs(text in action_document_strategy()) {
+        let Ok(list) = ActionList::from_json(&text) else {
+            return;
+        };
+        let ds = flow_dataset();
+        for (_, filters) in list.pipelines() {
+            for spec in filters {
+                spec.build(&ds).execute(&ds);
+            }
+        }
+        for (name, renderer) in list.scenes() {
+            Scene::new(name, renderer.clone()).render(&ds, 0).expect("no sink, no I/O");
         }
     }
 }

@@ -58,12 +58,7 @@ impl FlowMode {
         }
     }
 
-    /// The wire form: the variant name as a string.
-    pub(crate) fn to_json(self) -> Value {
-        format!("{self:?}").as_str().into()
-    }
-
-    /// Decode the wire form of [`to_json`](FlowMode::to_json).
+    /// Decode the wire form: the variant name as a string.
     pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("mode")? {
             "Streamline" => Ok(FlowMode::Streamline),
@@ -99,12 +94,7 @@ impl Seeding {
         }
     }
 
-    /// The wire form: the variant name as a string.
-    pub(crate) fn to_json(self) -> Value {
-        format!("{self:?}").as_str().into()
-    }
-
-    /// Decode the wire form of [`to_json`](Seeding::to_json).
+    /// Decode the wire form: the variant name as a string.
     pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("seeding")? {
             "DenseBox" => Ok(Seeding::DenseBox),
@@ -142,17 +132,7 @@ impl StepControl {
         }
     }
 
-    /// The wire form: `"Fixed"` or `{"Adaptive": {"tol": ..}}`.
-    pub(crate) fn to_json(self) -> Value {
-        match self {
-            StepControl::Fixed => "Fixed".into(),
-            StepControl::Adaptive { tol } => {
-                Value::object([("Adaptive", Value::object([("tol", tol.into())]))])
-            }
-        }
-    }
-
-    /// Decode the wire form of [`to_json`](StepControl::to_json).
+    /// Decode `"Fixed"` or `{"Adaptive": {"tol": ..}}`.
     pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("step_control")? {
             "Fixed" => Ok(StepControl::Fixed),
@@ -194,18 +174,7 @@ impl Termination {
         }
     }
 
-    /// The wire form: `"MaxSteps"`, `"ExitDomain"` or
-    /// `{"MaxTime": {"t_end": ..}}`.
-    pub(crate) fn to_json(self) -> Value {
-        match self {
-            Termination::MaxTime { t_end } => {
-                Value::object([("MaxTime", Value::object([("t_end", t_end.into())]))])
-            }
-            unit => format!("{unit:?}").as_str().into(),
-        }
-    }
-
-    /// Decode the wire form of [`to_json`](Termination::to_json).
+    /// Decode `"MaxSteps"`, `"ExitDomain"` or `{"MaxTime": {"t_end": ..}}`.
     pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("termination")? {
             "MaxSteps" => Ok(Termination::MaxSteps),
@@ -253,18 +222,9 @@ impl FlowScenario {
         )
     }
 
-    /// The wire form: one key per axis.
-    pub(crate) fn to_json(self) -> Value {
-        Value::object([
-            ("mode", self.mode.to_json()),
-            ("seeding", self.seeding.to_json()),
-            ("step_control", self.step_control.to_json()),
-            ("termination", self.termination.to_json()),
-        ])
-    }
-
-    /// Decode the wire form of [`to_json`](FlowScenario::to_json); an
-    /// absent axis takes the paper's default.
+    /// Decode the wire form, one key per axis (`mode`, `seeding`,
+    /// `step_control`, `termination`); an absent axis takes the paper's
+    /// default.
     pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         fn axis<T: Default>(
             v: Option<&Value>,

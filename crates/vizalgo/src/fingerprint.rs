@@ -17,7 +17,7 @@
 //! clone or buffer it.
 
 use vizmesh::dataset::Geometry;
-use vizmesh::{DataSet, Field, FieldData, TimeWindow};
+use vizmesh::{DataSet, Field, FieldData, FieldSeries};
 
 /// The 48-bit mask every fingerprint is reduced by: the largest width
 /// that stays exact in an `f64`, so journals can carry fingerprints as
@@ -123,17 +123,16 @@ pub fn dataset_fingerprint(ds: &DataSet) -> u64 {
     h.finish48()
 }
 
-/// 48-bit content fingerprint of a time window over a field series:
-/// the snapshot count, then each in-view snapshot's time bit pattern
-/// followed by its dataset fingerprint, in order. This is the
-/// per-window `data_fp` for time-varying requests — two windows
-/// fingerprint equal iff they hold bit-identical snapshots at
-/// bit-identical times.
-pub fn series_fingerprint(window: &TimeWindow<'_>) -> u64 {
+/// 48-bit content fingerprint of a field series: the snapshot count,
+/// then each retained snapshot's time bit pattern followed by its
+/// dataset fingerprint, in order. This is the `data_fp` of a
+/// time-varying run — two series fingerprint equal iff they hold
+/// bit-identical snapshots at bit-identical times.
+pub fn series_fingerprint(series: &FieldSeries) -> u64 {
     let mut h = Fnv1a::new();
     h.update(b"series\0");
-    h.update_u64(window.len() as u64);
-    for (t, ds) in window.snapshots() {
+    h.update_u64(series.len() as u64);
+    for (t, ds) in series.snapshots() {
         h.update_f64(t);
         h.update_u64(dataset_fingerprint(ds));
     }
@@ -232,7 +231,6 @@ mod tests {
     #[test]
     fn series_fingerprint_tracks_snapshots_and_times() {
         use std::sync::Arc;
-        use vizmesh::FieldSeries;
         let series_at = |times: &[f64], scale: f64| {
             let mut s = FieldSeries::with_capacity(8);
             for &t in times {
@@ -241,33 +239,27 @@ mod tests {
             s
         };
         let a = series_at(&[0.0, 1.0], 0.5);
-        let fp = series_fingerprint(&a.full_window());
+        let fp = series_fingerprint(&a);
         assert_eq!(
             fp,
-            series_fingerprint(&series_at(&[0.0, 1.0], 0.5).full_window()),
+            series_fingerprint(&series_at(&[0.0, 1.0], 0.5)),
             "same content, same fingerprint"
         );
         assert!(fp <= FINGERPRINT_MASK);
         assert_ne!(
             fp,
-            series_fingerprint(&series_at(&[0.0, 2.0], 0.5).full_window()),
+            series_fingerprint(&series_at(&[0.0, 2.0], 0.5)),
             "snapshot time moves the fingerprint"
         );
         assert_ne!(
             fp,
-            series_fingerprint(&series_at(&[0.0, 1.0], 0.25).full_window()),
+            series_fingerprint(&series_at(&[0.0, 1.0], 0.25)),
             "snapshot payload moves the fingerprint"
         );
         assert_ne!(
             fp,
-            series_fingerprint(&series_at(&[0.0], 0.5).full_window()),
-            "window length moves the fingerprint"
-        );
-        // A narrowed window fingerprints differently from the full one.
-        let long = series_at(&[0.0, 1.0, 2.0, 3.0], 0.5);
-        assert_ne!(
-            series_fingerprint(&long.window(0.0, 1.0)),
-            series_fingerprint(&long.full_window())
+            series_fingerprint(&series_at(&[0.0], 0.5)),
+            "snapshot count moves the fingerprint"
         );
     }
 

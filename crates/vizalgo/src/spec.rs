@@ -13,10 +13,10 @@
 //! `disallowed_methods`, configured in the root `clippy.toml`; the slice
 //! reference in `conformance::reference` is the one library exception).
 //!
-//! Specs are serializable (the in situ `ascent_actions.json`-style
-//! interface re-exports [`AlgorithmSpec`] as its `FilterSpec`) and carry
-//! a deterministic [`fingerprint`](AlgorithmSpec::fingerprint) derived
-//! from a serializer-independent canonical encoding, so every journal span a
+//! Specs decode from JSON, never to it (the in situ action list
+//! re-exports [`AlgorithmSpec`] as its `FilterSpec`), and carry a
+//! deterministic [`fingerprint`](AlgorithmSpec::fingerprint) derived
+//! from a JSON-independent canonical encoding, so every journal span a
 //! study/sweep/conformance run emits is attributable to an exact
 //! parameterization (see docs/REGISTRY.md and docs/OBSERVABILITY.md).
 
@@ -436,25 +436,15 @@ impl Algorithm {
 }
 
 // ---------------------------------------------------------------------------
-// The JSON wire form (in situ action lists). Hand-written so the shape
-// is visible here: enums carry a `"type"` tag or are one-key objects,
-// all names snake_case. Decoding reads input from outside the program
-// and returns a `JsonError`, never panics.
+// The JSON wire form (in situ action lists), decoded only: the program
+// reads action files and never writes one. Hand-written so the shape is
+// visible here: enums carry a `"type"` tag or are one-key objects, all
+// names snake_case. Decoding reads input from outside the program and
+// returns a `JsonError`, never panics.
 // ---------------------------------------------------------------------------
 
 impl IsoValues {
-    /// `{"spanning": n}` or `{"explicit": [v, ...]}`.
-    pub(crate) fn to_json(&self) -> Value {
-        match self {
-            IsoValues::Spanning(n) => Value::object([("spanning", (*n).into())]),
-            IsoValues::Explicit(values) => {
-                let values = values.iter().map(|v| Value::from(*v)).collect();
-                Value::object([("explicit", Value::Array(values))])
-            }
-        }
-    }
-
-    /// Decode the wire form of [`to_json`](IsoValues::to_json).
+    /// Decode `{"spanning": n}` or `{"explicit": [v, ...]}`.
     pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("isovalues")? {
             "spanning" => Ok(IsoValues::Spanning(v.usize("spanning")?)),
@@ -494,20 +484,8 @@ impl ScalarBand {
         }
     }
 
-    /// `{"upper_fraction": f}`, `{"middle_band": f}` or
+    /// Decode `{"upper_fraction": f}`, `{"middle_band": f}` or
     /// `{"range": {"min": a, "max": b}}`.
-    pub(crate) fn to_json(&self) -> Value {
-        match self {
-            ScalarBand::UpperFraction(f) => Value::object([("upper_fraction", (*f).into())]),
-            ScalarBand::MiddleBand(f) => Value::object([("middle_band", (*f).into())]),
-            ScalarBand::Range { min, max } => {
-                let range = Value::object([("min", (*min).into()), ("max", (*max).into())]);
-                Value::object([("range", range)])
-            }
-        }
-    }
-
-    /// Decode the wire form of [`to_json`](ScalarBand::to_json).
     pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("band")? {
             "upper_fraction" => Ok(ScalarBand::UpperFraction(v.f64("upper_fraction")?)),
@@ -526,29 +504,15 @@ impl ScalarBand {
 }
 
 impl SphereSpec {
-    /// `{"radius_fraction": f}` or
+    /// Decode `{"radius_fraction": f}` or
     /// `{"explicit": {"center": {"x": .., "y": .., "z": ..}, "radius": r}}`.
-    pub(crate) fn to_json(&self) -> Value {
-        match self {
-            SphereSpec::RadiusFraction(f) => Value::object([("radius_fraction", (*f).into())]),
-            SphereSpec::Explicit { center, radius } => {
-                let sphere = [("center", center.to_json()), ("radius", (*radius).into())];
-                Value::object([("explicit", Value::object(sphere))])
-            }
-        }
-    }
-
-    /// Decode the wire form of [`to_json`](SphereSpec::to_json).
     pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("sphere")? {
             "radius_fraction" => Ok(SphereSpec::RadiusFraction(v.f64("radius_fraction")?)),
             "explicit" => {
                 let sphere = v.field("explicit")?;
                 let center = Vec3::from_json(sphere.field("center")?)?;
-                let radius = sphere.f64("radius")?;
-                if !(radius.is_finite() && radius > 0.0) {
-                    return Err(JsonError::wrong("radius", "a positive finite number"));
-                }
+                let radius = positive_number(sphere, "radius")?;
                 Ok(SphereSpec::Explicit { center, radius })
             }
             other => Err(JsonError::unknown_tag("sphere", other)),
@@ -557,69 +521,14 @@ impl SphereSpec {
 }
 
 impl AlgorithmSpec {
-    /// The wire form: `{"type": "<algorithm>", "field": .., ...}` with
-    /// the variant's fields in declaration order.
-    pub fn to_json(&self) -> Value {
-        let (field, rest) = match self {
-            AlgorithmSpec::Contour { field, isovalues } => {
-                (field, vec![("isovalues", isovalues.to_json())])
-            }
-            AlgorithmSpec::Threshold { field, band } | AlgorithmSpec::Isovolume { field, band } => {
-                (field, vec![("band", band.to_json())])
-            }
-            AlgorithmSpec::SphericalClip { field, sphere } => {
-                (field, vec![("sphere", sphere.to_json())])
-            }
-            AlgorithmSpec::Slice { field } => (field, vec![]),
-            AlgorithmSpec::ParticleAdvection {
-                field,
-                particles,
-                steps,
-                step_fraction,
-                seed,
-                scenario,
-            } => (
-                field,
-                vec![
-                    ("particles", (*particles).into()),
-                    ("steps", (*steps).into()),
-                    ("step_fraction", (*step_fraction).into()),
-                    ("seed", (*seed).into()),
-                    ("scenario", scenario.to_json()),
-                ],
-            ),
-            AlgorithmSpec::RayTracing {
-                field,
-                width,
-                height,
-                images,
-            }
-            | AlgorithmSpec::VolumeRendering {
-                field,
-                width,
-                height,
-                images,
-            } => (
-                field,
-                vec![
-                    ("width", (*width).into()),
-                    ("height", (*height).into()),
-                    ("images", (*images).into()),
-                ],
-            ),
-        };
-        let wire = registry::entry(self.algorithm()).wire;
-        let head = [("type", wire.into()), ("field", field.as_str().into())];
-        Value::object(head.into_iter().chain(rest))
-    }
-
-    /// Decode the wire form of [`to_json`](AlgorithmSpec::to_json).
-    /// `step_fraction`, `seed` and `scenario` take the paper defaults
-    /// when absent; keys the variant does not know are ignored. Values
-    /// a filter constructor would assert on (no isovalues, an inverted
-    /// or non-finite range, a non-positive radius, a zero image
-    /// dimension or count) are [`JsonError::Wrong`] here, not a panic
-    /// in [`build`](AlgorithmSpec::build).
+    /// Decode `{"type": "<algorithm>", "field": .., ...}`: the registry's
+    /// `wire` tag, then the variant's fields by name. `step_fraction`,
+    /// `seed` and `scenario` take the paper defaults when absent; keys
+    /// the variant does not know are ignored. Values a filter
+    /// constructor would assert on (no isovalues, particles or steps, an
+    /// inverted or non-finite range, a non-positive radius or step
+    /// fraction, a zero image dimension or count) are
+    /// [`JsonError::Wrong`] here, not a panic in [`build`](AlgorithmSpec::build).
     pub fn from_json(v: &Value) -> Result<Self, JsonError> {
         let tag = v.str("type")?;
         let row = (REGISTRY.iter().find(|row| row.wire == tag))
@@ -645,10 +554,10 @@ impl AlgorithmSpec {
             Algorithm::Slice => AlgorithmSpec::Slice { field },
             Algorithm::ParticleAdvection => AlgorithmSpec::ParticleAdvection {
                 field,
-                particles: v.usize("particles")?,
-                steps: v.usize("steps")?,
+                particles: positive(v, "particles")?,
+                steps: positive(v, "steps")?,
                 step_fraction: match v.get("step_fraction") {
-                    Some(_) => v.f64("step_fraction")?,
+                    Some(_) => positive_number(v, "step_fraction")?,
                     None => DEFAULT_STEP_FRACTION,
                 },
                 seed: match v.get("seed") {
@@ -676,12 +585,21 @@ impl AlgorithmSpec {
     }
 }
 
-/// The required integer ≥ 1 at `field`: an image dimension or count the
-/// renderers would otherwise assert on.
+/// The required integer ≥ 1 at `field`: a count or an image dimension a
+/// constructor would otherwise assert on.
 fn positive(v: &Value, field: &'static str) -> Result<usize, JsonError> {
     match v.usize(field)? {
         0 => Err(JsonError::wrong(field, "a positive integer")),
         n => Ok(n),
+    }
+}
+
+/// The required number > 0 at `field` (a JSON number is finite): a
+/// radius or step length a constructor would otherwise assert on.
+fn positive_number(v: &Value, field: &'static str) -> Result<f64, JsonError> {
+    match v.f64(field)? {
+        x if x > 0.0 => Ok(x),
+        _ => Err(JsonError::wrong(field, "a positive finite number")),
     }
 }
 
@@ -956,12 +874,39 @@ mod tests {
         }
     }
 
+    /// The wire text of each [`every_variant`] entry, in order.
+    const EVERY_VARIANT_WIRE: [&str; 13] = [
+        r#"{"type": "contour", "field": "energy", "isovalues": {"spanning": 10}}"#,
+        r#"{"type": "threshold", "field": "energy", "band": {"upper_fraction": 0.5}}"#,
+        r#"{"type": "spherical_clip", "field": "energy", "sphere": {"radius_fraction": 0.3}}"#,
+        r#"{"type": "isovolume", "field": "energy", "band": {"middle_band": 0.5}}"#,
+        r#"{"type": "slice", "field": "energy"}"#,
+        r#"{"type": "particle_advection", "field": "velocity", "particles": 1000, "steps": 1000,
+            "step_fraction": 5e-4, "seed": 1592594996,
+            "scenario": {"mode": "Streamline", "seeding": "DenseBox",
+                         "step_control": "Fixed", "termination": "MaxSteps"}}"#,
+        r#"{"type": "ray_tracing", "field": "energy", "width": 128, "height": 128, "images": 50}"#,
+        r#"{"type": "volume_rendering", "field": "energy",
+            "width": 128, "height": 128, "images": 50}"#,
+        r#"{"type": "contour", "field": "energy", "isovalues": {"explicit": [0.25, 0.5]}}"#,
+        r#"{"type": "threshold", "field": "energy", "band": {"range": {"min": 0.2, "max": 0.8}}}"#,
+        r#"{"type": "spherical_clip", "field": "energy",
+            "sphere": {"explicit": {"center": {"x": 0.5, "y": 0.5, "z": 0.5}, "radius": 0.3}}}"#,
+        r#"{"type": "isovolume", "field": "energy", "band": {"range": {"min": 0.3, "max": 0.6}}}"#,
+        r#"{"type": "particle_advection", "field": "velocity", "particles": 9, "steps": 12,
+            "step_fraction": 1e-3, "seed": 7,
+            "scenario": {"mode": "Pathline", "seeding": "SparseGrid",
+                         "step_control": {"Adaptive": {"tol": 1e-5}},
+                         "termination": "ExitDomain"}}"#,
+    ];
+
     #[test]
     fn json_round_trip_every_variant() {
-        for spec in every_variant() {
-            let json = spec.to_json().render();
-            let back = AlgorithmSpec::from_json(&json::parse(&json).expect("valid JSON"));
-            assert_eq!(back.as_ref(), Ok(&spec), "{json}");
+        let specs = every_variant();
+        assert_eq!(specs.len(), EVERY_VARIANT_WIRE.len());
+        for (text, spec) in EVERY_VARIANT_WIRE.into_iter().zip(specs) {
+            let decoded = AlgorithmSpec::from_json(&json::parse(text).expect("valid JSON"));
+            assert_eq!(decoded, Ok(spec), "{text}");
         }
     }
 
@@ -1047,15 +992,13 @@ mod tests {
                 termination: Termination::MaxTime { t_end: 0.5 },
             },
         };
-        let json = spec.to_json().render();
-        assert!(
-            json.ends_with(
-                r#""seed":5,"scenario":{"mode":"Pathline","seeding":"AlongFeature","step_control":{"Adaptive":{"tol":0.0001}},"termination":{"MaxTime":{"t_end":0.5}}}}"#
-            ),
-            "the pinned wire shape moved: {json}"
-        );
-        let back = AlgorithmSpec::from_json(&json::parse(&json).expect("valid JSON"))
-            .expect("spec parses");
+        let json = r#"{"type": "particle_advection", "field": "velocity",
+            "particles": 11, "steps": 13, "step_fraction": 0.0002, "seed": 5,
+            "scenario": {"mode": "Pathline", "seeding": "AlongFeature",
+                         "step_control": {"Adaptive": {"tol": 0.0001}},
+                         "termination": {"MaxTime": {"t_end": 0.5}}}}"#;
+        let back =
+            AlgorithmSpec::from_json(&json::parse(json).expect("valid JSON")).expect("spec parses");
         assert_eq!(back, spec, "{json}");
         assert_eq!(back.fingerprint(), spec.fingerprint());
     }

@@ -1,14 +1,13 @@
-//! A small JSON value, parser and renderer for the documents that cross
-//! a file boundary (in situ action lists) and for tests that read
-//! journal lines back.
+//! A small JSON value and parser for the one document that crosses a
+//! file boundary (in situ action lists, read inbound only) and for
+//! tests that read journal lines back.
 //!
 //! The parser takes input from outside the program: every malformed
 //! document is a [`JsonError`] carrying the byte offset, nesting is
 //! limited to [`MAX_DEPTH`], and nothing here panics. Objects keep their
-//! keys in document order, so a rendered value reads like the type it
-//! was encoded from. The typed getters ([`Value::str`], [`Value::f64`],
-//! ...) are what the hand-written codecs in `vizalgo` and `insitu`
-//! decode with.
+//! keys in document order. The typed getters ([`Value::str`],
+//! [`Value::f64`], ...) are what the hand-written decoders in `vizalgo`
+//! and `insitu` read with.
 
 use std::fmt;
 
@@ -85,42 +84,7 @@ impl JsonError {
 
 static NULL: Value = Value::Null;
 
-/// Non-finite numbers have no JSON spelling and become `null` (which
-/// then fails to decode as a number).
-impl From<f64> for Value {
-    fn from(x: f64) -> Value {
-        if x.is_finite() {
-            Value::Number(x)
-        } else {
-            Value::Null
-        }
-    }
-}
-
-impl From<u64> for Value {
-    fn from(n: u64) -> Value {
-        Value::UInt(n)
-    }
-}
-
-impl From<usize> for Value {
-    fn from(n: usize) -> Value {
-        Value::UInt(n as u64)
-    }
-}
-
-impl From<&str> for Value {
-    fn from(s: &str) -> Value {
-        Value::String(s.to_owned())
-    }
-}
-
 impl Value {
-    /// An object from `(key, value)` pairs, in the given order.
-    pub fn object<'k>(pairs: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
-        Value::Object(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-    }
-
     /// The value at `key` of an object; `None` for a missing key or a
     /// non-object.
     pub fn get(&self, key: &str) -> Option<&Value> {
@@ -203,74 +167,6 @@ impl Value {
             _ => Err(JsonError::wrong(of, "a variant name or a one-key object")),
         }
     }
-
-    /// Compact rendering (no whitespace).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
-    /// Pretty rendering: two-space indent, one member per line.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
-        let (open, close, members): (_, _, Vec<(Option<&str>, &Value)>) = match self {
-            Value::Null => return out.push_str("null"),
-            Value::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
-            Value::UInt(n) => return out.push_str(&n.to_string()),
-            // `{:?}` is the shortest text that parses back to the same
-            // bits, with an exponent only where plain digits get long.
-            Value::Number(x) if x.is_finite() => return out.push_str(&format!("{x:?}")),
-            Value::Number(_) => return out.push_str("null"),
-            Value::String(s) => return write_string(out, s),
-            Value::Array(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
-            Value::Object(pairs) => {
-                let members = pairs.iter().map(|(k, v)| (Some(k.as_str()), v));
-                ('{', '}', members.collect())
-            }
-        };
-        let newline = |out: &mut String, level: usize| {
-            if let Some(width) = indent.filter(|_| !members.is_empty()) {
-                out.push('\n');
-                out.extend(std::iter::repeat_n(' ', width * level));
-            }
-        };
-        out.push(open);
-        for (i, (key, value)) in members.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            newline(out, level + 1);
-            if let Some(key) = key {
-                write_string(out, key);
-                out.push_str(if indent.is_some() { ": " } else { ":" });
-            }
-            value.write(out, indent, level + 1);
-        }
-        newline(out, level);
-        out.push(close);
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// `v["key"]`: the member, or `null` for a missing key or a non-object
@@ -502,35 +398,12 @@ mod tests {
             parse("18446744073709551616"),
             Ok(Value::Number(_))
         ));
-        for x in [5e-4, 0.1, 1.0 / 3.0, 1e300, -2.5e-9, 123456789.125, 0.0] {
-            let text = Value::Number(x).render();
-            let back = parse(&text).expect("rendered number parses");
+        // `{:?}` is the shortest text that parses back to the same bits.
+        for x in [5e-4, 0.1, 1.0 / 3.0, 1e300, -2.5e-9, 123456789.125, 0.0_f64] {
+            let text = format!("{x:?}");
+            let back = parse(&text).expect("debug-formatted number parses");
             assert_eq!(back.as_f64().map(f64::to_bits), Some(x.to_bits()), "{text}");
         }
-        assert_eq!(Value::from(f64::NAN), Value::Null);
-        assert_eq!(Value::Number(f64::INFINITY).render(), "null");
-    }
-
-    #[test]
-    fn render_and_pretty_agree_after_a_round_trip() {
-        let v = Value::object([
-            ("name", Value::String("p\t1".into())),
-            ("empty", Value::Array(vec![])),
-            (
-                "nested",
-                Value::object([("k", Value::Array(vec![Value::UInt(1), Value::Null]))]),
-            ),
-        ]);
-        assert_eq!(
-            v.render(),
-            r#"{"name":"p\t1","empty":[],"nested":{"k":[1,null]}}"#
-        );
-        assert_eq!(
-            v.pretty(),
-            "{\n  \"name\": \"p\\t1\",\n  \"empty\": [],\n  \"nested\": {\n    \"k\": [\n      1,\n      null\n    ]\n  }\n}"
-        );
-        assert_eq!(parse(&v.render()).as_ref(), Ok(&v));
-        assert_eq!(parse(&v.pretty()).as_ref(), Ok(&v));
     }
 
     #[test]

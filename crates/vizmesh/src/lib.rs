@@ -16,7 +16,7 @@
 //!   fields; either structured or unstructured.
 //! * [`Image`] / [`Camera`] — render targets and a pinhole camera with
 //!   orbit generation for image databases.
-//! * [`FieldSeries`] / [`TimeWindow`] — an ordered, bounded ring of
+//! * [`FieldSeries`] — an ordered, bounded ring of
 //!   timestamped `Arc<DataSet>` snapshots, the time-varying view that
 //!   pathline advection consumes.
 //! * [`XorShift`] — the workspace's one seeded random source (particle
@@ -24,8 +24,8 @@
 //! * [`par`] — deterministic fork–join (`map`, `for_each_mut`, their
 //!   chunk forms, `with_threads`) over `std::thread::scope`: the kernels' only source
 //!   of threads, chunk-ordered so output never depends on thread count.
-//! * [`json`] — the small JSON value/parser/renderer behind the in situ
-//!   action-list codec.
+//! * [`json`] — the small JSON value and parser behind the in situ
+//!   action-list decoder (inbound only; nothing here writes JSON).
 //! * [`WorkCounters`] — the instrumentation record each kernel fills in as
 //!   it executes; consumed by the `vizpower` characterization bridge.
 //! * `validate` — watertightness / orientation / degenerate-cell
@@ -72,7 +72,7 @@ pub use field::{Association, Field, FieldData};
 pub use grid::{GridCell, UniformGrid};
 pub use image::Image;
 pub use rng::XorShift;
-pub use series::{FieldSeries, TimeWindow};
+pub use series::FieldSeries;
 pub use validate::{validate_cells, validate_surface, CellReport, SurfaceReport};
 pub use vec3::Vec3;
 pub use vtkio::save_vtk;

@@ -5,16 +5,13 @@
 //! field — but real in-situ pipelines see the simulation as a *stream*
 //! of timesteps, and pathlines (particles advected through the evolving
 //! field) are the paper-scale extension the ROADMAP flags. This module
-//! supplies the data-layer half of that extension:
-//!
-//! * [`FieldSeries`] — an ordered ring of `(time, Arc<DataSet>)`
-//!   snapshots with a bounded capacity. Pushing past capacity evicts
-//!   the oldest snapshot (and counts it), so a long simulation run can
-//!   retain a sliding window without unbounded memory. Snapshots are
-//!   `Arc`-shared: a series never clones field payloads, and consumers
-//!   (kernels, caches) can hold cheap references.
-//! * [`TimeWindow`] — a borrowed contiguous view of a series, the unit
-//!   the service cache fingerprints (`data_fp` per window).
+//! supplies the data-layer half of that extension: [`FieldSeries`], an
+//! ordered ring of `(time, Arc<DataSet>)` snapshots with a bounded
+//! capacity. Pushing past capacity evicts the oldest snapshot (and
+//! counts it), so a long simulation run can retain a sliding window
+//! without unbounded memory. Snapshots are `Arc`-shared: a series never
+//! clones field payloads, and consumers (kernels) can hold cheap
+//! references.
 //!
 //! Temporal *interpolation* lives with the consumer (the advection
 //! kernel resolves per-snapshot field arrays once, then lerps between
@@ -107,75 +104,9 @@ impl FieldSeries {
         self.snaps.back().map(|&(t, _)| t)
     }
 
-    /// A borrowed view of the retained snapshots whose times intersect
-    /// `[t0, t1]`, widened by one snapshot on each side so interpolation
-    /// at the endpoints stays in-window. Empty window on an empty
-    /// series.
-    pub fn window(&self, t0: f64, t1: f64) -> TimeWindow<'_> {
-        if self.snaps.is_empty() {
-            return TimeWindow {
-                series: self,
-                start: 0,
-                end: 0,
-            };
-        }
-        let n = self.snaps.len();
-        let mut start = 0;
-        while start + 1 < n && self.snaps[start + 1].0 <= t0 {
-            start += 1;
-        }
-        let mut end = start;
-        while end < n && self.snaps[end].0 < t1 {
-            end += 1;
-        }
-        TimeWindow {
-            series: self,
-            start,
-            end: end.min(n - 1) + 1,
-        }
-    }
-
-    /// The whole retained span as a window.
-    pub fn full_window(&self) -> TimeWindow<'_> {
-        TimeWindow {
-            series: self,
-            start: 0,
-            end: self.snaps.len(),
-        }
-    }
-}
-
-/// A borrowed, contiguous view of a [`FieldSeries`]: the snapshots a
-/// consumer (kernel, cache key) actually touches. Indexing is relative
-/// to the series' retained ring.
-#[derive(Debug, Clone, Copy)]
-pub struct TimeWindow<'a> {
-    series: &'a FieldSeries,
-    start: usize,
-    end: usize,
-}
-
-impl<'a> TimeWindow<'a> {
-    /// Number of snapshots in view.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// The snapshots in view, oldest first.
-    pub fn snapshots(&self) -> impl Iterator<Item = (f64, &'a Arc<DataSet>)> + '_ {
-        (self.start..self.end).filter_map(|i| self.series.get(i))
-    }
-
-    /// The `[first, last]` times of the view, if non-empty.
+    /// The `[oldest, newest]` retained times, if any.
     pub fn span(&self) -> Option<(f64, f64)> {
-        let first = self.series.get(self.start)?.0;
-        let last = self.series.get(self.end.checked_sub(1)?)?.0;
-        Some((first, last))
+        Some((self.snaps.front()?.0, self.last_time()?))
     }
 }
 
@@ -207,6 +138,8 @@ mod tests {
         assert_eq!(s.last_time(), Some(4.0));
         let times: Vec<f64> = s.snapshots().map(|(t, _)| t).collect();
         assert_eq!(times, vec![2.0, 3.0, 4.0]);
+        assert_eq!(s.span(), Some((2.0, 4.0)));
+        assert_eq!(FieldSeries::with_capacity(1).span(), None);
     }
 
     #[test]
@@ -232,27 +165,5 @@ mod tests {
             s.record(1.0, snap(2.0));
         }));
         assert!(result.is_err(), "equal time must be rejected");
-    }
-
-    #[test]
-    fn window_covers_query_span_with_interpolation_margin() {
-        let mut s = FieldSeries::with_capacity(8);
-        for i in 0..6 {
-            s.record(i as f64, snap(1.0));
-        }
-        let w = s.window(1.5, 3.5);
-        let times: Vec<f64> = w.snapshots().map(|(t, _)| t).collect();
-        assert_eq!(
-            times,
-            vec![1.0, 2.0, 3.0, 4.0],
-            "one margin snapshot each side"
-        );
-        assert_eq!(w.span(), Some((1.0, 4.0)));
-        let full = s.full_window();
-        assert_eq!(full.len(), 6);
-        assert_eq!(full.span(), Some((0.0, 5.0)));
-        let empty = FieldSeries::with_capacity(1);
-        assert!(empty.window(0.0, 1.0).is_empty());
-        assert_eq!(empty.window(0.0, 1.0).span(), None);
     }
 }

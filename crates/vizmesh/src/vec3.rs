@@ -49,16 +49,7 @@ impl Vec3 {
         Vec3::new(v, v, v)
     }
 
-    /// The wire form `{"x": .., "y": .., "z": ..}`.
-    pub fn to_json(self) -> Value {
-        Value::object([
-            ("x", self.x.into()),
-            ("y", self.y.into()),
-            ("z", self.z.into()),
-        ])
-    }
-
-    /// Decode the wire form of [`to_json`](Vec3::to_json).
+    /// Decode the wire form `{"x": .., "y": .., "z": ..}`.
     pub fn from_json(v: &Value) -> Result<Vec3, JsonError> {
         Ok(Vec3::new(v.f64("x")?, v.f64("y")?, v.f64("z")?))
     }

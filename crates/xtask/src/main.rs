@@ -154,6 +154,11 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
         "cargo run --release --bin reproduce -- advect --quick",
         None,
     ),
+    // The shipped action file, decoded and run the way the README says.
+    (
+        "cargo run --release --bin insitu_run -- examples/ascent_actions.json --cells 8 --steps 8 --every 4 --out target/insitu_ci --vtk",
+        None,
+    ),
     (
         "cargo doc --no-deps --workspace",
         Some(("RUSTDOCFLAGS", "-D warnings")),

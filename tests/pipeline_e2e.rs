@@ -132,12 +132,14 @@ fn advisor_end_to_end_gives_power_to_the_bottleneck() {
     }
 }
 
+/// The action file the README drives `insitu_run` with.
+const SHIPPED_ACTIONS: &str = include_str!("../examples/ascent_actions.json");
+
 #[test]
-fn actions_json_round_trip_through_runtime() {
-    let json = actions().to_json();
-    let parsed = ActionList::from_json(&json).unwrap();
+fn shipped_actions_file_decodes_to_actions_and_runs() {
+    let parsed = ActionList::from_json(SHIPPED_ACTIONS).expect("examples/ascent_actions.json");
     assert_eq!(parsed, actions());
-    // And the parsed copy drives a runtime identically.
+    // And the decoded copy drives a runtime identically.
     let config = RuntimeConfig {
         grid_cells: 8,
         total_steps: 4,
