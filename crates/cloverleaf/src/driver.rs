@@ -81,62 +81,45 @@ impl Simulation {
     }
 
     /// Advance one time step: EOS → viscosity → acceleration → PdV →
-    /// advection → next-dt.
+    /// advection → next-dt, in five parallel sweeps (see
+    /// [`crate::kernels`]).
     pub fn step(&mut self) -> StepReport {
         self.step_phases(&mut |_, _| {})
     }
 
     /// Advance one time step like [`Simulation::step`], invoking
-    /// `observer` with each hydro kernel's name and work counters as it
-    /// retires — the phase-level callback the in-situ runtime and the
-    /// power governor characterize per-kernel workloads from.
+    /// `observer` with each hydro kernel's name and work counters after
+    /// the sweep that did its work — the phase-level callback the in-situ
+    /// runtime and the power governor characterize per-kernel workloads
+    /// from. The sequence is `ideal_gas`, `divergence`, `viscosity`
+    /// (sweep A), `acceleration` (B), `divergence`, `pdv` (C), `advect`
+    /// (D and E), `calc_dt`.
     pub fn step_phases(
         &mut self,
         observer: &mut dyn FnMut(&'static str, WorkCounters),
     ) -> StepReport {
         let mut work = WorkCounters::new();
-        let mut tally = |work: &mut WorkCounters, name: &'static str, w: WorkCounters| {
-            observer(name, w);
-            *work += w;
+        let mut retire = |phases: &[(&'static str, WorkCounters)]| {
+            for &(name, w) in phases {
+                observer(name, w);
+                work += w;
+            }
         };
-        tally(&mut work, "ideal_gas", kernels::ideal_gas(&mut self.state));
-        tally(
-            &mut work,
-            "divergence",
-            kernels::divergence(&self.state, &mut self.scratch.div),
-        );
-        tally(
-            &mut work,
-            "viscosity",
-            kernels::viscosity(&mut self.state, &self.scratch.div),
-        );
-        tally(
-            &mut work,
+        let (state, scratch, dt) = (&mut self.state, &mut self.scratch, self.dt);
+        retire(&kernels::eos_and_viscosity(state, &mut scratch.stress));
+        retire(&[(
             "acceleration",
-            kernels::acceleration(&mut self.state, &mut self.scratch.stress, self.dt),
-        );
+            kernels::acceleration(state, &scratch.stress, dt),
+        )]);
         // Divergence changed with the new velocities; PdV uses the fresh one.
-        tally(
-            &mut work,
-            "divergence",
-            kernels::divergence(&self.state, &mut self.scratch.div),
-        );
-        tally(
-            &mut work,
-            "pdv",
-            kernels::pdv(&mut self.state, &self.scratch.div, self.dt),
-        );
-        tally(
-            &mut work,
-            "advect",
-            kernels::advect(&mut self.state, &mut self.scratch, self.dt),
-        );
+        retire(&kernels::pdv(state, &scratch.stress, dt));
+        retire(&[("advect", kernels::advect(state, scratch, dt))]);
 
         self.time += self.dt;
         self.step += 1;
 
         let (next_dt, w_dt) = kernels::calc_dt(&self.state, self.dt, self.config.cfl);
-        tally(&mut work, "calc_dt", w_dt);
+        retire(&[("calc_dt", w_dt)]);
         self.dt = next_dt.min(self.config.max_dt);
 
         // The hot working set of a step: every field array.

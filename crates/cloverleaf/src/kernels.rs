@@ -6,6 +6,19 @@
 //! workload. Per-item instruction/flop estimates are rough static costs of
 //! the inner loops; the *counts* (cells, faces, nodes touched) are exact.
 //!
+//! # Five sweeps a step
+//!
+//! A step is five parallel loops, one `par` fork each: **A** (cells: EOS
+//! → divergence → viscosity → stress, [`eos_and_viscosity`]), **B**
+//! (nodes: [`acceleration`]), **C** (cells: divergence of the new
+//! velocities → PdV, `pdv`), **D** (all three face spaces: the donor
+//! fluxes) and **E** (cells: apply them; D and E are [`advect`]). A
+//! cell's divergence, viscosity and stress read only that cell's values,
+//! and its divergence only its own corner nodes, so one pass computes
+//! each chain with every operand and operation of the phase-at-a-time
+//! sequence. Each sweep still reports every phase it does under that
+//! phase's name, with the phase's own counters.
+//!
 //! # Index spaces
 //!
 //! Five x-fastest boxes over a grid of `cx × cy × cz` cells (`nx = cx + 1`
@@ -13,13 +26,13 @@
 //! `rows` (`src/rows.rs`) of its id range and reaches into the others by
 //! row base plus `i`, then by strides — nothing is decoded per item.
 //!
-//! | space   | dims             | `+j` stride | `+k` stride     | holds                        |
-//! |---------|------------------|-------------|-----------------|------------------------------|
-//! | cells   | `cx, cy, cz`     | `cx`        | `cx · cy`       | ρ, e, p, q, c_s, div, stress |
-//! | nodes   | `nx, ny, nz`     | `nx`        | `nx · ny`       | velocity                     |
-//! | x faces | `cx + 1, cy, cz` | `cx + 1`    | `(cx + 1) · cy` | `flux_*[0]`                  |
-//! | y faces | `cx, cy + 1, cz` | `cx`        | `cx · (cy + 1)` | `flux_*[1]`                  |
-//! | z faces | `cx, cy, cz + 1` | `cx`        | `cx · cy`       | `flux_*[2]`                  |
+//! | space   | dims             | `+j` stride | `+k` stride     | holds                    |
+//! |---------|------------------|-------------|-----------------|--------------------------|
+//! | cells   | `cx, cy, cz`     | `cx`        | `cx · cy`       | ρ, e, p, q, c_s, stress  |
+//! | nodes   | `nx, ny, nz`     | `nx`        | `nx · ny`       | velocity                 |
+//! | x faces | `cx + 1, cy, cz` | `cx + 1`    | `(cx + 1) · cy` | `flux_*`, first part     |
+//! | y faces | `cx, cy + 1, cz` | `cx`        | `cx · (cy + 1)` | `flux_*`, second part    |
+//! | z faces | `cx, cy, cz + 1` | `cx`        | `cx · cy`       | `flux_*`, third part     |
 //!
 //! Item `(i, j, k)` of any space has the node `(i, j, k)` as its low
 //! corner and, where it exists, the cell `(i, j, k)` on its high side;
@@ -28,21 +41,22 @@
 //! that exist.
 
 use crate::eos;
-use crate::rows::{rows, MIN_LEN};
+use crate::rows::{rows, Row, MIN_LEN};
 use crate::state::{cell_spans, node_mean, sum_at, State};
-use vizmesh::{par, WorkCounters};
+use std::ops::Range;
+use vizmesh::{par, UniformGrid, Vec3, WorkCounters};
 
 /// Scratch buffers reused across steps to avoid per-step allocation.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// Cell-centered velocity divergence.
-    pub div: Vec<f64>,
-    /// Cell-centered total stress `p + q`.
+    /// Cell-centered total stress `p + q`, written by sweep A and read by
+    /// the acceleration and PdV.
     pub stress: Vec<f64>,
-    /// Mass flux through x/y/z faces.
-    pub(crate) flux_mass: [Vec<f64>; 3],
-    /// Energy (ρe) flux through x/y/z faces.
-    pub(crate) flux_energy: [Vec<f64>; 3],
+    /// Mass flux through the x, y and z faces, the three face spaces end
+    /// to end (see [`face_counts`]).
+    pub(crate) flux_mass: Vec<f64>,
+    /// Energy (ρe) flux, laid out like `flux_mass`.
+    pub(crate) flux_energy: Vec<f64>,
     /// Post-advection density / energy staging; swapped with the state's
     /// arrays at the end of [`advect`].
     pub(crate) new_density: Vec<f64>,
@@ -51,25 +65,28 @@ pub struct Scratch {
 
 impl Scratch {
     pub fn for_state(state: &State) -> Self {
-        let [cx, cy, cz] = state.grid.cell_dims();
         let nc = state.grid.num_cells();
+        let faces = face_counts(state.grid.cell_dims()).iter().sum();
         Scratch {
-            div: vec![0.0; nc],
             stress: vec![0.0; nc],
-            flux_mass: [
-                vec![0.0; (cx + 1) * cy * cz],
-                vec![0.0; cx * (cy + 1) * cz],
-                vec![0.0; cx * cy * (cz + 1)],
-            ],
-            flux_energy: [
-                vec![0.0; (cx + 1) * cy * cz],
-                vec![0.0; cx * (cy + 1) * cz],
-                vec![0.0; cx * cy * (cz + 1)],
-            ],
+            flux_mass: vec![0.0; faces],
+            flux_energy: vec![0.0; faces],
             new_density: vec![0.0; nc],
             new_energy: vec![0.0; nc],
         }
     }
+}
+
+/// The sizes of the x, y and z face spaces.
+fn face_counts([cx, cy, cz]: [usize; 3]) -> [usize; 3] {
+    [(cx + 1) * cy * cz, cx * (cy + 1) * cz, cx * cy * (cz + 1)]
+}
+
+/// A flux array cut into its x, y and z face spaces.
+fn face_spaces(flux: &[f64], [x, y, _]: [usize; 3]) -> [&[f64]; 3] {
+    let (fx, rest) = flux.split_at(x);
+    let (fy, fz) = rest.split_at(y);
+    [fx, fy, fz]
 }
 
 /// Corner index groups of a hexahedral cell (see
@@ -82,103 +99,135 @@ const Y_POS: [usize; 4] = [2, 3, 6, 7];
 const Z_NEG: [usize; 4] = [0, 1, 2, 3];
 const Z_POS: [usize; 4] = [4, 5, 6, 7];
 
-/// Update pressure and sound speed from the ideal-gas EOS.
-pub fn ideal_gas(state: &mut State) -> WorkCounters {
-    let density = &state.density;
-    let energy = &state.energy;
-    let (pressure, soundspeed) = (&mut state.pressure, &mut state.soundspeed);
-    par::for_each_chunk_mut2(pressure, soundspeed, MIN_LEN, |cells, p, cs| {
-        let inputs = density[cells.clone()].iter().zip(&energy[cells]);
-        for ((p, cs), (&rho, &e)) in p.iter_mut().zip(cs).zip(inputs) {
-            *p = eos::pressure(rho, e);
-            *cs = eos::sound_speed(rho, *p);
+/// The node rows below and above a row of cells: what the cells'
+/// velocity divergence reads, in sweeps A and C.
+struct DivergenceRow<'a> {
+    lo: &'a [Vec3],
+    y: &'a [Vec3],
+    z: &'a [Vec3],
+    yz: &'a [Vec3],
+    spacing: Vec3,
+}
+
+impl<'a> DivergenceRow<'a> {
+    #[inline]
+    fn new(grid: &UniformGrid, vel: &'a [Vec3], row: Row) -> Self {
+        let [nx, ny, _] = grid.point_dims();
+        // The four node rows, from the cells' low corner nodes on.
+        let p = row.i + nx * (row.j + ny * row.k);
+        let line = |from: usize| &vel[from..from + row.len + 1];
+        DivergenceRow {
+            lo: line(p),
+            y: line(p + nx),
+            z: line(p + nx * ny),
+            yz: line(p + nx + nx * ny),
+            spacing: grid.spacing(),
         }
-    });
+    }
+
+    /// The divergence of the row's `n`-th cell.
+    // Left to itself the compiler keeps this call out of line in the
+    // fused sweeps, and they ran about 8× slower on a 2-vCPU x86-64 host.
+    #[inline(always)]
+    fn at(&self, n: usize) -> f64 {
+        let DivergenceRow {
+            lo,
+            y,
+            z,
+            yz,
+            spacing: s,
+        } = self;
+        // Hexahedron corner order.
+        let corners = [
+            lo[n],
+            lo[n + 1],
+            y[n + 1],
+            y[n],
+            z[n],
+            z[n + 1],
+            yz[n + 1],
+            yz[n],
+        ];
+        let avg = |slots: [usize; 4], axis: usize| {
+            let [a, b, c, d] = slots.map(|slot| corners[slot][axis]);
+            (a + b + c + d) * 0.25
+        };
+        let dudx = (avg(X_POS, 0) - avg(X_NEG, 0)) / s.x;
+        let dvdy = (avg(Y_POS, 1) - avg(Y_NEG, 1)) / s.y;
+        let dwdz = (avg(Z_POS, 2) - avg(Z_NEG, 2)) / s.z;
+        dudx + dvdy + dwdz
+    }
+}
+
+/// Counters of `n` items at the given static per-item costs.
+fn counters(n: usize, instr: u64, flops: u64, read: u64, written: u64) -> WorkCounters {
     let mut w = WorkCounters::new();
-    w.tally(state.density.len() as u64, 14, 6, 16, 16);
-    w.working_set_bytes = (state.density.len() * 8 * 4) as u64;
+    w.tally(n as u64, instr, flops, read, written);
     w
 }
 
-/// Cell-centered velocity divergence from the corner node velocities.
-pub fn divergence(state: &State, div: &mut [f64]) -> WorkCounters {
+/// The divergence's counters over `cells` cells (sweeps A and C).
+fn divergence_counters(cells: usize) -> WorkCounters {
+    counters(cells, 60, 27, 8 * 24, 8)
+}
+
+/// Sweep A, per cell: pressure and sound speed from the ideal-gas EOS;
+/// the velocity divergence; the Von Neumann–Richtmyer artificial
+/// viscosity with a linear term, `q = c₂ ρ (Δ div u)² + c₁ ρ c_s Δ
+/// |div u|` in compression and 0 otherwise; and the total stress `p + q`
+/// into `stress`. Returns the counters of `ideal_gas`, `divergence` and
+/// `viscosity`, in that order (the stress sum is the acceleration's).
+pub fn eos_and_viscosity(
+    state: &mut State,
+    stress: &mut [f64],
+) -> [(&'static str, WorkCounters); 3] {
+    const C1: f64 = 0.5;
+    const C2: f64 = 2.0;
     let cdims = state.grid.cell_dims();
-    let [nx, ny, _] = state.grid.point_dims();
-    let (sy, sz) = (nx, nx * ny);
-    let s = state.grid.spacing();
-    let vel = &state.velocity;
-    par::for_each_chunk_mut(div, MIN_LEN, |cells, chunk| {
+    let dx = state.grid.spacing().min_component();
+    let (grid, vel) = (&state.grid, &state.velocity);
+    let (density, energy) = (&state.density, &state.energy);
+    let pq = (&mut state.pressure[..], &mut state.soundspeed[..]);
+    let cells = (pq, (&mut state.viscosity[..], stress));
+    par::for_each_chunk_zip(cells, MIN_LEN, |cells, ((p, cs), (q, t))| {
         for row in rows(cdims, cells) {
-            // The four node rows this cell row lies between, from the
-            // cells' low corner nodes on.
-            let p = row.i + nx * (row.j + ny * row.k);
-            let line = |from: usize| &vel[from..from + row.len + 1];
-            let (lo, y, z, yz) = (line(p), line(p + sy), line(p + sz), line(p + sy + sz));
-            for (n, d) in row.of(chunk).iter_mut().enumerate() {
-                // Hexahedron corner order.
-                let corners = [
-                    lo[n],
-                    lo[n + 1],
-                    y[n + 1],
-                    y[n],
-                    z[n],
-                    z[n + 1],
-                    yz[n + 1],
-                    yz[n],
-                ];
-                let avg = |slots: [usize; 4], axis: usize| {
-                    let [a, b, c, d] = slots.map(|slot| corners[slot][axis]);
-                    (a + b + c + d) * 0.25
+            let div = DivergenceRow::new(grid, vel, row);
+            let (rho, e) = (&density[row.id..][..row.len], &energy[row.id..][..row.len]);
+            let (p, cs, q, t) = (row.of(p), row.of(cs), row.of(q), row.of(t));
+            for n in 0..row.len {
+                let (rho, d) = (rho[n], div.at(n));
+                p[n] = eos::pressure(rho, e[n]);
+                cs[n] = eos::sound_speed(rho, p[n]);
+                q[n] = if d < 0.0 {
+                    let dd = dx * d;
+                    C2 * rho * dd * dd + C1 * rho * cs[n] * dx * d.abs()
+                } else {
+                    0.0
                 };
-                let dudx = (avg(X_POS, 0) - avg(X_NEG, 0)) / s.x;
-                let dvdy = (avg(Y_POS, 1) - avg(Y_NEG, 1)) / s.y;
-                let dwdz = (avg(Z_POS, 2) - avg(Z_NEG, 2)) / s.z;
-                *d = dudx + dvdy + dwdz;
+                t[n] = p[n] + q[n];
             }
         }
     });
-    let mut w = WorkCounters::new();
-    w.tally(div.len() as u64, 60, 27, 8 * 24, 8);
-    w
+    let nc = state.density.len();
+    let mut eos = counters(nc, 14, 6, 16, 16);
+    eos.working_set_bytes = (nc * 8 * 4) as u64;
+    [
+        ("ideal_gas", eos),
+        ("divergence", divergence_counters(nc)),
+        ("viscosity", counters(nc, 18, 8, 24, 8)),
+    ]
 }
 
-/// Von Neumann–Richtmyer artificial viscosity with a linear term:
-/// `q = c₂ ρ (Δ div u)² + c₁ ρ c_s Δ |div u|` in compression, 0 otherwise.
-pub fn viscosity(state: &mut State, div: &[f64]) -> WorkCounters {
-    const C1: f64 = 0.5;
-    const C2: f64 = 2.0;
-    let s = state.grid.spacing();
-    let dx = s.min_component();
-    let density = &state.density;
-    let soundspeed = &state.soundspeed;
-    par::for_each_mut(&mut state.viscosity, MIN_LEN, |c, q| {
-        let d = div[c];
-        *q = if d < 0.0 {
-            let rho = density[c];
-            let dd = dx * d;
-            C2 * rho * dd * dd + C1 * rho * soundspeed[c] * dx * d.abs()
-        } else {
-            0.0
-        };
-    });
-    let mut w = WorkCounters::new();
-    w.tally(state.viscosity.len() as u64, 18, 8, 24, 8);
-    w
-}
-
-/// Accelerate the node velocities by the pressure + viscosity gradient and
-/// apply reflective boundary conditions (zero normal velocity on the
-/// domain faces). `stress` is scratch for the total stress per cell.
-pub fn acceleration(state: &mut State, stress: &mut [f64], dt: f64) -> WorkCounters {
+/// Sweep B: accelerate the node velocities by the gradient of the cells'
+/// total stress (`p + q`, sweep A's `stress`) and apply reflective
+/// boundary conditions (zero normal velocity on the domain faces).
+pub fn acceleration(state: &mut State, stress: &[f64], dt: f64) -> WorkCounters {
     let cdims = state.grid.cell_dims();
     let pdims = state.grid.point_dims();
     let [cx, cy, _] = cdims;
     let cstride = [1, cx, cx * cy];
     let (sy, sz) = (cstride[1], cstride[2]);
     let spacing = state.grid.spacing();
-    let (pressure, viscosity) = (&state.pressure, &state.viscosity);
-    par::for_each_mut(stress, MIN_LEN, |c, t| *t = pressure[c] + viscosity[c]);
-    let stress = &*stress;
     let density = &state.density;
 
     // A boundary node's mean stress over the cells at `side` on `axis`
@@ -246,35 +295,44 @@ pub fn acceleration(state: &mut State, stress: &mut [f64], dt: f64) -> WorkCount
         }
     });
 
-    let mut w = WorkCounters::new();
-    w.tally(state.velocity.len() as u64, 140, 45, 8 * 24, 24);
-    w
+    counters(state.velocity.len(), 140, 45, 8 * 24, 24)
 }
 
-/// PdV internal-energy update: `de/dt = −(p + q) ∇·u / ρ`.
-///
-/// Energy is floored at a small positive value to keep the EOS sane in
-/// strong expansions.
-pub(crate) fn pdv(state: &mut State, div: &[f64], dt: f64) -> WorkCounters {
+/// Sweep C, per cell: the divergence of the accelerated velocities and
+/// the PdV internal-energy update from it, `de/dt = −(p + q) ∇·u / ρ`,
+/// with `p + q` read from sweep A's `stress` (the acceleration changes
+/// neither). Energy is floored at a small positive value to keep the EOS
+/// sane in strong expansions. Returns the counters of `divergence` and
+/// `pdv`, in that order.
+pub(crate) fn pdv(state: &mut State, stress: &[f64], dt: f64) -> [(&'static str, WorkCounters); 2] {
     const E_FLOOR: f64 = 1e-9;
-    let pressure = &state.pressure;
-    let viscosity = &state.viscosity;
-    let density = &state.density;
-    par::for_each_mut(&mut state.energy, MIN_LEN, |c, e| {
-        let work = (pressure[c] + viscosity[c]) * div[c] / density[c].max(1e-12);
-        *e = (*e - dt * work).max(E_FLOOR);
+    let cdims = state.grid.cell_dims();
+    let (grid, vel, density) = (&state.grid, &state.velocity, &state.density);
+    par::for_each_chunk_mut(&mut state.energy, MIN_LEN, |cells, chunk| {
+        for row in rows(cdims, cells) {
+            let div = DivergenceRow::new(grid, vel, row);
+            let (t, rho) = (&stress[row.id..][..row.len], &density[row.id..][..row.len]);
+            for (n, e) in row.of(chunk).iter_mut().enumerate() {
+                let work = t[n] * div.at(n) / rho[n].max(1e-12);
+                *e = (*e - dt * work).max(E_FLOOR);
+            }
+        }
     });
-    let mut w = WorkCounters::new();
-    w.tally(state.energy.len() as u64, 16, 7, 40, 8);
-    w
+    let nc = state.energy.len();
+    [
+        ("divergence", divergence_counters(nc)),
+        ("pdv", counters(nc, 16, 7, 40, 8)),
+    ]
 }
 
-/// Donor-cell mass and energy flux through the faces normal to `AXIS`:
-/// the face-normal velocity is the mean of the face's four nodes, the
-/// donor the cell it blows out of. Faces on the domain boundary carry
-/// none.
+/// Donor-cell mass and energy flux through the faces `faces` of the
+/// space normal to `AXIS`, into `flux_mass` and `flux_energy` (one entry
+/// per face of the range): the face-normal velocity is the mean of the
+/// face's four nodes, the donor the cell it blows out of. Faces on the
+/// domain boundary carry none.
 fn face_flux<const AXIS: usize>(
     state: &State,
+    faces: Range<usize>,
     flux_mass: &mut [f64],
     flux_energy: &mut [f64],
     area: f64,
@@ -290,83 +348,101 @@ fn face_flux<const AXIS: usize>(
     let (a, b) = [(nx, nx * ny), (1, nx * ny), (1, nx)][AXIS];
     let back = [1, cx, cx * cy][AXIS];
     let (vel, density, energy) = (&state.velocity, &state.density, &state.energy);
-    par::for_each_chunk_mut2(flux_mass, flux_energy, MIN_LEN, |faces, fm, fe| {
-        for row in rows(fdims, faces) {
-            // Node (0, j, k) and cell (0, j, k) of this face row.
-            let node0 = nx * (row.j + ny * row.k);
-            let cell0 = cx * (row.j + cy * row.k);
-            let out = row.of(fm).iter_mut().zip(row.of(fe));
-            for (n, (fm, fe)) in out.enumerate() {
-                let i = row.i + n;
-                let along = [i, row.j, row.k][AXIS];
-                if along == 0 || along == cdims[AXIS] {
-                    *fm = 0.0;
-                    *fe = 0.0;
-                    continue;
-                }
-                let p = node0 + i;
-                let un = 0.25
-                    * (vel[p][AXIS] + vel[p + a][AXIS] + vel[p + b][AXIS] + vel[p + a + b][AXIS]);
-                let high = cell0 + i;
-                let donor = if un >= 0.0 { high - back } else { high };
-                let m = un * area * dt * density[donor];
-                *fm = m;
-                *fe = m * energy[donor];
+    for row in rows(fdims, faces) {
+        // Node (0, j, k) and cell (0, j, k) of this face row.
+        let node0 = nx * (row.j + ny * row.k);
+        let cell0 = cx * (row.j + cy * row.k);
+        let out = row.of(flux_mass).iter_mut().zip(row.of(flux_energy));
+        for (n, (fm, fe)) in out.enumerate() {
+            let i = row.i + n;
+            let along = [i, row.j, row.k][AXIS];
+            if along == 0 || along == cdims[AXIS] {
+                *fm = 0.0;
+                *fe = 0.0;
+                continue;
             }
+            let p = node0 + i;
+            let un =
+                0.25 * (vel[p][AXIS] + vel[p + a][AXIS] + vel[p + b][AXIS] + vel[p + a + b][AXIS]);
+            let high = cell0 + i;
+            let donor = if un >= 0.0 { high - back } else { high };
+            let m = un * area * dt * density[donor];
+            *fm = m;
+            *fe = m * energy[donor];
         }
-    });
+    }
 }
 
 /// Conservative first-order donor-cell (upwind) advection of mass and
-/// internal energy. Boundary faces carry zero flux, so total mass is
-/// conserved to rounding.
+/// internal energy: sweep D computes the fluxes of all three face spaces
+/// (one range over the three end to end, each chunk split where it
+/// crosses from one space into the next), sweep E applies them per cell.
+/// Boundary faces carry zero flux, so total mass is conserved to
+/// rounding.
 pub fn advect(state: &mut State, scratch: &mut Scratch, dt: f64) -> WorkCounters {
     let cdims = state.grid.cell_dims();
     let [cx, cy, _] = cdims;
     let s = state.grid.spacing();
     let vol = s.x * s.y * s.z;
-    let mut w = WorkCounters::new();
+    let counts = face_counts(cdims);
 
-    let [mx, my, mz] = &mut scratch.flux_mass;
-    let [ex, ey, ez] = &mut scratch.flux_energy;
-    face_flux::<0>(state, mx, ex, s.y * s.z, dt);
-    face_flux::<1>(state, my, ey, s.x * s.z, dt);
-    face_flux::<2>(state, mz, ez, s.x * s.y, dt);
-    let (fm, fe) = (&scratch.flux_mass, &scratch.flux_energy);
-    let nfaces = fm.iter().map(Vec::len).sum::<usize>() as u64;
-    w.tally(nfaces, 46, 14, 8 * 8, 16);
-
-    // Apply fluxes: new mass = old mass + Σ incoming − Σ outgoing.
     {
-        let density = &state.density;
-        let energy = &state.energy;
-        let (nd, ne) = (&mut scratch.new_density, &mut scratch.new_energy);
-        par::for_each_chunk_mut2(nd, ne, MIN_LEN, |cells, nd, ne| {
-            for row in rows(cdims, cells) {
-                // The low face of the row's first cell in each face
-                // space; the high face is one stride of that axis on.
-                let (c, len) = (row.id, row.len);
-                let fx = row.i + (cx + 1) * (row.j + cy * row.k);
-                let fy = row.i + cx * (row.j + (cy + 1) * row.k);
-                let net = |[x, y, z]: &[Vec<f64>; 3], n: usize| {
-                    x[fx + n] - x[fx + n + 1] + y[fy + n] - y[fy + n + cx] + z[c + n]
-                        - z[c + n + cx * cy]
-                };
-                let (rho, e) = (&density[c..c + len], &energy[c..c + len]);
-                let out = row.of(nd).iter_mut().zip(row.of(ne));
-                for (n, (nd, ne)) in out.enumerate() {
-                    let dm = net(fm, n);
-                    let de = net(fe, n);
-                    let mass_old = rho[n] * vol;
-                    let rho_e_old = rho[n] * e[n] * vol;
-                    let mass_new = (mass_old + dm).max(1e-12 * vol);
-                    let rho_e_new = (rho_e_old + de).max(0.0);
-                    *nd = mass_new / vol;
-                    *ne = (rho_e_new / mass_new).max(1e-9);
+        let state = &*state;
+        let (fm, fe) = (&mut scratch.flux_mass, &mut scratch.flux_energy);
+        par::for_each_chunk_mut2(fm, fe, MIN_LEN, |faces, fm, fe| {
+            // Each axis's space in the concatenation, in turn.
+            let mut space = 0..0;
+            for (axis, count) in counts.into_iter().enumerate() {
+                space = space.end..space.end + count;
+                let (lo, hi) = (faces.start.max(space.start), faces.end.min(space.end));
+                if lo >= hi {
+                    continue;
+                }
+                // This chunk's part of the space, in the space's own ids
+                // and as offsets into the chunk.
+                let ids = lo - space.start..hi - space.start;
+                let at = lo - faces.start..hi - faces.start;
+                let (fm, fe) = (&mut fm[at.clone()], &mut fe[at]);
+                match axis {
+                    0 => face_flux::<0>(state, ids, fm, fe, s.y * s.z, dt),
+                    1 => face_flux::<1>(state, ids, fm, fe, s.x * s.z, dt),
+                    _ => face_flux::<2>(state, ids, fm, fe, s.x * s.y, dt),
                 }
             }
         });
     }
+    let mut w = counters(scratch.flux_mass.len(), 46, 14, 8 * 8, 16);
+
+    // Apply fluxes: new mass = old mass + Σ incoming − Σ outgoing.
+    let fm = face_spaces(&scratch.flux_mass, counts);
+    let fe = face_spaces(&scratch.flux_energy, counts);
+    let (density, energy) = (&state.density, &state.energy);
+    let (nd, ne) = (&mut scratch.new_density, &mut scratch.new_energy);
+    par::for_each_chunk_mut2(nd, ne, MIN_LEN, |cells, nd, ne| {
+        for row in rows(cdims, cells) {
+            // The low face of the row's first cell in each face
+            // space; the high face is one stride of that axis on.
+            let (c, len) = (row.id, row.len);
+            let fx = row.i + (cx + 1) * (row.j + cy * row.k);
+            let fy = row.i + cx * (row.j + (cy + 1) * row.k);
+            let net = |[x, y, z]: [&[f64]; 3], n: usize| {
+                x[fx + n] - x[fx + n + 1] + y[fy + n] - y[fy + n + cx] + z[c + n]
+                    - z[c + n + cx * cy]
+            };
+            let (rho, e) = (&density[c..c + len], &energy[c..c + len]);
+            let out = row.of(nd).iter_mut().zip(row.of(ne));
+            for (n, (nd, ne)) in out.enumerate() {
+                let dm = net(fm, n);
+                let de = net(fe, n);
+                let mass_old = rho[n] * vol;
+                let rho_e_old = rho[n] * e[n] * vol;
+                let mass_new = (mass_old + dm).max(1e-12 * vol);
+                let rho_e_new = (rho_e_old + de).max(0.0);
+                *nd = mass_new / vol;
+                *ne = (rho_e_new / mass_new).max(1e-9);
+            }
+        }
+    });
     std::mem::swap(&mut state.density, &mut scratch.new_density);
     std::mem::swap(&mut state.energy, &mut scratch.new_energy);
     w.tally(state.density.len() as u64, 60, 26, 8 * 14, 16);
@@ -409,10 +485,20 @@ mod tests {
         (s, scratch)
     }
 
+    /// Every cell's divergence, as sweeps A and C compute it.
+    fn divergence(s: &State) -> Vec<f64> {
+        let cells = rows(s.grid.cell_dims(), 0..s.grid.num_cells());
+        let row = |row: Row| {
+            let div = DivergenceRow::new(&s.grid, &s.velocity, row);
+            (0..row.len).map(move |n| div.at(n))
+        };
+        cells.flat_map(row).collect()
+    }
+
     #[test]
     fn ideal_gas_uniform_state() {
-        let (mut s, _) = state(4);
-        ideal_gas(&mut s);
+        let (mut s, mut scr) = state(4);
+        eos_and_viscosity(&mut s, &mut scr.stress);
         assert!(s.pressure.iter().all(|&p| (p - 0.4).abs() < 1e-12));
         let cs = (1.4 * 0.4f64).sqrt();
         assert!(s.soundspeed.iter().all(|&c| (c - cs).abs() < 1e-12));
@@ -420,48 +506,47 @@ mod tests {
 
     #[test]
     fn divergence_zero_for_uniform_velocity() {
-        let (mut s, mut scr) = state(4);
+        let (mut s, _) = state(4);
         for u in &mut s.velocity {
             *u = Vec3::new(0.3, -0.2, 0.1);
         }
-        divergence(&s, &mut scr.div);
-        assert!(scr.div.iter().all(|&d| d.abs() < 1e-12));
+        assert!(divergence(&s).iter().all(|&d| d.abs() < 1e-12));
     }
 
     #[test]
     fn divergence_of_linear_expansion() {
         // u = (x, y, z) has divergence 3 everywhere.
-        let (mut s, mut scr) = state(4);
+        let (mut s, _) = state(4);
         for (id, u) in s.velocity.iter_mut().enumerate() {
             *u = s.grid.point_coord_id(id);
         }
-        divergence(&s, &mut scr.div);
+        let div = divergence(&s);
         assert!(
-            scr.div.iter().all(|&d| (d - 3.0).abs() < 1e-9),
+            div.iter().all(|&d| (d - 3.0).abs() < 1e-9),
             "div = {:?}",
-            &scr.div[..4]
+            &div[..4]
         );
     }
 
     #[test]
     fn viscosity_only_in_compression() {
         let (mut s, mut scr) = state(4);
-        ideal_gas(&mut s);
         // Compression: u = -x.
         for (id, u) in s.velocity.iter_mut().enumerate() {
             let p = s.grid.point_coord_id(id);
             *u = Vec3::new(-p.x, 0.0, 0.0);
         }
-        divergence(&s, &mut scr.div);
-        viscosity(&mut s, &scr.div);
+        eos_and_viscosity(&mut s, &mut scr.stress);
         assert!(s.viscosity.iter().all(|&q| q > 0.0));
+        // The stress is the sum of the two.
+        let sums = s.pressure.iter().zip(&s.viscosity).map(|(p, q)| p + q);
+        assert!(sums.eq(scr.stress.iter().copied()));
         // Expansion: u = +x.
         for (id, u) in s.velocity.iter_mut().enumerate() {
             let p = s.grid.point_coord_id(id);
             *u = Vec3::new(p.x, 0.0, 0.0);
         }
-        divergence(&s, &mut scr.div);
-        viscosity(&mut s, &scr.div);
+        eos_and_viscosity(&mut s, &mut scr.stress);
         assert!(s.viscosity.iter().all(|&q| q == 0.0));
     }
 
@@ -470,8 +555,8 @@ mod tests {
         let (mut s, mut scr) = state(4);
         // Hot corner cell at the origin.
         s.energy[0] = 10.0;
-        ideal_gas(&mut s);
-        acceleration(&mut s, &mut scr.stress, 0.01);
+        eos_and_viscosity(&mut s, &mut scr.stress);
+        acceleration(&mut s, &scr.stress, 0.01);
         // The interior node nearest the hot corner should accelerate away
         // from the origin (positive components).
         let id = s.grid.point_id(1, 1, 1);
@@ -483,8 +568,8 @@ mod tests {
     fn acceleration_keeps_boundary_normal_velocity_zero() {
         let (mut s, mut scr) = state(4);
         s.energy[0] = 10.0;
-        ideal_gas(&mut s);
-        acceleration(&mut s, &mut scr.stress, 0.01);
+        eos_and_viscosity(&mut s, &mut scr.stress);
+        acceleration(&mut s, &scr.stress, 0.01);
         let [nx, ny, nz] = s.grid.point_dims();
         for k in 0..nz {
             for j in 0..ny {
@@ -497,16 +582,22 @@ mod tests {
     #[test]
     fn pdv_heats_compression_cools_expansion() {
         let (mut s, mut scr) = state(4);
-        ideal_gas(&mut s);
+        eos_and_viscosity(&mut s, &mut scr.stress);
         let e0 = s.energy[0];
         // Uniform compression field: div < 0 heats.
         for (id, u) in s.velocity.iter_mut().enumerate() {
             let p = s.grid.point_coord_id(id);
             *u = (Vec3::splat(0.5) - p) * 0.1;
         }
-        divergence(&s, &mut scr.div);
-        pdv(&mut s, &scr.div, 0.01);
+        pdv(&mut s, &scr.stress, 0.01);
         assert!(s.energy[0] > e0);
+        // Expansion cools.
+        for u in &mut s.velocity {
+            *u = -*u;
+        }
+        let e1 = s.energy[0];
+        pdv(&mut s, &scr.stress, 0.01);
+        assert!(s.energy[0] < e1);
     }
 
     #[test]
@@ -561,8 +652,8 @@ mod tests {
 
     #[test]
     fn calc_dt_respects_cfl_and_growth_limit() {
-        let (mut s, _) = state(4);
-        ideal_gas(&mut s);
+        let (mut s, mut scr) = state(4);
+        eos_and_viscosity(&mut s, &mut scr.stress);
         let (dt, _) = calc_dt(&s, 1.0, 0.5);
         let cs = (1.4f64 * 0.4).sqrt();
         let expect = 0.5 * 0.25 / (cs + 1e-12);

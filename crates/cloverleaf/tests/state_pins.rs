@@ -14,13 +14,14 @@
 //! unequal spacings, two grids where every node is a boundary node, and
 //! a `23 × 21 × 19` grid whose chunks start mid-row and mid-slab in all
 //! five index spaces (4096 = 178 rows of 23 + 2; 178 = 8 slabs of 21 +
-//! 10).
+//! 10). Every pin runs at 1, 2 (the benchmark's count), 4 and 16
+//! threads.
 
 use cloverleaf::kernels::{self, Scratch};
 use cloverleaf::{Problem, SimConfig, Simulation, State};
 use vizmesh::{par, Aabb, UniformGrid, Vec3};
 
-const THREADS: [usize; 3] = [1, 4, 16];
+const THREADS: [usize; 4] = [1, 2, 4, 16];
 
 fn fnv(h: &mut u64, bits: u64) {
     for byte in bits.to_le_bytes() {
@@ -140,7 +141,8 @@ fn cut_grid_after_3_steps() {
 }
 
 /// `acceleration` and `advect` alone on the cut grid, each from the same
-/// prepared state, against their own pins (state, then `calc_dt` of it).
+/// prepared state (sweep A: EOS, divergence, viscosity, stress), against
+/// their own pins (state, then `calc_dt` of it).
 #[test]
 fn acceleration_and_advect_phase_pins_on_the_cut_grid() {
     const DT: f64 = 2e-3;
@@ -148,13 +150,11 @@ fn acceleration_and_advect_phase_pins_on_the_cut_grid() {
         par::with_threads(threads, || {
             let mut s = smooth_state([23, 21, 19]);
             let mut scratch = Scratch::for_state(&s);
-            kernels::ideal_gas(&mut s);
-            kernels::divergence(&s, &mut scratch.div);
-            kernels::viscosity(&mut s, &scratch.div);
+            kernels::eos_and_viscosity(&mut s, &mut scratch.stress);
             if advect {
                 kernels::advect(&mut s, &mut scratch, DT);
             } else {
-                kernels::acceleration(&mut s, &mut scratch.stress, DT);
+                kernels::acceleration(&mut s, &scratch.stress, DT);
             }
             // With no previous step to limit growth, the CFL bound itself:
             // the hydro runs above never leave the 5 %-per-step ramp.

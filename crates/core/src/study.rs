@@ -15,7 +15,7 @@ use powersim::{CpuSpec, ExecResult, Joules, Package, Watts, Workload};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vizalgo::{Algorithm, AlgorithmSpec, Backend, IsoValues, KernelReport};
-use vizmesh::DataSet;
+use vizmesh::{par, DataSet};
 
 /// The paper's nine processor power caps (W).
 pub const PAPER_CAPS: [Watts; 9] = [
@@ -129,8 +129,8 @@ pub(crate) const HYDRO_BASE_MAX: usize = 64;
 ///
 /// The hydrodynamics solve runs at `min(size, 64)` to `HYDRO_T_END` and
 /// is trilinearly upsampled to `size`. This substitution (documented in
-/// DESIGN.md) keeps data generation tractable on one core while the
-/// visualization algorithms still process full-resolution `size³` data —
+/// DESIGN.md) bounds the hydro solve at 64³ while the visualization
+/// algorithms still process full-resolution `size³` data —
 /// their instrumented work counts, which drive all power results, are
 /// exact at the target size. It also makes the field structure identical
 /// across sizes, which is the premise of the paper's Figs. 4–6 (IPC
@@ -143,52 +143,118 @@ pub fn dataset_for(size: usize) -> DataSet {
     Arc::unwrap_or_clone(ds)
 }
 
-/// Fewest trilinear samples worth a `par` chunk in [`upsample`] (a cell
-/// lookup and seven lerps each).
+/// Fewest trilinear samples worth a `par` chunk in [`upsample`] (eight
+/// loads and seven lerps each).
 const SAMPLE_MIN_LEN: usize = 1024;
 
 /// Trilinearly upsample a structured dataset's fields onto an `n³` grid
-/// spanning the same bounds.
+/// spanning the same bounds: the base's point `energy` and `velocity` at
+/// the new points, and its point `energy` at the new cell centres.
+///
+/// Every sample is the base grid's [`UniformGrid::sample_scalar`] /
+/// [`UniformGrid::sample_vector`] at the clamped position, to the bit.
+/// The new grid is uniform and axis-aligned, so a sample's located index
+/// and weight along x depend on its `i` alone (likewise y on `j`, z on
+/// `k`): each axis is located once per index, through the sampler's own
+/// [`UniformGrid::locate_axis`], and a sample is its eight corner loads
+/// and the lerps, x → y → z.
+///
+/// [`UniformGrid::sample_scalar`]: vizmesh::UniformGrid::sample_scalar
+/// [`UniformGrid::sample_vector`]: vizmesh::UniformGrid::sample_vector
+/// [`UniformGrid::locate_axis`]: vizmesh::UniformGrid::locate_axis
 pub fn upsample(base: &DataSet, n: usize) -> DataSet {
-    use vizmesh::{Association, Field, UniformGrid};
+    use vizmesh::{Association, Field, UniformGrid, Vec3};
     let bgrid = base.as_uniform().expect("upsample needs a structured base");
     let grid = UniformGrid::from_cell_dims([n, n, n], bgrid.bounds());
     let mut ds = DataSet::uniform(grid.clone());
-    let clamp_in = |p: vizmesh::Vec3| {
+    let clamp_in = |p: Vec3| {
         // Keep sampling points strictly inside the base grid.
         let b = bgrid.bounds();
-        vizmesh::Vec3::new(
+        Vec3::new(
             p.x.clamp(b.min.x, b.max.x),
             p.y.clamp(b.min.y, b.max.y),
             p.z.clamp(b.min.z, b.max.z),
         )
     };
-    // Point scalar + vector fields, each a parallel sweep over the new
-    // grid (every value is a function of its own point alone).
-    if let Some(vals) = base.point_scalars("energy") {
-        let out: Vec<f64> = grid.map_points(SAMPLE_MIN_LEN, |_, p| {
-            bgrid.sample_scalar(vals, clamp_in(p)).unwrap_or(0.0)
-        });
-        ds.add_field(Field::scalar("energy", Association::Points, out));
+    // The new grid is a cube, so index `i` of every axis is the point
+    // `(i, i, i)` (or that cell's centre): one position per index gives
+    // all three axes' coordinates, by the expressions a per-point sweep
+    // would evaluate.
+    let located = |p: Vec3| [0, 1, 2].map(|axis| bgrid.locate_axis(axis, p[axis]));
+    let points: Vec<_> = (0..=n)
+        .map(|i| located(clamp_in(grid.point_coord(i, i, i))))
+        .collect();
+    let centres: Vec<_> = (0..n)
+        .map(|i| located(clamp_in(grid.cell_center(grid.cell_id(i, i, i)))))
+        .collect();
+    let energy = base
+        .point_scalars("energy")
+        .map(|values| move |at: Located| at.map_or(0.0, |at| bgrid.interpolate_scalar(values, at)));
+    let velocity = base.point_vectors("velocity").map(|values| {
+        move |at: Located| at.map_or(Vec3::ZERO, |at| bgrid.interpolate_vector(values, at))
+    });
+    // Both point fields in one walk; a field the base lacks is not
+    // written or added.
+    let np = grid.num_points();
+    let (mut es, mut vs) = (vec![0.0; np], vec![Vec3::ZERO; np]);
+    par::for_each_chunk_mut2(&mut es, &mut vs, SAMPLE_MIN_LEN, |ids, es, vs| {
+        for_each_located(&points, ids, |at, located| {
+            if let Some(e) = energy {
+                es[at] = e(located);
+            }
+            if let Some(v) = velocity {
+                vs[at] = v(located);
+            }
+        })
+    });
+    if energy.is_some() {
+        ds.add_field(Field::scalar("energy", Association::Points, es));
     }
-    if let Some(vel) = base.point_vectors("velocity") {
-        let out: Vec<vizmesh::Vec3> = grid.map_points(SAMPLE_MIN_LEN, |_, p| {
-            bgrid
-                .sample_vector(vel, clamp_in(p))
-                .unwrap_or(vizmesh::Vec3::ZERO)
-        });
-        ds.add_field(Field::vector("velocity", Association::Points, out));
+    if velocity.is_some() {
+        ds.add_field(Field::vector("velocity", Association::Points, vs));
     }
-    // Cell fields: sample the base *point* field at the new cell centers.
-    if let Some(vals) = base.point_scalars("energy") {
-        let out: Vec<f64> = grid.map_cells(SAMPLE_MIN_LEN, |cell| {
-            bgrid
-                .sample_scalar(vals, clamp_in(cell.center()))
-                .unwrap_or(0.0)
+    // Cell fields: sample the base *point* field at the new cell centres.
+    if let Some(e) = energy {
+        let mut es = vec![0.0; grid.num_cells()];
+        par::for_each_chunk_mut(&mut es, SAMPLE_MIN_LEN, |ids, es| {
+            for_each_located(&centres, ids, |at, located| es[at] = e(located))
         });
-        ds.add_field(Field::scalar("energy", Association::Cells, out));
+        ds.add_field(Field::scalar("energy", Association::Cells, es));
     }
     ds
+}
+
+/// Where each index of a cubic resampling lies in the base grid: entry
+/// `i` holds axis `a`'s [`vizmesh::UniformGrid::locate_axis`] in slot `a`.
+type AxisTable = [[Option<(usize, f64)>; 3]];
+
+/// Where one sample lies in the base grid: its three axes' entries, or
+/// `None` when any of them is outside.
+type Located = Option<[(usize, f64); 3]>;
+
+/// `put(at, located)` for every id of `ids` in the `len³` space `table`
+/// locates (`len` = `table.len()`), one x-row at a time: `at` counts
+/// from `ids.start`, and `located` is `None` when any axis is outside.
+#[inline]
+fn for_each_located(
+    table: &AxisTable,
+    ids: std::ops::Range<usize>,
+    mut put: impl FnMut(usize, Located),
+) {
+    let len = table.len();
+    let mut id = ids.start;
+    while id < ids.end {
+        let (i, j, k) = (id % len, id / len % len, id / (len * len));
+        let run = (len - i).min(ids.end - id);
+        let (y, z) = (table[j][1], table[k][2]);
+        for (n, x) in table[i..i + run].iter().enumerate() {
+            put(
+                id - ids.start + n,
+                x[0].zip(y).zip(z).map(|((x, y), z)| [x, y, z]),
+            );
+        }
+        id += run;
+    }
 }
 
 /// One native (really-executed) instrumented run.
@@ -535,19 +601,13 @@ mod tests {
         assert!(ulo >= blo - 1e-9 && uhi <= bhi + 1e-9);
     }
 
-    #[test]
-    fn upsample_is_the_per_index_dataset_at_every_thread_count() {
-        use vizmesh::{par, Association, Field, UniformGrid, Vec3};
-        // 65³ points: above the inline cutoff, so four threads really cut
-        // the sweeps into chunks.
-        let base = dataset_for(32);
-        let (bgrid, energy, velocity) = (
-            base.as_uniform().unwrap(),
-            base.point_scalars("energy").unwrap(),
-            base.point_vectors("velocity").unwrap(),
-        );
-        // The three sweeps as the per-index loops they replaced.
-        let grid = UniformGrid::from_cell_dims([64; 3], bgrid.bounds());
+    /// `upsample(base, n)` as the per-index loops it replaced: every
+    /// point and cell centre of the new grid, clamped into the base and
+    /// sampled there, the fields added in upsample's order.
+    fn per_index_upsample(base: &DataSet, n: usize) -> DataSet {
+        use vizmesh::{Association, Field, UniformGrid, Vec3};
+        let bgrid = base.as_uniform().unwrap();
+        let grid = UniformGrid::from_cell_dims([n; 3], bgrid.bounds());
         let (lo, hi) = (bgrid.bounds().min, bgrid.bounds().max);
         let clamp = |p: Vec3| {
             Vec3::new(
@@ -556,41 +616,94 @@ mod tests {
                 p.z.clamp(lo.z, hi.z),
             )
         };
-        let scalar = |p: Vec3| bgrid.sample_scalar(energy, clamp(p)).unwrap();
-        let expect = DataSet::uniform(grid.clone())
-            .with_field(Field::scalar(
+        let points = || (0..grid.num_points()).map(|id| clamp(grid.point_coord_id(id)));
+        let mut expect = DataSet::uniform(grid.clone());
+        let energy = base.point_scalars("energy");
+        if let Some(e) = energy {
+            let values = points().map(|p| bgrid.sample_scalar(e, p).unwrap());
+            expect.add_field(Field::scalar(
                 "energy",
                 Association::Points,
-                (0..grid.num_points())
-                    .map(|id| scalar(grid.point_coord_id(id)))
-                    .collect(),
-            ))
-            .with_field(Field::vector(
+                values.collect(),
+            ));
+        }
+        if let Some(v) = base.point_vectors("velocity") {
+            let values = points().map(|p| bgrid.sample_vector(v, p).unwrap());
+            expect.add_field(Field::vector(
                 "velocity",
                 Association::Points,
-                (0..grid.num_points())
-                    .map(|id| {
-                        let p = clamp(grid.point_coord_id(id));
-                        bgrid.sample_vector(velocity, p).unwrap()
-                    })
-                    .collect(),
-            ))
-            .with_field(Field::scalar(
+                values.collect(),
+            ));
+        }
+        if let Some(e) = energy {
+            let values = (0..grid.num_cells())
+                .map(|c| bgrid.sample_scalar(e, clamp(grid.cell_center(c))).unwrap());
+            expect.add_field(Field::scalar(
                 "energy",
                 Association::Cells,
-                (0..grid.num_cells())
-                    .map(|c| scalar(grid.cell_center(c)))
-                    .collect(),
+                values.collect(),
             ));
-        let expect = vizalgo::dataset_fingerprint(&expect);
-        for threads in [1, 4] {
-            let up = par::with_threads(threads, || upsample(&base, 64));
+        }
+        expect
+    }
+
+    /// `upsample(base, n)` is `per_index_upsample(base, n)`, bit for
+    /// bit, at 1, 2, 4 and 16 threads.
+    fn assert_per_index(what: &str, base: &DataSet, n: usize) {
+        let expect = vizalgo::dataset_fingerprint(&per_index_upsample(base, n));
+        for threads in [1, 2, 4, 16] {
+            let up = vizmesh::par::with_threads(threads, || upsample(base, n));
             assert_eq!(
                 vizalgo::dataset_fingerprint(&up),
                 expect,
-                "{threads} threads"
+                "{what}: {threads} threads"
             );
         }
+    }
+
+    #[test]
+    fn upsample_is_the_per_index_dataset_at_every_thread_count() {
+        // 65³ points: above the inline cutoff, so the threads really cut
+        // the walks into chunks.
+        assert_per_index("hydro 32^3 -> 64^3", &dataset_for(32), 64);
+    }
+
+    /// A base whose three axes differ in cell count, spacing and origin,
+    /// so a table indexed by the wrong axis cannot pass; upsampled to
+    /// 37³, whose chunks start mid-row at every thread count above one.
+    /// Bases with only one of the two point fields get only that field.
+    #[test]
+    fn upsample_of_a_non_cubic_offset_base_is_the_per_index_dataset() {
+        use vizmesh::{Aabb, Association, Field, UniformGrid, Vec3};
+        let bounds = Aabb::new(Vec3::new(-0.3, 0.2, 1.5), Vec3::new(0.9, 0.65, 1.78));
+        let grid = UniformGrid::from_cell_dims([12, 9, 7], bounds);
+        let coords: Vec<Vec3> = (0..grid.num_points())
+            .map(|id| grid.point_coord_id(id))
+            .collect();
+        let energy = Field::scalar(
+            "energy",
+            Association::Points,
+            coords
+                .iter()
+                .map(|p| 1.0 + p.x * p.y - 2.0 * p.z * p.x + 0.5 * p.y * p.z * p.z)
+                .collect(),
+        );
+        let velocity = Field::vector(
+            "velocity",
+            Association::Points,
+            coords
+                .iter()
+                .map(|p| Vec3::new(p.y * p.z, p.x - 0.5 * p.z, p.x * p.x - p.y))
+                .collect(),
+        );
+        let bare = DataSet::uniform(grid);
+        let both = bare
+            .clone()
+            .with_field(energy.clone())
+            .with_field(velocity.clone());
+        assert_per_index("energy + velocity", &both, 37);
+        assert_per_index("energy only", &bare.clone().with_field(energy), 37);
+        assert_per_index("velocity only", &bare.with_field(velocity), 37);
     }
 
     #[test]

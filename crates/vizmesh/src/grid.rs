@@ -261,51 +261,57 @@ impl UniformGrid {
         })
     }
 
-    /// `(i, j, k)` of the cell containing world point `p`, or `None`
-    /// outside the grid: the one inside test every locate and sample
-    /// goes through. A NaN component fails both comparisons, so a NaN
-    /// position is outside.
+    /// The cell index along `axis` of the coordinate `x`, or `None`
+    /// outside the grid on that axis: the one inside test every locate
+    /// and sample goes through. A NaN coordinate fails both comparisons,
+    /// so a NaN position is outside.
     #[inline]
-    fn locate_ijk(&self, p: Vec3) -> Option<[usize; 3]> {
-        let rel = p - self.origin;
-        let [cx, cy, cz] = self.cell_dims();
-        let fx = rel.x / self.spacing.x;
-        let fy = rel.y / self.spacing.y;
-        let fz = rel.z / self.spacing.z;
-        let inside = (0.0..=cx as f64).contains(&fx)
-            && (0.0..=cy as f64).contains(&fy)
-            && (0.0..=cz as f64).contains(&fz);
+    fn axis_cell(&self, axis: usize, x: f64) -> Option<usize> {
+        let cells = self.point_dims[axis] - 1;
+        let (origin, spacing) = (self.origin[axis], self.spacing[axis]);
+        let f = (x - origin) / spacing;
+        // `f` of the far face can round above `cells`, so a coordinate up
+        // to the far face by `bounds`' own expression is inside too.
+        let inside = (0.0..=cells as f64).contains(&f)
+            || (origin..=origin + spacing * cells as f64).contains(&x);
         // Points exactly on the far boundary belong to the last cell.
-        // The casts go through `i64` (the values are in `0..=cx`): one
-        // instruction on x86-64, where `f64 as usize` is a sequence.
-        inside.then(|| {
-            [
-                (fx as i64 as usize).min(cx - 1),
-                (fy as i64 as usize).min(cy - 1),
-                (fz as i64 as usize).min(cz - 1),
-            ]
-        })
+        // The cast goes through `i64` (the value is at most a rounding
+        // above `cells`): one instruction on x86-64, where `f64 as usize`
+        // is a sequence.
+        inside.then(|| (f as i64 as usize).min(cells - 1))
+    }
+
+    /// One axis of a trilinear locate: the index along `axis` of the
+    /// cell holding the coordinate `x`, and `x`'s weight in `[0, 1]`
+    /// from that cell's low side; `None` outside the grid on that axis.
+    /// A sample locates each axis on its own, so a caller whose sample
+    /// coordinates repeat along an axis (a uniform resampling) can
+    /// locate each one once and get the same bits.
+    #[inline]
+    pub fn locate_axis(&self, axis: usize, x: f64) -> Option<(usize, f64)> {
+        let i = self.axis_cell(axis, x)?;
+        // `point_coord`'s expression for this axis.
+        let x0 = self.origin[axis] + self.spacing[axis] * (i as i64 as f64);
+        Some((i, ((x - x0) / self.spacing[axis]).clamp(0.0, 1.0)))
     }
 
     /// Cell containing world point `p`, or `None` if outside the grid.
     pub fn locate_cell(&self, p: Vec3) -> Option<usize> {
-        let [i, j, k] = self.locate_ijk(p)?;
+        let i = self.axis_cell(0, p.x)?;
+        let j = self.axis_cell(1, p.y)?;
+        let k = self.axis_cell(2, p.z)?;
         Some(self.cell_id(i, j, k))
     }
 
-    /// What a trilinear sample at `p` needs: the point id of corner 0 of
-    /// the containing cell, and `p`'s weights in `[0, 1]³` from that
-    /// corner.
+    /// [`Self::locate_axis`] of each coordinate of `p`: what a trilinear
+    /// sample at `p` needs.
     #[inline]
-    fn locate_trilinear(&self, p: Vec3) -> Option<(usize, Vec3)> {
-        let [i, j, k] = self.locate_ijk(p)?;
-        let p0 = self.point_coord(i, j, k);
-        let t = Vec3::new(
-            ((p.x - p0.x) / self.spacing.x).clamp(0.0, 1.0),
-            ((p.y - p0.y) / self.spacing.y).clamp(0.0, 1.0),
-            ((p.z - p0.z) / self.spacing.z).clamp(0.0, 1.0),
-        );
-        Some((self.point_id(i, j, k), t))
+    fn locate_trilinear(&self, p: Vec3) -> Option<[(usize, f64); 3]> {
+        Some([
+            self.locate_axis(0, p.x)?,
+            self.locate_axis(1, p.y)?,
+            self.locate_axis(2, p.z)?,
+        ])
     }
 
     /// The eight corner values of the cell whose corner 0 is point
@@ -337,16 +343,7 @@ impl UniformGrid {
         if values.len() != self.num_points() {
             return None;
         }
-        let (base, t) = self.locate_trilinear(p)?;
-        let v = self.corner_values(values, base);
-        // Interpolate along x on the four edges, then y, then z.
-        let c00 = v[0] + (v[1] - v[0]) * t.x;
-        let c10 = v[3] + (v[2] - v[3]) * t.x;
-        let c01 = v[4] + (v[5] - v[4]) * t.x;
-        let c11 = v[7] + (v[6] - v[7]) * t.x;
-        let c0 = c00 + (c10 - c00) * t.y;
-        let c1 = c01 + (c11 - c01) * t.y;
-        Some(c0 + (c1 - c0) * t.z)
+        Some(self.interpolate_scalar(values, self.locate_trilinear(p)?))
     }
 
     /// Trilinear interpolation of a point-centered vector field at `p`.
@@ -355,15 +352,44 @@ impl UniformGrid {
         if values.len() != self.num_points() {
             return None;
         }
-        let (base, t) = self.locate_trilinear(p)?;
-        let v = self.corner_values(values, base);
-        let c00 = v[0].lerp(v[1], t.x);
-        let c10 = v[3].lerp(v[2], t.x);
-        let c01 = v[4].lerp(v[5], t.x);
-        let c11 = v[7].lerp(v[6], t.x);
-        let c0 = c00.lerp(c10, t.y);
-        let c1 = c01.lerp(c11, t.y);
-        Some(c0.lerp(c1, t.z))
+        Some(self.interpolate_vector(values, self.locate_trilinear(p)?))
+    }
+
+    /// The trilinear sample of a point-centered scalar field (one value
+    /// per point) at the position whose three axes [`Self::locate_axis`]
+    /// located — what [`Self::sample_scalar`] returns for it.
+    ///
+    /// # Panics
+    /// If `values` is shorter than the grid's points.
+    #[inline]
+    pub fn interpolate_scalar(&self, values: &[f64], located: [(usize, f64); 3]) -> f64 {
+        let [(i, tx), (j, ty), (k, tz)] = located;
+        let v = self.corner_values(values, self.point_id(i, j, k));
+        // Interpolate along x on the four edges, then y, then z.
+        let c00 = v[0] + (v[1] - v[0]) * tx;
+        let c10 = v[3] + (v[2] - v[3]) * tx;
+        let c01 = v[4] + (v[5] - v[4]) * tx;
+        let c11 = v[7] + (v[6] - v[7]) * tx;
+        let c0 = c00 + (c10 - c00) * ty;
+        let c1 = c01 + (c11 - c01) * ty;
+        c0 + (c1 - c0) * tz
+    }
+
+    /// The vector form of [`Self::interpolate_scalar`].
+    ///
+    /// # Panics
+    /// If `values` is shorter than the grid's points.
+    #[inline]
+    pub fn interpolate_vector(&self, values: &[Vec3], located: [(usize, f64); 3]) -> Vec3 {
+        let [(i, tx), (j, ty), (k, tz)] = located;
+        let v = self.corner_values(values, self.point_id(i, j, k));
+        let c00 = v[0].lerp(v[1], tx);
+        let c10 = v[3].lerp(v[2], tx);
+        let c01 = v[4].lerp(v[5], tx);
+        let c11 = v[7].lerp(v[6], tx);
+        let c0 = c00.lerp(c10, ty);
+        let c1 = c01.lerp(c11, ty);
+        c0.lerp(c1, tz)
     }
 }
 
@@ -658,6 +684,23 @@ mod tests {
             g.sample_scalar(&ids, g.bounds().max),
             Some((g.num_points() - 1) as f64)
         );
+    }
+
+    #[test]
+    fn every_point_of_a_box_grid_samples_to_its_own_value() {
+        // Spacings that are not powers of two: `(far - origin) / spacing`
+        // rounds above the cell count on some axis, yet the far face
+        // (`bounds().max`, the last `point_coord`) is the grid's own.
+        let bounds = Aabb::new(Vec3::new(-0.3, 0.2, 1.5), Vec3::new(0.9, 0.65, 1.78));
+        let g = UniformGrid::from_cell_dims([12, 9, 7], bounds);
+        let ids: Vec<f64> = (0..g.num_points()).map(|id| id as f64).collect();
+        for id in 0..g.num_points() {
+            let p = g.point_coord_id(id);
+            assert!(g.locate_cell(p).is_some(), "point {id} at {p:?}");
+            let s = g.sample_scalar(&ids, p).unwrap();
+            assert!((s - id as f64).abs() < 1e-9, "point {id}: {s}");
+        }
+        assert_eq!(g.locate_cell(g.bounds().max), Some(g.num_cells() - 1));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! per index (cell, point, slab, seed, image row) and keep the results
 //! in index order. This module is exactly that and nothing more:
 //! [`map`], [`for_each_mut`], the chunk forms they are written over
-//! ([`map_chunks`], [`for_each_chunk_mut`] and its zipped form
-//! [`for_each_chunk_mut2`]: the body gets its index range), and
-//! [`with_threads`].
+//! ([`map_chunks`], [`for_each_chunk_mut`] and its zipped forms
+//! [`for_each_chunk_mut2`] and [`for_each_chunk_zip`]: the body gets its
+//! index range), and [`with_threads`].
 //!
 //! A range is cut into contiguous chunks; the workers (the caller is one
 //! of them) pull chunk indices from an atomic counter, and the results
@@ -160,36 +160,83 @@ pub fn map<T: Send>(n: usize, min_len: usize, f: impl Fn(usize) -> T + Sync) -> 
     map_chunks(n, min_len, |chunk| chunk.map(&f).collect())
 }
 
-/// Hand each pre-cut chunk to exactly one worker. The mutexes are never
-/// contended (a chunk index is pulled once); they are the safe way to
-/// move a `&mut` chunk out of a shared `Vec`.
-fn visit_chunks<C: Send>(chunks: impl Iterator<Item = C>, body: impl Fn(usize, C) + Sync) {
-    let slots: Vec<Mutex<Option<C>>> = chunks.map(|c| Mutex::new(Some(c))).collect();
+/// Mutable slices of one length that [`for_each_chunk_zip`] cuts at the
+/// same places: a `&mut [T]`, or a pair of `Zip`s — so `(a, b)` zips two
+/// slices and `((a, b), (c, d))` four.
+pub trait Zip: Send + Sized {
+    /// The common length.
+    ///
+    /// # Panics
+    /// If the zipped slices differ in length.
+    fn length(&self) -> usize;
+    /// `self[..mid]` and `self[mid..]`.
+    fn split_at(self, mid: usize) -> (Self, Self);
+}
+
+impl<T: Send> Zip for &mut [T] {
+    fn length(&self) -> usize {
+        self.len()
+    }
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+}
+
+impl<A: Zip, B: Zip> Zip for (A, B) {
+    fn length(&self) -> usize {
+        let n = self.0.length();
+        assert_eq!(n, self.1.length(), "zipped slices must be the same length");
+        n
+    }
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let ((a0, a1), (b0, b1)) = (self.0.split_at(mid), self.1.split_at(mid));
+        ((a0, b0), (a1, b1))
+    }
+}
+
+/// `body(range, items[range])` over contiguous ranges that together
+/// cover the zipped `items` once: every slice of `items` cut at the same
+/// places, so one loop writes several outputs per index.
+///
+/// # Panics
+/// If the zipped slices differ in length.
+pub fn for_each_chunk_zip<Z: Zip>(items: Z, min_len: usize, body: impl Fn(Range<usize>, Z) + Sync) {
+    let n = items.length();
+    let Some(len) = chunk_len(n, min_len) else {
+        body(0..n, items);
+        return;
+    };
+    // Each chunk goes to exactly one worker. The mutexes are never
+    // contended (a chunk index is pulled once); they are the safe way to
+    // move a `&mut` chunk out of a shared `Vec`.
+    let mut slots = Vec::with_capacity(n.div_ceil(len));
+    let mut rest = items;
+    while rest.length() > len {
+        let (chunk, tail) = rest.split_at(len);
+        slots.push(Mutex::new(Some(chunk)));
+        rest = tail;
+    }
+    slots.push(Mutex::new(Some(rest)));
     chunked(slots.len(), |c| {
         let chunk = slots[c]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .take();
         if let Some(chunk) = chunk {
-            body(c, chunk);
+            let start = c * len;
+            body(start..start + chunk.length(), chunk);
         }
     });
 }
 
-/// The chunk form of [`for_each_mut`]: `body(range, &mut items[range])`
-/// over contiguous ranges that together cover `items` once.
+/// The one-slice form of [`for_each_chunk_zip`]: `body(range, &mut
+/// items[range])`.
 pub fn for_each_chunk_mut<T: Send>(
     items: &mut [T],
     min_len: usize,
     body: impl Fn(Range<usize>, &mut [T]) + Sync,
 ) {
-    let Some(len) = chunk_len(items.len(), min_len) else {
-        body(0..items.len(), items);
-        return;
-    };
-    visit_chunks(items.chunks_mut(len), |c, chunk| {
-        body(c * len..c * len + chunk.len(), chunk)
-    });
+    for_each_chunk_zip(items, min_len, body);
 }
 
 /// `f(i, &mut items[i])` for every `i`, in parallel chunks of at least
@@ -200,8 +247,8 @@ pub fn for_each_mut<T: Send>(items: &mut [T], min_len: usize, f: impl Fn(usize, 
     });
 }
 
-/// The zipped form of [`for_each_chunk_mut`]: `body(range, &mut a[range],
-/// &mut b[range])`, both slices cut at the same places.
+/// The two-slice form of [`for_each_chunk_zip`]: `body(range, &mut
+/// a[range], &mut b[range])`.
 ///
 /// # Panics
 /// If the slices differ in length.
@@ -211,14 +258,7 @@ pub fn for_each_chunk_mut2<A: Send, B: Send>(
     min_len: usize,
     body: impl Fn(Range<usize>, &mut [A], &mut [B]) + Sync,
 ) {
-    assert_eq!(a.len(), b.len(), "zipped slices must be the same length");
-    let Some(len) = chunk_len(a.len(), min_len) else {
-        body(0..a.len(), a, b);
-        return;
-    };
-    visit_chunks(a.chunks_mut(len).zip(b.chunks_mut(len)), |c, (ca, cb)| {
-        body(c * len..c * len + ca.len(), ca, cb)
-    });
+    for_each_chunk_zip((a, b), min_len, |range, (a, b)| body(range, a, b));
 }
 
 #[cfg(test)]
@@ -276,6 +316,24 @@ mod tests {
                     });
                     assert!(a.iter().zip(&expect).all(|(x, e)| *x == e + 1.0));
                     assert!(b.iter().enumerate().all(|(i, y)| *y == i));
+
+                    // Nested pairs: three slices of two types, one cut.
+                    let mut d = vec![0u8; n];
+                    let zipped = ((&mut c[..], &mut b[..]), &mut d[..]);
+                    for_each_chunk_zip(zipped, MIN_LEN, |r, ((cc, cb), cd)| {
+                        assert!(r.len() == cc.len() && r.len() == cb.len() && r.len() == cd.len());
+                        for (i, ((x, y), z)) in r.zip(cc.iter_mut().zip(cb).zip(cd)) {
+                            *x -= value(i);
+                            *y += 1;
+                            *z = (i % 251) as u8;
+                        }
+                    });
+                    assert!(c.iter().all(|x| *x == 0.0));
+                    assert!(b.iter().enumerate().all(|(i, y)| *y == i + 1));
+                    assert!(d
+                        .iter()
+                        .enumerate()
+                        .all(|(i, z)| usize::from(*z) == i % 251));
                 });
             }
         }

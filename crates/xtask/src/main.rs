@@ -123,10 +123,10 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
         Some(("VIZPOWER_THREADS", "1")),
     ),
     // Sixteen threads on a 2-4 core runner: many more chunks than cores,
-    // the cut a big node gives the parallel BVH build's task list and
-    // the renderers' row-buffer fills.
+    // the cut a big node gives the parallel BVH build's task list, the
+    // renderers' row-buffer fills and the hydro step's fused sweeps.
     (
-        "cargo test -q -p vizmesh -p vizalgo",
+        "cargo test -q -p vizmesh -p vizalgo -p cloverleaf",
         Some(("VIZPOWER_THREADS", "16")),
     ),
     (
