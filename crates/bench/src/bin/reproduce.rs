@@ -23,6 +23,10 @@
 //!                                 # extension: the study service under
 //!                                 # Zipfian traffic, N simulated nodes at
 //!                                 # a 90 W budget each
+//! reproduce insitu [--actions FILE] [--out DIR]
+//!                                 # drive CloverLeaf with an Ascent-style
+//!                                 # action file, writing each cycle's
+//!                                 # images and the final state (VTK)
 //! ```
 //!
 //! Every target takes `--quick`, `--journal out.jsonl` and `--trace
@@ -45,7 +49,9 @@
 //! Everything printed is modeled time and energy. Wall-clock
 //! measurement is `benchmarks/run.sh` (`docs/PERFORMANCE.md`).
 
+use insitu::{ActionList, InSituRuntime, RuntimeConfig, Trigger};
 use powersim::trace::Journal;
+use std::path::Path;
 use std::str::FromStr;
 use vizalgo::{Algorithm, Backend};
 use vizpower::experiments::{self, FigMetric};
@@ -57,7 +63,7 @@ use vizpower_bench::{CliError, Fidelity, JOURNAL_CAPACITY};
 type Outcome = Result<(), CliError>;
 
 /// Every flag and the placeholder of its value (empty for a switch).
-const FLAGS: [(&str, &str); 9] = [
+const FLAGS: [(&str, &str); 11] = [
     ("--quick", ""),
     ("--budget-sweep", ""),
     ("--journal", "out.jsonl"),
@@ -67,6 +73,8 @@ const FLAGS: [(&str, &str); 9] = [
     ("--zipf", "S"),
     ("--nodes", "N"),
     ("--workers", "W"),
+    ("--actions", "FILE"),
+    ("--out", "DIR"),
 ];
 
 /// Flags every verb accepts. `--budget-sweep` is the governor's (only)
@@ -75,6 +83,7 @@ const FLAGS: [(&str, &str); 9] = [
 const COMMON: [&str; 4] = ["--quick", "--budget-sweep", "--journal", "--trace"];
 const BACKEND: &[&str] = &["--backend"];
 const TRAFFIC: &[&str] = &["--requests", "--zipf", "--nodes", "--workers"];
+const INSITU: &[&str] = &["--actions", "--out"];
 
 /// One `reproduce` target: its name, the flags it accepts beyond
 /// [`COMMON`], and the function that runs it. `all` is rows 1–14.
@@ -85,7 +94,7 @@ struct Verb {
 }
 
 #[rustfmt::skip]
-const VERBS: [Verb; 19] = [
+const VERBS: [Verb; 20] = [
     Verb { name: "all", flags: &[], run: |r| VERBS[1..15].iter().try_for_each(|part| (part.run)(r)) },
     Verb { name: "table1", flags: BACKEND, run: table1 },
     Verb { name: "table2", flags: BACKEND, run: |r| slowdown_table(r, "II", 2, r.fidelity.table2_size()) },
@@ -105,6 +114,7 @@ const VERBS: [Verb; 19] = [
     Verb { name: "conformance", flags: BACKEND, run: conformance_suite },
     Verb { name: "advect", flags: &[], run: advect },
     Verb { name: "serve", flags: TRAFFIC, run: serve },
+    Verb { name: "insitu", flags: INSITU, run: insitu },
 ];
 
 fn usage(context: &str) -> CliError {
@@ -147,7 +157,10 @@ fn plan(args: impl IntoIterator<Item = String>) -> Result<(&'static Verb, Given)
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         if !arg.starts_with("--") {
-            target.get_or_insert(arg);
+            if target.is_some() {
+                return Err(usage(&format!("unexpected argument '{arg}'")));
+            }
+            target = Some(arg);
         } else if let Some(&(flag, value)) = FLAGS.iter().find(|f| f.0 == arg) {
             let missing = || usage(&format!("{flag} needs <{value}>"));
             let value = match value {
@@ -449,6 +462,60 @@ fn serve(run: &mut Run) -> Outcome {
     Ok(())
 }
 
+/// The shipped action file, run the way Ascent runs one: CloverLeaf on a
+/// 32³ grid for 40 steps with a visualization cycle every 10 (`--quick`:
+/// 8³, 8 steps, every 4). Each cycle's images and the final state (VTK)
+/// go to `--out`.
+fn insitu(run: &mut Run) -> Outcome {
+    let actions_path = run
+        .given
+        .raw("--actions")
+        .unwrap_or("examples/ascent_actions.json");
+    let out = Path::new(run.given.raw("--out").unwrap_or("target/insitu_out"));
+    let (cells, steps, every) = if run.quick() { (8, 8, 4) } else { (32, 40, 10) };
+    let json = std::fs::read_to_string(actions_path)
+        .map_err(|e| format!("cannot read {actions_path}: {e}"))?;
+    let actions = ActionList::from_json(&json)
+        .map_err(|e| format!("invalid actions file {actions_path}: {e}"))?;
+    std::fs::create_dir_all(out)
+        .map_err(|e| format!("cannot create output dir {}: {e}", out.display()))?;
+    println!(
+        "== In situ: {} pipelines, {} scenes, {cells}³ cells, {steps} steps, viz every {every} ==",
+        actions.pipelines().count(),
+        actions.scenes().count(),
+    );
+    let config = RuntimeConfig {
+        grid_cells: cells,
+        total_steps: steps,
+        trigger: Trigger::EveryN { n: every },
+    };
+    let mut runtime = InSituRuntime::new(cloverleaf::Problem::TwoState, config, actions);
+    for scene in &mut runtime.scenes {
+        *scene = scene.clone().with_output_dir(out);
+    }
+    let coupled = runtime
+        .run_journaled(&mut run.ctx.journal)
+        .map_err(|e| format!("cannot write scene images: {e}"))?;
+    for cycle in &coupled.cycles {
+        println!(
+            "  cycle @ step {:>4}: {} viz kernels, {} images",
+            cycle.step,
+            cycle.viz_kernels.len(),
+            cycle.images.len()
+        );
+    }
+    let path = out.join(format!("state_{:04}.vtk", runtime.sim.step_count()));
+    vizmesh::save_vtk(&path, &runtime.sim.dataset(), "cloverleaf state")
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("  wrote {}", path.display());
+    println!(
+        "done: {} cycles, outputs in {}",
+        coupled.cycles.len(),
+        out.display()
+    );
+    Ok(())
+}
+
 /// `--zipf`: the traffic's Zipf exponent, which must be finite — a NaN
 /// or infinite one draws every request from a single key.
 fn zipf_exponent(given: &Given) -> Result<f64, CliError> {
@@ -500,12 +567,12 @@ mod tests {
     fn retired_bench_verb_and_flags_are_unknown() {
         let err = plan_of("bench --quick").unwrap_err();
         assert!(err.starts_with("unknown target 'bench'\nusage: reproduce <all|table1|"));
-        assert!(err.contains("|advect|serve> [--quick]"), "{err}");
-        assert!(err.ends_with("[--workers <W>]"), "{err}");
-        for flag in ["--out", "--algo"] {
-            let err = plan_of(&format!("table1 {flag} x")).unwrap_err();
-            assert!(err.starts_with(&format!("unknown flag '{flag}'")), "{err}");
-        }
+        assert!(err.contains("|serve|insitu> [--quick]"), "{err}");
+        assert!(err.ends_with("[--out <DIR>]"), "{err}");
+        let err = plan_of("table1 --algo x").unwrap_err();
+        assert!(err.starts_with("unknown flag '--algo'"), "{err}");
+        let err = plan_of("table1 --out x").unwrap_err();
+        assert!(err.starts_with("--out does not apply to 'table1', only to: insitu\n"));
     }
 
     #[test]
@@ -513,6 +580,11 @@ mod tests {
         let err = plan_of("serve --requests").unwrap_err();
         assert!(err.starts_with("--requests needs <K>"), "{err}");
         assert!(plan_of("").unwrap_err().starts_with("missing target"));
+        let err = plan_of("fig6 table1 --quick").unwrap_err();
+        assert!(
+            err.starts_with("unexpected argument 'table1'\nusage:"),
+            "{err}"
+        );
         let (_, given) = plan(["serve", "--zipf", "x", "--nodes", "3"].map(String::from)).unwrap();
         assert_eq!(given.value("--nodes", 4usize).unwrap(), 3);
         assert_eq!(given.value("--workers", 4usize).unwrap(), 4);

@@ -32,7 +32,6 @@ impl Default for SimConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct StepReport {
     pub step: u64,
-    pub(crate) t: f64,
     /// Work done by all kernels this step.
     pub work: WorkCounters,
 }
@@ -84,7 +83,7 @@ impl Simulation {
     /// advection → next-dt, in five parallel sweeps (see
     /// [`crate::kernels`]).
     pub fn step(&mut self) -> StepReport {
-        self.step_phases(&mut |_, _| {})
+        self.step_phases(&mut |_, _| {}, &mut Journal::off())
     }
 
     /// Advance one time step like [`Simulation::step`], invoking
@@ -94,9 +93,13 @@ impl Simulation {
     /// from. The sequence is `ideal_gas`, `divergence`, `viscosity`
     /// (sweep A), `acceleration` (B), `divergence`, `pdv` (C), `advect`
     /// (D and E), `calc_dt`.
+    ///
+    /// `journal`'s clock advances by the step's simulated duration, and
+    /// a live journal gets a [`Scope::Timestep`] span covering it.
     pub fn step_phases(
         &mut self,
         observer: &mut dyn FnMut(&'static str, WorkCounters),
+        journal: &mut Journal,
     ) -> StepReport {
         let mut work = WorkCounters::new();
         let mut retire = |phases: &[(&'static str, WorkCounters)]| {
@@ -115,6 +118,7 @@ impl Simulation {
         retire(&kernels::pdv(state, &scratch.stress, dt));
         retire(&[("advect", kernels::advect(state, scratch, dt))]);
 
+        let time_before = self.time;
         self.time += self.dt;
         self.step += 1;
 
@@ -126,48 +130,28 @@ impl Simulation {
         work.working_set_bytes =
             (self.state.density.len() * 8 * 4 + self.state.velocity.len() * 24) as u64;
 
-        StepReport {
-            step: self.step,
-            t: self.time,
-            work,
-        }
-    }
-
-    /// Advance one time step like [`Simulation::step`], additionally
-    /// advancing `journal`'s clock by the step's simulated duration and
-    /// emitting a [`Scope::Timestep`] span covering it.
-    pub fn step_journaled(&mut self, journal: &mut Journal) -> StepReport {
-        self.step_phases_journaled(&mut |_, _| {}, journal)
-    }
-
-    /// [`Simulation::step_phases`] with the journaling of
-    /// [`Simulation::step_journaled`].
-    pub fn step_phases_journaled(
-        &mut self,
-        observer: &mut dyn FnMut(&'static str, WorkCounters),
-        journal: &mut Journal,
-    ) -> StepReport {
-        let time_before = self.time;
-        let report = self.step_phases(observer);
+        // The journal has always advanced by the clock difference, which
+        // can differ from `dt` in the last bit.
         let t0 = journal.now();
-        // `self.dt` is now the *next* step's dt; this step advanced time
-        // by `report.t - time_before`.
-        let step_dt = report.t - time_before;
+        let step_dt = self.time - time_before;
         journal.advance(step_dt);
         if journal.is_enabled() {
             journal.push_span(
                 Scope::Timestep,
-                format!("step:{}", report.step),
+                format!("step:{}", self.step),
                 t0,
                 None,
                 vec![
-                    ("step", report.step as f64),
+                    ("step", self.step as f64),
                     ("dt", step_dt),
-                    ("instructions", report.work.instructions as f64),
+                    ("instructions", work.instructions as f64),
                 ],
             );
         }
-        report
+        StepReport {
+            step: self.step,
+            work,
+        }
     }
 
     /// Run `n` steps, returning the accumulated work.
@@ -186,20 +170,12 @@ impl Simulation {
     /// rather than every exported state. The final state is always
     /// recorded, so the retained window ends at the simulation's
     /// current time even when `n` is off-cadence.
+    ///
+    /// Each step is journaled as by [`Simulation::step_phases`].
+    /// Snapshot recording itself emits nothing: the journal sees exactly
+    /// the same timestep spans as an unrecorded run, so recording cannot
+    /// perturb golden traces.
     pub fn run_steps_recording(
-        &mut self,
-        n: u64,
-        every: u64,
-        series: &mut FieldSeries,
-    ) -> WorkCounters {
-        self.run_steps_recording_journaled(n, every, series, &mut Journal::off())
-    }
-
-    /// [`Simulation::run_steps_recording`], journaling each step like
-    /// [`Simulation::step_journaled`]. Snapshot recording itself emits
-    /// nothing: the journal sees exactly the same timestep spans as an
-    /// unrecorded run, so recording cannot perturb golden traces.
-    pub fn run_steps_recording_journaled(
         &mut self,
         n: u64,
         every: u64,
@@ -210,7 +186,7 @@ impl Simulation {
         assert!(every > 0, "recording cadence must be positive");
         let mut total = WorkCounters::new();
         for _ in 0..n {
-            total += self.step_journaled(journal).work;
+            total += self.step_phases(&mut |_, _| {}, journal).work;
             if self.step.is_multiple_of(every) {
                 series.record(self.time, Arc::new(self.dataset()));
             }
@@ -236,10 +212,10 @@ mod tests {
         let mut sim = Simulation::new(Problem::TwoState, 6, SimConfig::default());
         let mut last_t = 0.0;
         for _ in 0..5 {
-            let r = sim.step();
-            assert!(r.t > last_t);
+            sim.step();
+            assert!(sim.time() > last_t);
             assert!(sim.current_dt() > 0.0);
-            last_t = r.t;
+            last_t = sim.time();
         }
         assert_eq!(sim.step_count(), 5);
     }
@@ -294,7 +270,7 @@ mod tests {
         let mut sim = Simulation::new(Problem::TwoState, 6, SimConfig::default());
         let mut journal = Journal::with_capacity(64);
         for _ in 0..5 {
-            sim.step_journaled(&mut journal);
+            sim.step_phases(&mut |_, _| {}, &mut journal);
         }
         assert!((journal.now() - sim.time()).abs() < 1e-12);
         let spans = journal
@@ -309,10 +285,11 @@ mod tests {
         let mut sim = Simulation::new(Problem::TwoState, 6, SimConfig::default());
         let mut names = Vec::new();
         let mut instructions = 0u64;
-        let r = sim.step_phases(&mut |name, w| {
+        let observer = &mut |name, w: WorkCounters| {
             names.push(name);
             instructions += w.instructions;
-        });
+        };
+        let r = sim.step_phases(observer, &mut Journal::off());
         assert_eq!(
             names,
             vec![
@@ -333,10 +310,11 @@ mod tests {
     fn step_phases_matches_plain_step() {
         let mut plain = Simulation::new(Problem::TwoState, 6, SimConfig::default());
         let mut observed = Simulation::new(Problem::TwoState, 6, SimConfig::default());
+        let mut journal = Journal::with_capacity(8);
         for _ in 0..5 {
             let a = plain.step();
-            let b = observed.step_phases(&mut |_, _| {});
-            assert_eq!(a.t, b.t);
+            let b = observed.step_phases(&mut |_, _| {}, &mut journal);
+            assert_eq!(plain.time(), observed.time());
             assert_eq!(a.work.instructions, b.work.instructions);
         }
         assert_eq!(plain.state.energy, observed.state.energy);
@@ -346,7 +324,7 @@ mod tests {
     fn recording_retains_a_bounded_ring_past_step_200() {
         let mut sim = Simulation::new(Problem::TwoState, 6, SimConfig::default());
         let mut series = FieldSeries::with_capacity(4);
-        sim.run_steps_recording(240, 20, &mut series);
+        sim.run_steps_recording(240, 20, &mut series, &mut Journal::off());
         assert_eq!(sim.step_count(), 240);
         // 12 recorded snapshots (steps 20, 40, ..., 240), ring keeps 4.
         assert_eq!(series.len(), 4);
@@ -374,7 +352,7 @@ mod tests {
     fn recording_appends_the_final_state_when_off_cadence() {
         let mut sim = Simulation::new(Problem::TwoState, 6, SimConfig::default());
         let mut series = FieldSeries::with_capacity(8);
-        sim.run_steps_recording(10, 4, &mut series);
+        sim.run_steps_recording(10, 4, &mut series, &mut Journal::off());
         // Cadence snapshots at steps 4 and 8, plus the final state at 10.
         assert_eq!(series.len(), 3);
         assert_eq!(series.last_time(), Some(sim.time()));
@@ -382,20 +360,18 @@ mod tests {
 
     #[test]
     fn recording_journaled_matches_plain_recording() {
-        let run = |journaled: bool| {
+        let run = |journal: &mut Journal| {
             let mut sim = Simulation::new(Problem::TwoState, 6, SimConfig::default());
             let mut series = FieldSeries::with_capacity(4);
-            if journaled {
-                let mut journal = Journal::with_capacity(256);
-                sim.run_steps_recording_journaled(24, 8, &mut series, &mut journal);
-                assert!((journal.now() - sim.time()).abs() < 1e-12);
-            } else {
-                sim.run_steps_recording(24, 8, &mut series);
-            }
+            sim.run_steps_recording(24, 8, &mut series, journal);
             let times: Vec<f64> = series.snapshots().map(|(t, _)| t).collect();
-            (times, sim.state.energy.clone())
+            (times, sim.state.energy.clone(), sim.time())
         };
-        assert_eq!(run(false), run(true));
+        let mut journal = Journal::with_capacity(256);
+        let live = run(&mut journal);
+        assert!((journal.now() - live.2).abs() < 1e-12);
+        assert_eq!(journal.len(), 24, "one timestep span per step");
+        assert_eq!(run(&mut Journal::off()), live);
     }
 
     #[test]

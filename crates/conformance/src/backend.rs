@@ -19,52 +19,46 @@
 
 use crate::{
     build_input, explicit_parts, spec_for, CheckKind, CheckResult, ConformanceConfig,
-    ConformanceReport,
+    ConformanceReport, Group,
 };
-use powersim::trace::{Journal, Kind, Value};
+use powersim::trace::Journal;
 use vizalgo::dpp::dpp_algorithms;
-use vizalgo::{Algorithm, Backend, PrimitiveReport};
+use vizalgo::{Algorithm, Backend, FilterOutput};
 use vizmesh::{CellSet, DataSet, FieldData, Vec3};
 
-/// One algorithm × grid differential group: its checks plus the DPP
-/// execution's primitive-counter trail (journaled as `primitive`
-/// records by [`run_journaled`]).
-#[derive(Debug, Clone)]
-pub(crate) struct DppGroup {
-    pub(crate) algorithm: Algorithm,
-    pub(crate) grid: u32,
-    pub(crate) checks: Vec<CheckResult>,
-    pub(crate) primitives: Vec<PrimitiveReport>,
-}
-
-/// Run one algorithm through both backends at grid size `n` and compare.
-pub(crate) fn checks(alg: Algorithm, cfg: &ConformanceConfig, n: usize) -> DppGroup {
+/// Run one algorithm through both backends at grid size `n` and compare:
+/// the group `conformance:dpp:{alg}:{n}` under the DPP-tagged spec
+/// fingerprint, carrying the DPP execution's primitive-counter trail.
+pub(crate) fn checks(alg: Algorithm, cfg: &ConformanceConfig, n: usize) -> Group {
     let input = build_input(alg, n);
     let spec = spec_for(alg, cfg);
     let trad = spec
         .build_with(Backend::Traditional, &input)
         .execute(&input);
     let dpp = spec.build_with(Backend::Dpp, &input).execute(&input);
-    let mut out = Vec::with_capacity(7);
+    Group {
+        name: format!("conformance:dpp:{}:{}", alg.name(), n),
+        algorithm: alg,
+        grid: n as u32,
+        spec_fp: spec.fingerprint_with(Backend::Dpp),
+        checks: compare(alg, n, &trad, &dpp),
+        primitives: dpp.primitives,
+    }
+}
 
+/// The differential checks of one traditional/DPP output pair.
+fn compare(alg: Algorithm, n: usize, trad: &FilterOutput, dpp: &FilterOutput) -> Vec<CheckResult> {
+    let setup_failure = |check| {
+        let failure = CheckResult::setup_failure(alg, CheckKind::Differential, check, n);
+        vec![failure]
+    };
     let (Some(tds), Some(dds)) = (&trad.dataset, &dpp.dataset) else {
-        out.push(CheckResult::setup_failure(
-            alg,
-            CheckKind::Differential,
-            "backend:dataset",
-            n,
-        ));
-        return group(alg, n, out, dpp.primitives);
+        return setup_failure("backend:dataset");
     };
     let (Some((tp, tc)), Some((dp, dc))) = (explicit_parts(tds), explicit_parts(dds)) else {
-        out.push(CheckResult::setup_failure(
-            alg,
-            CheckKind::Differential,
-            "backend:explicit-geometry",
-            n,
-        ));
-        return group(alg, n, out, dpp.primitives);
+        return setup_failure("backend:explicit-geometry");
     };
+    let mut out = Vec::with_capacity(7);
 
     out.push(CheckResult::new(
         alg,
@@ -148,25 +142,11 @@ pub(crate) fn checks(alg: Algorithm, cfg: &ConformanceConfig, n: usize) -> DppGr
         1.0,
         0.0,
     ));
-    group(alg, n, out, dpp.primitives)
-}
-
-fn group(
-    alg: Algorithm,
-    n: usize,
-    checks: Vec<CheckResult>,
-    prims: Vec<PrimitiveReport>,
-) -> DppGroup {
-    DppGroup {
-        algorithm: alg,
-        grid: n as u32,
-        checks,
-        primitives: prims,
-    }
+    out
 }
 
 /// Every DPP-formulated algorithm at every configured grid size.
-pub(crate) fn run_grouped(cfg: &ConformanceConfig) -> Vec<DppGroup> {
+pub(crate) fn groups(cfg: &ConformanceConfig) -> Vec<Group> {
     let mut groups = Vec::with_capacity(cfg.grids.len() * 4);
     for &n in &cfg.grids {
         for alg in dpp_algorithms() {
@@ -182,45 +162,7 @@ pub(crate) fn run_grouped(cfg: &ConformanceConfig) -> Vec<DppGroup> {
 /// carrying the DPP-tagged spec fingerprint, and one `primitive` record
 /// per primitive op the group's DPP execution invoked.
 pub fn run_journaled(cfg: &ConformanceConfig, journal: &mut Journal) -> ConformanceReport {
-    let mut all = Vec::new();
-    for g in run_grouped(cfg) {
-        journal_dpp_group(cfg, journal, &g);
-        all.extend(g.checks);
-    }
-    ConformanceReport { checks: all }
-}
-
-fn journal_dpp_group(cfg: &ConformanceConfig, journal: &mut Journal, g: &DppGroup) {
-    if !journal.is_enabled() {
-        return;
-    }
-    let fp = spec_for(g.algorithm, cfg).fingerprint_with(Backend::Dpp);
-    crate::journal_group(
-        journal,
-        format!("conformance:dpp:{}:{}", g.algorithm.name(), g.grid),
-        g.algorithm,
-        g.grid,
-        &g.checks,
-        fp,
-    );
-    for r in &g.primitives {
-        journal_primitive(journal, r);
-    }
-}
-
-fn journal_primitive(journal: &mut Journal, r: &PrimitiveReport) {
-    journal.push_record(
-        Kind::Primitive,
-        journal.now(),
-        vec![
-            ("name", Value::Str(format!("primitive:{}", r.op.name()))),
-            ("invocations", (r.counters.invocations as f64).into()),
-            ("elements", (r.counters.elements as f64).into()),
-            ("bytes_read", (r.counters.bytes_read as f64).into()),
-            ("bytes_written", (r.counters.bytes_written as f64).into()),
-            ("flops", (r.counters.flops as f64).into()),
-        ],
-    );
+    crate::journal_groups(groups(cfg), journal)
 }
 
 /// Coordinate sum with per-axis weights, resolved through connectivity
@@ -290,29 +232,36 @@ mod tests {
 
     #[test]
     fn quick_backend_suite_passes() {
-        let cfg = ConformanceConfig::quick();
-        let groups = run_grouped(&ConformanceConfig {
+        let cfg = ConformanceConfig {
             grids: vec![8],
-            ..cfg
-        });
-        assert_eq!(groups.len(), 4, "one group per DPP algorithm");
-        for g in &groups {
+            ..ConformanceConfig::quick()
+        };
+        let mut journal = Journal::with_capacity(4096);
+        let live = run_journaled(&cfg, &mut journal);
+        let off = run_journaled(&cfg, &mut Journal::off());
+        assert_eq!(format!("{:?}", live.checks), format!("{:?}", off.checks));
+        for c in &live.checks {
             assert!(
-                !g.primitives.is_empty(),
-                "{} journaled no primitives",
-                g.algorithm
+                c.pass(),
+                "{} {} measured {} expected {} tol {}",
+                c.algorithm,
+                c.check,
+                c.measured,
+                c.expected,
+                c.tolerance
             );
-            for c in &g.checks {
-                assert!(
-                    c.pass(),
-                    "{} {} measured {} expected {} tol {}",
-                    g.algorithm,
-                    c.check,
-                    c.measured,
-                    c.expected,
-                    c.tolerance
-                );
-            }
+        }
+        // Each group's `conformance` record is followed by its DPP
+        // execution's primitive trail.
+        let jsonl = journal.to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let groups: Vec<usize> = (0..lines.len())
+            .filter(|&i| lines[i].contains("\"ev\":\"conformance\""))
+            .collect();
+        assert_eq!(groups.len(), 4, "one group per DPP algorithm");
+        for i in groups {
+            let next = lines.get(i + 1).copied().unwrap_or_default();
+            assert!(next.contains("\"ev\":\"primitive\""), "{}", lines[i]);
         }
     }
 
@@ -322,7 +271,7 @@ mod tests {
             grids: vec![8],
             ..ConformanceConfig::quick()
         };
-        for g in run_grouped(&cfg) {
+        for g in groups(&cfg) {
             for c in &g.checks {
                 if g.algorithm == Algorithm::Threshold
                     && c.check == "differential:backend:coord-checksum"
@@ -364,7 +313,7 @@ mod tests {
 
     #[test]
     fn primitive_jsonl_shape_is_exact() {
-        let report = PrimitiveReport {
+        let report = vizalgo::PrimitiveReport {
             op: vizalgo::dpp::PrimitiveOp::Compact,
             counters: vizalgo::dpp::PrimitiveCounters {
                 invocations: 1,
@@ -375,7 +324,7 @@ mod tests {
             },
         };
         let mut journal = Journal::with_capacity(4);
-        journal_primitive(&mut journal, &report);
+        crate::journal_primitive(&mut journal, &report);
         assert_eq!(
             journal.to_jsonl().trim_end(),
             "{\"v\":10,\"seq\":0,\"ev\":\"primitive\",\"t\":0,\"name\":\"primitive:compact\",\

@@ -48,7 +48,9 @@ mod reference;
 
 use powersim::trace::{Journal, Kind, Value};
 use std::fmt::Write as _;
-use vizalgo::{Algorithm, AlgorithmSpec, Filter, IsoValues, ScalarBand, SphereSpec};
+use vizalgo::{
+    Algorithm, AlgorithmSpec, Filter, IsoValues, PrimitiveReport, ScalarBand, SphereSpec,
+};
 use vizmesh::dataset::Geometry;
 use vizmesh::{CellSet, CellShape, DataSet, Vec3};
 
@@ -319,9 +321,23 @@ impl ConformanceReport {
     }
 }
 
-/// Run every check, grouped as `(algorithm, grid, checks)` — one group
-/// per algorithm per grid, plus the metamorphic groups.
-pub(crate) fn run_grouped(cfg: &ConformanceConfig) -> Vec<(Algorithm, u32, Vec<CheckResult>)> {
+/// One journaled unit of a suite: the checks of one algorithm at one
+/// grid, the fingerprint of the spec they checked, and the primitive
+/// trail of the DPP execution (empty outside the backend differential).
+#[derive(Debug, Clone)]
+pub(crate) struct Group {
+    pub(crate) name: String,
+    pub(crate) algorithm: Algorithm,
+    pub(crate) grid: u32,
+    pub(crate) spec_fp: u64,
+    pub(crate) checks: Vec<CheckResult>,
+    pub(crate) primitives: Vec<PrimitiveReport>,
+}
+
+/// Every check of the canonical-spec suite: one group per algorithm per
+/// grid, plus the metamorphic and flow groups, each under its
+/// traditional spec fingerprint.
+pub(crate) fn groups(cfg: &ConformanceConfig) -> Vec<Group> {
     let mut groups = Vec::with_capacity(cfg.grids.len() * Algorithm::ALL.len() + 8);
     for &n in &cfg.grids {
         for alg in Algorithm::ALL {
@@ -335,79 +351,59 @@ pub(crate) fn run_grouped(cfg: &ConformanceConfig) -> Vec<(Algorithm, u32, Vec<C
     }
     groups.extend(metamorphic::groups(cfg));
     groups.extend(flow::groups(cfg));
-    groups
+    let group = |(algorithm, grid, checks): (Algorithm, u32, _)| Group {
+        name: format!("conformance:{}:{}", algorithm.name(), grid),
+        algorithm,
+        grid,
+        spec_fp: spec_for(algorithm, cfg).fingerprint(),
+        checks,
+        primitives: Vec::new(),
+    };
+    groups.into_iter().map(group).collect()
 }
 
 /// Run every check and flatten into one report.
 pub fn run_all(cfg: &ConformanceConfig) -> ConformanceReport {
-    let checks = run_grouped(cfg)
-        .into_iter()
-        .flat_map(|(_, _, checks)| checks)
-        .collect();
-    ConformanceReport { checks }
+    run_journaled(cfg, &mut Journal::off())
 }
 
 /// Run every check, journaling one `conformance_check` record per check
 /// plus one `conformance` record per group carrying the fingerprint of
 /// the canonical spec the group checked (see docs/OBSERVABILITY.md).
 pub fn run_journaled(cfg: &ConformanceConfig, journal: &mut Journal) -> ConformanceReport {
-    let mut all = Vec::new();
-    for (alg, grid, checks) in run_grouped(cfg) {
-        journal_spec_group(cfg, journal, alg, grid, &checks);
-        all.extend(checks);
-    }
-    ConformanceReport { checks: all }
+    journal_groups(groups(cfg), journal)
 }
 
-/// Journal one canonical-spec group under its traditional fingerprint.
-fn journal_spec_group(
-    cfg: &ConformanceConfig,
-    journal: &mut Journal,
-    alg: Algorithm,
-    grid: u32,
-    checks: &[CheckResult],
-) {
-    if !journal.is_enabled() {
-        return;
+/// Flatten `groups` into one report, journaling per group one
+/// `conformance_check` record per check, then the `conformance` record
+/// carrying the group's spec fingerprint, then one `primitive` record
+/// per primitive op (see docs/OBSERVABILITY.md).
+pub(crate) fn journal_groups(groups: Vec<Group>, journal: &mut Journal) -> ConformanceReport {
+    let mut checks = Vec::new();
+    for g in groups {
+        if journal.is_enabled() {
+            for c in &g.checks {
+                journal_check(journal, g.algorithm, g.grid, c);
+            }
+            let failures = g.checks.iter().filter(|c| !c.pass()).count();
+            journal.push_record(
+                Kind::Conformance,
+                journal.now(),
+                vec![
+                    ("name", Value::Str(g.name)),
+                    ("grid", g.grid.into()),
+                    ("checks", (g.checks.len() as f64).into()),
+                    ("failures", (failures as f64).into()),
+                    ("spec_fp", (g.spec_fp as f64).into()),
+                ],
+            );
+            for r in &g.primitives {
+                journal_primitive(journal, r);
+            }
+        }
+        checks.extend(g.checks);
     }
-    journal_group(
-        journal,
-        format!("conformance:{}:{}", alg.name(), grid),
-        alg,
-        grid,
-        checks,
-        spec_for(alg, cfg).fingerprint(),
-    );
-}
-
-/// Journal one conformance group: one `conformance_check` record per
-/// check, then the `conformance` record carrying the group's spec
-/// fingerprint. Shared by the canonical-spec run above and the
-/// backend-differential run in [`backend`], which guard it with
-/// [`Journal::is_enabled`] so an unjournaled run builds no names.
-pub(crate) fn journal_group(
-    journal: &mut Journal,
-    name: String,
-    alg: Algorithm,
-    grid: u32,
-    checks: &[CheckResult],
-    spec_fp: u64,
-) {
-    let failures = checks.iter().filter(|c| !c.pass()).count();
-    for c in checks {
-        journal_check(journal, alg, grid, c);
-    }
-    journal.push_record(
-        Kind::Conformance,
-        journal.now(),
-        vec![
-            ("name", Value::Str(name)),
-            ("grid", grid.into()),
-            ("checks", (checks.len() as f64).into()),
-            ("failures", (failures as f64).into()),
-            ("spec_fp", (spec_fp as f64).into()),
-        ],
-    );
+    ConformanceReport { checks }
 }
 
 /// One `conformance_check` journal record.
@@ -424,6 +420,22 @@ fn journal_check(journal: &mut Journal, alg: Algorithm, grid: u32, c: &CheckResu
             ("expected", c.expected.into()),
             ("tolerance", c.tolerance.into()),
             ("pass", c.pass().into()),
+        ],
+    );
+}
+
+/// One `primitive` journal record.
+fn journal_primitive(journal: &mut Journal, r: &PrimitiveReport) {
+    journal.push_record(
+        Kind::Primitive,
+        journal.now(),
+        vec![
+            ("name", Value::Str(format!("primitive:{}", r.op.name()))),
+            ("invocations", (r.counters.invocations as f64).into()),
+            ("elements", (r.counters.elements as f64).into()),
+            ("bytes_read", (r.counters.bytes_read as f64).into()),
+            ("bytes_written", (r.counters.bytes_written as f64).into()),
+            ("flops", (r.counters.flops as f64).into()),
         ],
     );
 }
@@ -495,15 +507,15 @@ mod tests {
             tolerance: 0.0226,
         };
         let mut j = Journal::with_capacity(4);
-        let name = "conformance:Contour:32".to_string();
-        journal_group(
-            &mut j,
-            name,
-            Algorithm::Contour,
-            32,
-            &[check],
-            247394790859621,
-        );
+        let group = Group {
+            name: "conformance:Contour:32".into(),
+            algorithm: Algorithm::Contour,
+            grid: 32,
+            spec_fp: 247394790859621,
+            checks: vec![check],
+            primitives: Vec::new(),
+        };
+        journal_groups(vec![group], &mut j);
         let jsonl = j.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(

@@ -91,7 +91,7 @@ pub fn run_ablation(run: &AlgorithmRun, caps: &[Watts], ablation: Ablation) -> A
             .iter()
             .map(|&cap| {
                 let mut pkg = powersim::Package::new(spec.clone());
-                pkg.run_capped(&workload, cap)
+                pkg.run_capped(&workload, cap, &mut powersim::trace::Journal::off())
             })
             .collect();
         CapSweep {

@@ -160,7 +160,7 @@ pub fn run_sweep(cfg: &AdvectConfig, journal: &mut Journal) -> AdvectReport {
     let t0 = journal.now();
     let mut series = FieldSeries::with_capacity(cfg.ring_capacity);
     let mut sim = Simulation::new(Problem::TwoState, cfg.hydro_n, SimConfig::default());
-    sim.run_steps_recording_journaled(cfg.hydro_steps, cfg.record_every, &mut series, journal);
+    sim.run_steps_recording(cfg.hydro_steps, cfg.record_every, &mut series, journal);
     if journal.is_enabled() {
         journal.push_span(
             Scope::Study,
@@ -203,7 +203,7 @@ pub fn run_sweep(cfg: &AdvectConfig, journal: &mut Journal) -> AdvectReport {
             let points = out.dataset.as_ref().map_or(0, |d| d.num_points());
             let workload = characterize("advect-scenario", &out.kernels, &cpu);
             let mut pkg = Package::new(cpu.clone());
-            let exec = pkg.run_capped_journaled(&workload, cfg.cap, journal);
+            let exec = pkg.run_capped(&workload, cfg.cap, journal);
             if journal.is_enabled() {
                 journal.push_record(
                     Kind::FlowScenario,

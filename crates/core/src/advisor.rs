@@ -13,6 +13,7 @@
 //! the advisor typically steals nearly all headroom above 40 W for the
 //! power-hungry simulation.
 
+use powersim::trace::Journal;
 use powersim::{CpuSpec, Package, Watts, Workload};
 
 /// The advisor's output.
@@ -48,7 +49,7 @@ impl AllocationPlan {
 /// Predicted execution time of `workload` under `cap`.
 pub fn predict_seconds(workload: &Workload, cap: Watts, spec: &CpuSpec) -> f64 {
     let mut pkg = Package::new(spec.clone());
-    pkg.run_capped(workload, cap).seconds
+    pkg.run_capped(workload, cap, &mut Journal::off()).seconds
 }
 
 /// Search the best split of `budget` between the two packages in

@@ -176,7 +176,7 @@ fn solve_base(base_n: usize, journal: &mut Journal) -> DataSet {
     let t0 = journal.now();
     let mut sim = Simulation::new(Problem::TwoState, base_n, SimConfig::default());
     while sim.time() < HYDRO_T_END {
-        sim.step_journaled(journal);
+        sim.step_phases(&mut |_, _| {}, journal);
     }
     if journal.is_enabled() {
         journal.push_span(

@@ -342,23 +342,14 @@ impl CapSweep {
 
 /// Characterize a native run and execute it under every cap.
 pub fn sweep(run: &AlgorithmRun, caps: &[Watts], spec: &CpuSpec) -> CapSweep {
-    sweep_journaled(run, caps, spec, &mut Journal::off())
+    sweep_tagged(run, run.spec.fingerprint(), caps, spec, &mut Journal::off())
 }
 
-/// [`sweep`], emitting one [`Scope::Sweep`] span per cap point whose
-/// joules are the row's total energy (the rollup of that execution's
-/// kernel spans), plus the executor's own events.
-pub(crate) fn sweep_journaled(
-    run: &AlgorithmRun,
-    caps: &[Watts],
-    spec: &CpuSpec,
-    journal: &mut Journal,
-) -> CapSweep {
-    sweep_tagged(run, run.spec.fingerprint(), caps, spec, journal)
-}
-
-/// [`sweep_journaled`] with the `spec_fp` its spans carry given
-/// explicitly, so a backend-qualified run is tagged as such.
+/// [`sweep`] with the `spec_fp` its spans carry given explicitly, so a
+/// backend-qualified run is tagged as such, emitting one
+/// [`Scope::Sweep`] span per cap point whose joules are the row's total
+/// energy (the rollup of that execution's kernel spans), plus the
+/// executor's own events.
 fn sweep_tagged(
     run: &AlgorithmRun,
     spec_fp: u64,
@@ -377,7 +368,7 @@ fn sweep_tagged(
         .map(|&cap| {
             let t0 = journal.now();
             let mut pkg = Package::new(spec.clone());
-            let row = pkg.run_capped_journaled(&workload, cap, journal);
+            let row = pkg.run_capped(&workload, cap, journal);
             if journal.is_enabled() {
                 journal.push_span(
                     Scope::Sweep,

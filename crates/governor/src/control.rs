@@ -178,8 +178,8 @@ pub fn govern(
     let mut viz_pkg = Package::new(spec.clone());
 
     let initial = sanitize(policy.initial(pair, budget, spec), true, true, budget, spec);
-    sim_pkg.set_cap_journaled(initial.sim, journal);
-    viz_pkg.set_cap_journaled(initial.viz, journal);
+    sim_pkg.set_cap(initial.sim, journal);
+    viz_pkg.set_cap(initial.viz, journal);
     let mut cap_changes = 2u64;
     let mut split = initial;
 
@@ -240,11 +240,11 @@ pub fn govern(
         decisions += 1;
         push_decision(journal, &obs, next, sim_power, viz_power);
         if obs.sim.active && next.sim != split.sim {
-            sim_pkg.set_cap_journaled(next.sim, journal);
+            sim_pkg.set_cap(next.sim, journal);
             cap_changes += 1;
         }
         if obs.viz.active && next.viz != split.viz {
-            viz_pkg.set_cap_journaled(next.viz, journal);
+            viz_pkg.set_cap(next.viz, journal);
             cap_changes += 1;
         }
         split = next;

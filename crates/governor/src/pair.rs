@@ -11,11 +11,12 @@
 //! ratio (CPI, activity, miss rate) the classifier keys on.
 
 use cloverleaf::Problem;
-use insitu::{Action, ActionList, FilterSpec, InSituRuntime, RendererSpec, RuntimeConfig, Trigger};
+use insitu::{Action, ActionList, InSituRuntime, RuntimeConfig, Trigger};
+use powersim::trace::Journal;
 #[cfg(test)]
 use powersim::KernelPhase;
 use powersim::{CpuSpec, Package, Workload};
-use vizalgo::{IsoValues, KernelReport};
+use vizalgo::{AlgorithmSpec, IsoValues, KernelReport};
 use vizpower::characterize::characterize;
 
 /// Uncapped duration the simulation side is scaled to (seconds).
@@ -60,7 +61,7 @@ impl WorkloadPair {
 /// Uncapped (TDP) execution time of a workload on a fresh package.
 fn uncapped_seconds(workload: &Workload, spec: &CpuSpec) -> f64 {
     let mut pkg = Package::new(spec.clone());
-    pkg.run(workload).seconds
+    pkg.run(workload, &mut Journal::off()).seconds
 }
 
 /// Multiply every phase's event counts by `k`, stretching duration
@@ -100,14 +101,14 @@ pub fn coupled_pair(grid_cells: usize, spec: &CpuSpec) -> WorkloadPair {
     let actions = ActionList(vec![
         Action::AddPipeline {
             name: "contour".into(),
-            filters: vec![FilterSpec::Contour {
+            filters: vec![AlgorithmSpec::Contour {
                 field: "energy".into(),
                 isovalues: IsoValues::Spanning(3),
             }],
         },
         Action::AddScene {
             name: "volren".into(),
-            renderer: RendererSpec::VolumeRendering {
+            renderer: AlgorithmSpec::VolumeRendering {
                 field: "energy".into(),
                 width: 16,
                 height: 16,

@@ -2,39 +2,27 @@
 //! `ascent_actions.json`: the program decodes an action list from text
 //! and never writes one.
 //!
-//! The filter and renderer declarations *are* the workspace's canonical
-//! [`AlgorithmSpec`] (see `vizalgo::spec` and docs/REGISTRY.md):
-//! [`FilterSpec`] and [`RendererSpec`] are aliases of it, so an action
-//! list can now declare any of the eight algorithms in a pipeline — the
-//! two renderers included, which the old insitu-private spec could not
-//! express — and every build goes through the one registry-sanctioned
-//! construction site, [`AlgorithmSpec::build`].
+//! A pipeline's filters and a scene's renderer are each the workspace's
+//! canonical [`AlgorithmSpec`] (see `vizalgo::spec` and
+//! docs/REGISTRY.md), JSON-tagged by algorithm (`{"type": "contour",
+//! ...}`). So an action list can declare any of the eight algorithms in
+//! a pipeline, the two renderers included, and every build goes through
+//! the one registry-sanctioned construction site,
+//! [`AlgorithmSpec::build`].
 
 use vizalgo::spec::AlgorithmSpec;
-pub use vizalgo::spec::{IsoValues, ScalarBand, SphereSpec};
 use vizmesh::json::{self, JsonError, Value};
-
-/// A filter declaration inside a pipeline: the canonical
-/// [`AlgorithmSpec`], JSON-tagged by algorithm (`{"type": "contour",
-/// ...}`).
-pub type FilterSpec = AlgorithmSpec;
-
-/// A renderer declaration inside a scene — the same canonical spec; the
-/// wire shape of the two renderer variants (`{"type": "ray_tracing",
-/// "field": ..., "width": ..., "height": ..., "images": ...}`) is
-/// unchanged from the pre-registry insitu format.
-pub type RendererSpec = AlgorithmSpec;
 
 /// One action in the list.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     AddPipeline {
         name: String,
-        filters: Vec<FilterSpec>,
+        filters: Vec<AlgorithmSpec>,
     },
     AddScene {
         name: String,
-        renderer: RendererSpec,
+        renderer: AlgorithmSpec,
     },
 }
 
@@ -51,12 +39,12 @@ impl Action {
             "add_pipeline" => Ok(Action::AddPipeline {
                 name: name()?,
                 filters: (v.array("filters")?.iter())
-                    .map(FilterSpec::from_json)
+                    .map(AlgorithmSpec::from_json)
                     .collect::<Result<_, _>>()?,
             }),
             "add_scene" => Ok(Action::AddScene {
                 name: name()?,
-                renderer: RendererSpec::from_json(v.field("renderer")?)?,
+                renderer: AlgorithmSpec::from_json(v.field("renderer")?)?,
             }),
             other => Err(JsonError::unknown_tag("action", other)),
         }
@@ -75,14 +63,14 @@ impl ActionList {
         actions.collect::<Result<_, _>>().map(ActionList)
     }
 
-    pub fn pipelines(&self) -> impl Iterator<Item = (&str, &[FilterSpec])> {
+    pub fn pipelines(&self) -> impl Iterator<Item = (&str, &[AlgorithmSpec])> {
         self.0.iter().filter_map(|a| match a {
             Action::AddPipeline { name, filters } => Some((name.as_str(), filters.as_slice())),
             _ => None,
         })
     }
 
-    pub fn scenes(&self) -> impl Iterator<Item = (&str, &RendererSpec)> {
+    pub fn scenes(&self) -> impl Iterator<Item = (&str, &AlgorithmSpec)> {
         self.0.iter().filter_map(|a| match a {
             Action::AddScene { name, renderer } => Some((name.as_str(), renderer)),
             _ => None,
@@ -93,7 +81,7 @@ impl ActionList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vizalgo::Algorithm;
+    use vizalgo::{Algorithm, IsoValues};
     use vizmesh::{Association, DataSet, Field, UniformGrid, Vec3};
 
     fn dataset() -> DataSet {
@@ -121,14 +109,14 @@ mod tests {
         let list = ActionList(vec![
             Action::AddPipeline {
                 name: "pl1".into(),
-                filters: vec![FilterSpec::Contour {
+                filters: vec![AlgorithmSpec::Contour {
                     field: "energy".into(),
                     isovalues: IsoValues::Spanning(10),
                 }],
             },
             Action::AddScene {
                 name: "s1".into(),
-                renderer: RendererSpec::VolumeRendering {
+                renderer: AlgorithmSpec::VolumeRendering {
                     field: "energy".into(),
                     width: 64,
                     height: 64,
@@ -295,13 +283,13 @@ mod tests {
     fn renderers_build_and_produce_images() {
         let ds = dataset();
         for spec in [
-            RendererSpec::RayTracing {
+            AlgorithmSpec::RayTracing {
                 field: "energy".into(),
                 width: 16,
                 height: 16,
                 images: 2,
             },
-            RendererSpec::VolumeRendering {
+            AlgorithmSpec::VolumeRendering {
                 field: "energy".into(),
                 width: 16,
                 height: 16,

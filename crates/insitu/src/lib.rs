@@ -16,9 +16,7 @@ mod runtime;
 mod scene;
 mod trigger;
 
-pub use actions::{
-    Action, ActionList, FilterSpec, IsoValues, RendererSpec, ScalarBand, SphereSpec,
-};
+pub use actions::{Action, ActionList};
 pub use runtime::{CoupledRun, CycleRecord, InSituRuntime, RuntimeConfig};
 pub use scene::Scene;
 pub use trigger::Trigger;

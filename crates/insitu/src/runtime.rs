@@ -6,6 +6,7 @@ use crate::scene::Scene;
 use crate::trigger::Trigger;
 use cloverleaf::{Problem, SimConfig, Simulation};
 use powersim::trace::{Journal, Scope};
+use std::io;
 use vizalgo::{KernelClass, KernelReport};
 use vizmesh::{Image, WorkCounters};
 
@@ -83,28 +84,31 @@ impl InSituRuntime {
         }
     }
 
-    /// Run the coupled loop to completion.
+    /// Run the coupled loop to completion, unjournaled.
     ///
-    /// Equivalent to `InSituRuntime::run_journaled` with a disabled
-    /// journal.
+    /// # Panics
+    ///
+    /// If a scene with an output directory cannot write its images;
+    /// [`InSituRuntime::run_journaled`] returns that error instead.
     pub fn run(&mut self) -> CoupledRun {
         self.run_journaled(&mut Journal::off())
+            .expect("a scene could not write its images")
     }
 
-    /// Run the coupled loop like [`InSituRuntime::run`], journaling
-    /// each simulation timestep (via
-    /// [`Simulation::step_journaled`]) and emitting a [`Scope::Action`]
-    /// span per executed pipeline, per rendered scene, and per whole
-    /// visualization cycle. Viz spans are zero-width: the in situ layer
-    /// models no time of its own, only counted work.
-    pub(crate) fn run_journaled(&mut self, journal: &mut Journal) -> CoupledRun {
+    /// Run the coupled loop to completion, journaling each simulation
+    /// timestep (via [`Simulation::step_phases`]) and emitting a
+    /// [`Scope::Action`] span per executed pipeline, per rendered scene,
+    /// and per whole visualization cycle. Viz spans are zero-width: the
+    /// in situ layer models no time of its own, only counted work.
+    /// Fails when a scene cannot write its images.
+    pub fn run_journaled(&mut self, journal: &mut Journal) -> io::Result<CoupledRun> {
         let mut out = CoupledRun::default();
         let mut sim_since_viz = WorkCounters::new();
         // Per-hydro-kernel accumulation since the last cycle, keyed by
         // name in first-seen order (repeated kernels merge).
         let mut sim_phase_acc: Vec<(&'static str, WorkCounters)> = Vec::new();
         for _ in 0..self.config.total_steps {
-            let report = self.sim.step_phases_journaled(
+            let report = self.sim.step_phases(
                 &mut |name, w| match sim_phase_acc.iter_mut().find(|(n, _)| *n == name) {
                     Some((_, acc)) => *acc += w,
                     None => sim_phase_acc.push((name, w)),
@@ -152,9 +156,7 @@ impl InSituRuntime {
                 let t0 = journal.now();
                 let kernels_before = viz_kernels.len();
                 let images_before = images.len();
-                let result = scene
-                    .render(&data, report.step)
-                    .expect("scene render should not fail without an output dir");
+                let result = scene.render(&data, report.step)?;
                 viz_kernels.extend(result.kernels);
                 images.extend(result.images);
                 if journal.is_enabled() {
@@ -202,7 +204,7 @@ impl InSituRuntime {
             sim_since_viz = WorkCounters::new();
         }
         out.trailing_sim_work = sim_since_viz;
-        out
+        Ok(out)
     }
 }
 
@@ -214,20 +216,21 @@ fn kernel_instructions(kernels: &[KernelReport]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actions::{Action, FilterSpec, IsoValues, RendererSpec};
+    use crate::actions::Action;
+    use vizalgo::{AlgorithmSpec, IsoValues};
 
     fn actions() -> ActionList {
         ActionList(vec![
             Action::AddPipeline {
                 name: "pl".into(),
-                filters: vec![FilterSpec::Contour {
+                filters: vec![AlgorithmSpec::Contour {
                     field: "energy".into(),
                     isovalues: IsoValues::Spanning(3),
                 }],
             },
             Action::AddScene {
                 name: "sc".into(),
-                renderer: RendererSpec::VolumeRendering {
+                renderer: AlgorithmSpec::VolumeRendering {
                     field: "energy".into(),
                     width: 12,
                     height: 12,
@@ -295,7 +298,7 @@ mod tests {
         };
         let mut rt = InSituRuntime::new(Problem::TwoState, config, actions());
         let mut journal = Journal::with_capacity(1 << 12);
-        let run = rt.run_journaled(&mut journal);
+        let run = rt.run_journaled(&mut journal).unwrap();
         assert_eq!(run.cycles.len(), 2);
         let names: Vec<&str> = journal
             .events()
@@ -316,6 +319,24 @@ mod tests {
         assert_eq!(timesteps, 10);
     }
 
+    #[test]
+    fn an_unwritable_scene_directory_is_an_error_naming_it() {
+        let file = std::env::temp_dir().join("vizpower_runtime_not_a_dir");
+        std::fs::write(&file, b"a regular file").unwrap();
+        let config = RuntimeConfig {
+            grid_cells: 6,
+            total_steps: 2,
+            trigger: Trigger::EveryN { n: 2 },
+        };
+        let mut rt = InSituRuntime::new(Problem::TwoState, config, actions());
+        let dir = file.join("images");
+        rt.scenes[0] = rt.scenes[0].clone().with_output_dir(&dir);
+        let err = rt.run_journaled(&mut Journal::off()).unwrap_err();
+        let _ = std::fs::remove_file(&file);
+        let shown = err.to_string();
+        assert!(shown.starts_with(&dir.display().to_string()), "{shown}");
+    }
+
     /// The coupled loop as it was before exports were gated on the step
     /// number: export after every step, then ask the trigger.
     fn export_every_step(config: &RuntimeConfig, actions: &ActionList) -> CoupledRun {
@@ -324,13 +345,11 @@ mod tests {
         let mut sim_since_viz = WorkCounters::new();
         let mut phases: Vec<(&'static str, WorkCounters)> = Vec::new();
         for _ in 0..config.total_steps {
-            let report = sim.step_phases(&mut |name, w| match phases
-                .iter_mut()
-                .find(|(n, _)| *n == name)
-            {
+            let observer = &mut |name, w| match phases.iter_mut().find(|(n, _)| *n == name) {
                 Some((_, acc)) => *acc += w,
                 None => phases.push((name, w)),
-            });
+            };
+            let report = sim.step_phases(observer, &mut Journal::off());
             sim_since_viz += report.work;
             let data = sim.dataset();
             out.exports += 1;

@@ -1,9 +1,8 @@
 //! Scenes: renderers plus an image-database sink.
 
-use crate::actions::RendererSpec;
 use std::io;
 use std::path::{Path, PathBuf};
-use vizalgo::FilterOutput;
+use vizalgo::{AlgorithmSpec, FilterOutput};
 use vizmesh::DataSet;
 
 /// A named scene: a renderer and optionally a directory into which its
@@ -11,12 +10,12 @@ use vizmesh::DataSet;
 #[derive(Debug, Clone)]
 pub struct Scene {
     pub name: String,
-    pub renderer: RendererSpec,
+    pub renderer: AlgorithmSpec,
     pub(crate) output_dir: Option<PathBuf>,
 }
 
 impl Scene {
-    pub fn new(name: impl Into<String>, renderer: RendererSpec) -> Self {
+    pub fn new(name: impl Into<String>, renderer: AlgorithmSpec) -> Self {
         Scene {
             name: name.into(),
             renderer,
@@ -31,17 +30,24 @@ impl Scene {
     }
 
     /// Render the scene against `data` for visualization cycle `cycle`.
+    /// A write error names the directory or file it could not write.
     pub fn render(&self, data: &DataSet, cycle: u64) -> io::Result<FilterOutput> {
         let out = self.renderer.build(data).execute(data);
         if let Some(dir) = &self.output_dir {
-            std::fs::create_dir_all(dir)?;
+            std::fs::create_dir_all(dir).map_err(|e| naming(dir, e))?;
             for (i, img) in out.images.iter().enumerate() {
                 let path = dir.join(format!("{}_{:04}_{:02}.ppm", self.name, cycle, i));
-                img.save_ppm(path, [1.0, 1.0, 1.0])?;
+                img.save_ppm(&path, [1.0, 1.0, 1.0])
+                    .map_err(|e| naming(&path, e))?;
             }
         }
         Ok(out)
     }
+}
+
+/// `e` with the path it concerns in front of its message.
+fn naming(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -57,8 +63,8 @@ mod tests {
         DataSet::uniform(grid).with_field(Field::scalar("energy", Association::Points, vals))
     }
 
-    fn spec(images: usize) -> RendererSpec {
-        RendererSpec::RayTracing {
+    fn spec(images: usize) -> AlgorithmSpec {
+        AlgorithmSpec::RayTracing {
             field: "energy".into(),
             width: 16,
             height: 16,

@@ -1,36 +1,35 @@
 //! Property-based tests for the in situ action/trigger layer.
 
-use insitu::{
-    Action, ActionList, FilterSpec, IsoValues, RendererSpec, ScalarBand, Scene, SphereSpec, Trigger,
-};
+use insitu::{Action, ActionList, Scene, Trigger};
 use propcheck::prelude::*;
+use vizalgo::{AlgorithmSpec, IsoValues, ScalarBand, SphereSpec};
 use vizmesh::{Association, DataSet, Field, UniformGrid, Vec3};
 
-fn filter_spec_strategy() -> impl Strategy<Value = FilterSpec> {
+fn filter_spec_strategy() -> impl Strategy<Value = AlgorithmSpec> {
     prop_oneof![
-        (1usize..20).prop_map(|n| FilterSpec::Contour {
+        (1usize..20).prop_map(|n| AlgorithmSpec::Contour {
             field: "energy".into(),
             isovalues: IsoValues::Spanning(n),
         }),
         // Fractions are quantized to 1/1000 to keep failing inputs
         // readable.
-        (0u32..1000).prop_map(|q| FilterSpec::Threshold {
+        (0u32..1000).prop_map(|q| AlgorithmSpec::Threshold {
             field: "energy".into(),
             band: ScalarBand::UpperFraction(q as f64 / 1000.0),
         }),
-        (50u32..500).prop_map(|q| FilterSpec::SphericalClip {
+        (50u32..500).prop_map(|q| AlgorithmSpec::SphericalClip {
             field: "energy".into(),
             sphere: SphereSpec::RadiusFraction(q as f64 / 1000.0),
         }),
-        (100u32..900).prop_map(|q| FilterSpec::Isovolume {
+        (100u32..900).prop_map(|q| AlgorithmSpec::Isovolume {
             field: "energy".into(),
             band: ScalarBand::MiddleBand(q as f64 / 1000.0),
         }),
-        Just(FilterSpec::Slice {
+        Just(AlgorithmSpec::Slice {
             field: "energy".into()
         }),
         ((1usize..50), (1usize..50)).prop_map(|(particles, steps)| {
-            FilterSpec::ParticleAdvection {
+            AlgorithmSpec::ParticleAdvection {
                 field: "velocity".into(),
                 particles,
                 steps,
@@ -42,15 +41,15 @@ fn filter_spec_strategy() -> impl Strategy<Value = FilterSpec> {
     ]
 }
 
-fn renderer_spec_strategy() -> impl Strategy<Value = RendererSpec> {
+fn renderer_spec_strategy() -> impl Strategy<Value = AlgorithmSpec> {
     prop_oneof![
-        ((4usize..32), (1usize..6)).prop_map(|(px, images)| RendererSpec::RayTracing {
+        ((4usize..32), (1usize..6)).prop_map(|(px, images)| AlgorithmSpec::RayTracing {
             field: "energy".into(),
             width: px,
             height: px,
             images,
         }),
-        ((4usize..32), (1usize..6)).prop_map(|(px, images)| RendererSpec::VolumeRendering {
+        ((4usize..32), (1usize..6)).prop_map(|(px, images)| AlgorithmSpec::VolumeRendering {
             field: "energy".into(),
             width: px,
             height: px,

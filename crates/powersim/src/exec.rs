@@ -2,14 +2,14 @@
 //! the programmed power cap, updating counters and energy, and sampling
 //! every 100 ms exactly as the study does.
 //!
-//! Every entry point has a `_journaled` twin that additionally emits
-//! typed events into a [`Journal`]: per-kernel-phase energy spans, the
-//! 100 ms counter samples, and RAPL cap changes (schema in
-//! `docs/OBSERVABILITY.md`).
+//! Every entry point takes the [`Journal`] it emits typed events into:
+//! per-kernel-phase energy spans, the 100 ms counter samples, and RAPL
+//! cap changes (schema in `docs/OBSERVABILITY.md`). A caller with
+//! nothing to record passes [`Journal::off`].
 //!
 //! Execution is resumable: [`RunState`] holds all in-flight progress of
 //! one workload on one [`Package`], and [`RunState::advance`] runs it
-//! for a bounded slice of virtual time. `Package::run_journaled` is
+//! for a bounded slice of virtual time. [`Package::run`] is
 //! the one-shot wrapper (an unbounded advance); the closed-loop governor
 //! steps two `RunState`s in 100 ms windows and reprograms caps between
 //! them.
@@ -107,28 +107,23 @@ impl Package {
     }
 
     /// Program a package cap, clamped to the supported range and rounded
-    /// to the power-limit unit; returns the cap actually programmed.
-    pub(crate) fn set_cap(&mut self, watts: Watts) -> Watts {
+    /// to the power-limit unit; returns the cap actually programmed. A
+    /// live journal gets a [`Kind::CapChange`] record of both the
+    /// requested and the programmed cap.
+    pub fn set_cap(&mut self, watts: Watts, journal: &mut Journal) -> Watts {
         let programmed = (self.spec.clamp_cap(watts) / POWER_UNIT).round() * POWER_UNIT;
         self.cap = Some(programmed);
-        programmed
-    }
-
-    /// Program a package cap like `Package::set_cap`, emitting a
-    /// [`Kind::CapChange`] record of both the requested and the actually
-    /// programmed (range-clamped) cap.
-    pub fn set_cap_journaled(&mut self, watts: Watts, journal: &mut Journal) {
-        let actual = self.set_cap(watts);
         if journal.is_enabled() {
             journal.push_record(
                 Kind::CapChange,
                 journal.now(),
                 vec![
                     ("requested_watts", watts.into()),
-                    ("actual_watts", actual.into()),
+                    ("actual_watts", programmed.into()),
                 ],
             );
         }
+        programmed
     }
 
     /// Add `joules` to the energy-status counter, rounded to whole ticks.
@@ -161,26 +156,15 @@ impl Package {
     }
 
     /// Execute `workload` to completion under the currently programmed
-    /// cap, returning the aggregate result.
-    ///
-    /// Equivalent to `Package::run_journaled` with a disabled journal.
-    pub fn run(&mut self, workload: &Workload) -> ExecResult {
-        self.run_journaled(workload, &mut Journal::off())
-    }
-
-    /// Execute `workload` like [`Package::run`], additionally emitting
-    /// journal events: a [`Scope::Kernel`] span per phase carrying that
-    /// phase's exact energy, a [`Kind::Counter`] record per 100 ms interval,
-    /// and a closing [`Scope::Workload`] span whose joules are the sum
-    /// of the kernel spans — the same additions in the same order as
+    /// cap, returning the aggregate result. A live journal gets a
+    /// [`Scope::Kernel`] span per phase carrying that phase's exact
+    /// energy, a [`Kind::Counter`] record per 100 ms interval, and a
+    /// closing [`Scope::Workload`] span whose joules are the sum of the
+    /// kernel spans — the same additions in the same order as
     /// `energy_joules`, so children sum to the parent exactly. The
     /// journal clock advances in lock-step with the package's virtual
     /// time.
-    pub(crate) fn run_journaled(
-        &mut self,
-        workload: &Workload,
-        journal: &mut Journal,
-    ) -> ExecResult {
+    pub fn run(&mut self, workload: &Workload, journal: &mut Journal) -> ExecResult {
         let mut state = RunState::new(self, workload, journal);
         while !state.is_done() {
             state.advance(self, f64::INFINITY, journal);
@@ -207,22 +191,15 @@ impl Package {
         }
     }
 
-    /// Convenience: program `cap_watts` and run.
-    pub fn run_capped(&mut self, workload: &Workload, cap_watts: Watts) -> ExecResult {
-        self.set_cap(cap_watts);
-        self.run(workload)
-    }
-
-    /// Convenience: program `cap_watts` (journaling the [`Kind::CapChange`])
-    /// and `Package::run_journaled`.
-    pub fn run_capped_journaled(
+    /// Convenience: [`Package::set_cap`], then [`Package::run`].
+    pub fn run_capped(
         &mut self,
         workload: &Workload,
         cap_watts: Watts,
         journal: &mut Journal,
     ) -> ExecResult {
-        self.set_cap_journaled(cap_watts, journal);
-        self.run_journaled(workload, journal)
+        self.set_cap(cap_watts, journal);
+        self.run(workload, journal)
     }
 }
 
@@ -232,7 +209,7 @@ impl Package {
 /// [`RunState::advance`] with a virtual-time budget per call (the
 /// governor uses the 100 ms sample period), and consumed by
 /// [`RunState::finish`] once [`RunState::is_done`]. An unbounded
-/// `advance` reproduces `Package::run_journaled` exactly — same
+/// `advance` reproduces [`Package::run`] exactly — same
 /// events, same order, same arithmetic.
 pub struct RunState<'w> {
     workload: &'w Workload,
@@ -500,7 +477,7 @@ mod tests {
     fn control_frequency(cap: Option<Watts>, activity: f64) -> f64 {
         let mut pkg = Package::broadwell();
         if let Some(cap) = cap {
-            pkg.set_cap(cap);
+            pkg.set_cap(cap, &mut Journal::off());
         }
         let phase = KernelPhase {
             activity,
@@ -516,7 +493,7 @@ mod tests {
     /// the journal's counter records, and each sample's duration.
     fn sampled_run(w: &Workload, cap: Watts) -> (ExecResult, Vec<Sample>, Vec<f64>) {
         let mut journal = Journal::with_capacity(1 << 16);
-        let r = Package::broadwell().run_capped_journaled(w, cap, &mut journal);
+        let r = Package::broadwell().run_capped(w, cap, &mut journal);
         assert_eq!(journal.dropped(), 0);
         let mut last_t = 0.0;
         let (samples, durations) = journal
@@ -580,7 +557,7 @@ mod tests {
     fn cap_is_quantized_to_an_eighth_of_a_watt() {
         let mut pkg = Package::broadwell();
         for watts in [Watts(40.0), Watts(70.0), Watts(70.06), Watts(99.99)] {
-            let got = pkg.set_cap(watts);
+            let got = pkg.set_cap(watts, &mut Journal::off());
             assert_eq!(pkg.cap, Some(got));
             assert_eq!((got / POWER_UNIT).fract(), 0.0, "{watts} -> {got}");
             assert!((got - watts).abs() <= POWER_UNIT / 2.0, "{watts} -> {got}");
@@ -590,15 +567,15 @@ mod tests {
     #[test]
     fn cap_is_clamped_to_supported_range() {
         let mut pkg = Package::broadwell();
-        assert_eq!(pkg.set_cap(Watts(10.0)), Watts(40.0));
-        assert_eq!(pkg.set_cap(Watts(500.0)), Watts(120.0));
+        assert_eq!(pkg.set_cap(Watts(10.0), &mut Journal::off()), Watts(40.0));
+        assert_eq!(pkg.set_cap(Watts(500.0), &mut Journal::off()), Watts(120.0));
     }
 
     #[test]
     fn nan_cap_request_programs_the_floor() {
         let mut pkg = Package::broadwell();
         let mut journal = Journal::with_capacity(4);
-        pkg.set_cap_journaled(Watts(f64::NAN), &mut journal);
+        pkg.set_cap(Watts(f64::NAN), &mut journal);
         let change = journal.records(Kind::CapChange).next().expect("one record");
         assert_eq!(change.num("actual_watts"), Some(40.0));
         assert_eq!(pkg.cap, Some(Watts(40.0)));
@@ -614,7 +591,7 @@ mod tests {
         let mut pkg = Package::broadwell();
         let tdp = pkg.spec.tdp_watts;
         assert_eq!(pkg.effective_cap(), tdp);
-        pkg.set_cap(Watts(70.0));
+        pkg.set_cap(Watts(70.0), &mut Journal::off());
         assert_eq!(pkg.effective_cap(), Watts(70.0));
         pkg.cap = Some(tdp + Watts(20.0));
         assert_eq!(pkg.effective_cap(), tdp);
@@ -624,7 +601,7 @@ mod tests {
     fn uncapped_package_runs_turbo() {
         let tdp = CpuSpec::broadwell_e5_2695v4().tdp_watts;
         assert_eq!(control_frequency(None, 0.95), 2.6);
-        let r = Package::broadwell().run(&compute_workload(300_000_000_000));
+        let r = Package::broadwell().run(&compute_workload(300_000_000_000), &mut Journal::off());
         assert_eq!(r.cap_watts, tdp);
         assert!((r.avg_effective_freq_ghz - 2.6).abs() < 0.01);
     }
@@ -640,7 +617,7 @@ mod tests {
     #[test]
     fn frequency_decision_reads_the_signature_activity() {
         let mut pkg = Package::broadwell();
-        pkg.set_cap(Watts(60.0));
+        pkg.set_cap(Watts(60.0), &mut Journal::off());
         for phase in [
             KernelPhase::compute("c", 1_000_000_000),
             KernelPhase::memory("m", 1_000_000_000, 30_000_000_000),
@@ -692,7 +669,7 @@ mod tests {
         /// Any cap in range programs to within half a power unit of itself.
         #[test]
         fn power_limit_round_trip(cap in 40.0f64..120.0) {
-            let got = Package::broadwell().set_cap(Watts(cap));
+            let got = Package::broadwell().set_cap(Watts(cap), &mut Journal::off());
             prop_assert!((got - Watts(cap)).abs() <= POWER_UNIT / 2.0, "{cap} -> {got}");
         }
 
@@ -711,7 +688,11 @@ mod tests {
     #[test]
     fn uncapped_compute_runs_at_turbo() {
         let mut pkg = Package::broadwell();
-        let r = pkg.run_capped(&compute_workload(2_000_000_000_000), Watts(120.0));
+        let r = pkg.run_capped(
+            &compute_workload(2_000_000_000_000),
+            Watts(120.0),
+            &mut Journal::off(),
+        );
         assert!(r.seconds > 0.0);
         assert!(
             (r.avg_effective_freq_ghz - 2.6).abs() < 0.01,
@@ -729,8 +710,10 @@ mod tests {
     #[test]
     fn capped_compute_slows_proportionally() {
         let w = compute_workload(2_000_000_000_000);
-        let t120 = Package::broadwell().run_capped(&w, Watts(120.0)).seconds;
-        let r40 = Package::broadwell().run_capped(&w, Watts(40.0));
+        let t120 = Package::broadwell()
+            .run_capped(&w, Watts(120.0), &mut Journal::off())
+            .seconds;
+        let r40 = Package::broadwell().run_capped(&w, Watts(40.0), &mut Journal::off());
         let slowdown = r40.seconds / t120;
         // Paper: compute-bound algorithms slow 1.8–3.1× at 40 W.
         assert!((1.8..3.3).contains(&slowdown), "slowdown = {slowdown}");
@@ -741,8 +724,12 @@ mod tests {
     #[test]
     fn capped_memory_barely_slows() {
         let w = memory_workload(40_000_000_000);
-        let t120 = Package::broadwell().run_capped(&w, Watts(120.0)).seconds;
-        let t40 = Package::broadwell().run_capped(&w, Watts(40.0)).seconds;
+        let t120 = Package::broadwell()
+            .run_capped(&w, Watts(120.0), &mut Journal::off())
+            .seconds;
+        let t40 = Package::broadwell()
+            .run_capped(&w, Watts(40.0), &mut Journal::off())
+            .seconds;
         let slowdown = t40 / t120;
         assert!(slowdown < 1.35, "memory slowdown = {slowdown}");
     }
@@ -777,16 +764,24 @@ mod tests {
         // REF_TSC-based IPC: compute-bound IPC falls when capped (the
         // shape in Fig. 2b for volume rendering / advection).
         let w = compute_workload(1_000_000_000_000);
-        let i120 = Package::broadwell().run_capped(&w, Watts(120.0)).avg_ipc;
-        let i40 = Package::broadwell().run_capped(&w, Watts(40.0)).avg_ipc;
+        let i120 = Package::broadwell()
+            .run_capped(&w, Watts(120.0), &mut Journal::off())
+            .avg_ipc;
+        let i40 = Package::broadwell()
+            .run_capped(&w, Watts(40.0), &mut Journal::off())
+            .avg_ipc;
         assert!(i40 < 0.6 * i120, "IPC {i120} -> {i40}");
     }
 
     #[test]
     fn ipc_flat_for_memory_bound() {
         let w = memory_workload(40_000_000_000);
-        let i120 = Package::broadwell().run_capped(&w, Watts(120.0)).avg_ipc;
-        let i50 = Package::broadwell().run_capped(&w, Watts(50.0)).avg_ipc;
+        let i120 = Package::broadwell()
+            .run_capped(&w, Watts(120.0), &mut Journal::off())
+            .avg_ipc;
+        let i50 = Package::broadwell()
+            .run_capped(&w, Watts(50.0), &mut Journal::off())
+            .avg_ipc;
         assert!((i50 / i120 - 1.0).abs() < 0.1, "IPC {i120} -> {i50}");
     }
 
@@ -796,7 +791,7 @@ mod tests {
             .with_phase(KernelPhase::compute("a", 500_000_000_000))
             .with_phase(KernelPhase::memory("b", 20_000_000_000, 600_000_000_000));
         let mut journal = Journal::with_capacity(1 << 14);
-        let r = Package::broadwell().run_capped_journaled(&w, Watts(90.0), &mut journal);
+        let r = Package::broadwell().run_capped(&w, Watts(90.0), &mut journal);
         let phases: Vec<f64> = journal
             .events()
             .filter_map(|ev| match ev {
@@ -814,7 +809,7 @@ mod tests {
         let w = compute_workload(300_000_000_000);
         let run = || {
             let mut pkg = Package::broadwell();
-            pkg.set_cap(Watts(70.0));
+            pkg.set_cap(Watts(70.0), &mut Journal::off());
             run_in_slices(&mut pkg, &w, f64::INFINITY, &mut Journal::off())
         };
         let (a, a_samples) = run();
@@ -831,7 +826,7 @@ mod tests {
             .with_phase(KernelPhase::memory("b", 20_000_000_000, 600_000_000_000));
         let mut journal = Journal::with_capacity(1 << 14);
         let mut pkg = Package::broadwell();
-        let r = pkg.run_capped_journaled(&w, Watts(90.0), &mut journal);
+        let r = pkg.run_capped(&w, Watts(90.0), &mut journal);
         let mut kernel_sum = Joules::ZERO;
         let mut workload_joules = None;
         for ev in journal.events() {
@@ -855,7 +850,7 @@ mod tests {
     fn cap_change_and_counter_jsonl_shapes_are_exact() {
         let w = compute_workload(300_000_000_000);
         let mut journal = Journal::with_capacity(1 << 10);
-        Package::broadwell().run_capped_journaled(&w, Watts(250.0), &mut journal);
+        Package::broadwell().run_capped(&w, Watts(250.0), &mut journal);
         let jsonl = journal.to_jsonl();
         let mut lines = jsonl.lines();
         assert_eq!(
@@ -882,19 +877,18 @@ mod tests {
     #[test]
     fn journaled_run_matches_plain_run() {
         let w = compute_workload(300_000_000_000);
-        let mut pkg = Package::broadwell();
-        pkg.set_cap(Watts(70.0));
-        let (plain, plain_samples) =
-            run_in_slices(&mut pkg, &w, f64::INFINITY, &mut Journal::off());
+        let run = |journal: &mut Journal| Package::broadwell().run_capped(&w, Watts(70.0), journal);
+        let plain = run(&mut Journal::off());
         let mut journal = Journal::with_capacity(1 << 14);
-        let journaled = Package::broadwell().run_capped_journaled(&w, Watts(70.0), &mut journal);
+        let journaled = run(&mut journal);
         assert_eq!(plain.seconds, journaled.seconds);
         assert_eq!(plain.energy_joules, journaled.energy_joules);
         assert_eq!(
             plain.avg_effective_freq_ghz,
             journaled.avg_effective_freq_ghz
         );
-        assert_eq!(journal.records(Kind::Counter).count(), plain_samples);
+        let (counters, kernels, samples) = journal_shape(&journal);
+        assert_eq!((kernels, Some(counters as f64)), (1, samples));
     }
 
     #[test]
@@ -919,7 +913,7 @@ mod tests {
             .with_phase(KernelPhase::memory("b", 20_000_000_000, 600_000_000_000));
         let run = |budget| {
             let mut pkg = Package::broadwell();
-            pkg.set_cap(Watts(90.0));
+            pkg.set_cap(Watts(90.0), &mut Journal::off());
             let mut journal = Journal::with_capacity(1 << 14);
             let (r, samples) = run_in_slices(&mut pkg, &w, budget, &mut journal);
             (r, samples, journal_shape(&journal))
@@ -953,14 +947,14 @@ mod tests {
         // subsequent samples must show lower power and frequency.
         let w = compute_workload(3_000_000_000_000);
         let mut pkg = Package::broadwell();
-        pkg.set_cap(Watts(120.0));
+        pkg.set_cap(Watts(120.0), &mut Journal::off());
         let mut journal = Journal::off();
         let mut st = RunState::new(&pkg, &w, &journal);
         for _ in 0..3 {
             st.advance(&mut pkg, SAMPLE_PERIOD_SEC, &mut journal);
         }
         let before = st.latest_sample().copied().unwrap();
-        pkg.set_cap(Watts(40.0));
+        pkg.set_cap(Watts(40.0), &mut Journal::off());
         for _ in 0..3 {
             st.advance(&mut pkg, SAMPLE_PERIOD_SEC, &mut journal);
         }

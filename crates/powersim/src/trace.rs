@@ -69,16 +69,16 @@ pub enum Scope {
     /// `core::experiments`: dataset builds, native runs, and experiment
     /// phases (`table1:64`, `fig2:32`, ...).
     Study,
-    /// One cap point of a power-cap sweep (`core::study::sweep_journaled`).
+    /// One cap point of a power-cap sweep (`core::study::StudyContext::sweep`).
     Sweep,
     /// One workload execution under a programmed cap
-    /// (`powersim::exec::Package::run_journaled`).
+    /// (`powersim::exec::Package::run`).
     Workload,
     /// One kernel phase inside a workload execution, carrying the
     /// per-phase energy attribution.
     Kernel,
     /// One CloverLeaf hydrodynamics timestep
-    /// (`cloverleaf::driver::Simulation::step_journaled`).
+    /// (`cloverleaf::driver::Simulation::step_phases`).
     Timestep,
     /// One in situ visualization action (a pipeline, a rendered scene,
     /// or a whole viz cycle) from `insitu::runtime`.

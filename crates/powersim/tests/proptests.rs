@@ -2,6 +2,7 @@
 
 use powersim::cpu::CpuSpec;
 use powersim::timing::{bw_utilization, memory_time, phase_time};
+use powersim::trace::Journal;
 use powersim::units::Watts;
 use powersim::{KernelPhase, Package, Workload};
 use propcheck::prelude::*;
@@ -95,8 +96,8 @@ proptest! {
     #[test]
     fn execution_monotone_in_cap(phase in phase_strategy()) {
         let workload = Workload::new("w").with_phase(phase);
-        let hi = Package::broadwell().run_capped(&workload, Watts(120.0));
-        let lo = Package::broadwell().run_capped(&workload, Watts(40.0));
+        let hi = Package::broadwell().run_capped(&workload, Watts(120.0), &mut Journal::off());
+        let lo = Package::broadwell().run_capped(&workload, Watts(40.0), &mut Journal::off());
         prop_assert!(lo.seconds >= hi.seconds * 0.999_999);
         // RAPL cannot throttle below the lowest P-state; at minimum
         // frequency with saturated DRAM bandwidth the package can exceed
@@ -110,7 +111,7 @@ proptest! {
     fn energy_accounting_consistent(phase in phase_strategy(), cap in 45.0f64..120.0) {
         let workload = Workload::new("w").with_phase(phase);
         let mut pkg = Package::broadwell();
-        let r = pkg.run_capped(&workload, Watts(cap));
+        let r = pkg.run_capped(&workload, Watts(cap), &mut Journal::off());
         let pt = r.avg_power_watts.for_duration(r.seconds);
         prop_assert!((pt - r.energy_joules).abs() < 1e-6 * r.energy_joules.value().max(1.0));
     }

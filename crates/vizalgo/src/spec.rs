@@ -14,7 +14,7 @@
 //! reference in `conformance::reference` is the one library exception).
 //!
 //! Specs decode from JSON, never to it (the in situ action list
-//! re-exports [`AlgorithmSpec`] as its `FilterSpec`), and carry a
+//! declares its filters and renderers as [`AlgorithmSpec`]s), and carry a
 //! deterministic [`fingerprint`](AlgorithmSpec::fingerprint) derived
 //! from a JSON-independent canonical encoding, so every journal span a
 //! study/sweep/conformance run emits is attributable to an exact

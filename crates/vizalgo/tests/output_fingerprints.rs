@@ -224,6 +224,7 @@ fn default_advection_output_and_counters_are_pinned() {
 mod render {
     use super::*;
     use cloverleaf::{Problem, SimConfig, Simulation};
+    use powersim::trace::Journal;
     use std::sync::Arc;
     use vizalgo::{
         Filter, FilterOutput, FlowMode, FlowScenario, Fnv1a, ParticleAdvection, RayTracer,
@@ -271,7 +272,7 @@ mod render {
     fn two_state_series() -> FieldSeries {
         let mut sim = Simulation::new(Problem::TwoState, 16, SimConfig::default());
         let mut series = FieldSeries::with_capacity(3);
-        sim.run_steps_recording(24, 8, &mut series);
+        sim.run_steps_recording(24, 8, &mut series, &mut Journal::off());
         assert_eq!(series.len(), 3);
         series
     }

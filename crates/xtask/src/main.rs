@@ -111,9 +111,11 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
     // Informational: the size table of the ROADMAP's counting rule.
     ("cargo xtask count", None),
     ("cargo build --release", None),
-    // The one test a debug build skips: the 64³ hydro solve behind
-    // `store::tests::an_upsampled_size_journals_its_base_solve_once`.
+    // The tests a debug build skips: the 64³ hydro solve behind
+    // `store::tests::an_upsampled_size_journals_its_base_solve_once`, and
+    // `reproduce all` against the committed `reproduce_output.txt`.
     ("cargo test --release -q -p vizpower --lib", None),
+    ("cargo test --release -q -p vizpower-bench", None),
     ("cargo test --workspace -q", None),
     // One thread: every `vizmesh::par` call takes its inline branch, so
     // the chunk forms' whole-range path is exercised as well as the cut
@@ -154,9 +156,10 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
         "cargo run --release --bin reproduce -- advect --quick",
         None,
     ),
-    // The shipped action file, decoded and run the way the README says.
+    // The shipped action file, decoded and run the way the README says,
+    // with its run journal written.
     (
-        "cargo run --release --bin insitu_run -- examples/ascent_actions.json --cells 8 --steps 8 --every 4 --out target/insitu_ci --vtk",
+        "cargo run --release --bin reproduce -- insitu --quick --out target/insitu_ci --journal target/insitu_ci/insitu.jsonl",
         None,
     ),
     (

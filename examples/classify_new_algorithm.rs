@@ -11,6 +11,7 @@
 //! paper's eight. The same study machinery sweeps it across the nine
 //! caps and reports its class.
 
+use vizpower_suite::powersim::trace::Journal;
 use vizpower_suite::powersim::CpuSpec;
 use vizpower_suite::vizalgo::{Filter, Gradient};
 use vizpower_suite::vizpower::characterize::characterize;
@@ -36,7 +37,7 @@ fn main() {
         .iter()
         .map(|&cap| {
             let mut pkg = vizpower_suite::powersim::Package::new(spec.clone());
-            pkg.run_capped(&workload, cap)
+            pkg.run_capped(&workload, cap, &mut Journal::off())
         })
         .collect();
     let sweep = CapSweep {

@@ -8,6 +8,7 @@
 //! field, renders one image, and then asks the simulated RAPL-capped
 //! Broadwell package how the same contour behaves at 120 W vs 40 W.
 
+use vizpower_suite::powersim::trace::Journal;
 use vizpower_suite::powersim::{CpuSpec, Package, Watts};
 use vizpower_suite::vizalgo::{Algorithm, AlgorithmSpec};
 use vizpower_suite::vizpower::characterize::characterize;
@@ -51,8 +52,8 @@ fn main() {
     //    package at the default power and at the paper's severest cap.
     let spec = CpuSpec::broadwell_e5_2695v4();
     let workload = characterize("contour", &out.kernels, &spec);
-    let base = Package::new(spec.clone()).run_capped(&workload, Watts(120.0));
-    let capped = Package::new(spec).run_capped(&workload, Watts(40.0));
+    let base = Package::new(spec.clone()).run_capped(&workload, Watts(120.0), &mut Journal::off());
+    let capped = Package::new(spec).run_capped(&workload, Watts(40.0), &mut Journal::off());
     println!("\n                 {:>10}  {:>10}", "120 W", "40 W");
     println!(
         "time             {:>9.3}s  {:>9.3}s   ({:.2}x slowdown for a 3x power cut)",

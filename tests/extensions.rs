@@ -2,6 +2,7 @@
 //! algorithm, the cross-architecture study, the energy view, and the
 //! model ablations.
 
+use vizpower_suite::powersim::trace::Journal;
 use vizpower_suite::powersim::{CpuSpec, Package};
 use vizpower_suite::vizalgo::{Algorithm, Filter, Gradient};
 use vizpower_suite::vizpower::characterize::characterize;
@@ -27,7 +28,7 @@ fn gradient_classifies_as_power_opportunity() {
     let workload = characterize("gradient", &out.kernels, &spec);
     let rows = PAPER_CAPS
         .iter()
-        .map(|&cap| Package::new(spec.clone()).run_capped(&workload, cap))
+        .map(|&cap| Package::new(spec.clone()).run_capped(&workload, cap, &mut Journal::off()))
         .collect();
     let sweep = CapSweep {
         algorithm: Algorithm::Slice,

@@ -2,12 +2,10 @@
 //! simulated power execution → advisor, across crate boundaries.
 
 use vizpower_suite::cloverleaf::Problem;
-use vizpower_suite::insitu::{
-    Action, ActionList, FilterSpec, InSituRuntime, RendererSpec, RuntimeConfig, Trigger,
-};
+use vizpower_suite::insitu::{Action, ActionList, InSituRuntime, RuntimeConfig, Trigger};
+use vizpower_suite::powersim::trace::Journal;
 use vizpower_suite::powersim::{CpuSpec, Package, Watts};
-use vizpower_suite::vizalgo::IsoValues;
-use vizpower_suite::vizalgo::KernelClass;
+use vizpower_suite::vizalgo::{AlgorithmSpec, IsoValues, KernelClass};
 use vizpower_suite::vizpower::advisor;
 use vizpower_suite::vizpower::characterize::characterize;
 
@@ -15,14 +13,14 @@ fn actions() -> ActionList {
     ActionList(vec![
         Action::AddPipeline {
             name: "contour".into(),
-            filters: vec![FilterSpec::Contour {
+            filters: vec![AlgorithmSpec::Contour {
                 field: "energy".into(),
                 isovalues: IsoValues::Spanning(4),
             }],
         },
         Action::AddPipeline {
             name: "streams".into(),
-            filters: vec![FilterSpec::ParticleAdvection {
+            filters: vec![AlgorithmSpec::ParticleAdvection {
                 field: "velocity".into(),
                 particles: 30,
                 steps: 40,
@@ -33,7 +31,7 @@ fn actions() -> ActionList {
         },
         Action::AddScene {
             name: "db".into(),
-            renderer: RendererSpec::RayTracing {
+            renderer: AlgorithmSpec::RayTracing {
                 field: "energy".into(),
                 width: 16,
                 height: 16,
@@ -83,8 +81,9 @@ fn characterized_insitu_work_runs_under_caps() {
     let workload = characterize("viz", &viz_reports, &spec);
     assert!(!workload.is_empty());
 
-    let uncapped = Package::new(spec.clone()).run_capped(&workload, Watts(120.0));
-    let capped = Package::new(spec).run_capped(&workload, Watts(40.0));
+    let uncapped =
+        Package::new(spec.clone()).run_capped(&workload, Watts(120.0), &mut Journal::off());
+    let capped = Package::new(spec).run_capped(&workload, Watts(40.0), &mut Journal::off());
     assert!(uncapped.seconds > 0.0);
     assert!(capped.seconds >= uncapped.seconds);
     assert!(capped.avg_power_watts <= 41.0);
@@ -132,7 +131,7 @@ fn advisor_end_to_end_gives_power_to_the_bottleneck() {
     }
 }
 
-/// The action file the README drives `insitu_run` with.
+/// The action file the README drives `reproduce insitu` with.
 const SHIPPED_ACTIONS: &str = include_str!("../examples/ascent_actions.json");
 
 #[test]
