@@ -246,7 +246,7 @@ pub fn acceleration(state: &mut State, stress: &[f64], dt: f64) -> WorkCounters 
         sum / ((a1 - a0) * (b1 - b0)) as f64
     };
 
-    par::for_each_chunk_mut(&mut state.velocity, MIN_LEN, |nodes, chunk| {
+    par::for_each_chunk_zip(&mut state.velocity[..], MIN_LEN, |nodes, chunk| {
         for row in rows(pdims, nodes) {
             let (j, k) = (row.j, row.k);
             let inner_row = (1..pdims[1] - 1).contains(&j) && (1..pdims[2] - 1).contains(&k);
@@ -308,7 +308,7 @@ pub(crate) fn pdv(state: &mut State, stress: &[f64], dt: f64) -> [(&'static str,
     const E_FLOOR: f64 = 1e-9;
     let cdims = state.grid.cell_dims();
     let (grid, vel, density) = (&state.grid, &state.velocity, &state.density);
-    par::for_each_chunk_mut(&mut state.energy, MIN_LEN, |cells, chunk| {
+    par::for_each_chunk_zip(&mut state.energy[..], MIN_LEN, |cells, chunk| {
         for row in rows(cdims, cells) {
             let div = DivergenceRow::new(grid, vel, row);
             let (t, rho) = (&stress[row.id..][..row.len], &density[row.id..][..row.len]);
@@ -389,7 +389,7 @@ pub fn advect(state: &mut State, scratch: &mut Scratch, dt: f64) -> WorkCounters
     {
         let state = &*state;
         let (fm, fe) = (&mut scratch.flux_mass, &mut scratch.flux_energy);
-        par::for_each_chunk_mut2(fm, fe, MIN_LEN, |faces, fm, fe| {
+        par::for_each_chunk_zip((&mut fm[..], &mut fe[..]), MIN_LEN, |faces, (fm, fe)| {
             // Each axis's space in the concatenation, in turn.
             let mut space = 0..0;
             for (axis, count) in counts.into_iter().enumerate() {
@@ -418,7 +418,7 @@ pub fn advect(state: &mut State, scratch: &mut Scratch, dt: f64) -> WorkCounters
     let fe = face_spaces(&scratch.flux_energy, counts);
     let (density, energy) = (&state.density, &state.energy);
     let (nd, ne) = (&mut scratch.new_density, &mut scratch.new_energy);
-    par::for_each_chunk_mut2(nd, ne, MIN_LEN, |cells, nd, ne| {
+    par::for_each_chunk_zip((&mut nd[..], &mut ne[..]), MIN_LEN, |cells, (nd, ne)| {
         for row in rows(cdims, cells) {
             // The low face of the row's first cell in each face
             // space; the high face is one stride of that axis on.

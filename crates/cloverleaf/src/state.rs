@@ -82,7 +82,7 @@ impl State {
         let cdims = self.grid.cell_dims();
         let pdims = self.grid.point_dims();
         let mut out = vec![0.0; self.grid.num_points()];
-        par::for_each_chunk_mut(&mut out, MIN_LEN, |nodes, chunk| {
+        par::for_each_chunk_zip(&mut out[..], MIN_LEN, |nodes, chunk| {
             for row in rows(pdims, nodes) {
                 for (n, v) in row.of(chunk).iter_mut().enumerate() {
                     *v = node_mean(cell_values, cdims, [row.i + n, row.j, row.k]);

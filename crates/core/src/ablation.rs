@@ -13,8 +13,10 @@
 //! * **turbo headroom** (`turbo = base`): the uncapped frequency column
 //!   of Fig. 2a flattens to the base clock and the knee structure moves.
 
+use crate::characterize::characterize;
 use crate::metrics::Ratios;
-use crate::study::{AlgorithmRun, CapSweep};
+use crate::study::{self, AlgorithmRun};
+use powersim::trace::Journal;
 use powersim::{CpuSpec, Watts};
 
 /// One mechanism that can be switched off.
@@ -76,33 +78,20 @@ impl AblationResult {
 /// Run one ablation against a measured native run.
 pub fn run_ablation(run: &AlgorithmRun, caps: &[Watts], ablation: Ablation) -> AblationResult {
     let reference_spec = CpuSpec::broadwell_e5_2695v4();
-    let reference = crate::study::sweep(run, caps, &reference_spec).ratios();
+    let reference = study::sweep(run, caps, &reference_spec).ratios();
 
     let spec = ablation.spec();
-    let ablated: Vec<Ratios> = if ablation == Ablation::NoMemoryCushion {
+    let ablated = if ablation == Ablation::NoMemoryCushion {
         // Rebuild the workload with memory traffic zeroed.
-        let mut workload =
-            crate::characterize::characterize(run.algorithm.name(), &run.reports, &spec);
+        let mut workload = characterize(run.algorithm.name(), &run.reports, &spec);
         for phase in &mut workload.phases {
             phase.dram_bytes = 0;
             phase.llc_miss_rate = 0.0;
         }
-        let rows: Vec<powersim::ExecResult> = caps
-            .iter()
-            .map(|&cap| {
-                let mut pkg = powersim::Package::new(spec.clone());
-                pkg.run_capped(&workload, cap, &mut powersim::trace::Journal::off())
-            })
-            .collect();
-        CapSweep {
-            algorithm: run.algorithm,
-            size: run.size,
-            input_cells: run.input_cells,
-            rows,
-        }
-        .ratios()
+        let fp = run.spec.fingerprint();
+        study::sweep_tagged(run, &workload, fp, caps, &spec, &mut Journal::off()).ratios()
     } else {
-        crate::study::sweep(run, caps, &spec).ratios()
+        study::sweep(run, caps, &spec).ratios()
     };
 
     AblationResult { reference, ablated }
@@ -111,10 +100,11 @@ pub fn run_ablation(run: &AlgorithmRun, caps: &[Watts], ablation: Ablation) -> A
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::{dataset_for, native_run, StudyConfig, PAPER_CAPS};
+    use crate::study::{StudyConfig, StudyContext, PAPER_CAPS};
+    use std::sync::Arc;
     use vizalgo::Algorithm;
 
-    fn contour_run() -> AlgorithmRun {
+    fn contour_run() -> Arc<AlgorithmRun> {
         let config = StudyConfig {
             caps: PAPER_CAPS.to_vec(),
             isovalues: 4,
@@ -123,8 +113,7 @@ mod tests {
             particles: 10,
             advect_steps: 10,
         };
-        let ds = dataset_for(12);
-        native_run(&config, Algorithm::Contour, 12, &ds)
+        StudyContext::new(config).run(Algorithm::Contour, 12)
     }
 
     #[test]

@@ -98,10 +98,11 @@ impl std::fmt::Display for ArchRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::{dataset_for, native_run, StudyConfig, PAPER_CAPS};
+    use crate::study::{StudyConfig, StudyContext, PAPER_CAPS};
+    use std::sync::Arc;
     use vizalgo::Algorithm;
 
-    fn run_of(algorithm: Algorithm) -> AlgorithmRun {
+    fn run_of(algorithm: Algorithm) -> Arc<AlgorithmRun> {
         let config = StudyConfig {
             caps: PAPER_CAPS.to_vec(),
             isovalues: 4,
@@ -110,8 +111,7 @@ mod tests {
             particles: 150,
             advect_steps: 150,
         };
-        let ds = dataset_for(12);
-        native_run(&config, algorithm, 12, &ds)
+        StudyContext::new(config).run(algorithm, 12)
     }
 
     #[test]

@@ -197,7 +197,8 @@ pub fn upsample(base: &DataSet, n: usize) -> DataSet {
     // written or added.
     let np = grid.num_points();
     let (mut es, mut vs) = (vec![0.0; np], vec![Vec3::ZERO; np]);
-    par::for_each_chunk_mut2(&mut es, &mut vs, SAMPLE_MIN_LEN, |ids, es, vs| {
+    let fields = (&mut es[..], &mut vs[..]);
+    par::for_each_chunk_zip(fields, SAMPLE_MIN_LEN, |ids, (es, vs)| {
         for_each_located(&points, ids, |at, located| {
             if let Some(e) = energy {
                 es[at] = e(located);
@@ -216,7 +217,7 @@ pub fn upsample(base: &DataSet, n: usize) -> DataSet {
     // Cell fields: sample the base *point* field at the new cell centres.
     if let Some(e) = energy {
         let mut es = vec![0.0; grid.num_cells()];
-        par::for_each_chunk_mut(&mut es, SAMPLE_MIN_LEN, |ids, es| {
+        par::for_each_chunk_zip(&mut es[..], SAMPLE_MIN_LEN, |ids, es| {
             for_each_located(&centres, ids, |at, located| es[at] = e(located))
         });
         ds.add_field(Field::scalar("energy", Association::Cells, es));
@@ -271,36 +272,6 @@ pub struct AlgorithmRun {
     pub reports: Vec<KernelReport>,
 }
 
-/// Execute an algorithm natively against `input`, collecting its reports.
-pub fn native_run(
-    config: &StudyConfig,
-    algorithm: Algorithm,
-    size: usize,
-    input: &DataSet,
-) -> AlgorithmRun {
-    native_run_on(Backend::Traditional, config, algorithm, size, input)
-}
-
-/// [`native_run`] on an explicit backend, which must
-/// [support](Backend::supports) the algorithm.
-fn native_run_on(
-    backend: Backend,
-    config: &StudyConfig,
-    algorithm: Algorithm,
-    size: usize,
-    input: &DataSet,
-) -> AlgorithmRun {
-    let spec = config.spec(algorithm);
-    let out = spec.build_with(backend, input).execute(input);
-    AlgorithmRun {
-        algorithm,
-        size,
-        input_cells: input.num_cells(),
-        spec,
-        reports: out.kernels,
-    }
-}
-
 /// The power-cap sweep of one algorithm at one size.
 #[derive(Debug, Clone)]
 pub struct CapSweep {
@@ -342,22 +313,31 @@ impl CapSweep {
 
 /// Characterize a native run and execute it under every cap.
 pub fn sweep(run: &AlgorithmRun, caps: &[Watts], spec: &CpuSpec) -> CapSweep {
-    sweep_tagged(run, run.spec.fingerprint(), caps, spec, &mut Journal::off())
+    let workload = characterize(run.algorithm.name(), &run.reports, spec);
+    sweep_tagged(
+        run,
+        &workload,
+        run.spec.fingerprint(),
+        caps,
+        spec,
+        &mut Journal::off(),
+    )
 }
 
-/// [`sweep`] with the `spec_fp` its spans carry given explicitly, so a
-/// backend-qualified run is tagged as such, emitting one
-/// [`Scope::Sweep`] span per cap point whose joules are the row's total
-/// energy (the rollup of that execution's kernel spans), plus the
-/// executor's own events.
-fn sweep_tagged(
+/// [`sweep`] of `run`'s already characterized `workload` (the ablations
+/// edit it first), each cap on a fresh package, with the `spec_fp` its
+/// spans carry given explicitly, so a backend-qualified run is tagged
+/// as such: one [`Scope::Sweep`] span per cap point whose joules are the
+/// row's total energy (the rollup of that execution's kernel spans),
+/// plus the executor's own events.
+pub(crate) fn sweep_tagged(
     run: &AlgorithmRun,
+    workload: &Workload,
     spec_fp: u64,
     caps: &[Watts],
     spec: &CpuSpec,
     journal: &mut Journal,
 ) -> CapSweep {
-    let workload: Workload = characterize(run.algorithm.name(), &run.reports, spec);
     assert!(
         !workload.is_empty(),
         "{} produced an empty workload",
@@ -368,7 +348,7 @@ fn sweep_tagged(
         .map(|&cap| {
             let t0 = journal.now();
             let mut pkg = Package::new(spec.clone());
-            let row = pkg.run_capped(&workload, cap, journal);
+            let row = pkg.run_capped(workload, cap, journal);
             if journal.is_enabled() {
                 journal.push_span(
                     Scope::Sweep,
@@ -464,9 +444,16 @@ impl StudyContext {
             return Arc::clone(r);
         }
         let ds = self.dataset(size);
-        let config = &self.config;
         let t0 = self.journal.now();
-        let run = Arc::new(native_run_on(self.backend, config, algorithm, size, &ds));
+        let spec = self.config.spec(algorithm);
+        let out = spec.build_with(self.backend, &ds).execute(&ds);
+        let run = Arc::new(AlgorithmRun {
+            algorithm,
+            size,
+            input_cells: ds.num_cells(),
+            spec,
+            reports: out.kernels,
+        });
         if self.journal.is_enabled() {
             let instructions: u64 = run.reports.iter().map(|r| r.work.instructions).sum();
             self.journal.push_span(
@@ -491,14 +478,11 @@ impl StudyContext {
     pub fn sweep(&mut self, algorithm: Algorithm, size: usize) -> CapSweep {
         let run = self.run(algorithm, size);
         let spec_fp = run.spec.fingerprint_with(self.backend);
+        let spec = CpuSpec::broadwell_e5_2695v4();
         let t0 = self.journal.now();
-        let sweep = sweep_tagged(
-            &run,
-            spec_fp,
-            &self.config.caps,
-            &CpuSpec::broadwell_e5_2695v4(),
-            &mut self.journal,
-        );
+        let workload = characterize(algorithm.name(), &run.reports, &spec);
+        let caps = &self.config.caps;
+        let sweep = sweep_tagged(&run, &workload, spec_fp, caps, &spec, &mut self.journal);
         if self.journal.is_enabled() {
             let joules: Joules = sweep.rows.iter().map(|r| r.energy_joules).sum();
             self.journal.push_span(
@@ -699,10 +683,9 @@ mod tests {
 
     #[test]
     fn every_algorithm_produces_reports_on_real_data() {
-        let config = tiny_config();
-        let ds = dataset_for(12);
+        let mut ctx = StudyContext::new(tiny_config());
         for algorithm in Algorithm::ALL {
-            let run = native_run(&config, algorithm, 12, &ds);
+            let run = ctx.run(algorithm, 12);
             assert!(
                 !run.reports.is_empty(),
                 "{algorithm} produced no kernel reports"

@@ -33,15 +33,15 @@ pub struct GovernorResult {
     /// Pair completion time: the slower side's execution time.
     pub seconds: f64,
     /// Total node energy (both packages).
-    pub(crate) energy_joules: Joules,
+    pub energy_joules: Joules,
     /// The simulation side's execution result.
     pub(crate) sim: ExecResult,
     /// The visualization side's execution result.
     pub(crate) viz: ExecResult,
     /// Number of control decisions taken (one per 100 ms window).
-    pub(crate) decisions: u64,
+    pub decisions: u64,
     /// Number of RAPL reprogrammings (including the two initial ones).
-    pub(crate) cap_changes: u64,
+    pub cap_changes: u64,
     /// Highest node power observed over any 100 ms window.
     pub max_window_power_watts: Watts,
 }

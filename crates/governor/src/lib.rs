@@ -23,7 +23,9 @@
 //!   `policy_decision` and `cap_change` record.
 //! * `study` — the `reproduce governor --budget-sweep` study: every
 //!   policy at node budgets from 80 W to 240 W, plus an oracle found by
-//!   exhaustive fixed-split search.
+//!   exhaustive fixed-split search. Its rows are the governed runs
+//!   themselves ([`GovernorResult`]); [`render_table`] derives the
+//!   table's columns from them.
 //!
 //! Everything downstream of a characterized pair is deterministic:
 //! identical inputs produce byte-identical journals regardless of thread
@@ -47,4 +49,4 @@ mod study;
 pub use control::{govern, GovernorResult};
 pub use pair::{coupled_pair, WorkloadPair};
 pub use policy::{CapSplit, Observation, Policy, Reactive, SideObs, StaticAdvisor, Uniform};
-pub use study::{budget_sweep, budgets, render_table, sweep_pair, BudgetSweep, PolicyRow};
+pub use study::{budget_sweep, budgets, render_table, sweep_pair, BudgetSweep};

@@ -1,5 +1,6 @@
 //! The budget-sweep study: the governed cloverleaf + visualization pair
-//! across node budgets from 80 W to 240 W, one row per (budget, policy).
+//! across node budgets from 80 W to 240 W, one governed run
+//! ([`GovernorResult`]) per (budget, policy).
 //!
 //! Four policies run at every budget: the three online policies
 //! ([`Uniform`], [`StaticAdvisor`], [`Reactive`]) plus an *oracle* upper
@@ -13,7 +14,7 @@ use crate::control::{clamp_budget, govern, GovernorResult};
 use crate::pair::{coupled_pair, WorkloadPair};
 use crate::policy::{CapSplit, FixedSplit, Policy, Reactive, StaticAdvisor, Uniform};
 use powersim::trace::{Journal, Scope};
-use powersim::{CpuSpec, Joules, Watts};
+use powersim::{CpuSpec, Watts};
 
 /// The studied node budgets: 80 W (both packages at the floor) to 240 W
 /// (both at TDP) in 20 W steps.
@@ -21,65 +22,19 @@ pub fn budgets() -> Vec<Watts> {
     (0..9).map(|i| Watts(80.0 + 20.0 * i as f64)).collect()
 }
 
-/// One (budget, policy) cell of the sweep table.
-#[derive(Debug, Clone)]
-pub struct PolicyRow {
-    /// The enforced node budget.
-    pub(crate) budget_watts: Watts,
-    /// Policy name (`uniform`, `static-advisor`, `reactive`, `oracle`).
-    pub(crate) policy: String,
-    /// Pair completion time (slower side).
-    pub seconds: f64,
-    /// Total node energy.
-    pub energy_joules: Joules,
-    /// `energy / seconds`.
-    pub(crate) avg_power_watts: Watts,
-    /// Highest node power over any 100 ms window.
-    pub max_window_power_watts: Watts,
-    /// Simulation-side completion time.
-    pub(crate) sim_seconds: f64,
-    /// Visualization-side completion time.
-    pub(crate) viz_seconds: f64,
-    /// RAPL reprogrammings performed.
-    pub cap_changes: u64,
-    /// Control decisions taken.
-    pub decisions: u64,
-}
-
-impl PolicyRow {
-    fn from_result(r: &GovernorResult) -> PolicyRow {
-        PolicyRow {
-            budget_watts: r.budget_watts,
-            policy: r.policy.clone(),
-            seconds: r.seconds,
-            energy_joules: r.energy_joules,
-            avg_power_watts: if r.seconds > 0.0 {
-                r.energy_joules.over_seconds(r.seconds)
-            } else {
-                Watts::ZERO
-            },
-            max_window_power_watts: r.max_window_power_watts,
-            sim_seconds: r.sim.seconds,
-            viz_seconds: r.viz.seconds,
-            cap_changes: r.cap_changes,
-            decisions: r.decisions,
-        }
-    }
-}
-
 /// The full sweep: every policy at every budget.
 #[derive(Debug, Clone)]
 pub struct BudgetSweep {
     /// Grid size the pair was characterized from (cells per axis).
     pub(crate) grid_cells: usize,
-    /// Rows in budget-major order: for each budget, `uniform`,
-    /// `static-advisor`, `reactive`, `oracle`.
-    pub rows: Vec<PolicyRow>,
+    /// The governed runs in budget-major order: for each budget,
+    /// `uniform`, `static-advisor`, `reactive`, `oracle`.
+    pub rows: Vec<GovernorResult>,
 }
 
 impl BudgetSweep {
     /// The row for a given budget and policy, if present.
-    pub fn row(&self, budget: Watts, policy: &str) -> Option<&PolicyRow> {
+    pub fn row(&self, budget: Watts, policy: &str) -> Option<&GovernorResult> {
         self.rows
             .iter()
             .find(|r| (r.budget_watts - budget).abs() < Watts(1e-9) && r.policy == policy)
@@ -87,8 +42,10 @@ impl BudgetSweep {
 }
 
 /// Exhaustively search the best fixed split for `budget` on the 5 W cap
-/// grid (journaling off), breaking ties toward the larger simulation
-/// cap so the search order cannot affect the result.
+/// grid (journaling off). The grid is walked by ascending simulation
+/// cap and a later split replaces the best only when it is faster by
+/// more than a relative 1e-9, so ties go to the smallest simulation
+/// cap.
 fn oracle_split(pair: &WorkloadPair, budget: Watts, spec: &CpuSpec) -> CapSplit {
     let lo = spec.min_cap_watts;
     let hi = spec.tdp_watts;
@@ -130,20 +87,18 @@ pub fn sweep_pair(
     budgets: &[Watts],
     spec: &CpuSpec,
     journal: &mut Journal,
-) -> Vec<PolicyRow> {
+) -> Vec<GovernorResult> {
     let mut rows = Vec::with_capacity(budgets.len() * 4);
     for &budget in budgets {
         // Fresh per budget: Reactive carries state across windows and
         // must start each budget point cold.
         let mut online = online_policies();
         for policy in online.iter_mut() {
-            let r = govern(pair, policy.as_mut(), budget, spec, journal);
-            rows.push(PolicyRow::from_result(&r));
+            rows.push(govern(pair, policy.as_mut(), budget, spec, journal));
         }
         let split = oracle_split(pair, budget, spec);
         let mut oracle = FixedSplit::named(split, "oracle");
-        let r = govern(pair, &mut oracle, budget, spec, journal);
-        rows.push(PolicyRow::from_result(&r));
+        rows.push(govern(pair, &mut oracle, budget, spec, journal));
     }
     rows
 }
@@ -198,6 +153,11 @@ pub fn render_table(sweep: &BudgetSweep) -> String {
             out.push('\n');
         }
         last_budget = row.budget_watts;
+        let avg_power_watts = if row.seconds > 0.0 {
+            row.energy_joules.over_seconds(row.seconds)
+        } else {
+            Watts::ZERO
+        };
         let _ = writeln!(
             out,
             "{:>8.0}  {:<14} {:>7.2} {:>10.0} {:>7.1} {:>10.1} {:>6.2} {:>7.2} {:>5}",
@@ -205,10 +165,10 @@ pub fn render_table(sweep: &BudgetSweep) -> String {
             row.policy,
             row.seconds,
             row.energy_joules,
-            row.avg_power_watts,
+            avg_power_watts,
             row.max_window_power_watts,
-            row.sim_seconds,
-            row.viz_seconds,
+            row.sim.seconds,
+            row.viz.seconds,
             row.cap_changes,
         );
     }
@@ -218,6 +178,7 @@ pub fn render_table(sweep: &BudgetSweep) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powersim::Workload;
 
     fn spec() -> CpuSpec {
         CpuSpec::broadwell_e5_2695v4()
@@ -257,6 +218,23 @@ mod tests {
                 oracle <= uniform * (1.0 + 1e-9),
                 "at {budget}: oracle {oracle} !<= uniform {uniform}"
             );
+        }
+    }
+
+    #[test]
+    fn oracle_ties_go_to_the_smallest_simulation_cap() {
+        // Two empty workloads finish in 0 s under every split, so every
+        // split ties and the first one the ascending walk tries is kept.
+        let pair = WorkloadPair {
+            sim: Workload::new("empty-sim"),
+            viz: Workload::new("empty-viz"),
+        };
+        let spec = spec();
+        let (lo, hi) = (spec.min_cap_watts, spec.tdp_watts);
+        for budget in [Watts(80.0), Watts(150.0), Watts(240.0)] {
+            let split = oracle_split(&pair, budget, &spec);
+            assert_eq!(split.sim, lo, "at {budget}");
+            assert_eq!(split.viz, (clamp_budget(budget, &spec) - lo).clamp(lo, hi));
         }
     }
 

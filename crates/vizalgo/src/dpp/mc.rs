@@ -82,11 +82,10 @@ pub(crate) fn dpp_marching_cubes(
     // case when the cut falls inside it.
     let mut pairs: Vec<[(u64, u32); 3]> = vec![[(0, 0); 3]; total];
     let mut pos: Vec<[Vec3; 3]> = vec![[Vec3::ZERO; 3]; total];
-    par::for_each_chunk_mut2(
-        &mut pairs,
-        &mut pos,
+    par::for_each_chunk_zip(
+        (&mut pairs[..], &mut pos[..]),
         GENERATE_MIN_LEN,
-        |tris, pairs, pos| {
+        |tris, (pairs, pos)| {
             let a = first_tri.partition_point(|&t| t <= tris.start) - 1;
             let cells = grid.cells(active[a..].iter().map(|&(id, _)| id as usize));
             let mut t = tris.start;

@@ -12,7 +12,7 @@ use super::primitives::{self, DppTrace, PrimitiveOp};
 use super::DppExecute;
 use crate::filter::FilterOutput;
 use crate::threshold::Threshold;
-use vizmesh::{Association, CellSet, CellShape, DataSet, Field, UniformGrid, Vec3};
+use vizmesh::{CellSet, CellShape, DataSet, UniformGrid, Vec3};
 
 impl DppExecute for Threshold {
     fn dpp_execute(&self, input: &DataSet) -> FilterOutput {
@@ -58,19 +58,9 @@ impl DppExecute for Threshold {
             (8 * (4 + 4) * kept.len()) as u64,
             4 * 8 * kept.len() as u64,
         );
-        let out_cell_vals: Vec<f64> = match cell_vals {
-            Some(vals) => primitives::gather(&mut trace, vals, &kept),
-            None => Vec::new(),
-        };
+        let out_cell_vals = cell_vals.map(|vals| primitives::gather(&mut trace, vals, &kept));
 
-        let mut ds = DataSet::explicit(points, cells);
-        if cell_vals.is_some() {
-            ds.add_field(Field::scalar(
-                self.field.clone(),
-                Association::Cells,
-                out_cell_vals,
-            ));
-        }
+        let ds = self.output(points, cells, out_cell_vals);
         FilterOutput::data_with_primitives(ds, trace.kernel_reports(), trace.reports())
     }
 }
@@ -100,6 +90,7 @@ mod tests {
     use super::*;
     use crate::dpp::Dpp;
     use crate::filter::Filter;
+    use vizmesh::{Association, Field};
 
     fn x_ramp(n: usize) -> DataSet {
         let grid = UniformGrid::cube_cells(n);

@@ -1,6 +1,9 @@
 //! The common filter interface and kernel instrumentation types.
 
-use vizmesh::{Association, CellSet, DataSet, Field, Image, UniformGrid, Vec3, WorkCounters};
+use vizmesh::{
+    par, Aabb, Association, Camera, CellSet, DataSet, Field, Image, Ray, UniformGrid, Vec3,
+    WorkCounters,
+};
 
 /// Microarchitectural flavor of a kernel, used by the `vizpower`
 /// characterization bridge to assign an instruction-mix signature
@@ -190,6 +193,44 @@ pub(crate) fn scalar_range(input: &DataSet, field: &str) -> (f64, f64) {
 pub(crate) fn point_scalar_range(input: &DataSet, field: &str) -> (f64, f64) {
     let found = input.field_with(field, Association::Points);
     found.and_then(|f| f.scalar_range()).unwrap_or((0.0, 1.0))
+}
+
+/// The image database of both image-order renderers: one image per
+/// camera of a `num_cameras` orbit around `bounds`, its rows filled on
+/// `par` into buffers every camera reuses. `pixel(ray, stats)` counts
+/// into its row's stats and returns `(rgba, depth)` for a drawn pixel;
+/// each image comes with its rows' stats, summed by `add` in row order.
+pub(crate) fn orbit_images<S: Copy + Default + Send>(
+    bounds: &Aabb,
+    num_cameras: usize,
+    (width, height): (usize, usize),
+    pixel: impl Fn(&Ray, &mut S) -> Option<([f32; 4], f32)> + Sync,
+    add: impl Fn(S, S) -> S,
+) -> Vec<(Image, S)> {
+    let rows = crate::RAY_MIN_LEN.div_ceil(width.max(1));
+    let mut row_buf: Vec<(Vec<Option<([f32; 4], f32)>>, S)> = Vec::with_capacity(height);
+    row_buf.resize_with(height, Default::default);
+    let mut images = Vec::with_capacity(num_cameras);
+    for cam in Camera::orbit(bounds, num_cameras) {
+        let view = cam.view(width, height);
+        par::for_each_mut(&mut row_buf, rows, |y, (row, stats)| {
+            *stats = S::default();
+            row.clear();
+            row.extend((0..width).map(|x| pixel(&view.ray(x, y), stats)));
+        });
+        let mut img = Image::new(width, height);
+        let mut total = S::default();
+        for (y, (row, stats)) in row_buf.iter().enumerate() {
+            for (x, px) in row.iter().enumerate() {
+                if let Some((rgba, depth)) = *px {
+                    img.set_if_closer(x, y, depth, rgba);
+                }
+            }
+            total = add(total, *stats);
+        }
+        images.push((img, total));
+    }
+    images
 }
 
 /// A visualization filter: consumes a dataset, produces geometry and/or

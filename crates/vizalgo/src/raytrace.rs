@@ -17,7 +17,7 @@
 
 use crate::colormap::ColorMap;
 use crate::filter::{self, Filter, FilterOutput, KernelClass, KernelReport};
-use vizmesh::{par, Aabb, Camera, DataSet, Image, Ray, Vec3, WorkCounters};
+use vizmesh::{par, Aabb, DataSet, Ray, Vec3, WorkCounters};
 
 /// A shading-ready triangle: positions plus per-vertex scalar.
 #[derive(Debug, Clone, Copy)]
@@ -442,56 +442,27 @@ impl Filter for RayTracer {
         // Step 3: trace rays from each orbit camera.
         let (lo, hi) = filter::scalar_range(input, &self.field);
         let cmap = ColorMap::cool_to_warm();
-        let bounds = input.bounds();
-        let cameras = Camera::orbit(&bounds, self.num_cameras);
+        let pixel = |ray: &Ray, stats: &mut (u64, u64)| {
+            let (t, ti, u, v) = bvh.intersect(&tris, ray, stats)?;
+            let tri = &tris[ti as usize];
+            let s = tri.scalar[0] * (1.0 - u - v) + tri.scalar[1] * u + tri.scalar[2] * v;
+            let mut c = cmap.sample_range(s, lo, hi);
+            // Headlight Lambert shading.
+            let ndl = tri.normal().dot(-ray.direction).abs();
+            let shade = (0.35 + 0.65 * ndl) as f32;
+            c[0] *= shade;
+            c[1] *= shade;
+            c[2] *= shade;
+            Some((c, t as f32))
+        };
+        let size = (self.width, self.height);
+        let sum = |a: (u64, u64), b: (u64, u64)| (a.0 + b.0, a.1 + b.1);
+        let rendered = filter::orbit_images(&input.bounds(), self.num_cameras, size, pixel, sum);
 
         let mut trace_work = WorkCounters::new();
-        let mut images = Vec::with_capacity(self.num_cameras);
-        let width = self.width;
-        // Per-row pixel buffers and traversal stats, reused across every
-        // camera: only the first camera pays the row allocations.
-        let mut row_buf: Vec<(Vec<([f32; 4], f32)>, (u64, u64))> = Vec::with_capacity(self.height);
-        row_buf.resize_with(self.height, Default::default);
-        for cam in &cameras {
-            let mut img = Image::new(self.width, self.height);
-            let rows = crate::RAY_MIN_LEN.div_ceil(width.max(1));
-            let view = cam.view(width, self.height);
-            par::for_each_mut(&mut row_buf, rows, |y, (row, stats)| {
-                *stats = (0, 0);
-                row.clear();
-                row.extend((0..width).map(|x| {
-                    let ray = view.ray(x, y);
-                    match bvh.intersect(&tris, &ray, stats) {
-                        Some((t, ti, u, v)) => {
-                            let tri = &tris[ti as usize];
-                            let s = tri.scalar[0] * (1.0 - u - v)
-                                + tri.scalar[1] * u
-                                + tri.scalar[2] * v;
-                            let mut c = cmap.sample_range(s, lo, hi);
-                            // Headlight Lambert shading.
-                            let ndl = tri.normal().dot(-ray.direction).abs();
-                            let shade = (0.35 + 0.65 * ndl) as f32;
-                            c[0] *= shade;
-                            c[1] *= shade;
-                            c[2] *= shade;
-                            (c, t as f32)
-                        }
-                        None => ([0.0; 4], f32::INFINITY),
-                    }
-                }));
-            });
-            let mut nodes_visited = 0u64;
-            let mut tri_tests = 0u64;
-            for (y, (row, stats)) in row_buf.iter().enumerate() {
-                for (x, &(c, d)) in row.iter().enumerate() {
-                    if d.is_finite() {
-                        img.set_if_closer(x, y, d, c);
-                    }
-                }
-                nodes_visited += stats.0;
-                tri_tests += stats.1;
-            }
-            let rays = (self.width * self.height) as u64;
+        let rays = (self.width * self.height) as u64;
+        let mut images = Vec::with_capacity(rendered.len());
+        for (img, (nodes_visited, tri_tests)) in rendered {
             trace_work.tally(rays, 60, 24, 48, 16);
             trace_work.tally(nodes_visited, 28, 10, 32, 0);
             trace_work.tally(tri_tests, 52, 38, 80, 0);
@@ -515,7 +486,7 @@ impl Filter for RayTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vizmesh::{Association, Field, UniformGrid, XorShift};
+    use vizmesh::{Association, Camera, Field, UniformGrid, XorShift};
 
     fn dataset(n: usize) -> DataSet {
         let grid = UniformGrid::cube_cells(n);

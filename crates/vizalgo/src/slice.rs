@@ -88,7 +88,7 @@ impl Filter for ThreeSlice {
             // Kernel 1: signed-distance field for every mesh point. The
             // paper notes this per-node computation is what makes slice
             // more compute-intensive than plain contour.
-            par::for_each_chunk_mut(&mut sdf, crate::CELL_MIN_LEN, |points, chunk| {
+            par::for_each_chunk_zip(&mut sdf[..], crate::CELL_MIN_LEN, |points, chunk| {
                 for (s, (_, p)) in chunk.iter_mut().zip(grid.points(points)) {
                     *s = plane.distance(p);
                 }

@@ -51,6 +51,22 @@ impl Threshold {
         };
         (grid, cell_vals, keeps)
     }
+
+    /// The output both backends build: the kept cells over their welded
+    /// points, carrying the kept cells' values when the field is
+    /// cell-centered.
+    pub(crate) fn output(
+        &self,
+        points: Vec<Vec3>,
+        cells: CellSet,
+        vals: Option<Vec<f64>>,
+    ) -> DataSet {
+        let mut ds = DataSet::explicit(points, cells);
+        if let Some(vals) = vals {
+            ds.add_field(Field::scalar(self.field.clone(), Association::Cells, vals));
+        }
+        ds
+    }
 }
 
 impl Filter for Threshold {
@@ -95,14 +111,7 @@ impl Filter for Threshold {
             gather.tally(1, 30, 0, 32, 40);
         }
 
-        let mut ds = DataSet::explicit(points, cells);
-        if cell_vals.is_some() {
-            ds.add_field(Field::scalar(
-                self.field.clone(),
-                Association::Cells,
-                out_cell_vals,
-            ));
-        }
+        let ds = self.output(points, cells, cell_vals.is_some().then_some(out_cell_vals));
         FilterOutput::data(
             ds,
             vec![

@@ -9,7 +9,12 @@
 
 use crate::colormap::ColorMap;
 use crate::filter::{self, Filter, FilterOutput, KernelClass, KernelReport};
-use vizmesh::{par, Camera, DataSet, Image, WorkCounters};
+use vizmesh::{DataSet, Ray, WorkCounters};
+
+/// Step length as a fraction of the cell diagonal (0.5 = half a cell).
+const STEP_SCALE: f64 = 0.8;
+/// Per-sample opacity scale of the transfer function.
+const OPACITY_SCALE: f32 = 0.35;
 
 /// The volume-rendering filter.
 #[derive(Debug, Clone)]
@@ -18,10 +23,6 @@ pub struct VolumeRenderer {
     pub(crate) width: usize,
     pub(crate) height: usize,
     pub(crate) num_cameras: usize,
-    /// Step length as a fraction of the cell diagonal (0.5 = half a cell).
-    pub(crate) step_scale: f64,
-    /// Per-sample opacity scale of the transfer function.
-    pub(crate) opacity_scale: f64,
 }
 
 impl VolumeRenderer {
@@ -32,8 +33,6 @@ impl VolumeRenderer {
             width,
             height,
             num_cameras,
-            step_scale: 0.8,
-            opacity_scale: 0.35,
         }
     }
 }
@@ -49,59 +48,35 @@ impl Filter for VolumeRenderer {
         let (lo, hi) = filter::scalar_range(input, &self.field);
         let tf = ColorMap::volume_default();
         let bounds = grid.bounds();
-        let step = grid.spacing().length() * self.step_scale;
-        let cameras = Camera::orbit(&bounds, self.num_cameras);
+        let step = grid.spacing().length() * STEP_SCALE;
+        let march = |ray: &Ray, samples: &mut u64| {
+            let inv = ray.inv_direction();
+            let (t0, t1) = bounds.intersect_ray(ray.origin, inv, 0.0, f64::INFINITY)?;
+            let mut color = [0.0f32; 4];
+            let mut t = t0.max(0.0) + step * 0.5;
+            while t < t1 && color[3] < 0.99 {
+                if let Some(v) = grid.sample_scalar(values, ray.at(t)) {
+                    *samples += 1;
+                    let mut s = tf.sample_range(v, lo, hi);
+                    s[3] = (s[3] * OPACITY_SCALE).clamp(0.0, 1.0);
+                    // Front-to-back "over" compositing.
+                    let w = s[3] * (1.0 - color[3]);
+                    color[0] += s[0] * w;
+                    color[1] += s[1] * w;
+                    color[2] += s[2] * w;
+                    color[3] += w;
+                }
+                t += step;
+            }
+            (color[3] > 0.0).then_some((color, 0.0))
+        };
+        let size = (self.width, self.height);
+        let rendered = filter::orbit_images(&bounds, self.num_cameras, size, march, |a, b| a + b);
 
         let mut march_work = WorkCounters::new();
-        let mut images = Vec::with_capacity(self.num_cameras);
-        let width = self.width;
-        // Per-row pixel buffers and sample counts, reused across every
-        // camera: only the first camera pays the row allocations.
-        let mut row_buf: Vec<(Vec<[f32; 4]>, u64)> = Vec::with_capacity(self.height);
-        row_buf.resize_with(self.height, Default::default);
-        for cam in &cameras {
-            let mut img = Image::new(self.width, self.height);
-            let rows = crate::RAY_MIN_LEN.div_ceil(width.max(1));
-            let view = cam.view(width, self.height);
-            par::for_each_mut(&mut row_buf, rows, |y, (row, samples)| {
-                *samples = 0;
-                row.clear();
-                row.extend((0..width).map(|x| {
-                    let ray = view.ray(x, y);
-                    let inv = ray.inv_direction();
-                    let Some((t0, t1)) = bounds.intersect_ray(ray.origin, inv, 0.0, f64::INFINITY)
-                    else {
-                        return [0.0; 4];
-                    };
-                    let mut color = [0.0f32; 4];
-                    let mut t = t0.max(0.0) + step * 0.5;
-                    while t < t1 && color[3] < 0.99 {
-                        if let Some(v) = grid.sample_scalar(values, ray.at(t)) {
-                            *samples += 1;
-                            let mut s = tf.sample_range(v, lo, hi);
-                            s[3] = (s[3] * self.opacity_scale as f32).clamp(0.0, 1.0);
-                            // Front-to-back "over" compositing.
-                            let w = s[3] * (1.0 - color[3]);
-                            color[0] += s[0] * w;
-                            color[1] += s[1] * w;
-                            color[2] += s[2] * w;
-                            color[3] += w;
-                        }
-                        t += step;
-                    }
-                    color
-                }));
-            });
-            let mut samples = 0u64;
-            for (y, (row, s)) in row_buf.iter().enumerate() {
-                for (x, &c) in row.iter().enumerate() {
-                    if c[3] > 0.0 {
-                        img.set_if_closer(x, y, 0.0, c);
-                    }
-                }
-                samples += s;
-            }
-            let rays = (self.width * self.height) as u64;
+        let rays = (self.width * self.height) as u64;
+        let mut images = Vec::with_capacity(rendered.len());
+        for (img, samples) in rendered {
             march_work.tally(rays, 90, 40, 48, 16);
             // Per sample: trilinear gather (8 reads) + transfer function +
             // blend — the FP-dense loop that gives volume rendering the
@@ -125,7 +100,7 @@ impl Filter for VolumeRenderer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vizmesh::{Association, Field, UniformGrid, Vec3};
+    use vizmesh::{Association, Camera, Field, UniformGrid, Vec3};
 
     fn dataset(n: usize, hot_center: bool) -> DataSet {
         let grid = UniformGrid::cube_cells(n);

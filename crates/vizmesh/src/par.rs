@@ -4,9 +4,9 @@
 //! per index (cell, point, slab, seed, image row) and keep the results
 //! in index order. This module is exactly that and nothing more:
 //! [`map`], [`for_each_mut`], the chunk forms they are written over
-//! ([`map_chunks`], [`for_each_chunk_mut`] and its zipped forms
-//! [`for_each_chunk_mut2`] and [`for_each_chunk_zip`]: the body gets its
-//! index range), and [`with_threads`].
+//! ([`map_chunks`] and [`for_each_chunk_zip`]: the body gets its index
+//! range, and one or several mutable slices cut at the same places), and
+//! [`with_threads`].
 //!
 //! A range is cut into contiguous chunks; the workers (the caller is one
 //! of them) pull chunk indices from an atomic counter, and the results
@@ -229,36 +229,12 @@ pub fn for_each_chunk_zip<Z: Zip>(items: Z, min_len: usize, body: impl Fn(Range<
     });
 }
 
-/// The one-slice form of [`for_each_chunk_zip`]: `body(range, &mut
-/// items[range])`.
-pub fn for_each_chunk_mut<T: Send>(
-    items: &mut [T],
-    min_len: usize,
-    body: impl Fn(Range<usize>, &mut [T]) + Sync,
-) {
-    for_each_chunk_zip(items, min_len, body);
-}
-
 /// `f(i, &mut items[i])` for every `i`, in parallel chunks of at least
 /// `min_len` items.
 pub fn for_each_mut<T: Send>(items: &mut [T], min_len: usize, f: impl Fn(usize, &mut T) + Sync) {
-    for_each_chunk_mut(items, min_len, |range, chunk| {
+    for_each_chunk_zip(items, min_len, |range, chunk| {
         range.zip(chunk).for_each(|(i, x)| f(i, x))
     });
-}
-
-/// The two-slice form of [`for_each_chunk_zip`]: `body(range, &mut
-/// a[range], &mut b[range])`.
-///
-/// # Panics
-/// If the slices differ in length.
-pub fn for_each_chunk_mut2<A: Send, B: Send>(
-    a: &mut [A],
-    b: &mut [B],
-    min_len: usize,
-    body: impl Fn(Range<usize>, &mut [A], &mut [B]) + Sync,
-) {
-    for_each_chunk_zip((a, b), min_len, |range, (a, b)| body(range, a, b));
 }
 
 #[cfg(test)]
@@ -300,14 +276,14 @@ mod tests {
                     let evens = map_chunks(n, MIN_LEN, |r| r.filter(|i| i % 2 == 0).collect());
                     assert!(evens.iter().copied().eq((0..n).step_by(2)));
                     let mut c = vec![0.0; n];
-                    for_each_chunk_mut(&mut c, MIN_LEN, |r, chunk| {
+                    for_each_chunk_zip(&mut c[..], MIN_LEN, |r, chunk| {
                         assert_eq!(r.len(), chunk.len());
                         r.zip(chunk).for_each(|(i, x)| *x = value(i));
                     });
-                    assert_eq!(c, expect, "for_each_chunk_mut n={n} threads={threads}");
+                    assert_eq!(c, expect, "for_each_chunk_zip n={n} threads={threads}");
 
                     let mut b = vec![0usize; n];
-                    for_each_chunk_mut2(&mut a, &mut b, MIN_LEN, |r, ca, cb| {
+                    for_each_chunk_zip((&mut a[..], &mut b[..]), MIN_LEN, |r, (ca, cb)| {
                         assert!(r.len() == ca.len() && r.len() == cb.len());
                         for (i, (x, y)) in r.zip(ca.iter_mut().zip(cb)) {
                             *x += 1.0;

@@ -6,7 +6,9 @@ use vizpower_suite::powersim::trace::Journal;
 use vizpower_suite::powersim::{CpuSpec, Package};
 use vizpower_suite::vizalgo::{Algorithm, Filter, Gradient};
 use vizpower_suite::vizpower::characterize::characterize;
-use vizpower_suite::vizpower::study::{dataset_for, native_run, CapSweep, StudyConfig, PAPER_CAPS};
+use vizpower_suite::vizpower::study::{
+    dataset_for, CapSweep, StudyConfig, StudyContext, PAPER_CAPS,
+};
 use vizpower_suite::vizpower::{ablation, arch, classify, energy, PowerClass};
 
 fn study_config() -> StudyConfig {
@@ -44,10 +46,9 @@ fn gradient_classifies_as_power_opportunity() {
 
 #[test]
 fn arch_study_keeps_the_class_split() {
-    let config = study_config();
-    let ds = dataset_for(12);
-    let adv = native_run(&config, Algorithm::ParticleAdvection, 12, &ds);
-    let thr = native_run(&config, Algorithm::Threshold, 12, &ds);
+    let mut ctx = StudyContext::new(study_config());
+    let adv = ctx.run(Algorithm::ParticleAdvection, 12);
+    let thr = ctx.run(Algorithm::Threshold, 12);
     for row in arch::compare_architectures(&adv) {
         assert_eq!(row.class, PowerClass::PowerSensitive, "{}", row.arch);
     }
@@ -57,9 +58,7 @@ fn arch_study_keeps_the_class_split() {
 
 #[test]
 fn ablations_change_the_expected_quantities() {
-    let config = study_config();
-    let ds = dataset_for(12);
-    let run = native_run(&config, Algorithm::Contour, 12, &ds);
+    let run = StudyContext::new(study_config()).run(Algorithm::Contour, 12);
     // No memory cushion → T couples to F at the floor.
     let r = ablation::run_ablation(&run, &PAPER_CAPS, ablation::Ablation::NoMemoryCushion);
     let last = r.ablated.last().unwrap();
@@ -71,9 +70,7 @@ fn ablations_change_the_expected_quantities() {
 
 #[test]
 fn energy_view_is_consistent_with_ratios() {
-    let config = study_config();
-    let ds = dataset_for(12);
-    let run = native_run(&config, Algorithm::ParticleAdvection, 12, &ds);
+    let run = StudyContext::new(study_config()).run(Algorithm::ParticleAdvection, 12);
     let sweep =
         vizpower_suite::vizpower::study::sweep(&run, &PAPER_CAPS, &CpuSpec::broadwell_e5_2695v4());
     let rows = energy::energy_rows(&sweep);

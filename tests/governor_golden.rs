@@ -31,6 +31,10 @@ fn budget_sweep_table_and_policy_ordering() {
     let (sweep, jsonl) = run_sweep(2);
     assert_eq!(sweep.rows.len(), 36, "9 budgets x 4 policies");
     assert!(!jsonl.is_empty());
+    // An absolute pin on the rendered table: every column it derives
+    // from the governed runs, to the printed digit.
+    let table = governor::render_table(&sweep);
+    assert_eq!(vizalgo::fingerprint48(table.as_bytes()), 0xd109_34e3_92e0);
 
     for budget in governor::budgets() {
         let seconds = |policy: &str| {
