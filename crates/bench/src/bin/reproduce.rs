@@ -8,8 +8,7 @@
 //! reproduce energy                # extension: energy / EDP per cap
 //! reproduce arch                  # extension: cross-architecture study
 //! reproduce ablation              # extension: model-mechanism ablations
-//! reproduce governor --budget-sweep
-//!                                 # extension: closed-loop governor across
+//! reproduce governor              # extension: closed-loop governor across
 //!                                 # node budgets (80-240 W, 4 policies)
 //! reproduce conformance [--backend <traditional|dpp|both>]
 //!                                 # oracle / differential / metamorphic
@@ -45,6 +44,8 @@
 //! `--journal` / `--trace` enable the run journal: every study phase,
 //! cap sweep row, workload, kernel phase, 100 ms sample, and RAPL cap
 //! change is recorded as a typed event (schema: `docs/OBSERVABILITY.md`).
+//! Their files are created before the target runs, so an unwritable
+//! path fails at once, and written when it ends.
 //!
 //! Everything printed is modeled time and energy. Wall-clock
 //! measurement is `benchmarks/run.sh` (`docs/PERFORMANCE.md`).
@@ -52,20 +53,81 @@
 use insitu::{ActionList, InSituRuntime, RuntimeConfig, Trigger};
 use powersim::trace::Journal;
 use std::path::Path;
+use std::process::ExitCode;
 use std::str::FromStr;
 use vizalgo::{Algorithm, Backend};
 use vizpower::experiments::{self, FigMetric};
 use vizpower::report;
-use vizpower::study::StudyContext;
+use vizpower::study::{StudyConfig, StudyContext, PAPER_SIZES};
 use vizpower::{ablation, arch, energy};
-use vizpower_bench::{CliError, Fidelity, JOURNAL_CAPACITY};
 
-type Outcome = Result<(), CliError>;
+type Outcome = Result<(), String>;
+
+/// Ring-buffer capacity (events) used when `reproduce` enables the run
+/// journal: large enough for `reproduce all` at paper fidelity, small
+/// enough (~100 MB worst case) to stay harmless on a laptop. Drops are
+/// counted and reported, never silent.
+const JOURNAL_CAPACITY: usize = 1 << 20;
+
+/// Sizes used by the reproduction at each fidelity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fidelity {
+    /// Paper-faithful sizes: 32³–256³ cells, 128² images × 50 cameras.
+    Paper,
+    /// Scaled-down smoke run (about 100× cheaper, same structure).
+    Quick,
+}
+
+impl Fidelity {
+    fn sizes(self) -> Vec<usize> {
+        match self {
+            Fidelity::Paper => PAPER_SIZES.to_vec(),
+            Fidelity::Quick => vec![8, 12, 16, 24],
+        }
+    }
+
+    /// The size playing the role of the paper's 128³ (Tables I–II).
+    fn table2_size(self) -> usize {
+        match self {
+            Fidelity::Paper => 128,
+            Fidelity::Quick => 16,
+        }
+    }
+
+    /// The size playing the role of the paper's 256³ (Table III).
+    fn table3_size(self) -> usize {
+        match self {
+            Fidelity::Paper => 256,
+            Fidelity::Quick => 24,
+        }
+    }
+
+    fn study_config(self) -> StudyConfig {
+        match self {
+            Fidelity::Paper => StudyConfig::paper(),
+            Fidelity::Quick => StudyConfig::quick(),
+        }
+    }
+}
+
+/// Parse a `--backend` argument into the backend list to run. Accepts
+/// every [`Backend::parse`] alias plus `both`/`all`; anything else is an
+/// actionable error naming the accepted values.
+fn parse_backends(s: &str) -> Result<Vec<Backend>, String> {
+    if s.eq_ignore_ascii_case("both") || s.eq_ignore_ascii_case("all") {
+        return Ok(Backend::ALL.to_vec());
+    }
+    match Backend::parse(s) {
+        Some(b) => Ok(vec![b]),
+        None => Err(format!(
+            "unknown backend '{s}': expected 'traditional', 'dpp', or 'both'"
+        )),
+    }
+}
 
 /// Every flag and the placeholder of its value (empty for a switch).
-const FLAGS: [(&str, &str); 11] = [
+const FLAGS: [(&str, &str); 10] = [
     ("--quick", ""),
-    ("--budget-sweep", ""),
     ("--journal", "out.jsonl"),
     ("--trace", "out.trace.json"),
     ("--backend", "traditional|dpp|both"),
@@ -77,10 +139,8 @@ const FLAGS: [(&str, &str); 11] = [
     ("--out", "DIR"),
 ];
 
-/// Flags every verb accepts. `--budget-sweep` is the governor's (only)
-/// study selector; it is accepted and implied everywhere so scripts can
-/// spell the study out.
-const COMMON: [&str; 4] = ["--quick", "--budget-sweep", "--journal", "--trace"];
+/// Flags every verb accepts.
+const COMMON: [&str; 3] = ["--quick", "--journal", "--trace"];
 const BACKEND: &[&str] = &["--backend"];
 const TRAFFIC: &[&str] = &["--requests", "--zipf", "--nodes", "--workers"];
 const INSITU: &[&str] = &["--actions", "--out"];
@@ -117,7 +177,7 @@ const VERBS: [Verb; 20] = [
     Verb { name: "insitu", flags: INSITU, run: insitu },
 ];
 
-fn usage(context: &str) -> CliError {
+fn usage(context: &str) -> String {
     let verbs: Vec<&str> = VERBS.iter().map(|v| v.name).collect();
     let mut text = format!("{context}\nusage: reproduce <{}>", verbs.join("|"));
     for (flag, value) in FLAGS {
@@ -126,7 +186,7 @@ fn usage(context: &str) -> CliError {
             _ => text.push_str(&format!(" [{flag} <{value}>]")),
         }
     }
-    CliError::new(text)
+    text
 }
 
 /// The flags given on the command line, as `(flag, value)` pairs
@@ -139,8 +199,13 @@ impl Given {
         Some(value)
     }
 
+    /// `insitu`'s output directory.
+    fn out_dir(&self) -> &Path {
+        Path::new(self.raw("--out").unwrap_or("target/insitu_out"))
+    }
+
     /// The flag's value parsed as `T`, or `default` when it was not given.
-    fn value<T: FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
+    fn value<T: FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
         let Some(raw) = self.raw(flag) else {
             return Ok(default);
         };
@@ -151,7 +216,7 @@ impl Given {
 
 /// Parse the command line against the tables: the verb to run and the
 /// flags given, every one of which that verb accepts.
-fn plan(args: impl IntoIterator<Item = String>) -> Result<(&'static Verb, Given), CliError> {
+fn plan(args: impl IntoIterator<Item = String>) -> Result<(&'static Verb, Given), String> {
     let mut given = Vec::new();
     let mut target = None;
     let mut it = args.into_iter();
@@ -208,26 +273,43 @@ impl Run {
     }
 }
 
-/// Serialize the run's journal to the requested output files.
-fn write_journal_outputs(run: &Run) -> Outcome {
-    let journal = &run.ctx.journal;
-    let outputs: [(&str, fn(&Journal) -> String); 2] = [
-        ("--journal", Journal::to_jsonl),
-        ("--trace", Journal::to_chrome_trace),
-    ];
-    for (flag, render) in outputs {
-        let Some(path) = run.given.raw(flag) else {
+/// The run journal's output flags and how each renders the journal.
+const OUTPUTS: [(&str, fn(&Journal) -> String); 2] = [
+    ("--journal", Journal::to_jsonl),
+    ("--trace", Journal::to_chrome_trace),
+];
+
+/// Create the requested output files (no journal yet) or write the
+/// journal to them. They are created before the verb runs, so an
+/// unwritable path fails before any work, and written once it has run.
+fn journal_outputs(given: &Given, journal: Option<&Journal>) -> Outcome {
+    for (flag, render) in OUTPUTS {
+        let Some(path) = given.raw(flag) else {
             continue;
         };
-        std::fs::write(path, render(journal))
-            .map_err(|e| CliError::new(format!("writing {flag} {path}: {e}")))?;
+        let error = |e: std::io::Error| format!("writing {flag} {path}: {e}");
+        let Some(journal) = journal else {
+            std::fs::File::create(path).map_err(error)?;
+            continue;
+        };
+        std::fs::write(path, render(journal)).map_err(error)?;
         let (events, dropped) = (journal.len(), journal.dropped());
         eprintln!("{flag}: {events} events ({dropped} dropped) -> {path}");
     }
     Ok(())
 }
 
-fn main() -> Outcome {
+fn main() -> ExitCode {
+    match reproduce() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("Error: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn reproduce() -> Outcome {
     let (verb, given) = plan(std::env::args().skip(1))?;
     let fidelity = if given.raw("--quick").is_some() {
         Fidelity::Quick
@@ -235,7 +317,7 @@ fn main() -> Outcome {
         Fidelity::Paper
     };
     let backends = match given.raw("--backend") {
-        Some(name) => vizpower_bench::parse_backends(name)?,
+        Some(name) => parse_backends(name)?,
         None => vec![Backend::Traditional],
     };
     // A study context runs one backend. The conformance suites pick
@@ -245,6 +327,13 @@ fn main() -> Outcome {
         (_, [one]) => *one,
         _ => return Err(usage("--backend both only applies to 'conformance'")),
     };
+    // A journal may go into `insitu`'s output directory: make it first.
+    if verb.name == "insitu" {
+        let out = given.out_dir();
+        std::fs::create_dir_all(out)
+            .map_err(|e| format!("cannot create output dir {}: {e}", out.display()))?;
+    }
+    journal_outputs(&given, None)?;
     let mut ctx = StudyContext::with_backend(fidelity.study_config(), backend);
     if given.raw("--journal").or(given.raw("--trace")).is_some() {
         ctx.enable_journal(JOURNAL_CAPACITY);
@@ -259,7 +348,7 @@ fn main() -> Outcome {
         given,
     };
     let outcome = (verb.run)(&mut run);
-    write_journal_outputs(&run)?;
+    journal_outputs(&run.given, Some(&run.ctx.journal))?;
     outcome
 }
 
@@ -352,7 +441,7 @@ fn ablation_table(run: &mut Run) -> Outcome {
     for ab in ablation::Ablation::ALL {
         let result = ablation::run_ablation(&native, caps, ab);
         let (Some(r), Some(a)) = (result.reference.last(), result.ablated.last()) else {
-            return Err(CliError::new("ablation needs at least one cap"));
+            return Err("ablation needs at least one cap".to_string());
         };
         println!(
             "{:<20} floor Tratio {:.2}X -> {:.2}X   Fratio {:.2}X -> {:.2}X   (max ΔT {:.2})",
@@ -402,11 +491,11 @@ fn conformance_suite(run: &mut Run) -> Outcome {
     if report.all_pass() {
         return Ok(());
     }
-    Err(CliError::new(format!(
+    Err(format!(
         "{} of {} conformance checks failed",
         report.failed(),
         report.checks.len()
-    )))
+    ))
 }
 
 fn advect(run: &mut Run) -> Outcome {
@@ -454,10 +543,10 @@ fn serve(run: &mut Run) -> Outcome {
             seed: cfg.seed,
         },
     );
-    let mut svc = service::StudyService::new(cfg).map_err(|e| CliError::new(e.to_string()))?;
+    let mut svc = service::StudyService::new(cfg).map_err(|e| e.to_string())?;
     let out = svc
         .serve(&traffic, &mut run.ctx.journal)
-        .map_err(|e| CliError::new(e.to_string()))?;
+        .map_err(|e| e.to_string())?;
     println!("{}", out.report.render());
     Ok(())
 }
@@ -471,14 +560,12 @@ fn insitu(run: &mut Run) -> Outcome {
         .given
         .raw("--actions")
         .unwrap_or("examples/ascent_actions.json");
-    let out = Path::new(run.given.raw("--out").unwrap_or("target/insitu_out"));
+    let out = run.given.out_dir();
     let (cells, steps, every) = if run.quick() { (8, 8, 4) } else { (32, 40, 10) };
     let json = std::fs::read_to_string(actions_path)
         .map_err(|e| format!("cannot read {actions_path}: {e}"))?;
     let actions = ActionList::from_json(&json)
         .map_err(|e| format!("invalid actions file {actions_path}: {e}"))?;
-    std::fs::create_dir_all(out)
-        .map_err(|e| format!("cannot create output dir {}: {e}", out.display()))?;
     println!(
         "== In situ: {} pipelines, {} scenes, {cells}³ cells, {steps} steps, viz every {every} ==",
         actions.pipelines().count(),
@@ -518,7 +605,7 @@ fn insitu(run: &mut Run) -> Outcome {
 
 /// `--zipf`: the traffic's Zipf exponent, which must be finite — a NaN
 /// or infinite one draws every request from a single key.
-fn zipf_exponent(given: &Given) -> Result<f64, CliError> {
+fn zipf_exponent(given: &Given) -> Result<f64, String> {
     let s: f64 = given.value("--zipf", 1.1)?;
     if !s.is_finite() {
         return Err(usage(&format!("--zipf: '{s}' is not a finite exponent")));
@@ -531,9 +618,7 @@ mod tests {
     use super::*;
 
     fn plan_of(line: &str) -> Result<&'static str, String> {
-        plan(line.split_whitespace().map(String::from))
-            .map(|(verb, _)| verb.name)
-            .map_err(|e| e.to_string())
+        plan(line.split_whitespace().map(String::from)).map(|(verb, _)| verb.name)
     }
 
     #[test]
@@ -596,7 +681,7 @@ mod tests {
     fn zipf_exponent_must_be_finite() {
         let zipf = |value: &str| {
             let (_, given) = plan(["serve", "--zipf", value].map(String::from)).unwrap();
-            zipf_exponent(&given).map_err(|e| e.to_string())
+            zipf_exponent(&given)
         };
         for (value, shown) in [("NaN", "NaN"), ("inf", "inf"), ("-infinity", "-inf")] {
             let err = zipf(value).unwrap_err();
@@ -606,5 +691,35 @@ mod tests {
         assert_eq!(zipf("0"), Ok(0.0));
         let (_, given) = plan(["serve".to_string()]).unwrap();
         assert_eq!(zipf_exponent(&given).unwrap(), 1.1);
+    }
+
+    #[test]
+    fn paper_fidelity_matches_study_constants() {
+        assert_eq!(Fidelity::Paper.sizes(), vec![32, 64, 128, 256]);
+        assert_eq!(Fidelity::Paper.table2_size(), 128);
+        assert_eq!(Fidelity::Paper.table3_size(), 256);
+        assert_eq!(Fidelity::Paper.study_config().cameras, 50);
+        assert_eq!(Fidelity::Paper.study_config().isovalues, 10);
+    }
+
+    #[test]
+    fn quick_fidelity_preserves_structure() {
+        let q = Fidelity::Quick;
+        assert_eq!(q.sizes().len(), 4);
+        assert!(q.table3_size() > q.table2_size());
+        assert_eq!(q.study_config().caps.len(), 9);
+    }
+
+    #[test]
+    fn parse_backends_accepts_aliases_and_both() {
+        assert_eq!(parse_backends("dpp").unwrap(), vec![Backend::Dpp]);
+        assert_eq!(
+            parse_backends("traditional").unwrap(),
+            vec![Backend::Traditional]
+        );
+        assert_eq!(parse_backends("BOTH").unwrap(), Backend::ALL.to_vec());
+        let err = parse_backends("gpu").unwrap_err().to_string();
+        assert!(err.contains("unknown backend 'gpu'"), "{err}");
+        assert!(err.contains("'traditional', 'dpp', or 'both'"), "{err}");
     }
 }

@@ -18,8 +18,7 @@
 //! summing) stay exact even for threshold.
 
 use crate::{
-    build_input, explicit_parts, spec_for, CheckKind, CheckResult, ConformanceConfig,
-    ConformanceReport, Group,
+    build_input, spec_for, CheckKind, CheckResult, ConformanceConfig, ConformanceReport, Group,
 };
 use powersim::trace::Journal;
 use vizalgo::dpp::dpp_algorithms;
@@ -55,7 +54,7 @@ fn compare(alg: Algorithm, n: usize, trad: &FilterOutput, dpp: &FilterOutput) ->
     let (Some(tds), Some(dds)) = (&trad.dataset, &dpp.dataset) else {
         return setup_failure("backend:dataset");
     };
-    let (Some((tp, tc)), Some((dp, dc))) = (explicit_parts(tds), explicit_parts(dds)) else {
+    let (Some((tp, tc)), Some((dp, dc))) = (tds.as_explicit(), dds.as_explicit()) else {
         return setup_failure("backend:explicit-geometry");
     };
     let mut out = Vec::with_capacity(7);

@@ -23,7 +23,7 @@ use crate::fields;
 use crate::{CheckKind, CheckResult, ConformanceConfig};
 use std::sync::Arc;
 use vizalgo::{Algorithm, AlgorithmSpec, FlowMode, FlowScenario, ParticleAdvection};
-use vizmesh::FieldSeries;
+use vizmesh::{DataSet, FieldSeries};
 
 /// Initial angular rate of the unsteady rotation.
 const OMEGA0: f64 = 1.0;
@@ -90,10 +90,7 @@ fn pathline_oracle(cfg: &ConformanceConfig, n: usize) -> Vec<CheckResult> {
         return vec![CheckResult::setup_failure(alg, KIND, "pathline-angle", n)];
     };
     let out = kernel.execute_series(&series);
-    let parts = out
-        .dataset
-        .as_ref()
-        .and_then(|ds| crate::explicit_parts(ds));
+    let parts = out.dataset.as_ref().and_then(DataSet::as_explicit);
     let Some((points, cells)) = parts else {
         return vec![CheckResult::setup_failure(alg, KIND, "pathline-angle", n)];
     };

@@ -48,10 +48,7 @@ mod reference;
 
 use powersim::trace::{Journal, Kind, Value};
 use std::fmt::Write as _;
-use vizalgo::{
-    Algorithm, AlgorithmSpec, Filter, IsoValues, PrimitiveReport, ScalarBand, SphereSpec,
-};
-use vizmesh::dataset::Geometry;
+use vizalgo::{Algorithm, AlgorithmSpec, IsoValues, PrimitiveReport, ScalarBand, SphereSpec};
 use vizmesh::{CellSet, CellShape, DataSet, Vec3};
 
 /// Radius of the clip sphere and the primary contour isovalue.
@@ -260,24 +257,6 @@ pub fn spec_for(alg: Algorithm, cfg: &ConformanceConfig) -> AlgorithmSpec {
     }
 }
 
-/// Build the filter each algorithm is checked under (the [`spec_for`]
-/// plan instantiated against `input`).
-pub(crate) fn build_filter(
-    alg: Algorithm,
-    cfg: &ConformanceConfig,
-    input: &DataSet,
-) -> Box<dyn Filter> {
-    spec_for(alg, cfg).build(input)
-}
-
-/// The explicit points + cells of an unstructured output, if present.
-pub(crate) fn explicit_parts(ds: &DataSet) -> Option<(&[Vec3], &CellSet)> {
-    match &ds.geometry {
-        Geometry::Explicit { points, cells } => Some((points, cells)),
-        Geometry::Uniform(_) => None,
-    }
-}
-
 /// Total area of the `Triangle` cells of an unstructured mesh.
 pub(crate) fn surface_area(points: &[Vec3], cells: &CellSet) -> f64 {
     let mut area = 0.0;
@@ -342,7 +321,7 @@ pub(crate) fn groups(cfg: &ConformanceConfig) -> Vec<Group> {
     for &n in &cfg.grids {
         for alg in Algorithm::ALL {
             let input = build_input(alg, n);
-            let filter = build_filter(alg, cfg, &input);
+            let filter = spec_for(alg, cfg).build(&input);
             let out = filter.execute(&input);
             let mut checks = oracle::checks(alg, cfg, n, &input, &out);
             checks.extend(reference::checks(alg, cfg, n, &input, &out));
@@ -557,7 +536,7 @@ mod tests {
         let cfg = ConformanceConfig::quick();
         for alg in Algorithm::ALL {
             let input = build_input(alg, 4);
-            let filter = build_filter(alg, &cfg, &input);
+            let filter = spec_for(alg, &cfg).build(&input);
             assert_eq!(filter.name(), alg.name());
         }
     }

@@ -14,12 +14,11 @@
 
 use crate::fields::{self, CENTER, FIELD};
 use crate::{
-    count_shape, explicit_parts, surface_area, CheckKind, CheckResult, ConformanceConfig, ISO_HI,
-    ISO_LO, SPHERE_R,
+    count_shape, surface_area, CheckKind, CheckResult, ConformanceConfig, ISO_HI, ISO_LO, SPHERE_R,
 };
 use std::f64::consts::PI;
 use vizalgo::{Algorithm, AlgorithmSpec, IsoValues, ScalarBand, SphereSpec};
-use vizmesh::{validate_cells, CellShape};
+use vizmesh::{validate_cells, CellShape, DataSet};
 
 const KIND: CheckKind = CheckKind::Metamorphic;
 
@@ -41,7 +40,7 @@ pub(crate) fn groups(cfg: &ConformanceConfig) -> Vec<(Algorithm, u32, Vec<CheckR
 /// Total volume of an unstructured output (0 when there is none).
 fn volume_of(out: &vizalgo::FilterOutput) -> Option<f64> {
     let ds = out.dataset.as_ref()?;
-    let (points, cells) = explicit_parts(ds)?;
+    let (points, cells) = ds.as_explicit()?;
     Some(validate_cells(points, cells, 0.0).total_volume)
 }
 
@@ -101,7 +100,7 @@ fn interior_threshold(n: usize) -> CheckResult {
     let count = |out: &vizalgo::FilterOutput| {
         out.dataset
             .as_ref()
-            .and_then(explicit_parts)
+            .and_then(DataSet::as_explicit)
             .map(|(_, cells)| count_shape(cells, CellShape::Hexahedron))
     };
     let (Some(a), Some(b)) = (count(&thresh), count(&iso)) else {
@@ -120,7 +119,7 @@ fn sphere_area(n: usize, iso: f64) -> Option<f64> {
     .build(&input)
     .execute(&input);
     let ds = out.dataset?;
-    let (points, cells) = explicit_parts(&ds)?;
+    let (points, cells) = ds.as_explicit()?;
     Some(surface_area(points, cells))
 }
 

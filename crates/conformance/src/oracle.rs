@@ -9,8 +9,8 @@
 
 use crate::fields::CENTER;
 use crate::{
-    count_shape, explicit_parts, surface_area, CheckKind, CheckResult, ConformanceConfig, ISO_HI,
-    ISO_LO, SPHERE_R, THRESH_HI, THRESH_LO,
+    count_shape, surface_area, CheckKind, CheckResult, ConformanceConfig, ISO_HI, ISO_LO, SPHERE_R,
+    THRESH_HI, THRESH_LO,
 };
 use std::f64::consts::PI;
 use vizalgo::{Algorithm, FilterOutput};
@@ -18,8 +18,8 @@ use vizmesh::{validate_cells, validate_surface, Camera, CellShape, DataSet, Unif
 
 const KIND: CheckKind = CheckKind::Oracle;
 
-/// Oracle checks for `alg` at grid `n` over the output `out` of the
-/// canonical filter (see [`crate::build_filter`]) on `input`.
+/// Oracle checks for `alg` at grid `n` over the output `out` of its
+/// canonical filter ([`crate::spec_for`], built and run on `input`).
 pub(crate) fn checks(
     alg: Algorithm,
     cfg: &ConformanceConfig,
@@ -40,7 +40,7 @@ pub(crate) fn checks(
 }
 
 fn mesh_of(out: &FilterOutput) -> Option<(&[Vec3], &vizmesh::CellSet)> {
-    out.dataset.as_ref().and_then(explicit_parts)
+    out.dataset.as_ref().and_then(DataSet::as_explicit)
 }
 
 /// Contoured sphere: area `4πr²`, watertight, consistently oriented,
@@ -91,7 +91,7 @@ fn threshold(n: usize, out: &FilterOutput) -> Vec<CheckResult> {
     let Some(ds) = out.dataset.as_ref() else {
         return vec![CheckResult::setup_failure(alg, KIND, "kept-cells", n)];
     };
-    let Some((_, cells)) = explicit_parts(ds) else {
+    let Some((_, cells)) = ds.as_explicit() else {
         return vec![CheckResult::setup_failure(alg, KIND, "kept-cells", n)];
     };
     let nn = n as f64;

@@ -8,8 +8,8 @@
 
 use crate::fields::{CENTER, FIELD, VELOCITY};
 use crate::{
-    count_shape, explicit_parts, CheckKind, CheckResult, ConformanceConfig, ISO_HI, ISO_LO,
-    SPHERE_R, THRESH_HI, THRESH_LO,
+    count_shape, CheckKind, CheckResult, ConformanceConfig, ISO_HI, ISO_LO, SPHERE_R, THRESH_HI,
+    THRESH_LO,
 };
 use std::collections::HashMap;
 use vizalgo::colormap::ColorMap;
@@ -139,7 +139,7 @@ fn sequential_marching_cubes(
 /// Count the points and triangles where `ds` differs from the reference
 /// mesh, bit for bit.
 fn mesh_mismatches(ds: &DataSet, ref_points: &[Vec3], ref_tris: &[[u32; 3]]) -> f64 {
-    let Some((points, cells)) = explicit_parts(ds) else {
+    let Some((points, cells)) = ds.as_explicit() else {
         return f64::NAN;
     };
     let mut mismatches = points.len().abs_diff(ref_points.len());
@@ -230,10 +230,15 @@ fn threshold_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckRe
         .iter()
         .filter(|v| (THRESH_LO..=THRESH_HI).contains(*v))
         .count();
-    let measured = explicit_parts(ds)
-        .map(|(_, cells)| count_shape(cells, CellShape::Hexahedron))
-        .unwrap_or(usize::MAX);
+    let measured = hex_count(ds);
     CheckResult::new(alg, KIND, check, n, measured as f64, expected as f64, 0.0)
+}
+
+/// Hexahedra of an unstructured output (`usize::MAX` when there is none).
+fn hex_count(ds: &DataSet) -> usize {
+    ds.as_explicit().map_or(usize::MAX, |(_, cells)| {
+        count_shape(cells, CellShape::Hexahedron)
+    })
 }
 
 fn clip_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckResult {
@@ -251,9 +256,7 @@ fn clip_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckResult 
                 .all(|&p| grid.point_coord_id(p).distance(CENTER) - SPHERE_R >= 0.0)
         })
         .count();
-    let measured = explicit_parts(ds)
-        .map(|(_, cells)| count_shape(cells, CellShape::Hexahedron))
-        .unwrap_or(usize::MAX);
+    let measured = hex_count(ds);
     CheckResult::new(alg, KIND, check, n, measured as f64, expected as f64, 0.0)
 }
 
@@ -274,9 +277,7 @@ fn isovolume_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckRe
                 .all(|&p| vals[p] >= ISO_LO && vals[p] <= ISO_HI)
         })
         .count();
-    let measured = explicit_parts(ds)
-        .map(|(_, cells)| count_shape(cells, CellShape::Hexahedron))
-        .unwrap_or(usize::MAX);
+    let measured = hex_count(ds);
     CheckResult::new(alg, KIND, check, n, measured as f64, expected as f64, 0.0)
 }
 
@@ -297,7 +298,7 @@ fn advection_reference(
     ) else {
         return CheckResult::setup_failure(alg, KIND, check, n);
     };
-    let Some((points, cells)) = explicit_parts(ds) else {
+    let Some((points, cells)) = ds.as_explicit() else {
         return CheckResult::setup_failure(alg, KIND, check, n);
     };
     let b = grid.bounds();

@@ -11,8 +11,7 @@
 //! painfully in energy-delay terms for the compute-bound ones.
 
 use crate::study::CapSweep;
-
-pub use powersim::units::{Joules, Watts};
+use powersim::Watts;
 
 /// Energy metrics of one cap relative to the default-power run.
 #[derive(Debug, Clone, Copy)]

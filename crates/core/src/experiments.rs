@@ -14,7 +14,7 @@
 use crate::efficiency;
 use crate::study::{CapSweep, StudyContext};
 use powersim::trace::Scope;
-use powersim::Joules;
+use powersim::{ExecResult, Joules};
 use vizalgo::Algorithm;
 
 /// A plottable series: one labelled line of (power cap, value) points.
@@ -36,7 +36,7 @@ pub enum FigMetric {
 }
 
 impl FigMetric {
-    fn extract(&self, row: &powersim::ExecResult) -> f64 {
+    fn extract(&self, row: &ExecResult) -> f64 {
         match self {
             FigMetric::EffectiveFrequency => row.avg_effective_freq_ghz,
             FigMetric::Ipc => row.avg_ipc,
@@ -96,24 +96,25 @@ pub fn slowdown_table(ctx: &mut StudyContext, size: usize) -> Vec<CapSweep> {
     sweeps
 }
 
+/// One figure line: `value` of each of `sweep`'s rows against its cap.
+fn series(label: impl ToString, sweep: &CapSweep, value: impl Fn(&ExecResult) -> f64) -> FigSeries {
+    let points = sweep.rows.iter().map(|r| (r.cap_watts.value(), value(r)));
+    FigSeries {
+        label: label.to_string(),
+        points: points.collect(),
+    }
+}
+
 /// **Fig. 2a/2b/2c** — the chosen metric vs power cap for all algorithms
 /// at one size.
 pub fn fig2(ctx: &mut StudyContext, size: usize, metric: FigMetric) -> Vec<FigSeries> {
     let t0 = ctx.journal.now();
     let sweeps = ctx.sweep_supported(&Algorithm::ALL, size);
-    let series = sweeps
-        .iter()
-        .map(|sweep| FigSeries {
-            label: sweep.algorithm.name().to_string(),
-            points: sweep
-                .rows
-                .iter()
-                .map(|r| (r.cap_watts.value(), metric.extract(r)))
-                .collect(),
-        })
-        .collect();
     emit_phase(ctx, format!("fig2:{}:{size}", metric.name()), t0, &sweeps);
-    series
+    sweeps
+        .iter()
+        .map(|sweep| series(sweep.algorithm.name(), sweep, |r| metric.extract(r)))
+        .collect()
 }
 
 /// **Fig. 3** — elements (millions) per second for the cell-centered
@@ -121,24 +122,13 @@ pub fn fig2(ctx: &mut StudyContext, size: usize, metric: FigMetric) -> Vec<FigSe
 pub fn fig3(ctx: &mut StudyContext, size: usize) -> Vec<FigSeries> {
     let t0 = ctx.journal.now();
     let sweeps = ctx.sweep_supported(&Algorithm::CELL_CENTERED, size);
-    let series = sweeps
-        .iter()
-        .map(|sweep| FigSeries {
-            label: sweep.algorithm.name().to_string(),
-            points: sweep
-                .rows
-                .iter()
-                .map(|r| {
-                    (
-                        r.cap_watts.value(),
-                        efficiency::rate(sweep.input_cells, r.seconds),
-                    )
-                })
-                .collect(),
-        })
-        .collect();
     emit_phase(ctx, format!("fig3:{size}"), t0, &sweeps);
-    series
+    let rate = |sweep: &CapSweep| {
+        series(sweep.algorithm.name(), sweep, |r| {
+            efficiency::rate(sweep.input_cells, r.seconds)
+        })
+    };
+    sweeps.iter().map(rate).collect()
 }
 
 /// **Figs. 4/5/6** — IPC vs cap across data-set sizes for one algorithm
@@ -153,19 +143,11 @@ pub fn fig_size_ipc(
         .iter()
         .flat_map(|&n| ctx.sweep_supported(&[algorithm], n))
         .collect();
-    let series = sweeps
-        .iter()
-        .map(|sweep| FigSeries {
-            label: format!("{}", sweep.size),
-            points: sweep
-                .rows
-                .iter()
-                .map(|r| (r.cap_watts.value(), r.avg_ipc))
-                .collect(),
-        })
-        .collect();
     emit_phase(ctx, format!("fig_size:{}", algorithm.name()), t0, &sweeps);
-    series
+    sweeps
+        .iter()
+        .map(|sweep| series(sweep.size, sweep, |r| r.avg_ipc))
+        .collect()
 }
 
 #[cfg(test)]

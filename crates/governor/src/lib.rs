@@ -21,7 +21,7 @@
 //! * `control` — the control loop itself: [`govern`] steps two
 //!   resumable executions window by window, journaling every
 //!   `policy_decision` and `cap_change` record.
-//! * `study` — the `reproduce governor --budget-sweep` study: every
+//! * `study` — the `reproduce governor [--quick]` study: every
 //!   policy at node budgets from 80 W to 240 W, plus an oracle found by
 //!   exhaustive fixed-split search. Its rows are the governed runs
 //!   themselves ([`GovernorResult`]); [`render_table`] derives the

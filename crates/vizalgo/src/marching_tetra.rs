@@ -2,13 +2,12 @@
 //! a cross-check oracle for the marching-cubes table in property tests.
 //!
 //! Each hexahedral cell is decomposed into 6 tetrahedra
-//! (`crate::tetclip::HEX_TO_TETS`) and each tet is contoured with the
+//! (`vizmesh::HEX_TO_TETS`) and each tet is contoured with the
 //! trivial 16-case logic (0, 1, or 2 triangles). MT and MC approximate the
 //! same trilinear isosurface, so cell classifications and total surface
 //! area must agree between the two (to discretization error).
 
-use crate::tetclip::HEX_TO_TETS;
-use vizmesh::{UniformGrid, Vec3};
+use vizmesh::{UniformGrid, Vec3, HEX_TO_TETS};
 
 /// Triangles of the isosurface within a single tetrahedron.
 ///

@@ -75,18 +75,7 @@
 
 use crate::arena::{pack_edge_iso, TetScratch, WeldMap};
 use std::ops::Range;
-use vizmesh::{par, CellSet, CellShape, UniformGrid, Vec3, WorkCounters};
-
-/// Decomposition of a hexahedron (VTK corner order) into 6 tetrahedra
-/// sharing the 0–6 main diagonal. The union tiles the hex exactly.
-pub(crate) const HEX_TO_TETS: [[usize; 4]; 6] = [
-    [0, 1, 2, 6],
-    [0, 2, 3, 6],
-    [0, 3, 7, 6],
-    [0, 7, 4, 6],
-    [0, 4, 5, 6],
-    [0, 5, 1, 6],
-];
+use vizmesh::{par, CellSet, CellShape, UniformGrid, Vec3, WorkCounters, HEX_TO_TETS};
 
 /// A growing tetrahedral mesh with per-point scalar values and vertex
 /// welding on interpolated edges.

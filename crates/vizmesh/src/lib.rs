@@ -73,6 +73,6 @@ pub use grid::{GridCell, UniformGrid};
 pub use image::Image;
 pub use rng::XorShift;
 pub use series::FieldSeries;
-pub use validate::{validate_cells, validate_surface, CellReport, SurfaceReport};
+pub use validate::{validate_cells, validate_surface, CellReport, SurfaceReport, HEX_TO_TETS};
 pub use vec3::Vec3;
 pub use vtkio::save_vtk;

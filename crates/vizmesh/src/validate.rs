@@ -123,9 +123,9 @@ pub fn validate_surface(points: &[Vec3], cells: &CellSet, area_eps: f64) -> Surf
     }
 }
 
-/// The six-tetrahedron decomposition of a VTK-ordered hexahedron, all
-/// sharing the 0–6 diagonal. Mirrors `vizalgo::tetclip::HEX_TO_TETS`.
-const HEX_TO_TETS: [[usize; 4]; 6] = [
+/// Decomposition of a hexahedron (VTK corner order) into 6 tetrahedra
+/// sharing the 0–6 main diagonal. The union tiles the hex exactly.
+pub const HEX_TO_TETS: [[usize; 4]; 6] = [
     [0, 1, 2, 6],
     [0, 2, 3, 6],
     [0, 3, 7, 6],

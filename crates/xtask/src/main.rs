@@ -162,6 +162,13 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
         "cargo run --release --bin reproduce -- insitu --quick --out target/insitu_ci --journal target/insitu_ci/insitu.jsonl",
         None,
     ),
+    // Every example, run (clippy only compiles them). `render_gallery`
+    // writes its images to `target/gallery`.
+    ("cargo run --release --example quickstart", None),
+    ("cargo run --release --example power_sweep", None),
+    ("cargo run --release --example classify_new_algorithm", None),
+    ("cargo run --release --example insitu_pipeline", None),
+    ("cargo run --release --example render_gallery", None),
     (
         "cargo doc --no-deps --workspace",
         Some(("RUSTDOCFLAGS", "-D warnings")),

@@ -11,12 +11,12 @@
 //! paper's eight. The same study machinery sweeps it across the nine
 //! caps and reports its class.
 
-use vizpower_suite::powersim::trace::Journal;
-use vizpower_suite::powersim::CpuSpec;
-use vizpower_suite::vizalgo::{Filter, Gradient};
-use vizpower_suite::vizpower::characterize::characterize;
-use vizpower_suite::vizpower::study::{dataset_for, CapSweep, PAPER_CAPS};
-use vizpower_suite::vizpower::{classify, first_slowdown_cap, report};
+use powersim::trace::Journal;
+use powersim::CpuSpec;
+use vizalgo::{Filter, Gradient};
+use vizpower::characterize::characterize;
+use vizpower::study::{dataset_for, CapSweep, PAPER_CAPS};
+use vizpower::{classify, first_slowdown_cap, report};
 
 fn main() {
     println!("running gradient-magnitude on the 64^3 CloverLeaf energy field ...");
@@ -36,12 +36,12 @@ fn main() {
     let rows = PAPER_CAPS
         .iter()
         .map(|&cap| {
-            let mut pkg = vizpower_suite::powersim::Package::new(spec.clone());
+            let mut pkg = powersim::Package::new(spec.clone());
             pkg.run_capped(&workload, cap, &mut Journal::off())
         })
         .collect();
     let sweep = CapSweep {
-        algorithm: vizpower_suite::vizalgo::Algorithm::Slice, // closest label for display
+        algorithm: vizalgo::Algorithm::Slice, // closest label for display
         size: 64,
         input_cells: data.num_cells(),
         rows,

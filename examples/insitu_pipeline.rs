@@ -11,11 +11,11 @@
 //! simulation socket and the visualization socket — the paper's §VII use
 //! case.
 
-use vizpower_suite::insitu::{ActionList, InSituRuntime, RuntimeConfig, Trigger};
-use vizpower_suite::powersim::{CpuSpec, Watts};
-use vizpower_suite::vizalgo::{KernelClass, KernelReport};
-use vizpower_suite::vizpower::advisor;
-use vizpower_suite::vizpower::characterize::characterize;
+use insitu::{ActionList, InSituRuntime, RuntimeConfig, Trigger};
+use powersim::{CpuSpec, Watts};
+use vizalgo::{KernelClass, KernelReport};
+use vizpower::advisor;
+use vizpower::characterize::characterize;
 
 const ACTIONS: &str = r#"[
     {"action": "add_pipeline", "name": "energy_contour",
@@ -34,11 +34,7 @@ fn main() {
         trigger: Trigger::EveryN { n: 10 },
     };
     println!("running CloverLeaf 24^3 for 30 steps, visualizing every 10 ...");
-    let mut runtime = InSituRuntime::new(
-        vizpower_suite::cloverleaf::Problem::TwoState,
-        config,
-        actions,
-    );
+    let mut runtime = InSituRuntime::new(cloverleaf::Problem::TwoState, config, actions);
     let run = runtime.run();
 
     for cycle in &run.cycles {

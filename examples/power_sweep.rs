@@ -9,10 +9,10 @@
 //! Algorithms: contour, threshold, clip, isovolume, slice, advection,
 //! raytracing, volren. Default: contour at 32³.
 
-use vizpower_suite::vizalgo::Algorithm;
-use vizpower_suite::vizpower::report;
-use vizpower_suite::vizpower::study::{StudyConfig, StudyContext};
-use vizpower_suite::vizpower::{classify, first_slowdown_cap};
+use vizalgo::Algorithm;
+use vizpower::report;
+use vizpower::study::{StudyConfig, StudyContext};
+use vizpower::{classify, first_slowdown_cap};
 
 fn main() {
     let algorithm = std::env::args()

@@ -8,11 +8,11 @@
 //! field, renders one image, and then asks the simulated RAPL-capped
 //! Broadwell package how the same contour behaves at 120 W vs 40 W.
 
-use vizpower_suite::powersim::trace::Journal;
-use vizpower_suite::powersim::{CpuSpec, Package, Watts};
-use vizpower_suite::vizalgo::{Algorithm, AlgorithmSpec};
-use vizpower_suite::vizpower::characterize::characterize;
-use vizpower_suite::vizpower::study::dataset_for;
+use powersim::trace::Journal;
+use powersim::{CpuSpec, Package, Watts};
+use vizalgo::{Algorithm, AlgorithmSpec};
+use vizpower::characterize::characterize;
+use vizpower::study::dataset_for;
 
 fn main() {
     // 1. Produce data: the hydro proxy runs to the study's end time.

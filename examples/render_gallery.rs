@@ -10,13 +10,13 @@
 //! extracted geometry through the scene ray tracer; ray tracing and
 //! volume rendering produce images directly.
 
+use powersim::Watts;
 use std::path::PathBuf;
-use vizpower_suite::powersim::Watts;
-use vizpower_suite::vizalgo::colormap::ColorMap;
-use vizpower_suite::vizalgo::raytrace::{Bvh, Triangle};
-use vizpower_suite::vizalgo::Algorithm;
-use vizpower_suite::vizmesh::{Camera, CellShape, DataSet, Image, Vec3};
-use vizpower_suite::vizpower::study::{dataset_for, StudyConfig};
+use vizalgo::colormap::ColorMap;
+use vizalgo::raytrace::{Bvh, Triangle};
+use vizalgo::Algorithm;
+use vizmesh::{Camera, CellShape, DataSet, Image, Vec3};
+use vizpower::study::{dataset_for, StudyConfig};
 
 /// Triangulate whatever geometry a filter produced (triangles directly;
 /// tets and hexes via their faces; polylines as thin ribbons) with the
@@ -88,7 +88,7 @@ fn soup_from(ds: &DataSet, field: &str) -> Vec<Triangle> {
 
 /// Ray-trace a triangle soup from a framing camera.
 fn render_soup(tris: &[Triangle], px: usize) -> Image {
-    let mut bounds = vizpower_suite::vizmesh::Aabb::empty();
+    let mut bounds = vizmesh::Aabb::empty();
     for t in tris {
         bounds.union(&t.bounds());
     }

@@ -1,30 +1,2 @@
-//! Umbrella crate for the `vizpower` workspace.
-//!
-//! This package hosts the workspace-level examples (`examples/`) and
-//! integration tests (`tests/`). The re-exports below give examples and
-//! downstream users a single import surface over the individual crates:
-//!
-//! * [`vizmesh`] — the structured-mesh data model (grids, fields, images).
-//! * [`cloverleaf`] — the hydrodynamics proxy that produces the data.
-//! * [`vizalgo`] — the eight visualization algorithms under study.
-//! * [`powersim`] — the simulated RAPL-capped Broadwell processor.
-//! * [`insitu`] — the Ascent-like in situ coupling framework.
-//! * [`vizpower`] — the power/performance study itself (phases, metrics,
-//!   classification, the power advisor, and the table/figure harness).
-//! * [`governor`] — the closed-loop online power governor and its
-//!   budget-sweep study.
-//! * [`service`] — the study service at scale: fingerprint-addressed
-//!   single-flight result cache, deterministic sharded batch scheduler,
-//!   and governor-backed admission control under a fleet power budget.
-//! * [`conformance`] — the analytic-oracle conformance suite verifying
-//!   the eight kernels against closed-form answers.
-
-pub use cloverleaf;
-pub use conformance;
-pub use governor;
-pub use insitu;
-pub use powersim;
-pub use service;
-pub use vizalgo;
-pub use vizmesh;
-pub use vizpower;
+//! Host package for the workspace-level examples (`examples/`) and
+//! integration tests (`tests/`), which depend on the crates directly.

@@ -6,9 +6,9 @@
 
 use std::collections::BTreeSet;
 
-use vizpower_suite::powersim::trace::{Journal, Kind};
-use vizpower_suite::vizmesh::{json, par};
-use vizpower_suite::vizpower::advect::{self, AdvectConfig, AdvectReport};
+use powersim::trace::{Journal, Kind};
+use vizmesh::{json, par};
+use vizpower::advect::{self, AdvectConfig, AdvectReport};
 
 /// Run the quick sweep under a `par::with_threads(num_threads)`.
 fn sweep(threads: usize) -> (String, AdvectReport) {

@@ -3,10 +3,10 @@
 //! cannot silently disappear), and the journaled `conformance_check`
 //! events must be valid schema-v3 lines that mirror the report.
 
-use vizpower_suite::conformance::{self, CheckKind, ConformanceConfig};
-use vizpower_suite::powersim::trace::{Journal, Kind, Value};
-use vizpower_suite::vizalgo::Algorithm;
-use vizpower_suite::vizmesh::json;
+use conformance::{CheckKind, ConformanceConfig};
+use powersim::trace::{Journal, Kind, Value};
+use vizalgo::Algorithm;
+use vizmesh::json;
 
 /// The full check inventory of a quick run, as `(algorithm, grid,
 /// check-id)` triples. A new check extends this table; losing one is a

@@ -1,10 +1,10 @@
 //! Smoke tests of the full reproduction harness: every table and figure
 //! regenerates (at reduced scale) with well-formed output.
 
-use vizpower_suite::vizalgo::Algorithm;
-use vizpower_suite::vizpower::experiments::{self, FigMetric};
-use vizpower_suite::vizpower::report;
-use vizpower_suite::vizpower::study::{StudyConfig, StudyContext, PAPER_CAPS};
+use vizalgo::Algorithm;
+use vizpower::experiments::{self, FigMetric};
+use vizpower::report;
+use vizpower::study::{StudyConfig, StudyContext, PAPER_CAPS};
 
 fn ctx() -> StudyContext {
     StudyContext::new(StudyConfig {

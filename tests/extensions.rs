@@ -2,14 +2,12 @@
 //! algorithm, the cross-architecture study, the energy view, and the
 //! model ablations.
 
-use vizpower_suite::powersim::trace::Journal;
-use vizpower_suite::powersim::{CpuSpec, Package};
-use vizpower_suite::vizalgo::{Algorithm, Filter, Gradient};
-use vizpower_suite::vizpower::characterize::characterize;
-use vizpower_suite::vizpower::study::{
-    dataset_for, CapSweep, StudyConfig, StudyContext, PAPER_CAPS,
-};
-use vizpower_suite::vizpower::{ablation, arch, classify, energy, PowerClass};
+use powersim::trace::Journal;
+use powersim::{CpuSpec, Package};
+use vizalgo::{Algorithm, Filter, Gradient};
+use vizpower::characterize::characterize;
+use vizpower::study::{dataset_for, CapSweep, StudyConfig, StudyContext, PAPER_CAPS};
+use vizpower::{ablation, arch, classify, energy, PowerClass};
 
 fn study_config() -> StudyConfig {
     StudyConfig {
@@ -71,8 +69,7 @@ fn ablations_change_the_expected_quantities() {
 #[test]
 fn energy_view_is_consistent_with_ratios() {
     let run = StudyContext::new(study_config()).run(Algorithm::ParticleAdvection, 12);
-    let sweep =
-        vizpower_suite::vizpower::study::sweep(&run, &PAPER_CAPS, &CpuSpec::broadwell_e5_2695v4());
+    let sweep = vizpower::study::sweep(&run, &PAPER_CAPS, &CpuSpec::broadwell_e5_2695v4());
     let rows = energy::energy_rows(&sweep);
     let ratios = sweep.ratios();
     for (e, r) in rows.iter().zip(&ratios) {

@@ -5,11 +5,10 @@
 //! pair completion time at every budget at or below 160 W (the regime
 //! where the uniform split leaves the simulation power-starved).
 
-use vizpower_suite::governor::{self, BudgetSweep};
-use vizpower_suite::powersim::trace::{Event, Journal, Kind, Scope};
-use vizpower_suite::powersim::{CpuSpec, Watts};
-use vizpower_suite::vizalgo;
-use vizpower_suite::vizmesh::par;
+use governor::BudgetSweep;
+use powersim::trace::{Event, Journal, Kind, Scope};
+use powersim::{CpuSpec, Watts};
+use vizmesh::par;
 
 fn spec() -> CpuSpec {
     CpuSpec::broadwell_e5_2695v4()

@@ -4,11 +4,11 @@
 //! JSON, and the span energy rollup must be exact (see
 //! docs/OBSERVABILITY.md for the contract).
 
-use vizpower_suite::powersim::trace::{Event, Scope};
-use vizpower_suite::powersim::{Joules, Watts};
-use vizpower_suite::vizalgo::{self, Algorithm};
-use vizpower_suite::vizmesh::{json, par};
-use vizpower_suite::vizpower::study::{StudyConfig, StudyContext};
+use powersim::trace::{Event, Scope};
+use powersim::{Joules, Watts};
+use vizalgo::Algorithm;
+use vizmesh::{json, par};
+use vizpower::study::{StudyConfig, StudyContext};
 
 fn config() -> StudyConfig {
     StudyConfig {

@@ -3,10 +3,10 @@
 //! algorithm executions, simulated power-capped processor — at reduced
 //! scale so the suite stays fast.
 
-use vizpower_suite::powersim::{CpuSpec, Watts};
-use vizpower_suite::vizalgo::Algorithm;
-use vizpower_suite::vizpower::study::{sweep, StudyConfig, StudyContext, PAPER_CAPS};
-use vizpower_suite::vizpower::{classify, first_slowdown_cap, PowerClass};
+use powersim::{CpuSpec, Watts};
+use vizalgo::Algorithm;
+use vizpower::study::{sweep, StudyConfig, StudyContext, PAPER_CAPS};
+use vizpower::{classify, first_slowdown_cap, PowerClass};
 
 fn quick_ctx() -> StudyContext {
     StudyContext::new(StudyConfig {

@@ -1,13 +1,13 @@
 //! End-to-end integration: hydro → in situ pipelines → characterization →
 //! simulated power execution → advisor, across crate boundaries.
 
-use vizpower_suite::cloverleaf::Problem;
-use vizpower_suite::insitu::{Action, ActionList, InSituRuntime, RuntimeConfig, Trigger};
-use vizpower_suite::powersim::trace::Journal;
-use vizpower_suite::powersim::{CpuSpec, Package, Watts};
-use vizpower_suite::vizalgo::{AlgorithmSpec, IsoValues, KernelClass};
-use vizpower_suite::vizpower::advisor;
-use vizpower_suite::vizpower::characterize::characterize;
+use cloverleaf::Problem;
+use insitu::{Action, ActionList, InSituRuntime, RuntimeConfig, Trigger};
+use powersim::trace::Journal;
+use powersim::{CpuSpec, Package, Watts};
+use vizalgo::{AlgorithmSpec, IsoValues, KernelClass};
+use vizpower::advisor;
+use vizpower::characterize::characterize;
 
 fn actions() -> ActionList {
     ActionList(vec![

@@ -18,15 +18,15 @@
     reason = "the pre-registry constructions are what the registry is checked against"
 )]
 
-use vizpower_suite::conformance::{
+use conformance::{
     self, fields, ConformanceConfig, ISO_HI, ISO_LO, SPHERE_R, THRESH_HI, THRESH_LO,
 };
-use vizpower_suite::vizalgo::{
+use vizalgo::{
     Algorithm, Contour, Filter, Isovolume, ParticleAdvection, RayTracer, SphericalClip, ThreeSlice,
     Threshold, VolumeRenderer,
 };
-use vizpower_suite::vizmesh::{Association, DataSet, Field};
-use vizpower_suite::vizpower::study::{dataset_for, StudyConfig};
+use vizmesh::{Association, DataSet, Field};
+use vizpower::study::{dataset_for, StudyConfig};
 
 fn study_config() -> StudyConfig {
     StudyConfig {

@@ -9,11 +9,11 @@
 //! kernel/model changes land with their golden re-pin in the same
 //! commit).
 
-use vizpower_suite::powersim::trace::Journal;
-use vizpower_suite::service::{universe, zipf_traffic, ServiceConfig, StudyService, TrafficConfig};
-use vizpower_suite::vizmesh::json;
-use vizpower_suite::vizpower::StudyConfig;
-use vizpower_suite::{powersim::Watts, service::Request};
+use powersim::trace::Journal;
+use powersim::Watts;
+use service::{universe, zipf_traffic, Request, ServiceConfig, StudyService, TrafficConfig};
+use vizmesh::json;
+use vizpower::StudyConfig;
 
 /// The exact traffic `reproduce serve --quick` generates.
 fn quick_traffic() -> (ServiceConfig, Vec<Request>) {

@@ -10,11 +10,11 @@
 
 use std::collections::HashMap;
 
-use vizpower_suite::powersim::trace::Journal;
-use vizpower_suite::powersim::Watts;
-use vizpower_suite::service::{Outcome, Request, ServiceConfig, StudyService};
-use vizpower_suite::vizalgo::{Algorithm, Backend};
-use vizpower_suite::vizpower::study::{dataset_for, StudyConfig};
+use powersim::trace::Journal;
+use powersim::Watts;
+use service::{Outcome, Request, ServiceConfig, StudyService};
+use vizalgo::{Algorithm, Backend};
+use vizpower::study::{dataset_for, StudyConfig};
 
 const SIZE: usize = 8;
 
