@@ -18,7 +18,9 @@
 //! [`FilterOutput`](vizalgo::FilterOutput) (geometry, images, kernels,
 //! primitives). That string is the differential-parity oracle: the
 //! root `service_parity` suite compares it byte-for-byte against a cold
-//! direct run of the same spec.
+//! direct run of the same spec. It is rendered once per native run and
+//! shrunk to its length, and every cap's [`JobResult`] points
+//! at that one allocation instead of holding a copy.
 
 use std::sync::Arc;
 
@@ -52,7 +54,8 @@ pub struct JobResult {
     pub(crate) algorithm: Algorithm,
     /// `format!("{:?}")` of the native [`vizalgo::FilterOutput`] —
     /// byte-compared against cold direct runs by the parity suite.
-    pub output_debug: String,
+    /// Shared with the native run and every other cap of it.
+    pub output_debug: Arc<String>,
     /// The capped power-model execution (time, energy, counters).
     pub exec: ExecResult,
 }
@@ -115,7 +118,7 @@ impl std::error::Error for ServiceError {}
 #[derive(Debug)]
 pub struct NativeRun {
     /// `Debug` rendering of the full `FilterOutput`.
-    pub(crate) output_debug: String,
+    pub(crate) output_debug: Arc<String>,
     /// The run `characterize` + the power model consume.
     pub(crate) run: AlgorithmRun,
 }
@@ -168,8 +171,13 @@ impl Engine {
         self.natives.get_or_compute(key, || {
             let ds = self.store.dataset(req.size);
             let out = req.spec.build_with(req.backend, &ds).execute(&ds);
+            // Shrinking hands the buffer's unused tail back to the
+            // allocator (glibc does it in place); `Arc<str>` would copy
+            // into a second buffer instead, for a higher peak.
+            let mut output_debug = format!("{out:?}");
+            output_debug.shrink_to_fit();
             NativeRun {
-                output_debug: format!("{out:?}"),
+                output_debug: Arc::new(output_debug),
                 run: AlgorithmRun {
                     algorithm: req.spec.algorithm(),
                     size: req.size,
@@ -193,7 +201,7 @@ impl Engine {
             .clone();
         JobResult {
             algorithm: native.run.algorithm,
-            output_debug: native.output_debug.clone(),
+            output_debug: Arc::clone(&native.output_debug),
             exec,
         }
     }
@@ -250,6 +258,28 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "cap does not key the native run");
         let dpp = e.native(&request(60.0, Backend::Dpp), data_fp);
         assert!(!Arc::ptr_eq(&a, &dpp), "backend does key the native run");
+    }
+
+    #[test]
+    fn every_cap_of_a_native_run_shares_its_one_rendering() {
+        let e = engine();
+        let data_fp = e.data_fp(6);
+        let execute = |cap, backend| {
+            let req = request(cap, backend);
+            let key = CacheKey::new(&req.spec, data_fp, req.cap, req.backend);
+            e.execute(&req, key)
+        };
+        let lo = execute(60.0, Backend::Traditional);
+        let hi = execute(120.0, Backend::Traditional);
+        assert!(
+            Arc::ptr_eq(&lo.output_debug, &hi.output_debug),
+            "two caps of one native run share one rendering"
+        );
+        let dpp = execute(60.0, Backend::Dpp);
+        assert!(
+            !Arc::ptr_eq(&lo.output_debug, &dpp.output_debug),
+            "the other backend is another native run"
+        );
     }
 
     #[test]

@@ -62,7 +62,9 @@ pub struct ServiceConfig {
     /// service evicts its oldest-scheduled resident entries until at
     /// most `n` remain, journaling one `cache_event` with outcome
     /// `evict` per dropped key. `None` (the default) keeps every
-    /// result resident, the pre-capacity behavior.
+    /// result resident, the pre-capacity behavior. It bounds entries,
+    /// not memory: the native runs and renderings results share stay
+    /// in the engine regardless.
     pub cache_slots: Option<usize>,
     /// Study parameterization the traffic universe draws its specs
     /// from ([`StudyConfig::spec`]).

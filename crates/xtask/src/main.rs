@@ -119,9 +119,11 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
     ("cargo test --workspace -q", None),
     // One thread: every `vizmesh::par` call takes its inline branch, so
     // the chunk forms' whole-range path is exercised as well as the cut
-    // one (hosted runners have more than one core).
+    // one (hosted runners have more than one core). An explicit
+    // `par::with_threads` still wins: the service's worker pool keeps its
+    // `ServiceConfig::workers`, while the dataset solves under it go inline.
     (
-        "cargo test -q -p vizmesh -p vizalgo -p conformance -p cloverleaf -p insitu",
+        "cargo test -q -p vizmesh -p vizalgo -p conformance -p cloverleaf -p insitu -p service",
         Some(("VIZPOWER_THREADS", "1")),
     ),
     // Sixteen threads on a 2-4 core runner: many more chunks than cores,

@@ -3,28 +3,50 @@
 //! algorithm executions, simulated power-capped processor — at reduced
 //! scale so the suite stays fast.
 
+use std::sync::{LazyLock, Mutex, MutexGuard, PoisonError};
+
 use powersim::{CpuSpec, Watts};
 use vizalgo::Algorithm;
 use vizpower::study::{sweep, StudyConfig, StudyContext, PAPER_CAPS};
 use vizpower::{classify, first_slowdown_cap, PowerClass};
 
-fn quick_ctx() -> StudyContext {
-    StudyContext::new(StudyConfig {
-        caps: PAPER_CAPS.to_vec(),
-        isovalues: 5,
-        render_px: 64,
-        cameras: 8,
-        particles: 300,
-        advect_steps: 250,
-    })
-}
-
 const SIZE: usize = 16;
+
+/// Every size a test sweeps or runs.
+const SIZES: [usize; 5] = [8, SIZE, 20, 24, 48];
+
+/// The one context every test shares at `size`. A context memoizes each
+/// algorithm's run, so the suite executes each `(algorithm, size)` once
+/// instead of once per test; one context per size lets tests at other
+/// sizes run meanwhile. A test that fails while holding a context
+/// leaves it usable for the others.
+fn quick_ctx(size: usize) -> MutexGuard<'static, StudyContext> {
+    static CTXS: LazyLock<Vec<Mutex<StudyContext>>> = LazyLock::new(|| {
+        SIZES
+            .iter()
+            .map(|_| {
+                Mutex::new(StudyContext::new(StudyConfig {
+                    caps: PAPER_CAPS.to_vec(),
+                    isovalues: 5,
+                    render_px: 64,
+                    cameras: 8,
+                    particles: 300,
+                    advect_steps: 250,
+                }))
+            })
+            .collect()
+    });
+    let i = SIZES
+        .iter()
+        .position(|&s| s == size)
+        .unwrap_or_else(|| panic!("size {size} is not in SIZES"));
+    CTXS[i].lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Criterion 2: the paper's two classes come out exactly.
 #[test]
 fn classes_match_the_paper() {
-    let mut ctx = quick_ctx();
+    let mut ctx = quick_ctx(SIZE);
     for algorithm in Algorithm::ALL {
         let sweep = ctx.sweep(algorithm, SIZE);
         let class = classify(&sweep.ratios());
@@ -40,7 +62,7 @@ fn classes_match_the_paper() {
 /// (advection worst, ≥ 1.7×), the opportunity algorithms stay under 2×.
 #[test]
 fn forty_watt_slowdowns_have_paper_magnitudes() {
-    let mut ctx = quick_ctx();
+    let mut ctx = quick_ctx(SIZE);
     let mut at_40 = Vec::new();
     for algorithm in Algorithm::ALL {
         let sweep = ctx.sweep(algorithm, SIZE);
@@ -67,7 +89,7 @@ fn forty_watt_slowdowns_have_paper_magnitudes() {
 /// Criterion 1: contour stays flat until severe caps (Table I).
 #[test]
 fn contour_is_flat_until_severe_caps() {
-    let mut ctx = quick_ctx();
+    let mut ctx = quick_ctx(SIZE);
     let sweep = ctx.sweep(Algorithm::Contour, SIZE);
     let ratios = sweep.ratios();
     for r in &ratios {
@@ -88,7 +110,7 @@ fn contour_is_flat_until_severe_caps() {
 /// Criterion 2: the sensitive algorithms hit 10 % by 70–90 W.
 #[test]
 fn sensitive_algorithms_slow_down_early() {
-    let mut ctx = quick_ctx();
+    let mut ctx = quick_ctx(SIZE);
     for algorithm in [Algorithm::ParticleAdvection, Algorithm::VolumeRendering] {
         let sweep = ctx.sweep(algorithm, SIZE);
         let cap = first_slowdown_cap(&sweep.ratios()).expect("must slow down");
@@ -102,7 +124,7 @@ fn sensitive_algorithms_slow_down_early() {
 /// Criterion 3: everything runs ≈ turbo uncapped; knees ordered by power.
 #[test]
 fn uncapped_frequency_is_turbo_for_everyone() {
-    let mut ctx = quick_ctx();
+    let mut ctx = quick_ctx(SIZE);
     for algorithm in Algorithm::ALL {
         let sweep = ctx.sweep(algorithm, SIZE);
         let f = sweep
@@ -119,7 +141,7 @@ fn uncapped_frequency_is_turbo_for_everyone() {
 /// Criterion 4: the IPC split of Fig. 2b.
 #[test]
 fn ipc_ordering_matches_fig2b() {
-    let mut ctx = quick_ctx();
+    let mut ctx = quick_ctx(SIZE);
     let ipc = |ctx: &mut StudyContext, a: Algorithm| {
         ctx.sweep(a, SIZE)
             .baseline()
@@ -154,7 +176,7 @@ fn ipc_ordering_matches_fig2b() {
 /// Criterion 5: LLC miss-rate ordering of Fig. 2c.
 #[test]
 fn llc_miss_ordering_matches_fig2c() {
-    let mut ctx = quick_ctx();
+    let mut ctx = quick_ctx(SIZE);
     let miss = |ctx: &mut StudyContext, a: Algorithm| {
         ctx.sweep(a, SIZE)
             .baseline()
@@ -178,13 +200,12 @@ fn llc_miss_ordering_matches_fig2c() {
 /// Criterion 7 (Fig. 4): slice IPC rises with data size.
 #[test]
 fn slice_ipc_rises_with_size() {
-    let mut ctx = quick_ctx();
-    let small = ctx
+    let small = quick_ctx(8)
         .sweep(Algorithm::Slice, 8)
         .baseline()
         .expect("non-empty sweep")
         .avg_ipc;
-    let large = ctx
+    let large = quick_ctx(20)
         .sweep(Algorithm::Slice, 20)
         .baseline()
         .expect("non-empty sweep")
@@ -195,13 +216,12 @@ fn slice_ipc_rises_with_size() {
 /// Criterion 7 (Fig. 6): advection IPC is flat across sizes.
 #[test]
 fn advection_ipc_flat_with_size() {
-    let mut ctx = quick_ctx();
-    let small = ctx
+    let small = quick_ctx(8)
         .sweep(Algorithm::ParticleAdvection, 8)
         .baseline()
         .expect("non-empty sweep")
         .avg_ipc;
-    let large = ctx
+    let large = quick_ctx(20)
         .sweep(Algorithm::ParticleAdvection, 20)
         .baseline()
         .expect("non-empty sweep")
@@ -217,13 +237,12 @@ fn advection_ipc_flat_with_size() {
 /// effect triggers at test scale.
 #[test]
 fn volren_ipc_falls_past_llc_capacity() {
-    let mut ctx = quick_ctx();
     let mut spec = CpuSpec::broadwell_e5_2695v4();
     // 150 kB LLC: the 24³ volume (~118 kB of doubles) fits, 48³ (~941 kB)
     // overflows ~6x — the same ratio 128³ vs 256³ has against 45 MB.
     spec.llc_bytes = 150 * 1024;
-    let small_run = ctx.run(Algorithm::VolumeRendering, 24);
-    let large_run = ctx.run(Algorithm::VolumeRendering, 48);
+    let small_run = quick_ctx(24).run(Algorithm::VolumeRendering, 24);
+    let large_run = quick_ctx(48).run(Algorithm::VolumeRendering, 48);
     let small = sweep(&small_run, &[Watts(120.0)], &spec)
         .baseline()
         .expect("non-empty sweep")
@@ -243,10 +262,9 @@ fn volren_ipc_falls_past_llc_capacity() {
 /// (§VII: "the change in data set size does not impact the power usage").
 #[test]
 fn sensitive_algorithms_unaffected_by_size() {
-    let mut ctx = quick_ctx();
     for algorithm in [Algorithm::ParticleAdvection, Algorithm::VolumeRendering] {
-        let small = ctx.sweep(algorithm, 8);
-        let large = ctx.sweep(algorithm, 20);
+        let small = quick_ctx(8).sweep(algorithm, 8);
+        let large = quick_ctx(20).sweep(algorithm, 20);
         let c_small = first_slowdown_cap(&small.ratios()).unwrap();
         let c_large = first_slowdown_cap(&large.ratios()).unwrap();
         assert_eq!(c_small, c_large, "{algorithm} moved with size");

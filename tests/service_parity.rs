@@ -8,7 +8,8 @@
 //! requests onto one execution is only sound if a cached response is
 //! indistinguishable from the execution it stands in for.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use powersim::trace::Journal;
 use powersim::Watts;
@@ -112,8 +113,8 @@ fn every_response_matches_a_cold_direct_run_at_any_worker_count() {
         for (req, resp) in traffic.iter().zip(&cold.responses) {
             let expected = &refs[&(req.spec.algorithm(), req.backend)];
             assert_eq!(
-                &resp.result.output_debug,
-                expected,
+                &*resp.result.output_debug,
+                expected.as_str(),
                 "{:?}/{:?} via {:?} diverged from the cold direct run \
                  ({workers} workers)",
                 req.spec.algorithm(),
@@ -130,8 +131,8 @@ fn every_response_matches_a_cold_direct_run_at_any_worker_count() {
             assert_eq!(resp.outcome, Outcome::Hit, "warm pass must hit");
             let expected = &refs[&(req.spec.algorithm(), req.backend)];
             assert_eq!(
-                &resp.result.output_debug,
-                expected,
+                &*resp.result.output_debug,
+                expected.as_str(),
                 "cache hit for {:?}/{:?} diverged ({workers} workers)",
                 req.spec.algorithm(),
                 req.backend,
@@ -151,16 +152,40 @@ fn coalesced_and_hit_responses_share_the_miss_allocation() {
     for pair in cold.responses.chunks(2) {
         assert_eq!(pair[0].key, pair[1].key);
         assert!(
-            std::sync::Arc::ptr_eq(&pair[0].result, &pair[1].result),
+            Arc::ptr_eq(&pair[0].result, &pair[1].result),
             "duplicate requests must share one result allocation"
         );
     }
+    // Every cap of one (algorithm, backend) points at the one rendering
+    // of its native run, and no two native runs share one.
+    let mut renderings: HashMap<(Algorithm, Backend), &Arc<String>> = HashMap::new();
+    for (req, resp) in traffic.iter().zip(&cold.responses) {
+        let rendering = renderings
+            .entry((req.spec.algorithm(), req.backend))
+            .or_insert(&resp.result.output_debug);
+        assert!(
+            Arc::ptr_eq(rendering, &resp.result.output_debug),
+            "every cap of {:?}/{:?} must share one rendering allocation",
+            req.spec.algorithm(),
+            req.backend,
+        );
+    }
+    let distinct: HashSet<*const String> = cold
+        .responses
+        .iter()
+        .map(|r| Arc::as_ptr(&r.result.output_debug))
+        .collect();
+    assert_eq!(
+        distinct.len(),
+        renderings.len(),
+        "one rendering allocation per (algorithm, backend) served"
+    );
     let warm = svc
         .serve(&traffic, &mut Journal::off())
         .expect("traffic serves again");
     for (c, w) in cold.responses.iter().zip(&warm.responses) {
         assert!(
-            std::sync::Arc::ptr_eq(&c.result, &w.result),
+            Arc::ptr_eq(&c.result, &w.result),
             "hits must reuse the originally computed allocation"
         );
     }
