@@ -475,27 +475,23 @@ fn conformance_suite(run: &mut Run) -> Outcome {
     } else {
         conformance::ConformanceConfig::full()
     };
-    let (journal, grids) = (&mut run.ctx.journal, &cfg.grids);
-    let mut report = conformance::ConformanceReport::default();
-    if run.backends.contains(&Backend::Traditional) {
-        println!("== Conformance: oracle / differential / metamorphic checks at {grids:?}³ ==");
-        let suite = conformance::run_journaled(&cfg, journal);
-        report.checks.extend(suite.checks);
+    let grids = &cfg.grids;
+    for backend in &run.backends {
+        let suite = match backend {
+            Backend::Traditional => "oracle / differential / metamorphic checks",
+            Backend::Dpp => "traditional-vs-DPP backend differential",
+        };
+        println!("== Conformance: {suite} at {grids:?}³ ==");
     }
-    if run.backends.contains(&Backend::Dpp) {
-        println!("== Conformance: traditional-vs-DPP backend differential at {grids:?}³ ==");
-        let suite = conformance::backend::run_journaled(&cfg, journal);
-        report.checks.extend(suite.checks);
-    }
+    let report = conformance::run(&cfg, &run.backends, &mut run.ctx.journal);
     println!("{}", conformance::render_table(&report));
-    if report.all_pass() {
-        return Ok(());
+    match report.failed() {
+        0 => Ok(()),
+        failed => Err(format!(
+            "{failed} of {} conformance checks failed",
+            report.checks.len()
+        )),
     }
-    Err(format!(
-        "{} of {} conformance checks failed",
-        report.failed(),
-        report.checks.len()
-    ))
 }
 
 fn advect(run: &mut Run) -> Outcome {
@@ -529,6 +525,10 @@ fn serve(run: &mut Run) -> Outcome {
         study: run.fidelity.study_config(),
         ..service::ServiceConfig::default()
     };
+    // Building the service validates the fleet: a bad one fails here,
+    // before the header.
+    let mut svc = service::StudyService::new(cfg).map_err(|e| e.to_string())?;
+    let cfg = svc.config();
     let sizes: &[usize] = if run.quick() { &[8, 12] } else { &[16, 32] };
     let caps = [120.0, 80.0, 40.0].map(powersim::Watts);
     println!(
@@ -543,7 +543,6 @@ fn serve(run: &mut Run) -> Outcome {
             seed: cfg.seed,
         },
     );
-    let mut svc = service::StudyService::new(cfg).map_err(|e| e.to_string())?;
     let out = svc
         .serve(&traffic, &mut run.ctx.journal)
         .map_err(|e| e.to_string())?;

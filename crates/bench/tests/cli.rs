@@ -37,6 +37,13 @@ fn an_unwritable_journal_fails_before_the_run() {
 }
 
 #[test]
+fn an_empty_fleet_fails_before_the_header() {
+    let err = failure(&["serve", "--quick", "--nodes", "0"]);
+    let head = "Error: invalid service configuration: nodes must be at least 1\n";
+    assert!(err.starts_with(head), "{err}");
+}
+
+#[test]
 fn a_journal_may_go_into_the_insitu_output_directory() {
     let dir = std::env::temp_dir().join(format!("reproduce-cli-insitu-{}", std::process::id()));
     let journal = dir.join("insitu.jsonl");

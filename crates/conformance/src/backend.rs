@@ -3,7 +3,9 @@
 //! For every algorithm the data-parallel-primitives backend formulates
 //! (`vizalgo::dpp`), this module executes the *same* canonical
 //! [`spec_for`] plan through both [`Backend`]s on the same analytic
-//! input and compares the outputs check by check.
+//! input and compares the outputs check by check. Each comparison is
+//! one DPP `Group` carrying the DPP execution's primitive trail;
+//! [`crate::run`] runs them for [`Backend::Dpp`].
 //!
 //! Exactness posture (the table lives in docs/DPP.md): contour,
 //! isovolume, and slice are **bit-identical** — every comparison here
@@ -18,7 +20,8 @@
 //! summing) stay exact even for threshold.
 
 use crate::{
-    build_input, spec_for, CheckKind, CheckResult, ConformanceConfig, ConformanceReport, Group,
+    build_input, spec_for, CheckKind, CheckResult, Checks, ConformanceConfig, ConformanceReport,
+    Group,
 };
 use powersim::trace::Journal;
 use vizalgo::dpp::dpp_algorithms;
@@ -26,122 +29,85 @@ use vizalgo::{Algorithm, Backend, FilterOutput};
 use vizmesh::{CellSet, DataSet, FieldData, Vec3};
 
 /// Run one algorithm through both backends at grid size `n` and compare:
-/// the group `conformance:dpp:{alg}:{n}` under the DPP-tagged spec
-/// fingerprint, carrying the DPP execution's primitive-counter trail.
-pub(crate) fn checks(alg: Algorithm, cfg: &ConformanceConfig, n: usize) -> Group {
+/// a DPP group carrying the DPP execution's primitive-counter trail.
+fn checks(alg: Algorithm, cfg: &ConformanceConfig, n: usize) -> Group {
     let input = build_input(alg, n);
     let spec = spec_for(alg, cfg);
     let trad = spec
         .build_with(Backend::Traditional, &input)
         .execute(&input);
     let dpp = spec.build_with(Backend::Dpp, &input).execute(&input);
-    Group {
-        name: format!("conformance:dpp:{}:{}", alg.name(), n),
+    let c = Checks {
         algorithm: alg,
-        grid: n as u32,
-        spec_fp: spec.fingerprint_with(Backend::Dpp),
-        checks: compare(alg, n, &trad, &dpp),
+        kind: CheckKind::Differential,
+        grid: n,
+    };
+    Group {
+        algorithm: alg,
+        grid: n,
+        backend: Backend::Dpp,
+        checks: compare(c, &trad, &dpp),
         primitives: dpp.primitives,
     }
 }
 
 /// The differential checks of one traditional/DPP output pair.
-fn compare(alg: Algorithm, n: usize, trad: &FilterOutput, dpp: &FilterOutput) -> Vec<CheckResult> {
-    let setup_failure = |check| {
-        let failure = CheckResult::setup_failure(alg, CheckKind::Differential, check, n);
-        vec![failure]
-    };
+fn compare(c: Checks, trad: &FilterOutput, dpp: &FilterOutput) -> Vec<CheckResult> {
     let (Some(tds), Some(dds)) = (&trad.dataset, &dpp.dataset) else {
-        return setup_failure("backend:dataset");
+        return vec![c.failed("backend:dataset")];
     };
     let (Some((tp, tc)), Some((dp, dc))) = (tds.as_explicit(), dds.as_explicit()) else {
-        return setup_failure("backend:explicit-geometry");
+        return vec![c.failed("backend:explicit-geometry")];
     };
-    let mut out = Vec::with_capacity(7);
-
-    out.push(CheckResult::new(
-        alg,
-        CheckKind::Differential,
-        "backend:cell-count",
-        n,
-        dc.iter().count() as f64,
-        tc.iter().count() as f64,
-        0.0,
-    ));
-    out.push(CheckResult::new(
-        alg,
-        CheckKind::Differential,
-        "backend:point-count",
-        n,
-        dp.len() as f64,
-        tp.len() as f64,
-        0.0,
-    ));
-    // Connectivity resolved through the point arrays before summing:
-    // both backends emit cells in the same order referencing the same
-    // grid locations, so this is exact even when point *numbering*
-    // differs (threshold).
-    out.push(CheckResult::new(
-        alg,
-        CheckKind::Differential,
-        "backend:resolved-geometry",
-        n,
-        geometry_checksum(dp, dc),
-        geometry_checksum(tp, tc),
-        0.0,
-    ));
     // Storage-order coordinate sum: exact for the bit-identical
     // formulations; threshold sums the same multiset in a different
     // order, so it carries the documented 1e-9 relative tolerance.
     let expected_order = point_order_checksum(tp);
-    let order_tol = if alg == Algorithm::Threshold {
+    let order_tol = if c.algorithm == Algorithm::Threshold {
         1e-9 * expected_order.abs().max(1.0)
     } else {
         0.0
     };
-    out.push(CheckResult::new(
-        alg,
-        CheckKind::Differential,
-        "backend:coord-checksum",
-        n,
-        point_order_checksum(dp),
-        expected_order,
-        order_tol,
-    ));
-    // Bit-exact sorted coordinate multisets: order-insensitive, exact
-    // for all four formulations.
-    out.push(CheckResult::new(
-        alg,
-        CheckKind::Differential,
-        "backend:point-set",
-        n,
-        multiset_mismatches(dp, tp),
-        0.0,
-        0.0,
-    ));
-    out.push(CheckResult::new(
-        alg,
-        CheckKind::Differential,
-        "backend:field-checksum",
-        n,
-        field_checksum(dds),
-        field_checksum(tds),
-        0.0,
-    ));
-    // The DPP execution must journal primitive counters and the
-    // traditional one must not.
-    out.push(CheckResult::new(
-        alg,
-        CheckKind::Differential,
-        "backend:primitives",
-        n,
-        f64::from(u8::from(
-            !dpp.primitives.is_empty() && trad.primitives.is_empty(),
-        )),
-        1.0,
-        0.0,
-    ));
-    out
+    let counts = |cells: &CellSet| cells.iter().count() as f64;
+    vec![
+        c.check("backend:cell-count", counts(dc), counts(tc), 0.0),
+        c.check("backend:point-count", dp.len() as f64, tp.len() as f64, 0.0),
+        // Connectivity resolved through the point arrays before summing:
+        // both backends emit cells in the same order referencing the same
+        // grid locations, so this is exact even when point *numbering*
+        // differs (threshold).
+        c.check(
+            "backend:resolved-geometry",
+            geometry_checksum(dp, dc),
+            geometry_checksum(tp, tc),
+            0.0,
+        ),
+        c.check(
+            "backend:coord-checksum",
+            point_order_checksum(dp),
+            expected_order,
+            order_tol,
+        ),
+        // Bit-exact sorted coordinate multisets: order-insensitive, exact
+        // for all four formulations.
+        c.check("backend:point-set", multiset_mismatches(dp, tp), 0.0, 0.0),
+        c.check(
+            "backend:field-checksum",
+            field_checksum(dds),
+            field_checksum(tds),
+            0.0,
+        ),
+        // The DPP execution must journal primitive counters and the
+        // traditional one must not.
+        c.check(
+            "backend:primitives",
+            f64::from(u8::from(
+                !dpp.primitives.is_empty() && trad.primitives.is_empty(),
+            )),
+            1.0,
+            0.0,
+        ),
+    ]
 }
 
 /// Every DPP-formulated algorithm at every configured grid size.
@@ -155,13 +121,10 @@ pub(crate) fn groups(cfg: &ConformanceConfig) -> Vec<Group> {
     groups
 }
 
-/// Run every backend-differential check and flatten into one report,
-/// journaling one `conformance_check` record per check, one
-/// `conformance` record `conformance:dpp:{alg}:{grid}` per group
-/// carrying the DPP-tagged spec fingerprint, and one `primitive` record
-/// per primitive op the group's DPP execution invoked.
+/// The backend differential alone: `run(cfg, &[Backend::Dpp], journal)`.
+/// The benchmark harness (`benchmarks/src/runner.rs`) calls it.
 pub fn run_journaled(cfg: &ConformanceConfig, journal: &mut Journal) -> ConformanceReport {
-    crate::journal_groups(groups(cfg), journal)
+    crate::run(cfg, &[Backend::Dpp], journal)
 }
 
 /// Coordinate sum with per-axis weights, resolved through connectivity
@@ -236,8 +199,8 @@ mod tests {
             ..ConformanceConfig::quick()
         };
         let mut journal = Journal::with_capacity(4096);
-        let live = run_journaled(&cfg, &mut journal);
-        let off = run_journaled(&cfg, &mut Journal::off());
+        let live = crate::run(&cfg, &[Backend::Dpp], &mut journal);
+        let off = crate::run(&cfg, &[Backend::Dpp], &mut Journal::off());
         assert_eq!(format!("{:?}", live.checks), format!("{:?}", off.checks));
         for c in &live.checks {
             assert!(
@@ -293,9 +256,10 @@ mod tests {
             ..ConformanceConfig::quick()
         };
         let mut journal = Journal::with_capacity(4096);
-        let report = run_journaled(&cfg, &mut journal);
-        assert!(
-            report.all_pass(),
+        let report = crate::run(&cfg, &[Backend::Dpp], &mut journal);
+        assert_eq!(
+            report.failed(),
+            0,
             "{:?}",
             report.failures().collect::<Vec<_>>()
         );

@@ -20,7 +20,7 @@
 //! sanctioned registry arm for series execution.
 
 use crate::fields;
-use crate::{CheckKind, CheckResult, ConformanceConfig};
+use crate::{CheckKind, CheckResult, Checks, ConformanceConfig, Group};
 use std::sync::Arc;
 use vizalgo::{Algorithm, AlgorithmSpec, FlowMode, FlowScenario, ParticleAdvection};
 use vizmesh::{DataSet, FieldSeries};
@@ -38,20 +38,18 @@ const SNAPSHOTS: usize = 10;
 /// The two time-varying flow groups, run at the largest configured grid:
 /// the unsteady-rotation pathline oracle and the frozen-series
 /// metamorphic law.
-pub(crate) fn groups(cfg: &ConformanceConfig) -> Vec<(Algorithm, u32, Vec<CheckResult>)> {
+pub(crate) fn groups(cfg: &ConformanceConfig) -> Vec<Group> {
     let n = cfg.grids.last().copied().unwrap_or(32);
-    vec![
-        (
-            Algorithm::ParticleAdvection,
-            n as u32,
-            pathline_oracle(cfg, n),
-        ),
-        (
-            Algorithm::ParticleAdvection,
-            n as u32,
-            vec![frozen_pathline_exact(cfg, n)],
-        ),
-    ]
+    let alg = Algorithm::ParticleAdvection;
+    let at = |kind| Checks {
+        algorithm: alg,
+        kind,
+        grid: n,
+    };
+    let oracle = pathline_oracle(cfg, at(CheckKind::Oracle));
+    let frozen = frozen_pathline_exact(cfg, at(CheckKind::Metamorphic));
+    let group = |checks| Group::traditional(alg, n, checks);
+    vec![group(oracle), group(vec![frozen])]
 }
 
 /// The canonical advection spec under `scenario` (identical to
@@ -77,27 +75,25 @@ fn pathline_kernel(cfg: &ConformanceConfig) -> Option<ParticleAdvection> {
 
 /// Pathlines through the accelerating rotation, checked against the
 /// closed-form answer.
-fn pathline_oracle(cfg: &ConformanceConfig, n: usize) -> Vec<CheckResult> {
-    const KIND: CheckKind = CheckKind::Oracle;
-    let alg = Algorithm::ParticleAdvection;
+fn pathline_oracle(cfg: &ConformanceConfig, c: Checks) -> Vec<CheckResult> {
     let mut series = FieldSeries::with_capacity(SNAPSHOTS);
     for k in 0..SNAPSHOTS {
         let t = k as f64 * SNAP_DT;
         let omega = OMEGA0 + OMEGA_RATE * t;
-        series.record(t, Arc::new(fields::rotation_dataset_scaled(n, omega)));
+        series.record(t, Arc::new(fields::rotation_dataset_scaled(c.grid, omega)));
     }
     let Some(kernel) = pathline_kernel(cfg) else {
-        return vec![CheckResult::setup_failure(alg, KIND, "pathline-angle", n)];
+        return vec![c.failed("pathline-angle")];
     };
     let out = kernel.execute_series(&series);
     let parts = out.dataset.as_ref().and_then(DataSet::as_explicit);
     let Some((points, cells)) = parts else {
-        return vec![CheckResult::setup_failure(alg, KIND, "pathline-angle", n)];
+        return vec![c.failed("pathline-angle")];
     };
     // Step length and start time match the kernel: h in fractions of the
     // input diagonal, integration starting at the first knot.
     let Some((_, first)) = series.get(0) else {
-        return vec![CheckResult::setup_failure(alg, KIND, "pathline-angle", n)];
+        return vec![c.failed("pathline-angle")];
     };
     let h = first.bounds().diagonal() * cfg.step_fraction;
     // Closed form: Δθ = ω₀·T + a·T²/2 over the polyline's own
@@ -107,39 +103,29 @@ fn pathline_oracle(cfg: &ConformanceConfig, n: usize) -> Vec<CheckResult> {
             OMEGA0 * t_total + 0.5 * OMEGA_RATE * t_total * t_total
         });
     vec![
-        CheckResult::new(alg, KIND, "pathline-planar", n, max_z, 0.0, 0.0),
-        CheckResult::new(
-            alg,
-            KIND,
-            "pathline-radius-drift",
-            n,
-            max_radius_drift,
-            0.0,
-            1e-9,
-        ),
-        CheckResult::new(alg, KIND, "pathline-angle", n, max_angle_err, 0.0, 1e-8),
+        c.check("pathline-planar", max_z, 0.0, 0.0),
+        c.check("pathline-radius-drift", max_radius_drift, 0.0, 1e-9),
+        c.check("pathline-angle", max_angle_err, 0.0, 1e-8),
     ]
 }
 
 /// Streamline ≡ pathline-on-frozen-series: the steady kernel's output and
 /// the pathline executed over `FieldSeries::frozen` of the same dataset
 /// must match byte-for-byte, kernel report included.
-fn frozen_pathline_exact(cfg: &ConformanceConfig, n: usize) -> CheckResult {
-    const KIND: CheckKind = CheckKind::Metamorphic;
-    let alg = Algorithm::ParticleAdvection;
+fn frozen_pathline_exact(cfg: &ConformanceConfig, c: Checks) -> CheckResult {
     let check = "frozen-pathline-exact";
-    let input = fields::rotation_dataset(n);
+    let input = fields::rotation_dataset(c.grid);
     let steady = advection_spec(cfg, FlowScenario::default())
         .build(&input)
         .execute(&input);
     let Some(kernel) = pathline_kernel(cfg) else {
-        return CheckResult::setup_failure(alg, KIND, check, n);
+        return c.failed(check);
     };
     let frozen = kernel.execute_series(&FieldSeries::frozen(Arc::new(input)));
     let identical = steady.dataset == frozen.dataset
         && format!("{:?}", steady.kernels) == format!("{:?}", frozen.kernels);
     let measured = if identical { 0.0 } else { 1.0 };
-    CheckResult::new(alg, KIND, check, n, measured, 0.0, 0.0)
+    c.check(check, measured, 0.0, 0.0)
 }
 
 #[cfg(test)]
@@ -151,10 +137,10 @@ mod tests {
         let cfg = ConformanceConfig::quick();
         let groups = groups(&cfg);
         assert_eq!(groups.len(), 2);
-        for (alg, grid, checks) in &groups {
-            assert_eq!(*alg, Algorithm::ParticleAdvection);
-            assert_eq!(*grid, 32);
-            for c in checks {
+        for g in &groups {
+            assert_eq!(g.algorithm, Algorithm::ParticleAdvection);
+            assert_eq!(g.grid, 32);
+            for c in &g.checks {
                 assert!(
                     c.pass(),
                     "{}: measured {} vs {} ± {}",
@@ -167,7 +153,7 @@ mod tests {
         }
         let names: Vec<_> = groups
             .iter()
-            .flat_map(|(_, _, cs)| cs.iter().map(|c| c.check.clone()))
+            .flat_map(|g| g.checks.iter().map(|c| c.check.clone()))
             .collect();
         assert_eq!(
             names,

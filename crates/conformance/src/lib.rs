@@ -1,7 +1,7 @@
 //! Analytic-oracle conformance suite for the eight visualization kernels.
 //!
 //! The study harness measures *power and performance*; this crate checks
-//! that the kernels being measured are *correct*, three ways:
+//! that the kernels being measured are *correct*:
 //!
 //! * **Oracle** (`oracle`): run each kernel on an analytic input field
 //!   (see [`fields`]) and compare its output against a closed-form
@@ -22,12 +22,19 @@
 //!   against an unsteady rotation with a closed-form answer, plus the
 //!   frozen-series law (pathline on a single-snapshot series must be
 //!   byte-identical to the steady streamline).
+//! * **Backend differential** (`backend`): the same canonical spec
+//!   through the traditional and the DPP backend, compared check by
+//!   check.
 //!
 //! Every check reduces to one [`CheckResult`] — `|measured − expected| ≤
-//! tolerance` — so the whole suite serializes into the run journal as
-//! `conformance_check` records, and every group's `conformance` record
-//! carries the fingerprint of the exact [`AlgorithmSpec`] it checked (see
-//! docs/OBSERVABILITY.md and docs/CONFORMANCE.md).
+//! tolerance` — made through the `Checks` its function was given (the
+//! algorithm, family and grid all its checks share). The checks of one
+//! algorithm at one grid on one backend form a `Group`. [`run`] is the
+//! one entry: it runs the suite of each backend it is given, journals
+//! each check as a `conformance_check` record, and gives each group a
+//! `conformance` record carrying the fingerprint of the exact
+//! [`AlgorithmSpec`] it checked (see docs/OBSERVABILITY.md and
+//! docs/CONFORMANCE.md).
 
 #![cfg_attr(
     not(test),
@@ -48,7 +55,9 @@ mod reference;
 
 use powersim::trace::{Journal, Kind, Value};
 use std::fmt::Write as _;
-use vizalgo::{Algorithm, AlgorithmSpec, IsoValues, PrimitiveReport, ScalarBand, SphereSpec};
+use vizalgo::{
+    Algorithm, AlgorithmSpec, Backend, IsoValues, PrimitiveReport, ScalarBand, SphereSpec,
+};
 use vizmesh::{CellSet, CellShape, DataSet, Vec3};
 
 /// Radius of the clip sphere and the primary contour isovalue.
@@ -99,39 +108,44 @@ pub struct CheckResult {
 }
 
 impl CheckResult {
-    pub(crate) fn new(
-        algorithm: Algorithm,
-        kind: CheckKind,
-        check: impl Into<String>,
-        grid: usize,
+    pub fn pass(&self) -> bool {
+        self.measured.is_finite() && (self.measured - self.expected).abs() <= self.tolerance
+    }
+}
+
+/// What every check of one check function shares: the algorithm it
+/// checks, its family, and the grid it ran at.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Checks {
+    pub(crate) algorithm: Algorithm,
+    pub(crate) kind: CheckKind,
+    pub(crate) grid: usize,
+}
+
+impl Checks {
+    /// Check `id`: `measured` against `expected` within `tolerance`.
+    pub(crate) fn check(
+        self,
+        id: &str,
         measured: f64,
         expected: f64,
         tolerance: f64,
-    ) -> Self {
+    ) -> CheckResult {
         CheckResult {
-            algorithm,
-            check: format!("{}:{}", kind.as_str(), check.into()),
-            kind,
-            grid: grid as u32,
+            algorithm: self.algorithm,
+            check: format!("{}:{id}", self.kind.as_str()),
+            kind: self.kind,
+            grid: self.grid as u32,
             measured,
             expected,
             tolerance,
         }
     }
 
-    /// A check that could not even be evaluated (missing output); always
+    /// Check `id` could not even be evaluated (missing output); it always
     /// fails with a NaN measurement.
-    pub(crate) fn setup_failure(
-        algorithm: Algorithm,
-        kind: CheckKind,
-        check: &str,
-        grid: usize,
-    ) -> Self {
-        CheckResult::new(algorithm, kind, check, grid, f64::NAN, 0.0, 0.0)
-    }
-
-    pub fn pass(&self) -> bool {
-        self.measured.is_finite() && (self.measured - self.expected).abs() <= self.tolerance
+    pub(crate) fn failed(self, id: &str) -> CheckResult {
+        self.check(id, f64::NAN, 0.0, 0.0)
     }
 }
 
@@ -294,29 +308,37 @@ impl ConformanceReport {
     pub fn failures(&self) -> impl Iterator<Item = &CheckResult> {
         self.checks.iter().filter(|c| !c.pass())
     }
-
-    pub fn all_pass(&self) -> bool {
-        self.failed() == 0
-    }
 }
 
 /// One journaled unit of a suite: the checks of one algorithm at one
-/// grid, the fingerprint of the spec they checked, and the primitive
-/// trail of the DPP execution (empty outside the backend differential).
+/// grid on one backend, and the primitive trail of the DPP execution
+/// (empty on the traditional backend). Its record name and spec
+/// fingerprint are derived when it is journaled.
 #[derive(Debug, Clone)]
 pub(crate) struct Group {
-    pub(crate) name: String,
     pub(crate) algorithm: Algorithm,
-    pub(crate) grid: u32,
-    pub(crate) spec_fp: u64,
+    pub(crate) grid: usize,
+    pub(crate) backend: Backend,
     pub(crate) checks: Vec<CheckResult>,
     pub(crate) primitives: Vec<PrimitiveReport>,
 }
 
-/// Every check of the canonical-spec suite: one group per algorithm per
-/// grid, plus the metamorphic and flow groups, each under its
-/// traditional spec fingerprint.
-pub(crate) fn groups(cfg: &ConformanceConfig) -> Vec<Group> {
+impl Group {
+    /// A group of the canonical suite: traditional, no primitive trail.
+    pub(crate) fn traditional(algorithm: Algorithm, grid: usize, checks: Vec<CheckResult>) -> Self {
+        Group {
+            algorithm,
+            grid,
+            backend: Backend::Traditional,
+            checks,
+            primitives: Vec::new(),
+        }
+    }
+}
+
+/// Every group of the canonical-spec suite: one per algorithm per grid,
+/// plus the metamorphic and flow groups.
+fn groups(cfg: &ConformanceConfig) -> Vec<Group> {
     let mut groups = Vec::with_capacity(cfg.grids.len() * Algorithm::ALL.len() + 8);
     for &n in &cfg.grids {
         for alg in Algorithm::ALL {
@@ -325,55 +347,70 @@ pub(crate) fn groups(cfg: &ConformanceConfig) -> Vec<Group> {
             let out = filter.execute(&input);
             let mut checks = oracle::checks(alg, cfg, n, &input, &out);
             checks.extend(reference::checks(alg, cfg, n, &input, &out));
-            groups.push((alg, n as u32, checks));
+            groups.push(Group::traditional(alg, n, checks));
         }
     }
     groups.extend(metamorphic::groups(cfg));
     groups.extend(flow::groups(cfg));
-    let group = |(algorithm, grid, checks): (Algorithm, u32, _)| Group {
-        name: format!("conformance:{}:{}", algorithm.name(), grid),
-        algorithm,
-        grid,
-        spec_fp: spec_for(algorithm, cfg).fingerprint(),
-        checks,
-        primitives: Vec::new(),
-    };
-    groups.into_iter().map(group).collect()
+    groups
 }
 
-/// Run every check and flatten into one report.
+/// Run the suite of each backend in `backends`, in the order given —
+/// the canonical suite for [`Backend::Traditional`], the
+/// traditional-vs-DPP differential for [`Backend::Dpp`] — and flatten
+/// them into one report. Per group, `journal` gets one
+/// `conformance_check` record per check, one `conformance` record
+/// carrying the fingerprint of the spec the group checked, and one
+/// `primitive` record per primitive op (see docs/OBSERVABILITY.md).
+pub fn run(
+    cfg: &ConformanceConfig,
+    backends: &[Backend],
+    journal: &mut Journal,
+) -> ConformanceReport {
+    let suites = backends.iter().flat_map(|&b| match b {
+        Backend::Traditional => groups(cfg),
+        Backend::Dpp => backend::groups(cfg),
+    });
+    journal_groups(cfg, suites, journal)
+}
+
+/// The canonical suite, unjournaled: `run(cfg, &[Backend::Traditional],
+/// ..)`. The benchmark harness (`benchmarks/src/runner.rs`) calls it.
 pub fn run_all(cfg: &ConformanceConfig) -> ConformanceReport {
-    run_journaled(cfg, &mut Journal::off())
+    run(cfg, &[Backend::Traditional], &mut Journal::off())
 }
 
-/// Run every check, journaling one `conformance_check` record per check
-/// plus one `conformance` record per group carrying the fingerprint of
-/// the canonical spec the group checked (see docs/OBSERVABILITY.md).
-pub fn run_journaled(cfg: &ConformanceConfig, journal: &mut Journal) -> ConformanceReport {
-    journal_groups(groups(cfg), journal)
-}
-
-/// Flatten `groups` into one report, journaling per group one
-/// `conformance_check` record per check, then the `conformance` record
-/// carrying the group's spec fingerprint, then one `primitive` record
-/// per primitive op (see docs/OBSERVABILITY.md).
-pub(crate) fn journal_groups(groups: Vec<Group>, journal: &mut Journal) -> ConformanceReport {
+/// Flatten `groups` into one report, journaling each (see [`run`]). A
+/// group's `conformance` record is named after its backend, algorithm
+/// and grid, and carries the fingerprint of [`spec_for`] tagged with
+/// that backend.
+fn journal_groups(
+    cfg: &ConformanceConfig,
+    groups: impl IntoIterator<Item = Group>,
+    journal: &mut Journal,
+) -> ConformanceReport {
     let mut checks = Vec::new();
     for g in groups {
         if journal.is_enabled() {
+            let grid = g.grid as u32;
             for c in &g.checks {
-                journal_check(journal, g.algorithm, g.grid, c);
+                journal_check(journal, g.algorithm, grid, c);
             }
+            let name = match g.backend {
+                Backend::Traditional => format!("conformance:{}:{grid}", g.algorithm.name()),
+                Backend::Dpp => format!("conformance:dpp:{}:{grid}", g.algorithm.name()),
+            };
+            let spec_fp = spec_for(g.algorithm, cfg).fingerprint_with(g.backend);
             let failures = g.checks.iter().filter(|c| !c.pass()).count();
             journal.push_record(
                 Kind::Conformance,
                 journal.now(),
                 vec![
-                    ("name", Value::Str(g.name)),
-                    ("grid", g.grid.into()),
+                    ("name", Value::Str(name)),
+                    ("grid", grid.into()),
                     ("checks", (g.checks.len() as f64).into()),
                     ("failures", (failures as f64).into()),
-                    ("spec_fp", (g.spec_fp as f64).into()),
+                    ("spec_fp", (spec_fp as f64).into()),
                 ],
             );
             for r in &g.primitives {
@@ -457,44 +494,31 @@ mod tests {
 
     #[test]
     fn check_result_pass_semantics() {
-        let ok = CheckResult::new(
-            Algorithm::Contour,
-            CheckKind::Oracle,
-            "x",
-            8,
-            1.0,
-            1.05,
-            0.1,
-        );
+        let c = Checks {
+            algorithm: Algorithm::Contour,
+            kind: CheckKind::Oracle,
+            grid: 8,
+        };
+        let ok = c.check("x", 1.0, 1.05, 0.1);
         assert!(ok.pass());
-        let fail = CheckResult::new(Algorithm::Contour, CheckKind::Oracle, "x", 8, 1.0, 1.2, 0.1);
+        let fail = c.check("x", 1.0, 1.2, 0.1);
         assert!(!fail.pass());
-        let nan = CheckResult::setup_failure(Algorithm::Contour, CheckKind::Oracle, "x", 8);
+        let nan = c.failed("x");
         assert!(!nan.pass());
         assert_eq!(nan.check, "oracle:x");
     }
 
     #[test]
     fn conformance_check_jsonl_shape_is_exact() {
-        let check = CheckResult {
+        let check = Checks {
             algorithm: Algorithm::Contour,
-            check: "oracle:sphere-area".into(),
             kind: CheckKind::Oracle,
             grid: 32,
-            measured: 1.1286,
-            expected: 1.13097,
-            tolerance: 0.0226,
-        };
+        }
+        .check("sphere-area", 1.1286, 1.13097, 0.0226);
         let mut j = Journal::with_capacity(4);
-        let group = Group {
-            name: "conformance:Contour:32".into(),
-            algorithm: Algorithm::Contour,
-            grid: 32,
-            spec_fp: 247394790859621,
-            checks: vec![check],
-            primitives: Vec::new(),
-        };
-        journal_groups(vec![group], &mut j);
+        let group = Group::traditional(Algorithm::Contour, 32, vec![check]);
+        journal_groups(&ConformanceConfig::quick(), vec![group], &mut j);
         let jsonl = j.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(
@@ -544,15 +568,12 @@ mod tests {
     #[test]
     fn table_renders_every_check() {
         let report = ConformanceReport {
-            checks: vec![CheckResult::new(
-                Algorithm::Slice,
-                CheckKind::Oracle,
-                "slice-area",
-                16,
-                3.0,
-                3.0,
-                1e-9,
-            )],
+            checks: vec![Checks {
+                algorithm: Algorithm::Slice,
+                kind: CheckKind::Oracle,
+                grid: 16,
+            }
+            .check("slice-area", 3.0, 3.0, 1e-9)],
         };
         let t = render_table(&report);
         assert!(t.contains("oracle:slice-area"));

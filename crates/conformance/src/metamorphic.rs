@@ -14,26 +14,30 @@
 
 use crate::fields::{self, CENTER, FIELD};
 use crate::{
-    count_shape, surface_area, CheckKind, CheckResult, ConformanceConfig, ISO_HI, ISO_LO, SPHERE_R,
+    count_shape, surface_area, CheckKind, CheckResult, Checks, ConformanceConfig, Group, ISO_HI,
+    ISO_LO, SPHERE_R,
 };
 use std::f64::consts::PI;
 use vizalgo::{Algorithm, AlgorithmSpec, IsoValues, ScalarBand, SphereSpec};
 use vizmesh::{validate_cells, CellShape, DataSet};
 
-const KIND: CheckKind = CheckKind::Metamorphic;
-
-/// All metamorphic check groups for one configuration.
-pub(crate) fn groups(cfg: &ConformanceConfig) -> Vec<(Algorithm, u32, Vec<CheckResult>)> {
+/// All metamorphic check groups for one configuration, one check each.
+pub(crate) fn groups(cfg: &ConformanceConfig) -> Vec<Group> {
     let n = cfg.grids.last().copied().unwrap_or(32);
+    let at = |algorithm, grid| Checks {
+        algorithm,
+        kind: CheckKind::Metamorphic,
+        grid,
+    };
+    let group = |c: CheckResult| Group::traditional(c.algorithm, c.grid as usize, vec![c]);
     vec![
-        (Algorithm::SphericalClip, n as u32, vec![clip_complement(n)]),
-        (Algorithm::Isovolume, n as u32, vec![interior_threshold(n)]),
-        (Algorithm::Contour, n as u32, vec![isovalue_monotone(n)]),
-        (
-            Algorithm::Contour,
-            cfg.refinement[2] as u32,
-            vec![refinement_order(cfg)],
-        ),
+        group(clip_complement(at(Algorithm::SphericalClip, n))),
+        group(interior_threshold(at(Algorithm::Isovolume, n))),
+        group(isovalue_monotone(at(Algorithm::Contour, n))),
+        group(refinement_order(
+            cfg,
+            at(Algorithm::Contour, cfg.refinement[2]),
+        )),
     ]
 }
 
@@ -46,10 +50,9 @@ fn volume_of(out: &vizalgo::FilterOutput) -> Option<f64> {
 
 /// vol(clip ∖ ball) + vol(ball) = 1: the clip on the constant-energy
 /// cube plus the `f ∈ [−1, r]` isovolume of the distance field.
-fn clip_complement(n: usize) -> CheckResult {
-    let alg = Algorithm::SphericalClip;
+fn clip_complement(c: Checks) -> CheckResult {
     let check = "clip-complement";
-    let clip_in = fields::energy_dataset(n);
+    let clip_in = fields::energy_dataset(c.grid);
     let outside = AlgorithmSpec::SphericalClip {
         field: "energy".into(),
         sphere: SphereSpec::Explicit {
@@ -59,7 +62,7 @@ fn clip_complement(n: usize) -> CheckResult {
     }
     .build(&clip_in)
     .execute(&clip_in);
-    let ball_in = fields::sphere_dataset(n);
+    let ball_in = fields::sphere_dataset(c.grid);
     let inside = AlgorithmSpec::Isovolume {
         field: FIELD.into(),
         band: ScalarBand::Range {
@@ -70,17 +73,16 @@ fn clip_complement(n: usize) -> CheckResult {
     .build(&ball_in)
     .execute(&ball_in);
     let (Some(v_out), Some(v_in)) = (volume_of(&outside), volume_of(&inside)) else {
-        return CheckResult::setup_failure(alg, KIND, check, n);
+        return c.failed(check);
     };
-    CheckResult::new(alg, KIND, check, n, v_out + v_in, 1.0, 1e-9)
+    c.check(check, v_out + v_in, 1.0, 1e-9)
 }
 
 /// All-points threshold of the point ramp keeps exactly the isovolume's
 /// whole (hexahedral) cells.
-fn interior_threshold(n: usize) -> CheckResult {
-    let alg = Algorithm::Isovolume;
+fn interior_threshold(c: Checks) -> CheckResult {
     let check = "interior-threshold";
-    let input = fields::xramp_dataset(n);
+    let input = fields::xramp_dataset(c.grid);
     let band = ScalarBand::Range {
         min: ISO_LO,
         max: ISO_HI,
@@ -104,9 +106,9 @@ fn interior_threshold(n: usize) -> CheckResult {
             .map(|(_, cells)| count_shape(cells, CellShape::Hexahedron))
     };
     let (Some(a), Some(b)) = (count(&thresh), count(&iso)) else {
-        return CheckResult::setup_failure(alg, KIND, check, n);
+        return c.failed(check);
     };
-    CheckResult::new(alg, KIND, check, n, a as f64, b as f64, 0.0)
+    c.check(check, a as f64, b as f64, 0.0)
 }
 
 /// Contour area of the distance field at one isovalue.
@@ -124,30 +126,28 @@ fn sphere_area(n: usize, iso: f64) -> Option<f64> {
 }
 
 /// Areas at isovalues 0.1 < 0.2 < 0.3 < 0.4 must strictly increase.
-fn isovalue_monotone(n: usize) -> CheckResult {
-    let alg = Algorithm::Contour;
+fn isovalue_monotone(c: Checks) -> CheckResult {
     let check = "isovalue-monotone";
     let mut areas = Vec::with_capacity(4);
     for iso in [0.1, 0.2, 0.3, 0.4] {
-        match sphere_area(n, iso) {
+        match sphere_area(c.grid, iso) {
             Some(a) => areas.push(a),
-            None => return CheckResult::setup_failure(alg, KIND, check, n),
+            None => return c.failed(check),
         }
     }
     let violations = areas.windows(2).filter(|w| w[1] <= w[0]).count();
-    CheckResult::new(alg, KIND, check, n, violations as f64, 0.0, 0.0)
+    c.check(check, violations as f64, 0.0, 0.0)
 }
 
 /// Observed convergence order of the contour area error across the three
 /// refinement grids: `log(e_coarse/e_fine) / log(n_fine/n_coarse)`,
 /// which must sit near 2 (chordal approximation of a curved surface).
-fn refinement_order(cfg: &ConformanceConfig) -> CheckResult {
-    let alg = Algorithm::Contour;
+fn refinement_order(cfg: &ConformanceConfig, c: Checks) -> CheckResult {
     let check = "refinement-order";
     let exact = 4.0 * PI * SPHERE_R * SPHERE_R;
     let [n0, _, n2] = cfg.refinement;
     let (Some(a0), Some(a2)) = (sphere_area(n0, SPHERE_R), sphere_area(n2, SPHERE_R)) else {
-        return CheckResult::setup_failure(alg, KIND, check, cfg.refinement[2]);
+        return c.failed(check);
     };
     let (e0, e2) = ((a0 - exact).abs(), (a2 - exact).abs());
     let order = if e0 > 0.0 && e2 > 0.0 {
@@ -155,5 +155,5 @@ fn refinement_order(cfg: &ConformanceConfig) -> CheckResult {
     } else {
         f64::NAN
     };
-    CheckResult::new(alg, KIND, check, cfg.refinement[2], order, 2.15, 0.45)
+    c.check(check, order, 2.15, 0.45)
 }

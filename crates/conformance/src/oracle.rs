@@ -9,14 +9,12 @@
 
 use crate::fields::CENTER;
 use crate::{
-    count_shape, surface_area, CheckKind, CheckResult, ConformanceConfig, ISO_HI, ISO_LO, SPHERE_R,
-    THRESH_HI, THRESH_LO,
+    count_shape, surface_area, CheckKind, CheckResult, Checks, ConformanceConfig, ISO_HI, ISO_LO,
+    SPHERE_R, THRESH_HI, THRESH_LO,
 };
 use std::f64::consts::PI;
 use vizalgo::{Algorithm, FilterOutput};
 use vizmesh::{validate_cells, validate_surface, Camera, CellShape, DataSet, UniformGrid, Vec3};
-
-const KIND: CheckKind = CheckKind::Oracle;
 
 /// Oracle checks for `alg` at grid `n` over the output `out` of its
 /// canonical filter ([`crate::spec_for`], built and run on `input`).
@@ -27,15 +25,20 @@ pub(crate) fn checks(
     input: &DataSet,
     out: &FilterOutput,
 ) -> Vec<CheckResult> {
+    let c = Checks {
+        algorithm: alg,
+        kind: CheckKind::Oracle,
+        grid: n,
+    };
     match alg {
-        Algorithm::Contour => contour(n, out),
-        Algorithm::Threshold => threshold(n, out),
-        Algorithm::SphericalClip => clip(n, out),
-        Algorithm::Isovolume => isovolume(n, out),
-        Algorithm::Slice => slice(n, input, out),
-        Algorithm::ParticleAdvection => advection(cfg, n, input, out),
-        Algorithm::RayTracing => raytrace(cfg, n, input, out),
-        Algorithm::VolumeRendering => volren(cfg, n, input, out),
+        Algorithm::Contour => contour(c, out),
+        Algorithm::Threshold => threshold(c, out),
+        Algorithm::SphericalClip => clip(c, out),
+        Algorithm::Isovolume => isovolume(c, out),
+        Algorithm::Slice => slice(c, input, out),
+        Algorithm::ParticleAdvection => advection(cfg, c, input, out),
+        Algorithm::RayTracing => raytrace(cfg, c, input, out),
+        Algorithm::VolumeRendering => volren(cfg, c, input, out),
     }
 }
 
@@ -45,55 +48,44 @@ fn mesh_of(out: &FilterOutput) -> Option<(&[Vec3], &vizmesh::CellSet)> {
 
 /// Contoured sphere: area `4πr²`, watertight, consistently oriented,
 /// genus 0.
-fn contour(n: usize, out: &FilterOutput) -> Vec<CheckResult> {
-    let alg = Algorithm::Contour;
+fn contour(c: Checks, out: &FilterOutput) -> Vec<CheckResult> {
     let Some((points, cells)) = mesh_of(out) else {
-        return vec![CheckResult::setup_failure(alg, KIND, "sphere-area", n)];
+        return vec![c.failed("sphere-area")];
     };
     let rep = validate_surface(points, cells, 0.0);
     let area = surface_area(points, cells);
     let exact = 4.0 * PI * SPHERE_R * SPHERE_R;
     // Marching cubes approximates the sphere by chords: second-order
     // convergent, so the relative error budget shrinks as 1/n².
-    let area_tol = exact * 8.0 / (n * n) as f64;
+    let area_tol = exact * 8.0 / (c.grid * c.grid) as f64;
     let genus = match rep.genus() {
         Some(g) => g as f64,
         None => f64::NAN,
     };
+    let open_edges = rep.boundary_edges + rep.nonmanifold_edges;
     vec![
-        CheckResult::new(alg, KIND, "sphere-area", n, area, exact, area_tol),
-        CheckResult::new(
-            alg,
-            KIND,
-            "sphere-watertight",
-            n,
-            (rep.boundary_edges + rep.nonmanifold_edges) as f64,
-            0.0,
-            0.0,
-        ),
-        CheckResult::new(
-            alg,
-            KIND,
+        c.check("sphere-area", area, exact, area_tol),
+        c.check("sphere-watertight", open_edges as f64, 0.0, 0.0),
+        c.check(
             "sphere-orientation",
-            n,
             rep.orientation_conflicts as f64,
             0.0,
             0.0,
         ),
-        CheckResult::new(alg, KIND, "sphere-genus", n, genus, 0.0, 0.0),
+        c.check("sphere-genus", genus, 0.0, 0.0),
     ]
 }
 
 /// Thresholded cell ramp: the kept-cell and welded-point counts are
 /// exactly countable (dyadic band bounds on power-of-two grids).
-fn threshold(n: usize, out: &FilterOutput) -> Vec<CheckResult> {
-    let alg = Algorithm::Threshold;
+fn threshold(c: Checks, out: &FilterOutput) -> Vec<CheckResult> {
     let Some(ds) = out.dataset.as_ref() else {
-        return vec![CheckResult::setup_failure(alg, KIND, "kept-cells", n)];
+        return vec![c.failed("kept-cells")];
     };
     let Some((_, cells)) = ds.as_explicit() else {
-        return vec![CheckResult::setup_failure(alg, KIND, "kept-cells", n)];
+        return vec![c.failed("kept-cells")];
     };
+    let n = c.grid;
     let nn = n as f64;
     let kept_cols = (0..n)
         .filter(|&i| {
@@ -105,21 +97,11 @@ fn threshold(n: usize, out: &FilterOutput) -> Vec<CheckResult> {
     // Kept columns are contiguous, so the welded points form
     // `kept_cols + 1` planes of `(n+1)²` points each.
     let expected_points = ((kept_cols + 1) * (n + 1) * (n + 1)) as f64;
+    let kept = count_shape(cells, CellShape::Hexahedron);
     vec![
-        CheckResult::new(
-            alg,
-            KIND,
-            "kept-cells",
-            n,
-            count_shape(cells, CellShape::Hexahedron) as f64,
-            expected_cells,
-            0.0,
-        ),
-        CheckResult::new(
-            alg,
-            KIND,
+        c.check("kept-cells", kept as f64, expected_cells, 0.0),
+        c.check(
             "welded-points",
-            n,
             ds.num_points() as f64,
             expected_points,
             0.0,
@@ -129,14 +111,13 @@ fn threshold(n: usize, out: &FilterOutput) -> Vec<CheckResult> {
 
 /// Spherical clip: kept volume `1 − 4/3·πr³`, and no output point inside
 /// the sphere (beyond the chord-sagitta depth of the linear cut).
-fn clip(n: usize, out: &FilterOutput) -> Vec<CheckResult> {
-    let alg = Algorithm::SphericalClip;
+fn clip(c: Checks, out: &FilterOutput) -> Vec<CheckResult> {
     let Some((points, cells)) = mesh_of(out) else {
-        return vec![CheckResult::setup_failure(alg, KIND, "kept-volume", n)];
+        return vec![c.failed("kept-volume")];
     };
     let rep = validate_cells(points, cells, 0.0);
     let exact = 1.0 - 4.0 / 3.0 * PI * SPHERE_R.powi(3);
-    let vol_tol = 4.0 / (n * n) as f64;
+    let vol_tol = 4.0 / (c.grid * c.grid) as f64;
     let min_dist = points
         .iter()
         .map(|p| p.distance(CENTER))
@@ -144,37 +125,22 @@ fn clip(n: usize, out: &FilterOutput) -> Vec<CheckResult> {
     // Cut vertices sit on chords of the sphere. The tetrahedralization
     // cuts along cell diagonals up to `√3·h` long, so the deepest
     // sagitta is `3h²/(8r) ≈ 1.25h²` (measured ≈ 1.13h²).
-    let depth_tol = 2.0 / (n * n) as f64;
+    let depth_tol = 2.0 / (c.grid * c.grid) as f64;
+    let depth = (SPHERE_R - min_dist).max(0.0);
     vec![
-        CheckResult::new(
-            alg,
-            KIND,
-            "kept-volume",
-            n,
-            rep.total_volume,
-            exact,
-            vol_tol,
-        ),
-        CheckResult::new(
-            alg,
-            KIND,
-            "outside-sphere",
-            n,
-            (SPHERE_R - min_dist).max(0.0),
-            0.0,
-            depth_tol,
-        ),
+        c.check("kept-volume", rep.total_volume, exact, vol_tol),
+        c.check("outside-sphere", depth, 0.0, depth_tol),
     ]
 }
 
 /// Isovolume of the linear ramp: tetrahedral clipping of a linear field
 /// is exact, so the band volume is `hi − lo` to rounding, and the
 /// interior hexahedron count is exactly countable.
-fn isovolume(n: usize, out: &FilterOutput) -> Vec<CheckResult> {
-    let alg = Algorithm::Isovolume;
+fn isovolume(c: Checks, out: &FilterOutput) -> Vec<CheckResult> {
     let Some((points, cells)) = mesh_of(out) else {
-        return vec![CheckResult::setup_failure(alg, KIND, "band-volume", n)];
+        return vec![c.failed("band-volume")];
     };
+    let n = c.grid;
     let rep = validate_cells(points, cells, 0.0);
     let grid = UniformGrid::cube_cells(n);
     // A cell is interior iff both its corner planes sit inside the band;
@@ -186,47 +152,31 @@ fn isovolume(n: usize, out: &FilterOutput) -> Vec<CheckResult> {
             x0 >= ISO_LO && x1 <= ISO_HI
         })
         .count();
+    let hexes = count_shape(cells, CellShape::Hexahedron);
     vec![
-        CheckResult::new(
-            alg,
-            KIND,
-            "band-volume",
-            n,
-            rep.total_volume,
-            ISO_HI - ISO_LO,
-            1e-9,
-        ),
-        CheckResult::new(
-            alg,
-            KIND,
-            "interior-hexes",
-            n,
-            count_shape(cells, CellShape::Hexahedron) as f64,
-            (cols * n * n) as f64,
-            0.0,
-        ),
+        c.check("band-volume", rep.total_volume, ISO_HI - ISO_LO, 1e-9),
+        c.check("interior-hexes", hexes as f64, (cols * n * n) as f64, 0.0),
     ]
 }
 
 /// Three centered axis slices of the unit cube: cross-section area 3·1,
 /// and every vertex exactly on one of the three planes.
-fn slice(n: usize, input: &DataSet, out: &FilterOutput) -> Vec<CheckResult> {
-    let alg = Algorithm::Slice;
+fn slice(c: Checks, input: &DataSet, out: &FilterOutput) -> Vec<CheckResult> {
     let Some((points, cells)) = mesh_of(out) else {
-        return vec![CheckResult::setup_failure(alg, KIND, "slice-area", n)];
+        return vec![c.failed("slice-area")];
     };
     let area = surface_area(points, cells);
-    let c = input.bounds().center();
+    let center = input.bounds().center();
     let max_off = points
         .iter()
         .map(|p| {
-            let d = *p - c;
+            let d = *p - center;
             d.x.abs().min(d.y.abs()).min(d.z.abs())
         })
         .fold(0.0, f64::max);
     vec![
-        CheckResult::new(alg, KIND, "slice-area", n, area, 3.0, 1e-9),
-        CheckResult::new(alg, KIND, "on-plane", n, max_off, 0.0, 1e-12),
+        c.check("slice-area", area, 3.0, 1e-9),
+        c.check("on-plane", max_off, 0.0, 1e-12),
     ]
 }
 
@@ -235,20 +185,19 @@ fn slice(n: usize, input: &DataSet, out: &FilterOutput) -> Vec<CheckResult> {
 /// conserve radius and angular rate to integrator order (`h⁴` ≪ 1e-9).
 fn advection(
     cfg: &ConformanceConfig,
-    n: usize,
+    c: Checks,
     input: &DataSet,
     out: &FilterOutput,
 ) -> Vec<CheckResult> {
-    let alg = Algorithm::ParticleAdvection;
     let Some((points, cells)) = mesh_of(out) else {
-        return vec![CheckResult::setup_failure(alg, KIND, "radius-drift", n)];
+        return vec![c.failed("radius-drift")];
     };
     let h = input.bounds().diagonal() * cfg.step_fraction;
     let (max_z, max_radius_drift, max_rate_err) = orbit_errors(points, cells, h, |t| t);
     vec![
-        CheckResult::new(alg, KIND, "planar", n, max_z, 0.0, 0.0),
-        CheckResult::new(alg, KIND, "radius-drift", n, max_radius_drift, 0.0, 1e-9),
-        CheckResult::new(alg, KIND, "angular-rate", n, max_rate_err, 0.0, 1e-9),
+        c.check("planar", max_z, 0.0, 0.0),
+        c.check("radius-drift", max_radius_drift, 0.0, 1e-9),
+        c.check("angular-rate", max_rate_err, 0.0, 1e-9),
     ]
 }
 
@@ -308,13 +257,12 @@ pub(crate) fn orbit_errors(
 /// and missed pixels must stay transparent black.
 fn raytrace(
     cfg: &ConformanceConfig,
-    n: usize,
+    c: Checks,
     input: &DataSet,
     out: &FilterOutput,
 ) -> Vec<CheckResult> {
-    let alg = Algorithm::RayTracing;
     if out.images.is_empty() {
-        return vec![CheckResult::setup_failure(alg, KIND, "hit-mask", n)];
+        return vec![c.failed("hit-mask")];
     }
     let bounds = input.bounds();
     let cameras = Camera::orbit(&bounds, cfg.cameras);
@@ -346,18 +294,11 @@ fn raytrace(
             }
         }
     }
+    let mismatched = mismatches as f64 / total.max(1) as f64;
     vec![
-        CheckResult::new(
-            alg,
-            KIND,
-            "hit-mask",
-            n,
-            mismatches as f64 / total.max(1) as f64,
-            0.0,
-            2e-3,
-        ),
-        CheckResult::new(alg, KIND, "hit-depth", n, max_depth_err, 0.0, 1e-4),
-        CheckResult::new(alg, KIND, "background", n, bad_background as f64, 0.0, 0.0),
+        c.check("hit-mask", mismatched, 0.0, 2e-3),
+        c.check("hit-depth", max_depth_err, 0.0, 1e-4),
+        c.check("background", bad_background as f64, 0.0, 0.0),
     ]
 }
 
@@ -367,13 +308,12 @@ fn raytrace(
 /// positive almost everywhere).
 fn volren(
     cfg: &ConformanceConfig,
-    n: usize,
+    c: Checks,
     input: &DataSet,
     out: &FilterOutput,
 ) -> Vec<CheckResult> {
-    let alg = Algorithm::VolumeRendering;
     if out.images.is_empty() {
-        return vec![CheckResult::setup_failure(alg, KIND, "background", n)];
+        return vec![c.failed("background")];
     }
     let bounds = input.bounds();
     let cameras = Camera::orbit(&bounds, cfg.cameras);
@@ -386,8 +326,8 @@ fn volren(
         let view = cam.view(px, px);
         for y in 0..px {
             for x in 0..px {
-                let c = img.get(x, y);
-                if !(0.0..=1.0).contains(&c[3]) {
+                let rgba = img.get(x, y);
+                if !(0.0..=1.0).contains(&rgba[3]) {
                     bad_alpha += 1;
                 }
                 let ray = view.ray(x, y);
@@ -395,13 +335,13 @@ fn volren(
                     bounds.intersect_ray(ray.origin, ray.inv_direction(), 0.0, f64::INFINITY);
                 match slab {
                     None => {
-                        if c != [0.0; 4] {
+                        if rgba != [0.0; 4] {
                             bad_background += 1;
                         }
                     }
                     Some(_) => {
                         hit += 1;
-                        if c[3] == 0.0 {
+                        if rgba[3] == 0.0 {
                             hit_empty += 1;
                         }
                     }
@@ -409,20 +349,14 @@ fn volren(
             }
         }
     }
+    let empty = hit_empty as f64 / hit.max(1) as f64;
+    // Silhouette-grazing rays whose chord is shorter than half a
+    // step take no samples; that rim thins as the step shrinks
+    // with the grid (measured 0.076 at 16³, 0.0085 at 32³).
+    let coverage_tol = 2.0 / c.grid as f64;
     vec![
-        CheckResult::new(alg, KIND, "background", n, bad_background as f64, 0.0, 0.0),
-        CheckResult::new(alg, KIND, "alpha-range", n, bad_alpha as f64, 0.0, 0.0),
-        CheckResult::new(
-            alg,
-            KIND,
-            "coverage",
-            n,
-            hit_empty as f64 / hit.max(1) as f64,
-            0.0,
-            // Silhouette-grazing rays whose chord is shorter than half a
-            // step take no samples; that rim thins as the step shrinks
-            // with the grid (measured 0.076 at 16³, 0.0085 at 32³).
-            2.0 / n as f64,
-        ),
+        c.check("background", bad_background as f64, 0.0, 0.0),
+        c.check("alpha-range", bad_alpha as f64, 0.0, 0.0),
+        c.check("coverage", empty, 0.0, coverage_tol),
     ]
 }

@@ -8,8 +8,8 @@
 
 use crate::fields::{CENTER, FIELD, VELOCITY};
 use crate::{
-    count_shape, CheckKind, CheckResult, ConformanceConfig, ISO_HI, ISO_LO, SPHERE_R, THRESH_HI,
-    THRESH_LO,
+    count_shape, CheckKind, CheckResult, Checks, ConformanceConfig, ISO_HI, ISO_LO, SPHERE_R,
+    THRESH_HI, THRESH_LO,
 };
 use std::collections::HashMap;
 use vizalgo::colormap::ColorMap;
@@ -17,8 +17,6 @@ use vizalgo::contour::{triangle_table, EDGES};
 use vizalgo::raytrace::external_face_triangles;
 use vizalgo::{Algorithm, Backend, FilterOutput, ThreeSlice};
 use vizmesh::{par, Camera, CellShape, DataSet, UniformGrid, Vec3, XorShift};
-
-const KIND: CheckKind = CheckKind::Differential;
 
 /// Differential checks for `alg` at grid `n`: thread invariance plus the
 /// sequential-reference comparison.
@@ -29,22 +27,27 @@ pub(crate) fn checks(
     input: &DataSet,
     out: &FilterOutput,
 ) -> Vec<CheckResult> {
-    let mut checks = vec![thread_invariance(alg, cfg, n, input)];
+    let c = Checks {
+        algorithm: alg,
+        kind: CheckKind::Differential,
+        grid: n,
+    };
+    let mut checks = vec![thread_invariance(c, cfg, input)];
     match alg {
-        Algorithm::Contour => checks.push(contour_reference(n, input, out)),
-        Algorithm::Threshold => checks.push(threshold_reference(n, input, out)),
-        Algorithm::SphericalClip => checks.push(clip_reference(n, input, out)),
-        Algorithm::Isovolume => checks.push(isovolume_reference(n, input, out)),
-        Algorithm::Slice => checks.push(slice_reference(n, input, out)),
-        Algorithm::ParticleAdvection => checks.push(advection_reference(cfg, n, input, out)),
+        Algorithm::Contour => checks.push(contour_reference(c, input, out)),
+        Algorithm::Threshold => checks.push(threshold_reference(c, input, out)),
+        Algorithm::SphericalClip => checks.push(clip_reference(c, input, out)),
+        Algorithm::Isovolume => checks.push(isovolume_reference(c, input, out)),
+        Algorithm::Slice => checks.push(slice_reference(c, input, out)),
+        Algorithm::ParticleAdvection => checks.push(advection_reference(cfg, c, input, out)),
         // The brute-force ray loop is O(pixels × triangles); run it at
         // the smallest grid only.
         Algorithm::RayTracing => {
             if Some(&n) == cfg.grids.first() {
-                checks.push(raytrace_reference(cfg, n, input, out));
+                checks.push(raytrace_reference(cfg, c, input, out));
             }
         }
-        Algorithm::VolumeRendering => checks.push(volren_reference(cfg, n, input, out)),
+        Algorithm::VolumeRendering => checks.push(volren_reference(cfg, c, input, out)),
     }
     checks
 }
@@ -52,31 +55,18 @@ pub(crate) fn checks(
 /// Execute the canonical plan on every backend that formulates it under
 /// `par::with_threads(1)` and `(4)`; the whole outputs — data, images,
 /// kernel work and primitive traffic — must be identical.
-fn thread_invariance(
-    alg: Algorithm,
-    cfg: &ConformanceConfig,
-    n: usize,
-    input: &DataSet,
-) -> CheckResult {
-    let spec = crate::spec_for(alg, cfg);
+fn thread_invariance(c: Checks, cfg: &ConformanceConfig, input: &DataSet) -> CheckResult {
+    let spec = crate::spec_for(c.algorithm, cfg);
     let equal = Backend::ALL
         .into_iter()
-        .filter(|b| b.supports(alg))
+        .filter(|b| b.supports(c.algorithm))
         .all(|backend| {
             let filter = spec.build_with(backend, input);
             let [one, four] =
                 [1, 4].map(|threads| par::with_threads(threads, || filter.execute(input)));
             one == four
         });
-    CheckResult::new(
-        alg,
-        KIND,
-        "threads",
-        n,
-        f64::from(u8::from(!equal)),
-        0.0,
-        0.0,
-    )
+    c.check("threads", f64::from(u8::from(!equal)), 0.0, 0.0)
 }
 
 /// Sequential welded marching cubes, replicating the kernel's per-edge
@@ -165,37 +155,27 @@ fn mesh_mismatches(ds: &DataSet, ref_points: &[Vec3], ref_tris: &[[u32; 3]]) -> 
     mismatches as f64
 }
 
-fn contour_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckResult {
-    let alg = Algorithm::Contour;
+fn contour_reference(c: Checks, input: &DataSet, out: &FilterOutput) -> CheckResult {
     let check = "mesh-exact";
     let (Some(grid), Some(values), Some(ds)) = (
         input.as_uniform(),
         input.point_scalars(FIELD),
         out.dataset.as_ref(),
     ) else {
-        return CheckResult::setup_failure(alg, KIND, check, n);
+        return c.failed(check);
     };
     let (ref_points, ref_tris) = sequential_marching_cubes(grid, values, SPHERE_R);
-    CheckResult::new(
-        alg,
-        KIND,
-        check,
-        n,
-        mesh_mismatches(ds, &ref_points, &ref_tris),
-        0.0,
-        0.0,
-    )
+    c.check(check, mesh_mismatches(ds, &ref_points, &ref_tris), 0.0, 0.0)
 }
 
 #[expect(
     clippy::disallowed_methods,
     reason = "the reference takes its planes from the filter, not the registry"
 )]
-fn slice_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckResult {
-    let alg = Algorithm::Slice;
+fn slice_reference(c: Checks, input: &DataSet, out: &FilterOutput) -> CheckResult {
     let check = "mesh-exact";
     let (Some(grid), Some(ds)) = (input.as_uniform(), out.dataset.as_ref()) else {
-        return CheckResult::setup_failure(alg, KIND, check, n);
+        return c.failed(check);
     };
     let mut ref_points: Vec<Vec3> = Vec::new();
     let mut ref_tris: Vec<[u32; 3]> = Vec::new();
@@ -209,29 +189,20 @@ fn slice_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckResult
         ref_points.extend(pts);
         ref_tris.extend(tris.iter().map(|t| [t[0] + base, t[1] + base, t[2] + base]));
     }
-    CheckResult::new(
-        alg,
-        KIND,
-        check,
-        n,
-        mesh_mismatches(ds, &ref_points, &ref_tris),
-        0.0,
-        0.0,
-    )
+    c.check(check, mesh_mismatches(ds, &ref_points, &ref_tris), 0.0, 0.0)
 }
 
-fn threshold_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckResult {
-    let alg = Algorithm::Threshold;
+fn threshold_reference(c: Checks, input: &DataSet, out: &FilterOutput) -> CheckResult {
     let check = "kept-count";
     let (Some(vals), Some(ds)) = (input.cell_scalars(FIELD), out.dataset.as_ref()) else {
-        return CheckResult::setup_failure(alg, KIND, check, n);
+        return c.failed(check);
     };
     let expected = vals
         .iter()
         .filter(|v| (THRESH_LO..=THRESH_HI).contains(*v))
         .count();
     let measured = hex_count(ds);
-    CheckResult::new(alg, KIND, check, n, measured as f64, expected as f64, 0.0)
+    c.check(check, measured as f64, expected as f64, 0.0)
 }
 
 /// Hexahedra of an unstructured output (`usize::MAX` when there is none).
@@ -241,11 +212,10 @@ fn hex_count(ds: &DataSet) -> usize {
     })
 }
 
-fn clip_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckResult {
-    let alg = Algorithm::SphericalClip;
+fn clip_reference(c: Checks, input: &DataSet, out: &FilterOutput) -> CheckResult {
     let check = "whole-cells";
     let (Some(grid), Some(ds)) = (input.as_uniform(), out.dataset.as_ref()) else {
-        return CheckResult::setup_failure(alg, KIND, check, n);
+        return c.failed(check);
     };
     // A cell passes through whole iff no corner is strictly inside the
     // sphere — the same signed distance the kernel computes.
@@ -257,18 +227,17 @@ fn clip_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckResult 
         })
         .count();
     let measured = hex_count(ds);
-    CheckResult::new(alg, KIND, check, n, measured as f64, expected as f64, 0.0)
+    c.check(check, measured as f64, expected as f64, 0.0)
 }
 
-fn isovolume_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckResult {
-    let alg = Algorithm::Isovolume;
+fn isovolume_reference(c: Checks, input: &DataSet, out: &FilterOutput) -> CheckResult {
     let check = "whole-cells";
     let (Some(grid), Some(vals), Some(ds)) = (
         input.as_uniform(),
         input.point_scalars(FIELD),
         out.dataset.as_ref(),
     ) else {
-        return CheckResult::setup_failure(alg, KIND, check, n);
+        return c.failed(check);
     };
     let expected = (0..grid.num_cells())
         .filter(|&c| {
@@ -278,28 +247,27 @@ fn isovolume_reference(n: usize, input: &DataSet, out: &FilterOutput) -> CheckRe
         })
         .count();
     let measured = hex_count(ds);
-    CheckResult::new(alg, KIND, check, n, measured as f64, expected as f64, 0.0)
+    c.check(check, measured as f64, expected as f64, 0.0)
 }
 
 /// Sequential RK4 re-integration with the kernel's exact seed order and
 /// update arithmetic; streamlines must match bit for bit.
 fn advection_reference(
     cfg: &ConformanceConfig,
-    n: usize,
+    c: Checks,
     input: &DataSet,
     out: &FilterOutput,
 ) -> CheckResult {
-    let alg = Algorithm::ParticleAdvection;
     let check = "streamlines-exact";
     let (Some(grid), Some(vel), Some(ds)) = (
         input.as_uniform(),
         input.point_vectors(VELOCITY),
         out.dataset.as_ref(),
     ) else {
-        return CheckResult::setup_failure(alg, KIND, check, n);
+        return c.failed(check);
     };
     let Some((points, cells)) = ds.as_explicit() else {
-        return CheckResult::setup_failure(alg, KIND, check, n);
+        return c.failed(check);
     };
     let b = grid.bounds();
     let h = b.diagonal() * cfg.step_fraction;
@@ -357,26 +325,25 @@ fn advection_reference(
             mismatches += 1;
         }
     }
-    CheckResult::new(alg, KIND, check, n, mismatches as f64, 0.0, 0.0)
+    c.check(check, mismatches as f64, 0.0, 0.0)
 }
 
 /// Brute-force nearest-hit over every external face triangle (first
 /// camera only): the BVH must find the same entry depth everywhere.
 fn raytrace_reference(
     cfg: &ConformanceConfig,
-    n: usize,
+    c: Checks,
     input: &DataSet,
     out: &FilterOutput,
 ) -> CheckResult {
-    let alg = Algorithm::RayTracing;
     let check = "depth-brute-force";
     let Some(img) = out.images.first() else {
-        return CheckResult::setup_failure(alg, KIND, check, n);
+        return c.failed(check);
     };
     let (tris, _) = external_face_triangles(input, FIELD);
     let cameras = Camera::orbit(&input.bounds(), cfg.cameras);
     let Some(cam) = cameras.first() else {
-        return CheckResult::setup_failure(alg, KIND, check, n);
+        return c.failed(check);
     };
     let px = cfg.render_px;
     let mut mismatches = 0usize;
@@ -402,21 +369,20 @@ fn raytrace_reference(
             }
         }
     }
-    CheckResult::new(alg, KIND, check, n, mismatches as f64, 0.0, 0.0)
+    c.check(check, mismatches as f64, 0.0, 0.0)
 }
 
 /// Sequential front-to-back ray march replicating the kernel's sampling
 /// and compositing arithmetic; every pixel must match bit for bit.
 fn volren_reference(
     cfg: &ConformanceConfig,
-    n: usize,
+    c: Checks,
     input: &DataSet,
     out: &FilterOutput,
 ) -> CheckResult {
-    let alg = Algorithm::VolumeRendering;
     let check = "pixels-exact";
     let (Some(grid), Some(values)) = (input.as_uniform(), input.point_scalars(FIELD)) else {
-        return CheckResult::setup_failure(alg, KIND, check, n);
+        return c.failed(check);
     };
     let (lo, hi) = input
         .field(FIELD)
@@ -465,7 +431,7 @@ fn volren_reference(
             }
         }
     }
-    CheckResult::new(alg, KIND, check, n, mismatches as f64, 0.0, 0.0)
+    c.check(check, mismatches as f64, 0.0, 0.0)
 }
 
 #[cfg(test)]

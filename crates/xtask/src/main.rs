@@ -133,13 +133,10 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
         "cargo test -q -p vizmesh -p vizalgo -p cloverleaf",
         Some(("VIZPOWER_THREADS", "16")),
     ),
+    // Both conformance suites, the canonical one and the DPP backend
+    // differential, into one report.
     (
-        "cargo run --release --bin reproduce -- conformance --quick",
-        None,
-    ),
-    // The DPP backend differential.
-    (
-        "cargo run --release --bin reproduce -- conformance --quick --backend dpp",
+        "cargo run --release --bin reproduce -- conformance --quick --backend both",
         None,
     ),
     // The traditional-vs-DPP IPC contrast.

@@ -5,7 +5,7 @@
 
 use conformance::{CheckKind, ConformanceConfig};
 use powersim::trace::{Journal, Kind, Value};
-use vizalgo::Algorithm;
+use vizalgo::{Algorithm, Backend};
 use vizmesh::json;
 
 /// The full check inventory of a quick run, as `(algorithm, grid,
@@ -99,9 +99,46 @@ const EXPECTED_CHECKS: &[(&str, u32, &str)] = &[
     ),
 ];
 
+/// Every `conformance` group record of a quick run on both backends, as
+/// `(name, grid, checks, spec_fp)`: the traditional suite's groups, then
+/// the backend differential's. A new group extends this table.
+const EXPECTED_GROUPS: &[(&str, u32, usize, u64)] = &[
+    ("conformance:Contour:16", 16, 6, 247394790859621),
+    ("conformance:Threshold:16", 16, 4, 257357867475358),
+    ("conformance:Spherical Clip:16", 16, 4, 276736842327399),
+    ("conformance:Isovolume:16", 16, 4, 205109081002732),
+    ("conformance:Slice:16", 16, 4, 187203720610073),
+    ("conformance:Particle Advection:16", 16, 5, 230635463544749),
+    ("conformance:Ray Tracing:16", 16, 5, 128296625860406),
+    ("conformance:Volume Rendering:16", 16, 5, 217779078591564),
+    ("conformance:Contour:32", 32, 6, 247394790859621),
+    ("conformance:Threshold:32", 32, 4, 257357867475358),
+    ("conformance:Spherical Clip:32", 32, 4, 276736842327399),
+    ("conformance:Isovolume:32", 32, 4, 205109081002732),
+    ("conformance:Slice:32", 32, 4, 187203720610073),
+    ("conformance:Particle Advection:32", 32, 5, 230635463544749),
+    ("conformance:Ray Tracing:32", 32, 4, 128296625860406),
+    ("conformance:Volume Rendering:32", 32, 5, 217779078591564),
+    ("conformance:Spherical Clip:32", 32, 1, 276736842327399),
+    ("conformance:Isovolume:32", 32, 1, 205109081002732),
+    ("conformance:Contour:32", 32, 1, 247394790859621),
+    ("conformance:Contour:64", 64, 1, 247394790859621),
+    ("conformance:Particle Advection:32", 32, 3, 230635463544749),
+    ("conformance:Particle Advection:32", 32, 1, 230635463544749),
+    ("conformance:dpp:Contour:16", 16, 7, 139284441368520),
+    ("conformance:dpp:Threshold:16", 16, 7, 211276691428843),
+    ("conformance:dpp:Isovolume:16", 16, 7, 119365071439817),
+    ("conformance:dpp:Slice:16", 16, 7, 190102941710540),
+    ("conformance:dpp:Contour:32", 32, 7, 139284441368520),
+    ("conformance:dpp:Threshold:32", 32, 7, 211276691428843),
+    ("conformance:dpp:Isovolume:32", 32, 7, 119365071439817),
+    ("conformance:dpp:Slice:32", 32, 7, 190102941710540),
+];
+
 #[test]
 fn quick_run_passes_every_pinned_check() {
-    let report = conformance::run_all(&ConformanceConfig::quick());
+    let cfg = ConformanceConfig::quick();
+    let report = conformance::run(&cfg, &[Backend::Traditional], &mut Journal::off());
     let failures: Vec<String> = report
         .failures()
         .map(|c| {
@@ -136,7 +173,8 @@ fn quick_run_passes_every_pinned_check() {
 
 #[test]
 fn every_algorithm_is_covered_by_every_kind() {
-    let report = conformance::run_all(&ConformanceConfig::quick());
+    let cfg = ConformanceConfig::quick();
+    let report = conformance::run(&cfg, &[Backend::Traditional], &mut Journal::off());
     for alg in Algorithm::ALL {
         for kind in [CheckKind::Oracle, CheckKind::Differential] {
             assert!(
@@ -159,7 +197,8 @@ fn every_algorithm_is_covered_by_every_kind() {
 #[test]
 fn journaled_checks_mirror_the_report() {
     let mut journal = Journal::with_capacity(1 << 14);
-    let report = conformance::run_journaled(&ConformanceConfig::quick(), &mut journal);
+    let cfg = ConformanceConfig::quick();
+    let report = conformance::run(&cfg, &[Backend::Traditional], &mut journal);
     assert_eq!(journal.dropped(), 0);
 
     let events: Vec<_> = journal.records(Kind::ConformanceCheck).collect();
@@ -188,4 +227,30 @@ fn journaled_checks_mirror_the_report() {
         let v = json::parse(line).expect("valid JSON");
         assert_eq!(v["v"], 10);
     }
+}
+
+#[test]
+fn every_group_record_is_pinned() {
+    let cfg = ConformanceConfig::quick();
+    let mut journal = Journal::with_capacity(1 << 14);
+    conformance::run(&cfg, &Backend::ALL, &mut journal);
+    assert_eq!(journal.dropped(), 0);
+    let got: Vec<(String, u32, usize, u64)> = journal
+        .records(Kind::Conformance)
+        .map(|ev| {
+            let num = |key| ev.num(key).expect("numeric field");
+            let name = ev.str("name").expect("group name").to_string();
+            (
+                name,
+                num("grid") as u32,
+                num("checks") as usize,
+                num("spec_fp") as u64,
+            )
+        })
+        .collect();
+    let expected: Vec<(String, u32, usize, u64)> = EXPECTED_GROUPS
+        .iter()
+        .map(|&(name, grid, checks, fp)| (name.to_string(), grid, checks, fp))
+        .collect();
+    assert_eq!(got, expected, "conformance group records drifted");
 }
