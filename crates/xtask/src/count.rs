@@ -2,17 +2,19 @@
 //! items are measured in, so two sessions counting the same tree agree.
 //!
 //! The rule, over every `src/**/*.rs` of the root package and of each
-//! crate under `crates/` (the analyzer included): a **non-test line** is
-//! any physical line outside a `#[cfg(test)]` item — blank and comment
-//! lines count, because deleting a doc comment is not a simplification
-//! and should not be hidden by the metric either way; a **`pub` item** is
-//! a non-test code line that opens with `pub` followed by an item keyword
-//! (`pub(crate)` items and `pub` struct fields are not counted).
+//! crate under `crates/` (the analyzer included; the same files
+//! `cargo xtask lint` reads): a **non-test line** is any physical line
+//! outside a `#[cfg(test)]` item — blank and comment lines count, because
+//! deleting a doc comment is not a simplification and should not be
+//! hidden by the metric either way; a **`pub` item** is a non-test line
+//! whose cleaned code (comments and literal contents gone) opens with
+//! `pub` followed by an item keyword (`pub(crate)` items and `pub` struct
+//! fields are not counted).
 
 use std::io;
 use std::path::Path;
 
-use crate::lex::{self, SourceFile};
+use crate::scan::{self, SourceFile};
 
 /// Keywords that can follow `pub` at the start of an item declaration.
 const ITEM_KEYWORDS: [&str; 13] = [
@@ -32,14 +34,8 @@ pub struct Count {
 }
 
 /// `(non-test lines, pub items)` of one cleaned file.
-pub fn count_file(file: &SourceFile) -> (usize, usize) {
-    // The cleaned view ends with one empty entry for the text after the
-    // final newline; that is not a physical line.
-    let physical = match file.lines.split_last() {
-        Some((last, rest)) if last.code.is_empty() && last.comment.is_empty() => rest,
-        _ => &file.lines[..],
-    };
-    let live = physical.iter().filter(|l| !l.in_test);
+fn count_file(file: &SourceFile) -> (usize, usize) {
+    let live = file.lines.iter().filter(|l| !l.in_test);
     let pub_items = live.clone().filter(|l| is_pub_item(&l.code)).count();
     (live.count(), pub_items)
 }
@@ -60,7 +56,7 @@ fn crate_of(rel_path: &str) -> Option<&str> {
 /// then the root package), without a total row.
 pub fn count_workspace(root: &Path) -> io::Result<Vec<Count>> {
     let mut counts: Vec<Count> = Vec::new();
-    for rel in lex::all_sources(root)? {
+    for rel in scan::sources(root)? {
         let (lines, pub_items) = count_file(&SourceFile::load(root, &rel)?);
         let package = crate_of(&rel).unwrap_or("(root)");
         match counts.last_mut() {

@@ -2,22 +2,24 @@
 //!
 //! The library half hosts the one repo-specific policy behind
 //! `cargo xtask lint` that neither the compiler, clippy nor a test can
-//! express, unit-safety, reading a lexical source model ([`lex`]) and
-//! reporting [`Diagnostic`]s, plus the size metric behind
-//! `cargo xtask count`. The crate stays dependency-free (it must compile
-//! before anything else does). See DESIGN.md "Static analysis &
-//! correctness policy" for the rationale.
+//! express, unit-safety, reporting [`Diagnostic`]s, plus the size metric
+//! behind `cargo xtask count`. Both read the same files through one line
+//! scanner (`scan.rs`: each physical line cleaned of comments and literal
+//! contents, and marked when it sits inside a `#[cfg(test)]` item). The
+//! crate stays dependency-free (it must compile before anything else
+//! does). See DESIGN.md "Static analysis & correctness policy" for the
+//! rationale.
 
 pub mod count;
 pub mod diag;
-pub mod lex;
 mod lints;
+mod scan;
 
 use std::io;
 use std::path::Path;
 
 use diag::Diagnostic;
-use lex::SourceFile;
+use scan::SourceFile;
 
 /// Result of a full workspace lint.
 #[derive(Debug)]
@@ -34,13 +36,7 @@ impl Report {
 
 /// Lint every library source file under `root` (the workspace root).
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    if !root.join("Cargo.toml").is_file() {
-        return Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            "not a workspace root (no Cargo.toml)",
-        ));
-    }
-    let rels = lex::workspace_sources(root)?;
+    let rels = scan::sources(root)?;
     let mut diagnostics = Vec::new();
     for rel in &rels {
         lints::unit_safety(&SourceFile::load(root, rel)?, &mut diagnostics);

@@ -2,7 +2,7 @@
 //! [`SourceFile`] and appends [`Diagnostic`]s.
 
 use crate::diag::{Diagnostic, UNIT_SAFETY};
-use crate::lex::{Kind, SourceFile};
+use crate::scan::SourceFile;
 
 /// Files exempt from the unit-safety lint: the newtype definitions
 /// themselves, whose internals are raw `f64` by construction.
@@ -30,21 +30,19 @@ pub(crate) fn unit_safety(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     if UNIT_EXEMPT_FILES.contains(&file.rel_path.as_str()) {
         return;
     }
-    let toks: Vec<_> = (file.tokens.iter())
-        .filter(|t| t.is_significant())
-        .collect();
+    let words = file.words();
     // Name of the `fn` whose signature is open (until its body's `{`).
     let mut open_fn: Option<&str> = None;
-    for (i, t) in toks.iter().enumerate() {
-        let text_at = |back: usize| i.checked_sub(back).map(|j| toks[j].text.as_str());
-        match (t.kind, t.text.as_str()) {
-            (Kind::Ident, "fn") => {
-                let name = toks.get(i + 1).filter(|n| n.kind == Kind::Ident);
-                open_fn = name.map(|n| n.text.as_str());
+    for (i, &(line, word)) in words.iter().enumerate() {
+        let word_at = |back: usize| i.checked_sub(back).map(|j| words[j].1);
+        match word {
+            "fn" => {
+                let name = words.get(i + 1).map(|&(_, name)| name);
+                open_fn = name.filter(|n| n.starts_with(|c: char| c.is_alphabetic() || c == '_'));
             }
-            (Kind::Punct, "{") => open_fn = None,
-            (Kind::Ident, "f64") if !file.lines[t.line - 1].in_test => {
-                let name = match (text_at(2), text_at(1)) {
+            "{" => open_fn = None,
+            "f64" if !file.lines[line - 1].in_test => {
+                let name = match (word_at(2), word_at(1)) {
                     (name, Some(":")) => name,
                     (Some("-"), Some(">")) => open_fn,
                     _ => None,
@@ -52,7 +50,7 @@ pub(crate) fn unit_safety(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 if let Some((name, newtype)) = name.zip(name.and_then(unit_newtype)) {
                     out.push(Diagnostic::new(
                         &file.rel_path,
-                        t.line,
+                        line,
                         UNIT_SAFETY,
                         format!(
                             "`{name}` carries a {} quantity as a raw `f64`; use the \

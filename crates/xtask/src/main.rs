@@ -35,7 +35,16 @@ fn main() -> ExitCode {
         i += 1;
     }
 
-    let root = match root.map_or_else(find_workspace_root, Ok) {
+    // Every verb reads or builds the workspace under `root`.
+    let root = match root {
+        Some(dir) if !dir.join("Cargo.toml").is_file() => Err(format!(
+            "{} is not a workspace root (no Cargo.toml)",
+            dir.display()
+        )),
+        Some(dir) => Ok(dir),
+        None => find_workspace_root(),
+    };
+    let root = match root {
         Ok(dir) => dir,
         Err(e) => {
             eprintln!("xtask: {e}");

@@ -1,4 +1,4 @@
-//! Shared by the lint goldens: fixture rendering through the library
+//! Shared by the xtask goldens: fixture rendering through the library
 //! and a throwaway workspace tree for driving the real `xtask` binary.
 
 use std::fs;
@@ -32,16 +32,18 @@ impl TempTree {
         fs::write(path, text).expect("write fixture");
     }
 
-    /// Run `xtask lint --root <tree>`; returns the exit code and stdout.
-    pub(crate) fn lint(&self) -> (i32, String) {
+    /// Run `xtask <verb> --root <tree>`; returns the exit code, stdout and
+    /// stderr.
+    pub(crate) fn run(&self, verb: &str) -> (i32, String, String) {
         let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
-            .args(["lint", "--root"])
+            .args([verb, "--root"])
             .arg(&self.root)
             .output()
             .expect("run xtask binary");
         (
             out.status.code().expect("exit code"),
             String::from_utf8(out.stdout).expect("utf-8 stdout"),
+            String::from_utf8(out.stderr).expect("utf-8 stderr"),
         )
     }
 }

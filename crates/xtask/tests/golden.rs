@@ -1,6 +1,7 @@
 //! Golden tests for `cargo xtask lint`: the unit-safety good/bad
 //! fixture pair, asserting the exact diagnostics, file:line anchors, and
-//! exit codes.
+//! exit codes; and for `cargo xtask count`: the exact table of a tree
+//! whose files hold the scanner's hard cases.
 
 mod common;
 
@@ -66,7 +67,7 @@ fn binary_exits_nonzero_with_exact_diagnostics_on_violations() {
     let tree = TempTree::new("bad");
     tree.write("crates/core/src/study.rs", UNITS_BAD);
     tree.write("crates/powersim/src/units.rs", UNITS_BAD);
-    let (code, stdout) = tree.lint();
+    let (code, stdout, _) = tree.run("lint");
     assert_eq!(code, 1, "violations must exit 1");
     let lines: Vec<String> = stdout.lines().map(str::to_string).collect();
     assert_eq!(lines, rendered("crates/core/src/study.rs", UNITS_BAD));
@@ -76,7 +77,7 @@ fn binary_exits_nonzero_with_exact_diagnostics_on_violations() {
 fn binary_exits_zero_on_a_clean_tree() {
     let tree = TempTree::new("good");
     tree.write("crates/core/src/study.rs", UNITS_GOOD);
-    let (code, stdout) = tree.lint();
+    let (code, stdout, _) = tree.run("lint");
     assert_eq!(code, 0, "clean tree must exit 0; stdout:\n{stdout}");
     assert_eq!(stdout, "");
 }
@@ -96,4 +97,82 @@ fn binary_rejects_a_root_that_is_not_a_workspace() {
         stderr.contains("not a workspace root"),
         "stderr should explain the bad root:\n{stderr}"
     );
+}
+
+#[test]
+fn count_rejects_a_root_that_is_not_a_workspace() {
+    let tree = TempTree::new("no-manifest");
+    fs::remove_file(tree.root.join("Cargo.toml")).expect("remove manifest");
+    tree.write("crates/core/src/lib.rs", "pub fn f() {}\n");
+    let (code, stdout, stderr) = tree.run("count");
+    assert_eq!(code, 2, "stdout:\n{stdout}");
+    assert_eq!(stdout, "");
+    assert!(
+        stderr.contains("not a workspace root"),
+        "stderr should explain the bad root:\n{stderr}"
+    );
+}
+
+/// A mid-file `#[cfg(test)]` fn inside an `impl`, `'"'` and `'\''`, a `//`
+/// inside a string, and a string with an escaped quote spanning lines.
+const COUNT_ALPHA: &str = r#"//! Alpha.
+
+pub struct Store;
+
+impl Store {
+    pub fn get(&self) -> u8 {
+        1
+    }
+
+    #[cfg(test)]
+    pub fn peek(&self) -> u8 {
+        2 // }
+    }
+
+    pub fn put(&self) {}
+}
+
+pub const QUOTE: char = '"';
+pub const TICK: char = '\'';
+pub const URL: &str = "http://example.com/{";
+pub const TWO: &str = "first \" quote
+pub fn inside_a_string() {}
+pub fn still_inside() {}";
+pub fn last() {}
+"#;
+
+/// A raw string in a test module that holds a `}` at column 0.
+const COUNT_BETA: &str = r##"pub fn beta() {}
+
+#[cfg(test)]
+mod tests {
+    const RAW: &str = r#"
+"
+}
+pub fn inside_a_raw_string() {}
+"#;
+
+    pub fn helper() {}
+}
+pub(crate) fn hidden() {}
+"##;
+
+#[test]
+fn count_prints_the_exact_table() {
+    let tree = TempTree::new("count");
+    tree.write("crates/alpha/src/lib.rs", COUNT_ALPHA);
+    tree.write("crates/beta/src/lib.rs", COUNT_BETA);
+    tree.write("crates/beta/tests/t.rs", "pub fn not_counted() {}\n");
+    let (code, stdout, _) = tree.run("count");
+    assert_eq!(code, 0);
+    let row = |package: &str, lines: usize, pub_items: usize| {
+        format!("{package:<14} {lines:>14} {pub_items:>10}\n")
+    };
+    let table = [
+        "package        non-test lines  pub items\n".to_string(),
+        row("alpha", 20, 8),
+        row("beta", 3, 1),
+        row("total", 23, 9),
+    ];
+    assert_eq!(stdout, table.concat());
 }
