@@ -135,19 +135,14 @@ impl Simulation {
         let t0 = journal.now();
         let step_dt = self.time - time_before;
         journal.advance(step_dt);
-        if journal.is_enabled() {
-            journal.push_span(
-                Scope::Timestep,
-                format!("step:{}", self.step),
-                t0,
-                None,
-                vec![
-                    ("step", self.step as f64),
-                    ("dt", step_dt),
-                    ("instructions", work.instructions as f64),
-                ],
-            );
-        }
+        journal.push_span(Scope::Timestep, t0, None, || {
+            let args = vec![
+                ("step", self.step as f64),
+                ("dt", step_dt),
+                ("instructions", work.instructions as f64),
+            ];
+            (format!("step:{}", self.step), args)
+        });
         StepReport {
             step: self.step,
             work,

@@ -90,7 +90,7 @@ fn face_spaces(flux: &[f64], [x, y, _]: [usize; 3]) -> [&[f64]; 3] {
 }
 
 /// Corner index groups of a hexahedral cell (see
-/// [`vizmesh::UniformGrid::cell_point_ids`]): `[negative-side, positive-side]`
+/// [`vizmesh::GridCell::point_ids`]): `[negative-side, positive-side]`
 /// corner slots per axis.
 const X_NEG: [usize; 4] = [0, 3, 4, 7];
 const X_POS: [usize; 4] = [1, 2, 5, 6];
@@ -629,7 +629,7 @@ mod tests {
         let (mut s, mut scr) = state(6);
         // Hot slab at low x, uniform +x velocity: energy must move right.
         for c in 0..s.grid.num_cells() {
-            if s.grid.cell_ijk(c)[0] == 0 {
+            if s.grid.cell_at(c).ijk()[0] == 0 {
                 s.energy[c] = 5.0;
             }
         }
@@ -639,12 +639,12 @@ mod tests {
         // Boundary normal velocities are not zeroed here (no acceleration
         // call), but boundary faces carry no flux by construction.
         let right_before: f64 = (0..s.grid.num_cells())
-            .filter(|&c| s.grid.cell_ijk(c)[0] == 1)
+            .filter(|&c| s.grid.cell_at(c).ijk()[0] == 1)
             .map(|c| s.energy[c])
             .sum();
         advect(&mut s, &mut scr, 0.01);
         let right_after: f64 = (0..s.grid.num_cells())
-            .filter(|&c| s.grid.cell_ijk(c)[0] == 1)
+            .filter(|&c| s.grid.cell_at(c).ijk()[0] == 1)
             .map(|c| s.energy[c])
             .sum();
         assert!(right_after > right_before);

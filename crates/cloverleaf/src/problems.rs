@@ -37,7 +37,7 @@ impl Problem {
                 let b = s.grid.bounds();
                 let ext = b.extent();
                 for c in 0..s.grid.num_cells() {
-                    let p = s.grid.cell_center(c);
+                    let p = s.grid.cell_at(c).center();
                     let rel = Vec3::new(
                         (p.x - b.min.x) / ext.x,
                         (p.y - b.min.y) / ext.y,
@@ -57,7 +57,7 @@ impl Problem {
                 let center = b.center();
                 let radius = b.diagonal() * 0.15;
                 for c in 0..s.grid.num_cells() {
-                    let p = s.grid.cell_center(c);
+                    let p = s.grid.cell_at(c).center();
                     if p.distance(center) < radius {
                         s.density[c] = 1.0;
                         s.energy[c] = 3.0;
@@ -71,7 +71,7 @@ impl Problem {
                 let b = s.grid.bounds();
                 let ext = b.extent();
                 for c in 0..s.grid.num_cells() {
-                    let p = s.grid.cell_center(c);
+                    let p = s.grid.cell_at(c).center();
                     let rx = (p.x - b.min.x) / ext.x;
                     let (rho, e) = if rx < 0.2 {
                         (1.0, 2.0)

@@ -210,7 +210,7 @@ mod tests {
         let s = small();
         // Cell field increasing with x: point field must too.
         let vals: Vec<f64> = (0..s.grid.num_cells())
-            .map(|c| s.grid.cell_ijk(c)[0] as f64)
+            .map(|c| s.grid.cell_at(c).ijk()[0] as f64)
             .collect();
         let pts = s.cell_to_point(&vals);
         let left = pts[s.grid.point_id(0, 2, 2)];

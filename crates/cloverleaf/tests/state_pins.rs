@@ -64,7 +64,7 @@ fn smooth_state(cells: [usize; 3]) -> State {
     let bounds = Aabb::new(Vec3::ZERO, Vec3::new(1.0, 1.2, 1.5));
     let mut s = State::quiescent(UniformGrid::from_cell_dims(cells, bounds));
     for c in 0..s.grid.num_cells() {
-        let p = s.grid.cell_center(c);
+        let p = s.grid.cell_at(c).center();
         s.density[c] = 0.4 + p.x * p.y + 0.25 * p.z * p.z;
         s.energy[c] = 1.0 + 0.5 * (1.0 - p.x) * (p.y + 0.5 * p.z) + 0.1 * p.x * p.z;
     }

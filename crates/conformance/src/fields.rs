@@ -55,7 +55,7 @@ pub fn xramp_dataset(n: usize) -> DataSet {
 pub(crate) fn cell_xramp_dataset(n: usize) -> DataSet {
     let grid = UniformGrid::cube_cells(n);
     let vals: Vec<f64> = (0..grid.num_cells())
-        .map(|c| grid.cell_center(c).x)
+        .map(|c| grid.cell_at(c).center().x)
         .collect();
     DataSet::uniform(grid).with_field(Field::scalar(FIELD, Association::Cells, vals))
 }

@@ -20,7 +20,7 @@
 //! sanctioned registry arm for series execution.
 
 use crate::fields;
-use crate::{CheckKind, CheckResult, Checks, ConformanceConfig, Group};
+use crate::{CheckKind, CheckResult, Checks, ConformanceConfig, Group, SEED, STEP_FRACTION};
 use std::sync::Arc;
 use vizalgo::{Algorithm, AlgorithmSpec, FlowMode, FlowScenario, ParticleAdvection};
 use vizmesh::{DataSet, FieldSeries};
@@ -59,8 +59,8 @@ fn advection_spec(cfg: &ConformanceConfig, scenario: FlowScenario) -> AlgorithmS
         field: fields::VELOCITY.into(),
         particles: cfg.particles,
         steps: cfg.advect_steps,
-        step_fraction: cfg.step_fraction,
-        seed: cfg.seed,
+        step_fraction: STEP_FRACTION,
+        seed: SEED,
         scenario,
     }
 }
@@ -95,7 +95,7 @@ fn pathline_oracle(cfg: &ConformanceConfig, c: Checks) -> Vec<CheckResult> {
     let Some((_, first)) = series.get(0) else {
         return vec![c.failed("pathline-angle")];
     };
-    let h = first.bounds().diagonal() * cfg.step_fraction;
+    let h = first.bounds().diagonal() * STEP_FRACTION;
     // Closed form: Δθ = ω₀·T + a·T²/2 over the polyline's own
     // integrated span (early domain exits shorten T, not the law).
     let (max_z, max_radius_drift, max_angle_err) =

@@ -70,6 +70,10 @@ pub const ISO_HI: f64 = 0.6;
 /// boundary and the analytic kept-cell count is exact in `f64`.
 pub const THRESH_LO: f64 = 0.25;
 pub const THRESH_HI: f64 = 0.75;
+/// Advection RK4 step length in fractions of the domain diagonal.
+const STEP_FRACTION: f64 = 1e-3;
+/// Seed for the advection particle placement.
+const SEED: u64 = 0x00C0_FFEE;
 
 /// Which family a check belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,10 +166,6 @@ pub struct ConformanceConfig {
     pub cameras: usize,
     pub particles: usize,
     pub advect_steps: usize,
-    /// RK4 step length in fractions of the domain diagonal.
-    pub step_fraction: f64,
-    /// Seed for the advection particle placement.
-    pub seed: u64,
 }
 
 impl ConformanceConfig {
@@ -178,8 +178,6 @@ impl ConformanceConfig {
             cameras: 4,
             particles: 24,
             advect_steps: 200,
-            step_fraction: 1e-3,
-            seed: 0x00C0_FFEE,
         }
     }
 
@@ -192,7 +190,6 @@ impl ConformanceConfig {
             cameras: 2,
             particles: 8,
             advect_steps: 100,
-            ..ConformanceConfig::full()
         }
     }
 }
@@ -252,8 +249,8 @@ pub fn spec_for(alg: Algorithm, cfg: &ConformanceConfig) -> AlgorithmSpec {
             field: fields::VELOCITY.into(),
             particles: cfg.particles,
             steps: cfg.advect_steps,
-            step_fraction: cfg.step_fraction,
-            seed: cfg.seed,
+            step_fraction: STEP_FRACTION,
+            seed: SEED,
             scenario: Default::default(),
         },
         Algorithm::RayTracing => AlgorithmSpec::RayTracing {
@@ -391,60 +388,47 @@ fn journal_groups(
 ) -> ConformanceReport {
     let mut checks = Vec::new();
     for g in groups {
-        if journal.is_enabled() {
-            let grid = g.grid as u32;
-            for c in &g.checks {
-                journal_check(journal, g.algorithm, grid, c);
-            }
+        let grid = g.grid as u32;
+        for c in &g.checks {
+            journal.push_record(Kind::ConformanceCheck, journal.now(), || {
+                vec![
+                    ("algorithm", g.algorithm.name().into()),
+                    ("check", c.check.as_str().into()),
+                    ("kind", c.kind.as_str().into()),
+                    ("grid", grid.into()),
+                    ("measured", c.measured.into()),
+                    ("expected", c.expected.into()),
+                    ("tolerance", c.tolerance.into()),
+                    ("pass", c.pass().into()),
+                ]
+            });
+        }
+        journal.push_record(Kind::Conformance, journal.now(), || {
             let name = match g.backend {
                 Backend::Traditional => format!("conformance:{}:{grid}", g.algorithm.name()),
                 Backend::Dpp => format!("conformance:dpp:{}:{grid}", g.algorithm.name()),
             };
             let spec_fp = spec_for(g.algorithm, cfg).fingerprint_with(g.backend);
             let failures = g.checks.iter().filter(|c| !c.pass()).count();
-            journal.push_record(
-                Kind::Conformance,
-                journal.now(),
-                vec![
-                    ("name", Value::Str(name)),
-                    ("grid", grid.into()),
-                    ("checks", (g.checks.len() as f64).into()),
-                    ("failures", (failures as f64).into()),
-                    ("spec_fp", (spec_fp as f64).into()),
-                ],
-            );
-            for r in &g.primitives {
-                journal_primitive(journal, r);
-            }
+            vec![
+                ("name", Value::Str(name)),
+                ("grid", grid.into()),
+                ("checks", (g.checks.len() as f64).into()),
+                ("failures", (failures as f64).into()),
+                ("spec_fp", (spec_fp as f64).into()),
+            ]
+        });
+        for r in &g.primitives {
+            journal_primitive(journal, r);
         }
         checks.extend(g.checks);
     }
     ConformanceReport { checks }
 }
 
-/// One `conformance_check` journal record.
-fn journal_check(journal: &mut Journal, alg: Algorithm, grid: u32, c: &CheckResult) {
-    journal.push_record(
-        Kind::ConformanceCheck,
-        journal.now(),
-        vec![
-            ("algorithm", alg.name().into()),
-            ("check", c.check.as_str().into()),
-            ("kind", c.kind.as_str().into()),
-            ("grid", grid.into()),
-            ("measured", c.measured.into()),
-            ("expected", c.expected.into()),
-            ("tolerance", c.tolerance.into()),
-            ("pass", c.pass().into()),
-        ],
-    );
-}
-
 /// One `primitive` journal record.
 fn journal_primitive(journal: &mut Journal, r: &PrimitiveReport) {
-    journal.push_record(
-        Kind::Primitive,
-        journal.now(),
+    journal.push_record(Kind::Primitive, journal.now(), || {
         vec![
             ("name", Value::Str(format!("primitive:{}", r.op.name()))),
             ("invocations", (r.counters.invocations as f64).into()),
@@ -452,8 +436,8 @@ fn journal_primitive(journal: &mut Journal, r: &PrimitiveReport) {
             ("bytes_read", (r.counters.bytes_read as f64).into()),
             ("bytes_written", (r.counters.bytes_written as f64).into()),
             ("flops", (r.counters.flops as f64).into()),
-        ],
-    );
+        ]
+    });
 }
 
 /// Render the report as the fixed-width table the `reproduce conformance`

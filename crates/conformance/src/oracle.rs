@@ -10,7 +10,7 @@
 use crate::fields::CENTER;
 use crate::{
     count_shape, surface_area, CheckKind, CheckResult, Checks, ConformanceConfig, ISO_HI, ISO_LO,
-    SPHERE_R, THRESH_HI, THRESH_LO,
+    SPHERE_R, STEP_FRACTION, THRESH_HI, THRESH_LO,
 };
 use std::f64::consts::PI;
 use vizalgo::{Algorithm, FilterOutput};
@@ -36,7 +36,7 @@ pub(crate) fn checks(
         Algorithm::SphericalClip => clip(c, out),
         Algorithm::Isovolume => isovolume(c, out),
         Algorithm::Slice => slice(c, input, out),
-        Algorithm::ParticleAdvection => advection(cfg, c, input, out),
+        Algorithm::ParticleAdvection => advection(c, input, out),
         Algorithm::RayTracing => raytrace(cfg, c, input, out),
         Algorithm::VolumeRendering => volren(cfg, c, input, out),
     }
@@ -183,16 +183,11 @@ fn slice(c: Checks, input: &DataSet, out: &FilterOutput) -> Vec<CheckResult> {
 /// Rigid-rotation advection: trilinear interpolation reproduces the
 /// linear field exactly, so RK4 trajectories stay planar to the bit and
 /// conserve radius and angular rate to integrator order (`h⁴` ≪ 1e-9).
-fn advection(
-    cfg: &ConformanceConfig,
-    c: Checks,
-    input: &DataSet,
-    out: &FilterOutput,
-) -> Vec<CheckResult> {
+fn advection(c: Checks, input: &DataSet, out: &FilterOutput) -> Vec<CheckResult> {
     let Some((points, cells)) = mesh_of(out) else {
         return vec![c.failed("radius-drift")];
     };
-    let h = input.bounds().diagonal() * cfg.step_fraction;
+    let h = input.bounds().diagonal() * STEP_FRACTION;
     let (max_z, max_radius_drift, max_rate_err) = orbit_errors(points, cells, h, |t| t);
     vec![
         c.check("planar", max_z, 0.0, 0.0),

@@ -8,8 +8,8 @@
 
 use crate::fields::{CENTER, FIELD, VELOCITY};
 use crate::{
-    count_shape, CheckKind, CheckResult, Checks, ConformanceConfig, ISO_HI, ISO_LO, SPHERE_R,
-    THRESH_HI, THRESH_LO,
+    count_shape, CheckKind, CheckResult, Checks, ConformanceConfig, ISO_HI, ISO_LO, SEED, SPHERE_R,
+    STEP_FRACTION, THRESH_HI, THRESH_LO,
 };
 use std::collections::HashMap;
 use vizalgo::colormap::ColorMap;
@@ -82,7 +82,8 @@ fn sequential_marching_cubes(
     let mut points: Vec<Vec3> = Vec::new();
     let mut tris: Vec<[u32; 3]> = Vec::new();
     for c in 0..grid.num_cells() {
-        let ids = grid.cell_point_ids(c);
+        let cell = grid.cell_at(c);
+        let ids = cell.point_ids();
         let mut config = 0u8;
         for (bit, &pid) in ids.iter().enumerate() {
             if values[pid] > iso {
@@ -93,7 +94,7 @@ fn sequential_marching_cubes(
         if case.is_empty() {
             continue;
         }
-        let corners = grid.cell_corners(c);
+        let corners = cell.corners();
         for t in case {
             let mut key = [0u64; 3];
             let mut pos = [Vec3::ZERO; 3];
@@ -221,7 +222,8 @@ fn clip_reference(c: Checks, input: &DataSet, out: &FilterOutput) -> CheckResult
     // sphere — the same signed distance the kernel computes.
     let expected = (0..grid.num_cells())
         .filter(|&c| {
-            grid.cell_point_ids(c)
+            grid.cell_at(c)
+                .point_ids()
                 .iter()
                 .all(|&p| grid.point_coord_id(p).distance(CENTER) - SPHERE_R >= 0.0)
         })
@@ -241,7 +243,8 @@ fn isovolume_reference(c: Checks, input: &DataSet, out: &FilterOutput) -> CheckR
     };
     let expected = (0..grid.num_cells())
         .filter(|&c| {
-            grid.cell_point_ids(c)
+            grid.cell_at(c)
+                .point_ids()
                 .iter()
                 .all(|&p| vals[p] >= ISO_LO && vals[p] <= ISO_HI)
         })
@@ -270,8 +273,8 @@ fn advection_reference(
         return c.failed(check);
     };
     let b = grid.bounds();
-    let h = b.diagonal() * cfg.step_fraction;
-    let mut rng = XorShift::from_seed(cfg.seed);
+    let h = b.diagonal() * STEP_FRACTION;
+    let mut rng = XorShift::from_seed(SEED);
     let mut ref_paths: Vec<Vec<Vec3>> = Vec::with_capacity(cfg.particles);
     for _ in 0..cfg.particles {
         let seed = Vec3::new(

@@ -19,10 +19,17 @@ use crate::characterize::characterize;
 use cloverleaf::{Problem, SimConfig, Simulation};
 use powersim::trace::{Journal, Kind, Scope, Value};
 use powersim::{CpuSpec, Joules, Package, Watts};
-use vizalgo::{AlgorithmSpec, FlowMode, FlowScenario, Seeding, StepControl, Termination};
+use vizalgo::{
+    Algorithm, AlgorithmSpec, FlowMode, FlowScenario, Seeding, StepControl, Termination,
+};
 use vizmesh::FieldSeries;
 
-/// Tunable parameters of one advection scenario sweep.
+/// Power cap every scenario's characterized workload executes under.
+const CAP: Watts = Watts(80.0);
+
+/// Tunable parameters of one advection scenario sweep. Every scenario's
+/// spec is the paper-default advection spec (its step fraction and seed)
+/// with this config's particle and step counts.
 #[derive(Debug, Clone)]
 pub struct AdvectConfig {
     /// Hydro grid cells per axis.
@@ -37,12 +44,6 @@ pub struct AdvectConfig {
     pub(crate) particles: usize,
     /// Integration step budget per particle.
     pub(crate) steps: usize,
-    /// RK4 step size as a fraction of the domain diagonal.
-    pub(crate) step_fraction: f64,
-    /// Seed for the dense-box seeding RNG.
-    pub(crate) seed: u64,
-    /// Power cap the characterized workload executes under.
-    pub(crate) cap: Watts,
     /// The scenario matrix, one sweep row per entry.
     pub(crate) scenarios: Vec<FlowScenario>,
 }
@@ -57,9 +58,6 @@ impl AdvectConfig {
             ring_capacity: 8,
             particles: 200,
             steps: 150,
-            step_fraction: 5e-4,
-            seed: 0x5eed_1234,
-            cap: Watts(80.0),
             scenarios: scenario_matrix(false),
         }
     }
@@ -75,9 +73,6 @@ impl AdvectConfig {
             ring_capacity: 6,
             particles: 32,
             steps: 48,
-            step_fraction: 5e-4,
-            seed: 0x5eed_1234,
-            cap: Watts(80.0),
             scenarios: scenario_matrix(true),
         }
     }
@@ -161,19 +156,14 @@ pub fn run_sweep(cfg: &AdvectConfig, journal: &mut Journal) -> AdvectReport {
     let mut series = FieldSeries::with_capacity(cfg.ring_capacity);
     let mut sim = Simulation::new(Problem::TwoState, cfg.hydro_n, SimConfig::default());
     sim.run_steps_recording(cfg.hydro_steps, cfg.record_every, &mut series, journal);
-    if journal.is_enabled() {
-        journal.push_span(
-            Scope::Study,
-            format!("advect:hydro:{}", cfg.hydro_n),
-            t0,
-            None,
-            vec![
-                ("steps", sim.step_count() as f64),
-                ("snapshots", series.len() as f64),
-                ("evicted", series.evicted() as f64),
-            ],
-        );
-    }
+    journal.push_span(Scope::Study, t0, None, || {
+        let args = vec![
+            ("steps", sim.step_count() as f64),
+            ("snapshots", series.len() as f64),
+            ("evicted", series.evicted() as f64),
+        ];
+        (format!("advect:hydro:{}", cfg.hydro_n), args)
+    });
 
     let data_fp = vizalgo::series_fingerprint(&series);
     let span = series.span().unwrap_or((0.0, 0.0));
@@ -185,14 +175,16 @@ pub fn run_sweep(cfg: &AdvectConfig, journal: &mut Journal) -> AdvectReport {
         .scenarios
         .iter()
         .map(|&scenario| {
-            let spec = AlgorithmSpec::ParticleAdvection {
-                field: "velocity".into(),
-                particles: cfg.particles,
-                steps: cfg.steps,
-                step_fraction: cfg.step_fraction,
-                seed: cfg.seed,
-                scenario,
-            };
+            let mut spec = Algorithm::ParticleAdvection.default_spec();
+            if let AlgorithmSpec::ParticleAdvection {
+                particles,
+                steps,
+                scenario: s,
+                ..
+            } = &mut spec
+            {
+                (*particles, *steps, *s) = (cfg.particles, cfg.steps, scenario);
+            }
             let spec_fp = spec.fingerprint();
             let kernel = spec
                 .build_flow()
@@ -203,24 +195,20 @@ pub fn run_sweep(cfg: &AdvectConfig, journal: &mut Journal) -> AdvectReport {
             let points = out.dataset.as_ref().map_or(0, |d| d.num_points());
             let workload = characterize("advect-scenario", &out.kernels, &cpu);
             let mut pkg = Package::new(cpu.clone());
-            let exec = pkg.run_capped(&workload, cfg.cap, journal);
-            if journal.is_enabled() {
-                journal.push_record(
-                    Kind::FlowScenario,
-                    journal.now(),
-                    vec![
-                        ("name", Value::Str(format!("scenario:{}", scenario.label()))),
-                        ("spec_fp", (spec_fp as f64).into()),
-                        ("data_fp", (data_fp as f64).into()),
-                        ("snapshots", (snapshots as f64).into()),
-                        ("particles", (cfg.particles as f64).into()),
-                        ("lines", (lines as f64).into()),
-                        ("points", (points as f64).into()),
-                        ("seconds", exec.seconds.into()),
-                        ("joules", exec.energy_joules.into()),
-                    ],
-                );
-            }
+            let exec = pkg.run_capped(&workload, CAP, journal);
+            journal.push_record(Kind::FlowScenario, journal.now(), || {
+                vec![
+                    ("name", Value::Str(format!("scenario:{}", scenario.label()))),
+                    ("spec_fp", (spec_fp as f64).into()),
+                    ("data_fp", (data_fp as f64).into()),
+                    ("snapshots", (snapshots as f64).into()),
+                    ("particles", (cfg.particles as f64).into()),
+                    ("lines", (lines as f64).into()),
+                    ("points", (points as f64).into()),
+                    ("seconds", exec.seconds.into()),
+                    ("joules", exec.energy_joules.into()),
+                ]
+            });
             ScenarioRow {
                 scenario,
                 spec_fp,
@@ -278,9 +266,6 @@ mod tests {
             ring_capacity: 4,
             particles: 8,
             steps: 12,
-            step_fraction: 5e-4,
-            seed: 0x5eed_1234,
-            cap: Watts(80.0),
             scenarios: scenario_matrix(true),
         }
     }

@@ -56,22 +56,12 @@ impl FigMetric {
 
 /// Close an experiment-phase span whose joules roll up every row of the
 /// sweeps the phase executed.
-fn emit_phase(ctx: &mut StudyContext, name: String, t0: f64, sweeps: &[CapSweep]) {
-    if !ctx.journal.is_enabled() {
-        return;
-    }
-    let joules: Joules = sweeps
-        .iter()
-        .flat_map(|s| s.rows.iter())
-        .map(|r| r.energy_joules)
-        .sum();
-    ctx.journal.push_span(
-        Scope::Study,
-        name,
-        t0,
-        Some(joules),
-        vec![("sweeps", sweeps.len() as f64)],
-    );
+fn emit_phase(ctx: &mut StudyContext, name: std::fmt::Arguments, t0: f64, sweeps: &[CapSweep]) {
+    let rows = sweeps.iter().flat_map(|s| s.rows.iter());
+    let joules: Joules = rows.map(|r| r.energy_joules).sum();
+    ctx.journal.push_span(Scope::Study, t0, Some(joules), || {
+        (name.to_string(), vec![("sweeps", sweeps.len() as f64)])
+    });
 }
 
 /// **Table I** — Phase 1: the contour baseline across the cap sweep.
@@ -80,7 +70,7 @@ pub fn table1(ctx: &mut StudyContext, size: usize) -> CapSweep {
     let sweep = ctx.sweep(Algorithm::Contour, size);
     emit_phase(
         ctx,
-        format!("table1:{size}"),
+        format_args!("table1:{size}"),
         t0,
         std::slice::from_ref(&sweep),
     );
@@ -92,7 +82,7 @@ pub fn table1(ctx: &mut StudyContext, size: usize) -> CapSweep {
 pub fn slowdown_table(ctx: &mut StudyContext, size: usize) -> Vec<CapSweep> {
     let t0 = ctx.journal.now();
     let sweeps = ctx.sweep_supported(&Algorithm::ALL, size);
-    emit_phase(ctx, format!("slowdown_table:{size}"), t0, &sweeps);
+    emit_phase(ctx, format_args!("slowdown_table:{size}"), t0, &sweeps);
     sweeps
 }
 
@@ -110,7 +100,12 @@ fn series(label: impl ToString, sweep: &CapSweep, value: impl Fn(&ExecResult) ->
 pub fn fig2(ctx: &mut StudyContext, size: usize, metric: FigMetric) -> Vec<FigSeries> {
     let t0 = ctx.journal.now();
     let sweeps = ctx.sweep_supported(&Algorithm::ALL, size);
-    emit_phase(ctx, format!("fig2:{}:{size}", metric.name()), t0, &sweeps);
+    emit_phase(
+        ctx,
+        format_args!("fig2:{}:{size}", metric.name()),
+        t0,
+        &sweeps,
+    );
     sweeps
         .iter()
         .map(|sweep| series(sweep.algorithm.name(), sweep, |r| metric.extract(r)))
@@ -122,7 +117,7 @@ pub fn fig2(ctx: &mut StudyContext, size: usize, metric: FigMetric) -> Vec<FigSe
 pub fn fig3(ctx: &mut StudyContext, size: usize) -> Vec<FigSeries> {
     let t0 = ctx.journal.now();
     let sweeps = ctx.sweep_supported(&Algorithm::CELL_CENTERED, size);
-    emit_phase(ctx, format!("fig3:{size}"), t0, &sweeps);
+    emit_phase(ctx, format_args!("fig3:{size}"), t0, &sweeps);
     let rate = |sweep: &CapSweep| {
         series(sweep.algorithm.name(), sweep, |r| {
             efficiency::rate(sweep.input_cells, r.seconds)
@@ -143,7 +138,12 @@ pub fn fig_size_ipc(
         .iter()
         .flat_map(|&n| ctx.sweep_supported(&[algorithm], n))
         .collect();
-    emit_phase(ctx, format!("fig_size:{}", algorithm.name()), t0, &sweeps);
+    emit_phase(
+        ctx,
+        format_args!("fig_size:{}", algorithm.name()),
+        t0,
+        &sweeps,
+    );
     sweeps
         .iter()
         .map(|sweep| series(sweep.size, sweep, |r| r.avg_ipc))

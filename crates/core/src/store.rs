@@ -178,18 +178,13 @@ fn solve_base(base_n: usize, journal: &mut Journal) -> DataSet {
     while sim.time() < HYDRO_T_END {
         sim.step_phases(&mut |_, _| {}, journal);
     }
-    if journal.is_enabled() {
-        journal.push_span(
-            Scope::Study,
-            format!("dataset:{base_n}"),
-            t0,
-            None,
-            vec![
-                ("cells", (base_n * base_n * base_n) as f64),
-                ("steps", sim.step_count() as f64),
-            ],
-        );
-    }
+    journal.push_span(Scope::Study, t0, None, || {
+        let args = vec![
+            ("cells", (base_n * base_n * base_n) as f64),
+            ("steps", sim.step_count() as f64),
+        ];
+        (format!("dataset:{base_n}"), args)
+    });
     sim.dataset()
 }
 

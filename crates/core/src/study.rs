@@ -185,7 +185,7 @@ pub fn upsample(base: &DataSet, n: usize) -> DataSet {
         .map(|i| located(clamp_in(grid.point_coord(i, i, i))))
         .collect();
     let centres: Vec<_> = (0..n)
-        .map(|i| located(clamp_in(grid.cell_center(grid.cell_id(i, i, i)))))
+        .map(|i| located(clamp_in(grid.cell_at(grid.cell_id(i, i, i)).center())))
         .collect();
     let energy = base
         .point_scalars("energy")
@@ -349,19 +349,14 @@ pub(crate) fn sweep_tagged(
             let t0 = journal.now();
             let mut pkg = Package::new(spec.clone());
             let row = pkg.run_capped(workload, cap, journal);
-            if journal.is_enabled() {
-                journal.push_span(
-                    Scope::Sweep,
-                    format!("cap:{:.0}W", cap.value()),
-                    t0,
-                    Some(row.energy_joules),
-                    vec![
-                        ("cap_watts", cap.value()),
-                        ("seconds", row.seconds),
-                        ("spec_fp", spec_fp as f64),
-                    ],
-                );
-            }
+            journal.push_span(Scope::Sweep, t0, Some(row.energy_joules), || {
+                let args = vec![
+                    ("cap_watts", cap.value()),
+                    ("seconds", row.seconds),
+                    ("spec_fp", spec_fp as f64),
+                ];
+                (format!("cap:{:.0}W", cap.value()), args)
+            });
             row
         })
         .collect();
@@ -454,20 +449,15 @@ impl StudyContext {
             spec,
             reports: out.kernels,
         });
-        if self.journal.is_enabled() {
+        self.journal.push_span(Scope::Study, t0, None, || {
             let instructions: u64 = run.reports.iter().map(|r| r.work.instructions).sum();
-            self.journal.push_span(
-                Scope::Study,
-                format!("native:{}:{size}", algorithm.name()),
-                t0,
-                None,
-                vec![
-                    ("kernels", run.reports.len() as f64),
-                    ("instructions", instructions as f64),
-                    ("spec_fp", run.spec.fingerprint_with(self.backend) as f64),
-                ],
-            );
-        }
+            let args = vec![
+                ("kernels", run.reports.len() as f64),
+                ("instructions", instructions as f64),
+                ("spec_fp", run.spec.fingerprint_with(self.backend) as f64),
+            ];
+            (format!("native:{}:{size}", algorithm.name()), args)
+        });
         self.runs.insert((algorithm, size), Arc::clone(&run));
         run
     }
@@ -483,19 +473,14 @@ impl StudyContext {
         let workload = characterize(algorithm.name(), &run.reports, &spec);
         let caps = &self.config.caps;
         let sweep = sweep_tagged(&run, &workload, spec_fp, caps, &spec, &mut self.journal);
-        if self.journal.is_enabled() {
-            let joules: Joules = sweep.rows.iter().map(|r| r.energy_joules).sum();
-            self.journal.push_span(
-                Scope::Study,
-                format!("sweep:{}:{size}", algorithm.name()),
-                t0,
-                Some(joules),
-                vec![
-                    ("caps", sweep.rows.len() as f64),
-                    ("spec_fp", spec_fp as f64),
-                ],
-            );
-        }
+        let joules: Joules = sweep.rows.iter().map(|r| r.energy_joules).sum();
+        self.journal.push_span(Scope::Study, t0, Some(joules), || {
+            let args = vec![
+                ("caps", sweep.rows.len() as f64),
+                ("spec_fp", spec_fp as f64),
+            ];
+            (format!("sweep:{}:{size}", algorithm.name()), args)
+        });
         sweep
     }
 
@@ -611,8 +596,11 @@ mod tests {
             ));
         }
         if let Some(e) = energy {
-            let values = (0..grid.num_cells())
-                .map(|c| bgrid.sample_scalar(e, clamp(grid.cell_center(c))).unwrap());
+            let values = (0..grid.num_cells()).map(|c| {
+                bgrid
+                    .sample_scalar(e, clamp(grid.cell_at(c).center()))
+                    .unwrap()
+            });
             expect.add_field(Field::scalar(
                 "energy",
                 Association::Cells,

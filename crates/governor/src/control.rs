@@ -101,12 +101,7 @@ fn push_decision(
     sim_power: Watts,
     viz_power: Watts,
 ) {
-    if !journal.is_enabled() {
-        return;
-    }
-    journal.push_record(
-        Kind::PolicyDecision,
-        journal.now(),
+    journal.push_record(Kind::PolicyDecision, journal.now(), || {
         vec![
             ("budget_watts", obs.budget.into()),
             ("sim_cap_watts", next.sim.into()),
@@ -117,8 +112,8 @@ fn push_decision(
             ("viz_ipc", obs.viz.ipc.into()),
             ("sim_llc_miss_rate", obs.sim.llc_miss_rate.into()),
             ("viz_llc_miss_rate", obs.viz.llc_miss_rate.into()),
-        ],
-    );
+        ]
+    });
 }
 
 /// Per-side window bookkeeping: energy snapshot for power differencing.
@@ -254,19 +249,17 @@ pub fn govern(
     let viz = viz_state.finish(&viz_pkg);
     let energy = sim.energy_joules + viz.energy_joules;
     let seconds = sim.seconds.max(viz.seconds);
-    if journal.is_enabled() {
-        journal.push_span(
-            Scope::Governor,
+    journal.push_span(Scope::Governor, t0, Some(energy), || {
+        let args = vec![
+            ("budget_watts", budget.value()),
+            ("decisions", decisions as f64),
+            ("cap_changes", cap_changes as f64),
+        ];
+        (
             format!("governor:{}:{:.0}W", policy.name(), budget.value()),
-            t0,
-            Some(energy),
-            vec![
-                ("budget_watts", budget.value()),
-                ("decisions", decisions as f64),
-                ("cap_changes", cap_changes as f64),
-            ],
-        );
-    }
+            args,
+        )
+    });
     GovernorResult {
         policy: policy.name().to_string(),
         budget_watts: budget,

@@ -119,19 +119,14 @@ pub fn budget_sweep(grid_cells: usize, spec: &CpuSpec, journal: &mut Journal) ->
     let t0 = journal.now();
     let pair = coupled_pair(grid_cells, spec);
     let rows = sweep_pair(&pair, &budgets(), spec, journal);
-    if journal.is_enabled() {
-        journal.push_span(
-            Scope::Study,
-            format!("governor-sweep:{grid_cells}"),
-            t0,
-            None,
-            vec![
-                ("grid_cells", grid_cells as f64),
-                ("budgets", budgets().len() as f64),
-                ("rows", rows.len() as f64),
-            ],
-        );
-    }
+    journal.push_span(Scope::Study, t0, None, || {
+        let args = vec![
+            ("grid_cells", grid_cells as f64),
+            ("budgets", budgets().len() as f64),
+            ("rows", rows.len() as f64),
+        ];
+        (format!("governor-sweep:{grid_cells}"), args)
+    });
     BudgetSweep { grid_cells, rows }
 }
 

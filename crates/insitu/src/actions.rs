@@ -147,7 +147,7 @@ mod tests {
         let pipeline = |filter: &str| {
             format!(r#"[{{"action": "add_pipeline", "name": "p", "filters": [{filter}]}}]"#)
         };
-        let cases: [(String, JsonError); 17] = [
+        let cases: [(String, JsonError); 18] = [
             (
                 pipeline(r#"{"type": "smooth", "field": "energy"}"#),
                 JsonError::unknown_tag("algorithm type", "smooth"),
@@ -201,6 +201,10 @@ mod tests {
             (
                 pipeline(r#"{"type": "contour", "field": "e", "isovalues": {"explicit": []}}"#),
                 JsonError::wrong("explicit", "at least one isovalue"),
+            ),
+            (
+                pipeline(r#"{"type": "contour", "field": "e", "isovalues": {"spanning": 0}}"#),
+                JsonError::wrong("spanning", "a positive integer"),
             ),
             (
                 pipeline(

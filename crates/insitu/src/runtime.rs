@@ -137,19 +137,14 @@ impl InSituRuntime {
                     let result = filter.execute(&data);
                     viz_kernels.extend(result.kernels);
                 }
-                if journal.is_enabled() {
+                journal.push_span(Scope::Action, t0, None, || {
                     let added = &viz_kernels[kernels_before..];
-                    journal.push_span(
-                        Scope::Action,
-                        format!("pipeline:{name}"),
-                        t0,
-                        None,
-                        vec![
-                            ("kernels", added.len() as f64),
-                            ("instructions", kernel_instructions(added)),
-                        ],
-                    );
-                }
+                    let args = vec![
+                        ("kernels", added.len() as f64),
+                        ("instructions", kernel_instructions(added)),
+                    ];
+                    (format!("pipeline:{name}"), args)
+                });
             }
             let mut images = Vec::new();
             for scene in &self.scenes {
@@ -159,34 +154,24 @@ impl InSituRuntime {
                 let result = scene.render(&data, report.step)?;
                 viz_kernels.extend(result.kernels);
                 images.extend(result.images);
-                if journal.is_enabled() {
+                journal.push_span(Scope::Action, t0, None, || {
                     let added = &viz_kernels[kernels_before..];
-                    journal.push_span(
-                        Scope::Action,
-                        format!("scene:{}", scene.name),
-                        t0,
-                        None,
-                        vec![
-                            ("kernels", added.len() as f64),
-                            ("instructions", kernel_instructions(added)),
-                            ("images", (images.len() - images_before) as f64),
-                        ],
-                    );
-                }
+                    let args = vec![
+                        ("kernels", added.len() as f64),
+                        ("instructions", kernel_instructions(added)),
+                        ("images", (images.len() - images_before) as f64),
+                    ];
+                    (format!("scene:{}", scene.name), args)
+                });
             }
-            if journal.is_enabled() {
-                journal.push_span(
-                    Scope::Action,
-                    format!("cycle:{}", report.step),
-                    cycle_t0,
-                    None,
-                    vec![
-                        ("step", report.step as f64),
-                        ("kernels", viz_kernels.len() as f64),
-                        ("instructions", kernel_instructions(&viz_kernels)),
-                    ],
-                );
-            }
+            journal.push_span(Scope::Action, cycle_t0, None, || {
+                let args = vec![
+                    ("step", report.step as f64),
+                    ("kernels", viz_kernels.len() as f64),
+                    ("instructions", kernel_instructions(&viz_kernels)),
+                ];
+                (format!("cycle:{}", report.step), args)
+            });
             out.cycles.push(CycleRecord {
                 step: report.step,
                 sim_work: KernelReport::new(

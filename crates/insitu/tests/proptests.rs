@@ -58,15 +58,22 @@ fn renderer_spec_strategy() -> impl Strategy<Value = AlgorithmSpec> {
     ]
 }
 
+/// A name of one to eight lowercase letters, drawn as a length and then
+/// one letter per character (so shrinking heads for `"a"`).
+fn name_strategy() -> impl Strategy<Value = String> {
+    prop::collection::vec(b'a'..b'{', 1..9)
+        .prop_map(|bytes| bytes.into_iter().map(char::from).collect())
+}
+
 fn action_list_strategy() -> impl Strategy<Value = ActionList> {
     prop::collection::vec(
         prop_oneof![
             (
                 prop::collection::vec(filter_spec_strategy(), 1..3),
-                "[a-z]{1,8}"
+                name_strategy()
             )
                 .prop_map(|(filters, name)| Action::AddPipeline { name, filters }),
-            (renderer_spec_strategy(), "[a-z]{1,8}")
+            (renderer_spec_strategy(), name_strategy())
                 .prop_map(|(renderer, name)| Action::AddScene { name, renderer }),
         ],
         0..5,
@@ -133,13 +140,13 @@ fn action_document_strategy() -> impl Strategy<Value = String> {
     let action = prop_oneof![
         (
             prop::collection::vec(spec_document_strategy(), 1..3),
-            "[a-z]{1,8}"
+            name_strategy()
         )
             .prop_map(|(filters, name)| format!(
                 r#"{{"action": "add_pipeline", "name": "{name}", "filters": [{}]}}"#,
                 filters.join(", ")
             )),
-        (spec_document_strategy(), "[a-z]{1,8}").prop_map(|(renderer, name)| format!(
+        (spec_document_strategy(), name_strategy()).prop_map(|(renderer, name)| format!(
             r#"{{"action": "add_scene", "name": "{name}", "renderer": {renderer}}}"#
         )),
     ];

@@ -113,16 +113,12 @@ impl Package {
     pub fn set_cap(&mut self, watts: Watts, journal: &mut Journal) -> Watts {
         let programmed = (self.spec.clamp_cap(watts) / POWER_UNIT).round() * POWER_UNIT;
         self.cap = Some(programmed);
-        if journal.is_enabled() {
-            journal.push_record(
-                Kind::CapChange,
-                journal.now(),
-                vec![
-                    ("requested_watts", watts.into()),
-                    ("actual_watts", programmed.into()),
-                ],
-            );
-        }
+        journal.push_record(Kind::CapChange, journal.now(), || {
+            vec![
+                ("requested_watts", watts.into()),
+                ("actual_watts", programmed.into()),
+            ]
+        });
         programmed
     }
 
@@ -299,19 +295,14 @@ impl<'w> RunState<'w> {
                 if pkg.now - self.last_sample_t > 1e-9 {
                     self.take_sample(pkg, journal);
                 }
-                if journal.is_enabled() {
-                    journal.push_span(
-                        Scope::Workload,
-                        self.workload.name.clone(),
-                        self.run_t0,
-                        Some(self.energy),
-                        vec![
-                            ("cap_watts", self.cap.value()),
-                            ("phases", self.workload.phases.len() as f64),
-                            ("samples", self.sample_count as f64),
-                        ],
-                    );
-                }
+                journal.push_span(Scope::Workload, self.run_t0, Some(self.energy), || {
+                    let args = vec![
+                        ("cap_watts", self.cap.value()),
+                        ("phases", self.workload.phases.len() as f64),
+                        ("samples", self.sample_count as f64),
+                    ];
+                    (self.workload.name.clone(), args)
+                });
                 self.completed = true;
                 break;
             }
@@ -379,18 +370,18 @@ impl<'w> RunState<'w> {
 
             if self.progress >= 1.0 {
                 self.energy += self.phase_energy;
-                if journal.is_enabled() {
-                    journal.push_span(
-                        Scope::Kernel,
-                        phase.name.clone(),
-                        self.phase_t0,
-                        Some(self.phase_energy),
-                        vec![
+                journal.push_span(
+                    Scope::Kernel,
+                    self.phase_t0,
+                    Some(self.phase_energy),
+                    || {
+                        let args = vec![
                             ("phase_index", self.phase_index as f64),
                             ("instructions", phase.instructions as f64),
-                        ],
-                    );
-                }
+                        ];
+                        (phase.name.clone(), args)
+                    },
+                );
                 self.phase_energy = Joules::ZERO;
                 self.phase_open = false;
                 self.phase_index += 1;
@@ -407,18 +398,14 @@ impl<'w> RunState<'w> {
         let s = pkg.make_sample(dt, &self.snap, self.snap_energy_ticks);
         self.freq_seconds += s.effective_freq_ghz * dt;
         self.sample_count += 1;
-        if journal.is_enabled() {
-            journal.push_record(
-                Kind::Counter,
-                journal.now(),
-                vec![
-                    ("power_watts", s.power_watts.into()),
-                    ("effective_freq_ghz", s.effective_freq_ghz.into()),
-                    ("ipc", s.ipc.into()),
-                    ("llc_miss_rate", s.llc_miss_rate.into()),
-                ],
-            );
-        }
+        journal.push_record(Kind::Counter, journal.now(), || {
+            vec![
+                ("power_watts", s.power_watts.into()),
+                ("effective_freq_ghz", s.effective_freq_ghz.into()),
+                ("ipc", s.ipc.into()),
+                ("llc_miss_rate", s.llc_miss_rate.into()),
+            ]
+        });
         self.latest = Some(s);
         self.last_sample_t = pkg.now;
         self.snap = pkg.counters;

@@ -28,9 +28,10 @@
 //!    endpoints are whatever the clock read when they started/ended —
 //!    possibly zero-width.
 //! 2. **Zero cost when off.** A disabled journal ([`Journal::off`]) has
-//!    capacity 0; emitters guard with [`Journal::is_enabled`] and every
-//!    push is a no-op, so the hot executor loop stays untouched for
-//!    non-journaled runs.
+//!    capacity 0. Emitters pass [`Journal::push_span`] and
+//!    [`Journal::push_record`] a builder for the span's name and args or
+//!    the record's fields, and the journal calls it only when it records,
+//!    so a non-journaled run formats and allocates nothing for it.
 //! 3. **Bounded memory.** The buffer is a ring: when full, the oldest
 //!    event is dropped and counted in [`Journal::dropped`]. The chrome
 //!    trace carries that count; in the JSONL stream a drop shows as a
@@ -342,12 +343,6 @@ impl Journal {
         }
     }
 
-    /// Whether pushes are recorded. Emitters guard the construction of
-    /// names and field lists (allocation, `format!`) behind this.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Current journal time in seconds.
     pub fn now(&self) -> f64 {
         self.t
@@ -360,12 +355,9 @@ impl Journal {
         self.t += dt;
     }
 
-    /// Record an event (no-op when disabled; evicts the oldest event
-    /// when full).
+    /// Record an event into a journal that records, evicting the oldest
+    /// event when full.
     fn push(&mut self, event: Event) {
-        if self.capacity == 0 {
-            return;
-        }
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -376,17 +368,19 @@ impl Journal {
 
     /// Record a [`Span`] closing now: `t1` is the current clock, and the
     /// mean power is derived from `joules` when the span has width.
+    /// `build` gives the span's name and args; it runs only when the
+    /// journal records.
     pub fn push_span(
         &mut self,
         scope: Scope,
-        name: impl Into<String>,
         t0: f64,
         joules: Option<Joules>,
-        args: Vec<(&'static str, f64)>,
+        build: impl FnOnce() -> (String, Vec<(&'static str, f64)>),
     ) {
         if self.capacity == 0 {
             return;
         }
+        let (name, args) = build();
         let t1 = self.t;
         let width = t1 - t0;
         let watts = match joules {
@@ -395,7 +389,7 @@ impl Journal {
         };
         self.push(Event::Span(Span {
             scope,
-            name: name.into(),
+            name,
             t0,
             t1,
             joules,
@@ -404,10 +398,22 @@ impl Journal {
         }));
     }
 
-    /// Record a [`Record`] of `kind` at journal time `t`; the emitter's
-    /// `fields` list is the kind's wire layout.
-    pub fn push_record(&mut self, kind: Kind, t: f64, fields: Vec<(&'static str, Value)>) {
-        self.push(Event::Record(Record { kind, t, fields }));
+    /// Record a [`Record`] of `kind` at journal time `t`. `fields` builds
+    /// the kind's wire layout; it runs only when the journal records.
+    pub fn push_record(
+        &mut self,
+        kind: Kind,
+        t: f64,
+        fields: impl FnOnce() -> Vec<(&'static str, Value)>,
+    ) {
+        if self.capacity == 0 {
+            return;
+        }
+        self.push(Event::Record(Record {
+            kind,
+            t,
+            fields: fields(),
+        }));
     }
 
     /// The buffered events, oldest first.
@@ -649,9 +655,12 @@ mod tests {
             Journal::with_capacity(0),
             Journal::default(),
         ] {
-            assert!(!j.is_enabled());
-            j.push_record(Kind::CapChange, 0.0, mixed_fields());
-            j.push_span(Scope::Study, "x", 0.0, None, Vec::new());
+            j.push_record(Kind::CapChange, 0.0, || {
+                panic!("an off journal built a record")
+            });
+            j.push_span(Scope::Study, 0.0, None, || {
+                panic!("an off journal built a span")
+            });
             assert!(j.is_empty());
             assert_eq!(j.dropped(), 0);
             assert_eq!(j.to_jsonl(), "");
@@ -663,15 +672,14 @@ mod tests {
     #[test]
     fn ring_evicts_oldest_and_preserves_seq() {
         let mut j = Journal::with_capacity(2);
+        let mut built = 0;
         for i in 0..4 {
             j.advance(1.0);
-            j.push_span(
-                Scope::Kernel,
-                format!("k{i}"),
-                j.now() - 1.0,
-                None,
-                Vec::new(),
-            );
+            j.push_span(Scope::Kernel, j.now() - 1.0, None, || {
+                built += 1;
+                (format!("k{i}"), Vec::new())
+            });
+            assert_eq!(built, i + 1, "each builder runs exactly once");
         }
         assert_eq!(j.len(), 2);
         assert_eq!(j.dropped(), 2);
@@ -685,8 +693,13 @@ mod tests {
     fn ring_of_one_keeps_exactly_the_last_event() {
         let n = 5u32;
         let mut j = Journal::with_capacity(1);
+        let mut built = 0;
         for i in 0..n {
-            j.push_record(Kind::Primitive, 0.0, vec![("i", i.into())]);
+            j.push_record(Kind::Primitive, 0.0, || {
+                built += 1;
+                vec![("i", i.into())]
+            });
+            assert_eq!(built, i + 1, "each builder runs exactly once");
         }
         assert_eq!(j.len(), 1);
         assert_eq!(j.dropped(), u64::from(n - 1));
@@ -709,13 +722,9 @@ mod tests {
         let mut j = Journal::with_capacity(8);
         let t0 = j.now();
         j.advance(2.0);
-        j.push_span(
-            Scope::Kernel,
-            "c",
-            t0,
-            Some(Joules(100.0)),
-            vec![("phase_index", 0.0)],
-        );
+        j.push_span(Scope::Kernel, t0, Some(Joules(100.0)), || {
+            ("c".into(), vec![("phase_index", 0.0)])
+        });
         match j.events().next() {
             Some(Event::Span(s)) => {
                 assert_eq!(s.t0, 0.0);
@@ -730,13 +739,9 @@ mod tests {
     #[test]
     fn zero_width_span_has_no_watts() {
         let mut j = Journal::with_capacity(8);
-        j.push_span(
-            Scope::Study,
-            "setup",
-            j.now(),
-            Some(Joules(1.0)),
-            Vec::new(),
-        );
+        j.push_span(Scope::Study, j.now(), Some(Joules(1.0)), || {
+            ("setup".into(), Vec::new())
+        });
         match j.events().next() {
             Some(Event::Span(s)) => assert_eq!(s.watts, None),
             other => panic!("unexpected event {other:?}"),
@@ -746,15 +751,11 @@ mod tests {
     #[test]
     fn jsonl_shape_is_exact() {
         let mut j = Journal::with_capacity(8);
-        j.push_record(Kind::ConformanceCheck, 0.0, mixed_fields());
+        j.push_record(Kind::ConformanceCheck, 0.0, mixed_fields);
         j.advance(0.1);
-        j.push_span(
-            Scope::Workload,
-            "contour_64",
-            0.0,
-            Some(Joules(8.55)),
-            vec![("phases", 2.0)],
-        );
+        j.push_span(Scope::Workload, 0.0, Some(Joules(8.55)), || {
+            ("contour_64".into(), vec![("phases", 2.0)])
+        });
         let jsonl = j.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(
@@ -782,8 +783,12 @@ mod tests {
     #[test]
     fn json_strings_are_escaped() {
         let mut j = Journal::with_capacity(4);
-        j.push_span(Scope::Study, "a\"b\\c\nd", j.now(), None, Vec::new());
-        j.push_record(Kind::CacheEvent, 0.0, vec![("outcome", "x\ty\u{1}".into())]);
+        j.push_span(Scope::Study, j.now(), None, || {
+            ("a\"b\\c\nd".into(), Vec::new())
+        });
+        j.push_record(Kind::CacheEvent, 0.0, || {
+            vec![("outcome", "x\ty\u{1}".into())]
+        });
         let jsonl = j.to_jsonl();
         assert!(jsonl.contains("\"name\":\"a\\\"b\\\\c\\nd\""), "{jsonl}");
         assert!(jsonl.contains("\"outcome\":\"x\\ty\\u0001\""), "{jsonl}");
@@ -800,14 +805,10 @@ mod tests {
             ("power_watts", Watts(f64::NAN).into()),
             ("ipc", f64::INFINITY.into()),
         ];
-        j.push_record(Kind::Counter, 0.0, fields);
-        j.push_span(
-            Scope::Kernel,
-            "k",
-            0.0,
-            None,
-            vec![("dt", f64::NEG_INFINITY)],
-        );
+        j.push_record(Kind::Counter, 0.0, || fields);
+        j.push_span(Scope::Kernel, 0.0, None, || {
+            ("k".into(), vec![("dt", f64::NEG_INFINITY)])
+        });
         let jsonl = j.to_jsonl();
         assert!(
             jsonl.contains("\"power_watts\":null,\"ipc\":null"),
@@ -820,9 +821,11 @@ mod tests {
     fn chrome_trace_has_tracks_and_events() {
         let mut j = Journal::with_capacity(8);
         j.advance(0.5);
-        j.push_span(Scope::Timestep, "step:1", 0.0, None, vec![("dt", 0.5)]);
-        j.push_record(Kind::Counter, 0.5, vec![("ipc", 1.25.into())]);
-        j.push_record(Kind::ServiceRequest, 0.5, mixed_fields());
+        j.push_span(Scope::Timestep, 0.0, None, || {
+            ("step:1".into(), vec![("dt", 0.5)])
+        });
+        j.push_record(Kind::Counter, 0.5, || vec![("ipc", 1.25.into())]);
+        j.push_record(Kind::ServiceRequest, 0.5, mixed_fields);
         let trace = j.to_chrome_trace();
         assert!(trace.starts_with("{\"displayTimeUnit\":\"ms\""), "{trace}");
         assert!(trace.contains("\"schema_version\":10"), "{trace}");
@@ -922,7 +925,7 @@ mod tests {
     fn clock_advances_only_on_advance() {
         let mut j = Journal::with_capacity(4);
         assert_eq!(j.now(), 0.0);
-        j.push_span(Scope::Study, "s", j.now(), None, Vec::new());
+        j.push_span(Scope::Study, j.now(), None, || ("s".into(), Vec::new()));
         assert_eq!(j.now(), 0.0);
         j.advance(0.25);
         assert_eq!(j.now(), 0.25);

@@ -1,8 +1,7 @@
 //! Deterministic property sampler with the slice of the `proptest` API
 //! the workspace's property suites use: `proptest!`, `prop_assert*` /
-//! `prop_assume!`, `prop_oneof!`, `Just`, `any::<bool>()`, range / tuple
-//! / regex-literal strategies, `prop::collection::vec` and
-//! `prop::array::uniform4`.
+//! `prop_assume!`, `prop_oneof!`, `Just`, `any::<bool>()`, range and tuple
+//! strategies, `prop::collection::vec` and `prop::array::uniform4`.
 //!
 //! Cases come from a fixed per-test xorshift seed (FNV-1a of the test
 //! name), so a run is reproducible without a regressions file. Every
@@ -306,41 +305,6 @@ pub mod strategy {
     tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5);
     tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5, G.6);
     tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5, G.6, H.7);
-
-    /// String-literal strategies for the one regex family the suites
-    /// use: a single character class with a `{lo,hi}` repetition, e.g.
-    /// `"[a-z]{1,8}"`. Anything else is an explicit unsupported panic.
-    impl Strategy for &str {
-        type Value = String;
-        fn generate(&self, src: &mut Source) -> String {
-            let (class, lo, hi) = parse_class_repeat(self)
-                .unwrap_or_else(|| panic!("propcheck: unsupported regex {self:?}"));
-            let len = lo + src.below((hi - lo + 1) as u64) as usize;
-            (0..len)
-                .map(|_| class[src.below(class.len() as u64) as usize])
-                .collect()
-        }
-    }
-
-    fn parse_class_repeat(pat: &str) -> Option<(Vec<char>, usize, usize)> {
-        let rest = pat.strip_prefix('[')?;
-        let (class_src, rest) = rest.split_once(']')?;
-        let reps = rest.strip_prefix('{')?.strip_suffix('}')?;
-        let (lo, hi) = reps.split_once(',')?;
-        let (lo, hi) = (lo.parse().ok()?, hi.parse().ok()?);
-        let mut class = Vec::new();
-        let mut chars = class_src.chars().peekable();
-        while let Some(c) = chars.next() {
-            if chars.peek() == Some(&'-') {
-                chars.next();
-                let end = chars.next()?;
-                (c..=end).for_each(|x| class.push(x));
-            } else {
-                class.push(c);
-            }
-        }
-        (!class.is_empty() && lo <= hi).then_some((class, lo, hi))
-    }
 }
 
 pub mod arbitrary {
@@ -518,13 +482,11 @@ mod tests {
         #[test]
         fn passing_properties_pass_and_assume_skips(
             n in 1usize..50,
-            name in "[a-z]{1,8}",
             coin in any::<bool>(),
             pick in prop_oneof![Just(1u8), Just(2u8)],
         ) {
             prop_assume!(n != 7);
             prop_assert!(n != 7 && (1..50).contains(&n));
-            prop_assert!((1..=8).contains(&name.len()));
             prop_assert_eq!(coin as u8 + pick, pick + coin as u8);
         }
 

@@ -497,22 +497,18 @@ impl StudyService {
                     }
                 };
                 let latency = completed_at - batch_start;
-                if journal.is_enabled() {
-                    journal.push_record(
-                        Kind::ServiceRequest,
-                        completed_at,
-                        vec![
-                            ("algorithm", result.algorithm.name().into()),
-                            ("backend", key.backend.name().into()),
-                            ("spec_fp", (key.spec_fp as f64).into()),
-                            ("data_fp", (key.data_fp as f64).into()),
-                            ("cap_watts", key.cap().into()),
-                            ("outcome", outcome.name().into()),
-                            ("node", node.into()),
-                            ("latency_seconds", latency.into()),
-                        ],
-                    );
-                }
+                journal.push_record(Kind::ServiceRequest, completed_at, || {
+                    vec![
+                        ("algorithm", result.algorithm.name().into()),
+                        ("backend", key.backend.name().into()),
+                        ("spec_fp", (key.spec_fp as f64).into()),
+                        ("data_fp", (key.data_fp as f64).into()),
+                        ("cap_watts", key.cap().into()),
+                        ("outcome", outcome.name().into()),
+                        ("node", node.into()),
+                        ("latency_seconds", latency.into()),
+                    ]
+                });
                 report.latencies[base + i] = latency;
                 responses[base + i] = Some(Response {
                     key,
@@ -525,20 +521,17 @@ impl StudyService {
                 report.per_node_jobs[node] +=
                     waves.iter().map(|w| w.jobs.len() as u64).sum::<u64>();
             }
-            journal.push_span(
-                Scope::Service,
-                format!("batch:{bi}"),
-                batch_start,
-                None,
-                vec![
+            journal.push_span(Scope::Service, batch_start, None, || {
+                let args = vec![
                     ("requests", batch.len() as f64),
                     ("hits", batch_hits as f64),
                     ("misses", jobs.len() as f64),
                     ("coalesced", batch_coalesced as f64),
                     ("jobs", jobs.len() as f64),
                     ("seconds", batch_end - batch_start),
-                ],
-            );
+                ];
+                (format!("batch:{bi}"), args)
+            });
 
             // 6. Capacity eviction: with a slot-capped map, drop the
             //    oldest-scheduled residents above the budget.
@@ -555,20 +548,17 @@ impl StudyService {
         }
 
         report.modeled_seconds = journal.now() - serve_t0;
-        journal.push_span(
-            Scope::Service,
-            format!("serve:{}", requests.len()),
-            serve_t0,
-            None,
-            vec![
+        journal.push_span(Scope::Service, serve_t0, None, || {
+            let args = vec![
                 ("requests", requests.len() as f64),
                 ("hits", report.hits as f64),
                 ("misses", report.misses as f64),
                 ("coalesced", report.coalesced as f64),
                 ("nodes", nodes as f64),
                 ("budget_watts", self.cfg.fleet_budget.value()),
-            ],
-        );
+            ];
+            (format!("serve:{}", requests.len()), args)
+        });
         let responses = responses
             .into_iter()
             .map(|r| r.expect("every request answered"))
@@ -577,14 +567,9 @@ impl StudyService {
     }
 
     /// Journal one `cache_event`: a lookup `outcome` at dispatch, or an
-    /// `evict` (no-op when the journal is off).
+    /// `evict`.
     fn journal_cache_event(&self, journal: &mut Journal, t: f64, key: &CacheKey, outcome: &str) {
-        if !journal.is_enabled() {
-            return;
-        }
-        journal.push_record(
-            Kind::CacheEvent,
-            t,
+        journal.push_record(Kind::CacheEvent, t, || {
             vec![
                 ("spec_fp", (key.spec_fp as f64).into()),
                 ("data_fp", (key.data_fp as f64).into()),
@@ -592,8 +577,8 @@ impl StudyService {
                 ("backend", key.backend.name().into()),
                 ("outcome", outcome.into()),
                 ("shard", (key.shard(self.cfg.shards) as u32).into()),
-            ],
-        );
+            ]
+        });
     }
 
     /// Execute every unique job of a batch on at most `workers` threads;

@@ -384,8 +384,8 @@ pub fn marching_cubes(grid: &UniformGrid, values: &[f64], isovalue: f64) -> McOu
     let mut point_values: Vec<f64> = Vec::with_capacity(total_tris);
     let mut cells = CellSet::with_capacity(total_tris, 3 * total_tris);
     for (cw, iw, tris) in slabs {
-        classify.merge(&cw);
-        interp.merge(&iw);
+        classify += cw;
+        interp += iw;
         for (keys, pos) in tris {
             let mut tri = [0u32; 3];
             for s in 0..3 {

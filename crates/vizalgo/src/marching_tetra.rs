@@ -68,8 +68,8 @@ pub fn marching_tetrahedra(grid: &UniformGrid, values: &[f64], iso: f64) -> Vec<
     assert_eq!(values.len(), grid.num_points());
     let mut out = Vec::new();
     for c in 0..grid.num_cells() {
-        let ids = grid.cell_point_ids(c);
-        let corners = grid.cell_corners(c);
+        let cell = grid.cell_at(c);
+        let (ids, corners) = (cell.point_ids(), cell.corners());
         for tet in HEX_TO_TETS {
             let tc = [
                 corners[tet[0]],

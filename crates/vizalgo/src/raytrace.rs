@@ -71,7 +71,7 @@ impl Triangle {
     }
 }
 
-/// Faces of a cell as corner-slot quads matching `cell_point_ids` order,
+/// Faces of a cell as corner-slot quads matching `GridCell::point_ids` order,
 /// with the side of the cell each lies on: its axis, and whether it is
 /// the high end of that axis.
 const CELL_FACES: [([usize; 4], usize, bool); 6] = [
@@ -330,7 +330,7 @@ impl Bvh {
             std::mem::take(subtree).finish(tris, work);
         });
         for (_, task_work) in &tasks {
-            work.merge(task_work);
+            work += *task_work;
         }
         drop(tasks);
 
@@ -505,15 +505,15 @@ mod tests {
         let mut tris = Vec::new();
         let mut work = WorkCounters::new();
         for c in 0..grid.num_cells() {
-            let ijk = grid.cell_ijk(c);
+            let cell = grid.cell_at(c);
+            let ijk = cell.ijk();
             work.tally(1, 22, 0, 64, 0);
             for (slots, axis, high) in CELL_FACES {
                 let face = if high { dims[axis] - 1 } else { 0 };
                 if ijk[axis] != face {
                     continue;
                 }
-                let ids = grid.cell_point_ids(c);
-                let corners = grid.cell_corners(c);
+                let (ids, corners) = (cell.point_ids(), cell.corners());
                 let quad_p: [Vec3; 4] = slots.map(|s| corners[s]);
                 let quad_v: [f64; 4] = slots.map(|s| values[ids[s]]);
                 tris.push(Triangle {

@@ -447,7 +447,7 @@ impl IsoValues {
     /// Decode `{"spanning": n}` or `{"explicit": [v, ...]}`.
     pub(crate) fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.variant("isovalues")? {
-            "spanning" => Ok(IsoValues::Spanning(v.usize("spanning")?)),
+            "spanning" => Ok(IsoValues::Spanning(positive(v, "spanning")?)),
             "explicit" => {
                 let values = (v.array("explicit")?.iter())
                     .map(|x| {

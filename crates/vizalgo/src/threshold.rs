@@ -132,7 +132,7 @@ mod tests {
     fn x_ramp(n: usize) -> DataSet {
         let grid = UniformGrid::cube_cells(n);
         let vals: Vec<f64> = (0..grid.num_cells())
-            .map(|c| grid.cell_ijk(c)[0] as f64)
+            .map(|c| grid.cell_at(c).ijk()[0] as f64)
             .collect();
         DataSet::uniform(grid).with_field(Field::scalar("v", Association::Cells, vals))
     }

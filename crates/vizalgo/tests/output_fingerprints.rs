@@ -32,7 +32,7 @@ fn dataset(n: usize) -> DataSet {
         .map(|p| f(grid.point_coord_id(p)))
         .collect();
     let cell: Vec<f64> = (0..grid.num_cells())
-        .map(|c| f(grid.cell_center(c)))
+        .map(|c| f(grid.cell_at(c).center()))
         .collect();
     DataSet::uniform(grid)
         .with_field(Field::scalar("energy", Association::Points, point))

@@ -49,31 +49,27 @@ impl WorkCounters {
         self.bytes_read += n * read;
         self.bytes_written += n * written;
     }
+}
 
-    /// Merge another counter set produced by a parallel partition of the
-    /// same kernel: sums everything except `working_set_bytes`, which the
-    /// partitions share (max).
-    pub fn merge(&mut self, o: &WorkCounters) {
+impl Add for WorkCounters {
+    type Output = WorkCounters;
+    fn add(mut self, o: WorkCounters) -> WorkCounters {
+        self += o;
+        self
+    }
+}
+
+/// Merge another counter set produced by a parallel partition of the
+/// same kernel: sums everything except `working_set_bytes`, which the
+/// partitions share (max).
+impl AddAssign for WorkCounters {
+    fn add_assign(&mut self, o: WorkCounters) {
         self.items += o.items;
         self.instructions += o.instructions;
         self.flops += o.flops;
         self.bytes_read += o.bytes_read;
         self.bytes_written += o.bytes_written;
         self.working_set_bytes = self.working_set_bytes.max(o.working_set_bytes);
-    }
-}
-
-impl Add for WorkCounters {
-    type Output = WorkCounters;
-    fn add(mut self, o: WorkCounters) -> WorkCounters {
-        self.merge(&o);
-        self
-    }
-}
-
-impl AddAssign for WorkCounters {
-    fn add_assign(&mut self, o: WorkCounters) {
-        self.merge(&o);
     }
 }
 
@@ -111,7 +107,7 @@ mod tests {
             bytes_written: 5,
             working_set_bytes: 500,
         };
-        a.merge(&b);
+        a += b;
         assert_eq!(a.items, 3);
         assert_eq!(a.instructions, 30);
         assert_eq!(a.working_set_bytes, 1000);

@@ -132,12 +132,6 @@ impl UniformGrid {
         i + cx * (j + cy * k)
     }
 
-    /// Inverse of [`Self::cell_id`].
-    #[inline]
-    pub fn cell_ijk(&self, id: usize) -> [usize; 3] {
-        self.cell_at(id).ijk()
-    }
-
     /// World-space coordinates of a point.
     #[inline]
     pub fn point_coord(&self, i: usize, j: usize, k: usize) -> Vec3 {
@@ -159,35 +153,8 @@ impl UniformGrid {
         self.point_coord(i, j, k)
     }
 
-    /// Center of a cell.
-    #[inline]
-    pub fn cell_center(&self, cell: usize) -> Vec3 {
-        self.cell_at(cell).center()
-    }
-
-    /// The eight point ids at the corners of a cell, in VTK hexahedron
-    /// order: bottom face counter-clockwise (looking down -z), then top.
-    ///
-    /// ```text
-    ///        7-------6
-    ///       /|      /|        z
-    ///      4-------5 |        | y
-    ///      | 3-----|-2        |/
-    ///      |/      |/         +--x
-    ///      0-------1
-    /// ```
-    #[inline]
-    pub fn cell_point_ids(&self, cell: usize) -> [usize; 8] {
-        self.cell_at(cell).point_ids()
-    }
-
-    /// World-space corner coordinates matching [`Self::cell_point_ids`].
-    pub fn cell_corners(&self, cell: usize) -> [Vec3; 8] {
-        self.cell_at(cell).corners()
-    }
-
-    /// The cell with linear id `id`, held by position (one
-    /// [`Self::cell_ijk`] decode; [`GridCell::seek`] moves it on without
+    /// The cell with linear id `id`, held by position (one decode of
+    /// [`Self::cell_id`]'s inverse; [`GridCell::seek`] moves it on without
     /// another where it can).
     #[inline]
     pub fn cell_at(&self, id: usize) -> GridCell<'_> {
@@ -316,7 +283,7 @@ impl UniformGrid {
 
     /// The eight corner values of the cell whose corner 0 is point
     /// `base`, in VTK hexahedron order (the figure at
-    /// [`Self::cell_point_ids`]): two slices of one row and the start of
+    /// [`GridCell::point_ids`]): two slices of one row and the start of
     /// the next, one per z level — two bounds checks, not eight.
     #[inline]
     fn corner_values<T: Copy>(&self, values: &[T], base: usize) -> [T; 8] {
@@ -448,7 +415,7 @@ impl Raster {
 }
 
 /// `(i, j, k)` offsets of a cell's corners from its corner 0, in VTK
-/// hexahedron order (the figure at [`UniformGrid::cell_point_ids`]).
+/// hexahedron order (the figure at [`GridCell::point_ids`]).
 const HEX_CORNERS: [[usize; 3]; 8] = [
     [0, 0, 0],
     [1, 0, 0],
@@ -475,6 +442,7 @@ impl GridCell<'_> {
         self.at.id
     }
 
+    /// `(i, j, k)`: the inverse of [`UniformGrid::cell_id`].
     #[inline]
     pub fn ijk(&self) -> [usize; 3] {
         self.at.ijk
@@ -487,7 +455,17 @@ impl GridCell<'_> {
         self.at.seek(id);
     }
 
-    /// The eight corner point ids ([`UniformGrid::cell_point_ids`]).
+    /// The eight corner point ids, in VTK hexahedron order: bottom face
+    /// counter-clockwise (looking down -z), then top.
+    ///
+    /// ```text
+    ///        7-------6
+    ///       /|      /|        z
+    ///      4-------5 |        | y
+    ///      | 3-----|-2        |/
+    ///      |/      |/         +--x
+    ///      0-------1
+    /// ```
     #[inline]
     pub fn point_ids(&self) -> [usize; 8] {
         let [i, j, k] = self.at.ijk;
@@ -505,8 +483,8 @@ impl GridCell<'_> {
         self.grid.point_coord(i + di, j + dj, k + dk)
     }
 
-    /// The eight corners as corner 0 plus spacing offsets
-    /// ([`UniformGrid::cell_corners`]; not bit-equal to
+    /// World-space coordinates of the corners [`Self::point_ids`] names,
+    /// as corner 0 plus spacing offsets (not bit-equal to
     /// [`Self::corner_coord`], which multiplies).
     pub fn corners(&self) -> [Vec3; 8] {
         let [i, j, k] = self.at.ijk;
@@ -524,7 +502,7 @@ impl GridCell<'_> {
         ]
     }
 
-    /// The cell center ([`UniformGrid::cell_center`]).
+    /// The cell center.
     #[inline]
     pub fn center(&self) -> Vec3 {
         let [i, j, k] = self.at.ijk;
@@ -564,7 +542,7 @@ mod tests {
     fn cell_id_round_trip() {
         let g = UniformGrid::new([4, 5, 6], Vec3::ZERO, Vec3::ONE);
         for id in 0..g.num_cells() {
-            let [i, j, k] = g.cell_ijk(id);
+            let [i, j, k] = g.cell_at(id).ijk();
             assert_eq!(g.cell_id(i, j, k), id);
         }
     }
@@ -572,7 +550,7 @@ mod tests {
     #[test]
     fn cell_point_ids_are_corners() {
         let g = UniformGrid::cube_cells(2);
-        let ids = g.cell_point_ids(0);
+        let ids = g.cell_at(0).point_ids();
         // First cell corners: combinations of {0,1}³ in VTK order.
         assert_eq!(ids[0], g.point_id(0, 0, 0));
         assert_eq!(ids[1], g.point_id(1, 0, 0));
@@ -670,9 +648,9 @@ mod tests {
         let ids: Vec<f64> = (0..g.num_points()).map(|id| id as f64).collect();
         let vec_ids: Vec<Vec3> = ids.iter().map(|&id| Vec3::new(id, -id, 2.0 * id)).collect();
         for cell in 0..g.num_cells() {
-            let center = g.cell_center(cell);
+            let center = g.cell_at(cell).center();
             assert_eq!(g.locate_cell(center), Some(cell));
-            let mean = g.cell_point_ids(cell).iter().sum::<usize>() as f64 / 8.0;
+            let mean = g.cell_at(cell).point_ids().iter().sum::<usize>() as f64 / 8.0;
             let s = g.sample_scalar(&ids, center).unwrap();
             assert!((s - mean).abs() < 1e-9, "cell {cell}: {s} vs {mean}");
             let v = g.sample_vector(&vec_ids, center).unwrap();
@@ -707,9 +685,9 @@ mod tests {
     fn cell_center_is_average_of_corners() {
         let g = UniformGrid::cube_cells(3);
         for cell in [0, 5, g.num_cells() - 1] {
-            let corners = g.cell_corners(cell);
+            let corners = g.cell_at(cell).corners();
             let avg = corners.iter().fold(Vec3::ZERO, |a, &c| a + c) / 8.0;
-            assert!((avg - g.cell_center(cell)).length() < 1e-12);
+            assert!((avg - g.cell_at(cell).center()).length() < 1e-12);
         }
     }
 

@@ -79,7 +79,7 @@ proptest! {
     fn locate_cell_finds_center(n in 1usize..8, cell_frac in 0.0f64..1.0) {
         let g = UniformGrid::cube_cells(n);
         let cell = ((g.num_cells() as f64 - 1.0) * cell_frac) as usize;
-        let center = g.cell_center(cell);
+        let center = g.cell_at(cell).center();
         prop_assert_eq!(g.locate_cell(center), Some(cell));
     }
 
@@ -131,13 +131,13 @@ proptest! {
             prop_assert_eq!(walked.len(), ids.len());
             for (cell, &c) in walked.iter().zip(&ids) {
                 prop_assert_eq!(cell.id(), c);
-                prop_assert_eq!(cell.ijk(), g.cell_ijk(c));
+                prop_assert_eq!(cell.ijk(), g.cell_at(c).ijk());
                 prop_assert_eq!(cell.point_ids(), corner_ids(c));
-                prop_assert_eq!(cell.point_ids(), g.cell_point_ids(c));
+                prop_assert_eq!(cell.point_ids(), g.cell_at(c).point_ids());
                 for (slot, &p) in corner_ids(c).iter().enumerate() {
                     prop_assert_eq!(cell.corner_coord(slot), coord(p));
                 }
-                prop_assert_eq!(cell.corners(), g.cell_corners(c));
+                prop_assert_eq!(cell.corners(), g.cell_at(c).corners());
                 prop_assert_eq!(cell.center(), coord(corner_ids(c)[0]) + spacing * 0.5);
                 // A cell reached by stepping is the cell a fresh start gives.
                 let mut sought = g.cell_at(ids[0]);
@@ -268,7 +268,7 @@ proptest! {
         }
     }
 
-    /// WorkCounters::merge is associative on the summed fields.
+    /// WorkCounters `+` is associative on the summed fields.
     #[test]
     fn counters_merge_associative(
         a in (0u64..1000, 0u64..1000, 0u64..1000),

@@ -154,14 +154,19 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
         None,
     ),
     // The closed-loop governor: the one verb that steps `RunState` in
-    // 100 ms windows and reprograms caps mid-run.
+    // 100 ms windows and reprograms caps mid-run. It, `serve` and
+    // `advect` write their journals into target/ci, so every journal
+    // emitter's builder runs in a release build.
     (
-        "cargo run --release --bin reproduce -- governor --quick",
+        "cargo run --release --bin reproduce -- governor --quick --journal target/ci/governor.jsonl --trace target/ci/governor.trace.json",
         None,
     ),
-    ("cargo run --release --bin reproduce -- serve --quick", None),
     (
-        "cargo run --release --bin reproduce -- advect --quick",
+        "cargo run --release --bin reproduce -- serve --quick --journal target/ci/serve.jsonl --trace target/ci/serve.trace.json",
+        None,
+    ),
+    (
+        "cargo run --release --bin reproduce -- advect --quick --journal target/ci/advect.jsonl --trace target/ci/advect.trace.json",
         None,
     ),
     // The shipped action file, decoded and run the way the README says,
@@ -187,9 +192,13 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
     ("bash benchmarks/run.sh --selftest", None),
 ];
 
-/// The local CI umbrella: run [`CI_STEPS`] in `root`, stopping at the
-/// first failure.
+/// The local CI umbrella: make `target/ci` for the journaled rows, then
+/// run [`CI_STEPS`] in `root`, stopping at the first failure.
 fn run_ci(root: &Path) -> u8 {
+    if let Err(e) = std::fs::create_dir_all(root.join("target/ci")) {
+        eprintln!("xtask ci: cannot create target/ci: {e}");
+        return 2;
+    }
     for (command_line, env) in CI_STEPS {
         eprintln!("xtask ci: {command_line}");
         let mut argv = command_line.split_whitespace();

@@ -105,8 +105,8 @@ fn pre_refactor_conformance_filter(
             fields::VELOCITY,
             cfg.particles,
             cfg.advect_steps,
-            cfg.step_fraction,
-            cfg.seed,
+            1e-3,
+            0x00C0_FFEE,
         )),
         Algorithm::RayTracing => Box::new(RayTracer::new(fields::FIELD, px, px, cfg.cameras)),
         Algorithm::VolumeRendering => {
