@@ -52,21 +52,36 @@ pub fn predict_seconds(workload: &Workload, cap: Watts, spec: &CpuSpec) -> f64 {
     pkg.run_capped(workload, cap, &mut Journal::off()).seconds
 }
 
-/// Search the best split of `budget` between the two packages in
-/// `step`-watt increments. Each package cap is clamped to the hardware
-/// range, so the feasible budget is `2 × min_cap ..= 2 × TDP`.
+/// Clamp a node budget to the feasible range: each package cap lies in
+/// `min_cap ..= TDP`, so the budget lies in `2 × min_cap ..= 2 × TDP`.
+pub fn clamp_budget(budget_watts: Watts, spec: &CpuSpec) -> Watts {
+    budget_watts.clamp(2.0 * spec.min_cap_watts, 2.0 * spec.tdp_watts)
+}
+
+/// The feasible `(sim, viz)` cap splits of the clamped `budget_watts`
+/// on the 5 W grid, by ascending simulation cap: `sim` climbs from
+/// `min_cap` to TDP, `viz` takes the rest of the budget clamped to the
+/// hardware range, and a split whose caps sum past the budget is
+/// skipped.
+pub fn splits(budget_watts: Watts, spec: &CpuSpec) -> impl Iterator<Item = (Watts, Watts)> {
+    let (lo, hi) = (spec.min_cap_watts, spec.tdp_watts);
+    let budget = clamp_budget(budget_watts, spec);
+    std::iter::successors(Some(lo), |&sim| Some(sim + Watts(5.0)))
+        .take_while(move |&sim| sim <= hi + Watts(1e-9))
+        .map(move |sim| (sim, (budget - sim).clamp(lo, hi)))
+        .filter(move |&(sim, viz)| sim + viz <= budget + Watts(1e-9))
+}
+
+/// Search [`splits`] for the split of `budget_watts` (clamped by
+/// [`clamp_budget`]) that finishes the concurrent pair soonest.
 pub fn allocate(
     sim: &Workload,
     viz: &Workload,
     budget_watts: Watts,
     spec: &CpuSpec,
 ) -> AllocationPlan {
-    let lo = spec.min_cap_watts;
-    let hi = spec.tdp_watts;
-    let budget = budget_watts.clamp(2.0 * lo, 2.0 * hi);
-    let step = Watts(5.0);
-
-    let naive_cap = (budget / 2.0).clamp(lo, hi);
+    let budget = clamp_budget(budget_watts, spec);
+    let naive_cap = (budget / 2.0).clamp(spec.min_cap_watts, spec.tdp_watts);
     let naive_seconds =
         predict_seconds(sim, naive_cap, spec).max(predict_seconds(viz, naive_cap, spec));
 
@@ -74,16 +89,11 @@ pub fn allocate(
     // flat workloads every split ties and re-shuffling power would be
     // arbitrary churn.
     let mut best = (naive_cap, naive_cap, naive_seconds);
-    let mut sim_cap = lo;
-    while sim_cap <= hi + Watts(1e-9) {
-        let viz_cap = (budget - sim_cap).clamp(lo, hi);
-        if sim_cap + viz_cap <= budget + Watts(1e-9) {
-            let t = predict_seconds(sim, sim_cap, spec).max(predict_seconds(viz, viz_cap, spec));
-            if t < best.2 * (1.0 - 1e-6) {
-                best = (sim_cap, viz_cap, t);
-            }
+    for (sim_cap, viz_cap) in splits(budget, spec) {
+        let t = predict_seconds(sim, sim_cap, spec).max(predict_seconds(viz, viz_cap, spec));
+        if t < best.2 * (1.0 - 1e-6) {
+            best = (sim_cap, viz_cap, t);
         }
-        sim_cap += step;
     }
 
     AllocationPlan {
@@ -154,6 +164,20 @@ mod tests {
         let plan = allocate(&hot_sim(), &cold_viz(), Watts(10.0), &spec());
         assert!((plan.budget_watts - Watts(80.0)).abs() < 1e-9);
         assert!(plan.sim_cap_watts >= 40.0 && plan.viz_cap_watts >= 40.0);
+    }
+
+    #[test]
+    fn splits_walk_the_5w_grid() {
+        let spec = spec();
+        let walk = |budget| splits(Watts(budget), &spec).collect::<Vec<_>>();
+        assert_eq!(walk(80.0), [(Watts(40.0), Watts(40.0))]);
+        let mid = walk(150.0);
+        assert_eq!(mid.len(), 15);
+        assert_eq!(mid.first(), Some(&(Watts(40.0), Watts(110.0))));
+        assert_eq!(mid.last(), Some(&(Watts(110.0), Watts(40.0))));
+        let top = walk(240.0);
+        assert_eq!(top.len(), 17);
+        assert!(top.iter().all(|&(_, viz)| viz == Watts(120.0)));
     }
 
     #[test]

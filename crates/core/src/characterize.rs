@@ -111,13 +111,6 @@ pub(crate) fn signature(class: KernelClass) -> ClassSignature {
             line_amplification: 1.0,
             miss_floor: 0.03,
         },
-        // Per-pixel shading.
-        KernelClass::Shade => ClassSignature {
-            cpi_core: 0.8,
-            activity: 0.55,
-            line_amplification: 1.0,
-            miss_floor: 0.1,
-        },
         // Hydrodynamics: bandwidth-heavy stencil sweeps with real FP.
         KernelClass::Simulation => ClassSignature {
             cpi_core: 1.1,
@@ -237,7 +230,6 @@ mod tests {
             KernelClass::RayTraverse,
             KernelClass::RayMarch,
             KernelClass::Rk4Advect,
-            KernelClass::Shade,
             KernelClass::Simulation,
         ] {
             let s = signature(class);

@@ -22,12 +22,13 @@ use crate::policy::{CapSplit, Observation, Policy, SideObs};
 use powersim::exec::SAMPLE_PERIOD_SEC;
 use powersim::trace::{Journal, Kind, Scope};
 use powersim::{CpuSpec, ExecResult, Joules, Package, RunState, Watts};
+use vizpower::advisor;
 
 /// Outcome of one governed pair execution.
 #[derive(Debug, Clone)]
 pub struct GovernorResult {
     /// Name of the policy that governed the run.
-    pub(crate) policy: String,
+    pub(crate) policy: &'static str,
     /// The (feasibility-clamped) node budget that was enforced.
     pub budget_watts: Watts,
     /// Pair completion time: the slower side's execution time.
@@ -44,12 +45,6 @@ pub struct GovernorResult {
     pub cap_changes: u64,
     /// Highest node power observed over any 100 ms window.
     pub max_window_power_watts: Watts,
-}
-
-/// Clamp a requested budget to the feasible node range: both packages
-/// must hold at least `min_cap` and can use at most TDP each.
-pub(crate) fn clamp_budget(budget_watts: Watts, spec: &CpuSpec) -> Watts {
-    budget_watts.clamp(2.0 * spec.min_cap_watts, 2.0 * spec.tdp_watts)
 }
 
 /// Force a policy's request into the feasible region. Active sides are
@@ -94,20 +89,14 @@ fn sanitize(
 }
 
 /// Journal one control decision (no-op when the journal is off).
-fn push_decision(
-    journal: &mut Journal,
-    obs: &Observation,
-    next: CapSplit,
-    sim_power: Watts,
-    viz_power: Watts,
-) {
+fn push_decision(journal: &mut Journal, obs: &Observation, next: CapSplit) {
     journal.push_record(Kind::PolicyDecision, journal.now(), || {
         vec![
             ("budget_watts", obs.budget.into()),
             ("sim_cap_watts", next.sim.into()),
             ("viz_cap_watts", next.viz.into()),
-            ("sim_power_watts", sim_power.into()),
-            ("viz_power_watts", viz_power.into()),
+            ("sim_power_watts", obs.sim.power.into()),
+            ("viz_power_watts", obs.viz.power.into()),
             ("sim_ipc", obs.sim.ipc.into()),
             ("viz_ipc", obs.viz.ipc.into()),
             ("sim_llc_miss_rate", obs.sim.llc_miss_rate.into()),
@@ -116,28 +105,15 @@ fn push_decision(
     });
 }
 
-/// Per-side window bookkeeping: energy snapshot for power differencing.
-struct SideTrack {
-    prev_energy: Joules,
-}
-
-impl SideTrack {
-    fn new() -> SideTrack {
-        SideTrack {
-            prev_energy: Joules::ZERO,
-        }
-    }
-
-    /// Mean power over this window from the energy delta, and advance
-    /// the snapshot. Zero when the side did not run this window.
-    fn window_power(&mut self, energy_now: Joules, side_dt: f64) -> (Joules, Watts) {
-        let de = energy_now - self.prev_energy;
-        self.prev_energy = energy_now;
-        if side_dt > 0.0 {
-            (de, de.over_seconds(side_dt))
-        } else {
-            (de, Watts::ZERO)
-        }
+/// Mean power over a window from the energy delta since `prev`, which
+/// advances to `now`. Zero when the side did not run this window.
+fn window_power(prev: &mut Joules, now: Joules, dt: f64) -> (Joules, Watts) {
+    let de = now - *prev;
+    *prev = now;
+    if dt > 0.0 {
+        (de, de.over_seconds(dt))
+    } else {
+        (de, Watts::ZERO)
     }
 }
 
@@ -166,7 +142,7 @@ pub fn govern(
     spec: &CpuSpec,
     journal: &mut Journal,
 ) -> GovernorResult {
-    let budget = clamp_budget(budget_watts, spec);
+    let budget = advisor::clamp_budget(budget_watts, spec);
     let t0 = journal.now();
 
     let mut sim_pkg = Package::new(spec.clone());
@@ -185,8 +161,8 @@ pub fn govern(
     let mut viz_off = Journal::off();
     let mut sim_state = RunState::new(&sim_pkg, &pair.sim, &sim_off);
     let mut viz_state = RunState::new(&viz_pkg, &pair.viz, &viz_off);
-    let mut sim_track = SideTrack::new();
-    let mut viz_track = SideTrack::new();
+    let mut sim_energy = Joules::ZERO;
+    let mut viz_energy = Joules::ZERO;
 
     let mut decisions = 0u64;
     let mut max_window_power = Watts::ZERO;
@@ -210,8 +186,8 @@ pub fn govern(
         }
         journal.advance(dt);
 
-        let (de_sim, sim_power) = sim_track.window_power(sim_state.energy_so_far(), sim_dt);
-        let (de_viz, viz_power) = viz_track.window_power(viz_state.energy_so_far(), viz_dt);
+        let (de_sim, sim_power) = window_power(&mut sim_energy, sim_state.energy_so_far(), sim_dt);
+        let (de_viz, viz_power) = window_power(&mut viz_energy, viz_state.energy_so_far(), viz_dt);
         max_window_power = max_window_power.max((de_sim + de_viz).over_seconds(dt));
 
         if sim_state.is_done() && viz_state.is_done() {
@@ -233,7 +209,7 @@ pub fn govern(
             spec,
         );
         decisions += 1;
-        push_decision(journal, &obs, next, sim_power, viz_power);
+        push_decision(journal, &obs, next);
         if obs.sim.active && next.sim != split.sim {
             sim_pkg.set_cap(next.sim, journal);
             cap_changes += 1;
@@ -261,7 +237,7 @@ pub fn govern(
         )
     });
     GovernorResult {
-        policy: policy.name().to_string(),
+        policy: policy.name(),
         budget_watts: budget,
         seconds,
         energy_joules: energy,
@@ -365,7 +341,7 @@ mod tests {
         };
         let mut j = Journal::with_capacity(4);
         j.advance(0.1);
-        push_decision(&mut j, &obs, next, obs.sim.power, obs.viz.power);
+        push_decision(&mut j, &obs, next);
         assert_eq!(
             j.to_jsonl().trim_end(),
             "{\"v\":10,\"seq\":0,\"ev\":\"policy_decision\",\"t\":0.1,\"budget_watts\":160,\
@@ -394,12 +370,12 @@ mod tests {
     #[test]
     fn sanitize_zero_headroom_budget_forces_the_floor_split() {
         // The tightest feasible budget is exactly two hardware floors
-        // (clamp_budget's lower bound). Any both-active request that
-        // overshoots must collapse to the uniform split at the floor —
-        // zero headroom means zero discretion.
+        // (advisor::clamp_budget's lower bound). Any both-active request
+        // that overshoots must collapse to the uniform split at the
+        // floor — zero headroom means zero discretion.
         let spec = spec();
         let budget = 2.0 * spec.min_cap_watts;
-        assert_eq!(clamp_budget(Watts(0.0), &spec), budget);
+        assert_eq!(advisor::clamp_budget(Watts(0.0), &spec), budget);
         let greedy = CapSplit {
             sim: spec.tdp_watts,
             viz: spec.tdp_watts,

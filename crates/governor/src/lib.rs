@@ -14,8 +14,8 @@
 //! * `policy` — the [`Policy`] trait and its implementations:
 //!   [`Uniform`] (naïve half/half), [`StaticAdvisor`] (the offline plan,
 //!   applied once), [`Reactive`] (a hysteresis hill-climb stealing
-//!   headroom from power-opportunity phases), and `FixedSplit` (the
-//!   oracle building block).
+//!   headroom from power-opportunity phases), and `Oracle` (holds the
+//!   split the study's exhaustive search found).
 //! * `pair` — builds the governed workload pair by instrumenting a
 //!   tightly-coupled CloverLeaf + visualization run.
 //! * `control` — the control loop itself: [`govern`] steps two
@@ -23,9 +23,9 @@
 //!   `policy_decision` and `cap_change` record.
 //! * `study` — the `reproduce governor [--quick]` study: every
 //!   policy at node budgets from 80 W to 240 W, plus an oracle found by
-//!   exhaustive fixed-split search. Its rows are the governed runs
-//!   themselves ([`GovernorResult`]); [`render_table`] derives the
-//!   table's columns from them.
+//!   exhaustive search over `vizpower::advisor::splits`. Its rows are
+//!   the governed runs themselves ([`GovernorResult`]); [`render_table`]
+//!   derives the table's columns from them.
 //!
 //! Everything downstream of a characterized pair is deterministic:
 //! identical inputs produce byte-identical journals regardless of thread

@@ -12,11 +12,11 @@
 
 use cloverleaf::Problem;
 use insitu::{Action, ActionList, InSituRuntime, RuntimeConfig, Trigger};
-use powersim::trace::Journal;
 #[cfg(test)]
 use powersim::KernelPhase;
-use powersim::{CpuSpec, Package, Workload};
+use powersim::{CpuSpec, Workload};
 use vizalgo::{AlgorithmSpec, IsoValues, KernelReport};
+use vizpower::advisor::predict_seconds;
 use vizpower::characterize::characterize;
 
 /// Uncapped duration the simulation side is scaled to (seconds).
@@ -58,12 +58,6 @@ impl WorkloadPair {
     }
 }
 
-/// Uncapped (TDP) execution time of a workload on a fresh package.
-fn uncapped_seconds(workload: &Workload, spec: &CpuSpec) -> f64 {
-    let mut pkg = Package::new(spec.clone());
-    pkg.run(workload, &mut Journal::off()).seconds
-}
-
 /// Multiply every phase's event counts by `k`, stretching duration
 /// without changing any rate or ratio.
 fn scale_counts(workload: &mut Workload, k: u64) {
@@ -77,7 +71,7 @@ fn scale_counts(workload: &mut Workload, k: u64) {
 /// Smallest integer count multiplier bringing `workload` to at least
 /// `target_seconds` uncapped.
 fn scale_to_target(workload: &mut Workload, target_seconds: f64, spec: &CpuSpec) {
-    let base = uncapped_seconds(workload, spec);
+    let base = predict_seconds(workload, spec.tdp_watts, spec);
     if base <= 0.0 {
         return;
     }
@@ -145,13 +139,17 @@ mod tests {
         CpuSpec::broadwell_e5_2695v4()
     }
 
+    fn tdp_seconds(workload: &Workload) -> f64 {
+        predict_seconds(workload, spec().tdp_watts, &spec())
+    }
+
     #[test]
     fn coupled_pair_hits_its_targets() {
         let pair = coupled_pair(8, &spec());
         assert!(!pair.sim.is_empty());
         assert!(!pair.viz.is_empty());
-        let ts = uncapped_seconds(&pair.sim, &spec());
-        let tv = uncapped_seconds(&pair.viz, &spec());
+        let ts = tdp_seconds(&pair.sim);
+        let tv = tdp_seconds(&pair.viz);
         // Integer scaling overshoots by at most one base run.
         assert!(
             (TARGET_SIM_SECONDS..TARGET_SIM_SECONDS * 2.2).contains(&ts),
@@ -190,8 +188,8 @@ mod tests {
     #[test]
     fn synthetic_pair_matches_the_real_shape() {
         let pair = WorkloadPair::synthetic_for_tests();
-        let ts = uncapped_seconds(&pair.sim, &spec());
-        let tv = uncapped_seconds(&pair.viz, &spec());
+        let ts = tdp_seconds(&pair.sim);
+        let tv = tdp_seconds(&pair.viz);
         assert!(tv < ts, "viz retires first ({tv} !< {ts})");
         assert!(ts > 1.0, "sim long enough for many control windows");
     }

@@ -281,51 +281,28 @@ impl Policy for Reactive {
 }
 
 // ---------------------------------------------------------------------------
-// FixedSplit (oracle building block)
+// Oracle
 // ---------------------------------------------------------------------------
 
 /// Hold a given split while both sides run, with the same retirement
-/// reassignment as [`Reactive`]. The oracle is the best [`FixedSplit`]
-/// over the whole split grid, found by exhaustive search in
+/// reassignment as [`Reactive`]. The study's oracle holds the best split
+/// of [`advisor::splits`], found by exhaustive search in
 /// [`crate::study`] — an upper bound no static assignment can beat.
 #[derive(Debug)]
-pub(crate) struct FixedSplit {
-    split: CapSplit,
-    name: &'static str,
-}
+pub(crate) struct Oracle(pub(crate) CapSplit);
 
-impl FixedSplit {
-    /// A fixed-split policy for the given caps.
-    pub(crate) fn new(split: CapSplit) -> Self {
-        FixedSplit {
-            split,
-            name: "fixed",
-        }
-    }
-
-    /// A fixed split reported under a different name (the study re-runs
-    /// the winning split as "oracle").
-    pub(crate) fn named(split: CapSplit, name: &'static str) -> Self {
-        FixedSplit { split, name }
-    }
-}
-
-impl Policy for FixedSplit {
+impl Policy for Oracle {
     fn name(&self) -> &'static str {
-        self.name
+        "oracle"
     }
 
-    fn initial(&mut self, _pair: &WorkloadPair, _budget: Watts, spec: &CpuSpec) -> CapSplit {
-        self.split = CapSplit {
-            sim: self.split.sim.clamp(spec.min_cap_watts, spec.tdp_watts),
-            viz: self.split.viz.clamp(spec.min_cap_watts, spec.tdp_watts),
-        };
-        self.split
+    fn initial(&mut self, _pair: &WorkloadPair, _budget: Watts, _spec: &CpuSpec) -> CapSplit {
+        self.0
     }
 
     fn decide(&mut self, obs: &Observation, spec: &CpuSpec) -> CapSplit {
-        self.split = retirement_reassign(self.split, obs, spec);
-        self.split
+        self.0 = retirement_reassign(self.0, obs, spec);
+        self.0
     }
 }
 
@@ -444,7 +421,7 @@ mod tests {
     #[test]
     fn fixed_split_holds_then_reassigns() {
         let pair = WorkloadPair::synthetic_for_tests();
-        let mut p = FixedSplit::new(CapSplit {
+        let mut p = Oracle(CapSplit {
             sim: Watts(110.0),
             viz: Watts(50.0),
         });

@@ -10,11 +10,12 @@
 //! `Reactive` may beat it, because reassigning the retired side's power
 //! mid-run is outside the static space.
 
-use crate::control::{clamp_budget, govern, GovernorResult};
+use crate::control::{govern, GovernorResult};
 use crate::pair::{coupled_pair, WorkloadPair};
-use crate::policy::{CapSplit, FixedSplit, Policy, Reactive, StaticAdvisor, Uniform};
+use crate::policy::{CapSplit, Oracle, Policy, Reactive, StaticAdvisor, Uniform};
 use powersim::trace::{Journal, Scope};
 use powersim::{CpuSpec, Watts};
+use vizpower::advisor;
 
 /// The studied node budgets: 80 W (both packages at the floor) to 240 W
 /// (both at TDP) in 20 W steps.
@@ -41,43 +42,21 @@ impl BudgetSweep {
     }
 }
 
-/// Exhaustively search the best fixed split for `budget` on the 5 W cap
-/// grid (journaling off). The grid is walked by ascending simulation
-/// cap and a later split replaces the best only when it is faster by
-/// more than a relative 1e-9, so ties go to the smallest simulation
-/// cap.
+/// Exhaustively search the best fixed split for `budget` among
+/// [`advisor::splits`] (journaling off). The splits come by ascending
+/// simulation cap and a later split replaces the best only when it is
+/// faster by more than a relative 1e-9, so ties go to the smallest
+/// simulation cap.
 fn oracle_split(pair: &WorkloadPair, budget: Watts, spec: &CpuSpec) -> CapSplit {
-    let lo = spec.min_cap_watts;
-    let hi = spec.tdp_watts;
-    let budget = clamp_budget(budget, spec);
     let mut best: Option<(CapSplit, f64)> = None;
-    let mut sim_cap = lo;
-    while sim_cap <= hi + Watts(1e-9) {
-        let viz_cap = (budget - sim_cap).clamp(lo, hi);
-        if sim_cap + viz_cap <= budget + Watts(1e-9) {
-            let split = CapSplit {
-                sim: sim_cap,
-                viz: viz_cap,
-            };
-            let r = govern(
-                pair,
-                &mut FixedSplit::new(split),
-                budget,
-                spec,
-                &mut Journal::off(),
-            );
-            let better = match &best {
-                None => true,
-                Some((_, t)) => r.seconds < t * (1.0 - 1e-9),
-            };
-            if better {
-                best = Some((split, r.seconds));
-            }
+    for (sim, viz) in advisor::splits(budget, spec) {
+        let split = CapSplit { sim, viz };
+        let r = govern(pair, &mut Oracle(split), budget, spec, &mut Journal::off());
+        if best.is_none_or(|(_, t)| r.seconds < t * (1.0 - 1e-9)) {
+            best = Some((split, r.seconds));
         }
-        sim_cap += Watts(5.0);
     }
-    best.map(|(s, _)| s)
-        .unwrap_or_else(|| CapSplit::uniform(budget, spec))
+    best.map_or_else(|| CapSplit::uniform(budget, spec), |(s, _)| s)
 }
 
 /// Sweep one already-characterized pair across `budgets`, journaling
@@ -96,8 +75,7 @@ pub fn sweep_pair(
         for policy in online.iter_mut() {
             rows.push(govern(pair, policy.as_mut(), budget, spec, journal));
         }
-        let split = oracle_split(pair, budget, spec);
-        let mut oracle = FixedSplit::named(split, "oracle");
+        let mut oracle = Oracle(oracle_split(pair, budget, spec));
         rows.push(govern(pair, &mut oracle, budget, spec, journal));
     }
     rows
@@ -174,6 +152,7 @@ pub fn render_table(sweep: &BudgetSweep) -> String {
 mod tests {
     use super::*;
     use powersim::Workload;
+    use vizpower::advisor::clamp_budget;
 
     fn spec() -> CpuSpec {
         CpuSpec::broadwell_e5_2695v4()

@@ -38,8 +38,6 @@ pub enum KernelClass {
     RayMarch,
     /// RK4 integration of particle trajectories (advection).
     Rk4Advect,
-    /// Per-pixel shading / color mapping.
-    Shade,
     /// Hydrodynamics kernels (the simulation side of in situ coupling).
     Simulation,
 }

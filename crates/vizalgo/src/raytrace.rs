@@ -760,7 +760,7 @@ mod tests {
         let (bvh, _) = Bvh::build(&tris);
         let cam = Camera::framing(&ds.bounds());
         for (x, y) in [(0, 0), (16, 16), (31, 7), (9, 28)] {
-            let ray = cam.pixel_ray(x, y, 32, 32);
+            let ray = cam.view(32, 32).ray(x, y);
             let mut stats = (0, 0);
             let fast = bvh.intersect(&tris, &ray, &mut stats).map(|(t, ..)| t);
             let brute = tris
@@ -781,7 +781,7 @@ mod tests {
         let (tris, _) = external_face_triangles(&ds, "f");
         let (bvh, _) = Bvh::build(&tris);
         let cam = Camera::framing(&ds.bounds());
-        let ray = cam.pixel_ray(16, 16, 32, 32);
+        let ray = cam.view(32, 32).ray(16, 16);
         let mut stats = (0u64, 0u64);
         bvh.intersect(&tris, &ray, &mut stats).unwrap();
         assert!(

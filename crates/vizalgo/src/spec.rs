@@ -658,9 +658,10 @@ mod tests {
 
     /// What a filter of either backend does with an input it cannot run
     /// on — today a panic raised at the one preamble in `filter.rs`
-    /// (ROADMAP item 5 turns it into a typed error): an explicit mesh
-    /// names the filter; a grid without the field names the filter and
-    /// the field, except where the field is optional.
+    /// (the ROADMAP's fallible-filters item turns it into a typed
+    /// error): an explicit mesh names the filter; a grid without the
+    /// field names the filter and the field, except where the field is
+    /// optional.
     #[test]
     fn every_filter_meets_a_bad_input_at_the_one_preamble() {
         // `None` when `execute` returns; otherwise whether the panic

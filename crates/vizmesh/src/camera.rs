@@ -136,13 +136,6 @@ impl Camera {
         }
     }
 
-    /// Generate the primary ray through pixel `(x, y)` of a
-    /// `width × height` image; pixel centers, y up. A renderer's pixel
-    /// loop takes [`Camera::view`] once and calls [`View::ray`].
-    pub fn pixel_ray(&self, x: usize, y: usize, width: usize, height: usize) -> Ray {
-        self.view(width, height).ray(x, y)
-    }
-
     /// `count` cameras orbiting the center of `bounds` in the equatorial
     /// plane, all framing the box — the paper's 50-position image
     /// database.
@@ -194,12 +187,12 @@ mod tests {
     }
 
     #[test]
-    fn center_pixel_ray_points_forward() {
+    fn center_view_ray_points_forward() {
         let c = Camera::new(Vec3::new(0.0, 0.0, 5.0), Vec3::ZERO, Vec3::Y, 60.0);
         // With an even number of pixels there is no exact center pixel, so
         // check the mean of the two middle pixels is forward.
-        let r1 = c.pixel_ray(3, 3, 8, 8).direction;
-        let r2 = c.pixel_ray(4, 4, 8, 8).direction;
+        let r1 = c.view(8, 8).ray(3, 3).direction;
+        let r2 = c.view(8, 8).ray(4, 4).direction;
         let mean = (r1 + r2).normalized();
         assert!((mean - Vec3::new(0.0, 0.0, -1.0)).length() < 1e-6);
     }
@@ -207,8 +200,8 @@ mod tests {
     #[test]
     fn corner_rays_diverge_symmetrically() {
         let c = Camera::new(Vec3::new(0.0, 0.0, 5.0), Vec3::ZERO, Vec3::Y, 60.0);
-        let bl = c.pixel_ray(0, 0, 64, 64).direction;
-        let tr = c.pixel_ray(63, 63, 64, 64).direction;
+        let bl = c.view(64, 64).ray(0, 0).direction;
+        let tr = c.view(64, 64).ray(63, 63).direction;
         assert!((bl.x + tr.x).abs() < 1e-12);
         assert!((bl.y + tr.y).abs() < 1e-12);
     }

@@ -244,7 +244,7 @@ proptest! {
         y in 0usize..32,
     ) {
         let cam = Camera::new(pos, Vec3::ZERO, Vec3::Y, 45.0);
-        let r = cam.pixel_ray(x, y, 32, 32);
+        let r = cam.view(32, 32).ray(x, y);
         prop_assert!((r.direction.length() - 1.0).abs() < 1e-12);
         prop_assert_eq!(r.origin, pos);
     }
