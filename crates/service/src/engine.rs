@@ -14,18 +14,19 @@
 //!   via [`vizpower::study::sweep`] — depends on all four key
 //!   components and is what the dispatch thread's result map stores.
 //!
-//! The native entry keeps the `Debug` rendering of the full
+//! The native entry keeps a [`Rendering`] of the full
 //! [`FilterOutput`](vizalgo::FilterOutput) (geometry, images, kernels,
-//! primitives). That string is the differential-parity oracle: the
-//! root `service_parity` suite compares it byte-for-byte against a cold
-//! direct run of the same spec. It is rendered once per native run and
-//! shrunk to its length, and every cap's [`JobResult`] points
-//! at that one allocation instead of holding a copy.
+//! primitives): the byte count and FNV-1a digest of its `Debug` text,
+//! hashed as it is written, so the text itself is never stored. That
+//! digest is the differential-parity oracle: the root `service_parity`
+//! suite compares it against the digest of a cold direct run of the
+//! same spec. Every cap's [`JobResult`] carries a 16-byte copy of it.
 
+use std::fmt;
 use std::sync::Arc;
 
 use powersim::{CpuSpec, ExecResult, Watts};
-use vizalgo::{Algorithm, AlgorithmSpec, Backend};
+use vizalgo::{Algorithm, AlgorithmSpec, Backend, Fnv1a};
 use vizpower::store::Memo;
 use vizpower::study::sweep;
 use vizpower::{AlgorithmRun, DatasetStore};
@@ -46,16 +47,58 @@ pub struct Request {
     pub backend: Backend,
 }
 
-/// The cached product of one unit of work: the native output rendering
-/// (the parity oracle) plus the power-model execution at the key's cap.
+/// The byte count and 48-bit FNV-1a digest of a value's `Debug`
+/// rendering, taken as the text is written: `format!("{value:?}")`'s
+/// length and fingerprint without the `String`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rendering {
+    len: usize,
+    /// [`Fnv1a::finish48`] over the rendering's bytes.
+    pub fp: u64,
+}
+
+impl Rendering {
+    /// Stream `{value:?}` into a sink that counts and hashes each piece.
+    pub fn of(value: &impl fmt::Debug) -> Rendering {
+        struct Sink(usize, Fnv1a);
+        impl fmt::Write for Sink {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 += s.len();
+                self.1.update(s.as_bytes());
+                Ok(())
+            }
+        }
+        let mut sink = Sink(0, Fnv1a::new());
+        fmt::write(&mut sink, format_args!("{value:?}"))
+            .expect("the sink never fails, so only a faulty Debug impl could");
+        Rendering {
+            len: sink.0,
+            fp: sink.1.finish48(),
+        }
+    }
+
+    /// Bytes in the rendering.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the rendering is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// The cached product of one unit of work: the native output's
+/// rendering digest (the parity oracle) plus the power-model execution
+/// at the key's cap.
 #[derive(Debug, Clone)]
 pub struct JobResult {
     /// The executed algorithm.
     pub(crate) algorithm: Algorithm,
-    /// `format!("{:?}")` of the native [`vizalgo::FilterOutput`] —
-    /// byte-compared against cold direct runs by the parity suite.
-    /// Shared with the native run and every other cap of it.
-    pub output_debug: Arc<String>,
+    /// The digest of the native [`vizalgo::FilterOutput`]'s `Debug`
+    /// text, compared against cold direct runs by the parity suite; a
+    /// copy of the native run's.
+    pub output_debug: Rendering,
     /// The capped power-model execution (time, energy, counters).
     pub exec: ExecResult,
 }
@@ -112,13 +155,13 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// A cached native filter run: the parity-oracle rendering plus the
+/// A cached native filter run: the parity-oracle digest plus the
 /// [`AlgorithmRun`] (spec, kernel reports, input size) that every cap
 /// of this spec is swept from without re-assembly.
 #[derive(Debug)]
 pub struct NativeRun {
-    /// `Debug` rendering of the full `FilterOutput`.
-    pub(crate) output_debug: Arc<String>,
+    /// Digest of the full `FilterOutput`'s `Debug` rendering.
+    pub(crate) output_debug: Rendering,
     /// The run `characterize` + the power model consume.
     pub(crate) run: AlgorithmRun,
 }
@@ -149,8 +192,9 @@ impl Engine {
         self.store.fingerprint(size)
     }
 
-    /// Reject requests the backend cannot serve. Runs at dispatch time
-    /// so invalid traffic fails before any scheduling happens.
+    /// Reject requests the backend cannot serve. `serve` runs it over
+    /// every request before the first batch, so invalid traffic fails
+    /// before any scheduling happens.
     pub(crate) fn validate(&self, req: &Request) -> Result<(), ServiceError> {
         let algorithm = req.spec.algorithm();
         if !req.backend.supports(algorithm) {
@@ -171,13 +215,8 @@ impl Engine {
         self.natives.get_or_compute(key, || {
             let ds = self.store.dataset(req.size);
             let out = req.spec.build_with(req.backend, &ds).execute(&ds);
-            // Shrinking hands the buffer's unused tail back to the
-            // allocator (glibc does it in place); `Arc<str>` would copy
-            // into a second buffer instead, for a higher peak.
-            let mut output_debug = format!("{out:?}");
-            output_debug.shrink_to_fit();
             NativeRun {
-                output_debug: Arc::new(output_debug),
+                output_debug: Rendering::of(&out),
                 run: AlgorithmRun {
                     algorithm: req.spec.algorithm(),
                     size: req.size,
@@ -201,7 +240,7 @@ impl Engine {
             .clone();
         JobResult {
             algorithm: native.run.algorithm,
-            output_debug: Arc::clone(&native.output_debug),
+            output_debug: native.output_debug,
             exec,
         }
     }
@@ -271,15 +310,45 @@ mod tests {
         };
         let lo = execute(60.0, Backend::Traditional);
         let hi = execute(120.0, Backend::Traditional);
-        assert!(
-            Arc::ptr_eq(&lo.output_debug, &hi.output_debug),
-            "two caps of one native run share one rendering"
+        assert_eq!(
+            lo.output_debug, hi.output_debug,
+            "two caps of one native run carry one rendering"
         );
         let dpp = execute(60.0, Backend::Dpp);
-        assert!(
-            !Arc::ptr_eq(&lo.output_debug, &dpp.output_debug),
+        assert_ne!(
+            lo.output_debug.fp, dpp.output_debug.fp,
             "the other backend is another native run"
         );
+    }
+
+    #[test]
+    fn the_rendering_digest_is_that_of_the_formatted_text() {
+        let e = engine();
+        let data_fp = e.data_fp(6);
+        let ds = e.store.dataset(6);
+        let study = vizpower::study::StudyConfig::quick();
+        for algorithm in Algorithm::ALL {
+            for backend in Backend::ALL {
+                if !backend.supports(algorithm) {
+                    continue;
+                }
+                let spec = study.spec(algorithm);
+                let out = spec.build_with(backend, &ds).execute(&ds);
+                let text = format!("{out:?}");
+                let mut h = Fnv1a::new();
+                h.update(text.as_bytes());
+                let rendering = Rendering::of(&out);
+                assert_eq!(rendering.len(), text.len(), "{algorithm:?}/{backend:?}");
+                assert_eq!(rendering.fp, h.finish48(), "{algorithm:?}/{backend:?}");
+                let req = Request {
+                    spec,
+                    size: 6,
+                    cap: Watts(80.0),
+                    backend,
+                };
+                assert_eq!(e.native(&req, data_fp).output_debug, rendering);
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod traffic;
 
 pub use admission::Admission;
 pub use cache::{Outcome, ResultCache};
-pub use engine::{Engine, JobResult, NativeRun, Request, ServiceError};
+pub use engine::{Engine, JobResult, NativeRun, Rendering, Request, ServiceError};
 pub use key::CacheKey;
 pub use service::{Response, ServeOutcome, ServeReport, ServiceConfig, StudyService, WindowLoad};
 pub use traffic::{universe, zipf_traffic, TrafficConfig, XorShift};

@@ -63,8 +63,8 @@ pub struct ServiceConfig {
     /// most `n` remain, journaling one `cache_event` with outcome
     /// `evict` per dropped key. `None` (the default) keeps every
     /// result resident, the pre-capacity behavior. It bounds entries,
-    /// not memory: the native runs and renderings results share stay
-    /// in the engine regardless.
+    /// not memory: the native runs that results are swept from stay in
+    /// the engine regardless.
     pub cache_slots: Option<usize>,
     /// Study parameterization the traffic universe draws its specs
     /// from ([`StudyConfig::spec`]).
@@ -358,6 +358,11 @@ impl StudyService {
         requests: &[Request],
         journal: &mut Journal,
     ) -> Result<ServeOutcome, ServiceError> {
+        // Reject before anything is scheduled: a later batch's bad
+        // request must not leave earlier batches served.
+        for req in requests {
+            self.engine.validate(req)?;
+        }
         let serve_t0 = journal.now();
         let nodes = self.cfg.nodes;
         let budget = self.admission.node_budget();
@@ -389,7 +394,6 @@ impl StudyService {
             let mut scheduled: HashMap<CacheKey, usize> = HashMap::new();
             let mut classes: Vec<(CacheKey, Outcome, Work)> = Vec::with_capacity(batch.len());
             for req in batch {
-                self.engine.validate(req)?;
                 let admitted = self.admission.admit(req.cap);
                 let key = CacheKey::new(
                     &req.spec,
@@ -802,6 +806,42 @@ mod tests {
         let out = svc.serve(&good, &mut Journal::off()).expect("serves");
         assert_eq!((out.report.misses, out.report.evictions), (2, 0));
         assert_eq!(svc.cache_len(), 2);
+    }
+
+    #[test]
+    fn a_rejected_request_in_a_later_batch_serves_no_earlier_batch() {
+        let good = [
+            req(Algorithm::Slice, 80.0),
+            req(Algorithm::Threshold, 80.0),
+            req(Algorithm::Contour, 80.0),
+            req(Algorithm::Slice, 60.0),
+        ];
+        let mut poisoned = good.to_vec();
+        poisoned.push(Request {
+            backend: Backend::Dpp,
+            ..req(Algorithm::RayTracing, 80.0)
+        });
+        let serve_good = |svc: &mut StudyService| {
+            let mut journal = Journal::with_capacity(1 << 12);
+            let out = svc.serve(&good, &mut journal).expect("serves");
+            (format!("{:?}", out.report), journal.to_jsonl())
+        };
+        let mut svc = StudyService::new(tiny_cfg()).expect("valid config");
+        // tiny_cfg batches by 4: the bad request opens the second batch.
+        let mut journal = Journal::with_capacity(1 << 12);
+        let err = svc.serve(&poisoned, &mut journal);
+        assert!(
+            matches!(err, Err(ServiceError::UnsupportedBackend { .. })),
+            "{err:?}"
+        );
+        assert_eq!(svc.cache_len(), 0, "the first batch was not served");
+        assert_eq!(journal.to_jsonl(), "", "nothing was journaled");
+        let fresh = serve_good(&mut StudyService::new(tiny_cfg()).expect("valid config"));
+        assert_eq!(
+            serve_good(&mut svc),
+            fresh,
+            "the retry serves as a fresh service"
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Differential parity for the study service: every response the
 //! service produces — cold miss, same-batch coalesced, or warm cache
-//! hit, at any worker count — carries an output byte-identical (by
-//! `Debug` formatting) to a cold direct `AlgorithmSpec::build_with`
-//! run of the same spec on the same dataset, on both backends.
+//! hit, at any worker count — carries the [`Rendering`] (byte count and
+//! FNV-1a digest of the `Debug` text) of a cold direct
+//! `AlgorithmSpec::build_with` run of the same spec on the same
+//! dataset, on both backends.
 //!
 //! This is the license for the cache to exist at all: deduping two
 //! requests onto one execution is only sound if a cached response is
@@ -13,7 +14,7 @@ use std::sync::Arc;
 
 use powersim::trace::Journal;
 use powersim::Watts;
-use service::{Outcome, Request, ServiceConfig, StudyService};
+use service::{Outcome, Rendering, Request, ServiceConfig, StudyService};
 use vizalgo::{Algorithm, Backend};
 use vizpower::study::{dataset_for, StudyConfig};
 
@@ -71,9 +72,9 @@ fn traffic() -> Vec<Request> {
 }
 
 /// Cold reference: one direct, service-free execution per
-/// `(algorithm, backend)`, Debug-formatted. The cap does not enter the
-/// native output, so two caps per combination share one reference.
-fn cold_references() -> HashMap<(Algorithm, Backend), String> {
+/// `(algorithm, backend)`, digested. The cap does not enter the native
+/// output, so two caps per combination share one reference.
+fn cold_references() -> HashMap<(Algorithm, Backend), Rendering> {
     let config = study_config();
     let dataset = dataset_for(SIZE);
     let mut refs = HashMap::new();
@@ -84,7 +85,7 @@ fn cold_references() -> HashMap<(Algorithm, Backend), String> {
             }
             let spec = config.spec(algorithm);
             let out = spec.build_with(backend, &dataset).execute(&dataset);
-            refs.insert((algorithm, backend), format!("{out:?}"));
+            refs.insert((algorithm, backend), Rendering::of(&out));
         }
     }
     refs
@@ -113,8 +114,8 @@ fn every_response_matches_a_cold_direct_run_at_any_worker_count() {
         for (req, resp) in traffic.iter().zip(&cold.responses) {
             let expected = &refs[&(req.spec.algorithm(), req.backend)];
             assert_eq!(
-                &*resp.result.output_debug,
-                expected.as_str(),
+                resp.result.output_debug,
+                *expected,
                 "{:?}/{:?} via {:?} diverged from the cold direct run \
                  ({workers} workers)",
                 req.spec.algorithm(),
@@ -131,8 +132,8 @@ fn every_response_matches_a_cold_direct_run_at_any_worker_count() {
             assert_eq!(resp.outcome, Outcome::Hit, "warm pass must hit");
             let expected = &refs[&(req.spec.algorithm(), req.backend)];
             assert_eq!(
-                &*resp.result.output_debug,
-                expected.as_str(),
+                resp.result.output_debug,
+                *expected,
                 "cache hit for {:?}/{:?} diverged ({workers} workers)",
                 req.spec.algorithm(),
                 req.backend,
@@ -156,29 +157,26 @@ fn coalesced_and_hit_responses_share_the_miss_allocation() {
             "duplicate requests must share one result allocation"
         );
     }
-    // Every cap of one (algorithm, backend) points at the one rendering
-    // of its native run, and no two native runs share one.
-    let mut renderings: HashMap<(Algorithm, Backend), &Arc<String>> = HashMap::new();
+    // Every cap of one (algorithm, backend) carries the one rendering
+    // of its native run, and no two native runs carry the same digest.
+    let mut renderings: HashMap<(Algorithm, Backend), Rendering> = HashMap::new();
     for (req, resp) in traffic.iter().zip(&cold.responses) {
         let rendering = renderings
             .entry((req.spec.algorithm(), req.backend))
-            .or_insert(&resp.result.output_debug);
-        assert!(
-            Arc::ptr_eq(rendering, &resp.result.output_debug),
-            "every cap of {:?}/{:?} must share one rendering allocation",
+            .or_insert(resp.result.output_debug);
+        assert_eq!(
+            *rendering,
+            resp.result.output_debug,
+            "every cap of {:?}/{:?} must carry one rendering",
             req.spec.algorithm(),
             req.backend,
         );
     }
-    let distinct: HashSet<*const String> = cold
-        .responses
-        .iter()
-        .map(|r| Arc::as_ptr(&r.result.output_debug))
-        .collect();
+    let distinct: HashSet<u64> = renderings.values().map(|r| r.fp).collect();
     assert_eq!(
         distinct.len(),
         renderings.len(),
-        "one rendering allocation per (algorithm, backend) served"
+        "one digest per (algorithm, backend) served"
     );
     let warm = svc
         .serve(&traffic, &mut Journal::off())
