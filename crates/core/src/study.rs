@@ -14,7 +14,7 @@ use powersim::trace::{Journal, Scope};
 use powersim::{CpuSpec, ExecResult, Joules, Package, Watts, Workload};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vizalgo::{Algorithm, AlgorithmSpec, Backend, IsoValues, KernelReport};
+use vizalgo::{Algorithm, AlgorithmSpec, Backend, FilterOutput, IsoValues, KernelReport};
 use vizmesh::{par, DataSet};
 
 /// The paper's nine processor power caps (W).
@@ -272,6 +272,29 @@ pub struct AlgorithmRun {
     pub reports: Vec<KernelReport>,
 }
 
+impl AlgorithmRun {
+    /// Execute `spec` on `backend` against `ds`, the `size`³ study dataset;
+    /// `inspect` sees the whole output before its kernel reports are kept.
+    pub fn native<R>(
+        spec: AlgorithmSpec,
+        backend: Backend,
+        size: usize,
+        ds: &DataSet,
+        inspect: impl FnOnce(&FilterOutput) -> R,
+    ) -> (AlgorithmRun, R) {
+        let out = spec.build_with(backend, ds).execute(ds);
+        let seen = inspect(&out);
+        let run = AlgorithmRun {
+            algorithm: spec.algorithm(),
+            size,
+            input_cells: ds.num_cells(),
+            spec,
+            reports: out.kernels,
+        };
+        (run, seen)
+    }
+}
+
 /// The power-cap sweep of one algorithm at one size.
 #[derive(Debug, Clone)]
 pub struct CapSweep {
@@ -441,14 +464,8 @@ impl StudyContext {
         let ds = self.dataset(size);
         let t0 = self.journal.now();
         let spec = self.config.spec(algorithm);
-        let out = spec.build_with(self.backend, &ds).execute(&ds);
-        let run = Arc::new(AlgorithmRun {
-            algorithm,
-            size,
-            input_cells: ds.num_cells(),
-            spec,
-            reports: out.kernels,
-        });
+        let (run, ()) = AlgorithmRun::native(spec, self.backend, size, &ds, |_| ());
+        let run = Arc::new(run);
         self.journal.push_span(Scope::Study, t0, None, || {
             let instructions: u64 = run.reports.iter().map(|r| r.work.instructions).sum();
             let args = vec![
@@ -529,6 +546,39 @@ mod tests {
         for (a, fp) in Algorithm::ALL.into_iter().zip(pinned) {
             assert_eq!(StudyConfig::paper().spec(a), a.default_spec());
             assert_eq!(StudyConfig::quick().spec(a).fingerprint(), fp, "{a:?}");
+        }
+    }
+
+    #[test]
+    fn one_infinite_energy_value_panics_no_filter_and_moves_no_point_off_to_infinity() {
+        use vizmesh::{Association, Field};
+        let clean = dataset_for(16);
+        let config = StudyConfig::paper();
+        for inf in [f64::INFINITY, f64::NEG_INFINITY] {
+            for association in [Association::Points, Association::Cells] {
+                let mut ds = clean.clone();
+                let energy = match association {
+                    Association::Points => ds.point_scalars("energy"),
+                    Association::Cells => ds.cell_scalars("energy"),
+                };
+                let mut values = energy.unwrap().to_vec();
+                let mid = values.len() / 2;
+                values[mid] = inf;
+                ds.add_field(Field::scalar("energy", association, values));
+                for algorithm in Algorithm::ALL {
+                    for backend in Backend::ALL.into_iter().filter(|b| b.supports(algorithm)) {
+                        let spec = config.spec(algorithm);
+                        let (_, finite) = AlgorithmRun::native(spec, backend, 16, &ds, |out| {
+                            let points = out.dataset.as_ref().and_then(|d| d.as_explicit());
+                            points.is_none_or(|(p, _)| p.iter().all(|p| p.is_finite()))
+                        });
+                        assert!(
+                            finite,
+                            "{algorithm:?}/{backend:?}, {inf} in {association:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

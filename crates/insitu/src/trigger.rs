@@ -7,8 +7,8 @@ use vizmesh::DataSet;
 pub enum Trigger {
     /// Every `n` simulation steps (the common Ascent configuration).
     EveryN { n: u64 },
-    /// When a scalar field's maximum first exceeds `above`, then every
-    /// step while it remains above.
+    /// When a scalar field's finite maximum first exceeds `above`, then
+    /// every step while it remains above (NaN and ±Inf are not read).
     FieldMax { field: String, above: f64 },
     /// Both conditions must hold.
     Both { a: Box<Trigger>, b: Box<Trigger> },

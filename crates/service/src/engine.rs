@@ -9,7 +9,7 @@
 //!   depends on `(spec, backend, dataset)` but *not* the cap, so it is
 //!   memoized once per backend-qualified spec fingerprint in a
 //!   single-flight [`Memo`] and shared by every cap the fleet serves it
-//!   under (workers holding different caps of one spec meet there);
+//!   under (direct callers of [`Engine::native`] on two threads meet there);
 //! * the **capped execution** — `characterize` + `Package::run_capped`
 //!   via [`vizpower::study::sweep`] — depends on all four key
 //!   components and is what the dispatch thread's result map stores.
@@ -166,8 +166,8 @@ pub struct NativeRun {
     pub(crate) run: AlgorithmRun,
 }
 
-/// The compute core shared by every worker thread: dataset store,
-/// processor model, and the cap-independent native-run memo.
+/// The compute core: dataset store, processor model, and the
+/// cap-independent native-run memo that a serve call's native wave fills.
 #[derive(Debug)]
 pub struct Engine {
     store: Arc<DatasetStore>,
@@ -208,24 +208,22 @@ impl Engine {
 
     /// The native run for a request, built at most once per
     /// `(backend-qualified spec fingerprint, dataset)` across all caps
-    /// and all worker threads: two workers holding the same spec at
-    /// different caps in one batch meet here, and one of them computes.
+    /// and all threads: two callers holding the same spec at different
+    /// caps meet here, and one of them computes.
     pub fn native(&self, req: &Request, data_fp: u64) -> Arc<NativeRun> {
         let key = (req.spec.fingerprint_with(req.backend), data_fp);
         self.natives.get_or_compute(key, || {
             let ds = self.store.dataset(req.size);
-            let out = req.spec.build_with(req.backend, &ds).execute(&ds);
-            NativeRun {
-                output_debug: Rendering::of(&out),
-                run: AlgorithmRun {
-                    algorithm: req.spec.algorithm(),
-                    size: req.size,
-                    input_cells: ds.num_cells(),
-                    spec: req.spec.clone(),
-                    reports: out.kernels,
-                },
-            }
+            let (run, output_debug) =
+                AlgorithmRun::native(req.spec.clone(), req.backend, req.size, &ds, Rendering::of);
+            NativeRun { output_debug, run }
         })
+    }
+
+    /// Whether the native run for a request is already computed.
+    pub(crate) fn holds_native(&self, req: &Request, data_fp: u64) -> bool {
+        self.natives
+            .contains(&(req.spec.fingerprint_with(req.backend), data_fp))
     }
 
     /// Execute one validated, admitted unit of work: native run (cached

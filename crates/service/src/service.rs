@@ -20,13 +20,14 @@
 //!    model.
 //!
 //! Workers (`vizmesh::par` workers, at most `workers` of them) compute
-//! `JobResult`s and return them; they touch neither the result map, the
-//! journal, the report nor the clock — the dispatch thread owns all
-//! four. The wall-clock speedup from more workers is real, but the
-//! modeled outputs are byte-identical — the root `service_golden` suite
-//! pins exactly that.
+//! one wave of native runs per call, before its first batch; a native is
+//! a function of `(spec, backend, dataset)` alone. They touch neither the
+//! result map, the journal, the report nor the clock — the dispatch thread
+//! owns all four and executes each batch's jobs. More workers buy real
+//! wall-clock, but the modeled outputs are byte-identical (`service_golden`).
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use powersim::{CpuSpec, Journal, Kind, Scope, Watts};
@@ -48,7 +49,7 @@ const CAP_EPS: f64 = 1e-6;
 pub struct ServiceConfig {
     /// Simulated nodes the fleet schedules across.
     pub nodes: usize,
-    /// Worker threads executing jobs (affects wall-clock only).
+    /// Threads computing a serve call's native wave (wall-clock only).
     pub workers: usize,
     /// Requests per dispatch batch.
     pub batch: usize,
@@ -261,9 +262,9 @@ pub struct ServeOutcome {
 }
 
 /// A unique unit of scheduled work within one batch.
-struct Job {
+struct Job<'r> {
     key: CacheKey,
-    req: Request,
+    req: &'r Request,
     node: usize,
 }
 
@@ -384,8 +385,23 @@ impl StudyService {
             latencies: vec![0.0; requests.len()],
         };
 
-        for (bi, batch) in requests.chunks(self.cfg.batch).enumerate() {
-            let base = bi * self.cfg.batch;
+        // Key every request once, here: a fresh store solves its datasets
+        // in `data_fp`, at the full thread count.
+        let mut fps = HashMap::new();
+        let keys: Vec<CacheKey> = requests
+            .iter()
+            .map(|r| {
+                let data_fp = *fps
+                    .entry(r.size)
+                    .or_insert_with(|| self.engine.data_fp(r.size));
+                CacheKey::new(&r.spec, data_fp, self.admission.admit(r.cap), r.backend)
+            })
+            .collect();
+        self.compute_natives(requests, &keys);
+
+        let size = self.cfg.batch;
+        for (bi, (batch, batch_keys)) in requests.chunks(size).zip(keys.chunks(size)).enumerate() {
+            let base = bi * size;
             let batch_start = journal.now();
             report.batches += 1;
 
@@ -393,14 +409,7 @@ impl StudyService {
             let mut jobs: Vec<Job> = Vec::new();
             let mut scheduled: HashMap<CacheKey, usize> = HashMap::new();
             let mut classes: Vec<(CacheKey, Outcome, Work)> = Vec::with_capacity(batch.len());
-            for req in batch {
-                let admitted = self.admission.admit(req.cap);
-                let key = CacheKey::new(
-                    &req.spec,
-                    self.engine.data_fp(req.size),
-                    admitted,
-                    req.backend,
-                );
+            for (req, &key) in batch.iter().zip(batch_keys) {
                 let (outcome, work) = if let Some(r) = self.results.get(&key) {
                     (Outcome::Hit, Work::Resident(Arc::clone(r)))
                 } else if let Some(&j) = scheduled.get(&key) {
@@ -410,10 +419,7 @@ impl StudyService {
                     scheduled.insert(key, j);
                     jobs.push(Job {
                         key,
-                        req: Request {
-                            cap: admitted,
-                            ..req.clone()
-                        },
+                        req,
                         node: key.placement(self.cfg.seed, nodes),
                     });
                     (Outcome::Miss, Work::Job(j))
@@ -439,10 +445,12 @@ impl StudyService {
                 }
             }
 
-            // 3. Execute unique jobs on the worker pool (wall-clock
-            //    only; no observable state is produced there), then
-            //    make them resident.
-            let results = self.execute_jobs(&jobs);
+            // 3. Execute unique jobs here (their natives are memo hits
+            //    by now), then make them resident.
+            let results: Vec<Arc<JobResult>> = jobs
+                .iter()
+                .map(|job| Arc::new(self.engine.execute(job.req, job.key)))
+                .collect();
             for (job, result) in jobs.iter().zip(&results) {
                 self.results.insert(job.key, Arc::clone(result));
                 self.resident_order.push_back(job.key);
@@ -585,14 +593,23 @@ impl StudyService {
         });
     }
 
-    /// Execute every unique job of a batch on at most `workers` threads;
-    /// results come back in job order whatever order they ran in.
-    fn execute_jobs(&self, jobs: &[Job]) -> Vec<Arc<JobResult>> {
-        par::with_threads(self.cfg.workers, || {
-            par::map(jobs.len(), 1, |j| {
-                Arc::new(self.engine.execute(&jobs[j].req, jobs[j].key))
+    /// The call's native wave: a task per native that a non-resident key
+    /// needs and the engine lacks, largest dataset first, then first-seen.
+    fn compute_natives(&self, requests: &[Request], keys: &[CacheKey]) {
+        let mut seen = HashSet::new();
+        let mut wave: Vec<_> = (requests.iter().zip(keys))
+            .filter(|&(req, key)| {
+                !self.results.contains_key(key)
+                    && seen.insert((key.spec_fp, key.backend, key.data_fp))
+                    && !self.engine.holds_native(req, key.data_fp)
             })
-        })
+            .collect();
+        wave.sort_by_key(|&(req, _)| Reverse(req.size));
+        par::with_threads(self.cfg.workers, || {
+            par::map(wave.len(), 1, |i| {
+                self.engine.native(wave[i].0, wave[i].1.data_fp)
+            })
+        });
     }
 }
 
@@ -745,6 +762,46 @@ mod tests {
                 latency, r.key.spec_fp, r.key.data_fp, r.node, latency
             )
         );
+    }
+
+    #[test]
+    fn the_native_wave_computes_the_requested_natives_and_no_other() {
+        let mut svc = StudyService::new(tiny_cfg()).expect("valid config");
+        // tiny_cfg batches by 4: Contour's only request is the last batch.
+        let mut traffic: Vec<Request> = [80.0, 60.0, 40.0, 90.0]
+            .into_iter()
+            .flat_map(|cap| [req(Algorithm::Slice, cap), req(Algorithm::Threshold, cap)])
+            .collect();
+        traffic.push(req(Algorithm::Contour, 80.0));
+        let dpp_slice = Request {
+            backend: Backend::Dpp,
+            ..req(Algorithm::Slice, 80.0)
+        };
+        let probes = [
+            req(Algorithm::Slice, 80.0),
+            req(Algorithm::Threshold, 80.0),
+            req(Algorithm::Contour, 80.0),
+            req(Algorithm::Isovolume, 80.0),
+            dpp_slice,
+        ];
+        let data_fp = svc.engine.data_fp(6);
+        let held = |svc: &StudyService| {
+            probes
+                .each_ref()
+                .map(|r| svc.engine.holds_native(r, data_fp))
+        };
+        svc.serve(&traffic, &mut Journal::off()).expect("serves");
+        assert_eq!(held(&svc), [true, true, true, false, false]);
+        let natives = probes[..3]
+            .iter()
+            .map(|r| svc.engine.native(r, data_fp))
+            .collect::<Vec<_>>();
+        let replay = svc.serve(&traffic, &mut Journal::off()).expect("serves");
+        assert_eq!(replay.report.hits, traffic.len());
+        assert_eq!(held(&svc), [true, true, true, false, false]);
+        for (r, native) in probes.iter().zip(&natives) {
+            assert!(Arc::ptr_eq(&svc.engine.native(r, data_fp), native), "{r:?}");
+        }
     }
 
     #[test]

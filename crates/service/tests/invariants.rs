@@ -10,7 +10,8 @@
 //!    components (spec, dataset, cap, backend) forces a miss where the
 //!    unperturbed request hits.
 //! 4. **Replay law** — identical `(config, traffic)` produce
-//!    byte-identical reports and journals, regardless of worker count.
+//!    byte-identical reports and journals, regardless of worker count,
+//!    over successive calls on one service, slot-capped or not.
 //! 5. **Traffic laws** — the Zipf sampler is seed-deterministic, draws
 //!    only from its universe with boundedly many distinct keys, and its
 //!    rank-binned frequencies decay monotonically (the heavy head the
@@ -77,8 +78,8 @@ fn request() -> impl Strategy<Value = Request> {
         })
 }
 
-fn service(nodes: usize, workers: usize, batch: usize, share: f64, seed: u64) -> StudyService {
-    StudyService::new(ServiceConfig {
+fn config(nodes: usize, workers: usize, batch: usize, share: f64, seed: u64) -> ServiceConfig {
+    ServiceConfig {
         nodes,
         workers,
         batch,
@@ -86,8 +87,12 @@ fn service(nodes: usize, workers: usize, batch: usize, share: f64, seed: u64) ->
         seed,
         shards: 4,
         ..ServiceConfig::default()
-    })
-    .expect("per-node share >= 40 W is always feasible")
+    }
+}
+
+fn service(nodes: usize, workers: usize, batch: usize, share: f64, seed: u64) -> StudyService {
+    StudyService::new(config(nodes, workers, batch, share, seed))
+        .expect("per-node share >= 40 W is always feasible")
 }
 
 proptest! {
@@ -169,16 +174,27 @@ proptest! {
 
     #[test]
     fn seeded_runs_replay_byte_identically_across_worker_counts(
-        traffic in prop::collection::vec(request(), 1..10),
+        first in prop::collection::vec(request(), 1..10),
+        second in prop::collection::vec(request(), 1..10),
         seed in 0u64..1_000_000,
         workers_a in 1usize..5,
         workers_b in 1usize..5,
+        cache_slots in prop_oneof![Just(None), (1usize..8).prop_map(Some)],
     ) {
+        // Two calls on one service: the second starts with residents
+        // (some evicted when slot-capped) and natives the first computed.
         let run = |workers: usize| {
-            let mut svc = service(2, workers, 4, 90.0, seed);
+            let mut svc = StudyService::new(ServiceConfig {
+                cache_slots,
+                ..config(2, workers, 4, 90.0, seed)
+            })
+            .expect("a 90 W share is feasible");
             let mut journal = Journal::with_capacity(1 << 12);
-            let out = svc.serve(&traffic, &mut journal).expect("serves");
-            (format!("{:?}", out.report), journal.to_jsonl())
+            let reports = [&first, &second].map(|traffic| {
+                let out = svc.serve(traffic, &mut journal).expect("serves");
+                format!("{:?}", out.report)
+            });
+            (reports, journal.to_jsonl())
         };
         let (report_a, journal_a) = run(workers_a);
         let (report_b, journal_b) = run(workers_b);

@@ -289,6 +289,16 @@ pub(crate) fn classify(grid: &UniformGrid, values: &[f64], isovalue: f64) -> Vec
     })
 }
 
+/// Where `iso` crosses the edge from value `va` to `vb`, in `[0, 1]`; an
+/// infinite `va` puts it at `vb` (the limit; the ratio itself is NaN).
+#[inline]
+pub(crate) fn crossing(iso: f64, va: f64, vb: f64) -> f64 {
+    if va.is_infinite() {
+        return 1.0;
+    }
+    ((iso - va) / (vb - va)).clamp(0.0, 1.0)
+}
+
 /// Interpolate the triangles of `case` for `cell`: `emit` receives, per
 /// triangle, the three weld keys (packed grid edges) and the three
 /// positions where the isovalue crosses them.
@@ -308,8 +318,7 @@ pub(crate) fn emit_case(
             let (a, b) = EDGES[e as usize];
             let (pa, pb) = (ids[a], ids[b]);
             let (va, vb) = (values[pa], values[pb]);
-            let t01 = ((isovalue - va) / (vb - va)).clamp(0.0, 1.0);
-            pos[slot] = corners[a].lerp(corners[b], t01);
+            pos[slot] = corners[a].lerp(corners[b], crossing(isovalue, va, vb));
             let (lo, hi) = if pa < pb { (pa, pb) } else { (pb, pa) };
             key[slot] = pack_edge(lo as u32, hi as u32);
         }

@@ -168,7 +168,7 @@ impl TetMesh {
             va = -va;
             vb = -vb;
         }
-        let t = ((iso - va) / (vb - va)).clamp(0.0, 1.0);
+        let t = crate::contour::crossing(iso, va, vb);
         let p = self.points[a as usize].lerp(self.points[b as usize], t);
         let pay =
             self.payloads[a as usize] + (self.payloads[b as usize] - self.payloads[a as usize]) * t;

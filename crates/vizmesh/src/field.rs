@@ -87,20 +87,19 @@ impl Field {
         self.data.is_empty()
     }
 
-    /// `(min, max)` of a scalar field; `None` for vector or empty fields.
-    /// The first value to reach each extreme is the one returned (so the
-    /// sign of a zero extreme is the first zero's) and NaNs are skipped:
-    /// chunks fold with strict comparisons on `par`, and their extremes
-    /// are folded in chunk order with the same ones.
+    /// `(min, max)` of a scalar field's finite values; `None` for vector
+    /// fields and fields with no finite value. The first value to reach
+    /// each extreme is the one returned (so the sign of a zero extreme is
+    /// the first zero's): chunks fold with strict comparisons on `par`,
+    /// and their extremes are folded in chunk order with the same ones.
     pub fn scalar_range(&self) -> Option<(f64, f64)> {
         let v = self.as_scalar()?;
-        if v.is_empty() {
-            return None;
-        }
         let chunks = par::map_chunks(v.len(), RANGE_MIN_LEN, |chunk| {
-            vec![extremes(v[chunk].iter().map(|&x| (x, x)))]
+            let finite = v[chunk].iter().filter(|x| x.is_finite());
+            vec![extremes(finite.map(|&x| (x, x)))]
         });
-        Some(extremes(chunks.into_iter()))
+        let (lo, hi) = extremes(chunks.into_iter());
+        (lo <= hi).then_some((lo, hi))
     }
 }
 
@@ -109,7 +108,7 @@ impl Field {
 const RANGE_MIN_LEN: usize = 1 << 15;
 
 /// The smallest first and largest second of `pairs`, each the first to
-/// reach it (strict comparisons; NaNs never win).
+/// reach it (strict comparisons; NaNs never win; no pair: `(inf, -inf)`).
 fn extremes(pairs: impl Iterator<Item = (f64, f64)>) -> (f64, f64) {
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
     for (low, high) in pairs {
@@ -149,10 +148,10 @@ mod tests {
 
     #[test]
     fn scalar_range_is_the_sequential_fold_at_every_thread_count() {
-        // The fold the chunked scan replaced.
+        // The fold the chunked scan replaced, over the finite values.
         let sequential = |v: &[f64]| {
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &x in v {
+            for &x in v.iter().filter(|x| x.is_finite()) {
                 if x < lo {
                     lo = x;
                 }
@@ -160,7 +159,7 @@ mod tests {
                     hi = x;
                 }
             }
-            (lo.to_bits(), hi.to_bits())
+            (lo <= hi).then_some((lo.to_bits(), hi.to_bits()))
         };
         let n_cut = 2 * RANGE_MIN_LEN;
         for n in [
@@ -170,13 +169,16 @@ mod tests {
             n_cut + 1,
             9 * RANGE_MIN_LEN + 5,
         ] {
-            // Zeros of both signs, NaNs, and ties of the extremes spread
-            // over every chunk: the first of each must win.
+            // Zeros of both signs, NaNs, infinities of both signs, and
+            // ties of the extremes spread over every chunk: the first of
+            // each finite extreme must win.
             let v: Vec<f64> = (0..n)
-                .map(|i| match i % 7 {
+                .map(|i| match i % 11 {
                     0 => f64::NAN,
                     1 => 0.0,
                     2 => -0.0,
+                    3 => f64::INFINITY,
+                    4 => f64::NEG_INFINITY,
                     _ => ((i * 37) % 11) as f64 - 5.0 * ((i / 13) % 2) as f64,
                 })
                 .collect();
@@ -187,8 +189,8 @@ mod tests {
             for values in [v, zeros, nans] {
                 let f = Field::scalar("x", Association::Points, values.clone());
                 for threads in [1, 2, 7, 16] {
-                    let (lo, hi) = par::with_threads(threads, || f.scalar_range()).unwrap();
-                    let got = (lo.to_bits(), hi.to_bits());
+                    let range = par::with_threads(threads, || f.scalar_range());
+                    let got = range.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
                     assert_eq!(got, sequential(&values), "n {n}, {threads} threads");
                 }
             }
@@ -198,6 +200,9 @@ mod tests {
     #[test]
     fn empty_ranges_are_none() {
         let f = Field::scalar("x", Association::Cells, vec![]);
+        assert!(f.scalar_range().is_none());
+        // No finite value: the range is empty too, never inverted.
+        let f = Field::scalar("x", Association::Cells, vec![f64::NAN, f64::INFINITY]);
         assert!(f.scalar_range().is_none());
     }
 
