@@ -551,10 +551,22 @@ mod tests {
 
     #[test]
     fn one_infinite_energy_value_panics_no_filter_and_moves_no_point_off_to_infinity() {
+        one_bad_energy_value_is_harmless(&[f64::INFINITY, f64::NEG_INFINITY]);
+    }
+
+    #[test]
+    fn one_nan_energy_value_panics_no_filter_and_moves_no_point_off_to_infinity() {
+        one_bad_energy_value_is_harmless(&[f64::NAN]);
+    }
+
+    /// Each value of `bad` put once into the 16³ `energy` field, point-
+    /// or cell-centered: every supported pair runs with the paper's
+    /// specs, and every output point is finite.
+    fn one_bad_energy_value_is_harmless(bad: &[f64]) {
         use vizmesh::{Association, Field};
         let clean = dataset_for(16);
         let config = StudyConfig::paper();
-        for inf in [f64::INFINITY, f64::NEG_INFINITY] {
+        for &inf in bad {
             for association in [Association::Points, Association::Cells] {
                 let mut ds = clean.clone();
                 let energy = match association {

@@ -8,16 +8,17 @@
 use super::mc::dpp_marching_cubes;
 use super::primitives::DppTrace;
 use super::DppExecute;
-use crate::contour::Contour;
+use crate::contour::{Contour, SegmentIndex};
 use crate::filter::{concat_surfaces, FilterOutput};
 use vizmesh::DataSet;
 
 impl DppExecute for Contour {
     fn dpp_execute(&self, input: &DataSet) -> FilterOutput {
         let (grid, values) = self.inputs(input);
+        let index = SegmentIndex::of_field(grid, values);
         let mut trace = DppTrace::new();
         let surfaces = self.isovalues.iter().map(|&iso| {
-            let mc = dpp_marching_cubes(&mut trace, grid, values, iso);
+            let mc = dpp_marching_cubes(&mut trace, grid, values, &index, iso);
             (mc.points, mc.point_values, mc.triangles)
         });
         let ds = concat_surfaces(&self.field, surfaces);

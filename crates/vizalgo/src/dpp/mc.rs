@@ -4,13 +4,15 @@
 //! DPP contour and slice filters.
 //!
 //! The trace records the formulation; the host runs its selection half
-//! fused. Classify → count → scan → compact is four sweeps over the
-//! whole grid as primitives, and is charged as four; here it is the one
-//! `contour::classify` sweep that both backends share, returning the
-//! active cells with their cases — what VTK-m's `ClassifyCell` worklet
-//! and `ScatterCounting` do inside one dispatch. The host's time is
-//! what `benchmarks/` measures; the modeled traffic is what the power
-//! study needs to stay the formulation's.
+//! fused and culled. Classify → count → scan → compact is four sweeps
+//! over the whole grid as primitives, and is charged as four; here it
+//! is the one `contour::classify` pass that both backends share,
+//! returning the active cells with their cases — what VTK-m's
+//! `ClassifyCell` worklet and `ScatterCounting` do inside one dispatch —
+//! and reading only the x-row segments the caller's
+//! [`SegmentIndex`] leaves live. The host's time is what `benchmarks/`
+//! measures; the modeled traffic is what the power study needs to stay
+//! the formulation's.
 //!
 //! The weld is engineered to be **bit-identical** to the traditional
 //! first-sight hash weld in [`crate::contour::marching_cubes`]: corner
@@ -21,7 +23,7 @@
 //! id assignment (and first-sight interpolated position) exactly.
 
 use super::primitives::{self, DppTrace, PrimitiveOp};
-use crate::contour::{classify, emit_case, triangle_table};
+use crate::contour::{classify, emit_case, triangle_table, SegmentIndex};
 use vizmesh::{par, CellSet, CellShape, UniformGrid, Vec3};
 
 /// Fewest triangles worth a `par` chunk of the generate walk: each is
@@ -38,11 +40,13 @@ pub(crate) struct DppMcOutput {
     pub(crate) point_values: Vec<f64>,
 }
 
-/// Run the DPP marching-cubes pipeline over a point-centered scalar.
+/// Run the DPP marching-cubes pipeline over a point-centered scalar,
+/// selecting through `index` (built over `values`).
 pub(crate) fn dpp_marching_cubes(
     trace: &mut DppTrace,
     grid: &UniformGrid,
     values: &[f64],
+    index: &SegmentIndex,
     isovalue: f64,
 ) -> DppMcOutput {
     assert_eq!(
@@ -56,7 +60,7 @@ pub(crate) fn dpp_marching_cubes(
     // 1–4. Selection, fused (module header), charged as the classify
     // `map` (8 corner loads + compares per cell), tri-count `map`,
     // `inclusive_scan`, active-flag `map` and `compact_indices`.
-    let active = classify(grid, values, isovalue);
+    let active = classify(grid, values, index, isovalue);
     trace.record(PrimitiveOp::Map, n, (64 + 32) * n, n);
     trace.record_flops(PrimitiveOp::Map, 8 * n);
     trace.record(PrimitiveOp::Map, n, n, 4 * n);
@@ -196,7 +200,7 @@ fn scatter_corner_ranks(pairs: &[(u64, u32)], rank_of_seg: &[u32], corner_ids: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contour::marching_cubes;
+    use crate::contour::{marching_cubes, SegmentIndex};
 
     fn sphere_values(grid: &UniformGrid) -> Vec<f64> {
         let c = grid.bounds().center();
@@ -214,13 +218,14 @@ mod tests {
         for n in [10, 32] {
             let grid = UniformGrid::cube_cells(n);
             let values = sphere_values(&grid);
+            let index = SegmentIndex::of_field(&grid, &values);
             for iso in [0.15, 0.3, 0.45] {
-                let trad = marching_cubes(&grid, &values, iso);
+                let trad = marching_cubes(&grid, &values, &index, iso);
                 let mut reports = Vec::new();
                 for threads in [1, 4, 16] {
                     let mut tr = DppTrace::new();
                     let dpp = par::with_threads(threads, || {
-                        dpp_marching_cubes(&mut tr, &grid, &values, iso)
+                        dpp_marching_cubes(&mut tr, &grid, &values, &index, iso)
                     });
                     let at = format!("{n}³ iso {iso} threads {threads}");
                     assert_eq!(dpp.points.len(), trad.points.len(), "{at}");
@@ -243,7 +248,8 @@ mod tests {
         let grid = UniformGrid::cube_cells(4);
         let values = sphere_values(&grid);
         let mut tr = DppTrace::new();
-        let out = dpp_marching_cubes(&mut tr, &grid, &values, 100.0);
+        let index = SegmentIndex::of_field(&grid, &values);
+        let out = dpp_marching_cubes(&mut tr, &grid, &values, &index, 100.0);
         assert!(out.points.is_empty());
         assert_eq!(out.triangles.iter().count(), 0);
         // The classify map still ran over every cell.

@@ -5,7 +5,7 @@
 //! primitive touches — is observable in the run journal as `primitive`
 //! records (see docs/OBSERVABILITY.md and docs/DPP.md).
 //!
-//! The maps ([`map`], `map_n`, `map_cells`, `map_points`),
+//! The maps ([`map`], `map_n`, `map_cells`),
 //! [`inclusive_scan`] and [`compact_indices`] run on
 //! [`vizmesh::par`]: contiguous chunks, each producing its piece, joined
 //! in chunk order. [`sort_by_key`] buckets its pairs by the key's top
@@ -20,7 +20,7 @@
 //! the differential conformance suite exact where the math is exact.
 
 use crate::filter::{KernelClass, KernelReport};
-use vizmesh::{par, GridCell, UniformGrid, Vec3, WorkCounters};
+use vizmesh::{par, GridCell, UniformGrid, WorkCounters};
 
 /// One primitive operation in the vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,7 +221,7 @@ pub fn map<T: Sync, U: Send>(
 
 /// Record a `map` over an index space of `n` elements, each reading
 /// `bytes_read_per` bytes of gathered input and writing one `U`.
-fn record_map_n<U>(trace: &mut DppTrace, n: usize, bytes_read_per: u64) {
+pub(crate) fn record_map_n<U>(trace: &mut DppTrace, n: usize, bytes_read_per: u64) {
     trace.record(
         PrimitiveOp::Map,
         n as u64,
@@ -253,18 +253,6 @@ pub(crate) fn map_cells<U: Send>(
 ) -> Vec<U> {
     record_map_n::<U>(trace, grid.num_cells(), bytes_read_per);
     grid.map_cells(MIN_LEN, f)
-}
-
-/// `map` over the points of a grid, the worklet handed each point's id
-/// and coordinates.
-pub(crate) fn map_points<U: Send>(
-    trace: &mut DppTrace,
-    grid: &UniformGrid,
-    bytes_read_per: u64,
-    f: impl Fn(usize, Vec3) -> U + Sync,
-) -> Vec<U> {
-    record_map_n::<U>(trace, grid.num_points(), bytes_read_per);
-    grid.map_points(MIN_LEN, f)
 }
 
 /// `inclusive_scan`: prefix sums; `out[i] = input[0] + … + input[i]`.

@@ -4,12 +4,17 @@
 //! the same arithmetic as the traditional filter in the same order, so
 //! the output is **bit-identical** (the weld note in [`super::mc`]
 //! covers why the vertex numbering matches).
+//!
+//! The trace charges the distance `map` at every point; the host fills
+//! one reused buffer only where the plane's closed-form segment index
+//! leaves a segment live, as the traditional filter does (the module
+//! note of `crate::slice`).
 
 use super::mc::dpp_marching_cubes;
 use super::primitives::{self, DppTrace, PrimitiveOp};
 use super::DppExecute;
 use crate::filter::{concat_surfaces, FilterOutput};
-use crate::slice::{sample, ThreeSlice};
+use crate::slice::{fill_distance, sample, ThreeSlice};
 use vizmesh::DataSet;
 
 impl DppExecute for ThreeSlice {
@@ -17,15 +22,17 @@ impl DppExecute for ThreeSlice {
         let (grid, data) = self.inputs(input);
         let num_points = grid.num_points();
         let mut trace = DppTrace::new();
+        let mut sdf = vec![0.0f64; num_points];
 
         let surfaces = self.planes.iter().map(|plane| {
             // 1. map: signed distance per mesh point (the FP-dense part).
-            let sdf: Vec<f64> =
-                primitives::map_points(&mut trace, grid, 24, |_, p| plane.distance(p));
+            let index = plane.segment_index(grid);
+            fill_distance(grid, plane, &index, &mut sdf);
+            primitives::record_map_n::<f64>(&mut trace, num_points, 24);
             trace.record_flops(PrimitiveOp::Map, 18 * num_points as u64);
 
             // 2. the marching-cubes primitive pipeline at isovalue 0.
-            let mc = dpp_marching_cubes(&mut trace, grid, &sdf, 0.0);
+            let mc = dpp_marching_cubes(&mut trace, grid, &sdf, &index, 0.0);
 
             // 3. map: sample the data field at the welded slice vertices.
             let sampled: Vec<f64> =

@@ -64,6 +64,15 @@ impl Fnv1a {
     }
 }
 
+/// A formatting sink: `write!` into a hasher absorbs the formatted
+/// bytes without building a string.
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
 impl Default for Fnv1a {
     fn default() -> Fnv1a {
         Fnv1a::new()

@@ -160,7 +160,12 @@ mod tests {
             })
             .collect();
         let iso = 0.7;
-        let mc = crate::contour::marching_cubes(&grid, &values, iso);
+        let mc = crate::contour::marching_cubes(
+            &grid,
+            &values,
+            &crate::contour::SegmentIndex::of_field(&grid, &values),
+            iso,
+        );
         let mt = marching_tetrahedra(&grid, &values, iso);
         // Compare emptiness only (both empty or both non-empty) and total
         // area within a loose tolerance (the two tessellations differ at

@@ -25,12 +25,14 @@ use crate::clip::SphericalClip;
 use crate::contour::Contour;
 use crate::dpp::{Backend, Dpp, DppExecute};
 use crate::filter::{self, Algorithm, Filter};
+use crate::fingerprint::Fnv1a;
 use crate::isovolume::Isovolume;
 use crate::raytrace::RayTracer;
 use crate::registry::{self, REGISTRY};
 use crate::slice::ThreeSlice;
 use crate::threshold::Threshold;
 use crate::volren::VolumeRenderer;
+use std::fmt::{self, Write};
 use vizmesh::json::{JsonError, Value};
 use vizmesh::{DataSet, Vec3};
 
@@ -266,40 +268,64 @@ impl AlgorithmSpec {
     /// A canonical, JSON-independent encoding of the spec: stable
     /// across runs, platforms, and serializer changes. Floats are
     /// encoded by their IEEE-754 bit patterns, so the encoding is total
-    /// and exact. This string — not the JSON form — defines the
-    /// [`fingerprint`](AlgorithmSpec::fingerprint).
+    /// and exact. These bytes — not the JSON form — define the
+    /// [`fingerprint`](AlgorithmSpec::fingerprint), which streams them
+    /// straight into the hasher ([`Self::write_canonical`]).
+    #[cfg(test)]
     pub(crate) fn canonical(&self) -> String {
-        let mut tail = String::new();
-        let args = match self {
+        let mut out = String::new();
+        let _ = self.write_canonical(&mut out);
+        out
+    }
+
+    /// FNV-1a over the canonical encoding, streamed into the hasher: no
+    /// string is built.
+    fn canonical_hash(&self) -> Fnv1a {
+        let mut h = Fnv1a::new();
+        // `Fnv1a::write_str` never fails.
+        let _ = self.write_canonical(&mut h);
+        h
+    }
+
+    /// Write the canonical encoding into `out`, piece by piece.
+    fn write_canonical(&self, out: &mut impl Write) -> fmt::Result {
+        let wire = registry::entry(self.algorithm()).wire;
+        write!(out, "{wire}(")?;
+        match self {
             AlgorithmSpec::Contour { field, isovalues } => {
-                let iso = match isovalues {
-                    IsoValues::Spanning(n) => format!("spanning:{n}"),
+                write!(out, "field={field},isovalues=")?;
+                match isovalues {
+                    IsoValues::Spanning(n) => write!(out, "spanning:{n}")?,
                     IsoValues::Explicit(values) => {
-                        let hex: Vec<String> = values.iter().map(|v| f64_hex(*v)).collect();
-                        format!("explicit:{}", hex.join(","))
+                        out.write_str("explicit:")?;
+                        for (i, v) in values.iter().enumerate() {
+                            let comma = if i == 0 { "" } else { "," };
+                            write!(out, "{comma}{}", F64Hex(*v))?;
+                        }
                     }
-                };
-                format!("field={field},isovalues={iso}")
+                }
             }
             AlgorithmSpec::Threshold { field, band } | AlgorithmSpec::Isovolume { field, band } => {
-                format!("field={field},band={}", band_canonical(band))
+                write!(out, "field={field},band=")?;
+                write_band(out, band)?;
             }
             AlgorithmSpec::SphericalClip { field, sphere } => {
-                let s = match sphere {
+                write!(out, "field={field},sphere=")?;
+                match sphere {
                     SphereSpec::RadiusFraction(frac) => {
-                        format!("radius_fraction:{}", f64_hex(*frac))
+                        write!(out, "radius_fraction:{}", F64Hex(*frac))?
                     }
-                    SphereSpec::Explicit { center, radius } => format!(
+                    SphereSpec::Explicit { center, radius } => write!(
+                        out,
                         "explicit:{},{},{},{}",
-                        f64_hex(center.x),
-                        f64_hex(center.y),
-                        f64_hex(center.z),
-                        f64_hex(*radius)
-                    ),
-                };
-                format!("field={field},sphere={s}")
+                        F64Hex(center.x),
+                        F64Hex(center.y),
+                        F64Hex(center.z),
+                        F64Hex(*radius)
+                    )?,
+                }
             }
-            AlgorithmSpec::Slice { field } => format!("field={field}"),
+            AlgorithmSpec::Slice { field } => write!(out, "field={field}")?,
             AlgorithmSpec::ParticleAdvection {
                 field,
                 particles,
@@ -308,17 +334,19 @@ impl AlgorithmSpec {
                 seed,
                 scenario,
             } => {
+                write!(
+                    out,
+                    "field={field},particles={particles},steps={steps},\
+                     step_fraction={},seed={seed})",
+                    F64Hex(*step_fraction)
+                )?;
                 // Appended only when non-default, so every pre-scenario
                 // fingerprint (and hence every pinned cache key and
                 // journal id) is unchanged.
                 if !scenario.is_default() {
-                    tail = scenario_canonical(scenario);
+                    write_scenario(out, scenario)?;
                 }
-                format!(
-                    "field={field},particles={particles},steps={steps},\
-                     step_fraction={},seed={seed}",
-                    f64_hex(*step_fraction)
-                )
+                return Ok(());
             }
             AlgorithmSpec::RayTracing {
                 field,
@@ -331,18 +359,20 @@ impl AlgorithmSpec {
                 width,
                 height,
                 images,
-            } => format!("field={field},width={width},height={height},images={images}"),
-        };
-        let wire = registry::entry(self.algorithm()).wire;
-        format!("{wire}({args}){tail}")
+            } => write!(
+                out,
+                "field={field},width={width},height={height},images={images}"
+            )?,
+        }
+        out.write_str(")")
     }
 
-    /// Deterministic spec fingerprint: 48-bit FNV-1a over
-    /// `canonical`. 48 bits keep the value
+    /// Deterministic spec fingerprint: 48-bit FNV-1a over the canonical
+    /// encoding. 48 bits keep the value
     /// exactly representable as an `f64`, which is how it rides in
     /// the journal (`spec_fp` — docs/OBSERVABILITY.md).
     pub fn fingerprint(&self) -> u64 {
-        crate::fingerprint::fingerprint48(self.canonical().as_bytes())
+        self.canonical_hash().finish48()
     }
 
     /// The concrete advection kernel, for series (time-varying)
@@ -377,9 +407,9 @@ impl AlgorithmSpec {
         match backend {
             Backend::Traditional => self.fingerprint(),
             Backend::Dpp => {
-                let mut canon = self.canonical();
-                canon.push_str("|backend=dpp");
-                crate::fingerprint::fingerprint48(canon.as_bytes())
+                let mut h = self.canonical_hash();
+                h.update(b"|backend=dpp");
+                h.finish48()
             }
         }
     }
@@ -606,41 +636,51 @@ fn positive_number(v: &Value, field: &'static str) -> Result<f64, JsonError> {
 /// Canonical encoding of a non-default [`FlowScenario`], appended after
 /// the base advection encoding. Never emitted for the default scenario,
 /// which keeps every pre-scenario fingerprint byte-stable.
-fn scenario_canonical(s: &FlowScenario) -> String {
-    let step = match s.step_control {
-        StepControl::Fixed => "fixed".to_string(),
-        StepControl::Adaptive { tol } => format!("adaptive:{}", f64_hex(tol)),
-    };
-    let term = match s.termination {
-        Termination::MaxSteps => "max_steps".to_string(),
-        Termination::ExitDomain => "exit_domain".to_string(),
-        Termination::MaxTime { t_end } => format!("max_time:{}", f64_hex(t_end)),
-    };
-    format!(
-        "|scenario(mode={},seeding={},step={step},term={term})",
+fn write_scenario(out: &mut impl Write, s: &FlowScenario) -> fmt::Result {
+    write!(
+        out,
+        "|scenario(mode={},seeding={},step=",
         s.mode.wire_name(),
         s.seeding.wire_name()
-    )
+    )?;
+    match s.step_control {
+        StepControl::Fixed => out.write_str("fixed")?,
+        StepControl::Adaptive { tol } => write!(out, "adaptive:{}", F64Hex(tol))?,
+    }
+    out.write_str(",term=")?;
+    match s.termination {
+        Termination::MaxSteps => out.write_str("max_steps")?,
+        Termination::ExitDomain => out.write_str("exit_domain")?,
+        Termination::MaxTime { t_end } => write!(out, "max_time:{}", F64Hex(t_end))?,
+    }
+    out.write_str(")")
 }
 
 /// Canonical encoding of a [`ScalarBand`].
-fn band_canonical(band: &ScalarBand) -> String {
+fn write_band(out: &mut impl Write, band: &ScalarBand) -> fmt::Result {
     match band {
-        ScalarBand::UpperFraction(frac) => format!("upper_fraction:{}", f64_hex(*frac)),
-        ScalarBand::MiddleBand(frac) => format!("middle_band:{}", f64_hex(*frac)),
-        ScalarBand::Range { min, max } => format!("range:{},{}", f64_hex(*min), f64_hex(*max)),
+        ScalarBand::UpperFraction(frac) => write!(out, "upper_fraction:{}", F64Hex(*frac)),
+        ScalarBand::MiddleBand(frac) => write!(out, "middle_band:{}", F64Hex(*frac)),
+        ScalarBand::Range { min, max } => {
+            write!(out, "range:{},{}", F64Hex(*min), F64Hex(*max))
+        }
     }
 }
 
-/// IEEE-754 bit pattern of a float, as fixed-width hex.
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// The IEEE-754 bit pattern of a float, displayed as fixed-width hex.
+struct F64Hex(f64);
+
+impl fmt::Display for F64Hex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:016x}", self.0.to_bits())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::advection::{FlowMode, Seeding};
+    use crate::fingerprint::fingerprint48;
     use vizmesh::{json, Association, Field, UniformGrid};
 
     fn dataset() -> DataSet {
@@ -758,6 +798,87 @@ mod tests {
             },
         });
         specs
+    }
+
+    /// The streamed fingerprint hashes exactly the canonical bytes, on
+    /// both backends, for the default (paper) specs, their quick-study
+    /// sizes, and explicit isovalue, band, sphere and non-default flow
+    /// variants; and those bytes hash to the fingerprints the formatted
+    /// encoding gave, pinned here.
+    #[test]
+    fn the_streamed_fingerprint_is_that_of_the_canonical_bytes() {
+        let quick = Algorithm::ALL.map(|a| {
+            let mut spec = a.default_spec();
+            match &mut spec {
+                AlgorithmSpec::Contour { isovalues, .. } => *isovalues = IsoValues::Spanning(5),
+                AlgorithmSpec::ParticleAdvection {
+                    particles, steps, ..
+                } => (*particles, *steps) = (120, 150),
+                AlgorithmSpec::RayTracing {
+                    width,
+                    height,
+                    images,
+                    ..
+                }
+                | AlgorithmSpec::VolumeRendering {
+                    width,
+                    height,
+                    images,
+                    ..
+                } => (*width, *height, *images) = (32, 32, 4),
+                _ => {}
+            }
+            spec
+        });
+        let mut specs = every_variant();
+        specs.push(AlgorithmSpec::Threshold {
+            field: "energy".into(),
+            band: ScalarBand::MiddleBand(0.25),
+        });
+        specs.push(AlgorithmSpec::ParticleAdvection {
+            field: "velocity".into(),
+            particles: 120,
+            steps: 150,
+            step_fraction: 1e-3,
+            seed: 7,
+            scenario: FlowScenario {
+                termination: Termination::MaxTime { t_end: 0.25 },
+                ..FlowScenario::default()
+            },
+        });
+        for spec in specs.iter().chain(&quick) {
+            let canonical = spec.canonical();
+            assert_eq!(
+                spec.fingerprint(),
+                fingerprint48(canonical.as_bytes()),
+                "{canonical}"
+            );
+            let dpp = format!("{canonical}|backend=dpp");
+            assert_eq!(
+                spec.fingerprint_with(Backend::Dpp),
+                fingerprint48(dpp.as_bytes()),
+                "{canonical}"
+            );
+        }
+        let fps: Vec<u64> = specs.iter().map(AlgorithmSpec::fingerprint).collect();
+        let pinned: [u64; 15] = [
+            25748076515438,
+            198155684065227,
+            51625820889582,
+            190826306224919,
+            6955886948687,
+            102724157222056,
+            148484733657807,
+            17724296029121,
+            3057441097846,
+            127734315115603,
+            276736842327399,
+            181048534047308,
+            138535446981910,
+            54803652193092,
+            187940667695713,
+        ];
+        assert_eq!(fps, pinned);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 )]
 
 use propcheck::prelude::*;
-use vizalgo::contour::marching_cubes;
+use vizalgo::contour::{marching_cubes, SegmentIndex};
 use vizalgo::marching_tetra::{marching_tetrahedra, soup_area};
 use vizalgo::tetclip::{clip_keep_above, TetMesh};
 use vizalgo::{Filter, Isovolume, SphericalClip, Threshold};
@@ -35,7 +35,7 @@ proptest! {
     fn mc_and_mt_agree(seed in 0u64..100, iso in -0.8f64..1.2) {
         let grid = UniformGrid::cube_cells(5);
         let values = wavy_field(&grid, seed);
-        let mc = marching_cubes(&grid, &values, iso);
+        let mc = marching_cubes(&grid, &values, &SegmentIndex::of_field(&grid, &values), iso);
         let mt = marching_tetrahedra(&grid, &values, iso);
         prop_assert_eq!(mc.triangles.num_cells() == 0, mt.is_empty());
         if !mt.is_empty() {
@@ -62,7 +62,7 @@ proptest! {
     fn mc_watertight(seed in 0u64..50, iso in -0.5f64..1.0) {
         let grid = UniformGrid::cube_cells(4);
         let values = wavy_field(&grid, seed);
-        let mc = marching_cubes(&grid, &values, iso);
+        let mc = marching_cubes(&grid, &values, &SegmentIndex::of_field(&grid, &values), iso);
         let mut edges = std::collections::HashMap::new();
         for c in 0..mc.triangles.num_cells() {
             let t = mc.triangles.cell_points(c);

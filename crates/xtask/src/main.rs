@@ -148,6 +148,13 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
         "cargo run --release --bin reproduce -- conformance --quick --backend both",
         None,
     ),
+    // Again at sixteen threads: the differential checks compare each
+    // kernel with a sequential full-grid reference while the marching
+    // cubes segment index and its selection are cut into many chunks.
+    (
+        "cargo run --release --bin reproduce -- conformance --quick --backend both",
+        Some(("VIZPOWER_THREADS", "16")),
+    ),
     // The traditional-vs-DPP IPC contrast.
     (
         "cargo run --release --bin reproduce -- fig2b --quick --backend dpp",
