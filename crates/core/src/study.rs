@@ -561,7 +561,9 @@ mod tests {
 
     /// Each value of `bad` put once into the 16³ `energy` field, point-
     /// or cell-centered: every supported pair runs with the paper's
-    /// specs, and every output point is finite.
+    /// specs, every output point and pixel is finite (a depth may be +∞,
+    /// never NaN), and Traditional and DPP give outputs of the same
+    /// shape, `(cells, points)`.
     fn one_bad_energy_value_is_harmless(bad: &[f64]) {
         use vizmesh::{Association, Field};
         let clean = dataset_for(16);
@@ -578,20 +580,84 @@ mod tests {
                 values[mid] = inf;
                 ds.add_field(Field::scalar("energy", association, values));
                 for algorithm in Algorithm::ALL {
-                    for backend in Backend::ALL.into_iter().filter(|b| b.supports(algorithm)) {
-                        let spec = config.spec(algorithm);
-                        let (_, finite) = AlgorithmRun::native(spec, backend, 16, &ds, |out| {
-                            let points = out.dataset.as_ref().and_then(|d| d.as_explicit());
-                            points.is_none_or(|(p, _)| p.iter().all(|p| p.is_finite()))
-                        });
-                        assert!(
-                            finite,
-                            "{algorithm:?}/{backend:?}, {inf} in {association:?}"
-                        );
-                    }
+                    let backends = Backend::ALL.into_iter().filter(|b| b.supports(algorithm));
+                    let shapes: Vec<_> = backends
+                        .map(|backend| {
+                            let spec = config.spec(algorithm);
+                            let (_, (finite, shape)) =
+                                AlgorithmRun::native(spec, backend, 16, &ds, |out| {
+                                    let data = out.dataset.as_ref();
+                                    let points = data.and_then(|d| d.as_explicit());
+                                    let finite = points
+                                        .is_none_or(|(p, _)| p.iter().all(|p| p.is_finite()))
+                                        && out.images.iter().all(finite_pixels);
+                                    (finite, data.map(|d| (d.num_cells(), d.num_points())))
+                                });
+                            assert!(
+                                finite,
+                                "{algorithm:?}/{backend:?}, {inf} in {association:?}"
+                            );
+                            shape
+                        })
+                        .collect();
+                    assert!(
+                        shapes.windows(2).all(|w| w[0] == w[1]),
+                        "{algorithm:?}: {shapes:?}, {inf} in {association:?}"
+                    );
                 }
             }
         }
+    }
+
+    /// Every pixel's color is finite and no depth is NaN.
+    fn finite_pixels(image: &vizmesh::Image) -> bool {
+        let (w, h) = (image.width(), image.height());
+        (0..w * h).all(|p| {
+            let (x, y) = (p % w, p / w);
+            image.get(x, y).iter().all(|c| c.is_finite()) && !image.depth_at(x, y).is_nan()
+        })
+    }
+
+    /// One NaN and one +Inf velocity at two corners of a cell on the
+    /// first seed's path, in the 16³ study dataset: advection with the
+    /// paper's spec runs without a panic, its paths get shorter, and
+    /// every coordinate and speed it emits is finite.
+    #[test]
+    fn bad_velocity_values_on_a_path_shorten_it_and_emit_nothing_non_finite() {
+        use vizmesh::{Association, Field};
+        let clean = dataset_for(16);
+        let spec = StudyConfig::paper().spec(Algorithm::ParticleAdvection);
+        let run = |ds: &DataSet| {
+            let (_, lines) =
+                AlgorithmRun::native(spec.clone(), Backend::Traditional, 16, ds, |out| {
+                    out.dataset.clone()
+                });
+            lines.unwrap()
+        };
+        let lines = run(&clean);
+        let (points, cells) = lines.as_explicit().unwrap();
+        let path = cells.cell_points(0);
+        assert!(path.len() > 3, "the first path has {} points", path.len());
+        let grid = clean.as_uniform().unwrap();
+        let cell = grid.locate_cell(points[path[2] as usize]).unwrap();
+        let corners = grid.cells([cell]).next().unwrap().point_ids();
+        let mut velocity = clean.point_vectors("velocity").unwrap().to_vec();
+        velocity[corners[0]] = vizmesh::Vec3::splat(f64::NAN);
+        velocity[corners[6]] = vizmesh::Vec3::new(f64::INFINITY, 0.0, 0.0);
+        let mut ds = clean.clone();
+        ds.add_field(Field::vector("velocity", Association::Points, velocity));
+
+        let bad = run(&ds);
+        let (bad_points, _) = bad.as_explicit().unwrap();
+        assert!(
+            bad_points.len() < points.len(),
+            "{} path points, {} without the bad values",
+            bad_points.len(),
+            points.len()
+        );
+        assert!(bad_points.iter().all(|p| p.is_finite()));
+        let speeds = bad.point_scalars("speed").unwrap();
+        assert!(speeds.iter().all(|s| s.is_finite()));
     }
 
     #[test]

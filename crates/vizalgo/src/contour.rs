@@ -243,9 +243,9 @@ const SEGMENT: usize = 16;
 /// A cell is cut when some corner is above the isovalue and some is
 /// not, so a segment whose highest corner is not above it, or whose
 /// lowest is, holds no cut cell, and `classify` reads only the other
-/// segments. A builder may widen a range (slice's closed-form planes
-/// do) but never narrow it. Segments are numbered in cell order: the
-/// x-row `j + cy·k` of cells holds segments `per_row·(j + cy·k) ..`.
+/// segments. A range may be wider than its values, never narrower.
+/// Segments are numbered in cell order: the x-row `j + cy·k` of cells
+/// holds segments `per_row·(j + cy·k) ..`.
 pub struct SegmentIndex {
     /// Segments per x-row of cells.
     per_row: usize,

@@ -6,9 +6,9 @@
 //! covers why the vertex numbering matches).
 //!
 //! The trace charges the distance `map` at every point; the host fills
-//! one reused buffer only where the plane's closed-form segment index
-//! leaves a segment live, as the traditional filter does (the module
-//! note of `crate::slice`).
+//! one reused buffer only where the plane's exact segment index leaves
+//! a segment live, through the traditional filter's own call (the
+//! module note of `crate::slice`).
 
 use super::mc::dpp_marching_cubes;
 use super::primitives::{self, DppTrace, PrimitiveOp};
@@ -26,8 +26,7 @@ impl DppExecute for ThreeSlice {
 
         let surfaces = self.planes.iter().map(|plane| {
             // 1. map: signed distance per mesh point (the FP-dense part).
-            let index = plane.segment_index(grid);
-            fill_distance(grid, plane, &index, &mut sdf);
+            let index = fill_distance(grid, plane, &mut sdf);
             primitives::record_map_n::<f64>(&mut trace, num_points, 24);
             trace.record_flops(PrimitiveOp::Map, 18 * num_points as u64);
 

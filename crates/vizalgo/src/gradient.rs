@@ -13,27 +13,20 @@
 use crate::filter::{self, Filter, FilterOutput, KernelClass, KernelReport};
 use vizmesh::{par, Association, DataSet, Field, UniformGrid, Vec3, WorkCounters};
 
-/// Computes `|∇f|` (and optionally the gradient vector) of a
-/// point-centered scalar with central differences (one-sided on the
-/// boundary), producing a structured dataset with the derived fields.
+/// Computes `|∇f|` and the gradient vector of a point-centered scalar
+/// with central differences (one-sided on the boundary), producing a
+/// structured dataset with the derived fields `<field>_gradmag` and
+/// `<field>_grad`.
 #[derive(Debug, Clone)]
 pub struct Gradient {
     pub(crate) field: String,
-    /// Also emit the vector field `<field>_grad`.
-    pub(crate) emit_vector: bool,
 }
 
 impl Gradient {
     pub fn new(field: impl Into<String>) -> Self {
         Gradient {
             field: field.into(),
-            emit_vector: false,
         }
-    }
-
-    pub fn with_vectors(mut self) -> Self {
-        self.emit_vector = true;
-        self
     }
 
     /// Gradient at point (i, j, k) by central/one-sided differences.
@@ -85,13 +78,11 @@ impl Filter for Gradient {
             Association::Points,
             mags,
         ));
-        if self.emit_vector {
-            ds.add_field(Field::vector(
-                format!("{}_grad", self.field),
-                Association::Points,
-                grads,
-            ));
-        }
+        ds.add_field(Field::vector(
+            format!("{}_grad", self.field),
+            Association::Points,
+            grads,
+        ));
         FilterOutput::data(
             ds,
             vec![KernelReport::new(
@@ -118,7 +109,7 @@ mod tests {
     #[test]
     fn gradient_of_linear_field_is_exact() {
         let ds = dataset_with(|p| 3.0 * p.x - 2.0 * p.y + 0.5 * p.z, 6);
-        let out = Gradient::new("f").with_vectors().execute(&ds);
+        let out = Gradient::new("f").execute(&ds);
         let result = out.dataset.unwrap();
         let grads = result.point_vectors("f_grad").unwrap();
         let expect = Vec3::new(3.0, -2.0, 0.5);
@@ -149,7 +140,7 @@ mod tests {
                 + h * p.x * p.y * p.z
         };
         let ds = dataset_with(field, 5);
-        let out = Gradient::new("f").with_vectors().execute(&ds);
+        let out = Gradient::new("f").execute(&ds);
         let result = out.dataset.unwrap();
         let grid = result.as_uniform().unwrap().clone();
         let grads = result.point_vectors("f_grad").unwrap();
@@ -187,7 +178,7 @@ mod tests {
         // Quadratic in x: gradient 2x; at x = 0 the one-sided estimate is
         // (f(h) - f(0))/h = h, not 0 — still finite and sensible.
         let ds = dataset_with(|p| p.x * p.x, 8);
-        let out = Gradient::new("f").with_vectors().execute(&ds);
+        let out = Gradient::new("f").execute(&ds);
         let result = out.dataset.unwrap();
         let grid = result.as_uniform().unwrap();
         let grads = result.point_vectors("f_grad").unwrap();

@@ -6,13 +6,13 @@
 //! field at isovalue 0, yielding a topologically 2-D plane.
 //!
 //! The work reports charge exactly that: a distance at every point and
-//! a classify of every cell, per plane. The host computes less. Each
-//! plane's [`SegmentIndex`] comes in closed form
-//! ([`Plane::segment_index`]), and the one reused distance buffer is
-//! filled only at the points of the segments it leaves live
-//! ([`fill_distance`]) — the only points marching cubes then reads.
-//! Both backends slice through these two functions, so the output is
-//! the same bits a full distance map gives.
+//! a classify of every cell, per plane. The host computes less. The
+//! distance is a sum of one term per axis, so three small tables give
+//! each plane's [`SegmentIndex`] exactly, and the one reused distance
+//! buffer is filled only at the points of the segments it leaves live
+//! — the only points marching cubes then reads. Both backends slice
+//! through that one call ([`fill_distance`]), so the output is the
+//! same bits a full distance map gives.
 
 use crate::contour::{cuts, marching_cubes, SegmentIndex};
 use crate::filter::{self, concat_surfaces, Filter, FilterOutput, KernelClass, KernelReport};
@@ -37,74 +37,47 @@ impl Plane {
     pub fn distance(&self, p: Vec3) -> f64 {
         self.normal.dot(p - self.origin)
     }
-
-    /// The [`SegmentIndex`] of this plane's signed distance over `grid`,
-    /// in closed form: no distance is computed at a point.
-    ///
-    /// The exact distance is affine, with one term `n_a·(p_a − o_a)` per
-    /// axis, each monotone along its axis; so over a segment's box of
-    /// points its extremes are the sums of each term's lower and higher
-    /// value at the box's two ends on that axis. [`Self::distance`]
-    /// rounds, and so do these terms and sums. To first order in the
-    /// unit roundoff `u`, each strays from the exact value by at most
-    /// `6u·scale`, where `scale = Σ_a |n_a|·(max |p_a| + |o_a|)`: `4u` for
-    /// a term (the coordinate's multiply and add, the subtraction, the
-    /// product) and `2u` for the two sums. Every range is widened by
-    /// `16·EPSILON·scale = 32u·scale` — more than twice the `13u·scale`
-    /// the two errors and the widening's own rounding can add up to —
-    /// plus `MIN_POSITIVE` for the absolute error of a subnormal
-    /// product. So every computed distance lies in its segment's range,
-    /// and a skipped segment holds no cut cell. A non-finite `scale`
-    /// (a NaN or infinite origin or normal, or coordinates near
-    /// overflow) bounds nothing: every segment is live then.
-    pub(crate) fn segment_index(&self, grid: &UniformGrid) -> SegmentIndex {
-        let dims = grid.point_dims();
-        let (o, n) = (self.origin, self.normal);
-        let mut scale = 0.0;
-        // Per axis, the term at each point index along it.
-        let terms: [Vec<f64>; 3] = std::array::from_fn(|a| {
-            let coord = |i: usize| {
-                let mut ijk = [0; 3];
-                ijk[a] = i;
-                grid.point_coord(ijk[0], ijk[1], ijk[2])[a]
-            };
-            // |p_a| is largest at an end of the axis.
-            let reach = coord(0).abs().max(coord(dims[a] - 1).abs());
-            scale += n[a].abs() * (reach + o[a].abs());
-            (0..dims[a]).map(|i| n[a] * (coord(i) - o[a])).collect()
-        });
-        if scale.is_nan() || scale > f64::MAX / 4.0 {
-            return SegmentIndex::everywhere(grid);
-        }
-        let margin = 16.0 * f64::EPSILON * scale + f64::MIN_POSITIVE;
-        let span = |t: &[f64], a: usize, b: usize| [t[a].min(t[b]), t[a].max(t[b])];
-        let [tx, ty, tz] = &terms;
-        let xs: Vec<[f64; 2]> = cuts(grid).iter().map(|&[a, b]| span(tx, a, b)).collect();
-        SegmentIndex::from_rows(grid, |j, k, out| {
-            let ([ylo, yhi], [zlo, zhi]) = (span(ty, j, j + 1), span(tz, k, k + 1));
-            out.extend(
-                xs.iter()
-                    .map(|&[xlo, xhi]| [xlo + ylo + zlo - margin, xhi + yhi + zhi + margin]),
-            );
-        })
-    }
 }
 
-/// Write `plane`'s signed distance into `sdf` at every point of a
-/// segment `index` leaves live at isovalue 0 — every point marching
-/// cubes reads through that index — and leave the other points as they
-/// were. The live segments mark the point runs their corners lie on;
-/// chunks of the buffer then run on `par`, each filling the marked runs
-/// of its point rows, a point two marked runs share once.
-pub(crate) fn fill_distance(
-    grid: &UniformGrid,
-    plane: &Plane,
-    index: &SegmentIndex,
-    sdf: &mut [f64],
-) {
+/// Write `plane`'s signed distance into `sdf` at every point marching
+/// cubes reads at isovalue 0, and return the plane's [`SegmentIndex`];
+/// the other points keep what they held.
+///
+/// [`Plane::distance`] at point `(i, j, k)` is `(tx[i] + ty[j]) + tz[k]`
+/// with `t_a[i] = n_a·(p_a(i) − o_a)`: the same operations in the same
+/// order, so the same bits. Each table is monotone along its axis and
+/// IEEE `+` is monotone in each operand, so over a segment's box of
+/// points the sum of the terms' lowest values is exactly the lowest
+/// distance, and likewise the highest: no margin. A non-finite term (a
+/// NaN or infinite origin, or a difference that overflows) may make a
+/// sum NaN and bounds nothing, so every segment is live then.
+///
+/// Live segments mark the point runs their corners lie on; chunks of
+/// the buffer then run on `par`, each filling the marked runs of its
+/// point rows, a point two marked runs share once.
+pub(crate) fn fill_distance(grid: &UniformGrid, plane: &Plane, sdf: &mut [f64]) -> SegmentIndex {
     let [nx, ny, nz] = grid.point_dims();
-    let cy = ny - 1;
+    let (o, n) = (plane.origin, plane.normal);
+    // Axis `a`'s coordinate of point `(i, j, k)` depends on its own index
+    // alone, so `point_coord(i, i, i)` holds the `i`-th of each axis.
+    let [tx, ty, tz]: [Vec<f64>; 3] = std::array::from_fn(|a| {
+        let coords = (0..[nx, ny, nz][a]).map(|i| grid.point_coord(i, i, i)[a]);
+        coords.map(|p| n[a] * (p - o[a])).collect()
+    });
     let cuts = cuts(grid);
+    let index = if tx.iter().chain(&ty).chain(&tz).all(|t| t.is_finite()) {
+        let span = |t: &[f64], a: usize, b: usize| [t[a].min(t[b]), t[a].max(t[b])];
+        let xs: Vec<[f64; 2]> = cuts.iter().map(|&[a, b]| span(&tx, a, b)).collect();
+        SegmentIndex::from_rows(grid, |j, k, out| {
+            let ([ylo, yhi], [zlo, zhi]) = (span(&ty, j, j + 1), span(&tz, k, k + 1));
+            let sum = |[xlo, xhi]: [f64; 2]| [xlo + ylo + zlo, xhi + yhi + zhi];
+            out.extend(xs.iter().copied().map(sum));
+        })
+    } else {
+        SegmentIndex::everywhere(grid)
+    };
+
+    let cy = ny - 1;
     let per_row = cuts.len();
     let mut marked = vec![false; per_row * ny * nz];
     for s in index.live_segments(0.0) {
@@ -128,12 +101,13 @@ pub(crate) fn fill_distance(
             for (&[a, b], _) in runs.filter(|&(_, &m)| m) {
                 let (from, to) = (a.max(filled), (b + 1).min(hi));
                 for i in from..to {
-                    chunk[first + i - points.start] = plane.distance(grid.point_coord(i, j, k));
+                    chunk[first + i - points.start] = tx[i] + ty[j] + tz[k];
                 }
                 filled = filled.max(to);
             }
         }
     });
+    index
 }
 
 /// The three-slice filter: slices on the x-y, y-z, and x-z planes through
@@ -194,8 +168,7 @@ impl Filter for ThreeSlice {
             // Kernel 1: signed-distance field, charged at every mesh
             // point. The paper notes this per-node computation is what
             // makes slice more compute-intensive than plain contour.
-            let index = plane.segment_index(grid);
-            fill_distance(grid, plane, &index, &mut sdf);
+            let index = fill_distance(grid, plane, &mut sdf);
             distance_work.tally(num_points as u64, 30, 18, 24, 8);
 
             // Kernel 2+3: contour the distance field at zero.
@@ -271,7 +244,9 @@ mod tests {
     /// points (d = 0 exactly there), oblique normals, planes tangent to
     /// a face, a plane outside the domain, a NaN origin, a 37-cell
     /// x-row that crosses segment boundaries (its points cut into chunks
-    /// at 4 and 16 threads), and an offset, non-dyadic 12 × 9 × 7 grid.
+    /// at 4 and 16 threads), an offset, non-dyadic 12 × 9 × 7 grid, and
+    /// a grid ±0.85e308 wide on which the last plane's distance terms
+    /// overflow to ±∞ and meet as NaN.
     #[test]
     fn slice_equals_marching_cubes_over_a_distance_at_every_point() {
         use crate::dpp::Dpp;
@@ -286,6 +261,11 @@ mod tests {
                 [13, 10, 8],
                 Vec3::new(-0.7, 0.3, 1.1),
                 Vec3::new(0.1, 0.3, 0.7),
+            ),
+            UniformGrid::new(
+                [7, 6, 3],
+                Vec3::new(-0.85e308, -0.85e308, 0.0),
+                Vec3::new(2.8e307, 3.3e307, 1.0),
             ),
         ];
         let mut surfaces = 0;
@@ -308,6 +288,7 @@ mod tests {
                 Plane::new(far, Vec3::X),
                 Plane::new(Vec3::splat(10.0), Vec3::X),
                 Plane::new(Vec3::new(f64::NAN, c.y, c.z), Vec3::Z),
+                Plane::new(Vec3::new(-1e308, 1e308, c.z), Vec3::new(1.0, 1.0, 0.0)),
             ];
             let data: Vec<f64> = (0..grid.num_points())
                 .map(|p| grid.point_coord_id(p).dot(Vec3::new(1.0, -2.0, 0.5)))
@@ -348,13 +329,15 @@ mod tests {
         );
     }
 
-    /// Every computed distance lies in the closed-form range of each
-    /// segment holding it, so a skipped segment holds no cut cell: random
-    /// normals, origins far off the grid, offset grids with uneven
-    /// spacing.
+    /// Each segment's range is exactly the lowest and the highest
+    /// distance at its points, so a skipped segment holds no cut cell
+    /// and no live one is kept by a margin, and the buffer holds the
+    /// distance at every point of a live segment: random normals,
+    /// origins far off the grid, offset grids with uneven spacing.
     #[test]
     fn every_distance_lies_in_its_segments_closed_form_range() {
         let mut rng = vizmesh::XorShift::from_seed(47);
+        let mut live = 0;
         for case in 0..40 {
             let scale = [1.0, 1e3, 1e8][case % 3];
             let cells = [1 + rng.below(40), 1 + rng.below(6), 1 + rng.below(6)];
@@ -380,21 +363,37 @@ mod tests {
                 grid.bounds().center() + normal * rng.range(-3.0, 3.0),
                 normal,
             );
-            let index = plane.segment_index(&grid);
+            let mut sdf = vec![f64::NAN; grid.num_points()];
+            let index = fill_distance(&grid, &plane, &mut sdf);
             let ranges = index.ranges();
             let per_row = ranges.len() / (cells[1] * cells[2]);
             for (s, &[lo, hi]) in ranges.iter().enumerate() {
                 let (row, x) = (s / per_row, s % per_row);
                 let (j, k) = (row % cells[1], row / cells[1]);
                 let [a, b] = cuts(&grid)[x];
-                for (i, dj, dk) in
-                    (a..=b).flat_map(|i| [(i, 0, 0), (i, 1, 0), (i, 0, 1), (i, 1, 1)])
-                {
-                    let d = plane.distance(grid.point_coord(i, j + dj, k + dk));
-                    assert!(lo <= d && d <= hi, "case {case}: {d} outside [{lo}, {hi}]");
+                let points: Vec<[usize; 3]> = (a..=b)
+                    .flat_map(|i| [[i, j, k], [i, j + 1, k], [i, j, k + 1], [i, j + 1, k + 1]])
+                    .collect();
+                let d = |[i, j, k]: [usize; 3]| plane.distance(grid.point_coord(i, j, k));
+                let min = points.iter().map(|&p| d(p)).fold(f64::INFINITY, f64::min);
+                let max = points
+                    .iter()
+                    .map(|&p| d(p))
+                    .fold(f64::NEG_INFINITY, f64::max);
+                assert!(
+                    lo == min && hi == max,
+                    "case {case}: range [{lo}, {hi}], distances [{min}, {max}]"
+                );
+                if hi > 0.0 && lo <= 0.0 {
+                    live += 1;
+                    for p in points {
+                        let at = sdf[grid.point_id(p[0], p[1], p[2])];
+                        assert_eq!(at.to_bits(), d(p).to_bits(), "case {case}: {p:?}");
+                    }
                 }
             }
         }
+        assert!(live > 0, "no plane cut its grid");
     }
 
     #[test]

@@ -161,6 +161,21 @@ fn on<F: DppExecute + 'static>(backend: Backend, filter: F) -> Box<dyn Filter> {
     }
 }
 
+/// The kernel of an advection spec's parameters, as its match binds
+/// them: the one construction behind [`AlgorithmSpec::build_with`] and
+/// [`AlgorithmSpec::build_flow`].
+fn flow(
+    field: &str,
+    particles: &usize,
+    steps: &usize,
+    step_fraction: &f64,
+    seed: &u64,
+    scenario: &FlowScenario,
+) -> ParticleAdvection {
+    ParticleAdvection::new(field, *particles, *steps, *step_fraction, *seed)
+        .with_scenario(*scenario)
+}
+
 /// The paper's RK4 step length (fractions of the domain diagonal).
 const DEFAULT_STEP_FRACTION: f64 = 5e-4;
 
@@ -246,10 +261,7 @@ impl AlgorithmSpec {
                 step_fraction,
                 seed,
                 scenario,
-            } => Box::new(
-                ParticleAdvection::new(field.clone(), *particles, *steps, *step_fraction, *seed)
-                    .with_scenario(*scenario),
-            ),
+            } => Box::new(flow(field, particles, steps, step_fraction, seed, scenario)),
             AlgorithmSpec::RayTracing {
                 field,
                 width,
@@ -379,8 +391,7 @@ impl AlgorithmSpec {
     /// execution: `ParticleAdvection::execute_series` lives outside the
     /// `dyn Filter` interface, so callers that advect through a
     /// [`vizmesh::FieldSeries`] need the concrete type. `None` for
-    /// non-advection specs. This is the second sanctioned arm of the
-    /// single construction site (next to `build_with`).
+    /// non-advection specs. The kernel is the one `build_with` boxes.
     pub fn build_flow(&self) -> Option<ParticleAdvection> {
         match self {
             AlgorithmSpec::ParticleAdvection {
@@ -390,10 +401,7 @@ impl AlgorithmSpec {
                 step_fraction,
                 seed,
                 scenario,
-            } => Some(
-                ParticleAdvection::new(field.clone(), *particles, *steps, *step_fraction, *seed)
-                    .with_scenario(*scenario),
-            ),
+            } => Some(flow(field, particles, steps, step_fraction, seed, scenario)),
             _ => None,
         }
     }

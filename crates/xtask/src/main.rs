@@ -131,8 +131,10 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
     // one (hosted runners have more than one core). An explicit
     // `par::with_threads` still wins: the service's worker pool keeps its
     // `ServiceConfig::workers`, while the dataset solves under it go inline.
+    // `vizpower` adds the study's bad-value runs of every filter and
+    // `AlgorithmRun::native`.
     (
-        "cargo test -q -p vizmesh -p vizalgo -p conformance -p cloverleaf -p insitu -p service",
+        "cargo test -q -p vizmesh -p vizalgo -p conformance -p cloverleaf -p insitu -p service -p vizpower",
         Some(("VIZPOWER_THREADS", "1")),
     ),
     // Sixteen threads on a 2-4 core runner: many more chunks than cores,

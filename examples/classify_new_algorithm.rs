@@ -21,7 +21,7 @@ use vizpower::{classify, first_slowdown_cap, report};
 fn main() {
     println!("running gradient-magnitude on the 64^3 CloverLeaf energy field ...");
     let data = dataset_for(64);
-    let filter = Gradient::new("energy").with_vectors();
+    let filter = Gradient::new("energy");
     let out = filter.execute(&data);
     let result = out.dataset.as_ref().unwrap();
     let (lo, hi) = result
