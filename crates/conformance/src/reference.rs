@@ -343,7 +343,7 @@ fn raytrace_reference(
     let Some(img) = out.images.first() else {
         return c.failed(check);
     };
-    let (tris, _) = external_face_triangles(input, FIELD);
+    let (tris, _) = external_face_triangles(input, FIELD, |_| {});
     let cameras = Camera::orbit(&input.bounds(), cfg.cameras);
     let Some(cam) = cameras.first() else {
         return c.failed(check);

@@ -426,6 +426,41 @@ mod tests {
     }
 
     #[test]
+    fn a_ray_tracing_scene_renders_every_cycle_as_a_fresh_execute() {
+        let renderer = AlgorithmSpec::RayTracing {
+            field: "energy".into(),
+            width: 24,
+            height: 20,
+            images: 2,
+        };
+        let scene = Action::AddScene {
+            name: "rt".into(),
+            renderer: renderer.clone(),
+        };
+        let config = RuntimeConfig {
+            grid_cells: 8,
+            total_steps: 12,
+            trigger: Trigger::EveryN { n: 4 },
+        };
+        let run = InSituRuntime::new(Problem::TwoState, config, ActionList(vec![scene])).run();
+        assert_eq!(run.cycles.len(), 3);
+        let mut sim = Simulation::new(Problem::TwoState, 8, SimConfig::default());
+        for cycle in &run.cycles {
+            while sim.step_count() < cycle.step {
+                sim.step();
+            }
+            let data = sim.dataset();
+            let want = renderer.build(&data).execute(&data);
+            assert_eq!(cycle.viz_kernels, want.kernels, "cycle {}", cycle.step);
+            assert_eq!(cycle.images, want.images, "cycle {}", cycle.step);
+        }
+        assert_ne!(
+            run.cycles[0].images, run.cycles[2].images,
+            "the field moved"
+        );
+    }
+
+    #[test]
     fn trigger_gates_visualization() {
         let config = RuntimeConfig {
             grid_cells: 6,

@@ -1,8 +1,16 @@
 //! Scenes: renderers plus an image-database sink.
+//!
+//! CloverLeaf's mesh is Eulerian, so a ray-tracing scene traces its grid
+//! once ([`RayTracer::record`]) and per cycle only colours the hits
+//! ([`RayTracer::colour`]), with `execute`'s images and reports. The
+//! record costs 32 B per hit pixel: about 10 MB for the paper's 50
+//! images of 128², of which about 41 % of the pixels hit.
 
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use vizalgo::{AlgorithmSpec, FilterOutput};
+use std::sync::Mutex;
+use vizalgo::{AlgorithmSpec, FilterOutput, RayRecord};
 use vizmesh::DataSet;
 
 /// A named scene: a renderer and optionally a directory into which its
@@ -12,6 +20,7 @@ pub struct Scene {
     pub name: String,
     pub renderer: AlgorithmSpec,
     pub(crate) output_dir: Option<PathBuf>,
+    recorded: Recorded,
 }
 
 impl Scene {
@@ -20,6 +29,7 @@ impl Scene {
             name: name.into(),
             renderer,
             output_dir: None,
+            recorded: Recorded::default(),
         }
     }
 
@@ -32,7 +42,22 @@ impl Scene {
     /// Render the scene against `data` for visualization cycle `cycle`.
     /// A write error names the directory or file it could not write.
     pub fn render(&self, data: &DataSet, cycle: u64) -> io::Result<FilterOutput> {
-        let out = self.renderer.build(data).execute(data);
+        let out = match (self.renderer.build_tracer(), data.as_uniform()) {
+            (Some(tracer), Some(grid)) => {
+                let (o, s) = (grid.origin(), grid.spacing());
+                let bits = [o.x, o.y, o.z, s.x, s.y, s.z].map(f64::to_bits);
+                let key = (grid.point_dims(), bits, self.renderer.clone());
+                // Each update leaves a record under its own key, so a
+                // poisoned lock still holds a valid state.
+                let mut held = self.recorded.0.lock().unwrap_or_else(|e| e.into_inner());
+                let record = match &mut *held {
+                    Some((made_for, record)) if *made_for == key => record,
+                    slot => &slot.insert((key, tracer.record(data))).1,
+                };
+                tracer.colour(record, data)
+            }
+            _ => self.renderer.build(data).execute(data),
+        };
         if let Some(dir) = &self.output_dir {
             std::fs::create_dir_all(dir).map_err(|e| naming(dir, e))?;
             for (i, img) in out.images.iter().enumerate() {
@@ -45,6 +70,24 @@ impl Scene {
     }
 }
 
+/// A ray-tracing scene's last record, keyed by what it depends on: the
+/// grid's point dims, its origin and spacing by their bits, and the
+/// renderer (its image size and count). A clone starts empty.
+#[derive(Default)]
+struct Recorded(Mutex<Option<(([usize; 3], [u64; 6], AlgorithmSpec), RayRecord)>>);
+
+impl Clone for Recorded {
+    fn clone(&self) -> Self {
+        Recorded::default()
+    }
+}
+
+impl fmt::Debug for Recorded {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Recorded").finish_non_exhaustive()
+    }
+}
+
 /// `e` with the path it concerns in front of its message.
 fn naming(path: &Path, e: io::Error) -> io::Error {
     io::Error::new(e.kind(), format!("{}: {e}", path.display()))
@@ -53,7 +96,7 @@ fn naming(path: &Path, e: io::Error) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vizmesh::{Association, Field, UniformGrid};
+    use vizmesh::{Aabb, Association, Field, UniformGrid, Vec3};
 
     fn dataset() -> DataSet {
         let grid = UniformGrid::cube_cells(4);
@@ -77,6 +120,48 @@ mod tests {
         let s = Scene::new("s", spec(3));
         let out = s.render(&dataset(), 0).unwrap();
         assert_eq!(out.images.len(), 3);
+    }
+
+    /// `cells` cells from `origin` with energy `value(point id)`.
+    fn on_grid(cells: [usize; 3], origin: Vec3, value: fn(usize) -> f64) -> DataSet {
+        let bounds = Aabb::new(origin, origin + Vec3::new(2.0, 1.5, 0.75));
+        let grid = UniformGrid::from_cell_dims(cells, bounds);
+        let vals = (0..grid.num_points()).map(value).collect();
+        DataSet::uniform(grid).with_field(Field::scalar("energy", Association::Points, vals))
+    }
+
+    #[test]
+    fn a_ray_tracing_scene_renders_as_execute_across_grid_changes() {
+        let spec = AlgorithmSpec::RayTracing {
+            field: "energy".into(),
+            width: 40,
+            height: 32,
+            images: 3,
+        };
+        let (a, b): (fn(usize) -> f64, fn(usize) -> f64) =
+            (|p| (p as f64 * 0.37).sin(), |p| (p as f64 * 0.11).cos());
+        let at = Vec3::new(-0.5, 0.25, 1.0);
+        let g = |value| on_grid([12, 9, 7], at, value);
+        // G, G recoloured, G' with other dims, G' with another origin
+        // (same dims as G), then G again.
+        let renders = [
+            ("G", g(a)),
+            ("G, field B", g(b)),
+            ("other dims", on_grid([12, 10, 7], at, a)),
+            (
+                "other origin",
+                on_grid([12, 9, 7], at + Vec3::new(0.1, 0.0, 0.0), a),
+            ),
+            ("G again", g(b)),
+        ];
+        let scene = Scene::new("s", spec.clone());
+        for (cycle, (what, data)) in renders.iter().enumerate() {
+            let want = format!("{:?}", spec.build(data).execute(data));
+            let got = scene.render(data, cycle as u64).unwrap();
+            assert!(format!("{got:?}") == want, "{what}");
+            let clone = scene.clone().render(data, cycle as u64).unwrap();
+            assert!(format!("{clone:?}") == want, "{what}: the clone");
+        }
     }
 
     #[test]

@@ -193,22 +193,19 @@ pub(crate) fn point_scalar_range(input: &DataSet, field: &str) -> (f64, f64) {
     found.and_then(|f| f.scalar_range()).unwrap_or((0.0, 1.0))
 }
 
-/// The image database of both image-order renderers: one image per
-/// camera of a `num_cameras` orbit around `bounds`, its rows filled on
-/// `par` into buffers every camera reuses. `pixel(ray, stats)` counts
-/// into its row's stats and returns `(rgba, depth)` for a drawn pixel;
-/// each image comes with its rows' stats, summed by `add` in row order.
-pub(crate) fn orbit_images<S: Copy + Default + Send>(
+/// Each camera of a `num_cameras` orbit around `bounds` in turn: its rows
+/// are filled on `par` into buffers every camera reuses, then handed to
+/// `take`. `pixel(ray, stats)` counts into its row's stats.
+pub(crate) fn orbit_rows<P: Send, S: Default + Send>(
     bounds: &Aabb,
     num_cameras: usize,
     (width, height): (usize, usize),
-    pixel: impl Fn(&Ray, &mut S) -> Option<([f32; 4], f32)> + Sync,
-    add: impl Fn(S, S) -> S,
-) -> Vec<(Image, S)> {
+    pixel: impl Fn(&Ray, &mut S) -> Option<P> + Sync,
+    mut take: impl FnMut(&[(Vec<Option<P>>, S)]),
+) {
     let rows = crate::RAY_MIN_LEN.div_ceil(width.max(1));
-    let mut row_buf: Vec<(Vec<Option<([f32; 4], f32)>>, S)> = Vec::with_capacity(height);
+    let mut row_buf: Vec<(Vec<Option<P>>, S)> = Vec::with_capacity(height);
     row_buf.resize_with(height, Default::default);
-    let mut images = Vec::with_capacity(num_cameras);
     for cam in Camera::orbit(bounds, num_cameras) {
         let view = cam.view(width, height);
         par::for_each_mut(&mut row_buf, rows, |y, (row, stats)| {
@@ -216,9 +213,25 @@ pub(crate) fn orbit_images<S: Copy + Default + Send>(
             row.clear();
             row.extend((0..width).map(|x| pixel(&view.ray(x, y), stats)));
         });
+        take(&row_buf);
+    }
+}
+
+/// The image database of both image-order renderers: [`orbit_rows`] with
+/// each drawn `(rgba, depth)` set on its camera's image, which comes with
+/// its rows' stats, summed by `add` in row order.
+pub(crate) fn orbit_images<S: Copy + Default + Send>(
+    bounds: &Aabb,
+    num_cameras: usize,
+    (width, height): (usize, usize),
+    pixel: impl Fn(&Ray, &mut S) -> Option<([f32; 4], f32)> + Sync,
+    add: impl Fn(S, S) -> S,
+) -> Vec<(Image, S)> {
+    let mut images = Vec::with_capacity(num_cameras);
+    orbit_rows(bounds, num_cameras, (width, height), pixel, |rows| {
         let mut img = Image::new(width, height);
         let mut total = S::default();
-        for (y, (row, stats)) in row_buf.iter().enumerate() {
+        for (y, (row, stats)) in rows.iter().enumerate() {
             for (x, px) in row.iter().enumerate() {
                 if let Some((rgba, depth)) = *px {
                     img.set_if_closer(x, y, depth, rgba);
@@ -227,7 +240,7 @@ pub(crate) fn orbit_images<S: Copy + Default + Send>(
             total = add(total, *stats);
         }
         images.push((img, total));
-    }
+    });
     images
 }
 

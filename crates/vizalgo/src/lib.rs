@@ -98,7 +98,7 @@ pub use filter::{Algorithm, Filter, FilterOutput, KernelClass, KernelReport};
 pub use fingerprint::{dataset_fingerprint, fingerprint48, series_fingerprint, Fnv1a};
 pub use gradient::Gradient;
 pub use isovolume::Isovolume;
-pub use raytrace::RayTracer;
+pub use raytrace::{RayRecord, RayTracer};
 pub use slice::ThreeSlice;
 pub use spec::{AlgorithmSpec, IsoValues, ScalarBand, SphereSpec};
 pub use threshold::Threshold;

@@ -14,10 +14,16 @@
 //! position and touches only that shell. Comparing this kernel's model
 //! to a stopwatch therefore compares against counted work, not against
 //! the host's gather time.
+//!
+//! In situ, where only the field changes between cycles, a scene runs
+//! all three steps once per grid ([`RayTracer::record`]) and per cycle
+//! only colours the recorded hits ([`RayTracer::colour`]). The model
+//! still charges all three every cycle from the replayed counters.
+//! `execute` traces and colours each pixel at once, buffering no hits.
 
 use crate::colormap::ColorMap;
 use crate::filter::{self, Filter, FilterOutput, KernelClass, KernelReport};
-use vizmesh::{par, Aabb, DataSet, Ray, Vec3, WorkCounters};
+use vizmesh::{par, Aabb, DataSet, Image, Ray, Vec3, WorkCounters};
 
 /// A shading-ready triangle: positions plus per-vertex scalar.
 #[derive(Debug, Clone, Copy)]
@@ -90,7 +96,12 @@ const CELL_FACES: [([usize; 4], usize, bool); 6] = [
 /// its first and last. The counters still charge one visit per cell —
 /// VTK-m's all-cell face-parity pass, which is what makes this step
 /// data-intensive in the paper — while the host touches only the shell.
-pub fn external_face_triangles(input: &DataSet, field: &str) -> (Vec<Triangle>, WorkCounters) {
+/// Each triangle's corner point ids go to `corners` as it is emitted.
+pub fn external_face_triangles(
+    input: &DataSet,
+    field: &str,
+    mut corners: impl FnMut([u32; 3]),
+) -> (Vec<Triangle>, WorkCounters) {
     let grid = filter::structured(input, "Ray Tracing");
     let values = filter::point_scalars(input, "Ray Tracing", field);
     let dims = grid.cell_dims();
@@ -106,22 +117,25 @@ pub fn external_face_triangles(input: &DataSet, field: &str) -> (Vec<Triangle>, 
         cell.seek(id);
         let ijk = cell.ijk();
         let ids = cell.point_ids();
-        let corners = cell.corners();
+        let points = cell.corners();
         for (slots, axis, high) in CELL_FACES {
             let face = if high { dims[axis] - 1 } else { 0 };
             if ijk[axis] != face {
                 continue;
             }
-            let quad_p: [Vec3; 4] = slots.map(|s| corners[s]);
-            let quad_v: [f64; 4] = slots.map(|s| values[ids[s]]);
+            let quad_p: [Vec3; 4] = slots.map(|s| points[s]);
+            let quad_i: [usize; 4] = slots.map(|s| ids[s]);
+            let quad_v: [f64; 4] = quad_i.map(|p| values[p]);
             tris.push(Triangle {
                 p: [quad_p[0], quad_p[1], quad_p[2]],
                 scalar: [quad_v[0], quad_v[1], quad_v[2]],
             });
+            corners([quad_i[0], quad_i[1], quad_i[2]].map(|p| p as u32));
             tris.push(Triangle {
                 p: [quad_p[0], quad_p[2], quad_p[3]],
                 scalar: [quad_v[0], quad_v[2], quad_v[3]],
             });
+            corners([quad_i[0], quad_i[2], quad_i[3]].map(|p| p as u32));
             work.tally(2, 48, 6, 128, 144);
         }
     };
@@ -406,6 +420,54 @@ impl Bvh {
     }
 }
 
+/// What one ray sees of the mesh: everything its pixel needs except the
+/// field. Only a recorded hit fills in `pixel`, its row-major index.
+#[derive(Clone, Copy)]
+struct Hit {
+    pixel: u32,
+    tri: u32,
+    u: f64,
+    v: f64,
+    depth: f32,
+    shade: f32,
+}
+
+/// The nearest hit of `ray` on the mesh, with its headlight Lambert
+/// shade. Counts into `stats` as [`Bvh::intersect`] does.
+fn trace(bvh: &Bvh, tris: &[Triangle], ray: &Ray, stats: &mut (u64, u64)) -> Option<Hit> {
+    let (t, tri, u, v) = bvh.intersect(tris, ray, stats)?;
+    let ndl = tris[tri as usize].normal().dot(-ray.direction).abs();
+    Some(Hit {
+        pixel: 0,
+        tri,
+        u,
+        v,
+        depth: t as f32,
+        shade: (0.35 + 0.65 * ndl) as f32,
+    })
+}
+
+/// `hit`'s colour: the field interpolated at its `(u, v)` from `values`,
+/// its triangle's corner values, mapped over `[lo, hi]` and shaded.
+fn colour(hit: &Hit, values: [f64; 3], cmap: &ColorMap, lo: f64, hi: f64) -> [f32; 4] {
+    let s = values[0] * (1.0 - hit.u - hit.v) + values[1] * hit.u + values[2] * hit.v;
+    let mut c = cmap.sample_range(s, lo, hi);
+    c[..3].iter_mut().for_each(|c| *c *= hit.shade);
+    c
+}
+
+/// What [`RayTracer::record`] traced on one grid, for
+/// [`RayTracer::colour`] to colour from any field on it: only the hit
+/// pixels, 32 B each, each triangle's corner point ids and the work.
+pub struct RayRecord {
+    /// Per image, its hits in row-major pixel order.
+    hits: Vec<Vec<Hit>>,
+    /// Each triangle's corner point ids, in gather order.
+    corners: Vec<[u32; 3]>,
+    /// The three steps' reports, as `execute` gives them.
+    kernels: Vec<KernelReport>,
+}
+
 /// The ray-tracing filter: external faces → BVH → image database.
 #[derive(Debug, Clone)]
 pub struct RayTracer {
@@ -425,6 +487,89 @@ impl RayTracer {
             num_cameras,
         }
     }
+
+    /// Steps 1–3 on `input`'s grid, with the colour left out: every
+    /// camera's hits and the work `execute` reports. It depends only on
+    /// the grid and on the image size and count.
+    pub fn record(&self, input: &DataSet) -> RayRecord {
+        let points = filter::structured(input, "Ray Tracing").num_points();
+        assert!(
+            points.max(self.width * self.height) <= u32::MAX as usize,
+            "u32 ids"
+        );
+        let mut corners = Vec::new();
+        let (tris, gather) = external_face_triangles(input, &self.field, |ids| corners.push(ids));
+        let (bvh, build) = Bvh::build(&tris);
+        let (mut hits, mut stats) = (Vec::new(), Vec::new());
+        let size = (self.width, self.height);
+        let see = |ray: &Ray, s: &mut (u64, u64)| trace(&bvh, &tris, ray, s);
+        filter::orbit_rows(&input.bounds(), self.num_cameras, size, see, |rows| {
+            // Rows are `width` long, so a pixel's place in them is its index.
+            let pixels = || rows.iter().flat_map(|(row, _)| row);
+            let at = |(p, hit): (usize, &Option<Hit>)| {
+                hit.map(|h| Hit {
+                    pixel: p as u32,
+                    ..h
+                })
+            };
+            let mut image = Vec::with_capacity(pixels().flatten().count());
+            image.extend(pixels().enumerate().filter_map(at));
+            hits.push(image);
+            stats.push(rows.iter().fold((0, 0), |a, (_, s)| (a.0 + s.0, a.1 + s.1)));
+        });
+        let kernels = self.reports([gather, build], &stats, &bvh);
+        RayRecord {
+            hits,
+            corners,
+            kernels,
+        }
+    }
+
+    /// What [`execute`](Filter::execute) returns on `input`, from a `record`
+    /// this tracer made of a grid bit-identical to `input`'s: each hit
+    /// coloured from `input`'s field, one image per `par` task.
+    pub fn colour(&self, record: &RayRecord, input: &DataSet) -> FilterOutput {
+        let values = filter::point_scalars(input, "Ray Tracing", &self.field);
+        let (lo, hi) = filter::scalar_range(input, &self.field);
+        let cmap = ColorMap::cool_to_warm();
+        let images = par::map(record.hits.len(), 1, |i| {
+            let mut img = Image::new(self.width, self.height);
+            for hit in &record.hits[i] {
+                let corners = record.corners[hit.tri as usize].map(|p| values[p as usize]);
+                let rgba = colour(hit, corners, &cmap, lo, hi);
+                let p = hit.pixel as usize;
+                img.set_if_closer(p % self.width, p / self.width, hit.depth, rgba);
+            }
+            img
+        });
+        FilterOutput::rendered(images, record.kernels.clone())
+    }
+
+    /// The three steps' reports, in the paper's order. Step 3's work
+    /// comes from each image's `(nodes visited, triangles tested)`, and
+    /// its working set is the triangles and the tree.
+    fn reports(
+        &self,
+        [gather, build]: [WorkCounters; 2],
+        stats: &[(u64, u64)],
+        bvh: &Bvh,
+    ) -> Vec<KernelReport> {
+        let mut trace = WorkCounters::new();
+        let rays = (self.width * self.height) as u64;
+        for &(nodes_visited, tri_tests) in stats {
+            trace.tally(rays, 60, 24, 48, 16);
+            trace.tally(nodes_visited, 28, 10, 32, 0);
+            trace.tally(tri_tests, 52, 38, 80, 0);
+        }
+        trace.working_set_bytes = gather
+            .working_set_bytes
+            .saturating_add((bvh.num_nodes() * std::mem::size_of::<BvhNode>()) as u64);
+        vec![
+            KernelReport::new("rt-gather-faces", KernelClass::GatherScatter, gather),
+            KernelReport::new("rt-bvh-build", KernelClass::BvhBuild, build),
+            KernelReport::new("rt-trace", KernelClass::RayTraverse, trace),
+        ]
+    }
 }
 
 impl Filter for RayTracer {
@@ -434,52 +579,24 @@ impl Filter for RayTracer {
 
     fn execute(&self, input: &DataSet) -> FilterOutput {
         // Step 1: gather triangles / find external faces.
-        let (tris, gather_work) = external_face_triangles(input, &self.field);
+        let (tris, gather) = external_face_triangles(input, &self.field, |_| {});
 
         // Step 2: build the BVH.
-        let (bvh, build_work) = Bvh::build(&tris);
+        let (bvh, build) = Bvh::build(&tris);
 
-        // Step 3: trace rays from each orbit camera.
+        // Step 3: trace rays from each orbit camera, colouring each hit.
         let (lo, hi) = filter::scalar_range(input, &self.field);
         let cmap = ColorMap::cool_to_warm();
         let pixel = |ray: &Ray, stats: &mut (u64, u64)| {
-            let (t, ti, u, v) = bvh.intersect(&tris, ray, stats)?;
-            let tri = &tris[ti as usize];
-            let s = tri.scalar[0] * (1.0 - u - v) + tri.scalar[1] * u + tri.scalar[2] * v;
-            let mut c = cmap.sample_range(s, lo, hi);
-            // Headlight Lambert shading.
-            let ndl = tri.normal().dot(-ray.direction).abs();
-            let shade = (0.35 + 0.65 * ndl) as f32;
-            c[0] *= shade;
-            c[1] *= shade;
-            c[2] *= shade;
-            Some((c, t as f32))
+            let hit = trace(&bvh, &tris, ray, stats)?;
+            let rgba = colour(&hit, tris[hit.tri as usize].scalar, &cmap, lo, hi);
+            Some((rgba, hit.depth))
         };
         let size = (self.width, self.height);
         let sum = |a: (u64, u64), b: (u64, u64)| (a.0 + b.0, a.1 + b.1);
         let rendered = filter::orbit_images(&input.bounds(), self.num_cameras, size, pixel, sum);
-
-        let mut trace_work = WorkCounters::new();
-        let rays = (self.width * self.height) as u64;
-        let mut images = Vec::with_capacity(rendered.len());
-        for (img, (nodes_visited, tri_tests)) in rendered {
-            trace_work.tally(rays, 60, 24, 48, 16);
-            trace_work.tally(nodes_visited, 28, 10, 32, 0);
-            trace_work.tally(tri_tests, 52, 38, 80, 0);
-            images.push(img);
-        }
-        trace_work.working_set_bytes = gather_work
-            .working_set_bytes
-            .saturating_add((bvh.num_nodes() * std::mem::size_of::<BvhNode>()) as u64);
-
-        FilterOutput::rendered(
-            images,
-            vec![
-                KernelReport::new("rt-gather-faces", KernelClass::GatherScatter, gather_work),
-                KernelReport::new("rt-bvh-build", KernelClass::BvhBuild, build_work),
-                KernelReport::new("rt-trace", KernelClass::RayTraverse, trace_work),
-            ],
-        )
+        let (images, stats): (Vec<Image>, Vec<_>) = rendered.into_iter().unzip();
+        FilterOutput::rendered(images, self.reports([gather, build], &stats, &bvh))
     }
 }
 
@@ -638,11 +755,61 @@ mod tests {
             .collect()
     }
 
+    /// Every pixel's colour and depth, by their bits.
+    fn image_bits(img: &Image) -> Vec<[u32; 5]> {
+        let (w, h) = (img.width(), img.height());
+        let px = |p: usize| {
+            let (x, y) = (p % w, p / w);
+            let [r, g, b, a] = img.get(x, y).map(f32::to_bits);
+            [r, g, b, a, img.depth_at(x, y).to_bits()]
+        };
+        (0..w * h).map(px).collect()
+    }
+
+    /// `shell`'s grid with the point field `f` set to `value(point id)`.
+    fn refielded(ds: &DataSet, value: impl Fn(usize) -> f64) -> DataSet {
+        let grid = ds.as_uniform().unwrap().clone();
+        let vals = (0..grid.num_points()).map(value).collect();
+        DataSet::uniform(grid).with_field(Field::scalar("f", Association::Points, vals))
+    }
+
+    #[test]
+    fn a_record_coloured_from_another_field_is_execute_on_that_field() {
+        let a = shell([12, 9, 7]);
+        let b = refielded(&a, |p| 3.0 * (p as f64 * 0.11).cos() + 1.0);
+        let bad = refielded(&a, |p| match p % 7 {
+            0 => f64::NAN,
+            1 if p % 3 == 0 => f64::INFINITY,
+            2 if p % 3 == 0 => f64::NEG_INFINITY,
+            _ => (p as f64 * 0.23).sin(),
+        });
+        // What `RayRecord`'s doc promises a hit pixel costs.
+        assert_eq!(std::mem::size_of::<Hit>(), 32);
+        // 48 px rows: six rows per `par` chunk, so seven chunks a frame.
+        let rt = RayTracer::new("f", 48, 40, 3);
+        for threads in [1, 4, 16] {
+            par::with_threads(threads, || {
+                let record = rt.record(&a);
+                for (name, field) in [("B", &b), ("non-finite B", &bad)] {
+                    let what = format!("{name}, {threads} threads");
+                    let (got, want) = (rt.colour(&record, field), rt.execute(field));
+                    assert_eq!(got.kernels, want.kernels, "{what}: kernel reports");
+                    assert!(got.dataset.is_none() && got.primitives.is_empty(), "{what}");
+                    assert_eq!(got.images.len(), want.images.len(), "{what}");
+                    for (i, (g, w)) in got.images.iter().zip(&want.images).enumerate() {
+                        assert!(w.coverage() > 0.1, "{what}: image {i} shows too little");
+                        assert!(image_bits(g) == image_bits(w), "{what}: image {i}");
+                    }
+                }
+            });
+        }
+    }
+
     #[test]
     fn row_walk_gathers_the_per_cell_triangle_list() {
         for dims in [[1, 1, 1], [1, 5, 3], [4, 1, 6], [5, 7, 9], [24, 24, 24]] {
             let ds = shell(dims);
-            let (got, got_work) = external_face_triangles(&ds, "f");
+            let (got, got_work) = external_face_triangles(&ds, "f", |_| {});
             let (want, want_work) = reference_face_triangles(&ds, "f");
             assert_eq!(got.len(), want.len(), "{dims:?}");
             for (t, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -662,7 +829,7 @@ mod tests {
         // 24³ is 6912 triangles: the only one here longer than a build
         // task, so the one whose halves are built apart.
         for dims in [[1, 1, 1], [1, 5, 3], [4, 1, 6], [5, 7, 9], [24, 24, 24]] {
-            let (tris, _) = external_face_triangles(&shell(dims), "f");
+            let (tris, _) = external_face_triangles(&shell(dims), "f", |_| {});
             assert_build_matches_reference(&tris, &format!("{dims:?}"));
         }
     }
@@ -723,7 +890,7 @@ mod tests {
     #[test]
     fn external_faces_count_for_cube() {
         let ds = dataset(4);
-        let (tris, work) = external_face_triangles(&ds, "f");
+        let (tris, work) = external_face_triangles(&ds, "f", |_| {});
         // 6 faces × 4×4 cells × 2 triangles.
         assert_eq!(tris.len(), 6 * 16 * 2);
         assert_eq!(work.items, 64 + tris.len() as u64);
@@ -756,7 +923,7 @@ mod tests {
     #[test]
     fn bvh_finds_same_hit_as_brute_force() {
         let ds = dataset(5);
-        let (tris, _) = external_face_triangles(&ds, "f");
+        let (tris, _) = external_face_triangles(&ds, "f", |_| {});
         let (bvh, _) = Bvh::build(&tris);
         let cam = Camera::framing(&ds.bounds());
         for (x, y) in [(0, 0), (16, 16), (31, 7), (9, 28)] {
@@ -778,7 +945,7 @@ mod tests {
     #[test]
     fn bvh_visits_fewer_nodes_than_triangles() {
         let ds = dataset(8);
-        let (tris, _) = external_face_triangles(&ds, "f");
+        let (tris, _) = external_face_triangles(&ds, "f", |_| {});
         let (bvh, _) = Bvh::build(&tris);
         let cam = Camera::framing(&ds.bounds());
         let ray = cam.view(32, 32).ray(16, 16);

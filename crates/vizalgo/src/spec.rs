@@ -406,6 +406,22 @@ impl AlgorithmSpec {
         }
     }
 
+    /// The concrete ray tracer `build_with` boxes, for callers of
+    /// [`RayTracer::record`] and [`RayTracer::colour`], which live outside
+    /// the `dyn Filter` interface. `None` for non-ray-tracing specs.
+    pub fn build_tracer(&self) -> Option<RayTracer> {
+        let AlgorithmSpec::RayTracing {
+            field,
+            width,
+            height,
+            images,
+        } = self
+        else {
+            return None;
+        };
+        Some(RayTracer::new(field.clone(), *width, *height, *images))
+    }
+
     /// [`fingerprint`](AlgorithmSpec::fingerprint) for a backend:
     /// `Traditional` is bit-identical to `fingerprint()` (every pinned
     /// golden keeps its ids); other backends tag the canonical encoding

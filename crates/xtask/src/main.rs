@@ -139,9 +139,10 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
     ),
     // Sixteen threads on a 2-4 core runner: many more chunks than cores,
     // the cut a big node gives the parallel BVH build's task list, the
-    // renderers' row-buffer fills and the hydro step's fused sweeps.
+    // renderers' row-buffer fills (an in situ scene's recorded rows
+    // too) and the hydro step's fused sweeps.
     (
-        "cargo test -q -p vizmesh -p vizalgo -p cloverleaf",
+        "cargo test -q -p vizmesh -p vizalgo -p cloverleaf -p insitu",
         Some(("VIZPOWER_THREADS", "16")),
     ),
     // Both conformance suites, the canonical one and the DPP backend
