@@ -81,7 +81,8 @@ impl Simulation {
 
     /// Advance one time step: EOS → viscosity → acceleration → PdV →
     /// advection → next-dt, in five parallel sweeps (see
-    /// [`crate::kernels`]).
+    /// [`crate::kernels`]); the next dt comes from maxima sweeps A and B
+    /// keep as they write the sound speeds and the velocities.
     pub fn step(&mut self) -> StepReport {
         self.step_phases(&mut |_, _| {}, &mut Journal::off())
     }
@@ -92,7 +93,10 @@ impl Simulation {
     /// runtime and the power governor characterize per-kernel workloads
     /// from. The sequence is `ideal_gas`, `divergence`, `viscosity`
     /// (sweep A), `acceleration` (B), `divergence`, `pdv` (C), `advect`
-    /// (D and E), `calc_dt`.
+    /// (D and E), `calc_dt`. The last is not a pass of its own: the next
+    /// dt is [`kernels::calc_dt`]'s number from the largest sound speed
+    /// and speed that sweeps A and B return, and the observer gets
+    /// `calc_dt`'s counters, which the power model still charges.
     ///
     /// `journal`'s clock advances by the step's simulated duration, and
     /// a live journal gets a [`Scope::Timestep`] span covering it.
@@ -109,11 +113,10 @@ impl Simulation {
             }
         };
         let (state, scratch, dt) = (&mut self.state, &mut self.scratch, self.dt);
-        retire(&kernels::eos_and_viscosity(state, &mut scratch.stress));
-        retire(&[(
-            "acceleration",
-            kernels::acceleration(state, &scratch.stress, dt),
-        )]);
+        let (phases, max_cs) = kernels::eos_and_viscosity(state, &mut scratch.stress);
+        retire(&phases);
+        let (w, max_u_sq) = kernels::acceleration(state, &scratch.stress, dt);
+        retire(&[("acceleration", w)]);
         // Divergence changed with the new velocities; PdV uses the fresh one.
         retire(&kernels::pdv(state, &scratch.stress, dt));
         retire(&[("advect", kernels::advect(state, scratch, dt))]);
@@ -122,7 +125,10 @@ impl Simulation {
         self.time += self.dt;
         self.step += 1;
 
-        let (next_dt, w_dt) = kernels::calc_dt(&self.state, self.dt, self.config.cfl);
+        // PdV and advection write neither the sound speeds nor the
+        // velocities, so sweeps A and B's maxima are `calc_dt`'s.
+        let (next_dt, w_dt) =
+            kernels::cfl_dt(&self.state.grid, max_cs, max_u_sq, self.dt, self.config.cfl);
         retire(&[("calc_dt", w_dt)]);
         self.dt = next_dt.min(self.config.max_dt);
 
@@ -367,6 +373,66 @@ mod tests {
         assert!((journal.now() - live.2).abs() < 1e-12);
         assert_eq!(journal.len(), 24, "one timestep span per step");
         assert_eq!(run(&mut Journal::off()), live);
+    }
+
+    /// The dt a step folds out of sweeps A and B is, to the bit,
+    /// `calc_dt`'s pass over the stepped state, on a grid `par` cuts
+    /// (9177 cells, 10560 nodes) — also when a velocity or an energy, and
+    /// so a sound speed, is NaN: the chunked maxima drop it as one fold
+    /// does.
+    #[test]
+    fn the_folded_dt_is_calc_dt_of_the_stepped_state() {
+        use vizmesh::{par, Aabb, UniformGrid, Vec3};
+        let smooth = || {
+            let bounds = Aabb::new(Vec3::ZERO, Vec3::new(1.0, 1.2, 1.5));
+            let grid = UniformGrid::from_cell_dims([23, 21, 19], bounds);
+            let mut s = Problem::TwoState.build_on(grid);
+            for (id, u) in s.velocity.iter_mut().enumerate() {
+                let p = s.grid.point_coord_id(id);
+                *u = Vec3::new(0.3 * p.y - 0.1, 0.2 * (p.z - p.x), 0.1 * p.x * p.y);
+            }
+            s
+        };
+        let nan_velocity = || {
+            let mut s = smooth();
+            let id = s.grid.point_id(7, 5, 3);
+            s.velocity[id].y = f64::NAN;
+            s
+        };
+        let nan_energy = || {
+            let mut s = smooth();
+            let id = s.grid.cell_id(11, 2, 17);
+            s.energy[id] = f64::NAN;
+            s
+        };
+        let cases: [(&str, &dyn Fn() -> State); 3] = [
+            ("smooth", &smooth),
+            ("NaN velocity", &nan_velocity),
+            ("NaN energy", &nan_energy),
+        ];
+        for (what, build) in cases {
+            for threads in [1, 2, 16] {
+                par::with_threads(threads, || {
+                    let mut sim = Simulation::from_state(build(), SimConfig::default());
+                    for step in 0..3 {
+                        let prev_dt = sim.current_dt();
+                        sim.step();
+                        let (cfl, max_dt) = (sim.config.cfl, sim.config.max_dt);
+                        let expect = kernels::calc_dt(&sim.state, prev_dt, cfl).0.min(max_dt);
+                        assert_eq!(
+                            sim.current_dt().to_bits(),
+                            expect.to_bits(),
+                            "{what}, step {step}, {threads} threads"
+                        );
+                        // The NaN is there to be dropped, and it was.
+                        let speeds = sim.state.velocity.iter().map(|u| u.length_squared());
+                        let nans = speeds.chain(sim.state.soundspeed.iter().copied());
+                        assert_eq!(nans.filter(|x| x.is_nan()).count() > 0, what != "smooth");
+                        assert!(sim.current_dt().is_finite() && sim.current_dt() > 0.0);
+                    }
+                });
+            }
+        }
     }
 
     #[test]

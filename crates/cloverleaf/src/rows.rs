@@ -63,6 +63,102 @@ pub(crate) fn rows([d0, d1, _]: [usize; 3], ids: Range<usize>) -> impl Iterator<
     })
 }
 
+/// One cell array's rows around the nodes `(·, j, k)`: the cells
+/// `(·, j0 + dj, k0 + dk)`, `dj < NJ`, `dk < NK`, with `j0` and `k0` the
+/// nodes' index less one (0 at the grid's low end). A node has two cell
+/// layers on an axis inside the grid and one at either end:
+/// [`node_layers!`] picks `NJ` and `NK` per row, [`x_runs`] `NI` per
+/// node. The rows are one slice and two strides, so sweep B keeps two
+/// pointers live for its two arrays instead of eight row slices.
+pub(crate) struct Layers<'a, const NJ: usize, const NK: usize> {
+    cells: &'a [f64],
+    sy: usize,
+    sz: usize,
+}
+
+impl<'a, const NJ: usize, const NK: usize> Layers<'a, NJ, NK> {
+    /// `values`' rows around the nodes `(·, j, k)` of `[cx, cy, _]` cells.
+    pub(crate) fn new(values: &'a [f64], [cx, cy, _]: [usize; 3], j: usize, k: usize) -> Self {
+        let (sy, sz) = (cx, cx * cy);
+        let first = sy * j.saturating_sub(1) + sz * k.saturating_sub(1);
+        let end = first + (NJ - 1) * sy + (NK - 1) * sz + cx;
+        let cells = &values[first..end];
+        Layers { cells, sy, sz }
+    }
+
+    #[inline(always)]
+    fn at(&self, i0: usize, [di, dj, dk]: [usize; 3]) -> f64 {
+        self.cells[i0 + di + dj * self.sy + dk * self.sz]
+    }
+
+    /// The mean of the `NI × NJ × NK` cells from x index `i0` on, summed
+    /// from `0.0` k outermost, i innermost.
+    #[inline(always)]
+    pub(crate) fn mean<const NI: usize>(&self, i0: usize) -> f64 {
+        let mut sum = 0.0;
+        for dk in 0..NK {
+            for dj in 0..NJ {
+                for di in 0..NI {
+                    sum += self.at(i0, [di, dj, dk]);
+                }
+            }
+        }
+        sum / (NI * NJ * NK) as f64
+    }
+
+    /// The mean of the cells at layer `at` of `AXIS`, summed from `0.0`
+    /// over the other two axes, the later one innermost.
+    #[inline(always)]
+    pub(crate) fn side<const NI: usize, const AXIS: usize>(&self, i0: usize, at: usize) -> f64 {
+        let n = [NI, NJ, NK];
+        let (a, b) = [(1, 2), (0, 2), (0, 1)][AXIS];
+        let mut sum = 0.0;
+        for da in 0..n[a] {
+            for db in 0..n[b] {
+                let mut d = [0; 3];
+                (d[AXIS], d[a], d[b]) = (at, da, db);
+                sum += self.at(i0, d);
+            }
+        }
+        sum / (n[a] * n[b]) as f64
+    }
+}
+
+/// `$f::<NJ, NK>($args)` for the node row `(·, $j, $k)` of `$cdims` cells.
+macro_rules! node_layers {
+    ($cdims:expr, $j:expr, $k:expr, $f:ident($($arg:expr),* $(,)?)) => {{
+        let [_, cy, cz] = $cdims;
+        match ((1..cy).contains(&$j), (1..cz).contains(&$k)) {
+            (true, true) => $f::<2, 2>($($arg),*),
+            (false, true) => $f::<1, 2>($($arg),*),
+            (true, false) => $f::<2, 1>($($arg),*),
+            (false, false) => $f::<1, 1>($($arg),*),
+        }
+    }};
+}
+pub(crate) use node_layers;
+
+/// The row's nodes `nodes` (offsets into it), the first with its cells on
+/// x from index `i0` on, two layers (`NI = 2`) or one.
+pub(crate) struct XRun {
+    pub(crate) nodes: Range<usize>,
+    pub(crate) i0: usize,
+    pub(crate) two: bool,
+}
+
+/// The runs of a row of nodes in a grid `cx` cells wide, where the row
+/// has them: node 0 (one layer), the nodes `1..cx` (two), node `cx`
+/// (one).
+pub(crate) fn x_runs(row: Row, cx: usize) -> impl Iterator<Item = XRun> {
+    let (i, end) = (row.i, row.i + row.len);
+    let (lo, hi) = (i.max(1), end.min(cx));
+    let run = |nodes, i0, two| XRun { nodes, i0, two };
+    let first = (i == 0).then(|| run(0..1, 0, false));
+    let inner = (lo < hi).then(|| run(lo - i..hi - i, lo - 1, true));
+    let last = (end == cx + 1).then(|| run(row.len - 1..row.len, cx - 1, false));
+    [first, inner, last].into_iter().flatten()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,6 @@
 //! Field storage for the hydrodynamics state.
 
-use crate::rows::{rows, MIN_LEN};
+use crate::rows::{node_layers, rows, x_runs, Layers, Row, MIN_LEN};
 use vizmesh::{par, Association, DataSet, Field, UniformGrid, Vec3};
 
 /// The complete hydrodynamic state on a staggered uniform grid.
@@ -64,19 +64,17 @@ impl State {
     pub fn total_kinetic_energy(&self) -> f64 {
         let s = self.grid.spacing();
         let vol = s.x * s.y * s.z;
-        let cdims = self.grid.cell_dims();
-        let mut total = 0.0;
-        for row in rows(self.grid.point_dims(), 0..self.velocity.len()) {
-            for (n, u) in self.velocity[row.id..][..row.len].iter().enumerate() {
-                let rho = node_mean(&self.density, cdims, [row.i + n, row.j, row.k]);
-                total += 0.5 * rho * u.length_squared() * vol;
-            }
-        }
-        total
+        let rho = self.cell_to_point(&self.density);
+        let ke = rho.iter().zip(&self.velocity);
+        ke.fold(0.0, |total, (rho, u)| {
+            total + 0.5 * rho * u.length_squared() * vol
+        })
     }
 
     /// Cell-centered scalar averaged to the nodes (used to export
-    /// point-centered fields for contouring).
+    /// point-centered fields for contouring): each node the mean of the
+    /// cells that touch it — eight inside, four, two or one on a face,
+    /// edge or corner — summed `k`-outermost, `i`-innermost.
     pub(crate) fn cell_to_point(&self, cell_values: &[f64]) -> Vec<f64> {
         assert_eq!(cell_values.len(), self.grid.num_cells());
         let cdims = self.grid.cell_dims();
@@ -84,9 +82,8 @@ impl State {
         let mut out = vec![0.0; self.grid.num_points()];
         par::for_each_chunk_zip(&mut out[..], MIN_LEN, |nodes, chunk| {
             for row in rows(pdims, nodes) {
-                for (n, v) in row.of(chunk).iter_mut().enumerate() {
-                    *v = node_mean(cell_values, cdims, [row.i + n, row.j, row.k]);
-                }
+                let out = row.of(chunk);
+                node_layers!(cdims, row.j, row.k, mean_row(cell_values, cdims, row, out));
             }
         });
         out
@@ -127,42 +124,22 @@ impl State {
     }
 }
 
-/// `values[at[0]] + values[at[1]] + …`, accumulated from `0.0` in the
-/// order given.
-#[inline]
-pub(crate) fn sum_at<const N: usize>(values: &[f64], at: [usize; N]) -> f64 {
-    at.iter().fold(0.0, |sum, &c| sum + values[c])
-}
-
-/// Mean of the cell-centered `values` over the cells that touch node
-/// `(i, j, k)` of a grid of `[cx, cy, cz]` cells — eight inside, four,
-/// two or one on a face, edge or corner — summed `k`-outermost,
-/// `i`-innermost.
-pub(crate) fn node_mean(values: &[f64], [cx, cy, cz]: [usize; 3], [i, j, k]: [usize; 3]) -> f64 {
-    if (1..cx).contains(&i) && (1..cy).contains(&j) && (1..cz).contains(&k) {
-        // Inside: the 2 × 2 × 2 block from cell (i − 1, j − 1, k − 1) on.
-        let c = (i - 1) + cx * ((j - 1) + cy * (k - 1));
-        let (y, z) = (c + cx, c + cx * cy);
-        return sum_at(values, [c, c + 1, y, y + 1, z, z + 1, z + cx, z + cx + 1]) / 8.0;
-    }
-    let [[i0, i1], [j0, j1], [k0, k1]] = cell_spans([cx, cy, cz], [i, j, k]);
-    let mut sum = 0.0;
-    for ck in k0..k1 {
-        for cj in j0..j1 {
-            let row = cx * (cj + cy * ck);
-            for ci in i0..i1 {
-                sum += values[row + ci];
-            }
+/// The node means of one row of nodes (see [`Layers::mean`]).
+fn mean_row<const NJ: usize, const NK: usize>(
+    values: &[f64],
+    cdims: [usize; 3],
+    row: Row,
+    out: &mut [f64],
+) {
+    let cells = Layers::<NJ, NK>::new(values, cdims, row.j, row.k);
+    for run in x_runs(row, cdims[0]) {
+        let nodes = out[run.nodes].iter_mut().zip(run.i0..);
+        if run.two {
+            nodes.for_each(|(v, i0)| *v = cells.mean::<2>(i0));
+        } else {
+            nodes.for_each(|(v, i0)| *v = cells.mean::<1>(i0));
         }
     }
-    sum / ((i1 - i0) * (j1 - j0) * (k1 - k0)) as f64
-}
-
-/// Per axis, the cell indices `[from, to)` that touch a node: the one
-/// before it and its own, where the grid has them.
-#[inline]
-pub(crate) fn cell_spans(cdims: [usize; 3], node: [usize; 3]) -> [[usize; 2]; 3] {
-    [0, 1, 2].map(|a| [node[a].saturating_sub(1), (node[a] + 1).min(cdims[a])])
 }
 
 #[cfg(test)]
@@ -184,8 +161,7 @@ mod tests {
     #[test]
     fn node_density_interior_and_corner() {
         // Density at a node: mean of the adjacent cells (1–8 of them).
-        let node_density =
-            |s: &State, p| node_mean(&s.density, s.grid.cell_dims(), s.grid.point_ijk(p));
+        let node_density = |s: &State, p| s.cell_to_point(&s.density)[p];
         let mut s = small();
         // Uniform density: every node sees 1.0.
         assert!((node_density(&s, 0) - 1.0).abs() < 1e-12);

@@ -1,5 +1,6 @@
 //! Absolute pins of the hydro state: an FNV-1a of the bit patterns of
-//! all six [`State`] arrays plus `time()` and `current_dt()`.
+//! all six [`State`] arrays plus `time()` and `current_dt()`, and of the
+//! point `energy` that `Simulation::dataset` exports from it.
 //!
 //! The constants were taken on the commit *before* the kernels moved to
 //! the row walk, so they pin the floating-point results, not the
@@ -99,6 +100,20 @@ fn smooth_sim(cells: [usize; 3]) -> Simulation {
     Simulation::from_state(smooth_state(cells), SimConfig::default())
 }
 
+/// The bits of the exported point `energy`: the cell-to-node mean every
+/// visualization cycle reads.
+fn export_hash(sim: &Simulation) -> u64 {
+    let data = sim.dataset();
+    let energy = data
+        .point_scalars("energy")
+        .expect("the export has point energy");
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for x in energy {
+        fnv(&mut h, x.to_bits());
+    }
+    h
+}
+
 #[test]
 fn two_state_12_cubed_after_40_steps() {
     pin_run("TwoState 12^3 x 40", 0xf7cea94b83eb9b65, 40, || {
@@ -175,5 +190,53 @@ fn acceleration_and_advect_phase_pins_on_the_cut_grid() {
             got, 0x246fba5bd6f4b68a,
             "advect: {got:#018x} at {threads} threads"
         );
+    }
+}
+
+/// The exported point energy after each of the state pins' runs above,
+/// at every thread count (constants taken, like the state pins, before
+/// the export moved to the acceleration's cell-row walk).
+#[test]
+fn exported_point_energy_after_the_pinned_runs() {
+    let two_state_6x1x6 = || {
+        let bounds = Aabb::new(Vec3::ZERO, Vec3::new(1.0, 0.2, 1.0));
+        let grid = UniformGrid::from_cell_dims([6, 1, 6], bounds);
+        Simulation::from_state(Problem::TwoState.build_on(grid), SimConfig::default())
+    };
+    let runs: [(&str, u64, u64, &dyn Fn() -> Simulation); 6] = [
+        ("TwoState 12^3 x 40", 0x9ca5e5bc0143aec7, 40, &|| {
+            Simulation::new(Problem::TwoState, 12, SimConfig::default())
+        }),
+        ("smooth 5x7x9 x 20", 0x2dfd2c5b407d92c5, 20, &|| {
+            smooth_sim([5, 7, 9])
+        }),
+        ("smooth 1x1x1 x 5", 0xab251104f7c28825, 5, &|| {
+            smooth_sim([1, 1, 1])
+        }),
+        ("smooth 1x6x6 x 5", 0xb904cd4ae96bab91, 5, &|| {
+            smooth_sim([1, 6, 6])
+        }),
+        (
+            "TwoState on 6x1x6 x 5",
+            0xdd9035f914424dc5,
+            5,
+            &two_state_6x1x6,
+        ),
+        ("smooth 23x21x19 x 3", 0x8f25dd7d1b7eda30, 3, &|| {
+            smooth_sim([23, 21, 19])
+        }),
+    ];
+    for (what, expect, steps, build) in runs {
+        for threads in THREADS {
+            let got = par::with_threads(threads, || {
+                let mut sim = build();
+                sim.run_steps(steps);
+                export_hash(&sim)
+            });
+            assert_eq!(
+                got, expect,
+                "{what} export: {got:#018x} at {threads} threads, pinned {expect:#018x}"
+            );
+        }
     }
 }

@@ -196,15 +196,21 @@ impl<A: Zip, B: Zip> Zip for (A, B) {
 
 /// `body(range, items[range])` over contiguous ranges that together
 /// cover the zipped `items` once: every slice of `items` cut at the same
-/// places, so one loop writes several outputs per index.
+/// places, so one loop writes several outputs per index. Returns the
+/// bodies' results in range order (one per chunk, so their number
+/// depends on the thread count: fold them with an order-free operation,
+/// such as `f64::max`).
 ///
 /// # Panics
 /// If the zipped slices differ in length.
-pub fn for_each_chunk_zip<Z: Zip>(items: Z, min_len: usize, body: impl Fn(Range<usize>, Z) + Sync) {
+pub fn for_each_chunk_zip<Z: Zip, R: Send>(
+    items: Z,
+    min_len: usize,
+    body: impl Fn(Range<usize>, Z) -> R + Sync,
+) -> Vec<R> {
     let n = items.length();
     let Some(len) = chunk_len(n, min_len) else {
-        body(0..n, items);
-        return;
+        return vec![body(0..n, items)];
     };
     // Each chunk goes to exactly one worker. The mutexes are never
     // contended (a chunk index is pulled once); they are the safe way to
@@ -217,16 +223,17 @@ pub fn for_each_chunk_zip<Z: Zip>(items: Z, min_len: usize, body: impl Fn(Range<
         rest = tail;
     }
     slots.push(Mutex::new(Some(rest)));
-    chunked(slots.len(), |c| {
+    let done = chunked(slots.len(), |c| {
         let chunk = slots[c]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .take();
-        if let Some(chunk) = chunk {
+        chunk.map(|chunk| {
             let start = c * len;
-            body(start..start + chunk.length(), chunk);
-        }
+            body(start..start + chunk.length(), chunk)
+        })
     });
+    done.into_iter().flatten().collect()
 }
 
 /// `f(i, &mut items[i])` for every `i`, in parallel chunks of at least
@@ -276,11 +283,16 @@ mod tests {
                     let evens = map_chunks(n, MIN_LEN, |r| r.filter(|i| i % 2 == 0).collect());
                     assert!(evens.iter().copied().eq((0..n).step_by(2)));
                     let mut c = vec![0.0; n];
-                    for_each_chunk_zip(&mut c[..], MIN_LEN, |r, chunk| {
+                    let starts = for_each_chunk_zip(&mut c[..], MIN_LEN, |r, chunk| {
                         assert_eq!(r.len(), chunk.len());
+                        let start = r.start;
                         r.zip(chunk).for_each(|(i, x)| *x = value(i));
+                        start
                     });
                     assert_eq!(c, expect, "for_each_chunk_zip n={n} threads={threads}");
+                    // One result per chunk, in range order.
+                    assert_eq!(starts[0], 0);
+                    assert!(starts.windows(2).all(|w| w[0] < w[1]));
 
                     let mut b = vec![0usize; n];
                     for_each_chunk_zip((&mut a[..], &mut b[..]), MIN_LEN, |r, (ca, cb)| {
