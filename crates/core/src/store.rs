@@ -1,5 +1,5 @@
-//! The workspace's one single-flight memo, and the dataset store built
-//! on it.
+//! The workspace's one single-flight memo, and the dataset and native
+//! stores built on it.
 //!
 //! [`Memo`] maps a key to an `Arc<V>` with one structural guarantee:
 //! for any key the compute closure runs to completion at most once no
@@ -13,23 +13,25 @@
 //! cell stays empty, a blocked caller runs its own closure next (the
 //! panic still reaches whoever joins the panicking thread).
 //!
-//! It is used only where two threads can really ask for the same key:
-//! [`DatasetStore`] below (datasets and their fingerprints by size,
-//! shared by the service's workers) and `service::Engine`'s native runs.
-//! Exclusive owners — `StudyContext::runs`, the service's dispatch-owned
-//! result map — hold plain maps.
+//! Two stores are built on it: [`DatasetStore`] (datasets and their
+//! fingerprints by size, which engines may share) and `NativeStore`
+//! (the study's and the service's native runs; each `StudyContext` and
+//! `service::Engine` owns its own, so a fresh engine starts cold).
+//! The service's dispatch-owned result map is a plain map.
 
+use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use cloverleaf::{Problem, SimConfig, Simulation};
 use powersim::trace::{Journal, Scope};
-use vizmesh::DataSet;
+use vizalgo::{AlgorithmSpec, Backend, FilterOutput};
+use vizmesh::{par, DataSet};
 
-use crate::study::{upsample, HYDRO_BASE_MAX, HYDRO_T_END};
+use crate::study::{upsample, AlgorithmRun, HYDRO_BASE_MAX, HYDRO_T_END};
 
 /// One key's value, empty until a compute for the key has returned.
 type Cell<V> = Arc<OnceLock<Arc<V>>>;
@@ -63,7 +65,7 @@ impl<K, V> Memo<K, V> {
     }
 
     /// Resident values across all shards (empty cells not counted).
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| {
@@ -165,6 +167,67 @@ impl DatasetStore {
         *self
             .fingerprints
             .get_or_compute(size, || vizalgo::dataset_fingerprint(&self.dataset(size)))
+    }
+}
+
+/// Native runs by `(spec.fingerprint_with(backend), size)`, with what the
+/// owner's `inspect` saw of each output (`Rendering` or `()`); size names
+/// the dataset because an owner reads one [`DatasetStore`].
+pub(crate) type NativeStore<R> = Memo<(u64, usize), (Arc<AlgorithmRun>, R)>;
+
+impl<R: Send + Sync> NativeStore<R> {
+    /// The run of `spec` on `backend` at `size`, computed at most once
+    /// from `datasets`: a compute journals the dataset fetch, then one
+    /// `native:{alg}:{size}` [`Scope::Study`] span; a hit journals nothing.
+    pub fn get(
+        &self,
+        datasets: &DatasetStore,
+        (spec, backend, size): (&AlgorithmSpec, Backend, usize),
+        journal: &mut Journal,
+        inspect: impl FnOnce(&FilterOutput) -> R,
+    ) -> Arc<(Arc<AlgorithmRun>, R)> {
+        let spec_fp = spec.fingerprint_with(backend);
+        self.get_or_compute((spec_fp, size), || {
+            let ds = datasets.dataset_journaled(size, journal);
+            let t0 = journal.now();
+            let (run, seen) = AlgorithmRun::native(spec.clone(), backend, size, &ds, inspect);
+            journal.push_span(Scope::Study, t0, None, || {
+                let instructions: u64 = run.reports.iter().map(|r| r.work.instructions).sum();
+                let args = vec![
+                    ("kernels", run.reports.len() as f64),
+                    ("instructions", instructions as f64),
+                    ("spec_fp", spec_fp as f64),
+                ];
+                (format!("native:{}:{size}", run.algorithm.name()), args)
+            });
+            (Arc::new(run), seen)
+        })
+    }
+
+    /// Compute the runs of `wants` not yet held as one unjournaled task
+    /// wave on `threads` threads: each once, the largest size first, then
+    /// first-seen. Returns how many it scheduled.
+    pub fn wave<'a>(
+        &self,
+        datasets: &DatasetStore,
+        wants: impl IntoIterator<Item = (&'a AlgorithmSpec, Backend, usize)>,
+        threads: usize,
+        inspect: impl Fn(&FilterOutput) -> R + Sync,
+    ) -> usize {
+        let mut seen = HashSet::new();
+        let mut wave: Vec<_> = (wants.into_iter())
+            .filter(|&(spec, backend, size)| {
+                let key = (spec.fingerprint_with(backend), size);
+                seen.insert(key) && !self.contains(&key)
+            })
+            .collect();
+        wave.sort_by_key(|&(_, _, size)| Reverse(size));
+        par::with_threads(threads, || {
+            par::map(wave.len(), 1, |i| {
+                self.get(datasets, wave[i], &mut Journal::off(), &inspect);
+            })
+        });
+        wave.len()
     }
 }
 

@@ -9,10 +9,9 @@
 
 use crate::characterize::characterize;
 use crate::metrics::Ratios;
-use crate::store::DatasetStore;
+use crate::store::{DatasetStore, NativeStore};
 use powersim::trace::{Journal, Scope};
 use powersim::{CpuSpec, ExecResult, Joules, Package, Watts, Workload};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use vizalgo::{Algorithm, AlgorithmSpec, Backend, FilterOutput, IsoValues, KernelReport};
 use vizmesh::{par, DataSet};
@@ -275,7 +274,7 @@ pub struct AlgorithmRun {
 impl AlgorithmRun {
     /// Execute `spec` on `backend` against `ds`, the `size`³ study dataset;
     /// `inspect` sees the whole output before its kernel reports are kept.
-    pub fn native<R>(
+    pub(crate) fn native<R>(
         spec: AlgorithmSpec,
         backend: Backend,
         size: usize,
@@ -391,14 +390,13 @@ pub(crate) fn sweep_tagged(
     }
 }
 
-/// A cache of datasets and native runs so the experiment harness never
-/// repeats an expensive native execution. The hydro base solve is cached
-/// separately so every size above `HYDRO_BASE_MAX` reuses it.
+/// A [`DatasetStore`] and a native store of its own, so the experiment
+/// harness never repeats an expensive native execution. The hydro base
+/// solve is cached separately so every size above `HYDRO_BASE_MAX` reuses it.
 ///
-/// Entries are keyed maps of shared [`Arc`]s: a cache hit hands back
-/// another handle to the same allocation, never a deep clone of a
-/// dataset or report vector, so the governor/insitu consumers can hold
-/// the same data the study drivers use.
+/// A cache hit hands back another [`Arc`] to the same allocation, never a
+/// deep clone of a dataset or report vector, so the governor/insitu
+/// consumers can hold the same data the study drivers use.
 ///
 /// The context owns the study's run [`Journal`] (disabled by default;
 /// see [`StudyContext::enable_journal`]): dataset builds, native runs,
@@ -414,7 +412,7 @@ pub struct StudyContext {
     pub journal: Journal,
     backend: Backend,
     store: DatasetStore,
-    runs: BTreeMap<(Algorithm, usize), Arc<AlgorithmRun>>,
+    natives: NativeStore<()>,
 }
 
 impl StudyContext {
@@ -431,7 +429,7 @@ impl StudyContext {
             journal: Journal::off(),
             backend,
             store: DatasetStore::new(),
-            runs: BTreeMap::new(),
+            natives: NativeStore::new(1),
         }
     }
 
@@ -444,39 +442,17 @@ impl StudyContext {
         &self.config
     }
 
-    /// Dataset at `size`, computed once; the hydro base is shared, and a
-    /// hit returns another handle to the cached allocation. Delegates to
-    /// the context's [`DatasetStore`], journaling fresh base solves
-    /// exactly as before the extraction.
-    pub(crate) fn dataset(&mut self, size: usize) -> Arc<DataSet> {
-        self.store.dataset_journaled(size, &mut self.journal)
-    }
-
     /// Native run for (algorithm, size), computed once; a hit returns
-    /// another handle to the cached run, reports and all. The context's
+    /// another handle to the cached run, reports and all. A compute
+    /// journals its dataset solve and its `native:` span. The context's
     /// backend must [support](Backend::supports) the algorithm
     /// ([`sweep_supported`](StudyContext::sweep_supported) skips the
     /// ones it does not).
     pub fn run(&mut self, algorithm: Algorithm, size: usize) -> Arc<AlgorithmRun> {
-        if let Some(r) = self.runs.get(&(algorithm, size)) {
-            return Arc::clone(r);
-        }
-        let ds = self.dataset(size);
-        let t0 = self.journal.now();
-        let spec = self.config.spec(algorithm);
-        let (run, ()) = AlgorithmRun::native(spec, self.backend, size, &ds, |_| ());
-        let run = Arc::new(run);
-        self.journal.push_span(Scope::Study, t0, None, || {
-            let instructions: u64 = run.reports.iter().map(|r| r.work.instructions).sum();
-            let args = vec![
-                ("kernels", run.reports.len() as f64),
-                ("instructions", instructions as f64),
-                ("spec_fp", run.spec.fingerprint_with(self.backend) as f64),
-            ];
-            (format!("native:{}:{size}", algorithm.name()), args)
-        });
-        self.runs.insert((algorithm, size), Arc::clone(&run));
-        run
+        let want = (&self.config.spec(algorithm), self.backend, size);
+        let journal = &mut self.journal;
+        let native = self.natives.get(&self.store, want, journal, |_| ());
+        Arc::clone(&native.0)
     }
 
     /// Sweep an algorithm at a size over the configured caps, emitting
@@ -828,17 +804,62 @@ mod tests {
         let a = ctx.run(Algorithm::Slice, 8);
         let b = ctx.run(Algorithm::Slice, 8);
         assert_eq!(a.reports.len(), b.reports.len());
-        assert_eq!(ctx.runs.len(), 1);
+        assert_eq!(ctx.natives.len(), 1);
         ctx.run(Algorithm::Slice, 10);
-        assert_eq!(ctx.runs.len(), 2);
+        assert_eq!(ctx.natives.len(), 2);
+    }
+
+    /// Mixed `run` and `sweep` calls over two sizes journal one
+    /// `native:` span per (algorithm, size), after its size's `dataset:`
+    /// span; the same calls again journal neither.
+    #[test]
+    fn the_journal_holds_one_native_span_per_run_after_its_dataset() {
+        let (slice, threshold) = (Algorithm::Slice, Algorithm::Threshold);
+        let calls = |ctx: &mut StudyContext| {
+            ctx.run(slice, 8);
+            ctx.sweep(threshold, 6);
+            ctx.sweep(slice, 8);
+            ctx.run(threshold, 6);
+            ctx.run(slice, 6);
+            ctx.sweep(threshold, 8);
+            ctx.run(slice, 8);
+        };
+        let builds = |ctx: &StudyContext| -> Vec<String> {
+            use powersim::trace::Event;
+            ctx.journal
+                .events()
+                .filter_map(|e| match e {
+                    Event::Span(s) if s.scope == Scope::Study => Some(s.name.clone()),
+                    _ => None,
+                })
+                .filter(|name| name.starts_with("dataset:") || name.starts_with("native:"))
+                .collect()
+        };
+        let mut ctx = StudyContext::new(tiny_config());
+        ctx.enable_journal(1 << 16);
+        calls(&mut ctx);
+        let native = |a: Algorithm, n: usize| format!("native:{}:{n}", a.name());
+        let expect = [
+            "dataset:8".to_string(),
+            native(slice, 8),
+            "dataset:6".to_string(),
+            native(threshold, 6),
+            native(slice, 6),
+            native(threshold, 8),
+        ];
+        assert_eq!(builds(&ctx), expect);
+        let events = ctx.journal.events().count();
+        calls(&mut ctx);
+        assert!(ctx.journal.events().count() > events, "the sweeps journal");
+        assert_eq!(builds(&ctx), expect);
     }
 
     #[test]
     fn context_cache_hits_share_allocations() {
         let mut ctx = StudyContext::new(tiny_config());
         // Dataset hits hand back the same allocation, not a deep clone.
-        let d1 = ctx.dataset(8);
-        let d2 = ctx.dataset(8);
+        let d1 = ctx.store.dataset(8);
+        let d2 = ctx.store.dataset(8);
         assert!(Arc::ptr_eq(&d1, &d2), "dataset cache hit must share");
         // Run hits likewise share the run (and its report vector).
         let r1 = ctx.run(Algorithm::Threshold, 8);

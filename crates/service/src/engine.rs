@@ -6,10 +6,9 @@
 //! spaces:
 //!
 //! * the **native run** — `spec.build_with(backend).execute(dataset)` —
-//!   depends on `(spec, backend, dataset)` but *not* the cap, so it is
-//!   memoized once per backend-qualified spec fingerprint in a
-//!   single-flight [`Memo`] and shared by every cap the fleet serves it
-//!   under (direct callers of [`Engine::native`] on two threads meet there);
+//!   depends on `(spec, backend, dataset)` but *not* the cap, so the
+//!   engine's own native store (the study's `NativeStore` layout) holds it
+//!   once for every cap (callers of [`Engine::native`] on two threads meet there);
 //! * the **capped execution** — `characterize` + `Package::run_capped`
 //!   via [`vizpower::study::sweep`] — depends on all four key
 //!   components and is what the dispatch thread's result map stores.
@@ -25,7 +24,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use powersim::{CpuSpec, ExecResult, Watts};
+use powersim::{CpuSpec, ExecResult, Journal, Watts};
 use vizalgo::{Algorithm, AlgorithmSpec, Backend, Fnv1a};
 use vizpower::store::Memo;
 use vizpower::study::sweep;
@@ -155,30 +154,19 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// A cached native filter run: the parity-oracle digest plus the
-/// [`AlgorithmRun`] (spec, kernel reports, input size) that every cap
-/// of this spec is swept from without re-assembly.
-#[derive(Debug)]
-pub struct NativeRun {
-    /// Digest of the full `FilterOutput`'s `Debug` rendering.
-    pub(crate) output_debug: Rendering,
-    /// The run `characterize` + the power model consume.
-    pub(crate) run: AlgorithmRun,
-}
-
-/// The compute core: dataset store, processor model, and the
-/// cap-independent native-run memo that a serve call's native wave fills.
+/// The compute core: dataset store, processor model, and its own
+/// cap-independent native store, which a serve call's native wave fills.
 #[derive(Debug)]
 pub struct Engine {
     store: Arc<DatasetStore>,
     cpu: CpuSpec,
-    /// Keyed by `(spec.fingerprint_with(backend), data_fp)`.
-    natives: Memo<(u64, u64), NativeRun>,
+    /// `(spec.fingerprint_with(backend), size)` → run, output [`Rendering`].
+    natives: Memo<(u64, usize), (Arc<AlgorithmRun>, Rendering)>,
 }
 
 impl Engine {
     /// An engine over `store`, modeling `cpu`, with `shards` native
-    /// memo shards.
+    /// store shards.
     pub fn new(store: Arc<DatasetStore>, cpu: CpuSpec, shards: usize) -> Engine {
         Engine {
             store,
@@ -206,39 +194,33 @@ impl Engine {
         Ok(())
     }
 
-    /// The native run for a request, built at most once per
-    /// `(backend-qualified spec fingerprint, dataset)` across all caps
-    /// and all threads: two callers holding the same spec at different
-    /// caps meet here, and one of them computes.
-    pub fn native(&self, req: &Request, data_fp: u64) -> Arc<NativeRun> {
-        let key = (req.spec.fingerprint_with(req.backend), data_fp);
-        self.natives.get_or_compute(key, || {
-            let ds = self.store.dataset(req.size);
-            let (run, output_debug) =
-                AlgorithmRun::native(req.spec.clone(), req.backend, req.size, &ds, Rendering::of);
-            NativeRun { output_debug, run }
-        })
+    /// The native run for a request and its output's rendering, built
+    /// once for all caps and threads. Size names the dataset within one
+    /// engine, so `_data_fp` is not read.
+    pub fn native(&self, req: &Request, _data_fp: u64) -> Arc<(Arc<AlgorithmRun>, Rendering)> {
+        let (want, off) = ((&req.spec, req.backend, req.size), &mut Journal::off());
+        self.natives.get(&self.store, want, off, Rendering::of)
     }
 
-    /// Whether the native run for a request is already computed.
-    pub(crate) fn holds_native(&self, req: &Request, data_fp: u64) -> bool {
-        self.natives
-            .contains(&(req.spec.fingerprint_with(req.backend), data_fp))
+    /// The natives of `reqs` the engine lacks, as one [`Memo::wave`] with `native`'s inspect.
+    pub(crate) fn wave<'a>(&self, reqs: impl Iterator<Item = &'a Request>, n: usize) -> usize {
+        let wants = reqs.map(|r| (&r.spec, r.backend, r.size));
+        self.natives.wave(&self.store, wants, n, Rendering::of)
     }
 
     /// Execute one validated, admitted unit of work: native run (cached
     /// across caps), then the power model at exactly the key's cap.
     pub fn execute(&self, req: &Request, key: CacheKey) -> JobResult {
-        let native = self.native(req, key.data_fp);
-        let sw = sweep(&native.run, &[key.cap()], &self.cpu);
+        let (run, output_debug) = &*self.native(req, key.data_fp);
+        let sw = sweep(run, &[key.cap()], &self.cpu);
         let exec = sw
             .rows
             .first()
             .expect("single-cap sweep has exactly one row")
             .clone();
         JobResult {
-            algorithm: native.run.algorithm,
-            output_debug: native.output_debug,
+            algorithm: run.algorithm,
+            output_debug: *output_debug,
             exec,
         }
     }
@@ -344,7 +326,36 @@ mod tests {
                     cap: Watts(80.0),
                     backend,
                 };
-                assert_eq!(e.native(&req, data_fp).output_debug, rendering);
+                assert_eq!(e.native(&req, data_fp).1, rendering);
+            }
+        }
+    }
+
+    /// The engine and the study build each native the one way: every
+    /// supported pair at 6³ gives `Debug`-identical runs.
+    #[test]
+    fn the_engine_and_the_study_build_one_native_run() {
+        use vizpower::study::{StudyConfig, StudyContext};
+        let e = engine();
+        let data_fp = e.data_fp(6);
+        let config = StudyConfig::quick();
+        for backend in Backend::ALL {
+            let mut ctx = StudyContext::with_backend(config.clone(), backend);
+            for algorithm in Algorithm::ALL {
+                if !backend.supports(algorithm) {
+                    continue;
+                }
+                let req = Request {
+                    spec: config.spec(algorithm),
+                    size: 6,
+                    cap: Watts(80.0),
+                    backend,
+                };
+                assert_eq!(
+                    format!("{:?}", e.native(&req, data_fp).0),
+                    format!("{:?}", ctx.run(algorithm, 6)),
+                    "{algorithm:?}/{backend:?}"
+                );
             }
         }
     }

@@ -17,9 +17,8 @@
 //!   admitted cap fits its node's share of the fleet budget and the
 //!   hardware range.
 //! * `engine` — [`Engine`], the two-level compute path: cap-independent
-//!   native filter runs (memoized per backend-qualified spec, the one
-//!   place two workers can ask for the same key) feeding the
-//!   cap-dependent power model.
+//!   native filter runs in the engine's own native store (`vizpower::store`,
+//!   the study's store too) feeding the cap-dependent power model.
 //! * `service` — [`StudyService`], the batched dispatcher/scheduler
 //!   and its determinism argument: the dispatch thread owns the result
 //!   map, `vizmesh::par` workers compute and return, and responses,
@@ -41,7 +40,7 @@ pub mod traffic;
 
 pub use admission::Admission;
 pub use cache::{Outcome, ResultCache};
-pub use engine::{Engine, JobResult, NativeRun, Rendering, Request, ServiceError};
+pub use engine::{Engine, JobResult, Rendering, Request, ServiceError};
 pub use key::CacheKey;
 pub use service::{Response, ServeOutcome, ServeReport, ServiceConfig, StudyService, WindowLoad};
 pub use traffic::{universe, zipf_traffic, TrafficConfig, XorShift};

@@ -26,12 +26,10 @@
 //! owns all four and executes each batch's jobs. More workers buy real
 //! wall-clock, but the modeled outputs are byte-identical (`service_golden`).
 
-use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use powersim::{CpuSpec, Journal, Kind, Scope, Watts};
-use vizmesh::par;
 use vizpower::{DatasetStore, StudyConfig};
 
 use crate::admission::Admission;
@@ -57,15 +55,15 @@ pub struct ServiceConfig {
     pub fleet_budget: Watts,
     /// Seed for the deterministic placement hash.
     pub seed: u64,
-    /// Shards in the native-run memo (and the journal's `shard` field).
+    /// Shards of the engine's native store (and the journal's `shard` field).
     pub shards: usize,
     /// Result-cache slot capacity. `Some(n)`: at each batch end the
     /// service evicts its oldest-scheduled resident entries until at
     /// most `n` remain, journaling one `cache_event` with outcome
     /// `evict` per dropped key. `None` (the default) keeps every
     /// result resident, the pre-capacity behavior. It bounds entries,
-    /// not memory: the native runs that results are swept from stay in
-    /// the engine regardless.
+    /// not memory: the engine's native store keeps every run that
+    /// results are swept from.
     pub cache_slots: Option<usize>,
     /// Study parameterization the traffic universe draws its specs
     /// from ([`StudyConfig::spec`]).
@@ -397,7 +395,8 @@ impl StudyService {
                 CacheKey::new(&r.spec, data_fp, self.admission.admit(r.cap), r.backend)
             })
             .collect();
-        self.compute_natives(requests, &keys);
+        let pending = (requests.iter().zip(&keys)).filter(|(_, k)| !self.results.contains_key(k));
+        self.engine.wave(pending.map(|(r, _)| r), self.cfg.workers);
 
         let size = self.cfg.batch;
         for (bi, (batch, batch_keys)) in requests.chunks(size).zip(keys.chunks(size)).enumerate() {
@@ -592,25 +591,6 @@ impl StudyService {
             ]
         });
     }
-
-    /// The call's native wave: a task per native that a non-resident key
-    /// needs and the engine lacks, largest dataset first, then first-seen.
-    fn compute_natives(&self, requests: &[Request], keys: &[CacheKey]) {
-        let mut seen = HashSet::new();
-        let mut wave: Vec<_> = (requests.iter().zip(keys))
-            .filter(|&(req, key)| {
-                !self.results.contains_key(key)
-                    && seen.insert((key.spec_fp, key.backend, key.data_fp))
-                    && !self.engine.holds_native(req, key.data_fp)
-            })
-            .collect();
-        wave.sort_by_key(|&(req, _)| Reverse(req.size));
-        par::with_threads(self.cfg.workers, || {
-            par::map(wave.len(), 1, |i| {
-                self.engine.native(wave[i].0, wave[i].1.data_fp)
-            })
-        });
-    }
 }
 
 #[cfg(test)]
@@ -785,23 +765,54 @@ mod tests {
             dpp_slice,
         ];
         let data_fp = svc.engine.data_fp(6);
-        let held = |svc: &StudyService| {
-            probes
-                .each_ref()
-                .map(|r| svc.engine.holds_native(r, data_fp))
-        };
         svc.serve(&traffic, &mut Journal::off()).expect("serves");
-        assert_eq!(held(&svc), [true, true, true, false, false]);
         let natives = probes[..3]
             .iter()
             .map(|r| svc.engine.native(r, data_fp))
             .collect::<Vec<_>>();
         let replay = svc.serve(&traffic, &mut Journal::off()).expect("serves");
         assert_eq!(replay.report.hits, traffic.len());
-        assert_eq!(held(&svc), [true, true, true, false, false]);
         for (r, native) in probes.iter().zip(&natives) {
             assert!(Arc::ptr_eq(&svc.engine.native(r, data_fp), native), "{r:?}");
         }
+        // Only the two probes no request names are missing.
+        assert_eq!(svc.engine.wave(probes.iter(), 1), 2);
+        assert_eq!(svc.engine.wave(probes.iter(), 1), 0);
+    }
+
+    /// Natives belong to their engine, datasets to the shared store: a
+    /// fresh service, or a fresh engine, on one store computes every
+    /// native again, which keeps a cold pass over a warm store cold.
+    #[test]
+    fn a_fresh_engine_is_cold_on_a_shared_dataset_store() {
+        let store = Arc::new(DatasetStore::new());
+        let ds = store.dataset(6);
+        let data_fp = store.fingerprint(6);
+        let traffic = [
+            req(Algorithm::Slice, 80.0),
+            req(Algorithm::Threshold, 60.0),
+            req(Algorithm::Contour, 80.0),
+        ];
+        let natives = |e: &Engine| traffic.each_ref().map(|r| e.native(r, data_fp));
+        let cold = |e: &Engine| e.wave(traffic.iter(), 1) == traffic.len();
+        let distinct =
+            |a: &[Arc<_>; 3], b: &[Arc<_>; 3]| a.iter().zip(b).all(|(a, b)| !Arc::ptr_eq(a, b));
+
+        let service = || StudyService::with_store(tiny_cfg(), Arc::clone(&store)).expect("valid");
+        let (mut first, mut second) = (service(), service());
+        first.serve(&traffic, &mut Journal::off()).expect("serves");
+        second.serve(&traffic, &mut Journal::off()).expect("serves");
+        assert_eq!(second.engine.wave(traffic.iter(), 1), 0, "served its own");
+        assert!(distinct(&natives(&first.engine), &natives(&second.engine)));
+
+        let cpu = CpuSpec::broadwell_e5_2695v4();
+        let engines = [0, 1].map(|_| Engine::new(Arc::clone(&store), cpu.clone(), 4));
+        let warm = natives(&engines[0]);
+        assert!(cold(&engines[1]), "the second engine starts cold");
+        assert!(distinct(&warm, &natives(&engines[1])));
+
+        assert!(Arc::ptr_eq(&store.dataset(6), &ds), "one dataset build");
+        assert_eq!(Arc::strong_count(&store), 5, "four engines hold the store");
     }
 
     #[test]
