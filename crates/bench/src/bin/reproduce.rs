@@ -577,7 +577,7 @@ fn insitu(run: &mut Run) -> Outcome {
     };
     let mut runtime = InSituRuntime::new(cloverleaf::Problem::TwoState, config, actions);
     for scene in &mut runtime.scenes {
-        *scene = scene.clone().with_output_dir(out);
+        scene.with_output_dir(out);
     }
     let coupled = runtime
         .run_journaled(&mut run.ctx.journal)

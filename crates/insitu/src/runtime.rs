@@ -315,7 +315,7 @@ mod tests {
         };
         let mut rt = InSituRuntime::new(Problem::TwoState, config, actions());
         let dir = file.join("images");
-        rt.scenes[0] = rt.scenes[0].clone().with_output_dir(&dir);
+        rt.scenes[0].with_output_dir(&dir);
         let err = rt.run_journaled(&mut Journal::off()).unwrap_err();
         let _ = std::fs::remove_file(&file);
         let shown = err.to_string();

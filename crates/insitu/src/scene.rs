@@ -1,12 +1,14 @@
 //! Scenes: renderers plus an image-database sink.
 //!
-//! CloverLeaf's mesh is Eulerian, so a ray-tracing scene traces its grid
-//! once ([`RayTracer::record`]) and per cycle only colours the hits
-//! ([`RayTracer::colour`]), with `execute`'s images and reports. The
-//! record costs 32 B per hit pixel: about 10 MB for the paper's 50
-//! images of 128², of which about 41 % of the pixels hit.
+//! CloverLeaf's mesh is Eulerian, so a ray-tracing scene keeps its last
+//! [`RayRecord`] and renders through [`RayTracer::render`], which traces
+//! again only when the record was made from another grid or image size
+//! and otherwise only colours its hits, with `execute`'s images and
+//! reports. The record costs 32 B per hit pixel: about 10 MB for the
+//! paper's 50 images of 128², of which about 41 % of the pixels hit.
+//!
+//! [`RayTracer::render`]: vizalgo::RayTracer::render
 
-use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -15,12 +17,12 @@ use vizmesh::DataSet;
 
 /// A named scene: a renderer and optionally a directory into which its
 /// image database is written as PPM files.
-#[derive(Debug, Clone)]
 pub struct Scene {
     pub name: String,
     pub renderer: AlgorithmSpec,
     pub(crate) output_dir: Option<PathBuf>,
-    recorded: Recorded,
+    /// A ray-tracing scene's last record.
+    record: Mutex<Option<RayRecord>>,
 }
 
 impl Scene {
@@ -29,34 +31,26 @@ impl Scene {
             name: name.into(),
             renderer,
             output_dir: None,
-            recorded: Recorded::default(),
+            record: Mutex::new(None),
         }
     }
 
     /// Write rendered images under `dir` as `<scene>_<cycle>_<idx>.ppm`.
-    pub fn with_output_dir(mut self, dir: impl AsRef<Path>) -> Self {
+    pub fn with_output_dir(&mut self, dir: impl AsRef<Path>) {
         self.output_dir = Some(dir.as_ref().to_path_buf());
-        self
     }
 
     /// Render the scene against `data` for visualization cycle `cycle`.
     /// A write error names the directory or file it could not write.
     pub fn render(&self, data: &DataSet, cycle: u64) -> io::Result<FilterOutput> {
-        let out = match (self.renderer.build_tracer(), data.as_uniform()) {
-            (Some(tracer), Some(grid)) => {
-                let (o, s) = (grid.origin(), grid.spacing());
-                let bits = [o.x, o.y, o.z, s.x, s.y, s.z].map(f64::to_bits);
-                let key = (grid.point_dims(), bits, self.renderer.clone());
-                // Each update leaves a record under its own key, so a
-                // poisoned lock still holds a valid state.
-                let mut held = self.recorded.0.lock().unwrap_or_else(|e| e.into_inner());
-                let record = match &mut *held {
-                    Some((made_for, record)) if *made_for == key => record,
-                    slot => &slot.insert((key, tracer.record(data))).1,
-                };
-                tracer.colour(record, data)
+        let out = match self.renderer.build_tracer() {
+            Some(tracer) => {
+                // A record is only ever replaced whole, so a poisoned
+                // lock still holds a valid one.
+                let mut held = self.record.lock().unwrap_or_else(|e| e.into_inner());
+                tracer.render(&mut held, data)
             }
-            _ => self.renderer.build(data).execute(data),
+            None => self.renderer.build(data).execute(data),
         };
         if let Some(dir) = &self.output_dir {
             std::fs::create_dir_all(dir).map_err(|e| naming(dir, e))?;
@@ -67,24 +61,6 @@ impl Scene {
             }
         }
         Ok(out)
-    }
-}
-
-/// A ray-tracing scene's last record, keyed by what it depends on: the
-/// grid's point dims, its origin and spacing by their bits, and the
-/// renderer (its image size and count). A clone starts empty.
-#[derive(Default)]
-struct Recorded(Mutex<Option<(([usize; 3], [u64; 6], AlgorithmSpec), RayRecord)>>);
-
-impl Clone for Recorded {
-    fn clone(&self) -> Self {
-        Recorded::default()
-    }
-}
-
-impl fmt::Debug for Recorded {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Recorded").finish_non_exhaustive()
     }
 }
 
@@ -159,8 +135,6 @@ mod tests {
             let want = format!("{:?}", spec.build(data).execute(data));
             let got = scene.render(data, cycle as u64).unwrap();
             assert!(format!("{got:?}") == want, "{what}");
-            let clone = scene.clone().render(data, cycle as u64).unwrap();
-            assert!(format!("{clone:?}") == want, "{what}: the clone");
         }
     }
 
@@ -168,7 +142,8 @@ mod tests {
     fn render_with_sink_writes_ppm_files() {
         let dir = std::env::temp_dir().join("vizpower_scene_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let s = Scene::new("db", spec(2)).with_output_dir(&dir);
+        let mut s = Scene::new("db", spec(2));
+        s.with_output_dir(&dir);
         s.render(&dataset(), 7).unwrap();
         let mut names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()

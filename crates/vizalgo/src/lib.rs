@@ -23,7 +23,7 @@
 //! crate's tests.
 //!
 //! [`marching_tetra`] is an independent isosurface implementation used as
-//! a cross-check oracle in property tests, and [`tetclip`] is the shared
+//! a cross-check oracle in property tests, and `tetclip` is the shared
 //! tetrahedral clipping engine — the clip core and the one
 //! hex-subdivision walk — behind `clip` and `isovolume`. The
 //! [`arena`] module holds the flat-arena primitives the kernel hot paths
@@ -77,7 +77,7 @@ pub mod raytrace;
 mod registry;
 mod slice;
 pub mod spec;
-pub mod tetclip;
+mod tetclip;
 mod threshold;
 mod volren;
 

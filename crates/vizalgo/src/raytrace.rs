@@ -15,11 +15,12 @@
 //! to a stopwatch therefore compares against counted work, not against
 //! the host's gather time.
 //!
-//! In situ, where only the field changes between cycles, a scene runs
-//! all three steps once per grid ([`RayTracer::record`]) and per cycle
-//! only colours the recorded hits ([`RayTracer::colour`]). The model
-//! still charges all three every cycle from the replayed counters.
-//! `execute` traces and colours each pixel at once, buffering no hits.
+//! In situ, where only the field changes between cycles, a scene holds
+//! a [`RayRecord`] and calls [`RayTracer::render`]: it runs all three
+//! steps only when the record was made from another grid or image size,
+//! and otherwise just colours the recorded hits. The model still
+//! charges all three every cycle from the replayed counters. `execute`
+//! traces and colours each pixel at once, buffering no hits.
 
 use crate::colormap::ColorMap;
 use crate::filter::{self, Filter, FilterOutput, KernelClass, KernelReport};
@@ -456,10 +457,13 @@ fn colour(hit: &Hit, values: [f64; 3], cmap: &ColorMap, lo: f64, hi: f64) -> [f3
     c
 }
 
-/// What [`RayTracer::record`] traced on one grid, for
-/// [`RayTracer::colour`] to colour from any field on it: only the hit
-/// pixels, 32 B each, each triangle's corner point ids and the work.
+/// What a tracer traced on one grid, for [`RayTracer::render`] to colour
+/// from any field on it: only the hit pixels, 32 B each, each
+/// triangle's corner point ids and the work, with what it was made from.
 pub struct RayRecord {
+    /// The grid's point dims, its origin and spacing by their bits, and
+    /// the image width, height and count. Not the field: no hit reads it.
+    made_from: ([usize; 3], [u64; 6], [usize; 3]),
     /// Per image, its hits in row-major pixel order.
     hits: Vec<Vec<Hit>>,
     /// Each triangle's corner point ids, in gather order.
@@ -488,10 +492,25 @@ impl RayTracer {
         }
     }
 
+    /// What [`execute`](Filter::execute) returns on `input`, colouring
+    /// `held` if it was made from `input`'s grid and this image size and
+    /// count, else a record traced now, which is left in `held`.
+    pub fn render(&self, held: &mut Option<RayRecord>, input: &DataSet) -> FilterOutput {
+        let grid = filter::structured(input, "Ray Tracing");
+        let (o, s) = (grid.origin(), grid.spacing());
+        let bits = [o.x, o.y, o.z, s.x, s.y, s.z].map(f64::to_bits);
+        let size = [self.width, self.height, self.num_cameras];
+        let made_from = (grid.point_dims(), bits, size);
+        let record = match held {
+            Some(record) if record.made_from == made_from => record,
+            slot => slot.insert(self.record(input, made_from)),
+        };
+        self.colour(record, input)
+    }
+
     /// Steps 1–3 on `input`'s grid, with the colour left out: every
-    /// camera's hits and the work `execute` reports. It depends only on
-    /// the grid and on the image size and count.
-    pub fn record(&self, input: &DataSet) -> RayRecord {
+    /// camera's hits and the work `execute` reports.
+    fn record(&self, input: &DataSet, made_from: ([usize; 3], [u64; 6], [usize; 3])) -> RayRecord {
         let points = filter::structured(input, "Ray Tracing").num_points();
         assert!(
             points.max(self.width * self.height) <= u32::MAX as usize,
@@ -519,16 +538,16 @@ impl RayTracer {
         });
         let kernels = self.reports([gather, build], &stats, &bvh);
         RayRecord {
+            made_from,
             hits,
             corners,
             kernels,
         }
     }
 
-    /// What [`execute`](Filter::execute) returns on `input`, from a `record`
-    /// this tracer made of a grid bit-identical to `input`'s: each hit
-    /// coloured from `input`'s field, one image per `par` task.
-    pub fn colour(&self, record: &RayRecord, input: &DataSet) -> FilterOutput {
+    /// Each of `record`'s hits coloured from `input`'s field, one image
+    /// per `par` task.
+    fn colour(&self, record: &RayRecord, input: &DataSet) -> FilterOutput {
         let values = filter::point_scalars(input, "Ray Tracing", &self.field);
         let (lo, hi) = filter::scalar_range(input, &self.field);
         let cmap = ColorMap::cool_to_warm();
@@ -773,6 +792,30 @@ mod tests {
         DataSet::uniform(grid).with_field(Field::scalar("f", Association::Points, vals))
     }
 
+    /// `rt.render(held, data)` against `rt.execute(data)`: the kernel
+    /// reports, and every pixel and depth by its bits.
+    fn assert_renders_as_execute(
+        rt: &RayTracer,
+        held: &mut Option<RayRecord>,
+        data: &DataSet,
+        what: &str,
+    ) {
+        let (got, want) = (rt.render(held, data), rt.execute(data));
+        assert_eq!(got.kernels, want.kernels, "{what}: kernel reports");
+        assert!(got.dataset.is_none() && got.primitives.is_empty(), "{what}");
+        assert_eq!(got.images.len(), want.images.len(), "{what}");
+        for (i, (g, w)) in got.images.iter().zip(&want.images).enumerate() {
+            assert!(w.coverage() > 0.1, "{what}: image {i} shows too little");
+            assert!(image_bits(g) == image_bits(w), "{what}: image {i}");
+        }
+    }
+
+    /// Where `held`'s hits live: a render that traces again moves them,
+    /// because the old record is alive while the new one is made.
+    fn hits_at(held: &Option<RayRecord>) -> *const Vec<Hit> {
+        held.as_ref().map_or(std::ptr::null(), |r| r.hits.as_ptr())
+    }
+
     #[test]
     fn a_record_coloured_from_another_field_is_execute_on_that_field() {
         let a = shell([12, 9, 7]);
@@ -789,17 +832,82 @@ mod tests {
         let rt = RayTracer::new("f", 48, 40, 3);
         for threads in [1, 4, 16] {
             par::with_threads(threads, || {
-                let record = rt.record(&a);
+                let mut held = None;
+                rt.render(&mut held, &a);
+                let recorded = hits_at(&held);
                 for (name, field) in [("B", &b), ("non-finite B", &bad)] {
                     let what = format!("{name}, {threads} threads");
-                    let (got, want) = (rt.colour(&record, field), rt.execute(field));
-                    assert_eq!(got.kernels, want.kernels, "{what}: kernel reports");
-                    assert!(got.dataset.is_none() && got.primitives.is_empty(), "{what}");
-                    assert_eq!(got.images.len(), want.images.len(), "{what}");
-                    for (i, (g, w)) in got.images.iter().zip(&want.images).enumerate() {
-                        assert!(w.coverage() > 0.1, "{what}: image {i} shows too little");
-                        assert!(image_bits(g) == image_bits(w), "{what}: image {i}");
-                    }
+                    assert_renders_as_execute(&rt, &mut held, field, &what);
+                    assert!(hits_at(&held) == recorded, "{what}: traced again");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn render_traces_again_only_for_another_grid_or_image_size() {
+        let (origin, spacing) = (Vec3::new(0.0, 0.25, -0.5), Vec3::new(0.125, 0.1, 0.2));
+        let on = |dims, origin, spacing, field: &str| {
+            let grid = UniformGrid::new(dims, origin, spacing);
+            let vals = (0..grid.num_points()).map(|p| (p as f64 * 0.37).sin());
+            let field = Field::scalar(field, Association::Points, vals.collect());
+            DataSet::uniform(grid).with_field(field)
+        };
+        let dims = [13, 10, 8];
+        let base = on(dims, origin, spacing, "f");
+        let rt = RayTracer::new("f", 48, 40, 3);
+        // Each changes one input from `base` under `rt`; `true` where the
+        // hits depend on it.
+        let cases = [
+            ("dims", &rt, on([13, 11, 8], origin, spacing, "f"), true),
+            (
+                "origin",
+                &rt,
+                on(dims, origin + Vec3::Z, spacing, "f"),
+                true,
+            ),
+            (
+                "origin 0.0 → -0.0",
+                &rt,
+                on(dims, Vec3::new(-0.0, 0.25, -0.5), spacing, "f"),
+                true,
+            ),
+            ("spacing", &rt, on(dims, origin, spacing * 1.5, "f"), true),
+            ("width", &RayTracer::new("f", 47, 40, 3), base.clone(), true),
+            (
+                "height",
+                &RayTracer::new("f", 48, 41, 3),
+                base.clone(),
+                true,
+            ),
+            (
+                "image count",
+                &RayTracer::new("f", 48, 40, 2),
+                base.clone(),
+                true,
+            ),
+            (
+                "field values",
+                &rt,
+                refielded(&base, |p| (p as f64 * 0.11).cos()),
+                false,
+            ),
+            (
+                "field name",
+                &RayTracer::new("g", 48, 40, 3),
+                on(dims, origin, spacing, "g"),
+                false,
+            ),
+        ];
+        for threads in [1, 16] {
+            par::with_threads(threads, || {
+                for (what, tracer, data, traces) in &cases {
+                    let what = format!("{what}, {threads} threads");
+                    let mut held = None;
+                    assert_renders_as_execute(&rt, &mut held, &base, &what);
+                    let recorded = hits_at(&held);
+                    assert_renders_as_execute(tracer, &mut held, data, &what);
+                    assert_eq!(hits_at(&held) != recorded, *traces, "{what}: traced again");
                 }
             });
         }

@@ -407,8 +407,8 @@ impl AlgorithmSpec {
     }
 
     /// The concrete ray tracer `build_with` boxes, for callers of
-    /// [`RayTracer::record`] and [`RayTracer::colour`], which live outside
-    /// the `dyn Filter` interface. `None` for non-ray-tracing specs.
+    /// [`RayTracer::render`], which lives outside the `dyn Filter`
+    /// interface. `None` for non-ray-tracing specs.
     pub fn build_tracer(&self) -> Option<RayTracer> {
         let AlgorithmSpec::RayTracing {
             field,

@@ -3,7 +3,7 @@
 //!
 //! Cells that straddle an implicit surface are decomposed into
 //! tetrahedra; each tetrahedron is clipped against the scalar value,
-//! keeping the side where `value >= iso` ([`clip_keep_above`]) or
+//! keeping the side where `value >= iso` (`clip_keep_above_into`) or
 //! `value <= iso` (`clip_keep_below_into`). The clipped pieces are emitted
 //! as new tetrahedra with interpolated vertices, exactly as VTK-m's clip
 //! worklets subdivide straddling cells (§III-B3/B4 of the paper).
@@ -29,7 +29,7 @@
 //! ascending id, hence in ascending k-slab, and the closures of two
 //! cells meet only if the cells sit in the same slab or in adjacent
 //! ones. So a key first seen in slab `k` can be asked for again only in
-//! slab `k` or `k + 1`: [`TetMesh`] keeps one `WeldMap` for the
+//! slab `k` or `k + 1`: `TetMesh` keeps one `WeldMap` for the
 //! current slab and one for the previous, looks in both, inserts into
 //! the current, and forgets the older when the walk moves up. Every
 //! lookup answers as one never-cleared table would and point ids are
@@ -80,7 +80,7 @@ use vizmesh::{par, CellSet, CellShape, UniformGrid, Vec3, WorkCounters, HEX_TO_T
 /// A growing tetrahedral mesh with per-point scalar values and vertex
 /// welding on interpolated edges.
 #[derive(Debug, Default)]
-pub struct TetMesh {
+pub(crate) struct TetMesh {
     pub(crate) points: Vec<Vec3>,
     /// Clip scalar at each point (signed distance or field value).
     pub(crate) values: Vec<f64>,
@@ -96,10 +96,6 @@ pub struct TetMesh {
 }
 
 impl TetMesh {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An empty mesh whose point arrays are pre-sized for roughly
     /// `points` vertices (a hint; the mesh still grows on demand). The
     /// weld tables size themselves: they hold a slab's edge points, not
@@ -127,28 +123,12 @@ impl TetMesh {
         self.weld[0].clear();
     }
 
-    /// Add an original (non-interpolated) point.
-    pub fn add_point(&mut self, p: Vec3, value: f64) -> u32 {
-        self.add_point_with(p, value, value)
-    }
-
     /// Add an original point carrying a separate data payload.
     pub(crate) fn add_point_with(&mut self, p: Vec3, value: f64, payload: f64) -> u32 {
         self.points.push(p);
         self.values.push(value);
         self.payloads.push(payload);
         (self.points.len() - 1) as u32
-    }
-
-    /// Signed volume of a tet.
-    pub fn tet_volume(&self, t: [u32; 4]) -> f64 {
-        let (a, b, c, d) = (
-            self.points[t[0] as usize],
-            self.points[t[1] as usize],
-            self.points[t[2] as usize],
-            self.points[t[3] as usize],
-        );
-        (b - a).cross(c - a).dot(d - a) / 6.0
     }
 
     /// Interpolated point on edge `(a, b)` where the (possibly
@@ -179,21 +159,9 @@ impl TetMesh {
     }
 }
 
-/// Clip every tet of `mesh`, keeping the region where `value >= iso`.
-/// Returns the clipped tet list (indices into the same, grown, mesh) and
-/// the work performed.
-pub fn clip_keep_above(
-    mesh: &mut TetMesh,
-    tets: &[[u32; 4]],
-    iso: f64,
-) -> (Vec<[u32; 4]>, WorkCounters) {
-    let mut out = Vec::new();
-    let work = clip_keep_above_into(mesh, tets, iso, &mut out);
-    (out, work)
-}
-
-/// [`clip_keep_above`] writing into a reused scratch buffer: `out` is
-/// cleared, then filled. Returns the work performed.
+/// Clip every tet of `mesh`, keeping the region where `value >= iso`,
+/// into a reused scratch buffer: `out` is cleared, then filled with
+/// indices into the same, grown, mesh. Returns the work performed.
 pub(crate) fn clip_keep_above_into(
     mesh: &mut TetMesh,
     tets: &[[u32; 4]],
@@ -864,27 +832,69 @@ mod tests {
     use propcheck::test_runner::Source;
     use vizmesh::Aabb;
 
+    impl TetMesh {
+        /// Add an original (non-interpolated) point.
+        fn add_point(&mut self, p: Vec3, value: f64) -> u32 {
+            self.add_point_with(p, value, value)
+        }
+
+        /// Signed volume of a tet.
+        fn tet_volume(&self, t: [u32; 4]) -> f64 {
+            let [a, b, c, d] = t.map(|p| self.points[p as usize]);
+            (b - a).cross(c - a).dot(d - a) / 6.0
+        }
+    }
+
+    /// Clip every tet of `mesh`, keeping the region where `value >= iso`:
+    /// the clipped tets and the work.
+    fn clip_keep_above(
+        mesh: &mut TetMesh,
+        tets: &[[u32; 4]],
+        iso: f64,
+    ) -> (Vec<[u32; 4]>, WorkCounters) {
+        let mut out = Vec::new();
+        let work = clip_keep_above_into(mesh, tets, iso, &mut out);
+        (out, work)
+    }
+
+    /// The tet with corner values `values` at the origin and at `legs`
+    /// along each axis.
+    fn tet_with_legs(values: [f64; 4], legs: Vec3) -> (TetMesh, [u32; 4]) {
+        let mut m = TetMesh::default();
+        let corners = [
+            Vec3::ZERO,
+            Vec3::new(legs.x, 0.0, 0.0),
+            Vec3::new(0.0, legs.y, 0.0),
+            Vec3::new(0.0, 0.0, legs.z),
+        ];
+        let t = [0, 1, 2, 3].map(|i| m.add_point(corners[i], values[i]));
+        (m, t)
+    }
+
     /// Build a single-tet mesh with the given corner values.
     fn one_tet(values: [f64; 4]) -> (TetMesh, [u32; 4]) {
-        let mut m = TetMesh::new();
-        let t = [
-            m.add_point(Vec3::ZERO, values[0]),
-            m.add_point(Vec3::X, values[1]),
-            m.add_point(Vec3::Y, values[2]),
-            m.add_point(Vec3::Z, values[3]),
-        ];
-        (m, t)
+        tet_with_legs(values, Vec3::splat(1.0))
     }
 
     fn volume_of(mesh: &TetMesh, tets: &[[u32; 4]]) -> f64 {
         tets.iter().map(|&t| mesh.tet_volume(t).abs()).sum()
     }
 
+    /// The volume kept above `iso` plus the volume the negated tet keeps
+    /// above `-iso`, for the tet with `legs`.
+    fn above_plus_below(values: [f64; 4], iso: f64, legs: Vec3) -> f64 {
+        let (mut m, t) = tet_with_legs(values, legs);
+        let (above, _) = clip_keep_above(&mut m, &[t], iso);
+        let (mut m2, t2) = tet_with_legs(values.map(|v| -v), legs);
+        let (below, _) = clip_keep_above(&mut m2, &[t2], -iso);
+        volume_of(&m, &above) + volume_of(&m2, &below)
+    }
+
     #[test]
     fn hex_decomposition_tiles_volume() {
         // Unit cube corners in VTK order.
         let corners = crate::contour::CORNERS;
-        let mut m = TetMesh::new();
+        let mut m = TetMesh::default();
         let ids: Vec<u32> = corners
             .iter()
             .map(|&c| m.add_point(Vec3::from(c), 0.0))
@@ -939,23 +949,33 @@ mod tests {
             [0.1, 0.2, 0.3, -0.4],
         ];
         for values in cases {
-            let (mut m, t) = one_tet(values);
-            let (above, _) = clip_keep_above(&mut m, &[t], 0.0);
-            let neg: Vec<f64> = m.values.iter().map(|v| -v).collect();
-            let mut m2 = TetMesh::new();
-            // Rebuild with negated values for the below side.
-            let t2 = [
-                m2.add_point(Vec3::ZERO, neg[0]),
-                m2.add_point(Vec3::X, neg[1]),
-                m2.add_point(Vec3::Y, neg[2]),
-                m2.add_point(Vec3::Z, neg[3]),
-            ];
-            let (below, _) = clip_keep_above(&mut m2, &[t2], 0.0);
-            let total = volume_of(&m, &above) + volume_of(&m2, &below);
+            let total = above_plus_below(values, 0.0, Vec3::splat(1.0));
             assert!(
                 (total - 1.0 / 6.0).abs() < 1e-12,
                 "values {values:?}: {total}"
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Clipping a random tet: the kept and complementary volumes
+        /// always partition the original.
+        #[test]
+        fn tet_clip_partitions_volume(
+            vals in prop::array::uniform4(-2.0f64..2.0),
+            iso in -1.0f64..1.0,
+            px in 0.2f64..2.0,
+            py in 0.2f64..2.0,
+            pz in 0.2f64..2.0,
+        ) {
+            let whole = px * py * pz / 6.0;
+            let sum = above_plus_below(vals, iso, Vec3::new(px, py, pz));
+            // `>=` on both sides keeps boundary-degenerate slivers in both
+            // halves, so allow tiny overlap.
+            prop_assert!((sum - whole).abs() < 1e-9 * whole.max(1.0) + 1e-12,
+                "above + below = {sum}, whole = {whole}");
         }
     }
 
@@ -1016,8 +1036,8 @@ mod tests {
         // Clip two disjoint cells through the same scratch buffers; the
         // results must match fresh-buffer clips cell by cell.
         let mut scratch = TetScratch::new();
-        let mut welded = TetMesh::new();
-        let mut fresh = TetMesh::new();
+        let mut welded = TetMesh::default();
+        let mut fresh = TetMesh::default();
         let cells = [
             ([0.4, -0.6, 0.2, -0.9], 0.1),
             ([-0.5, 0.5, -0.5, 0.5], 0.0),
@@ -1061,7 +1081,7 @@ mod tests {
     fn edge_points_are_welded_across_tets() {
         // Two tets sharing edge (0, 1) with a crossing on it: the
         // interpolated point must be created once.
-        let mut m = TetMesh::new();
+        let mut m = TetMesh::default();
         let p0 = m.add_point(Vec3::ZERO, -1.0);
         let p1 = m.add_point(Vec3::X, 1.0);
         let p2 = m.add_point(Vec3::Y, 1.0);
@@ -1268,7 +1288,7 @@ mod tests {
         fn reference(&self, sides: &[HexSide]) -> Subdivision {
             let grid = self.grid();
             let mut out = Subdivision {
-                mesh: TetMesh::new(),
+                mesh: TetMesh::default(),
                 cells: CellSet::new(),
                 whole_points: 0,
                 straddle_points: 0,
@@ -1345,7 +1365,7 @@ mod tests {
     /// A walk's output over `points` (scalar `i`, payload `-i` at point
     /// `i`) and `cells`, with made-up tallies.
     fn walked(points: &[Vec3], cells: &[(CellShape, &[u32])]) -> Subdivision {
-        let mut mesh = TetMesh::new();
+        let mut mesh = TetMesh::default();
         for (i, &p) in points.iter().enumerate() {
             mesh.add_point_with(p, i as f64, -(i as f64));
         }

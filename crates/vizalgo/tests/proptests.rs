@@ -9,7 +9,6 @@
 use propcheck::prelude::*;
 use vizalgo::contour::{marching_cubes, SegmentIndex};
 use vizalgo::marching_tetra::{marching_tetrahedra, soup_area};
-use vizalgo::tetclip::{clip_keep_above, TetMesh};
 use vizalgo::{Filter, Isovolume, SphericalClip, Threshold};
 use vizmesh::{Association, DataSet, Field, UniformGrid, Vec3};
 
@@ -84,42 +83,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Clipping a random tet: the kept and complementary volumes always
-    /// partition the original.
-    #[test]
-    fn tet_clip_partitions_volume(
-        vals in prop::array::uniform4(-2.0f64..2.0),
-        iso in -1.0f64..1.0,
-        px in 0.2f64..2.0,
-        py in 0.2f64..2.0,
-        pz in 0.2f64..2.0,
-    ) {
-        let build = |values: [f64; 4]| {
-            let mut m = TetMesh::new();
-            let t = [
-                m.add_point(Vec3::ZERO, values[0]),
-                m.add_point(Vec3::new(px, 0.0, 0.0), values[1]),
-                m.add_point(Vec3::new(0.0, py, 0.0), values[2]),
-                m.add_point(Vec3::new(0.0, 0.0, pz), values[3]),
-            ];
-            (m, t)
-        };
-        let (mut m1, t1) = build(vals);
-        let (above, _) = clip_keep_above(&mut m1, &[t1], iso);
-        let neg = [-vals[0], -vals[1], -vals[2], -vals[3]];
-        let (mut m2, t2) = build(neg);
-        let (below, _) = clip_keep_above(&mut m2, &[t2], -iso);
-        let vol = |m: &TetMesh, ts: &[[u32; 4]]| -> f64 {
-            ts.iter().map(|&t| m.tet_volume(t).abs()).sum()
-        };
-        let whole = px * py * pz / 6.0;
-        let sum = vol(&m1, &above) + vol(&m2, &below);
-        // `>=` on both sides keeps boundary-degenerate slivers in both
-        // halves, so allow tiny overlap.
-        prop_assert!((sum - whole).abs() < 1e-9 * whole.max(1.0) + 1e-12,
-            "above + below = {sum}, whole = {whole}");
     }
 
     /// Threshold keeps exactly the cells whose value is in range.

@@ -139,7 +139,7 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
     ),
     // Sixteen threads on a 2-4 core runner: many more chunks than cores,
     // the cut a big node gives the parallel BVH build's task list, the
-    // renderers' row-buffer fills (an in situ scene's recorded rows
+    // renderers' row-buffer fills (the rows `RayTracer::render` records
     // too) and the hydro step's fused sweeps.
     (
         "cargo test -q -p vizmesh -p vizalgo -p cloverleaf -p insitu",
