@@ -12,6 +12,15 @@
 //! the shared face's corner signs, adjacent cells always agree and the
 //! extracted surface is watertight away from the domain boundary — a
 //! property the test-suite checks directly on random fields.
+//!
+//! [`Contour`] runs each isovalue as one [`par::map`] task, on both
+//! backends, and joins the surfaces and work counters in isovalue
+//! order. `par` runs a call made on a worker inline, so a task's own
+//! `par` loops (the segment sweep, the z-slabs) stay on its thread and
+//! produce their one-thread output. One isovalue, or one thread, runs
+//! on the caller, whose loops split over `par` as before. The service's
+//! native wave already runs whole filters as tasks; there every
+//! isovalue runs inline, in order.
 
 use crate::arena::{pack_edge, WeldMap};
 use crate::filter::{self, concat_surfaces, Filter, FilterOutput, KernelClass, KernelReport};
@@ -512,7 +521,8 @@ pub fn marching_cubes(
 
     // Parallel over z-slabs: each slab emits the triangles of its run of
     // the active list, keyed by global edge ids; a serial weld pass
-    // builds the final indexed mesh.
+    // builds the final indexed mesh. It is serial per isovalue;
+    // `Contour`'s isovalue tasks run their welds side by side.
     let slab = (cx * cy).max(1);
     let slabs: Vec<(WorkCounters, WorkCounters, Vec<([u64; 3], [Vec3; 3])>)> =
         par::map(cz, crate::CELL_MIN_LEN.div_ceil(slab), |kz| {
@@ -633,10 +643,13 @@ impl Filter for Contour {
     fn execute(&self, input: &DataSet) -> FilterOutput {
         let (grid, values) = self.inputs(input);
         let index = SegmentIndex::of_field(grid, values);
+        // One task per isovalue (module note).
+        let runs = par::map(self.isovalues.len(), 1, |i| {
+            marching_cubes(grid, values, &index, self.isovalues[i])
+        });
         let mut classify = WorkCounters::new();
         let mut interp = WorkCounters::new();
-        let surfaces = self.isovalues.iter().map(|&iso| {
-            let mc = marching_cubes(grid, values, &index, iso);
+        let surfaces = runs.into_iter().map(|mc| {
             classify += mc.classify_work;
             interp += mc.interp_work;
             (mc.points, mc.point_values, mc.triangles)

@@ -4,25 +4,29 @@
 //! [`super::mc`]); what changes is the *execution shape* the power model
 //! sees — case-table math in `map` worklets, welding in
 //! `sort_by_key`/`reduce_by_key` traffic.
+//!
+//! As in the traditional filter, each isovalue is one [`par::map`] task
+//! whose own `par` loops run inline on its thread (the module note of
+//! `crate::contour`). Each task records into its own [`DppTrace`]; the
+//! traces are summed slot by slot, which no order of summing changes.
 
 use super::mc::dpp_marching_cubes;
 use super::primitives::DppTrace;
-use super::DppExecute;
+use super::{join_surfaces, DppExecute};
 use crate::contour::{Contour, SegmentIndex};
-use crate::filter::{concat_surfaces, FilterOutput};
-use vizmesh::DataSet;
+use crate::filter::FilterOutput;
+use vizmesh::{par, DataSet};
 
 impl DppExecute for Contour {
     fn dpp_execute(&self, input: &DataSet) -> FilterOutput {
         let (grid, values) = self.inputs(input);
         let index = SegmentIndex::of_field(grid, values);
-        let mut trace = DppTrace::new();
-        let surfaces = self.isovalues.iter().map(|&iso| {
-            let mc = dpp_marching_cubes(&mut trace, grid, values, &index, iso);
-            (mc.points, mc.point_values, mc.triangles)
+        let tasks = par::map(self.isovalues.len(), 1, |i| {
+            let mut trace = DppTrace::new();
+            let mc = dpp_marching_cubes(&mut trace, grid, values, &index, self.isovalues[i]);
+            (trace, (mc.points, mc.point_values, mc.triangles))
         });
-        let ds = concat_surfaces(&self.field, surfaces);
-        FilterOutput::data_with_primitives(ds, trace.kernel_reports(), trace.reports())
+        join_surfaces(&self.field, tasks)
     }
 }
 

@@ -35,7 +35,7 @@ mod threshold;
 
 pub use primitives::{DppTrace, PrimitiveCounters, PrimitiveOp, PrimitiveReport};
 
-use crate::filter::{Algorithm, Filter, FilterOutput};
+use crate::filter::{concat_surfaces, Algorithm, Filter, FilterOutput, Surface};
 use vizmesh::DataSet;
 
 /// How a filter's resolved parameters run through the primitive
@@ -56,6 +56,18 @@ impl<F: DppExecute> Filter for Dpp<F> {
     fn execute(&self, input: &DataSet) -> FilterOutput {
         self.0.dpp_execute(input)
     }
+}
+
+/// The surfaces of per-isovalue or per-plane tasks, joined in task
+/// order, with the tasks' traces summed.
+fn join_surfaces(field: &str, tasks: Vec<(DppTrace, Surface)>) -> FilterOutput {
+    let mut trace = DppTrace::new();
+    let surfaces = tasks.into_iter().map(|(task, surface)| {
+        trace += task;
+        surface
+    });
+    let ds = concat_surfaces(field, surfaces);
+    FilterOutput::data_with_primitives(ds, trace.kernel_reports(), trace.reports())
 }
 
 /// Which execution backend a spec is built for.

@@ -20,6 +20,7 @@
 //! the differential conformance suite exact where the math is exact.
 
 use crate::filter::{KernelClass, KernelReport};
+use std::ops::AddAssign;
 use vizmesh::{par, GridCell, UniformGrid, WorkCounters};
 
 /// One primitive operation in the vocabulary.
@@ -174,6 +175,20 @@ impl DppTrace {
             ));
         }
         out
+    }
+}
+
+/// Slot by slot: every counter is a `u64` sum, so traces recorded by
+/// separate tasks add up to the same totals in any order.
+impl AddAssign for DppTrace {
+    fn add_assign(&mut self, other: DppTrace) {
+        for (s, o) in self.slots.iter_mut().zip(other.slots) {
+            s.invocations += o.invocations;
+            s.elements += o.elements;
+            s.bytes_read += o.bytes_read;
+            s.bytes_written += o.bytes_written;
+            s.flops += o.flops;
+        }
     }
 }
 

@@ -6,41 +6,39 @@
 //! covers why the vertex numbering matches).
 //!
 //! The trace charges the distance `map` at every point; the host fills
-//! one reused buffer only where the plane's exact segment index leaves
-//! a segment live, through the traditional filter's own call (the
-//! module note of `crate::slice`).
+//! a reused buffer only where the plane's exact segment index leaves a
+//! segment live, through the traditional filter's own call (the module
+//! note of `crate::slice`). That call also makes each plane one `par`
+//! task, whose own `par` loops run inline on its thread; each task
+//! records into its own [`DppTrace`], and the traces are summed.
 
 use super::mc::dpp_marching_cubes;
 use super::primitives::{self, DppTrace, PrimitiveOp};
-use super::DppExecute;
-use crate::filter::{concat_surfaces, FilterOutput};
-use crate::slice::{fill_distance, sample, ThreeSlice};
+use super::{join_surfaces, DppExecute};
+use crate::filter::FilterOutput;
+use crate::slice::{each_plane, sample, ThreeSlice};
 use vizmesh::DataSet;
 
 impl DppExecute for ThreeSlice {
     fn dpp_execute(&self, input: &DataSet) -> FilterOutput {
         let (grid, data) = self.inputs(input);
         let num_points = grid.num_points();
-        let mut trace = DppTrace::new();
-        let mut sdf = vec![0.0f64; num_points];
-
-        let surfaces = self.planes.iter().map(|plane| {
+        let tasks = each_plane(grid, &self.planes, |sdf, index| {
+            let mut trace = DppTrace::new();
             // 1. map: signed distance per mesh point (the FP-dense part).
-            let index = fill_distance(grid, plane, &mut sdf);
             primitives::record_map_n::<f64>(&mut trace, num_points, 24);
             trace.record_flops(PrimitiveOp::Map, 18 * num_points as u64);
 
             // 2. the marching-cubes primitive pipeline at isovalue 0.
-            let mc = dpp_marching_cubes(&mut trace, grid, &sdf, &index, 0.0);
+            let mc = dpp_marching_cubes(&mut trace, grid, sdf, index, 0.0);
 
             // 3. map: sample the data field at the welded slice vertices.
             let sampled: Vec<f64> =
                 primitives::map(&mut trace, &mc.points, |&p| sample(grid, data, p));
             trace.record_flops(PrimitiveOp::Map, 22 * mc.points.len() as u64);
-            (mc.points, sampled, mc.triangles)
+            (trace, (mc.points, sampled, mc.triangles))
         });
-        let ds = concat_surfaces(&self.field, surfaces);
-        FilterOutput::data_with_primitives(ds, trace.kernel_reports(), trace.reports())
+        join_surfaces(&self.field, tasks)
     }
 }
 

@@ -7,12 +7,17 @@
 //! **sets** are identical; only their ordering (and therefore the
 //! rounding of order-sensitive coordinate checksums) differs. See
 //! docs/DPP.md for the documented tolerance.
+//!
+//! The maps, the scan and the compactions run on `par` as primitives
+//! (`super::primitives`), and so does the gather worklet that writes the
+//! kept cells' connectivity: its chunks of the kept list are joined in
+//! kept order into one [`CellSet`]. The used-point scatter is sequential.
 
 use super::primitives::{self, DppTrace, PrimitiveOp};
 use super::DppExecute;
 use crate::filter::FilterOutput;
 use crate::threshold::Threshold;
-use vizmesh::{CellSet, CellShape, DataSet, UniformGrid, Vec3};
+use vizmesh::{par, CellSet, CellShape, DataSet, UniformGrid, Vec3};
 
 impl DppExecute for Threshold {
     fn dpp_execute(&self, input: &DataSet) -> FilterOutput {
@@ -75,14 +80,17 @@ fn mark_used_points(grid: &UniformGrid, kept: &[u32], used: &mut [u32]) {
 }
 
 /// Gather worklet: kept-cell connectivity through the scanned ranks
-/// (`rank − 1` is the dense id of a used point).
+/// (`rank − 1` is the dense id of a used point), chunks of the kept list
+/// on `par`, joined in kept order.
 fn emit_cells(grid: &UniformGrid, kept: &[u32], ranks: &[u32]) -> CellSet {
-    let mut cells = CellSet::with_capacity(kept.len(), 8 * kept.len());
-    for cell in grid.cells(kept.iter().map(|&c| c as usize)) {
-        let conn = cell.point_ids().map(|pid| ranks[pid] - 1);
-        cells.push(CellShape::Hexahedron, &conn);
-    }
-    cells
+    let connectivity = par::map_chunks(kept.len(), crate::CELL_MIN_LEN, |chunk| {
+        let mut conn = Vec::with_capacity(8 * chunk.len());
+        for cell in grid.cells(kept[chunk].iter().map(|&c| c as usize)) {
+            conn.extend(cell.point_ids().map(|pid| ranks[pid] - 1));
+        }
+        conn
+    });
+    CellSet::from_parts(vec![CellShape::Hexahedron; kept.len()], connectivity)
 }
 
 #[cfg(test)]

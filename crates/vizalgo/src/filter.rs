@@ -129,13 +129,13 @@ pub(crate) fn mesh_dataset<'a>(
     ds
 }
 
-/// Concatenate the `(points, point values, triangles)` surfaces of a
-/// multi-pass filter (one per isovalue or slice plane) into one dataset
+/// One pass of a multi-pass filter (an isovalue, a slice plane): its
+/// points, their values and its triangles.
+pub(crate) type Surface = (Vec<Vec3>, Vec<f64>, CellSet);
+
+/// Concatenate the surfaces of a multi-pass filter into one dataset
 /// carrying the values as point field `field`.
-pub(crate) fn concat_surfaces(
-    field: &str,
-    surfaces: impl Iterator<Item = (Vec<Vec3>, Vec<f64>, CellSet)>,
-) -> DataSet {
+pub(crate) fn concat_surfaces(field: &str, surfaces: impl Iterator<Item = Surface>) -> DataSet {
     let mut points = Vec::new();
     let mut values = Vec::new();
     let mut cells = CellSet::new();

@@ -8,14 +8,22 @@
 //! The work reports charge exactly that: a distance at every point and
 //! a classify of every cell, per plane. The host computes less. The
 //! distance is a sum of one term per axis, so three small tables give
-//! each plane's [`SegmentIndex`] exactly, and the one reused distance
-//! buffer is filled only at the points of the segments it leaves live
-//! — the only points marching cubes then reads. Both backends slice
-//! through that one call ([`fill_distance`]), so the output is the
-//! same bits a full distance map gives.
+//! each plane's [`SegmentIndex`] exactly, and a reused distance buffer
+//! is filled only at the points of the segments it leaves live — the
+//! only points marching cubes then reads. Both backends slice through
+//! that one call ([`fill_distance`]), so the output is the same bits a
+//! full distance map gives.
+//!
+//! Each plane is one [`par::map`] task on both backends ([`each_plane`]),
+//! its surface and work joined in plane order, as contour's isovalues
+//! are (the module note of `crate::contour`: a task's own `par` loops
+//! run inline on its thread). Because a buffer never needs clearing
+//! between planes, a task takes the buffer a finished task left, so
+//! there are never more buffers than tasks running at once.
 
 use crate::contour::{cuts, marching_cubes, SegmentIndex};
 use crate::filter::{self, concat_surfaces, Filter, FilterOutput, KernelClass, KernelReport};
+use std::sync::{Mutex, PoisonError};
 use vizmesh::{par, DataSet, UniformGrid, Vec3, WorkCounters};
 
 /// An oriented plane `dot(n, p) = dot(n, origin)`.
@@ -55,7 +63,7 @@ impl Plane {
 /// Live segments mark the point runs their corners lie on; chunks of
 /// the buffer then run on `par`, each filling the marked runs of its
 /// point rows, a point two marked runs share once.
-pub(crate) fn fill_distance(grid: &UniformGrid, plane: &Plane, sdf: &mut [f64]) -> SegmentIndex {
+fn fill_distance(grid: &UniformGrid, plane: &Plane, sdf: &mut [f64]) -> SegmentIndex {
     let [nx, ny, nz] = grid.point_dims();
     let (o, n) = (plane.origin, plane.normal);
     // Axis `a`'s coordinate of point `(i, j, k)` depends on its own index
@@ -110,6 +118,33 @@ pub(crate) fn fill_distance(grid: &UniformGrid, plane: &Plane, sdf: &mut [f64]) 
     index
 }
 
+/// `task(sdf, index)` for every plane, one [`par::map`] task each, the
+/// results in plane order: `sdf` holds the plane's distance wherever
+/// [`fill_distance`] wrote it, `index` is the plane's segment index.
+///
+/// A task takes a buffer a finished task returned, or allocates one, so
+/// a worker holds at most one (at 128³ a fresh zero-filled buffer costs
+/// about 1.3 ms). A taken buffer holds another plane's distances at
+/// points this plane's live segments do not reach, which nothing reads.
+pub(crate) fn each_plane<T: Send>(
+    grid: &UniformGrid,
+    planes: &[Plane],
+    task: impl Fn(&[f64], &SegmentIndex) -> T + Sync,
+) -> Vec<T> {
+    // Every push and pop leaves the pool valid, so a poisoned lock is
+    // taken as it is.
+    let pool: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
+    let spare = || pool.lock().unwrap_or_else(PoisonError::into_inner);
+    par::map(planes.len(), 1, |p| {
+        let held = spare().pop();
+        let mut sdf = held.unwrap_or_else(|| vec![0.0f64; grid.num_points()]);
+        let index = fill_distance(grid, &planes[p], &mut sdf);
+        let out = task(&sdf, &index);
+        spare().push(sdf);
+        out
+    })
+}
+
 /// The three-slice filter: slices on the x-y, y-z, and x-z planes through
 /// a common origin (the dataset center by default).
 #[derive(Debug, Clone)]
@@ -156,30 +191,26 @@ impl Filter for ThreeSlice {
     fn execute(&self, input: &DataSet) -> FilterOutput {
         let (grid, data) = self.inputs(input);
         let num_points = grid.num_points();
+        // Per plane, kernel 1 (the signed-distance field, which
+        // `each_plane` fills), then kernels 2+3: contour it at zero, and
+        // interpolate the data field onto the slice vertices.
+        let runs = each_plane(grid, &self.planes, |sdf, index| {
+            let mc = marching_cubes(grid, sdf, index, 0.0);
+            let sampled: Vec<f64> = mc.points.iter().map(|&p| sample(grid, data, p)).collect();
+            (mc, sampled)
+        });
 
         let mut distance_work = WorkCounters::new();
         let mut classify = WorkCounters::new();
         let mut interp = WorkCounters::new();
-        // One signed-distance buffer shared by all planes: refilled in
-        // place each iteration instead of collected fresh.
-        let mut sdf = vec![0.0f64; num_points];
-
-        let surfaces = self.planes.iter().map(|plane| {
-            // Kernel 1: signed-distance field, charged at every mesh
-            // point. The paper notes this per-node computation is what
-            // makes slice more compute-intensive than plain contour.
-            let index = fill_distance(grid, plane, &mut sdf);
+        let surfaces = runs.into_iter().map(|(mc, sampled)| {
+            // The distance is charged at every mesh point. The paper
+            // notes this per-node computation is what makes slice more
+            // compute-intensive than plain contour.
             distance_work.tally(num_points as u64, 30, 18, 24, 8);
-
-            // Kernel 2+3: contour the distance field at zero.
-            let mc = marching_cubes(grid, &sdf, &index, 0.0);
             classify += mc.classify_work;
             interp += mc.interp_work;
-
-            // Interpolate the data field onto the slice vertices.
             interp.tally(mc.points.len() as u64, 46, 22, 96, 8);
-            let mut sampled = Vec::with_capacity(mc.points.len());
-            sampled.extend(mc.points.iter().map(|&p| sample(grid, data, p)));
             (mc.points, sampled, mc.triangles)
         });
         let ds = concat_surfaces(&self.field, surfaces);
@@ -299,7 +330,7 @@ mod tests {
                 data.clone(),
             ));
             // Each plane alone, then all in one filter, whose planes
-            // share the distance buffer.
+            // take each other's distance buffers.
             let runs = planes.iter().map(|&p| vec![p]).chain([planes.to_vec()]);
             for planes in runs {
                 let expect = concat_surfaces(

@@ -178,6 +178,41 @@ fn marching_cubes_outputs_are_pinned_where_a_chunk_cuts_a_row_at_1_4_and_16_thre
     }
 }
 
+/// DPP threshold on the grid whose rows the chunks cut: it keeps 9800
+/// cells, so its gather worklet's chunks of the kept list are cut at
+/// two threads and more. Captured at the commit before that worklet ran
+/// on `par`.
+const ROW_CUT_THRESHOLD_PIN: (Algorithm, Backend, u64) =
+    (Algorithm::Threshold, Backend::Dpp, 166602879894078);
+
+/// The filters that run their isovalues or planes as `par` tasks —
+/// contour and slice, both backends — and DPP threshold, whose gather is
+/// cut into chunks, keep their pins (each over the whole output, kernel
+/// and primitive reports included) at two and three threads: three
+/// threads cut the ten isovalues into uneven chunks. Each also runs
+/// inside a `par::map` body, twice at once, the way the service's native
+/// wave runs a filter, so every task and chunk runs inline.
+#[test]
+fn task_parallel_filters_keep_their_pins_at_2_and_3_threads_and_inside_a_task() {
+    let ds = row_cut_dataset();
+    let pins = ROW_CUT_PINS.into_iter().chain([ROW_CUT_THRESHOLD_PIN]);
+    for (alg, backend, pin) in pins {
+        let run = || {
+            let out = alg.default_spec().build_with(backend, &ds).execute(&ds);
+            fingerprint48(format!("{out:?}").as_bytes())
+        };
+        for threads in [2, 3] {
+            let direct = par::with_threads(threads, run);
+            assert_eq!(direct, pin, "{alg} {backend} at {threads} threads");
+            let nested = par::with_threads(threads, || par::map(2, 1, |_| run()));
+            assert_eq!(
+                nested, [pin; 2],
+                "{alg} {backend} in a task at {threads} threads"
+            );
+        }
+    }
+}
+
 /// The paper-default particle advection (1000 seeds × 1000 RK4 steps)
 /// through a 32³ swirl with an upward drift, so some particles orbit
 /// for the full step budget and the rest leave through the top. Pinned

@@ -24,6 +24,15 @@
 //! runs inline on the caller and spawns nothing, and so does any call
 //! made from inside a worker.
 //!
+//! Task parallelism is the same [`map`] with `min_len` 1, one index per
+//! task: the service's native wave, which computes several filters'
+//! runs at once (`vizpower::store`), and contour's isovalues and
+//! slice's planes (`vizalgo`). Because a nested call runs inline, each
+//! task's own `par` calls stay on its thread and take the whole-range
+//! path; a filter inside the wave runs its isovalues or planes inline,
+//! in order. A single task, or a single thread, keeps the list on the
+//! caller, and the inner calls are cut as usual.
+//!
 //! Thread count: the innermost [`with_threads`] on the calling thread,
 //! else the `VIZPOWER_THREADS` environment variable (read once), else
 //! `std::thread::available_parallelism()`.

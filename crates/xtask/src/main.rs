@@ -140,9 +140,17 @@ const CI_STEPS: &[(&str, Option<(&str, &str)>)] = &[
     // Sixteen threads on a 2-4 core runner: many more chunks than cores,
     // the cut a big node gives the parallel BVH build's task list, the
     // renderers' row-buffer fills (the rows `RayTracer::render` records
-    // too) and the hydro step's fused sweeps.
+    // too), the hydro step's fused sweeps, and contour's isovalue and
+    // slice's plane tasks, each on a thread of its own.
     (
         "cargo test -q -p vizmesh -p vizalgo -p cloverleaf -p insitu",
+        Some(("VIZPOWER_THREADS", "16")),
+    ),
+    // `reproduce all`'s stdout against `reproduce_output.txt` again, at
+    // sixteen threads: the study natives' isovalue and plane tasks then
+    // each get a thread of their own.
+    (
+        "cargo test --release -q -p vizpower-bench",
         Some(("VIZPOWER_THREADS", "16")),
     ),
     // Both conformance suites, the canonical one and the DPP backend
