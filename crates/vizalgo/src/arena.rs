@@ -33,7 +33,7 @@
 /// to mark unoccupied slots; callers must never insert it. Both weld-key
 /// packings in this crate stay clear of the sentinel because packed
 /// point ids are bounded by the mesh point count (`< u32::MAX`).
-pub trait PackedKey: Copy + Eq {
+pub(crate) trait PackedKey: Copy + Eq {
     /// Sentinel marking an empty slot; never a valid key.
     const EMPTY: Self;
     /// Probe start for a table of `mask + 1` (power-of-two) slots:

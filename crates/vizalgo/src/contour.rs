@@ -21,6 +21,12 @@
 //! on the caller, whose loops split over `par` as before. The service's
 //! native wave already runs whole filters as tasks; there every
 //! isovalue runs inline, in order.
+//!
+//! Both backends read the point scalar through `PointScalar`: runs of
+//! points along x in `classify`, a cut cell's corners in `emit_case`.
+//! A field's values implement it by index; slice's plane distance
+//! (`crate::slice::Distance`) computes each value where it is read, so
+//! no distance field is stored.
 
 use crate::arena::{pack_edge, WeldMap};
 use crate::filter::{self, concat_surfaces, Filter, FilterOutput, KernelClass, KernelReport};
@@ -340,11 +346,6 @@ impl SegmentIndex {
     pub(crate) fn ranges(&self) -> &[[f64; 2]] {
         &self.ranges
     }
-
-    /// The segments that may hold a cell `isovalue` cuts, ascending.
-    pub(crate) fn live_segments(&self, isovalue: f64) -> impl Iterator<Item = usize> + '_ {
-        (0..self.ranges.len()).filter(move |&s| self.live(s, isovalue))
-    }
 }
 
 /// Each x-row's segments as `[first, last]` point index along x: cells
@@ -370,6 +371,34 @@ fn widen([lo, hi]: [f64; 2], v: f64) -> [f64; 2] {
     [if v < lo { v } else { lo }, if v > hi { v } else { hi }]
 }
 
+/// A point-centered scalar as marching cubes reads it: [`classify`]
+/// reads runs of points along x, [`emit_case`] the corners of a cut
+/// cell. A field's values are a `[f64]`; a slice plane's distance is
+/// computed where it is read (`crate::slice::Distance`).
+pub(crate) trait PointScalar: Sync {
+    /// Bit `x` set when point `(i + x, j, k)` of `grid` is above
+    /// `isovalue`, for `x` in `0..=len`: the points of a run of `len`
+    /// cells along x.
+    fn above(&self, grid: &UniformGrid, ijk: [usize; 3], len: usize, isovalue: f64) -> u64;
+
+    /// The values at `cell`'s corners, in [`GridCell::point_ids`] order.
+    fn corners(&self, cell: &GridCell<'_>) -> [f64; 8];
+}
+
+impl PointScalar for [f64] {
+    #[inline]
+    fn above(&self, grid: &UniformGrid, [i, j, k]: [usize; 3], len: usize, iso: f64) -> u64 {
+        let first = grid.point_id(i, j, k);
+        let run = self[first..=first + len].iter().enumerate();
+        run.fold(0u64, |m, (x, &v)| m | u64::from(v > iso) << x)
+    }
+
+    #[inline]
+    fn corners(&self, cell: &GridCell<'_>) -> [f64; 8] {
+        cell.point_ids().map(|p| self[p])
+    }
+}
+
 /// The cells the surface cuts, in ascending cell order: `(cell id,
 /// case)` for every cell whose marching-cubes case — bit `i` set when
 /// corner `i` is above the isovalue — is neither 0 nor 255 (the two
@@ -383,13 +412,12 @@ fn widen([lo, hi]: [f64; 2], v: f64) -> [f64; 2] {
 /// dataset leaves about 6 % of the segments live. Both backends select
 /// through here, once per isovalue; nothing downstream reads the cases
 /// of the other cells.
-pub(crate) fn classify(
+pub(crate) fn classify<F: PointScalar + ?Sized>(
     grid: &UniformGrid,
-    values: &[f64],
+    values: &F,
     index: &SegmentIndex,
     isovalue: f64,
 ) -> Vec<(u32, u8)> {
-    let [nx, ny, _nz] = grid.point_dims();
     let [cx, cy, cz] = grid.cell_dims();
     assert_eq!(
         index.ranges.len(),
@@ -397,8 +425,6 @@ pub(crate) fn classify(
         "the segment index is of another grid"
     );
     let per_row = index.per_row;
-    // Point-id distance from corner 0 to corners 3, 4 and 7.
-    let (up_y, up_z) = (nx, nx * ny);
     let segments = index.ranges.len();
     par::map_chunks(
         segments,
@@ -409,13 +435,11 @@ pub(crate) fn classify(
                 let (row, i) = (s / per_row, s % per_row * SEGMENT);
                 let len = SEGMENT.min(cx - i);
                 let first = i + cx * row;
-                let p0 = grid.point_id(i, row % cy, row / cy);
-                // Bit `x` of a row's mask: point `x` of the run is above.
-                let above = |from: usize| {
-                    let run = values[from..=from + len].iter().enumerate();
-                    run.fold(0u64, |m, (x, &v)| m | u64::from(v > isovalue) << x)
-                };
-                let rows = [p0, p0 + up_y, p0 + up_z, p0 + up_y + up_z].map(above);
+                let (j, k) = (row % cy, row / cy);
+                // Bit `x` of a row's mask: point `x` of the run is above;
+                // the runs of corners 0, 3, 4 and 7.
+                let above = |[y, z]: [usize; 2]| values.above(grid, [i, y, z], len, isovalue);
+                let rows = [[j, k], [j + 1, k], [j, k + 1], [j + 1, k + 1]].map(above);
                 // Bit `x`: some corner of cell `x` is above, and all are.
                 let (some, all) = rows.iter().fold((0, !0), |(some, all), &r| {
                     (some | r | r >> 1, all & r & r >> 1)
@@ -463,21 +487,22 @@ pub(crate) fn crossing(iso: f64, va: f64, vb: f64) -> f64 {
 /// triangle, the three weld keys (packed grid edges) and the three
 /// positions where the isovalue crosses them.
 #[inline]
-pub(crate) fn emit_case(
-    values: &[f64],
+pub(crate) fn emit_case<F: PointScalar + ?Sized>(
+    values: &F,
     isovalue: f64,
     cell: GridCell<'_>,
     case: &[[u8; 3]],
     mut emit: impl FnMut([u64; 3], [Vec3; 3]),
 ) {
     let (ids, corners) = (cell.point_ids(), cell.corners());
+    let at = values.corners(&cell);
     for t in case {
         let mut key = [0u64; 3];
         let mut pos = [Vec3::ZERO; 3];
         for (slot, &e) in t.iter().enumerate() {
             let (a, b) = EDGES[e as usize];
             let (pa, pb) = (ids[a], ids[b]);
-            let (va, vb) = (values[pa], values[pb]);
+            let (va, vb) = (at[a], at[b]);
             pos[slot] = corners[a].lerp(corners[b], crossing(isovalue, va, vb));
             let (lo, hi) = if pa < pb { (pa, pb) } else { (pb, pa) };
             key[slot] = pack_edge(lo as u32, hi as u32);
@@ -513,6 +538,16 @@ pub fn marching_cubes(
         grid.num_points(),
         "marching cubes needs a point-centered scalar"
     );
+    marching_cubes_of(grid, values, index, isovalue)
+}
+
+/// [`marching_cubes`] over any [`PointScalar`] of `grid`.
+pub(crate) fn marching_cubes_of<F: PointScalar + ?Sized>(
+    grid: &UniformGrid,
+    values: &F,
+    index: &SegmentIndex,
+    isovalue: f64,
+) -> McOutput {
     let table = triangle_table();
     let [cx, cy, cz] = grid.cell_dims();
     let num_cells = grid.num_cells();
@@ -584,7 +619,7 @@ pub fn marching_cubes(
             }
         }
     }
-    classify.working_set_bytes = (values.len() * 8) as u64;
+    classify.working_set_bytes = (grid.num_points() * 8) as u64;
     debug_assert_eq!(classify.items, num_cells as u64);
 
     McOutput {
@@ -654,7 +689,7 @@ impl Filter for Contour {
             interp += mc.interp_work;
             (mc.points, mc.point_values, mc.triangles)
         });
-        let ds = concat_surfaces(&self.field, surfaces);
+        let ds = concat_surfaces(&self.field, surfaces.collect());
         FilterOutput::data(
             ds,
             vec![
@@ -740,7 +775,7 @@ mod tests {
                     let index = SegmentIndex::of_field(&grid, &values);
                     for &iso in &isovalues {
                         let expect = full_grid_classify(&grid, &values, iso);
-                        let got = classify(&grid, &values, &index, iso);
+                        let got = classify(&grid, &values[..], &index, iso);
                         prop_assert_eq!(got, expect, "iso {} at {} threads", iso, threads);
                     }
                 });

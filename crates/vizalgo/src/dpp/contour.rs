@@ -23,8 +23,8 @@ impl DppExecute for Contour {
         let index = SegmentIndex::of_field(grid, values);
         let tasks = par::map(self.isovalues.len(), 1, |i| {
             let mut trace = DppTrace::new();
-            let mc = dpp_marching_cubes(&mut trace, grid, values, &index, self.isovalues[i]);
-            (trace, (mc.points, mc.point_values, mc.triangles))
+            let surface = dpp_marching_cubes(&mut trace, grid, values, &index, self.isovalues[i]);
+            (trace, surface)
         });
         join_surfaces(&self.field, tasks)
     }

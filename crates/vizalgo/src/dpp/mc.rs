@@ -10,9 +10,11 @@
 //! returning the active cells with their cases — what VTK-m's
 //! `ClassifyCell` worklet and `ScatterCounting` do inside one dispatch —
 //! and reading only the x-row segments the caller's
-//! [`SegmentIndex`] leaves live. The host's time is what `benchmarks/`
-//! measures; the modeled traffic is what the power study needs to stay
-//! the formulation's.
+//! [`SegmentIndex`] leaves live. The pipeline reads its scalar through
+//! [`PointScalar`], as the traditional one does: a field's values, or a
+//! slice plane's distance computed where it is read. The host's time is
+//! what `benchmarks/` measures; the modeled traffic is what the power
+//! study needs to stay the formulation's.
 //!
 //! The weld is engineered to be **bit-identical** to the traditional
 //! first-sight hash weld in [`crate::contour::marching_cubes`]: corner
@@ -23,7 +25,8 @@
 //! id assignment (and first-sight interpolated position) exactly.
 
 use super::primitives::{self, DppTrace, PrimitiveOp};
-use crate::contour::{classify, emit_case, triangle_table, SegmentIndex};
+use crate::contour::{classify, emit_case, triangle_table, PointScalar, SegmentIndex};
+use crate::filter::Surface;
 use vizmesh::{par, CellSet, CellShape, UniformGrid, Vec3};
 
 /// Fewest triangles worth a `par` chunk of the generate walk: each is
@@ -31,29 +34,17 @@ use vizmesh::{par, CellSet, CellShape, UniformGrid, Vec3};
 /// the work of one element of a primitive's sweep.
 const GENERATE_MIN_LEN: usize = 1024;
 
-/// Geometry of one DPP marching-cubes pass (work lives in the trace).
-pub(crate) struct DppMcOutput {
-    pub(crate) points: Vec<Vec3>,
-    pub(crate) triangles: CellSet,
-    /// Interpolated secondary values (the isovalue, as in the
-    /// traditional formulation).
-    pub(crate) point_values: Vec<f64>,
-}
-
 /// Run the DPP marching-cubes pipeline over a point-centered scalar,
-/// selecting through `index` (built over `values`).
-pub(crate) fn dpp_marching_cubes(
+/// selecting through `index` (built over `values`). The surface's point
+/// values are the isovalue, as in the traditional formulation; its work
+/// lives in the trace.
+pub(crate) fn dpp_marching_cubes<F: PointScalar + ?Sized>(
     trace: &mut DppTrace,
     grid: &UniformGrid,
-    values: &[f64],
+    values: &F,
     index: &SegmentIndex,
     isovalue: f64,
-) -> DppMcOutput {
-    assert_eq!(
-        values.len(),
-        grid.num_points(),
-        "marching cubes needs a point-centered scalar"
-    );
+) -> Surface {
     let table = triangle_table();
     let n = grid.num_cells() as u64;
 
@@ -131,10 +122,8 @@ pub(crate) fn dpp_marching_cubes(
 
     // Rank segments in first-emission order: sorting (first emission,
     // segment) tuples reproduces the traditional first-sight ids.
-    let mut order: Vec<(u64, u32)> = Vec::with_capacity(uniq.len());
-    for (seg, &(_, rep)) in uniq.iter().enumerate() {
-        order.push((rep as u64, seg as u32));
-    }
+    let first_seen = |(seg, &(_, rep)): (usize, &(u64, u32))| (rep as u64, seg as u32);
+    let mut order: Vec<_> = uniq.iter().enumerate().map(first_seen).collect();
     primitives::sort_by_key(trace, &mut order);
     let ranks: Vec<u32> = primitives::map_n(trace, order.len(), 0, |r| r as u32);
     let segs: Vec<u32> = primitives::map(trace, &order, |&(_, s)| s);
@@ -161,14 +150,9 @@ pub(crate) fn dpp_marching_cubes(
     // case edges welding to the same vertex), as the traditional weld
     // does after id assignment.
     let mut cells = CellSet::with_capacity(total, 3 * total);
-    for t in 0..total {
-        let tri = [
-            corner_ids[3 * t],
-            corner_ids[3 * t + 1],
-            corner_ids[3 * t + 2],
-        ];
+    for tri in corner_ids.chunks_exact(3) {
         if tri[0] != tri[1] && tri[1] != tri[2] && tri[2] != tri[0] {
-            cells.push(CellShape::Triangle, &tri);
+            cells.push(CellShape::Triangle, tri);
         }
     }
     trace.record(
@@ -178,11 +162,7 @@ pub(crate) fn dpp_marching_cubes(
         12 * total as u64,
     );
 
-    DppMcOutput {
-        points,
-        triangles: cells,
-        point_values,
-    }
+    (points, point_values, cells)
 }
 
 /// Scatter each sorted pair's segment rank back to its emission slot.
@@ -225,17 +205,18 @@ mod tests {
                 for threads in [1, 4, 16] {
                     let mut tr = DppTrace::new();
                     let dpp = par::with_threads(threads, || {
-                        dpp_marching_cubes(&mut tr, &grid, &values, &index, iso)
+                        dpp_marching_cubes(&mut tr, &grid, &values[..], &index, iso)
                     });
                     let at = format!("{n}³ iso {iso} threads {threads}");
-                    assert_eq!(dpp.points.len(), trad.points.len(), "{at}");
-                    for (a, b) in dpp.points.iter().zip(&trad.points) {
+                    let (points, point_values, triangles) = dpp;
+                    assert_eq!(points.len(), trad.points.len(), "{at}");
+                    for (a, b) in points.iter().zip(&trad.points) {
                         assert_eq!(a.x.to_bits(), b.x.to_bits(), "{at}");
                         assert_eq!(a.y.to_bits(), b.y.to_bits(), "{at}");
                         assert_eq!(a.z.to_bits(), b.z.to_bits(), "{at}");
                     }
-                    assert_eq!(dpp.point_values, trad.point_values, "{at}");
-                    assert_eq!(dpp.triangles, trad.triangles, "{at}");
+                    assert_eq!(point_values, trad.point_values, "{at}");
+                    assert_eq!(triangles, trad.triangles, "{at}");
                     reports.push(tr.reports());
                 }
                 assert!(reports.iter().all(|r| *r == reports[0]), "{n}³ {iso}");
@@ -249,9 +230,9 @@ mod tests {
         let values = sphere_values(&grid);
         let mut tr = DppTrace::new();
         let index = SegmentIndex::of_field(&grid, &values);
-        let out = dpp_marching_cubes(&mut tr, &grid, &values, &index, 100.0);
-        assert!(out.points.is_empty());
-        assert_eq!(out.triangles.iter().count(), 0);
+        let (points, _, triangles) = dpp_marching_cubes(&mut tr, &grid, &values[..], &index, 100.0);
+        assert!(points.is_empty());
+        assert_eq!(triangles.iter().count(), 0);
         // The classify map still ran over every cell.
         let reports = tr.reports();
         assert!(reports

@@ -66,7 +66,7 @@ fn join_surfaces(field: &str, tasks: Vec<(DppTrace, Surface)>) -> FilterOutput {
         trace += task;
         surface
     });
-    let ds = concat_surfaces(field, surfaces);
+    let ds = concat_surfaces(field, surfaces.collect());
     FilterOutput::data_with_primitives(ds, trace.kernel_reports(), trace.reports())
 }
 

@@ -5,12 +5,13 @@
 //! the output is **bit-identical** (the weld note in [`super::mc`]
 //! covers why the vertex numbering matches).
 //!
-//! The trace charges the distance `map` at every point; the host fills
-//! a reused buffer only where the plane's exact segment index leaves a
-//! segment live, through the traditional filter's own call (the module
-//! note of `crate::slice`). That call also makes each plane one `par`
-//! task, whose own `par` loops run inline on its thread; each task
-//! records into its own [`DppTrace`], and the traces are summed.
+//! The trace charges the distance `map` at every point; the host stores
+//! no distance, and marching cubes computes it from per-axis tables
+//! where it reads it, at the points of the segments the plane's exact
+//! segment index leaves live, through the traditional filter's own call
+//! (the module note of `crate::slice`). That call also makes each plane
+//! one `par` task, whose own `par` loops run inline on its thread; each
+//! task records into its own [`DppTrace`], and the traces are summed.
 
 use super::mc::dpp_marching_cubes;
 use super::primitives::{self, DppTrace, PrimitiveOp};
@@ -23,20 +24,21 @@ impl DppExecute for ThreeSlice {
     fn dpp_execute(&self, input: &DataSet) -> FilterOutput {
         let (grid, data) = self.inputs(input);
         let num_points = grid.num_points();
-        let tasks = each_plane(grid, &self.planes, |sdf, index| {
+        let tasks = each_plane(grid, &self.planes, |distance, index| {
             let mut trace = DppTrace::new();
             // 1. map: signed distance per mesh point (the FP-dense part).
             primitives::record_map_n::<f64>(&mut trace, num_points, 24);
             trace.record_flops(PrimitiveOp::Map, 18 * num_points as u64);
 
-            // 2. the marching-cubes primitive pipeline at isovalue 0.
-            let mc = dpp_marching_cubes(&mut trace, grid, sdf, index, 0.0);
+            // 2. the marching-cubes primitive pipeline at isovalue 0; its
+            // isovalue `map` stays in the trace, its values are dropped.
+            let (points, _, triangles) = dpp_marching_cubes(&mut trace, grid, distance, index, 0.0);
 
             // 3. map: sample the data field at the welded slice vertices.
             let sampled: Vec<f64> =
-                primitives::map(&mut trace, &mc.points, |&p| sample(grid, data, p));
-            trace.record_flops(PrimitiveOp::Map, 22 * mc.points.len() as u64);
-            (trace, (mc.points, sampled, mc.triangles))
+                primitives::map(&mut trace, &points, |&p| sample(grid, data, p));
+            trace.record_flops(PrimitiveOp::Map, 22 * points.len() as u64);
+            (trace, (points, sampled, triangles))
         });
         join_surfaces(&self.field, tasks)
     }

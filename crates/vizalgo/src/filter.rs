@@ -133,12 +133,18 @@ pub(crate) fn mesh_dataset<'a>(
 /// points, their values and its triangles.
 pub(crate) type Surface = (Vec<Vec3>, Vec<f64>, CellSet);
 
-/// Concatenate the surfaces of a multi-pass filter into one dataset
-/// carrying the values as point field `field`.
-pub(crate) fn concat_surfaces(field: &str, surfaces: impl Iterator<Item = Surface>) -> DataSet {
-    let mut points = Vec::new();
-    let mut values = Vec::new();
-    let mut cells = CellSet::new();
+/// Concatenate the surfaces of a multi-pass filter, in order, into one
+/// dataset carrying the values as point field `field`. The output is
+/// sized to the surfaces' summed lengths before the first copy.
+pub(crate) fn concat_surfaces(field: &str, surfaces: Vec<Surface>) -> DataSet {
+    let sum = |len: fn(&Surface) -> usize| surfaces.iter().map(len).sum::<usize>();
+    let num_points = sum(|(points, _, _)| points.len());
+    let mut points = Vec::with_capacity(num_points);
+    let mut values = Vec::with_capacity(num_points);
+    let mut cells = CellSet::with_capacity(
+        sum(|(_, _, cells)| cells.num_cells()),
+        sum(|(_, _, cells)| cells.connectivity_len()),
+    );
     for (surface_points, surface_values, triangles) in surfaces {
         cells.append_shifted(&triangles, points.len() as u32);
         points.extend(surface_points);

@@ -8,23 +8,19 @@
 //! The work reports charge exactly that: a distance at every point and
 //! a classify of every cell, per plane. The host computes less. The
 //! distance is a sum of one term per axis, so three small tables give
-//! each plane's [`SegmentIndex`] exactly, and a reused distance buffer
-//! is filled only at the points of the segments it leaves live — the
-//! only points marching cubes then reads. Both backends slice through
-//! that one call ([`fill_distance`]), so the output is the same bits a
-//! full distance map gives.
+//! each plane's [`SegmentIndex`] exactly, and marching cubes computes
+//! the distance from the tables where it reads it ([`Distance`]): the
+//! points of the segments the index leaves live. No grid-sized buffer
+//! is made, and the output is the same bits a full distance map gives.
 //!
 //! Each plane is one [`par::map`] task on both backends ([`each_plane`]),
 //! its surface and work joined in plane order, as contour's isovalues
 //! are (the module note of `crate::contour`: a task's own `par` loops
-//! run inline on its thread). Because a buffer never needs clearing
-//! between planes, a task takes the buffer a finished task left, so
-//! there are never more buffers than tasks running at once.
+//! run inline on its thread).
 
-use crate::contour::{cuts, marching_cubes, SegmentIndex};
+use crate::contour::{cuts, marching_cubes_of, PointScalar, SegmentIndex, CORNERS};
 use crate::filter::{self, concat_surfaces, Filter, FilterOutput, KernelClass, KernelReport};
-use std::sync::{Mutex, PoisonError};
-use vizmesh::{par, DataSet, UniformGrid, Vec3, WorkCounters};
+use vizmesh::{par, DataSet, GridCell, UniformGrid, Vec3, WorkCounters};
 
 /// An oriented plane `dot(n, p) = dot(n, origin)`.
 #[derive(Debug, Clone, Copy)]
@@ -47,101 +43,79 @@ impl Plane {
     }
 }
 
-/// Write `plane`'s signed distance into `sdf` at every point marching
-/// cubes reads at isovalue 0, and return the plane's [`SegmentIndex`];
-/// the other points keep what they held.
+/// A plane's signed distance at the points of a grid, computed where
+/// marching cubes reads it.
 ///
 /// [`Plane::distance`] at point `(i, j, k)` is `(tx[i] + ty[j]) + tz[k]`
 /// with `t_a[i] = n_a·(p_a(i) − o_a)`: the same operations in the same
-/// order, so the same bits. Each table is monotone along its axis and
-/// IEEE `+` is monotone in each operand, so over a segment's box of
-/// points the sum of the terms' lowest values is exactly the lowest
-/// distance, and likewise the highest: no margin. A non-finite term (a
-/// NaN or infinite origin, or a difference that overflows) may make a
-/// sum NaN and bounds nothing, so every segment is live then.
-///
-/// Live segments mark the point runs their corners lie on; chunks of
-/// the buffer then run on `par`, each filling the marked runs of its
-/// point rows, a point two marked runs share once.
-fn fill_distance(grid: &UniformGrid, plane: &Plane, sdf: &mut [f64]) -> SegmentIndex {
-    let [nx, ny, nz] = grid.point_dims();
-    let (o, n) = (plane.origin, plane.normal);
-    // Axis `a`'s coordinate of point `(i, j, k)` depends on its own index
-    // alone, so `point_coord(i, i, i)` holds the `i`-th of each axis.
-    let [tx, ty, tz]: [Vec<f64>; 3] = std::array::from_fn(|a| {
-        let coords = (0..[nx, ny, nz][a]).map(|i| grid.point_coord(i, i, i)[a]);
-        coords.map(|p| n[a] * (p - o[a])).collect()
-    });
-    let cuts = cuts(grid);
-    let index = if tx.iter().chain(&ty).chain(&tz).all(|t| t.is_finite()) {
-        let span = |t: &[f64], a: usize, b: usize| [t[a].min(t[b]), t[a].max(t[b])];
-        let xs: Vec<[f64; 2]> = cuts.iter().map(|&[a, b]| span(&tx, a, b)).collect();
-        SegmentIndex::from_rows(grid, |j, k, out| {
-            let ([ylo, yhi], [zlo, zhi]) = (span(&ty, j, j + 1), span(&tz, k, k + 1));
-            let sum = |[xlo, xhi]: [f64; 2]| [xlo + ylo + zlo, xhi + yhi + zhi];
-            out.extend(xs.iter().copied().map(sum));
-        })
-    } else {
-        SegmentIndex::everywhere(grid)
-    };
-
-    let cy = ny - 1;
-    let per_row = cuts.len();
-    let mut marked = vec![false; per_row * ny * nz];
-    for s in index.live_segments(0.0) {
-        let (row, x) = (s / per_row, s % per_row);
-        let run = x + per_row * (row % cy + ny * (row / cy));
-        for up in [0, per_row, per_row * ny, per_row * (ny + 1)] {
-            marked[run + up] = true;
-        }
-    }
-    par::for_each_chunk_zip(sdf, crate::CELL_MIN_LEN, |points, chunk| {
-        for row in points.start / nx..points.end.div_ceil(nx) {
-            let (j, k) = (row % ny, row / ny);
-            let first = row * nx;
-            // Point indices along x, clipped to the chunk.
-            let (lo, hi) = (
-                points.start.saturating_sub(first),
-                (points.end - first).min(nx),
-            );
-            let mut filled = lo;
-            let runs = cuts.iter().zip(&marked[row * per_row..(row + 1) * per_row]);
-            for (&[a, b], _) in runs.filter(|&(_, &m)| m) {
-                let (from, to) = (a.max(filled), (b + 1).min(hi));
-                for i in from..to {
-                    chunk[first + i - points.start] = tx[i] + ty[j] + tz[k];
-                }
-                filled = filled.max(to);
-            }
-        }
-    });
-    index
+/// order, so the same bits.
+pub(crate) struct Distance {
+    /// `[tx, ty, tz]`, one term per point index along each axis.
+    terms: [Vec<f64>; 3],
 }
 
-/// `task(sdf, index)` for every plane, one [`par::map`] task each, the
-/// results in plane order: `sdf` holds the plane's distance wherever
-/// [`fill_distance`] wrote it, `index` is the plane's segment index.
-///
-/// A task takes a buffer a finished task returned, or allocates one, so
-/// a worker holds at most one (at 128³ a fresh zero-filled buffer costs
-/// about 1.3 ms). A taken buffer holds another plane's distances at
-/// points this plane's live segments do not reach, which nothing reads.
+impl Distance {
+    /// `plane`'s distance over `grid`, and its exact [`SegmentIndex`].
+    ///
+    /// Each table is monotone along its axis and IEEE `+` is monotone in
+    /// each operand, so over a segment's box of points the sum of the
+    /// terms' lowest values is exactly the lowest distance, and likewise
+    /// the highest: no margin. A non-finite term (a NaN or infinite
+    /// origin, or a difference that overflows) may make a sum NaN and
+    /// bounds nothing, so every segment is live then.
+    pub(crate) fn new(grid: &UniformGrid, plane: &Plane) -> (Self, SegmentIndex) {
+        let (o, n) = (plane.origin, plane.normal);
+        // Axis `a`'s coordinate of point `(i, j, k)` depends on its own
+        // index alone, so `point_coord(i, i, i)` holds the `i`-th of each
+        // axis.
+        let terms: [Vec<f64>; 3] = std::array::from_fn(|a| {
+            let coords = (0..grid.point_dims()[a]).map(|i| grid.point_coord(i, i, i)[a]);
+            coords.map(|p| n[a] * (p - o[a])).collect()
+        });
+        let [tx, ty, tz] = &terms;
+        let index = if tx.iter().chain(ty).chain(tz).all(|t| t.is_finite()) {
+            let span = |t: &[f64], a: usize, b: usize| [t[a].min(t[b]), t[a].max(t[b])];
+            let xs: Vec<[f64; 2]> = cuts(grid).iter().map(|&[a, b]| span(tx, a, b)).collect();
+            SegmentIndex::from_rows(grid, |j, k, out| {
+                let ([ylo, yhi], [zlo, zhi]) = (span(ty, j, j + 1), span(tz, k, k + 1));
+                let sum = |[xlo, xhi]: [f64; 2]| [xlo + ylo + zlo, xhi + yhi + zhi];
+                out.extend(xs.iter().copied().map(sum));
+            })
+        } else {
+            SegmentIndex::everywhere(grid)
+        };
+        (Distance { terms }, index)
+    }
+}
+
+impl PointScalar for Distance {
+    #[inline]
+    fn above(&self, _: &UniformGrid, [i, j, k]: [usize; 3], len: usize, iso: f64) -> u64 {
+        let [tx, ty, tz] = &self.terms;
+        let (y, z) = (ty[j], tz[k]);
+        let run = tx[i..=i + len].iter().enumerate();
+        run.fold(0u64, |m, (x, &t)| m | u64::from(t + y + z > iso) << x)
+    }
+
+    #[inline]
+    fn corners(&self, cell: &GridCell<'_>) -> [f64; 8] {
+        let [tx, ty, tz] = &self.terms;
+        let [i, j, k] = cell.ijk();
+        // A corner's coordinates in the unit cell are its index steps.
+        CORNERS.map(|[x, y, z]| tx[i + x as usize] + ty[j + y as usize] + tz[k + z as usize])
+    }
+}
+
+/// `task(distance, index)` for every plane, one [`par::map`] task each,
+/// the results in plane order: [`Distance::new`] of the plane.
 pub(crate) fn each_plane<T: Send>(
     grid: &UniformGrid,
     planes: &[Plane],
-    task: impl Fn(&[f64], &SegmentIndex) -> T + Sync,
+    task: impl Fn(&Distance, &SegmentIndex) -> T + Sync,
 ) -> Vec<T> {
-    // Every push and pop leaves the pool valid, so a poisoned lock is
-    // taken as it is.
-    let pool: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
-    let spare = || pool.lock().unwrap_or_else(PoisonError::into_inner);
     par::map(planes.len(), 1, |p| {
-        let held = spare().pop();
-        let mut sdf = held.unwrap_or_else(|| vec![0.0f64; grid.num_points()]);
-        let index = fill_distance(grid, &planes[p], &mut sdf);
-        let out = task(&sdf, &index);
-        spare().push(sdf);
-        out
+        let (distance, index) = Distance::new(grid, &planes[p]);
+        task(&distance, &index)
     })
 }
 
@@ -192,10 +166,11 @@ impl Filter for ThreeSlice {
         let (grid, data) = self.inputs(input);
         let num_points = grid.num_points();
         // Per plane, kernel 1 (the signed-distance field, which
-        // `each_plane` fills), then kernels 2+3: contour it at zero, and
-        // interpolate the data field onto the slice vertices.
-        let runs = each_plane(grid, &self.planes, |sdf, index| {
-            let mc = marching_cubes(grid, sdf, index, 0.0);
+        // marching cubes computes as it reads it), then kernels 2+3:
+        // contour it at zero, and interpolate the data field onto the
+        // slice vertices.
+        let runs = each_plane(grid, &self.planes, |distance, index| {
+            let mc = marching_cubes_of(grid, distance, index, 0.0);
             let sampled: Vec<f64> = mc.points.iter().map(|&p| sample(grid, data, p)).collect();
             (mc, sampled)
         });
@@ -213,7 +188,7 @@ impl Filter for ThreeSlice {
             interp.tally(mc.points.len() as u64, 46, 22, 96, 8);
             (mc.points, sampled, mc.triangles)
         });
-        let ds = concat_surfaces(&self.field, surfaces);
+        let ds = concat_surfaces(&self.field, surfaces.collect());
         distance_work.working_set_bytes = (num_points * 8 * 2) as u64;
 
         FilterOutput::data(
@@ -230,6 +205,7 @@ impl Filter for ThreeSlice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contour::marching_cubes;
     use vizmesh::{Association, Field};
 
     fn dataset(n: usize) -> DataSet {
@@ -329,17 +305,20 @@ mod tests {
                 Association::Points,
                 data.clone(),
             ));
-            // Each plane alone, then all in one filter, whose planes
-            // take each other's distance buffers.
+            // Each plane alone, then all in one filter, whose planes run
+            // as tasks side by side.
             let runs = planes.iter().map(|&p| vec![p]).chain([planes.to_vec()]);
             for planes in runs {
                 let expect = concat_surfaces(
                     "f",
-                    planes.iter().map(|&plane| {
-                        let mc = full_distance_slice(&grid, plane);
-                        let sampled = mc.points.iter().map(|&p| sample(&grid, Some(&data), p));
-                        (mc.points.clone(), sampled.collect(), mc.triangles)
-                    }),
+                    planes
+                        .iter()
+                        .map(|&plane| {
+                            let mc = full_distance_slice(&grid, plane);
+                            let sampled = mc.points.iter().map(|&p| sample(&grid, Some(&data), p));
+                            (mc.points.clone(), sampled.collect(), mc.triangles)
+                        })
+                        .collect(),
                 );
                 surfaces += usize::from(expect.num_cells() > 0);
                 let slice = ThreeSlice {
@@ -362,69 +341,99 @@ mod tests {
 
     /// Each segment's range is exactly the lowest and the highest
     /// distance at its points, so a skipped segment holds no cut cell
-    /// and no live one is kept by a margin, and the buffer holds the
-    /// distance at every point of a live segment: random normals,
-    /// origins far off the grid, offset grids with uneven spacing.
+    /// and no live one is kept by a margin, and the distance marching
+    /// cubes reads is [`Plane::distance`] at every point, bit for bit:
+    /// random normals, origins far off the grid, offset grids with
+    /// uneven spacing, and last a grid ±0.85e308 wide whose terms
+    /// overflow to ±∞ and meet as NaN, where every segment is live.
     #[test]
     fn every_distance_lies_in_its_segments_closed_form_range() {
         let mut rng = vizmesh::XorShift::from_seed(47);
         let mut live = 0;
-        for case in 0..40 {
-            let scale = [1.0, 1e3, 1e8][case % 3];
-            let cells = [1 + rng.below(40), 1 + rng.below(6), 1 + rng.below(6)];
-            let grid = UniformGrid::new(
-                cells.map(|c| c + 1),
-                Vec3::new(
+        let mut cases: Vec<(UniformGrid, Plane)> = (0..40)
+            .map(|case| {
+                let scale = [1.0, 1e3, 1e8][case % 3];
+                let cells = [1 + rng.below(40), 1 + rng.below(6), 1 + rng.below(6)];
+                let grid = UniformGrid::new(
+                    cells.map(|c| c + 1),
+                    Vec3::new(
+                        rng.range(-1.0, 1.0),
+                        rng.range(-1.0, 1.0),
+                        rng.range(-1.0, 1.0),
+                    ) * scale,
+                    Vec3::new(
+                        rng.range(0.01, 1.0),
+                        rng.range(0.01, 1.0),
+                        rng.range(0.01, 1.0),
+                    ),
+                );
+                let normal = Vec3::new(
                     rng.range(-1.0, 1.0),
                     rng.range(-1.0, 1.0),
                     rng.range(-1.0, 1.0),
-                ) * scale,
-                Vec3::new(
-                    rng.range(0.01, 1.0),
-                    rng.range(0.01, 1.0),
-                    rng.range(0.01, 1.0),
-                ),
-            );
-            let normal = Vec3::new(
-                rng.range(-1.0, 1.0),
-                rng.range(-1.0, 1.0),
-                rng.range(-1.0, 1.0),
-            );
-            let plane = Plane::new(
-                grid.bounds().center() + normal * rng.range(-3.0, 3.0),
-                normal,
-            );
-            let mut sdf = vec![f64::NAN; grid.num_points()];
-            let index = fill_distance(&grid, &plane, &mut sdf);
+                );
+                let origin = grid.bounds().center() + normal * rng.range(-3.0, 3.0);
+                (grid, Plane::new(origin, normal))
+            })
+            .collect();
+        let huge = UniformGrid::new(
+            [7, 6, 3],
+            Vec3::new(-0.85e308, -0.85e308, 0.0),
+            Vec3::new(2.8e307, 3.3e307, 1.0),
+        );
+        let cut = Plane::new(Vec3::new(-1e308, 1e308, 1.0), Vec3::new(1.0, 1.0, 0.0));
+        cases.push((huge, cut));
+        let mut nans = 0;
+        for (case, (grid, plane)) in cases.iter().enumerate() {
+            let (distance, index) = Distance::new(grid, plane);
+            let d = |[i, j, k]: [usize; 3]| plane.distance(grid.point_coord(i, j, k));
+            for cell in grid.cells(0..grid.num_cells()) {
+                let [i, j, k] = cell.ijk();
+                let at = distance.corners(&cell);
+                for (c, [x, y, z]) in CORNERS.into_iter().enumerate() {
+                    let p = [i + x as usize, j + y as usize, k + z as usize];
+                    assert_eq!(at[c].to_bits(), d(p).to_bits(), "case {case}: {p:?}");
+                    nans += usize::from(at[c].is_nan());
+                }
+            }
+            let [_, ny, nz] = grid.point_dims();
+            for (row, [a, b]) in
+                (0..ny * nz).flat_map(|r| cuts(grid).into_iter().map(move |c| (r, c)))
+            {
+                let [j, k] = [row % ny, row / ny];
+                let expect =
+                    (a..=b).fold(0u64, |m, i| m | u64::from(d([i, j, k]) > 0.0) << (i - a));
+                let got = distance.above(grid, [a, j, k], b - a, 0.0);
+                assert_eq!(got, expect, "case {case}: row {row}");
+            }
             let ranges = index.ranges();
-            let per_row = ranges.len() / (cells[1] * cells[2]);
+            let [_, cy, cz] = grid.cell_dims();
+            let per_row = ranges.len() / (cy * cz);
             for (s, &[lo, hi]) in ranges.iter().enumerate() {
                 let (row, x) = (s / per_row, s % per_row);
-                let (j, k) = (row % cells[1], row / cells[1]);
-                let [a, b] = cuts(&grid)[x];
+                let (j, k) = (row % cy, row / cy);
+                let [a, b] = cuts(grid)[x];
                 let points: Vec<[usize; 3]> = (a..=b)
                     .flat_map(|i| [[i, j, k], [i, j + 1, k], [i, j, k + 1], [i, j + 1, k + 1]])
                     .collect();
-                let d = |[i, j, k]: [usize; 3]| plane.distance(grid.point_coord(i, j, k));
                 let min = points.iter().map(|&p| d(p)).fold(f64::INFINITY, f64::min);
                 let max = points
                     .iter()
                     .map(|&p| d(p))
                     .fold(f64::NEG_INFINITY, f64::max);
-                assert!(
-                    lo == min && hi == max,
-                    "case {case}: range [{lo}, {hi}], distances [{min}, {max}]"
-                );
-                if hi > 0.0 && lo <= 0.0 {
-                    live += 1;
-                    for p in points {
-                        let at = sdf[grid.point_id(p[0], p[1], p[2])];
-                        assert_eq!(at.to_bits(), d(p).to_bits(), "case {case}: {p:?}");
-                    }
+                if case < 40 {
+                    assert!(
+                        lo == min && hi == max,
+                        "case {case}: range [{lo}, {hi}], distances [{min}, {max}]"
+                    );
+                    live += usize::from(hi > 0.0 && lo <= 0.0);
+                } else {
+                    assert_eq!([lo, hi], [f64::NEG_INFINITY, f64::INFINITY], "segment {s}");
                 }
             }
         }
         assert!(live > 0, "no plane cut its grid");
+        assert!(nans > 0, "the ±0.85e308 grid's distance holds no NaN");
     }
 
     #[test]

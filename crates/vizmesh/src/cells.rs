@@ -152,7 +152,7 @@ impl CellSet {
 
     /// Total connectivity length (sum of per-cell arities).
     #[inline]
-    pub(crate) fn connectivity_len(&self) -> usize {
+    pub fn connectivity_len(&self) -> usize {
         self.connectivity.len()
     }
 
